@@ -104,9 +104,8 @@ impl SlowPager {
 
     fn supply_loop(&self) {
         // Grab due requests in bounded batches (both suppliers share a
-        // wave) and reuse one fill buffer across supplies.
+        // wave).
         const GRAB: usize = 256;
-        let mut data: Vec<u8> = Vec::new();
         loop {
             let mut due: Vec<(u64, u64)> = Vec::new();
             {
@@ -141,12 +140,10 @@ impl SlowPager {
             }
             let object = self.object.lock().clone().expect("object attached");
             for (offset, length) in due {
-                if data.len() < length as usize {
-                    data.resize(length as usize, 0xA5);
-                }
-                let _ =
-                    self.phys
-                        .supply_page(&object, offset, &data[..length as usize], VmProt::NONE);
+                // Each supply hands its pages over, as a manager's
+                // deallocate-on-send reply does.
+                let data = machipc::OolBuffer::from_vec(vec![0xA5; length as usize]);
+                let _ = self.phys.supply_page(&object, offset, data, VmProt::NONE);
             }
         }
     }

@@ -63,7 +63,12 @@ impl PagerBackend for CountingPager {
         self.requests.fetch_add(1, Ordering::Relaxed);
         let obj = self.object.lock().clone().unwrap();
         self.phys
-            .supply_page(&obj, offset, &vec![0xA5u8; length as usize], VmProt::NONE)
+            .supply_page(
+                &obj,
+                offset,
+                OolBuffer::from_vec(vec![0xA5u8; length as usize]),
+                VmProt::NONE,
+            )
             .unwrap();
     }
 

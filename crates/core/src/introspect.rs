@@ -19,6 +19,7 @@
 use crate::proto;
 use machipc::{IpcError, Message, MsgItem, SendRight};
 use machsim::export::HistogramData;
+use machsim::stats::keys;
 use machsim::Machine;
 use machvm::{FrameCensus, NodeCensus, PhysicalMemory};
 use std::time::Duration;
@@ -183,6 +184,12 @@ pub struct VmStatisticsSnapshot {
     pub now_ns: u64,
     /// Frame and queue counts.
     pub census: FrameCensus,
+    /// Pager-supplied pages that entered the cache by remapping
+    /// (`vm.pages_stolen`).
+    pub pages_stolen: u64,
+    /// Bytes physically copied (`mem.bytes_copied`): pager fills that
+    /// could not be stolen, copy-on-write copies, `vm_read`/`vm_write`.
+    pub bytes_copied: u64,
     /// `(resident, pending)` entry counts per V2P shard, in shard order.
     pub shards: Vec<(u64, u64)>,
     /// Per-node frame census, in node order (one entry on UMA machines).
@@ -196,6 +203,8 @@ impl VmStatisticsSnapshot {
             host: machine.host().to_string(),
             now_ns: machine.clock.now_ns(),
             census: phys.frame_census(),
+            pages_stolen: machine.stats.get(keys::VM_PAGES_STOLEN),
+            bytes_copied: machine.stats.get(keys::BYTES_COPIED),
             shards: phys
                 .shard_occupancy()
                 .into_iter()
@@ -221,6 +230,8 @@ impl VmStatisticsSnapshot {
             c.wired,
             c.busy,
             c.reserve,
+            self.pages_stolen,
+            self.bytes_copied,
             self.shards.len() as u64,
         ];
         for &(r, p) in &self.shards {
@@ -239,13 +250,13 @@ impl VmStatisticsSnapshot {
     /// Decodes a reply message.
     pub fn decode(msg: &Message) -> Option<Self> {
         let (lines, nums) = unpack(msg)?;
-        let [now_ns, total, free, active, inactive, resident, pending, pinned, dirty, wired, busy, reserve, s] =
-            *nums.get(..13)?
+        let [now_ns, total, free, active, inactive, resident, pending, pinned, dirty, wired, busy, reserve, pages_stolen, bytes_copied, s] =
+            *nums.get(..15)?
         else {
             return None;
         };
         let mut shards = Vec::with_capacity(s as usize);
-        let mut at = 13;
+        let mut at = 15;
         for _ in 0..s {
             let [r, p] = *nums.get(at..at + 2)? else {
                 return None;
@@ -285,6 +296,8 @@ impl VmStatisticsSnapshot {
                 busy,
                 reserve,
             },
+            pages_stolen,
+            bytes_copied,
             shards,
             nodes,
         })
@@ -540,9 +553,12 @@ mod tests {
     fn vm_statistics_round_trips_through_wire_form() {
         let m = Machine::default_machine();
         let phys = PhysicalMemory::new(&m, 64 * 4096, 4096, 4);
+        m.stats.add(keys::VM_PAGES_STOLEN, 8);
+        m.stats.add(keys::BYTES_COPIED, 4096);
         let snap = VmStatisticsSnapshot::capture(&m, &phys);
         let decoded = VmStatisticsSnapshot::decode(&snap.encode()).expect("decodes");
         assert_eq!(decoded.census, snap.census);
+        assert_eq!((decoded.pages_stolen, decoded.bytes_copied), (8, 4096));
         assert_eq!(decoded.census.total, 64);
         assert_eq!(decoded.census.free, 64);
         assert_eq!(decoded.shards.len(), snap.shards.len());

@@ -489,7 +489,7 @@ impl Kernel {
             let Ok((_from, batch)) = space.receive_default_many(KERNEL_SERVICE_BATCH, None) else {
                 break;
             };
-            for msg in batch {
+            for mut msg in batch {
                 // Batched dequeue adopts only the last message's context;
                 // re-adopt per message so every supply joins (and nests
                 // under) its own originating fault's chain.
@@ -503,11 +503,19 @@ impl Kernel {
                 let object_of = |id: u64| -> Option<Arc<VmObject>> {
                     registry.lock().by_id.get(&id).map(|r| r.object.clone())
                 };
-                match msg.id {
-                    proto::PAGER_DATA_PROVIDED => {
-                        if let (Some(obj), Some(data)) =
-                            (object_of(ids[0]), msg.body.iter().find_map(|i| i.as_ool()))
-                        {
+                // Any holder of a request-port send right can put anything
+                // on this queue: decode by shape, and drop (counted) what is
+                // too short instead of indexing past its end.
+                match (msg.id, ids.as_slice()) {
+                    (proto::PAGER_DATA_PROVIDED, &[object, offset, lock, ..]) => {
+                        // Move the buffer out of the message: a page the
+                        // manager gave away must reach `supply_page` as the
+                        // only handle on it, or it cannot be stolen.
+                        let data = msg.body.drain(..).find_map(|i| match i {
+                            MsgItem::OutOfLine(data) => Some(data),
+                            _ => None,
+                        });
+                        if let (Some(obj), Some(data)) = (object_of(object), data) {
                             // The dequeue above adopted the message's
                             // correlation id, so the supply (and the
                             // `data_provided` event it emits) joins the
@@ -519,57 +527,60 @@ impl Kernel {
                                 "kernel.service",
                                 machsim::EventKind::Mark("kernel_supply"),
                             );
-                            let lock = VmProt(ids[2] as u8);
-                            let _ = phys.supply_page(&obj, ids[1], data.as_slice(), lock);
+                            let _ = phys.supply_page(&obj, offset, data, VmProt(lock as u8));
                             machine.span_close("pager.reply", sp);
                         }
                     }
-                    proto::PAGER_DATA_UNAVAILABLE => {
-                        if let Some(obj) = object_of(ids[0]) {
+                    (proto::PAGER_DATA_UNAVAILABLE, &[object, offset, size, ..]) => {
+                        if let Some(obj) = object_of(object) {
                             let ps = phys.page_size() as u64;
-                            let mut page = ids[1];
-                            while page < ids[1] + ids[2] {
+                            let mut page = offset;
+                            while page < offset.saturating_add(size) {
                                 let _ = phys.data_unavailable(&obj, page);
                                 page += ps;
                             }
                         }
                     }
-                    proto::PAGER_DATA_LOCK => {
-                        if let Some(obj) = object_of(ids[0]) {
-                            phys.lock_range(&obj, ids[1], ids[2], VmProt(ids[3] as u8));
+                    (proto::PAGER_DATA_LOCK, &[object, offset, length, lock, ..]) => {
+                        if let Some(obj) = object_of(object) {
+                            phys.lock_range(&obj, offset, length, VmProt(lock as u8));
                         }
                     }
-                    proto::PAGER_FLUSH_REQUEST => {
-                        if let Some(obj) = object_of(ids[0]) {
-                            phys.flush_range(&obj, ids[1], ids[2]);
+                    (proto::PAGER_FLUSH_REQUEST, &[object, offset, length, ..]) => {
+                        if let Some(obj) = object_of(object) {
+                            phys.flush_range(&obj, offset, length);
                         }
                     }
-                    proto::PAGER_CLEAN_REQUEST => {
-                        if let Some(obj) = object_of(ids[0]) {
-                            phys.clean_range(&obj, ids[1], ids[2]);
+                    (proto::PAGER_CLEAN_REQUEST, &[object, offset, length, ..]) => {
+                        if let Some(obj) = object_of(object) {
+                            phys.clean_range(&obj, offset, length);
                         }
                     }
-                    proto::PAGER_CACHE => {
-                        if let Some(obj) = object_of(ids[0]) {
-                            obj.set_can_persist(ids[1] != 0);
+                    (proto::PAGER_CACHE, &[object, may_cache, ..]) => {
+                        if let Some(obj) = object_of(object) {
+                            obj.set_can_persist(may_cache != 0);
                         }
                     }
-                    proto::PAGER_SET_CLUSTER => {
-                        if let Some(obj) = object_of(ids[0]) {
-                            obj.set_cluster_hint(ids[1] as usize);
+                    (proto::PAGER_SET_CLUSTER, &[object, pages, ..]) => {
+                        if let Some(obj) = object_of(object) {
+                            obj.set_cluster_hint(pages as usize);
                         }
                     }
-                    proto::PAGER_RELEASE_LAUNDRY => {
+                    (proto::PAGER_RELEASE_LAUNDRY, &[object, bytes, ..]) => {
                         let backend = registry
                             .lock()
                             .by_id
-                            .get(&ids[0])
+                            .get(&object)
                             .map(|r| r.backend.clone());
                         if let Some(b) = backend {
-                            b.laundry().release(ids[1]);
+                            b.laundry().release(bytes);
                         }
                     }
-                    proto::KERNEL_SHUTDOWN => break 'service,
+                    (proto::KERNEL_SHUTDOWN, _) => break 'service,
+                    // A Table 3-6 id none of the shapes above matched.
+                    (proto::PAGER_DATA_PROVIDED..=proto::PAGER_SET_CLUSTER, _) => {
+                        phys.machine().stats.incr(stat_keys::EMM_MALFORMED_DROPPED);
+                    }
                     _ => {}
                 }
                 machipc::slab::recycle(msg);

@@ -93,6 +93,15 @@ impl OolBuffer {
         self.bytes.to_vec()
     }
 
+    /// Whether this handle is the only reference to the pages — the state
+    /// of a region sent deallocate-on-send ([`OolBuffer::from_vec`] with
+    /// no clone kept). A receiver holding an exclusive buffer may take the
+    /// pages over by remapping; a shared one still belongs to whoever
+    /// holds the other handles and has to be copied.
+    pub fn is_exclusive(&self) -> bool {
+        Arc::strong_count(&self.bytes) == 1
+    }
+
     /// Whether two buffers share physical storage (for tests asserting that
     /// no physical copy has happened).
     pub fn shares_storage_with(&self, other: &OolBuffer) -> bool {
@@ -312,6 +321,16 @@ mod tests {
         let b = a.clone();
         assert!(a.shares_storage_with(&b));
         assert_eq!(b.as_slice(), &[1, 2, 3]);
+    }
+
+    #[test]
+    fn ool_exclusive_until_cloned() {
+        let a = OolBuffer::from_vec(vec![0; 8]);
+        assert!(a.is_exclusive());
+        let b = a.clone();
+        assert!(!a.is_exclusive() && !b.is_exclusive());
+        drop(b);
+        assert!(a.is_exclusive());
     }
 
     #[test]

@@ -80,6 +80,10 @@ pub mod keys {
     pub const BYTES_COPIED: &str = "mem.bytes_copied";
     /// Pages moved by remapping instead of copying.
     pub const PAGES_REMAPPED: &str = "mem.pages_remapped";
+    /// Pages a data manager gave away (`pager_data_provided` with an
+    /// exclusively held buffer) that entered the VM cache by remapping —
+    /// the fills that `mem.bytes_copied` does not see.
+    pub const VM_PAGES_STOLEN: &str = "vm.pages_stolen";
     /// Buffer cache hits (baseline UNIX path).
     pub const BCACHE_HITS: &str = "bcache.hits";
     /// Buffer cache misses (baseline UNIX path).
@@ -101,6 +105,9 @@ pub mod keys {
     pub const NET_DROPPED: &str = "net.dropped";
     /// External memory objects terminated.
     pub const EMM_OBJECTS_TERMINATED: &str = "emm.objects_terminated";
+    /// Manager-to-kernel pager messages dropped because their body was
+    /// too short to decode.
+    pub const EMM_MALFORMED_DROPPED: &str = "emm.malformed_dropped";
     /// In-flight chains flagged as stalled by the watchdog.
     pub const WATCHDOG_STALLS: &str = "watchdog.stalls";
     /// Memory accesses that hit a frame (or replica) on the accessing node.
@@ -183,6 +190,7 @@ pub mod keys {
         VM_ZERO_FILLS,
         BYTES_COPIED,
         PAGES_REMAPPED,
+        VM_PAGES_STOLEN,
         BCACHE_HITS,
         BCACHE_MISSES,
         VM_DAEMON_RECLAIMS,
@@ -193,6 +201,7 @@ pub mod keys {
         DEFAULT_PAGER_PARTITION_FULL,
         NET_DROPPED,
         EMM_OBJECTS_TERMINATED,
+        EMM_MALFORMED_DROPPED,
         WATCHDOG_STALLS,
         NUMA_LOCAL_HITS,
         NUMA_REMOTE_HITS,
@@ -243,6 +252,8 @@ pub struct HotCounters {
     pub vm_pageouts: Counter,
     /// [`keys::BYTES_COPIED`]
     pub bytes_copied: Counter,
+    /// [`keys::VM_PAGES_STOLEN`]
+    pub vm_pages_stolen: Counter,
     /// [`keys::MSG_SENT`]
     pub msg_sent: Counter,
     /// [`keys::MSG_RECEIVED`]
@@ -276,6 +287,7 @@ impl HotCounters {
             vm_cow_copies: registry.counter(keys::VM_COW_COPIES),
             vm_pageouts: registry.counter(keys::VM_PAGEOUTS),
             bytes_copied: registry.counter(keys::BYTES_COPIED),
+            vm_pages_stolen: registry.counter(keys::VM_PAGES_STOLEN),
             msg_sent: registry.counter(keys::MSG_SENT),
             msg_received: registry.counter(keys::MSG_RECEIVED),
             ipc_handoffs: registry.counter(keys::IPC_HANDOFFS),

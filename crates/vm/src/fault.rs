@@ -538,7 +538,7 @@ pub(crate) fn handle_timeout(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::object::test_support::RecordingPager;
+    use crate::object::test_support::{filled, RecordingPager};
     use crate::object::PagerBackend;
     use machipc::OolBuffer;
     use machsim::stats::keys;
@@ -606,7 +606,7 @@ mod tests {
             let fill = self.fill;
             let lock = self.lock;
             std::thread::spawn(move || {
-                phys.supply_page(&obj, offset, &vec![fill; length as usize], lock)
+                phys.supply_page(&obj, offset, filled(fill, length as usize), lock)
                     .unwrap();
             });
         }
@@ -706,7 +706,7 @@ mod tests {
     fn cow_read_maps_ancestor_without_write() {
         let (_m, phys) = setup(8);
         let base = VmObject::new_temporary(8192);
-        phys.supply_page(&base, 0, &vec![9u8; 4096], VmProt::NONE)
+        phys.supply_page(&base, 0, filled(9u8, 4096), VmProt::NONE)
             .unwrap();
         let shadow = VmObject::new_shadow(base.clone(), 0, 8192);
         let r = resolve_page(&phys, &shadow, 0, VmProt::READ, FaultPolicy::trusting()).unwrap();
@@ -721,7 +721,7 @@ mod tests {
     fn cow_write_copies_into_shadow() {
         let (m, phys) = setup(8);
         let base = VmObject::new_temporary(8192);
-        phys.supply_page(&base, 0, &vec![9u8; 4096], VmProt::NONE)
+        phys.supply_page(&base, 0, filled(9u8, 4096), VmProt::NONE)
             .unwrap();
         let shadow = VmObject::new_shadow(base.clone(), 0, 8192);
         let r = resolve_page(&phys, &shadow, 0, VmProt::WRITE, FaultPolicy::trusting()).unwrap();
@@ -738,7 +738,7 @@ mod tests {
     fn shadow_chain_walks_multiple_levels() {
         let (_m, phys) = setup(8);
         let base = VmObject::new_temporary(8192);
-        phys.supply_page(&base, 4096, &vec![7u8; 4096], VmProt::NONE)
+        phys.supply_page(&base, 4096, filled(7u8, 4096), VmProt::NONE)
             .unwrap();
         let s1 = VmObject::new_shadow(base.clone(), 0, 8192);
         let s2 = VmObject::new_shadow(s1, 0, 8192);
@@ -751,7 +751,7 @@ mod tests {
     fn shadow_offset_is_applied() {
         let (_m, phys) = setup(8);
         let base = VmObject::new_temporary(16384);
-        phys.supply_page(&base, 8192, &vec![3u8; 4096], VmProt::NONE)
+        phys.supply_page(&base, 8192, filled(3u8, 4096), VmProt::NONE)
             .unwrap();
         // Shadow whose page 0 is base's page 2.
         let shadow = VmObject::new_shadow(base.clone(), 8192, 4096);
@@ -788,7 +788,7 @@ mod tests {
         let (_m, phys) = setup(8);
         let pager = Arc::new(RecordingPager::default());
         let obj = VmObject::new_with_pager(8192, pager.clone());
-        phys.supply_page(&obj, 0, &vec![1u8; 4096], VmProt::WRITE)
+        phys.supply_page(&obj, 0, filled(1u8, 4096), VmProt::WRITE)
             .unwrap();
         let err = resolve_page(
             &phys,

@@ -622,34 +622,49 @@ impl VmMap {
             let (object, obj_offset, entry_prot, needs_copy) = self.resolve_addr(addr, access)?;
             let result: FaultResult =
                 resolve_page(&self.phys, &object, obj_offset, access, policy)?;
-            // `result.frame` is a bare index: the instant `resolve_page`
-            // returns, the page can be reclaimed and the frame recycled
-            // for a *different* page, and entering the mapping below
-            // would then alias another page's bytes. Re-pin the page by
-            // key — validated against the resident table under its shard
-            // lock — to hold reclaim off until the mapping (and with it
-            // the reclaim-visible pmap entry) exists.
-            let Some(frame) = self.phys.pin_resident(result.object.id(), result.offset) else {
-                continue;
-            };
-            if access.allows(VmProt::WRITE) {
-                // The page may have moved frames since `resolve_page`
-                // marked it modified; re-mark the current frame.
-                self.phys.set_modified(frame);
+            if let Some(frame) = self.enter_resolved(vpn, &result, access, entry_prot, needs_copy) {
+                return Ok(frame);
             }
-            let mut prot = entry_prot & result.prot_limit;
-            if needs_copy {
-                // Reads of a not-yet-copied region must not map writable.
-                prot = prot & !VmProt::WRITE;
-            }
-            let machine = self.phys.machine();
-            let pmap_span = machine.span_open("vm.pmap_enter");
-            self.pmap.enter(vpn, frame, prot);
-            self.phys.add_mapping(frame, &self.pmap, vpn);
-            self.phys.unpin(frame);
-            machine.span_close("vm.pmap_enter", pmap_span);
-            return Ok(frame);
         }
+    }
+
+    /// Enters the hardware mapping for a resolved fault: the tail every
+    /// fault ends with, whichever driver resolved it. Returns the mapped
+    /// frame, or `None` if the page was reclaimed since it was resolved
+    /// (the caller re-faults, or leaves the page to its first touch).
+    fn enter_resolved(
+        &self,
+        vpn: u64,
+        result: &FaultResult,
+        access: VmProt,
+        entry_prot: VmProt,
+        needs_copy: bool,
+    ) -> Option<usize> {
+        // `result.frame` is a bare index: the instant the fault resolved,
+        // the page can be reclaimed and the frame recycled for a
+        // *different* page, and entering the mapping below would then
+        // alias another page's bytes. Re-pin the page by key — validated
+        // against the resident table under its shard lock — to hold
+        // reclaim off until the mapping (and with it the reclaim-visible
+        // pmap entry) exists.
+        let frame = self.phys.pin_resident(result.object.id(), result.offset)?;
+        if access.allows(VmProt::WRITE) {
+            // The page may have moved frames since the fault marked it
+            // modified; re-mark the current frame.
+            self.phys.set_modified(frame);
+        }
+        let mut prot = entry_prot & result.prot_limit;
+        if needs_copy {
+            // Reads of a not-yet-copied region must not map writable.
+            prot = prot & !VmProt::WRITE;
+        }
+        let machine = self.phys.machine();
+        let pmap_span = machine.span_open("vm.pmap_enter");
+        self.pmap.enter(vpn, frame, prot);
+        self.phys.add_mapping(frame, &self.pmap, vpn);
+        self.phys.unpin(frame);
+        machine.span_close("vm.pmap_enter", pmap_span);
+        Some(frame)
     }
 
     /// Kernel-internal page resolution without a hardware mapping (used by
@@ -664,11 +679,13 @@ impl VmMap {
     /// Fault-ahead: submits an asynchronous fault for every non-resident
     /// page of `[address, address + size)` through the continuation
     /// engine, then waits for the whole fan-out — the cluster of misses
-    /// parks and resolves concurrently instead of page-at-a-time. Already
-    /// resident pages cost only a pin probe, so a warm range charges no
-    /// fault overhead at all. Returns the number of pages submitted; a
-    /// no-op without an engine (the synchronous access path fills pages
-    /// one by one instead).
+    /// parks and resolves concurrently instead of page-at-a-time — and
+    /// maps each page it resolved, so the access that follows finds it in
+    /// the pmap instead of faulting it a second time. Already resident
+    /// pages cost only a pin probe, so a warm range charges no fault
+    /// overhead at all. Returns the number of pages submitted; a no-op
+    /// without an engine (the synchronous access path fills pages one by
+    /// one instead).
     pub fn fault_ahead(&self, address: u64, size: u64, access: VmProt) -> Result<usize, VmError> {
         if size == 0 {
             return Ok(0);
@@ -684,17 +701,25 @@ impl VmMap {
         let mut tickets = Vec::new();
         let mut page = trunc_page(address, ps);
         while page < end {
-            let (object, obj_offset, _prot, _nc) = self.resolve_addr(page, access)?;
+            let (object, obj_offset, entry_prot, needs_copy) = self.resolve_addr(page, access)?;
             if let Some(frame) = self.phys.pin_resident(object.id(), obj_offset) {
                 self.phys.unpin(frame);
             } else {
-                tickets.push(engine.submit(&object, obj_offset, access, policy));
+                let ticket = engine.submit(&object, obj_offset, access, policy);
+                tickets.push((page / ps, entry_prot, needs_copy, ticket));
             }
             page = page.saturating_add(ps);
         }
         let submitted = tickets.len();
-        for ticket in tickets {
-            ticket.wait()?;
+        for (vpn, entry_prot, needs_copy, ticket) in tickets {
+            let result = ticket.wait()?;
+            // Join the fault's chain, as `resolve_page` does, so the pmap
+            // update lands in that fault's span tree.
+            machsim::trace::set_current_correlation(Some(ticket.correlation()));
+            machsim::trace::set_current_span(ticket.span());
+            // A page already reclaimed again (a range larger than memory
+            // evicts its own head) is left to fault at its first touch.
+            let _ = self.enter_resolved(vpn, &result, access, entry_prot, needs_copy);
         }
         Ok(submitted)
     }
@@ -1044,7 +1069,7 @@ impl Drop for VmMap {
 mod tests {
     use super::*;
     use crate::fault::FaultPolicy;
-    use crate::object::test_support::RecordingPager;
+    use crate::object::test_support::{filled, RecordingPager};
 
     const PS: u64 = 4096;
 
@@ -1432,7 +1457,7 @@ mod tests {
         let pager = Arc::new(RecordingPager::default());
         let object = VmObject::new_with_pager(4 * PS, pager.clone());
         // Pre-supply so the fault is satisfied without a live manager.
-        phys.supply_page(&object, 0, &vec![0xCD; PS as usize], VmProt::NONE)
+        phys.supply_page(&object, 0, filled(0xCD, PS as usize), VmProt::NONE)
             .expect("pre-supplying a page to an empty object succeeds");
         let addr = map
             .allocate_with_object(None, 4 * PS, object, 0, false)
@@ -1458,7 +1483,7 @@ mod tests {
         let (_m, phys) = setup(16);
         let map = VmMap::new(&phys);
         let object = VmObject::new_temporary(PS);
-        phys.supply_page(&object, 0, &vec![7u8; PS as usize], VmProt::NONE)
+        phys.supply_page(&object, 0, filled(7u8, PS as usize), VmProt::NONE)
             .expect("pre-supplying a page to an empty object succeeds");
         // Map copy-on-write (the fs_read_file client view).
         let addr = map
@@ -1485,7 +1510,7 @@ mod tests {
         let pager = Arc::new(RecordingPager::default());
         let object = VmObject::new_with_pager(PS, pager.clone());
         let id = object.id();
-        phys.supply_page(&object, 0, &vec![1u8; PS as usize], VmProt::NONE)
+        phys.supply_page(&object, 0, filled(1u8, PS as usize), VmProt::NONE)
             .expect("pre-supplying a page to an empty object succeeds");
         let addr = map
             .allocate_with_object(None, PS, object, 0, false)
@@ -1509,7 +1534,7 @@ mod tests {
         let object = VmObject::new_temporary(PS);
         object.set_can_persist(true);
         let id = object.id();
-        phys.supply_page(&object, 0, &vec![1u8; PS as usize], VmProt::NONE)
+        phys.supply_page(&object, 0, filled(1u8, PS as usize), VmProt::NONE)
             .expect("pre-supplying a page to an empty object succeeds");
         let addr = map
             .allocate_with_object(None, PS, object, 0, false)

@@ -337,6 +337,12 @@ pub(crate) mod test_support {
     use super::*;
     use parking_lot::Mutex;
 
+    /// `len` bytes of `byte`, given away the way a manager's
+    /// deallocate-on-send `pager_data_provided` gives pages away.
+    pub fn filled(byte: u8, len: usize) -> OolBuffer {
+        OolBuffer::from_vec(vec![byte; len])
+    }
+
     /// Records pager calls for assertions; supplies nothing by itself.
     #[derive(Default)]
     pub struct RecordingPager {

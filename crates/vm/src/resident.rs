@@ -1312,12 +1312,21 @@ impl PhysicalMemory {
     /// consistency is then only guaranteed among mappings with the same
     /// alignment, exactly as in Mach. Multi-page data (a cluster fill)
     /// installs page by page; pages that are already resident keep their
-    /// current contents.
+    /// current contents and cost nothing. Returns the pages installed.
+    ///
+    /// A page the manager gave away changes hands by a table update, as
+    /// every other out-of-line page does: when `data` is the only handle
+    /// on its pages (sent deallocate-on-send) and frame placement is
+    /// invisible to the clock, each page is *stolen* for `map_page_ns`.
+    /// Otherwise it is copied — a manager that kept a handle still owns
+    /// the page, and on an asymmetric machine the copy into a frame on
+    /// the requester's node is the first-touch placement. The host-side
+    /// memcpy below stands in for the frame exchange either way.
     pub fn supply_page(
         &self,
         object: &Arc<VmObject>,
         offset: u64,
-        data: &[u8],
+        data: OolBuffer,
         lock: VmProt,
     ) -> Result<usize, VmError> {
         let whole_pages = data.len() / self.page_size;
@@ -1326,26 +1335,42 @@ impl PhysicalMemory {
                 .stats
                 .incr(stat_keys::VM_PARTIAL_SUPPLIES_DISCARDED);
         }
-        if whole_pages > 0 {
-            self.machine
-                .trace_event("vm.supply", machsim::EventKind::DataProvided);
-        }
-        let mut installed = 0usize;
-        for i in 0..whole_pages {
-            let page_off = offset + (i * self.page_size) as u64;
-            let frame = self.allocate_for_fill(object.id(), page_off)?;
-            {
-                let mut fd = self.frames[frame].data.write();
-                fd.copy_from_slice(&data[i * self.page_size..(i + 1) * self.page_size]);
-            }
-            self.machine
-                .clock
-                .charge(self.machine.cost.copy_cost_ns(self.page_size as u64));
-            self.install(object, page_off, frame, lock, false);
-            installed += 1;
-        }
-        if installed == 0 && whole_pages == 0 {
+        if whole_pages == 0 {
             return Err(VmError::BadAlignment);
+        }
+        self.machine
+            .trace_event("vm.supply", machsim::EventKind::DataProvided);
+        let steal = data.is_exclusive() && !self.machine.cost.topology.is_asymmetric();
+        let mut installed = 0usize;
+        for (i, page) in data.as_slice().chunks_exact(self.page_size).enumerate() {
+            let key = (object.id(), offset + (i * self.page_size) as u64);
+            // Where the requester faulted, unless the page arrived by
+            // another route meanwhile: the resident copy wins, before a
+            // frame is taken (and maybe a page evicted) for nothing.
+            let node = {
+                let mut st = self.shard(key.0, key.1).state.lock();
+                if st.resident.contains_key(&key) {
+                    st.pending.remove(&key);
+                    continue;
+                }
+                st.pending.get(&key).map(|p| p.node)
+            };
+            let frame = match node {
+                Some(node) => self.allocate_frame_on(node, true)?,
+                None => self.allocate_frame(true)?,
+            };
+            self.frames[frame].data.write().copy_from_slice(page);
+            if steal {
+                self.machine.clock.charge(self.machine.cost.map_page_ns);
+                self.machine.hot.vm_pages_stolen.incr();
+            } else {
+                self.machine
+                    .clock
+                    .charge(self.machine.cost.copy_cost_ns(self.page_size as u64));
+                self.machine.hot.bytes_copied.add(self.page_size as u64);
+            }
+            self.install(object, key.1, frame, lock, false);
+            installed += 1;
         }
         Ok(installed)
     }
@@ -2192,7 +2217,7 @@ impl PhysicalMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::object::test_support::RecordingPager;
+    use crate::object::test_support::{filled, RecordingPager};
     use machsim::stats::keys;
 
     fn phys(frames: usize) -> (Machine, Arc<PhysicalMemory>) {
@@ -2205,7 +2230,7 @@ mod tests {
     fn supply_then_lookup() {
         let (_m, phys) = phys(8);
         let obj = VmObject::new_temporary(8192);
-        phys.supply_page(&obj, 0, &vec![7u8; 4096], VmProt::NONE)
+        phys.supply_page(&obj, 0, filled(7u8, 4096), VmProt::NONE)
             .unwrap();
         match phys.lookup(obj.id(), 0) {
             PageLookup::Resident { frame, lock } => {
@@ -2217,12 +2242,66 @@ mod tests {
     }
 
     #[test]
+    fn resupplying_a_resident_page_costs_nothing() -> Result<(), VmError> {
+        let (m, phys) = phys(8);
+        let obj = VmObject::new_temporary(2 * 4096);
+        phys.supply_page(&obj, 0, filled(7u8, 4096), VmProt::NONE)?;
+        let events = Arc::new(AtomicUsize::new(0));
+        let seen = events.clone();
+        phys.set_completion_hook(move |_, _| {
+            seen.fetch_add(1, Ordering::Relaxed);
+        });
+        let (free, now) = (phys.free_frames(), m.clock.now_ns());
+        // No frame taken (and nothing evicted to get one), no charge, no
+        // page event; the resident copy keeps its contents.
+        let n = phys.supply_page(&obj, 0, filled(9u8, 4096), VmProt::NONE)?;
+        assert_eq!(n, 0);
+        assert_eq!((phys.free_frames(), m.clock.now_ns()), (free, now));
+        assert_eq!(events.load(Ordering::Relaxed), 0);
+        match phys.lookup(obj.id(), 0) {
+            PageLookup::Resident { frame, .. } => {
+                phys.with_frame(frame, |d| assert!(d.iter().all(|&b| b == 7)))
+            }
+            other => panic!("expected resident, got {other:?}"),
+        }
+        // A cluster overlapping it pays for the missing page only.
+        let n = phys.supply_page(&obj, 0, filled(9u8, 8192), VmProt::NONE)?;
+        assert_eq!(n, 1);
+        assert_eq!(m.clock.now_ns() - now, m.cost.map_page_ns);
+        assert_eq!(events.load(Ordering::Relaxed), 1);
+        Ok(())
+    }
+
+    #[test]
+    fn supply_steals_what_the_manager_gave_away_and_copies_what_it_kept() -> Result<(), VmError> {
+        let (m, phys) = phys(8);
+        let obj = VmObject::new_temporary(2 * 4096);
+        let given = filled(1u8, 4096);
+        let before = m.clock.now_ns();
+        phys.supply_page(&obj, 0, given, VmProt::NONE)?;
+        assert_eq!(m.clock.now_ns() - before, m.cost.map_page_ns);
+        assert_eq!(m.stats.get(keys::VM_PAGES_STOLEN), 1);
+        assert_eq!(m.stats.get(keys::BYTES_COPIED), 0);
+
+        let kept = filled(2u8, 4096);
+        let before = m.clock.now_ns();
+        phys.supply_page(&obj, 4096, kept.clone(), VmProt::NONE)?;
+        assert_eq!(m.clock.now_ns() - before, m.cost.copy_cost_ns(4096));
+        assert_eq!(m.stats.get(keys::VM_PAGES_STOLEN), 1);
+        assert_eq!(m.stats.get(keys::BYTES_COPIED), 4096);
+        assert!(kept.as_slice().iter().all(|&b| b == 2));
+        Ok(())
+    }
+
+    #[test]
     fn multi_page_supply() {
         let (_m, phys) = phys(8);
         let obj = VmObject::new_temporary(3 * 4096);
         let mut data = vec![0u8; 2 * 4096];
         data[4096] = 9;
-        let n = phys.supply_page(&obj, 4096, &data, VmProt::NONE).unwrap();
+        let n = phys
+            .supply_page(&obj, 4096, OolBuffer::from_vec(data), VmProt::NONE)
+            .unwrap();
         assert_eq!(n, 2);
         assert!(matches!(
             phys.lookup(obj.id(), 4096),
@@ -2241,7 +2320,7 @@ mod tests {
         let obj = VmObject::new_temporary(8192);
         // Misaligned offsets are allowed; the cache is keyed by the byte
         // offset, so consistency holds among same-alignment mappings only.
-        phys.supply_page(&obj, 100, &vec![0u8; 4096], VmProt::NONE)
+        phys.supply_page(&obj, 100, filled(0u8, 4096), VmProt::NONE)
             .unwrap();
         assert!(matches!(
             phys.lookup(obj.id(), 100),
@@ -2249,7 +2328,7 @@ mod tests {
         ));
         // Trailing partial page: whole pages kept, remainder discarded.
         let n = phys
-            .supply_page(&obj, 0, &vec![0u8; 4096 + 100], VmProt::NONE)
+            .supply_page(&obj, 0, filled(0u8, 4096 + 100), VmProt::NONE)
             .unwrap();
         assert_eq!(n, 1);
         assert!(m.stats.get(keys::VM_PARTIAL_SUPPLIES_DISCARDED) >= 1);
@@ -2262,7 +2341,7 @@ mod tests {
         assert!(phys.begin_fill(obj.id(), 0));
         assert!(!phys.begin_fill(obj.id(), 0));
         assert_eq!(phys.lookup(obj.id(), 0), PageLookup::Pending);
-        phys.supply_page(&obj, 0, &vec![0u8; 4096], VmProt::NONE)
+        phys.supply_page(&obj, 0, filled(0u8, 4096), VmProt::NONE)
             .unwrap();
         assert!(!phys.begin_fill(obj.id(), 0));
         assert!(matches!(
@@ -2304,7 +2383,7 @@ mod tests {
         let o2 = obj.clone();
         let h = std::thread::spawn(move || p2.await_page(o2.id(), 0, Some(Duration::from_secs(5))));
         machsim::wall::sleep(Duration::from_millis(20));
-        phys.supply_page(&obj, 0, &vec![1u8; 4096], VmProt::NONE)
+        phys.supply_page(&obj, 0, filled(1u8, 4096), VmProt::NONE)
             .unwrap();
         let frame = h.join().unwrap().unwrap().expect("page resident");
         phys.with_frame(frame, |d| assert_eq!(d[0], 1));
@@ -2318,7 +2397,7 @@ mod tests {
         // Fill all four unprivileged frames with dirty pages.
         for i in 0..4u64 {
             let f = phys
-                .supply_page(&obj, i * 4096, &vec![i as u8; 4096], VmProt::NONE)
+                .supply_page(&obj, i * 4096, filled(i as u8, 4096), VmProt::NONE)
                 .unwrap();
             let _ = f;
             if let PageLookup::Resident { frame, .. } = phys.lookup(obj.id(), i * 4096) {
@@ -2336,7 +2415,7 @@ mod tests {
         let (_m, phys) = phys(6);
         let obj = VmObject::new_temporary(1 << 20);
         for i in 0..4u64 {
-            phys.supply_page(&obj, i * 4096, &vec![0u8; 4096], VmProt::NONE)
+            phys.supply_page(&obj, i * 4096, filled(0u8, 4096), VmProt::NONE)
                 .unwrap();
         }
         // Touch pages 1..4 so page 0 is the coldest. The reference bits of
@@ -2386,7 +2465,7 @@ mod tests {
         let (_m, phys) = phys(8);
         let pager = Arc::new(RecordingPager::default());
         let obj = VmObject::new_with_pager(8192, pager.clone());
-        phys.supply_page(&obj, 0, &vec![3u8; 4096], VmProt::NONE)
+        phys.supply_page(&obj, 0, filled(3u8, 4096), VmProt::NONE)
             .unwrap();
         if let PageLookup::Resident { frame, .. } = phys.lookup(obj.id(), 0) {
             phys.with_frame_mut(frame, |d| d[0] = 99);
@@ -2403,7 +2482,7 @@ mod tests {
         let (_m, phys) = phys(8);
         let pager = Arc::new(RecordingPager::default());
         let obj = VmObject::new_with_pager(4096, pager.clone());
-        phys.supply_page(&obj, 0, &vec![3u8; 4096], VmProt::NONE)
+        phys.supply_page(&obj, 0, filled(3u8, 4096), VmProt::NONE)
             .unwrap();
         if let PageLookup::Resident { frame, .. } = phys.lookup(obj.id(), 0) {
             phys.with_frame_mut(frame, |d| d[0] = 42);
@@ -2422,7 +2501,7 @@ mod tests {
         let m = Machine::default_machine();
         let phys = PhysicalMemory::new(&m, 8 * 4096, 4096, 2);
         let obj = VmObject::new_temporary(4096);
-        phys.supply_page(&obj, 0, &vec![0u8; 4096], VmProt::NONE)
+        phys.supply_page(&obj, 0, filled(0u8, 4096), VmProt::NONE)
             .unwrap();
         let PageLookup::Resident { frame, .. } = phys.lookup(obj.id(), 0) else {
             panic!("resident");
@@ -2444,7 +2523,7 @@ mod tests {
     fn await_unlock_waits_for_lock_change() {
         let (_m, phys) = phys(8);
         let obj = VmObject::new_temporary(4096);
-        phys.supply_page(&obj, 0, &vec![0u8; 4096], VmProt::WRITE)
+        phys.supply_page(&obj, 0, filled(0u8, 4096), VmProt::WRITE)
             .unwrap();
         let p2 = phys.clone();
         let o2 = obj.clone();
@@ -2461,7 +2540,7 @@ mod tests {
         let (m, phys) = phys(8);
         let src_obj = VmObject::new_temporary(4096);
         let dst_obj = VmObject::new_temporary(4096);
-        phys.supply_page(&src_obj, 0, &vec![5u8; 4096], VmProt::NONE)
+        phys.supply_page(&src_obj, 0, filled(5u8, 4096), VmProt::NONE)
             .unwrap();
         let PageLookup::Resident { frame: src, .. } = phys.lookup(src_obj.id(), 0) else {
             panic!("resident");
@@ -2526,7 +2605,7 @@ mod tests {
         let obj = VmObject::new_temporary(16 * 4096);
         // Page 2 resident, page 5 pending: a cluster claim around page 3
         // must stop at both boundaries.
-        phys.supply_page(&obj, 2 * 4096, &vec![9u8; 4096], VmProt::NONE)
+        phys.supply_page(&obj, 2 * 4096, filled(9u8, 4096), VmProt::NONE)
             .unwrap();
         assert!(phys.begin_fill(obj.id(), 5 * 4096));
         let (start, pages) = phys
@@ -2535,7 +2614,7 @@ mod tests {
         assert_eq!(start, 3 * 4096);
         assert_eq!(pages, 2); // pages 3 and 4 only
                               // Supplying the cluster must not disturb the resident page.
-        phys.supply_page(&obj, start, &vec![1u8; 2 * 4096], VmProt::NONE)
+        phys.supply_page(&obj, start, filled(1u8, 2 * 4096), VmProt::NONE)
             .unwrap();
         let PageLookup::Resident { frame, .. } = phys.lookup(obj.id(), 2 * 4096) else {
             panic!("page 2 must stay resident");
@@ -2576,7 +2655,7 @@ mod tests {
     fn partial_cluster_unavailable_zero_fills_only_missing() {
         let (_m, phys) = phys(16);
         let obj = VmObject::new_temporary(4 * 4096);
-        phys.supply_page(&obj, 4096, &vec![7u8; 4096], VmProt::NONE)
+        phys.supply_page(&obj, 4096, filled(7u8, 4096), VmProt::NONE)
             .unwrap();
         // The kernel answers pager_data_unavailable for a cluster with a
         // per-page loop; the page that is already resident keeps its data
@@ -2605,7 +2684,7 @@ mod tests {
         });
         let obj = VmObject::new_with_pager(1 << 20, pager.clone());
         for i in 0..4u64 {
-            phys.supply_page(&obj, i * 4096, &vec![i as u8; 4096], VmProt::NONE)
+            phys.supply_page(&obj, i * 4096, filled(i as u8, 4096), VmProt::NONE)
                 .unwrap();
             if let PageLookup::Resident { frame, .. } = phys.lookup(obj.id(), i * 4096) {
                 phys.set_modified(frame);
@@ -2666,7 +2745,7 @@ mod tests {
                                     let _ = phys.supply_page(
                                         &obj.clone(),
                                         off,
-                                        &vec![tag; 4096],
+                                        filled(tag, 4096),
                                         VmProt::NONE,
                                     );
                                 }
@@ -2713,7 +2792,7 @@ mod tests {
         let (_m, phys) = phys(8);
         let a = VmObject::new_temporary(8 * 4096);
         let b = VmObject::new_temporary(8 * 4096);
-        phys.supply_page(&a, 4096, &vec![5u8; 4096], VmProt::NONE)
+        phys.supply_page(&a, 4096, filled(5u8, 4096), VmProt::NONE)
             .unwrap();
         assert!(phys.rekey_page(a.id(), 4096, &b, 8192));
         assert!(matches!(phys.lookup(a.id(), 4096), PageLookup::Absent));
@@ -2722,7 +2801,7 @@ mod tests {
         };
         phys.with_frame(frame, |d| assert!(d.iter().all(|&b| b == 5)));
         // Destination occupied: the move is refused.
-        phys.supply_page(&a, 0, &vec![1u8; 4096], VmProt::NONE)
+        phys.supply_page(&a, 0, filled(1u8, 4096), VmProt::NONE)
             .unwrap();
         assert!(!phys.rekey_page(a.id(), 0, &b, 8192));
         assert!(matches!(

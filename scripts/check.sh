@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # Repo-wide lint gate: clippy with warnings denied, rustfmt drift, bench
-# smoke runs, the machmc schedule-exploration models, the lockdep
-# runtime witnesses, and machlint's static invariants. Run before
-# sending a change; CI runs the same commands.
+# smoke runs, the machmark suite smoke + sim fingerprints, the machmc
+# schedule-exploration models, the lockdep runtime witnesses, and
+# machlint's static invariants. Run before sending a change; CI runs the
+# same commands.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -28,6 +29,12 @@ cargo bench -p machbench --bench fault_concurrency -- --smoke
 echo "==> parallel_build bench (smoke: scheduler-driven build, P1 warm speedup + P2 I/O cut)"
 cargo bench -p machbench --bench parallel_build -- --smoke
 
+echo "==> machmark (smoke: all six workloads, one short round each, every output check)"
+bash benchmark/run.sh --smoke
+
+echo "==> machmark verify (vm_fork and msg_ool sim fingerprints repeat exactly)"
+bash benchmark/run.sh verify
+
 echo "==> machmc (schedule exploration: every concurrency-protocol model, full bound)"
 cargo run -q --release -p machmc -- --all --json BENCH_mc.json
 
@@ -49,4 +56,4 @@ cargo test -q -p machsched --features lockdep --test lockdep_witness
 echo "==> machlint (static invariants: lock-order, sim-time, counter-key, panic-budget, trace-cover, span-pair, atomic-ordering, condvar-wait, unchecked-send)"
 cargo run -q -p machlint -- --workspace
 
-echo "OK: clippy clean, formatting clean, fault_scaling, numa_placement, fault_concurrency, parallel_build, machmc + baseline diff, export smoke, critical-path smoke, lockdep witnesses and machlint passed."
+echo "OK: clippy clean, formatting clean, fault_scaling, numa_placement, fault_concurrency, parallel_build, machmark smoke + verify, machmc + baseline diff, export smoke, critical-path smoke, lockdep witnesses and machlint passed."

@@ -167,14 +167,22 @@ fn multithreaded_numa_stress_keeps_data_coherent() {
     let privates: Vec<u64> = (0..threads)
         .map(|_| map.allocate(None, 4 * PAGE).unwrap())
         .collect();
+    // On a small host one thread can finish all its rounds before the
+    // next one starts. Meeting half-way guarantees the writer's later
+    // rounds find the readers' replicas, whatever the schedule was.
+    let halfway = std::sync::Barrier::new(threads);
     std::thread::scope(|s| {
         for (t, &private) in privates.iter().enumerate() {
             let map = map.clone();
+            let halfway = &halfway;
             s.spawn(move || {
                 set_current_node(Some(t % NODES));
                 let mut rng = SplitMix64::new(t as u64 + 1);
                 let mut buf = vec![0u8; PAGE as usize];
                 for round in 0..60u32 {
+                    if round == 30 {
+                        halfway.wait();
+                    }
                     // Shared region: pages are rewritten whole, so any
                     // read must see a uniform page.
                     let p = rng.next_below(shared_pages);

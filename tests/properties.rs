@@ -256,8 +256,13 @@ fn resident_cache_consistency() {
         let phys = PhysicalMemory::new(&m, 32 * 4096, 4096, 2);
         let obj = machvm::VmObject::new_temporary(1 << 20);
         for (i, page) in pages.iter().enumerate() {
-            phys.supply_page(&obj, (i as u64) * 4096, page, VmProt::NONE)
-                .unwrap();
+            phys.supply_page(
+                &obj,
+                (i as u64) * 4096,
+                OolBuffer::from_slice(page),
+                VmProt::NONE,
+            )
+            .unwrap();
         }
         for (i, page) in pages.iter().enumerate() {
             match phys.lookup(obj.id(), (i as u64) * 4096) {
