@@ -11,12 +11,16 @@
 //! of N pages from a cluster-capable pager, comparing cluster sizes 1 and 8.
 //! Cluster 8 should issue ~8x fewer `pager_data_request` messages.
 //!
+//! Workload C is the other side of that choice: seeded random single-page
+//! faults under the same cluster-8 policy. A request is sized by the
+//! access, so each fill should bring in exactly the page that was touched.
+//!
 //! Run with `--smoke` for a seconds-scale sanity pass (used by
 //! `scripts/check.sh`); the full run sizes the workloads for stable numbers.
 
 use machipc::OolBuffer;
 use machsim::wall;
-use machsim::Machine;
+use machsim::{Machine, SplitMix64};
 use machvm::fault::resolve_page;
 use machvm::{FaultPolicy, ObjectId, PagerBackend, PhysicalMemory, VmObject, VmProt};
 use parking_lot::Mutex;
@@ -47,11 +51,13 @@ fn fault_throughput(threads: usize, pages_per_thread: u64, shards: usize) -> f64
     (threads as u64 * pages_per_thread) as f64 / start.elapsed().as_secs_f64()
 }
 
-/// A pager that supplies pages synchronously and counts request messages.
+/// A pager that supplies pages synchronously and counts request messages
+/// and the pages they asked for.
 struct CountingPager {
     phys: Arc<PhysicalMemory>,
     object: Mutex<Option<Arc<VmObject>>>,
     requests: AtomicU64,
+    pages: AtomicU64,
 }
 
 impl PagerBackend for CountingPager {
@@ -61,6 +67,7 @@ impl PagerBackend for CountingPager {
 
     fn data_request(&self, _object: ObjectId, offset: u64, length: u64, _access: VmProt) {
         self.requests.fetch_add(1, Ordering::Relaxed);
+        self.pages.fetch_add(length / 4096, Ordering::Relaxed);
         let obj = self.object.lock().clone().unwrap();
         self.phys
             .supply_page(
@@ -77,23 +84,57 @@ impl PagerBackend for CountingPager {
     fn data_unlock(&self, _object: ObjectId, _offset: u64, _length: u64, _access: VmProt) {}
 }
 
-/// Workload B: sequential read of `pages` pages at the given cluster size;
-/// returns the number of `pager_data_request` messages issued.
-fn cluster_requests(cluster: usize, pages: u64) -> u64 {
+/// A fresh `pages`-page object behind a [`CountingPager`], with memory
+/// for all of it.
+fn counted_object(pages: u64) -> (Arc<PhysicalMemory>, Arc<CountingPager>, Arc<VmObject>) {
     let m = Machine::default_machine();
     let phys = PhysicalMemory::new(&m, (pages as usize + 64) * 4096, 4096, 16);
     let pager = Arc::new(CountingPager {
         phys: phys.clone(),
         object: Mutex::new(None),
         requests: AtomicU64::new(0),
+        pages: AtomicU64::new(0),
     });
     let obj = VmObject::new_with_pager(pages * 4096, pager.clone());
     *pager.object.lock() = Some(obj.clone());
+    (phys, pager, obj)
+}
+
+/// Workload B: sequential read of `pages` pages at the given cluster size;
+/// returns the number of `pager_data_request` messages issued.
+fn cluster_requests(cluster: usize, pages: u64) -> u64 {
+    let (phys, pager, obj) = counted_object(pages);
     let policy = FaultPolicy::trusting().with_cluster(cluster);
     for pg in 0..pages {
         resolve_page(&phys, &obj, pg * 4096, VmProt::READ, policy).unwrap();
     }
     pager.requests.load(Ordering::Relaxed)
+}
+
+/// Workload C: `faults` seeded random write faults over an object four
+/// times that size, cluster 8; returns pages requested per request. A
+/// draw that happens to continue the last miss is sequential, not random,
+/// and is redrawn.
+fn pages_per_random_fill(faults: u64, seed: u64) -> f64 {
+    let pages = 4 * faults;
+    let (phys, pager, obj) = counted_object(pages);
+    let policy = FaultPolicy::trusting().with_cluster(8);
+    let mut rng = SplitMix64::new(seed);
+    let (mut missed, mut run_end) = (std::collections::HashSet::new(), 0);
+    for _ in 0..faults {
+        let pg = loop {
+            let pg = 1 + rng.next_below(pages - 1);
+            if pg != run_end {
+                break pg;
+            }
+        };
+        if missed.insert(pg) {
+            run_end = pg + 1;
+        }
+        resolve_page(&phys, &obj, pg * 4096, VmProt::WRITE, policy)
+            .expect("the counting pager answers every request");
+    }
+    pager.pages.load(Ordering::Relaxed) as f64 / pager.requests.load(Ordering::Relaxed) as f64
 }
 
 fn main() {
@@ -151,8 +192,13 @@ fn main() {
     let clustered = cluster_rows.last().expect("cluster sweep ran").1.max(1);
     let cluster_ratio = single as f64 / clustered as f64;
 
+    println!("C. random demand paging (cluster=8), pages per pager_data_request:");
+    let random_fill = pages_per_random_fill(seq_pages, 0x5EED);
+    println!("   {seq_pages} seeded random faults: {random_fill:.2} pages per fill");
+
     // Machine-readable trajectory entry at the repository root; `report
-    // bench-diff` ratchets the host-independent cluster message ratio.
+    // bench-diff` ratchets the host-independent cluster message ratio and
+    // the pages a random fault's fill brings in.
     let mut json = String::from("{\n  \"bench\": \"fault_scaling\",\n");
     json.push_str(&format!(
         "  \"mode\": \"{}\",\n  \"pages_per_thread\": {pages_per_thread},\n  \"sequential_pages\": {seq_pages},\n",
@@ -176,7 +222,7 @@ fn main() {
     }
     json.push_str("  ],\n");
     json.push_str(&format!(
-        "  \"cluster_message_ratio\": {cluster_ratio:.2}\n}}\n"
+        "  \"cluster_message_ratio\": {cluster_ratio:.2},\n  \"pages_per_random_fill\": {random_fill:.2}\n}}\n"
     ));
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scaling.json");
     std::fs::write(path, &json).expect("write BENCH_scaling.json at the repo root");

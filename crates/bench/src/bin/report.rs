@@ -65,7 +65,8 @@ fn toml_num(section: &str, key: &str) -> Option<f64> {
 
 /// One host-independent floor of the ratchet: `json_key` read from the
 /// bench's JSON (after `anchor` when set, for per-sweep-level metrics)
-/// must be at least `floor_key` from the baseline section.
+/// must be at least `floor_key` from the baseline section — or at most,
+/// when the baseline key is a `max_` ceiling.
 struct Floor {
     label: &'static str,
     json_key: &'static str,
@@ -106,12 +107,20 @@ const RATCHETS: &[Ratchet] = &[
     Ratchet {
         json_file: "BENCH_scaling.json",
         section: "[fault_scaling]",
-        floors: &[Floor {
-            label: "cluster-8 message cut",
-            json_key: "cluster_message_ratio",
-            floor_key: "min_cluster_message_ratio",
-            anchor: None,
-        }],
+        floors: &[
+            Floor {
+                label: "cluster-8 message cut",
+                json_key: "cluster_message_ratio",
+                floor_key: "min_cluster_message_ratio",
+                anchor: None,
+            },
+            Floor {
+                label: "pages per random fill",
+                json_key: "pages_per_random_fill",
+                floor_key: "max_pages_per_random_fill",
+                anchor: None,
+            },
+        ],
     },
     Ratchet {
         json_file: "BENCH_ipc.json",
@@ -236,10 +245,12 @@ fn bench_diff() -> Result<(), String> {
                 .ok_or_else(|| format!("{} has no {}", r.json_file, f.json_key))?;
             let floor = toml_num(section, f.floor_key)
                 .ok_or_else(|| format!("baseline has no {}", f.floor_key))?;
-            println!("  {:<22} {value:.2}  (floor {floor:.2})", f.label);
-            if value < floor {
+            let ceiling = f.floor_key.starts_with("max_");
+            let bound = if ceiling { "ceiling" } else { "floor" };
+            println!("  {:<22} {value:.2}  ({bound} {floor:.2})", f.label);
+            if (ceiling && value > floor) || (!ceiling && value < floor) {
                 return Err(format!(
-                    "{} regressed: {} = {value:.2} < baseline floor {floor:.2}",
+                    "{} regressed: {} = {value:.2} is past the baseline {bound} {floor:.2}",
                     r.section, f.json_key
                 ));
             }

@@ -96,9 +96,19 @@ pub fn run_default() -> Vec<FailureRow> {
         let addr = t
             .vm_allocate_with_pager(None, pages * 4096, mgr.port(), 0)
             .unwrap();
+        // Two passes with the hoarder's deadline between them: the first
+        // puts it far over its laundry limit, the second finds it still
+        // there with nothing released.
         let mut all_written = true;
-        for i in 0..pages {
-            all_written &= t.write_memory(addr + i * 4096, &[1]).is_ok();
+        for pass in 0..2 {
+            if pass == 1 {
+                machsim::wall::sleep(
+                    machcore::backend::LAUNDRY_DEADLINE + Duration::from_millis(50),
+                );
+            }
+            for i in 0..pages {
+                all_written &= t.write_memory(addr + i * 4096, &[1]).is_ok();
+            }
         }
         let takeovers = k
             .machine()
@@ -106,7 +116,7 @@ pub fn run_default() -> Vec<FailureRow> {
             .get(machsim::stats::keys::VM_DEFAULT_PAGER_TAKEOVERS);
         rows.push(FailureRow {
             mode: "manager hoards written-back data".into(),
-            defense: "laundry limit, default pager takeover".into(),
+            defense: "laundry limit + deadline, default pager takeover".into(),
             outcome: format!("{takeovers} pageouts diverted"),
             ok: all_written && takeovers > 0,
         });

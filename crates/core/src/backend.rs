@@ -8,25 +8,44 @@
 //!
 //! The backend also implements the starvation protection of Section 6.2.2:
 //! dirty data handed to a manager with `pager_data_write` is *laundry* the
-//! manager owes a release for. When a manager's outstanding laundry exceeds
-//! a threshold, further pageouts divert to the default pager — "In this
-//! way, the kernel is protected from starvation by errant data managers."
+//! manager owes a release for. "If the data manager does not process and
+//! release the data within an adequate period of time, the data may then
+//! be paged out to the default pager": a manager whose laundry has stayed
+//! over a threshold, with no release, past a deadline loses further
+//! pageouts to the default pager — "In this way, the kernel is protected
+//! from starvation by errant data managers." A page diverted that way is
+//! remembered, and the next request for it goes where the data went.
 
 use crate::proto;
 use machipc::{Message, MsgItem, OolBuffer, SendRight};
-use machsim::Machine;
+use machsim::{wall, Machine};
 use machvm::{ObjectId, PagerBackend, PagerRequest, VmProt};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, Weak};
+use std::time::Duration;
 
 /// Default number of outstanding laundered bytes a manager may hold before
-/// pageouts divert to the default pager.
+/// it is on notice: pageouts divert to the default pager if it then goes
+/// [`LAUNDRY_DEADLINE`] without releasing any.
 pub const DEFAULT_LAUNDRY_LIMIT: u64 = 64 * 4096;
+
+/// How long (wall clock, like the watchdog's debounce: the question is
+/// whether a real thread is making progress) a manager over its laundry
+/// limit may go without a single release before it counts as errant. A
+/// burst of pageouts (a fault storm reclaiming inline, one `reclaim_pages`
+/// call) can hand a manager several times the limit before its thread is
+/// ever scheduled; a healthy manager drains that burst within a few
+/// milliseconds of getting the CPU, a hoarder never does.
+pub const LAUNDRY_DEADLINE: Duration = Duration::from_millis(100);
 
 /// Per-manager laundry accounting.
 #[derive(Debug, Default)]
 pub struct LaundryState {
     outstanding: AtomicU64,
+    /// Releases ever credited: a change tells the backend the manager is
+    /// alive, whatever the balance.
+    releases: AtomicU64,
 }
 
 impl LaundryState {
@@ -42,6 +61,7 @@ impl LaundryState {
 
     /// Records that the manager released `bytes` (its `vm_deallocate`).
     pub fn release(&self, bytes: u64) {
+        self.releases.fetch_add(1, Ordering::Relaxed);
         let mut cur = self.outstanding.load(Ordering::Relaxed);
         loop {
             let next = cur.saturating_sub(bytes);
@@ -73,10 +93,19 @@ pub struct IpcPagerBackend {
     request: SendRight,
     /// Laundry accounting for starvation protection.
     laundry: Arc<LaundryState>,
-    /// Maximum outstanding laundry before diversion to the default pager.
+    /// Outstanding laundry beyond which the manager must keep releasing.
     laundry_limit: AtomicU64,
+    /// Set by the first pageout that finds the manager over its limit:
+    /// the release count at that moment and when its grace runs out. A
+    /// release in between re-arms it.
+    on_notice: parking_lot::Mutex<Option<(u64, wall::Deadline)>>,
     /// Where diverted pageouts go (`None` for the default pager itself).
     fallback: RwLock<Weak<dyn PagerBackend>>,
+    /// Pages whose latest contents went to the fallback instead of the
+    /// manager; requests for them must follow.
+    diverted: parking_lot::Mutex<HashSet<(ObjectId, u64)>>,
+    /// System page size, the granularity of `diverted`.
+    page_size: u64,
     /// Kernel cleanup to run at object termination (deallocates the
     /// request and name ports, notifying the manager via port death).
     on_terminate: parking_lot::Mutex<Option<Box<dyn FnOnce() + Send>>>,
@@ -89,11 +118,12 @@ pub struct IpcPagerBackend {
 
 impl IpcPagerBackend {
     /// Creates a backend speaking to `manager`, returning data via
-    /// `request`.
+    /// `request`, for a kernel whose pages are `page_size` bytes.
     pub fn new(
         machine: &Machine,
         manager: SendRight,
         request: SendRight,
+        page_size: usize,
         label: impl Into<String>,
     ) -> Arc<Self> {
         Arc::new(IpcPagerBackend {
@@ -102,7 +132,10 @@ impl IpcPagerBackend {
             request,
             laundry: Arc::new(LaundryState::default()),
             laundry_limit: AtomicU64::new(DEFAULT_LAUNDRY_LIMIT),
+            on_notice: parking_lot::Mutex::new(None),
             fallback: RwLock::new(Weak::<IpcPagerBackend>::new()),
+            diverted: parking_lot::Mutex::new(HashSet::new()),
+            page_size: page_size.max(1) as u64,
             on_terminate: parking_lot::Mutex::new(None),
             on_terminate_object: parking_lot::Mutex::new(None),
             label: label.into(),
@@ -143,6 +176,61 @@ impl IpcPagerBackend {
     fn ids(&self, values: &[u64]) -> MsgItem {
         MsgItem::u64s(values)
     }
+
+    fn fallback(&self) -> Option<Arc<dyn PagerBackend>> {
+        self.fallback.read().expect("lock poisoned").upgrade()
+    }
+
+    /// Whether a pageout of `bytes` finds the manager errant: over its
+    /// laundry limit since a deadline ago, with no release in between.
+    /// Never waits — the caller may be the thread that processes releases.
+    fn is_errant(&self, bytes: u64) -> bool {
+        if self.laundry.outstanding() + bytes <= self.laundry_limit.load(Ordering::Relaxed) {
+            return false;
+        }
+        let releases = self.laundry.releases.load(Ordering::Relaxed);
+        let mut notice = self.on_notice.lock();
+        match *notice {
+            Some((seen, deadline)) if seen == releases => deadline.expired(),
+            _ => {
+                *notice = Some((releases, wall::Deadline::after(LAUNDRY_DEADLINE)));
+                false
+            }
+        }
+    }
+
+    /// Cuts `[offset, offset + length)` into maximal runs that all went to
+    /// the fallback or all did not: `(offset, length, diverted)`.
+    fn split_diverted(&self, object: ObjectId, offset: u64, length: u64) -> Vec<(u64, u64, bool)> {
+        let diverted = self.diverted.lock();
+        if diverted.is_empty() {
+            return vec![(offset, length, false)];
+        }
+        let mut runs: Vec<(u64, u64, bool)> = Vec::new();
+        let mut page = offset;
+        while page < offset.saturating_add(length) {
+            let len = self.page_size.min(offset + length - page);
+            let went = diverted.contains(&(object, page));
+            match runs.last_mut() {
+                Some((_, run_len, run_went)) if *run_went == went => *run_len += len,
+                _ => runs.push((page, len, went)),
+            }
+            page += len;
+        }
+        runs
+    }
+
+    fn request_message(
+        &self,
+        object: ObjectId,
+        offset: u64,
+        length: u64,
+        access: VmProt,
+    ) -> Message {
+        machipc::slab::message(proto::PAGER_DATA_REQUEST)
+            .with(self.ids(&[object.0, offset, length, access.0 as u64]))
+            .with(MsgItem::SendRights(vec![self.request.clone()]))
+    }
 }
 
 impl PagerBackend for IpcPagerBackend {
@@ -155,11 +243,17 @@ impl PagerBackend for IpcPagerBackend {
     }
 
     fn data_request(&self, object: ObjectId, offset: u64, length: u64, desired_access: VmProt) {
-        self.manager.send_notification(
-            machipc::slab::message(proto::PAGER_DATA_REQUEST)
-                .with(self.ids(&[object.0, offset, length, desired_access.0 as u64]))
-                .with(MsgItem::SendRights(vec![self.request.clone()])),
-        );
+        for (offset, length, diverted) in self.split_diverted(object, offset, length) {
+            match diverted.then(|| self.fallback()).flatten() {
+                Some(fallback) => fallback.data_request(object, offset, length, desired_access),
+                None => self.manager.send_notification(self.request_message(
+                    object,
+                    offset,
+                    length,
+                    desired_access,
+                )),
+            }
+        }
     }
 
     fn data_request_many(&self, object: ObjectId, runs: &[PagerRequest]) {
@@ -167,19 +261,34 @@ impl PagerBackend for IpcPagerBackend {
         // travels in one `send_many` — one port lock round, one receiver
         // wakeup — instead of a message per faulting page. Each message
         // still carries its own fault's correlation id, so per-fault
-        // causal chains survive the coalescing.
-        let msgs: Vec<Message> = runs
-            .iter()
-            .map(|r| {
-                let mut m = machipc::slab::message(proto::PAGER_DATA_REQUEST)
-                    .with(self.ids(&[object.0, r.offset, r.length, r.access.0 as u64]))
-                    .with(MsgItem::SendRights(vec![self.request.clone()]));
-                m.correlation = r.correlation;
-                m.parent_span = r.parent_span;
-                m
-            })
-            .collect();
-        self.manager.send_many_notification(msgs);
+        // causal chains survive the coalescing. Diverted parts of a run
+        // are asked of the fallback instead, in a batch of their own —
+        // unless the fallback is gone (kernel teardown), when the
+        // manager's stale copy is the only answer left.
+        let fallback = self.fallback();
+        let (mut msgs, mut elsewhere) = (Vec::with_capacity(runs.len()), Vec::new());
+        for r in runs {
+            for (offset, length, diverted) in self.split_diverted(object, r.offset, r.length) {
+                if diverted && fallback.is_some() {
+                    elsewhere.push(PagerRequest {
+                        offset,
+                        length,
+                        ..*r
+                    });
+                } else {
+                    let mut m = self.request_message(object, offset, length, r.access);
+                    m.correlation = r.correlation;
+                    m.parent_span = r.parent_span;
+                    msgs.push(m);
+                }
+            }
+        }
+        if let Some(fallback) = fallback.filter(|_| !elsewhere.is_empty()) {
+            fallback.data_request_many(object, &elsewhere);
+        }
+        if !msgs.is_empty() {
+            self.manager.send_many_notification(msgs);
+        }
     }
 
     fn is_alive(&self) -> bool {
@@ -188,15 +297,28 @@ impl PagerBackend for IpcPagerBackend {
 
     fn data_write(&self, object: ObjectId, offset: u64, data: OolBuffer) {
         let bytes = data.len() as u64;
-        if self.laundry.outstanding() + bytes > self.laundry_limit.load(Ordering::Relaxed) {
-            // Starvation protection: the manager is sitting on too much
-            // unreleased laundry; page to the default pager instead.
-            if let Some(fallback) = self.fallback.read().expect("lock poisoned").upgrade() {
+        let pages =
+            (0..bytes.div_ceil(self.page_size)).map(|i| (object, offset + i * self.page_size));
+        if self.is_errant(bytes) {
+            // Starvation protection: the manager has sat on too much
+            // unreleased laundry for too long; page to the default pager
+            // instead, and remember that these pages now live there.
+            if let Some(fallback) = self.fallback() {
                 self.machine
                     .stats
                     .incr(machsim::stats::keys::VM_DEFAULT_PAGER_TAKEOVERS);
+                self.diverted.lock().extend(pages);
                 fallback.data_write(object, offset, data);
                 return;
+            }
+        }
+        {
+            // The manager is about to hold the newest copy again.
+            let mut diverted = self.diverted.lock();
+            if !diverted.is_empty() {
+                for page in pages {
+                    diverted.remove(&page);
+                }
             }
         }
         self.laundry.charge(bytes);
@@ -249,7 +371,7 @@ mod tests {
         let m = Machine::default_machine();
         let (mgr_rx, mgr_tx) = ReceiveRight::allocate(&m);
         let (req_rx, req_tx) = ReceiveRight::allocate(&m);
-        let b = IpcPagerBackend::new(&m, mgr_tx, req_tx, "test");
+        let b = IpcPagerBackend::new(&m, mgr_tx, req_tx, 4096, "test");
         (m, mgr_rx, req_rx, b)
     }
 
@@ -289,44 +411,105 @@ mod tests {
         assert_eq!(l.outstanding(), 0);
     }
 
-    #[test]
-    fn laundry_overflow_diverts_to_fallback() {
-        struct Sink(Mutex<Vec<(ObjectId, u64)>>);
-        impl PagerBackend for Sink {
-            fn data_request(&self, _o: ObjectId, _off: u64, _l: u64, _a: VmProt) {}
-            fn data_write(&self, o: ObjectId, off: u64, _d: OolBuffer) {
-                self.0.lock().push((o, off));
-            }
-            fn data_unlock(&self, _o: ObjectId, _off: u64, _l: u64, _a: VmProt) {}
+    /// A fallback that records what reaches it.
+    #[derive(Default)]
+    struct Sink {
+        writes: Mutex<Vec<u64>>,
+        requests: Mutex<Vec<(u64, u64)>>,
+    }
+
+    impl PagerBackend for Sink {
+        fn data_request(&self, _o: ObjectId, off: u64, len: u64, _a: VmProt) {
+            self.requests.lock().push((off, len));
         }
+        fn data_write(&self, _o: ObjectId, off: u64, _d: OolBuffer) {
+            self.writes.lock().push(off);
+        }
+        fn data_unlock(&self, _o: ObjectId, _off: u64, _l: u64, _a: VmProt) {}
+    }
+
+    fn page() -> OolBuffer {
+        OolBuffer::from_vec(vec![0; 4096])
+    }
+
+    #[test]
+    fn only_a_manager_over_its_limit_past_the_deadline_is_taken_over() {
         let (m, mgr_rx, _req_rx, b) = setup();
-        let sink = Arc::new(Sink(Mutex::new(Vec::new())));
+        let sink = Arc::new(Sink::default());
         let sink_dyn: Arc<dyn PagerBackend> = sink.clone();
         b.set_fallback(&sink_dyn);
-        // Fill the laundry limit without any releases.
-        let pages = DEFAULT_LAUNDRY_LIMIT / 4096;
-        for i in 0..pages {
-            b.data_write(ObjectId(1), i * 4096, OolBuffer::from_vec(vec![0; 4096]));
-        }
-        assert!(sink.0.lock().is_empty());
-        // The next write diverts.
-        b.data_write(
-            ObjectId(1),
-            pages * 4096,
-            OolBuffer::from_vec(vec![0; 4096]),
-        );
-        assert_eq!(sink.0.lock().len(), 1);
-        assert_eq!(
+        let takeovers = || {
             m.stats
-                .get(machsim::stats::keys::VM_DEFAULT_PAGER_TAKEOVERS),
-            1
+                .get(machsim::stats::keys::VM_DEFAULT_PAGER_TAKEOVERS)
+        };
+        // A burst twice the limit, inside the grace period: all of it is
+        // the manager's.
+        let pages = 2 * DEFAULT_LAUNDRY_LIMIT / 4096;
+        for i in 0..pages {
+            b.data_write(ObjectId(1), i * 4096, page());
+        }
+        assert_eq!((sink.writes.lock().len(), takeovers()), (0, 0));
+        // Still over the limit a deadline later, nothing released: errant.
+        wall::sleep(LAUNDRY_DEADLINE + Duration::from_millis(20));
+        b.data_write(ObjectId(1), pages * 4096, page());
+        assert_eq!(
+            (sink.writes.lock().clone(), takeovers()),
+            (vec![pages * 4096], 1)
         );
-        // The manager got exactly `pages` messages, not pages + 1.
+        // One release — still over the limit — and the manager is merely
+        // on notice again.
+        b.laundry().release(4096);
+        b.data_write(ObjectId(1), (pages + 1) * 4096, page());
+        assert_eq!(takeovers(), 1);
         let mut received = 0;
         while mgr_rx.try_receive().is_some() {
             received += 1;
         }
-        assert_eq!(received, pages);
+        assert_eq!(received, pages + 1);
+    }
+
+    #[test]
+    fn requests_follow_a_diverted_page_until_the_manager_holds_it_again() {
+        let (_m, mgr_rx, _req_rx, b) = setup();
+        let sink = Arc::new(Sink::default());
+        let sink_dyn: Arc<dyn PagerBackend> = sink.clone();
+        b.set_fallback(&sink_dyn);
+        b.set_laundry_limit(0);
+        b.data_write(ObjectId(1), 0, page()); // puts the manager on notice
+        wall::sleep(LAUNDRY_DEADLINE + Duration::from_millis(20));
+        b.data_write(ObjectId(1), 2 * 4096, page());
+        b.data_write(ObjectId(1), 3 * 4096, page());
+        assert_eq!(*sink.writes.lock(), vec![2 * 4096, 3 * 4096]);
+        while mgr_rx.try_receive().is_some() {}
+
+        // A six-page run over the two diverted pages: three requests, the
+        // middle one to the fallback.
+        let run = PagerRequest {
+            offset: 0,
+            length: 6 * 4096,
+            access: VmProt::READ,
+            correlation: 9,
+            parent_span: 0,
+        };
+        b.data_request_many(ObjectId(1), &[run]);
+        assert_eq!(*sink.requests.lock(), vec![(2 * 4096, 2 * 4096)]);
+        let to_manager: Vec<Vec<u64>> = std::iter::from_fn(|| mgr_rx.try_receive())
+            .map(|msg| {
+                assert_eq!(msg.correlation, 9);
+                msg.body[0].as_u64s().expect("request ids")[1..3].to_vec()
+            })
+            .collect();
+        assert_eq!(
+            to_manager,
+            vec![vec![0, 2 * 4096], vec![4 * 4096, 2 * 4096]]
+        );
+
+        // The manager releases and is written page 2 again: it holds the
+        // newest copy, and a request for page 2 is its own once more.
+        b.laundry().release(4096);
+        b.data_write(ObjectId(1), 2 * 4096, page());
+        b.data_request(ObjectId(1), 2 * 4096, 2 * 4096, VmProt::READ);
+        assert_eq!(sink.requests.lock()[1..], [(3 * 4096, 4096)]);
     }
 
     #[test]

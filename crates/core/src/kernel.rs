@@ -96,6 +96,14 @@ pub const DEFAULT_WATCHDOG_STALL_NS: u64 = 200_000_000;
 /// magnitude above the syscall cost, well under a disk access).
 pub const DEFAULT_TIME_SLICE_NS: u64 = 2_000_000;
 
+/// How far above its low watermark one pageout-daemon sweep refills the
+/// free queue, in pages. The allocation that crosses the mark wakes the
+/// daemon, so the cushion against inline reclaim is the watermark itself
+/// and the burst only amortises the wake-up; a sweep's simulated cost
+/// lands on whichever fault is in progress, so a long one is that fault's
+/// latency spike (Mach keeps `free_target` a few pages over `free_min`).
+const PAGEOUT_BURST_PAGES: usize = 8;
+
 /// Watchdog poll interval (wall clock).
 const WATCHDOG_POLL: std::time::Duration = std::time::Duration::from_millis(5);
 
@@ -235,7 +243,7 @@ impl Kernel {
         let paging_dev = Arc::new(BlockDevice::new(&machine, config.paging_blocks));
         let dp = DefaultPager::new(paging_dev, config.page_size);
         let dp_handle = spawn_manager(&machine, "default", dp);
-        let (_dp_request_name, dp_request) = Self::register_request_port(&service_space, &machine);
+        let (dp_request_name, dp_request) = Self::register_request_port(&service_space, &machine);
         // Sender-side depth view of the kernel's EMM request port, for the
         // queue-depth gauge below.
         let dp_request_depth = dp_request.clone();
@@ -243,6 +251,7 @@ impl Kernel {
             &machine,
             dp_handle.port().clone(),
             dp_request,
+            config.page_size,
             "default-pager",
         );
         phys.set_default_pager(default_backend.clone());
@@ -425,34 +434,46 @@ impl Kernel {
             let space = service_space;
             let registry = registry;
             let phys = phys;
+            let default_pager = (dp_request_name, kernel.default_backend.laundry());
             std::thread::Builder::new()
                 .name("kernel-emm".into())
-                .spawn(move || Self::service_loop(space, registry, phys))
+                .spawn(move || Self::service_loop(space, registry, phys, default_pager))
                 .expect("spawn kernel service loop")
         };
         *kernel.service.lock() = Some(thread);
         // The pageout daemon: keeps the free queue above a low watermark
         // and the inactive queue primed, so faults rarely reclaim inline.
+        // It sleeps until an allocation takes the free queue under the
+        // watermark, then refills it one burst past the mark.
+        const PATIENCE: std::time::Duration = std::time::Duration::from_millis(5);
         if config.pageout_daemon {
             let phys = kernel.phys.clone();
             let stop = kernel.daemon_stop.clone();
             let machine = kernel.machine.clone();
             let total = phys.total_frames();
             let low_water = (total / 8).max(config.reserve_pages + 4);
-            let high_water = (low_water * 3 / 2).min(total.saturating_sub(1));
+            let inactive_target = (low_water * 3 / 2).min(total.saturating_sub(1));
+            let free_target = (low_water + PAGEOUT_BURST_PAGES).min(inactive_target);
             let daemon = std::thread::Builder::new()
                 .name("pageout-daemon".into())
                 .spawn(move || {
                     while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                        if phys.free_frames() < low_water {
-                            phys.balance_queues(high_water);
-                            let want = high_water.saturating_sub(phys.free_frames());
-                            let freed = phys.reclaim_pages(want);
-                            machine
-                                .stats
-                                .add(stat_keys::VM_DAEMON_RECLAIMS, freed as u64);
+                        // The patience only bounds how long `stop` goes
+                        // unread.
+                        if !phys.wait_for_pressure(low_water, PATIENCE) {
+                            continue;
                         }
-                        machsim::wall::sleep(std::time::Duration::from_millis(5));
+                        phys.balance_queues(inactive_target);
+                        let want = free_target.saturating_sub(phys.free_frames());
+                        let freed = phys.reclaim_pages(want);
+                        machine
+                            .stats
+                            .add(stat_keys::VM_DAEMON_RECLAIMS, freed as u64);
+                        if freed == 0 {
+                            // Nothing evictable yet (all referenced, wired
+                            // or busy): do not spin on the pressure.
+                            machsim::wall::sleep(PATIENCE);
+                        }
                     }
                 })
                 .expect("spawn pageout daemon");
@@ -476,17 +497,21 @@ impl Kernel {
         (name, right)
     }
 
+    /// `default_pager` is the request port the default pager answers on
+    /// and its laundry account: what it releases is its own laundry, even
+    /// for a page of some manager's object that was diverted to it.
     fn service_loop(
         space: Arc<PortSpace>,
         registry: Arc<Mutex<Registry>>,
         phys: Arc<PhysicalMemory>,
+        default_pager: (machipc::PortName, Arc<crate::backend::LaundryState>),
     ) {
         // Drain pager traffic in batches: under load a kernel supply
         // storm queues many small control messages, and one batched
         // dequeue amortizes the port lock and the receive charge over
         // all of them.
         'service: loop {
-            let Ok((_from, batch)) = space.receive_default_many(KERNEL_SERVICE_BATCH, None) else {
+            let Ok((from, batch)) = space.receive_default_many(KERNEL_SERVICE_BATCH, None) else {
                 break;
             };
             for mut msg in batch {
@@ -567,13 +592,17 @@ impl Kernel {
                         }
                     }
                     (proto::PAGER_RELEASE_LAUNDRY, &[object, bytes, ..]) => {
-                        let backend = registry
-                            .lock()
-                            .by_id
-                            .get(&object)
-                            .map(|r| r.backend.clone());
-                        if let Some(b) = backend {
-                            b.laundry().release(bytes);
+                        let laundry = if from == default_pager.0 {
+                            Some(default_pager.1.clone())
+                        } else {
+                            registry
+                                .lock()
+                                .by_id
+                                .get(&object)
+                                .map(|r| r.backend.laundry())
+                        };
+                        if let Some(l) = laundry {
+                            l.release(bytes);
                         }
                     }
                     (proto::KERNEL_SHUTDOWN, _) => break 'service,
@@ -859,6 +888,7 @@ impl Kernel {
             &self.machine,
             memory_object.clone(),
             request.clone(),
+            self.phys.page_size(),
             format!("pager-{}", memory_object.id()),
         );
         let fallback: Arc<dyn PagerBackend> = self.default_backend.clone();

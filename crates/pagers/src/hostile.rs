@@ -255,6 +255,14 @@ mod tests {
         for i in 0..pages {
             t.write_memory(addr + i * 4096, &[i as u8]).unwrap();
         }
+        // "Within an adequate period of time": a burst alone does not
+        // convict a manager. Give the hoarder its deadline, then keep
+        // the dirty pages coming.
+        machsim::wall::sleep(machcore::backend::LAUNDRY_DEADLINE + Duration::from_millis(50));
+        for i in 0..pages {
+            t.write_memory(addr + i * 4096, &[i as u8])
+                .expect("second pass writes");
+        }
         assert!(
             k.machine()
                 .stats

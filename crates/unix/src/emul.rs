@@ -14,10 +14,11 @@ use machcore::Task;
 use machpagers::{FsClient, FsClientError};
 use machvm::VmProt;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 struct OpenFile {
+    name: Arc<str>,
     addr: u64,
     size: usize,
 }
@@ -27,7 +28,10 @@ struct EmulState {
     open: HashMap<Fd, OpenFile>,
     /// Mappings kept after close so re-opens reuse the same region
     /// (mirroring the VM cache persistence; the mapping itself is cheap).
-    cached_maps: HashMap<String, (u64, usize)>,
+    cached_maps: HashMap<Arc<str>, (u64, usize)>,
+    /// Files written through a descriptor since the last `sync_all` — the
+    /// only ones whose pages can be dirty.
+    written: BTreeSet<Arc<str>>,
 }
 
 /// The mapped-file UNIX emulation.
@@ -52,6 +56,7 @@ impl MachUnix {
                 next_fd: 3,
                 open: HashMap::new(),
                 cached_maps: HashMap::new(),
+                written: BTreeSet::new(),
             }),
         }
     }
@@ -90,22 +95,22 @@ impl UnixIo for MachUnix {
             .clock
             .charge(self.task.machine().cost.syscall_ns);
         let mut st = self.state.lock();
-        let (addr, size) = match st.cached_maps.get(name) {
-            Some(&m) => m,
+        let (name, (addr, size)) = match st.cached_maps.get_key_value(name) {
+            Some((name, &m)) => (name.clone(), m),
             None => {
                 drop(st);
                 // "An open call would result in the file being mapped into
                 // memory."
                 let (addr, size) = self.client.open_mapped(&self.task, name).map_err(from_fs)?;
+                let name: Arc<str> = name.into();
                 st = self.state.lock();
-                st.cached_maps
-                    .insert(name.to_string(), (addr, size as usize));
-                (addr, size as usize)
+                st.cached_maps.insert(name.clone(), (addr, size as usize));
+                (name, (addr, size as usize))
             }
         };
         let fd = Fd(st.next_fd);
         st.next_fd += 1;
-        st.open.insert(fd, OpenFile { addr, size });
+        st.open.insert(fd, OpenFile { name, addr, size });
         Ok(fd)
     }
 
@@ -123,10 +128,16 @@ impl UnixIo for MachUnix {
     }
 
     fn write(&self, fd: Fd, offset: usize, data: &[u8]) -> Result<(), UnixError> {
-        let (addr, size) = self.entry(fd)?;
-        if offset + data.len() > size {
-            return Err(UnixError::OutOfRange);
-        }
+        let addr = {
+            let mut st = self.state.lock();
+            let f = st.open.get(&fd).ok_or(UnixError::BadFd)?;
+            if offset + data.len() > f.size {
+                return Err(UnixError::OutOfRange);
+            }
+            let (name, addr) = (f.name.clone(), f.addr);
+            st.written.insert(name);
+            addr
+        };
         self.fault_ahead(addr + offset as u64, data.len(), VmProt::WRITE);
         self.task
             .write_memory(addr + offset as u64, data)
@@ -145,12 +156,15 @@ impl UnixIo for MachUnix {
     }
 
     fn sync_all(&self) -> Result<(), UnixError> {
-        let names: Vec<String> = {
-            let st = self.state.lock();
-            st.cached_maps.keys().cloned().collect()
-        };
-        for name in names {
-            self.client.sync(&name).map_err(from_fs)?;
+        // A file only ever read has nothing to clean.
+        let names = std::mem::take(&mut self.state.lock().written);
+        for (i, name) in names.iter().enumerate() {
+            if let Err(e) = self.client.sync(name) {
+                // Still unsynced: this one and everything after it.
+                let mut st = self.state.lock();
+                st.written.extend(names.iter().skip(i).cloned());
+                return Err(from_fs(e));
+            }
         }
         Ok(())
     }
@@ -221,6 +235,58 @@ mod tests {
             || &server.fs().read_all("out").unwrap()[..8] == b"durable?",
         );
         assert!(landed, "sync never landed");
+    }
+
+    #[test]
+    fn sync_all_syncs_only_what_was_written() -> Result<(), UnixError> {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let (k, server, _) = setup();
+        // A tap in front of the file server: counts `FS_SYNC`s, forwards
+        // everything (the reply port rides along, so replies go direct).
+        let (tap_rx, tap_tx) = machipc::ReceiveRight::allocate(k.machine());
+        let syncs = Arc::new(AtomicUsize::new(0));
+        let tap = {
+            let (syncs, real) = (syncs.clone(), server.port().clone());
+            std::thread::spawn(move || {
+                while let Ok(msg) = tap_rx.receive(None) {
+                    match msg.id {
+                        machpagers::fs::FS_SHUTDOWN => break,
+                        machpagers::fs::FS_SYNC => {
+                            syncs.fetch_add(1, Ordering::Relaxed);
+                        }
+                        _ => {}
+                    }
+                    real.send(msg, None).expect("file server is up");
+                }
+            })
+        };
+        let u = MachUnix::new(
+            &Task::create(&k, "unix-emul"),
+            FsClient::new(tap_tx.clone()),
+        );
+        let names = ["a", "b", "c"];
+        for name in names {
+            u.create(name, 4096)?;
+        }
+        let fds = names
+            .iter()
+            .map(|n| u.open(n))
+            .collect::<Result<Vec<Fd>, _>>()?;
+        let mut b = [0u8; 4];
+        u.read(fds[0], 0, &mut b)?;
+        u.write(fds[1], 0, b"dirt")?;
+        u.read(fds[2], 0, &mut b)?;
+        u.close(fds[1])?;
+        u.sync_all()?;
+        assert_eq!(syncs.load(Ordering::Relaxed), 1, "only b was written");
+        // Nothing written since: nothing to sync.
+        u.sync_all()?;
+        assert_eq!(syncs.load(Ordering::Relaxed), 1);
+        tap_tx
+            .send(machipc::Message::new(machpagers::fs::FS_SHUTDOWN), None)
+            .expect("tap is up");
+        tap.join().expect("tap thread");
+        Ok(())
     }
 
     #[test]

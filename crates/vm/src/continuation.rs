@@ -426,6 +426,21 @@ impl FaultEngine {
         access: VmProt,
         policy: FaultPolicy,
     ) -> FaultTicket {
+        self.submit_ahead(top, offset, access, policy, 0)
+    }
+
+    /// [`FaultEngine::submit`] for a fault whose caller is known to touch
+    /// the `ahead` pages after `offset` next (fault-ahead over a range):
+    /// if this page is absent its `pager_data_request` covers them too,
+    /// so the faults submitted behind it find their pages already pending.
+    pub fn submit_ahead(
+        self: &Arc<Self>,
+        top: &Arc<VmObject>,
+        offset: u64,
+        access: VmProt,
+        policy: FaultPolicy,
+        ahead: usize,
+    ) -> FaultTicket {
         self.machine
             .clock
             .charge(self.machine.cost.fault_overhead_ns);
@@ -468,8 +483,10 @@ impl FaultEngine {
             t.admitted += 1;
         }
 
+        let mut state = FaultState::new(top, offset, access, policy);
+        state.ahead = ahead;
         let cont = Continuation {
-            state: FaultState::new(top, offset, access, policy),
+            state,
             wait: FaultWait {
                 object: top.id(),
                 offset,

@@ -52,11 +52,12 @@ pub struct FaultPolicy {
     pub pager_timeout: Option<Duration>,
     /// Action on timeout.
     pub on_timeout: TimeoutAction,
-    /// Cluster size for pager fills, in pages: a fault against a
-    /// cluster-capable pager requests up to this many contiguous absent
-    /// pages in one `pager_data_request` (real Mach's cluster paging,
-    /// which amortizes the per-page message cost of external pagers).
-    /// `1` disables read-ahead.
+    /// Cap on inferred read-ahead, in pages: a fault that continues a
+    /// sequential run against a cluster-capable pager requests up to this
+    /// many contiguous absent pages in one `pager_data_request` (real
+    /// Mach's cluster paging, which amortizes the per-page message cost
+    /// of external pagers); see `request_window` for how the length of
+    /// each request is chosen. `1` keeps every request to one page.
     pub cluster_pages: usize,
 }
 
@@ -206,10 +207,14 @@ pub struct FaultState {
     /// True until the fault first sees an absent page — a resident hit
     /// while still true counts as a cache hit.
     first_probe: bool,
-    /// The most recent pager window this fault claimed via `begin_fill`
+    /// The most recent run this fault claimed via `begin_fill_run`
     /// (object, start offset, pages): on timeout every claimed page must
     /// be released or later faults would strand on stale pending entries.
     pub claimed: Option<(ObjectId, u64, usize)>,
+    /// Pages past this one the caller is known to touch next (fault-ahead
+    /// sets it; a lone fault knows of none). Sizes the request this fault
+    /// makes, see `request_window`.
+    pub ahead: usize,
 }
 
 impl FaultState {
@@ -224,6 +229,7 @@ impl FaultState {
             obj_offset: offset,
             first_probe: true,
             claimed: None,
+            ahead: 0,
         }
     }
 
@@ -244,6 +250,33 @@ impl FaultState {
             phys.cancel_fill(object, start + i * page);
         }
     }
+}
+
+/// How many pages the `pager_data_request` for the absent page under
+/// `st`'s cursor should ask for — the one place a request is sized.
+///
+/// Two sources, both read from the access itself. *Explicit*: fault-ahead
+/// knows the caller touches `st.ahead` more pages, so the first absent
+/// page of the range asks for all of them at once. *Inferred*: the
+/// object's read-ahead state ([`VmObject::readahead_window`]) gives a lone
+/// random miss one page and a miss continuing a sequential run a doubling
+/// window up to the policy's cap. The larger of the two wins; the pager's
+/// per-object cluster advice caps both (coherence pagers advise 1:
+/// prefetching a page they track per client would corrupt their view of
+/// who caches what), and a pager or policy without cluster support gets
+/// single pages whatever the access looks like.
+fn request_window(st: &FaultState, pager: &dyn crate::object::PagerBackend) -> usize {
+    if st.policy.cluster_pages <= 1 || !pager.supports_cluster() {
+        return 1;
+    }
+    let advised = |pages: usize| match st.object.cluster_hint() {
+        0 => pages,
+        hint => pages.min(hint),
+    };
+    let inferred = st
+        .object
+        .readahead_window(st.obj_offset, advised(st.policy.cluster_pages));
+    inferred.max(advised(st.ahead.saturating_add(1)))
 }
 
 /// Advances a fault as far as it can go without blocking.
@@ -350,36 +383,25 @@ pub fn fault_step(
                     continue;
                 }
                 if let Some(pager) = st.object.pager() {
-                    // Claim the faulting page, plus — for cluster-capable
-                    // pagers — as many absent neighbors as fit in the
-                    // cluster window, so one message fills the whole run.
-                    // The pager's per-object attribute caps the policy's
-                    // cluster (coherence pagers advise 1: prefetching a
-                    // page they track per client would corrupt their view
-                    // of who caches what).
-                    let cluster = match st.object.cluster_hint() {
-                        0 => st.policy.cluster_pages.max(1),
-                        hint => st.policy.cluster_pages.max(1).min(hint),
-                    };
-                    let claimed = if cluster > 1 && pager.supports_cluster() {
-                        phys.begin_fill_cluster(
-                            st.object.id(),
-                            st.obj_offset,
-                            cluster,
-                            st.object.size(),
-                        )
-                    } else if phys.begin_fill(st.object.id(), st.obj_offset) {
-                        Some((st.obj_offset, 1))
-                    } else {
-                        None
-                    };
-                    if let Some((start, pages)) = claimed {
+                    // Claim the faulting page plus as much of the run ahead
+                    // of it as the access calls for, so one message fills
+                    // what will be touched and nothing else.
+                    let window = request_window(st, pager.as_ref());
+                    let claimed = phys.begin_fill_run(
+                        st.object.id(),
+                        st.obj_offset,
+                        window,
+                        st.object.size(),
+                    );
+                    if let Some(pages) = claimed {
                         machine.hot.vm_pager_fills.incr();
-                        st.claimed = Some((st.object.id(), start, pages));
+                        st.object
+                            .note_run(st.obj_offset + pages as u64 * page, window);
+                        st.claimed = Some((st.object.id(), st.obj_offset, pages));
                         sink.data_request(
                             &pager,
                             st.object.id(),
-                            start,
+                            st.obj_offset,
                             pages as u64 * page,
                             st.access,
                         );
@@ -820,19 +842,76 @@ mod tests {
         assert_eq!(phys.page_dirty(obj.id(), 0), Some(true));
     }
 
-    #[test]
-    fn clustered_fault_fills_the_window_with_one_request() {
-        let (m, phys) = setup(16);
-        let (obj, pager) = EchoPager::attach_cluster(&phys, 0x5A, VmProt::NONE);
+    /// Faults pages `first..first + n` one at a time, in order.
+    fn scan(phys: &Arc<PhysicalMemory>, obj: &Arc<VmObject>, first: u64, n: u64) {
         let policy = FaultPolicy::trusting().with_cluster(8);
-        for pg in 0..8u64 {
-            let r = resolve_page(&phys, &obj, pg * 4096, VmProt::READ, policy).unwrap();
+        for pg in first..first + n {
+            let r = resolve_page(phys, obj, pg * 4096, VmProt::READ, policy).unwrap();
             phys.with_frame(r.frame, |d| assert!(d.iter().all(|&b| b == 0x5A)));
         }
-        // One pager_data_request covered the whole 8-page window.
-        assert_eq!(*pager.requests.lock(), vec![(0, 8 * 4096)]);
-        assert_eq!(m.stats.get(keys::VM_PAGER_FILLS), 1);
-        assert_eq!(m.stats.get(keys::VM_CACHE_HITS), 7);
+    }
+
+    #[test]
+    fn scan_from_the_start_of_a_fresh_object_asks_for_the_cap_at_once() {
+        let (m, phys) = setup(32);
+        let (obj, pager) = EchoPager::attach_cluster(&phys, 0x5A, VmProt::NONE);
+        scan(&phys, &obj, 0, 16);
+        // A never-faulted object is presumed read from its beginning: no
+        // ramp, one request per 8 pages.
+        assert_eq!(
+            *pager.requests.lock(),
+            vec![(0, 8 * 4096), (8 * 4096, 8 * 4096)]
+        );
+        assert_eq!(m.stats.get(keys::VM_PAGER_FILLS), 2);
+        assert_eq!(m.stats.get(keys::VM_CACHE_HITS), 14);
+    }
+
+    #[test]
+    fn scan_from_mid_object_ramps_one_two_four_then_the_cap() {
+        let (_m, phys) = setup(80);
+        let (obj, pager) = EchoPager::attach_cluster(&phys, 0x5A, VmProt::NONE);
+        scan(&phys, &obj, 100, 64);
+        let pages: Vec<(u64, u64)> = pager
+            .requests
+            .lock()
+            .iter()
+            .map(|&(off, len)| (off / 4096, len / 4096))
+            .collect();
+        assert_eq!(pages[..4], [(100, 1), (101, 2), (103, 4), (107, 8)]);
+        assert!(pages[4..].iter().all(|&(_, len)| len == 8));
+        assert!(pages.len() <= 64 / 8 + 3, "{pages:?}");
+    }
+
+    #[test]
+    fn random_faults_ask_for_one_page_each() {
+        let (m, phys) = setup(80);
+        let (obj, pager) = EchoPager::attach_cluster(&phys, 0x5A, VmProt::NONE);
+        let policy = FaultPolicy::trusting().with_cluster(8);
+        let mut rng = machsim::SplitMix64::new(7);
+        let (mut missed, mut expected_next) = (std::collections::HashSet::new(), 0);
+        for _ in 0..64 {
+            let pg = 1 + rng.next_below(255);
+            if missed.insert(pg) {
+                assert_ne!(
+                    pg, expected_next,
+                    "the seed has no miss continuing the last"
+                );
+                expected_next = pg + 1;
+            }
+            resolve_page(&phys, &obj, pg * 4096, VmProt::WRITE, policy).unwrap();
+        }
+        let requests = pager.requests.lock().clone();
+        assert!(requests.iter().all(|&(_, len)| len == 4096), "{requests:?}");
+        assert_eq!(m.stats.get(keys::VM_PAGER_FILLS), requests.len() as u64);
+    }
+
+    #[test]
+    fn pager_advice_of_one_page_overrides_the_scan() {
+        let (_m, phys) = setup(16);
+        let (obj, pager) = EchoPager::attach_cluster(&phys, 0x5A, VmProt::NONE);
+        obj.set_cluster_hint(1);
+        scan(&phys, &obj, 0, 8);
+        assert_eq!(pager.requests.lock().len(), 8);
     }
 
     #[test]
@@ -849,7 +928,7 @@ mod tests {
     }
 
     #[test]
-    fn clustered_timeout_releases_every_claimed_page() {
+    fn timeout_releases_every_page_of_the_claimed_run() {
         let (_m, phys) = setup(16);
         let pager = Arc::new(RecordingPager {
             cluster: true,
@@ -860,8 +939,13 @@ mod tests {
         let err = resolve_page(&phys, &obj, 0, VmProt::READ, policy).unwrap_err();
         assert_eq!(err, VmError::Timeout);
         assert_eq!(pager.requests.lock().len(), 1);
+        assert_eq!(pager.requests.lock()[0].2, 8 * 4096, "the run was 8 pages");
         // The abandoned claims must not strand later faults in Pending:
-        // a retry re-requests the whole window immediately.
+        // every page of the run is absent again, and a retry re-requests
+        // immediately.
+        for pg in 0..8u64 {
+            assert_eq!(phys.lookup(obj.id(), pg * 4096), PageLookup::Absent);
+        }
         let err = resolve_page(&phys, &obj, 4096, VmProt::READ, policy).unwrap_err();
         assert_eq!(err, VmError::Timeout);
         assert_eq!(pager.requests.lock().len(), 2);

@@ -681,11 +681,14 @@ impl VmMap {
     /// engine, then waits for the whole fan-out — the cluster of misses
     /// parks and resolves concurrently instead of page-at-a-time — and
     /// maps each page it resolved, so the access that follows finds it in
-    /// the pmap instead of faulting it a second time. Already resident
-    /// pages cost only a pin probe, so a warm range charges no fault
-    /// overhead at all. Returns the number of pages submitted; a no-op
-    /// without an engine (the synchronous access path fills pages one by
-    /// one instead).
+    /// the pmap instead of faulting it a second time. Each fault is told
+    /// how many pages of the range follow it contiguously in its object,
+    /// so the first absent page of a run asks its pager for the whole run
+    /// in one `pager_data_request` and the faults behind it wait on that.
+    /// Already resident pages cost only a pin probe, so a warm range
+    /// charges no fault overhead at all. Returns the number of pages
+    /// submitted; a no-op without an engine (the synchronous access path
+    /// fills pages one by one instead).
     pub fn fault_ahead(&self, address: u64, size: u64, access: VmProt) -> Result<usize, VmError> {
         if size == 0 {
             return Ok(0);
@@ -698,17 +701,48 @@ impl VmMap {
         let policy = self.fault_policy();
         let ps = self.page_size();
         let end = address.saturating_add(size);
-        let mut tickets = Vec::new();
+        let mut pages = Vec::new();
         let mut page = trunc_page(address, ps);
         while page < end {
             let (object, obj_offset, entry_prot, needs_copy) = self.resolve_addr(page, access)?;
-            if let Some(frame) = self.phys.pin_resident(object.id(), obj_offset) {
-                self.phys.unpin(frame);
-            } else {
-                let ticket = engine.submit(&object, obj_offset, access, policy);
-                tickets.push((page / ps, entry_prot, needs_copy, ticket));
-            }
+            // Probed before anything is submitted: no fill this call asks
+            // for can land under the probe, so a cold range is submitted
+            // (and mapped) whole however fast its pager answers.
+            let resident = self
+                .phys
+                .pin_resident(object.id(), obj_offset)
+                .map(|frame| self.phys.unpin(frame))
+                .is_some();
+            pages.push((
+                page / ps,
+                object,
+                obj_offset,
+                entry_prot,
+                needs_copy,
+                resident,
+            ));
             page = page.saturating_add(ps);
+        }
+        // Pages of the range that follow each page in the same object at
+        // the next offset (a map entry's worth at most), bounded by what
+        // the engine lets one pager hold in flight.
+        let cap = engine.config().pager_inflight_pages.saturating_sub(1);
+        let mut ahead = vec![0usize; pages.len()];
+        for i in (0..pages.len().saturating_sub(1)).rev() {
+            let ((_, object, offset, ..), (_, next_object, next_offset, ..)) =
+                (&pages[i], &pages[i + 1]);
+            if Arc::ptr_eq(object, next_object) && offset + ps == *next_offset {
+                ahead[i] = (ahead[i + 1] + 1).min(cap);
+            }
+        }
+        let mut tickets = Vec::new();
+        for ((vpn, object, obj_offset, entry_prot, needs_copy, resident), ahead) in
+            pages.into_iter().zip(ahead)
+        {
+            if !resident {
+                let ticket = engine.submit_ahead(&object, obj_offset, access, policy, ahead);
+                tickets.push((vpn, entry_prot, needs_copy, ticket));
+            }
         }
         let submitted = tickets.len();
         for (vpn, entry_prot, needs_copy, ticket) in tickets {

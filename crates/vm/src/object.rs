@@ -144,6 +144,26 @@ pub struct VmObject {
     /// Coherence pagers set 1 so the kernel never prefetches pages whose
     /// caching they track individually.
     cluster_hint: AtomicUsize,
+    /// Read-ahead state sizing this object's `pager_data_request`s: the
+    /// offset where the last claimed run ended and that run's window in
+    /// pages, packed into one word (see [`VmObject::readahead_window`]).
+    /// A hint only — racing faults may overwrite each other's update, and
+    /// the loser costs one mis-sized request, never a wrong page.
+    readahead: AtomicU64,
+}
+
+/// Low bits of the read-ahead word holding the window; the rest is the
+/// expected offset (objects past 2^48 bytes merely alias, a mis-size).
+const READAHEAD_WINDOW_BITS: u32 = 16;
+const READAHEAD_WINDOW_MASK: u64 = (1 << READAHEAD_WINDOW_BITS) - 1;
+
+/// A never-faulted object expects offset 0 with a saturated window: a
+/// file is presumed read from its beginning, so its first miss asks for
+/// as much as the cap allows instead of ramping up to it.
+const READAHEAD_FRESH: u64 = READAHEAD_WINDOW_MASK;
+
+fn pack_readahead(next: u64, window: usize) -> u64 {
+    (next << READAHEAD_WINDOW_BITS) | (window as u64).min(READAHEAD_WINDOW_MASK)
 }
 
 impl fmt::Debug for VmObject {
@@ -175,6 +195,7 @@ impl VmObject {
                 terminated: false,
             }),
             cluster_hint: AtomicUsize::new(0),
+            readahead: AtomicU64::new(READAHEAD_FRESH),
         })
     }
 
@@ -193,6 +214,7 @@ impl VmObject {
                 terminated: false,
             }),
             cluster_hint: AtomicUsize::new(0),
+            readahead: AtomicU64::new(READAHEAD_FRESH),
         })
     }
 
@@ -215,6 +237,7 @@ impl VmObject {
                 terminated: false,
             }),
             cluster_hint: AtomicUsize::new(0),
+            readahead: AtomicU64::new(READAHEAD_FRESH),
         })
     }
 
@@ -276,6 +299,27 @@ impl VmObject {
     /// entirely.
     pub fn set_cluster_hint(&self, pages: usize) {
         self.cluster_hint.store(pages, Ordering::Release);
+    }
+
+    /// The inferred window, in pages, for a miss at `offset`: a miss that
+    /// is not where the last claimed run ended is presumed random and gets
+    /// one page; a miss that continues the run doubles its window, up to
+    /// `cap`.
+    pub fn readahead_window(&self, offset: u64, cap: usize) -> usize {
+        let word = self.readahead.load(Ordering::Relaxed);
+        let expected = word >> READAHEAD_WINDOW_BITS;
+        if (offset << READAHEAD_WINDOW_BITS) >> READAHEAD_WINDOW_BITS != expected {
+            return 1;
+        }
+        let last = (word & READAHEAD_WINDOW_MASK) as usize;
+        last.saturating_mul(2).clamp(1, cap.max(1))
+    }
+
+    /// Records a claimed run: the next sequential miss is expected at
+    /// `end`, and `window` is what the ramp doubles from.
+    pub fn note_run(&self, end: u64, window: usize) {
+        self.readahead
+            .store(pack_readahead(end, window), Ordering::Relaxed);
     }
 
     /// Adds an address-map reference.

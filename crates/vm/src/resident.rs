@@ -337,6 +337,12 @@ pub struct PhysicalMemory {
     queues: ClassMutex<Queues>,
     /// Signaled when frames return to the free queue.
     free_event: Condvar,
+    /// Free-frame count under which an allocation wakes the pageout daemon
+    /// (0 until a daemon waits in [`wait_for_pressure`](Self::wait_for_pressure)).
+    pageout_below: AtomicUsize,
+    /// Signaled by the allocation that takes the free queue under
+    /// `pageout_below`.
+    pageout_event: Condvar,
     /// Lazy backing store for temporary objects (the default pager).
     default_pager: RwLock<Option<Arc<dyn PagerBackend>>>,
     /// Called when a temporary object first adopts the default pager (the
@@ -441,6 +447,8 @@ impl PhysicalMemory {
                 },
             ),
             free_event: Condvar::new(),
+            pageout_below: AtomicUsize::new(0),
+            pageout_event: Condvar::new(),
             default_pager: RwLock::new(None),
             adoption_hook: RwLock::new(None),
             completion_hook: RwLock::new(None),
@@ -719,46 +727,35 @@ impl PhysicalMemory {
         st.pending.insert((object, offset), fill).is_none()
     }
 
-    /// Claims a contiguous run of absent pages around `offset` for one
-    /// clustered `pager_data_request` — real Mach's *cluster paging*,
-    /// which amortizes the per-page message cost of external pagers.
+    /// Claims the forward run `[offset, offset + window_pages)` for one
+    /// `pager_data_request` — the paper's `pager_data_request(offset,
+    /// length)` with the length the access calls for.
     ///
     /// The faulting page is claimed first; `None` means it is already
     /// resident or in flight and the caller should simply await it. The
-    /// claim then grows forward and backward one page at a time while the
-    /// neighbors are absent and unclaimed, staying inside the
-    /// cluster-aligned window and the object's page-rounded size (so
+    /// claim then grows forward one page at a time and stops at the first
+    /// page that is resident or pending (never re-requested, so a fill
+    /// cannot overwrite it) and at the object's page-rounded size (so
     /// pagers are never asked for pages that cannot exist). Returns the
-    /// run's start offset and length in pages; the run always contains
-    /// `offset`. Pages already resident or pending are never re-requested,
-    /// so a cluster fill cannot overwrite them.
-    pub fn begin_fill_cluster(
+    /// run's length in pages.
+    pub fn begin_fill_run(
         &self,
         object: ObjectId,
         offset: u64,
-        cluster_pages: usize,
+        window_pages: usize,
         object_size: u64,
-    ) -> Option<(u64, usize)> {
+    ) -> Option<usize> {
         if !self.begin_fill(object, offset) {
             return None;
         }
         let ps = self.page_size as u64;
-        if cluster_pages <= 1 {
-            return Some((offset, 1));
-        }
-        let cluster = cluster_pages as u64 * ps;
-        let window_start = offset - offset % cluster;
         let rounded_size = object_size.max(offset + ps).div_ceil(ps) * ps;
-        let window_end = (window_start + cluster).min(rounded_size);
-        let mut start = offset;
+        let limit = (offset + window_pages.max(1) as u64 * ps).min(rounded_size);
         let mut end = offset + ps;
-        while end < window_end && self.begin_fill(object, end) {
+        while end < limit && self.begin_fill(object, end) {
             end += ps;
         }
-        while start > window_start && self.begin_fill(object, start - ps) {
-            start -= ps;
-        }
-        Some((start, ((end - start) / ps) as usize))
+        Some(((end - offset) / ps) as usize)
     }
 
     /// The node recorded for an in-flight fill of `(object, offset)`:
@@ -905,7 +902,11 @@ impl PhysicalMemory {
                         let cand = (node + i) % nodes;
                         if let Some(frame) = q.free[cand].pop() {
                             q.membership[frame] = PageQueue::None;
+                            let pressure = self.under_pressure(&q);
                             drop(q);
+                            if pressure {
+                                self.pageout_event.notify_one();
+                            }
                             // Free-queue frames cache nothing and are
                             // otherwise unreachable, so the reservation
                             // always succeeds.
@@ -942,6 +943,31 @@ impl PhysicalMemory {
         }
     }
 
+    /// Whether the free queue is under the level the pageout daemon asked
+    /// to be woken at.
+    fn under_pressure(&self, q: &Queues) -> bool {
+        q.total_free() < self.pageout_below.load(Ordering::Relaxed)
+    }
+
+    /// Blocks the pageout daemon until fewer than `low_water` frames are
+    /// free or `patience` of real time has passed; returns whether the
+    /// free queue is under `low_water`. The allocation that crosses the
+    /// mark wakes the daemon (as `vm_page_alloc` wakes Mach's), so how
+    /// much one sweep has to reclaim follows the allocations, not how many
+    /// of them the host fitted into a poll interval.
+    pub fn wait_for_pressure(&self, low_water: usize, patience: Duration) -> bool {
+        self.pageout_below.store(low_water, Ordering::Relaxed);
+        let deadline = wall::Deadline::after(patience);
+        let mut q = self.queues.lock();
+        while q.total_free() >= low_water {
+            let Some(left) = deadline.remaining() else {
+                return false;
+            };
+            let _ = self.pageout_event.wait_for(q.inner_mut(), left);
+        }
+        true
+    }
+
     /// Pops a free frame from `node`'s own list without stealing,
     /// reclaiming, blocking, or dipping into the reserve. Safe to call
     /// while holding a shard lock (shard → queues is the canonical
@@ -955,7 +981,11 @@ impl PhysicalMemory {
         let list = node % q.free.len();
         let frame = q.free[list].pop()?;
         q.membership[frame] = PageQueue::None;
+        let pressure = self.under_pressure(&q);
         drop(q);
+        if pressure {
+            self.pageout_event.notify_one();
+        }
         self.frames[frame].busy.store(true, Ordering::Release);
         self.reset_frame_bits(frame);
         Some(frame)
@@ -2444,6 +2474,29 @@ mod tests {
     }
 
     #[test]
+    fn allocation_under_the_low_watermark_wakes_the_pageout_daemon() -> Result<(), VmError> {
+        let (_m, phys) = phys(8);
+        // Nothing allocated: the wait runs out its patience.
+        assert!(!phys.wait_for_pressure(6, Duration::from_millis(10)));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let daemon = {
+            let phys = phys.clone();
+            std::thread::spawn(move || {
+                // Far longer than the test: only the allocation ends it.
+                let _ = tx.send(phys.wait_for_pressure(6, Duration::from_secs(60)));
+            })
+        };
+        phys.allocate_frame(false)?;
+        phys.allocate_frame(false)?;
+        // 6 free: not yet under the mark.
+        assert!(rx.recv_timeout(Duration::from_millis(50)).is_err());
+        phys.allocate_frame(false)?;
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(true));
+        daemon.join().expect("waiter thread");
+        Ok(())
+    }
+
+    #[test]
     fn temporary_object_adopts_default_pager_on_pageout() {
         let (_m, phys) = phys(6);
         let dp = Arc::new(RecordingPager::default());
@@ -2597,24 +2650,24 @@ mod tests {
         assert_eq!(free, 6);
     }
 
-    // ----- cluster paging semantics -----
+    // ----- run claim semantics -----
 
     #[test]
-    fn cluster_claim_skips_resident_and_pending_pages() {
+    fn run_claim_stops_at_the_first_resident_or_pending_page() {
         let (_m, phys) = phys(16);
         let obj = VmObject::new_temporary(16 * 4096);
-        // Page 2 resident, page 5 pending: a cluster claim around page 3
-        // must stop at both boundaries.
+        // Page 2 resident, page 5 pending: a run from page 3 stops at page
+        // 5, and a run from page 0 stops at page 2.
         phys.supply_page(&obj, 2 * 4096, filled(9u8, 4096), VmProt::NONE)
             .unwrap();
         assert!(phys.begin_fill(obj.id(), 5 * 4096));
-        let (start, pages) = phys
-            .begin_fill_cluster(obj.id(), 3 * 4096, 8, 16 * 4096)
-            .unwrap();
-        assert_eq!(start, 3 * 4096);
-        assert_eq!(pages, 2); // pages 3 and 4 only
-                              // Supplying the cluster must not disturb the resident page.
-        phys.supply_page(&obj, start, filled(1u8, 2 * 4096), VmProt::NONE)
+        assert_eq!(
+            phys.begin_fill_run(obj.id(), 3 * 4096, 8, 16 * 4096),
+            Some(2)
+        );
+        assert_eq!(phys.begin_fill_run(obj.id(), 0, 8, 16 * 4096), Some(2));
+        // Supplying the run must not disturb the resident page.
+        phys.supply_page(&obj, 3 * 4096, filled(1u8, 2 * 4096), VmProt::NONE)
             .unwrap();
         let PageLookup::Resident { frame, .. } = phys.lookup(obj.id(), 2 * 4096) else {
             panic!("page 2 must stay resident");
@@ -2623,32 +2676,39 @@ mod tests {
     }
 
     #[test]
-    fn cluster_claim_clamps_to_object_size() {
+    fn run_claim_clamps_to_object_size() {
         let (_m, phys) = phys(16);
         let obj = VmObject::new_temporary(3 * 4096);
-        let (start, pages) = phys.begin_fill_cluster(obj.id(), 0, 8, 3 * 4096).unwrap();
-        assert_eq!(start, 0);
-        assert_eq!(pages, 3);
+        assert_eq!(phys.begin_fill_run(obj.id(), 0, 8, 3 * 4096), Some(3));
     }
 
     #[test]
-    fn cluster_claim_extends_backward_within_window() {
+    fn run_claim_is_forward_only_and_window_sized() {
         let (_m, phys) = phys(40);
         let obj = VmObject::new_temporary(32 * 4096);
-        let (start, pages) = phys
-            .begin_fill_cluster(obj.id(), 12 * 4096, 8, 32 * 4096)
-            .unwrap();
-        // The window is cluster-aligned: [8*4096, 16*4096).
-        assert_eq!(start, 8 * 4096);
-        assert_eq!(pages, 8);
+        // Mid-object, nothing behind the faulting page is claimed and the
+        // run is not aligned to anything: [12, 16) for a 4-page window.
+        assert_eq!(
+            phys.begin_fill_run(obj.id(), 12 * 4096, 4, 32 * 4096),
+            Some(4)
+        );
+        assert_eq!(phys.lookup(obj.id(), 11 * 4096), PageLookup::Absent);
+        assert_eq!(phys.lookup(obj.id(), 15 * 4096), PageLookup::Pending);
+        assert_eq!(phys.lookup(obj.id(), 16 * 4096), PageLookup::Absent);
+        // A one-page window claims exactly the faulting page.
+        assert_eq!(
+            phys.begin_fill_run(obj.id(), 20 * 4096, 1, 32 * 4096),
+            Some(1)
+        );
+        assert_eq!(phys.lookup(obj.id(), 21 * 4096), PageLookup::Absent);
     }
 
     #[test]
-    fn cluster_claim_none_when_page_taken() {
+    fn run_claim_none_when_page_taken() {
         let (_m, phys) = phys(16);
         let obj = VmObject::new_temporary(16 * 4096);
         assert!(phys.begin_fill(obj.id(), 0));
-        assert!(phys.begin_fill_cluster(obj.id(), 0, 8, 16 * 4096).is_none());
+        assert!(phys.begin_fill_run(obj.id(), 0, 8, 16 * 4096).is_none());
     }
 
     #[test]

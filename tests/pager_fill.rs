@@ -45,7 +45,7 @@ impl DataManager for PatternPager {
     }
 }
 
-/// One 8-page cluster fill; returns (sim ns it took, the bytes read back,
+/// One 8-page fill; returns (sim ns it took, the bytes read back,
 /// pages stolen, bytes copied). A message costs less when its receiver had
 /// already parked (a handoff), which is up to the host's scheduler: the
 /// time is reported as if every message had been queued.
@@ -72,17 +72,23 @@ fn cluster_fill(retain: bool) -> Result<(u64, Vec<u8>, u64, u64), VmError> {
         stats.get(keys::IPC_HANDOFFS),
     );
     let before = clock.now_ns();
-    // Faulting the cluster's *last* page claims the whole window, and the
-    // supply installs pages in order: the fault resumes only after every
-    // page of the run has been charged for.
-    task.map().fault(addr + 7 * PAGE, VmProt::READ)?;
+    // The first fault on a fresh object at offset 0 asks for the whole
+    // 8-page cap. It resumes once page 0 is in; the service loop charges
+    // for the rest of the run behind it, so wait (on the wall clock, which
+    // charges nothing) until all eight are resident before reading the
+    // simulated one.
+    task.map().fault(addr, VmProt::READ)?;
+    let object = task.vm_regions()[0].object;
+    eventually("the whole run to be installed", || {
+        kernel.phys().resident_pages_of(object) == 8
+    });
     let handoffs = stats.get(keys::IPC_HANDOFFS) - handoffs;
     let took = clock.now_ns() - before + handoffs * (cost.message_ns - cost.handoff_ns);
     let (stolen, copied) = (
         stats.get(keys::VM_PAGES_STOLEN) - stolen,
         stats.get(keys::BYTES_COPIED) - copied,
     );
-    assert_eq!(stats.get(keys::VM_PAGER_FILLS), 1, "one clustered request");
+    assert_eq!(stats.get(keys::VM_PAGER_FILLS), 1, "one 8-page request");
 
     let mut bytes = vec![0u8; 8 * PAGE as usize];
     task.read_memory(addr, &mut bytes)?;
