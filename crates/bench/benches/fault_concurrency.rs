@@ -8,7 +8,7 @@
 //! [`SlowPager`] that answers every `pager_data_request` a fixed wall
 //! delay after it arrives (unbounded parallelism — the latency is
 //! round-trip time, not a serial bottleneck), and submits thousands of
-//! single-page faults through [`FaultEngine::submit`] from a small fixed
+//! single-page faults through [`machvm::FaultEngine::submit`] from a small fixed
 //! pool of submitter threads. The engine's continuation table is sized to
 //! the level's outstanding-fault budget, so the sweep directly measures
 //! throughput as a function of *admitted concurrency*, with thread count
@@ -32,7 +32,7 @@ use machsim::trace::keys as trace_keys;
 use machsim::{wall, Machine};
 use machvm::object::PagerRequest;
 use machvm::{
-    FaultEngine, FaultEngineConfig, FaultPolicy, ObjectId, PagerBackend, PhysicalMemory, VmObject,
+    FaultEngineConfig, FaultPolicy, NumaConfig, ObjectId, PagerBackend, PhysicalMemory, VmObject,
     VmProt,
 };
 use parking_lot::{Condvar, Mutex};
@@ -185,21 +185,19 @@ impl PagerBackend for SlowPager {
 /// pager requests, engine batches).
 fn sweep_level(budget: usize, total: usize, latency: Duration) -> (f64, u64, usize, u64, u64) {
     let m = Machine::default_machine();
-    let phys = PhysicalMemory::new(&m, (total + 128) * PAGE, PAGE, 8);
+    let faults = FaultEngineConfig {
+        capacity: budget,
+        pager_inflight_pages: budget.max(1024),
+    };
+    let bytes = (total + 128) * PAGE;
+    let phys = PhysicalMemory::with_config(&m, bytes, PAGE, 8, NumaConfig::single(), faults);
     let (object, pager, suppliers) = SlowPager::attach(&phys, (total * PAGE) as u64, latency);
-    let engine = FaultEngine::start(
-        phys.clone(),
-        FaultEngineConfig {
-            capacity: budget,
-            pager_inflight_pages: budget.max(1024),
-        },
-    );
+    let engine = phys.fault_engine();
     let policy = FaultPolicy::trusting();
 
     let start = wall::now();
     std::thread::scope(|s| {
         for t in 0..SUBMITTERS {
-            let engine = engine.clone();
             let object = object.clone();
             s.spawn(move || {
                 let per = total / SUBMITTERS;

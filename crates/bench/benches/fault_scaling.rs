@@ -4,8 +4,8 @@
 //! Workload A measures raw fault throughput as threads are added: K threads
 //! resolve zero-fill faults against disjoint objects, so every fault is
 //! independent and the only possible serialization is the VM system's own
-//! locking. Before sharding, a single resident-table mutex capped this at
-//! single-thread throughput regardless of K.
+//! locking — the resident-table shards and the fault engine's table, the
+//! path every kernel fault takes. Wall-clock, so host-dependent.
 //!
 //! Workload B measures the message cost of demand paging: a sequential read
 //! of N pages from a cluster-capable pager, comparing cluster sizes 1 and 8.
@@ -29,10 +29,10 @@ use std::sync::Arc;
 
 /// Workload A: K threads zero-fill-fault disjoint objects; returns
 /// faults per wall-clock second.
-fn fault_throughput(threads: usize, pages_per_thread: u64, shards: usize) -> f64 {
+fn fault_throughput(threads: usize, pages_per_thread: u64) -> f64 {
     let m = Machine::default_machine();
     let frames = threads * pages_per_thread as usize + 64;
-    let phys = PhysicalMemory::new(&m, frames * 4096, 4096, shards);
+    let phys = PhysicalMemory::new(&m, frames * 4096, 4096, 16);
     let objs: Vec<_> = (0..threads)
         .map(|_| VmObject::new_temporary(pages_per_thread * 4096))
         .collect();
@@ -152,7 +152,7 @@ fn main() {
     let mut base = 0.0f64;
     let mut thread_rows: Vec<(usize, f64)> = Vec::new();
     for &k in &[1usize, 2, 4, 8] {
-        let tput = fault_throughput(k, pages_per_thread, 16);
+        let tput = fault_throughput(k, pages_per_thread);
         if k == 1 {
             base = tput;
         }
@@ -164,16 +164,6 @@ fn main() {
         );
         thread_rows.push((k, tput));
     }
-    // The wall-clock speedup above is bounded by the host's cores; the
-    // sharding contrast below isolates lock contention itself and shows
-    // up even on a small host: the same 8-thread workload against a
-    // single-shard (global-lock) table versus the sharded one.
-    let one = fault_throughput(8, pages_per_thread, 1);
-    let sharded = fault_throughput(8, pages_per_thread, 16);
-    println!(
-        "   threads=8, shards=1:  {one:>10.0} faults/s\n   threads=8, shards=16: {sharded:>10.0} faults/s  ({:.2}x over global lock)",
-        sharded / one
-    );
 
     println!("B. sequential demand paging, pager_data_request messages:");
     let mut single = 0u64;
@@ -212,7 +202,6 @@ fn main() {
         ));
     }
     json.push_str("  ],\n");
-    json.push_str(&format!("  \"shard_speedup_8t\": {:.2},\n", sharded / one));
     json.push_str("  \"cluster\": [\n");
     for (i, (c, reqs)) in cluster_rows.iter().enumerate() {
         json.push_str(&format!(

@@ -89,16 +89,12 @@ pub fn run_storm(budget: usize, total: u64, delay: Duration) -> StormProfile {
     );
     let mgr = spawn_manager(kernel.machine(), "slow", SlowManager { delay });
     let object = kernel.object_for_port(mgr.port(), total * PAGE);
-    let engine = kernel
-        .fault_engine()
-        .expect("async faults are on by default")
-        .clone();
+    let engine = kernel.fault_engine();
     let policy = FaultPolicy::trusting();
 
     let start = wall::now();
     std::thread::scope(|s| {
         for t in 0..SUBMITTERS as u64 {
-            let engine = engine.clone();
             let object = object.clone();
             s.spawn(move || {
                 let per = total / SUBMITTERS as u64;

@@ -26,7 +26,7 @@
 use crate::table::{fmt_ns, Table};
 use machsim::stats::keys;
 use machsim::{Machine, Topology};
-use machvm::{NumaConfig, PhysicalMemory, VmMap};
+use machvm::{FaultEngineConfig, NumaConfig, PhysicalMemory, VmMap};
 
 /// Memory nodes (and role-played CPUs) in the experiment.
 pub const NODES: usize = 4;
@@ -72,8 +72,8 @@ pub fn policy_ladder() -> Vec<(&'static str, NumaConfig)> {
 pub fn run(topology: Topology, numa: NumaConfig, pages: u64, rounds: u32) -> NumaRow {
     let m = Machine::with_topology(topology);
     // Ample memory: placement, not replacement, is under test.
-    let frames = (NODES as u64 + 3) * pages * 2 + 64;
-    let phys = PhysicalMemory::new_numa(&m, frames as usize * 4096, 4096, 8, numa);
+    let bytes = ((NODES as u64 + 3) * pages * 2 + 64) as usize * 4096;
+    let phys = PhysicalMemory::with_config(&m, bytes, 4096, 8, numa, FaultEngineConfig::default());
     let map = VmMap::new(&phys);
     let ps = 4096u64;
     let page = vec![0u8; ps as usize];

@@ -63,10 +63,6 @@ pub struct KernelConfig {
     /// NUMA memory placement: node count and policies (single node, no
     /// policies by default).
     pub numa: NumaConfig,
-    /// Whether to run the continuation-based asynchronous fault engine:
-    /// faults that miss park their state in a bounded table instead of
-    /// blocking a thread, and pager requests batch per (pager, object).
-    pub async_faults: bool,
     /// Bound on simultaneously parked fault continuations (the
     /// outstanding-fault budget); submitters briefly block when full.
     pub fault_table_capacity: usize,
@@ -134,7 +130,6 @@ impl Default for KernelConfig {
             watchdog: true,
             watchdog_stall_ns: DEFAULT_WATCHDOG_STALL_NS,
             numa: NumaConfig::single(),
-            async_faults: true,
             fault_table_capacity: 4096,
             pager_inflight_pages: 1024,
             sched_cpus: 4,
@@ -191,8 +186,6 @@ pub struct Kernel {
     host_service: Mutex<Option<JoinHandle<()>>>,
     watchdog: Mutex<Option<JoinHandle<()>>>,
     watchdog_stop: Arc<std::sync::atomic::AtomicBool>,
-    /// The continuation-based async fault engine, when enabled.
-    fault_engine: Option<Arc<FaultEngine>>,
     /// The per-CPU run-queue scheduler every task thread runs under.
     scheduler: Arc<machsched::Scheduler>,
     tasks: TaskRegistry,
@@ -219,12 +212,16 @@ impl Kernel {
 
     /// Boots a kernel on an existing machine context (e.g. a fabric host).
     pub fn boot_on(machine: Machine, config: KernelConfig) -> Arc<Kernel> {
-        let phys = PhysicalMemory::new_numa(
+        let phys = PhysicalMemory::with_config(
             &machine,
             config.memory_bytes,
             config.page_size,
             config.reserve_pages,
             config.numa,
+            FaultEngineConfig {
+                capacity: config.fault_table_capacity,
+                pager_inflight_pages: config.pager_inflight_pages,
+            },
         );
         let registry: Arc<Mutex<Registry>> = Arc::new(Mutex::new(Registry::default()));
         let service_space = Arc::new(PortSpace::new(&machine));
@@ -298,23 +295,11 @@ impl Kernel {
         let (_host_name, host_port) = Self::register_request_port(&host_space, &machine);
         let tasks: TaskRegistry = Arc::new(Mutex::new(Vec::new()));
 
-        // The continuation-based fault engine: once attached, every
-        // `resolve_page` miss parks in its bounded table instead of
-        // blocking the faulting thread, and pager requests batch per
-        // (pager, object) over `send_many`.
-        let fault_engine = if config.async_faults {
-            let engine = FaultEngine::start(
-                phys.clone(),
-                FaultEngineConfig {
-                    capacity: config.fault_table_capacity.max(1),
-                    pager_inflight_pages: config.pager_inflight_pages.max(1),
-                },
-            );
-            phys.set_fault_engine(&engine);
-            Some(engine)
-        } else {
-            None
-        };
+        // A kernel runs its engine's completion loop from boot, not from
+        // the first parked fault: the loop's tick is also what samples the
+        // gauges below and folds lock contention into `lock.contended`,
+        // and an IPC-only kernel must report those too.
+        phys.fault_engine().start_worker();
 
         // Queue-depth and occupancy gauges, sampled once per fault-engine
         // tick and ring-buffered for the Chrome-trace and Prometheus
@@ -340,18 +325,18 @@ impl Kernel {
                 .register("gauge.ipc.kernel_port_depth", move || {
                     dp_request_depth.queued() as u64
                 });
-            if let Some(engine) = &fault_engine {
-                let weak = Arc::downgrade(engine);
-                machine.gauges.register("gauge.fault.outstanding", move || {
-                    weak.upgrade().map_or(0, |e| e.outstanding() as u64)
+            let weak = Arc::downgrade(&phys);
+            machine.gauges.register("gauge.fault.outstanding", move || {
+                weak.upgrade()
+                    .map_or(0, |p| p.fault_engine().outstanding() as u64)
+            });
+            let weak = Arc::downgrade(&phys);
+            machine
+                .gauges
+                .register("gauge.pager.inflight_pages", move || {
+                    weak.upgrade()
+                        .map_or(0, |p| p.fault_engine().inflight_pages() as u64)
                 });
-                let weak = Arc::downgrade(engine);
-                machine
-                    .gauges
-                    .register("gauge.pager.inflight_pages", move || {
-                        weak.upgrade().map_or(0, |e| e.inflight_pages() as u64)
-                    });
-            }
             if phys.nodes() > 1 {
                 for node in 0..phys.nodes() {
                     let weak = Arc::downgrade(&phys);
@@ -367,9 +352,7 @@ impl Kernel {
         }
 
         // The scheduler: one worker thread per simulated CPU, each pinned
-        // to its node so a task's faults first-touch local memory. Started
-        // after the fault engine so dispatched task bodies can park faults
-        // from their first instruction.
+        // to its node so a task's faults first-touch local memory.
         let scheduler = machsched::Scheduler::start(
             &machine,
             machsched::SchedConfig {
@@ -399,7 +382,6 @@ impl Kernel {
             host_service: Mutex::new(None),
             watchdog: Mutex::new(None),
             watchdog_stop: Arc::new(std::sync::atomic::AtomicBool::new(false)),
-            fault_engine,
             scheduler,
             tasks: tasks.clone(),
             next_node: std::sync::atomic::AtomicUsize::new(0),
@@ -841,9 +823,9 @@ impl Kernel {
         self.fault_policy
     }
 
-    /// The continuation-based async fault engine, when enabled.
-    pub fn fault_engine(&self) -> Option<&Arc<FaultEngine>> {
-        self.fault_engine.as_ref()
+    /// The fault engine of this kernel's physical memory.
+    pub fn fault_engine(&self) -> &FaultEngine {
+        self.phys.fault_engine()
     }
 
     /// The per-CPU run-queue scheduler task threads run under.
@@ -963,16 +945,12 @@ impl Drop for Kernel {
         // fulfills with ObjectDestroyed, unblocking its worker) and the
         // join proceeds.
         let mut quiesced = self.scheduler.quiesce(SHUTDOWN_QUIESCE);
-        if !quiesced {
-            if let Some(engine) = &self.fault_engine {
-                for _ in 0..SHUTDOWN_DRAIN_ROUNDS {
-                    engine.drain_parked();
-                    quiesced = self.scheduler.quiesce(SHUTDOWN_RETRY);
-                    if quiesced {
-                        break;
-                    }
-                }
+        for _ in 0..SHUTDOWN_DRAIN_ROUNDS {
+            if quiesced {
+                break;
             }
+            self.phys.fault_engine().drain_parked();
+            quiesced = self.scheduler.quiesce(SHUTDOWN_RETRY);
         }
         if quiesced {
             self.scheduler.shutdown();
@@ -987,16 +965,15 @@ impl Drop for Kernel {
             let _ = t.join();
         }
         // Stop the fault engine before the service loop: its drain errors
-        // every parked fault (waking their tickets), and late submissions
-        // fall back to the synchronous driver.
-        if let Some(engine) = &self.fault_engine {
-            engine.shutdown();
-            debug_assert_eq!(
-                engine.outstanding(),
-                0,
-                "fault engine still holds parked continuations after its shutdown drain"
-            );
-        }
+        // every parked fault (waking their tickets), and a late submission
+        // that would have to wait gets the same error instead of parking.
+        let engine = self.phys.fault_engine();
+        engine.shutdown();
+        debug_assert_eq!(
+            engine.outstanding(),
+            0,
+            "fault engine still holds parked continuations after its shutdown drain"
+        );
         self.daemon_stop
             .store(true, std::sync::atomic::Ordering::Relaxed);
         if let Some(t) = self.daemon.lock().take() {
@@ -1083,9 +1060,10 @@ mod tests {
         });
 
         // The fault must actually park before we start tearing down.
-        let engine = k.fault_engine().expect("async faults on").clone();
+        let phys = k.phys().clone();
         assert!(
-            machsim::wall::poll_until(Duration::from_secs(5), Duration::from_millis(1), || engine
+            machsim::wall::poll_until(Duration::from_secs(5), Duration::from_millis(1), || phys
+                .fault_engine()
                 .outstanding()
                 > 0),
             "fault against the silent pager never parked"

@@ -624,31 +624,34 @@ mod tests {
             },
         );
         let ran = Arc::new(AtomicU64::new(0));
-        let children = Arc::new(Mutex::new(Vec::new()));
         let s = Arc::clone(&sched);
-        let (r, kids, mach) = (Arc::clone(&ran), Arc::clone(&children), m.clone());
+        let (r, mach) = (Arc::clone(&ran), m.clone());
         // The "make" unit spawns all children from inside one worker, so
-        // they pile onto that worker's queue and must be stolen to spread.
+        // they pile onto that worker's queue, and joins them before it
+        // returns: its worker stays occupied, so the pile can drain only
+        // by theft.
         sched
             .spawn(0, move || {
-                for _ in 0..256 {
-                    let r = Arc::clone(&r);
-                    let mach = mach.clone();
-                    kids.lock().push(s.spawn(0, move || {
-                        mach.clock.charge(50_000);
-                        r.fetch_add(1, Ordering::Relaxed);
-                    }));
+                let kids: Vec<JoinHandle> = (0..256)
+                    .map(|_| {
+                        let r = Arc::clone(&r);
+                        let mach = mach.clone();
+                        s.spawn(0, move || {
+                            mach.clock.charge(50_000);
+                            r.fetch_add(1, Ordering::Relaxed);
+                        })
+                    })
+                    .collect();
+                for h in kids {
+                    h.join();
                 }
             })
             .join();
-        for h in children.lock().drain(..) {
-            h.join();
-        }
         assert_eq!(ran.load(Ordering::Relaxed), 256);
         assert_eq!(m.stats.get(keys::SCHED_DISPATCHES), 257);
         assert!(
-            m.stats.get(keys::SCHED_STEALS) > 0,
-            "idle CPUs should have stolen from the pile"
+            m.stats.get(keys::SCHED_STEALS) >= 256,
+            "every child must have been stolen from the pile"
         );
         sched.shutdown();
     }

@@ -63,7 +63,7 @@ pub enum LockClass {
     /// completion loop steps parked faults — which take every VM lock and
     /// send pager messages — while holding it, and nothing inside the VM
     /// or IPC layers ever calls back into the engine with its locks held
-    /// (the completion hook runs strictly after shard locks are dropped).
+    /// (page events are reported strictly after shard locks are dropped).
     FaultTable = 1,
     /// A resident-table shard (`Shard::state`).
     Shard = 2,

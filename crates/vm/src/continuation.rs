@@ -1,25 +1,25 @@
-//! The continuation-based asynchronous fault engine.
+//! The continuation-based fault engine: the one driver of the fault
+//! state machine. Every fault is a ticket.
 //!
-//! The synchronous fault path ties one kernel thread to every outstanding
-//! fault: the thread blocks in `await_page` until `pager_data_provided`
-//! arrives, so the number of faults a host can have in flight is capped by
-//! the number of threads it is willing to park — and every fault pays one
+//! A fault path that blocks its thread until `pager_data_provided`
+//! arrives caps the faults a host can have in flight at the number of
+//! threads it is willing to park — and every fault pays one
 //! `pager_data_request` message, no matter how many of its neighbors are
 //! also missing. Real Mach attacked the first problem with *continuations*
 //! (Draves et al.): capture the small amount of state the blocked
 //! operation actually needs, release the thread, and resume from the
 //! captured state when the event arrives. This module is that design,
-//! io_uring-flavored:
+//! io_uring-flavored; a caller that wants to block submits and waits on
+//! the ticket ([`crate::fault::resolve_page`]):
 //!
 //! * [`FaultEngine::submit`] runs the fault state machine
 //!   ([`crate::fault::fault_step`]) until it must wait, then *parks* the
 //!   [`FaultState`] in a bounded continuation table and returns a
 //!   [`FaultTicket`] — the submitting thread is free immediately.
 //! * Page events (fill installed or cancelled, manager lock changed, page
-//!   reclaimed) fire the completion hook
-//!   ([`PhysicalMemory::set_completion_hook`]); a single completion-loop
-//!   thread pops the woken continuations and re-steps them, completing
-//!   tickets or re-parking.
+//!   removed) are reported by the owning [`PhysicalMemory`] straight into
+//!   the engine; a single completion-loop thread pops the woken
+//!   continuations and re-steps them, completing tickets or re-parking.
 //! * `pager_data_request`s produced while stepping are not sent inline:
 //!   they accumulate as *runs* and are flushed per (pager, object) through
 //!   [`PagerBackend::data_request_many`] — one batched IPC send carrying
@@ -41,20 +41,35 @@
 //! deadline fires) ends its chain without being counted as a watchdog
 //! stall, while a genuinely wedged fault is still caught and flagged.
 //!
+//! # Ownership and shutdown
+//!
+//! The engine is a field of its [`PhysicalMemory`], built with it, and
+//! reaches back through a weak reference. The completion-loop thread
+//! starts at the first park ([`FaultEngine::start_worker`]; a kernel
+//! calls it at boot, because the loop's tick also samples the machine's
+//! gauges) and holds only a weak reference too: a bare memory that never
+//! parks never spawns one, and dropping the last `Arc<PhysicalMemory>`
+//! ends it within a tick. After
+//! [`FaultEngine::shutdown`] nothing can resume a parked fault, so a
+//! fault is stepped once on its caller: hits, zero fills and
+//! copy-on-write copies still resolve, and one that would have to park
+//! releases what it claimed and fails with [`VmError::ObjectDestroyed`] —
+//! the answer shutdown gives every fault that was parked.
+//!
 //! # Locking
 //!
 //! The continuation table is `LockClass::FaultTable`, ranked *outermost*
 //! (above `Shard`): the engine may lock the table and then probe the
-//! resident table for the park/recheck race, never the reverse. The
-//! completion hook therefore fires only after every shard lock is
-//! dropped. Stepping a continuation — which takes shard, frame and queue
-//! locks freely — always happens with the table unlocked.
+//! resident table for the park/recheck race, never the reverse. Page
+//! events are therefore reported only after every shard lock is dropped.
+//! Stepping a continuation — which takes shard, frame and queue locks
+//! freely — always happens with the table unlocked.
 //!
 //! # Timeouts, death and the stale sweep
 //!
 //! The completion loop doubles as the timer wheel. Every parked
-//! continuation re-arms its policy deadline at each park (matching the
-//! per-wait timeout of the synchronous driver); the loop's periodic
+//! continuation re-arms its policy deadline at each park (the timeout is
+//! per wait, not per fault); the loop's periodic
 //! sweep — rate-limited to once per tick, since it is O(parked) —
 //! expires deadlines (cancelling any claimed fill window, then applying
 //! the policy action — fail or zero-fill), and probes continuations
@@ -65,10 +80,10 @@
 //! and a deep backlog costs one probe per interval, not a re-step.
 
 use crate::fault::{
-    fault_step, handle_timeout, resolve_page_sync, FaultPolicy, FaultResult, FaultState, FaultStep,
-    FaultWait, RequestSink, WaitKind,
+    fault_step, handle_timeout, FaultPolicy, FaultResult, FaultState, FaultStep, FaultWait,
+    WaitKind,
 };
-use crate::lockdep::{ClassMutex, ClassMutexGuard, LockClass};
+use crate::lockdep::{ClassMutex, LockClass};
 use crate::object::{ObjectId, PagerBackend, PagerRequest, VmObject};
 use crate::protocol;
 use crate::resident::{PageLookup, PhysicalMemory};
@@ -79,7 +94,7 @@ use machsim::{wall, EventKind, Machine};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 /// How long the completion loop sleeps when no event arrives — the timer
@@ -210,8 +225,7 @@ struct Continuation {
     /// Fires when the park has lasted long enough for a defensive
     /// recheck.
     stale_at: wall::Deadline,
-    /// Policy deadline, re-armed at every park (per-wait timeout, exactly
-    /// like the synchronous driver's `await_page` timeout).
+    /// Policy deadline, re-armed at every park (the timeout is per wait).
     deadline: Option<wall::Deadline>,
     ticket: FaultTicket,
     /// In-flight pages this fault's outstanding run holds against its
@@ -270,6 +284,10 @@ struct Table {
     /// sweep is O(parked continuations), so it is rate-limited to once
     /// per [`TICK`] no matter how often events wake the loop.
     next_sweep: Option<wall::Deadline>,
+    /// Page events reported so far: lets a test assert that an operation
+    /// reports none.
+    #[cfg(test)]
+    page_events: u64,
 }
 
 impl Table {
@@ -292,12 +310,14 @@ impl Table {
     }
 }
 
-/// The continuation-based asynchronous fault engine. Construct with
-/// [`FaultEngine::start`], attach with
-/// [`PhysicalMemory::set_fault_engine`], and shut down explicitly with
-/// [`FaultEngine::shutdown`] (the kernel does all three).
+/// The continuation-based fault engine. Every [`PhysicalMemory`] owns
+/// one ([`PhysicalMemory::fault_engine`]); shut it down explicitly with
+/// [`FaultEngine::shutdown`] to error out faults still parked (the kernel
+/// does).
 pub struct FaultEngine {
-    phys: Arc<PhysicalMemory>,
+    /// The memory this engine is a field of. Weak, because that memory
+    /// owns the engine.
+    phys: Weak<PhysicalMemory>,
     machine: Machine,
     cfg: FaultEngineConfig,
     table: ClassMutex<Table>,
@@ -309,17 +329,19 @@ pub struct FaultEngine {
     worker: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
-/// The engine's [`RequestSink`]: records runs instead of sending them, so
-/// the engine can batch, cap and correlate them under the table lock.
-struct BatchSink {
+/// Where a stepped fault puts its `pager_data_request`s: they are
+/// recorded, not sent, so the engine can batch, cap and correlate them
+/// under the table lock.
+pub(crate) struct RunCollector {
     cid: u64,
     root_span: u64,
     page_size: usize,
     runs: Vec<PendingRun>,
 }
 
-impl RequestSink for BatchSink {
-    fn data_request(
+impl RunCollector {
+    /// Records one claimed run.
+    pub(crate) fn data_request(
         &mut self,
         pager: &Arc<dyn PagerBackend>,
         object: ObjectId,
@@ -341,45 +363,61 @@ impl RequestSink for BatchSink {
 }
 
 impl FaultEngine {
-    /// Creates the engine, spawns its completion loop, and registers the
-    /// completion hook on `phys`. Call
-    /// [`PhysicalMemory::set_fault_engine`] to route `resolve_page`
-    /// through it.
-    pub fn start(phys: Arc<PhysicalMemory>, cfg: FaultEngineConfig) -> Arc<Self> {
-        let machine = phys.machine().clone();
-        let engine = Arc::new(FaultEngine {
-            phys: phys.clone(),
-            machine,
-            cfg,
+    /// The engine of the memory behind `phys`, idle until a fault parks.
+    pub(crate) fn new(
+        phys: Weak<PhysicalMemory>,
+        machine: &Machine,
+        cfg: FaultEngineConfig,
+    ) -> Self {
+        FaultEngine {
+            phys,
+            machine: machine.clone(),
+            cfg: FaultEngineConfig {
+                capacity: cfg.capacity.max(1),
+                pager_inflight_pages: cfg.pager_inflight_pages.max(1),
+            },
             table: ClassMutex::new(LockClass::FaultTable, Table::default()),
             work: Condvar::new(),
             space: Condvar::new(),
             stop: AtomicBool::new(false),
             worker: Mutex::new(None),
-        });
-        let hook_engine = Arc::downgrade(&engine);
-        phys.set_completion_hook(move |object, offset| {
-            if let Some(e) = hook_engine.upgrade() {
-                e.on_page_event(object, offset);
-            }
-        });
-        // The loop holds only a weak reference: if every strong owner
-        // drops the engine without calling `shutdown`, the thread exits
-        // on its next tick instead of keeping the engine alive forever.
-        let loop_engine = Arc::downgrade(&engine);
+        }
+    }
+
+    fn phys(&self) -> Arc<PhysicalMemory> {
+        self.phys
+            .upgrade()
+            .expect("invariant: the engine is reached only through its live PhysicalMemory")
+    }
+
+    /// Starts the completion loop unless it runs already (or the engine
+    /// has been shut down). The first fault to park does this itself; a
+    /// kernel calls it at boot because the loop's tick also samples the
+    /// machine's gauges. The loop holds only a weak reference to the
+    /// memory: once every owner has dropped it, the thread exits on its
+    /// next tick instead of keeping the memory alive forever.
+    pub fn start_worker(&self) {
+        let mut worker = self.worker.lock();
+        if worker.is_some() || self.stop.load(Ordering::Acquire) {
+            return;
+        }
+        let weak = self.phys.clone();
         let handle = std::thread::Builder::new()
             .name("fault-engine".into())
-            .spawn(move || loop {
-                let Some(e) = loop_engine.upgrade() else {
-                    return;
-                };
-                if !e.run_once() {
-                    return;
+            .spawn(move || {
+                while let Some(phys) = weak.upgrade() {
+                    if !phys.fault_engine().run_once(&phys) {
+                        return;
+                    }
                 }
             })
             .expect("spawn fault-engine thread");
-        *engine.worker.lock() = Some(handle);
-        engine
+        *worker = Some(handle);
+    }
+
+    #[cfg(test)]
+    pub(crate) fn page_events(&self) -> u64 {
+        self.table.lock().page_events
     }
 
     /// Outstanding parked continuations right now.
@@ -403,9 +441,10 @@ impl FaultEngine {
         self.cfg
     }
 
-    /// Stops the completion loop: every still-parked fault errors with
-    /// [`VmError::ObjectDestroyed`], claimed fill windows are cancelled,
-    /// and the loop thread is joined. Idempotent.
+    /// Stops the engine: the completion loop is joined, every still-parked
+    /// fault errors with [`VmError::ObjectDestroyed`] and claimed fill
+    /// windows are cancelled. Faults submitted afterwards resolve only if
+    /// they need not wait. Idempotent.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::Release);
         self.work.notify_all();
@@ -414,13 +453,15 @@ impl FaultEngine {
         if let Some(h) = handle {
             let _ = h.join();
         }
+        // `step_and_park` reads `stop` under the table lock before it
+        // parks, so nothing can join the table behind this drain.
+        self.drain_parked();
     }
 
     /// Submits a fault: runs the state machine to its first wait, parks
-    /// it, and returns the ticket. When the engine is stopped, falls back
-    /// to the synchronous driver so faults still resolve during shutdown.
+    /// it, and returns the ticket.
     pub fn submit(
-        self: &Arc<Self>,
+        &self,
         top: &Arc<VmObject>,
         offset: u64,
         access: VmProt,
@@ -434,7 +475,7 @@ impl FaultEngine {
     /// if this page is absent its `pager_data_request` covers them too,
     /// so the faults submitted behind it find their pages already pending.
     pub fn submit_ahead(
-        self: &Arc<Self>,
+        &self,
         top: &Arc<VmObject>,
         offset: u64,
         access: VmProt,
@@ -455,12 +496,6 @@ impl FaultEngine {
         let started_ns = self.machine.clock.now_ns();
         self.machine.flight.begin(cid.raw(), "vm.fault", started_ns);
 
-        if self.stop.load(Ordering::Acquire) {
-            let result = resolve_page_sync(&self.phys, top, offset, access, policy);
-            self.finish(cid, started_ns, &ticket, result);
-            return ticket;
-        }
-
         // Backpressure: take an admission slot before stepping, so a full
         // engine slows admission instead of growing without bound. Gating
         // on `admitted` (not `conts.len()`) means mid-step faults still
@@ -471,14 +506,6 @@ impl FaultEngine {
                 self.machine.stats.incr(stat_keys::VM_ASYNC_BACKPRESSURE);
                 self.work.notify_all();
                 self.space.wait_for(t.inner_mut(), TICK);
-            }
-            if self.stop.load(Ordering::Acquire) {
-                drop(t);
-                // Shutdown observed while waiting: resolve synchronously
-                // without taking an admission slot (nobody would return it).
-                let result = resolve_page_sync(&self.phys, top, offset, access, policy);
-                self.finish(cid, started_ns, &ticket, result);
-                return ticket;
             }
             t.admitted += 1;
         }
@@ -502,9 +529,12 @@ impl FaultEngine {
             root_span,
             parked_span: 0,
         };
-        if let Some(result) = self.step_and_park(cont) {
-            self.finish(cid, started_ns, &ticket, result);
-            self.release_admission();
+        match self.step_and_park(&self.phys(), cont) {
+            Some(result) => {
+                self.finish(cid, started_ns, &ticket, result);
+                self.release_admission();
+            }
+            None => self.start_worker(),
         }
         ticket
     }
@@ -522,8 +552,12 @@ impl FaultEngine {
     /// A page event on `(object, offset)`: move its waiters to the ready
     /// queue and kick the completion loop. Called with no shard lock held
     /// (the table ranks above the shards).
-    fn on_page_event(&self, object: ObjectId, offset: u64) {
+    pub(crate) fn on_page_event(&self, object: ObjectId, offset: u64) {
         let mut t = self.table.lock();
+        #[cfg(test)]
+        {
+            t.page_events += 1;
+        }
         if let Some(cids) = t.waiters.remove(&(object, offset)) {
             if !cids.is_empty() {
                 t.ready.extend(cids);
@@ -540,7 +574,8 @@ impl FaultEngine {
     ///
     /// Returns `Some(result)` if the fault completed, `None` if parked.
     fn step_and_park(
-        self: &Arc<Self>,
+        &self,
+        phys: &PhysicalMemory,
         mut cont: Continuation,
     ) -> Option<Result<FaultResult, VmError>> {
         let _scope = CorrelationScope::enter(cont.cid);
@@ -552,13 +587,13 @@ impl FaultEngine {
         let prev_wait = cont.wait;
         let mut prev_charge = cont.inflight.take();
         loop {
-            let mut sink = BatchSink {
+            let mut sink = RunCollector {
                 cid: cont.cid.raw(),
                 root_span: cont.root_span,
-                page_size: self.phys.page_size(),
+                page_size: phys.page_size(),
                 runs: Vec::new(),
             };
-            let step = fault_step(&self.phys, &mut cont.state, &mut sink);
+            let step = fault_step(phys, &mut cont.state, &mut sink);
             let wait = match step {
                 FaultStep::Done(result) => {
                     self.settle(&mut cont, sink.runs, prev_charge.take());
@@ -578,7 +613,14 @@ impl FaultEngine {
             }
             cont.wait = wait;
             let mut t = self.table.lock();
-            if !protocol::must_park(self.wait_blocked(wait, cont.state.access)) {
+            if self.stop.load(Ordering::Acquire) {
+                // Nothing resumes a fault parked after shutdown: give it
+                // the answer the shutdown drain gave those before it.
+                drop(t);
+                self.abandon(phys, &mut cont);
+                return Some(Err(VmError::ObjectDestroyed));
+            }
+            if !protocol::must_park(Self::wait_blocked(phys, wait, cont.state.access)) {
                 // Keep the (possibly restored) charge for the next
                 // iteration's reconciliation.
                 prev_charge = cont.inflight.take();
@@ -610,13 +652,10 @@ impl FaultEngine {
     /// while the page is `Pending`; an `Unlock` wait only while the
     /// manager lock still intersects the access (a vanished page means
     /// re-step and re-probe).
-    fn wait_blocked(&self, wait: FaultWait, access: VmProt) -> bool {
+    fn wait_blocked(phys: &PhysicalMemory, wait: FaultWait, access: VmProt) -> bool {
         match wait.kind {
-            WaitKind::Fill => matches!(
-                self.phys.lookup(wait.object, wait.offset),
-                PageLookup::Pending
-            ),
-            WaitKind::Unlock => match self.phys.page_lock(wait.object, wait.offset) {
+            WaitKind::Fill => matches!(phys.lookup(wait.object, wait.offset), PageLookup::Pending),
+            WaitKind::Unlock => match phys.page_lock(wait.object, wait.offset) {
                 Some(lock) => lock.intersects(access),
                 None => false,
             },
@@ -693,34 +732,16 @@ impl FaultEngine {
 
     /// Errors every currently-parked fault without stopping the engine:
     /// tickets fulfill with [`VmError::ObjectDestroyed`], so a thread
-    /// blocked in [`FaultTicket::wait`] is guaranteed to return. The
-    /// kernel's teardown path calls this when the scheduler's bounded
-    /// quiesce times out — a worker is wedged on a fault whose pager
-    /// never answered, and only the engine can break that wait. Faults
-    /// submitted afterwards park (and resolve) normally.
-    pub fn drain_parked(self: &Arc<Self>) {
-        let t = self.table.lock();
-        self.drain_locked(t);
-    }
-
-    /// Drains the engine at shutdown: errors every parked fault and
-    /// releases the fill windows of never-sent runs. Returns `false` to
-    /// stop the loop.
-    fn drain(self: &Arc<Self>, t: ClassMutexGuard<'_, Table>) -> bool {
-        self.drain_locked(t);
-        false
-    }
-
-    /// The drain body, shared by the loop's terminal drain and the
-    /// teardown path's keep-running [`FaultEngine::drain_parked`].
-    fn drain_locked(self: &Arc<Self>, mut t: ClassMutexGuard<'_, Table>) {
-        let cids: Vec<u64> = t.conts.keys().copied().collect();
-        let mut orphans = Vec::with_capacity(cids.len());
-        for cid in cids {
-            if let Some(c) = t.conts.remove(&cid) {
-                orphans.push(c);
-            }
-        }
+    /// blocked in [`FaultTicket::wait`] is guaranteed to return, and the
+    /// fill windows of never-sent runs are released. The kernel's teardown
+    /// path calls this when the scheduler's bounded quiesce times out — a
+    /// worker is wedged on a fault whose pager never answered, and only
+    /// the engine can break that wait. Faults submitted afterwards park
+    /// (and resolve) normally.
+    pub fn drain_parked(&self) {
+        let phys = self.phys();
+        let mut t = self.table.lock();
+        let mut orphans: Vec<Continuation> = t.conts.drain().map(|(_, c)| c).collect();
         t.waiters.clear();
         t.ready.clear();
         let mut unsent: Vec<PendingRun> = t.runs.drain(..).collect();
@@ -730,11 +751,11 @@ impl FaultEngine {
         t.admitted = t.admitted.saturating_sub(orphans.len());
         drop(t);
         for run in unsent {
-            self.cancel_run(&run);
+            Self::cancel_run(&phys, &run);
         }
-        for mut c in orphans {
+        for c in &mut orphans {
             if c.wait.kind == WaitKind::Fill {
-                c.state.cancel_claims(&self.phys, c.wait);
+                c.state.cancel_claims(&phys, c.wait);
             }
             self.finish(
                 c.cid,
@@ -746,11 +767,24 @@ impl FaultEngine {
         self.space.notify_all();
     }
 
+    /// Gives up on a fault that will not be waited for any longer
+    /// (timeout, dead pager, shutdown): returns its in-flight charge and
+    /// releases the fill window it was waiting on, so no later fault
+    /// strands on a pending entry nobody will fill.
+    fn abandon(&self, phys: &PhysicalMemory, cont: &mut Continuation) {
+        if let Some((key, pages)) = cont.inflight.take() {
+            self.table.lock().discharge(key, pages);
+        }
+        if cont.wait.kind == WaitKind::Fill {
+            cont.state.cancel_claims(phys, cont.wait);
+        }
+    }
+
     /// One completion-loop iteration: wait for work, pop woken/expired/
     /// orphaned continuations, flush the request batch, then process each
     /// continuation outside the table lock. Returns `false` when the
     /// engine has stopped and drained.
-    fn run_once(self: &Arc<Self>) -> bool {
+    fn run_once(&self, phys: &PhysicalMemory) -> bool {
         let mut woken: Vec<(Continuation, Wake)> = Vec::new();
         let mut tick_elapsed = false;
         let flush: Vec<PendingRun>;
@@ -764,7 +798,7 @@ impl FaultEngine {
                 self.work.wait_for(t.inner_mut(), TICK);
             }
             if self.stop.load(Ordering::Acquire) {
-                return self.drain(t);
+                return false;
             }
             let ready = std::mem::take(&mut t.ready);
             for cid in ready {
@@ -797,7 +831,7 @@ impl FaultEngine {
                             .unwrap_or(true)
                         {
                             swept.push((cid, Wake::PagerDead));
-                        } else if !self.wait_blocked(c.wait, c.state.access) {
+                        } else if !Self::wait_blocked(phys, c.wait, c.state.access) {
                             // The wakeup was missed: resume it.
                             swept.push((cid, Wake::Event));
                         } else {
@@ -856,7 +890,7 @@ impl FaultEngine {
                     let resume = self
                         .machine
                         .span_open_with("fault.resume", root_span, Some(cid));
-                    let done = self.step_and_park(cont);
+                    let done = self.step_and_park(phys, cont);
                     self.machine
                         .span_close_with("fault.resume", resume, Some(cid));
                     if let Some(result) = done {
@@ -866,26 +900,16 @@ impl FaultEngine {
                 }
                 Wake::Timeout => {
                     self.machine.stats.incr(stat_keys::VM_ASYNC_TIMEOUTS);
-                    self.return_charge(&mut cont);
-                    if cont.wait.kind == WaitKind::Fill {
-                        cont.state.cancel_claims(&self.phys, cont.wait);
-                    }
+                    self.abandon(phys, &mut cont);
                     let _scope = CorrelationScope::enter(cont.cid);
-                    let result = handle_timeout(
-                        &self.phys,
-                        &cont.state.top,
-                        cont.state.offset,
-                        cont.state.policy,
-                    );
+                    let result =
+                        handle_timeout(phys, &cont.state.top, cont.state.offset, cont.state.policy);
                     self.finish(cont.cid, cont.started_ns, &cont.ticket, result);
                     self.release_admission();
                 }
                 Wake::PagerDead => {
                     self.machine.stats.incr(stat_keys::VM_ASYNC_PAGER_DEAD);
-                    self.return_charge(&mut cont);
-                    if cont.wait.kind == WaitKind::Fill {
-                        cont.state.cancel_claims(&self.phys, cont.wait);
-                    }
+                    self.abandon(phys, &mut cont);
                     self.finish(
                         cont.cid,
                         cont.started_ns,
@@ -897,15 +921,6 @@ impl FaultEngine {
             }
         }
         true
-    }
-
-    /// Returns a terminally-completing continuation's in-flight charge
-    /// (`step_and_park` reconciles the non-terminal paths itself).
-    fn return_charge(&self, cont: &mut Continuation) {
-        if let Some((key, pages)) = cont.inflight.take() {
-            let mut t = self.table.lock();
-            t.discharge(key, pages);
-        }
     }
 
     /// Sends queued request runs, grouped per (pager, object) through
@@ -945,19 +960,19 @@ impl FaultEngine {
             .span_close_with("pager.flush", flush_span, None);
     }
 
-    /// Completes a fault: ends its flight-recorder chain, fulfills the
-    /// ticket, and emits the resolution trace/latency with the fault's
-    /// own correlation (the completion loop is not in the fault's scope).
     /// Releases the fill window of a run that was never sent to its
     /// pager: the pending entries would otherwise strand later faults.
     /// Cancelling is idempotent, so racing an install is safe.
-    fn cancel_run(&self, run: &PendingRun) {
-        let page = self.phys.page_size() as u64;
+    fn cancel_run(phys: &PhysicalMemory, run: &PendingRun) {
+        let page = phys.page_size() as u64;
         for i in 0..run.pages as u64 {
-            self.phys.cancel_fill(run.object, run.offset + i * page);
+            phys.cancel_fill(run.object, run.offset + i * page);
         }
     }
 
+    /// Completes a fault: ends its flight-recorder chain, fulfills the
+    /// ticket, and emits the resolution trace/latency with the fault's
+    /// own correlation (the completion loop is not in the fault's scope).
     fn finish(
         &self,
         cid: CorrelationId,
@@ -996,8 +1011,9 @@ impl FaultEngine {
             t.deferred = keep_d;
             purged
         };
+        let phys = self.phys();
         for run in &unsent {
-            self.cancel_run(run);
+            Self::cancel_run(&phys, run);
         }
         self.finish_tail(cid, started_ns, ticket, result);
     }
@@ -1024,12 +1040,5 @@ impl FaultEngine {
             .span_close_with("fault.submit", ticket.span(), Some(cid));
         ticket.fulfill(result);
         self.space.notify_all();
-    }
-}
-
-impl Drop for FaultEngine {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        self.work.notify_all();
     }
 }

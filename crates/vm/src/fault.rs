@@ -12,22 +12,22 @@
 //!   later write re-faults;
 //! * **pager interaction**: absent pages at the bottom of the chain are
 //!   requested from the data manager with `pager_data_request`, and the
-//!   faulting thread blocks until `pager_data_provided` arrives — or the
-//!   fault *times out*, which Section 6.2.1 handles exactly like a
-//!   communication timeout (fail the request, or substitute default-pager
-//!   zero-filled memory);
+//!   fault waits — parked in the fault engine, its thread waiting on the
+//!   ticket — until `pager_data_provided` arrives or the fault *times
+//!   out*, which Section 6.2.1 handles exactly like a communication
+//!   timeout (fail the request, or substitute default-pager zero-filled
+//!   memory);
 //! * **lock negotiation**: access prohibited by a `pager_data_lock` value
 //!   triggers `pager_data_unlock` and a wait for the manager to relax it.
 //!
 //! The caller (the address map layer) performs the remaining two steps:
 //! validity/protection lookup before, hardware validation (pmap) after.
 
+use crate::continuation::RunCollector;
 use crate::object::{ObjectId, VmObject};
 use crate::resident::{PageLookup, PhysicalMemory};
 use crate::types::{VmError, VmProt};
 use machsim::stats::keys as stat_keys;
-use machsim::trace::{keys as trace_keys, CorrelationId, CorrelationScope};
-use machsim::EventKind;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -150,46 +150,12 @@ pub enum FaultStep {
     Park(FaultWait),
 }
 
-/// Where a stepped fault sends its `pager_data_request`s. The synchronous
-/// driver issues them immediately; the async engine collects them into
-/// per-(pager, object) batches and flushes whole runs through
-/// [`crate::object::PagerBackend::data_request_many`].
-pub trait RequestSink {
-    /// Queues (or sends) one claimed run.
-    fn data_request(
-        &mut self,
-        pager: &Arc<dyn crate::object::PagerBackend>,
-        object: ObjectId,
-        offset: u64,
-        length: u64,
-        access: VmProt,
-    );
-}
-
-/// Sends each request inline on the faulting thread (the classic path).
-pub struct ImmediateSink;
-
-impl RequestSink for ImmediateSink {
-    fn data_request(
-        &mut self,
-        pager: &Arc<dyn crate::object::PagerBackend>,
-        object: ObjectId,
-        offset: u64,
-        length: u64,
-        access: VmProt,
-    ) {
-        pager.data_request(object, offset, length, access);
-    }
-}
-
 /// The captured state of one in-progress fault — everything `fault_step`
 /// needs to resume after a park: the faulting (top) object and offset,
 /// the shadow-chain cursor, the cache-hit probe flag, and the pager
-/// window the fault has claimed (for cancellation on timeout).
-///
-/// This is the heart of the continuation refactor: the old blocking loop
-/// kept all of this in stack locals across `await_page`; parking it in a
-/// struct lets the async engine release the thread instead.
+/// window the fault has claimed (for cancellation on timeout). Parking
+/// this struct, rather than a thread with the same things on its stack,
+/// is what lets the engine release the thread.
 #[derive(Debug)]
 pub struct FaultState {
     /// The faulting object (top of the shadow chain).
@@ -284,16 +250,14 @@ fn request_window(st: &FaultState, pager: &dyn crate::object::PagerBackend) -> u
 /// Runs the machine-independent fault transitions — shadow-chain walk,
 /// copy-on-write, lock negotiation, pager request, zero fill — until the
 /// fault either resolves ([`FaultStep::Done`]) or must wait for a page
-/// event ([`FaultStep::Park`]). On a park the caller decides how to wait:
-/// the synchronous driver blocks on the shard condvar exactly like the
-/// old loop; the async engine files the state as a continuation and
-/// releases the thread. Re-stepping after the event re-probes from the
-/// current shadow-chain cursor, which is exactly what the old loop's
-/// `continue` did after a wakeup.
-pub fn fault_step(
+/// event ([`FaultStep::Park`]). On a park the engine files the state as a
+/// continuation; re-stepping after the event re-probes from the current
+/// shadow-chain cursor. Any `pager_data_request` the step makes goes into
+/// `runs`, for the engine to batch and send.
+pub(crate) fn fault_step(
     phys: &PhysicalMemory,
     st: &mut FaultState,
-    sink: &mut dyn RequestSink,
+    runs: &mut RunCollector,
 ) -> FaultStep {
     let machine = phys.machine().clone();
     // The offset is page-granular relative to the mapping's own alignment;
@@ -398,7 +362,7 @@ pub fn fault_step(
                         st.object
                             .note_run(st.obj_offset + pages as u64 * page, window);
                         st.claimed = Some((st.object.id(), st.obj_offset, pages));
-                        sink.data_request(
+                        runs.data_request(
                             &pager,
                             st.object.id(),
                             st.obj_offset,
@@ -436,17 +400,18 @@ pub fn fault_step(
 /// `access` is what the faulting thread is trying to do (already validated
 /// against the map entry's protection by the caller).
 ///
-/// Every fault allocates a fresh [`CorrelationId`] that is installed as
-/// the faulting thread's trace context for the duration of the fault, so
+/// Every fault allocates a fresh [`machsim::trace::CorrelationId`] that is
+/// installed as the faulting thread's trace context for the duration of the
+/// fault, so
 /// all downstream work — the `pager_data_request` message, the manager's
 /// disk reads, the `pager_data_provided` reply — carries the same id and
 /// forms one inspectable chain in the machine's trace buffer.
 ///
-/// When a [`crate::continuation::FaultEngine`] is attached to `phys`, the
-/// fault is submitted there instead: the state machine still runs, but
-/// parked waits live in the engine's continuation table (batched pager
-/// requests, bounded outstanding faults) rather than blocking a kernel
-/// wait primitive, and this thread merely waits on the fault's ticket.
+/// The fault is submitted to the memory's
+/// [`crate::continuation::FaultEngine`] and this thread waits on its
+/// ticket: a wait for a data manager lives in the engine's continuation
+/// table (batched pager requests, bounded outstanding faults), not in a
+/// kernel wait primitive of its own.
 pub fn resolve_page(
     phys: &PhysicalMemory,
     top: &Arc<VmObject>,
@@ -454,85 +419,14 @@ pub fn resolve_page(
     access: VmProt,
     policy: FaultPolicy,
 ) -> Result<FaultResult, VmError> {
-    if let Some(engine) = phys.fault_engine() {
-        let ticket = engine.submit(top, offset, access, policy);
-        let result = ticket.wait();
-        // Adopt the fault's chain as this thread's context so follow-on
-        // work (the pmap update in the map layer) joins the same span
-        // tree even though the engine resolved the fault elsewhere.
-        machsim::trace::set_current_correlation(Some(ticket.correlation()));
-        machsim::trace::set_current_span(ticket.span());
-        return result;
-    }
-    let machine = phys.machine().clone();
-    machine.clock.charge(machine.cost.fault_overhead_ns);
-    machine.hot.vm_faults.incr();
-    let cid = CorrelationId::allocate();
-    let _scope = CorrelationScope::enter(cid);
-    machine.trace_event("vm.fault", EventKind::Fault);
-    // Chain root span (explicit parent 0 — the thread may carry a stale
-    // span from a previous fault).
-    let root_span = machine.span_open_under("fault.submit", 0);
-    let _span = machsim::trace::SpanScope::enter(root_span);
-    let started_ns = machine.clock.now_ns();
-    machine.flight.begin(cid.raw(), "vm.fault", started_ns);
-    let result = resolve_page_sync(phys, top, offset, access, policy);
-    // Success *or* failure resolves the chain: only a still-waiting fault
-    // may be flagged by the stall watchdog.
-    machine.flight.end(cid.raw());
-    if result.is_ok() {
-        machine.trace_event("vm.fault", EventKind::Resume);
-        machine.latency.record(
-            trace_keys::FAULT_TO_RESOLUTION,
-            machine.clock.now_ns().saturating_sub(started_ns),
-        );
-    }
-    machine.span_close("fault.submit", root_span);
+    let ticket = phys.fault_engine().submit(top, offset, access, policy);
+    let result = ticket.wait();
+    // Adopt the fault's chain as this thread's context so follow-on
+    // work (the pmap update in the map layer) joins the same span
+    // tree even though the engine resolved the fault elsewhere.
+    machsim::trace::set_current_correlation(Some(ticket.correlation()));
+    machsim::trace::set_current_span(ticket.span());
     result
-}
-
-/// The synchronous driver: steps the state machine on the calling thread,
-/// blocking on the shard condvars at every park — byte-for-byte the
-/// behavior of the old monolithic fault loop, now expressed over
-/// [`fault_step`] so the async engine shares every transition.
-pub(crate) fn resolve_page_sync(
-    phys: &PhysicalMemory,
-    top: &Arc<VmObject>,
-    offset: u64,
-    access: VmProt,
-    policy: FaultPolicy,
-) -> Result<FaultResult, VmError> {
-    let mut st = FaultState::new(top, offset, access, policy);
-    let mut sink = ImmediateSink;
-    loop {
-        let wait = match fault_step(phys, &mut st, &mut sink) {
-            FaultStep::Done(result) => return result,
-            FaultStep::Park(wait) => wait,
-        };
-        let waited = match wait.kind {
-            WaitKind::Fill => phys
-                .await_page(wait.object, wait.offset, policy.pager_timeout)
-                .map(|_| ()),
-            WaitKind::Unlock => {
-                match phys.await_unlock(wait.object, wait.offset, access, policy.pager_timeout) {
-                    Ok(_) => Ok(()),
-                    // Flushed while waiting: re-step, which re-probes.
-                    Err(VmError::ObjectDestroyed) => Ok(()),
-                    Err(e) => Err(e),
-                }
-            }
-        };
-        match waited {
-            Ok(()) => continue,
-            Err(VmError::Timeout) => {
-                if wait.kind == WaitKind::Fill {
-                    st.cancel_claims(phys, wait);
-                }
-                return handle_timeout(phys, top, offset, policy);
-            }
-            Err(e) => return Err(e),
-        }
-    }
 }
 
 /// Applies the policy's timeout action.
@@ -840,6 +734,70 @@ mod tests {
         let r = resolve_page(&phys, &obj, 0, VmProt::WRITE, FaultPolicy::trusting()).unwrap();
         let _ = r;
         assert_eq!(phys.page_dirty(obj.id(), 0), Some(true));
+    }
+
+    #[test]
+    fn after_shutdown_a_fault_resolves_only_if_it_need_not_wait() -> Result<(), VmError> {
+        let (_m, phys) = setup(16);
+        let anon = VmObject::new_temporary(8192);
+        resolve_page(&phys, &anon, 0, VmProt::WRITE, FaultPolicy::trusting())?;
+        phys.fault_engine().shutdown();
+
+        // A resident hit and a zero fill never wait, so they still resolve.
+        resolve_page(&phys, &anon, 0, VmProt::READ, FaultPolicy::trusting())?;
+        resolve_page(&phys, &anon, 4096, VmProt::READ, FaultPolicy::trusting())?;
+
+        // A miss that would have to wait for its pager errors at once,
+        // leaves nothing claimed and sends nothing.
+        let pager = Arc::new(RecordingPager {
+            cluster: true,
+            ..Default::default()
+        });
+        let obj = VmObject::new_with_pager(8 * 4096, pager.clone());
+        let policy = FaultPolicy::trusting().with_cluster(8);
+        let err = resolve_page(&phys, &obj, 0, VmProt::READ, policy).unwrap_err();
+        assert_eq!(err, VmError::ObjectDestroyed);
+        for pg in 0..8u64 {
+            assert_eq!(phys.lookup(obj.id(), pg * 4096), PageLookup::Absent);
+        }
+        assert_eq!(phys.frame_census().pending, 0);
+        assert_eq!(phys.fault_engine().outstanding(), 0);
+        assert!(pager.requests.lock().is_empty());
+        Ok(())
+    }
+
+    #[test]
+    fn dropping_the_memory_ends_its_completion_thread() {
+        let (_m, phys) = setup(8);
+        let pager = Arc::new(RecordingPager::default());
+        let obj = VmObject::new_with_pager(8192, pager.clone());
+        std::thread::scope(|s| {
+            let fault =
+                s.spawn(|| resolve_page(&phys, &obj, 0, VmProt::READ, FaultPolicy::trusting()));
+            // The request is sent by the completion thread, so seeing it
+            // means the fault parked and the thread exists.
+            assert!(machsim::wall::poll_until(
+                Duration::from_secs(5),
+                Duration::from_millis(1),
+                || pager.requests.lock().len() == 1
+            ));
+            phys.supply_page(&obj, 0, filled(3u8, 4096), VmProt::NONE)
+                .expect("supply the parked fault's page");
+            fault
+                .join()
+                .expect("faulting thread")
+                .expect("the supplied fault resolves");
+        });
+        // Nothing but the completion thread can still reach the memory,
+        // and it holds no strong reference across ticks.
+        let weak = Arc::downgrade(&phys);
+        drop(phys);
+        assert!(
+            machsim::wall::poll_until(Duration::from_secs(5), Duration::from_millis(1), || weak
+                .upgrade()
+                .is_none()),
+            "the memory outlived its last owner: a cycle, or a thread holding it"
+        );
     }
 
     /// Faults pages `first..first + n` one at a time, in order.

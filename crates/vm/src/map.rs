@@ -687,16 +687,13 @@ impl VmMap {
     /// in one `pager_data_request` and the faults behind it wait on that.
     /// Already resident pages cost only a pin probe, so a warm range
     /// charges no fault overhead at all. Returns the number of pages
-    /// submitted; a no-op without an engine (the synchronous access path
-    /// fills pages one by one instead).
+    /// submitted.
     pub fn fault_ahead(&self, address: u64, size: u64, access: VmProt) -> Result<usize, VmError> {
         if size == 0 {
             return Ok(0);
         }
-        let Some(engine) = self.phys.fault_engine() else {
-            return Ok(0);
-        };
-        // First-touch on the task's home node, as in the sync fault path.
+        let engine = self.phys.fault_engine();
+        // First-touch on the task's home node, as for a single fault.
         let _node = crate::numa::NodeScope::enter(self.pmap.home_node());
         let policy = self.fault_policy();
         let ps = self.page_size();

@@ -28,8 +28,9 @@
 //!
 //! * The virtual-to-physical table and the in-flight fill set are sharded
 //!   by `hash(object, offset)`. Concurrent faults on different pages
-//!   almost always touch different shards and never contend. Each shard
-//!   has its own condition variable for fill/unlock waiters.
+//!   almost always touch different shards and never contend. Faults
+//!   waiting on a fill or an unlock wait in the fault engine; every change
+//!   that can unblock one is reported to it as a page event.
 //! * The pageout queues (free/active/inactive) live behind one separate
 //!   lock that the hot fault path only takes on a miss (to allocate a
 //!   frame) — a cache hit touches no queue at all; it just sets the
@@ -60,6 +61,7 @@
 //! replicated pages are only written through the policy-aware paths
 //! ([`PhysicalMemory::numa_write_if`], [`PhysicalMemory::copy_to_resident`]).
 
+use crate::continuation::{FaultEngine, FaultEngineConfig};
 use crate::lockdep::{ClassMutex, ClassRwLock, LockClass};
 use crate::numa::NumaConfig;
 use crate::object::{ObjectId, PagerBackend, VmObject};
@@ -81,11 +83,6 @@ use std::time::Duration;
 /// Callback invoked when a temporary object first adopts the default
 /// pager (see [`PhysicalMemory::set_adoption_hook`]).
 type AdoptionHook = Box<dyn Fn(&Arc<VmObject>) + Send + Sync>;
-
-/// Callback invoked after a page event (fill installed/cancelled, lock
-/// changed, page removed) that may unblock a parked fault continuation
-/// (see [`PhysicalMemory::set_completion_hook`]).
-type CompletionHook = Box<dyn Fn(ObjectId, u64) + Send + Sync>;
 
 /// log2 of the number of resident-table shards.
 const SHARD_BITS: u32 = 4;
@@ -234,9 +231,6 @@ struct ResidentShard {
 
 struct Shard {
     state: ClassMutex<ResidentShard>,
-    /// Signaled on supply, fill cancellation, unlock or eviction of any
-    /// page in this shard.
-    event: Condvar,
 }
 
 /// The pageout queues, behind their own lock separate from the V2P shards.
@@ -349,15 +343,12 @@ pub struct PhysicalMemory {
     /// kernel uses this to register the object for supply routing —
     /// the `pager_create` handshake).
     adoption_hook: RwLock<Option<AdoptionHook>>,
-    /// Called after any page event that can unblock a parked fault — a
-    /// fill installed or cancelled, a lock changed, a page removed. The
-    /// async fault engine registers itself here so continuations resume
-    /// without polling. Always invoked with no shard lock held.
-    completion_hook: RwLock<Option<CompletionHook>>,
-    /// The continuation-based fault engine, when one is attached (see
-    /// [`crate::continuation::FaultEngine`]). Weak: the engine owns an
-    /// `Arc<PhysicalMemory>`, so a strong reference here would leak both.
-    fault_engine: RwLock<Weak<crate::continuation::FaultEngine>>,
+    /// The fault engine: every fault against this memory is submitted to
+    /// it, and every page event that can unblock a parked fault — a fill
+    /// installed or cancelled, a manager lock changed, a page removed — is
+    /// reported to it ([`FaultEngine::on_page_event`]), always with no
+    /// shard lock held: its continuation table ranks *above* the shards.
+    engine: FaultEngine,
 }
 
 impl fmt::Debug for PhysicalMemory {
@@ -374,31 +365,35 @@ impl fmt::Debug for PhysicalMemory {
 
 impl PhysicalMemory {
     /// Creates `total_bytes / page_size` frames with `reserve_pages` kept
-    /// for privileged (pageout-path) allocations.
+    /// for privileged (pageout-path) allocations: one memory node, default
+    /// fault-engine budgets.
     pub fn new(
         machine: &Machine,
         total_bytes: usize,
         page_size: usize,
         reserve_pages: usize,
     ) -> Arc<Self> {
-        Self::new_numa(
+        Self::with_config(
             machine,
             total_bytes,
             page_size,
             reserve_pages,
             NumaConfig::single(),
+            FaultEngineConfig::default(),
         )
     }
 
-    /// Like [`new`](Self::new), but partitions the frames across
-    /// `numa.nodes` memory nodes (contiguous equal blocks, one free list
-    /// per node) and arms the configured placement policies.
-    pub fn new_numa(
+    /// The one constructor. Like [`new`](Self::new), but partitions the
+    /// frames across `numa.nodes` memory nodes (contiguous equal blocks,
+    /// one free list per node), arms the configured placement policies,
+    /// and gives the memory's fault engine the budgets in `faults`.
+    pub fn with_config(
         machine: &Machine,
         total_bytes: usize,
         page_size: usize,
         reserve_pages: usize,
         numa: NumaConfig,
+        faults: FaultEngineConfig,
     ) -> Arc<Self> {
         assert!(
             page_size.is_power_of_two(),
@@ -414,7 +409,7 @@ impl PhysicalMemory {
             free[home(i)].push(i);
         }
         let asymmetric = nodes > 1 && machine.cost.topology.is_asymmetric();
-        Arc::new(PhysicalMemory {
+        Arc::new_cyclic(|weak| PhysicalMemory {
             machine: machine.clone(),
             page_size,
             reserve: reserve_pages,
@@ -434,7 +429,6 @@ impl PhysicalMemory {
                             replicas: HashMap::new(),
                         },
                     ),
-                    event: Condvar::new(),
                 })
                 .collect(),
             queues: ClassMutex::new(
@@ -451,8 +445,7 @@ impl PhysicalMemory {
             pageout_event: Condvar::new(),
             default_pager: RwLock::new(None),
             adoption_hook: RwLock::new(None),
-            completion_hook: RwLock::new(None),
-            fault_engine: RwLock::new(Weak::new()),
+            engine: FaultEngine::new(weak.clone(), machine, faults),
         })
     }
 
@@ -576,33 +569,9 @@ impl PhysicalMemory {
         *self.adoption_hook.write() = Some(Box::new(hook));
     }
 
-    /// Registers a callback invoked — with no shard lock held — after any
-    /// page event that can unblock a parked fault: a fill installed or
-    /// cancelled, a manager lock changed, a page removed. The async fault
-    /// engine uses this to resume continuations without polling.
-    pub fn set_completion_hook(&self, hook: impl Fn(ObjectId, u64) + Send + Sync + 'static) {
-        *self.completion_hook.write() = Some(Box::new(hook));
-    }
-
-    /// Attaches the continuation-based fault engine: from now on
-    /// [`crate::fault::resolve_page`] submits faults to it instead of
-    /// blocking the faulting thread through a miss.
-    pub fn set_fault_engine(&self, engine: &Arc<crate::continuation::FaultEngine>) {
-        *self.fault_engine.write() = Arc::downgrade(engine);
-    }
-
-    /// The attached fault engine, if one is installed and still alive.
-    pub fn fault_engine(&self) -> Option<Arc<crate::continuation::FaultEngine>> {
-        self.fault_engine.read().upgrade()
-    }
-
-    /// Fires the completion hook for a page event on `(object, offset)`.
-    /// Must be called with no shard lock held: the hook re-enters the
-    /// engine's continuation table, which ranks *above* the shard class.
-    fn page_event(&self, object: ObjectId, offset: u64) {
-        if let Some(hook) = self.completion_hook.read().as_ref() {
-            hook(object, offset);
-        }
+    /// The fault engine every fault against this memory goes through.
+    pub fn fault_engine(&self) -> &FaultEngine {
+        &self.engine
     }
 
     // ----- queue maintenance (callers hold the queues lock) -----
@@ -781,84 +750,7 @@ impl PhysicalMemory {
     pub fn cancel_fill(&self, object: ObjectId, offset: u64) {
         let shard = self.shard(object, offset);
         shard.state.lock().pending.remove(&(object, offset));
-        shard.event.notify_all();
-        self.page_event(object, offset);
-    }
-
-    /// Waits until `(object, offset)` is resident; returns its frame.
-    ///
-    /// `Ok(None)` means the page is neither resident nor in flight — the
-    /// fill was cancelled, or the page was installed and then reclaimed
-    /// before this thread observed it (easy under memory pressure, where a
-    /// cluster fill can push its own early pages back out). The caller
-    /// must re-fault rather than wait for a wakeup that will never come.
-    pub fn await_page(
-        &self,
-        object: ObjectId,
-        offset: u64,
-        timeout: Option<Duration>,
-    ) -> Result<Option<usize>, VmError> {
-        let deadline = timeout.map(wall::Deadline::after);
-        let shard = self.shard(object, offset);
-        let mut st = shard.state.lock();
-        loop {
-            if let Some(&frame) = st.resident.get(&(object, offset)) {
-                self.frames[frame].referenced.store(true, Ordering::Release);
-                return Ok(Some(frame));
-            }
-            if !st.pending.contains_key(&(object, offset)) {
-                return Ok(None);
-            }
-            match deadline {
-                Some(d) => {
-                    let Some(left) = d.remaining() else {
-                        return Err(VmError::Timeout);
-                    };
-                    if shard.event.wait_for(st.inner_mut(), left).timed_out() {
-                        return Err(VmError::Timeout);
-                    }
-                }
-                None => shard.event.wait(st.inner_mut()),
-            }
-        }
-    }
-
-    /// Waits until the manager's lock on the page no longer prohibits
-    /// `want`; returns the frame.
-    pub fn await_unlock(
-        &self,
-        object: ObjectId,
-        offset: u64,
-        want: VmProt,
-        timeout: Option<Duration>,
-    ) -> Result<usize, VmError> {
-        let deadline = timeout.map(wall::Deadline::after);
-        let shard = self.shard(object, offset);
-        let mut st = shard.state.lock();
-        loop {
-            match st.resident.get(&(object, offset)) {
-                Some(&frame) if !self.frames[frame].meta.lock().lock.intersects(want) => {
-                    self.frames[frame].referenced.store(true, Ordering::Release);
-                    return Ok(frame);
-                }
-                // Flushed while we waited: the caller must re-fault.
-                None if !st.pending.contains_key(&(object, offset)) => {
-                    return Err(VmError::ObjectDestroyed);
-                }
-                _ => {}
-            }
-            match deadline {
-                Some(d) => {
-                    let Some(left) = d.remaining() else {
-                        return Err(VmError::Timeout);
-                    };
-                    if shard.event.wait_for(st.inner_mut(), left).timed_out() {
-                        return Err(VmError::Timeout);
-                    }
-                }
-                None => shard.event.wait(st.inner_mut()),
-            }
-        }
+        self.engine.on_page_event(object, offset);
     }
 
     // ----- frame allocation and reclaim -----
@@ -1135,7 +1027,6 @@ impl PhysicalMemory {
             None
         };
         self.free_frame(frame);
-        self.shard(owner_id, offset).event.notify_all();
         // Phase 2: pageout I/O outside every lock, batching contiguous
         // dirty neighbors of the same object into one `pager_data_write`
         // when the pager accepts clusters.
@@ -1247,7 +1138,6 @@ impl PhysicalMemory {
         fr.dirty.store(false, Ordering::Release);
         let data = fr.data.read().to_vec();
         self.free_frame(frame);
-        shard.event.notify_all();
         Some(data)
     }
 
@@ -1305,8 +1195,7 @@ impl PhysicalMemory {
         if let Some(&existing) = st.resident.get(&key) {
             drop(st);
             self.free_frame(frame);
-            shard.event.notify_all();
-            self.page_event(key.0, key.1);
+            self.engine.on_page_event(key.0, key.1);
             return existing;
         }
         st.resident.insert(key, frame);
@@ -1328,8 +1217,7 @@ impl PhysicalMemory {
         // window in which a half-installed page can be freed.
         fr.release();
         drop(st);
-        shard.event.notify_all();
-        self.page_event(key.0, key.1);
+        self.engine.on_page_event(key.0, key.1);
         frame
     }
 
@@ -1418,8 +1306,7 @@ impl PhysicalMemory {
             if let Some(&frame) = st.resident.get(&key) {
                 st.pending.remove(&key);
                 drop(st);
-                shard.event.notify_all();
-                self.page_event(key.0, key.1);
+                self.engine.on_page_event(key.0, key.1);
                 return Ok(frame);
             }
         }
@@ -1830,7 +1717,6 @@ impl PhysicalMemory {
         drop(st);
         // We hold the old frame's reservation; it is out of the table.
         self.free_frame(frame);
-        shard.event.notify_all();
         self.machine.stats.incr(stat_keys::NUMA_MIGRATIONS);
         self.machine
             .trace_event("vm.numa", machsim::EventKind::Mark("migrate"));
@@ -2030,9 +1916,8 @@ impl PhysicalMemory {
                 }
             }
             drop(st);
-            shard.event.notify_all();
             for page in removed.drain(..) {
-                self.page_event(object.id(), page);
+                self.engine.on_page_event(object.id(), page);
             }
         }
         for (page, data) in writebacks {
@@ -2069,9 +1954,8 @@ impl PhysicalMemory {
                 }
             }
             drop(st);
-            shard.event.notify_all();
             for (page, _) in pages {
-                self.page_event(object.id(), page);
+                self.engine.on_page_event(object.id(), page);
             }
         }
     }
@@ -2276,18 +2160,14 @@ mod tests {
         let (m, phys) = phys(8);
         let obj = VmObject::new_temporary(2 * 4096);
         phys.supply_page(&obj, 0, filled(7u8, 4096), VmProt::NONE)?;
-        let events = Arc::new(AtomicUsize::new(0));
-        let seen = events.clone();
-        phys.set_completion_hook(move |_, _| {
-            seen.fetch_add(1, Ordering::Relaxed);
-        });
+        let events = phys.fault_engine().page_events();
         let (free, now) = (phys.free_frames(), m.clock.now_ns());
         // No frame taken (and nothing evicted to get one), no charge, no
         // page event; the resident copy keeps its contents.
         let n = phys.supply_page(&obj, 0, filled(9u8, 4096), VmProt::NONE)?;
         assert_eq!(n, 0);
         assert_eq!((phys.free_frames(), m.clock.now_ns()), (free, now));
-        assert_eq!(events.load(Ordering::Relaxed), 0);
+        assert_eq!(phys.fault_engine().page_events(), events);
         match phys.lookup(obj.id(), 0) {
             PageLookup::Resident { frame, .. } => {
                 phys.with_frame(frame, |d| assert!(d.iter().all(|&b| b == 7)))
@@ -2298,7 +2178,7 @@ mod tests {
         let n = phys.supply_page(&obj, 0, filled(9u8, 8192), VmProt::NONE)?;
         assert_eq!(n, 1);
         assert_eq!(m.clock.now_ns() - now, m.cost.map_page_ns);
-        assert_eq!(events.load(Ordering::Relaxed), 1);
+        assert_eq!(phys.fault_engine().page_events(), events + 1);
         Ok(())
     }
 
@@ -2378,45 +2258,6 @@ mod tests {
             phys.lookup(obj.id(), 0),
             PageLookup::Resident { .. }
         ));
-    }
-
-    #[test]
-    fn await_page_times_out() {
-        let (_m, phys) = phys(8);
-        let obj = VmObject::new_temporary(4096);
-        assert!(phys.begin_fill(obj.id(), 0));
-        let err = phys
-            .await_page(obj.id(), 0, Some(Duration::from_millis(10)))
-            .unwrap_err();
-        assert_eq!(err, VmError::Timeout);
-    }
-
-    #[test]
-    fn await_page_returns_none_when_nothing_in_flight() {
-        // Not resident and not pending: the fill was cancelled or the page
-        // was already reclaimed again. Waiting would hang forever; the
-        // caller must re-fault.
-        let (_m, phys) = phys(8);
-        let obj = VmObject::new_temporary(4096);
-        assert_eq!(phys.await_page(obj.id(), 0, None).unwrap(), None);
-        assert!(phys.begin_fill(obj.id(), 0));
-        phys.cancel_fill(obj.id(), 0);
-        assert_eq!(phys.await_page(obj.id(), 0, None).unwrap(), None);
-    }
-
-    #[test]
-    fn await_page_wakes_on_supply() {
-        let (_m, phys) = phys(8);
-        let obj = VmObject::new_temporary(4096);
-        assert!(phys.begin_fill(obj.id(), 0));
-        let p2 = phys.clone();
-        let o2 = obj.clone();
-        let h = std::thread::spawn(move || p2.await_page(o2.id(), 0, Some(Duration::from_secs(5))));
-        machsim::wall::sleep(Duration::from_millis(20));
-        phys.supply_page(&obj, 0, filled(1u8, 4096), VmProt::NONE)
-            .unwrap();
-        let frame = h.join().unwrap().unwrap().expect("page resident");
-        phys.with_frame(frame, |d| assert_eq!(d[0], 1));
     }
 
     #[test]
@@ -2570,22 +2411,6 @@ mod tests {
         // fault handler re-enters mappings).
         phys.lock_range(&obj, 0, 4096, VmProt::NONE);
         assert_eq!(phys.page_lock(obj.id(), 0), Some(VmProt::NONE));
-    }
-
-    #[test]
-    fn await_unlock_waits_for_lock_change() {
-        let (_m, phys) = phys(8);
-        let obj = VmObject::new_temporary(4096);
-        phys.supply_page(&obj, 0, filled(0u8, 4096), VmProt::WRITE)
-            .unwrap();
-        let p2 = phys.clone();
-        let o2 = obj.clone();
-        let h = std::thread::spawn(move || {
-            p2.await_unlock(o2.id(), 0, VmProt::WRITE, Some(Duration::from_secs(5)))
-        });
-        machsim::wall::sleep(Duration::from_millis(20));
-        phys.lock_range(&obj, 0, 4096, VmProt::NONE);
-        h.join().unwrap().unwrap();
     }
 
     #[test]

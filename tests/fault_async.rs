@@ -61,10 +61,7 @@ fn fault_storm_thousands_outstanding_all_resolve_zero_stalls() {
         },
     );
     let object = kernel.object_for_port(mgr.port(), FAULTS * PAGE);
-    let engine = kernel
-        .fault_engine()
-        .expect("async faults are on by default")
-        .clone();
+    let engine = kernel.fault_engine();
 
     let tickets: Vec<_> = (0..FAULTS)
         .map(|i| engine.submit(&object, i * PAGE, VmProt::READ, FaultPolicy::trusting()))
@@ -118,14 +115,10 @@ fn storm_past_the_budget_never_exceeds_it() {
         },
     );
     let object = kernel.object_for_port(mgr.port(), FAULTS * PAGE);
-    let engine = kernel
-        .fault_engine()
-        .expect("async faults are on by default")
-        .clone();
+    let engine = kernel.fault_engine();
 
     std::thread::scope(|s| {
         for t in 0..4u64 {
-            let engine = engine.clone();
             let object = object.clone();
             s.spawn(move || {
                 let per = FAULTS / 4;
@@ -167,10 +160,7 @@ fn silent_pager_times_out_cleanly_without_watchdog_stall() {
     let kernel = Kernel::boot(KernelConfig::default());
     let mgr = spawn_manager(kernel.machine(), "blackhole", BlackHolePager);
     let object = kernel.object_for_port(mgr.port(), 4 * PAGE);
-    let engine = kernel
-        .fault_engine()
-        .expect("async faults on by default")
-        .clone();
+    let engine = kernel.fault_engine();
 
     let policy = FaultPolicy {
         pager_timeout: Some(Duration::from_millis(40)),
@@ -208,10 +198,7 @@ fn pager_death_mid_continuation_errors_faults_and_leaks_nothing() {
     let kernel = Kernel::boot(KernelConfig::default());
     let mgr = spawn_manager(kernel.machine(), "blackhole", BlackHolePager);
     let object = kernel.object_for_port(mgr.port(), FAULTS * PAGE);
-    let engine = kernel
-        .fault_engine()
-        .expect("async faults on by default")
-        .clone();
+    let engine = kernel.fault_engine();
 
     // Trusting policy: no deadline — only death detection can free these.
     let tickets: Vec<_> = (0..FAULTS)
@@ -253,10 +240,7 @@ fn correlation_id_survives_park_and_resume() {
         },
     );
     let object = kernel.object_for_port(mgr.port(), 4 * PAGE);
-    let engine = kernel
-        .fault_engine()
-        .expect("async faults on by default")
-        .clone();
+    let engine = kernel.fault_engine();
 
     let ticket = engine.submit(&object, 0, VmProt::READ, FaultPolicy::trusting());
     let cid = ticket.correlation();

@@ -7,7 +7,7 @@ use machipc::OolBuffer;
 use machsim::stats::keys;
 use machsim::{CostModel, Machine, SplitMix64, Topology};
 use machvm::numa::set_current_node;
-use machvm::{NumaConfig, PhysicalMemory, VmMap, VmProt};
+use machvm::{FaultEngineConfig, NumaConfig, PhysicalMemory, VmMap, VmProt};
 use std::sync::Arc;
 
 const PAGE: u64 = 4096;
@@ -15,7 +15,14 @@ const NODES: usize = 4;
 
 fn numa_map(numa: NumaConfig, frames: usize) -> (Machine, Arc<PhysicalMemory>, Arc<VmMap>) {
     let m = Machine::with_topology(Topology::Numa);
-    let phys = PhysicalMemory::new_numa(&m, frames * PAGE as usize, PAGE as usize, 8, numa);
+    let phys = PhysicalMemory::with_config(
+        &m,
+        frames * PAGE as usize,
+        PAGE as usize,
+        8,
+        numa,
+        FaultEngineConfig::default(),
+    );
     let map = VmMap::new(&phys);
     (m, phys, map)
 }

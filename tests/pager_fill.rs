@@ -14,7 +14,10 @@ use machpagers::hostile::FloodPager;
 use machsim::stats::keys;
 use machsim::{CostModel, Machine, Topology};
 use machvm::numa::NodeScope;
-use machvm::{FaultPolicy, NumaConfig, PageLookup, PhysicalMemory, VmError, VmObject, VmProt};
+use machvm::{
+    FaultEngineConfig, FaultPolicy, NumaConfig, PageLookup, PhysicalMemory, VmError, VmObject,
+    VmProt,
+};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -118,12 +121,13 @@ fn exclusive_buffer_is_stolen_and_retained_buffer_is_copied() -> Result<(), VmEr
 #[test]
 fn numa_supply_still_copies_onto_the_requesters_node() -> Result<(), VmError> {
     let m = Machine::with_topology(Topology::Numa);
-    let phys = PhysicalMemory::new_numa(
+    let phys = PhysicalMemory::with_config(
         &m,
         64 * PAGE as usize,
         PAGE as usize,
         4,
         NumaConfig::nodes(4).with_first_touch(),
+        FaultEngineConfig::default(),
     );
     let obj = VmObject::new_temporary(PAGE);
     {

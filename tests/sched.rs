@@ -11,9 +11,9 @@ use machsim::{CostModel, Machine, Topology};
 use machstorage::{BlockDevice, FlatFs};
 use machunix::{CompileWorkload, MachUnix, UnixIo};
 use machvm::numa::set_current_node;
-use machvm::{NumaConfig, PhysicalMemory, VmMap};
+use machvm::{FaultEngineConfig, NumaConfig, PhysicalMemory, VmMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 const PAGE: u64 = 4096;
 
@@ -32,32 +32,26 @@ fn steal_storm_loses_and_duplicates_nothing() {
         },
     );
     let runs: Arc<Vec<AtomicUsize>> = Arc::new((0..UNITS).map(|_| AtomicUsize::new(0)).collect());
-    let handles = Arc::new(Mutex::new(Vec::new()));
-    let (s, r, hs, mach) = (
-        Arc::clone(&sched),
-        Arc::clone(&runs),
-        Arc::clone(&handles),
-        m.clone(),
-    );
+    let (s, r, mach) = (Arc::clone(&sched), Arc::clone(&runs), m.clone());
+    // The make unit joins its children before it returns: its worker
+    // stays occupied, so the pile on its queue can drain only by theft.
     sched
         .spawn(0, move || {
-            for i in 0..UNITS {
-                let (r, mach) = (Arc::clone(&r), mach.clone());
-                hs.lock().expect("handle list poisoned").push(s.submit(
-                    TaskTag::new(0),
-                    move || {
-                        // Enough simulated work that thieves find the pile.
+            let handles: Vec<_> = (0..UNITS)
+                .map(|i| {
+                    let (r, mach) = (Arc::clone(&r), mach.clone());
+                    s.submit(TaskTag::new(0), move || {
                         mach.clock.charge(20_000);
                         r[i].fetch_add(1, Ordering::Relaxed);
                         Run::Done
-                    },
-                ));
+                    })
+                })
+                .collect();
+            for h in handles {
+                h.join();
             }
         })
         .join();
-    for h in handles.lock().expect("handle list poisoned").drain(..) {
-        h.join();
-    }
     for (i, slot) in runs.iter().enumerate() {
         assert_eq!(
             slot.load(Ordering::Relaxed),
@@ -66,10 +60,13 @@ fn steal_storm_loses_and_duplicates_nothing() {
         );
     }
     // No unit yields, so dispatches must equal submissions exactly
-    // (census of the make unit plus its children), and the pile must
-    // have spread by theft.
+    // (census of the make unit plus its children), and every child must
+    // have left the pile by theft.
     assert_eq!(m.stats.get(keys::SCHED_DISPATCHES), UNITS as u64 + 1);
-    assert!(m.stats.get(keys::SCHED_STEALS) > 0, "no steal traffic");
+    assert!(
+        m.stats.get(keys::SCHED_STEALS) >= UNITS as u64,
+        "a child ran without being stolen"
+    );
     sched.shutdown();
 }
 
@@ -80,12 +77,13 @@ fn affine_placement_keeps_single_node_workload_local() {
     // first-touches the pages, reader units then walk them; if placement
     // respected the home node, every access is node-local.
     let m = Machine::with_topology(Topology::Numa);
-    let phys = PhysicalMemory::new_numa(
+    let phys = PhysicalMemory::with_config(
         &m,
         256 * PAGE as usize,
         PAGE as usize,
         8,
         NumaConfig::nodes(2).with_first_touch(),
+        FaultEngineConfig::default(),
     );
     let map = VmMap::new(&phys);
     let base = map.allocate(None, 32 * PAGE).expect("allocate test region");
