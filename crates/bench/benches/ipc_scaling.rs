@@ -1,18 +1,18 @@
-//! E20 — IPC fast-path scaling: sharded port queues, batched transfer and
-//! the RPC handoff.
+//! E20 — IPC scaling: batched transfer and the RPC handoff on a one-lock
+//! port.
 //!
 //! Workload A measures raw message throughput through a single port as
-//! sender threads are added: K senders blast fixed-size batches at one
-//! receiver. The sharded queue means senders contend only on their own
-//! sub-queue, and the batched `send_many`/`receive_many` calls amortize
-//! one lock acquisition and one simulated cost charge over the whole
-//! batch — both variants are measured so the batching gain is visible
-//! directly.
+//! sender threads are added: K senders blast messages at one receiver.
+//! Every sender and the receiver take the port's one lock, so the
+//! unbatched numbers show what that lock costs per message as senders
+//! are added; the batched `send_many`/`receive_many` calls amortize one
+//! lock acquisition and one simulated cost charge over the whole batch —
+//! both variants are measured so the batching gain is visible directly.
 //!
 //! Workload B measures the simulated cost of RPC with and without the
-//! thread-handoff fast path: a ping-pong client/server pair where the
-//! sender donates its message directly to the already-waiting peer,
-//! skipping the queue and the scheduler wakeup (`handoff_ns` versus
+//! handoff cost class: a ping-pong client/server pair where a send to an
+//! already-parked peer is charged as a thread handoff rather than a
+//! queue insertion plus a scheduler wakeup (`handoff_ns` versus
 //! `message_ns` in the cost model).
 //!
 //! Results are printed and also written as machine-readable JSON to

@@ -169,18 +169,6 @@ const RATCHETS: &[Ratchet] = &[
                 anchor: None,
             },
             Floor {
-                label: "lost_wakeup asserts",
-                json_key: "assertions",
-                floor_key: "min_assertions_lost_wakeup",
-                anchor: Some("\"model\": \"lost_wakeup\""),
-            },
-            Floor {
-                label: "handoff asserts",
-                json_key: "assertions",
-                floor_key: "min_assertions_handoff",
-                anchor: Some("\"model\": \"handoff\""),
-            },
-            Floor {
                 label: "park_resume asserts",
                 json_key: "assertions",
                 floor_key: "min_assertions_park_resume",

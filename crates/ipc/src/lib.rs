@@ -26,7 +26,6 @@
 pub mod error;
 pub mod message;
 pub mod port;
-pub mod protocol;
 pub mod slab;
 pub mod space;
 

@@ -15,74 +15,45 @@
 //!
 //! # Concurrency
 //!
-//! A port under heavy multi-core traffic must not serialize every sender
-//! and the receiver behind one mutex, so the queue is *sharded*: each
-//! sending thread hashes to one of [`SHARD_COUNT`] sub-queues and appends
-//! under that shard's lock only; the receiver drains shards round-robin.
-//! Messages from one sender always land in one shard in order, so
-//! per-sender FIFO is preserved; no total order across senders is promised
-//! (none ever was — concurrent senders race to the queue).
+//! A port is a monitor. One lock — `PortCore::control`, class `port`, the
+//! innermost rank of the declared hierarchy (see `machsim::lockdep`) —
+//! guards the one FIFO and everything else the port protects: backlog,
+//! death, death subscriptions, port-set wakers and the count of parked
+//! receivers. Two condvars hang off it, one for receivers waiting for a
+//! message and one for senders waiting for room, and every wait re-checks
+//! its predicate in a loop (machlint L8). Whether there is room, whether
+//! anyone needs waking and whether the port died are expressions read
+//! under that lock, so no ordering between separate counters has to be
+//! argued. Condvar notifies and port-set pings happen after the lock is
+//! released, and messages the port discards are dropped outside it:
+//! dropping a message can destroy rights it carries, which takes other
+//! ports' locks and may post a death notification back to this one.
 //!
-//! Two lock classes from the declared hierarchy (see `machsim::lockdep`)
-//! cover the port:
+//! The RPC *handoff* is a cost class of an ordinary send, not a second
+//! container: a message sent to a receiver already parked on an empty
+//! queue is charged `handoff_ns` instead of `message_ns` and travels
+//! through the same FIFO, so it cannot overtake anything.
 //!
-//! * `port-control` (`PortCore::control`) — death state, death
-//!   subscriptions, port-set wakers, the RPC handoff slot, and the mutex
-//!   both condvars wait on. Blocking paths hold it; fast paths do not.
-//! * `port-shard` (`PortShard::ring`) — one sub-queue. Innermost: may be
-//!   taken while `control` is held (receiver re-scan, destroy drain),
-//!   never the other way around.
-//!
-//! Counters (`depth`, `recv_waiters`, `send_waiters`) are SeqCst atomics
-//! forming a Dekker-style protocol: a sender bumps `depth` *then* reads
-//! `recv_waiters`; a receiver registers as a waiter *then* re-reads
-//! `depth`. Sequential consistency guarantees at least one side observes
-//! the other, so a wakeup is never lost even though the send fast path
-//! takes no lock but its shard. Simulated cost accounting (`charge_send`)
-//! runs outside every queue lock.
+//! Splitting the queue by sending thread was built and measured: it lost
+//! on every workload that sends a message (DESIGN.md §5, EXPERIMENTS.md
+//! ablation A5). Measure a port contending before partitioning it again.
 
 use crate::error::IpcError;
 use crate::message::{Message, MsgItem, MSG_ID_PORT_DEATH};
-use crate::protocol;
 use crate::IpcContext;
 use machsim::lockdep::{ClassMutex, ClassMutexGuard, LockClass};
 use machsim::stats::keys;
-use machsim::trace::{self, EventKind};
+use machsim::trace::{self, CorrelationId, EventKind};
 use machsim::wall::Deadline;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 /// Default queue backlog, matching historical Mach's `PORT_BACKLOG_DEFAULT`.
 pub const DEFAULT_BACKLOG: usize = 5;
-
-/// Sub-queues per port. Senders hash to a shard by thread; the receiver
-/// drains round-robin. Power of two so the hash is a mask.
-pub const SHARD_COUNT: usize = 8;
-const SHARD_MASK: usize = SHARD_COUNT - 1;
-
-/// How long the receiver naps before rescanning when `depth` says a
-/// message exists but no shard has it yet (a sender holds a reservation
-/// it has not pushed). The window is the sender's push critical section,
-/// so one nap almost always suffices.
-const IN_FLIGHT_RESCAN: Duration = Duration::from_micros(100);
-
-static NEXT_SENDER_SLOT: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// Small dense per-thread id assigned on first send: gives each
-    /// sending thread a stable home shard without hashing `ThreadId`
-    /// (whose integer form is not stable API).
-    static SENDER_SLOT: usize = NEXT_SENDER_SLOT.fetch_add(1, Ordering::Relaxed);
-}
-
-/// The calling thread's home shard index.
-fn sender_shard() -> usize {
-    SENDER_SLOT.with(|s| *s) & SHARD_MASK
-}
 
 /// Globally unique port identity (kernel-internal; tasks use local names).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -153,63 +124,58 @@ impl SetWaker {
     }
 }
 
-/// One sub-queue of a port's sharded message queue.
-struct PortShard {
-    ring: ClassMutex<VecDeque<Message>>,
-}
-
-impl PortShard {
-    fn new() -> Self {
-        PortShard {
-            ring: ClassMutex::new(LockClass::PortShard, VecDeque::new()),
-        }
-    }
-}
-
-/// Slow-path state of one port, under the `port-control` lock.
-struct Control {
+/// Everything a port protects, under its one lock.
+struct State {
+    queue: VecDeque<Message>,
+    /// Queued messages at which senders start to block.
+    backlog: usize,
+    /// The receive right is gone. Nothing is queued after this is set.
     dead: bool,
+    /// Whether a send to a parked receiver is charged as a handoff.
+    handoff_enabled: bool,
+    /// Receivers parked on `recv_cv`.
+    recv_waiting: usize,
     /// Ports to which a death notification should be posted on destruction.
     death_subs: Vec<Weak<PortCore>>,
-    /// Port-set wakers to ping on message arrival. Behind an `Arc` so the
-    /// notify path snapshots the list with a refcount bump, not a clone
-    /// of the vector; dead weaks are pruned on every rebuild.
+    /// Port-set wakers to ping on message arrival. Behind an `Arc` so a
+    /// send snapshots the list with a refcount bump and pings outside
+    /// the lock; dead weaks are pruned whenever the list is edited.
     wakers: Arc<Vec<Weak<SetWaker>>>,
-    /// The RPC handoff slot: a message donated directly to a waiting
-    /// receiver, bypassing the shards. Only filled while `depth` was
-    /// zero, so it can never overtake queued messages.
-    handoff: Option<Message>,
+}
+
+type StateGuard<'a> = ClassMutexGuard<'a, State>;
+
+/// How a message crosses the port, which decides what the hop costs.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Hop {
+    /// Queue insertion plus a scheduler wakeup: `message_ns`.
+    Queued,
+    /// Donation to a receiver already parked on an empty queue: the
+    /// payload still moves, but the sender's thread hands the processor
+    /// to the receiver instead of queueing and rescheduling: `handoff_ns`.
+    Handoff,
+}
+
+/// What a send does when the queue is at its backlog.
+#[derive(Clone, Copy)]
+enum Full {
+    /// `msg_send`: block up to the timeout (`None` forever, zero never).
+    Wait(Option<Duration>),
+    /// Kernel notification: queue it regardless, so the kernel never
+    /// blocks on a user queue (Section 6.2.3).
+    Exceed,
 }
 
 /// The kernel object behind both kinds of rights.
 pub(crate) struct PortCore {
     id: PortId,
     ctx: IpcContext,
-    shards: Box<[PortShard]>,
-    /// Queued messages plus senders' transient backlog reservations plus
-    /// an occupied handoff slot. The backlog gate and the receiver's
-    /// "anything in flight?" check both read this.
-    depth: AtomicUsize,
-    backlog: AtomicUsize,
-    control: ClassMutex<Control>,
-    /// Mirror of `control.handoff.is_some()`, so pop paths skip the
-    /// control lock when the slot is empty (the common case).
-    handoff_set: AtomicBool,
-    /// Whether senders may use the handoff fast path at all.
-    handoff_enabled: AtomicBool,
+    control: ClassMutex<State>,
+    /// Receivers wait here for a message (or the port's death).
     recv_cv: Condvar,
+    /// Senders wait here for room (or the port's death).
     send_cv: Condvar,
-    /// Receivers blocked (or about to block) on `recv_cv`.
-    recv_waiters: AtomicUsize,
-    /// Senders blocked (or about to block) on `send_cv`.
-    send_waiters: AtomicUsize,
-    /// Live entries in `control.wakers`; lock-free skip for the common
-    /// no-port-set case.
-    waker_count: AtomicUsize,
-    /// Next shard the receiver's round-robin scan starts from.
-    cursor: AtomicUsize,
     senders: AtomicUsize,
-    receiver_alive: AtomicUsize,
 }
 
 impl fmt::Debug for PortCore {
@@ -220,48 +186,57 @@ impl fmt::Debug for PortCore {
 
 impl PortCore {
     fn new(ctx: IpcContext) -> Arc<Self> {
-        let shards: Vec<PortShard> = (0..SHARD_COUNT).map(|_| PortShard::new()).collect();
         Arc::new(PortCore {
             id: PortId(NEXT_PORT_ID.fetch_add(1, Ordering::Relaxed)),
             ctx,
-            shards: shards.into_boxed_slice(),
-            depth: AtomicUsize::new(0),
-            backlog: AtomicUsize::new(DEFAULT_BACKLOG),
             control: ClassMutex::new(
-                LockClass::PortControl,
-                Control {
+                LockClass::Port,
+                State {
+                    queue: VecDeque::new(),
+                    backlog: DEFAULT_BACKLOG,
                     dead: false,
+                    handoff_enabled: true,
+                    recv_waiting: 0,
                     death_subs: Vec::new(),
                     wakers: Arc::new(Vec::new()),
-                    handoff: None,
                 },
             ),
-            handoff_set: AtomicBool::new(false),
-            handoff_enabled: AtomicBool::new(true),
             recv_cv: Condvar::new(),
             send_cv: Condvar::new(),
-            recv_waiters: AtomicUsize::new(0),
-            send_waiters: AtomicUsize::new(0),
-            waker_count: AtomicUsize::new(0),
-            cursor: AtomicUsize::new(0),
             senders: AtomicUsize::new(0),
-            receiver_alive: AtomicUsize::new(1),
         })
     }
 
-    // ----- cost accounting (always outside queue locks) -----
+    // ----- cost accounting -----
 
-    /// Charges simulated cost of moving `msg`, bumps counters, and stamps
-    /// the message's trace context (correlation id from the sending
-    /// thread if unset, send timestamp from this machine's clock).
-    fn charge_send(&self, msg: &mut Message) {
+    /// Records a trace event named after this port. The name is only
+    /// formatted when tracing is on: this runs once per send and once
+    /// per receive.
+    fn trace_msg(&self, kind: EventKind, cid: Option<CorrelationId>) {
+        if self.ctx.trace.is_enabled() {
+            self.ctx.trace_event_with(&self.id.to_string(), kind, cid);
+        }
+    }
+
+    /// Charges the simulated cost of moving `msg` by `hop`, bumps
+    /// counters, and stamps the message's trace context (correlation id
+    /// from the sending thread if unset, send timestamp from this
+    /// machine's clock).
+    fn charge_send(&self, msg: &mut Message, hop: Hop) {
         let cost = &self.ctx.cost;
         let inline = msg.inline_len() as u64;
         let ool_pages = msg.ool_len().div_ceil(4096) as u64;
+        let hop_ns = match hop {
+            Hop::Queued => cost.message_ns,
+            Hop::Handoff => cost.handoff_ns,
+        };
         self.ctx
             .clock
-            .charge(cost.message_ns + cost.copy_cost_ns(inline) + cost.remap_cost_ns(ool_pages));
+            .charge(hop_ns + cost.copy_cost_ns(inline) + cost.remap_cost_ns(ool_pages));
         self.ctx.hot.msg_sent.incr();
+        if hop == Hop::Handoff {
+            self.ctx.hot.ipc_handoffs.incr();
+        }
         self.ctx.hot.bytes_copied.add(inline);
         self.ctx.stats.add(keys::PAGES_REMAPPED, ool_pages);
         if msg.correlation == 0 {
@@ -269,72 +244,37 @@ impl PortCore {
                 msg.correlation = cid.raw();
             }
         }
+        let cid = CorrelationId::from_raw(msg.correlation);
         if msg.correlation != 0 {
             if msg.parent_span == 0 {
                 msg.parent_span = trace::ambient_span_for(msg.correlation);
             }
-            // The queue span covers the message's time between enqueue
-            // and dequeue — the profiler's per-hop queueing delay.
-            msg.queue_span = self.ctx.span_open_with(
-                "ipc.queued",
-                msg.parent_span,
-                trace::CorrelationId::from_raw(msg.correlation),
-            );
-        }
-        msg.sent_at_ns = self.ctx.clock.now_ns();
-        self.ctx.trace_event_with(
-            &self.id.to_string(),
-            EventKind::MsgSend,
-            trace::CorrelationId::from_raw(msg.correlation),
-        );
-    }
-
-    /// Charges the reduced thread-handoff cost: the payload still moves
-    /// (copy for inline, remap for out-of-line), but queue insertion and
-    /// the scheduler wakeup are replaced by a direct donation to the
-    /// waiting receiver.
-    fn charge_handoff(&self, msg: &mut Message) {
-        let cost = &self.ctx.cost;
-        let inline = msg.inline_len() as u64;
-        let ool_pages = msg.ool_len().div_ceil(4096) as u64;
-        self.ctx
-            .clock
-            .charge(cost.handoff_ns + cost.copy_cost_ns(inline) + cost.remap_cost_ns(ool_pages));
-        self.ctx.hot.msg_sent.incr();
-        self.ctx.hot.ipc_handoffs.incr();
-        self.ctx.hot.bytes_copied.add(inline);
-        self.ctx.stats.add(keys::PAGES_REMAPPED, ool_pages);
-        if msg.correlation == 0 {
-            if let Some(cid) = trace::current_correlation() {
-                msg.correlation = cid.raw();
+            match hop {
+                // The queue span covers the message's time between
+                // enqueue and dequeue — the profiler's per-hop queueing
+                // delay.
+                Hop::Queued => {
+                    msg.queue_span = self.ctx.span_open_with("ipc.queued", msg.parent_span, cid);
+                }
+                // A handoff's queueing delay is zero: emit a
+                // zero-duration span and re-parent the message under it
+                // so the receiver's work shows up below the handoff in
+                // the tree.
+                Hop::Handoff => {
+                    let hs = self.ctx.span_open_with("ipc.handoff", msg.parent_span, cid);
+                    self.ctx.span_close_with("ipc.handoff", hs, cid);
+                    msg.parent_span = hs;
+                }
             }
         }
-        if msg.correlation != 0 {
-            if msg.parent_span == 0 {
-                msg.parent_span = trace::ambient_span_for(msg.correlation);
-            }
-            // A handoff never queues: emit a zero-duration span (queueing
-            // delay really is zero) and re-parent the message under it so
-            // the receiver's work shows up below the handoff in the tree.
-            let cid = trace::CorrelationId::from_raw(msg.correlation);
-            let hs = self.ctx.span_open_with("ipc.handoff", msg.parent_span, cid);
-            self.ctx.span_close_with("ipc.handoff", hs, cid);
-            msg.parent_span = hs;
-        }
         msg.sent_at_ns = self.ctx.clock.now_ns();
-        self.ctx.trace_event_with(
-            &self.id.to_string(),
-            EventKind::MsgSend,
-            trace::CorrelationId::from_raw(msg.correlation),
-        );
+        self.trace_msg(EventKind::MsgSend, cid);
     }
 
-    /// Batch variant of [`PortCore::charge_send`]: one clock charge, one
-    /// counter add and one trace event amortized over the whole batch.
+    /// Batch variant of [`PortCore::charge_send`] for a non-empty run of
+    /// queued messages: one clock charge, one counter add and one trace
+    /// event amortized over the whole run.
     fn charge_send_batch(&self, msgs: &mut [Message]) {
-        if msgs.is_empty() {
-            return;
-        }
         let cost = &self.ctx.cost;
         let mut total_ns = 0u64;
         let mut bytes = 0u64;
@@ -368,39 +308,18 @@ impl PortCore {
             }
             m.sent_at_ns = now;
         }
-        self.ctx.trace_event_with(
-            &self.id.to_string(),
+        self.trace_msg(
             EventKind::MsgSend,
-            trace::CorrelationId::from_raw(msgs[0].correlation),
+            CorrelationId::from_raw(msgs[0].correlation),
         );
     }
 
-    /// Receive-side bookkeeping shared by all dequeue paths: counters,
-    /// the send-to-receive latency sample, the `MsgRecv` trace event, and
-    /// adoption of the message's correlation id by the receiving thread.
-    fn finish_recv(&self, msg: &Message) {
-        self.ctx.hot.msg_received.incr();
-        let cid = trace::CorrelationId::from_raw(msg.correlation);
-        if msg.sent_at_ns != 0 {
-            let now = self.ctx.clock.now_ns();
-            self.ctx.latency.record(
-                trace::keys::SEND_TO_RECEIVE,
-                now.saturating_sub(msg.sent_at_ns),
-            );
-        }
-        if msg.queue_span != 0 {
-            self.ctx.span_close_with("ipc.queued", msg.queue_span, cid);
-        }
-        self.ctx
-            .trace_event_with(&self.id.to_string(), EventKind::MsgRecv, cid);
-        trace::set_current_correlation(cid);
-        trace::set_current_span(msg.span_context());
-    }
-
-    /// Batch variant of [`PortCore::finish_recv`]: per-message latency
-    /// samples (they are the data the histograms exist for) but a single
-    /// counter add and a single trace event for the whole batch.
-    fn finish_recv_batch(&self, msgs: &[Message]) {
+    /// Receive-side bookkeeping for a run of dequeued messages: one
+    /// counter add and one `MsgRecv` trace event for the run, a
+    /// send-to-receive latency sample per message (they are the data the
+    /// histograms exist for), and adoption of the last message's
+    /// correlation id and span by the receiving thread.
+    fn finish_recv(&self, msgs: &[Message]) {
         let Some(last) = msgs.last() else { return };
         self.ctx.hot.msg_received.add(msgs.len() as u64);
         if msgs.len() > 1 {
@@ -418,532 +337,196 @@ impl PortCore {
                 self.ctx.span_close_with(
                     "ipc.queued",
                     m.queue_span,
-                    trace::CorrelationId::from_raw(m.correlation),
+                    CorrelationId::from_raw(m.correlation),
                 );
             }
         }
-        let cid = trace::CorrelationId::from_raw(last.correlation);
-        self.ctx
-            .trace_event_with(&self.id.to_string(), EventKind::MsgRecv, cid);
+        let cid = CorrelationId::from_raw(last.correlation);
+        self.trace_msg(EventKind::MsgRecv, cid);
         trace::set_current_correlation(cid);
         trace::set_current_span(last.span_context());
     }
 
-    // ----- wakeup plumbing -----
+    // ----- send path -----
 
-    /// Wakes one blocked receiver, if any. The empty `control` critical
-    /// section is the classic bridge: it serializes with a receiver that
-    /// is between its last queue scan and its condvar enqueue, so the
-    /// notify cannot slip into that window and be lost.
-    fn notify_recv(&self) {
-        if protocol::must_wake(self.recv_waiters.load(Ordering::SeqCst)) {
-            drop(self.control.lock());
+    /// Waits, under the lock, until `full` lets at least one message be
+    /// queued, and returns how many may be. `deadline` is filled in on
+    /// the first wait and reused by every later one, so a sender that is
+    /// woken and finds the room gone waits only for the remainder. On
+    /// expiry death beats room found late beats `Timeout`: a dead port
+    /// is gone for good, so a retry could never succeed.
+    fn room(
+        &self,
+        st: &mut StateGuard<'_>,
+        full: Full,
+        deadline: &mut Option<Deadline>,
+    ) -> Result<usize, IpcError> {
+        let mut expired = false;
+        loop {
+            if st.dead {
+                return Err(IpcError::PortDied);
+            }
+            let Full::Wait(timeout) = full else {
+                return Ok(usize::MAX);
+            };
+            if st.queue.len() < st.backlog {
+                return Ok(st.backlog - st.queue.len());
+            }
+            if expired {
+                return Err(IpcError::Timeout);
+            }
+            if timeout.is_some_and(|t| t.is_zero()) {
+                return Err(IpcError::WouldBlock);
+            }
+            if deadline.is_none() {
+                *deadline = timeout.map(Deadline::after);
+            }
+            expired = match deadline.as_ref() {
+                None => {
+                    self.send_cv.wait(st.inner_mut());
+                    false
+                }
+                Some(d) => match d.remaining() {
+                    None => true,
+                    Some(left) => self.send_cv.wait_for(st.inner_mut(), left).timed_out(),
+                },
+            };
+        }
+    }
+
+    /// Ends a send: releases the lock, then wakes a parked receiver and
+    /// pings the port sets this port is enabled in. Who needs waking is
+    /// read under the same hold that queued the message, so a receiver
+    /// either saw the message before parking or is counted here.
+    fn publish(&self, st: StateGuard<'_>) {
+        let wake = st.recv_waiting > 0;
+        let wakers = (!st.wakers.is_empty()).then(|| Arc::clone(&st.wakers));
+        drop(st);
+        if wake {
             self.recv_cv.notify_one();
         }
-    }
-
-    /// Wakes one blocked sender, if any (one queue slot freed).
-    fn notify_send(&self) {
-        if protocol::must_wake(self.send_waiters.load(Ordering::SeqCst)) {
-            drop(self.control.lock());
-            self.send_cv.notify_one();
-        }
-    }
-
-    /// Wakes every blocked sender (several queue slots freed at once).
-    fn notify_send_all(&self) {
-        if protocol::must_wake(self.send_waiters.load(Ordering::SeqCst)) {
-            drop(self.control.lock());
-            self.send_cv.notify_all();
-        }
-    }
-
-    /// Pings registered port-set wakers. Snapshots the list by bumping
-    /// the `Arc` refcount (no per-send `Vec` clone) and prunes dead weak
-    /// entries whenever an upgrade fails, so a port outliving its port
-    /// sets keeps a bounded list.
-    fn notify_wakers(&self) {
-        if self.waker_count.load(Ordering::SeqCst) == 0 {
-            return;
-        }
-        let list = {
-            let ctrl = self.control.lock();
-            Arc::clone(&ctrl.wakers)
-        };
+        let Some(wakers) = wakers else { return };
         let mut saw_dead = false;
-        for w in list.iter() {
+        for w in wakers.iter() {
             match w.upgrade() {
                 Some(w) => w.ping(),
                 None => saw_dead = true,
             }
         }
         if saw_dead {
-            let mut ctrl = self.control.lock();
-            let pruned: Vec<Weak<SetWaker>> = ctrl
-                .wakers
-                .iter()
-                .filter(|w| w.strong_count() > 0)
-                .cloned()
-                .collect();
-            self.waker_count.store(pruned.len(), Ordering::SeqCst);
-            ctrl.wakers = Arc::new(pruned);
+            retain_wakers(&mut self.control.lock(), |_| true);
         }
     }
 
-    // ----- send path -----
-
-    /// Reserves up to `want` queue slots against the backlog. Returns the
-    /// number granted (possibly zero). Each granted slot is owned by the
-    /// caller until it either pushes a message or undoes the reservation.
-    fn reserve(&self, want: usize) -> usize {
-        let cap = self.backlog.load(Ordering::SeqCst);
-        let prev = self.depth.fetch_add(want, Ordering::SeqCst);
-        if prev >= cap {
-            self.depth.fetch_sub(want, Ordering::SeqCst);
-            return 0;
-        }
-        let granted = want.min(cap - prev);
-        if granted < want {
-            self.depth.fetch_sub(want - granted, Ordering::SeqCst);
-        }
-        granted
-    }
-
-    /// Blocks until a queue slot looks free, the port dies, or the
-    /// deadline passes (`None` deadline = wait forever). `Ok(())` means
-    /// "retry the reservation", not "a slot is guaranteed".
-    fn block_until_room(&self, deadline: Option<&Deadline>) -> Result<(), IpcError> {
-        let mut ctrl = self.control.lock();
-        loop {
-            if ctrl.dead {
-                return Err(IpcError::PortDied);
-            }
-            if protocol::room_available(
-                self.depth.load(Ordering::SeqCst),
-                self.backlog.load(Ordering::SeqCst),
-            ) {
-                return Ok(());
-            }
-            self.send_waiters.fetch_add(1, Ordering::SeqCst);
-            // Dekker re-check: the receiver decrements `depth` *before*
-            // reading `send_waiters`; we increment `send_waiters` before
-            // re-reading `depth`. One side must see the other, so a pop
-            // concurrent with this registration cannot strand us.
-            if protocol::room_available(
-                self.depth.load(Ordering::SeqCst),
-                self.backlog.load(Ordering::SeqCst),
-            ) {
-                self.send_waiters.fetch_sub(1, Ordering::SeqCst);
-                return Ok(());
-            }
-            let timed_out = match deadline {
-                None => {
-                    self.send_cv.wait(ctrl.inner_mut());
-                    false
-                }
-                Some(d) => match d.remaining() {
-                    None => true,
-                    Some(left) => self.send_cv.wait_for(ctrl.inner_mut(), left).timed_out(),
-                },
-            };
-            self.send_waiters.fetch_sub(1, Ordering::SeqCst);
-            if timed_out {
-                // The deadline passed while we slept, but a death wakeup
-                // may have raced the timeout: prefer the death error (the
-                // port is gone for good, a retry can never succeed), then
-                // room discovered late, then the timeout.
-                if ctrl.dead {
-                    return Err(IpcError::PortDied);
-                }
-                if protocol::room_available(
-                    self.depth.load(Ordering::SeqCst),
-                    self.backlog.load(Ordering::SeqCst),
-                ) {
-                    return Ok(());
-                }
-                return Err(IpcError::Timeout);
-            }
-        }
-    }
-
-    /// Appends one reserved message to the calling thread's home shard.
-    /// Gives the message back if the port died first (the reservation is
-    /// undone; the caller surfaces `PortDied` and drops the message).
-    fn push(&self, msg: Message) -> Result<(), Message> {
-        let shard = &self.shards[sender_shard()];
-        let mut ring = shard.ring.lock();
-        // Checked *inside* the shard critical section: destroy marks the
-        // port dead before draining each shard, so either we observe the
-        // death here, or destroy's drain (which locks this shard after
-        // us) collects our message. Nothing can be stranded.
-        if self.receiver_alive.load(Ordering::SeqCst) == 0 {
-            drop(ring);
-            self.depth.fetch_sub(1, Ordering::SeqCst);
-            return Err(msg);
-        }
-        ring.push_back(msg);
+    /// `msg_send` and `send_notification`. An error drops `msg` after the
+    /// lock is released (guards drop before parameters).
+    fn enqueue(&self, mut msg: Message, full: Full) -> Result<(), IpcError> {
+        let mut st = self.control.lock();
+        self.room(&mut st, full, &mut None)?;
+        // Only `msg_send` donates its thread; a kernel thread posting a
+        // notification carries on with its own work.
+        let handoff = matches!(full, Full::Wait(_))
+            && st.handoff_enabled
+            && st.recv_waiting > 0
+            && st.queue.is_empty();
+        self.charge_send(&mut msg, if handoff { Hop::Handoff } else { Hop::Queued });
+        st.queue.push_back(msg);
+        self.publish(st);
         Ok(())
     }
 
-    /// Appends a whole reserved batch under one shard lock acquisition.
-    fn push_batch(&self, batch: Vec<Message>) -> Result<(), IpcError> {
-        let n = batch.len();
-        let shard = &self.shards[sender_shard()];
-        let mut ring = shard.ring.lock();
-        if self.receiver_alive.load(Ordering::SeqCst) == 0 {
-            drop(ring);
-            self.depth.fetch_sub(n, Ordering::SeqCst);
-            // `batch` drops here, outside the shard lock; dropping
-            // undelivered messages may recursively destroy carried ports.
-            return Err(IpcError::PortDied);
-        }
-        ring.extend(batch);
-        Ok(())
-    }
-
-    /// The handoff fast path: donate `msg` directly to a receiver that is
-    /// already committed to waiting, skipping queue insertion and paying
-    /// the cheaper `handoff_ns` cost. Only legal while the queue is
-    /// completely empty (`depth == 0`), which preserves FIFO: nothing can
-    /// be overtaken. Gives the message back if conditions do not hold.
-    fn try_handoff(&self, msg: Message) -> Result<(), Message> {
-        if !self.handoff_enabled.load(Ordering::Relaxed)
-            || !protocol::handoff_admissible(
-                true,
-                self.recv_waiters.load(Ordering::SeqCst),
-                self.depth.load(Ordering::SeqCst),
-                self.handoff_set.load(Ordering::Acquire),
-            )
-        {
-            return Err(msg);
-        }
-        let mut msg = msg;
-        {
-            let mut ctrl = self.control.lock();
-            if ctrl.dead
-                || !protocol::handoff_admissible(
-                    true,
-                    self.recv_waiters.load(Ordering::SeqCst),
-                    self.depth.load(Ordering::SeqCst),
-                    ctrl.handoff.is_some(),
-                )
-            {
-                return Err(msg);
-            }
-            self.depth.fetch_add(1, Ordering::SeqCst);
-            self.charge_handoff(&mut msg);
-            ctrl.handoff = Some(msg);
-            self.handoff_set.store(true, Ordering::SeqCst);
-        }
-        self.recv_cv.notify_one();
-        self.notify_wakers();
-        Ok(())
-    }
-
-    fn enqueue(&self, mut msg: Message, timeout: Option<Duration>) -> Result<(), IpcError> {
-        // Advisory early-out; the authoritative death check is inside
-        // the shard critical section (`push`), so Acquire suffices here.
-        if self.receiver_alive.load(Ordering::Acquire) == 0 {
-            return Err(IpcError::PortDied);
-        }
-        match self.try_handoff(msg) {
-            Ok(()) => return Ok(()),
-            Err(back) => msg = back,
-        }
-        if self.reserve(1) == 0 {
-            if matches!(timeout, Some(t) if t.is_zero()) {
-                return Err(IpcError::WouldBlock);
-            }
-            // The deadline is computed once, here; every wakeup below
-            // waits only for the remainder. (Computed lazily so the
-            // uncontended fast path never reads the wall clock.)
-            let deadline = timeout.map(Deadline::after);
-            loop {
-                self.block_until_room(deadline.as_ref())?;
-                if self.reserve(1) > 0 {
-                    break;
-                }
-            }
-        }
-        self.charge_send(&mut msg);
-        if self.push(msg).is_err() {
-            return Err(IpcError::PortDied);
-        }
-        self.notify_recv();
-        self.notify_wakers();
-        Ok(())
-    }
-
-    /// Batched send: reserves as many backlog slots as fit, pushes that
-    /// many messages under a single shard lock acquisition with a single
-    /// amortized charge, and repeats until everything is sent or the
-    /// port dies / the deadline passes. Returns the number delivered;
-    /// timeout with partial progress reports the partial count rather
-    /// than an error.
-    fn enqueue_many(
-        &self,
-        msgs: Vec<Message>,
-        timeout: Option<Duration>,
-    ) -> Result<usize, IpcError> {
-        if msgs.is_empty() {
-            return Ok(0);
-        }
-        // Advisory early-out; `push_batch` re-checks under the shard lock.
-        if self.receiver_alive.load(Ordering::Acquire) == 0 {
-            return Err(IpcError::PortDied);
-        }
-        let deadline = match timeout {
-            Some(t) if !t.is_zero() => Some(Deadline::after(t)),
-            _ => None,
-        };
+    /// Batched send: queues as many messages as `full` admits under one
+    /// lock hold with one amortized charge, and repeats until everything
+    /// is sent, the port dies or the deadline passes. Returns the number
+    /// delivered; a timeout after partial progress reports the partial
+    /// count rather than an error. Whatever was not delivered is dropped
+    /// after the lock is released (`rest` is declared before any guard).
+    fn enqueue_many(&self, msgs: Vec<Message>, full: Full) -> Result<usize, IpcError> {
         let total = msgs.len();
-        let mut sent = 0usize;
-        let mut iter = msgs.into_iter();
-        while sent < total {
-            let granted = loop {
-                let g = self.reserve(total - sent);
-                if g > 0 {
-                    break g;
-                }
-                if matches!(timeout, Some(t) if t.is_zero()) {
-                    return if sent > 0 {
-                        Ok(sent)
-                    } else {
-                        Err(IpcError::WouldBlock)
-                    };
-                }
-                match self.block_until_room(deadline.as_ref()) {
-                    Ok(()) => {}
-                    Err(IpcError::Timeout) if sent > 0 => return Ok(sent),
-                    Err(e) => return Err(e),
-                }
+        let mut rest = msgs.into_iter();
+        let mut deadline = None;
+        while rest.len() > 0 {
+            let mut st = self.control.lock();
+            let n = match self.room(&mut st, full, &mut deadline) {
+                Ok(room) => room.min(rest.len()),
+                Err(IpcError::Timeout | IpcError::WouldBlock) if rest.len() < total => break,
+                Err(e) => return Err(e),
             };
-            let mut batch: Vec<Message> = iter.by_ref().take(granted).collect();
-            self.charge_send_batch(&mut batch);
-            self.push_batch(batch)?;
-            sent += granted;
-            self.notify_recv();
-            self.notify_wakers();
+            self.charge_send_batch(&mut rest.as_mut_slice()[..n]);
+            st.queue.extend(rest.by_ref().take(n));
+            self.publish(st);
         }
-        Ok(sent)
-    }
-
-    /// Batch variant of [`PortCore::enqueue_notification`]: a whole run
-    /// of kernel notifications pushed under one shard lock acquisition
-    /// with one amortized charge, still exempt from the backlog limit.
-    /// The async fault engine's deep pager batching sends coalesced
-    /// `pager_data_request` runs through here.
-    fn enqueue_many_notification(&self, mut msgs: Vec<Message>) {
-        // Advisory early-out; `push_batch` re-checks under the shard lock.
-        if msgs.is_empty() || self.receiver_alive.load(Ordering::Acquire) == 0 {
-            return;
-        }
-        self.depth.fetch_add(msgs.len(), Ordering::SeqCst);
-        self.charge_send_batch(&mut msgs);
-        if self.push_batch(msgs).is_err() {
-            return; // Died underneath us; notifications to the dead drop.
-        }
-        self.notify_recv();
-        self.notify_wakers();
-    }
-
-    /// Enqueues a kernel notification, ignoring the backlog limit so the
-    /// kernel never blocks on a user queue.
-    fn enqueue_notification(&self, mut msg: Message) {
-        // Advisory early-out; `push` re-checks under the shard lock.
-        if self.receiver_alive.load(Ordering::Acquire) == 0 {
-            return;
-        }
-        self.depth.fetch_add(1, Ordering::SeqCst);
-        self.charge_send(&mut msg);
-        if self.push(msg).is_err() {
-            return; // Died underneath us; notifications to the dead drop.
-        }
-        self.notify_recv();
-        self.notify_wakers();
+        Ok(total - rest.len())
     }
 
     // ----- receive path -----
 
-    /// Takes the handoff slot if occupied (and within `max_size`).
-    fn take_handoff(
+    /// Waits, under the lock, for a message and pops it. An oversized
+    /// front (under `max_size`) stays queued and reports `MsgTooLarge`,
+    /// as `msg_receive` specifies. The deadline is computed once, on the
+    /// first wait; on expiry a message that raced in beats `PortDied`
+    /// beats `Timeout`.
+    fn pop(
         &self,
-        ctrl: &mut ClassMutexGuard<'_, Control>,
+        st: &mut StateGuard<'_>,
         max_size: Option<usize>,
-    ) -> Result<Option<Message>, IpcError> {
-        let Some(m) = ctrl.handoff.as_ref() else {
-            return Ok(None);
-        };
-        if let Some(limit) = max_size {
-            if m.inline_len() + m.ool_len() > limit {
-                return Err(IpcError::MsgTooLarge);
-            }
-        }
-        let taken = ctrl.handoff.take();
-        self.handoff_set.store(false, Ordering::SeqCst);
-        self.depth.fetch_sub(1, Ordering::SeqCst);
-        Ok(taken)
-    }
-
-    /// Pops the front of the first non-empty shard, scanning round-robin
-    /// from the cursor. An oversized front (under `max_size`) stays
-    /// queued and reports `MsgTooLarge`, as `msg_receive` specifies.
-    fn pop_shards(&self, max_size: Option<usize>) -> Result<Option<Message>, IpcError> {
-        let start = self.cursor.load(Ordering::Relaxed);
-        for i in 0..SHARD_COUNT {
-            let idx = (start + i) & SHARD_MASK;
-            let mut ring = self.shards[idx].ring.lock();
-            let Some(front) = ring.front() else { continue };
-            if let Some(limit) = max_size {
-                if front.inline_len() + front.ool_len() > limit {
+        timeout: Option<Duration>,
+    ) -> Result<Message, IpcError> {
+        let mut deadline = None;
+        let mut expired = false;
+        loop {
+            if let Some(front) = st.queue.front() {
+                if max_size.is_some_and(|limit| front.inline_len() + front.ool_len() > limit) {
                     return Err(IpcError::MsgTooLarge);
                 }
             }
-            let Some(msg) = ring.pop_front() else {
-                continue;
-            };
-            drop(ring);
-            self.cursor.store((idx + 1) & SHARD_MASK, Ordering::Relaxed);
-            self.depth.fetch_sub(1, Ordering::SeqCst);
-            return Ok(Some(msg));
-        }
-        Ok(None)
-    }
-
-    /// Non-blocking pop: handoff slot first (it is always the oldest
-    /// in-flight message when occupied), then the shards. Decrements
-    /// `depth` for a popped message; the caller wakes senders and runs
-    /// receive bookkeeping.
-    fn try_pop(&self, max_size: Option<usize>) -> Result<Option<Message>, IpcError> {
-        // Acquire suffices: the flag is a fast-path hint; the message
-        // itself is published by the control lock taken right below, and
-        // a stale `false` only defers the slot to the next scan.
-        if self.handoff_set.load(Ordering::Acquire) {
-            let mut ctrl = self.control.lock();
-            let taken = self.take_handoff(&mut ctrl, max_size)?;
-            drop(ctrl);
-            if taken.is_some() {
-                return Ok(taken);
+            if let Some(msg) = st.queue.pop_front() {
+                return Ok(msg);
             }
-        }
-        self.pop_shards(max_size)
-    }
-
-    /// Pop while already holding the control lock (blocking receive loop).
-    fn pop_ctl(
-        &self,
-        ctrl: &mut ClassMutexGuard<'_, Control>,
-        max_size: Option<usize>,
-    ) -> Result<Option<Message>, IpcError> {
-        if let Some(m) = self.take_handoff(ctrl, max_size)? {
-            return Ok(Some(m));
-        }
-        self.pop_shards(max_size)
-    }
-
-    /// Dequeues one message without receive bookkeeping (callers batch
-    /// or wrap it). The single timed-wait loop serving `receive`,
-    /// `receive_limited` and `receive_many`'s first message:
-    ///
-    /// * the deadline is computed once; wakeups wait for the remainder;
-    /// * on expiry the order of preference is message (it raced in),
-    ///   then `PortDied`, then `Timeout`.
-    fn dequeue_raw(
-        &self,
-        max_size: Option<usize>,
-        timeout: Option<Duration>,
-    ) -> Result<Message, IpcError> {
-        if let Some(m) = self.try_pop(max_size)? {
-            self.notify_send();
-            return Ok(m);
-        }
-        if let Some(t) = timeout {
-            if t.is_zero() {
-                // Only picks which error to report; Acquire suffices.
-                return Err(if self.receiver_alive.load(Ordering::Acquire) == 0 {
-                    IpcError::PortDied
-                } else {
-                    IpcError::WouldBlock
-                });
-            }
-        }
-        let deadline = timeout.map(Deadline::after);
-        let mut ctrl = self.control.lock();
-        loop {
-            if let Some(m) = self.pop_ctl(&mut ctrl, max_size)? {
-                drop(ctrl);
-                self.notify_send();
-                return Ok(m);
-            }
-            if ctrl.dead {
+            if st.dead {
                 return Err(IpcError::PortDied);
             }
-            self.recv_waiters.fetch_add(1, Ordering::SeqCst);
-            // Dekker re-check against the lock-free send path: a sender
-            // bumps `depth` before reading `recv_waiters`; we registered
-            // before reading `depth`. If a sender slipped past our scan,
-            // one of us is guaranteed to see the other.
-            let in_flight = protocol::receiver_saw_in_flight(self.depth.load(Ordering::SeqCst));
-            let timed_out = if in_flight {
-                // Something is reserved or queued but our scan missed it
-                // (the sender may not have pushed yet, and may already
-                // have skipped its notify). Nap briefly and rescan rather
-                // than committing to a wait nobody will cut short.
-                match &deadline {
-                    Some(d) if d.remaining().is_none() => true,
-                    _ => {
-                        self.recv_cv.wait_for(ctrl.inner_mut(), IN_FLIGHT_RESCAN);
-                        false
-                    }
-                }
-            } else {
-                match &deadline {
-                    None => {
-                        self.recv_cv.wait(ctrl.inner_mut());
-                        false
-                    }
-                    Some(d) => match d.remaining() {
-                        None => true,
-                        Some(left) => self.recv_cv.wait_for(ctrl.inner_mut(), left).timed_out(),
-                    },
-                }
-            };
-            self.recv_waiters.fetch_sub(1, Ordering::SeqCst);
-            if timed_out {
-                if let Some(m) = self.pop_ctl(&mut ctrl, max_size)? {
-                    drop(ctrl);
-                    self.notify_send();
-                    return Ok(m);
-                }
-                if ctrl.dead {
-                    return Err(IpcError::PortDied);
-                }
+            if expired {
                 return Err(IpcError::Timeout);
             }
+            if timeout.is_some_and(|t| t.is_zero()) {
+                return Err(IpcError::WouldBlock);
+            }
+            if deadline.is_none() {
+                deadline = timeout.map(Deadline::after);
+            }
+            st.recv_waiting += 1;
+            expired = match deadline.as_ref() {
+                None => {
+                    self.recv_cv.wait(st.inner_mut());
+                    false
+                }
+                Some(d) => match d.remaining() {
+                    None => true,
+                    Some(left) => self.recv_cv.wait_for(st.inner_mut(), left).timed_out(),
+                },
+            };
+            st.recv_waiting -= 1;
         }
     }
 
-    fn dequeue(&self, timeout: Option<Duration>) -> Result<Message, IpcError> {
-        let m = self.dequeue_raw(None, timeout)?;
-        self.finish_recv(&m);
-        Ok(m)
-    }
-
-    /// Dequeues only if the next message's payload fits `max_size` bytes;
-    /// an oversized message is left queued and reported as too large.
-    fn dequeue_limited(
+    /// `msg_receive`, with or without a size limit.
+    fn dequeue(
         &self,
-        max_size: usize,
+        max_size: Option<usize>,
         timeout: Option<Duration>,
     ) -> Result<Message, IpcError> {
-        let m = self.dequeue_raw(Some(max_size), timeout)?;
-        self.finish_recv(&m);
-        Ok(m)
+        let mut st = self.control.lock();
+        let msg = self.pop(&mut st, max_size, timeout)?;
+        drop(st);
+        self.send_cv.notify_one();
+        self.finish_recv(std::slice::from_ref(&msg));
+        Ok(msg)
     }
 
     /// Batched receive: blocks for the first message like `dequeue`, then
-    /// greedily drains up to `max` more without blocking, with one
-    /// amortized receive charge for the whole batch.
+    /// takes up to `max - 1` more that are already queued under the same
+    /// lock hold, with one amortized receive charge for the whole batch.
     fn dequeue_many(
         &self,
         max: usize,
@@ -952,58 +535,31 @@ impl PortCore {
         if max == 0 {
             return Ok(Vec::new());
         }
-        let first = self.dequeue_raw(None, timeout)?;
-        let mut out = Vec::with_capacity(max.min(32));
+        let mut st = self.control.lock();
+        let first = self.pop(&mut st, None, timeout)?;
+        let more = st.queue.len().min(max - 1);
+        let mut out = Vec::with_capacity(1 + more);
         out.push(first);
-        while out.len() < max {
-            match self.try_pop(None) {
-                Ok(Some(m)) => out.push(m),
-                _ => break,
-            }
-        }
-        self.notify_send_all();
-        self.finish_recv_batch(&out);
+        out.extend(st.queue.drain(..more));
+        drop(st);
+        self.send_cv.notify_all();
+        self.finish_recv(&out);
         Ok(out)
-    }
-
-    fn try_dequeue(&self) -> Option<Message> {
-        match self.try_pop(None) {
-            Ok(Some(m)) => {
-                self.notify_send();
-                self.finish_recv(&m);
-                Some(m)
-            }
-            _ => None,
-        }
     }
 
     // ----- lifecycle -----
 
     fn destroy(&self) {
         let (subs, dropped) = {
-            let mut ctrl = self.control.lock();
-            if ctrl.dead {
+            let mut st = self.control.lock();
+            if st.dead {
                 return;
             }
-            ctrl.dead = true;
-            // Lock-free paths key off this store. It happens before the
-            // drain below, so a sender still inside its shard critical
-            // section either observes the death and backs out, or its
-            // message is collected by the drain (mutex ordering) — never
-            // stranded in a dead port's queue.
-            self.receiver_alive.store(0, Ordering::SeqCst);
-            let subs = std::mem::take(&mut ctrl.death_subs);
-            let mut dropped: Vec<Message> = Vec::new();
-            if let Some(m) = ctrl.handoff.take() {
-                self.handoff_set.store(false, Ordering::SeqCst);
-                dropped.push(m);
-            }
-            for sh in self.shards.iter() {
-                let mut ring = sh.ring.lock();
-                dropped.append(&mut ring.drain(..).collect());
-            }
-            self.depth.fetch_sub(dropped.len(), Ordering::SeqCst);
-            (subs, dropped)
+            st.dead = true;
+            (
+                std::mem::take(&mut st.death_subs),
+                std::mem::take(&mut st.queue),
+            )
         };
         self.recv_cv.notify_all();
         self.send_cv.notify_all();
@@ -1012,23 +568,32 @@ impl PortCore {
         drop(dropped);
         for sub in subs {
             if let Some(target) = sub.upgrade() {
-                target.enqueue_notification(
-                    Message::new(MSG_ID_PORT_DEATH).with(MsgItem::u64s(&[self.id.0])),
-                );
+                target.post_death_of(self.id);
             }
         }
     }
 
+    /// Posts the notification that port `died` was destroyed to this port
+    /// (dropped, like any notification, if this port is dead too).
+    fn post_death_of(&self, died: PortId) {
+        let note = Message::new(MSG_ID_PORT_DEATH).with(MsgItem::u64s(&[died.0]));
+        let _ = self.enqueue(note, Full::Exceed);
+    }
+
     fn status(&self) -> PortStatus {
-        // Diagnostic snapshot: none of these loads order anything, so
-        // Relaxed is enough (the Dekker sites keep their own SeqCst).
+        let st = self.control.lock();
         PortStatus {
-            num_msgs: self.depth.load(Ordering::Relaxed),
-            backlog: self.backlog.load(Ordering::Relaxed),
-            has_receiver: self.receiver_alive.load(Ordering::Relaxed) == 1,
+            num_msgs: st.queue.len(),
+            backlog: st.backlog,
+            has_receiver: !st.dead,
             senders: self.senders.load(Ordering::Relaxed),
         }
     }
+}
+
+/// Rewrites the waker list to its live entries that `keep` accepts.
+fn retain_wakers(st: &mut State, keep: impl Fn(&Weak<SetWaker>) -> bool) {
+    Arc::make_mut(&mut st.wakers).retain(|w| w.strong_count() > 0 && keep(w));
 }
 
 /// A send capability for a port. Cloneable: any number of senders.
@@ -1066,60 +631,59 @@ impl SendRight {
     /// Number of messages currently queued on the target port — the
     /// sender-side view of queue depth, for backlog gauges.
     pub fn queued(&self) -> usize {
-        // Gauge read; orders nothing.
-        self.core.depth.load(Ordering::Relaxed)
+        self.core.control.lock().queue.len()
     }
 
     /// `msg_send`: queues a message, blocking while the queue is full.
     ///
     /// `timeout = None` waits indefinitely; `Some(0)` never blocks
     /// (returning [`IpcError::WouldBlock`] when full). When a receiver is
-    /// already committed to waiting and the queue is empty, the message
-    /// is donated directly (the handoff fast path) at reduced simulated
-    /// cost.
+    /// already parked on an empty queue, the send is a handoff: same
+    /// queue, reduced simulated cost.
     pub fn send(&self, msg: Message, timeout: Option<Duration>) -> Result<(), IpcError> {
-        self.core.enqueue(msg, timeout)
+        self.core.enqueue(msg, Full::Wait(timeout))
     }
 
-    /// Batched `msg_send`: delivers `msgs` in order (they share this
-    /// thread's queue shard), amortizing one lock acquisition and one
-    /// cost charge over each backlog-sized run. Returns how many were
-    /// delivered: all of them, barring port death (`Err(PortDied)`
-    /// with none-or-some delivered) or a timeout (`Err(Timeout)` if
-    /// nothing was sent, `Ok(n < msgs.len())` after partial progress).
+    /// Batched `msg_send`: delivers `msgs` in order, amortizing one lock
+    /// acquisition and one cost charge over each backlog-sized run.
+    /// Returns how many were delivered: all of them, barring port death
+    /// (`Err(PortDied)` with none-or-some delivered) or a timeout
+    /// (`Err(Timeout)` if nothing was sent, `Ok(n < msgs.len())` after
+    /// partial progress).
     pub fn send_many(
         &self,
         msgs: Vec<Message>,
         timeout: Option<Duration>,
     ) -> Result<usize, IpcError> {
-        self.core.enqueue_many(msgs, timeout)
+        self.core.enqueue_many(msgs, Full::Wait(timeout))
     }
 
     /// Sends a kernel-generated notification, exempt from the backlog.
+    /// A notification to a dead port is dropped.
     ///
     /// Used by kernel components (pager interface, port death) that must
     /// not block on user queues; see Section 6.2.3 on why the kernel can
     /// never afford to wait on a data manager.
     pub fn send_notification(&self, msg: Message) {
-        self.core.enqueue_notification(msg)
+        let _ = self.core.enqueue(msg, Full::Exceed);
     }
 
     /// Batched [`SendRight::send_notification`]: every message in `msgs`
     /// is delivered in order under one lock acquisition and one
     /// amortized charge, exempt from the backlog. Used by kernel
-    /// components that ship coalesced runs (the async fault engine's
-    /// batched `pager_data_request`s above all).
+    /// components that ship coalesced runs (the fault engine's batched
+    /// `pager_data_request`s above all).
     pub fn send_many_notification(&self, msgs: Vec<Message>) {
-        self.core.enqueue_many_notification(msgs)
+        let _ = self.core.enqueue_many(msgs, Full::Exceed);
     }
 
     /// `msg_rpc`: sends `msg` with a freshly allocated reply port, then
     /// awaits the reply on it.
     ///
-    /// Both hops ride the handoff fast path when the peer is already
-    /// waiting: the request is donated to a blocked server, and the reply
-    /// is donated back to this (by then blocked) client — the thread
-    ///-donation RPC shape, without a queue transit in either direction.
+    /// Both hops are handoffs when the peer is already waiting: the
+    /// request goes to a parked server, and the reply comes back to this
+    /// (by then parked) client — the thread-donation RPC shape, at
+    /// `handoff_ns` instead of `message_ns` in either direction.
     pub fn rpc(
         &self,
         msg: Message,
@@ -1146,21 +710,19 @@ impl SendRight {
 
     /// Whether the port still has a receiver.
     pub fn is_alive(&self) -> bool {
-        self.core.receiver_alive.load(Ordering::Acquire) == 1
+        !self.core.control.lock().dead
     }
 
     /// Registers `notify` to receive a [`MSG_ID_PORT_DEATH`] message when
     /// this port's receive right is destroyed.
     pub fn subscribe_death(&self, notify: &SendRight) {
-        let mut ctrl = self.core.control.lock();
-        if ctrl.dead {
-            drop(ctrl);
-            notify.send_notification(
-                Message::new(MSG_ID_PORT_DEATH).with(MsgItem::u64s(&[self.core.id.0])),
-            );
+        let mut st = self.core.control.lock();
+        if st.dead {
+            drop(st);
+            notify.core.post_death_of(self.core.id);
             return;
         }
-        ctrl.death_subs.push(Arc::downgrade(&notify.core));
+        st.death_subs.push(Arc::downgrade(&notify.core));
     }
 
     /// `port_status` fields for this port.
@@ -1216,7 +778,7 @@ impl ReceiveRight {
 
     /// `msg_receive`: dequeues the next message, blocking while empty.
     pub fn receive(&self, timeout: Option<Duration>) -> Result<Message, IpcError> {
-        self.core.dequeue(timeout)
+        self.core.dequeue(None, timeout)
     }
 
     /// `msg_receive` with a maximum acceptable payload size: an oversized
@@ -1226,7 +788,7 @@ impl ReceiveRight {
         max_size: usize,
         timeout: Option<Duration>,
     ) -> Result<Message, IpcError> {
-        self.core.dequeue_limited(max_size, timeout)
+        self.core.dequeue(Some(max_size), timeout)
     }
 
     /// Batched `msg_receive`: blocks (up to `timeout`) for the first
@@ -1243,22 +805,21 @@ impl ReceiveRight {
 
     /// Non-blocking receive.
     pub fn try_receive(&self) -> Option<Message> {
-        self.core.try_dequeue()
+        self.core.dequeue(None, Some(Duration::ZERO)).ok()
     }
 
     /// `port_set_backlog`: limits queued messages before senders block.
     pub fn set_backlog(&self, backlog: usize) {
-        self.core.backlog.store(backlog.max(1), Ordering::SeqCst);
-        // A larger backlog may unblock senders; the empty critical
-        // section pairs with their registration (see `notify_send`).
-        drop(self.core.control.lock());
+        self.core.control.lock().backlog = backlog.max(1);
+        // A larger backlog may be room for senders that are blocked.
         self.core.send_cv.notify_all();
     }
 
-    /// Enables or disables the sender→receiver handoff fast path
-    /// (enabled by default; benchmarks toggle it to measure the gain).
+    /// Enables or disables charging a send to a parked receiver as a
+    /// handoff (enabled by default; benchmarks toggle it to measure the
+    /// difference).
     pub fn set_handoff(&self, enabled: bool) {
-        self.core.handoff_enabled.store(enabled, Ordering::Relaxed);
+        self.core.control.lock().handoff_enabled = enabled;
     }
 
     /// `port_status` fields for this port.
@@ -1268,38 +829,22 @@ impl ReceiveRight {
 
     /// Number of queued messages.
     pub fn queued(&self) -> usize {
-        // Gauge read; orders nothing.
-        self.core.depth.load(Ordering::Relaxed)
+        self.core.control.lock().queue.len()
     }
 
     /// Registers a port-set waker pinged on message arrival. Dead weak
-    /// entries are pruned on every rebuild, so the list stays bounded by
+    /// entries are pruned on every edit, so the list stays bounded by
     /// the number of *live* port sets no matter how many have died.
     pub(crate) fn register_waker(&self, waker: &Arc<SetWaker>) {
-        let mut ctrl = self.core.control.lock();
-        let mut v: Vec<Weak<SetWaker>> = ctrl
-            .wakers
-            .iter()
-            .filter(|w| w.strong_count() > 0)
-            .cloned()
-            .collect();
-        v.push(Arc::downgrade(waker));
-        self.core.waker_count.store(v.len(), Ordering::SeqCst);
-        ctrl.wakers = Arc::new(v);
+        let mut st = self.core.control.lock();
+        retain_wakers(&mut st, |_| true);
+        Arc::make_mut(&mut st.wakers).push(Arc::downgrade(waker));
     }
 
     /// Removes a previously registered waker (and any dead entries).
     pub(crate) fn unregister_waker(&self, waker: &Arc<SetWaker>) {
         let target = Arc::downgrade(waker);
-        let mut ctrl = self.core.control.lock();
-        let v: Vec<Weak<SetWaker>> = ctrl
-            .wakers
-            .iter()
-            .filter(|w| w.strong_count() > 0 && !w.ptr_eq(&target))
-            .cloned()
-            .collect();
-        self.core.waker_count.store(v.len(), Ordering::SeqCst);
-        ctrl.wakers = Arc::new(v);
+        retain_wakers(&mut self.core.control.lock(), |w| !w.ptr_eq(&target));
     }
 
     /// Current length of the waker list (test instrumentation for the
@@ -1315,6 +860,7 @@ mod tests {
     use super::*;
     use crate::message::MsgItem;
     use machsim::wall;
+    use std::sync::atomic::AtomicBool;
     use std::thread;
 
     fn ctx() -> IpcContext {
@@ -1862,7 +1408,6 @@ mod tests {
         });
         wall::sleep(Duration::from_millis(20));
         core.control.lock().dead = true; // silent death: no notify
-        core.receiver_alive.store(0, Ordering::SeqCst);
         assert_eq!(
             h.join()
                 .expect("receiver thread exits cleanly")
@@ -1884,7 +1429,6 @@ mod tests {
         let h = thread::spawn(move || tx2.send(Message::new(1), Some(Duration::from_millis(100))));
         wall::sleep(Duration::from_millis(20));
         core.control.lock().dead = true; // silent death: no notify
-        core.receiver_alive.store(0, Ordering::SeqCst);
         assert_eq!(
             h.join().expect("sender thread exits cleanly").unwrap_err(),
             IpcError::PortDied
@@ -1939,10 +1483,10 @@ mod tests {
         assert!(rx.waker_list_len() <= 2);
     }
 
-    // ----- sharded queue semantics -----
+    // ----- many senders, one queue -----
 
     #[test]
-    fn sharded_port_preserves_per_sender_fifo_without_loss() {
+    fn concurrent_senders_keep_per_sender_fifo_without_loss() {
         const SENDERS: u32 = 8;
         const PER_SENDER: u32 = 500;
         let c = ctx();
@@ -2060,7 +1604,7 @@ mod tests {
         });
         assert!(
             wall::poll_until(Duration::from_secs(5), Duration::from_millis(1), || {
-                core.recv_waiters.load(Ordering::SeqCst) > 0
+                core.control.lock().recv_waiting > 0
             }),
             "receiver never registered as a waiter"
         );
@@ -2087,7 +1631,7 @@ mod tests {
         });
         assert!(
             wall::poll_until(Duration::from_secs(5), Duration::from_millis(1), || {
-                core.recv_waiters.load(Ordering::SeqCst) > 0
+                core.control.lock().recv_waiting > 0
             }),
             "receiver never registered as a waiter"
         );
@@ -2103,9 +1647,8 @@ mod tests {
 
     #[test]
     fn handoff_never_overtakes_queued_messages() {
-        // A receiver parked behind a non-empty queue must get the queued
-        // messages first: the handoff slot is only used at depth zero, so
-        // FIFO cannot be violated by the fast path.
+        // Sends to a non-empty queue are never handoffs, and whatever the
+        // cost class, every message goes through the one FIFO.
         let c = ctx();
         let (rx, tx) = ReceiveRight::allocate(&c);
         tx.send(Message::new(1), None)

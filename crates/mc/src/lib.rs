@@ -4,8 +4,7 @@
 //! hand-rolled concurrency protocols.
 //!
 //! The memory/communication duality means every correctness claim in
-//! this reproduction rests on a handful of small protocols: the port's
-//! Dekker store-then-check wakeup, the one-deep RPC handoff slot, the
+//! this reproduction rests on a handful of small protocols: the
 //! continuation table's park/recheck race, replication write-shootdown,
 //! and the scheduler's push→touch→notify idle parking. Stress tests and
 //! the lockdep witness *sample* schedules; machmc *enumerates* them.
@@ -20,10 +19,10 @@
 //! full interleaving plus a dot-separated schedule string replayable
 //! with `machmc --model <m> --replay <schedule>`.
 //!
-//! The five protocol models live in [`models`]; they call the very same
-//! `protocol` predicate modules (`machipc::protocol`,
-//! `machvm::protocol`, `machsched::protocol`) the production code routes
-//! through, so model and kernel cannot silently diverge. `scripts/
+//! The three protocol models live in [`models`]; they call the very same
+//! `protocol` predicate modules (`machvm::protocol`,
+//! `machsched::protocol`) the production code routes through, so model
+//! and kernel cannot silently diverge. `scripts/
 //! check.sh` and CI run `machmc --all` as a gate; `crates/mc/tests/`
 //! holds mutation fixtures proving each model still catches the bug its
 //! protocol guards against.

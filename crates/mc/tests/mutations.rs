@@ -9,7 +9,7 @@
 //! in check.sh, and one counterexample schedule is replayed to pin the
 //! determinism contract.
 
-use machmc::models::{handoff, lost_wakeup, park_resume, sched_shutdown, shootdown};
+use machmc::models::{park_resume, sched_shutdown, shootdown};
 use machmc::Report;
 
 /// The genuine model must be clean, complete, and actually exercise its
@@ -36,56 +36,6 @@ fn assert_caught(r: &Report, what: &str) {
         "mutation `{what}` of `{}` was NOT caught ({} executions explored)",
         r.model,
         r.executions
-    );
-}
-
-#[test]
-fn lost_wakeup_genuine_is_clean() {
-    assert_clean(&lost_wakeup::check(None, None));
-}
-
-#[test]
-fn lost_wakeup_without_in_flight_recheck_is_caught() {
-    // Receiver registers and waits without re-reading depth: a sender
-    // that sampled waiters before the registration never notifies.
-    assert_caught(
-        &lost_wakeup::check(None, Some(lost_wakeup::Mutation::NoInFlightRecheck)),
-        "NoInFlightRecheck",
-    );
-}
-
-#[test]
-fn lost_wakeup_check_before_store_is_caught() {
-    // Sender samples recv_waiters before bumping depth — the Dekker
-    // order inverted, the classic lost-wakeup window.
-    assert_caught(
-        &lost_wakeup::check(None, Some(lost_wakeup::Mutation::CheckBeforeStore)),
-        "CheckBeforeStore",
-    );
-}
-
-#[test]
-fn lost_wakeup_without_control_bridge_is_caught() {
-    // Sender notifies without bridging through the control lock: the
-    // notify can land between the receiver's re-check and its wait.
-    assert_caught(
-        &lost_wakeup::check(None, Some(lost_wakeup::Mutation::NoControlBridge)),
-        "NoControlBridge",
-    );
-}
-
-#[test]
-fn handoff_genuine_is_clean() {
-    assert_clean(&handoff::check(None, None));
-}
-
-#[test]
-fn handoff_ignoring_depth_is_caught() {
-    // Admission without the depth==0 check: the handoff overtakes the
-    // queued message and the receiver sees them out of order.
-    assert_caught(
-        &handoff::check(None, Some(handoff::Mutation::IgnoreDepth)),
-        "IgnoreDepth",
     );
 }
 
@@ -164,10 +114,10 @@ fn counterexample_schedules_replay() {
 }
 
 #[test]
-fn preemption_bound_still_catches_the_dekker_inversion() {
+fn preemption_bound_still_catches_the_missing_recheck() {
     // CI runs `--bound 3`; the cheapest real bug must still be in reach.
     assert_caught(
-        &lost_wakeup::check(Some(3), Some(lost_wakeup::Mutation::CheckBeforeStore)),
-        "CheckBeforeStore under --bound 3",
+        &park_resume::check(Some(3), Some(park_resume::Mutation::SkipRecheck)),
+        "SkipRecheck under --bound 3",
     );
 }

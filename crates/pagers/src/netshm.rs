@@ -166,18 +166,17 @@ struct ShmManager {
 
 impl DataManager for ShmManager {
     fn init(&mut self, kernel: &KernelConn, object: u64) {
-        // Single-page coherence: a clustered request would make the
-        // kernel prefetch neighbors — registering the client for pages it
-        // never asked about and, on a write fault, granting it spurious
-        // write ownership of every page in the cluster run. Cap the
-        // cluster before the session becomes visible so `attach` can wait
-        // for the attribute to land.
-        kernel.set_cluster(object, 1);
-        let mut st = self.state.lock();
-        st.sessions.push(Session {
+        self.state.lock().sessions.push(Session {
             conn: kernel.clone(),
             object,
         });
+        // Single-page coherence: a clustered request would make the
+        // kernel prefetch neighbors — registering the client for pages it
+        // never asked about and, on a write fault, granting it spurious
+        // write ownership of every page in the cluster run. Sent after
+        // the session is registered: a client that has seen the attribute
+        // land (`map_and_await_init`) may fault, and its request finds a session.
+        kernel.set_cluster(object, 1);
     }
 
     fn data_request(
@@ -355,23 +354,7 @@ impl SharedMemoryServer {
             self.proxies.lock().push(proxy);
             p
         };
-        let sessions_before = self.state.lock().sessions.len();
-        let addr = task.vm_allocate_with_pager(None, self.size, &port, 0)?;
-        // pager_init travels asynchronously (possibly through a proxy);
-        // wait for the session so later attaches see ordered host slots,
-        // and for the single-page cluster attribute the server sends
-        // during init — the stand-in for real Mach's kernel blocking new
-        // mappings until `memory_object_set_attributes` arrives. Faulting
-        // before it lands would cluster-prefetch pages this server tracks
-        // per client.
-        let object = task.kernel().object_for_port(&port, self.size);
-        for _ in 0..500 {
-            if self.state.lock().sessions.len() > sessions_before && object.cluster_hint() == 1 {
-                break;
-            }
-            machsim::wall::sleep(std::time::Duration::from_millis(2));
-        }
-        Ok(addr)
+        map_and_await_init(task, &port, self.size)
     }
 
     /// (invalidations sent, writer demotions) — coherence traffic counters.
@@ -544,9 +527,40 @@ impl ShmDirectory {
         };
         // When the client is remote the fabric rewrote the right into a
         // local proxy; either way, map it.
-        let addr = task.vm_allocate_with_pager(None, actual, &rights[0], 0)?;
+        let addr = map_and_await_init(task, &rights[0], actual)?;
         Ok((addr, actual))
     }
+}
+
+/// Maps the `size`-byte region behind `port` into `task` and waits until
+/// the server has handled this kernel's `pager_init`.
+///
+/// `pager_init` travels asynchronously (possibly through a proxy), and a
+/// fault taken before the server has handled it can reach the server
+/// first, find no session for this kernel and go unanswered. The server
+/// registers the session and then sends its single-page cluster
+/// attribute, so the attribute landing here means the session exists and
+/// later mappers see ordered host slots — the stand-in for real Mach's
+/// kernel blocking new mappings until `memory_object_set_attributes`
+/// arrives. It also means no fault cluster-prefetches pages the server
+/// tracks per client. A server that never answers is an error, not a
+/// mapping whose first fault hangs.
+fn map_and_await_init(task: &Task, port: &SendRight, size: u64) -> Result<u64, VmError> {
+    let addr = task.vm_allocate_with_pager(None, size, port, 0)?;
+    let object = task.kernel().object_for_port(port, size);
+    // Wall-clock bound: generous enough for a proxied `pager_init` on a
+    // loaded 2-core host; the common case returns within a poll or two.
+    let initialized = machsim::wall::poll_until(
+        std::time::Duration::from_secs(5),
+        std::time::Duration::from_millis(2),
+        || object.cluster_hint() == 1,
+    );
+    if !initialized {
+        // The caller must see the timeout, whatever unmapping says.
+        let _ = task.vm_deallocate(addr, size);
+        return Err(VmError::Timeout);
+    }
+    Ok(addr)
 }
 
 impl Drop for ShmDirectory {
@@ -854,5 +868,35 @@ mod tests {
         let mut b = [0u8; 1];
         t.read_memory(a2, &mut b).unwrap();
         assert_eq!(b[0], 0);
+    }
+
+    #[test]
+    fn fault_right_after_directory_request_is_answered() {
+        // Regression: `request` used to return as soon as the region was
+        // mapped, so this fault could reach the server before the
+        // kernel's `pager_init`, find no session and wait forever. The
+        // timeout turns that hang into a failure.
+        let fabric = Fabric::new();
+        let hs = fabric.add_host("server");
+        let ha = fabric.add_host("alpha");
+        let config = KernelConfig {
+            fault_policy: machvm::FaultPolicy {
+                pager_timeout: Some(Duration::from_secs(5)),
+                ..machvm::FaultPolicy::default()
+            },
+            ..KernelConfig::default()
+        };
+        let ka = Kernel::boot_on(ha.machine().clone(), config);
+        let t = Task::create(&ka, "t");
+        let dir = ShmDirectory::start(&fabric, &hs, GrantPolicy::ReadLocked);
+        for i in 0..200 {
+            let name = format!("region-{i}");
+            let (addr, _) = ShmDirectory::request(&fabric, dir.port(), &hs, &ha, &t, &name, PAGE)
+                .expect("the directory maps a fresh region");
+            let mut b = [0xFFu8; 1];
+            t.read_memory(addr, &mut b)
+                .expect("the first fault on a fresh region is answered");
+            assert_eq!(b[0], 0, "region {i} starts zeroed");
+        }
     }
 }

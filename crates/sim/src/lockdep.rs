@@ -1,12 +1,12 @@
 //! Runtime witness for the declared kernel lock hierarchies.
 //!
-//! The resident-memory fault path and the IPC port fast path may nest
-//! locks only in the documented order (see the Concurrency sections of
+//! The resident-memory fault path and IPC ports may nest locks only in
+//! the documented order (see the Concurrency sections of
 //! `machvm::resident` and `machipc::port`):
 //!
 //! ```text
 //! run queue → fault table → shard table → frame meta → frame data
-//!           → queues/free-list → NUMA pool → port control → port shard
+//!           → queues/free-list → NUMA pool → port
 //! ```
 //!
 //! `machlint`'s L1 lint checks that order *statically* against every
@@ -77,21 +77,16 @@ pub enum LockClass {
     /// free lists live under [`LockClass::Queues`], so nothing acquires
     /// this rank yet.
     NumaPool = 6,
-    /// An IPC port's control plane (`PortCore::control`): death state,
-    /// subscriptions, port-set wakers and the RPC handoff slot. Ranked
+    /// An IPC port (`PortCore::control`): its message queue, backlog,
+    /// death state, subscriptions and port-set wakers. Innermost, ranked
     /// after every VM class because pager paths send messages while the
     /// fault path's locks are (transitively) pinned, never vice versa.
-    PortControl = 7,
-    /// One sub-queue of an IPC port's sharded message queue
-    /// (`PortShard::ring`). Innermost: a shard is locked only to push or
-    /// pop messages, sometimes while the port's control lock is held
-    /// (receiver re-scan), never the other way around.
-    PortShard = 8,
+    Port = 7,
 }
 
 impl LockClass {
     /// Every class, in rank order (indexable by [`LockClass::rank`]).
-    pub const ALL: [LockClass; 9] = [
+    pub const ALL: [LockClass; 8] = [
         LockClass::RunQueue,
         LockClass::FaultTable,
         LockClass::Shard,
@@ -99,8 +94,7 @@ impl LockClass {
         LockClass::FrameData,
         LockClass::Queues,
         LockClass::NumaPool,
-        LockClass::PortControl,
-        LockClass::PortShard,
+        LockClass::Port,
     ];
 
     /// Position in the hierarchy; lower ranks must be taken first.
@@ -118,8 +112,7 @@ impl LockClass {
             LockClass::FrameData => "frame-data",
             LockClass::Queues => "queues",
             LockClass::NumaPool => "numa-pool",
-            LockClass::PortControl => "port-control",
-            LockClass::PortShard => "port-shard",
+            LockClass::Port => "port",
         }
     }
 }
@@ -134,8 +127,8 @@ struct ClassStats {
     hold_ns: Histogram,
 }
 
-fn class_stats() -> &'static [ClassStats; 9] {
-    static STATS: OnceLock<[ClassStats; 9]> = OnceLock::new();
+fn class_stats() -> &'static [ClassStats; LockClass::ALL.len()] {
+    static STATS: OnceLock<[ClassStats; LockClass::ALL.len()]> = OnceLock::new();
     STATS.get_or_init(|| {
         std::array::from_fn(|_| ClassStats {
             acquisitions: AtomicU64::new(0),
@@ -244,7 +237,7 @@ mod witness {
                     panic!(
                         "lockdep: acquired '{}' (rank {}) while holding '{}' (rank {}); \
                          the hierarchy is run-queue → fault-table → shard → frame-meta → \
-                         frame-data → queues → numa-pool → port-control → port-shard",
+                         frame-data → queues → numa-pool → port",
                         class.name(),
                         class.rank(),
                         earlier.name(),

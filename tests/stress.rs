@@ -216,10 +216,11 @@ fn port_churn_with_live_traffic() {
 }
 
 #[test]
-fn ipc_storm_exercises_sharded_batched_and_handoff_paths() {
-    // Model-checks the port lock hierarchy (port-control -> port-shard)
-    // under the lockdep witness: mixed batched and single sends from many
-    // threads, batched receives, RPC handoffs and port death all racing.
+fn ipc_storm_exercises_batched_single_and_handoff_sends() {
+    // Runs the port lock under the lockdep witness (innermost rank: a
+    // port is never held while a VM lock is taken): mixed batched and
+    // single sends from many threads, batched receives, RPC handoffs and
+    // port death all racing.
     let kernel = Kernel::boot(KernelConfig::default());
     let machine = kernel.machine().clone();
     let (rx, tx) = machipc::ReceiveRight::allocate(&machine);
@@ -244,8 +245,8 @@ fn ipc_storm_exercises_sharded_batched_and_handoff_paths() {
                 }
             });
         }
-        // An RPC pair on the side keeps the handoff slot hot while the
-        // main port churns.
+        // An RPC pair on the side sends handoffs while the main port
+        // churns.
         let (srv_rx, srv_tx) = machipc::ReceiveRight::allocate(&machine);
         s.spawn(move || {
             while let Ok(req) = srv_rx.receive(None) {
