@@ -7,17 +7,21 @@
 //! notification path so the kernel can never be blocked by a slow manager.
 //!
 //! The backend also implements the starvation protection of Section 6.2.2:
-//! dirty data handed to a manager with `pager_data_write` is *laundry* the
-//! manager owes a release for. "If the data manager does not process and
-//! release the data within an adequate period of time, the data may then
-//! be paged out to the default pager": a manager whose laundry has stayed
-//! over a threshold, with no release, past a deadline loses further
+//! dirty data handed to a manager with `pager_data_write` is *laundry*
+//! until the manager lets go of it. "If the data manager does not process
+//! and release the data within an adequate period of time, the data may
+//! then be paged out to the default pager": a manager whose laundry has
+//! stayed over a threshold, with no release, past a deadline loses further
 //! pageouts to the default pager — "In this way, the kernel is protected
-//! from starvation by errant data managers." A page diverted that way is
-//! remembered, and the next request for it goes where the data went.
+//! from starvation by errant data managers." The release is the manager's
+//! `vm_deallocate`, a memory operation, so the kernel learns of it from
+//! memory: it keeps a watch on every buffer it sends and sees the last
+//! handle go. No message acknowledges a pageout. A page diverted to the
+//! default pager is remembered, and the next request for it goes where
+//! the data went.
 
 use crate::proto;
-use machipc::{Message, MsgItem, OolBuffer, SendRight};
+use machipc::{Message, MsgItem, OolBuffer, OolWatch, SendRight};
 use machsim::{wall, Machine};
 use machvm::{ObjectId, PagerBackend, PagerRequest, VmProt};
 use std::collections::HashSet;
@@ -39,40 +43,46 @@ pub const DEFAULT_LAUNDRY_LIMIT: u64 = 64 * 4096;
 /// milliseconds of getting the CPU, a hoarder never does.
 pub const LAUNDRY_DEADLINE: Duration = Duration::from_millis(100);
 
-/// Per-manager laundry accounting.
+/// Per-manager laundry: the written-back buffers the manager still holds.
 #[derive(Debug, Default)]
-pub struct LaundryState {
-    outstanding: AtomicU64,
-    /// Releases ever credited: a change tells the backend the manager is
+struct LaundryState {
+    /// Every buffer sent and not yet seen dead, with its size.
+    alive: Vec<(OolWatch, u64)>,
+    /// Buffers seen dead so far: a change tells the backend the manager is
     /// alive, whatever the balance.
-    releases: AtomicU64,
+    releases: u64,
+    /// Set by the first pageout that finds the manager over its limit:
+    /// the release count at that moment and when its grace runs out. A
+    /// release in between re-arms it.
+    on_notice: Option<(u64, wall::Deadline)>,
 }
 
 impl LaundryState {
-    /// Bytes written to the manager and not yet released.
-    pub fn outstanding(&self) -> u64 {
-        self.outstanding.load(Ordering::Relaxed)
+    /// Records `data` as handed to the manager.
+    fn charge(&mut self, data: &OolBuffer) {
+        self.alive.push((data.watch(), data.len() as u64));
     }
 
-    /// Records `bytes` of data handed to the manager.
-    pub fn charge(&self, bytes: u64) {
-        self.outstanding.fetch_add(bytes, Ordering::Relaxed);
+    /// Bytes written to the manager that it has not let go of. A buffer
+    /// found dead here is one release (the manager's `vm_deallocate`).
+    fn outstanding(&mut self) -> u64 {
+        let sent = self.alive.len();
+        self.alive.retain(|(watch, _)| !watch.is_released());
+        self.releases += (sent - self.alive.len()) as u64;
+        self.alive.iter().map(|(_, bytes)| bytes).sum()
     }
 
-    /// Records that the manager released `bytes` (its `vm_deallocate`).
-    pub fn release(&self, bytes: u64) {
-        self.releases.fetch_add(1, Ordering::Relaxed);
-        let mut cur = self.outstanding.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_sub(bytes);
-            match self.outstanding.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
+    /// Whether a pageout of `bytes` finds the manager errant: over `limit`
+    /// since a deadline ago, with no release in between. Never waits.
+    fn is_errant(&mut self, bytes: u64, limit: u64) -> bool {
+        if self.outstanding() + bytes <= limit {
+            return false;
+        }
+        match self.on_notice {
+            Some((seen, deadline)) if seen == self.releases => deadline.expired(),
+            _ => {
+                self.on_notice = Some((self.releases, wall::Deadline::after(LAUNDRY_DEADLINE)));
+                false
             }
         }
     }
@@ -91,14 +101,11 @@ pub struct IpcPagerBackend {
     /// that expect a response ("specifying the pager request port to which
     /// the data should be returned").
     request: SendRight,
-    /// Laundry accounting for starvation protection.
-    laundry: Arc<LaundryState>,
+    /// Laundry accounting for starvation protection: the buffers *this*
+    /// backend sent, so a page diverted to the fallback is the fallback's.
+    laundry: parking_lot::Mutex<LaundryState>,
     /// Outstanding laundry beyond which the manager must keep releasing.
     laundry_limit: AtomicU64,
-    /// Set by the first pageout that finds the manager over its limit:
-    /// the release count at that moment and when its grace runs out. A
-    /// release in between re-arms it.
-    on_notice: parking_lot::Mutex<Option<(u64, wall::Deadline)>>,
     /// Where diverted pageouts go (`None` for the default pager itself).
     fallback: RwLock<Weak<dyn PagerBackend>>,
     /// Pages whose latest contents went to the fallback instead of the
@@ -130,9 +137,8 @@ impl IpcPagerBackend {
             machine: machine.clone(),
             manager,
             request,
-            laundry: Arc::new(LaundryState::default()),
+            laundry: parking_lot::Mutex::new(LaundryState::default()),
             laundry_limit: AtomicU64::new(DEFAULT_LAUNDRY_LIMIT),
-            on_notice: parking_lot::Mutex::new(None),
             fallback: RwLock::new(Weak::<IpcPagerBackend>::new()),
             diverted: parking_lot::Mutex::new(HashSet::new()),
             page_size: page_size.max(1) as u64,
@@ -162,12 +168,6 @@ impl IpcPagerBackend {
         *self.on_terminate_object.lock() = Some(Box::new(hook));
     }
 
-    /// This manager's laundry account (shared with the kernel service loop,
-    /// which credits releases).
-    pub fn laundry(&self) -> Arc<LaundryState> {
-        self.laundry.clone()
-    }
-
     /// The memory object port this backend drives.
     pub fn manager_port(&self) -> &SendRight {
         &self.manager
@@ -179,24 +179,6 @@ impl IpcPagerBackend {
 
     fn fallback(&self) -> Option<Arc<dyn PagerBackend>> {
         self.fallback.read().expect("lock poisoned").upgrade()
-    }
-
-    /// Whether a pageout of `bytes` finds the manager errant: over its
-    /// laundry limit since a deadline ago, with no release in between.
-    /// Never waits — the caller may be the thread that processes releases.
-    fn is_errant(&self, bytes: u64) -> bool {
-        if self.laundry.outstanding() + bytes <= self.laundry_limit.load(Ordering::Relaxed) {
-            return false;
-        }
-        let releases = self.laundry.releases.load(Ordering::Relaxed);
-        let mut notice = self.on_notice.lock();
-        match *notice {
-            Some((seen, deadline)) if seen == releases => deadline.expired(),
-            _ => {
-                *notice = Some((releases, wall::Deadline::after(LAUNDRY_DEADLINE)));
-                false
-            }
-        }
     }
 
     /// Cuts `[offset, offset + length)` into maximal runs that all went to
@@ -299,7 +281,8 @@ impl PagerBackend for IpcPagerBackend {
         let bytes = data.len() as u64;
         let pages =
             (0..bytes.div_ceil(self.page_size)).map(|i| (object, offset + i * self.page_size));
-        if self.is_errant(bytes) {
+        let limit = self.laundry_limit.load(Ordering::Relaxed);
+        if self.laundry.lock().is_errant(bytes, limit) {
             // Starvation protection: the manager has sat on too much
             // unreleased laundry for too long; page to the default pager
             // instead, and remember that these pages now live there.
@@ -321,7 +304,7 @@ impl PagerBackend for IpcPagerBackend {
                 }
             }
         }
-        self.laundry.charge(bytes);
+        self.laundry.lock().charge(&data);
         self.manager.send_notification(
             machipc::slab::message(proto::PAGER_DATA_WRITE)
                 .with(self.ids(&[object.0, offset]))
@@ -343,9 +326,22 @@ impl PagerBackend for IpcPagerBackend {
         // hook drops the kernel's receive rights) plus an explicit
         // PAGER_TERMINATE message so multi-object managers — the default
         // pager above all — can free that object's backing storage.
-        self.machine
-            .stats
-            .incr(machsim::stats::keys::EMM_OBJECTS_TERMINATED);
+        let had_diverted = {
+            let mut diverted = self.diverted.lock();
+            let before = diverted.len();
+            diverted.retain(|(o, _)| *o != object);
+            diverted.len() != before
+        };
+        // An object with pages at the fallback has paging blocks there to
+        // free: the fallback's own termination says so, and counts the
+        // object for both.
+        match had_diverted.then(|| self.fallback()).flatten() {
+            Some(fallback) => fallback.terminate(object),
+            None => self
+                .machine
+                .stats
+                .incr(machsim::stats::keys::EMM_OBJECTS_TERMINATED),
+        }
         self.manager
             .send_notification(Message::new(proto::PAGER_TERMINATE).with(self.ids(&[object.0])));
         if let Some(hook) = self.on_terminate.lock().take() {
@@ -392,23 +388,34 @@ mod tests {
     }
 
     #[test]
-    fn data_write_carries_ool_and_charges_laundry() {
+    fn data_write_carries_ool_and_the_laundry_is_the_buffer() {
         let (_m, mgr_rx, _req_rx, b) = setup();
         b.data_write(ObjectId(3), 0, OolBuffer::from_vec(vec![1u8; 4096]));
-        assert_eq!(b.laundry().outstanding(), 4096);
+        assert_eq!(b.laundry.lock().outstanding(), 4096);
         let msg = mgr_rx.receive(None).unwrap();
         assert_eq!(msg.id, proto::PAGER_DATA_WRITE);
         assert_eq!(msg.body[1].as_ool().unwrap().len(), 4096);
-        b.laundry().release(4096);
-        assert_eq!(b.laundry().outstanding(), 0);
+        assert_eq!(b.laundry.lock().outstanding(), 4096, "the manager has it");
+        drop(msg);
+        assert_eq!(b.laundry.lock().outstanding(), 0);
     }
 
     #[test]
-    fn laundry_release_saturates() {
-        let l = LaundryState::default();
-        l.charge(10);
-        l.release(100);
-        assert_eq!(l.outstanding(), 0);
+    fn laundry_is_the_buffers_still_alive() {
+        let mut l = LaundryState::default();
+        let (a, b) = (page(), OolBuffer::from_vec(vec![0; 8192]));
+        l.charge(&a);
+        l.charge(&b);
+        assert_eq!((l.outstanding(), l.releases), (4096 + 8192, 0));
+        // A dropped buffer is one release, whatever its size.
+        drop(b);
+        assert_eq!((l.outstanding(), l.releases), (4096, 1));
+        // A kept clone keeps the debt: the pages are still the manager's.
+        let kept = a.clone();
+        drop(a);
+        assert_eq!((l.outstanding(), l.releases), (4096, 1));
+        drop(kept);
+        assert_eq!((l.outstanding(), l.releases), (0, 2));
     }
 
     /// A fallback that records what reaches it.
@@ -416,6 +423,7 @@ mod tests {
     struct Sink {
         writes: Mutex<Vec<u64>>,
         requests: Mutex<Vec<(u64, u64)>>,
+        terminated: Mutex<Vec<u64>>,
     }
 
     impl PagerBackend for Sink {
@@ -426,6 +434,9 @@ mod tests {
             self.writes.lock().push(off);
         }
         fn data_unlock(&self, _o: ObjectId, _off: u64, _l: u64, _a: VmProt) {}
+        fn terminate(&self, o: ObjectId) {
+            self.terminated.lock().push(o.0);
+        }
     }
 
     fn page() -> OolBuffer {
@@ -456,12 +467,12 @@ mod tests {
             (sink.writes.lock().clone(), takeovers()),
             (vec![pages * 4096], 1)
         );
-        // One release — still over the limit — and the manager is merely
-        // on notice again.
-        b.laundry().release(4096);
+        // One release (the manager receives a page and lets it go) — still
+        // over the limit — and the manager is merely on notice again.
+        drop(mgr_rx.try_receive().expect("the first page written"));
         b.data_write(ObjectId(1), (pages + 1) * 4096, page());
         assert_eq!(takeovers(), 1);
-        let mut received = 0;
+        let mut received = 1;
         while mgr_rx.try_receive().is_some() {
             received += 1;
         }
@@ -480,6 +491,7 @@ mod tests {
         b.data_write(ObjectId(1), 2 * 4096, page());
         b.data_write(ObjectId(1), 3 * 4096, page());
         assert_eq!(*sink.writes.lock(), vec![2 * 4096, 3 * 4096]);
+        // The manager drains its port, letting go of page 0: one release.
         while mgr_rx.try_receive().is_some() {}
 
         // A six-page run over the two diverted pages: three requests, the
@@ -504,12 +516,35 @@ mod tests {
             vec![vec![0, 2 * 4096], vec![4 * 4096, 2 * 4096]]
         );
 
-        // The manager releases and is written page 2 again: it holds the
-        // newest copy, and a request for page 2 is its own once more.
-        b.laundry().release(4096);
+        // The manager has released since its notice and is written page 2
+        // again: it holds the newest copy, and a request for page 2 is its
+        // own once more.
         b.data_write(ObjectId(1), 2 * 4096, page());
         b.data_request(ObjectId(1), 2 * 4096, 2 * 4096, VmProt::READ);
         assert_eq!(sink.requests.lock()[1..], [(3 * 4096, 4096)]);
+    }
+
+    #[test]
+    fn terminating_an_object_with_diverted_pages_tells_the_fallback() {
+        let (m, _mgr_rx, _req_rx, b) = setup();
+        let sink = Arc::new(Sink::default());
+        let sink_dyn: Arc<dyn PagerBackend> = sink.clone();
+        b.set_fallback(&sink_dyn);
+        b.set_laundry_limit(0);
+        b.data_write(ObjectId(1), 0, page()); // puts the manager on notice
+        wall::sleep(LAUNDRY_DEADLINE + Duration::from_millis(20));
+        b.data_write(ObjectId(1), 4096, page());
+        assert_eq!(*sink.writes.lock(), vec![4096]);
+        let terminated = || m.stats.get(machsim::stats::keys::EMM_OBJECTS_TERMINATED);
+        // Nothing of object 2 is at the fallback: the count is this
+        // backend's. Object 1's is the fallback's to make (the sink makes
+        // none), and a second notice finds nothing diverted any more.
+        b.terminate(ObjectId(2));
+        assert_eq!((sink.terminated.lock().clone(), terminated()), (vec![], 1));
+        b.terminate(ObjectId(1));
+        assert_eq!((sink.terminated.lock().clone(), terminated()), (vec![1], 1));
+        b.terminate(ObjectId(1));
+        assert_eq!((sink.terminated.lock().clone(), terminated()), (vec![1], 2));
     }
 
     #[test]

@@ -115,13 +115,14 @@ impl KernelConn {
         );
     }
 
-    /// Tells the kernel the manager has secured written-back data (the
-    /// `vm_deallocate` the protocol expects after `pager_data_write`).
+    /// The manager's `vm_deallocate` of data it was sent with
+    /// `pager_data_write` and has secured. A Table 3-3 call on the
+    /// manager's own address space, not a message: the kernel sees the
+    /// pages themselves go (when the last handle on the buffer drops) and
+    /// believes the memory, not the call.
     pub fn release_laundry(&self, object: u64, bytes: u64) {
-        self.send(
-            machipc::slab::message(proto::PAGER_RELEASE_LAUNDRY)
-                .with(MsgItem::u64s(&[object, bytes])),
-        );
+        let _ = (object, bytes);
+        self.machine.clock.charge(self.machine.cost.syscall_ns);
     }
 
     /// Advises the kernel to request at most `pages` pages of this object
@@ -271,67 +272,58 @@ fn dispatch<M: DataManager>(
     mut msg: Message,
 ) -> bool {
     let ids = u64s_of(&msg);
-    match msg.id {
-        proto::PAGER_INIT => {
-            let mut rights = rights_of(&mut msg);
-            if !rights.is_empty() {
-                let request = rights.remove(0);
-                // Watch the request port so kernel detach is observed.
-                request.subscribe_death(self_port);
-                let conn = KernelConn::new(machine, request);
-                mgr.init(&conn, ids[0]);
-            }
+    // The kernel's request port, on the calls that carry one.
+    let conn = rights_of(&mut msg)
+        .into_iter()
+        .next()
+        .map(|request| KernelConn::new(machine, request));
+    // Any holder of a memory-object send right can put anything on this
+    // queue: decode by shape, and drop (counted) what is too short or has
+    // no request port instead of indexing past its end.
+    match (msg.id, ids.as_slice(), conn) {
+        (proto::PAGER_INIT, &[object, ..], Some(conn)) => {
+            // Watch the request port so kernel detach is observed.
+            conn.request_port().subscribe_death(self_port);
+            mgr.init(&conn, object);
         }
-        proto::PAGER_CREATE => {
-            let mut rights = rights_of(&mut msg);
-            if !rights.is_empty() {
-                let request = rights.remove(0);
-                request.subscribe_death(self_port);
-                let conn = KernelConn::new(machine, request);
-                mgr.create(&conn, ids[0]);
-            }
+        (proto::PAGER_CREATE, &[object, ..], Some(conn)) => {
+            conn.request_port().subscribe_death(self_port);
+            mgr.create(&conn, object);
         }
-        proto::PAGER_DATA_REQUEST => {
-            let mut rights = rights_of(&mut msg);
-            if !rights.is_empty() {
-                // The service thread adopted the fault's correlation id
-                // when it dequeued this message, so the event (and any
-                // disk reads the manager performs) lands in the chain.
-                machine.trace_event(&format!("pager.{label}"), machsim::EventKind::DataRequest);
-                // The service span covers the manager's whole handling of
-                // one request, and becomes the thread's current span so
-                // the reply send (inside `data_request`) nests under it.
-                let sp = machine.span_open("pager.service");
-                let _inside = machsim::trace::SpanScope::enter(sp);
-                let conn = KernelConn::new(machine, rights.remove(0));
-                mgr.data_request(&conn, ids[0], ids[1], ids[2], VmProt(ids[3] as u8));
-                machine.span_close("pager.service", sp);
-            }
+        // This kernel's own `pager_create` names no request port (the
+        // default pager learns it from the first request or write).
+        (proto::PAGER_CREATE, &[_, ..], None) => {}
+        (proto::PAGER_DATA_REQUEST, &[object, offset, length, access, ..], Some(conn)) => {
+            // The service thread adopted the fault's correlation id when
+            // it dequeued this message, so the event (and any disk reads
+            // the manager performs) lands in the chain.
+            machine.trace_event(&format!("pager.{label}"), machsim::EventKind::DataRequest);
+            // The service span covers the manager's whole handling of one
+            // request, and becomes the thread's current span so the reply
+            // send (inside `data_request`) nests under it.
+            let sp = machine.span_open("pager.service");
+            let _inside = machsim::trace::SpanScope::enter(sp);
+            mgr.data_request(&conn, object, offset, length, VmProt(access as u8));
+            machine.span_close("pager.service", sp);
         }
-        proto::PAGER_DATA_UNLOCK => {
-            let mut rights = rights_of(&mut msg);
-            if !rights.is_empty() {
-                let conn = KernelConn::new(machine, rights.remove(0));
-                mgr.data_unlock(&conn, ids[0], ids[1], ids[2], VmProt(ids[3] as u8));
-            }
+        (proto::PAGER_DATA_UNLOCK, &[object, offset, length, access, ..], Some(conn)) => {
+            mgr.data_unlock(&conn, object, offset, length, VmProt(access as u8));
         }
-        proto::PAGER_DATA_WRITE => {
+        (proto::PAGER_DATA_WRITE, &[object, offset, ..], Some(conn)) => {
+            // The data is laundry until every handle on it is gone: the
+            // manager's when `data_write` lets go, the message's below.
             let data = ool_of(&msg).unwrap_or_else(|| OolBuffer::from_vec(Vec::new()));
-            let mut rights = rights_of(&mut msg);
-            if !rights.is_empty() {
-                let conn = KernelConn::new(machine, rights.remove(0));
-                mgr.data_write(&conn, ids[0], ids[1], data);
-            }
+            mgr.data_write(&conn, object, offset, data);
         }
-        proto::PAGER_TERMINATE => {
-            if let Some(&object) = ids.first() {
-                mgr.object_terminated(object);
-            }
+        (proto::PAGER_TERMINATE, &[object, ..], _) => mgr.object_terminated(object),
+        (MSG_ID_PORT_DEATH, ids, _) => mgr.kernel_detached(ids.first().copied().unwrap_or(0)),
+        (proto::KERNEL_SHUTDOWN, ..) => return false,
+        // A Table 3-5 id none of the shapes above matched.
+        (proto::PAGER_INIT..=proto::PAGER_TERMINATE, ..) => {
+            machine
+                .stats
+                .incr(machsim::stats::keys::EMM_MALFORMED_DROPPED);
         }
-        MSG_ID_PORT_DEATH => {
-            mgr.kernel_detached(ids.first().copied().unwrap_or(0));
-        }
-        proto::KERNEL_SHUTDOWN => return false,
         _ => {}
     }
     // Retire the drained message's buffers to the slab so the next
@@ -489,7 +481,7 @@ mod tests {
     }
 
     #[test]
-    fn default_data_write_releases_laundry() {
+    fn default_data_write_lets_go_of_the_data_and_sends_nothing() {
         struct W;
         impl DataManager for W {
             fn data_request(&mut self, _k: &KernelConn, _o: u64, _off: u64, _l: u64, _a: VmProt) {}
@@ -497,14 +489,71 @@ mod tests {
         let m = Machine::default_machine();
         let handle = spawn_manager(&m, "w", W);
         let (req_rx, req_tx) = ReceiveRight::allocate(&m);
+        let data = OolBuffer::from_vec(vec![0; 4096]);
+        let watch = data.watch();
         handle.port().send_notification(
             Message::new(proto::PAGER_DATA_WRITE)
                 .with(MsgItem::u64s(&[9, 0]))
-                .with(MsgItem::OutOfLine(OolBuffer::from_vec(vec![0; 4096])))
+                .with(MsgItem::OutOfLine(data))
+                .with(MsgItem::SendRights(vec![req_tx])),
+        );
+        handle.shutdown();
+        assert!(watch.is_released(), "the release is the buffer going away");
+        assert!(req_rx.try_receive().is_none(), "and not a message");
+    }
+
+    #[test]
+    fn truncated_kernel_messages_are_counted_not_a_panic() {
+        let m = Machine::default_machine();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let handle = spawn_manager(
+            &m,
+            "const",
+            ConstPager {
+                fill: 7,
+                log: log.clone(),
+            },
+        );
+        let (req_rx, req_tx) = ReceiveRight::allocate(&m);
+        // Every Table 3-5 id with one id short of its shape, then with no
+        // request port at all (`pager_create` legitimately carries none).
+        let shapes = [
+            (proto::PAGER_INIT, 1),
+            (proto::PAGER_DATA_REQUEST, 4),
+            (proto::PAGER_DATA_WRITE, 2),
+            (proto::PAGER_DATA_UNLOCK, 4),
+            (proto::PAGER_CREATE, 1),
+            (proto::PAGER_TERMINATE, 1),
+        ];
+        let mut malformed = 0;
+        for (id, ids) in shapes {
+            handle.port().send_notification(
+                Message::new(id)
+                    .with(MsgItem::u64s(&vec![42; ids - 1]))
+                    .with(MsgItem::SendRights(vec![req_tx.clone()])),
+            );
+            malformed += 1;
+            if !matches!(id, proto::PAGER_CREATE | proto::PAGER_TERMINATE) {
+                handle
+                    .port()
+                    .send_notification(Message::new(id).with(MsgItem::u64s(&vec![42; ids])));
+                malformed += 1;
+            }
+        }
+        // The manager thread survived all of it: an honest request is
+        // still answered.
+        handle.port().send_notification(
+            Message::new(proto::PAGER_DATA_REQUEST)
+                .with(MsgItem::u64s(&[42, 8192, 4096, VmProt::READ.0 as u64]))
                 .with(MsgItem::SendRights(vec![req_tx])),
         );
         let reply = req_rx.receive(Some(Duration::from_secs(5))).unwrap();
-        assert_eq!(reply.id, proto::PAGER_RELEASE_LAUNDRY);
-        assert_eq!(u64s_of(&reply), vec![9, 4096]);
+        assert_eq!(reply.id, proto::PAGER_DATA_PROVIDED);
+        handle.shutdown();
+        assert_eq!(
+            m.stats.get(machsim::stats::keys::EMM_MALFORMED_DROPPED),
+            malformed
+        );
+        assert_eq!(*log.lock(), vec!["request 42 8192".to_string()]);
     }
 }

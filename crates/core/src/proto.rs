@@ -27,8 +27,14 @@
 //! | [`PAGER_CLEAN_REQUEST`] | `pager_clean_request` | u64s `[object, offset, length]` |
 //! | [`PAGER_CACHE`] | `pager_cache` | u64s `[object, may_cache]` |
 //! | [`PAGER_DATA_UNAVAILABLE`] | `pager_data_unavailable` | u64s `[object, offset, size]` |
-//! | [`PAGER_RELEASE_LAUNDRY`] | (vm_deallocate of written data) | u64s `[object, bytes]` |
 //! | [`PAGER_SET_CLUSTER`] | (cluster-size attribute) | u64s `[object, pages]` |
+//!
+//! No message acknowledges a `pager_data_write`. The manager's release of
+//! the written data is its `vm_deallocate` — a memory operation — and the
+//! kernel observes the memory: it watches the out-of-line buffer it sent
+//! and sees the last handle go (`machcore::backend`). Id `0x2306`, once
+//! that acknowledgement, stays unassigned inside the Table 3-6 range, so
+//! an old manager's message is counted in `emm.malformed_dropped`.
 //!
 //! Any task → kernel (sent to the *host port*, in the style of Mach's
 //! `host_info`/`vm_statistics` — introspection is just another message
@@ -79,10 +85,6 @@ pub const PAGER_CLEAN_REQUEST: u32 = 0x2303;
 pub const PAGER_CACHE: u32 = 0x2304;
 /// Manager → kernel: no data exists for the region (Table 3-6).
 pub const PAGER_DATA_UNAVAILABLE: u32 = 0x2305;
-/// Manager → kernel: the manager has secured written-back data and the
-/// kernel may retire the corresponding laundry debt (the `vm_deallocate`
-/// the paper expects after `pager_data_write`).
-pub const PAGER_RELEASE_LAUNDRY: u32 = 0x2306;
 /// Manager → kernel: cap cluster paging for the object at the given
 /// number of pages per `pager_data_request` (the cluster-size attribute
 /// of `memory_object_set_attributes` in later Mach; 1 disables prefetch).
@@ -135,7 +137,6 @@ mod tests {
             PAGER_CLEAN_REQUEST,
             PAGER_CACHE,
             PAGER_DATA_UNAVAILABLE,
-            PAGER_RELEASE_LAUNDRY,
             PAGER_SET_CLUSTER,
             HOST_STATISTICS,
             HOST_STATISTICS_REPLY,

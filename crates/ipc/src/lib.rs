@@ -30,7 +30,7 @@ pub mod slab;
 pub mod space;
 
 pub use error::IpcError;
-pub use message::{Message, MsgItem, OolBuffer, TypeTag, MSG_ID_PORT_DEATH};
+pub use message::{Message, MsgItem, OolBuffer, OolWatch, TypeTag, MSG_ID_PORT_DEATH};
 pub use port::{PortId, PortStatus, ReceiveRight, SendRight, DEFAULT_BACKLOG};
 pub use space::{PortName, PortSpace};
 

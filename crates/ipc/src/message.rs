@@ -20,7 +20,7 @@
 
 use crate::port::{ReceiveRight, SendRight};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Message id carried by kernel-generated port death notifications.
 pub const MSG_ID_PORT_DEATH: u32 = 0xDEAD;
@@ -48,22 +48,23 @@ pub enum TypeTag {
 /// copy (the "write fault").
 #[derive(Clone)]
 pub struct OolBuffer {
-    bytes: Arc<[u8]>,
+    /// The pages hang off the counted block instead of living in it, so
+    /// they are freed with the last handle even while an [`OolWatch`]
+    /// still looks at the block.
+    bytes: Arc<Vec<u8>>,
 }
 
 impl OolBuffer {
     /// Snapshots a byte slice into an out-of-line buffer (one-time copy at
     /// the sender, standing in for the sender's pages being write-protected).
     pub fn from_slice(bytes: &[u8]) -> Self {
-        Self {
-            bytes: Arc::from(bytes),
-        }
+        Self::from_vec(bytes.to_vec())
     }
 
     /// Wraps an owned vector without copying.
     pub fn from_vec(bytes: Vec<u8>) -> Self {
         Self {
-            bytes: Arc::from(bytes.into_boxed_slice()),
+            bytes: Arc::new(bytes),
         }
     }
 
@@ -106,6 +107,25 @@ impl OolBuffer {
     /// no physical copy has happened).
     pub fn shares_storage_with(&self, other: &OolBuffer) -> bool {
         Arc::ptr_eq(&self.bytes, &other.bytes)
+    }
+
+    /// A handle that sees when the pages are gone without keeping them
+    /// alive: the sender of a region it gave away can watch the receiver's
+    /// `vm_deallocate` happen. A watch is not a reference —
+    /// [`OolBuffer::is_exclusive`] ignores it.
+    pub fn watch(&self) -> OolWatch {
+        OolWatch(Arc::downgrade(&self.bytes))
+    }
+}
+
+/// Observes the lifetime of an [`OolBuffer`]'s pages; see [`OolBuffer::watch`].
+#[derive(Debug)]
+pub struct OolWatch(Weak<Vec<u8>>);
+
+impl OolWatch {
+    /// Whether every handle on the pages has been dropped.
+    pub fn is_released(&self) -> bool {
+        self.0.strong_count() == 0
     }
 }
 
@@ -331,6 +351,24 @@ mod tests {
         assert!(!a.is_exclusive() && !b.is_exclusive());
         drop(b);
         assert!(a.is_exclusive());
+    }
+
+    #[test]
+    fn ool_watch_sees_the_last_handle_go_and_is_not_a_handle() {
+        let a = OolBuffer::from_vec(vec![0; 8]);
+        let watch = a.watch();
+        assert!(a.is_exclusive(), "a watch is not a reference");
+        let b = a.clone();
+        drop(a);
+        assert!(!watch.is_released(), "a clone keeps the pages");
+        drop(b);
+        assert!(watch.is_released());
+        // An empty region is still a region somebody holds.
+        let empty = OolBuffer::from_vec(Vec::new());
+        let watch = empty.watch();
+        assert!(!watch.is_released());
+        drop(empty);
+        assert!(watch.is_released());
     }
 
     #[test]

@@ -402,7 +402,7 @@ include = ["crates"]
 exclude = ["compat"]
 
 [lock]
-hierarchy = ["shard", "frame-meta", "frame-data", "queues", "numa-pool"]
+hierarchy = ["shard", "frame-meta", "frame-data", "queues"]
 files = ["crates/vm/src/resident.rs"]
 
 [lock.fields]

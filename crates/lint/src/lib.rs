@@ -5,7 +5,7 @@
 //!
 //! - **L1 lock-order** — the resident-memory fault path must take its
 //!   locks in the declared hierarchy order (shard → frame-meta →
-//!   frame-data → queues → numa-pool); see `machvm::lockdep` for the
+//!   frame-data → queues); see `machvm::lockdep` for the
 //!   runtime half of this check.
 //! - **L2 sim-time** — simulation results must not depend on the host's
 //!   wall clock; real-time reads live only in the `machsim::wall`

@@ -204,7 +204,7 @@ mod tests {
 [scan]
 include = ["crates"]
 [lock]
-hierarchy = ["shard", "frame-meta", "frame-data", "queues", "numa-pool"]
+hierarchy = ["shard", "frame-meta", "frame-data", "queues"]
 files = ["vm.rs"]
 [lock.fields]
 state = "shard"

@@ -15,7 +15,7 @@ fn fixture_config() -> Config {
 include = ["tests"]
 
 [lock]
-hierarchy = ["shard", "frame-meta", "frame-data", "queues", "numa-pool"]
+hierarchy = ["shard", "frame-meta", "frame-data", "queues"]
 files = ["tests/fixtures/bad_lock_order.rs"]
 
 [lock.fields]
@@ -97,7 +97,7 @@ fn lock_order_respects_allowlist() {
 include = ["tests"]
 
 [lock]
-hierarchy = ["shard", "frame-meta", "frame-data", "queues", "numa-pool"]
+hierarchy = ["shard", "frame-meta", "frame-data", "queues"]
 files = ["tests/fixtures/bad_lock_order.rs"]
 
 [lock.fields]

@@ -9,8 +9,10 @@
 //! * [`SilentPager`] — "Data manager doesn't return data": threads block;
 //!   fault timeouts treat it like a communication failure.
 //! * [`SlowPager`] — responds after a delay; distinguishes timeout tuning.
-//! * [`HoarderPager`] — "Data manager fails to free flushed data": never
-//!   releases laundry; the kernel diverts pageouts to the default pager.
+//! * [`HoarderPager`] — "Data manager fails to free flushed data": holds
+//!   on to every written-back buffer. The kernel watches the buffers, not
+//!   a message, so it sees them stay and diverts pageouts to the default
+//!   pager.
 //! * [`ChangingPager`] — "Data manager changes data": supplies different
 //!   contents on every refresh.
 //! * [`FloodPager`] — "Data manager floods the cache": supplies far more
@@ -41,7 +43,8 @@ impl DataManager for SilentPager {
     }
 
     fn data_write(&mut self, _k: &KernelConn, _o: u64, _off: u64, _d: OolBuffer) {
-        // Swallow the data and never release the laundry either.
+        // Swallow the data. Dropping it is the release — the kernel sees
+        // the buffer die — so a silent pager is no hoarder.
     }
 }
 
@@ -75,7 +78,7 @@ impl DataManager for SlowPager {
     }
 }
 
-/// Supplies data but never releases written-back pages.
+/// Supplies data but never lets go of written-back pages.
 #[derive(Default)]
 pub struct HoarderPager {
     /// Bytes of laundry received and hoarded.
@@ -102,7 +105,7 @@ impl DataManager for HoarderPager {
     fn data_write(&mut self, _kernel: &KernelConn, _object: u64, _offset: u64, data: OolBuffer) {
         // "A data manager may wreak havok with the pageout process by
         // failing to promptly release memory following pageout": keep the
-        // buffer, send no release.
+        // buffer, for ever.
         self.hoarded.fetch_add(data.len() as u64, Ordering::Relaxed);
         std::mem::forget(data);
     }

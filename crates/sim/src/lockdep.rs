@@ -73,27 +73,22 @@ pub enum LockClass {
     FrameData = 4,
     /// The pageout queues and per-node free lists (`PhysicalMemory::queues`).
     Queues = 5,
-    /// Reserved for a dedicated per-node pool lock; today the per-node
-    /// free lists live under [`LockClass::Queues`], so nothing acquires
-    /// this rank yet.
-    NumaPool = 6,
     /// An IPC port (`PortCore::control`): its message queue, backlog,
     /// death state, subscriptions and port-set wakers. Innermost, ranked
     /// after every VM class because pager paths send messages while the
     /// fault path's locks are (transitively) pinned, never vice versa.
-    Port = 7,
+    Port = 6,
 }
 
 impl LockClass {
     /// Every class, in rank order (indexable by [`LockClass::rank`]).
-    pub const ALL: [LockClass; 8] = [
+    pub const ALL: [LockClass; 7] = [
         LockClass::RunQueue,
         LockClass::FaultTable,
         LockClass::Shard,
         LockClass::FrameMeta,
         LockClass::FrameData,
         LockClass::Queues,
-        LockClass::NumaPool,
         LockClass::Port,
     ];
 
@@ -111,7 +106,6 @@ impl LockClass {
             LockClass::FrameMeta => "frame-meta",
             LockClass::FrameData => "frame-data",
             LockClass::Queues => "queues",
-            LockClass::NumaPool => "numa-pool",
             LockClass::Port => "port",
         }
     }
@@ -237,7 +231,7 @@ mod witness {
                     panic!(
                         "lockdep: acquired '{}' (rank {}) while holding '{}' (rank {}); \
                          the hierarchy is run-queue → fault-table → shard → frame-meta → \
-                         frame-data → queues → numa-pool → port",
+                         frame-data → queues → port",
                         class.name(),
                         class.rank(),
                         earlier.name(),

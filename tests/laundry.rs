@@ -4,11 +4,14 @@
 //! limit before the manager's thread is ever scheduled; that burst is the
 //! manager's. A manager that then sits on it, releasing nothing, past the
 //! deadline loses further pageouts to the default pager — and the kernel
-//! remembers which pages went there. Everything is checked in counts and
+//! remembers which pages went there. The release is memory, not a
+//! message: the kernel watches the buffer it sent and sees the manager let
+//! go of it, so a pageout is one message and what a manager *says* about
+//! its laundry counts for nothing. Everything is checked in counts and
 //! bytes.
 
 use machcore::backend::LAUNDRY_DEADLINE;
-use machcore::{spawn_manager, DataManager, Kernel, KernelConfig, KernelConn, Task};
+use machcore::{spawn_manager, DataManager, Kernel, KernelConfig, KernelConn, ManagerHandle, Task};
 use machipc::OolBuffer;
 use machpagers::hostile::HoarderPager;
 use machsim::stats::keys;
@@ -25,12 +28,23 @@ fn eventually(what: &str, done: impl FnMut() -> bool) {
     assert!(held, "timed out waiting for {what}");
 }
 
+/// What a manager does with a written-back buffer once it has recorded it.
+enum Release {
+    /// Calls `release_laundry` and lets the buffer go: the honest manager.
+    Prompt,
+    /// Lets the buffer go without a word.
+    Silent,
+    /// Calls `release_laundry` and keeps a handle on every buffer.
+    SaysSoButKeeps(Vec<OolBuffer>),
+}
+
 /// Supplies zeroes, records which pages it was written, releases at once
 /// — once it runs: its first `data_write` waits for `scheduled`, standing
 /// in for a manager thread the host has not given the CPU yet.
 struct PromptPager {
     written: Arc<Mutex<BTreeSet<u64>>>,
     scheduled: Option<mpsc::Receiver<()>>,
+    release: Release,
 }
 
 impl DataManager for PromptPager {
@@ -47,43 +61,90 @@ impl DataManager for PromptPager {
         let pages = data.len() as u64 / PAGE;
         let mut written = self.written.lock().expect("written lock");
         written.extend((0..pages).map(|i| offset / PAGE + i));
-        k.release_laundry(object, data.len() as u64);
+        match &mut self.release {
+            Release::Prompt => k.release_laundry(object, data.len() as u64),
+            Release::Silent => {}
+            Release::SaysSoButKeeps(kept) => {
+                k.release_laundry(object, data.len() as u64);
+                kept.push(data);
+            }
+        }
     }
 }
 
-#[test]
-fn a_burst_a_healthy_manager_drains_is_delivered_to_the_manager() -> Result<(), VmError> {
-    // No daemon: the sweep below is the only pageout there is.
+/// A daemon-less kernel with `dirty` (every other page, so no two batch
+/// into one pageout) written through a [`PromptPager`] and deactivated:
+/// each `reclaim_pages(n)` is then exactly `n` single-page pageouts.
+struct Sweep {
+    // Field order is drop order: the task unmaps before the manager stops.
+    task: Arc<Task>,
+    mgr: ManagerHandle,
+    kernel: Arc<Kernel>,
+    dirty: BTreeSet<u64>,
+    written: Arc<Mutex<BTreeSet<u64>>>,
+}
+
+fn sweep(
+    pages: u64,
+    release: Release,
+    scheduled: Option<mpsc::Receiver<()>>,
+) -> Result<Sweep, VmError> {
+    // No daemon: the caller's sweeps are the only pageout there is.
     let kernel = Kernel::boot(KernelConfig {
         memory_bytes: 512 * PAGE as usize,
         pageout_daemon: false,
         ..KernelConfig::default()
     });
     let written = Arc::new(Mutex::new(BTreeSet::new()));
-    let (schedule, scheduled) = mpsc::channel();
     let mgr = spawn_manager(
         kernel.machine(),
         "prompt",
         PromptPager {
             written: written.clone(),
-            scheduled: Some(scheduled),
+            scheduled,
+            release,
         },
     );
-    // Declared after `mgr`, so dropped before it: if an assertion below
-    // fails, the manager is let go before its handle waits for it.
-    let schedule = schedule;
     let task = Task::create(&kernel, "writer");
-    let addr = task.vm_allocate_with_pager(None, 400 * PAGE, mgr.port(), 0)?;
-    // Every other page, so no two dirty pages batch into one pageout —
-    // from the top down, so no miss looks like a scan and reads ahead.
-    let dirty: BTreeSet<u64> = (0..200).map(|i| 2 * i + 1).collect();
+    let addr = task.vm_allocate_with_pager(None, 2 * pages * PAGE, mgr.port(), 0)?;
+    // From the top down, so no miss looks like a scan and reads ahead.
+    let dirty: BTreeSet<u64> = (0..pages).map(|i| 2 * i + 1).collect();
     for &page in dirty.iter().rev() {
         task.write_memory(addr + page * PAGE, &[1])?;
     }
-    let (phys, stats) = (kernel.phys(), &kernel.machine().stats);
     // Second chance: one pass clears reference bits, the next deactivates.
-    phys.balance_queues(200);
-    phys.balance_queues(200);
+    kernel.phys().balance_queues(pages as usize);
+    kernel.phys().balance_queues(pages as usize);
+    Ok(Sweep {
+        task,
+        mgr,
+        kernel,
+        dirty,
+        written,
+    })
+}
+
+impl Sweep {
+    fn takeovers(&self) -> u64 {
+        let stats = &self.kernel.machine().stats;
+        stats.get(keys::VM_DEFAULT_PAGER_TAKEOVERS)
+    }
+
+    fn manager_has(&self) -> usize {
+        self.written.lock().expect("written lock").len()
+    }
+}
+
+#[test]
+fn a_burst_a_healthy_manager_drains_is_delivered_to_the_manager() -> Result<(), VmError> {
+    let (schedule, scheduled) = mpsc::channel();
+    // `schedule` is declared after `s`, so dropped before it: if an
+    // assertion below fails, the manager is let go before its handle
+    // waits for it.
+    let s = sweep(200, Release::Prompt, Some(scheduled))?;
+    let schedule = schedule;
+    let (phys, stats) = (s.kernel.phys(), &s.kernel.machine().stats);
+    let sent = stats.get(keys::MSG_SENT);
     assert_eq!(phys.reclaim_pages(200), 200);
     assert_eq!(
         stats.get(keys::VM_PAGEOUTS),
@@ -92,10 +153,64 @@ fn a_burst_a_healthy_manager_drains_is_delivered_to_the_manager() -> Result<(), 
     );
     // More than three times the laundry limit in one call, and none of it
     // was taken from a manager that simply had not run yet.
-    assert_eq!(stats.get(keys::VM_DEFAULT_PAGER_TAKEOVERS), 0);
+    assert_eq!(s.takeovers(), 0);
     schedule.send(()).expect("the manager is waiting");
     eventually("the manager to have every page", || {
-        *written.lock().expect("written lock") == dirty
+        *s.written.lock().expect("written lock") == s.dirty
+    });
+    // One message per pageout, kernel to manager; the release is not one.
+    // (Stopping the manager first: its last `release_laundry` has returned.)
+    let Sweep { task, mgr, .. } = s;
+    mgr.shutdown();
+    assert_eq!(
+        stats.get(keys::MSG_SENT) - sent,
+        200 + 1,
+        "+1: the shutdown"
+    );
+    drop(task);
+    Ok(())
+}
+
+#[test]
+fn a_manager_that_lets_go_without_a_word_is_not_errant() -> Result<(), VmError> {
+    // Three bursts of the whole laundry limit, a deadline apart, to a
+    // manager that never calls `release_laundry`: the kernel saw every
+    // buffer die, so every page is the manager's.
+    let limit_pages = (machcore::backend::DEFAULT_LAUNDRY_LIMIT / PAGE) as usize;
+    let s = sweep(3 * limit_pages as u64, Release::Silent, None)?;
+    for burst in 1..=3 {
+        assert_eq!(s.kernel.phys().reclaim_pages(limit_pages), limit_pages);
+        eventually("the manager to have the burst", || {
+            s.manager_has() == burst * limit_pages
+        });
+        machsim::wall::sleep(LAUNDRY_DEADLINE + Duration::from_millis(50));
+    }
+    assert_eq!(s.takeovers(), 0);
+    assert_eq!(*s.written.lock().expect("written lock"), s.dirty);
+    Ok(())
+}
+
+#[test]
+fn a_manager_that_says_release_but_keeps_the_pages_is_errant() -> Result<(), VmError> {
+    // One and a half times the limit, every page "released" by call and
+    // kept by handle: the kernel believes the memory. Inside the deadline
+    // the burst is the manager's; past it, nothing more is.
+    let limit_pages = (machcore::backend::DEFAULT_LAUNDRY_LIMIT / PAGE) as usize;
+    let burst = limit_pages * 3 / 2;
+    let s = sweep(
+        (burst + 32) as u64,
+        Release::SaysSoButKeeps(Vec::new()),
+        None,
+    )?;
+    assert_eq!(s.kernel.phys().reclaim_pages(burst), burst);
+    eventually("the manager to have the burst", || s.manager_has() == burst);
+    assert_eq!(s.takeovers(), 0);
+    machsim::wall::sleep(LAUNDRY_DEADLINE + Duration::from_millis(50));
+    assert_eq!(s.kernel.phys().reclaim_pages(32), 32);
+    assert_eq!(s.takeovers(), 32);
+    assert_eq!(s.manager_has(), burst, "the rest went to the default pager");
+    eventually("the default pager to store them", || {
+        s.kernel.paging_pages_stored() == 32
     });
     Ok(())
 }
@@ -108,6 +223,7 @@ fn pages_diverted_from_a_hoarder_read_back_intact() -> Result<(), VmError> {
         ..KernelConfig::default()
     });
     let baseline = kernel.phys().frame_census();
+    let stored_at_start = kernel.paging_pages_stored();
     let stats = &kernel.machine().stats;
     {
         let task = Task::create(&kernel, "writer");
@@ -140,11 +256,18 @@ fn pages_diverted_from_a_hoarder_read_back_intact() -> Result<(), VmError> {
             task.read_memory(addr + page * PAGE, &mut got)?;
             assert_eq!(got, pattern(page), "page {page}");
         }
+        assert!(kernel.paging_pages_stored() >= 64);
         task.vm_deallocate(addr, 256 * PAGE)?;
     }
     eventually("the object's frames to come back", || {
         kernel.phys().frame_census() == baseline
     });
+    // The hoarder's object took its diverted pages' paging blocks with it,
+    // and was counted as one terminated object, not two.
+    eventually("the default pager to free the diverted pages", || {
+        kernel.paging_pages_stored() == stored_at_start
+    });
+    assert_eq!(stats.get(keys::EMM_OBJECTS_TERMINATED), 1);
     kernel.phys().check_invariants();
     Ok(())
 }

@@ -358,7 +358,9 @@ impl DataManager for MalformedThenHonest {
                     .with(MsgItem::u64s(&[object, offset]))
                     .with(page()),
                 Message::new(proto::PAGER_DATA_LOCK).with(MsgItem::u64s(&[object, offset, length])),
-                Message::new(proto::PAGER_RELEASE_LAUNDRY).with(MsgItem::u64s(&[object])),
+                // Unassigned inside Table 3-6's range (an old manager's
+                // laundry release): whatever it carries, it is dropped.
+                Message::new(0x2306).with(MsgItem::u64s(&[object, PAGE])),
                 Message::new(proto::PAGER_DATA_UNAVAILABLE).with(MsgItem::bytes(vec![0; 24])),
             ] {
                 k.request_port()
