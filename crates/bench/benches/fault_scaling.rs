@@ -15,10 +15,15 @@
 //! faults under the same cluster-8 policy. A request is sized by the
 //! access, so each fill should bring in exactly the page that was touched.
 //!
+//! Workload D counts what a cold fault-ahead extent costs the engine: one
+//! fault over a 16-page absent run, against the same in-process pager.
+//! One fault and one park per extent, whatever its length.
+//!
 //! Run with `--smoke` for a seconds-scale sanity pass (used by
 //! `scripts/check.sh`); the full run sizes the workloads for stable numbers.
 
 use machipc::OolBuffer;
+use machsim::stats::keys;
 use machsim::wall;
 use machsim::{Machine, SplitMix64};
 use machvm::fault::resolve_page;
@@ -137,6 +142,33 @@ fn pages_per_random_fill(faults: u64, seed: u64) -> f64 {
     pager.pages.load(Ordering::Relaxed) as f64 / pager.requests.load(Ordering::Relaxed) as f64
 }
 
+/// Workload D: `extents` cold 16-page runs, each submitted as one fault;
+/// returns (faults, parks) per extent, from the machine's counters.
+fn cold_extent_counts(extents: u64) -> (f64, f64) {
+    const EXTENT: u64 = 16;
+    let (phys, _pager, obj) = counted_object(extents * EXTENT);
+    let policy = FaultPolicy::trusting().with_cluster(EXTENT as usize);
+    let stats = &phys.machine().stats;
+    for extent in 0..extents {
+        let pages = phys
+            .fault_engine()
+            .submit_run(
+                &obj,
+                extent * EXTENT * 4096,
+                EXTENT as usize,
+                VmProt::READ,
+                policy,
+            )
+            .wait_run()
+            .expect("the counting pager answers every request");
+        assert_eq!(pages.len(), EXTENT as usize);
+    }
+    (
+        stats.get(keys::VM_FAULTS) as f64 / extents as f64,
+        stats.get(keys::VM_ASYNC_PARKS) as f64 / extents as f64,
+    )
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (pages_per_thread, seq_pages) = if smoke {
@@ -186,9 +218,17 @@ fn main() {
     let random_fill = pages_per_random_fill(seq_pages, 0x5EED);
     println!("   {seq_pages} seeded random faults: {random_fill:.2} pages per fill");
 
+    println!("D. cold 16-page fault-ahead extents, engine work per extent:");
+    let (extent_faults, extent_parks) = cold_extent_counts(seq_pages / 16);
+    println!(
+        "   {} extents: {extent_faults:.2} faults, {extent_parks:.2} parks per extent",
+        seq_pages / 16
+    );
+
     // Machine-readable trajectory entry at the repository root; `report
-    // bench-diff` ratchets the host-independent cluster message ratio and
-    // the pages a random fault's fill brings in.
+    // bench-diff` ratchets the host-independent cluster message ratio, the
+    // pages a random fault's fill brings in, and the faults and parks a
+    // cold extent costs.
     let mut json = String::from("{\n  \"bench\": \"fault_scaling\",\n");
     json.push_str(&format!(
         "  \"mode\": \"{}\",\n  \"pages_per_thread\": {pages_per_thread},\n  \"sequential_pages\": {seq_pages},\n",
@@ -211,7 +251,7 @@ fn main() {
     }
     json.push_str("  ],\n");
     json.push_str(&format!(
-        "  \"cluster_message_ratio\": {cluster_ratio:.2},\n  \"pages_per_random_fill\": {random_fill:.2}\n}}\n"
+        "  \"cluster_message_ratio\": {cluster_ratio:.2},\n  \"pages_per_random_fill\": {random_fill:.2},\n  \"faults_per_cold_extent\": {extent_faults:.2},\n  \"parks_per_cold_extent\": {extent_parks:.2}\n}}\n"
     ));
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scaling.json");
     std::fs::write(path, &json).expect("write BENCH_scaling.json at the repo root");

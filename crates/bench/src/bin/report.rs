@@ -120,6 +120,18 @@ const RATCHETS: &[Ratchet] = &[
                 floor_key: "max_pages_per_random_fill",
                 anchor: None,
             },
+            Floor {
+                label: "faults per cold extent",
+                json_key: "faults_per_cold_extent",
+                floor_key: "max_faults_per_cold_extent",
+                anchor: None,
+            },
+            Floor {
+                label: "parks per cold extent",
+                json_key: "parks_per_cold_extent",
+                floor_key: "max_parks_per_cold_extent",
+                anchor: None,
+            },
         ],
     },
     Ratchet {

@@ -525,12 +525,7 @@ impl Kernel {
                     }
                     (proto::PAGER_DATA_UNAVAILABLE, &[object, offset, size, ..]) => {
                         if let Some(obj) = object_of(object) {
-                            let ps = phys.page_size() as u64;
-                            let mut page = offset;
-                            while page < offset.saturating_add(size) {
-                                let _ = phys.data_unavailable(&obj, page);
-                                page += ps;
-                            }
+                            let _ = phys.data_unavailable(&obj, offset, size);
                         }
                     }
                     (proto::PAGER_DATA_LOCK, &[object, offset, length, lock, ..]) => {

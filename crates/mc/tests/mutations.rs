@@ -55,6 +55,16 @@ fn park_resume_without_recheck_is_caught() {
 }
 
 #[test]
+fn park_resume_with_the_event_before_the_last_install_is_caught() {
+    // Reporting a two-page fill's one event before its second page is in
+    // wakes the fault to park again on that page, with no event to come.
+    assert_caught(
+        &park_resume::check(None, Some(park_resume::Mutation::EventBeforeLastInstall)),
+        "EventBeforeLastInstall",
+    );
+}
+
+#[test]
 fn shootdown_genuine_is_clean() {
     assert_clean(&shootdown::check(None, None));
 }

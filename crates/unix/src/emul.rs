@@ -67,10 +67,10 @@ impl MachUnix {
         Ok((f.addr, f.size))
     }
 
-    /// Fans the range's absent pages out through the continuation-based
-    /// fault engine before the copy loop touches them: a cold sequential
-    /// read parks one continuation per missing page instead of faulting
-    /// page-at-a-time, and a warm range costs only residency probes.
+    /// Hands the range's absent pages to the continuation-based fault
+    /// engine before the copy loop touches them: each absent run of a
+    /// cold sequential read is one fault — one request, one park — instead
+    /// of a fault per page, and a warm range costs only residency probes.
     /// Errors are deliberately dropped: the copy loop right behind this
     /// call faults the same pages synchronously and reports them properly.
     fn fault_ahead(&self, addr: u64, len: usize, access: VmProt) {

@@ -16,10 +16,20 @@
 //!   ([`crate::fault::fault_step`]) until it must wait, then *parks* the
 //!   [`FaultState`] in a bounded continuation table and returns a
 //!   [`FaultTicket`] — the submitting thread is free immediately.
+//! * A fault covers a *run* of pages ([`FaultEngine::submit_run`];
+//!   `submit` is the run of one): `pager_data_request(offset, length)` and
+//!   `pager_data_provided` are range operations, and so is the fault
+//!   between them. A run is one fault in every account — one overhead
+//!   charge, one admission slot, one trace chain, one deadline per wait —
+//!   whose step asks for everything its pages need, which parks on its
+//!   first page still pending, and whose ticket completes once with every
+//!   page's result.
 //! * Page events (fill installed or cancelled, manager lock changed, page
 //!   removed) are reported by the owning [`PhysicalMemory`] straight into
-//!   the engine; a single completion-loop thread pops the woken
-//!   continuations and re-steps them, completing tickets or re-parking.
+//!   the engine — one event per `pager_data_provided` buffer, after its
+//!   last page is installed, so the run parked on it is resumed once; a
+//!   single completion-loop thread pops the woken continuations and
+//!   re-steps them, completing tickets or re-parking.
 //! * `pager_data_request`s produced while stepping are not sent inline:
 //!   they accumulate as *runs* and are flushed per (pager, object) through
 //!   [`PagerBackend::data_request_many`] — one batched IPC send carrying
@@ -63,16 +73,23 @@
 //! resident table for the park/recheck race, never the reverse. Page
 //! events are therefore reported only after every shard lock is dropped.
 //! Stepping a continuation — which takes shard, frame and queue locks
-//! freely — always happens with the table unlocked.
+//! freely — always happens with the table unlocked. A fault that need
+//! not wait takes the table twice (admission, completion); one that
+//! parks once costs six acquisitions whatever the length of its run
+//! (admission; booking its requests and parking, under one hold; the
+//! loop's flush; the fill's one event; the loop's wake-up; completion —
+//! `tests/fault_locks.rs`).
 //!
 //! # Timeouts, death and the stale sweep
 //!
 //! The completion loop doubles as the timer wheel. Every parked
 //! continuation re-arms its policy deadline at each park (the timeout is
-//! per wait, not per fault); the loop's periodic
+//! per wait, not per fault — and not per page: a run has one); the
+//! loop's periodic
 //! sweep — rate-limited to once per tick, since it is O(parked) —
-//! expires deadlines (cancelling any claimed fill window, then applying
-//! the policy action — fail or zero-fill), and probes continuations
+//! expires deadlines (cancelling every claimed fill window, then
+//! re-stepping the fault with the policy action — fail or zero-fill — in
+//! place of every wait), and probes continuations
 //! parked suspiciously long: a dead pager port errors the fault
 //! (`vm.async.pager_dead`), a wait that is no longer blocked resumes it
 //! (missed-wakeup insurance), and a still-blocked wait is simply
@@ -80,8 +97,7 @@
 //! and a deep backlog costs one probe per interval, not a re-step.
 
 use crate::fault::{
-    fault_step, handle_timeout, FaultPolicy, FaultResult, FaultState, FaultStep, FaultWait,
-    WaitKind,
+    fault_step, FaultOutcome, FaultPolicy, FaultResult, FaultState, FaultStep, FaultWait, WaitKind,
 };
 use crate::lockdep::{ClassMutex, LockClass};
 use crate::object::{ObjectId, PagerBackend, PagerRequest, VmObject};
@@ -137,7 +153,7 @@ pub struct FaultTicket {
 }
 
 struct TicketInner {
-    slot: Mutex<Option<Result<FaultResult, VmError>>>,
+    slot: Mutex<Option<FaultOutcome>>,
     done: Condvar,
     cid: CorrelationId,
     root_span: u64,
@@ -172,10 +188,26 @@ impl FaultTicket {
         self.inner.slot.lock().is_some()
     }
 
-    /// Blocks until the fault completes and returns its result. The
-    /// engine guarantees completion: every parked continuation either
-    /// resumes, times out by policy, or is errored at engine shutdown.
+    /// Blocks until the fault completes and returns its result (for a
+    /// fault over a run, its first page's). The engine guarantees
+    /// completion: every parked continuation either resumes, times out
+    /// by policy, or is errored at engine shutdown.
     pub fn wait(&self) -> Result<FaultResult, VmError> {
+        self.outcome().map(|(page, _)| page)
+    }
+
+    /// [`FaultTicket::wait`] for a fault submitted over a run: what each
+    /// page of the run resolved to, in order. The run fails as a whole.
+    pub fn wait_run(&self) -> Result<Vec<FaultResult>, VmError> {
+        self.outcome().map(|(first, behind)| {
+            let mut pages = Vec::with_capacity(1 + behind.len());
+            pages.push(first);
+            pages.extend(behind);
+            pages
+        })
+    }
+
+    fn outcome(&self) -> FaultOutcome {
         let mut slot = self.inner.slot.lock();
         while slot.is_none() {
             self.inner.done.wait(&mut slot);
@@ -184,7 +216,7 @@ impl FaultTicket {
             .expect("invariant: the wait loop exits only once the slot is filled")
     }
 
-    fn fulfill(&self, result: Result<FaultResult, VmError>) {
+    fn fulfill(&self, result: FaultOutcome) {
         let mut slot = self.inner.slot.lock();
         *slot = Some(result);
         self.inner.done.notify_all();
@@ -215,6 +247,20 @@ impl PendingRun {
     }
 }
 
+/// Moves the runs fault `cid` booked out of `queue` (order kept) into `out`.
+fn purge<Q>(queue: &mut Q, cid: u64, out: &mut Vec<PendingRun>)
+where
+    Q: Default + Extend<PendingRun> + IntoIterator<Item = PendingRun>,
+{
+    for run in std::mem::take(queue) {
+        if run.correlation == cid {
+            out.push(run);
+        } else {
+            queue.extend([run]);
+        }
+    }
+}
+
 /// A parked fault: the captured state machine plus resume bookkeeping.
 struct Continuation {
     state: FaultState,
@@ -228,9 +274,16 @@ struct Continuation {
     /// Policy deadline, re-armed at every park (the timeout is per wait).
     deadline: Option<wall::Deadline>,
     ticket: FaultTicket,
-    /// In-flight pages this fault's outstanding run holds against its
-    /// pager: `(pager key, pages)`. Returned when the run resolves.
-    inflight: Option<(usize, usize)>,
+    /// In-flight pages this fault's outstanding runs hold against their
+    /// pagers: `(pager key, pages)` each. Returned when the fault is
+    /// stepped again (or ends).
+    inflight: Vec<(usize, usize)>,
+    /// Requests this fault booked that may still sit unsent in the batch
+    /// queues, counted down as they are flushed; a fault that completes
+    /// with any left pulls them back out. A fault that never asked a
+    /// pager for anything (resident hit, zero fill, copy-on-write)
+    /// completes without looking.
+    queued: usize,
     /// The fault's root span (`fault.submit`), parent of every phase span
     /// the chain opens — on this host and, via the stamped requests, on
     /// the pager side.
@@ -262,12 +315,6 @@ struct Table {
     runs: Vec<PendingRun>,
     /// Runs held back by a pager's in-flight cap.
     deferred: VecDeque<PendingRun>,
-    /// Cids with a queued-but-unsent run (in `runs` or `deferred`). Lets
-    /// `finish` skip the purge scan in O(1) for the overwhelmingly common
-    /// case — a fault whose request was sent long ago — instead of
-    /// rebuilding the run queues on every completion (quadratic under a
-    /// deep backlog).
-    queued: std::collections::HashSet<u64>,
     /// Requested-but-unanswered pages per pager key.
     inflight: HashMap<usize, usize>,
     /// Admitted-but-not-finished faults: incremented when a submitter
@@ -467,20 +514,27 @@ impl FaultEngine {
         access: VmProt,
         policy: FaultPolicy,
     ) -> FaultTicket {
-        self.submit_ahead(top, offset, access, policy, 0)
+        self.submit_run(top, offset, 1, access, policy)
     }
 
-    /// [`FaultEngine::submit`] for a fault whose caller is known to touch
-    /// the `ahead` pages after `offset` next (fault-ahead over a range):
-    /// if this page is absent its `pager_data_request` covers them too,
-    /// so the faults submitted behind it find their pages already pending.
-    pub fn submit_ahead(
+    /// Submits one fault over the `pages`-page run of `top` starting at
+    /// `offset` (fault-ahead over an absent run; [`FaultEngine::submit`]
+    /// is the run of one). The run is one fault in every account — one
+    /// overhead charge, one admission slot, one trace chain, one policy
+    /// deadline per wait. Each step walks the pages not yet resolved, in
+    /// order: the first absent page asks its pager for all that follow
+    /// it in one `pager_data_request` (pages that can only be asked for
+    /// singly each ask, in the same step), the fault parks on the first
+    /// page still pending, and the ticket completes once with every
+    /// page's result ([`FaultTicket::wait_run`]) or with its first
+    /// failing page's error.
+    pub fn submit_run(
         &self,
         top: &Arc<VmObject>,
         offset: u64,
+        pages: usize,
         access: VmProt,
         policy: FaultPolicy,
-        ahead: usize,
     ) -> FaultTicket {
         self.machine
             .clock
@@ -510,10 +564,8 @@ impl FaultEngine {
             t.admitted += 1;
         }
 
-        let mut state = FaultState::new(top, offset, access, policy);
-        state.ahead = ahead;
         let cont = Continuation {
-            state,
+            state: FaultState::new(top, offset, pages, access, policy),
             wait: FaultWait {
                 object: top.id(),
                 offset,
@@ -525,67 +577,79 @@ impl FaultEngine {
             stale_at: wall::Deadline::after(STALE_RECHECK),
             deadline: None,
             ticket: ticket.clone(),
-            inflight: None,
+            inflight: Vec::new(),
+            queued: 0,
             root_span,
             parked_span: 0,
         };
         match self.step_and_park(&self.phys(), cont) {
-            Some(result) => {
-                self.finish(cid, started_ns, &ticket, result);
-                self.release_admission();
-            }
+            Some((cont, result)) => self.finish(cont, result),
             None => self.start_worker(),
         }
         ticket
-    }
-
-    /// Returns one admission slot and wakes blocked submitters. Called
-    /// exactly once per admitted fault, when it completes.
-    fn release_admission(&self) {
-        {
-            let mut t = self.table.lock();
-            t.admitted = t.admitted.saturating_sub(1);
-        }
-        self.space.notify_all();
     }
 
     /// A page event on `(object, offset)`: move its waiters to the ready
     /// queue and kick the completion loop. Called with no shard lock held
     /// (the table ranks above the shards).
     pub(crate) fn on_page_event(&self, object: ObjectId, offset: u64) {
+        self.on_range_event(object, offset, 1, 0);
+    }
+
+    /// One page event for the `pages` pages of `object` that start at
+    /// `offset`, `page_size` bytes apart: a waiter of any of them is made
+    /// ready under one hold of the table lock. Reported by a multi-page
+    /// install only after its last page is in, so a fault parked on the
+    /// first page of the run is resumed once and finds the rest resident.
+    pub(crate) fn on_range_event(
+        &self,
+        object: ObjectId,
+        offset: u64,
+        pages: usize,
+        page_size: u64,
+    ) {
         let mut t = self.table.lock();
         #[cfg(test)]
         {
             t.page_events += 1;
         }
-        if let Some(cids) = t.waiters.remove(&(object, offset)) {
-            if !cids.is_empty() {
+        if t.waiters.is_empty() {
+            return;
+        }
+        let t = &mut *t;
+        let ready_before = t.ready.len();
+        for i in 0..pages as u64 {
+            if let Some(cids) = t.waiters.remove(&(object, offset + i * page_size)) {
                 t.ready.extend(cids);
-                self.work.notify_all();
             }
+        }
+        if t.ready.len() > ready_before {
+            self.work.notify_all();
         }
     }
 
-    /// Steps `cont` until done or parked. On park, registers it in the
-    /// table — and re-checks the wait condition *under the table lock*
+    /// Steps `cont` until done or parked. On park, books the request the
+    /// step made and registers the continuation under one hold of the
+    /// table lock — so the completion loop never sees a request without
+    /// its claimer — and re-checks the wait condition *under that lock*
     /// (table → shard is the sanctioned order), so an event that fired
     /// between the step and the registration re-steps instead of sleeping
     /// on a wakeup that already happened.
     ///
-    /// Returns `Some(result)` if the fault completed, `None` if parked.
+    /// Returns the continuation and its result if the fault completed
+    /// (for [`FaultEngine::finish`]), `None` if parked.
     fn step_and_park(
         &self,
         phys: &PhysicalMemory,
         mut cont: Continuation,
-    ) -> Option<Result<FaultResult, VmError>> {
+    ) -> Option<(Continuation, FaultOutcome)> {
         let _scope = CorrelationScope::enter(cont.cid);
         let _span = SpanScope::enter(cont.root_span);
-        // The charge for the run `cont` had outstanding when it parked
-        // last. It is returned to the pager's budget unless the fault
-        // re-parks on the *same* pending fill without issuing a new
-        // request (the stale-recheck no-op).
+        // The charges for the runs `cont` had outstanding when it parked
+        // last (`cont.inflight`) are returned to the pagers' budgets
+        // unless the fault re-parks on the *same* pending fill without
+        // issuing a new request (the stale-recheck no-op).
         let prev_wait = cont.wait;
-        let mut prev_charge = cont.inflight.take();
         loop {
             let mut sink = RunCollector {
                 cid: cont.cid.raw(),
@@ -596,8 +660,12 @@ impl FaultEngine {
             let step = fault_step(phys, &mut cont.state, &mut sink);
             let wait = match step {
                 FaultStep::Done(result) => {
-                    self.settle(&mut cont, sink.runs, prev_charge.take());
-                    return Some(result);
+                    // `finish` returns the old charges and pulls back any
+                    // request of a run that failed on another page.
+                    if !sink.runs.is_empty() {
+                        self.book(&mut self.table.lock(), &mut cont, sink.runs);
+                    }
+                    return Some((cont, result));
                 }
                 FaultStep::Park(wait) => wait,
             };
@@ -606,24 +674,19 @@ impl FaultEngine {
                 && prev_wait.kind == WaitKind::Fill
                 && wait.object == prev_wait.object
                 && wait.offset == prev_wait.offset;
-            if same_fill {
-                cont.inflight = prev_charge.take();
-            } else {
-                self.settle(&mut cont, sink.runs, prev_charge.take());
-            }
             cont.wait = wait;
             let mut t = self.table.lock();
+            if !same_fill {
+                self.book(&mut t, &mut cont, sink.runs);
+            }
             if self.stop.load(Ordering::Acquire) {
                 // Nothing resumes a fault parked after shutdown: give it
                 // the answer the shutdown drain gave those before it.
                 drop(t);
                 self.abandon(phys, &mut cont);
-                return Some(Err(VmError::ObjectDestroyed));
+                return Some((cont, Err(VmError::ObjectDestroyed)));
             }
             if !protocol::must_park(Self::wait_blocked(phys, wait, cont.state.access)) {
-                // Keep the (possibly restored) charge for the next
-                // iteration's reconciliation.
-                prev_charge = cont.inflight.take();
                 continue;
             }
             cont.parked_ns = self.machine.clock.now_ns();
@@ -662,37 +725,26 @@ impl FaultEngine {
         }
     }
 
-    /// Books a step's produced runs into the batch queue — charging the
-    /// pager's in-flight budget or deferring past-cap runs — and returns
-    /// the continuation's previous charge to the budget.
-    fn settle(
-        &self,
-        cont: &mut Continuation,
-        runs: Vec<PendingRun>,
-        prev_charge: Option<(usize, usize)>,
-    ) {
-        if runs.is_empty() && prev_charge.is_none() {
-            return;
-        }
-        let mut t = self.table.lock();
-        if let Some((key, pages)) = prev_charge {
+    /// Returns the continuation's previous charges to the pagers' budgets
+    /// and books a step's produced runs into the batch queue — charging
+    /// the pager's in-flight budget or deferring past-cap runs. Caller
+    /// holds the table lock.
+    fn book(&self, t: &mut Table, cont: &mut Continuation, runs: Vec<PendingRun>) {
+        for (key, pages) in cont.inflight.drain(..) {
             t.discharge(key, pages);
         }
         for run in runs {
             let key = run.pager_key();
             let used = *t.inflight.get(&key).unwrap_or(&0);
-            t.queued.insert(run.correlation);
+            cont.queued += 1;
             if used == 0 || used + run.pages <= self.cfg.pager_inflight_pages {
                 *t.inflight.entry(key).or_insert(0) += run.pages;
-                cont.inflight = Some((key, run.pages));
+                cont.inflight.push((key, run.pages));
                 t.runs.push(run);
             } else {
                 self.machine.stats.incr(stat_keys::VM_PAGER_DEFERRED_RUNS);
                 t.deferred.push_back(run);
             }
-        }
-        if !t.runs.is_empty() {
-            self.work.notify_all();
         }
     }
 
@@ -708,10 +760,10 @@ impl FaultEngine {
         let mut still = VecDeque::new();
         while let Some(run) = t.deferred.pop_front() {
             if !t.conts.contains_key(&run.correlation) {
-                // The claimer is mid-registration (submit settles runs
-                // before parking): hold the run for the next tick.
-                // Completed claimers never appear here — `finish` purges
-                // their unsent runs.
+                // The claimer is off the table being re-stepped (woken
+                // with its run still deferred): hold the run for the
+                // next tick. Completed claimers never appear here —
+                // `finish` purges their unsent runs.
                 still.push_back(run);
                 continue;
             }
@@ -720,7 +772,7 @@ impl FaultEngine {
             if used == 0 || used + run.pages <= cap {
                 *t.inflight.entry(key).or_insert(0) += run.pages;
                 if let Some(c) = t.conts.get_mut(&run.correlation) {
-                    c.inflight = Some((key, run.pages));
+                    c.inflight.push((key, run.pages));
                 }
                 t.runs.push(run);
             } else {
@@ -741,40 +793,30 @@ impl FaultEngine {
     pub fn drain_parked(&self) {
         let phys = self.phys();
         let mut t = self.table.lock();
-        let mut orphans: Vec<Continuation> = t.conts.drain().map(|(_, c)| c).collect();
+        let orphans: Vec<Continuation> = t.conts.drain().map(|(_, c)| c).collect();
         t.waiters.clear();
         t.ready.clear();
         let mut unsent: Vec<PendingRun> = t.runs.drain(..).collect();
         unsent.extend(t.deferred.drain(..));
-        t.queued.clear();
         t.inflight.clear();
         t.admitted = t.admitted.saturating_sub(orphans.len());
         drop(t);
         for run in unsent {
             Self::cancel_run(&phys, &run);
         }
-        for c in &mut orphans {
-            if c.wait.kind == WaitKind::Fill {
-                c.state.cancel_claims(&phys, c.wait);
-            }
-            self.finish(
-                c.cid,
-                c.started_ns,
-                &c.ticket,
-                Err(VmError::ObjectDestroyed),
-            );
+        // The table's side of each orphan (admission slot, charge, unsent
+        // run) went with the drain above; only the fault's own end is left.
+        for mut c in orphans {
+            self.abandon(&phys, &mut c);
+            self.finish_tail(&c, Err(VmError::ObjectDestroyed));
         }
         self.space.notify_all();
     }
 
-    /// Gives up on a fault that will not be waited for any longer
-    /// (timeout, dead pager, shutdown): returns its in-flight charge and
-    /// releases the fill window it was waiting on, so no later fault
-    /// strands on a pending entry nobody will fill.
+    /// Gives up on a wait that will not be waited out (timeout, dead
+    /// pager, shutdown): releases the fill window the fault was waiting
+    /// on, so no later fault strands on a pending entry nobody will fill.
     fn abandon(&self, phys: &PhysicalMemory, cont: &mut Continuation) {
-        if let Some((key, pages)) = cont.inflight.take() {
-            self.table.lock().discharge(key, pages);
-        }
         if cont.wait.kind == WaitKind::Fill {
             cont.state.cancel_claims(phys, cont.wait);
         }
@@ -851,7 +893,9 @@ impl FaultEngine {
             self.promote_deferred(&mut t);
             flush = std::mem::take(&mut t.runs);
             for run in &flush {
-                t.queued.remove(&run.correlation);
+                if let Some(c) = t.conts.get_mut(&run.correlation) {
+                    c.queued = c.queued.saturating_sub(1);
+                }
             }
             if !woken.is_empty() {
                 self.space.notify_all();
@@ -881,42 +925,32 @@ impl FaultEngine {
             match wake {
                 Wake::Event => {
                     self.machine.stats.incr(stat_keys::VM_ASYNC_RESUMES);
-                    let (cid, started_ns, ticket, root_span) = (
-                        cont.cid,
-                        cont.started_ns,
-                        cont.ticket.clone(),
-                        cont.root_span,
-                    );
-                    let resume = self
-                        .machine
-                        .span_open_with("fault.resume", root_span, Some(cid));
+                    let cid = cont.cid;
+                    let resume =
+                        self.machine
+                            .span_open_with("fault.resume", cont.root_span, Some(cid));
                     let done = self.step_and_park(phys, cont);
                     self.machine
                         .span_close_with("fault.resume", resume, Some(cid));
-                    if let Some(result) = done {
-                        self.finish(cid, started_ns, &ticket, result);
-                        self.release_admission();
+                    if let Some((cont, result)) = done {
+                        self.finish(cont, result);
                     }
                 }
                 Wake::Timeout => {
+                    // One deadline for the whole run: release what was
+                    // claimed, then walk on with the policy's action in
+                    // place of every wait — nothing is left to park on.
                     self.machine.stats.incr(stat_keys::VM_ASYNC_TIMEOUTS);
                     self.abandon(phys, &mut cont);
-                    let _scope = CorrelationScope::enter(cont.cid);
-                    let result =
-                        handle_timeout(phys, &cont.state.top, cont.state.offset, cont.state.policy);
-                    self.finish(cont.cid, cont.started_ns, &cont.ticket, result);
-                    self.release_admission();
+                    cont.state.expire();
+                    if let Some((cont, result)) = self.step_and_park(phys, cont) {
+                        self.finish(cont, result);
+                    }
                 }
                 Wake::PagerDead => {
                     self.machine.stats.incr(stat_keys::VM_ASYNC_PAGER_DEAD);
                     self.abandon(phys, &mut cont);
-                    self.finish(
-                        cont.cid,
-                        cont.started_ns,
-                        &cont.ticket,
-                        Err(VmError::ObjectDestroyed),
-                    );
-                    self.release_admission();
+                    self.finish(cont, Err(VmError::ObjectDestroyed));
                 }
             }
         }
@@ -964,81 +998,58 @@ impl FaultEngine {
     /// pager: the pending entries would otherwise strand later faults.
     /// Cancelling is idempotent, so racing an install is safe.
     fn cancel_run(phys: &PhysicalMemory, run: &PendingRun) {
-        let page = phys.page_size() as u64;
-        for i in 0..run.pages as u64 {
-            phys.cancel_fill(run.object, run.offset + i * page);
-        }
+        phys.cancel_fill_run(run.object, run.offset, run.pages);
     }
 
-    /// Completes a fault: ends its flight-recorder chain, fulfills the
-    /// ticket, and emits the resolution trace/latency with the fault's
-    /// own correlation (the completion loop is not in the fault's scope).
-    fn finish(
-        &self,
-        cid: CorrelationId,
-        started_ns: u64,
-        ticket: &FaultTicket,
-        result: Result<FaultResult, VmError>,
-    ) {
-        // A completing fault may still have queued-but-unsent runs (it
-        // resolved by another route, or timed out while deferred): pull
-        // them out of the batch queues and release their fill windows.
-        let unsent: Vec<PendingRun> = {
+    /// Completes a fault. One hold of the table lock returns its admission
+    /// slot and its in-flight charge and, if it booked a request that may
+    /// still be unsent (it resolved by another route, or timed out while
+    /// deferred), pulls the request out of the batch queues — whose fill
+    /// window is then released.
+    fn finish(&self, mut cont: Continuation, result: FaultOutcome) {
+        let mut unsent: Vec<PendingRun> = Vec::new();
+        {
             let mut t = self.table.lock();
-            let raw = cid.raw();
-            if !t.queued.remove(&raw) {
-                drop(t);
-                return self.finish_tail(cid, started_ns, ticket, result);
+            t.admitted = t.admitted.saturating_sub(1);
+            for (key, pages) in cont.inflight.drain(..) {
+                t.discharge(key, pages);
             }
-            let mut purged: Vec<PendingRun> = Vec::new();
-            let mut keep = Vec::with_capacity(t.runs.len());
-            for run in t.runs.drain(..) {
-                if run.correlation == raw {
-                    purged.push(run);
-                } else {
-                    keep.push(run);
-                }
+            if cont.queued > 0 {
+                let t = &mut *t;
+                purge(&mut t.runs, cont.cid.raw(), &mut unsent);
+                purge(&mut t.deferred, cont.cid.raw(), &mut unsent);
             }
-            t.runs = keep;
-            let mut keep_d = VecDeque::with_capacity(t.deferred.len());
-            for run in t.deferred.drain(..) {
-                if run.correlation == raw {
-                    purged.push(run);
-                } else {
-                    keep_d.push_back(run);
-                }
-            }
-            t.deferred = keep_d;
-            purged
-        };
-        let phys = self.phys();
-        for run in &unsent {
-            Self::cancel_run(&phys, run);
         }
-        self.finish_tail(cid, started_ns, ticket, result);
+        if !unsent.is_empty() || result.is_err() {
+            let phys = self.phys();
+            for run in &unsent {
+                Self::cancel_run(&phys, run);
+            }
+            cont.state.release_claims(&phys);
+        }
+        self.finish_tail(&cont, result);
     }
 
-    fn finish_tail(
-        &self,
-        cid: CorrelationId,
-        started_ns: u64,
-        ticket: &FaultTicket,
-        result: Result<FaultResult, VmError>,
-    ) {
+    /// The fault's own end: closes its flight-recorder chain, emits the
+    /// resolution trace/latency with the fault's own correlation (the
+    /// completion loop is not in the fault's scope) and fulfills the
+    /// ticket with every page of the run.
+    fn finish_tail(&self, cont: &Continuation, result: FaultOutcome) {
+        let cid = cont.cid;
         self.machine.flight.end(cid.raw());
         if result.is_ok() {
             self.machine
                 .trace_event_with("vm.fault", EventKind::Resume, Some(cid));
             self.machine.latency.record(
                 trace_keys::FAULT_TO_RESOLUTION,
-                self.machine.clock.now_ns().saturating_sub(started_ns),
+                self.machine.clock.now_ns().saturating_sub(cont.started_ns),
             );
         }
         // Close the chain root on every exit — Ok, Err, timeout, drain —
         // so the critical-path analyzer never sees an unclosed root.
         self.machine
-            .span_close_with("fault.submit", ticket.span(), Some(cid));
-        ticket.fulfill(result);
+            .span_close_with("fault.submit", cont.root_span, Some(cid));
+        cont.ticket.fulfill(result);
         self.space.notify_all();
     }
 }

@@ -140,90 +140,138 @@ pub struct FaultWait {
     pub kind: WaitKind,
 }
 
+/// What a finished fault resolved to: its page, and the pages of its run
+/// behind that one (none for a lone fault, whose outcome so allocates
+/// nothing). A run fails as a whole, with its first failing page's error.
+pub type FaultOutcome = Result<(FaultResult, Vec<FaultResult>), VmError>;
+
 /// One step of the fault state machine: either the fault resolved (or
 /// failed), or it must wait for a page event.
 #[derive(Debug)]
 pub enum FaultStep {
-    /// The fault is finished; this is `resolve_page`'s result.
-    Done(Result<FaultResult, VmError>),
+    /// The fault is finished; this is what its ticket completes with.
+    Done(FaultOutcome),
     /// The fault cannot progress until the described page event.
     Park(FaultWait),
 }
 
+/// [`FaultStep`] for one page of a fault.
+enum PageStep {
+    Done(Result<FaultResult, VmError>),
+    /// The wait, and the object whose page it is for.
+    Park(FaultWait, Arc<VmObject>),
+}
+
 /// The captured state of one in-progress fault — everything `fault_step`
-/// needs to resume after a park: the faulting (top) object and offset,
-/// the shadow-chain cursor, the cache-hit probe flag, and the pager
-/// window the fault has claimed (for cancellation on timeout). Parking
-/// this struct, rather than a thread with the same things on its stack,
-/// is what lets the engine release the thread.
+/// needs to resume after a park: the faulting (top) object, offset and
+/// extent, the cache-hit probe flag, what its pages have resolved to so
+/// far, and the pager windows the fault has claimed (for cancellation on
+/// timeout). Parking this struct, rather than a thread with the same
+/// things on its stack, is what lets the engine release the thread.
 #[derive(Debug)]
 pub struct FaultState {
     /// The faulting object (top of the shadow chain).
     pub top: Arc<VmObject>,
-    /// Fault offset within `top`.
+    /// Fault offset within `top`: the first page of the fault's run.
     pub offset: u64,
     /// What the faulting thread is trying to do.
     pub access: VmProt,
     /// The fault-time policy (timeout, timeout action, cluster size).
     pub policy: FaultPolicy,
-    /// Shadow-chain cursor: the object currently being probed.
-    object: Arc<VmObject>,
-    /// Offset within the cursor object.
-    obj_offset: u64,
     /// True until the fault first sees an absent page — a resident hit
     /// while still true counts as a cache hit.
     first_probe: bool,
-    /// The most recent run this fault claimed via `begin_fill_run`
-    /// (object, start offset, pages): on timeout every claimed page must
-    /// be released or later faults would strand on stale pending entries.
-    pub claimed: Option<(ObjectId, u64, usize)>,
-    /// Pages past this one the caller is known to touch next (fault-ahead
-    /// sets it; a lone fault knows of none). Sizes the request this fault
-    /// makes, see `request_window`.
-    pub ahead: usize,
+    /// The object whose page the fault is parked on, once it has parked.
+    waiting_on: Option<Arc<VmObject>>,
+    /// Every run this fault claimed via `begin_fill_run` (object, start
+    /// offset, pages): on timeout every claimed page must be released or
+    /// later faults would strand on stale pending entries.
+    claimed: Vec<(ObjectId, u64, usize)>,
+    /// What the fault's page resolved to, once it has.
+    resolved: Option<FaultResult>,
+    /// The same for each page of the run behind it, which the caller is
+    /// known to touch next (fault-ahead over an absent run; a lone fault
+    /// has none, and allocates nothing). Their number sizes the request
+    /// the fault makes, see `request_window`.
+    behind: Vec<Option<FaultResult>>,
+    /// The policy deadline fired: from here on a page that would wait
+    /// for its manager gets the policy's timeout action instead.
+    expired: bool,
 }
 
 impl FaultState {
-    /// Captures a fresh fault against `top` at `offset`.
-    pub fn new(top: &Arc<VmObject>, offset: u64, access: VmProt, policy: FaultPolicy) -> Self {
+    /// Captures a fresh fault against the `pages`-page run of `top` that
+    /// starts at `offset` (a lone fault is the run of one page).
+    pub fn new(
+        top: &Arc<VmObject>,
+        offset: u64,
+        pages: usize,
+        access: VmProt,
+        policy: FaultPolicy,
+    ) -> Self {
         FaultState {
             top: top.clone(),
             offset,
             access,
             policy,
-            object: top.clone(),
-            obj_offset: offset,
             first_probe: true,
-            claimed: None,
-            ahead: 0,
+            waiting_on: None,
+            claimed: Vec::new(),
+            resolved: None,
+            behind: vec![None; pages.saturating_sub(1)],
+            expired: false,
         }
     }
 
-    /// The object currently being probed (the shadow-chain cursor) — the
-    /// async engine reads its pager to police in-flight caps and detect
-    /// pager death.
+    /// The object whose page the fault is parked on — the async engine
+    /// reads its pager to detect pager death.
     pub fn current_object(&self) -> &Arc<VmObject> {
-        &self.object
+        self.waiting_on.as_ref().unwrap_or(&self.top)
     }
 
-    /// Releases every page this fault has claimed (timeout/death path):
-    /// the read-ahead pages have no other waiter, so a stale pending
-    /// entry would block later faults until their own timeouts.
+    /// Where page `index` of the run keeps its result.
+    fn slot(&mut self, index: usize) -> &mut Option<FaultResult> {
+        match index {
+            0 => &mut self.resolved,
+            _ => &mut self.behind[index - 1],
+        }
+    }
+
+    /// Marks the policy deadline as fired: the next step applies the
+    /// timeout action to every page still waiting for a manager.
+    pub(crate) fn expire(&mut self) {
+        self.expired = true;
+    }
+
+    /// Releases every page this fault has claimed (timeout/death path) —
+    /// or, having claimed none, the page it waits on: the read-ahead
+    /// pages have no other waiter, so a stale pending entry would block
+    /// later faults until their own timeouts.
     pub fn cancel_claims(&mut self, phys: &PhysicalMemory, wait: FaultWait) {
-        let page = phys.page_size() as u64;
-        let (object, start, pages) = self.claimed.take().unwrap_or((wait.object, wait.offset, 1));
-        for i in 0..pages as u64 {
-            phys.cancel_fill(object, start + i * page);
+        if self.claimed.is_empty() {
+            phys.cancel_fill(wait.object, wait.offset);
+        }
+        self.release_claims(phys);
+    }
+
+    /// Releases every page this fault claimed itself: a fault that ends
+    /// in an error leaves nothing pending that only it was waiting for.
+    pub(crate) fn release_claims(&mut self, phys: &PhysicalMemory) {
+        for (object, start, pages) in self.claimed.drain(..) {
+            phys.cancel_fill_run(object, start, pages);
         }
     }
 }
 
-/// How many pages the `pager_data_request` for the absent page under
-/// `st`'s cursor should ask for — the one place a request is sized.
+/// How many pages the `pager_data_request` for the absent page of
+/// `object` at `obj_offset` should ask for, on behalf of a fault that has
+/// `behind` more pages to resolve after this one — the one place a
+/// request is sized.
 ///
-/// Two sources, both read from the access itself. *Explicit*: fault-ahead
-/// knows the caller touches `st.ahead` more pages, so the first absent
-/// page of the range asks for all of them at once. *Inferred*: the
+/// Two sources, both read from the access itself. *Explicit*: a fault
+/// over a run knows the caller touches the `behind` pages after this one,
+/// so the first absent page of the run asks for all of them at once.
+/// *Inferred*: the
 /// object's read-ahead state ([`VmObject::readahead_window`]) gives a lone
 /// random miss one page and a miss continuing a sequential run a doubling
 /// window up to the policy's cap. The larger of the two wins; the pager's
@@ -231,73 +279,129 @@ impl FaultState {
 /// prefetching a page they track per client would corrupt their view of
 /// who caches what), and a pager or policy without cluster support gets
 /// single pages whatever the access looks like.
-fn request_window(st: &FaultState, pager: &dyn crate::object::PagerBackend) -> usize {
-    if st.policy.cluster_pages <= 1 || !pager.supports_cluster() {
+fn request_window(
+    policy: FaultPolicy,
+    object: &VmObject,
+    obj_offset: u64,
+    behind: usize,
+    pager: &dyn crate::object::PagerBackend,
+) -> usize {
+    if policy.cluster_pages <= 1 || !pager.supports_cluster() {
         return 1;
     }
-    let advised = |pages: usize| match st.object.cluster_hint() {
+    let advised = |pages: usize| match object.cluster_hint() {
         0 => pages,
         hint => pages.min(hint),
     };
-    let inferred = st
-        .object
-        .readahead_window(st.obj_offset, advised(st.policy.cluster_pages));
-    inferred.max(advised(st.ahead.saturating_add(1)))
+    let inferred = object.readahead_window(obj_offset, advised(policy.cluster_pages));
+    inferred.max(advised(behind.saturating_add(1)))
 }
 
 /// Advances a fault as far as it can go without blocking.
 ///
-/// Runs the machine-independent fault transitions — shadow-chain walk,
-/// copy-on-write, lock negotiation, pager request, zero fill — until the
-/// fault either resolves ([`FaultStep::Done`]) or must wait for a page
-/// event ([`FaultStep::Park`]). On a park the engine files the state as a
-/// continuation; re-stepping after the event re-probes from the current
-/// shadow-chain cursor. Any `pager_data_request` the step makes goes into
-/// `runs`, for the engine to batch and send.
+/// Steps every page of the fault's run that has not resolved yet
+/// ([`page_step`]), in order, so whatever the run needs from its pagers is
+/// asked for in this one step (and sent in one batch). The fault is done
+/// ([`FaultStep::Done`]) when its last page resolves or any page fails;
+/// otherwise it must wait ([`FaultStep::Park`]) for the first page that is
+/// still pending. On a park the engine files the state as a continuation;
+/// re-stepping after the event walks the pages still unresolved again,
+/// each from the top of its shadow chain. Any `pager_data_request` the
+/// step makes goes into `runs`, for the engine to batch and send.
 pub(crate) fn fault_step(
     phys: &PhysicalMemory,
     st: &mut FaultState,
     runs: &mut RunCollector,
 ) -> FaultStep {
-    let machine = phys.machine().clone();
+    let mut park = None;
+    for index in 0..=st.behind.len() {
+        if st.slot(index).is_some() {
+            continue;
+        }
+        match page_step(phys, st, index, runs) {
+            PageStep::Done(Ok(result)) => *st.slot(index) = Some(result),
+            PageStep::Done(Err(e)) => return FaultStep::Done(Err(e)),
+            PageStep::Park(wait, object) => {
+                if park.is_none() {
+                    park = Some(wait);
+                    st.waiting_on = Some(object);
+                }
+            }
+        }
+    }
+    if let Some(wait) = park {
+        return FaultStep::Park(wait);
+    }
+    let behind = st.behind.drain(..).flatten().collect();
+    let first = st
+        .resolved
+        .take()
+        .expect("invariant: no page parked, so every page resolved");
+    FaultStep::Done(Ok((first, behind)))
+}
+
+/// Advances page `index` of a fault's run as far as it can go without
+/// blocking: the machine-independent fault transitions — shadow-chain
+/// walk, copy-on-write, lock negotiation, pager request, zero fill.
+fn page_step(
+    phys: &PhysicalMemory,
+    st: &mut FaultState,
+    index: usize,
+    runs: &mut RunCollector,
+) -> PageStep {
+    let machine = phys.machine();
     // The offset is page-granular relative to the mapping's own alignment;
     // it need not be page aligned within the object (Section 3.4.1).
     let page = phys.page_size() as u64;
     let wants_write = st.access.allows(VmProt::WRITE);
+    let offset = st.offset + index as u64 * page;
+    // Shadow-chain cursor: the object currently being probed, and the
+    // page's offset within it.
+    let (mut object, mut obj_offset) = (st.top.clone(), offset);
+    let park = |object: Arc<VmObject>, obj_offset: u64, kind: WaitKind| {
+        let wait = FaultWait {
+            object: object.id(),
+            offset: obj_offset,
+            kind,
+        };
+        PageStep::Park(wait, object)
+    };
 
     loop {
-        if st.object.is_terminated() {
-            return FaultStep::Done(Err(VmError::ObjectDestroyed));
+        if object.is_terminated() {
+            return PageStep::Done(Err(VmError::ObjectDestroyed));
         }
-        match phys.lookup(st.object.id(), st.obj_offset) {
+        match phys.lookup(object.id(), obj_offset) {
             PageLookup::Resident { frame, lock } => {
                 // Negotiate any manager lock prohibiting this access: ask
                 // for the unlock, then park until the lock changes (or
-                // the page goes away, which re-probes from here).
+                // the page goes away, which re-probes from the top).
                 if lock.intersects(st.access) {
-                    if let Some(pager) = st.object.pager() {
-                        pager.data_unlock(st.object.id(), st.obj_offset, page, st.access);
+                    if st.expired {
+                        return PageStep::Done(handle_timeout(phys, st, offset));
                     }
-                    return FaultStep::Park(FaultWait {
-                        object: st.object.id(),
-                        offset: st.obj_offset,
-                        kind: WaitKind::Unlock,
-                    });
+                    if let Some(pager) = object.pager() {
+                        pager.data_unlock(object.id(), obj_offset, page, st.access);
+                    }
+                    return park(object, obj_offset, WaitKind::Unlock);
                 }
                 if st.first_probe {
+                    // A cache hit is a property of the fault, counted on
+                    // the first page it probes only.
+                    st.first_probe = false;
                     machine.hot.vm_cache_hits.incr();
                 }
                 let residual_lock = phys
-                    .page_lock(st.object.id(), st.obj_offset)
+                    .page_lock(object.id(), obj_offset)
                     .unwrap_or(VmProt::NONE);
-                if Arc::ptr_eq(&st.object, &st.top) {
+                if Arc::ptr_eq(&object, &st.top) {
                     if wants_write {
                         phys.set_modified(frame);
                     }
-                    return FaultStep::Done(Ok(FaultResult {
+                    return PageStep::Done(Ok(FaultResult {
                         frame,
-                        object: st.object.clone(),
-                        offset: st.obj_offset,
+                        object,
+                        offset: obj_offset,
                         prot_limit: !residual_lock,
                     }));
                 }
@@ -309,84 +413,79 @@ pub(crate) fn fault_step(
                     // frame cannot be reclaimed — and recycled for another
                     // page — while its bytes are being copied; on a lost
                     // race the fault restarts and refills the ancestor.
-                    let Some(src) = phys.pin_resident(st.object.id(), st.obj_offset) else {
+                    let Some(src) = phys.pin_resident(object.id(), obj_offset) else {
                         continue;
                     };
-                    let copied = phys.copy_page(src, &st.top, st.offset);
+                    let copied = phys.copy_page(src, &st.top, offset);
                     phys.unpin(src);
-                    return FaultStep::Done(copied.map(|frame| FaultResult {
+                    return PageStep::Done(copied.map(|frame| FaultResult {
                         frame,
                         object: st.top.clone(),
-                        offset: st.offset,
+                        offset,
                         prot_limit: VmProt::ALL,
                     }));
                 }
                 // Read fault: map the ancestor's page without write
                 // permission so a later write triggers the copy.
-                return FaultStep::Done(Ok(FaultResult {
+                return PageStep::Done(Ok(FaultResult {
                     frame,
-                    object: st.object.clone(),
-                    offset: st.obj_offset,
+                    object,
+                    offset: obj_offset,
                     prot_limit: !(VmProt::WRITE | residual_lock),
                 }));
             }
             PageLookup::Pending => {
+                if st.expired {
+                    return PageStep::Done(handle_timeout(phys, st, offset));
+                }
                 // Someone (possibly this fault, one step ago) asked the
                 // pager already; wait for the fill.
-                return FaultStep::Park(FaultWait {
-                    object: st.object.id(),
-                    offset: st.obj_offset,
-                    kind: WaitKind::Fill,
-                });
+                return park(object, obj_offset, WaitKind::Fill);
             }
             PageLookup::Absent => {
                 st.first_probe = false;
-                if let Some((below, shadow_off)) = st.object.shadow() {
-                    st.obj_offset += shadow_off;
-                    st.object = below;
+                if let Some((below, shadow_off)) = object.shadow() {
+                    obj_offset += shadow_off;
+                    object = below;
                     continue;
                 }
-                if let Some(pager) = st.object.pager() {
+                if let Some(pager) = object.pager() {
+                    if st.expired {
+                        return PageStep::Done(handle_timeout(phys, st, offset));
+                    }
                     // Claim the faulting page plus as much of the run ahead
                     // of it as the access calls for, so one message fills
                     // what will be touched and nothing else.
-                    let window = request_window(st, pager.as_ref());
-                    let claimed = phys.begin_fill_run(
-                        st.object.id(),
-                        st.obj_offset,
-                        window,
-                        st.object.size(),
-                    );
+                    let behind = st.behind.len() - index;
+                    let window =
+                        request_window(st.policy, &object, obj_offset, behind, pager.as_ref());
+                    let claimed =
+                        phys.begin_fill_run(object.id(), obj_offset, window, object.size());
                     if let Some(pages) = claimed {
                         machine.hot.vm_pager_fills.incr();
-                        st.object
-                            .note_run(st.obj_offset + pages as u64 * page, window);
-                        st.claimed = Some((st.object.id(), st.obj_offset, pages));
+                        object.note_run(obj_offset + pages as u64 * page, window);
+                        st.claimed.push((object.id(), obj_offset, pages));
                         runs.data_request(
                             &pager,
-                            st.object.id(),
-                            st.obj_offset,
+                            object.id(),
+                            obj_offset,
                             pages as u64 * page,
                             st.access,
                         );
                     }
-                    return FaultStep::Park(FaultWait {
-                        object: st.object.id(),
-                        offset: st.obj_offset,
-                        kind: WaitKind::Fill,
-                    });
+                    return park(object, obj_offset, WaitKind::Fill);
                 }
                 // Bottom of the chain with no pager: zero-fill memory. The
                 // page is created in the *faulting* object: it is private
                 // memory that has simply never been touched.
-                return FaultStep::Done(phys.zero_fill(&st.top, st.offset).map(|frame| {
+                return PageStep::Done(phys.zero_fill(&st.top, offset).map(|frame| {
                     if wants_write {
                         phys.set_modified(frame);
                     }
                     FaultResult {
                         frame,
                         object: st.top.clone(),
-                        offset: st.offset,
+                        offset,
                         prot_limit: VmProt::ALL,
                     }
                 }));
@@ -429,21 +528,21 @@ pub fn resolve_page(
     result
 }
 
-/// Applies the policy's timeout action.
-pub(crate) fn handle_timeout(
+/// Applies the policy's timeout action to the page of `st`'s object at
+/// `offset`.
+fn handle_timeout(
     phys: &PhysicalMemory,
-    top: &Arc<VmObject>,
+    st: &FaultState,
     offset: u64,
-    policy: FaultPolicy,
 ) -> Result<FaultResult, VmError> {
-    match policy.on_timeout {
+    match st.policy.on_timeout {
         TimeoutAction::Fail => Err(VmError::Timeout),
         TimeoutAction::ZeroFill => {
             phys.machine().stats.incr(stat_keys::VM_TIMEOUT_ZERO_FILLS);
-            let frame = phys.zero_fill(top, offset)?;
+            let frame = phys.zero_fill(&st.top, offset)?;
             Ok(FaultResult {
                 frame,
-                object: top.clone(),
+                object: st.top.clone(),
                 offset,
                 prot_limit: VmProt::ALL,
             })
@@ -757,6 +856,12 @@ mod tests {
         let policy = FaultPolicy::trusting().with_cluster(8);
         let err = resolve_page(&phys, &obj, 0, VmProt::READ, policy).unwrap_err();
         assert_eq!(err, VmError::ObjectDestroyed);
+        // So does a run — while one that need not wait resolves whole.
+        let engine = phys.fault_engine();
+        let run = engine.submit_run(&obj, 0, 8, VmProt::READ, policy);
+        assert_eq!(run.wait_run().unwrap_err(), VmError::ObjectDestroyed);
+        let run = engine.submit_run(&anon, 0, 2, VmProt::READ, policy);
+        assert_eq!(run.wait_run()?.len(), 2);
         for pg in 0..8u64 {
             assert_eq!(phys.lookup(obj.id(), pg * 4096), PageLookup::Absent);
         }
@@ -883,6 +988,81 @@ mod tests {
             resolve_page(&phys, &obj, pg * 4096, VmProt::READ, policy).unwrap();
         }
         assert_eq!(m.stats.get(keys::VM_PAGER_FILLS), 4);
+    }
+
+    #[test]
+    fn a_run_is_one_fault_one_request_and_one_result_per_page() {
+        let (m, phys) = setup(32);
+        let (obj, pager) = EchoPager::attach_cluster(&phys, 0x5A, VmProt::NONE);
+        let policy = FaultPolicy::trusting().with_cluster(8);
+        let run = phys
+            .fault_engine()
+            .submit_run(&obj, 4 * 4096, 16, VmProt::READ, policy);
+        let pages = run.wait_run().expect("the run resolves");
+        // The run knows its own length: the policy's cap bounds only what
+        // is inferred.
+        assert_eq!(*pager.requests.lock(), vec![(4 * 4096, 16 * 4096)]);
+        assert_eq!(m.stats.get(keys::VM_FAULTS), 1);
+        assert_eq!(m.stats.get(keys::VM_PAGER_FILLS), 1);
+        assert!(m.stats.get(keys::VM_ASYNC_PARKS) <= 1);
+        assert_eq!(m.stats.get(keys::VM_CACHE_HITS), 0);
+        assert_eq!(
+            m.clock.now_ns(),
+            m.cost.fault_overhead_ns + 16 * m.cost.map_page_ns
+        );
+        for (i, r) in pages.iter().enumerate() {
+            assert_eq!((r.object.id(), r.offset), (obj.id(), (4 + i as u64) * 4096));
+            phys.with_frame(r.frame, |d| assert!(d.iter().all(|&b| b == 0x5A)));
+        }
+        // `wait` on a run is its first page.
+        assert_eq!(run.wait().expect("resolved").offset, 4 * 4096);
+    }
+
+    #[test]
+    fn a_run_over_single_page_requests_asks_for_all_of_them_before_it_waits() {
+        let (m, phys) = setup(32);
+        // Not cluster-capable: sixteen requests, made in one step (so they
+        // leave in one batch), sixteen single-page replies.
+        let pager = Arc::new(RecordingPager::default());
+        let obj = VmObject::new_with_pager(16 * 4096, pager.clone());
+        let policy = FaultPolicy::trusting().with_cluster(8);
+        let run = phys
+            .fault_engine()
+            .submit_run(&obj, 0, 16, VmProt::READ, policy);
+        assert!(machsim::wall::poll_until(
+            Duration::from_secs(5),
+            Duration::from_millis(1),
+            || pager.requests.lock().len() == 16
+        ));
+        assert!(!run.is_done());
+        assert_eq!(m.stats.get(keys::VM_ASYNC_PARKS), 1);
+        for pg in (0..16u64).rev() {
+            phys.supply_page(&obj, pg * 4096, filled(pg as u8, 4096), VmProt::NONE)
+                .expect("memory for sixteen pages");
+        }
+        let pages = run.wait_run().expect("the run resolves");
+        assert_eq!(pages.len(), 16);
+        assert_eq!(m.stats.get(keys::VM_FAULTS), 1);
+        // Parked on its first pending page throughout: only the last
+        // reply, page 0's, woke it.
+        assert_eq!(m.stats.get(keys::VM_ASYNC_PARKS), 1);
+    }
+
+    #[test]
+    fn a_run_fails_as_a_whole_and_releases_what_it_claimed() {
+        let (_m, phys) = setup(32);
+        let pager = Arc::new(RecordingPager {
+            cluster: true,
+            ..Default::default()
+        });
+        let obj = VmObject::new_with_pager(16 * 4096, pager.clone());
+        let policy = FaultPolicy::abort_after(Duration::from_millis(20)).with_cluster(8);
+        let run = phys
+            .fault_engine()
+            .submit_run(&obj, 0, 16, VmProt::READ, policy);
+        assert_eq!(run.wait_run().unwrap_err(), VmError::Timeout);
+        assert_eq!(pager.requests.lock().len(), 1, "one request, one timeout");
+        assert_eq!(phys.frame_census().pending, 0);
     }
 
     #[test]

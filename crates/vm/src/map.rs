@@ -676,16 +676,15 @@ impl VmMap {
         resolve_page(&self.phys, &object, obj_offset, access, policy)
     }
 
-    /// Fault-ahead: submits an asynchronous fault for every non-resident
-    /// page of `[address, address + size)` through the continuation
-    /// engine, then waits for the whole fan-out — the cluster of misses
-    /// parks and resolves concurrently instead of page-at-a-time — and
-    /// maps each page it resolved, so the access that follows finds it in
-    /// the pmap instead of faulting it a second time. Each fault is told
-    /// how many pages of the range follow it contiguously in its object,
-    /// so the first absent page of a run asks its pager for the whole run
-    /// in one `pager_data_request` and the faults behind it wait on that.
-    /// Already resident pages cost only a pin probe, so a warm range
+    /// Fault-ahead: submits one asynchronous fault for every *absent run*
+    /// of `[address, address + size)` — consecutive non-resident pages at
+    /// consecutive offsets of one object — through the continuation
+    /// engine, then waits for them all, and maps each page they resolved,
+    /// so the access that follows finds it in the pmap instead of
+    /// faulting it a second time. A run is one fault: one overhead
+    /// charge, one `pager_data_request` for the whole run from its first
+    /// absent page, one park until `pager_data_provided` has installed
+    /// it. Already resident pages cost only a pin probe, so a warm range
     /// charges no fault overhead at all. Returns the number of pages
     /// submitted.
     pub fn fault_ahead(&self, address: u64, size: u64, access: VmProt) -> Result<usize, VmError> {
@@ -698,7 +697,13 @@ impl VmMap {
         let policy = self.fault_policy();
         let ps = self.page_size();
         let end = address.saturating_add(size);
-        let mut pages = Vec::new();
+        // A run is bounded by what the engine lets one pager hold in
+        // flight (and by its map entry: another entry is another object).
+        let cap = engine.config().pager_inflight_pages;
+        // Absent pages in address order, and the runs they form: (index
+        // of the first page, object, offset of the first page, pages).
+        let mut absent = Vec::new();
+        let mut runs: Vec<(usize, Arc<VmObject>, u64, usize)> = Vec::new();
         let mut page = trunc_page(address, ps);
         while page < end {
             let (object, obj_offset, entry_prot, needs_copy) = self.resolve_addr(page, access)?;
@@ -710,49 +715,46 @@ impl VmMap {
                 .pin_resident(object.id(), obj_offset)
                 .map(|frame| self.phys.unpin(frame))
                 .is_some();
-            pages.push((
-                page / ps,
-                object,
-                obj_offset,
-                entry_prot,
-                needs_copy,
-                resident,
-            ));
+            if !resident {
+                // The page extends the last run if it is that object's
+                // next page (a resident hole leaves a gap in the offsets).
+                match runs.last_mut() {
+                    Some((_, run_object, start, pages))
+                        if *pages < cap
+                            && Arc::ptr_eq(run_object, &object)
+                            && *start + *pages as u64 * ps == obj_offset =>
+                    {
+                        *pages += 1
+                    }
+                    _ => runs.push((absent.len(), object, obj_offset, 1)),
+                }
+                absent.push((page / ps, entry_prot, needs_copy));
+            }
             page = page.saturating_add(ps);
         }
-        // Pages of the range that follow each page in the same object at
-        // the next offset (a map entry's worth at most), bounded by what
-        // the engine lets one pager hold in flight.
-        let cap = engine.config().pager_inflight_pages.saturating_sub(1);
-        let mut ahead = vec![0usize; pages.len()];
-        for i in (0..pages.len().saturating_sub(1)).rev() {
-            let ((_, object, offset, ..), (_, next_object, next_offset, ..)) =
-                (&pages[i], &pages[i + 1]);
-            if Arc::ptr_eq(object, next_object) && offset + ps == *next_offset {
-                ahead[i] = (ahead[i + 1] + 1).min(cap);
-            }
-        }
-        let mut tickets = Vec::new();
-        for ((vpn, object, obj_offset, entry_prot, needs_copy, resident), ahead) in
-            pages.into_iter().zip(ahead)
-        {
-            if !resident {
-                let ticket = engine.submit_ahead(&object, obj_offset, access, policy, ahead);
-                tickets.push((vpn, entry_prot, needs_copy, ticket));
-            }
-        }
-        let submitted = tickets.len();
-        for (vpn, entry_prot, needs_copy, ticket) in tickets {
-            let result = ticket.wait()?;
+        let tickets: Vec<_> = runs
+            .into_iter()
+            .map(|(first, object, offset, pages)| {
+                (
+                    first,
+                    engine.submit_run(&object, offset, pages, access, policy),
+                )
+            })
+            .collect();
+        for (first, ticket) in tickets {
+            let results = ticket.wait_run()?;
             // Join the fault's chain, as `resolve_page` does, so the pmap
-            // update lands in that fault's span tree.
+            // updates land in that fault's span tree.
             machsim::trace::set_current_correlation(Some(ticket.correlation()));
             machsim::trace::set_current_span(ticket.span());
-            // A page already reclaimed again (a range larger than memory
-            // evicts its own head) is left to fault at its first touch.
-            let _ = self.enter_resolved(vpn, &result, access, entry_prot, needs_copy);
+            for (result, &(vpn, entry_prot, needs_copy)) in results.iter().zip(&absent[first..]) {
+                // A page already reclaimed again (a range larger than
+                // memory evicts its own head) is left to fault at its
+                // first touch.
+                let _ = self.enter_resolved(vpn, result, access, entry_prot, needs_copy);
+            }
         }
-        Ok(submitted)
+        Ok(absent.len())
     }
 
     /// `vm_read`: copies `size` bytes at `address` out of the task.

@@ -727,30 +727,100 @@ impl PhysicalMemory {
         Some(((end - offset) / ps) as usize)
     }
 
-    /// The node recorded for an in-flight fill of `(object, offset)`:
-    /// where the faulting CPU was when it claimed the fill. The data
-    /// manager's supply runs on its own thread, so first-touch placement
-    /// reads the requester's node from here rather than the current one.
-    fn pending_fill_node(&self, object: ObjectId, offset: u64) -> Option<usize> {
-        let st = self.shard(object, offset).state.lock();
-        st.pending.get(&(object, offset)).map(|p| p.node)
-    }
-
-    /// Allocates a (privileged) frame for a pager-driven install of
-    /// `(object, offset)`, preferring the node of the CPU that faulted.
-    fn allocate_for_fill(&self, object: ObjectId, offset: u64) -> Result<usize, VmError> {
-        match self.pending_fill_node(object, offset) {
+    /// A (privileged) frame for a pager-driven install of `(object,
+    /// offset)`, or `None` when the page takes none: it arrived by another
+    /// route meanwhile (the resident copy wins, before a frame is taken
+    /// and maybe a page evicted for nothing) or its object is dead. Either
+    /// way its pending entry goes (`awaited` as in `link`). The frame is
+    /// on the node the pending fill recorded — where the faulting CPU was
+    /// when it claimed the fill; the data manager's supply runs on its own
+    /// thread, so first-touch placement reads the requester's node from
+    /// there rather than the current one.
+    fn frame_for_fill(
+        &self,
+        object: &Arc<VmObject>,
+        offset: u64,
+        awaited: &mut bool,
+    ) -> Result<Option<usize>, VmError> {
+        let key = (object.id(), offset);
+        let node = {
+            let mut st = self.shard(key.0, key.1).state.lock();
+            if st.resident.contains_key(&key) || object.is_terminated() {
+                *awaited |= st.pending.remove(&key).is_some();
+                return Ok(None);
+            }
+            st.pending.get(&key).map(|p| p.node)
+        };
+        match node {
             Some(node) => self.allocate_frame_on(node, true),
             None => self.allocate_frame(true),
         }
+        .map(Some)
+    }
+
+    /// Installs the `pages` pages of `object` from `offset` that are not
+    /// resident yet, each in a fresh frame `fill` has written (it is given
+    /// the page's index in the range and the frame), then reports *one*
+    /// page event for the range, if any of it was awaited — after its
+    /// last page, so a fault parked on the first is resumed once and
+    /// finds the rest resident. Returns the pages installed: none for an
+    /// object terminated meanwhile (a late reply), whose claimed pages
+    /// are simply released.
+    fn fill_range(
+        &self,
+        object: &Arc<VmObject>,
+        offset: u64,
+        pages: usize,
+        lock: VmProt,
+        mut fill: impl FnMut(usize, usize),
+    ) -> Result<usize, VmError> {
+        let ps = self.page_size as u64;
+        let mut installed = Ok(0usize);
+        let mut awaited = false;
+        for i in 0..pages {
+            let page = offset + i as u64 * ps;
+            let frame = match self.frame_for_fill(object, page, &mut awaited) {
+                Ok(Some(frame)) => frame,
+                Ok(None) => continue,
+                Err(e) => {
+                    installed = Err(e);
+                    break;
+                }
+            };
+            fill(i, frame);
+            if self
+                .link(object, page, frame, lock, false, &mut awaited)
+                .is_ok()
+            {
+                installed = installed.map(|n| n + 1);
+            }
+        }
+        if awaited {
+            self.engine.on_range_event(object.id(), offset, pages, ps);
+        }
+        installed
     }
 
     /// Abandons a pending fill (e.g. fault aborted by timeout), so a later
     /// fault can re-request the data.
     pub fn cancel_fill(&self, object: ObjectId, offset: u64) {
-        let shard = self.shard(object, offset);
-        shard.state.lock().pending.remove(&(object, offset));
-        self.engine.on_page_event(object, offset);
+        self.cancel_fill_run(object, offset, 1);
+    }
+
+    /// [`PhysicalMemory::cancel_fill`] for the `pages`-page run a
+    /// `begin_fill_run` claimed: every pending entry goes, then one page
+    /// event covers the run (none if none of it was still pending).
+    pub fn cancel_fill_run(&self, object: ObjectId, offset: u64, pages: usize) {
+        let ps = self.page_size as u64;
+        let mut awaited = false;
+        for i in 0..pages as u64 {
+            let key = (object, offset + i * ps);
+            let mut st = self.shard(key.0, key.1).state.lock();
+            awaited |= st.pending.remove(&key).is_some();
+        }
+        if awaited {
+            self.engine.on_range_event(object, offset, pages, ps);
+        }
     }
 
     // ----- frame allocation and reclaim -----
@@ -1171,6 +1241,8 @@ impl PhysicalMemory {
 
     // ----- page installation -----
 
+    /// Installs `frame` as the page `(object, offset)` and, if a fault may
+    /// be parked on the page, reports the page event.
     fn install(
         &self,
         object: &Arc<VmObject>,
@@ -1178,11 +1250,45 @@ impl PhysicalMemory {
         frame: usize,
         lock: VmProt,
         dirty: bool,
-    ) -> usize {
+    ) -> Result<usize, VmError> {
+        let mut awaited = false;
+        let installed = self.link(object, offset, frame, lock, dirty, &mut awaited);
+        if awaited {
+            self.engine.on_page_event(object.id(), offset);
+        }
+        installed
+    }
+
+    /// Enters `frame` into the resident table as the page `(object,
+    /// offset)`, without reporting the page event: the caller does, once
+    /// for everything it installs, if any of it was `awaited` — set when
+    /// the install resolves a pending fill, the only state of a page a
+    /// fault parks on, so an install that finds none (every zero fill and
+    /// copy-on-write copy) has nobody to wake. Returns the frame now
+    /// caching the page. A terminated object gets nothing: the frame is
+    /// freed and the caller told, decided under the shard lock
+    /// `release_object` takes after the object is marked — so either this
+    /// sees the mark, or the release sees the page.
+    fn link(
+        &self,
+        object: &Arc<VmObject>,
+        offset: u64,
+        frame: usize,
+        lock: VmProt,
+        dirty: bool,
+        awaited: &mut bool,
+    ) -> Result<usize, VmError> {
         let key = (object.id(), offset);
         let shard = self.shard(key.0, key.1);
         let mut st = shard.state.lock();
-        if let Some(pf) = st.pending.remove(&key) {
+        let pending = st.pending.remove(&key);
+        *awaited |= pending.is_some();
+        if object.is_terminated() {
+            drop(st);
+            self.free_frame(frame);
+            return Err(VmError::ObjectDestroyed);
+        }
+        if let Some(pf) = pending {
             // This install resolves a pager fill claimed by `begin_fill`.
             self.machine.latency.record(
                 trace_keys::REQUEST_TO_FILL,
@@ -1195,8 +1301,7 @@ impl PhysicalMemory {
         if let Some(&existing) = st.resident.get(&key) {
             drop(st);
             self.free_frame(frame);
-            self.engine.on_page_event(key.0, key.1);
-            return existing;
+            return Ok(existing);
         }
         st.resident.insert(key, frame);
         {
@@ -1216,9 +1321,7 @@ impl PhysicalMemory {
         // fully linked; flush/reclaim skip busy frames, so there is no
         // window in which a half-installed page can be freed.
         fr.release();
-        drop(st);
-        self.engine.on_page_event(key.0, key.1);
-        frame
+        Ok(frame)
     }
 
     /// `pager_data_provided`: installs data supplied by a data manager.
@@ -1229,8 +1332,9 @@ impl PhysicalMemory {
     /// and partial pages are discarded"). The offset may be unaligned —
     /// consistency is then only guaranteed among mappings with the same
     /// alignment, exactly as in Mach. Multi-page data (a cluster fill)
-    /// installs page by page; pages that are already resident keep their
-    /// current contents and cost nothing. Returns the pages installed.
+    /// installs page by page and reports one page event for the whole
+    /// buffer; pages that are already resident keep their current
+    /// contents and cost nothing. Returns the pages installed.
     ///
     /// A page the manager gave away changes hands by a table update, as
     /// every other out-of-line page does: when `data` is the only handle
@@ -1259,24 +1363,9 @@ impl PhysicalMemory {
         self.machine
             .trace_event("vm.supply", machsim::EventKind::DataProvided);
         let steal = data.is_exclusive() && !self.machine.cost.topology.is_asymmetric();
-        let mut installed = 0usize;
-        for (i, page) in data.as_slice().chunks_exact(self.page_size).enumerate() {
-            let key = (object.id(), offset + (i * self.page_size) as u64);
-            // Where the requester faulted, unless the page arrived by
-            // another route meanwhile: the resident copy wins, before a
-            // frame is taken (and maybe a page evicted) for nothing.
-            let node = {
-                let mut st = self.shard(key.0, key.1).state.lock();
-                if st.resident.contains_key(&key) {
-                    st.pending.remove(&key);
-                    continue;
-                }
-                st.pending.get(&key).map(|p| p.node)
-            };
-            let frame = match node {
-                Some(node) => self.allocate_frame_on(node, true)?,
-                None => self.allocate_frame(true)?,
-            };
+        let bytes = data.as_slice();
+        self.fill_range(object, offset, whole_pages, lock, |i, frame| {
+            let page = &bytes[i * self.page_size..(i + 1) * self.page_size];
             self.frames[frame].data.write().copy_from_slice(page);
             if steal {
                 self.machine.clock.charge(self.machine.cost.map_page_ns);
@@ -1287,33 +1376,27 @@ impl PhysicalMemory {
                     .charge(self.machine.cost.copy_cost_ns(self.page_size as u64));
                 self.machine.hot.bytes_copied.add(self.page_size as u64);
             }
-            self.install(object, key.1, frame, lock, false);
-            installed += 1;
-        }
-        Ok(installed)
+        })
     }
 
-    /// `pager_data_unavailable`: the manager has no data; zero-fill.
+    /// `pager_data_unavailable`: the manager has no data for the pages of
+    /// `[offset, offset + length)`; zero-fill them, with one page event
+    /// for the range as in `supply_page`. Returns the pages zero-filled.
     ///
-    /// If the page became resident in the meantime (a cluster request
-    /// partially satisfied by other routes), the resident copy wins and
-    /// only the truly missing page would have been zero-filled.
-    pub fn data_unavailable(&self, object: &Arc<VmObject>, offset: u64) -> Result<usize, VmError> {
-        let key = (object.id(), offset);
-        {
-            let shard = self.shard(key.0, key.1);
-            let mut st = shard.state.lock();
-            if let Some(&frame) = st.resident.get(&key) {
-                st.pending.remove(&key);
-                drop(st);
-                self.engine.on_page_event(key.0, key.1);
-                return Ok(frame);
-            }
-        }
-        let frame = self.allocate_for_fill(object.id(), offset)?;
-        self.frames[frame].data.write().fill(0);
-        self.machine.hot.vm_zero_fills.incr();
-        Ok(self.install(object, offset, frame, VmProt::NONE, false))
+    /// A page that became resident in the meantime (a cluster request
+    /// partially satisfied by other routes) keeps its resident copy, so
+    /// only the truly missing pages are zero-filled.
+    pub fn data_unavailable(
+        &self,
+        object: &Arc<VmObject>,
+        offset: u64,
+        length: u64,
+    ) -> Result<usize, VmError> {
+        let pages = length.div_ceil(self.page_size as u64).max(1) as usize;
+        self.fill_range(object, offset, pages, VmProt::NONE, |_, frame| {
+            self.frames[frame].data.write().fill(0);
+            self.machine.hot.vm_zero_fills.incr();
+        })
     }
 
     /// Installs a zero-filled page for an untouched temporary object.
@@ -1321,7 +1404,7 @@ impl PhysicalMemory {
         let frame = self.allocate_frame(false)?;
         self.frames[frame].data.write().fill(0);
         self.machine.hot.vm_zero_fills.incr();
-        Ok(self.install(object, offset, frame, VmProt::NONE, false))
+        self.install(object, offset, frame, VmProt::NONE, false)
     }
 
     /// Copies `src_frame` into a fresh page of `(dst_object, dst_offset)` —
@@ -1344,7 +1427,7 @@ impl PhysicalMemory {
         self.machine.hot.vm_cow_copies.incr();
         self.machine.hot.bytes_copied.add(self.page_size as u64);
         // The copy exists precisely because someone is about to write it.
-        Ok(self.install(dst_object, dst_offset, frame, VmProt::NONE, true))
+        self.install(dst_object, dst_offset, frame, VmProt::NONE, true)
     }
 
     // ----- frame data access -----
@@ -1961,9 +2044,24 @@ impl PhysicalMemory {
     }
 
     /// Releases every cached page of `object`, optionally writing dirty
-    /// pages back first (object termination).
+    /// pages back first (object termination) — and every fill it still
+    /// has pending: a reply that arrives later installs nothing (`link`),
+    /// so whoever waits for one is woken to find the object gone.
     pub fn release_object(&self, object: &Arc<VmObject>, write_back: bool) {
         self.flush_or_clean(object, 0, u64::MAX, true, write_back);
+        let mut stranded: Vec<u64> = Vec::new();
+        for shard in &self.shards {
+            shard.state.lock().pending.retain(|&(id, page), _| {
+                let gone = id == object.id();
+                if gone {
+                    stranded.push(page);
+                }
+                !gone
+            });
+        }
+        for page in stranded {
+            self.engine.on_page_event(object.id(), page);
+        }
     }
 
     /// Offsets of all resident pages belonging to `object`.
@@ -2174,7 +2272,9 @@ mod tests {
             }
             other => panic!("expected resident, got {other:?}"),
         }
-        // A cluster overlapping it pays for the missing page only.
+        // A cluster overlapping it pays for the missing page only (which
+        // a fault asked for: that one is reported).
+        assert!(phys.begin_fill(obj.id(), 4096));
         let n = phys.supply_page(&obj, 0, filled(9u8, 8192), VmProt::NONE)?;
         assert_eq!(n, 1);
         assert_eq!(m.clock.now_ns() - now, m.cost.map_page_ns);
@@ -2542,12 +2642,13 @@ mod tests {
         let obj = VmObject::new_temporary(4 * 4096);
         phys.supply_page(&obj, 4096, filled(7u8, 4096), VmProt::NONE)
             .unwrap();
-        // The kernel answers pager_data_unavailable for a cluster with a
-        // per-page loop; the page that is already resident keeps its data
-        // and only the truly missing pages zero-fill.
-        for page in 0..4u64 {
-            phys.data_unavailable(&obj, page * 4096).unwrap();
-        }
+        // pager_data_unavailable for a whole cluster: the page that is
+        // already resident keeps its data and only the truly missing
+        // pages zero-fill — under one page event.
+        assert_eq!(phys.begin_fill_run(obj.id(), 0, 4, 4 * 4096), Some(1));
+        let events = phys.fault_engine().page_events();
+        assert_eq!(phys.data_unavailable(&obj, 0, 4 * 4096), Ok(3));
+        assert_eq!(phys.fault_engine().page_events(), events + 1);
         let PageLookup::Resident { frame, .. } = phys.lookup(obj.id(), 4096) else {
             panic!("page 1 must stay resident");
         };

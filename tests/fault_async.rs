@@ -268,3 +268,58 @@ fn correlation_id_survives_park_and_resume() {
         "the completion loop's resolution rejoined the chain"
     );
 }
+
+/// A fault over a run is one continuation: a pager that dies under it
+/// errors the run once, and nothing it claimed stays pending.
+#[test]
+fn pager_death_errors_a_parked_run_once() {
+    let kernel = Kernel::boot(KernelConfig::default());
+    let mgr = spawn_manager(kernel.machine(), "blackhole", BlackHolePager);
+    let object = kernel.object_for_port(mgr.port(), 16 * PAGE);
+    let engine = kernel.fault_engine();
+
+    let policy = FaultPolicy::trusting().with_cluster(8);
+    let ticket = engine.submit_run(&object, 0, 16, VmProt::READ, policy);
+    assert!(!ticket.is_done(), "the run is parked on its one request");
+    assert_eq!(kernel.phys().frame_census().pending, 16);
+    assert_eq!(engine.outstanding(), 1);
+
+    mgr.shutdown();
+
+    let err = ticket
+        .wait_run()
+        .expect_err("run against a dead pager errors");
+    assert!(matches!(err, VmError::ObjectDestroyed), "got {err:?}");
+    let stats = &kernel.machine().stats;
+    assert_eq!(stats.get(keys::VM_FAULTS), 1);
+    assert_eq!(stats.get(keys::VM_ASYNC_PAGER_DEAD), 1);
+    let census = kernel.phys().frame_census();
+    assert_eq!(census.pending, 0, "no stranded fill windows: {census:?}");
+    assert_eq!(census.pinned, 0, "no leaked pins: {census:?}");
+}
+
+/// Engine shutdown with runs parked: each errors with `ObjectDestroyed`
+/// and every page it claimed is released.
+#[test]
+fn shutdown_errors_parked_runs_and_releases_their_claims() {
+    let kernel = Kernel::boot(KernelConfig::default());
+    let mgr = spawn_manager(kernel.machine(), "blackhole", BlackHolePager);
+    let object = kernel.object_for_port(mgr.port(), 64 * PAGE);
+    let engine = kernel.fault_engine();
+
+    let policy = FaultPolicy::trusting().with_cluster(8);
+    let tickets: Vec<_> = (0..4)
+        .map(|run| engine.submit_run(&object, run * 16 * PAGE, 16, VmProt::READ, policy))
+        .collect();
+    assert!(tickets.iter().all(|t| !t.is_done()));
+    assert_eq!(kernel.phys().frame_census().pending, 64);
+
+    engine.shutdown();
+
+    for t in &tickets {
+        let err = t.wait_run().expect_err("shutdown errors what was parked");
+        assert!(matches!(err, VmError::ObjectDestroyed), "got {err:?}");
+    }
+    assert_eq!(engine.outstanding(), 0);
+    assert_eq!(kernel.phys().frame_census().pending, 0);
+}

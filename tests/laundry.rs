@@ -249,9 +249,9 @@ fn pages_diverted_from_a_hoarder_read_back_intact() -> Result<(), VmError> {
         // (One takeover is one `pager_data_write`, up to eight pages.)
         assert!(stats.get(keys::VM_DEFAULT_PAGER_TAKEOVERS) >= 64 / 8);
         // The hoarder would answer zeroes for them; the kernel asks the
-        // pager that has them. (Top down: nothing looks like a scan, so
-        // no read-ahead is still in flight when the object goes away.)
-        for page in (160..224).rev() {
+        // pager that has them. (Bottom up, a scan: read-ahead may still
+        // be in flight when the object goes away, and installs nothing.)
+        for page in 160..224 {
             let mut got = [0u8; 4];
             task.read_memory(addr + page * PAGE, &mut got)?;
             assert_eq!(got, pattern(page), "page {page}");

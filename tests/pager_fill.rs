@@ -9,16 +9,16 @@
 use machcore::{
     proto, spawn_manager, DataManager, Kernel, KernelConfig, KernelConn, ManagerHandle, Task,
 };
-use machipc::{Message, MsgItem, OolBuffer, SendRight};
+use machipc::{Message, MsgItem, OolBuffer};
 use machpagers::hostile::FloodPager;
 use machsim::stats::keys;
 use machsim::{CostModel, Machine, Topology};
 use machvm::numa::NodeScope;
 use machvm::{
-    FaultEngineConfig, FaultPolicy, NumaConfig, PageLookup, PhysicalMemory, VmError, VmObject,
-    VmProt,
+    FaultEngineConfig, FaultPolicy, NumaConfig, ObjectId, PageLookup, PagerBackend, PhysicalMemory,
+    VmError, VmObject, VmProt,
 };
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 const PAGE: u64 = 4096;
@@ -153,10 +153,9 @@ fn numa_supply_still_copies_onto_the_requesters_node() -> Result<(), VmError> {
     Ok(())
 }
 
-/// Answers nothing until it holds sixteen requests, then all of them.
-/// Fault-ahead only probes a page for residency; it maps and counts the
-/// pages it had to submit. Holding the answers back keeps the whole range
-/// absent while it is being probed, so the counts below are exact.
+/// Answers nothing until it holds sixteen requests, then all of them: a
+/// fault over a run of pages that are requested one by one (the policy
+/// below) asks for all of them before it waits for any.
 #[derive(Default)]
 struct HeldPager {
     held: Vec<(u64, u64)>,
@@ -199,12 +198,12 @@ fn read_behind_fault_ahead_takes_no_faults() -> Result<(), VmError> {
         16,
         "the whole cold range was submitted"
     );
-    assert_eq!(stats.get(keys::VM_FAULTS), 16);
+    assert_eq!(stats.get(keys::VM_FAULTS), 1, "one absent run, one fault");
     let mut bytes = vec![0u8; 16 * PAGE as usize];
     task.read_memory(addr, &mut bytes)?;
     assert_eq!(
         stats.get(keys::VM_FAULTS),
-        16,
+        1,
         "every page was already mapped"
     );
     assert_eq!(bytes, pattern(0, 16 * PAGE));
@@ -254,31 +253,6 @@ fn fault_ahead_respects_copy_on_write() -> Result<(), VmError> {
     Ok(())
 }
 
-/// `FloodPager` with a marker the test can push through both queues: a
-/// `pager_data_unlock` sent to the manager port comes back to the kernel
-/// as a `pager_set_cluster`. Each port is FIFO, so once the marker has
-/// taken effect every earlier request was answered and every answer
-/// installed.
-struct TappedFlood {
-    inner: FloodPager,
-    /// The kernel's request port and the object id, once known.
-    tap: Arc<Mutex<Option<(SendRight, u64)>>>,
-}
-
-impl DataManager for TappedFlood {
-    fn data_request(&mut self, k: &KernelConn, object: u64, offset: u64, length: u64, a: VmProt) {
-        *self.tap.lock().expect("tap lock") = Some((k.request_port().clone(), object));
-        self.inner.data_request(k, object, offset, length, a);
-    }
-
-    fn data_unlock(&mut self, k: &KernelConn, object: u64, _off: u64, _len: u64, _a: VmProt) {
-        k.set_cluster(object, MARKER);
-    }
-}
-
-/// The cluster hint the marker leaves on the object.
-const MARKER: u64 = 3;
-
 /// Polls `done` (a few ms apart) until it holds; panics after ten seconds.
 fn eventually(what: &str, mut done: impl FnMut() -> bool) {
     let deadline = machsim::wall::Deadline::after(Duration::from_secs(10));
@@ -303,35 +277,18 @@ fn flood_pager_burst_ends_with_the_census_at_baseline() -> Result<(), VmError> {
         // Every request is answered with eight times the pages asked for:
         // unsolicited runs overlapping resident pages, pending fills and
         // (at the end) offsets past the object.
-        let tap = Arc::new(Mutex::new(None));
-        let mgr = spawn_manager(
-            kernel.machine(),
-            "flood",
-            TappedFlood {
-                inner: FloodPager { burst_pages: 8 },
-                tap: tap.clone(),
-            },
-        );
+        let mgr = spawn_manager(kernel.machine(), "flood", FloodPager { burst_pages: 8 });
         let addr = task.vm_allocate_with_pager(None, 128 * PAGE, mgr.port(), 0)?;
         let mut b = [0u8; 1];
         for page in (0..128).step_by(5) {
             task.read_memory(addr + page * PAGE, &mut b)?;
             assert_eq!(b[0], 0xFF);
         }
-        // A fault resumes at its own page, or at a page an earlier burst
-        // brought: the rest of its burst, or its whole request, is still
-        // in flight. Wait for all of it before tearing the object down.
-        let (request, object) = tap.lock().expect("tap lock").take().expect("pager ran");
-        mgr.port().send_notification(
-            Message::new(proto::PAGER_DATA_UNLOCK)
-                .with(MsgItem::u64s(&[object, 0, 0, 0]))
-                .with(MsgItem::SendRights(vec![request])),
-        );
-        let obj = kernel.object_for_port(mgr.port(), 128 * PAGE);
-        eventually("both queues to drain", || {
-            obj.cluster_hint() == MARKER as usize
-        });
         assert!(kernel.machine().stats.get(keys::VM_PAGES_STOLEN) > 0);
+        // A fault resumes at its own page, or at a page an earlier burst
+        // brought: the rest of its burst, or its whole request, may still
+        // be in flight. The object goes away under it: what arrives late
+        // installs nothing.
         task.vm_deallocate(addr, 128 * PAGE)?;
     }
     eventually("the object's frames to come back", || {
@@ -401,5 +358,84 @@ fn short_bodied_pager_messages_are_dropped_not_fatal() -> Result<(), VmError> {
     task.read_memory(addr + 8 * PAGE, &mut b)?;
     assert_eq!(b[..], pattern(8 * PAGE, 4)[..]);
     assert_eq!(stats.get(keys::WATCHDOG_STALLS), 0);
+    Ok(())
+}
+
+/// An in-kernel pager that tells the test a request has arrived and then
+/// holds its `pager_data_provided` until the test lets it go. (The reply
+/// comes from a thread of its own: requests are made on the fault
+/// engine's completion loop, which must stay free to resume faults.)
+struct GatedPager {
+    phys: Arc<PhysicalMemory>,
+    object: OnceLock<Arc<VmObject>>,
+    asked: mpsc::Sender<()>,
+    gate: Mutex<Option<mpsc::Receiver<()>>>,
+    /// Pages each reply installed.
+    replied: mpsc::Sender<Result<usize, VmError>>,
+}
+
+impl PagerBackend for GatedPager {
+    fn supports_cluster(&self) -> bool {
+        true
+    }
+
+    fn data_request(&self, _object: ObjectId, offset: u64, length: u64, _access: VmProt) {
+        let gate = self.gate.lock().expect("gate lock").take();
+        let gate = gate.expect("one request");
+        let object = self.object.get().expect("attached").clone();
+        let (phys, replied) = (self.phys.clone(), self.replied.clone());
+        std::thread::spawn(move || {
+            gate.recv().expect("the test opens the gate");
+            let data = OolBuffer::from_vec(pattern(offset, length));
+            let installed = phys.supply_page(&object, offset, data, VmProt::NONE);
+            replied.send(installed).expect("the test is listening");
+        });
+        self.asked.send(()).expect("the test is listening");
+    }
+
+    fn data_write(&self, _object: ObjectId, _offset: u64, _data: OolBuffer) {}
+
+    fn data_unlock(&self, _object: ObjectId, _offset: u64, _length: u64, _access: VmProt) {}
+}
+
+#[test]
+fn a_reply_that_arrives_after_its_object_died_installs_nothing() -> Result<(), VmError> {
+    let m = Machine::default_machine();
+    let phys = PhysicalMemory::new(&m, 64 * PAGE as usize, PAGE as usize, 4);
+    let baseline = phys.frame_census();
+    let (asked, was_asked) = mpsc::channel();
+    let (open, gate) = mpsc::channel();
+    let (replied, reply) = mpsc::channel();
+    let pager = Arc::new(GatedPager {
+        phys: phys.clone(),
+        object: OnceLock::new(),
+        asked,
+        gate: Mutex::new(Some(gate)),
+        replied,
+    });
+    let object = VmObject::new_with_pager(16 * PAGE, pager.clone());
+    pager.object.set(object.clone()).expect("attached once");
+
+    // A 16-page run parks on its one request, which the pager now holds.
+    let policy = FaultPolicy::trusting().with_cluster(16);
+    let ticket = phys
+        .fault_engine()
+        .submit_run(&object, 0, 16, VmProt::READ, policy);
+    was_asked.recv().expect("the request reached the pager");
+    assert_eq!(phys.frame_census().pending, 16);
+
+    // The object is terminated under the request, as `vm_deallocate` of
+    // its last mapping does it: the parked fault learns of it at once.
+    object.mark_terminated();
+    phys.release_object(&object, false);
+    assert_eq!(ticket.wait_run().unwrap_err(), VmError::ObjectDestroyed);
+
+    // Only now does `pager_data_provided` arrive, sixteen pages of it.
+    open.send(()).expect("the pager is waiting");
+    assert_eq!(reply.recv().expect("the pager replied"), Ok(0));
+    assert_eq!(phys.frame_census(), baseline);
+    assert_eq!(phys.data_unavailable(&object, 0, 16 * PAGE), Ok(0));
+    assert_eq!(phys.frame_census(), baseline);
+    phys.check_invariants();
     Ok(())
 }

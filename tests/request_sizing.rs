@@ -1,15 +1,16 @@
 //! Integration: every `pager_data_request` is as long as the access calls
 //! for. A random fault asks for one page; a scan ramps up to the cluster
 //! cap (and a fresh object read from its start begins there); fault-ahead
-//! asks for each absent run of its range in one request; an object whose
-//! manager advised single pages gets single pages from every path. All in
-//! counts — requests as the manager saw them, and kernel counters.
+//! asks for each absent run of its range in one request — and each run is
+//! one fault, parked once; an object whose manager advised single pages
+//! gets single pages from every path. All in counts — requests as the
+//! manager saw them, and kernel counters.
 
 use machcore::{spawn_manager, DataManager, Kernel, KernelConfig, KernelConn, ManagerHandle, Task};
 use machipc::OolBuffer;
 use machsim::stats::keys;
 use machsim::SplitMix64;
-use machvm::{VmError, VmProt};
+use machvm::{FaultPolicy, VmError, VmProt};
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -47,7 +48,7 @@ impl DataManager for SizingPager {
 
 struct Rig {
     task: Arc<Task>,
-    _mgr: ManagerHandle,
+    mgr: ManagerHandle,
     kernel: Arc<Kernel>,
     requests: Requests,
     addr: u64,
@@ -76,7 +77,11 @@ impl Rig {
 /// A default kernel (memory for 1024 pages: nothing is evicted) with a
 /// fresh `pages`-page object of a `SizingPager` mapped into one task.
 fn rig(pages: u64, advise: Option<u64>) -> Result<Rig, VmError> {
-    let kernel = Kernel::boot(KernelConfig::default());
+    rig_in(KernelConfig::default(), pages, advise)
+}
+
+fn rig_in(config: KernelConfig, pages: u64, advise: Option<u64>) -> Result<Rig, VmError> {
+    let kernel = Kernel::boot(config);
     let requests = Requests::default();
     let mgr = spawn_manager(
         kernel.machine(),
@@ -99,7 +104,7 @@ fn rig(pages: u64, advise: Option<u64>) -> Result<Rig, VmError> {
     }
     Ok(Rig {
         task,
-        _mgr: mgr,
+        mgr,
         kernel,
         requests,
         addr,
@@ -169,6 +174,9 @@ fn fault_ahead_asks_for_its_whole_cold_range_in_one_request() -> Result<(), VmEr
     );
     assert_eq!(r.requests(), [(0, 16)]);
     assert_eq!(r.stat(keys::VM_PAGER_FILLS), 1);
+    // The run is one fault, resumed by the one event its fill reports.
+    assert_eq!(r.stat(keys::VM_FAULTS), 1);
+    assert!(r.stat(keys::VM_ASYNC_PARKS) <= 1);
     let faults = r.stat(keys::VM_FAULTS);
     let mut bytes = vec![0u8; 16 * PAGE as usize];
     r.task.read_memory(r.addr, &mut bytes)?;
@@ -189,6 +197,7 @@ fn fault_ahead_asks_for_exactly_the_absent_runs() -> Result<(), VmError> {
         r.task.read_memory(r.addr + page * PAGE, &mut b)?;
     }
     assert_eq!(r.requests(), [(5, 1), (11, 1)]);
+    let faults = r.stat(keys::VM_FAULTS);
     assert_eq!(
         r.task.map().fault_ahead(r.addr, 16 * PAGE, VmProt::READ)?,
         14
@@ -196,6 +205,99 @@ fn fault_ahead_asks_for_exactly_the_absent_runs() -> Result<(), VmError> {
     let mut runs = r.requests()[2..].to_vec();
     runs.sort_unstable();
     assert_eq!(runs, [(0, 5), (6, 5), (12, 4)]);
+    assert_eq!(
+        r.stat(keys::VM_FAULTS) - faults,
+        3,
+        "one fault per absent run"
+    );
+    Ok(())
+}
+
+#[test]
+fn a_write_run_copies_each_page_up_from_the_pager_backed_parent() -> Result<(), VmError> {
+    let r = rig(16, None)?;
+    // A copy-on-write snapshot of the object beside the object itself: the
+    // first write interposes a shadow, and every page sits below it.
+    let copy = r.task.map_object_copy(None, 16 * PAGE, r.mgr.port(), 0)?;
+    assert_eq!(
+        r.task.map().fault_ahead(copy, 16 * PAGE, VmProt::WRITE)?,
+        16
+    );
+    assert_eq!(r.requests(), [(0, 16)]);
+    assert_eq!(r.stat(keys::VM_FAULTS), 1);
+    assert_eq!(r.stat(keys::VM_COW_COPIES), 16);
+    // Every page is mapped writable: the writes fault no more.
+    r.task.write_memory(copy, &vec![0xEE; 16 * PAGE as usize])?;
+    assert_eq!(r.stat(keys::VM_FAULTS), 1);
+    // The parent's pages still hold what the pager supplied.
+    r.scan(0, 16)?;
+    assert_eq!(r.stat(keys::VM_COW_COPIES), 16);
+    assert_eq!(r.requests().len(), 1);
+    Ok(())
+}
+
+#[test]
+fn a_run_twice_the_size_of_memory_completes() -> Result<(), VmError> {
+    const MEMORY_PAGES: u64 = 64;
+    let r = rig_in(
+        KernelConfig::with_memory((MEMORY_PAGES * PAGE) as usize),
+        2 * MEMORY_PAGES,
+        None,
+    )?;
+    // The run's fills evict its own head; the fault asks again for what it
+    // lost until every page has been resolved once.
+    assert_eq!(
+        r.task
+            .map()
+            .fault_ahead(r.addr, 2 * MEMORY_PAGES * PAGE, VmProt::READ)?,
+        2 * MEMORY_PAGES as usize
+    );
+    assert_eq!(r.stat(keys::VM_FAULTS), 1);
+    r.scan(0, 2 * MEMORY_PAGES)?;
+    // (A fill may still be installing the tail of its buffer behind a
+    // fault the sweep resumed early; nothing stays claimed for good.)
+    let settled =
+        machsim::wall::poll_until(Duration::from_secs(10), Duration::from_millis(1), || {
+            r.kernel.phys().frame_census().pending == 0
+        });
+    assert!(settled, "a claimed page was never filled or released");
+    Ok(())
+}
+
+/// Never answers anything.
+struct SilentPager;
+
+impl DataManager for SilentPager {
+    fn data_request(&mut self, _k: &KernelConn, _o: u64, _off: u64, _len: u64, _a: VmProt) {}
+}
+
+#[test]
+fn a_silent_pager_costs_a_run_one_timeout() -> Result<(), VmError> {
+    const TIMEOUT: Duration = Duration::from_millis(100);
+    let kernel = Kernel::boot(KernelConfig::default());
+    let mgr = spawn_manager(kernel.machine(), "silent", SilentPager);
+    let task = Task::create(&kernel, "client");
+    let addr = task.vm_allocate_with_pager(None, 16 * PAGE, mgr.port(), 0)?;
+    task.map()
+        .set_fault_policy(FaultPolicy::zero_fill_after(TIMEOUT).with_cluster(8));
+    let started = machsim::wall::now();
+    assert_eq!(task.map().fault_ahead(addr, 16 * PAGE, VmProt::READ)?, 16);
+    let took = started.elapsed();
+    assert!(took >= TIMEOUT, "resolved in {took:?}: nobody timed out");
+    assert!(
+        took < 8 * TIMEOUT,
+        "{took:?} for 16 pages: the deadline is the run's, not each page's"
+    );
+    let stats = &kernel.machine().stats;
+    assert_eq!(stats.get(keys::VM_FAULTS), 1);
+    assert_eq!(stats.get(keys::VM_ASYNC_TIMEOUTS), 1);
+    assert_eq!(stats.get(keys::VM_TIMEOUT_ZERO_FILLS), 16);
+    assert_eq!(kernel.phys().frame_census().pending, 0);
+    // All sixteen pages are mapped, zero-filled.
+    let mut bytes = vec![0xFFu8; 16 * PAGE as usize];
+    task.read_memory(addr, &mut bytes)?;
+    assert_eq!(stats.get(keys::VM_FAULTS), 1);
+    assert!(bytes.iter().all(|&b| b == 0));
     Ok(())
 }
 
