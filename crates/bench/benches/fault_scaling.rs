@@ -1,10 +1,10 @@
-//! E17 — fault hot-path scaling: sharded resident-page state and cluster
-//! paging.
+//! E17 — fault hot-path scaling: the resident table under concurrent
+//! faults, and cluster paging.
 //!
 //! Workload A measures raw fault throughput as threads are added: K threads
 //! resolve zero-fill faults against disjoint objects, so every fault is
 //! independent and the only possible serialization is the VM system's own
-//! locking — the resident-table shards and the fault engine's table, the
+//! locking — the one resident table and the fault engine's table, the
 //! path every kernel fault takes. Wall-clock, so host-dependent.
 //!
 //! Workload B measures the message cost of demand paging: a sequential read

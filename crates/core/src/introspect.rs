@@ -174,8 +174,8 @@ impl HostStatistics {
 
 // ----- host_vm_statistics -----
 
-/// Resident-memory state of one host: the frame census plus the per-shard
-/// occupancy of the virtual-to-physical page table.
+/// Resident-memory state of one host: the frame census, whole and per
+/// memory node.
 #[derive(Clone, Debug)]
 pub struct VmStatisticsSnapshot {
     /// Name of the serving host.
@@ -190,8 +190,6 @@ pub struct VmStatisticsSnapshot {
     /// Bytes physically copied (`mem.bytes_copied`): pager fills that
     /// could not be stolen, copy-on-write copies, `vm_read`/`vm_write`.
     pub bytes_copied: u64,
-    /// `(resident, pending)` entry counts per V2P shard, in shard order.
-    pub shards: Vec<(u64, u64)>,
     /// Per-node frame census, in node order (one entry on UMA machines).
     pub nodes: Vec<NodeCensus>,
 }
@@ -205,11 +203,6 @@ impl VmStatisticsSnapshot {
             census: phys.frame_census(),
             pages_stolen: machine.stats.get(keys::VM_PAGES_STOLEN),
             bytes_copied: machine.stats.get(keys::BYTES_COPIED),
-            shards: phys
-                .shard_occupancy()
-                .into_iter()
-                .map(|(r, p)| (r as u64, p as u64))
-                .collect(),
             nodes: phys.node_census(),
         }
     }
@@ -232,13 +225,9 @@ impl VmStatisticsSnapshot {
             c.reserve,
             self.pages_stolen,
             self.bytes_copied,
-            self.shards.len() as u64,
+            // Per-node census, self-delimited.
+            self.nodes.len() as u64,
         ];
-        for &(r, p) in &self.shards {
-            nums.extend([r, p]);
-        }
-        // Per-node census, self-delimited after the shard pairs.
-        nums.push(self.nodes.len() as u64);
         for n in &self.nodes {
             nums.extend([n.node, n.total, n.free, n.resident, n.replicas]);
         }
@@ -250,22 +239,12 @@ impl VmStatisticsSnapshot {
     /// Decodes a reply message.
     pub fn decode(msg: &Message) -> Option<Self> {
         let (lines, nums) = unpack(msg)?;
-        let [now_ns, total, free, active, inactive, resident, pending, pinned, dirty, wired, busy, reserve, pages_stolen, bytes_copied, s] =
+        let [now_ns, total, free, active, inactive, resident, pending, pinned, dirty, wired, busy, reserve, pages_stolen, bytes_copied, node_count] =
             *nums.get(..15)?
         else {
             return None;
         };
-        let mut shards = Vec::with_capacity(s as usize);
         let mut at = 15;
-        for _ in 0..s {
-            let [r, p] = *nums.get(at..at + 2)? else {
-                return None;
-            };
-            at += 2;
-            shards.push((r, p));
-        }
-        let node_count = *nums.get(at)?;
-        at += 1;
         let mut nodes = Vec::with_capacity(node_count as usize);
         for _ in 0..node_count {
             let [node, total, free, resident, replicas] = *nums.get(at..at + 5)? else {
@@ -298,7 +277,6 @@ impl VmStatisticsSnapshot {
             },
             pages_stolen,
             bytes_copied,
-            shards,
             nodes,
         })
     }
@@ -561,7 +539,7 @@ mod tests {
         assert_eq!((decoded.pages_stolen, decoded.bytes_copied), (8, 4096));
         assert_eq!(decoded.census.total, 64);
         assert_eq!(decoded.census.free, 64);
-        assert_eq!(decoded.shards.len(), snap.shards.len());
+        assert_eq!(decoded.nodes, snap.nodes);
     }
 
     #[test]

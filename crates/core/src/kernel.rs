@@ -303,12 +303,7 @@ impl Kernel {
             });
             let weak = Arc::downgrade(&phys);
             machine.gauges.register("gauge.vm.pending_fills", move || {
-                weak.upgrade().map_or(0, |p| {
-                    p.shard_occupancy()
-                        .iter()
-                        .map(|&(_, pending)| pending as u64)
-                        .sum()
-                })
+                weak.upgrade().map_or(0, |p| p.pending_fills() as u64)
             });
             machine
                 .gauges
@@ -730,7 +725,6 @@ impl Kernel {
         }
         out.push_str("-- resident memory --\n");
         let _ = writeln!(out, "{:?}", phys.frame_census());
-        let _ = writeln!(out, "shard occupancy {:?}", phys.shard_occupancy());
         if phys.nodes() > 1 {
             for nc in phys.node_census() {
                 let _ = writeln!(out, "{nc:?}");
@@ -760,9 +754,11 @@ impl Kernel {
                 % nodes;
             map.set_home_node(node);
         }
-        self.tasks
-            .lock()
-            .push((name.to_string(), Arc::downgrade(map)));
+        // Dropped tasks leave the listing here, not only when it is read:
+        // a kernel that forks all day is never asked for it.
+        let mut tasks = self.tasks.lock();
+        tasks.retain(|(_, map)| map.strong_count() > 0);
+        tasks.push((name.to_string(), Arc::downgrade(map)));
     }
 
     /// Black-box reports filed by the stall watchdog, oldest first.
@@ -989,6 +985,16 @@ mod tests {
         let k = Kernel::boot(KernelConfig::default());
         assert_eq!(k.page_size(), 4096);
         drop(k); // Must not hang.
+    }
+
+    #[test]
+    fn dropped_tasks_leave_the_registry_without_a_query() {
+        let k = Kernel::boot(KernelConfig::default());
+        for _ in 0..100 {
+            k.register_task("short-lived", &VmMap::new(k.phys()));
+        }
+        // Each registration sweeps out the tasks dropped before it.
+        assert_eq!(k.tasks.lock().len(), 1);
     }
 
     #[test]

@@ -97,7 +97,7 @@ pub const HOST_STATISTICS: u32 = 0x2500;
 /// Reply to [`HOST_STATISTICS`].
 pub const HOST_STATISTICS_REPLY: u32 = 0x2501;
 /// Task → kernel host port: snapshot resident-memory state (frame census,
-/// per-shard page-table occupancy, pageout queue lengths).
+/// whole and per memory node, pageout queue lengths).
 pub const HOST_VM_STATISTICS: u32 = 0x2502;
 /// Reply to [`HOST_VM_STATISTICS`].
 pub const HOST_VM_STATISTICS_REPLY: u32 = 0x2503;

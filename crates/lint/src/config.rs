@@ -402,12 +402,12 @@ include = ["crates"]
 exclude = ["compat"]
 
 [lock]
-hierarchy = ["shard", "frame-meta", "frame-data", "queues"]
+hierarchy = ["fault-table", "resident", "frame-data", "queues"]
 files = ["crates/vm/src/resident.rs"]
 
 [lock.fields]
-state = "shard"
-meta = "frame-meta"
+table = "fault-table"
+resident = "resident"
 data = "frame-data"
 queues = "queues"
 
@@ -428,12 +428,12 @@ emitters = ["trace_event"]
         let doc = toml::parse(&minimal()).unwrap();
         let cfg = Config::from_doc(&doc).unwrap();
         assert_eq!(cfg.lock.rank("queues"), Some(3));
-        assert_eq!(cfg.lock.fields["meta"], "frame-meta");
+        assert_eq!(cfg.lock.fields["resident"], "resident");
     }
 
     #[test]
     fn unknown_lock_class_is_rejected() {
-        let src = minimal().replace("meta = \"frame-meta\"", "meta = \"frame-metta\"");
+        let src = minimal().replace("resident = \"resident\"", "resident = \"residentt\"");
         let doc = toml::parse(&src).unwrap();
         let err = Config::from_doc(&doc).unwrap_err();
         assert!(err.contains("unknown class"), "{err}");

@@ -4,7 +4,7 @@
 //! The simulated kernel has invariants the compiler can't see:
 //!
 //! - **L1 lock-order** — the resident-memory fault path must take its
-//!   locks in the declared hierarchy order (shard → frame-meta →
+//!   locks in the declared hierarchy order (fault-table → resident →
 //!   frame-data → queues); see `machvm::lockdep` for the
 //!   runtime half of this check.
 //! - **L2 sim-time** — simulation results must not depend on the host's

@@ -2,7 +2,8 @@
 //!
 //! A read-hot page may have per-node read-only replicas. A write shoots
 //! the whole replica set down *and* mutates the primary under one
-//! continuous shard-lock hold ([`protocol::write_requires_shootdown`]),
+//! continuous write hold of the resident table
+//! ([`protocol::write_requires_shootdown`]),
 //! so a racing reader — or the replication policy re-growing a replica
 //! — serializes entirely before the shootdown or entirely after the
 //! write.
@@ -18,23 +19,23 @@ use std::sync::Arc;
 /// Deliberate protocol breakages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mutation {
-    /// The writer releases the shard lock between the shootdown and the
+    /// The writer releases the table between the shootdown and the
     /// primary write: the replication policy can sneak a stale replica
     /// back in between the two halves.
     SplitLockHold,
 }
 
-/// One resident shard entry: the primary's data and, when present, a
+/// One resident table entry: the primary's data and, when present, a
 /// node-local replica copy.
-struct Shard {
+struct Entry {
     primary: usize,
     replica: Option<usize>,
 }
 
 fn body(mutation: Option<Mutation>) {
-    let shard = Arc::new(Mutex::new(
-        "shard",
-        Shard {
+    let table = Arc::new(Mutex::new(
+        "resident",
+        Entry {
             primary: 0,
             replica: Some(0),
         },
@@ -43,9 +44,9 @@ fn body(mutation: Option<Mutation>) {
     // The replication policy: re-grows a replica from the primary
     // whenever it finds none (production `replicate_locked`).
     let replicator = {
-        let shard = shard.clone();
+        let table = table.clone();
         crate::spawn(move || {
-            let mut s = shard.lock();
+            let mut s = table.lock();
             if s.replica.is_none() {
                 s.replica = Some(s.primary);
             }
@@ -55,17 +56,17 @@ fn body(mutation: Option<Mutation>) {
     // The writer runs on the main thread: shoot down, then write.
     if mutation == Some(Mutation::SplitLockHold) {
         {
-            let mut s = shard.lock();
+            let mut s = table.lock();
             if protocol::write_requires_shootdown(usize::from(s.replica.is_some())) {
                 s.replica = None;
             }
         }
         {
-            let mut s = shard.lock();
+            let mut s = table.lock();
             s.primary = 1;
         }
     } else {
-        let mut s = shard.lock();
+        let mut s = table.lock();
         if protocol::write_requires_shootdown(usize::from(s.replica.is_some())) {
             s.replica = None;
         }
@@ -75,7 +76,7 @@ fn body(mutation: Option<Mutation>) {
     // Read-your-writes: the writer's own read, replica-preferring like
     // `numa_read_if`.
     {
-        let s = shard.lock();
+        let s = table.lock();
         let v = if protocol::replica_serves_read(s.replica.is_some()) {
             s.replica.expect("replica_serves_read implies presence")
         } else {

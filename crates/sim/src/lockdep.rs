@@ -5,8 +5,8 @@
 //! `machvm::resident` and `machipc::port`):
 //!
 //! ```text
-//! run queue → fault table → shard table → frame meta → frame data
-//!           → queues/free-list → NUMA pool → port
+//! run queue → fault table → resident table → frame data
+//!           → queues/free-list → port
 //! ```
 //!
 //! `machlint`'s L1 lint checks that order *statically* against every
@@ -16,8 +16,8 @@
 //! while holding a later-ranked one — so the existing 8-thread fault and
 //! NUMA stress tests double as a model checker for the static hierarchy.
 //! Same-rank nesting is permitted, mirroring the static allowlist's
-//! deliberate bypasses (two shards locked in index order in `rekey_page`,
-//! src→dst frame pairs in `copy_page`/`maybe_migrate`).
+//! deliberate bypasses (src→dst frame pairs in
+//! `copy_page`/`maybe_migrate`).
 //!
 //! The module lives in `machsim` (the root of the crate graph) so both
 //! `machvm` and `machipc` can classify their locks without a dependency
@@ -63,30 +63,31 @@ pub enum LockClass {
     /// completion loop steps parked faults — which take every VM lock and
     /// send pager messages — while holding it, and nothing inside the VM
     /// or IPC layers ever calls back into the engine with its locks held
-    /// (page events are reported strictly after shard locks are dropped).
+    /// (page events are reported strictly after the resident table is
+    /// unlocked).
     FaultTable = 1,
-    /// A resident-table shard (`Shard::state`).
-    Shard = 2,
-    /// A frame's slow-path metadata (`Frame::meta`).
-    FrameMeta = 3,
+    /// The resident table (`PhysicalMemory::resident`): the one
+    /// reader-writer lock over the virtual-to-physical map, the pending
+    /// fills, the replica sets and every frame's owner, manager lock and
+    /// reverse mappings.
+    Resident = 2,
     /// A frame's page bytes (`Frame::data`).
-    FrameData = 4,
+    FrameData = 3,
     /// The pageout queues and per-node free lists (`PhysicalMemory::queues`).
-    Queues = 5,
+    Queues = 4,
     /// An IPC port (`PortCore::control`): its message queue, backlog,
     /// death state, subscriptions and port-set wakers. Innermost, ranked
     /// after every VM class because pager paths send messages while the
     /// fault path's locks are (transitively) pinned, never vice versa.
-    Port = 6,
+    Port = 5,
 }
 
 impl LockClass {
     /// Every class, in rank order (indexable by [`LockClass::rank`]).
-    pub const ALL: [LockClass; 7] = [
+    pub const ALL: [LockClass; 6] = [
         LockClass::RunQueue,
         LockClass::FaultTable,
-        LockClass::Shard,
-        LockClass::FrameMeta,
+        LockClass::Resident,
         LockClass::FrameData,
         LockClass::Queues,
         LockClass::Port,
@@ -102,8 +103,7 @@ impl LockClass {
         match self {
             LockClass::RunQueue => "run-queue",
             LockClass::FaultTable => "fault-table",
-            LockClass::Shard => "shard",
-            LockClass::FrameMeta => "frame-meta",
+            LockClass::Resident => "resident",
             LockClass::FrameData => "frame-data",
             LockClass::Queues => "queues",
             LockClass::Port => "port",
@@ -230,7 +230,7 @@ mod witness {
                 if earlier.rank() > class.rank() {
                     panic!(
                         "lockdep: acquired '{}' (rank {}) while holding '{}' (rank {}); \
-                         the hierarchy is run-queue → fault-table → shard → frame-meta → \
+                         the hierarchy is run-queue → fault-table → resident → \
                          frame-data → queues → port",
                         class.name(),
                         class.rank(),
@@ -493,21 +493,11 @@ mod tests {
 
     #[test]
     fn in_order_nesting_is_silent() {
-        let a = ClassMutex::new(LockClass::Shard, 1u32);
+        let a = ClassMutex::new(LockClass::Resident, 1u32);
         let b = ClassMutex::new(LockClass::Queues, 2u32);
         let ga = a.lock();
         let gb = b.lock();
         assert_eq!(*ga + *gb, 3);
-    }
-
-    #[test]
-    fn same_class_nesting_is_permitted() {
-        // rekey_page locks two shards (in index order); the witness must
-        // accept same-rank pairs or every deliberate bypass would trip it.
-        let a = ClassMutex::new(LockClass::Shard, ());
-        let b = ClassMutex::new(LockClass::Shard, ());
-        let _ga = a.lock();
-        let _gb = b.lock();
     }
 
     #[cfg(feature = "lockdep")]
@@ -515,19 +505,19 @@ mod tests {
     fn out_of_order_nesting_panics() {
         let result = std::thread::spawn(|| {
             let q = ClassMutex::new(LockClass::Queues, ());
-            let s = ClassMutex::new(LockClass::Shard, ());
+            let s = ClassMutex::new(LockClass::Resident, ());
             let _gq = q.lock();
-            let _gs = s.lock(); // queues → shard: forbidden
+            let _gs = s.lock(); // queues → resident: forbidden
         })
         .join();
-        assert!(result.is_err(), "queues → shard must trip the witness");
+        assert!(result.is_err(), "queues → resident must trip the witness");
     }
 
     #[cfg(feature = "lockdep")]
     #[test]
     fn witness_counts_nested_checks() {
         let before = nested_acquisitions();
-        let a = ClassMutex::new(LockClass::FrameMeta, ());
+        let a = ClassMutex::new(LockClass::FrameData, ());
         let b = ClassMutex::new(LockClass::Queues, ());
         let _ga = a.lock();
         let _gb = b.lock();

@@ -69,11 +69,11 @@
 //! # Locking
 //!
 //! The continuation table is `LockClass::FaultTable`, ranked *outermost*
-//! (above `Shard`): the engine may lock the table and then probe the
+//! (above `Resident`): the engine may lock the table and then probe the
 //! resident table for the park/recheck race, never the reverse. Page
-//! events are therefore reported only after every shard lock is dropped.
-//! Stepping a continuation — which takes shard, frame and queue locks
-//! freely — always happens with the table unlocked. A fault that need
+//! events are therefore reported only after the resident table is
+//! unlocked. Stepping a continuation — which takes the resident table,
+//! frame and queue locks freely — always happens with the table unlocked. A fault that need
 //! not wait takes the table twice (admission, completion); one that
 //! parks once costs six acquisitions whatever the length of its run
 //! (admission; booking its requests and parking, under one hold; the
@@ -120,7 +120,7 @@ const TICK: Duration = Duration::from_millis(1);
 /// A continuation parked longer than this gets a defensive in-place
 /// probe (pager liveness + is-the-wait-really-still-blocked) even
 /// without an observed page event — missed-wakeup insurance. Probes cost
-/// a shard lookup per continuation, so the interval is deliberately lazy;
+/// a table lookup per continuation, so the interval is deliberately lazy;
 /// the event hook is the fast path, this is only the safety net.
 const STALE_RECHECK: Duration = Duration::from_millis(20);
 
@@ -589,25 +589,14 @@ impl FaultEngine {
         ticket
     }
 
-    /// A page event on `(object, offset)`: move its waiters to the ready
-    /// queue and kick the completion loop. Called with no shard lock held
-    /// (the table ranks above the shards).
-    pub(crate) fn on_page_event(&self, object: ObjectId, offset: u64) {
-        self.on_range_event(object, offset, 1, 0);
-    }
-
-    /// One page event for the `pages` pages of `object` that start at
-    /// `offset`, `page_size` bytes apart: a waiter of any of them is made
-    /// ready under one hold of the table lock. Reported by a multi-page
-    /// install only after its last page is in, so a fault parked on the
-    /// first page of the run is resumed once and finds the rest resident.
-    pub(crate) fn on_range_event(
-        &self,
-        object: ObjectId,
-        offset: u64,
-        pages: usize,
-        page_size: u64,
-    ) {
+    /// One page event for the pages of `object` at `offsets` — everything
+    /// one operation installed, cancelled, removed or relocked: a waiter
+    /// of any of them is made ready, and the completion loop kicked, under
+    /// one hold of the table lock. Called with the resident table
+    /// unlocked (this table ranks above it), and by a multi-page install
+    /// only after its last page is in, so a fault parked on the first page
+    /// of the run is resumed once and finds the rest resident.
+    pub(crate) fn on_range_event(&self, object: ObjectId, offsets: impl IntoIterator<Item = u64>) {
         let mut t = self.table.lock();
         #[cfg(test)]
         {
@@ -618,8 +607,8 @@ impl FaultEngine {
         }
         let t = &mut *t;
         let ready_before = t.ready.len();
-        for i in 0..pages as u64 {
-            if let Some(cids) = t.waiters.remove(&(object, offset + i * page_size)) {
+        for offset in offsets {
+            if let Some(cids) = t.waiters.remove(&(object, offset)) {
                 t.ready.extend(cids);
             }
         }
@@ -632,7 +621,7 @@ impl FaultEngine {
     /// step made and registers the continuation under one hold of the
     /// table lock — so the completion loop never sees a request without
     /// its claimer — and re-checks the wait condition *under that lock*
-    /// (table → shard is the sanctioned order), so an event that fired
+    /// (table → resident is the sanctioned order), so an event that fired
     /// between the step and the registration re-steps instead of sleeping
     /// on a wakeup that already happened.
     ///
@@ -711,7 +700,7 @@ impl FaultEngine {
 
     /// Whether `wait` still blocks a fault wanting `access`. Probes the
     /// resident table — legal while holding the continuation table lock
-    /// (the table ranks above every shard). A `Fill` wait is live only
+    /// (the table ranks above the resident table). A `Fill` wait is live only
     /// while the page is `Pending`; an `Unlock` wait only while the
     /// manager lock still intersects the access (a vanished page means
     /// re-step and re-probe).
@@ -854,7 +843,7 @@ impl FaultEngine {
             // for continuations parked past STALE_RECHECK — a liveness +
             // missed-wakeup probe. A still-blocked stale continuation is
             // re-armed in place rather than re-stepped, so a deep
-            // backlog costs one shard lookup per interval instead of a
+            // backlog costs one table lookup per interval instead of a
             // full park/re-park cycle through the table.
             let now_wall = wall::now();
             if t.next_sweep.map(|d| d.expired_by(now_wall)).unwrap_or(true) {

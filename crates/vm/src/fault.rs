@@ -249,7 +249,7 @@ impl FaultState {
     /// later faults until their own timeouts.
     pub fn cancel_claims(&mut self, phys: &PhysicalMemory, wait: FaultWait) {
         if self.claimed.is_empty() {
-            phys.cancel_fill(wait.object, wait.offset);
+            phys.cancel_fill_run(wait.object, wait.offset, 1);
         }
         self.release_claims(phys);
     }
@@ -375,7 +375,10 @@ fn page_step(
             PageLookup::Resident { frame, lock } => {
                 // Negotiate any manager lock prohibiting this access: ask
                 // for the unlock, then park until the lock changes (or
-                // the page goes away, which re-probes from the top).
+                // the page goes away, which re-probes from the top). The
+                // one `lock` this probe read both decides that and limits
+                // the mapping: a `pager_data_lock` landing after it is
+                // applied to the mapping by `lock_range` itself.
                 if lock.intersects(st.access) {
                     if st.expired {
                         return PageStep::Done(handle_timeout(phys, st, offset));
@@ -391,9 +394,6 @@ fn page_step(
                     st.first_probe = false;
                     machine.hot.vm_cache_hits.incr();
                 }
-                let residual_lock = phys
-                    .page_lock(object.id(), obj_offset)
-                    .unwrap_or(VmProt::NONE);
                 if Arc::ptr_eq(&object, &st.top) {
                     if wants_write {
                         phys.set_modified(frame);
@@ -402,7 +402,7 @@ fn page_step(
                         frame,
                         object,
                         offset: obj_offset,
-                        prot_limit: !residual_lock,
+                        prot_limit: !lock,
                     }));
                 }
                 // Page found down the shadow chain.
@@ -431,7 +431,7 @@ fn page_step(
                     frame,
                     object,
                     offset: obj_offset,
-                    prot_limit: !(VmProt::WRITE | residual_lock),
+                    prot_limit: !(VmProt::WRITE | lock),
                 }));
             }
             PageLookup::Pending => {
@@ -815,6 +815,40 @@ mod tests {
         .unwrap_err();
         assert_eq!(err, VmError::Timeout);
         assert_eq!(pager.unlocks.lock().len(), 1);
+    }
+
+    #[test]
+    fn evicting_a_clean_page_resumes_the_fault_parked_for_its_unlock() {
+        let (_m, phys) = setup(8);
+        let pager = Arc::new(RecordingPager::default());
+        let obj = VmObject::new_with_pager(8192, pager.clone());
+        phys.supply_page(&obj, 0, filled(1u8, 4096), VmProt::WRITE)
+            .expect("memory for one page");
+        let poll = |what: &dyn Fn() -> bool| {
+            machsim::wall::poll_until(Duration::from_secs(5), Duration::from_millis(1), what)
+        };
+        // The manager never answers the unlock; far longer than the test,
+        // so only the eviction's page event can end the wait.
+        let policy = FaultPolicy::abort_after(Duration::from_secs(60));
+        std::thread::scope(|s| {
+            let fault = s.spawn(|| resolve_page(&phys, &obj, 0, VmProt::WRITE, policy));
+            assert!(poll(&|| phys.fault_engine().outstanding() == 1));
+            assert_eq!(pager.unlocks.lock().len(), 1);
+            // A clean drop (the first pass only clears the reference bit):
+            // nothing is written, nothing marked in transit.
+            assert!(poll(&|| phys.reclaim_pages(1) == 1));
+            assert!(pager.writes.lock().is_empty());
+            // Re-probed from the top, the fault finds the page absent and
+            // asks for it again.
+            assert!(poll(&|| pager.requests.lock().len() == 1));
+            phys.supply_page(&obj, 0, filled(2u8, 4096), VmProt::NONE)
+                .expect("memory for one page");
+            let r = fault
+                .join()
+                .expect("faulting thread")
+                .expect("the fault resolves once its page is back, unlocked");
+            assert!(r.prot_limit.allows(VmProt::WRITE));
+        });
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use crate::fault::{resolve_page, FaultPolicy, FaultResult};
 use crate::object::{ObjectId, VmObject};
 use crate::pmap::Pmap;
-use crate::resident::PhysicalMemory;
+use crate::resident::{PageLookup, PhysicalMemory};
 use crate::types::{round_page, trunc_page, Inheritance, VmError, VmProt};
 use machsim::stats::keys;
 use machsim::{Machine, MemoryKind};
@@ -584,20 +584,9 @@ impl VmMap {
             {
                 return;
             }
-            // Move `below`'s pages into `object` where `object` has none.
-            let size = object.size();
-            let mut leftovers = false;
-            for y in phys.object_offsets(below.id()) {
-                if y >= shadow_off && y - shadow_off < size {
-                    if !phys.rekey_page(below.id(), y, object, y - shadow_off) {
-                        leftovers = true;
-                    }
-                } else {
-                    leftovers = true;
-                }
-            }
-            if leftovers {
-                // Shadowed-over or out-of-window pages are dead; free them.
+            // Move `below`'s pages into `object` where `object` has none;
+            // shadowed-over or out-of-window pages are dead, free them.
+            if phys.rekey_range(below.id(), shadow_off, object, object.size()) {
                 phys.release_object(&below, false);
             }
             // Splice: object now shadows whatever `below` shadowed,
@@ -622,49 +611,44 @@ impl VmMap {
             let (object, obj_offset, entry_prot, needs_copy) = self.resolve_addr(addr, access)?;
             let result: FaultResult =
                 resolve_page(&self.phys, &object, obj_offset, access, policy)?;
-            if let Some(frame) = self.enter_resolved(vpn, &result, access, entry_prot, needs_copy) {
+            let page = (&result, vpn, entry_prot, needs_copy);
+            if let Some(frame) = self.enter_resolved(access, [page]) {
                 return Ok(frame);
             }
         }
     }
 
-    /// Enters the hardware mapping for a resolved fault: the tail every
-    /// fault ends with, whichever driver resolved it. Returns the mapped
-    /// frame, or `None` if the page was reclaimed since it was resolved
-    /// (the caller re-faults, or leaves the page to its first touch).
-    fn enter_resolved(
+    /// Enters the hardware mappings for resolved pages — `(result, vpn,
+    /// entry protection, needs copy)` each — under one hold of the
+    /// resident table: the tail every fault ends with. `result.frame` is
+    /// a bare index the page may have left since the fault resolved, so
+    /// the page is found again by key. Returns the frame the last page
+    /// was mapped to, or `None` if it was reclaimed meanwhile (the caller
+    /// re-faults, or leaves the page to its first touch).
+    fn enter_resolved<'a>(
         &self,
-        vpn: u64,
-        result: &FaultResult,
         access: VmProt,
-        entry_prot: VmProt,
-        needs_copy: bool,
+        pages: impl IntoIterator<Item = (&'a FaultResult, u64, VmProt, bool)>,
     ) -> Option<usize> {
-        // `result.frame` is a bare index: the instant the fault resolved,
-        // the page can be reclaimed and the frame recycled for a
-        // *different* page, and entering the mapping below would then
-        // alias another page's bytes. Re-pin the page by key — validated
-        // against the resident table under its shard lock — to hold
-        // reclaim off until the mapping (and with it the reclaim-visible
-        // pmap entry) exists.
-        let frame = self.phys.pin_resident(result.object.id(), result.offset)?;
-        if access.allows(VmProt::WRITE) {
-            // The page may have moved frames since the fault marked it
-            // modified; re-mark the current frame.
-            self.phys.set_modified(frame);
-        }
-        let mut prot = entry_prot & result.prot_limit;
-        if needs_copy {
-            // Reads of a not-yet-copied region must not map writable.
-            prot = prot & !VmProt::WRITE;
-        }
         let machine = self.phys.machine();
         let pmap_span = machine.span_open("vm.pmap_enter");
-        self.pmap.enter(vpn, frame, prot);
-        self.phys.add_mapping(frame, &self.pmap, vpn);
-        self.phys.unpin(frame);
+        let pages = pages
+            .into_iter()
+            .map(|(result, vpn, entry_prot, needs_copy)| {
+                let prot = entry_prot & result.prot_limit;
+                // Reads of a not-yet-copied region must not map writable.
+                let prot = if needs_copy {
+                    prot & !VmProt::WRITE
+                } else {
+                    prot
+                };
+                (result.object.id(), result.offset, vpn, prot)
+            });
+        let frame = self
+            .phys
+            .enter_mappings(&self.pmap, access.allows(VmProt::WRITE), pages);
         machine.span_close("vm.pmap_enter", pmap_span);
-        Some(frame)
+        frame
     }
 
     /// Kernel-internal page resolution without a hardware mapping (used by
@@ -684,7 +668,7 @@ impl VmMap {
     /// faulting it a second time. A run is one fault: one overhead
     /// charge, one `pager_data_request` for the whole run from its first
     /// absent page, one park until `pager_data_provided` has installed
-    /// it. Already resident pages cost only a pin probe, so a warm range
+    /// it. Already resident pages cost only a lookup, so a warm range
     /// charges no fault overhead at all. Returns the number of pages
     /// submitted.
     pub fn fault_ahead(&self, address: u64, size: u64, access: VmProt) -> Result<usize, VmError> {
@@ -710,12 +694,8 @@ impl VmMap {
             // Probed before anything is submitted: no fill this call asks
             // for can land under the probe, so a cold range is submitted
             // (and mapped) whole however fast its pager answers.
-            let resident = self
-                .phys
-                .pin_resident(object.id(), obj_offset)
-                .map(|frame| self.phys.unpin(frame))
-                .is_some();
-            if !resident {
+            let probe = self.phys.lookup(object.id(), obj_offset);
+            if !matches!(probe, PageLookup::Resident { .. }) {
                 // The page extends the last run if it is that object's
                 // next page (a resident hole leaves a gap in the offsets).
                 match runs.last_mut() {
@@ -747,12 +727,13 @@ impl VmMap {
             // updates land in that fault's span tree.
             machsim::trace::set_current_correlation(Some(ticket.correlation()));
             machsim::trace::set_current_span(ticket.span());
-            for (result, &(vpn, entry_prot, needs_copy)) in results.iter().zip(&absent[first..]) {
-                // A page already reclaimed again (a range larger than
-                // memory evicts its own head) is left to fault at its
-                // first touch.
-                let _ = self.enter_resolved(vpn, result, access, entry_prot, needs_copy);
-            }
+            // One hold maps the run; a page already reclaimed again (a
+            // range larger than memory evicts its own head) is left to
+            // fault at its first touch.
+            let pages = results.iter().zip(&absent[first..]).map(
+                |(result, &(vpn, entry_prot, needs_copy))| (result, vpn, entry_prot, needs_copy),
+            );
+            self.enter_resolved(access, pages);
         }
         Ok(absent.len())
     }

@@ -17,7 +17,7 @@ pub fn must_park(wait_still_blocked: bool) -> bool {
 
 /// Whether the completion loop may sleep on its condvar: only with no
 /// continuation ready, no pager run queued, and no stop requested — all
-/// three read under the table lock that `on_page_event` and `shutdown`
+/// three read under the table lock that `on_range_event` and `shutdown`
 /// take before notifying.
 #[must_use]
 pub fn engine_may_sleep(ready_empty: bool, runs_empty: bool, stop: bool) -> bool {
@@ -25,8 +25,8 @@ pub fn engine_may_sleep(ready_empty: bool, runs_empty: bool, stop: bool) -> bool
 }
 
 /// How a write to a replicated page begins: every replica (there may be
-/// none) is shot down first, under the *same continuous* shard-lock
-/// hold as the primary mutation. A reader then serializes entirely
+/// none) is shot down first, under the *same continuous* write hold of
+/// the resident table as the primary mutation. A reader then serializes entirely
 /// before the shootdown (stale replica, old data — consistent) or
 /// entirely after the write (no replica, new data) — read-your-writes,
 /// machmc's `shootdown` model.
@@ -35,7 +35,7 @@ pub fn write_requires_shootdown(replicas: usize) -> bool {
     replicas > 0
 }
 
-/// Whether a reader holding the shard lock may serve from a replica it
+/// Whether a reader holding the resident table may serve from a replica it
 /// found in the table: presence under the lock is sufficient, because
 /// [`write_requires_shootdown`] guarantees no replica survives into the
 /// post-write half of any writer's critical section.

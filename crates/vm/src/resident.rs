@@ -23,26 +23,35 @@
 //! # Concurrency
 //!
 //! Because page faults become IPC in this design, fault throughput is
-//! system throughput — so the fault hot path must not serialize behind one
-//! global lock. The state is split three ways:
+//! system throughput. What two clients of one object contend on is the
+//! *number* of times each takes a lock, so the state is split by how
+//! often it is needed, not by page:
 //!
-//! * The virtual-to-physical table and the in-flight fill set are sharded
-//!   by `hash(object, offset)`. Concurrent faults on different pages
-//!   almost always touch different shards and never contend. Faults
-//!   waiting on a fill or an unlock wait in the fault engine; every change
-//!   that can unblock one is reported to it as a page event.
+//! * One resident table — the virtual-to-physical map, the in-flight fill
+//!   set, the replica sets and each frame's resident page structure
+//!   (owner, manager lock, reverse mappings) — under one reader-writer
+//!   lock. Its maps are ordered by `(object, offset)`, so every request
+//!   that is a range (`pager_data_request`, `pager_data_provided`,
+//!   `pager_flush_request`, `pager_data_lock`, termination, shadow
+//!   collapse) is one range query under one hold, followed by *one*
+//!   report to the fault engine. Lookups, pins, copies out of a resident
+//!   page and the censuses share the lock as readers. Faults waiting on a
+//!   fill or an unlock wait in the fault engine; every change that can
+//!   unblock one is reported to it as a page event, with the table
+//!   unlocked.
 //! * The pageout queues (free/active/inactive) live behind one separate
 //!   lock that the hot fault path only takes on a miss (to allocate a
 //!   frame) — a cache hit touches no queue at all; it just sets the
 //!   frame's reference bit, and the second-chance scan reorders later.
-//! * Per-frame state is split between lock-free atomics (busy, wired,
-//!   dirty, referenced) and a tiny per-frame mutex for the rest (owner,
-//!   manager lock value, reverse mappings).
+//!   Active and inactive are linked through per-frame indices, so taking
+//!   a frame off either is O(1).
+//! * The fast-changing per-frame bits (busy, wired, dirty, referenced,
+//!   pins) are lock-free atomics; the page bytes have a per-frame lock.
 //!
 //! The `busy` bit doubles as the frame reservation: only the thread that
 //! flips it false→true may free, retarget, or page out the frame, so
-//! eviction, flush and install can race without a global lock. Lock order,
-//! where locks nest, is shard → frame meta → queues.
+//! eviction, flush and install can race without holding the table across
+//! I/O. Lock order, where locks nest, is resident → frame data → queues.
 //!
 //! # NUMA placement
 //!
@@ -52,12 +61,13 @@
 //! the existing machinery (see [`crate::numa`]): first-touch allocation,
 //! read-only replication of read-hot pages, and migration of write-hot
 //! pages. Replica frames hold their `busy` reservation for life, sit on
-//! no queue, and are reachable only through their shard's replica table,
-//! so the shard lock alone protects them; a write shoots the replica set
-//! down and mutates the primary under one continuous shard-lock hold, so
-//! readers serialize entirely before or after the write and can never
-//! see a stale replica. One deliberate bypass: the raw
-//! [`PhysicalMemory::with_frame_mut`] does not shoot down replicas —
+//! no queue, and are reachable only through the table's replica sets,
+//! so the table lock alone protects them; a write shoots the replica set
+//! down and mutates the primary under one continuous *write* hold of the
+//! table, while a reader holds it shared for as long as it reads a
+//! replica, so readers serialize entirely before or after the write and
+//! can never see a stale replica. One deliberate bypass: the raw
+//! [`PhysicalMemory::with_frame_mut_if`] does not shoot down replicas —
 //! replicated pages are only written through the policy-aware paths
 //! ([`PhysicalMemory::numa_write_if`], [`PhysicalMemory::copy_to_resident`]).
 
@@ -74,7 +84,8 @@ use machsim::trace::keys as trace_keys;
 use machsim::wall;
 use machsim::{Machine, MemoryKind};
 use parking_lot::{Condvar, RwLock};
-use std::collections::{HashMap, VecDeque};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
@@ -84,12 +95,11 @@ use std::time::Duration;
 /// pager (see [`PhysicalMemory::set_adoption_hook`]).
 type AdoptionHook = Box<dyn Fn(&Arc<VmObject>) + Send + Sync>;
 
-/// log2 of the number of resident-table shards.
-const SHARD_BITS: u32 = 4;
-/// Number of resident-table shards (power of two for cheap masking).
-const SHARD_COUNT: usize = 1 << SHARD_BITS;
 /// Most contiguous dirty pages folded into one `pager_data_write`.
 const PAGEOUT_BATCH_PAGES: usize = 8;
+
+/// A page's identity: its memory object and byte offset within it.
+type PageKey = (ObjectId, u64);
 
 /// Which pageout queue a frame is on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -104,27 +114,19 @@ pub enum PageQueue {
     None,
 }
 
-/// The slow-changing per-frame resident page state (fast-changing bits —
-/// busy/wired/dirty/referenced — are atomics on [`Frame`]).
-struct FrameMeta {
-    /// Owning memory object and page-aligned offset, when caching data.
-    /// The id is stored alongside the weak ref so eviction can find the
-    /// V2P entry even after the object itself has been dropped.
+/// The slow-changing part of a frame's resident page structure, kept in
+/// the resident table (fast-changing bits — busy/wired/dirty/referenced —
+/// are atomics on [`Frame`]).
+#[derive(Default)]
+struct PageInfo {
+    /// Owning memory object and offset, when caching data. The key is
+    /// stored alongside the weak ref so eviction can find the table entry
+    /// even after the object itself has been dropped.
     owner: Option<(Weak<VmObject>, ObjectId, u64)>,
     /// Access prohibited by the data manager (`pager_data_lock` value).
     lock: VmProt,
     /// Reverse mappings: pmaps (and virtual pages) mapping this frame.
     mappings: Vec<(Weak<Pmap>, u64)>,
-}
-
-impl FrameMeta {
-    fn empty() -> Self {
-        FrameMeta {
-            owner: None,
-            lock: VmProt::NONE,
-            mappings: Vec::new(),
-        }
-    }
 }
 
 /// Per-(frame, node) access counters driving the hot-page policies.
@@ -134,10 +136,10 @@ struct NodeAccess {
     writes: AtomicU32,
 }
 
-/// One physical frame: page data plus its resident page structure.
+/// One physical frame: page data plus the lock-free half of its resident
+/// page structure.
 struct Frame {
     data: ClassRwLock<Box<[u8]>>,
-    meta: ClassMutex<FrameMeta>,
     /// Memory node this frame's storage is attached to (fixed at boot).
     home: usize,
     /// Accesses per node since the page was installed (or last migrated):
@@ -153,11 +155,11 @@ struct Frame {
     dirty: AtomicBool,
     /// Referenced since last queue scan ("reference information").
     referenced: AtomicBool,
-    /// Shared pin count: threads holding the frame against reclaim
-    /// between fault resolution and hardware-mapping entry (or a COW
-    /// source copy). Raised only under the owning shard's state lock;
-    /// reclaim and flush re-validate under that lock and back off while
-    /// pins are outstanding, so a pinned frame keeps its page identity.
+    /// Shared pin count: threads holding the frame against reclaim while
+    /// they copy out of it (a COW source). Raised only under a hold of
+    /// the resident table; reclaim and flush decide under a write hold
+    /// and back off while pins are outstanding, so a pinned frame keeps
+    /// its page identity.
     pins: AtomicUsize,
 }
 
@@ -168,7 +170,6 @@ impl Frame {
                 LockClass::FrameData,
                 vec![0u8; page_size].into_boxed_slice(),
             ),
-            meta: ClassMutex::new(LockClass::FrameMeta, FrameMeta::empty()),
             home,
             node_stats: (0..nodes).map(|_| NodeAccess::default()).collect(),
             busy: AtomicBool::new(false),
@@ -210,44 +211,135 @@ struct PendingFill {
     node: usize,
 }
 
-/// One shard of the virtual-to-physical table.
-struct ResidentShard {
-    /// (object, offset) -> frame for this shard's slice of the key space.
-    resident: HashMap<(ObjectId, u64), usize>,
+/// The resident table: everything found by `(object, offset)`, ordered so
+/// that an object's pages in `[first, end)` are one range.
+struct ResidentTable {
+    /// The virtual-to-physical table: page -> frame.
+    pages: BTreeMap<PageKey, usize>,
     /// Pages with pager traffic in flight: outstanding
     /// `pager_data_request`s awaiting `pager_data_provided`, and evicted
     /// dirty pages whose `pager_data_write` has not yet been sent.
     /// Faults on these keys wait rather than re-request, so a refault can
     /// never overtake an in-flight write-back on the pager's port.
-    pending: HashMap<(ObjectId, u64), PendingFill>,
-    /// Per-node read-only replicas of read-hot pages: (object, offset) ->
+    pending: BTreeMap<PageKey, PendingFill>,
+    /// Per-node read-only replicas of read-hot pages: page ->
     /// [(node, frame)]. Replica frames live outside the pageout queues,
     /// hold their `busy` reservation for life, are never pinned, wired or
-    /// pmap-mapped, and are reachable only through this table — so the
-    /// shard lock alone protects them. Any write to the primary (or its
+    /// pmap-mapped, and are reachable only through this map — so the
+    /// table lock alone protects them. Any write to the primary (or its
     /// invalidation) shoots the whole set down.
-    replicas: HashMap<(ObjectId, u64), Vec<(usize, usize)>>,
+    replicas: BTreeMap<PageKey, Vec<(usize, usize)>>,
+    /// Per frame: whose page it caches, under which manager lock, mapped
+    /// where. `info[f].owner` names a key of `pages` exactly when
+    /// `pages[key] == f`.
+    info: Vec<PageInfo>,
 }
 
-struct Shard {
-    state: ClassMutex<ResidentShard>,
+impl ResidentTable {
+    /// The pages of `object` in `[first, end)` with their frames.
+    fn span(&self, object: ObjectId, first: u64, end: u64) -> Vec<(u64, usize)> {
+        self.pages
+            .range((object, first)..(object, end))
+            .map(|(&(_, offset), &frame)| (offset, frame))
+            .collect()
+    }
+
+    /// The key of the page `frame` caches, if it caches one.
+    fn key_of(&self, frame: usize) -> Option<PageKey> {
+        self.info[frame]
+            .owner
+            .as_ref()
+            .map(|&(_, object, offset)| (object, offset))
+    }
 }
 
-/// The pageout queues, behind their own lock separate from the V2P shards.
+/// The pageout queues, behind their own lock separate from the table.
 struct Queues {
     /// One free list per memory node; a frame always returns to its home
     /// node's list, so first-touch allocation is a node-local pop and
     /// stealing is an explicit walk of the other nodes.
     free: Vec<Vec<usize>>,
-    active: VecDeque<usize>,
-    inactive: VecDeque<usize>,
-    /// Which queue each frame is on (avoids scanning to unlink).
+    /// The active and inactive queues, "linked through the resident page
+    /// structures" (§5.4): `(prev, next)` per frame, each queue a ring
+    /// closed by a head entry of its own after the last frame's — so
+    /// taking a frame off either is O(1), with no end-of-queue case.
+    links: Vec<(usize, usize)>,
+    /// Lengths of the active and the inactive queue.
+    lens: [usize; 2],
+    /// Which queue each frame is on.
     membership: Vec<PageQueue>,
+    /// Frames unlinked so far: lets a test bound the queue work of an
+    /// operation without timing it.
+    #[cfg(test)]
+    unlinked: u64,
 }
 
 impl Queues {
+    fn new(free: Vec<Vec<usize>>, frames: usize) -> Self {
+        Queues {
+            free,
+            links: (0..frames + 2).map(|i| (i, i)).collect(),
+            lens: [0; 2],
+            membership: vec![PageQueue::Free; frames],
+            #[cfg(test)]
+            unlinked: 0,
+        }
+    }
+
     fn total_free(&self) -> usize {
         self.free.iter().map(Vec::len).sum()
+    }
+
+    /// Where a pageout queue keeps its length and, past the frames, its
+    /// head; `None` for what is not a linked queue.
+    fn ring(which: PageQueue) -> Option<usize> {
+        match which {
+            PageQueue::Active => Some(0),
+            PageQueue::Inactive => Some(1),
+            PageQueue::Free | PageQueue::None => None,
+        }
+    }
+
+    fn len(&self, which: PageQueue) -> usize {
+        Self::ring(which).map_or(0, |ring| self.lens[ring])
+    }
+
+    /// Appends `frame`, which is on no queue, to the active or inactive
+    /// queue.
+    fn push_back(&mut self, which: PageQueue, frame: usize) {
+        let ring = Self::ring(which).expect("only pageout queues are linked");
+        let head = self.membership.len() + ring;
+        let tail = self.links[head].0;
+        self.links[frame] = (tail, head);
+        self.links[tail].1 = frame;
+        self.links[head].0 = frame;
+        self.lens[ring] += 1;
+        self.membership[frame] = which;
+    }
+
+    /// Takes `frame` off whichever pageout queue it is on, in O(1).
+    fn unlink(&mut self, frame: usize) {
+        if let Some(ring) = Self::ring(self.membership[frame]) {
+            let (prev, next) = self.links[frame];
+            self.links[prev].1 = next;
+            self.links[next].0 = prev;
+            self.lens[ring] -= 1;
+            #[cfg(test)]
+            {
+                self.unlinked += 1;
+            }
+        }
+        self.membership[frame] = PageQueue::None;
+    }
+
+    /// Takes the oldest frame off the active or inactive queue.
+    fn pop_front(&mut self, which: PageQueue) -> Option<usize> {
+        let head = self.membership.len() + Self::ring(which)?;
+        let first = self.links[head].1;
+        (first != head).then(|| {
+            self.unlink(first);
+            first
+        })
     }
 }
 
@@ -327,7 +419,7 @@ pub struct PhysicalMemory {
     /// (the striping baseline when first-touch is off).
     alloc_cursor: AtomicUsize,
     frames: Vec<Frame>,
-    shards: Vec<Shard>,
+    resident: ClassRwLock<ResidentTable>,
     queues: ClassMutex<Queues>,
     /// Signaled when frames return to the free queue.
     free_event: Condvar,
@@ -344,10 +436,11 @@ pub struct PhysicalMemory {
     /// the `pager_create` handshake).
     adoption_hook: RwLock<Option<AdoptionHook>>,
     /// The fault engine: every fault against this memory is submitted to
-    /// it, and every page event that can unblock a parked fault — a fill
+    /// it, and every change that can unblock a parked fault — a fill
     /// installed or cancelled, a manager lock changed, a page removed — is
-    /// reported to it ([`FaultEngine::on_page_event`]), always with no
-    /// shard lock held: its continuation table ranks *above* the shards.
+    /// reported to it ([`FaultEngine::on_range_event`]), once per
+    /// operation and always with the resident table unlocked: its
+    /// continuation table ranks *above* the resident table.
     engine: FaultEngine,
 }
 
@@ -419,27 +512,16 @@ impl PhysicalMemory {
             frames: (0..n)
                 .map(|i| Frame::new(page_size, home(i), nodes))
                 .collect(),
-            shards: (0..SHARD_COUNT)
-                .map(|_| Shard {
-                    state: ClassMutex::new(
-                        LockClass::Shard,
-                        ResidentShard {
-                            resident: HashMap::new(),
-                            pending: HashMap::new(),
-                            replicas: HashMap::new(),
-                        },
-                    ),
-                })
-                .collect(),
-            queues: ClassMutex::new(
-                LockClass::Queues,
-                Queues {
-                    free,
-                    active: VecDeque::new(),
-                    inactive: VecDeque::new(),
-                    membership: vec![PageQueue::Free; n],
+            resident: ClassRwLock::new(
+                LockClass::Resident,
+                ResidentTable {
+                    pages: BTreeMap::new(),
+                    pending: BTreeMap::new(),
+                    replicas: BTreeMap::new(),
+                    info: (0..n).map(|_| PageInfo::default()).collect(),
                 },
             ),
+            queues: ClassMutex::new(LockClass::Queues, Queues::new(free, n)),
             free_event: Condvar::new(),
             pageout_below: AtomicUsize::new(0),
             pageout_event: Condvar::new(),
@@ -447,20 +529,6 @@ impl PhysicalMemory {
             adoption_hook: RwLock::new(None),
             engine: FaultEngine::new(weak.clone(), machine, faults),
         })
-    }
-
-    fn shard_index(object: ObjectId, offset: u64) -> usize {
-        // Fibonacci-style multiplicative mix of both key halves; the high
-        // bits are the best-distributed, so the index comes from the top.
-        let h = object
-            .0
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(offset.wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
-        (h >> (64 - SHARD_BITS)) as usize
-    }
-
-    fn shard(&self, object: ObjectId, offset: u64) -> &Shard {
-        &self.shards[Self::shard_index(object, offset)]
     }
 
     /// System page size in bytes.
@@ -490,25 +558,29 @@ impl PhysicalMemory {
 
     /// Frames caching data (resident pages).
     pub fn resident_pages(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.state.lock().resident.len())
-            .sum()
+        self.resident.read().pages.len()
+    }
+
+    /// Pages with pager traffic in flight ([`FrameCensus::pending`]).
+    pub fn pending_fills(&self) -> usize {
+        self.resident.read().pending.len()
     }
 
     /// (active, inactive, free) queue lengths.
     pub fn queue_lengths(&self) -> (usize, usize, usize) {
         let q = self.queues.lock();
-        (q.active.len(), q.inactive.len(), q.total_free())
+        let (active, inactive) = (q.len(PageQueue::Active), q.len(PageQueue::Inactive));
+        (active, inactive, q.total_free())
     }
 
     /// A point-in-time census of every frame and queue — the
     /// `vm_statistics`-style summary served over the kernel's host port
     /// and dumped in watchdog black-box reports.
     ///
-    /// Queue lengths are read under the queue lock; per-frame flag counts
-    /// are relaxed reads, so under concurrent faulting the flag totals are
-    /// approximate (each flag is individually coherent).
+    /// Queue lengths are read under the queue lock, table sizes under the
+    /// table lock; per-frame flag counts are relaxed reads, so under
+    /// concurrent faulting the flag totals are approximate (each flag is
+    /// individually coherent).
     pub fn frame_census(&self) -> FrameCensus {
         let (active, inactive, free) = self.queue_lengths();
         let mut census = FrameCensus {
@@ -517,11 +589,7 @@ impl PhysicalMemory {
             active: active as u64,
             inactive: inactive as u64,
             resident: self.resident_pages() as u64,
-            pending: self
-                .shards
-                .iter()
-                .map(|s| s.state.lock().pending.len() as u64)
-                .sum(),
+            pending: self.pending_fills() as u64,
             reserve: self.reserve as u64,
             ..FrameCensus::default()
         };
@@ -532,19 +600,6 @@ impl PhysicalMemory {
             census.busy += u64::from(f.busy.load(Ordering::Relaxed));
         }
         census
-    }
-
-    /// Resident/pending entry counts per V2P shard, in shard order — the
-    /// load-balance view of the sharded page table (a hot shard shows up
-    /// as one outsized entry).
-    pub fn shard_occupancy(&self) -> Vec<(usize, usize)> {
-        self.shards
-            .iter()
-            .map(|s| {
-                let st = s.state.lock();
-                (st.resident.len(), st.pending.len())
-            })
-            .collect()
     }
 
     /// The machine this memory charges.
@@ -576,42 +631,26 @@ impl PhysicalMemory {
 
     // ----- queue maintenance (callers hold the queues lock) -----
 
-    fn unlink(q: &mut Queues, frame: usize) {
-        match q.membership[frame] {
-            PageQueue::Active => {
-                q.active.retain(|&f| f != frame);
-            }
-            PageQueue::Inactive => {
-                q.inactive.retain(|&f| f != frame);
-            }
-            PageQueue::Free | PageQueue::None => {}
-        }
-        q.membership[frame] = PageQueue::None;
-    }
-
     fn activate(&self, q: &mut Queues, frame: usize) {
-        Self::unlink(q, frame);
-        q.active.push_back(frame);
-        q.membership[frame] = PageQueue::Active;
+        q.unlink(frame);
+        q.push_back(PageQueue::Active, frame);
         self.frames[frame].referenced.store(true, Ordering::Release);
     }
 
     /// Second-chance scan: moves the oldest unreferenced active pages to
     /// the inactive queue until it holds `target_inactive` pages.
     fn second_chance(&self, q: &mut Queues, target_inactive: usize) {
-        let mut scans = q.active.len();
-        while q.inactive.len() < target_inactive && scans > 0 {
-            scans -= 1;
-            match q.active.pop_front() {
-                Some(f) => {
-                    if self.frames[f].referenced.swap(false, Ordering::AcqRel) {
-                        q.active.push_back(f);
-                    } else {
-                        q.inactive.push_back(f);
-                        q.membership[f] = PageQueue::Inactive;
-                    }
-                }
-                None => break,
+        for _ in 0..q.len(PageQueue::Active) {
+            if q.len(PageQueue::Inactive) >= target_inactive {
+                break;
+            }
+            let Some(f) = q.pop_front(PageQueue::Active) else {
+                break;
+            };
+            if self.frames[f].referenced.swap(false, Ordering::AcqRel) {
+                q.push_back(PageQueue::Active, f);
+            } else {
+                q.push_back(PageQueue::Inactive, f);
             }
         }
     }
@@ -633,30 +672,28 @@ impl PhysicalMemory {
         fr.referenced.store(false, Ordering::Release);
     }
 
-    /// Returns a reserved (busy) frame to the free queue and clears every
-    /// trace of what it cached. The caller must hold the frame's `busy`
-    /// reservation and have already removed its V2P entry.
-    fn free_frame(&self, frame: usize) {
-        debug_assert_eq!(
-            self.frames[frame].pins.load(Ordering::Acquire),
-            0,
-            "freed a pinned frame"
-        );
-        {
-            let mut meta = self.frames[frame].meta.lock();
-            *meta = FrameMeta::empty();
+    /// Returns reserved (busy) frames to their free lists under one hold
+    /// of the queues lock. The caller must hold each frame's `busy`
+    /// reservation and have already taken it out of the resident table
+    /// (which clears its page info).
+    fn release_frames(&self, frames: impl IntoIterator<Item = usize>) {
+        let mut q = self.queues.lock();
+        for frame in frames {
+            self.free_frame_locked(&mut q, frame);
         }
-        self.reset_frame_bits(frame);
-        {
-            let mut q = self.queues.lock();
-            Self::unlink(&mut q, frame);
-            let home = self.frames[frame].home;
-            q.free[home].push(frame);
-            q.membership[frame] = PageQueue::Free;
-        }
-        self.frames[frame].reset_node_stats();
-        self.frames[frame].release();
         self.free_event.notify_all();
+    }
+
+    /// The caller signals `free_event`, once for all it frees.
+    fn free_frame_locked(&self, q: &mut Queues, frame: usize) {
+        let fr = &self.frames[frame];
+        debug_assert_eq!(fr.pins.load(Ordering::Acquire), 0, "freed a pinned frame");
+        self.reset_frame_bits(frame);
+        q.unlink(frame);
+        q.free[fr.home].push(frame);
+        q.membership[frame] = PageQueue::Free;
+        fr.reset_node_stats();
+        fr.release();
     }
 
     // ----- lookup -----
@@ -666,39 +703,30 @@ impl PhysicalMemory {
     /// A hit only sets the frame's reference bit — no queue is touched on
     /// the hot path; the second-chance scan reorders queues later.
     pub fn lookup(&self, object: ObjectId, offset: u64) -> PageLookup {
-        let shard = self.shard(object, offset);
-        let st = shard.state.lock();
-        if let Some(&frame) = st.resident.get(&(object, offset)) {
+        let key = (object, offset);
+        let t = self.resident.read();
+        if let Some(&frame) = t.pages.get(&key) {
             self.frames[frame].referenced.store(true, Ordering::Release);
-            let lock = self.frames[frame].meta.lock().lock;
+            let lock = t.info[frame].lock;
             return PageLookup::Resident { frame, lock };
         }
-        if st.pending.contains_key(&(object, offset)) {
+        if t.pending.contains_key(&key) {
             return PageLookup::Pending;
         }
         PageLookup::Absent
     }
 
-    /// Claims responsibility for filling `(object, offset)`.
-    ///
-    /// Returns `true` if the caller must issue the `pager_data_request`;
-    /// `false` if the page became resident or another thread already asked.
+    /// Claims responsibility for filling `(object, offset)`: `true` if the
+    /// caller must issue the `pager_data_request`, `false` if the page
+    /// became resident or another thread already asked.
     pub fn begin_fill(&self, object: ObjectId, offset: u64) -> bool {
-        let shard = self.shard(object, offset);
-        let mut st = shard.state.lock();
-        if st.resident.contains_key(&(object, offset)) {
-            return false;
-        }
-        let fill = PendingFill {
-            since_ns: self.machine.clock.now_ns(),
-            node: self.preferred_node(),
-        };
-        st.pending.insert((object, offset), fill).is_none()
+        self.begin_fill_run(object, offset, 1, 0).is_some()
     }
 
     /// Claims the forward run `[offset, offset + window_pages)` for one
     /// `pager_data_request` — the paper's `pager_data_request(offset,
-    /// length)` with the length the access calls for.
+    /// length)` with the length the access calls for — under one hold of
+    /// the table.
     ///
     /// The faulting page is claimed first; `None` means it is already
     /// resident or in flight and the caller should simply await it. The
@@ -714,48 +742,23 @@ impl PhysicalMemory {
         window_pages: usize,
         object_size: u64,
     ) -> Option<usize> {
-        if !self.begin_fill(object, offset) {
-            return None;
-        }
         let ps = self.page_size as u64;
         let rounded_size = object_size.max(offset + ps).div_ceil(ps) * ps;
         let limit = (offset + window_pages.max(1) as u64 * ps).min(rounded_size);
-        let mut end = offset + ps;
-        while end < limit && self.begin_fill(object, end) {
+        let since_ns = self.machine.clock.now_ns();
+        let mut t = self.resident.write();
+        let mut end = offset;
+        while end < limit && !t.pages.contains_key(&(object, end)) {
+            // Placement is decided per page, so a run stripes (or lands on
+            // the faulting CPU's node) exactly as single claims would.
+            let node = self.preferred_node();
+            let Entry::Vacant(slot) = t.pending.entry((object, end)) else {
+                break;
+            };
+            slot.insert(PendingFill { since_ns, node });
             end += ps;
         }
-        Some(((end - offset) / ps) as usize)
-    }
-
-    /// A (privileged) frame for a pager-driven install of `(object,
-    /// offset)`, or `None` when the page takes none: it arrived by another
-    /// route meanwhile (the resident copy wins, before a frame is taken
-    /// and maybe a page evicted for nothing) or its object is dead. Either
-    /// way its pending entry goes (`awaited` as in `link`). The frame is
-    /// on the node the pending fill recorded — where the faulting CPU was
-    /// when it claimed the fill; the data manager's supply runs on its own
-    /// thread, so first-touch placement reads the requester's node from
-    /// there rather than the current one.
-    fn frame_for_fill(
-        &self,
-        object: &Arc<VmObject>,
-        offset: u64,
-        awaited: &mut bool,
-    ) -> Result<Option<usize>, VmError> {
-        let key = (object.id(), offset);
-        let node = {
-            let mut st = self.shard(key.0, key.1).state.lock();
-            if st.resident.contains_key(&key) || object.is_terminated() {
-                *awaited |= st.pending.remove(&key).is_some();
-                return Ok(None);
-            }
-            st.pending.get(&key).map(|p| p.node)
-        };
-        match node {
-            Some(node) => self.allocate_frame_on(node, true),
-            None => self.allocate_frame(true),
-        }
-        .map(Some)
+        (end > offset).then(|| ((end - offset) / ps) as usize)
     }
 
     /// Installs the `pages` pages of `object` from `offset` that are not
@@ -766,6 +769,16 @@ impl PhysicalMemory {
     /// finds the rest resident. Returns the pages installed: none for an
     /// object terminated meanwhile (a late reply), whose claimed pages
     /// are simply released.
+    ///
+    /// One hold of the table decides which pages take a frame: a page
+    /// that arrived by another route keeps its resident copy (before a
+    /// frame is taken and maybe a page evicted for nothing). Frames are
+    /// then taken and filled with the table unlocked, each on the node its
+    /// pending fill recorded (the manager's supply runs on its own thread,
+    /// so first-touch placement reads the requester's node from there),
+    /// and entered under one more hold — or, for a buffer larger than free
+    /// memory, one each time the free lists run dry: only pages in the
+    /// table can be reclaimed to make room.
     fn fill_range(
         &self,
         object: &Arc<VmObject>,
@@ -775,51 +788,61 @@ impl PhysicalMemory {
         mut fill: impl FnMut(usize, usize),
     ) -> Result<usize, VmError> {
         let ps = self.page_size as u64;
-        let mut installed = Ok(0usize);
+        let id = object.id();
         let mut awaited = false;
-        for i in 0..pages {
-            let page = offset + i as u64 * ps;
-            let frame = match self.frame_for_fill(object, page, &mut awaited) {
-                Ok(Some(frame)) => frame,
-                Ok(None) => continue,
-                Err(e) => {
-                    installed = Err(e);
-                    break;
+        let wanted: Vec<(usize, Option<usize>)> = {
+            let mut t = self.resident.write();
+            let dead = object.is_terminated();
+            (0..pages)
+                .filter_map(|i| {
+                    let key = (id, offset + i as u64 * ps);
+                    if dead || t.pages.contains_key(&key) {
+                        awaited |= t.pending.remove(&key).is_some();
+                        return None;
+                    }
+                    Some((i, t.pending.get(&key).map(|p| p.node)))
+                })
+                .collect()
+        };
+        let mut installed = 0;
+        let mut filled: Vec<(u64, usize)> = Vec::with_capacity(wanted.len());
+        let taken = wanted.into_iter().try_for_each(|(i, node)| {
+            let node = node.unwrap_or_else(|| self.preferred_node());
+            let frame = match self.take_free(node, true, true) {
+                Some(frame) => frame,
+                None => {
+                    installed += self.link(object, &mut filled, lock, &mut awaited);
+                    self.allocate_frame_on(node, true)?
                 }
             };
             fill(i, frame);
-            if self
-                .link(object, page, frame, lock, false, &mut awaited)
-                .is_ok()
-            {
-                installed = installed.map(|n| n + 1);
-            }
-        }
+            filled.push((offset + i as u64 * ps, frame));
+            Ok(())
+        });
+        installed += self.link(object, &mut filled, lock, &mut awaited);
         if awaited {
-            self.engine.on_range_event(object.id(), offset, pages, ps);
+            self.engine
+                .on_range_event(id, (0..pages as u64).map(|i| offset + i * ps));
         }
-        installed
+        taken.map(|()| installed)
     }
 
-    /// Abandons a pending fill (e.g. fault aborted by timeout), so a later
-    /// fault can re-request the data.
-    pub fn cancel_fill(&self, object: ObjectId, offset: u64) {
-        self.cancel_fill_run(object, offset, 1);
-    }
-
-    /// [`PhysicalMemory::cancel_fill`] for the `pages`-page run a
-    /// `begin_fill_run` claimed: every pending entry goes, then one page
-    /// event covers the run (none if none of it was still pending).
+    /// Abandons the pending fills of the `pages`-page run a
+    /// `begin_fill_run` claimed (e.g. its fault timed out), so a later
+    /// fault can re-request the data: every pending entry goes under one
+    /// hold, then one page event covers the run (none if none of it was
+    /// still pending).
     pub fn cancel_fill_run(&self, object: ObjectId, offset: u64, pages: usize) {
         let ps = self.page_size as u64;
-        let mut awaited = false;
-        for i in 0..pages as u64 {
-            let key = (object, offset + i * ps);
-            let mut st = self.shard(key.0, key.1).state.lock();
-            awaited |= st.pending.remove(&key).is_some();
-        }
+        let run = || (0..pages as u64).map(|i| offset + i * ps);
+        let awaited = {
+            let mut t = self.resident.write();
+            run().fold(false, |any, page| {
+                t.pending.remove(&(object, page)).is_some() | any
+            })
+        };
         if awaited {
-            self.engine.on_range_event(object, offset, pages, ps);
+            self.engine.on_range_event(object, run());
         }
     }
 
@@ -855,29 +878,8 @@ impl PhysicalMemory {
     pub fn allocate_frame_on(&self, node: usize, privileged: bool) -> Result<usize, VmError> {
         let mut failures = 0u32;
         loop {
-            {
-                let mut q = self.queues.lock();
-                let floor = if privileged { 0 } else { self.reserve };
-                if q.total_free() > floor {
-                    let nodes = q.free.len();
-                    for i in 0..nodes {
-                        let cand = (node + i) % nodes;
-                        if let Some(frame) = q.free[cand].pop() {
-                            q.membership[frame] = PageQueue::None;
-                            let pressure = self.under_pressure(&q);
-                            drop(q);
-                            if pressure {
-                                self.pageout_event.notify_one();
-                            }
-                            // Free-queue frames cache nothing and are
-                            // otherwise unreachable, so the reservation
-                            // always succeeds.
-                            self.frames[frame].busy.store(true, Ordering::Release);
-                            self.reset_frame_bits(frame);
-                            return Ok(frame);
-                        }
-                    }
-                }
+            if let Some(frame) = self.take_free(node, privileged, true) {
+                return Ok(frame);
             }
             // Out of easy frames: reclaim one page (outside the lock for
             // any pager I/O), then retry. The first reclaim pass may only
@@ -905,6 +907,35 @@ impl PhysicalMemory {
         }
     }
 
+    /// Pops a free frame — from `node`'s list, or with `steal` from the
+    /// next node that has one — without reclaiming or blocking; `None`
+    /// when that would dip under the floor (the reserve, unless
+    /// `privileged`). Takes only the queues lock, so it is safe under a
+    /// hold of the resident table (resident → queues is the canonical
+    /// order), which is where the replication and migration policies
+    /// need it. The frame comes back reserved (busy): free-queue frames
+    /// cache nothing and are otherwise unreachable, so the reservation
+    /// always succeeds.
+    fn take_free(&self, node: usize, privileged: bool, steal: bool) -> Option<usize> {
+        let mut q = self.queues.lock();
+        let floor = if privileged { 0 } else { self.reserve };
+        if q.total_free() <= floor {
+            return None;
+        }
+        let nodes = q.free.len();
+        let reach = if steal { nodes } else { 1 };
+        let frame = (0..reach).find_map(|i| q.free[(node + i) % nodes].pop())?;
+        q.membership[frame] = PageQueue::None;
+        let pressure = self.under_pressure(&q);
+        drop(q);
+        if pressure {
+            self.pageout_event.notify_one();
+        }
+        self.frames[frame].busy.store(true, Ordering::Release);
+        self.reset_frame_bits(frame);
+        Some(frame)
+    }
+
     /// Whether the free queue is under the level the pageout daemon asked
     /// to be woken at.
     fn under_pressure(&self, q: &Queues) -> bool {
@@ -930,65 +961,58 @@ impl PhysicalMemory {
         true
     }
 
-    /// Pops a free frame from `node`'s own list without stealing,
-    /// reclaiming, blocking, or dipping into the reserve. Safe to call
-    /// while holding a shard lock (shard → queues is the canonical
-    /// order), which is exactly where the replication and migration
-    /// policies need it.
-    fn try_allocate_free_on(&self, node: usize) -> Option<usize> {
-        let mut q = self.queues.lock();
-        if q.total_free() <= self.reserve {
-            return None;
-        }
-        let list = node % q.free.len();
-        let frame = q.free[list].pop()?;
-        q.membership[frame] = PageQueue::None;
-        let pressure = self.under_pressure(&q);
-        drop(q);
-        if pressure {
-            self.pageout_event.notify_one();
-        }
-        self.frames[frame].busy.store(true, Ordering::Release);
-        self.reset_frame_bits(frame);
-        Some(frame)
-    }
-
-    /// Frees one node's replica set somewhere in the table, if any exists;
+    /// Frees one page's replica set somewhere in the table, if any exists;
     /// returns whether frames were released. Memory pressure values real
     /// pages over placement copies.
     fn reclaim_replica(&self) -> bool {
-        for shard in &self.shards {
-            let reps = {
-                let mut st = shard.state.lock();
-                let Some(key) = st.replicas.keys().next().copied() else {
-                    continue;
-                };
-                st.replicas.remove(&key)
-            };
-            if let Some(reps) = reps {
-                // Out of the table = unreachable; we inherit each frame's
-                // lifetime `busy` reservation, so freeing needs no lock.
-                for (_, frame) in reps {
-                    self.free_frame(frame);
-                }
-                return true;
-            }
-        }
-        false
+        let popped = self.resident.write().replicas.pop_first();
+        // Out of the table = unreachable; we inherit each frame's
+        // lifetime `busy` reservation, so freeing needs no table hold.
+        popped.is_some_and(|(_, reps)| {
+            self.release_frames(reps.into_iter().map(|(_, frame)| frame));
+            true
+        })
     }
 
     /// Reclaims up to `n` pages (the pageout daemon's work loop); returns
     /// how many frames were actually freed.
     pub fn reclaim_pages(&self, n: usize) -> usize {
-        let mut freed = 0;
-        for _ in 0..n {
-            if self.reclaim_one() {
-                freed += 1;
-            } else {
-                break;
+        (0..n).take_while(|_| self.reclaim_one()).count()
+    }
+
+    /// Takes the page `key`, cached in `frame`, out of the table: its
+    /// entry, its replicas (they die with the primary), its page info and
+    /// — before the modified bit or the bytes are looked at — every
+    /// hardware mapping, so no new writer can reach the frame. Returns
+    /// the bytes of a modified page if `write_back` wants them, leaving
+    /// the page marked in transit until the caller has its
+    /// `pager_data_write` on the wire: a refault in that window must wait
+    /// here rather than send a `pager_data_request` that could overtake
+    /// the write and get `data_unavailable` for data the pager is about
+    /// to receive — the port's FIFO ordering then guarantees the pager
+    /// sees the write before the re-request. The caller holds the frame's
+    /// `busy` reservation and frees it afterwards.
+    fn evict_locked(
+        &self,
+        t: &mut ResidentTable,
+        key: PageKey,
+        frame: usize,
+        write_back: bool,
+    ) -> Option<Vec<u8>> {
+        t.pages.remove(&key);
+        self.drop_replicas_locked(t, key);
+        for (pmap, vpn) in std::mem::take(&mut t.info[frame]).mappings {
+            if let Some(p) = pmap.upgrade() {
+                p.remove(vpn);
             }
         }
-        freed
+        let fr = &self.frames[frame];
+        (fr.dirty.swap(false, Ordering::AcqRel) && write_back).then(|| {
+            let since_ns = self.machine.clock.now_ns();
+            let node = fr.home;
+            t.pending.insert(key, PendingFill { since_ns, node });
+            fr.data.read().to_vec()
+        })
     }
 
     /// Attempts to evict one page; returns whether a frame was freed.
@@ -1000,215 +1024,122 @@ impl PhysicalMemory {
             // reference bits).
             self.second_chance(&mut q, 4);
             let mut found = None;
-            for _ in 0..q.inactive.len() {
-                let Some(f) = q.inactive.pop_front() else {
+            for _ in 0..q.len(PageQueue::Inactive) {
+                let Some(f) = q.pop_front(PageQueue::Inactive) else {
                     break;
                 };
                 let fr = &self.frames[f];
                 if fr.wired.load(Ordering::Acquire) {
-                    q.inactive.push_back(f);
-                    continue;
-                }
-                if fr.referenced.load(Ordering::Acquire) {
+                    q.push_back(PageQueue::Inactive, f);
+                } else if fr.referenced.load(Ordering::Acquire) {
                     // Used since deactivation: give it another chance.
                     self.activate(&mut q, f);
-                    continue;
-                }
-                if !fr.reserve() {
+                } else if !fr.reserve() {
                     // Mid-fill or mid-flush elsewhere; leave it queued.
-                    q.inactive.push_back(f);
-                    q.membership[f] = PageQueue::Inactive;
-                    continue;
+                    q.push_back(PageQueue::Inactive, f);
+                } else {
+                    found = Some(f);
+                    break;
                 }
-                q.membership[f] = PageQueue::None;
-                found = Some(f);
-                break;
             }
             found
         };
         let Some(frame) = victim else {
             return false;
         };
-        // The reservation keeps everyone else away from the frame, but the
-        // V2P entry may have been retargeted (shadow-chain collapse)
-        // between the queue scan and now — validate before evicting.
-        let (owner_weak, owner_id, offset) = {
-            let meta = self.frames[frame].meta.lock();
-            match &meta.owner {
-                Some((w, id, off)) => (w.clone(), *id, *off),
-                None => {
-                    drop(meta);
-                    self.free_frame(frame);
-                    return true;
-                }
-            }
-        };
-        {
-            let shard = self.shard(owner_id, offset);
-            let mut st = shard.state.lock();
-            if st.resident.get(&(owner_id, offset)) != Some(&frame)
-                || self.frames[frame].pins.load(Ordering::Acquire) != 0
-            {
-                // Lost a race (or a fault holds the page pinned while it
-                // enters a mapping); give the frame back to the queue.
-                drop(st);
-                let mut q = self.queues.lock();
-                q.inactive.push_back(frame);
-                q.membership[frame] = PageQueue::Inactive;
-                drop(q);
-                self.frames[frame].release();
-                return false;
-            }
-            st.resident.remove(&(owner_id, offset));
-            // Mark the page in transit until its `pager_data_write` is on
-            // the wire. A refault in that window must wait here rather
-            // than send a `pager_data_request` that could overtake the
-            // write and get `data_unavailable` for data the pager is
-            // about to receive — the port's FIFO ordering then guarantees
-            // the pager sees the write before the re-request.
-            st.pending.insert(
-                (owner_id, offset),
-                PendingFill {
-                    since_ns: self.machine.clock.now_ns(),
-                    node: self.frames[frame].home,
-                },
-            );
-            // Any replicas die with the primary.
-            self.drop_replicas_locked(&mut st, (owner_id, offset));
+        // Phase 2: one hold of the table removes the page. The
+        // reservation keeps everyone else away from the frame, and a
+        // queued frame always caches a page — though maybe not the one it
+        // cached when it was queued (shadow-chain collapse rekeys).
+        let fr = &self.frames[frame];
+        let mut t = self.resident.write();
+        let (owner, id, offset) = t.info[frame]
+            .owner
+            .clone()
+            .expect("invariant: a frame on a pageout queue caches a page");
+        if fr.pins.load(Ordering::Acquire) != 0 {
+            // A fault holds the page pinned while it copies from it;
+            // give the frame back to the queue.
+            drop(t);
+            self.queues.lock().push_back(PageQueue::Inactive, frame);
+            fr.release();
+            return false;
         }
-        let owner = owner_weak.upgrade();
-        // Invalidate hardware mappings before touching the data so no new
-        // writer can reach the frame mid-pageout.
-        let mappings = {
-            let mut meta = self.frames[frame].meta.lock();
-            meta.owner = None;
-            meta.lock = VmProt::NONE;
-            std::mem::take(&mut meta.mappings)
-        };
-        for (w, vpn) in mappings {
-            if let Some(p) = w.upgrade() {
-                p.remove(vpn);
-            }
-        }
-        let dirty = self.frames[frame].dirty.swap(false, Ordering::AcqRel);
-        let data = if dirty && owner.is_some() {
-            Some(self.frames[frame].data.read().to_vec())
-        } else {
-            None
-        };
-        self.free_frame(frame);
-        // Phase 2: pageout I/O outside every lock, batching contiguous
+        let owner = owner.upgrade();
+        let data = self.evict_locked(&mut t, (id, offset), frame, owner.is_some());
+        drop(t);
+        self.release_frames([frame]);
+        // Phase 3: pageout I/O outside every lock, batching contiguous
         // dirty neighbors of the same object into one `pager_data_write`
         // when the pager accepts clusters.
-        if let (Some(object), Some(data)) = (owner, data) {
-            let ps = self.page_size as u64;
-            // Batching is both a backend capability and a per-object
-            // attribute: a coherence pager that asked for single-page
-            // clustering must also see single-page writebacks.
-            let cluster_ok = object
-                .pager()
-                .map(|p| p.supports_cluster())
-                .unwrap_or(false)
-                && object.cluster_hint() != 1;
-            if !cluster_ok {
-                self.pageout_data(&object, offset, data);
-                self.cancel_fill(owner_id, offset);
-                return true;
-            }
-            let mut chunks: VecDeque<Vec<u8>> = VecDeque::new();
-            chunks.push_back(data);
-            let mut start = offset;
-            while chunks.len() < PAGEOUT_BATCH_PAGES && start >= ps {
-                match self.try_evict_for_pageout(&object, start - ps) {
-                    Some(d) => {
-                        chunks.push_front(d);
-                        start -= ps;
-                    }
-                    None => break,
-                }
-            }
-            let mut next = offset + ps;
-            while chunks.len() < PAGEOUT_BATCH_PAGES {
-                match self.try_evict_for_pageout(&object, next) {
-                    Some(d) => {
-                        chunks.push_back(d);
-                        next += ps;
-                    }
-                    None => break,
-                }
-            }
-            let pages = chunks.len();
-            let mut out = Vec::with_capacity(pages * self.page_size);
-            for c in chunks {
-                out.extend_from_slice(&c);
-            }
-            self.pageout_data(&object, start, out);
-            for i in 0..pages as u64 {
-                self.cancel_fill(owner_id, start + i * ps);
-            }
-        } else {
-            // Clean drop: nothing travels to the pager, so the transit
-            // marker comes straight off.
-            self.cancel_fill(owner_id, offset);
+        let (Some(object), Some(data)) = (owner, data) else {
+            // Clean drop: nothing travels to the pager, so nothing was
+            // marked in transit and no table hold is needed — but a fault
+            // parked for an *unlock* of this page must re-probe.
+            self.engine.on_range_event(id, [offset]);
+            return true;
+        };
+        let ps = self.page_size as u64;
+        // Batching is both a backend capability and a per-object
+        // attribute: a coherence pager that asked for single-page
+        // clustering must also see single-page writebacks.
+        let cluster_ok = object
+            .pager()
+            .map(|p| p.supports_cluster())
+            .unwrap_or(false)
+            && object.cluster_hint() != 1;
+        if !cluster_ok {
+            self.pageout_data(&object, offset, data);
+            self.cancel_fill_run(id, offset, 1);
+            return true;
         }
+        let mut chunks = VecDeque::from([data]);
+        let mut start = offset;
+        while chunks.len() < PAGEOUT_BATCH_PAGES && start >= ps {
+            let Some(d) = self.try_evict_for_pageout(&object, start - ps) else {
+                break;
+            };
+            chunks.push_front(d);
+            start -= ps;
+        }
+        while chunks.len() < PAGEOUT_BATCH_PAGES {
+            let next = start + chunks.len() as u64 * ps;
+            let Some(d) = self.try_evict_for_pageout(&object, next) else {
+                break;
+            };
+            chunks.push_back(d);
+        }
+        let pages = chunks.len();
+        self.pageout_data(&object, start, Vec::from(chunks).concat());
+        self.cancel_fill_run(id, start, pages);
         true
     }
 
     /// Tries to evict `(object, offset)` right now so its data can join a
     /// batched pageout. Only succeeds for an idle, unwired, unreferenced
-    /// dirty resident page; returns the page contents on success.
+    /// dirty resident page; returns the page contents on success, with
+    /// the page marked in transit (see `evict_locked`; the caller clears
+    /// the marker once the batched write is sent).
     fn try_evict_for_pageout(&self, object: &Arc<VmObject>, offset: u64) -> Option<Vec<u8>> {
         let key = (object.id(), offset);
-        let shard = self.shard(key.0, key.1);
-        let frame = {
-            let st = shard.state.lock();
-            *st.resident.get(&key)?
-        };
+        let mut t = self.resident.write();
+        let frame = *t.pages.get(&key)?;
         let fr = &self.frames[frame];
         if !fr.reserve() {
             return None;
         }
+        if fr.pins.load(Ordering::Acquire) != 0
+            || fr.wired.load(Ordering::Acquire)
+            || fr.referenced.load(Ordering::Acquire)
+            || !fr.dirty.load(Ordering::Acquire)
         {
-            let mut st = shard.state.lock();
-            // Re-validate under the shard lock now that we hold the
-            // reservation; the entry may have moved meanwhile.
-            if st.resident.get(&key) != Some(&frame)
-                || fr.pins.load(Ordering::Acquire) != 0
-                || fr.wired.load(Ordering::Acquire)
-                || fr.referenced.load(Ordering::Acquire)
-                || !fr.dirty.load(Ordering::Acquire)
-            {
-                drop(st);
-                fr.release();
-                return None;
-            }
-            st.resident.remove(&key);
-            // In transit until the batched write is sent (see
-            // `reclaim_one`); the caller clears the marker.
-            st.pending.insert(
-                key,
-                PendingFill {
-                    since_ns: self.machine.clock.now_ns(),
-                    node: fr.home,
-                },
-            );
-            self.drop_replicas_locked(&mut st, key);
+            fr.release();
+            return None;
         }
-        let mappings = {
-            let mut meta = fr.meta.lock();
-            meta.owner = None;
-            meta.lock = VmProt::NONE;
-            std::mem::take(&mut meta.mappings)
-        };
-        for (w, vpn) in mappings {
-            if let Some(p) = w.upgrade() {
-                p.remove(vpn);
-            }
-        }
-        fr.dirty.store(false, Ordering::Release);
-        let data = fr.data.read().to_vec();
-        self.free_frame(frame);
-        Some(data)
+        let data = self.evict_locked(&mut t, key, frame, true);
+        drop(t);
+        self.release_frames([frame]);
+        data
     }
 
     /// Sends dirty page data to the object's pager (or the default pager,
@@ -1252,11 +1183,60 @@ impl PhysicalMemory {
         dirty: bool,
     ) -> Result<usize, VmError> {
         let mut awaited = false;
-        let installed = self.link(object, offset, frame, lock, dirty, &mut awaited);
+        let mut t = self.resident.write();
+        let linked = self.link_locked(&mut t, object, (offset, frame), lock, dirty, &mut awaited);
+        drop(t);
+        self.settle([(frame, linked == Ok(frame))]);
         if awaited {
-            self.engine.on_page_event(object.id(), offset);
+            self.engine.on_range_event(object.id(), [offset]);
         }
+        linked
+    }
+
+    /// Enters every filled `(offset, frame)` of `filled` into the table as
+    /// a clean page of `object`, under one hold of the table and then one
+    /// of the queues; drains `filled` and returns how many of its pages
+    /// now cache what was filled (see `link_locked`). The caller reports
+    /// the page event.
+    fn link(
+        &self,
+        object: &Arc<VmObject>,
+        filled: &mut Vec<(u64, usize)>,
+        lock: VmProt,
+        awaited: &mut bool,
+    ) -> usize {
+        if filled.is_empty() {
+            return 0;
+        }
+        let outcomes: Vec<(usize, bool)> = {
+            let mut t = self.resident.write();
+            let mut link = |page: (u64, usize)| {
+                let linked = self.link_locked(&mut t, object, page, lock, false, awaited);
+                (page.1, linked == Ok(page.1))
+            };
+            filled.drain(..).map(&mut link).collect()
+        };
+        let installed = outcomes.iter().filter(|&&(_, linked)| linked).count();
+        self.settle(outcomes);
         installed
+    }
+
+    /// Ends an install under one hold of the queues: a frame that was
+    /// linked joins the active queue and gives up its allocation
+    /// reservation — only now that it is fully linked; flush and reclaim
+    /// skip busy frames, so there is no window in which a half-installed
+    /// page can be freed — and one that was not is freed.
+    fn settle(&self, frames: impl IntoIterator<Item = (usize, bool)>) {
+        let mut q = self.queues.lock();
+        for (frame, linked) in frames {
+            if linked {
+                self.activate(&mut q, frame);
+                self.frames[frame].release();
+            } else {
+                self.free_frame_locked(&mut q, frame);
+                self.free_event.notify_all();
+            }
+        }
     }
 
     /// Enters `frame` into the resident table as the page `(object,
@@ -1265,27 +1245,25 @@ impl PhysicalMemory {
     /// the install resolves a pending fill, the only state of a page a
     /// fault parks on, so an install that finds none (every zero fill and
     /// copy-on-write copy) has nobody to wake. Returns the frame now
-    /// caching the page. A terminated object gets nothing: the frame is
-    /// freed and the caller told, decided under the shard lock
-    /// `release_object` takes after the object is marked — so either this
-    /// sees the mark, or the release sees the page.
-    fn link(
+    /// caching the page: not `frame` if something is already resident
+    /// (racing installs, or a cluster fill overlapping a page that
+    /// arrived by another route). A terminated object gets nothing,
+    /// decided under the table hold `release_object` takes after the
+    /// object is marked — so either this sees the mark, or the release
+    /// sees the page. The caller `settle`s the frame either way.
+    fn link_locked(
         &self,
+        t: &mut ResidentTable,
         object: &Arc<VmObject>,
-        offset: u64,
-        frame: usize,
+        (offset, frame): (u64, usize),
         lock: VmProt,
         dirty: bool,
         awaited: &mut bool,
     ) -> Result<usize, VmError> {
         let key = (object.id(), offset);
-        let shard = self.shard(key.0, key.1);
-        let mut st = shard.state.lock();
-        let pending = st.pending.remove(&key);
+        let pending = t.pending.remove(&key);
         *awaited |= pending.is_some();
         if object.is_terminated() {
-            drop(st);
-            self.free_frame(frame);
             return Err(VmError::ObjectDestroyed);
         }
         if let Some(pf) = pending {
@@ -1295,32 +1273,16 @@ impl PhysicalMemory {
                 self.machine.clock.now_ns().saturating_sub(pf.since_ns),
             );
         }
-        // If something is already resident (racing installs, or a cluster
-        // fill overlapping a page that arrived by another route), free
-        // ours and keep the winner.
-        if let Some(&existing) = st.resident.get(&key) {
-            drop(st);
-            self.free_frame(frame);
+        if let Some(&existing) = t.pages.get(&key) {
             return Ok(existing);
         }
-        st.resident.insert(key, frame);
-        {
-            let mut meta = self.frames[frame].meta.lock();
-            meta.owner = Some((Arc::downgrade(object), object.id(), offset));
-            meta.lock = lock;
-            meta.mappings.clear();
-        }
-        let fr = &self.frames[frame];
-        fr.wired.store(false, Ordering::Release);
-        fr.dirty.store(dirty, Ordering::Release);
-        {
-            let mut q = self.queues.lock();
-            self.activate(&mut q, frame);
-        }
-        // Clear the allocation reservation only now that the frame is
-        // fully linked; flush/reclaim skip busy frames, so there is no
-        // window in which a half-installed page can be freed.
-        fr.release();
+        t.pages.insert(key, frame);
+        t.info[frame] = PageInfo {
+            owner: Some((Arc::downgrade(object), key.0, key.1)),
+            lock,
+            mappings: Vec::new(),
+        };
+        self.frames[frame].dirty.store(dirty, Ordering::Release);
         Ok(frame)
     }
 
@@ -1332,9 +1294,9 @@ impl PhysicalMemory {
     /// and partial pages are discarded"). The offset may be unaligned —
     /// consistency is then only guaranteed among mappings with the same
     /// alignment, exactly as in Mach. Multi-page data (a cluster fill)
-    /// installs page by page and reports one page event for the whole
-    /// buffer; pages that are already resident keep their current
-    /// contents and cost nothing. Returns the pages installed.
+    /// is entered into the table together and reports one page event for
+    /// the whole buffer; pages that are already resident keep their
+    /// current contents and cost nothing. Returns the pages installed.
     ///
     /// A page the manager gave away changes hands by a table update, as
     /// every other out-of-line page does: when `data` is the only handle
@@ -1437,25 +1399,16 @@ impl PhysicalMemory {
         f(&self.frames[frame].data.read())
     }
 
-    /// Runs `f` over the frame's bytes (mutable) and marks it modified.
-    pub fn with_frame_mut<R>(&self, frame: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        let r = f(&mut self.frames[frame].data.write());
-        self.frames[frame].dirty.store(true, Ordering::Release);
-        r
-    }
-
     /// Pins the frame caching `(object, offset)` against reclaim and
     /// returns it, or `None` if the page is not resident (reclaimed, or
-    /// never filled). The count is raised under the shard lock that
-    /// reclaim and flush re-validate under, so a successful pin
-    /// guarantees the frame keeps this page's identity — and contents —
-    /// until [`unpin`](Self::unpin). This closes the window between a
-    /// fault resolving a frame index and the hardware mapping being
-    /// entered, during which the fault holds no lock at all on the page.
+    /// never filled). The count is raised under a hold of the table, and
+    /// reclaim and flush decide under a write hold of it, so a successful
+    /// pin guarantees the frame keeps this page's identity — and
+    /// contents — until [`unpin`](Self::unpin): what a copy-on-write
+    /// fault needs while it copies the page with no lock on it at all.
     pub fn pin_resident(&self, object: ObjectId, offset: u64) -> Option<usize> {
-        let shard = self.shard(object, offset);
-        let st = shard.state.lock();
-        let &frame = st.resident.get(&(object, offset))?;
+        let t = self.resident.read();
+        let &frame = t.pages.get(&(object, offset))?;
         self.frames[frame].pins.fetch_add(1, Ordering::AcqRel);
         self.frames[frame].referenced.store(true, Ordering::Release);
         Some(frame)
@@ -1464,6 +1417,48 @@ impl PhysicalMemory {
     /// Releases a [`pin_resident`](Self::pin_resident) pin.
     pub fn unpin(&self, frame: usize) {
         self.frames[frame].pins.fetch_sub(1, Ordering::AcqRel);
+    }
+
+    /// The mapping tail of a fault: for each page it resolved — `(object,
+    /// offset, vpn, prot)` — enters the page's frame into `pmap` at `vpn`
+    /// and records the reverse mapping for later shootdown, all under one
+    /// write hold of the table. A resolved fault holds only bare frame
+    /// indices, and the instant it resolved a page can be reclaimed and
+    /// its frame recycled for a *different* page; so each page is found
+    /// again by key, under the hold eviction removes a page and shoots
+    /// its mappings down under: either the eviction sees this mapping, or
+    /// this sees the page gone and skips it (the caller re-faults, or
+    /// leaves the page to its first touch). `modified` re-marks the frame
+    /// now caching a page (it may have moved since a write fault marked
+    /// it). Returns the frame the last page was mapped to, if it was.
+    pub fn enter_mappings(
+        &self,
+        pmap: &Arc<Pmap>,
+        modified: bool,
+        pages: impl IntoIterator<Item = (ObjectId, u64, u64, VmProt)>,
+    ) -> Option<usize> {
+        let mut t = self.resident.write();
+        let here = Arc::as_ptr(pmap);
+        let mut last = None;
+        for (object, offset, vpn, prot) in pages {
+            last = t.pages.get(&(object, offset)).copied();
+            let Some(frame) = last else {
+                continue;
+            };
+            let fr = &self.frames[frame];
+            fr.referenced.store(true, Ordering::Release);
+            if modified {
+                fr.dirty.store(true, Ordering::Release);
+            }
+            pmap.enter(vpn, frame, prot);
+            // One record per mapping, and none for an address space that
+            // is gone: a page that stays resident is faulted on again and
+            // again, and must not grow a record each time.
+            let mappings = &mut t.info[frame].mappings;
+            mappings.retain(|(p, v)| p.strong_count() > 0 && (*v != vpn || p.as_ptr() != here));
+            mappings.push((Arc::downgrade(pmap), vpn));
+        }
+        last
     }
 
     /// Like [`with_frame`], but only while `valid()` still holds, checked
@@ -1501,77 +1496,44 @@ impl PhysicalMemory {
         Some(r)
     }
 
-    // ----- NUMA placement policies -----
-    //
-    // Replicas piggyback on the busy/pin machinery rather than growing
-    // new synchronization: a replica frame holds its `busy` reservation
-    // for life (so reclaim and flush skip it), sits on no pageout queue,
-    // is never pinned, wired or pmap-mapped, and is reachable only
-    // through its shard's replica table — the shard lock alone therefore
-    // protects it. A write shoots the whole replica set down *and*
-    // mutates the primary under one continuous shard-lock hold, so no
-    // reader can observe a stale replica after the write: the reader's
-    // own shard-lock acquisition orders it entirely before or entirely
-    // after the shootdown+write.
-
-    /// The owning (object, offset) key of `frame`, if it caches a page.
-    fn frame_key(&self, frame: usize) -> Option<(ObjectId, u64)> {
-        let meta = self.frames[frame].meta.lock();
-        meta.owner.as_ref().map(|(_, id, off)| (*id, *off))
-    }
+    // ----- NUMA placement policies (the replica rule: module docs) -----
 
     /// Frees every replica of `key`, without counting a shootdown (used
     /// by eviction/invalidation paths, where the primary dies too).
-    fn drop_replicas_locked(&self, st: &mut ResidentShard, key: (ObjectId, u64)) {
-        if let Some(reps) = st.replicas.remove(&key) {
-            for (_, frame) in reps {
-                self.free_frame(frame);
-            }
+    fn drop_replicas_locked(&self, t: &mut ResidentTable, key: PageKey) {
+        if let Some(reps) = t.replicas.remove(&key) {
+            self.release_frames(reps.into_iter().map(|(_, frame)| frame));
         }
     }
 
     /// Write shootdown: invalidates `key`'s replicas because the primary
     /// is about to be written. Counted and traced.
-    fn shoot_down_locked(&self, st: &mut ResidentShard, key: (ObjectId, u64)) {
-        let count = st.replicas.get(&key).map_or(0, Vec::len);
+    fn shoot_down_locked(&self, t: &mut ResidentTable, key: PageKey) {
+        let count = t.replicas.get(&key).map_or(0, Vec::len);
         if !protocol::write_requires_shootdown(count) {
             return;
         }
-        if let Some(reps) = st.replicas.remove(&key) {
-            let n = reps.len() as u64;
-            for (_, frame) in reps {
-                self.free_frame(frame);
-            }
-            self.machine.stats.add(stat_keys::NUMA_SHOOTDOWNS, n);
-            self.machine
-                .trace_event("vm.numa", machsim::EventKind::Mark("shootdown"));
-        }
+        self.drop_replicas_locked(t, key);
+        self.machine
+            .stats
+            .add(stat_keys::NUMA_SHOOTDOWNS, count as u64);
+        self.machine
+            .trace_event("vm.numa", machsim::EventKind::Mark("shootdown"));
     }
 
     /// Copies the primary into a fresh frame on `node` and enters it in
-    /// the replica table. Caller holds the shard lock and has validated
-    /// that `frame` is the resident primary for `key`.
-    fn replicate_locked(
-        &self,
-        st: &mut ResidentShard,
-        key: (ObjectId, u64),
-        frame: usize,
-        node: usize,
-    ) {
-        let reps = st.replicas.entry(key).or_default();
-        if reps.iter().any(|&(n, _)| n == node) {
+    /// the replica sets. Caller holds the table for writing and has
+    /// validated that `frame` is the resident primary for `key`.
+    fn replicate_locked(&self, t: &mut ResidentTable, key: PageKey, frame: usize, node: usize) {
+        let has_one = |reps: &Vec<(usize, usize)>| reps.iter().any(|&(n, _)| n == node);
+        if t.replicas.get(&key).is_some_and(has_one) {
             return;
         }
         // Non-blocking, never steals, never dips into the reserve: a
         // replica is worth having only when memory is easy.
-        let Some(rf) = self.try_allocate_free_on(node) else {
+        let Some(rf) = self.take_free(node, false, false) else {
             return;
         };
-        if self.frames[rf].home != node {
-            // The node's list was empty and gave us nothing useful.
-            self.free_frame(rf);
-            return;
-        }
         {
             let src = self.frames[frame].data.read();
             let mut dst = self.frames[rf].data.write();
@@ -1581,12 +1543,22 @@ impl PhysicalMemory {
             .clock
             .charge(self.machine.cost.copy_cost_ns(self.page_size as u64));
         self.machine.hot.bytes_copied.add(self.page_size as u64);
-        // The frame keeps its busy reservation for life (see the section
-        // comment); it joins no queue and gets no meta owner.
-        st.replicas.entry(key).or_default().push((node, rf));
+        // The frame keeps its busy reservation for life (module docs); it
+        // joins no queue and gets no page info.
+        t.replicas.entry(key).or_default().push((node, rf));
         self.machine.stats.incr(stat_keys::NUMA_REPLICATIONS);
         self.machine
             .trace_event("vm.numa", machsim::EventKind::Mark("replicate"));
+    }
+
+    /// `node` as an index of this memory's nodes, and what `frame` is to a
+    /// CPU there (always local on a one-node machine).
+    fn locality(&self, frame: usize, node: usize) -> (usize, MemoryKind) {
+        let node = node % self.nodes();
+        match node == self.frames[frame].home {
+            true => (node, MemoryKind::Local),
+            false => (node, MemoryKind::Remote),
+        }
     }
 
     /// Reads the page cached in `frame` from a CPU on `node`, serving the
@@ -1601,38 +1573,19 @@ impl PhysicalMemory {
         valid: impl FnOnce() -> bool,
         f: impl FnOnce(&[u8]) -> R,
     ) -> Option<(R, MemoryKind)> {
-        let nodes = self.numa.nodes.max(1);
-        if nodes <= 1 {
-            return self
-                .with_frame_if(frame, valid, f)
-                .map(|r| (r, MemoryKind::Local));
-        }
-        let node = node % nodes;
-        let home = self.frames[frame].home;
-        let kind = if node == home {
-            MemoryKind::Local
-        } else {
-            MemoryKind::Remote
-        };
-        if !self.asymmetric || kind == MemoryKind::Local {
+        let (node, kind) = self.locality(frame, node);
+        if !self.asymmetric || kind == MemoryKind::Local || !self.numa.replication {
             return self.with_frame_if(frame, valid, f).map(|r| (r, kind));
         }
-        if !self.numa.replication {
-            return self.with_frame_if(frame, valid, f).map(|r| (r, kind));
-        }
-        // Remote read with replication armed: look for (or grow) a
-        // node-local replica. The shard lock pins the primary's identity
-        // and the replica table for the duration.
-        let Some(key) = self.frame_key(frame) else {
+        // Remote read with replication armed: look for a node-local
+        // replica. The shared hold pins the primary's identity and the
+        // replica sets for the duration of the read.
+        let t = self.resident.read();
+        let Some(key) = t.key_of(frame) else {
+            drop(t);
             return self.with_frame_if(frame, valid, f).map(|r| (r, kind));
         };
-        let shard = self.shard(key.0, key.1);
-        let mut st = shard.state.lock();
-        if st.resident.get(&key) != Some(&frame) {
-            drop(st);
-            return self.with_frame_if(frame, valid, f).map(|r| (r, kind));
-        }
-        let replica = st
+        let replica = t
             .replicas
             .get(&key)
             .and_then(|reps| reps.iter().find(|&&(n, _)| n == node))
@@ -1649,20 +1602,27 @@ impl PhysicalMemory {
             .reads
             .fetch_add(1, Ordering::Relaxed)
             + 1;
-        let d = self.frames[frame].data.read();
-        let r = valid().then(|| f(&d))?;
-        drop(d);
+        let r = {
+            let d = self.frames[frame].data.read();
+            valid().then(|| f(&d))?
+        };
+        drop(t);
         if hits >= self.numa.hot_threshold {
-            self.replicate_locked(&mut st, key, frame, node);
+            // Growing a replica changes the table: take it for writing,
+            // and look again — the page may have gone meanwhile.
+            let mut t = self.resident.write();
+            if t.pages.get(&key) == Some(&frame) {
+                self.replicate_locked(&mut t, key, frame, node);
+            }
         }
         Some((r, MemoryKind::Remote))
     }
 
     /// Writes the page cached in `frame` from a CPU on `node`, shooting
-    /// down any replicas first (under the same shard-lock hold as the
-    /// write, so no stale replica survives) and migrating the page when
-    /// it proves write-hot from a remote node. Returns the closure result
-    /// and the memory kind touched, or `None` if `valid()` failed.
+    /// down any replicas first (under the same write hold of the table as
+    /// the write, so no stale replica survives) and migrating the page
+    /// when it proves write-hot from a remote node. Returns the closure
+    /// result and the memory kind touched, or `None` if `valid()` failed.
     pub fn numa_write_if<R>(
         &self,
         frame: usize,
@@ -1670,19 +1630,7 @@ impl PhysicalMemory {
         valid: impl FnOnce() -> bool,
         f: impl FnOnce(&mut [u8]) -> R,
     ) -> Option<(R, MemoryKind)> {
-        let nodes = self.numa.nodes.max(1);
-        if nodes <= 1 {
-            return self
-                .with_frame_mut_if(frame, valid, f)
-                .map(|r| (r, MemoryKind::Local));
-        }
-        let node = node % nodes;
-        let home = self.frames[frame].home;
-        let kind = if node == home {
-            MemoryKind::Local
-        } else {
-            MemoryKind::Remote
-        };
+        let (node, kind) = self.locality(frame, node);
         if !self.asymmetric {
             return self.with_frame_mut_if(frame, valid, f).map(|r| (r, kind));
         }
@@ -1690,27 +1638,14 @@ impl PhysicalMemory {
             .writes
             .fetch_add(1, Ordering::Relaxed);
         let r = if self.numa.replication {
-            match self.frame_key(frame) {
-                Some(key) => {
-                    let shard = self.shard(key.0, key.1);
-                    let mut st = shard.state.lock();
-                    if st.resident.get(&key) == Some(&frame) {
-                        self.shoot_down_locked(&mut st, key);
-                        // Write while still holding the shard lock: a
-                        // racing reader serializes either before the
-                        // shootdown (and reads the old replica+old data)
-                        // or after the write (no replica, new data).
-                        let mut d = self.frames[frame].data.write();
-                        let r = valid().then(|| f(&mut d))?;
-                        self.frames[frame].dirty.store(true, Ordering::Release);
-                        r
-                    } else {
-                        drop(st);
-                        self.with_frame_mut_if(frame, valid, f)?
-                    }
-                }
-                None => self.with_frame_mut_if(frame, valid, f)?,
+            let mut t = self.resident.write();
+            if let Some(key) = t.key_of(frame) {
+                self.shoot_down_locked(&mut t, key);
             }
+            // Write while still holding the table: a racing reader
+            // serializes either before the shootdown (and reads the old
+            // replica+old data) or after the write (no replica, new data).
+            self.with_frame_mut_if(frame, valid, f)?
         } else {
             self.with_frame_mut_if(frame, valid, f)?
         };
@@ -1722,48 +1657,38 @@ impl PhysicalMemory {
 
     /// Moves the page in `frame` to `node` when that node's writes
     /// dominate: allocate on the target, copy, transplant the resident
-    /// entry and manager lock, and invalidate every hardware mapping so
+    /// entry and page info, and invalidate every hardware mapping so
     /// accessors re-fault onto the new frame.
     fn maybe_migrate(&self, frame: usize, node: usize) {
         let fr = &self.frames[frame];
         let here = fr.node_stats[node].writes.load(Ordering::Relaxed);
-        if here < self.numa.hot_threshold {
-            return;
-        }
-        if here <= fr.node_stats[fr.home].writes.load(Ordering::Relaxed) {
-            return;
-        }
-        if fr.wired.load(Ordering::Acquire) {
-            return;
-        }
-        let Some(key) = self.frame_key(frame) else {
-            return;
-        };
-        let Some(nf) = self.try_allocate_free_on(node) else {
-            return;
-        };
-        if self.frames[nf].home != node {
-            self.free_frame(nf);
-            return;
-        }
-        let shard = self.shard(key.0, key.1);
-        let mut st = shard.state.lock();
-        if st.resident.get(&key) != Some(&frame)
-            || fr.pins.load(Ordering::Acquire) != 0
+        if here < self.numa.hot_threshold
+            || here <= fr.node_stats[fr.home].writes.load(Ordering::Relaxed)
             || fr.wired.load(Ordering::Acquire)
-            || !fr.reserve()
         {
+            return;
+        }
+        let Some(nf) = self.take_free(node, false, false) else {
+            return;
+        };
+        let mut t = self.resident.write();
+        let movable = t.key_of(frame).filter(|_| {
+            fr.pins.load(Ordering::Acquire) == 0
+                && !fr.wired.load(Ordering::Acquire)
+                && fr.reserve()
+        });
+        let Some(key) = movable else {
             // Raced with eviction, a pin, or a concurrent reservation;
             // placement is advisory, so just give the new frame back.
-            drop(st);
-            self.free_frame(nf);
+            drop(t);
+            self.release_frames([nf]);
             return;
-        }
-        // We hold the shard lock and the old frame's busy reservation:
-        // no fault, reclaim or flush can touch the page now. In-flight
+        };
+        // We hold the table and the old frame's busy reservation: no
+        // fault, reclaim or flush can touch the page now. In-flight
         // readers hold the old frame's data read lock; taking the write
         // lock below waits them out (the with_frame_if argument).
-        self.shoot_down_locked(&mut st, key);
+        self.shoot_down_locked(&mut t, key);
         {
             let src = fr.data.write();
             let mut dst = self.frames[nf].data.write();
@@ -1773,33 +1698,24 @@ impl PhysicalMemory {
             .clock
             .charge(self.machine.cost.copy_cost_ns(self.page_size as u64));
         self.machine.hot.bytes_copied.add(self.page_size as u64);
-        let mappings = {
-            let mut src_meta = fr.meta.lock();
-            let mut dst_meta = self.frames[nf].meta.lock();
-            dst_meta.owner = src_meta.owner.take();
-            dst_meta.lock = src_meta.lock;
-            src_meta.lock = VmProt::NONE;
-            std::mem::take(&mut src_meta.mappings)
-        };
-        for (w, vpn) in mappings {
-            if let Some(p) = w.upgrade() {
+        let mut info = std::mem::take(&mut t.info[frame]);
+        for (pmap, vpn) in info.mappings.drain(..) {
+            if let Some(p) = pmap.upgrade() {
                 p.remove(vpn);
             }
         }
+        t.info[nf] = info;
         self.frames[nf]
             .dirty
             .store(fr.dirty.swap(false, Ordering::AcqRel), Ordering::Release);
-        st.resident.insert(key, nf);
-        {
-            let mut q = self.queues.lock();
-            self.activate(&mut q, nf);
-        }
+        t.pages.insert(key, nf);
+        self.activate(&mut self.queues.lock(), nf);
         self.frames[nf].release();
         // Fresh hot-page evidence on the new home (hysteresis).
         self.frames[nf].reset_node_stats();
-        drop(st);
+        drop(t);
         // We hold the old frame's reservation; it is out of the table.
-        self.free_frame(frame);
+        self.release_frames([frame]);
         self.machine.stats.incr(stat_keys::NUMA_MIGRATIONS);
         self.machine
             .trace_event("vm.numa", machsim::EventKind::Mark("migrate"));
@@ -1818,33 +1734,26 @@ impl PhysicalMemory {
         for f in &self.frames {
             out[f.home].total += 1;
         }
-        {
-            let q = self.queues.lock();
-            for (n, list) in q.free.iter().enumerate() {
-                out[n].free = list.len() as u64;
-            }
+        for (n, list) in self.queues.lock().free.iter().enumerate() {
+            out[n].free = list.len() as u64;
         }
-        for shard in &self.shards {
-            let st = shard.state.lock();
-            for &frame in st.resident.values() {
-                out[self.frames[frame].home].resident += 1;
-            }
-            for reps in st.replicas.values() {
-                for &(n, _) in reps {
-                    out[n].replicas += 1;
-                }
-            }
+        let t = self.resident.read();
+        for &frame in t.pages.values() {
+            out[self.frames[frame].home].resident += 1;
+        }
+        for &(n, _) in t.replicas.values().flatten() {
+            out[n].replicas += 1;
         }
         out
     }
 
     /// Copies out of the resident page `(object, offset)` starting at byte
-    /// `src_off` within the page. Holding the shard lock across the copy
-    /// pins the resident entry — reclaim removes it under the same lock
-    /// before freeing the frame — so a page that is resident here cannot
-    /// have its frame recycled mid-copy. Returns `false` if the page is no
-    /// longer resident (reclaimed since the caller's fault resolved it);
-    /// the caller must re-fault.
+    /// `src_off` within the page. Holding the table (shared) across the
+    /// copy pins the resident entry — reclaim removes it under a write
+    /// hold before freeing the frame — so a page that is resident here
+    /// cannot have its frame recycled mid-copy. Returns `false` if the
+    /// page is no longer resident (reclaimed since the caller's fault
+    /// resolved it); the caller must re-fault.
     pub fn copy_from_resident(
         &self,
         object: ObjectId,
@@ -1852,9 +1761,8 @@ impl PhysicalMemory {
         src_off: usize,
         dst: &mut [u8],
     ) -> bool {
-        let shard = self.shard(object, offset);
-        let st = shard.state.lock();
-        let Some(&frame) = st.resident.get(&(object, offset)) else {
+        let t = self.resident.read();
+        let Some(&frame) = t.pages.get(&(object, offset)) else {
             return false;
         };
         let fr = &self.frames[frame];
@@ -1873,20 +1781,24 @@ impl PhysicalMemory {
         dst_off: usize,
         src: &[u8],
     ) -> bool {
-        let shard = self.shard(object, offset);
-        let mut st = shard.state.lock();
-        let Some(&frame) = st.resident.get(&(object, offset)) else {
+        let key = (object, offset);
+        let (shared, mut exclusive);
+        let t: &ResidentTable = if self.asymmetric && self.numa.replication {
+            // A kernel write (vm_write / msg deposit) invalidates replicas
+            // like any other write, under the same write hold.
+            exclusive = self.resident.write();
+            self.shoot_down_locked(&mut exclusive, key);
+            &exclusive
+        } else {
+            shared = self.resident.read();
+            &shared
+        };
+        let Some(&frame) = t.pages.get(&key) else {
             return false;
         };
         let fr = &self.frames[frame];
         fr.referenced.store(true, Ordering::Release);
-        // A kernel write (vm_write / msg deposit) invalidates replicas
-        // like any other write, under the same shard-lock hold.
-        if self.asymmetric && self.numa.replication {
-            self.shoot_down_locked(&mut st, (object, offset));
-        }
-        let mut d = fr.data.write();
-        d[dst_off..dst_off + src.len()].copy_from_slice(src);
+        fr.data.write()[dst_off..dst_off + src.len()].copy_from_slice(src);
         fr.dirty.store(true, Ordering::Release);
         true
     }
@@ -1901,15 +1813,6 @@ impl PhysicalMemory {
         self.frames[frame].referenced.store(true, Ordering::Release);
     }
 
-    /// Records that `pmap` maps `vpn` to `frame`, for later shootdown.
-    pub fn add_mapping(&self, frame: usize, pmap: &Arc<Pmap>, vpn: u64) {
-        self.frames[frame]
-            .meta
-            .lock()
-            .mappings
-            .push((Arc::downgrade(pmap), vpn));
-    }
-
     /// Wires a frame, excluding it from pageout.
     pub fn wire(&self, frame: usize, wired: bool) {
         self.frames[frame].wired.store(wired, Ordering::Release);
@@ -1920,271 +1823,207 @@ impl PhysicalMemory {
     /// `pager_flush_request`: invalidates cached pages in the range,
     /// writing back modifications first.
     pub fn flush_range(&self, object: &Arc<VmObject>, offset: u64, length: u64) {
-        self.flush_or_clean(object, offset, length, true, true)
+        self.cache_control(object, offset, length, CacheControl::Flush)
     }
 
     /// `pager_clean_request`: writes back modifications but keeps the
     /// cached pages.
     pub fn clean_range(&self, object: &Arc<VmObject>, offset: u64, length: u64) {
-        self.flush_or_clean(object, offset, length, false, true)
+        self.cache_control(object, offset, length, CacheControl::Clean)
     }
 
-    fn flush_or_clean(
-        &self,
-        object: &Arc<VmObject>,
-        offset: u64,
-        length: u64,
-        invalidate: bool,
-        write_back: bool,
-    ) {
+    /// Releases every cached page of `object`, optionally writing dirty
+    /// pages back first (object termination) — and every fill it still
+    /// has pending: a reply that arrives later installs nothing
+    /// (`link_locked`), so whoever waits for one is woken to find the
+    /// object gone.
+    pub fn release_object(&self, object: &Arc<VmObject>, write_back: bool) {
+        self.cache_control(object, 0, u64::MAX, CacheControl::Release { write_back })
+    }
+
+    /// One range query under one hold of the table serves the whole
+    /// request, whatever else is resident; the modified pages then travel
+    /// with the table unlocked (marked in transit if they were removed, a
+    /// second hold clearing the marks once they are sent), and one page
+    /// event reports every page that went.
+    fn cache_control(&self, object: &Arc<VmObject>, offset: u64, length: u64, op: CacheControl) {
         let ps = self.page_size as u64;
+        let id = object.id();
         let first = offset - offset % ps;
         let end = offset.saturating_add(length);
+        let invalidate = op != CacheControl::Clean;
+        let write_back = op != CacheControl::Release { write_back: false };
         let mut writebacks: Vec<(u64, Vec<u8>)> = Vec::new();
-        let mut removed: Vec<u64> = Vec::new();
-        for shard in &self.shards {
-            let mut st = shard.state.lock();
-            // Enumerate the object's resident pages in range rather than
-            // scanning the range page by page: ranges may span the whole
-            // object ("flush everything").
-            let pages: Vec<(u64, usize)> = st
-                .resident
-                .iter()
-                .filter(|((id, off), _)| *id == object.id() && *off >= first && *off < end)
-                .map(|((_, off), &frame)| (*off, frame))
-                .collect();
-            for (page, frame) in pages {
-                let fr = &self.frames[frame];
-                if invalidate {
-                    // Freeing requires the busy reservation; frames
-                    // mid-fill or mid-pageout are skipped, as before, and
-                    // so are pinned frames (a fault mid-mapping-entry).
-                    if fr.pins.load(Ordering::Acquire) != 0 || !fr.reserve() {
-                        continue;
-                    }
-                    if write_back && fr.dirty.swap(false, Ordering::AcqRel) {
-                        writebacks.push((page, fr.data.read().to_vec()));
-                        // In transit until the write-back below is sent;
-                        // refaults wait instead of racing the write.
-                        st.pending.insert(
-                            (object.id(), page),
-                            PendingFill {
-                                since_ns: self.machine.clock.now_ns(),
-                                node: fr.home,
-                            },
-                        );
-                    }
-                    st.resident.remove(&(object.id(), page));
-                    removed.push(page);
-                    self.drop_replicas_locked(&mut st, (object.id(), page));
-                    let mappings = {
-                        let mut meta = fr.meta.lock();
-                        meta.owner = None;
-                        meta.lock = VmProt::NONE;
-                        std::mem::take(&mut meta.mappings)
-                    };
-                    for (w, vpn) in mappings {
-                        if let Some(p) = w.upgrade() {
-                            p.remove(vpn);
-                        }
-                    }
-                    self.free_frame(frame);
-                } else {
-                    if fr.busy.load(Ordering::Acquire) {
-                        continue;
-                    }
-                    if write_back && fr.dirty.swap(false, Ordering::AcqRel) {
-                        writebacks.push((page, fr.data.read().to_vec()));
-                    }
+        let mut gone: Vec<u64> = Vec::new();
+        let mut freed: Vec<usize> = Vec::new();
+        {
+            let mut t = self.resident.write();
+            if matches!(op, CacheControl::Release { .. }) {
+                gone.extend(t.pending.range((id, first)..(id, end)).map(|(k, _)| k.1));
+                for &page in &gone {
+                    t.pending.remove(&(id, page));
                 }
             }
-            drop(st);
-            for page in removed.drain(..) {
-                self.engine.on_page_event(object.id(), page);
+            for (page, frame) in t.span(id, first, end) {
+                let fr = &self.frames[frame];
+                if !invalidate {
+                    if !fr.busy.load(Ordering::Acquire) && fr.dirty.swap(false, Ordering::AcqRel) {
+                        writebacks.push((page, fr.data.read().to_vec()));
+                    }
+                    continue;
+                }
+                // Freeing requires the busy reservation; frames mid-fill
+                // or mid-pageout are skipped, and so are pinned frames (a
+                // fault mid-copy).
+                if fr.pins.load(Ordering::Acquire) != 0 || !fr.reserve() {
+                    continue;
+                }
+                if let Some(data) = self.evict_locked(&mut t, (id, page), frame, write_back) {
+                    writebacks.push((page, data));
+                }
+                gone.push(page);
+                freed.push(frame);
             }
         }
-        for (page, data) in writebacks {
-            self.pageout_data(object, page, data);
-            self.cancel_fill(object.id(), page);
+        if !freed.is_empty() {
+            self.release_frames(freed);
+        }
+        let marked = invalidate && !writebacks.is_empty();
+        let sent: Vec<u64> = writebacks
+            .into_iter()
+            .map(|(page, data)| {
+                self.pageout_data(object, page, data);
+                page
+            })
+            .collect();
+        if marked {
+            let mut t = self.resident.write();
+            for page in sent {
+                t.pending.remove(&(id, page));
+            }
+        }
+        if !gone.is_empty() {
+            self.engine.on_range_event(id, gone);
         }
     }
 
     /// `pager_data_lock`: restricts access to cached data; existing
     /// hardware mappings are downgraded so prohibited accesses fault.
+    /// One hold, one page event for every page whose lock changed.
     pub fn lock_range(&self, object: &Arc<VmObject>, offset: u64, length: u64, lock: VmProt) {
         let ps = self.page_size as u64;
+        let id = object.id();
         let first = offset - offset % ps;
         let end = offset.saturating_add(length);
-        for shard in &self.shards {
-            let st = shard.state.lock();
-            let pages: Vec<(u64, usize)> = st
-                .resident
-                .iter()
-                .filter(|((id, off), _)| *id == object.id() && *off >= first && *off < end)
-                .map(|((_, off), &frame)| (*off, frame))
-                .collect();
-            for &(_, frame) in &pages {
-                let mappings = {
-                    let mut meta = self.frames[frame].meta.lock();
-                    meta.lock = lock;
-                    meta.mappings.clone()
-                };
-                let keep = !lock;
-                for (w, vpn) in mappings {
-                    if let Some(p) = w.upgrade() {
-                        p.protect(vpn, keep);
+        let mut changed: Vec<u64> = Vec::new();
+        {
+            let mut t = self.resident.write();
+            let ResidentTable { pages, info, .. } = &mut *t;
+            for (&(_, page), &frame) in pages.range((id, first)..(id, end)) {
+                info[frame].lock = lock;
+                for (pmap, vpn) in &info[frame].mappings {
+                    if let Some(p) = pmap.upgrade() {
+                        p.protect(*vpn, !lock);
                     }
                 }
+                changed.push(page);
             }
-            drop(st);
-            for (page, _) in pages {
-                self.engine.on_page_event(object.id(), page);
-            }
+        }
+        if !changed.is_empty() {
+            self.engine.on_range_event(id, changed);
         }
     }
 
-    /// Releases every cached page of `object`, optionally writing dirty
-    /// pages back first (object termination) — and every fill it still
-    /// has pending: a reply that arrives later installs nothing (`link`),
-    /// so whoever waits for one is woken to find the object gone.
-    pub fn release_object(&self, object: &Arc<VmObject>, write_back: bool) {
-        self.flush_or_clean(object, 0, u64::MAX, true, write_back);
-        let mut stranded: Vec<u64> = Vec::new();
-        for shard in &self.shards {
-            shard.state.lock().pending.retain(|&(id, page), _| {
-                let gone = id == object.id();
-                if gone {
-                    stranded.push(page);
-                }
-                !gone
-            });
-        }
-        for page in stranded {
-            self.engine.on_page_event(object.id(), page);
-        }
-    }
-
-    /// Offsets of all resident pages belonging to `object`.
+    /// Offsets of all resident pages belonging to `object`, ascending.
     pub fn object_offsets(&self, object: ObjectId) -> Vec<u64> {
-        let mut offsets = Vec::new();
-        for shard in &self.shards {
-            let st = shard.state.lock();
-            offsets.extend(
-                st.resident
-                    .keys()
-                    .filter(|(id, _)| *id == object)
-                    .map(|(_, off)| *off),
-            );
-        }
-        offsets
+        let t = self.resident.read();
+        t.pages
+            .range((object, 0)..=(object, u64::MAX))
+            .map(|(&(_, offset), _)| offset)
+            .collect()
     }
 
-    /// Moves a resident page from one object to another without copying —
-    /// the mechanics of shadow-chain collapse. Returns `false` when the
-    /// source page is absent or the destination slot is already occupied
-    /// (in which case the source page is left in place).
-    pub fn rekey_page(
+    /// Moves the resident pages of `from` that lie in the window `to`
+    /// shadows — `[shadow_off, shadow_off + size)`, page `y` becoming
+    /// `to`'s page `y - shadow_off` — to `to` without copying, under one
+    /// hold: the mechanics of shadow-chain collapse. A page outside the
+    /// window, or whose destination `to` already has a page for (it is
+    /// shadowed over), is left in place; returns whether any was.
+    pub fn rekey_range(
         &self,
         from: ObjectId,
-        from_offset: u64,
+        shadow_off: u64,
         to: &Arc<VmObject>,
-        to_offset: u64,
+        size: u64,
     ) -> bool {
-        let si = Self::shard_index(from, from_offset);
-        let di = Self::shard_index(to.id(), to_offset);
-        let new_owner = Some((Arc::downgrade(to), to.id(), to_offset));
-        if si == di {
-            let mut st = self.shards[si].state.lock();
-            if st.resident.contains_key(&(to.id(), to_offset)) {
-                return false;
+        let mut leftovers = false;
+        let mut t = self.resident.write();
+        for (y, frame) in t.span(from, 0, u64::MAX) {
+            let dst = (to.id(), y.wrapping_sub(shadow_off));
+            if y < shadow_off || dst.1 >= size || t.pages.contains_key(&dst) {
+                leftovers = true;
+                continue;
             }
-            let Some(frame) = st.resident.remove(&(from, from_offset)) else {
-                return false;
-            };
+            t.pages.remove(&(from, y));
             // Replicas are keyed by the old identity; drop them.
-            self.drop_replicas_locked(&mut st, (from, from_offset));
-            st.resident.insert((to.id(), to_offset), frame);
-            self.frames[frame].meta.lock().owner = new_owner;
-            return true;
+            self.drop_replicas_locked(&mut t, (from, y));
+            t.pages.insert(dst, frame);
+            t.info[frame].owner = Some((Arc::downgrade(to), dst.0, dst.1));
         }
-        // Lock the two shards in index order to avoid deadlock.
-        let (lo, hi) = (si.min(di), si.max(di));
-        let mut guard_lo = self.shards[lo].state.lock();
-        let mut guard_hi = self.shards[hi].state.lock();
-        let (src, dst) = if si == lo {
-            (&mut *guard_lo, &mut *guard_hi)
-        } else {
-            (&mut *guard_hi, &mut *guard_lo)
-        };
-        if dst.resident.contains_key(&(to.id(), to_offset)) {
-            return false;
-        }
-        let Some(frame) = src.resident.remove(&(from, from_offset)) else {
-            return false;
-        };
-        self.drop_replicas_locked(src, (from, from_offset));
-        dst.resident.insert((to.id(), to_offset), frame);
-        self.frames[frame].meta.lock().owner = new_owner;
-        true
+        leftovers
     }
 
     /// Number of resident pages belonging to `object`.
     pub fn resident_pages_of(&self, object: ObjectId) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.state
-                    .lock()
-                    .resident
-                    .keys()
-                    .filter(|(id, _)| *id == object)
-                    .count()
-            })
-            .sum()
+        let t = self.resident.read();
+        t.pages.range((object, 0)..=(object, u64::MAX)).count()
     }
 
     /// The lock value on a resident page, if resident.
     pub fn page_lock(&self, object: ObjectId, offset: u64) -> Option<VmProt> {
-        let st = self.shard(object, offset).state.lock();
-        st.resident
-            .get(&(object, offset))
-            .map(|&f| self.frames[f].meta.lock().lock)
+        let t = self.resident.read();
+        t.pages.get(&(object, offset)).map(|&f| t.info[f].lock)
     }
 
     /// Whether the page is dirty, if resident.
     pub fn page_dirty(&self, object: ObjectId, offset: u64) -> Option<bool> {
-        let st = self.shard(object, offset).state.lock();
-        st.resident
+        let t = self.resident.read();
+        t.pages
             .get(&(object, offset))
             .map(|&f| self.frames[f].dirty.load(Ordering::Acquire))
     }
 
-    /// Debugging aid: asserts the cross-shard structural invariants.
-    ///
-    /// Takes every shard lock plus the queues lock (in the canonical
-    /// order), then checks that no frame is owned by two (object, offset)
-    /// keys, that resident frames are never marked free, and that
-    /// free-queue frames cache nothing. Panics on violation. Intended for
-    /// stress tests; far too heavy for production paths.
+    /// Debugging aid: asserts the structural invariants of the table and
+    /// the queues, under both locks (in the canonical order): the table
+    /// and the page infos name each other, so no frame is owned by two
+    /// keys; resident frames are never marked free and free-queue frames
+    /// cache nothing; the pageout queues' links, lengths and membership
+    /// agree; replicas never outlive their primary. Panics on violation.
+    /// Intended for stress tests; far too heavy for production paths.
     pub fn check_invariants(&self) {
-        let guards: Vec<_> = self.shards.iter().map(|s| s.state.lock()).collect();
+        let t = self.resident.read();
         let q = self.queues.lock();
-        let mut owner_of: HashMap<usize, (ObjectId, u64)> = HashMap::new();
-        for g in &guards {
-            for (&key, &frame) in &g.resident {
-                if let Some(prev) = owner_of.insert(frame, key) {
-                    panic!("frame {frame} owned by both {prev:?} and {key:?}");
-                }
-                assert!(
-                    q.membership[frame] != PageQueue::Free,
-                    "resident frame {frame} is marked free"
-                );
-            }
+        for (&key, &frame) in &t.pages {
+            assert_eq!(
+                t.key_of(frame),
+                Some(key),
+                "frame {frame} is in the table as {key:?} but records another owner"
+            );
+            assert!(
+                q.membership[frame] != PageQueue::Free,
+                "resident frame {frame} is marked free"
+            );
         }
+        let owned = t.info.iter().filter(|i| i.owner.is_some()).count();
+        assert_eq!(
+            owned,
+            t.pages.len(),
+            "a frame records a page the table lacks"
+        );
         for (node, list) in q.free.iter().enumerate() {
             for &f in list {
                 assert!(
-                    !owner_of.contains_key(&f),
+                    t.info[f].owner.is_none(),
                     "free-queue frame {f} still has a resident owner"
                 );
                 assert_eq!(
@@ -2193,37 +2032,65 @@ impl PhysicalMemory {
                 );
             }
         }
-        let mut replica_frames: HashMap<usize, (ObjectId, u64)> = HashMap::new();
-        for g in &guards {
-            for (&key, reps) in &g.replicas {
-                assert!(
-                    g.resident.contains_key(&key),
-                    "replicas of {key:?} outlive their primary"
-                );
-                for &(node, f) in reps {
-                    if let Some(prev) = replica_frames.insert(f, key) {
-                        panic!("frame {f} is a replica of both {prev:?} and {key:?}");
-                    }
-                    assert!(
-                        !owner_of.contains_key(&f),
-                        "replica frame {f} is also a resident primary"
-                    );
-                    assert_eq!(
-                        self.frames[f].home, node,
-                        "replica frame {f} recorded on node {node} but homed elsewhere"
-                    );
-                    assert!(
-                        self.frames[f].busy.load(Ordering::Acquire),
-                        "replica frame {f} lost its lifetime busy reservation"
-                    );
-                    assert!(
-                        q.membership[f] == PageQueue::None,
-                        "replica frame {f} is on a pageout queue"
-                    );
+        for (ring, which) in [PageQueue::Active, PageQueue::Inactive]
+            .into_iter()
+            .enumerate()
+        {
+            let head = self.frames.len() + ring;
+            let (mut prev, mut len) = (head, 0);
+            loop {
+                let f = q.links[prev].1;
+                assert_eq!(q.links[f].0, prev, "entry {f}'s back link is broken");
+                if f == head {
+                    break;
                 }
+                assert_eq!(q.membership[f], which, "frame {f} is on the wrong queue");
+                (prev, len) = (f, len + 1);
+            }
+            assert_eq!(len, q.lens[ring], "{which:?} queue length");
+        }
+        let mut replica_of: BTreeMap<usize, PageKey> = BTreeMap::new();
+        for (&key, reps) in &t.replicas {
+            assert!(
+                t.pages.contains_key(&key),
+                "replicas of {key:?} outlive their primary"
+            );
+            for &(node, f) in reps {
+                let prev = replica_of.insert(f, key);
+                assert!(
+                    prev.is_none(),
+                    "frame {f} is a replica of {prev:?} and {key:?}"
+                );
+                assert!(
+                    t.info[f].owner.is_none(),
+                    "replica frame {f} is also a resident primary"
+                );
+                assert_eq!(
+                    self.frames[f].home, node,
+                    "replica frame {f} recorded on node {node} but homed elsewhere"
+                );
+                assert!(
+                    self.frames[f].busy.load(Ordering::Acquire),
+                    "replica frame {f} lost its lifetime busy reservation"
+                );
+                assert!(
+                    q.membership[f] == PageQueue::None,
+                    "replica frame {f} is on a pageout queue"
+                );
             }
         }
     }
+}
+
+/// What a data manager (or the kernel, at termination) asks of the cache.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum CacheControl {
+    /// Write modified pages back, keep them cached.
+    Clean,
+    /// Write modified pages back, then drop the pages.
+    Flush,
+    /// Drop the pages and the pending fills, writing back first if asked.
+    Release { write_back: bool },
 }
 
 #[cfg(test)]
@@ -2462,7 +2329,7 @@ mod tests {
         phys.supply_page(&obj, 0, filled(3u8, 4096), VmProt::NONE)
             .unwrap();
         if let PageLookup::Resident { frame, .. } = phys.lookup(obj.id(), 0) {
-            phys.with_frame_mut(frame, |d| d[0] = 99);
+            phys.with_frame_mut_if(frame, || true, |d| d[0] = 99);
         }
         phys.flush_range(&obj, 0, 4096);
         assert!(matches!(phys.lookup(obj.id(), 0), PageLookup::Absent));
@@ -2479,7 +2346,7 @@ mod tests {
         phys.supply_page(&obj, 0, filled(3u8, 4096), VmProt::NONE)
             .unwrap();
         if let PageLookup::Resident { frame, .. } = phys.lookup(obj.id(), 0) {
-            phys.with_frame_mut(frame, |d| d[0] = 42);
+            phys.with_frame_mut_if(frame, || true, |d| d[0] = 42);
         }
         phys.clean_range(&obj, 0, 4096);
         assert!(matches!(
@@ -2501,8 +2368,8 @@ mod tests {
             panic!("resident");
         };
         let pmap = Arc::new(Pmap::new(&m));
-        pmap.enter(10, frame, VmProt::DEFAULT);
-        phys.add_mapping(frame, &pmap, 10);
+        let mapped = phys.enter_mappings(&pmap, false, [(obj.id(), 0, 10, VmProt::DEFAULT)]);
+        assert_eq!(mapped, Some(frame));
         phys.lock_range(&obj, 0, 4096, VmProt::WRITE);
         assert_eq!(phys.page_lock(obj.id(), 0), Some(VmProt::WRITE));
         assert_eq!(pmap.translate(10, VmProt::WRITE), None);
@@ -2511,6 +2378,27 @@ mod tests {
         // fault handler re-enters mappings).
         phys.lock_range(&obj, 0, 4096, VmProt::NONE);
         assert_eq!(phys.page_lock(obj.id(), 0), Some(VmProt::NONE));
+    }
+
+    #[test]
+    fn a_mapping_is_recorded_once_and_not_for_a_dead_address_space() -> Result<(), VmError> {
+        let (m, phys) = phys(8);
+        let obj = VmObject::new_temporary(4096);
+        let frame = phys.zero_fill(&obj, 0)?;
+        let records = |phys: &PhysicalMemory| phys.resident.read().info[frame].mappings.len();
+        let first = Arc::new(Pmap::new(&m));
+        // Faulted on again and again (a fork write-protects it each time),
+        // a page that stays resident keeps one record of the mapping.
+        for _ in 0..3 {
+            phys.enter_mappings(&first, false, [(obj.id(), 0, 10, VmProt::DEFAULT)]);
+        }
+        phys.enter_mappings(&first, false, [(obj.id(), 0, 11, VmProt::DEFAULT)]);
+        assert_eq!(records(&phys), 2);
+        drop(first);
+        let second = Arc::new(Pmap::new(&m));
+        phys.enter_mappings(&second, false, [(obj.id(), 0, 10, VmProt::DEFAULT)]);
+        assert_eq!(records(&phys), 1);
+        Ok(())
     }
 
     #[test]
@@ -2774,25 +2662,73 @@ mod tests {
     }
 
     #[test]
-    fn rekey_across_shards_moves_page() {
+    fn rekey_range_moves_the_window_and_leaves_the_rest() -> Result<(), VmError> {
         let (_m, phys) = phys(8);
         let a = VmObject::new_temporary(8 * 4096);
-        let b = VmObject::new_temporary(8 * 4096);
-        phys.supply_page(&a, 4096, filled(5u8, 4096), VmProt::NONE)
-            .unwrap();
-        assert!(phys.rekey_page(a.id(), 4096, &b, 8192));
-        assert!(matches!(phys.lookup(a.id(), 4096), PageLookup::Absent));
-        let PageLookup::Resident { frame, .. } = phys.lookup(b.id(), 8192) else {
-            panic!("page must follow the rekey");
-        };
-        phys.with_frame(frame, |d| assert!(d.iter().all(|&b| b == 5)));
-        // Destination occupied: the move is refused.
-        phys.supply_page(&a, 0, filled(1u8, 4096), VmProt::NONE)
-            .unwrap();
-        assert!(!phys.rekey_page(a.id(), 0, &b, 8192));
-        assert!(matches!(
-            phys.lookup(a.id(), 0),
-            PageLookup::Resident { .. }
-        ));
+        let b = VmObject::new_temporary(2 * 4096);
+        for (page, tag) in [(1u64, 1u8), (2, 2), (3, 3), (4, 4)] {
+            phys.supply_page(&a, page * 4096, filled(tag, 4096), VmProt::NONE)?;
+        }
+        // `b` shadows `a`'s pages 2 and 3, and already has its own page 1
+        // (over `a`'s page 3): only `a`'s page 2 moves, to `b`'s page 0.
+        phys.supply_page(&b, 4096, filled(9u8, 4096), VmProt::NONE)?;
+        assert!(phys.rekey_range(a.id(), 2 * 4096, &b, 2 * 4096));
+        assert_eq!(phys.object_offsets(a.id()), [4096, 3 * 4096, 4 * 4096]);
+        assert_eq!(phys.object_offsets(b.id()), [0, 4096]);
+        for (page, tag) in [(0u64, 2u8), (1, 9)] {
+            let PageLookup::Resident { frame, .. } = phys.lookup(b.id(), page * 4096) else {
+                panic!("page {page} of the shadow must be resident");
+            };
+            phys.with_frame(frame, |d| assert!(d.iter().all(|&b| b == tag)));
+        }
+        phys.check_invariants();
+        // The moved page is evicted as `b`'s: its frame knows its new key.
+        phys.release_object(&b, false);
+        assert_eq!(phys.resident_pages_of(b.id()), 0);
+        // Nothing left in the window: a second collapse reports leftovers
+        // only because pages outside it remain.
+        phys.release_object(&a, false);
+        assert!(!phys.rekey_range(a.id(), 0, &b, 8 * 4096));
+        phys.check_invariants();
+        Ok(())
+    }
+
+    #[test]
+    fn releasing_an_object_scans_no_queue() -> Result<(), VmError> {
+        // 2048 resident pages of the object among 2048 of another: taking
+        // a frame off the active queue must not walk the queue, so the
+        // release links or unlinks each of its frames once.
+        let (_m, phys) = phys(4200);
+        let obj = VmObject::new_temporary(2048 * 4096);
+        let other = VmObject::new_temporary(2048 * 4096);
+        for page in 0..2048u64 {
+            phys.zero_fill(&other, page * 4096)?;
+            phys.zero_fill(&obj, page * 4096)?;
+        }
+        let before = phys.queues.lock().unlinked;
+        phys.release_object(&obj, false);
+        assert_eq!(phys.queues.lock().unlinked - before, 2048);
+        assert_eq!(phys.queue_lengths(), (2048, 0, 4200 - 2048));
+        phys.check_invariants();
+        Ok(())
+    }
+
+    #[test]
+    fn a_clean_eviction_marks_nothing_in_transit_and_reports_its_page() -> Result<(), VmError> {
+        let (_m, phys) = phys(6);
+        let pager = Arc::new(RecordingPager::default());
+        let obj = VmObject::new_with_pager(1 << 20, pager.clone());
+        for i in 0..4u64 {
+            phys.supply_page(&obj, i * 4096, filled(i as u8, 4096), VmProt::NONE)?;
+        }
+        let events = phys.fault_engine().page_events();
+        // First pass clears reference bits, the second evicts one page.
+        phys.reclaim_pages(1);
+        assert_eq!(phys.reclaim_pages(1), 1);
+        assert_eq!(phys.fault_engine().page_events(), events + 1);
+        assert_eq!(phys.frame_census().pending, 0);
+        assert!(pager.writes.lock().is_empty());
+        phys.check_invariants();
+        Ok(())
     }
 }

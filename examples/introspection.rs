@@ -71,11 +71,11 @@ fn main() {
 
     let vm = query_vm_statistics(&proxy).expect("remote vm query");
     println!(
-        "[alpha -> {}] resident {} / total {} frames, {} v2p shards",
+        "[alpha -> {}] resident {} / total {} frames, {} memory node(s)",
         vm.host,
         vm.census.resident,
         vm.census.total,
-        vm.shards.len()
+        vm.nodes.len()
     );
     let info = query_task_info(&proxy).expect("remote task query");
     for t in &info.tasks {

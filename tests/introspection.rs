@@ -86,9 +86,9 @@ fn vm_statistics_and_task_info_describe_live_state() {
     assert!(vm.census.total > 0);
     assert!(vm.census.free <= vm.census.total);
     assert!(vm.census.resident >= 6, "faulted pages are resident");
-    assert!(!vm.shards.is_empty());
-    let sharded_total: u64 = vm.shards.iter().map(|(r, _)| r).sum();
-    assert_eq!(sharded_total, vm.census.resident, "shards cover the table");
+    assert!(!vm.nodes.is_empty());
+    let placed: u64 = vm.nodes.iter().map(|n| n.resident).sum();
+    assert_eq!(placed, vm.census.resident, "the nodes cover the table");
 
     let info = query_task_info(kernel.host_port()).unwrap();
     let t = info

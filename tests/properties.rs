@@ -276,3 +276,192 @@ fn resident_cache_consistency() {
         assert_eq!(phys.resident_pages_of(obj.id()), 0, "case {case}");
     }
 }
+
+/// What the resident table should hold, kept the plain way: page key ->
+/// (fill byte, manager lock, modified), and the keys with a fill pending.
+#[derive(Default)]
+struct TableModel {
+    pages: std::collections::BTreeMap<(usize, u64), (u8, VmProt, bool)>,
+    pending: std::collections::BTreeSet<(usize, u64)>,
+}
+
+impl TableModel {
+    /// The resident keys of object `o` in `[first, end)`.
+    fn span(&self, o: usize, first: u64, end: u64) -> Vec<(usize, u64)> {
+        self.pages
+            .range((o, first)..(o, end))
+            .map(|(&k, _)| k)
+            .collect()
+    }
+}
+
+/// The resident table against a plain ordered-map model: seeded sequences
+/// of every range operation over three objects — claims, supplies
+/// (aligned, unaligned, overlapping what is resident), unavailable
+/// replies, cancels, flushes, cleans, locks, collapses, releases and
+/// reclaim — with the table's own invariants checked after every step,
+/// and every frame and claim accounted for at the end.
+#[test]
+fn resident_table_matches_an_ordered_map_model() -> Result<(), machvm::VmError> {
+    const PS: u64 = 4096;
+    const PAGES: u64 = 24;
+    for case in 0..CASES {
+        let mut rng = SplitMix64::new(0x7AB1E + case);
+        let m = Machine::default_machine();
+        let phys = PhysicalMemory::new(&m, 256 * PS as usize, PS as usize, 2);
+        let baseline = phys.frame_census();
+        let objects: Vec<_> = (0..3)
+            .map(|_| machvm::VmObject::new_temporary(PAGES * PS))
+            .collect();
+        let mut model = TableModel::default();
+        for step in 0..120 {
+            let at = format!("case {case} step {step}");
+            let o = rng.next_below(3) as usize;
+            let (object, id) = (&objects[o], objects[o].id());
+            // Offsets are page-granular, some with the same odd alignment.
+            let first = rng.next_below(PAGES) * PS + if rng.chance(1, 4) { 100 } else { 0 };
+            let pages = 1 + rng.next_below(6);
+            let run = (0..pages).map(|i| (o, first + i * PS));
+            let end = first + pages * PS;
+            // Cache-control requests work on whole pages from the one
+            // `first` lies in, and reach every alignment inside them.
+            let floor = first - first % PS;
+            match rng.next_below(12) {
+                0 => {
+                    let free = |k: &(usize, u64)| {
+                        !model.pages.contains_key(k) && !model.pending.contains(k)
+                    };
+                    let limit = (PAGES * PS).max(first + PS).div_ceil(PS) * PS;
+                    let want = run.clone().take_while(|k| k.1 < limit && free(k)).count();
+                    let got = phys.begin_fill_run(id, first, pages as usize, PAGES * PS);
+                    assert_eq!(got.unwrap_or(0), want, "{at}: claim");
+                    model.pending.extend(run.take(want));
+                }
+                1..=3 => {
+                    let tag = 1 + rng.next_below(250) as u8;
+                    let data = OolBuffer::from_vec(vec![tag; (pages * PS) as usize]);
+                    let lock = if rng.chance(1, 3) {
+                        VmProt::WRITE
+                    } else {
+                        VmProt::NONE
+                    };
+                    let mut fresh = 0;
+                    for k in run {
+                        model.pending.remove(&k);
+                        model.pages.entry(k).or_insert_with(|| {
+                            fresh += 1;
+                            (tag, lock, false)
+                        });
+                    }
+                    assert_eq!(phys.supply_page(object, first, data, lock)?, fresh, "{at}");
+                }
+                4 => {
+                    let mut fresh = 0;
+                    for k in run {
+                        model.pending.remove(&k);
+                        model.pages.entry(k).or_insert_with(|| {
+                            fresh += 1;
+                            (0, VmProt::NONE, false)
+                        });
+                    }
+                    assert_eq!(
+                        phys.data_unavailable(object, first, pages * PS)?,
+                        fresh,
+                        "{at}"
+                    );
+                }
+                5 => {
+                    phys.cancel_fill_run(id, first, pages as usize);
+                    for k in run {
+                        model.pending.remove(&k);
+                    }
+                }
+                6 => {
+                    phys.flush_range(object, first, pages * PS);
+                    for k in model.span(o, floor, end) {
+                        model.pages.remove(&k);
+                    }
+                }
+                7 => {
+                    // Modify, then clean: the pages stay, unmodified.
+                    for k in model.span(o, floor, end) {
+                        if let machvm::PageLookup::Resident { frame, .. } = phys.lookup(id, k.1) {
+                            phys.set_modified(frame);
+                        }
+                        assert_eq!(phys.page_dirty(id, k.1), Some(true), "{at}");
+                    }
+                    phys.clean_range(object, first, pages * PS);
+                    for k in model.span(o, floor, end) {
+                        model.pages.entry(k).and_modify(|p| p.2 = false);
+                    }
+                }
+                8 => {
+                    let lock = if rng.chance(1, 2) {
+                        VmProt::WRITE
+                    } else {
+                        VmProt::NONE
+                    };
+                    phys.lock_range(object, first, pages * PS, lock);
+                    for k in model.span(o, floor, end) {
+                        model.pages.entry(k).and_modify(|p| p.1 = lock);
+                    }
+                }
+                9 => {
+                    // Collapse `o` into the next object, which shadows a
+                    // window of it.
+                    let to = (o + 1) % 3;
+                    let size = pages * PS;
+                    let mut leftovers = false;
+                    for k in model.span(o, 0, u64::MAX) {
+                        let dst = (to, k.1.wrapping_sub(floor));
+                        if k.1 < floor || dst.1 >= size || model.pages.contains_key(&dst) {
+                            leftovers = true;
+                        } else if let Some(page) = model.pages.remove(&k) {
+                            model.pages.insert(dst, page);
+                        }
+                    }
+                    let got = phys.rekey_range(id, floor, &objects[to], size);
+                    assert_eq!(got, leftovers, "{at}: collapse leftovers");
+                }
+                10 => {
+                    phys.release_object(object, false);
+                    model.pages.retain(|k, _| k.0 != o);
+                    model.pending.retain(|k| k.0 != o);
+                }
+                _ => {
+                    // Reclaim picks its own victims: the model drops what
+                    // is gone, and as many must be gone as were freed.
+                    let freed = phys.reclaim_pages(pages as usize);
+                    let before = model.pages.len();
+                    model
+                        .pages
+                        .retain(|k, _| phys.page_lock(objects[k.0].id(), k.1).is_some());
+                    assert_eq!(before - model.pages.len(), freed, "{at}: reclaim");
+                }
+            }
+            phys.check_invariants();
+            for (o, object) in objects.iter().enumerate() {
+                let want: Vec<u64> = model.span(o, 0, u64::MAX).iter().map(|k| k.1).collect();
+                assert_eq!(phys.object_offsets(object.id()), want, "{at}: object {o}");
+            }
+            for (&(o, offset), &(tag, lock, dirty)) in &model.pages {
+                let id = objects[o].id();
+                assert_eq!(phys.page_lock(id, offset), Some(lock), "{at}");
+                assert_eq!(phys.page_dirty(id, offset), Some(dirty), "{at}");
+                let machvm::PageLookup::Resident { frame, .. } = phys.lookup(id, offset) else {
+                    panic!("{at}: a page the offsets listed is not resident");
+                };
+                phys.with_frame(frame, |d| assert!(d.iter().all(|&b| b == tag), "{at}"));
+            }
+            let census = phys.frame_census();
+            assert_eq!(census.pending, model.pending.len() as u64, "{at}");
+            assert_eq!(census.resident, model.pages.len() as u64, "{at}");
+        }
+        for object in &objects {
+            phys.release_object(object, false);
+        }
+        phys.check_invariants();
+        assert_eq!(phys.frame_census(), baseline, "case {case}");
+    }
+    Ok(())
+}
