@@ -15,9 +15,11 @@
 //! goes through the mapped-file UNIX emulation, whose `read`/`write`
 //! fault-ahead through the continuation engine. Cold and warm build
 //! sim-times give P1 per level; warm disk ops against the 10%-cache
-//! baseline UNIX give P2. Results land in `BENCH_build.json` at the repo
-//! root, ratcheted by `report bench-diff` against `[parallel_build]` in
-//! `bench-baseline.toml`.
+//! baseline UNIX give P2; the warm build's message count per unit shows
+//! that its reads are memory accesses (only the write-back is left:
+//! `FS_SYNC` + reply, `pager_clean_request`, `pager_data_write`). Results
+//! land in `BENCH_build.json` at the repo root, ratcheted by `report
+//! bench-diff` against `[parallel_build]` in `bench-baseline.toml`.
 //!
 //! Run with `--smoke` for the seconds-scale pass `scripts/check.sh` uses;
 //! the smoke assertions check warm < cold at every level, the I/O
@@ -34,6 +36,7 @@ use machunix::{BaselineUnix, CompileWorkload, MachUnix, UnixIo};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Physical memory of both systems. The baseline's 10% buffer cache
 /// (~820 KiB) must be smaller than the build's working set, and Mach's
@@ -141,6 +144,8 @@ struct LevelResult {
     cold_ns: u64,
     warm_ns: u64,
     warm_disk_ops: u64,
+    /// Messages of the warm build, its write-back included.
+    warm_msgs: u64,
     steals: u64,
     dispatches: u64,
     lost: usize,
@@ -159,17 +164,34 @@ fn run_level(cpus: usize, w: &CompileWorkload) -> LevelResult {
     let task = Task::create(&k, "make");
     let unix = Arc::new(MachUnix::new(&task, FsClient::new(server.port().clone())));
     w.populate(unix.as_ref()).expect("populate project");
-    let steals0 = k.machine().stats.get(keys::SCHED_STEALS);
-    let disp0 = k.machine().stats.get(keys::SCHED_DISPATCHES);
-    let (cold_ns, _cold_ops, done_cold) = sched_build(&k, &unix, w);
-    let (warm_ns, warm_disk_ops, done_warm) = sched_build(&k, &unix, w);
+    let stats = &k.machine().stats;
+    let steals0 = stats.get(keys::SCHED_STEALS);
+    let disp0 = stats.get(keys::SCHED_DISPATCHES);
+    // `sync_all` returns once the cleaning has been asked for; a build's
+    // write-back has landed when each of its object files has reached
+    // the disk. Waiting for that on either side of the warm build is what
+    // makes its message count exact.
+    let build_and_land = || {
+        let written = stats.get(keys::DISK_WRITES) + w.source_files as u64;
+        let built = sched_build(&k, &unix, w);
+        let landed =
+            machsim::wall::poll_until(Duration::from_secs(10), Duration::from_millis(1), || {
+                stats.get(keys::DISK_WRITES) >= written
+            });
+        assert!(landed, "cpus={cpus}: a build's write-back never landed");
+        built
+    };
+    let (cold_ns, _cold_ops, done_cold) = build_and_land();
+    let msgs0 = stats.get(keys::MSG_SENT);
+    let (warm_ns, warm_disk_ops, done_warm) = build_and_land();
     LevelResult {
         cpus,
         cold_ns,
         warm_ns,
         warm_disk_ops,
-        steals: k.machine().stats.get(keys::SCHED_STEALS) - steals0,
-        dispatches: k.machine().stats.get(keys::SCHED_DISPATCHES) - disp0,
+        warm_msgs: stats.get(keys::MSG_SENT) - msgs0,
+        steals: stats.get(keys::SCHED_STEALS) - steals0,
+        dispatches: stats.get(keys::SCHED_DISPATCHES) - disp0,
         lost: 2 * w.source_files - done_cold - done_warm,
     }
 }
@@ -214,12 +236,13 @@ fn main() {
     for &cpus in &LEVELS {
         let r = run_level(cpus, &w);
         println!(
-            "cpus={:>2}: cold {:>12} sim-ns | warm {:>12} sim-ns ({:.2}x) | warm disk ops {:>4} | steals {:>4} | dispatches {:>5} | lost {}",
+            "cpus={:>2}: cold {:>12} sim-ns | warm {:>12} sim-ns ({:.2}x) | warm disk ops {:>4} | warm msgs {:>4} | steals {:>4} | dispatches {:>5} | lost {}",
             r.cpus,
             r.cold_ns,
             r.warm_ns,
             r.cold_ns as f64 / r.warm_ns.max(1) as f64,
             r.warm_disk_ops,
+            r.warm_msgs,
             r.steals,
             r.dispatches,
             r.lost
@@ -236,6 +259,8 @@ fn main() {
         .fold(f64::INFINITY, f64::min);
     let worst_mach_ops = levels.iter().map(|r| r.warm_disk_ops).max().unwrap_or(0);
     let io_reduction = base_ops as f64 / worst_mach_ops.max(1) as f64;
+    let warm_msgs_per_unit =
+        levels.iter().map(|r| r.warm_msgs).max().unwrap_or(0) as f64 / w.source_files as f64;
     let steals_at_max = levels.last().map_or(0, |r| r.steals);
     let lost_total: usize = levels.iter().map(|r| r.lost).sum();
     println!(
@@ -255,12 +280,13 @@ fn main() {
     json.push_str("  \"levels\": [\n");
     for (i, r) in levels.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"cpus\": {}, \"cold_sim_ns\": {}, \"warm_sim_ns\": {}, \"warm_speedup\": {:.2}, \"warm_disk_ops\": {}, \"steals\": {}, \"dispatches\": {}, \"lost\": {}}}{}\n",
+            "    {{\"cpus\": {}, \"cold_sim_ns\": {}, \"warm_sim_ns\": {}, \"warm_speedup\": {:.2}, \"warm_disk_ops\": {}, \"warm_msgs\": {}, \"steals\": {}, \"dispatches\": {}, \"lost\": {}}}{}\n",
             r.cpus,
             r.cold_ns,
             r.warm_ns,
             r.cold_ns as f64 / r.warm_ns.max(1) as f64,
             r.warm_disk_ops,
+            r.warm_msgs,
             r.steals,
             r.dispatches,
             r.lost,
@@ -270,7 +296,7 @@ fn main() {
     json.push_str("  ],\n");
     json.push_str(&format!("  \"baseline_warm_disk_ops\": {base_ops},\n"));
     json.push_str(&format!(
-        "  \"warm_speedup_min\": {warm_speedup_min:.2},\n  \"io_reduction\": {io_reduction:.2},\n  \"steals_at_max_cpus\": {steals_at_max},\n  \"lost_total\": {lost_total}\n}}\n"
+        "  \"warm_speedup_min\": {warm_speedup_min:.2},\n  \"io_reduction\": {io_reduction:.2},\n  \"warm_msgs_per_unit\": {warm_msgs_per_unit:.2},\n  \"steals_at_max_cpus\": {steals_at_max},\n  \"lost_total\": {lost_total}\n}}\n"
     ));
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_build.json");
     std::fs::write(path, &json).expect("write BENCH_build.json at the repo root");

@@ -168,6 +168,12 @@ const RATCHETS: &[Ratchet] = &[
                 floor_key: "min_io_reduction",
                 anchor: None,
             },
+            Floor {
+                label: "warm msgs per unit",
+                json_key: "warm_msgs_per_unit",
+                floor_key: "max_warm_msgs_per_unit",
+                anchor: None,
+            },
         ],
     },
     Ratchet {

@@ -27,7 +27,10 @@ struct EmulState {
     next_fd: u32,
     open: HashMap<Fd, OpenFile>,
     /// Mappings kept after close so re-opens reuse the same region
-    /// (mirroring the VM cache persistence; the mapping itself is cheap).
+    /// (mirroring the VM cache persistence; the mapping itself is cheap):
+    /// `(address, size the FS_OPEN_MAPPED reply carried)`. That size is
+    /// the file's size as far as this library goes — `read`/`write` bound
+    /// against it and `size_of` answers from it.
     cached_maps: HashMap<Arc<str>, (u64, usize)>,
     /// Files written through a descriptor since the last `sync_all` — the
     /// only ones whose pages can be dirty.
@@ -70,7 +73,7 @@ impl MachUnix {
     /// Hands the range's absent pages to the continuation-based fault
     /// engine before the copy loop touches them: each absent run of a
     /// cold sequential read is one fault — one request, one park — instead
-    /// of a fault per page, and a warm range costs only residency probes.
+    /// of a fault per page, and a warm range costs only pmap probes.
     /// Errors are deliberately dropped: the copy loop right behind this
     /// call faults the same pages synchronously and reports them properly.
     fn fault_ahead(&self, addr: u64, len: usize, access: VmProt) {
@@ -155,6 +158,11 @@ impl UnixIo for MachUnix {
             .ok_or(UnixError::BadFd)
     }
 
+    /// One `FS_SYNC` per file written since the last call; the server
+    /// answers each once it has sent the kernel a `pager_clean_request`,
+    /// so the write-back is under way, not done, when this returns (a
+    /// build that starts at once can dirty a page again before the clean
+    /// reaches it, and the two builds then share one `pager_data_write`).
     fn sync_all(&self) -> Result<(), UnixError> {
         // A file only ever read has nothing to clean.
         let names = std::mem::take(&mut self.state.lock().written);
@@ -169,7 +177,14 @@ impl UnixIo for MachUnix {
         Ok(())
     }
 
+    /// Answered from the mapping once the file has been opened: what the
+    /// library knows from its own address space it does not cross a
+    /// protection boundary to ask, and `read` can reach exactly the size
+    /// reported here. Only a name never opened costs an `FS_STAT`.
     fn size_of(&self, name: &str) -> Result<usize, UnixError> {
+        if let Some(&(_, size)) = self.state.lock().cached_maps.get(name) {
+            return Ok(size);
+        }
         Ok(self.client.stat(name).map_err(from_fs)? as usize)
     }
 }
@@ -181,6 +196,7 @@ mod tests {
     use machpagers::FileServer;
     use machsim::stats::keys;
     use machstorage::{BlockDevice, FlatFs};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn setup() -> (Arc<Kernel>, Arc<FileServer>, MachUnix) {
         let k = Kernel::boot(KernelConfig::default());
@@ -237,33 +253,45 @@ mod tests {
         assert!(landed, "sync never landed");
     }
 
-    #[test]
-    fn sync_all_syncs_only_what_was_written() -> Result<(), UnixError> {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let (k, server, _) = setup();
-        // A tap in front of the file server: counts `FS_SYNC`s, forwards
-        // everything (the reply port rides along, so replies go direct).
+    /// A `MachUnix` behind a tap in front of the file server: the tap
+    /// counts the requests with id `counted` and forwards everything (the
+    /// reply port rides along, so replies go direct). Returns the
+    /// emulation, the count, and a closure that stops the tap.
+    fn tapped(
+        k: &Arc<Kernel>,
+        server: &Arc<FileServer>,
+        counted: u32,
+    ) -> (MachUnix, Arc<AtomicUsize>, impl FnOnce()) {
         let (tap_rx, tap_tx) = machipc::ReceiveRight::allocate(k.machine());
-        let syncs = Arc::new(AtomicUsize::new(0));
+        let count = Arc::new(AtomicUsize::new(0));
         let tap = {
-            let (syncs, real) = (syncs.clone(), server.port().clone());
+            let (count, real) = (count.clone(), server.port().clone());
             std::thread::spawn(move || {
                 while let Ok(msg) = tap_rx.receive(None) {
-                    match msg.id {
-                        machpagers::fs::FS_SHUTDOWN => break,
-                        machpagers::fs::FS_SYNC => {
-                            syncs.fetch_add(1, Ordering::Relaxed);
-                        }
-                        _ => {}
+                    if msg.id == machpagers::fs::FS_SHUTDOWN {
+                        break;
+                    }
+                    if msg.id == counted {
+                        count.fetch_add(1, Ordering::Relaxed);
                     }
                     real.send(msg, None).expect("file server is up");
                 }
             })
         };
-        let u = MachUnix::new(
-            &Task::create(&k, "unix-emul"),
-            FsClient::new(tap_tx.clone()),
-        );
+        let u = MachUnix::new(&Task::create(k, "unix-emul"), FsClient::new(tap_tx.clone()));
+        let stop = move || {
+            tap_tx
+                .send(machipc::Message::new(machpagers::fs::FS_SHUTDOWN), None)
+                .expect("tap is up");
+            tap.join().expect("tap thread");
+        };
+        (u, count, stop)
+    }
+
+    #[test]
+    fn sync_all_syncs_only_what_was_written() -> Result<(), UnixError> {
+        let (k, server, _) = setup();
+        let (u, syncs, stop) = tapped(&k, &server, machpagers::fs::FS_SYNC);
         let names = ["a", "b", "c"];
         for name in names {
             u.create(name, 4096)?;
@@ -282,10 +310,56 @@ mod tests {
         // Nothing written since: nothing to sync.
         u.sync_all()?;
         assert_eq!(syncs.load(Ordering::Relaxed), 1);
-        tap_tx
-            .send(machipc::Message::new(machpagers::fs::FS_SHUTDOWN), None)
-            .expect("tap is up");
-        tap.join().expect("tap thread");
+        stop();
+        Ok(())
+    }
+
+    #[test]
+    fn size_of_an_unopened_name_asks_the_server_once_then_never() -> Result<(), UnixError> {
+        let (k, server, _) = setup();
+        let (u, stats, stop) = tapped(&k, &server, machpagers::fs::FS_STAT);
+        u.create("f", 8192)?;
+        // First contact with the name: the library has no mapping to ask.
+        assert_eq!(u.size_of("f")?, 8192);
+        assert_eq!(stats.load(Ordering::Relaxed), 1);
+        // Open, in use, closed: the mapping answers every time.
+        let fd = u.open("f")?;
+        assert_eq!(u.size_of("f")?, 8192);
+        u.write(fd, 0, b"x")?;
+        u.close(fd)?;
+        assert_eq!(u.size_of("f")?, 8192);
+        u.sync_all()?;
+        assert_eq!(u.size_of("f")?, 8192);
+        assert_eq!(stats.load(Ordering::Relaxed), 1);
+        assert!(matches!(u.size_of("absent"), Err(UnixError::Substrate(_))));
+        assert_eq!(stats.load(Ordering::Relaxed), 2);
+        stop();
+        Ok(())
+    }
+
+    #[test]
+    fn size_of_and_read_agree_on_an_open_file() -> Result<(), UnixError> {
+        let (_k, server, u) = setup();
+        u.create("f", 8192)?;
+        let fd = u.open("f")?;
+        // The file grows behind the library's back; its mapping does not.
+        server
+            .fs()
+            .write("f", 8192, &[7u8; 4096])
+            .expect("room to grow");
+        assert_eq!(server.fs().size("f").expect("f exists"), 12288);
+        // `read_whole`'s loop: whatever size is reported must be readable.
+        let size = u.size_of("f")?;
+        let mut buf = [0u8; 4096];
+        for pos in (0..size).step_by(buf.len()) {
+            let n = buf.len().min(size - pos);
+            u.read(fd, pos, &mut buf[..n])?;
+        }
+        assert_eq!(size, 8192, "the size the open mapped");
+        assert_eq!(
+            u.read(fd, size, &mut buf[..1]).unwrap_err(),
+            UnixError::OutOfRange
+        );
         Ok(())
     }
 

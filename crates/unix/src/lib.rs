@@ -82,7 +82,14 @@ pub trait UnixIo {
     /// Closes a descriptor.
     fn close(&self, fd: Fd) -> Result<(), UnixError>;
 
-    /// Flushes everything dirty to the device.
+    /// Starts everything dirty on its way to the device. Like `sync(2)`,
+    /// which "may return before the writing is complete", this is not a
+    /// barrier: [`BaselineUnix`] has written every dirty buffer when it
+    /// returns, [`MachUnix`] has only had the file server *ask* the kernel
+    /// to clean each written file, and the `pager_data_write`s and disk
+    /// writes follow on the kernel's and the pagers' threads. A caller
+    /// that counts disk operations, or reads the device, right after this
+    /// returns must wait for them to land.
     fn sync_all(&self) -> Result<(), UnixError>;
 
     /// File size.

@@ -668,8 +668,11 @@ impl VmMap {
     /// faulting it a second time. A run is one fault: one overhead
     /// charge, one `pager_data_request` for the whole run from its first
     /// absent page, one park until `pager_data_provided` has installed
-    /// it. Already resident pages cost only a lookup, so a warm range
-    /// charges no fault overhead at all. Returns the number of pages
+    /// it. The pmap is asked first, as the MMU would be: a page it
+    /// translates for `access` costs that probe and its reference bit —
+    /// no map walk, no hold of the resident table — so a warm mapped range
+    /// is a translation per page. A resident page not yet mapped costs a
+    /// lookup; neither charges fault overhead. Returns the number of pages
     /// submitted.
     pub fn fault_ahead(&self, address: u64, size: u64, access: VmProt) -> Result<usize, VmError> {
         if size == 0 {
@@ -690,6 +693,16 @@ impl VmMap {
         let mut runs: Vec<(usize, Arc<VmObject>, u64, usize)> = Vec::new();
         let mut page = trunc_page(address, ps);
         while page < end {
+            // A translation that allows the access vouches for the map
+            // entry, the protection and the page behind it. The page is
+            // marked referenced, as the probe of the resident table would
+            // have: the fills this call waits for must not evict the part
+            // of the range that is already in.
+            if let Some(frame) = self.pmap.translate(page / ps, access) {
+                self.phys.set_referenced(frame);
+                page = page.saturating_add(ps);
+                continue;
+            }
             let (object, obj_offset, entry_prot, needs_copy) = self.resolve_addr(page, access)?;
             // Probed before anything is submitted: no fill this call asks
             // for can land under the probe, so a cold range is submitted
@@ -911,8 +924,11 @@ impl VmMap {
         let ps = self.page_size();
         let want = if write { VmProt::WRITE } else { VmProt::READ };
         let mut pos = 0u64;
-        let mut local_words = 0u64;
-        let mut remote_words = 0u64;
+        // Pages and words touched, by kind of memory: added to the
+        // machine's shared counters and clock once per access, not per page.
+        let (mut local_pages, mut remote_pages) = (0u64, 0u64);
+        let (mut local_words, mut remote_words) = (0u64, 0u64);
+        let mut outcome = Ok(());
         while pos < size {
             let addr = address + pos;
             let vpn = trunc_page(addr, ps) / ps;
@@ -926,7 +942,13 @@ impl VmMap {
                     }
                     f
                 }
-                None => self.fault(addr, want)?,
+                None => match self.fault(addr, want) {
+                    Ok(f) => f,
+                    Err(e) => {
+                        outcome = Err(e);
+                        break;
+                    }
+                },
             };
             let kind = match per_page(
                 frame,
@@ -942,15 +964,22 @@ impl VmMap {
             match kind {
                 MemoryKind::Local => {
                     local_words += n.div_ceil(8);
-                    self.machine.hot.numa_local_hits.incr();
+                    local_pages += 1;
                 }
                 MemoryKind::Remote => {
                     remote_words += n.div_ceil(8);
-                    self.machine.hot.numa_remote_hits.incr();
+                    remote_pages += 1;
                 }
             }
             pos += n;
         }
+        if local_pages > 0 {
+            self.machine.hot.numa_local_hits.add(local_pages);
+        }
+        if remote_pages > 0 {
+            self.machine.hot.numa_remote_hits.add(remote_pages);
+        }
+        outcome?;
         // Word-granular access cost for the memory actually touched: the
         // placement policies earn their keep exactly here.
         self.machine.clock.charge(
@@ -1490,6 +1519,27 @@ mod tests {
         );
         assert_eq!(pager.requests.lock().len(), 1);
         assert_eq!(pager.requests.lock()[0].1, PS);
+    }
+
+    #[test]
+    fn fault_ahead_over_a_mapped_range_keeps_it_referenced() -> Result<(), VmError> {
+        let (_m, phys) = setup(16);
+        let map = VmMap::new(&phys);
+        let object = VmObject::new_with_pager(4 * PS, Arc::new(RecordingPager::default()));
+        phys.supply_page(&object, 0, filled(1, 4 * PS as usize), VmProt::NONE)?;
+        let addr = map.allocate_with_object(None, 4 * PS, object.clone(), 0, false)?;
+        map.access_read(addr, &mut vec![0u8; 4 * PS as usize])?;
+        // Two second-chance passes: reference bits cleared, then every
+        // page on the inactive queue, next in line for reclaim.
+        phys.balance_queues(usize::MAX);
+        phys.balance_queues(usize::MAX);
+        // The pmap answers for the whole range: nothing to submit, no
+        // probe of the resident table — and the pages count as used, so
+        // the fills a partly absent range waits for do not evict them.
+        assert_eq!(map.fault_ahead(addr, 4 * PS, VmProt::READ)?, 0);
+        assert_eq!(phys.reclaim_pages(4), 0);
+        assert_eq!(phys.resident_pages_of(object.id()), 4);
+        Ok(())
     }
 
     #[test]

@@ -5,15 +5,16 @@
 //! is exactly that machine-dependent boundary: the fault handler's final
 //! act is `Pmap::enter`, and everything above it never touches "hardware".
 //!
-//! Real pmap modules manipulate page tables; this one keeps a hash map from
-//! virtual page number to (frame, protection) and models the MMU's
-//! reference and modify bits by reporting accesses back to the resident
-//! page layer.
+//! Real pmap modules manipulate page tables; this one keeps a map from
+//! virtual page number to (frame, protection), ordered so that a range
+//! operation walks the range and not the address space, and models the
+//! MMU's reference and modify bits by reporting accesses back to the
+//! resident page layer.
 
 use crate::types::VmProt;
 use machsim::Machine;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -29,7 +30,7 @@ pub struct PmapEntry {
 /// A per-task hardware address translation map.
 pub struct Pmap {
     machine: Machine,
-    entries: Mutex<HashMap<u64, PmapEntry>>,
+    entries: Mutex<BTreeMap<u64, PmapEntry>>,
     /// The memory node this task's threads are scheduled on by default;
     /// first-touch allocation for unpinned threads falls back to this.
     home_node: AtomicUsize,
@@ -46,7 +47,7 @@ impl Pmap {
     pub fn new(machine: &Machine) -> Self {
         Self {
             machine: machine.clone(),
-            entries: Mutex::new(HashMap::new()),
+            entries: Mutex::new(BTreeMap::new()),
             home_node: AtomicUsize::new(0),
         }
     }
@@ -98,18 +99,17 @@ impl Pmap {
     /// Reduces the protection of every mapping in `[first_vpn, last_vpn]`.
     pub fn protect_range(&self, first_vpn: u64, last_vpn: u64, prot: VmProt) {
         let mut entries = self.entries.lock();
-        for (vpn, e) in entries.iter_mut() {
-            if (first_vpn..=last_vpn).contains(vpn) {
-                e.prot = e.prot & prot;
-            }
+        for (_, e) in entries.range_mut(first_vpn..=last_vpn) {
+            e.prot = e.prot & prot;
         }
     }
 
     /// Removes every mapping in `[first_vpn, last_vpn]`.
     pub fn remove_range(&self, first_vpn: u64, last_vpn: u64) {
-        self.entries
-            .lock()
-            .retain(|vpn, _| !(first_vpn..=last_vpn).contains(vpn));
+        let mut entries = self.entries.lock();
+        while let Some((&vpn, _)) = entries.range(first_vpn..=last_vpn).next() {
+            entries.remove(&vpn);
+        }
     }
 
     /// Number of live translations.
@@ -181,6 +181,33 @@ mod tests {
         assert_eq!(p.resident_count(), 2);
         assert!(p.lookup(1).is_none());
         assert!(p.lookup(3).is_some());
+    }
+
+    #[test]
+    fn range_operations_leave_the_rest_of_the_task_alone() {
+        let p = pmap();
+        // 10 000 other mappings on both sides of a 16-page range.
+        let others = (0..5_000).chain(6_000..11_000);
+        for vpn in others.clone().chain(5_500..5_516) {
+            p.enter(vpn, vpn as usize, VmProt::DEFAULT);
+        }
+        p.protect_range(5_500, 5_515, VmProt::READ);
+        for vpn in 5_500..5_516 {
+            assert_eq!(p.translate(vpn, VmProt::WRITE), None);
+            assert_eq!(p.translate(vpn, VmProt::READ), Some(vpn as usize));
+        }
+        p.remove_range(5_500, 5_515);
+        assert_eq!(p.resident_count(), 10_000);
+        assert!((5_500..5_516).all(|vpn| p.lookup(vpn).is_none()));
+        for vpn in others {
+            let (frame, prot) = (vpn as usize, VmProt::DEFAULT);
+            assert_eq!(p.lookup(vpn), Some(PmapEntry { frame, prot }));
+        }
+        // An empty range and a range with nothing mapped in it are no-ops.
+        p.protect_range(5_500, 5_515, VmProt::NONE);
+        p.remove_range(20_000, u64::MAX);
+        assert_eq!(p.resident_count(), 10_000);
+        assert_eq!(p.translate(4_999, VmProt::WRITE), Some(4_999));
     }
 
     #[test]

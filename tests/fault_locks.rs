@@ -1,5 +1,6 @@
-//! Integration: how many times each class of fault, and each range
-//! request against the cache, takes each lock of the fault path — the
+//! Integration: how many times each class of fault, each range request
+//! against the cache, and a UNIX read of a mapped file (mapped, resident
+//! but unmapped, cold) takes each lock of the fault path — the
 //! resident table (`resident`), a frame's bytes (`frame-data`), the
 //! pageout queues (`queues`) and the fault engine's table (`fault-table`,
 //! the lock every fault shares).
@@ -197,6 +198,28 @@ fn a_fault_that_need_not_wait_takes_the_table_lock_twice() -> Result<(), VmError
     assert_eq!(m.stats.get(keys::VM_COW_COPIES), 1);
     assert!(holds[0] <= 3, "a 64-page collapse {holds:?}");
 
+    // A UNIX read (`MachUnix::read`: fault-ahead, then the copy) of 8 KiB
+    // of a mapped file whose pages are resident but not yet mapped: per
+    // page a probe by fault-ahead, then a resident hit and its mapping.
+    // The same read again is a memory access: the pmap answers both
+    // passes, and only the two pages' bytes are locked, for the copy.
+    let file = cached(&phys, 64)?;
+    let task = VmMap::new(&phys);
+    let mapped = task.allocate_with_object(None, 64 * PAGE, file, 0, false)?;
+    let mut buf = vec![0u8; 2 * PAGE as usize];
+    let mut unix_read = |addr: u64| {
+        counted(|| {
+            task.fault_ahead(addr, 2 * PAGE, VmProt::READ)
+                .and_then(|_| task.access_read(addr, &mut buf))
+        })
+    };
+    let (read, holds) = unix_read(mapped);
+    read?;
+    assert_eq!(holds, [6, 2, 0, 4], "UNIX read, resident but unmapped");
+    let (read, holds) = unix_read(mapped);
+    read?;
+    assert_eq!(holds, [0, 2, 0, 0], "UNIX read, warm");
+
     // A cold 16-page run against a pager. Fault table: admission, park
     // (booking the request under the same hold), the loop's flush, the
     // fill's one page event, the loop's wake-up, completion — where a
@@ -226,6 +249,23 @@ fn a_fault_that_need_not_wait_takes_the_table_lock_twice() -> Result<(), VmError
         "a cold run took [resident, frame-data, queues, fault-table] {best:?} times at best"
     );
     assert_eq!(m.stats.get(keys::VM_PAGER_FILLS), 8);
-    assert_eq!(m.stats.get(keys::VM_FAULTS), 3 + 65 + 8);
+
+    // A cold UNIX read: one fault over the two absent pages (its request
+    // brings in the pager's 16-page cluster), which fault-ahead maps, so
+    // the copy faults on neither.
+    task.set_fault_policy(policy);
+    let cold = task.allocate_with_object(None, 128 * PAGE, object, 128 * PAGE, false)?;
+    let mut best = [u64::MAX; 4];
+    for read in 0..8 {
+        let (pages, holds) = unix_read(cold + read * 16 * PAGE);
+        pages?;
+        best = std::array::from_fn(|i| best[i].min(holds[i]));
+    }
+    assert!(
+        best[0] <= 11 && best[1] <= 18 && best[2] <= 17 && best[3] <= 6,
+        "a cold UNIX read took [resident, frame-data, queues, fault-table] {best:?} times at best"
+    );
+    assert_eq!(m.stats.get(keys::VM_PAGER_FILLS), 8 + 8);
+    assert_eq!(m.stats.get(keys::VM_FAULTS), 3 + 65 + 2 + 8 + 8);
     Ok(())
 }

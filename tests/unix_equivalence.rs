@@ -5,7 +5,7 @@ use machcore::{Kernel, KernelConfig, Task};
 use machpagers::{FileServer, FsClient};
 use machsim::{Machine, SplitMix64};
 use machstorage::{BlockDevice, FlatFs};
-use machunix::{BaselineUnix, MachUnix, UnixIo};
+use machunix::{BaselineUnix, CompileWorkload, MachUnix, UnixIo};
 use std::sync::Arc;
 
 fn baseline() -> (Machine, BaselineUnix) {
@@ -124,4 +124,39 @@ fn cost_profiles_differ_as_designed() {
         base_copied > 2 * mach_copied,
         "baseline copies {base_copied} vs mach {mach_copied}"
     );
+}
+
+#[test]
+fn a_warm_mach_build_sends_four_messages_per_written_file() -> Result<(), machunix::UnixError> {
+    // A warm rebuild reads through its mappings — no `FS_STAT`, no open
+    // RPC, no fault — so the only messages left are the write-back's:
+    // `FS_SYNC` and its reply, `pager_clean_request`, `pager_data_write`.
+    use machsim::stats::keys;
+    let w = CompileWorkload {
+        source_files: 6,
+        headers: 3,
+        ..CompileWorkload::default()
+    };
+    let (k, _server, u) = mach();
+    let m = k.machine();
+    // `sync_all` returns once the cleaning has been asked for; a build's
+    // write-back has landed when its object files have reached the disk.
+    let landed = |writes: u64| {
+        machsim::wall::poll_until(
+            std::time::Duration::from_secs(5),
+            std::time::Duration::from_millis(1),
+            || m.stats.get(keys::DISK_WRITES) >= writes,
+        )
+    };
+    w.populate(&u)?;
+    let writes = m.stats.get(keys::DISK_WRITES);
+    w.build(&u, m)?;
+    assert!(landed(writes + 6), "cold build's write-back never landed");
+    let (msgs, writes) = (m.stats.get(keys::MSG_SENT), m.stats.get(keys::DISK_WRITES));
+    let warm = w.build(&u, m)?;
+    assert!(landed(writes + 6), "warm build's write-back never landed");
+    assert_eq!(warm.disk_reads, 0, "warm build fully cached");
+    assert_eq!(m.stats.get(keys::MSG_SENT) - msgs, 4 * 6);
+    assert_eq!(m.stats.get(keys::DISK_WRITES), writes + 6);
+    Ok(())
 }
