@@ -46,7 +46,7 @@ fn unpack(msg: &Message) -> Option<(Vec<&str>, Vec<u64>)> {
 // ----- host_statistics -----
 
 /// Everything a host knows about itself: counters, latency histograms,
-/// trace-ring health, and the in-flight chain count.
+/// trace-ring health, and the in-flight fault count.
 #[derive(Clone, Debug)]
 pub struct HostStatistics {
     /// Name of the serving host.
@@ -55,22 +55,22 @@ pub struct HostStatistics {
     pub now_ns: u64,
     /// Trace events lost to ring overflow on the serving host.
     pub trace_dropped: u64,
-    /// Causal chains in flight (begun, not yet resolved) at capture.
+    /// Faults in flight (admitted, not yet finished) at capture.
     pub in_flight: u64,
-    /// Every named counter with its value, sorted by name.
+    /// Every counter of `stats::keys::ALL` with its value, in that order.
     pub counters: Vec<(String, u64)>,
-    /// Every latency histogram, sorted by name.
+    /// Every histogram of `trace::keys::ALL`, in that order.
     pub histograms: Vec<HistogramData>,
 }
 
 impl HostStatistics {
     /// Captures the serving side's snapshot.
-    pub fn capture(machine: &Machine) -> Self {
+    pub fn capture(machine: &Machine, phys: &PhysicalMemory) -> Self {
         HostStatistics {
             host: machine.host().to_string(),
             now_ns: machine.clock.now_ns(),
             trace_dropped: machine.trace.dropped(),
-            in_flight: machine.flight.len() as u64,
+            in_flight: phys.fault_engine().in_flight() as u64,
             counters: machine
                 .stats
                 .snapshot()
@@ -80,7 +80,6 @@ impl HostStatistics {
             histograms: machine
                 .latency
                 .snapshot()
-                .iter()
                 .map(|(name, h)| HistogramData::of(name, h))
                 .collect(),
         }
@@ -499,25 +498,27 @@ pub fn query_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use machsim::trace::keys as lat_keys;
 
     #[test]
     fn host_statistics_round_trips_through_wire_form() {
         let m = Machine::default_machine();
-        m.stats.add("vm.faults", 17);
-        m.stats.add("disk.reads", 3);
-        m.latency.record("vm.fault_to_resolution", 1000);
-        m.latency.record("vm.fault_to_resolution", 2_000_000);
-        m.flight.begin(9, "vm.fault", 0);
-        let snap = HostStatistics::capture(&m);
+        let phys = PhysicalMemory::new(&m, 64 * 4096, 4096, 4);
+        m.stats.add(keys::VM_FAULTS, 17);
+        m.stats.add(keys::DISK_READS, 3);
+        m.latency.record(lat_keys::FAULT_TO_RESOLUTION, 1000);
+        m.latency.record(lat_keys::FAULT_TO_RESOLUTION, 2_000_000);
+        let snap = HostStatistics::capture(&m, &phys);
         let decoded = HostStatistics::decode(&snap.encode()).expect("decodes");
         assert_eq!(decoded.host, "local");
-        assert_eq!(decoded.counter("vm.faults"), 17);
-        assert_eq!(decoded.counter("disk.reads"), 3);
+        assert_eq!(decoded.counter(keys::VM_FAULTS), 17);
+        assert_eq!(decoded.counter(keys::DISK_READS), 3);
         assert_eq!(decoded.counter("absent"), 0);
-        assert_eq!(decoded.in_flight, 1);
-        assert_eq!(decoded.histograms.len(), 1);
+        assert_eq!(decoded.counters.len(), keys::ALL.len());
+        assert_eq!(decoded.in_flight, 0);
+        assert_eq!(decoded.histograms.len(), lat_keys::ALL.len());
         let h = &decoded.histograms[0];
-        assert_eq!(h.name, "vm.fault_to_resolution");
+        assert_eq!(h.name, lat_keys::FAULT_TO_RESOLUTION);
         assert_eq!(h.count, 2);
         assert_eq!(h.sum_ns, 2_001_000);
         assert_eq!(h.buckets.len(), 2);

@@ -24,7 +24,7 @@ use machvm::{
     PhysicalMemory, VmMap, VmObject, VmProt,
 };
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
@@ -53,12 +53,11 @@ pub struct KernelConfig {
     /// Whether to run the background pageout daemon that keeps the free
     /// queue primed (Section 5.4's queue maintenance).
     pub pageout_daemon: bool,
-    /// Whether to run the stall watchdog that flags in-flight causal
-    /// chains (faults awaiting `pager_data_provided`) that stop making
-    /// progress.
+    /// Whether to run the stall watchdog that flags parked faults (faults
+    /// awaiting `pager_data_provided`) that stop making progress.
     pub watchdog: bool,
-    /// Simulated time an in-flight chain may age before the watchdog
-    /// declares it stalled.
+    /// Simulated time a parked fault may age before the watchdog declares
+    /// it stalled.
     pub watchdog_stall_ns: u64,
     /// NUMA memory placement: node count and policies (single node, no
     /// policies by default).
@@ -103,18 +102,21 @@ const PAGEOUT_BURST_PAGES: usize = 8;
 /// Watchdog poll interval (wall clock).
 const WATCHDOG_POLL: std::time::Duration = std::time::Duration::from_millis(5);
 
-/// Consecutive watchdog scans an in-flight chain must survive before the
+/// Consecutive watchdog scans a parked fault must survive before the
 /// sim-clock deadline is even considered (~300 ms of wall time). The
 /// debounce is what makes the watchdog sound on a *shared* simulated
 /// clock: a busy host charges everyone's work to one clock, so sim-elapsed
 /// alone would flag healthy faults on loaded hosts, while a wedged host's
 /// clock stops advancing and would never cross the deadline at all.
-/// Healthy fault chains resolve in wall-microseconds; only a genuinely
-/// blocked chain is still in the table after this many scans.
+/// Healthy faults resolve in wall-microseconds; only a genuinely blocked
+/// fault is still parked after this many scans.
 const WATCHDOG_MIN_SCANS: u32 = 60;
 
 /// Trace-ring tail length included in a watchdog black-box report.
 const BLACK_BOX_EVENTS: usize = 32;
+
+/// Black-box reports a kernel retains; older ones are discarded.
+const BLACK_BOX_REPORTS: usize = 8;
 
 impl Default for KernelConfig {
     fn default() -> Self {
@@ -182,6 +184,9 @@ pub struct Kernel {
     host_service: Mutex<Option<JoinHandle<()>>>,
     watchdog: Mutex<Option<JoinHandle<()>>>,
     watchdog_stop: Arc<std::sync::atomic::AtomicBool>,
+    /// The watchdog's last [`BLACK_BOX_REPORTS`] black-box reports, oldest
+    /// first.
+    watchdog_reports: Arc<Mutex<VecDeque<String>>>,
     /// The per-CPU run-queue scheduler every task thread runs under.
     scheduler: Arc<machsched::Scheduler>,
     tasks: TaskRegistry,
@@ -368,6 +373,7 @@ impl Kernel {
             host_service: Mutex::new(None),
             watchdog: Mutex::new(None),
             watchdog_stop: Arc::new(std::sync::atomic::AtomicBool::new(false)),
+            watchdog_reports: Arc::default(),
             scheduler,
             tasks: tasks.clone(),
             next_node: std::sync::atomic::AtomicUsize::new(0),
@@ -389,10 +395,11 @@ impl Kernel {
             let machine = machine.clone();
             let phys = phys.clone();
             let stop = kernel.watchdog_stop.clone();
+            let reports = kernel.watchdog_reports.clone();
             let stall_ns = config.watchdog_stall_ns.max(1);
             let thread = std::thread::Builder::new()
                 .name("kernel-watchdog".into())
-                .spawn(move || Self::watchdog_loop(machine, phys, stop, stall_ns))
+                .spawn(move || Self::watchdog_loop(machine, phys, stop, reports, stall_ns))
                 .expect("spawn kernel watchdog");
             *kernel.watchdog.lock() = Some(thread);
         }
@@ -575,7 +582,7 @@ impl Kernel {
             };
             for msg in batch {
                 let reply = match msg.id {
-                    proto::HOST_STATISTICS => HostStatistics::capture(&machine).encode(),
+                    proto::HOST_STATISTICS => HostStatistics::capture(&machine, &phys).encode(),
                     proto::HOST_VM_STATISTICS => {
                         VmStatisticsSnapshot::capture(&machine, &phys).encode()
                     }
@@ -637,75 +644,78 @@ impl Kernel {
         }
     }
 
-    /// The stall watchdog: scans the in-flight chain table and flags
-    /// chains that stop making progress, exactly once per chain.
+    /// The stall watchdog: scans the fault engine's parked faults and
+    /// flags those that stop making progress, exactly once per fault.
     ///
-    /// Detection is two-stage. First a wall-clock debounce: the chain must
-    /// survive [`WATCHDOG_MIN_SCANS`] consecutive scans, which no healthy
-    /// fault does (they resolve in wall-microseconds). Then the simulated
-    /// deadline: if the debounced chain's host clock has not yet aged past
-    /// `stall_ns`, the watchdog advances it there — modeling the hardware
-    /// interval timer that fires regardless of how wedged the system is —
-    /// and flags the chain on a later scan. Healthy runs stay
+    /// Detection is two-stage. First a wall-clock debounce: the fault must
+    /// stay parked through [`WATCHDOG_MIN_SCANS`] consecutive scans, which
+    /// no healthy fault does (they resolve in wall-microseconds). Then the
+    /// simulated deadline: if the debounced fault's host clock has not yet
+    /// aged past `stall_ns`, the watchdog advances it there — modeling the
+    /// hardware interval timer that fires regardless of how wedged the
+    /// system is — and flags the fault on a later scan. Healthy runs stay
     /// deterministic because the advance never happens for them.
     fn watchdog_loop(
         machine: Machine,
         phys: Arc<PhysicalMemory>,
         stop: Arc<std::sync::atomic::AtomicBool>,
+        reports: Arc<Mutex<VecDeque<String>>>,
         stall_ns: u64,
     ) {
+        let engine = phys.fault_engine();
         while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-            for chain in machine.flight.tick() {
-                if chain.flagged || chain.scans < WATCHDOG_MIN_SCANS {
+            for (cid, started_ns, scans, flagged) in engine.watch() {
+                if flagged || scans < WATCHDOG_MIN_SCANS {
                     continue;
                 }
-                let deadline = chain.started_ns.saturating_add(stall_ns);
+                let deadline = started_ns.saturating_add(stall_ns);
                 if machine.clock.now_ns() < deadline {
                     machine.clock.advance_to(deadline);
                     continue;
                 }
-                if machine.flight.flag(chain.cid) {
+                if engine.flag(cid) {
                     machine.stats.incr(stat_keys::WATCHDOG_STALLS);
                     machine.trace_event_with(
                         "watchdog",
                         EventKind::WatchdogStall,
-                        CorrelationId::from_raw(chain.cid),
+                        CorrelationId::from_raw(cid),
                     );
-                    let report = Self::black_box_report(&machine, &phys, &chain, stall_ns);
-                    machine.flight.push_report(report);
+                    let report = Self::black_box_report(&machine, &phys, cid, started_ns, stall_ns);
+                    let mut reports = reports.lock();
+                    if reports.len() >= BLACK_BOX_REPORTS {
+                        reports.pop_front();
+                    }
+                    reports.push_back(report);
                 }
             }
             machsim::wall::sleep(WATCHDOG_POLL);
         }
     }
 
-    /// Renders the bounded "black box" report for one stalled chain: its
-    /// hop timeline, the trace-ring tail, every counter, and the state of
-    /// resident memory at flag time.
+    /// Renders the bounded "black box" report for one stalled fault: its
+    /// chain's hop timeline, the trace-ring tail, every counter, and the
+    /// state of resident memory at flag time.
     fn black_box_report(
         machine: &Machine,
         phys: &PhysicalMemory,
-        chain: &machsim::InFlightChain,
+        cid: u64,
+        started_ns: u64,
         stall_ns: u64,
     ) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "== watchdog stall: cid#{} ({}) on host {} ==",
-            chain.cid,
-            chain.actor,
+            "== watchdog stall: cid#{cid} (vm.fault) on host {} ==",
             machine.host()
         );
         let _ = writeln!(
             out,
-            "started {} ns, now {} ns, threshold {} ns",
-            chain.started_ns,
+            "started {started_ns} ns, now {} ns, threshold {stall_ns} ns",
             machine.clock.now_ns(),
-            stall_ns
         );
         out.push_str("-- chain timeline --\n");
-        let hops = CorrelationId::from_raw(chain.cid)
+        let hops = CorrelationId::from_raw(cid)
             .map(|cid| machine.trace.chain(cid))
             .unwrap_or_default();
         if hops.is_empty() {
@@ -763,7 +773,7 @@ impl Kernel {
 
     /// Black-box reports filed by the stall watchdog, oldest first.
     pub fn watchdog_reports(&self) -> Vec<String> {
-        self.machine.flight.reports()
+        self.watchdog_reports.lock().iter().cloned().collect()
     }
 
     /// The machine this kernel runs on.

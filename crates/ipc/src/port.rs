@@ -233,11 +233,11 @@ impl PortCore {
         self.ctx
             .clock
             .charge(hop_ns + cost.copy_cost_ns(inline) + cost.remap_cost_ns(ool_pages));
-        self.ctx.hot.msg_sent.incr();
+        self.ctx.stats.incr(keys::MSG_SENT);
         if hop == Hop::Handoff {
-            self.ctx.hot.ipc_handoffs.incr();
+            self.ctx.stats.incr(keys::IPC_HANDOFFS);
         }
-        self.ctx.hot.bytes_copied.add(inline);
+        self.ctx.stats.add(keys::BYTES_COPIED, inline);
         self.ctx.stats.add(keys::PAGES_REMAPPED, ool_pages);
         if msg.correlation == 0 {
             if let Some(cid) = trace::current_correlation() {
@@ -287,11 +287,11 @@ impl PortCore {
             pages += ool_pages;
         }
         self.ctx.clock.charge(total_ns);
-        self.ctx.hot.msg_sent.add(msgs.len() as u64);
-        self.ctx.hot.bytes_copied.add(bytes);
+        self.ctx.stats.add(keys::MSG_SENT, msgs.len() as u64);
+        self.ctx.stats.add(keys::BYTES_COPIED, bytes);
         self.ctx.stats.add(keys::PAGES_REMAPPED, pages);
         if msgs.len() > 1 {
-            self.ctx.hot.ipc_batches.incr();
+            self.ctx.stats.incr(keys::IPC_BATCHES);
         }
         let now = self.ctx.clock.now_ns();
         let ambient = trace::current_correlation();
@@ -321,9 +321,9 @@ impl PortCore {
     /// correlation id and span by the receiving thread.
     fn finish_recv(&self, msgs: &[Message]) {
         let Some(last) = msgs.last() else { return };
-        self.ctx.hot.msg_received.add(msgs.len() as u64);
+        self.ctx.stats.add(keys::MSG_RECEIVED, msgs.len() as u64);
         if msgs.len() > 1 {
-            self.ctx.hot.ipc_batches.incr();
+            self.ctx.stats.incr(keys::IPC_BATCHES);
         }
         let now = self.ctx.clock.now_ns();
         for m in msgs {

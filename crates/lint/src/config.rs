@@ -412,7 +412,7 @@ data = "frame-data"
 queues = "queues"
 
 [counter_keys]
-methods = ["counter", "incr", "add"]
+methods = ["incr", "add", "record"]
 keys_file = "crates/sim/src/stats.rs"
 
 [trace]

@@ -51,13 +51,7 @@ mod tests {
 
     fn run(src: &str) -> Vec<Finding> {
         let cfg = CounterKeysConfig {
-            methods: vec![
-                "counter".into(),
-                "incr".into(),
-                "add".into(),
-                "histogram".into(),
-                "record".into(),
-            ],
+            methods: vec!["incr".into(), "add".into(), "record".into()],
             keys_file: "k.rs".into(),
         };
         let model = FileModel::new("a.rs".into(), src);

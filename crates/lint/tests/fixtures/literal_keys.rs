@@ -4,7 +4,7 @@
 pub fn count_things(stats: &StatsRegistry, lat: &LatencyRegistry) {
     stats.incr("vm.faults"); // line 5: literal key
     stats.add("ipc.bytes", 128); // line 6: literal key
-    lat.histogram("fault.latency").record_ns(9); // line 7: literal key
+    lat.record("fault.latency", 9); // line 7: literal key
     stats.incr(keys::VM_FAULTS); // const key: fine
     stats.add(keys::IPC_BYTES, 128); // const key: fine
 }

@@ -25,7 +25,7 @@ data = "frame-data"
 queues = "queues"
 
 [counter_keys]
-methods = ["counter", "incr", "add", "histogram", "record"]
+methods = ["incr", "add", "record"]
 keys_file = "crates/sim/src/stats.rs"
 
 [trace]

@@ -26,7 +26,7 @@
 pub mod protocol;
 
 use machsim::lockdep::{ClassMutex, LockClass};
-use machsim::stats::{keys, Counter};
+use machsim::stats::keys;
 use machsim::{wall, Machine, SplitMix64};
 use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
@@ -180,29 +180,6 @@ impl Default for SchedConfig {
     }
 }
 
-/// Pre-resolved `sched.*` counters (see `machsim::stats::keys`).
-struct SchedCounters {
-    dispatches: Counter,
-    steals: Counter,
-    migrations: Counter,
-    affinity_hits: Counter,
-    affinity_misses: Counter,
-    preemptions: Counter,
-}
-
-impl SchedCounters {
-    fn new(machine: &Machine) -> Self {
-        Self {
-            dispatches: machine.stats.counter(keys::SCHED_DISPATCHES),
-            steals: machine.stats.counter(keys::SCHED_STEALS),
-            migrations: machine.stats.counter(keys::SCHED_MIGRATIONS),
-            affinity_hits: machine.stats.counter(keys::SCHED_AFFINITY_HITS),
-            affinity_misses: machine.stats.counter(keys::SCHED_AFFINITY_MISSES),
-            preemptions: machine.stats.counter(keys::SCHED_PREEMPTIONS),
-        }
-    }
-}
-
 /// The per-CPU run-queue scheduler of one simulated machine.
 pub struct Scheduler {
     machine: Machine,
@@ -215,7 +192,6 @@ pub struct Scheduler {
     /// Workers that have not yet run their drain loop to completion;
     /// `quiesce` polls this toward zero.
     active: AtomicUsize,
-    counters: SchedCounters,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
@@ -241,7 +217,6 @@ impl Scheduler {
             wake: Condvar::new(),
             stop: AtomicBool::new(false),
             active: AtomicUsize::new(cfg.cpus),
-            counters: SchedCounters::new(machine),
             workers: Mutex::new(Vec::new()),
         });
         for i in 0..cfg.cpus {
@@ -451,7 +426,9 @@ impl Scheduler {
             let mut batch = self.take_from(victim);
             let first = batch.pop_front();
             if first.is_some() {
-                self.counters.steals.add(1 + batch.len() as u64);
+                self.machine
+                    .stats
+                    .add(keys::SCHED_STEALS, 1 + batch.len() as u64);
             }
             let mut surplus = false;
             while let Some(u) = batch.pop_front() {
@@ -487,24 +464,24 @@ impl Scheduler {
     /// Runs one unit on `cpu` until it finishes or its slice expires.
     fn dispatch(&self, cpu: usize, mut unit: Unit) {
         let span = self.machine.span_open("sched.dispatch");
-        self.counters.dispatches.incr();
+        self.machine.stats.incr(keys::SCHED_DISPATCHES);
         let node = self.cpus[cpu].node;
         let last = unit.tag.last_cpu.load(Ordering::Relaxed);
         if last == NO_CPU {
             // First dispatch: a hit means the placer reached the home node.
             if node == unit.tag.home_node {
-                self.counters.affinity_hits.incr();
+                self.machine.stats.incr(keys::SCHED_AFFINITY_HITS);
             } else {
-                self.counters.affinity_misses.incr();
+                self.machine.stats.incr(keys::SCHED_AFFINITY_MISSES);
             }
         } else if last == cpu {
-            self.counters.affinity_hits.incr();
+            self.machine.stats.incr(keys::SCHED_AFFINITY_HITS);
         } else {
-            self.counters.migrations.incr();
+            self.machine.stats.incr(keys::SCHED_MIGRATIONS);
             if self.cpus[last].node == node {
-                self.counters.affinity_hits.incr();
+                self.machine.stats.incr(keys::SCHED_AFFINITY_HITS);
             } else {
-                self.counters.affinity_misses.incr();
+                self.machine.stats.incr(keys::SCHED_AFFINITY_MISSES);
             }
         }
         unit.tag.last_cpu.store(cpu, Ordering::Relaxed);
@@ -521,7 +498,7 @@ impl Scheduler {
                         // Context switch: the syscall price, as in Mach's
                         // kernel-entry accounting.
                         self.machine.clock.charge(self.machine.cost.syscall_ns);
-                        self.counters.preemptions.incr();
+                        self.machine.stats.incr(keys::SCHED_PREEMPTIONS);
                         self.push(cpu, unit);
                         break;
                     }

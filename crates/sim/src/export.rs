@@ -8,7 +8,7 @@
 //!   track per [`CorrelationId`](crate::trace::CorrelationId), so loading
 //!   the file in Perfetto (ui.perfetto.dev) or `chrome://tracing` shows
 //!   each fault chain as one row of hops.
-//! * [`prometheus`] emits the text exposition format (`# TYPE` lines,
+//! * [`prometheus_from`] emits the text exposition format (`# TYPE` lines,
 //!   counters, and cumulative histogram buckets from the log2
 //!   [`Histogram`](crate::trace::Histogram)).
 //!
@@ -20,7 +20,6 @@
 
 use crate::gauge::GaugeSeries;
 use crate::machine::Machine;
-use crate::stats::StatsSnapshot;
 use crate::trace::{Histogram, TraceEvent};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -264,21 +263,6 @@ pub fn prometheus_from(
     out
 }
 
-/// Renders live counters and latency histograms in Prometheus text
-/// format (see [`prometheus_from`]).
-pub fn prometheus(
-    counters: &StatsSnapshot,
-    histograms: &[(String, Arc<Histogram>)],
-    dropped: u64,
-) -> String {
-    let counters: Vec<(String, u64)> = counters.iter().map(|(k, v)| (k.to_string(), v)).collect();
-    let histograms: Vec<HistogramData> = histograms
-        .iter()
-        .map(|(name, h)| HistogramData::of(name, h))
-        .collect();
-    prometheus_from(&counters, &histograms, dropped)
-}
-
 /// The process-wide lock-contention profile as exporter material:
 /// per-class `lock.contended.<class>` counters plus `lock.wait.<class>` /
 /// `lock.hold.<class>` histograms (wall-ns — host diagnostics, kept apart
@@ -321,7 +305,6 @@ pub fn prometheus_for(machine: &Machine) -> String {
     let mut histograms: Vec<HistogramData> = machine
         .latency
         .snapshot()
-        .iter()
         .map(|(name, h)| HistogramData::of(name, h))
         .collect();
     histograms.extend(lock_histograms);
@@ -594,7 +577,7 @@ pub fn validate_chrome_trace(json: &str) -> Result<usize, String> {
 
 /// Parses Prometheus text exposition into `metric{labels} -> value`.
 ///
-/// The inverse of [`prometheus`] as far as the smoke test needs: comments
+/// The inverse of [`prometheus_from`] as far as the smoke test needs: comments
 /// are skipped, each sample line must be `name[{labels}] value`.
 pub fn parse_prometheus(text: &str) -> Result<BTreeMap<String, f64>, String> {
     let mut out = BTreeMap::new();
@@ -738,10 +721,12 @@ mod tests {
     #[test]
     fn prometheus_round_trips_through_parser() {
         let m = Machine::default_machine();
-        m.stats.add("vm.faults", 42);
-        m.stats.add("disk.reads", 7);
-        m.latency.record("vm.fault_to_resolution", 900);
-        m.latency.record("vm.fault_to_resolution", 100_000);
+        m.stats.add(crate::stats::keys::VM_FAULTS, 42);
+        m.stats.add(crate::stats::keys::DISK_READS, 7);
+        m.latency
+            .record(crate::trace::keys::FAULT_TO_RESOLUTION, 900);
+        m.latency
+            .record(crate::trace::keys::FAULT_TO_RESOLUTION, 100_000);
         let text = prometheus_for(&m);
         assert!(text.contains("# TYPE vm_faults counter"));
         assert!(text.contains("# TYPE vm_fault_to_resolution_ns histogram"));
@@ -763,11 +748,7 @@ mod tests {
         for ns in [1u64, 2, 500, 100_000] {
             h.record(ns);
         }
-        let text = prometheus(
-            &crate::stats::StatsRegistry::new().snapshot(),
-            &[("lat".to_string(), Arc::new(h))],
-            0,
-        );
+        let text = prometheus_from(&[], &[HistogramData::of("lat", &h)], 0);
         let parsed = parse_prometheus(&text).unwrap();
         let mut bucket_values: Vec<f64> = parsed
             .iter()

@@ -19,7 +19,6 @@
 pub mod clock;
 pub mod cost;
 pub mod export;
-pub mod flight;
 pub mod gauge;
 pub mod lockdep;
 pub mod machine;
@@ -32,12 +31,11 @@ pub mod wall;
 
 pub use clock::SimClock;
 pub use cost::CostModel;
-pub use flight::{FlightRecorder, InFlightChain};
 pub use gauge::{GaugeRegistry, GaugeSeries};
 pub use machine::{Machine, SpanGuard};
 pub use rng::SplitMix64;
 pub use span::{ChainAttribution, CriticalPathReport, SpanRecord};
-pub use stats::{Counter, HotCounters, StatsRegistry, StatsSnapshot};
+pub use stats::{StatsRegistry, StatsSnapshot};
 pub use topology::{MemoryKind, Topology};
 pub use trace::{
     CorrelationId, CorrelationScope, EventKind, Histogram, LatencyRegistry, SpanInfo, SpanScope,

@@ -7,9 +7,8 @@
 
 use crate::clock::SimClock;
 use crate::cost::CostModel;
-use crate::flight::FlightRecorder;
 use crate::gauge::GaugeRegistry;
-use crate::stats::{keys, HotCounters, StatsRegistry};
+use crate::stats::{keys, StatsRegistry};
 use crate::topology::Topology;
 use crate::trace::{CorrelationId, EventKind, LatencyRegistry, SpanInfo, TraceBuffer, TraceEvent};
 use std::sync::Arc;
@@ -28,13 +27,8 @@ pub struct Machine {
     pub cost: Arc<CostModel>,
     /// Causal trace ring of this host.
     pub trace: Arc<TraceBuffer>,
-    /// Named latency histograms of this host.
+    /// Latency histograms of this host.
     pub latency: LatencyRegistry,
-    /// Pre-resolved counters for the fault/IPC/disk hot paths, backed by
-    /// the same atomics as `stats` (no per-increment name lookup).
-    pub hot: Arc<HotCounters>,
-    /// In-flight causal-chain table scanned by the stall watchdog.
-    pub flight: Arc<FlightRecorder>,
     /// Sampled queue-depth/occupancy gauges of this host.
     pub gauges: Arc<GaugeRegistry>,
     /// Host name shown in trace events ("local" unless on a fabric).
@@ -49,16 +43,12 @@ impl Machine {
 
     /// Creates a machine with the given cost model and host name.
     pub fn named(cost: CostModel, host: &str) -> Self {
-        let stats = StatsRegistry::new();
-        let hot = Arc::new(HotCounters::new(&stats));
         Self {
             clock: SimClock::new(),
-            stats,
+            stats: StatsRegistry::new(),
             cost: Arc::new(cost),
             trace: Arc::new(TraceBuffer::default()),
             latency: LatencyRegistry::new(),
-            hot,
-            flight: Arc::new(FlightRecorder::new()),
             gauges: Arc::new(GaugeRegistry::new()),
             host: Arc::from(host),
         }
@@ -116,7 +106,7 @@ impl Machine {
         cid: Option<CorrelationId>,
     ) -> u64 {
         let id = crate::trace::allocate_span_id();
-        self.hot.trace_spans.incr();
+        self.stats.incr(keys::TRACE_SPANS);
         if self.trace.is_enabled() {
             self.trace.record(
                 TraceEvent::new(
@@ -236,9 +226,9 @@ mod tests {
         let m = Machine::default_machine();
         let n = m.clone();
         m.clock.charge(5);
-        m.stats.incr("x");
+        m.stats.incr(keys::VM_FAULTS);
         assert_eq!(n.clock.now_ns(), 5);
-        assert_eq!(n.stats.get("x"), 1);
+        assert_eq!(n.stats.get(keys::VM_FAULTS), 1);
     }
 
     #[test]

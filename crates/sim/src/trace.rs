@@ -23,8 +23,7 @@
 //! [`Histogram`]s keyed by name in a per-machine [`LatencyRegistry`]
 //! (fault-to-resolution, send-to-receive, request-to-fill; see [`keys`]).
 
-use parking_lot::{Mutex, RwLock};
-use std::collections::BTreeMap;
+use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -43,6 +42,28 @@ pub mod keys {
     /// A fault continuation parked by the async engine to its resume by
     /// the completion loop (the thread-free span of an async fault).
     pub const PARK_TO_RESUME: &str = "vm.park_to_resume";
+
+    /// Every histogram key, in [`super::LatencyRegistry`] slot order (see
+    /// [`super::slot`]).
+    pub const ALL: &[&str] = &[
+        FAULT_TO_RESOLUTION,
+        SEND_TO_RECEIVE,
+        REQUEST_TO_FILL,
+        PARK_TO_RESUME,
+    ];
+}
+
+/// The index of `key` in [`keys::ALL`], or `None` for an unlisted key
+/// (a `match`, like [`crate::stats::slot`]).
+#[inline]
+pub fn slot(key: &str) -> Option<usize> {
+    Some(match key {
+        keys::FAULT_TO_RESOLUTION => 0,
+        keys::SEND_TO_RECEIVE => 1,
+        keys::REQUEST_TO_FILL => 2,
+        keys::PARK_TO_RESUME => 3,
+        _ => return None,
+    })
 }
 
 static NEXT_CORRELATION: AtomicU64 = AtomicU64::new(1);
@@ -584,50 +605,42 @@ impl Histogram {
     }
 }
 
-/// A machine's named latency histograms.
+/// A machine's latency histograms: one per key of [`keys::ALL`].
 ///
-/// Cloning shares the underlying registry, mirroring
+/// Cloning shares the histograms, mirroring
 /// [`StatsRegistry`](crate::stats::StatsRegistry).
 #[derive(Clone, Debug, Default)]
 pub struct LatencyRegistry {
-    inner: Arc<RwLock<BTreeMap<String, Arc<Histogram>>>>,
+    histograms: Arc<[Histogram; keys::ALL.len()]>,
 }
 
 impl LatencyRegistry {
-    /// Creates an empty registry.
+    /// Creates a registry with every histogram empty.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Returns (creating on first use) the histogram named `key`.
-    pub fn histogram(&self, key: &str) -> Arc<Histogram> {
-        if let Some(h) = self.inner.read().get(key) {
-            return h.clone();
-        }
-        self.inner
-            .write()
-            .entry(key.to_string())
-            .or_default()
-            .clone()
-    }
-
     /// Records one sample into the histogram named `key`.
+    ///
+    /// # Panics
+    ///
+    /// If `key` is not in [`keys::ALL`].
+    #[inline]
     pub fn record(&self, key: &str, ns: u64) {
-        self.histogram(key).record(ns);
+        let Some(i) = slot(key) else {
+            panic!("histogram {key:?} is not in trace::keys::ALL")
+        };
+        self.histograms[i].record(ns);
     }
 
-    /// The histogram named `key`, if any samples created it.
-    pub fn get(&self, key: &str) -> Option<Arc<Histogram>> {
-        self.inner.read().get(key).cloned()
+    /// The histogram named `key` (`None` for an unlisted key).
+    pub fn get(&self, key: &str) -> Option<&Histogram> {
+        slot(key).map(|i| &self.histograms[i])
     }
 
-    /// All histograms, sorted by key.
-    pub fn snapshot(&self) -> Vec<(String, Arc<Histogram>)> {
-        self.inner
-            .read()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
+    /// Every histogram, in [`keys::ALL`] order.
+    pub fn snapshot(&self) -> impl Iterator<Item = (&'static str, &Histogram)> {
+        keys::ALL.iter().copied().zip(self.histograms.iter())
     }
 }
 
@@ -887,14 +900,28 @@ mod tests {
     }
 
     #[test]
+    fn slot_indexes_keys_all() {
+        for (i, key) in keys::ALL.iter().enumerate() {
+            assert_eq!(slot(key), Some(i), "{key}");
+        }
+        assert_eq!(slot("not.a.key"), None);
+    }
+
+    #[test]
     fn latency_registry_shares_between_clones() {
         let r = LatencyRegistry::new();
         let r2 = r.clone();
-        r.record("x", 10);
-        r2.record("x", 20);
-        let h = r.get("x").unwrap();
-        assert_eq!(h.count(), 2);
-        assert_eq!(r.snapshot().len(), 1);
+        r.record(keys::PARK_TO_RESUME, 10);
+        r2.record(keys::PARK_TO_RESUME, 20);
+        assert_eq!(r.get(keys::PARK_TO_RESUME).unwrap().count(), 2);
+        let names: Vec<&str> = r.snapshot().map(|(k, _)| k).collect();
+        assert_eq!(names, keys::ALL);
         assert!(r.get("missing").is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "not in trace::keys::ALL")]
+    fn recording_an_unlisted_key_panics() {
+        LatencyRegistry::new().record("nope", 1);
     }
 }

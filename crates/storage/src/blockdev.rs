@@ -75,13 +75,13 @@ impl BlockDevice {
             .clock
             .charge(self.machine.cost.disk_op_ns(bytes as u64));
         let kind = if counter == keys::DISK_READS {
-            self.machine.hot.disk_reads.incr();
+            self.machine.stats.incr(keys::DISK_READS);
             machsim::EventKind::DiskRead
         } else {
-            self.machine.hot.disk_writes.incr();
+            self.machine.stats.incr(keys::DISK_WRITES);
             machsim::EventKind::DiskWrite
         };
-        self.machine.hot.disk_bytes.add(bytes as u64);
+        self.machine.stats.add(keys::DISK_BYTES, bytes as u64);
         self.machine.trace_event("disk", kind);
     }
 

@@ -46,10 +46,11 @@
 //! [`CorrelationId`] is allocated at submit, stamped into every batched
 //! request run (so the manager's reply still correlates), carried on the
 //! parked continuation, and re-entered as the trace scope whenever the
-//! completion loop steps it. The flight recorder `begin`s at submit and
-//! `end`s at completion — a fault that times out *cleanly* (its policy
-//! deadline fires) ends its chain without being counted as a watchdog
-//! stall, while a genuinely wedged fault is still caught and flagged.
+//! completion loop steps it. The table is also what the kernel's stall
+//! watchdog reads ([`FaultEngine::watch`]): a fault that times out
+//! *cleanly* (its policy deadline fires) leaves the table without being
+//! counted as a watchdog stall, while a genuinely wedged fault stays
+//! parked and is caught and flagged.
 //!
 //! # Ownership and shutdown
 //!
@@ -268,6 +269,10 @@ struct Continuation {
     cid: CorrelationId,
     started_ns: u64,
     parked_ns: u64,
+    /// Consecutive watchdog scans that have found this fault parked.
+    scans: u32,
+    /// Whether the watchdog has flagged this fault as stalled.
+    flagged: bool,
     /// Fires when the park has lasted long enough for a defensive
     /// recheck.
     stale_at: wall::Deadline,
@@ -477,6 +482,43 @@ impl FaultEngine {
         self.table.lock().high_water
     }
 
+    /// Faults admitted and not yet finished, parked or mid-step — the
+    /// host's in-flight count (`HostStatistics::in_flight`).
+    pub fn in_flight(&self) -> usize {
+        self.table.lock().admitted
+    }
+
+    /// One stall-watchdog scan: counts a scan against every parked fault
+    /// and returns each as `(cid, started_ns, scans, flagged)`, oldest
+    /// first. A fault that resumes and parks again keeps its count.
+    pub fn watch(&self) -> Vec<(u64, u64, u32, bool)> {
+        let mut t = self.table.lock();
+        let mut parked: Vec<_> = t
+            .conts
+            .iter_mut()
+            .map(|(&cid, c)| {
+                c.scans += 1;
+                (cid, c.started_ns, c.scans, c.flagged)
+            })
+            .collect();
+        drop(t);
+        parked.sort_unstable_by_key(|&(cid, started_ns, ..)| (started_ns, cid));
+        parked
+    }
+
+    /// Flags parked fault `cid` as stalled. `true` only the first time, so
+    /// a wedged fault is reported once however many scans find it; `false`
+    /// too for a fault no longer parked.
+    pub fn flag(&self, cid: u64) -> bool {
+        match self.table.lock().conts.get_mut(&cid) {
+            Some(c) if !c.flagged => {
+                c.flagged = true;
+                true
+            }
+            _ => false,
+        }
+    }
+
     /// Requested-but-unanswered pages summed over every pager — the
     /// `gauge.pager.inflight_pages` telemetry source.
     pub fn inflight_pages(&self) -> usize {
@@ -539,7 +581,7 @@ impl FaultEngine {
         self.machine
             .clock
             .charge(self.machine.cost.fault_overhead_ns);
-        self.machine.hot.vm_faults.incr();
+        self.machine.stats.incr(stat_keys::VM_FAULTS);
         let cid = CorrelationId::allocate();
         let _scope = CorrelationScope::enter(cid);
         self.machine.trace_event("vm.fault", EventKind::Fault);
@@ -548,7 +590,6 @@ impl FaultEngine {
         let root_span = self.machine.span_open_under("fault.submit", 0);
         let ticket = FaultTicket::new(cid, root_span);
         let started_ns = self.machine.clock.now_ns();
-        self.machine.flight.begin(cid.raw(), "vm.fault", started_ns);
 
         // Backpressure: take an admission slot before stepping, so a full
         // engine slows admission instead of growing without bound. Gating
@@ -574,6 +615,8 @@ impl FaultEngine {
             cid,
             started_ns,
             parked_ns: started_ns,
+            scans: 0,
+            flagged: false,
             stale_at: wall::Deadline::after(STALE_RECHECK),
             deadline: None,
             ticket: ticket.clone(),
@@ -1019,13 +1062,11 @@ impl FaultEngine {
         self.finish_tail(&cont, result);
     }
 
-    /// The fault's own end: closes its flight-recorder chain, emits the
-    /// resolution trace/latency with the fault's own correlation (the
-    /// completion loop is not in the fault's scope) and fulfills the
-    /// ticket with every page of the run.
+    /// The fault's own end: emits the resolution trace/latency with the
+    /// fault's own correlation (the completion loop is not in the fault's
+    /// scope) and fulfills the ticket with every page of the run.
     fn finish_tail(&self, cont: &Continuation, result: FaultOutcome) {
         let cid = cont.cid;
-        self.machine.flight.end(cid.raw());
         if result.is_ok() {
             self.machine
                 .trace_event_with("vm.fault", EventKind::Resume, Some(cid));

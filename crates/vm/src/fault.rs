@@ -392,7 +392,7 @@ fn page_step(
                     // A cache hit is a property of the fault, counted on
                     // the first page it probes only.
                     st.first_probe = false;
-                    machine.hot.vm_cache_hits.incr();
+                    machine.stats.incr(stat_keys::VM_CACHE_HITS);
                 }
                 if Arc::ptr_eq(&object, &st.top) {
                     if wants_write {
@@ -462,7 +462,7 @@ fn page_step(
                     let claimed =
                         phys.begin_fill_run(object.id(), obj_offset, window, object.size());
                     if let Some(pages) = claimed {
-                        machine.hot.vm_pager_fills.incr();
+                        machine.stats.incr(stat_keys::VM_PAGER_FILLS);
                         object.note_run(obj_offset + pages as u64 * page, window);
                         st.claimed.push((object.id(), obj_offset, pages));
                         runs.data_request(

@@ -974,10 +974,10 @@ impl VmMap {
             pos += n;
         }
         if local_pages > 0 {
-            self.machine.hot.numa_local_hits.add(local_pages);
+            self.machine.stats.add(keys::NUMA_LOCAL_HITS, local_pages);
         }
         if remote_pages > 0 {
-            self.machine.hot.numa_remote_hits.add(remote_pages);
+            self.machine.stats.add(keys::NUMA_REMOTE_HITS, remote_pages);
         }
         outcome?;
         // Word-granular access cost for the memory actually touched: the

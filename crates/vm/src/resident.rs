@@ -1147,7 +1147,7 @@ impl PhysicalMemory {
     /// several contiguous pages (batched pageout).
     fn pageout_data(&self, object: &Arc<VmObject>, offset: u64, data: Vec<u8>) {
         let pages = (data.len() / self.page_size).max(1) as u64;
-        self.machine.hot.vm_pageouts.add(pages);
+        self.machine.stats.add(stat_keys::VM_PAGEOUTS, pages);
         let pager = match object.pager() {
             Some(p) => p,
             None => {
@@ -1331,12 +1331,14 @@ impl PhysicalMemory {
             self.frames[frame].data.write().copy_from_slice(page);
             if steal {
                 self.machine.clock.charge(self.machine.cost.map_page_ns);
-                self.machine.hot.vm_pages_stolen.incr();
+                self.machine.stats.incr(stat_keys::VM_PAGES_STOLEN);
             } else {
                 self.machine
                     .clock
                     .charge(self.machine.cost.copy_cost_ns(self.page_size as u64));
-                self.machine.hot.bytes_copied.add(self.page_size as u64);
+                self.machine
+                    .stats
+                    .add(stat_keys::BYTES_COPIED, self.page_size as u64);
             }
         })
     }
@@ -1357,7 +1359,7 @@ impl PhysicalMemory {
         let pages = length.div_ceil(self.page_size as u64).max(1) as usize;
         self.fill_range(object, offset, pages, VmProt::NONE, |_, frame| {
             self.frames[frame].data.write().fill(0);
-            self.machine.hot.vm_zero_fills.incr();
+            self.machine.stats.incr(stat_keys::VM_ZERO_FILLS);
         })
     }
 
@@ -1365,7 +1367,7 @@ impl PhysicalMemory {
     pub fn zero_fill(&self, object: &Arc<VmObject>, offset: u64) -> Result<usize, VmError> {
         let frame = self.allocate_frame(false)?;
         self.frames[frame].data.write().fill(0);
-        self.machine.hot.vm_zero_fills.incr();
+        self.machine.stats.incr(stat_keys::VM_ZERO_FILLS);
         self.install(object, offset, frame, VmProt::NONE, false)
     }
 
@@ -1386,8 +1388,10 @@ impl PhysicalMemory {
         self.machine
             .clock
             .charge(self.machine.cost.copy_cost_ns(self.page_size as u64));
-        self.machine.hot.vm_cow_copies.incr();
-        self.machine.hot.bytes_copied.add(self.page_size as u64);
+        self.machine.stats.incr(stat_keys::VM_COW_COPIES);
+        self.machine
+            .stats
+            .add(stat_keys::BYTES_COPIED, self.page_size as u64);
         // The copy exists precisely because someone is about to write it.
         self.install(dst_object, dst_offset, frame, VmProt::NONE, true)
     }
@@ -1542,7 +1546,9 @@ impl PhysicalMemory {
         self.machine
             .clock
             .charge(self.machine.cost.copy_cost_ns(self.page_size as u64));
-        self.machine.hot.bytes_copied.add(self.page_size as u64);
+        self.machine
+            .stats
+            .add(stat_keys::BYTES_COPIED, self.page_size as u64);
         // The frame keeps its busy reservation for life (module docs); it
         // joins no queue and gets no page info.
         t.replicas.entry(key).or_default().push((node, rf));
@@ -1697,7 +1703,9 @@ impl PhysicalMemory {
         self.machine
             .clock
             .charge(self.machine.cost.copy_cost_ns(self.page_size as u64));
-        self.machine.hot.bytes_copied.add(self.page_size as u64);
+        self.machine
+            .stats
+            .add(stat_keys::BYTES_COPIED, self.page_size as u64);
         let mut info = std::mem::take(&mut t.info[frame]);
         for (pmap, vpn) in info.mappings.drain(..) {
             if let Some(p) = pmap.upgrade() {

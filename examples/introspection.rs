@@ -52,7 +52,7 @@ fn main() {
     // Local query: beta asks its own kernel.
     let local = query_host_statistics(kernel.host_port()).expect("local query");
     println!(
-        "[beta, local] {} faults, {} in-flight chains at {} ns",
+        "[beta, local] {} faults, {} in flight at {} ns",
         local.counter(keys::VM_FAULTS),
         local.in_flight,
         local.now_ns

@@ -154,7 +154,7 @@ fn storm_past_the_budget_never_exceeds_it() {
 /// A silent pager cannot wedge anything: the continuation's policy
 /// deadline fires in the completion loop, the fault errors back to its
 /// submitter promptly, and a *cleanly* timed-out fault is not a watchdog
-/// stall (its flight chain ended by policy, not by wedging).
+/// stall (it left the fault table by policy, not by wedging).
 #[test]
 fn silent_pager_times_out_cleanly_without_watchdog_stall() {
     let kernel = Kernel::boot(KernelConfig::default());

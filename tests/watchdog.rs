@@ -3,6 +3,7 @@
 //! stalled chain, with a bounded black-box report — while healthy runs,
 //! however congested, are never flagged.
 
+use machcore::introspect::query_host_statistics;
 use machcore::{spawn_manager, DataManager, Kernel, KernelConfig, KernelConn, Task};
 use machipc::OolBuffer;
 use machsim::stats::keys;
@@ -48,9 +49,27 @@ fn wedged_pager_is_flagged_exactly_once_with_black_box_report() {
         .vm_allocate_with_pager(None, PAGE, mgr.port(), 0)
         .unwrap();
 
+    let in_flight = || {
+        query_host_statistics(kernel.host_port())
+            .expect("the host port answers")
+            .in_flight
+    };
     let mut b = [0xFFu8; 1];
-    task.read_memory(addr, &mut b).unwrap();
+    std::thread::scope(|s| {
+        let reader = s.spawn(|| task.read_memory(addr, &mut b));
+        assert!(
+            machsim::wall::poll_until(Duration::from_secs(1), Duration::from_millis(5), || {
+                in_flight() == 1
+            }),
+            "the host port counts the parked fault in flight"
+        );
+        reader
+            .join()
+            .expect("reader thread")
+            .expect("the timeout rescues the read");
+    });
     assert_eq!(b[0], 0, "timeout substituted zero-filled memory");
+    assert_eq!(in_flight(), 0, "the rescued fault is no longer in flight");
 
     let stats = &kernel.machine().stats;
     assert_eq!(
