@@ -209,7 +209,7 @@ impl IpcPagerBackend {
         length: u64,
         access: VmProt,
     ) -> Message {
-        machipc::slab::message(proto::PAGER_DATA_REQUEST)
+        Message::new(proto::PAGER_DATA_REQUEST)
             .with(self.ids(&[object.0, offset, length, access.0 as u64]))
             .with(MsgItem::SendRights(vec![self.request.clone()]))
     }
@@ -306,7 +306,7 @@ impl PagerBackend for IpcPagerBackend {
         }
         self.laundry.lock().charge(&data);
         self.manager.send_notification(
-            machipc::slab::message(proto::PAGER_DATA_WRITE)
+            Message::new(proto::PAGER_DATA_WRITE)
                 .with(self.ids(&[object.0, offset]))
                 .with(MsgItem::OutOfLine(data))
                 .with(MsgItem::SendRights(vec![self.request.clone()])),
@@ -315,7 +315,7 @@ impl PagerBackend for IpcPagerBackend {
 
     fn data_unlock(&self, object: ObjectId, offset: u64, length: u64, desired_access: VmProt) {
         self.manager.send_notification(
-            machipc::slab::message(proto::PAGER_DATA_UNLOCK)
+            Message::new(proto::PAGER_DATA_UNLOCK)
                 .with(self.ids(&[object.0, offset, length, desired_access.0 as u64]))
                 .with(MsgItem::SendRights(vec![self.request.clone()])),
         );

@@ -55,7 +55,7 @@ pub struct HostStatistics {
     pub now_ns: u64,
     /// Trace events lost to ring overflow on the serving host.
     pub trace_dropped: u64,
-    /// Faults in flight (admitted, not yet finished) at capture.
+    /// Faults in flight (parked or being resumed) at capture.
     pub in_flight: u64,
     /// Every counter of `stats::keys::ALL` with its value, in that order.
     pub counters: Vec<(String, u64)>,

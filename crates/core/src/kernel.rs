@@ -563,7 +563,6 @@ impl Kernel {
                     }
                     _ => {}
                 }
-                machipc::slab::recycle(msg);
             }
         }
     }
@@ -606,7 +605,6 @@ impl Kernel {
                     // Backlog-exempt: a slow client must not wedge the kernel.
                     reply_to.send_notification(reply);
                 }
-                machipc::slab::recycle(msg);
             }
         }
     }

@@ -64,7 +64,7 @@ impl KernelConn {
     /// `pager_data_provided`: supplies the kernel with object data.
     pub fn data_provided(&self, object: u64, offset: u64, data: OolBuffer, lock: VmProt) {
         self.send(
-            machipc::slab::message(proto::PAGER_DATA_PROVIDED)
+            Message::new(proto::PAGER_DATA_PROVIDED)
                 .with(MsgItem::u64s(&[object, offset, lock.0 as u64]))
                 .with(MsgItem::OutOfLine(data)),
         );
@@ -72,29 +72,25 @@ impl KernelConn {
 
     /// `pager_data_lock`: restricts access to cached data.
     pub fn data_lock(&self, object: u64, offset: u64, length: u64, lock: VmProt) {
-        self.send(
-            machipc::slab::message(proto::PAGER_DATA_LOCK).with(MsgItem::u64s(&[
-                object,
-                offset,
-                length,
-                lock.0 as u64,
-            ])),
-        );
+        self.send(Message::new(proto::PAGER_DATA_LOCK).with(MsgItem::u64s(&[
+            object,
+            offset,
+            length,
+            lock.0 as u64,
+        ])));
     }
 
     /// `pager_flush_request`: invalidates cached data.
     pub fn flush_request(&self, object: u64, offset: u64, length: u64) {
         self.send(
-            machipc::slab::message(proto::PAGER_FLUSH_REQUEST)
-                .with(MsgItem::u64s(&[object, offset, length])),
+            Message::new(proto::PAGER_FLUSH_REQUEST).with(MsgItem::u64s(&[object, offset, length])),
         );
     }
 
     /// `pager_clean_request`: forces cached data to be written back.
     pub fn clean_request(&self, object: u64, offset: u64, length: u64) {
         self.send(
-            machipc::slab::message(proto::PAGER_CLEAN_REQUEST)
-                .with(MsgItem::u64s(&[object, offset, length])),
+            Message::new(proto::PAGER_CLEAN_REQUEST).with(MsgItem::u64s(&[object, offset, length])),
         );
     }
 
@@ -102,15 +98,14 @@ impl KernelConn {
     /// reference is gone.
     pub fn cache(&self, object: u64, may_cache: bool) {
         self.send(
-            machipc::slab::message(proto::PAGER_CACHE)
-                .with(MsgItem::u64s(&[object, may_cache as u64])),
+            Message::new(proto::PAGER_CACHE).with(MsgItem::u64s(&[object, may_cache as u64])),
         );
     }
 
     /// `pager_data_unavailable`: no data exists for the region.
     pub fn data_unavailable(&self, object: u64, offset: u64, size: u64) {
         self.send(
-            machipc::slab::message(proto::PAGER_DATA_UNAVAILABLE)
+            Message::new(proto::PAGER_DATA_UNAVAILABLE)
                 .with(MsgItem::u64s(&[object, offset, size])),
         );
     }
@@ -130,9 +125,7 @@ impl KernelConn {
     /// `memory_object_set_attributes`. Managers that track caching per
     /// page per client (coherent shared memory) advise 1.
     pub fn set_cluster(&self, object: u64, pages: u64) {
-        self.send(
-            machipc::slab::message(proto::PAGER_SET_CLUSTER).with(MsgItem::u64s(&[object, pages])),
-        );
+        self.send(Message::new(proto::PAGER_SET_CLUSTER).with(MsgItem::u64s(&[object, pages])));
     }
 
     /// The machine (host) the manager runs on.
@@ -311,7 +304,7 @@ fn dispatch<M: DataManager>(
         }
         (proto::PAGER_DATA_WRITE, &[object, offset, ..], Some(conn)) => {
             // The data is laundry until every handle on it is gone: the
-            // manager's when `data_write` lets go, the message's below.
+            // manager's when `data_write` lets go, the message's on return.
             let data = ool_of(&msg).unwrap_or_else(|| OolBuffer::from_vec(Vec::new()));
             mgr.data_write(&conn, object, offset, data);
         }
@@ -326,9 +319,6 @@ fn dispatch<M: DataManager>(
         }
         _ => {}
     }
-    // Retire the drained message's buffers to the slab so the next
-    // request in the storm allocates nothing.
-    machipc::slab::recycle(msg);
     true
 }
 

@@ -1,168 +1,22 @@
-//! Slab recycler for message buffers.
-//!
-//! The IPC hot paths (the netmsgserver proxy, the pager request loop)
-//! allocate a fresh [`Message`] — a body `Vec` plus one or more inline
-//! byte buffers — for every request and drop it after the reply. On a
-//! port doing millions of messages per second that is two allocator
-//! round-trips per message for buffers whose sizes barely vary. The slab
-//! keeps small per-thread pools of retired buffers and hands them back
-//! out, so steady-state traffic runs allocation-free.
-//!
-//! The pools are thread-local (no locks, no sharing), bounded in both
-//! count and per-buffer capacity (a giant one-off message must not pin
-//! its allocation forever), and entirely optional: a [`Message`] built
-//! here is indistinguishable from one built with [`Message::new`], and
-//! recycling is a courtesy, not an obligation — a dropped message is
-//! merely an allocator free.
-//!
-//! Port rights found in a recycled message are dropped normally (dropping
-//! a carried [`crate::ReceiveRight`] still destroys its port); only plain
-//! byte storage is salvaged.
+//! The message constructors machmark's workloads (`benchmark/`) call by
+//! name. They recycled message buffers through per-thread pools until
+//! the pools showed no host-time win on `msg_rpc`, `msg_ool` or
+//! `pager_read` (EXPERIMENTS, Ablations A8); now they are the plain
+//! constructors, and nothing in the kernel calls them.
 
-use crate::message::{Message, MsgItem, TypeTag};
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::message::{Message, MsgItem};
 
-/// Retired message bodies kept per thread.
-const MAX_POOLED_BODIES: usize = 64;
-/// Retired inline byte buffers kept per thread.
-const MAX_POOLED_BUFFERS: usize = 128;
-/// Largest buffer capacity worth hoarding; bigger ones are freed.
-const MAX_BUFFER_CAPACITY: usize = 64 * 1024;
-
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-
-#[derive(Default)]
-struct Pool {
-    bodies: Vec<Vec<MsgItem>>,
-    buffers: Vec<Vec<u8>>,
-}
-
-thread_local! {
-    static POOL: RefCell<Pool> = RefCell::new(Pool::default());
-}
-
-/// Builds a [`Message`] whose body vector is recycled when a retired one
-/// is available; otherwise equivalent to [`Message::new`].
+/// [`Message::new`].
 pub fn message(id: u32) -> Message {
-    let body = POOL.with(|p| p.borrow_mut().bodies.pop());
-    let mut msg = Message::new(id);
-    match body {
-        Some(b) => {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            msg.body = b;
-        }
-        None => {
-            MISSES.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    msg
+    Message::new(id)
 }
 
-/// Builds an inline byte item backed by a recycled buffer when one is
-/// available; otherwise equivalent to [`MsgItem::bytes`].
+/// [`MsgItem::bytes`].
 pub fn bytes(data: &[u8]) -> MsgItem {
-    let buf = POOL.with(|p| p.borrow_mut().buffers.pop());
-    let data = match buf {
-        Some(mut b) => {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            b.extend_from_slice(data);
-            b
-        }
-        None => {
-            MISSES.fetch_add(1, Ordering::Relaxed);
-            data.to_vec()
-        }
-    };
-    MsgItem::Inline {
-        tag: TypeTag::Byte,
-        data,
-    }
+    MsgItem::bytes(data)
 }
 
-/// Retires a finished message, salvaging its body vector and any inline
-/// byte storage into the calling thread's pool. Rights and out-of-line
-/// buffers carried in the body are dropped with their usual semantics.
+/// Drops `msg`.
 pub fn recycle(msg: Message) {
-    POOL.with(|p| {
-        let mut pool = p.borrow_mut();
-        let mut body = msg.body;
-        for item in body.drain(..) {
-            if let MsgItem::Inline { mut data, .. } = item {
-                if pool.buffers.len() < MAX_POOLED_BUFFERS
-                    && data.capacity() > 0
-                    && data.capacity() <= MAX_BUFFER_CAPACITY
-                {
-                    data.clear();
-                    pool.buffers.push(data);
-                }
-            }
-            // Other item kinds (rights, OOL regions, opaque handles) drop
-            // here with their normal effects.
-        }
-        if pool.bodies.len() < MAX_POOLED_BODIES {
-            pool.bodies.push(body);
-        }
-    });
-    // msg.reply (if any) dropped here as usual.
-}
-
-/// Recycler effectiveness counters: `(hits, misses)` across all threads.
-pub fn stats() -> (u64, u64) {
-    (HITS.load(Ordering::Relaxed), MISSES.load(Ordering::Relaxed))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::IpcContext;
-
-    #[test]
-    fn recycled_body_is_reused() {
-        let mut m = message(1);
-        m.body.reserve(8);
-        let ptr = m.body.as_ptr() as usize;
-        recycle(m);
-        let m2 = message(2);
-        assert_eq!(m2.body.as_ptr() as usize, ptr, "body vec not recycled");
-        assert!(m2.body.is_empty());
-        let (hits, _) = stats();
-        assert!(hits >= 1);
-    }
-
-    #[test]
-    fn recycled_inline_buffer_is_reused_and_cleared() {
-        let m = message(1).with(bytes(b"hello slab"));
-        recycle(m);
-        let item = bytes(b"xy");
-        assert_eq!(
-            item.as_bytes().expect("inline item holds bytes"),
-            b"xy",
-            "recycled buffer must be cleared before reuse"
-        );
-    }
-
-    #[test]
-    fn oversized_buffers_are_not_hoarded() {
-        let m = message(1).with(bytes(&vec![0u8; MAX_BUFFER_CAPACITY + 1]));
-        recycle(m);
-        // The next pooled buffer (if any) must be small; this is mostly a
-        // does-not-explode check — repeated giant messages must not pin
-        // their allocations in the pool.
-        let item = bytes(b"ok");
-        assert_eq!(item.as_bytes().expect("inline item holds bytes"), b"ok");
-    }
-
-    #[test]
-    fn recycling_drops_carried_rights_normally() {
-        let c = IpcContext::default_machine();
-        let (inner_rx, inner_tx) = crate::ReceiveRight::allocate(&c);
-        let m = message(1).with(MsgItem::ReceiveRight(inner_rx));
-        recycle(m);
-        assert!(
-            !inner_tx.is_alive(),
-            "recycling must not leak a carried receive right"
-        );
-    }
+    drop(msg);
 }

@@ -70,7 +70,7 @@ fn shootdown_genuine_is_clean() {
 }
 
 #[test]
-fn shootdown_with_split_lock_hold_is_caught() {
+fn shootdown_split_across_two_holds_is_caught() {
     // Shooting down and writing under separate lock holds lets the
     // replication policy re-grow a stale replica in between.
     assert_caught(

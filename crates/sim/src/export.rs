@@ -264,9 +264,9 @@ pub fn prometheus_from(
 }
 
 /// The process-wide lock-contention profile as exporter material:
-/// per-class `lock.contended.<class>` counters plus `lock.wait.<class>` /
-/// `lock.hold.<class>` histograms (wall-ns — host diagnostics, kept apart
-/// from any sim-time latency registry; see [`crate::lockdep`]).
+/// per-class `lock.contended.<class>` counters plus `lock.wait.<class>`
+/// histograms (wall-ns — host diagnostics, kept apart from any sim-time
+/// latency registry; see [`crate::lockdep`]).
 pub fn lock_contention_data() -> (Vec<(String, u64)>, Vec<HistogramData>) {
     let mut counters = Vec::new();
     let mut histograms = Vec::new();
@@ -274,7 +274,6 @@ pub fn lock_contention_data() -> (Vec<(String, u64)>, Vec<HistogramData>) {
         let class = c.class.name();
         counters.push((format!("lock.contended.{class}"), c.contended));
         histograms.push(HistogramData::of(&format!("lock.wait.{class}"), c.wait_ns));
-        histograms.push(HistogramData::of(&format!("lock.hold.{class}"), c.hold_ns));
     }
     (counters, histograms)
 }
@@ -805,14 +804,14 @@ mod tests {
         m.sample_gauges();
         let text = prometheus_for(&m);
         assert!(
-            text.contains("# TYPE lock_hold_queues_ns histogram"),
-            "per-class hold histogram exported"
+            text.contains("# TYPE lock_wait_queues_ns histogram"),
+            "per-class wait histogram exported"
         );
         assert!(text.contains("lock_contended_queues"));
         assert!(text.contains("# TYPE gauge_vm_free_frames gauge"));
         let parsed = parse_prometheus(&text).expect("parsable");
         assert_eq!(parsed.get("gauge_vm_free_frames"), Some(&128.0));
-        assert!(parsed.contains_key("lock_hold_queues_ns_count"));
+        assert!(parsed.contains_key("lock_wait_queues_ns_count"));
     }
 
     #[test]

@@ -24,19 +24,18 @@
 //! cycle; `machvm::lockdep` re-exports it for source compatibility.
 //!
 //! Without the feature, [`acquire`] is a no-op returning a zero-sized
-//! token and the wrappers compile down to the raw `parking_lot` types plus
-//! one dead `u8`, so default builds pay nothing.
+//! token and the guards are the raw `parking_lot` guards.
 //!
 //! Independently of the witness feature, every classified lock feeds an
-//! **always-on contention profile**: per-class acquisition/contention
-//! counters plus wait- and hold-time histograms (see
-//! [`contention_snapshot`]). The profile times *wall* nanoseconds via the
-//! [`crate::wall`] airlock — lock contention is a property of the host
-//! executing the simulation, not of simulated time — so these histograms
-//! are diagnostic only and must never be mixed into a machine's sim-time
-//! [`LatencyRegistry`](crate::trace::LatencyRegistry). Hold times include
-//! any condvar waits performed through [`ClassMutexGuard::inner_mut`]
-//! (the fault table's idle ticks show up as ~1 ms holds by design).
+//! **always-on contention profile**: per-class acquisition and contention
+//! counters plus a wait-time histogram (see [`contention_snapshot`]). An
+//! uncontended acquisition costs one `try_lock` and one relaxed
+//! increment; only a thread that blocks reads the clock. Waits are timed
+//! in *wall* nanoseconds via the [`crate::wall`] airlock — lock
+//! contention is a property of the host executing the simulation, not of
+//! simulated time — so the histogram is diagnostic only and must never be
+//! mixed into a machine's sim-time
+//! [`LatencyRegistry`](crate::trace::LatencyRegistry).
 
 use crate::trace::Histogram;
 use crate::wall;
@@ -44,7 +43,6 @@ use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
-use std::time::Instant;
 
 /// The classes of the declared hierarchy, outermost first.
 ///
@@ -118,7 +116,6 @@ struct ClassStats {
     acquisitions: AtomicU64,
     contended: AtomicU64,
     wait_ns: Histogram,
-    hold_ns: Histogram,
 }
 
 fn class_stats() -> &'static [ClassStats; LockClass::ALL.len()] {
@@ -128,7 +125,6 @@ fn class_stats() -> &'static [ClassStats; LockClass::ALL.len()] {
             acquisitions: AtomicU64::new(0),
             contended: AtomicU64::new(0),
             wait_ns: Histogram::new(),
-            hold_ns: Histogram::new(),
         })
     })
 }
@@ -149,8 +145,6 @@ pub struct ClassContention {
     pub contended: u64,
     /// Wall-ns spent blocked, one sample per contended acquisition.
     pub wait_ns: &'static Histogram,
-    /// Wall-ns each guard was held (includes condvar waits under it).
-    pub hold_ns: &'static Histogram,
 }
 
 /// The contention profile of every class that saw traffic, in rank order.
@@ -164,7 +158,6 @@ pub fn contention_snapshot() -> Vec<ClassContention> {
                 acquisitions: s.acquisitions.load(Ordering::Relaxed),
                 contended: s.contended.load(Ordering::Relaxed),
                 wait_ns: &s.wait_ns,
-                hold_ns: &s.hold_ns,
             }
         })
         .filter(|c| c.acquisitions > 0)
@@ -181,20 +174,23 @@ pub fn contention_total() -> u64 {
         .sum()
 }
 
-fn record_wait(class: LockClass, blocked_from: Instant) {
-    stats_of(class).wait_ns.record(
-        wall::now()
-            .saturating_duration_since(blocked_from)
-            .as_nanos() as u64,
-    );
-}
-
-fn record_hold(class: LockClass, acquired_at: Instant) {
-    stats_of(class).hold_ns.record(
-        wall::now()
-            .saturating_duration_since(acquired_at)
-            .as_nanos() as u64,
-    );
+/// Counts one acquisition of `class`: `try_acquire` first and, only if
+/// that fails, `acquire`, counted as contended with its wait timed.
+fn profiled<G>(
+    class: LockClass,
+    try_acquire: impl FnOnce() -> Option<G>,
+    acquire: impl FnOnce() -> G,
+) -> G {
+    let stats = stats_of(class);
+    stats.acquisitions.fetch_add(1, Ordering::Relaxed);
+    try_acquire().unwrap_or_else(|| {
+        stats.contended.fetch_add(1, Ordering::Relaxed);
+        let blocked_from = wall::now();
+        let guard = acquire();
+        let waited = wall::now().saturating_duration_since(blocked_from);
+        stats.wait_ns.record(waited.as_nanos() as u64);
+        guard
+    })
 }
 
 #[cfg(feature = "lockdep")]
@@ -297,16 +293,12 @@ pub struct ClassMutex<T: ?Sized> {
 }
 
 /// RAII guard for [`ClassMutex`]; releases the witness record with the
-/// lock and records the hold time on drop.
+/// lock.
 pub struct ClassMutexGuard<'a, T: ?Sized> {
     // Field order matters: the real guard must drop before the witness
     // token so the stack never claims a lock released while still held.
-    // (The custom `Drop` body runs before either field drops, so the
-    // hold-time sample is taken while the lock is still held.)
     guard: MutexGuard<'a, T>,
     _held: Held,
-    class: LockClass,
-    acquired_at: Instant,
 }
 
 impl<T> ClassMutex<T> {
@@ -324,30 +316,10 @@ impl<T: ?Sized> ClassMutex<T> {
     /// the contention profile.
     pub fn lock(&self) -> ClassMutexGuard<'_, T> {
         let held = acquire(self.class);
-        let stats = stats_of(self.class);
-        stats.acquisitions.fetch_add(1, Ordering::Relaxed);
-        let guard = match self.inner.try_lock() {
-            Some(g) => g,
-            None => {
-                stats.contended.fetch_add(1, Ordering::Relaxed);
-                let blocked_from = wall::now();
-                let g = self.inner.lock();
-                record_wait(self.class, blocked_from);
-                g
-            }
-        };
         ClassMutexGuard {
-            guard,
+            guard: profiled(self.class, || self.inner.try_lock(), || self.inner.lock()),
             _held: held,
-            class: self.class,
-            acquired_at: wall::now(),
         }
-    }
-}
-
-impl<T: ?Sized> Drop for ClassMutexGuard<'_, T> {
-    fn drop(&mut self) {
-        record_hold(self.class, self.acquired_at);
     }
 }
 
@@ -383,16 +355,12 @@ pub struct ClassRwLock<T: ?Sized> {
 pub struct ClassReadGuard<'a, T: ?Sized> {
     guard: RwLockReadGuard<'a, T>,
     _held: Held,
-    class: LockClass,
-    acquired_at: Instant,
 }
 
 /// RAII write guard for [`ClassRwLock`].
 pub struct ClassWriteGuard<'a, T: ?Sized> {
     guard: RwLockWriteGuard<'a, T>,
     _held: Held,
-    class: LockClass,
-    acquired_at: Instant,
 }
 
 impl<T> ClassRwLock<T> {
@@ -410,23 +378,9 @@ impl<T: ?Sized> ClassRwLock<T> {
     /// contention profile.
     pub fn read(&self) -> ClassReadGuard<'_, T> {
         let held = acquire(self.class);
-        let stats = stats_of(self.class);
-        stats.acquisitions.fetch_add(1, Ordering::Relaxed);
-        let guard = match self.inner.try_read() {
-            Some(g) => g,
-            None => {
-                stats.contended.fetch_add(1, Ordering::Relaxed);
-                let blocked_from = wall::now();
-                let g = self.inner.read();
-                record_wait(self.class, blocked_from);
-                g
-            }
-        };
         ClassReadGuard {
-            guard,
+            guard: profiled(self.class, || self.inner.try_read(), || self.inner.read()),
             _held: held,
-            class: self.class,
-            acquired_at: wall::now(),
         }
     }
 
@@ -434,36 +388,10 @@ impl<T: ?Sized> ClassRwLock<T> {
     /// the contention profile.
     pub fn write(&self) -> ClassWriteGuard<'_, T> {
         let held = acquire(self.class);
-        let stats = stats_of(self.class);
-        stats.acquisitions.fetch_add(1, Ordering::Relaxed);
-        let guard = match self.inner.try_write() {
-            Some(g) => g,
-            None => {
-                stats.contended.fetch_add(1, Ordering::Relaxed);
-                let blocked_from = wall::now();
-                let g = self.inner.write();
-                record_wait(self.class, blocked_from);
-                g
-            }
-        };
         ClassWriteGuard {
-            guard,
+            guard: profiled(self.class, || self.inner.try_write(), || self.inner.write()),
             _held: held,
-            class: self.class,
-            acquired_at: wall::now(),
         }
-    }
-}
-
-impl<T: ?Sized> Drop for ClassReadGuard<'_, T> {
-    fn drop(&mut self) {
-        record_hold(self.class, self.acquired_at);
-    }
-}
-
-impl<T: ?Sized> Drop for ClassWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        record_hold(self.class, self.acquired_at);
     }
 }
 
@@ -546,8 +474,30 @@ mod tests {
             .expect("class saw traffic");
         assert!(after.contended > before, "blocked lock() must count");
         assert!(after.wait_ns.count() > 0, "wait histogram fed");
-        assert!(after.hold_ns.count() > 0, "hold histogram fed");
         assert!(contention_total() >= after.contended);
+    }
+
+    #[test]
+    fn uncontended_acquisitions_are_counted_and_never_timed() {
+        // No other test in this crate takes a `port` lock, so only this
+        // test moves the class's counts.
+        let port = || {
+            let c = contention_snapshot()
+                .into_iter()
+                .find(|c| c.class == LockClass::Port);
+            c.map_or((0, 0, 0), |c| {
+                (c.acquisitions, c.contended, c.wait_ns.count())
+            })
+        };
+        let (acquisitions, contended, waits) = port();
+        let m = ClassMutex::new(LockClass::Port, ());
+        let l = ClassRwLock::new(LockClass::Port, ());
+        for _ in 0..100 {
+            drop(m.lock());
+            drop(l.read());
+            drop(l.write());
+        }
+        assert_eq!(port(), (acquisitions + 300, contended, waits));
     }
 
     #[test]

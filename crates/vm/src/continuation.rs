@@ -1,5 +1,6 @@
 //! The continuation-based fault engine: the one driver of the fault
-//! state machine. Every fault is a ticket.
+//! state machine. Every fault is a ticket; only a fault that waits is a
+//! continuation.
 //!
 //! A fault path that blocks its thread until `pager_data_provided`
 //! arrives caps the faults a host can have in flight at the number of
@@ -12,10 +13,13 @@
 //! io_uring-flavored; a caller that wants to block submits and waits on
 //! the ticket ([`crate::fault::resolve_page`]):
 //!
-//! * [`FaultEngine::submit`] runs the fault state machine
-//!   ([`crate::fault::fault_step`]) until it must wait, then *parks* the
-//!   [`FaultState`] in a bounded continuation table and returns a
-//!   [`FaultTicket`] — the submitting thread is free immediately.
+//! * [`FaultEngine::submit`] steps the fault state machine
+//!   ([`crate::fault::fault_step`]) on the caller first. A fault that
+//!   resolves in that step — a hit, a zero fill, a copy-on-write copy —
+//!   returns a ticket born fulfilled, having touched nothing of the
+//!   engine's. One that must wait *parks* its [`FaultState`] in a bounded
+//!   continuation table and returns a [`FaultTicket`] — the submitting
+//!   thread is free immediately.
 //! * A fault covers a *run* of pages ([`FaultEngine::submit_run`];
 //!   `submit` is the run of one): `pager_data_request(offset, length)` and
 //!   `pager_data_provided` are range operations, and so is the fault
@@ -35,8 +39,9 @@
 //!   [`PagerBackend::data_request_many`] — one batched IPC send carrying
 //!   many faults' worth of requests (deep pager batching over
 //!   `send_many`).
-//! * Backpressure is explicit at both ends: the table is bounded
-//!   (submitters wait for space — `vm.async.backpressure`), and each pager
+//! * Backpressure is explicit at both ends: the table is bounded (a
+//!   fault that must park waits for a slot — `vm.async.backpressure`),
+//!   and each pager
 //!   has an in-flight page cap (excess runs are deferred until completions
 //!   drain — `vm.pager_deferred_runs`).
 //!
@@ -61,11 +66,11 @@
 //! gauges) and holds only a weak reference too: a bare memory that never
 //! parks never spawns one, and dropping the last `Arc<PhysicalMemory>`
 //! ends it within a tick. After
-//! [`FaultEngine::shutdown`] nothing can resume a parked fault, so a
-//! fault is stepped once on its caller: hits, zero fills and
-//! copy-on-write copies still resolve, and one that would have to park
-//! releases what it claimed and fails with [`VmError::ObjectDestroyed`] —
-//! the answer shutdown gives every fault that was parked.
+//! [`FaultEngine::shutdown`] nothing can resume a parked fault, so the
+//! caller's step is all a fault gets: hits, zero fills and copy-on-write
+//! copies still resolve, and one that would have to park releases what it
+//! claimed and fails with [`VmError::ObjectDestroyed`] — the answer
+//! shutdown gives every fault that was parked.
 //!
 //! # Locking
 //!
@@ -73,13 +78,13 @@
 //! (above `Resident`): the engine may lock the table and then probe the
 //! resident table for the park/recheck race, never the reverse. Page
 //! events are therefore reported only after the resident table is
-//! unlocked. Stepping a continuation — which takes the resident table,
-//! frame and queue locks freely — always happens with the table unlocked. A fault that need
-//! not wait takes the table twice (admission, completion); one that
-//! parks once costs six acquisitions whatever the length of its run
-//! (admission; booking its requests and parking, under one hold; the
-//! loop's flush; the fill's one event; the loop's wake-up; completion —
-//! `tests/fault_locks.rs`).
+//! unlocked. Stepping a fault — which takes the resident table, frame
+//! and queue locks freely — always happens with the table unlocked. A
+//! fault that need not wait takes the table zero times; one that parks
+//! once costs five acquisitions whatever the length of its run (booking
+//! its requests, taking an admission slot and parking, under one hold;
+//! the loop's flush; the fill's one event; the loop's wake-up;
+//! completion — `tests/fault_locks.rs`).
 //!
 //! # Timeouts, death and the stale sweep
 //!
@@ -128,9 +133,10 @@ const STALE_RECHECK: Duration = Duration::from_millis(20);
 /// Tuning knobs for the [`FaultEngine`].
 #[derive(Clone, Copy, Debug)]
 pub struct FaultEngineConfig {
-    /// Bound on simultaneously parked continuations; submitters block
-    /// (briefly, with `vm.async.backpressure` counted) when the table is
-    /// full. This is the "thousands of outstanding faults" budget.
+    /// Bound on simultaneously parked continuations; a fault that must
+    /// park blocks (briefly, with `vm.async.backpressure` counted) when
+    /// the table is full. This is the "thousands of outstanding faults"
+    /// budget.
     pub capacity: usize,
     /// Per-pager cap on requested-but-unanswered pages; runs beyond it
     /// are deferred until completions drain, so one slow pager queues
@@ -147,46 +153,55 @@ impl Default for FaultEngineConfig {
     }
 }
 
-/// The caller's handle to a submitted fault: a one-shot completion slot.
+/// The caller's handle to a submitted fault: its outcome, ready at once
+/// for a fault that resolved on its submitter's step, or a one-shot slot
+/// the engine fills when a parked fault completes.
 #[derive(Clone)]
 pub struct FaultTicket {
-    inner: Arc<TicketInner>,
-}
-
-struct TicketInner {
-    slot: Mutex<Option<FaultOutcome>>,
-    done: Condvar,
     cid: CorrelationId,
     root_span: u64,
+    outcome: TicketOutcome,
+}
+
+#[derive(Clone)]
+enum TicketOutcome {
+    Ready(FaultOutcome),
+    Parked(Arc<TicketSlot>),
+}
+
+/// Where a parked fault's outcome is delivered.
+#[derive(Default)]
+struct TicketSlot {
+    outcome: Mutex<Option<FaultOutcome>>,
+    done: Condvar,
+}
+
+impl TicketSlot {
+    fn fulfill(&self, result: FaultOutcome) {
+        *self.outcome.lock() = Some(result);
+        self.done.notify_all();
+    }
 }
 
 impl FaultTicket {
-    fn new(cid: CorrelationId, root_span: u64) -> Self {
-        FaultTicket {
-            inner: Arc::new(TicketInner {
-                slot: Mutex::new(None),
-                done: Condvar::new(),
-                cid,
-                root_span,
-            }),
-        }
-    }
-
     /// The correlation id tying this fault's trace events, pager requests
     /// and resolution into one chain.
     pub fn correlation(&self) -> CorrelationId {
-        self.inner.cid
+        self.cid
     }
 
     /// The root span id of this fault's chain (the `fault.submit` span),
     /// for adopting the chain context after [`FaultTicket::wait`].
     pub fn span(&self) -> u64 {
-        self.inner.root_span
+        self.root_span
     }
 
     /// Whether the fault has completed (without blocking).
     pub fn is_done(&self) -> bool {
-        self.inner.slot.lock().is_some()
+        match &self.outcome {
+            TicketOutcome::Ready(_) => true,
+            TicketOutcome::Parked(slot) => slot.outcome.lock().is_some(),
+        }
     }
 
     /// Blocks until the fault completes and returns its result (for a
@@ -209,18 +224,17 @@ impl FaultTicket {
     }
 
     fn outcome(&self) -> FaultOutcome {
-        let mut slot = self.inner.slot.lock();
-        while slot.is_none() {
-            self.inner.done.wait(&mut slot);
+        let slot = match &self.outcome {
+            TicketOutcome::Ready(outcome) => return outcome.clone(),
+            TicketOutcome::Parked(slot) => slot,
+        };
+        let mut outcome = slot.outcome.lock();
+        while outcome.is_none() {
+            slot.done.wait(&mut outcome);
         }
-        slot.clone()
+        outcome
+            .clone()
             .expect("invariant: the wait loop exits only once the slot is filled")
-    }
-
-    fn fulfill(&self, result: FaultOutcome) {
-        let mut slot = self.inner.slot.lock();
-        *slot = Some(result);
-        self.inner.done.notify_all();
     }
 }
 
@@ -278,16 +292,10 @@ struct Continuation {
     stale_at: wall::Deadline,
     /// Policy deadline, re-armed at every park (the timeout is per wait).
     deadline: Option<wall::Deadline>,
-    ticket: FaultTicket,
-    /// In-flight pages this fault's outstanding runs hold against their
-    /// pagers: `(pager key, pages)` each. Returned when the fault is
-    /// stepped again (or ends).
-    inflight: Vec<(usize, usize)>,
+    ticket: Arc<TicketSlot>,
     /// Requests this fault booked that may still sit unsent in the batch
     /// queues, counted down as they are flushed; a fault that completes
-    /// with any left pulls them back out. A fault that never asked a
-    /// pager for anything (resident hit, zero fill, copy-on-write)
-    /// completes without looking.
+    /// with any left pulls them back out.
     queued: usize,
     /// The fault's root span (`fault.submit`), parent of every phase span
     /// the chain opens — on this host and, via the stamped requests, on
@@ -322,13 +330,16 @@ struct Table {
     deferred: VecDeque<PendingRun>,
     /// Requested-but-unanswered pages per pager key.
     inflight: HashMap<usize, usize>,
-    /// Admitted-but-not-finished faults: incremented when a submitter
-    /// clears backpressure, decremented when its fault completes. Parked
-    /// *and* mid-step faults count, so `conts.len() <= admitted <=
-    /// capacity` and the table can never exceed its budget — the old
-    /// `conts.len()`-based gate admitted while woken continuations were
-    /// being stepped, letting `high_water` overshoot `capacity` by the
-    /// completion batch (the +1/+... off-by-one the scaling bench saw).
+    /// What each fault's sent runs hold against `inflight`, by raw cid:
+    /// `(pager key, pages)` per run. Returned when the fault books its
+    /// next step's runs, or finishes. Kept here rather than on the
+    /// continuation so a deferred run can be charged and sent while its
+    /// claimer is off the table (waiting for a slot, or being resumed).
+    charges: HashMap<u64, Vec<(usize, usize)>>,
+    /// Admitted-but-not-finished faults: incremented when a fault that
+    /// must park clears backpressure, decremented when it completes.
+    /// Parked *and* resuming faults count, so `conts.len() <= admitted
+    /// <= capacity` and the table can never exceed its budget.
     admitted: usize,
     /// Most continuations ever parked at once (bench: max outstanding).
     high_water: usize,
@@ -343,11 +354,31 @@ struct Table {
 }
 
 impl Table {
-    fn discharge(&mut self, key: usize, pages: usize) {
-        if let Some(used) = self.inflight.get_mut(&key) {
-            *used = used.saturating_sub(pages);
-            if *used == 0 {
-                self.inflight.remove(&key);
+    /// Charges `run` to its pager's in-flight budget if the budget has
+    /// room — a pager with nothing in flight always has.
+    fn try_charge(&mut self, run: &PendingRun, cap: usize) -> bool {
+        let key = run.pager_key();
+        let used = self.inflight.entry(key).or_insert(0);
+        if *used != 0 && *used + run.pages > cap {
+            return false;
+        }
+        *used += run.pages;
+        let charge = (key, run.pages);
+        self.charges
+            .entry(run.correlation)
+            .or_default()
+            .push(charge);
+        true
+    }
+
+    /// Returns every charge fault `cid` holds.
+    fn discharge(&mut self, cid: u64) {
+        for (key, pages) in self.charges.remove(&cid).into_iter().flatten() {
+            if let Some(used) = self.inflight.get_mut(&key) {
+                *used = used.saturating_sub(pages);
+                if *used == 0 {
+                    self.inflight.remove(&key);
+                }
             }
         }
     }
@@ -482,8 +513,9 @@ impl FaultEngine {
         self.table.lock().high_water
     }
 
-    /// Faults admitted and not yet finished, parked or mid-step — the
-    /// host's in-flight count (`HostStatistics::in_flight`).
+    /// Faults parked or being resumed — the host's in-flight count
+    /// (`HostStatistics::in_flight`). A fault that need not wait is never
+    /// in flight.
     pub fn in_flight(&self) -> usize {
         self.table.lock().admitted
     }
@@ -542,13 +574,13 @@ impl FaultEngine {
         if let Some(h) = handle {
             let _ = h.join();
         }
-        // `step_and_park` reads `stop` under the table lock before it
-        // parks, so nothing can join the table behind this drain.
+        // `park` reads `stop` under the table lock before it parks, so
+        // nothing can join the table behind this drain.
         self.drain_parked();
     }
 
-    /// Submits a fault: runs the state machine to its first wait, parks
-    /// it, and returns the ticket.
+    /// Submits a fault: steps the state machine on the caller and, if it
+    /// must wait, parks it; returns the ticket.
     pub fn submit(
         &self,
         top: &Arc<VmObject>,
@@ -562,7 +594,7 @@ impl FaultEngine {
     /// Submits one fault over the `pages`-page run of `top` starting at
     /// `offset` (fault-ahead over an absent run; [`FaultEngine::submit`]
     /// is the run of one). The run is one fault in every account — one
-    /// overhead charge, one admission slot, one trace chain, one policy
+    /// overhead charge, one trace chain, one admission slot and one policy
     /// deadline per wait. Each step walks the pages not yet resolved, in
     /// order: the first absent page asks its pager for all that follow
     /// it in one `pager_data_request` (pages that can only be asked for
@@ -588,30 +620,33 @@ impl FaultEngine {
         // The chain root: explicitly parent 0 (the submitting thread may
         // still carry a previous fault's span context).
         let root_span = self.machine.span_open_under("fault.submit", 0);
-        let ticket = FaultTicket::new(cid, root_span);
+        let _span = SpanScope::enter(root_span);
         let started_ns = self.machine.clock.now_ns();
 
-        // Backpressure: take an admission slot before stepping, so a full
-        // engine slows admission instead of growing without bound. Gating
-        // on `admitted` (not `conts.len()`) means mid-step faults still
-        // hold their slot and `max_outstanding <= capacity` exactly.
-        {
-            let mut t = self.table.lock();
-            while t.admitted >= self.cfg.capacity && !self.stop.load(Ordering::Acquire) {
-                self.machine.stats.incr(stat_keys::VM_ASYNC_BACKPRESSURE);
-                self.work.notify_all();
-                self.space.wait_for(t.inner_mut(), TICK);
+        // Step first, on the caller: a fault that resolves here takes no
+        // admission slot, no table lock and no shared ticket.
+        let phys = self.phys();
+        let mut state = FaultState::new(top, offset, pages, access, policy);
+        let (step, runs) = Self::step(&phys, &mut state, cid, root_span);
+        let wait = match step {
+            FaultStep::Done(result) => {
+                if result.is_err() {
+                    state.release_claims(&phys);
+                }
+                self.conclude(cid, root_span, started_ns, result.is_ok());
+                let outcome = TicketOutcome::Ready(result);
+                return FaultTicket {
+                    cid,
+                    root_span,
+                    outcome,
+                };
             }
-            t.admitted += 1;
-        }
-
+            FaultStep::Park(wait) => wait,
+        };
+        let slot = Arc::new(TicketSlot::default());
         let cont = Continuation {
-            state: FaultState::new(top, offset, pages, access, policy),
-            wait: FaultWait {
-                object: top.id(),
-                offset,
-                kind: WaitKind::Fill,
-            },
+            state,
+            wait,
             cid,
             started_ns,
             parked_ns: started_ns,
@@ -619,17 +654,21 @@ impl FaultEngine {
             flagged: false,
             stale_at: wall::Deadline::after(STALE_RECHECK),
             deadline: None,
-            ticket: ticket.clone(),
-            inflight: Vec::new(),
+            ticket: slot.clone(),
             queued: 0,
             root_span,
             parked_span: 0,
         };
-        match self.step_and_park(&self.phys(), cont) {
+        match self.park(&phys, cont, wait, runs, true) {
             Some((cont, result)) => self.finish(cont, result),
             None => self.start_worker(),
         }
-        ticket
+        let outcome = TicketOutcome::Parked(slot);
+        FaultTicket {
+            cid,
+            root_span,
+            outcome,
+        }
     }
 
     /// One page event for the pages of `object` at `offsets` — everything
@@ -660,16 +699,28 @@ impl FaultEngine {
         }
     }
 
-    /// Steps `cont` until done or parked. On park, books the request the
-    /// step made and registers the continuation under one hold of the
-    /// table lock — so the completion loop never sees a request without
-    /// its claimer — and re-checks the wait condition *under that lock*
-    /// (table → resident is the sanctioned order), so an event that fired
-    /// between the step and the registration re-steps instead of sleeping
-    /// on a wakeup that already happened.
-    ///
-    /// Returns the continuation and its result if the fault completed
-    /// (for [`FaultEngine::finish`]), `None` if parked.
+    /// One step of `state`, and the pager requests it made. A step that
+    /// claimed a run parks unless another page of the fault failed, and
+    /// a failed fault releases every claim: a finished step's requests
+    /// are never sent.
+    fn step(
+        phys: &PhysicalMemory,
+        state: &mut FaultState,
+        cid: CorrelationId,
+        root_span: u64,
+    ) -> (FaultStep, Vec<PendingRun>) {
+        let mut sink = RunCollector {
+            cid: cid.raw(),
+            root_span,
+            page_size: phys.page_size(),
+            runs: Vec::new(),
+        };
+        let step = fault_step(phys, state, &mut sink);
+        (step, sink.runs)
+    }
+
+    /// Re-steps a resumed continuation until done or parked again (see
+    /// [`FaultEngine::park`]).
     fn step_and_park(
         &self,
         phys: &PhysicalMemory,
@@ -677,39 +728,60 @@ impl FaultEngine {
     ) -> Option<(Continuation, FaultOutcome)> {
         let _scope = CorrelationScope::enter(cont.cid);
         let _span = SpanScope::enter(cont.root_span);
-        // The charges for the runs `cont` had outstanding when it parked
-        // last (`cont.inflight`) are returned to the pagers' budgets
-        // unless the fault re-parks on the *same* pending fill without
-        // issuing a new request (the stale-recheck no-op).
-        let prev_wait = cont.wait;
+        match Self::step(phys, &mut cont.state, cont.cid, cont.root_span) {
+            (FaultStep::Done(result), _) => Some((cont, result)),
+            (FaultStep::Park(wait), runs) => self.park(phys, cont, wait, runs, false),
+        }
+    }
+
+    /// Parks `cont`, whose last step left it waiting on `wait` having
+    /// claimed `runs`. Under one hold of the table lock it books the runs,
+    /// takes an admission slot if it holds none (`admit`), and registers
+    /// the continuation — so the completion loop never sees a request
+    /// without its claimer — after re-checking the wait *under that lock*
+    /// (table → resident is the sanctioned order): an event that fired
+    /// since the step re-steps the fault, which keeps its slot, instead
+    /// of sleeping on a wakeup that already happened.
+    ///
+    /// The runs are booked *before* the admission wait: a claimed but
+    /// unsent run could strand the faults parked on its pages while its
+    /// claimer waits for one of their slots.
+    ///
+    /// Returns the continuation and its result if the fault completed
+    /// (for [`FaultEngine::finish`]), `None` if parked.
+    fn park(
+        &self,
+        phys: &PhysicalMemory,
+        mut cont: Continuation,
+        mut wait: FaultWait,
+        mut runs: Vec<PendingRun>,
+        mut admit: bool,
+    ) -> Option<(Continuation, FaultOutcome)> {
         loop {
-            let mut sink = RunCollector {
-                cid: cont.cid.raw(),
-                root_span: cont.root_span,
-                page_size: phys.page_size(),
-                runs: Vec::new(),
-            };
-            let step = fault_step(phys, &mut cont.state, &mut sink);
-            let wait = match step {
-                FaultStep::Done(result) => {
-                    // `finish` returns the old charges and pulls back any
-                    // request of a run that failed on another page.
-                    if !sink.runs.is_empty() {
-                        self.book(&mut self.table.lock(), &mut cont, sink.runs);
-                    }
-                    return Some((cont, result));
-                }
-                FaultStep::Park(wait) => wait,
-            };
-            let same_fill = sink.runs.is_empty()
+            // The charges for the runs `cont` had outstanding when it
+            // parked last are returned to the pagers' budgets unless the
+            // fault re-parks on the *same* pending fill without issuing a
+            // new request (the stale-recheck no-op).
+            let same_fill = runs.is_empty()
                 && wait.kind == WaitKind::Fill
-                && prev_wait.kind == WaitKind::Fill
-                && wait.object == prev_wait.object
-                && wait.offset == prev_wait.offset;
+                && cont.wait.kind == WaitKind::Fill
+                && wait.object == cont.wait.object
+                && wait.offset == cont.wait.offset;
             cont.wait = wait;
             let mut t = self.table.lock();
             if !same_fill {
-                self.book(&mut t, &mut cont, sink.runs);
+                self.book(&mut t, &mut cont, runs);
+            }
+            // Gating on `admitted` (not `conts.len()`) means resuming
+            // faults keep their slot and `max_outstanding <= capacity`.
+            while admit && t.admitted >= self.cfg.capacity && !self.stop.load(Ordering::Acquire) {
+                self.machine.stats.incr(stat_keys::VM_ASYNC_BACKPRESSURE);
+                self.work.notify_all();
+                self.space.wait_for(t.inner_mut(), TICK);
+            }
+            if admit {
+                t.admitted += 1;
+                admit = false;
             }
             if self.stop.load(Ordering::Acquire) {
                 // Nothing resumes a fault parked after shutdown: give it
@@ -718,26 +790,30 @@ impl FaultEngine {
                 self.abandon(phys, &mut cont);
                 return Some((cont, Err(VmError::ObjectDestroyed)));
             }
-            if !protocol::must_park(Self::wait_blocked(phys, wait, cont.state.access)) {
-                continue;
+            if protocol::must_park(Self::wait_blocked(phys, wait, cont.state.access)) {
+                cont.parked_ns = self.machine.clock.now_ns();
+                cont.stale_at = wall::Deadline::after(STALE_RECHECK);
+                cont.deadline = cont.state.policy.pager_timeout.map(wall::Deadline::after);
+                self.machine.stats.incr(stat_keys::VM_ASYNC_PARKS);
+                cont.parked_span = self.machine.span_open_under("fault.parked", cont.root_span);
+                let raw = cont.cid.raw();
+                t.waiters
+                    .entry((wait.object, wait.offset))
+                    .or_default()
+                    .push(raw);
+                t.conts.insert(raw, cont);
+                let outstanding = t.conts.len();
+                if outstanding > t.high_water {
+                    t.high_water = outstanding;
+                }
+                self.work.notify_all();
+                return None;
             }
-            cont.parked_ns = self.machine.clock.now_ns();
-            cont.stale_at = wall::Deadline::after(STALE_RECHECK);
-            cont.deadline = cont.state.policy.pager_timeout.map(wall::Deadline::after);
-            self.machine.stats.incr(stat_keys::VM_ASYNC_PARKS);
-            cont.parked_span = self.machine.span_open_under("fault.parked", cont.root_span);
-            let raw = cont.cid.raw();
-            t.waiters
-                .entry((wait.object, wait.offset))
-                .or_default()
-                .push(raw);
-            t.conts.insert(raw, cont);
-            let outstanding = t.conts.len();
-            if outstanding > t.high_water {
-                t.high_water = outstanding;
-            }
-            self.work.notify_all();
-            return None;
+            drop(t);
+            (wait, runs) = match Self::step(phys, &mut cont.state, cont.cid, cont.root_span) {
+                (FaultStep::Done(result), _) => return Some((cont, result)),
+                (FaultStep::Park(wait), runs) => (wait, runs),
+            };
         }
     }
 
@@ -762,16 +838,10 @@ impl FaultEngine {
     /// the pager's in-flight budget or deferring past-cap runs. Caller
     /// holds the table lock.
     fn book(&self, t: &mut Table, cont: &mut Continuation, runs: Vec<PendingRun>) {
-        for (key, pages) in cont.inflight.drain(..) {
-            t.discharge(key, pages);
-        }
+        t.discharge(cont.cid.raw());
         for run in runs {
-            let key = run.pager_key();
-            let used = *t.inflight.get(&key).unwrap_or(&0);
             cont.queued += 1;
-            if used == 0 || used + run.pages <= self.cfg.pager_inflight_pages {
-                *t.inflight.entry(key).or_insert(0) += run.pages;
-                cont.inflight.push((key, run.pages));
+            if t.try_charge(&run, self.cfg.pager_inflight_pages) {
                 t.runs.push(run);
             } else {
                 self.machine.stats.incr(stat_keys::VM_PAGER_DEFERRED_RUNS);
@@ -781,37 +851,17 @@ impl FaultEngine {
     }
 
     /// Moves deferred runs whose pager has headroom into the flush queue,
-    /// charging their claiming continuation. A run whose claimer already
-    /// completed is dropped: its claim windows were cancelled, so sending
-    /// it would fill pages nobody waits for. Caller holds the table lock.
+    /// charging their claimer — wherever it is: completed claimers never
+    /// appear here, because `finish` purges their unsent runs. Caller
+    /// holds the table lock.
     fn promote_deferred(&self, t: &mut Table) {
-        if t.deferred.is_empty() {
-            return;
-        }
-        let cap = self.cfg.pager_inflight_pages;
-        let mut still = VecDeque::new();
-        while let Some(run) = t.deferred.pop_front() {
-            if !t.conts.contains_key(&run.correlation) {
-                // The claimer is off the table being re-stepped (woken
-                // with its run still deferred): hold the run for the
-                // next tick. Completed claimers never appear here —
-                // `finish` purges their unsent runs.
-                still.push_back(run);
-                continue;
-            }
-            let key = run.pager_key();
-            let used = *t.inflight.get(&key).unwrap_or(&0);
-            if used == 0 || used + run.pages <= cap {
-                *t.inflight.entry(key).or_insert(0) += run.pages;
-                if let Some(c) = t.conts.get_mut(&run.correlation) {
-                    c.inflight.push((key, run.pages));
-                }
+        for run in std::mem::take(&mut t.deferred) {
+            if t.try_charge(&run, self.cfg.pager_inflight_pages) {
                 t.runs.push(run);
             } else {
-                still.push_back(run);
+                t.deferred.push_back(run);
             }
         }
-        t.deferred = still;
     }
 
     /// Errors every currently-parked fault without stopping the engine:
@@ -831,6 +881,7 @@ impl FaultEngine {
         let mut unsent: Vec<PendingRun> = t.runs.drain(..).collect();
         unsent.extend(t.deferred.drain(..));
         t.inflight.clear();
+        t.charges.clear();
         t.admitted = t.admitted.saturating_sub(orphans.len());
         drop(t);
         for run in unsent {
@@ -1033,25 +1084,24 @@ impl FaultEngine {
         phys.cancel_fill_run(run.object, run.offset, run.pages);
     }
 
-    /// Completes a fault. One hold of the table lock returns its admission
-    /// slot and its in-flight charge and, if it booked a request that may
-    /// still be unsent (it resolved by another route, or timed out while
-    /// deferred), pulls the request out of the batch queues — whose fill
-    /// window is then released.
+    /// Completes a parked fault. One hold of the table lock returns its
+    /// admission slot and its in-flight charge and, if it booked a request
+    /// that may still be unsent (it resolved by another route, or timed
+    /// out while deferred), pulls the request out of the batch queues —
+    /// whose fill window is then released.
     fn finish(&self, mut cont: Continuation, result: FaultOutcome) {
         let mut unsent: Vec<PendingRun> = Vec::new();
         {
             let mut t = self.table.lock();
             t.admitted = t.admitted.saturating_sub(1);
-            for (key, pages) in cont.inflight.drain(..) {
-                t.discharge(key, pages);
-            }
+            t.discharge(cont.cid.raw());
             if cont.queued > 0 {
                 let t = &mut *t;
                 purge(&mut t.runs, cont.cid.raw(), &mut unsent);
                 purge(&mut t.deferred, cont.cid.raw(), &mut unsent);
             }
         }
+        self.space.notify_all();
         if !unsent.is_empty() || result.is_err() {
             let phys = self.phys();
             for run in &unsent {
@@ -1062,24 +1112,27 @@ impl FaultEngine {
         self.finish_tail(&cont, result);
     }
 
-    /// The fault's own end: emits the resolution trace/latency with the
-    /// fault's own correlation (the completion loop is not in the fault's
-    /// scope) and fulfills the ticket with every page of the run.
+    /// A parked fault's own end: [`FaultEngine::conclude`], then the
+    /// ticket is fulfilled with every page of the run.
     fn finish_tail(&self, cont: &Continuation, result: FaultOutcome) {
-        let cid = cont.cid;
-        if result.is_ok() {
+        self.conclude(cont.cid, cont.root_span, cont.started_ns, result.is_ok());
+        cont.ticket.fulfill(result);
+    }
+
+    /// Any fault's end: emits the resolution trace/latency with the
+    /// fault's own correlation (the completion loop is not in the fault's
+    /// scope) and closes the chain root — on every exit, Ok, Err, timeout
+    /// or drain, so the critical-path analyzer never sees it unclosed.
+    fn conclude(&self, cid: CorrelationId, root_span: u64, started_ns: u64, ok: bool) {
+        if ok {
             self.machine
                 .trace_event_with("vm.fault", EventKind::Resume, Some(cid));
             self.machine.latency.record(
                 trace_keys::FAULT_TO_RESOLUTION,
-                self.machine.clock.now_ns().saturating_sub(cont.started_ns),
+                self.machine.clock.now_ns().saturating_sub(started_ns),
             );
         }
-        // Close the chain root on every exit — Ok, Err, timeout, drain —
-        // so the critical-path analyzer never sees an unclosed root.
         self.machine
-            .span_close_with("fault.submit", cont.root_span, Some(cid));
-        cont.ticket.fulfill(result);
-        self.space.notify_all();
+            .span_close_with("fault.submit", root_span, Some(cid));
     }
 }

@@ -7,8 +7,12 @@
 use machcore::{spawn_manager, DataManager, Kernel, KernelConfig, KernelConn};
 use machipc::OolBuffer;
 use machsim::stats::keys;
-use machsim::EventKind;
-use machvm::{FaultPolicy, VmError, VmProt};
+use machsim::{EventKind, Machine};
+use machvm::{
+    FaultEngineConfig, FaultPolicy, NumaConfig, ObjectId, PagerBackend, PhysicalMemory, VmError,
+    VmObject, VmProt,
+};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 const PAGE: u64 = 4096;
@@ -149,6 +153,91 @@ fn storm_past_the_budget_never_exceeds_it() {
         "max outstanding {} exceeded the budget {BUDGET}",
         engine.max_outstanding()
     );
+}
+
+/// Answers nothing until it holds two requests, then both, on the thread
+/// that sent the second (the engine's completion loop) — `HeldPager` in
+/// `tests/pager_fill.rs`, over any number of objects.
+struct PairPager {
+    phys: Arc<PhysicalMemory>,
+    objects: Mutex<Vec<Arc<VmObject>>>,
+    held: Mutex<Vec<(ObjectId, u64, u64)>>,
+}
+
+impl PagerBackend for PairPager {
+    fn supports_cluster(&self) -> bool {
+        true
+    }
+
+    fn data_request(&self, object: ObjectId, offset: u64, length: u64, _access: VmProt) {
+        let mut held = self.held.lock().expect("held requests");
+        held.push((object, offset, length));
+        if held.len() < 2 {
+            return;
+        }
+        let objects = self.objects.lock().expect("attached objects");
+        for (id, offset, length) in held.drain(..) {
+            let object = objects.iter().find(|o| o.id() == id).expect("attached");
+            let data = OolBuffer::from_vec(vec![0x5A; length as usize]);
+            self.phys
+                .supply_page(object, offset, data, VmProt::NONE)
+                .expect("memory for both runs");
+        }
+    }
+
+    fn data_write(&self, _object: ObjectId, _offset: u64, _data: OolBuffer) {}
+
+    fn data_unlock(&self, _object: ObjectId, _offset: u64, _length: u64, _access: VmProt) {}
+}
+
+/// The admission order: a fault that must park books the runs it claimed
+/// *before* it waits for a slot. With one slot, fault A parks on its
+/// request; fault B claims a run on another object and must wait for A's
+/// slot; the pager answers neither until it holds both requests. Had B
+/// waited for the slot before booking, A would wait for B's request and B
+/// for A's slot, forever.
+#[test]
+fn a_fault_waiting_for_a_slot_has_sent_its_request() -> Result<(), VmError> {
+    let m = Machine::default_machine();
+    let faults = FaultEngineConfig {
+        capacity: 1,
+        ..FaultEngineConfig::default()
+    };
+    let phys = PhysicalMemory::with_config(&m, 64 * 4096, 4096, 4, NumaConfig::single(), faults);
+    let pager = Arc::new(PairPager {
+        phys: phys.clone(),
+        objects: Mutex::new(Vec::new()),
+        held: Mutex::new(Vec::new()),
+    });
+    let [a, b] = [(); 2].map(|()| VmObject::new_with_pager(16 * PAGE, pager.clone()));
+    pager
+        .objects
+        .lock()
+        .expect("attached objects")
+        .extend([a.clone(), b.clone()]);
+    let engine = phys.fault_engine();
+    let policy = FaultPolicy::trusting().with_cluster(4);
+
+    let first = engine.submit(&a, 0, VmProt::READ, policy);
+    assert!(!first.is_done(), "A is parked on its request");
+    let (done, second) = mpsc::channel();
+    let memory = phys.clone();
+    std::thread::spawn(move || {
+        let run = memory
+            .fault_engine()
+            .submit_run(&b, 0, 4, VmProt::READ, policy);
+        let _ = done.send(run.wait_run().map(|pages| pages.len()));
+    });
+    let second = second
+        .recv_timeout(Duration::from_secs(10))
+        .expect("B resolves: it sent its request while it waited for A's slot");
+    assert_eq!(second?, 4);
+    assert_eq!(first.wait()?.offset, 0);
+    assert!(m.stats.get(keys::VM_ASYNC_BACKPRESSURE) > 0, "B waited");
+    assert_eq!(engine.max_outstanding(), 1);
+    assert_eq!(engine.in_flight(), 0);
+    assert_eq!(phys.frame_census().pending, 0);
+    Ok(())
 }
 
 /// A silent pager cannot wedge anything: the continuation's policy
