@@ -239,11 +239,11 @@ impl PagerBackend for IpcPagerBackend {
     }
 
     fn data_request_many(&self, object: ObjectId, runs: &[PagerRequest]) {
-        // The deep batch: every queued run for this (pager, object) pair
+        // The batch: every run one send has for this (pager, object) pair
         // travels in one `send_many` — one port lock round, one receiver
-        // wakeup — instead of a message per faulting page. Each message
-        // still carries its own fault's correlation id, so per-fault
-        // causal chains survive the coalescing. Diverted parts of a run
+        // wakeup — instead of a message per run. Each message carries its
+        // own fault's correlation id, so per-fault causal chains survive
+        // the coalescing. Diverted parts of a run
         // are asked of the fallback instead, in a batch of their own —
         // unless the fallback is gone (kernel teardown), when the
         // manager's stale copy is the only answer left.

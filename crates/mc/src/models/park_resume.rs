@@ -1,6 +1,6 @@
 //! The continuation table's park/recheck race
-//! (`machvm::continuation::step_and_park`), for a fault over a two-page
-//! run whose fill reports one page event
+//! (`machvm::continuation::FaultEngine::park`), for a fault over a
+//! two-page run whose fill reports one page event
 //! (`machvm::resident::PhysicalMemory::supply_page`).
 //!
 //! A fault that must wait parks its continuation in the table, on the
@@ -8,13 +8,17 @@
 //! would resume it may fire between the fault's step and its park. The
 //! production code re-probes the wait under the table lock
 //! ([`protocol::must_park`]); the pager's completion path takes the same
-//! lock before moving a parked continuation to the ready list, so the
-//! re-check and the wakeup serialize. The completion path installs every
-//! page of its buffer and only then reports the one event for the range:
-//! a fault it wakes finds nothing of that buffer left to park on.
+//! lock to take a parked continuation off the table, so the re-check and
+//! the wakeup serialize. The completion path installs every page of its
+//! buffer and only then reports the one event for the range, and resumes
+//! the continuation it took on its own thread once the table is unlocked
+//! (`FaultEngine::on_reply`): the fault finds nothing of that buffer left
+//! to park on. The faulting thread, released at the park, waits on the
+//! fault's ticket.
 //!
 //! Invariant: park/resume never drops a page event — every schedule
-//! resumes the fault, and the resumed fault observes both pages filled.
+//! completes the fault's ticket, and a resumed fault observes the page it
+//! parked on filled.
 
 use crate::exec::Tid;
 use crate::{AtomicBool, Checker, Condvar, Mutex, Report};
@@ -29,7 +33,7 @@ pub enum Mutation {
     /// lock: a fill completed between step and park is dropped.
     SkipRecheck,
     /// The range's one event is reported before its last page is
-    /// installed: the fault it wakes parks again on that page, and no
+    /// installed: the fault it resumes parks again on that page, and no
     /// second event comes.
     EventBeforeLastInstall,
 }
@@ -37,79 +41,96 @@ pub enum Mutation {
 /// Pages in the fault's run (and in the buffer that fills it).
 const RUN: usize = 2;
 
-/// The continuation table, reduced to one parkable fault.
+/// The continuation table, reduced to one parkable fault: the page of the
+/// run its continuation is parked on.
 struct Table {
-    /// The page of the run the fault is parked on.
     parked_on: Option<usize>,
-    ready: bool,
+}
+
+/// One fault over the run: the resident-table state its waits probe, the
+/// table it parks in, and its ticket.
+struct Fault {
+    /// `pending[i]`: page `i`'s fill is outstanding (production
+    /// `PageLookup::Pending`).
+    pending: Vec<AtomicBool>,
+    table: Mutex<Table>,
+    /// Whether the ticket is fulfilled.
+    ticket: Mutex<bool>,
+    done: Condvar,
+    mutation: Option<Mutation>,
+}
+
+impl Fault {
+    /// The fault's step from page `from` of its run, on whichever thread
+    /// holds its continuation. Each page's step saw the pending fill, so
+    /// it wants to park on it; the re-check under the table lock decides.
+    /// A step that gets past the last page fulfills the ticket.
+    fn step(&self, from: usize) {
+        for page in from..RUN {
+            let mut t = self.table.lock();
+            if self.mutation == Some(Mutation::SkipRecheck)
+                || protocol::must_park(self.pending[page].load(SeqCst))
+            {
+                t.parked_on = Some(page);
+                return;
+            }
+        }
+        *self.ticket.lock() = true;
+        self.done.notify_all();
+    }
+
+    /// The page event for the whole buffer: takes the parked continuation
+    /// off the table under its lock, and resumes it on this thread.
+    fn report(&self) {
+        let parked = self.table.lock().parked_on.take();
+        if let Some(page) = parked {
+            crate::assert(
+                !self.pending[page].load(SeqCst),
+                "resumed fault observes the filled page",
+            );
+            self.step(page);
+        }
+    }
 }
 
 fn body(mutation: Option<Mutation>) {
-    // `pending[i]` is the resident-table state the wait on page `i`
-    // probes: true while the page's fill is outstanding (production
-    // `PageLookup::Pending`).
-    let pending: Arc<Vec<AtomicBool>> = Arc::new(
-        ["page0_pending", "page1_pending"]
+    let fault = Arc::new(Fault {
+        pending: ["page0_pending", "page1_pending"]
             .into_iter()
             .map(|name| AtomicBool::new(name, true))
             .collect(),
-    );
-    let table = Arc::new(Mutex::new(
-        "cont_table",
-        Table {
-            parked_on: None,
-            ready: false,
-        },
-    ));
-    let work = Arc::new(Condvar::new("work"));
+        table: Mutex::new("cont_table", Table { parked_on: None }),
+        ticket: Mutex::new("ticket", false),
+        done: Condvar::new("ticket_done"),
+        mutation,
+    });
 
-    // The faulting thread walks its run: each page's step saw the pending
-    // fill, so it wants to park on it; the re-check under the table lock
-    // decides.
-    let fault = {
-        let (pending, table, work) = (pending.clone(), table.clone(), work.clone());
+    // The faulting thread: submit steps the fault, then waits on the
+    // ticket, whichever thread completes it.
+    let faulting = {
+        let fault = fault.clone();
         crate::spawn(move || {
-            for page in 0..RUN {
-                let mut t = table.lock();
-                let park = mutation == Some(Mutation::SkipRecheck)
-                    || protocol::must_park(pending[page].load(SeqCst));
-                if park {
-                    t.parked_on = Some(page);
-                    while !t.ready {
-                        work.wait(&mut t);
-                    }
-                    t.ready = false;
-                }
-                drop(t);
-                crate::assert(
-                    !pending[page].load(SeqCst),
-                    "resumed fault observes the filled page",
-                );
+            fault.step(0);
+            let mut done = fault.ticket.lock();
+            while !*done {
+                fault.done.wait(&mut done);
             }
         })
     };
 
     // The pager's completion path runs on the main thread: install the
-    // buffer's pages, then wake a continuation parked on any of them
-    // under the table lock (production `on_range_event`).
-    let report = || {
-        let mut t = table.lock();
-        if t.parked_on.take().is_some() {
-            t.ready = true;
-            work.notify_all();
-        }
-    };
+    // buffer's pages, then report the one event for the range.
     for page in 0..RUN {
         if mutation == Some(Mutation::EventBeforeLastInstall) && page == RUN - 1 {
-            report();
+            fault.report();
         }
-        pending[page].store(false, SeqCst);
+        fault.pending[page].store(false, SeqCst);
     }
     if mutation != Some(Mutation::EventBeforeLastInstall) {
-        report();
+        fault.report();
     }
 
-    fault.join();
+    faulting.join();
 }
 
 /// Explores the model; `mutation = None` is the genuine protocol.

@@ -57,12 +57,13 @@ pub enum LockClass {
     /// locks held (task code submits new work holding no VM/IPC locks).
     RunQueue = 0,
     /// The async fault engine's outstanding-continuation table
-    /// (`FaultEngine::table`). Outermost of the VM/IPC hierarchy: the
-    /// completion loop steps parked faults — which take every VM lock and
-    /// send pager messages — while holding it, and nothing inside the VM
-    /// or IPC layers ever calls back into the engine with its locks held
-    /// (page events are reported strictly after the resident table is
-    /// unlocked).
+    /// (`FaultEngine::table`). Outermost of the VM/IPC hierarchy: a fault
+    /// parking under it re-probes the resident table for the
+    /// park/recheck race. Stepping a fault — which takes every VM lock —
+    /// and sending its pager messages happen with it unlocked, and
+    /// nothing inside the VM or IPC layers ever calls back into the
+    /// engine with its locks held (page events are reported strictly
+    /// after the resident table is unlocked).
     FaultTable = 1,
     /// The resident table (`PhysicalMemory::resident`): the one
     /// reader-writer lock over the virtual-to-physical map, the pending

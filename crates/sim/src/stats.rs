@@ -97,7 +97,8 @@ pub mod keys {
     /// submitting thread was released while the pager works).
     pub const VM_ASYNC_PARKS: &str = "vm.async.parks";
     /// Parked continuations resumed by a completion (install, cancel,
-    /// lock change) and re-stepped by the engine's completion loop.
+    /// lock change) and re-stepped — on the thread that applied the
+    /// manager's reply, or by the engine's completion loop.
     pub const VM_ASYNC_RESUMES: &str = "vm.async.resumes";
     /// Submissions that had to wait because the outstanding-fault table
     /// was at capacity (backpressure).
@@ -109,10 +110,12 @@ pub mod keys {
     /// the fault was parked.
     pub const VM_ASYNC_PAGER_DEAD: &str = "vm.async.pager_dead";
     /// Multi-run `pager_data_request` batches shipped by the engine (two
-    /// or more coalesced runs to one pager in one batched send).
+    /// or more runs to one pager and object in one batched send: a
+    /// fault's step that asked for several, or deferred runs promoted
+    /// together).
     pub const VM_PAGER_BATCHES: &str = "vm.pager_batches";
     /// Pager request runs deferred by a per-pager in-flight cap and
-    /// released later as completions drained.
+    /// released later as faults returned their charges.
     pub const VM_PAGER_DEFERRED_RUNS: &str = "vm.pager_deferred_runs";
     /// Phase spans opened into the trace ring (see `machsim::span`).
     pub const TRACE_SPANS: &str = "trace.spans";

@@ -39,8 +39,8 @@ pub mod keys {
     /// `pager_data_request` issued to the page becoming resident
     /// (`pager_data_provided` installed).
     pub const REQUEST_TO_FILL: &str = "vm.request_to_fill";
-    /// A fault continuation parked by the async engine to its resume by
-    /// the completion loop (the thread-free span of an async fault).
+    /// A fault continuation parked by the async engine to its resume (the
+    /// thread-free span of an async fault).
     pub const PARK_TO_RESUME: &str = "vm.park_to_resume";
 
     /// Every histogram key, in [`super::LatencyRegistry`] slot order (see

@@ -28,30 +28,28 @@
 //!   whose step asks for everything its pages need, which parks on its
 //!   first page still pending, and whose ticket completes once with every
 //!   page's result.
-//! * Page events (fill installed or cancelled, manager lock changed, page
-//!   removed) are reported by the owning [`PhysicalMemory`] straight into
-//!   the engine — one event per `pager_data_provided` buffer, after its
-//!   last page is installed, so the run parked on it is resumed once; a
-//!   single completion-loop thread pops the woken continuations and
-//!   re-steps them, completing tickets or re-parking.
-//! * `pager_data_request`s produced while stepping are not sent inline:
-//!   they accumulate as *runs* and are flushed per (pager, object) through
-//!   [`PagerBackend::data_request_many`] — one batched IPC send carrying
-//!   many faults' worth of requests (deep pager batching over
-//!   `send_many`).
+//! * A pager round trip is the faulting thread, the manager, and the
+//!   thread that applies the answer. A step's `pager_data_request`s are
+//!   booked as *runs* under the park's hold and sent by the parking thread
+//!   once the table is unlocked, per (pager, object) through
+//!   [`PagerBackend::data_request_many`]. Applying `pager_data_provided`,
+//!   `_unavailable` or `pager_data_lock` — one event per buffer, after its
+//!   last page — re-steps the continuations waiting on it on the applying
+//!   thread. Other page events (a fill cancelled, a page removed) can
+//!   fire inside a fault's step, so the completion loop re-steps theirs.
 //! * Backpressure is explicit at both ends: the table is bounded (a
 //!   fault that must park waits for a slot — `vm.async.backpressure`),
 //!   and each pager
-//!   has an in-flight page cap (excess runs are deferred until completions
-//!   drain — `vm.pager_deferred_runs`).
+//!   has an in-flight page cap (excess runs are deferred until a fault
+//!   returns its charge — `vm.pager_deferred_runs`).
 //!
 //! # Observability through the hop
 //!
 //! Parking must not break the causal chain. Each fault's
-//! [`CorrelationId`] is allocated at submit, stamped into every batched
-//! request run (so the manager's reply still correlates), carried on the
-//! parked continuation, and re-entered as the trace scope whenever the
-//! completion loop steps it. The table is also what the kernel's stall
+//! [`CorrelationId`] is allocated at submit, stamped into every request
+//! run (so the manager's reply still correlates), carried on the
+//! parked continuation, and re-entered as the trace scope whichever
+//! thread steps it. The table is also what the kernel's stall
 //! watchdog reads ([`FaultEngine::watch`]): a fault that times out
 //! *cleanly* (its policy deadline fires) leaves the table without being
 //! counted as a watchdog stall, while a genuinely wedged fault stays
@@ -79,16 +77,15 @@
 //! resident table for the park/recheck race, never the reverse. Page
 //! events are therefore reported only after the resident table is
 //! unlocked. Stepping a fault — which takes the resident table, frame
-//! and queue locks freely — always happens with the table unlocked. A
-//! fault that need not wait takes the table zero times; one that parks
-//! once costs five acquisitions whatever the length of its run (booking
-//! its requests, taking an admission slot and parking, under one hold;
-//! the loop's flush; the fill's one event; the loop's wake-up;
-//! completion — `tests/fault_locks.rs`).
+//! and queue locks freely — and sending its requests happen with the
+//! table unlocked. A fault that need not wait takes the table zero
+//! times; one that parks once takes it three times whatever the length
+//! of its run (booking, admission and park under one hold; the fill's
+//! event; completion — `tests/fault_locks.rs`).
 //!
 //! # Timeouts, death and the stale sweep
 //!
-//! The completion loop doubles as the timer wheel. Every parked
+//! The completion loop is, above all, the timer wheel. Every parked
 //! continuation re-arms its policy deadline at each park (the timeout is
 //! per wait, not per fault — and not per page: a run has one); the
 //! loop's periodic
@@ -238,8 +235,8 @@ impl FaultTicket {
     }
 }
 
-/// One batched `pager_data_request` not yet sent: a contiguous claimed
-/// run plus the claiming fault's correlation id.
+/// One `pager_data_request` not yet sent: a contiguous claimed run plus
+/// the claiming fault's correlation id.
 struct PendingRun {
     pager: Arc<dyn PagerBackend>,
     object: ObjectId,
@@ -262,20 +259,6 @@ impl PendingRun {
     }
 }
 
-/// Moves the runs fault `cid` booked out of `queue` (order kept) into `out`.
-fn purge<Q>(queue: &mut Q, cid: u64, out: &mut Vec<PendingRun>)
-where
-    Q: Default + Extend<PendingRun> + IntoIterator<Item = PendingRun>,
-{
-    for run in std::mem::take(queue) {
-        if run.correlation == cid {
-            out.push(run);
-        } else {
-            queue.extend([run]);
-        }
-    }
-}
-
 /// A parked fault: the captured state machine plus resume bookkeeping.
 struct Continuation {
     state: FaultState,
@@ -293,16 +276,12 @@ struct Continuation {
     /// Policy deadline, re-armed at every park (the timeout is per wait).
     deadline: Option<wall::Deadline>,
     ticket: Arc<TicketSlot>,
-    /// Requests this fault booked that may still sit unsent in the batch
-    /// queues, counted down as they are flushed; a fault that completes
-    /// with any left pulls them back out.
-    queued: usize,
     /// The fault's root span (`fault.submit`), parent of every phase span
     /// the chain opens — on this host and, via the stamped requests, on
     /// the pager side.
     root_span: u64,
     /// The currently open `fault.parked` span, 0 while running. Closed by
-    /// the completion loop when the continuation is taken off the table.
+    /// whichever thread takes the continuation off the table.
     parked_span: u64,
 }
 
@@ -322,10 +301,8 @@ struct Table {
     conts: HashMap<u64, Continuation>,
     /// Park index: page key → raw cids waiting on it.
     waiters: HashMap<(ObjectId, u64), Vec<u64>>,
-    /// Cids with an observed page event, pending processing.
+    /// Cids with an observed page event, for the completion loop.
     ready: Vec<u64>,
-    /// Request runs ready to flush in the next batch.
-    runs: Vec<PendingRun>,
     /// Runs held back by a pager's in-flight cap.
     deferred: VecDeque<PendingRun>,
     /// Requested-but-unanswered pages per pager key.
@@ -413,8 +390,8 @@ pub struct FaultEngine {
 }
 
 /// Where a stepped fault puts its `pager_data_request`s: they are
-/// recorded, not sent, so the engine can batch, cap and correlate them
-/// under the table lock.
+/// recorded, not sent, so the engine can book them against their pagers'
+/// budgets under the table lock and send them once it is unlocked.
 pub(crate) struct RunCollector {
     cid: u64,
     root_span: u64,
@@ -655,7 +632,6 @@ impl FaultEngine {
             stale_at: wall::Deadline::after(STALE_RECHECK),
             deadline: None,
             ticket: slot.clone(),
-            queued: 0,
             root_span,
             parked_span: 0,
         };
@@ -672,31 +648,57 @@ impl FaultEngine {
     }
 
     /// One page event for the pages of `object` at `offsets` — everything
-    /// one operation installed, cancelled, removed or relocked: a waiter
-    /// of any of them is made ready, and the completion loop kicked, under
-    /// one hold of the table lock. Called with the resident table
-    /// unlocked (this table ranks above it), and by a multi-page install
-    /// only after its last page is in, so a fault parked on the first page
-    /// of the run is resumed once and finds the rest resident.
+    /// one operation cancelled, removed or installed singly, maybe inside
+    /// a fault's step: their waiters are made ready for the completion
+    /// loop. Called with the resident table unlocked (this table ranks
+    /// above it).
     pub(crate) fn on_range_event(&self, object: ObjectId, offsets: impl IntoIterator<Item = u64>) {
         let mut t = self.table.lock();
+        let cids = Self::take_waiters(&mut t, object, offsets);
+        if !cids.is_empty() {
+            t.ready.extend(cids);
+            self.work.notify_all();
+        }
+    }
+
+    /// The page event of a manager's answer for the pages of `object` at
+    /// `offsets`, after its last page is applied: one hold takes their
+    /// waiters off the table, and each resumes on this thread. Called with
+    /// the resident table unlocked, never inside a fault's step.
+    pub(crate) fn on_reply(
+        &self,
+        phys: &PhysicalMemory,
+        object: ObjectId,
+        offsets: impl IntoIterator<Item = u64>,
+    ) {
+        let woken: Vec<Continuation> = {
+            let mut t = self.table.lock();
+            let cids = Self::take_waiters(&mut t, object, offsets);
+            cids.into_iter()
+                .filter_map(|cid| t.conts.remove(&cid))
+                .collect()
+        };
+        for cont in woken {
+            self.resume(phys, cont, Wake::Event);
+        }
+    }
+
+    /// Takes the cids parked on the pages of `object` at `offsets` out of
+    /// the park index.
+    fn take_waiters(
+        t: &mut Table,
+        object: ObjectId,
+        offsets: impl IntoIterator<Item = u64>,
+    ) -> Vec<u64> {
         #[cfg(test)]
         {
             t.page_events += 1;
         }
-        if t.waiters.is_empty() {
-            return;
-        }
-        let t = &mut *t;
-        let ready_before = t.ready.len();
-        for offset in offsets {
-            if let Some(cids) = t.waiters.remove(&(object, offset)) {
-                t.ready.extend(cids);
-            }
-        }
-        if t.ready.len() > ready_before {
-            self.work.notify_all();
-        }
+        offsets
+            .into_iter()
+            .filter_map(|offset| t.waiters.remove(&(object, offset)))
+            .flatten()
+            .collect()
     }
 
     /// One step of `state`, and the pager requests it made. A step that
@@ -719,6 +721,52 @@ impl FaultEngine {
         (step, sink.runs)
     }
 
+    /// Processes a continuation taken off the table for `wake` — on the
+    /// thread that applied a manager's reply, or the completion loop.
+    fn resume(&self, phys: &PhysicalMemory, mut cont: Continuation, wake: Wake) {
+        let now = self.machine.clock.now_ns();
+        self.machine.latency.record(
+            trace_keys::PARK_TO_RESUME,
+            now.saturating_sub(cont.parked_ns),
+        );
+        if cont.parked_span != 0 {
+            self.machine
+                .span_close_with("fault.parked", cont.parked_span, Some(cont.cid));
+            cont.parked_span = 0;
+        }
+        match wake {
+            Wake::Event => {
+                self.machine.stats.incr(stat_keys::VM_ASYNC_RESUMES);
+                let cid = cont.cid;
+                let resume = self
+                    .machine
+                    .span_open_with("fault.resume", cont.root_span, Some(cid));
+                let done = self.step_and_park(phys, cont);
+                self.machine
+                    .span_close_with("fault.resume", resume, Some(cid));
+                if let Some((cont, result)) = done {
+                    self.finish(cont, result);
+                }
+            }
+            Wake::Timeout => {
+                // One deadline for the whole run: release what was
+                // claimed, then walk on with the policy's action in
+                // place of every wait — nothing is left to park on.
+                self.machine.stats.incr(stat_keys::VM_ASYNC_TIMEOUTS);
+                self.abandon(phys, &mut cont);
+                cont.state.expire();
+                if let Some((cont, result)) = self.step_and_park(phys, cont) {
+                    self.finish(cont, result);
+                }
+            }
+            Wake::PagerDead => {
+                self.machine.stats.incr(stat_keys::VM_ASYNC_PAGER_DEAD);
+                self.abandon(phys, &mut cont);
+                self.finish(cont, Err(VmError::ObjectDestroyed));
+            }
+        }
+    }
+
     /// Re-steps a resumed continuation until done or parked again (see
     /// [`FaultEngine::park`]).
     fn step_and_park(
@@ -737,15 +785,16 @@ impl FaultEngine {
     /// Parks `cont`, whose last step left it waiting on `wait` having
     /// claimed `runs`. Under one hold of the table lock it books the runs,
     /// takes an admission slot if it holds none (`admit`), and registers
-    /// the continuation — so the completion loop never sees a request
-    /// without its claimer — after re-checking the wait *under that lock*
+    /// the continuation after re-checking the wait *under that lock*
     /// (table → resident is the sanctioned order): an event that fired
     /// since the step re-steps the fault, which keeps its slot, instead
-    /// of sleeping on a wakeup that already happened.
+    /// of sleeping on a wakeup that already happened. This thread sends
+    /// the runs booked once the table is unlocked, after the park.
     ///
-    /// The runs are booked *before* the admission wait: a claimed but
-    /// unsent run could strand the faults parked on its pages while its
-    /// claimer waits for one of their slots.
+    /// A fault that must wait for an admission slot sends its runs
+    /// *before* it waits: a claimed but unsent run could strand the
+    /// faults parked on its pages while its claimer waits for one of
+    /// their slots.
     ///
     /// Returns the continuation and its result if the fault completed
     /// (for [`FaultEngine::finish`]), `None` if parked.
@@ -769,14 +818,21 @@ impl FaultEngine {
                 && wait.offset == cont.wait.offset;
             cont.wait = wait;
             let mut t = self.table.lock();
-            if !same_fill {
-                self.book(&mut t, &mut cont, runs);
-            }
+            let mut send = if same_fill {
+                Vec::new()
+            } else {
+                self.book(&mut t, cont.cid.raw(), runs)
+            };
             // Gating on `admitted` (not `conts.len()`) means resuming
             // faults keep their slot and `max_outstanding <= capacity`.
             while admit && t.admitted >= self.cfg.capacity && !self.stop.load(Ordering::Acquire) {
                 self.machine.stats.incr(stat_keys::VM_ASYNC_BACKPRESSURE);
-                self.work.notify_all();
+                if !send.is_empty() {
+                    drop(t);
+                    self.flush_runs(std::mem::take(&mut send));
+                    t = self.table.lock();
+                    continue;
+                }
                 self.space.wait_for(t.inner_mut(), TICK);
             }
             if admit {
@@ -787,6 +843,9 @@ impl FaultEngine {
                 // Nothing resumes a fault parked after shutdown: give it
                 // the answer the shutdown drain gave those before it.
                 drop(t);
+                for run in &send {
+                    Self::cancel_run(phys, run);
+                }
                 self.abandon(phys, &mut cont);
                 return Some((cont, Err(VmError::ObjectDestroyed)));
             }
@@ -806,10 +865,12 @@ impl FaultEngine {
                 if outstanding > t.high_water {
                     t.high_water = outstanding;
                 }
-                self.work.notify_all();
+                drop(t);
+                self.flush_runs(send);
                 return None;
             }
             drop(t);
+            self.flush_runs(send);
             (wait, runs) = match Self::step(phys, &mut cont.state, cont.cid, cont.root_span) {
                 (FaultStep::Done(result), _) => return Some((cont, result)),
                 (FaultStep::Park(wait), runs) => (wait, runs),
@@ -833,31 +894,33 @@ impl FaultEngine {
         }
     }
 
-    /// Returns the continuation's previous charges to the pagers' budgets
-    /// and books a step's produced runs into the batch queue — charging
-    /// the pager's in-flight budget or deferring past-cap runs. Caller
-    /// holds the table lock.
-    fn book(&self, t: &mut Table, cont: &mut Continuation, runs: Vec<PendingRun>) {
-        t.discharge(cont.cid.raw());
+    /// Returns fault `cid`'s previous charges to the pagers' budgets, books
+    /// a step's produced runs — charging the pager's in-flight budget or
+    /// deferring past-cap runs — and promotes what room was made. Returns
+    /// the runs charged, to send once the table is unlocked.
+    fn book(&self, t: &mut Table, cid: u64, runs: Vec<PendingRun>) -> Vec<PendingRun> {
+        t.discharge(cid);
+        let mut send = Vec::with_capacity(runs.len());
         for run in runs {
-            cont.queued += 1;
             if t.try_charge(&run, self.cfg.pager_inflight_pages) {
-                t.runs.push(run);
+                send.push(run);
             } else {
                 self.machine.stats.incr(stat_keys::VM_PAGER_DEFERRED_RUNS);
                 t.deferred.push_back(run);
             }
         }
+        self.promote_deferred(t, &mut send);
+        send
     }
 
-    /// Moves deferred runs whose pager has headroom into the flush queue,
-    /// charging their claimer — wherever it is: completed claimers never
-    /// appear here, because `finish` purges their unsent runs. Caller
-    /// holds the table lock.
-    fn promote_deferred(&self, t: &mut Table) {
+    /// Moves deferred runs whose pager has headroom into `send`, charging
+    /// their claimer — wherever it is: completed claimers never appear
+    /// here, because `finish` purges their unsent runs. Caller holds the
+    /// table lock.
+    fn promote_deferred(&self, t: &mut Table, send: &mut Vec<PendingRun>) {
         for run in std::mem::take(&mut t.deferred) {
             if t.try_charge(&run, self.cfg.pager_inflight_pages) {
-                t.runs.push(run);
+                send.push(run);
             } else {
                 t.deferred.push_back(run);
             }
@@ -878,8 +941,7 @@ impl FaultEngine {
         let orphans: Vec<Continuation> = t.conts.drain().map(|(_, c)| c).collect();
         t.waiters.clear();
         t.ready.clear();
-        let mut unsent: Vec<PendingRun> = t.runs.drain(..).collect();
-        unsent.extend(t.deferred.drain(..));
+        let unsent = std::mem::take(&mut t.deferred);
         t.inflight.clear();
         t.charges.clear();
         t.admitted = t.admitted.saturating_sub(orphans.len());
@@ -905,21 +967,15 @@ impl FaultEngine {
         }
     }
 
-    /// One completion-loop iteration: wait for work, pop woken/expired/
-    /// orphaned continuations, flush the request batch, then process each
-    /// continuation outside the table lock. Returns `false` when the
-    /// engine has stopped and drained.
+    /// One completion-loop iteration: wait for work, pop ready, expired
+    /// and orphaned continuations, then process each outside the table
+    /// lock. Returns `false` when the engine has stopped and drained.
     fn run_once(&self, phys: &PhysicalMemory) -> bool {
         let mut woken: Vec<(Continuation, Wake)> = Vec::new();
         let mut tick_elapsed = false;
-        let flush: Vec<PendingRun>;
         {
             let mut t = self.table.lock();
-            if protocol::engine_may_sleep(
-                t.ready.is_empty(),
-                t.runs.is_empty(),
-                self.stop.load(Ordering::Acquire),
-            ) {
+            if protocol::engine_may_sleep(t.ready.is_empty(), self.stop.load(Ordering::Acquire)) {
                 self.work.wait_for(t.inner_mut(), TICK);
             }
             if self.stop.load(Ordering::Acquire) {
@@ -973,19 +1029,7 @@ impl FaultEngine {
                     }
                 }
             }
-            self.promote_deferred(&mut t);
-            flush = std::mem::take(&mut t.runs);
-            for run in &flush {
-                if let Some(c) = t.conts.get_mut(&run.correlation) {
-                    c.queued = c.queued.saturating_sub(1);
-                }
-            }
-            if !woken.is_empty() {
-                self.space.notify_all();
-            }
         }
-
-        self.flush_runs(flush);
 
         // Gauge sampling rides the same once-per-TICK gate as the sweep.
         // It must run with the table unlocked: gauge read closures may
@@ -994,63 +1038,18 @@ impl FaultEngine {
             self.machine.sample_gauges();
         }
 
-        for (mut cont, wake) in woken {
-            let now = self.machine.clock.now_ns();
-            self.machine.latency.record(
-                trace_keys::PARK_TO_RESUME,
-                now.saturating_sub(cont.parked_ns),
-            );
-            if cont.parked_span != 0 {
-                self.machine
-                    .span_close_with("fault.parked", cont.parked_span, Some(cont.cid));
-                cont.parked_span = 0;
-            }
-            match wake {
-                Wake::Event => {
-                    self.machine.stats.incr(stat_keys::VM_ASYNC_RESUMES);
-                    let cid = cont.cid;
-                    let resume =
-                        self.machine
-                            .span_open_with("fault.resume", cont.root_span, Some(cid));
-                    let done = self.step_and_park(phys, cont);
-                    self.machine
-                        .span_close_with("fault.resume", resume, Some(cid));
-                    if let Some((cont, result)) = done {
-                        self.finish(cont, result);
-                    }
-                }
-                Wake::Timeout => {
-                    // One deadline for the whole run: release what was
-                    // claimed, then walk on with the policy's action in
-                    // place of every wait — nothing is left to park on.
-                    self.machine.stats.incr(stat_keys::VM_ASYNC_TIMEOUTS);
-                    self.abandon(phys, &mut cont);
-                    cont.state.expire();
-                    if let Some((cont, result)) = self.step_and_park(phys, cont) {
-                        self.finish(cont, result);
-                    }
-                }
-                Wake::PagerDead => {
-                    self.machine.stats.incr(stat_keys::VM_ASYNC_PAGER_DEAD);
-                    self.abandon(phys, &mut cont);
-                    self.finish(cont, Err(VmError::ObjectDestroyed));
-                }
-            }
+        for (cont, wake) in woken {
+            self.resume(phys, cont, wake);
         }
         true
     }
 
-    /// Sends queued request runs, grouped per (pager, object) through
-    /// `data_request_many` — the deep batch: one IPC send carries every
-    /// run that accumulated since the last flush.
+    /// Sends booked request runs, grouped per (pager, object) through
+    /// `data_request_many`: one IPC send per group.
     fn flush_runs(&self, runs: Vec<PendingRun>) {
         if runs.is_empty() {
             return;
         }
-        // One uncorrelated span per flush: the batch serves many chains,
-        // so it cannot belong to any one of them, but its width (in sim
-        // time) is exactly the deep-batching win the profiler should see.
-        let flush_span = self.machine.span_open_with("pager.flush", 0, None);
         type Group = (Arc<dyn PagerBackend>, Vec<PagerRequest>);
         let mut groups: HashMap<(usize, ObjectId), Group> = HashMap::new();
         for run in runs {
@@ -1073,8 +1072,6 @@ impl FaultEngine {
             }
             pager.data_request_many(object, &reqs);
         }
-        self.machine
-            .span_close_with("pager.flush", flush_span, None);
     }
 
     /// Releases the fill window of a run that was never sent to its
@@ -1085,23 +1082,25 @@ impl FaultEngine {
     }
 
     /// Completes a parked fault. One hold of the table lock returns its
-    /// admission slot and its in-flight charge and, if it booked a request
-    /// that may still be unsent (it resolved by another route, or timed
-    /// out while deferred), pulls the request out of the batch queues —
-    /// whose fill window is then released.
+    /// admission slot and in-flight charge, pulls its own still-deferred
+    /// runs (whose fill windows are then released) and promotes what room
+    /// was made, for this thread to send.
     fn finish(&self, mut cont: Continuation, result: FaultOutcome) {
-        let mut unsent: Vec<PendingRun> = Vec::new();
-        {
+        let cid = cont.cid.raw();
+        let mut send = Vec::new();
+        let unsent: VecDeque<PendingRun> = {
             let mut t = self.table.lock();
             t.admitted = t.admitted.saturating_sub(1);
-            t.discharge(cont.cid.raw());
-            if cont.queued > 0 {
-                let t = &mut *t;
-                purge(&mut t.runs, cont.cid.raw(), &mut unsent);
-                purge(&mut t.deferred, cont.cid.raw(), &mut unsent);
-            }
-        }
+            t.discharge(cid);
+            let (unsent, kept) = std::mem::take(&mut t.deferred)
+                .into_iter()
+                .partition(|run| run.correlation == cid);
+            t.deferred = kept;
+            self.promote_deferred(&mut t, &mut send);
+            unsent
+        };
         self.space.notify_all();
+        self.flush_runs(send);
         if !unsent.is_empty() || result.is_err() {
             let phys = self.phys();
             for run in &unsent {
@@ -1120,7 +1119,7 @@ impl FaultEngine {
     }
 
     /// Any fault's end: emits the resolution trace/latency with the
-    /// fault's own correlation (the completion loop is not in the fault's
+    /// fault's own correlation (the finishing thread need not be in its
     /// scope) and closes the chain root — on every exit, Ok, Err, timeout
     /// or drain, so the critical-path analyzer never sees it unclosed.
     fn conclude(&self, cid: CorrelationId, root_span: u64, started_ns: u64, ok: bool) {

@@ -913,8 +913,8 @@ mod tests {
         std::thread::scope(|s| {
             let fault =
                 s.spawn(|| resolve_page(&phys, &obj, 0, VmProt::READ, FaultPolicy::trusting()));
-            // The request is sent by the completion thread, so seeing it
-            // means the fault parked and the thread exists.
+            // Seeing the request means the fault parked; its thread starts
+            // the completion thread before it waits on the ticket.
             assert!(machsim::wall::poll_until(
                 Duration::from_secs(5),
                 Duration::from_millis(1),

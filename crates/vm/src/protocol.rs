@@ -8,20 +8,19 @@
 /// it yield *still* blocks, re-probed under the continuation-table lock.
 /// Parking on a stale wait drops the page event that already fired —
 /// the race machmc's `park_resume` model checks; the pager's completion
-/// takes the same table lock before moving a parked continuation to the
-/// ready list, so the re-check and the wakeup serialize.
+/// takes the same table lock before taking a parked continuation off the
+/// table to resume it, so the re-check and the wakeup serialize.
 #[must_use]
 pub fn must_park(wait_still_blocked: bool) -> bool {
     wait_still_blocked
 }
 
 /// Whether the completion loop may sleep on its condvar: only with no
-/// continuation ready, no pager run queued, and no stop requested — all
-/// three read under the table lock that `on_range_event` and `shutdown`
-/// take before notifying.
+/// continuation ready and no stop requested — both read under the table
+/// lock that `on_range_event` and `shutdown` take before notifying.
 #[must_use]
-pub fn engine_may_sleep(ready_empty: bool, runs_empty: bool, stop: bool) -> bool {
-    ready_empty && runs_empty && !stop
+pub fn engine_may_sleep(ready_empty: bool, stop: bool) -> bool {
+    ready_empty && !stop
 }
 
 /// How a write to a replicated page begins: every replica (there may be
@@ -56,10 +55,10 @@ mod tests {
 
     #[test]
     fn sleep_needs_total_quiet() {
-        assert!(engine_may_sleep(true, true, false));
-        assert!(!engine_may_sleep(false, true, false));
-        assert!(!engine_may_sleep(true, false, false));
-        assert!(!engine_may_sleep(true, true, true));
+        assert!(engine_may_sleep(true, false));
+        assert!(!engine_may_sleep(false, false));
+        assert!(!engine_may_sleep(true, true));
+        assert!(!engine_may_sleep(false, true));
     }
 
     #[test]

@@ -438,9 +438,9 @@ pub struct PhysicalMemory {
     /// The fault engine: every fault against this memory is submitted to
     /// it, and every change that can unblock a parked fault — a fill
     /// installed or cancelled, a manager lock changed, a page removed — is
-    /// reported to it ([`FaultEngine::on_range_event`]), once per
-    /// operation and always with the resident table unlocked: its
-    /// continuation table ranks *above* the resident table.
+    /// reported to it ([`FaultEngine::on_reply`] for a manager's answer),
+    /// once per operation and always with the resident table unlocked:
+    /// its continuation table ranks *above* the resident table.
     engine: FaultEngine,
 }
 
@@ -765,10 +765,10 @@ impl PhysicalMemory {
     /// resident yet, each in a fresh frame `fill` has written (it is given
     /// the page's index in the range and the frame), then reports *one*
     /// page event for the range, if any of it was awaited — after its
-    /// last page, so a fault parked on the first is resumed once and
-    /// finds the rest resident. Returns the pages installed: none for an
-    /// object terminated meanwhile (a late reply), whose claimed pages
-    /// are simply released.
+    /// last page, so a fault parked on the first is resumed once (on this
+    /// thread) and finds the rest resident. Returns the pages installed:
+    /// none for an object terminated meanwhile (a late reply), whose
+    /// claimed pages are simply released.
     ///
     /// One hold of the table decides which pages take a frame: a page
     /// that arrived by another route keeps its resident copy (before a
@@ -822,7 +822,7 @@ impl PhysicalMemory {
         installed += self.link(object, &mut filled, lock, &mut awaited);
         if awaited {
             self.engine
-                .on_range_event(id, (0..pages as u64).map(|i| offset + i * ps));
+                .on_reply(self, id, (0..pages as u64).map(|i| offset + i * ps));
         }
         taken.map(|()| installed)
     }
@@ -1917,7 +1917,8 @@ impl PhysicalMemory {
 
     /// `pager_data_lock`: restricts access to cached data; existing
     /// hardware mappings are downgraded so prohibited accesses fault.
-    /// One hold, one page event for every page whose lock changed.
+    /// One hold, one page event (resuming on this thread) for every page
+    /// whose lock changed.
     pub fn lock_range(&self, object: &Arc<VmObject>, offset: u64, length: u64, lock: VmProt) {
         let ps = self.page_size as u64;
         let id = object.id();
@@ -1938,7 +1939,7 @@ impl PhysicalMemory {
             }
         }
         if !changed.is_empty() {
-            self.engine.on_range_event(id, changed);
+            self.engine.on_reply(self, id, changed);
         }
     }
 

@@ -28,7 +28,8 @@ repeat_threaded_tests() {
             "$@" cargo test -q -p machsched --lib local_pile_is_stolen_by_idle_cpus &&
                 "$@" cargo test -q -p machbench --lib rpc_costs_about_two_messages &&
                 "$@" cargo test -q --test sched --test fault_async --test stress \
-                    --test request_sizing --test fault_locks --test watchdog
+                    --test request_sizing --test fault_locks --test watchdog \
+                    --test pager_fill
         } >"$log" 2>&1 || {
             cat "$log"
             echo "threaded tests failed in round $round"
@@ -36,7 +37,7 @@ repeat_threaded_tests() {
         }
     done
 }
-echo "==> threaded tests x20 (steal pile, RPC cost bounds, sched + fault_async + stress storms, run faults: request_sizing + fault_locks, watchdog in_flight)"
+echo "==> threaded tests x20 (steal pile, RPC cost bounds, sched + fault_async + stress storms, run faults: request_sizing + fault_locks, watchdog in_flight, pager_fill replies resuming on their own thread)"
 repeat_threaded_tests
 if command -v taskset >/dev/null 2>&1; then
     echo "==> threaded tests x20 on one core (taskset -c 0)"

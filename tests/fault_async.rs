@@ -156,7 +156,7 @@ fn storm_past_the_budget_never_exceeds_it() {
 }
 
 /// Answers nothing until it holds two requests, then both, on the thread
-/// that sent the second (the engine's completion loop) — `HeldPager` in
+/// that sent the second (that request's faulting thread) — `HeldPager` in
 /// `tests/pager_fill.rs`, over any number of objects.
 struct PairPager {
     phys: Arc<PhysicalMemory>,
@@ -190,12 +190,12 @@ impl PagerBackend for PairPager {
     fn data_unlock(&self, _object: ObjectId, _offset: u64, _length: u64, _access: VmProt) {}
 }
 
-/// The admission order: a fault that must park books the runs it claimed
+/// The admission order: a fault that must park sends the runs it claimed
 /// *before* it waits for a slot. With one slot, fault A parks on its
-/// request; fault B claims a run on another object and must wait for A's
-/// slot; the pager answers neither until it holds both requests. Had B
-/// waited for the slot before booking, A would wait for B's request and B
-/// for A's slot, forever.
+/// request; fault B claims a run on another object and finds A holding
+/// the slot; the pager answers neither until it holds both requests. Had
+/// B waited for the slot before sending, A would wait for B's request and
+/// B for A's slot, forever.
 #[test]
 fn a_fault_waiting_for_a_slot_has_sent_its_request() -> Result<(), VmError> {
     let m = Machine::default_machine();
@@ -233,8 +233,116 @@ fn a_fault_waiting_for_a_slot_has_sent_its_request() -> Result<(), VmError> {
         .expect("B resolves: it sent its request while it waited for A's slot");
     assert_eq!(second?, 4);
     assert_eq!(first.wait()?.offset, 0);
-    assert!(m.stats.get(keys::VM_ASYNC_BACKPRESSURE) > 0, "B waited");
+    assert!(
+        m.stats.get(keys::VM_ASYNC_BACKPRESSURE) > 0,
+        "B found the table full"
+    );
     assert_eq!(engine.max_outstanding(), 1);
+    assert_eq!(engine.in_flight(), 0);
+    assert_eq!(phys.frame_census().pending, 0);
+    Ok(())
+}
+
+/// Records every request and answers none: the test answers, on its own
+/// thread.
+#[derive(Default)]
+struct RecordingPager {
+    requests: Mutex<Vec<(ObjectId, u64, u64)>>,
+}
+
+impl RecordingPager {
+    fn requests(&self) -> Vec<(ObjectId, u64, u64)> {
+        self.requests.lock().expect("requests").clone()
+    }
+}
+
+impl PagerBackend for RecordingPager {
+    fn supports_cluster(&self) -> bool {
+        true
+    }
+
+    fn data_request(&self, object: ObjectId, offset: u64, length: u64, _access: VmProt) {
+        let mut requests = self.requests.lock().expect("requests");
+        requests.push((object, offset, length));
+    }
+
+    fn data_write(&self, _object: ObjectId, _offset: u64, _data: OolBuffer) {}
+
+    fn data_unlock(&self, _object: ObjectId, _offset: u64, _length: u64, _access: VmProt) {}
+}
+
+/// A bare memory whose pagers may have `pager_pages` pages in flight,
+/// and an object of `pages` pages behind a [`RecordingPager`].
+fn recorded(
+    m: &Machine,
+    pager_pages: usize,
+    pages: u64,
+) -> (Arc<PhysicalMemory>, Arc<RecordingPager>, Arc<VmObject>) {
+    let faults = FaultEngineConfig {
+        pager_inflight_pages: pager_pages,
+        ..FaultEngineConfig::default()
+    };
+    let phys = PhysicalMemory::with_config(m, 64 * 4096, 4096, 4, NumaConfig::single(), faults);
+    let pager = Arc::new(RecordingPager::default());
+    let object = VmObject::new_with_pager(pages * PAGE, pager.clone());
+    (phys, pager, object)
+}
+
+fn filled(pages: u64) -> OolBuffer {
+    OolBuffer::from_vec(vec![0x5A; (pages * PAGE) as usize])
+}
+
+/// A pager round trip has no third thread: the faulting thread has sent
+/// its request by the time `submit_run` returns, and the thread that
+/// applies the reply has resumed and completed the fault by the time
+/// `supply_page` returns.
+#[test]
+fn a_round_trip_is_the_faulting_thread_and_the_replying_thread() -> Result<(), VmError> {
+    let m = Machine::default_machine();
+    let (phys, pager, object) = recorded(&m, 1024, 16);
+    let engine = phys.fault_engine();
+    let policy = FaultPolicy::trusting().with_cluster(16);
+
+    let run = engine.submit_run(&object, 0, 16, VmProt::READ, policy);
+    assert_eq!(pager.requests(), vec![(object.id(), 0, 16 * PAGE)]);
+    assert!(!run.is_done());
+    assert_eq!(engine.in_flight(), 1);
+
+    assert_eq!(phys.supply_page(&object, 0, filled(16), VmProt::NONE)?, 16);
+    assert!(run.is_done(), "the reply's thread resumed the fault");
+    assert_eq!(engine.in_flight(), 0);
+    assert_eq!(run.wait_run()?.len(), 16);
+    Ok(())
+}
+
+/// A run deferred by its pager's in-flight cap is sent by the thread that
+/// returns the charge in its way: supplying the first run has sent the
+/// second by the time `supply_page` returns.
+#[test]
+fn the_reply_that_completes_a_fault_sends_the_run_it_deferred() -> Result<(), VmError> {
+    let m = Machine::default_machine();
+    let (phys, pager, object) = recorded(&m, 16, 32);
+    let engine = phys.fault_engine();
+    let policy = FaultPolicy::trusting().with_cluster(16);
+
+    let first = engine.submit_run(&object, 0, 16, VmProt::READ, policy);
+    let second = engine.submit_run(&object, 16 * PAGE, 16, VmProt::READ, policy);
+    assert_eq!(m.stats.get(keys::VM_PAGER_DEFERRED_RUNS), 1);
+    assert_eq!(pager.requests(), vec![(object.id(), 0, 16 * PAGE)]);
+
+    phys.supply_page(&object, 0, filled(16), VmProt::NONE)?;
+    assert!(first.is_done());
+    assert_eq!(
+        pager.requests(),
+        vec![
+            (object.id(), 0, 16 * PAGE),
+            (object.id(), 16 * PAGE, 16 * PAGE)
+        ]
+    );
+    assert!(!second.is_done());
+
+    phys.supply_page(&object, 16 * PAGE, filled(16), VmProt::NONE)?;
+    assert!(second.is_done());
     assert_eq!(engine.in_flight(), 0);
     assert_eq!(phys.frame_census().pending, 0);
     Ok(())
@@ -315,9 +423,9 @@ fn pager_death_mid_continuation_errors_faults_and_leaks_nothing() {
 
 /// The causal chain survives the continuation hop: the fault's
 /// correlation id is visible on the submit-side `Fault` event, on the
-/// manager-side `DataRequest` (stamped through the *batched* request
-/// message), and on the completion-loop `Resume` — one chain, three
-/// threads, no thread-local scope in common.
+/// manager-side `DataRequest` (stamped through the request message), and
+/// on the `Resume` of the kernel thread that applied the reply — one
+/// chain, three threads, no thread-local scope in common.
 #[test]
 fn correlation_id_survives_park_and_resume() {
     let kernel = Kernel::boot(KernelConfig::default());
@@ -350,11 +458,11 @@ fn correlation_id_survives_park_and_resume() {
     );
     assert!(
         chain.iter().any(|e| e.kind == EventKind::DataRequest),
-        "the batched pager_data_request preserved the cid across the IPC hop"
+        "the pager_data_request preserved the cid across the IPC hop"
     );
     assert!(
         chain.iter().any(|e| e.kind == EventKind::Resume),
-        "the completion loop's resolution rejoined the chain"
+        "the resolution on the reply's thread rejoined the chain"
     );
 }
 

@@ -53,7 +53,7 @@ fn counted<T>(op: impl FnOnce() -> T) -> (T, Holds) {
 }
 
 /// Supplies what it is asked for at once, on the thread that asked (the
-/// engine's completion loop), and swallows what is written back.
+/// faulting thread), and swallows what is written back.
 struct EchoPager {
     phys: Arc<PhysicalMemory>,
     object: OnceLock<Arc<VmObject>>,
@@ -222,13 +222,14 @@ fn a_fault_that_need_not_wait_never_takes_the_table_lock() -> Result<(), VmError
 
     // A cold 16-page run against a pager. Fault table: park (booking the
     // request and taking the admission slot under the same hold), the
-    // loop's flush, the fill's one page event, the loop's wake-up,
-    // completion — where a fault per page took five per page, eighty and
-    // more. Resident table:
+    // fill's one page event (taking the continuation off the table, to
+    // resume it on the thread that supplied), completion — where a fault
+    // per page took five per page, eighty and more. Resident table:
     // a probe per page and one claim for the run, the park's re-probe,
     // two holds for the fill (which pages take a frame; enter them), a
-    // probe per page on resume. The loop also ticks once a millisecond
-    // whatever happens, so take the best of a few runs.
+    // probe per page on resume. The completion loop, started by the first
+    // park, ticks once a millisecond whatever happens, so take the best
+    // of a few runs.
     let object = EchoPager::attach(&phys, 256);
     let engine = phys.fault_engine();
     let policy = policy.with_cluster(16);
@@ -246,7 +247,7 @@ fn a_fault_that_need_not_wait_never_takes_the_table_lock() -> Result<(), VmError
         best = std::array::from_fn(|i| best[i].min(holds[i]));
     }
     assert!(
-        best[3] <= 5 && best[0] <= 52,
+        best[3] <= 3 && best[0] <= 52,
         "a cold run took [resident, frame-data, queues, fault-table] {best:?} times at best"
     );
     assert_eq!(m.stats.get(keys::VM_PAGER_FILLS), 8);
@@ -263,7 +264,7 @@ fn a_fault_that_need_not_wait_never_takes_the_table_lock() -> Result<(), VmError
         best = std::array::from_fn(|i| best[i].min(holds[i]));
     }
     assert!(
-        best[0] <= 11 && best[1] <= 18 && best[2] <= 17 && best[3] <= 5,
+        best[0] <= 11 && best[1] <= 18 && best[2] <= 17 && best[3] <= 3,
         "a cold UNIX read took [resident, frame-data, queues, fault-table] {best:?} times at best"
     );
     assert_eq!(m.stats.get(keys::VM_PAGER_FILLS), 8 + 8);

@@ -363,8 +363,9 @@ fn short_bodied_pager_messages_are_dropped_not_fatal() -> Result<(), VmError> {
 
 /// An in-kernel pager that tells the test a request has arrived and then
 /// holds its `pager_data_provided` until the test lets it go. (The reply
-/// comes from a thread of its own: requests are made on the fault
-/// engine's completion loop, which must stay free to resume faults.)
+/// comes from a thread of its own, which resumes any fault still parked
+/// on it: requests are made on the faulting thread — here the test's —
+/// which must not block on its own reply.)
 struct GatedPager {
     phys: Arc<PhysicalMemory>,
     object: OnceLock<Arc<VmObject>>,
