@@ -20,8 +20,8 @@
 //! default pager is remembered, and the next request for it goes where
 //! the data went.
 
-use crate::proto;
-use machipc::{Message, MsgItem, OolBuffer, OolWatch, SendRight};
+use crate::proto::KernelToManager;
+use machipc::{Message, OolBuffer, OolWatch, SendRight};
 use machsim::{wall, Machine};
 use machvm::{ObjectId, PagerBackend, PagerRequest, VmProt};
 use std::collections::HashSet;
@@ -168,15 +168,6 @@ impl IpcPagerBackend {
         *self.on_terminate_object.lock() = Some(Box::new(hook));
     }
 
-    /// The memory object port this backend drives.
-    pub fn manager_port(&self) -> &SendRight {
-        &self.manager
-    }
-
-    fn ids(&self, values: &[u64]) -> MsgItem {
-        MsgItem::u64s(values)
-    }
-
     fn fallback(&self) -> Option<Arc<dyn PagerBackend>> {
         self.fallback.read().expect("lock poisoned").upgrade()
     }
@@ -202,16 +193,9 @@ impl IpcPagerBackend {
         runs
     }
 
-    fn request_message(
-        &self,
-        object: ObjectId,
-        offset: u64,
-        length: u64,
-        access: VmProt,
-    ) -> Message {
-        Message::new(proto::PAGER_DATA_REQUEST)
-            .with(self.ids(&[object.0, offset, length, access.0 as u64]))
-            .with(MsgItem::SendRights(vec![self.request.clone()]))
+    fn request_message(&self, object: ObjectId, offset: u64, len: u64, access: VmProt) -> Message {
+        let request = self.request.clone();
+        KernelToManager::DataRequest(object.0, offset, len, access, request).encode()
     }
 }
 
@@ -305,20 +289,14 @@ impl PagerBackend for IpcPagerBackend {
             }
         }
         self.laundry.lock().charge(&data);
-        self.manager.send_notification(
-            Message::new(proto::PAGER_DATA_WRITE)
-                .with(self.ids(&[object.0, offset]))
-                .with(MsgItem::OutOfLine(data))
-                .with(MsgItem::SendRights(vec![self.request.clone()])),
-        );
+        let write = KernelToManager::DataWrite(object.0, offset, data, self.request.clone());
+        self.manager.send_notification(write.encode());
     }
 
-    fn data_unlock(&self, object: ObjectId, offset: u64, length: u64, desired_access: VmProt) {
-        self.manager.send_notification(
-            Message::new(proto::PAGER_DATA_UNLOCK)
-                .with(self.ids(&[object.0, offset, length, desired_access.0 as u64]))
-                .with(MsgItem::SendRights(vec![self.request.clone()])),
-        );
+    fn data_unlock(&self, object: ObjectId, offset: u64, len: u64, access: VmProt) {
+        let unlock =
+            KernelToManager::DataUnlock(object.0, offset, len, access, self.request.clone());
+        self.manager.send_notification(unlock.encode());
     }
 
     fn terminate(&self, object: ObjectId) {
@@ -343,7 +321,7 @@ impl PagerBackend for IpcPagerBackend {
                 .incr(machsim::stats::keys::EMM_OBJECTS_TERMINATED),
         }
         self.manager
-            .send_notification(Message::new(proto::PAGER_TERMINATE).with(self.ids(&[object.0])));
+            .send_notification(KernelToManager::Terminate(object.0).encode());
         if let Some(hook) = self.on_terminate.lock().take() {
             hook();
         }
@@ -360,7 +338,8 @@ impl PagerBackend for IpcPagerBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use machipc::ReceiveRight;
+    use crate::proto;
+    use machipc::{MsgItem, ReceiveRight};
     use parking_lot::Mutex;
 
     fn setup() -> (Machine, ReceiveRight, ReceiveRight, Arc<IpcPagerBackend>) {

@@ -16,7 +16,7 @@
 //! fields within a line) and one `Int64` item holding the numeric
 //! material, with self-delimiting counts where the shape is variable.
 
-use crate::proto;
+use crate::proto::{self, HostRequest as H, Parts};
 use machipc::{IpcError, Message, MsgItem, SendRight};
 use machsim::export::HistogramData;
 use machsim::stats::keys;
@@ -27,20 +27,17 @@ use std::time::Duration;
 /// Default client-side timeout for introspection RPCs.
 pub const QUERY_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Splits the two-item wire form back into (lines, u64s).
-fn unpack(msg: &Message) -> Option<(Vec<&str>, Vec<u64>)> {
-    let text = msg
-        .body
-        .iter()
-        .find_map(MsgItem::as_bytes)
-        .map(|b| std::str::from_utf8(b).ok())??;
-    let nums = msg.body.iter().find_map(|i| i.as_u64s())?;
-    let lines = if text.is_empty() {
-        Vec::new()
-    } else {
-        text.split('\n').collect()
-    };
-    Some((lines, nums))
+/// Splits the two-item wire form back into (text, words).
+fn unpack(msg: Message) -> Option<(String, std::vec::IntoIter<u64>)> {
+    let mut parts = Parts::of(msg.body);
+    let words: Vec<u64> = parts.words().collect();
+    Some((parts.text().ok()?, words.into_iter()))
+}
+
+/// The next `N` words.
+fn next<const N: usize>(words: &mut impl Iterator<Item = u64>) -> Option<[u64; N]> {
+    let words: Vec<u64> = words.take(N).collect();
+    words.try_into().ok()
 }
 
 // ----- host_statistics -----
@@ -104,13 +101,8 @@ impl HostStatistics {
         let mut lines = vec![self.host.as_str()];
         lines.extend(self.counters.iter().map(|(k, _)| k.as_str()));
         lines.extend(self.histograms.iter().map(|h| h.name.as_str()));
-        let mut nums = vec![
-            self.now_ns,
-            self.trace_dropped,
-            self.in_flight,
-            self.counters.len() as u64,
-            self.histograms.len() as u64,
-        ];
+        let (c, h) = (self.counters.len() as u64, self.histograms.len() as u64);
+        let mut nums = vec![self.now_ns, self.trace_dropped, self.in_flight, c, h];
         nums.extend(self.counters.iter().map(|(_, v)| *v));
         for h in &self.histograms {
             nums.extend([h.count, h.sum_ns, h.buckets.len() as u64]);
@@ -124,42 +116,26 @@ impl HostStatistics {
     }
 
     /// Decodes a reply message.
-    pub fn decode(msg: &Message) -> Option<Self> {
-        let (lines, nums) = unpack(msg)?;
-        let [now_ns, trace_dropped, in_flight, c, h] = *nums.get(..5)? else {
-            return None;
-        };
-        let (c, h) = (c as usize, h as usize);
-        let host = lines.first()?.to_string();
-        let counter_names = lines.get(1..1 + c)?;
-        let hist_names = lines.get(1 + c..1 + c + h)?;
-        let counters = counter_names
-            .iter()
-            .zip(nums.get(5..5 + c)?)
-            .map(|(k, v)| (k.to_string(), *v))
-            .collect();
-        let mut at = 5 + c;
-        let mut histograms = Vec::with_capacity(h);
-        for name in hist_names {
-            let [count, sum_ns, k] = *nums.get(at..at + 3)? else {
-                return None;
-            };
-            at += 3;
-            let mut buckets = Vec::with_capacity(k as usize);
-            for _ in 0..k {
-                let [bound, n] = *nums.get(at..at + 2)? else {
-                    return None;
-                };
-                at += 2;
-                buckets.push((bound, n));
-            }
-            histograms.push(HistogramData {
-                name: name.to_string(),
-                count,
-                sum_ns,
-                buckets,
-            });
-        }
+    pub fn decode(msg: Message) -> Option<Self> {
+        let (text, mut words) = unpack(msg)?;
+        let mut lines = text.split('\n').map(str::to_string);
+        let [now_ns, trace_dropped, in_flight, c, h] = next(&mut words)?;
+        let host = lines.next()?;
+        let counters = (0..c)
+            .map(|_| Some((lines.next()?, words.next()?)))
+            .collect::<Option<_>>()?;
+        let histograms = (0..h)
+            .map(|_| {
+                let [count, sum_ns, k] = next(&mut words)?;
+                let buckets = (0..k).map(|_| next(&mut words).map(|[b, n]| (b, n)));
+                Some(HistogramData {
+                    name: lines.next()?,
+                    count,
+                    sum_ns,
+                    buckets: buckets.collect::<Option<_>>()?,
+                })
+            })
+            .collect::<Option<_>>()?;
         Some(HostStatistics {
             host,
             now_ns,
@@ -209,24 +185,12 @@ impl VmStatisticsSnapshot {
     /// Encodes the reply message.
     pub fn encode(&self) -> Message {
         let c = &self.census;
-        let mut nums = vec![
-            self.now_ns,
-            c.total,
-            c.free,
-            c.active,
-            c.inactive,
-            c.resident,
-            c.pending,
-            c.pinned,
-            c.dirty,
-            c.wired,
-            c.busy,
-            c.reserve,
-            self.pages_stolen,
-            self.bytes_copied,
-            // Per-node census, self-delimited.
-            self.nodes.len() as u64,
-        ];
+        let mut nums = vec![self.now_ns];
+        nums.extend([c.total, c.free, c.active, c.inactive, c.resident, c.pending]);
+        nums.extend([c.pinned, c.dirty, c.wired, c.busy, c.reserve]);
+        let (stolen, copied, nodes) = (self.pages_stolen, self.bytes_copied, self.nodes.len());
+        nums.extend([stolen, copied, nodes as u64]);
+        // The per-node census, self-delimited by its count.
         for n in &self.nodes {
             nums.extend([n.node, n.total, n.free, n.resident, n.replicas]);
         }
@@ -236,30 +200,24 @@ impl VmStatisticsSnapshot {
     }
 
     /// Decodes a reply message.
-    pub fn decode(msg: &Message) -> Option<Self> {
-        let (lines, nums) = unpack(msg)?;
+    pub fn decode(msg: Message) -> Option<Self> {
+        let (host, mut words) = unpack(msg)?;
         let [now_ns, total, free, active, inactive, resident, pending, pinned, dirty, wired, busy, reserve, pages_stolen, bytes_copied, node_count] =
-            *nums.get(..15)?
-        else {
-            return None;
-        };
-        let mut at = 15;
-        let mut nodes = Vec::with_capacity(node_count as usize);
-        for _ in 0..node_count {
-            let [node, total, free, resident, replicas] = *nums.get(at..at + 5)? else {
-                return None;
-            };
-            at += 5;
-            nodes.push(NodeCensus {
-                node,
-                total,
-                free,
-                resident,
-                replicas,
-            });
-        }
+            next(&mut words)?;
+        let nodes = (0..node_count)
+            .map(|_| {
+                let [node, total, free, resident, replicas] = next(&mut words)?;
+                Some(NodeCensus {
+                    node,
+                    total,
+                    free,
+                    resident,
+                    replicas,
+                })
+            })
+            .collect::<Option<_>>()?;
         Some(VmStatisticsSnapshot {
-            host: lines.first()?.to_string(),
+            host,
             now_ns,
             census: FrameCensus {
                 total,
@@ -321,26 +279,23 @@ impl TaskInfoReply {
     }
 
     /// Decodes a reply message.
-    pub fn decode(msg: &Message) -> Option<Self> {
-        let (lines, nums) = unpack(msg)?;
-        let n = *nums.first()? as usize;
-        let names = lines.get(1..1 + n)?;
-        let mut tasks = Vec::with_capacity(n);
-        for (i, name) in names.iter().enumerate() {
-            let [regions, virtual_bytes, resident_pages] = *nums.get(1 + i * 3..4 + i * 3)? else {
-                return None;
-            };
-            tasks.push(TaskInfo {
-                name: name.to_string(),
-                regions,
-                virtual_bytes,
-                resident_pages,
-            });
-        }
-        Some(TaskInfoReply {
-            host: lines.first()?.to_string(),
-            tasks,
-        })
+    pub fn decode(msg: Message) -> Option<Self> {
+        let (text, mut words) = unpack(msg)?;
+        let mut lines = text.split('\n').map(str::to_string);
+        let host = lines.next()?;
+        let [n] = next(&mut words)?;
+        let tasks = (0..n)
+            .map(|_| {
+                let [regions, virtual_bytes, resident_pages] = next(&mut words)?;
+                Some(TaskInfo {
+                    name: lines.next()?,
+                    regions,
+                    virtual_bytes,
+                    resident_pages,
+                })
+            })
+            .collect::<Option<_>>()?;
+        Some(TaskInfoReply { host, tasks })
     }
 }
 
@@ -418,26 +373,24 @@ impl TraceQueryReply {
     }
 
     /// Decodes a reply message.
-    pub fn decode(msg: &Message) -> Option<Self> {
-        let (lines, nums) = unpack(msg)?;
-        let [dropped, n] = *nums.get(..2)? else {
-            return None;
-        };
-        let mut records = Vec::with_capacity(n as usize);
-        for i in 0..n as usize {
-            let [seq, ts_ns, correlation] = *nums.get(2 + i * 3..5 + i * 3)? else {
-                return None;
-            };
-            let mut fields = lines.get(i)?.splitn(3, '\t');
-            records.push(TraceRecord {
-                seq,
-                ts_ns,
-                correlation,
-                host: fields.next()?.to_string(),
-                actor: fields.next()?.to_string(),
-                kind: fields.next()?.to_string(),
-            });
-        }
+    pub fn decode(msg: Message) -> Option<Self> {
+        let (text, mut words) = unpack(msg)?;
+        let mut lines = text.split('\n');
+        let [dropped, n] = next(&mut words)?;
+        let records = (0..n)
+            .map(|_| {
+                let [seq, ts_ns, correlation] = next(&mut words)?;
+                let mut fields = lines.next()?.splitn(3, '\t').map(str::to_string);
+                Some(TraceRecord {
+                    seq,
+                    ts_ns,
+                    correlation,
+                    host: fields.next()?,
+                    actor: fields.next()?,
+                    kind: fields.next()?,
+                })
+            })
+            .collect::<Option<_>>()?;
         Some(TraceQueryReply { dropped, records })
     }
 }
@@ -446,39 +399,27 @@ impl TraceQueryReply {
 
 fn query<T>(
     host_port: &SendRight,
-    request: Message,
-    decode: impl FnOnce(&Message) -> Option<T>,
+    request: H,
+    decode: impl FnOnce(Message) -> Option<T>,
 ) -> Result<T, IpcError> {
-    let reply = host_port.rpc(request, Some(QUERY_TIMEOUT), Some(QUERY_TIMEOUT))?;
-    decode(&reply).ok_or(IpcError::MsgTooLarge)
+    let reply = host_port.rpc(request.encode(), Some(QUERY_TIMEOUT), Some(QUERY_TIMEOUT))?;
+    decode(reply).ok_or(IpcError::MsgTooLarge)
 }
 
 /// Fetches [`HostStatistics`] from a kernel's host port — local, or on a
 /// remote host through a network proxy right.
 pub fn query_host_statistics(host_port: &SendRight) -> Result<HostStatistics, IpcError> {
-    query(
-        host_port,
-        Message::new(proto::HOST_STATISTICS),
-        HostStatistics::decode,
-    )
+    query(host_port, H::Statistics, HostStatistics::decode)
 }
 
 /// Fetches [`VmStatisticsSnapshot`] from a kernel's host port.
 pub fn query_vm_statistics(host_port: &SendRight) -> Result<VmStatisticsSnapshot, IpcError> {
-    query(
-        host_port,
-        Message::new(proto::HOST_VM_STATISTICS),
-        VmStatisticsSnapshot::decode,
-    )
+    query(host_port, H::VmStatistics, VmStatisticsSnapshot::decode)
 }
 
 /// Fetches [`TaskInfoReply`] from a kernel's host port.
 pub fn query_task_info(host_port: &SendRight) -> Result<TaskInfoReply, IpcError> {
-    query(
-        host_port,
-        Message::new(proto::HOST_TASK_INFO),
-        TaskInfoReply::decode,
-    )
+    query(host_port, H::TaskInfo, TaskInfoReply::decode)
 }
 
 /// Fetches trace events from a kernel's host port: one chain when
@@ -488,11 +429,8 @@ pub fn query_trace(
     correlation: u64,
     max_events: u64,
 ) -> Result<TraceQueryReply, IpcError> {
-    query(
-        host_port,
-        Message::new(proto::HOST_TRACE_QUERY).with(MsgItem::u64s(&[correlation, max_events])),
-        TraceQueryReply::decode,
-    )
+    let request = H::TraceQuery(correlation, max_events);
+    query(host_port, request, TraceQueryReply::decode)
 }
 
 #[cfg(test)]
@@ -509,7 +447,7 @@ mod tests {
         m.latency.record(lat_keys::FAULT_TO_RESOLUTION, 1000);
         m.latency.record(lat_keys::FAULT_TO_RESOLUTION, 2_000_000);
         let snap = HostStatistics::capture(&m, &phys);
-        let decoded = HostStatistics::decode(&snap.encode()).expect("decodes");
+        let decoded = HostStatistics::decode(snap.encode()).expect("decodes");
         assert_eq!(decoded.host, "local");
         assert_eq!(decoded.counter(keys::VM_FAULTS), 17);
         assert_eq!(decoded.counter(keys::DISK_READS), 3);
@@ -535,7 +473,7 @@ mod tests {
         m.stats.add(keys::VM_PAGES_STOLEN, 8);
         m.stats.add(keys::BYTES_COPIED, 4096);
         let snap = VmStatisticsSnapshot::capture(&m, &phys);
-        let decoded = VmStatisticsSnapshot::decode(&snap.encode()).expect("decodes");
+        let decoded = VmStatisticsSnapshot::decode(snap.encode()).expect("decodes");
         assert_eq!(decoded.census, snap.census);
         assert_eq!((decoded.pages_stolen, decoded.bytes_copied), (8, 4096));
         assert_eq!(decoded.census.total, 64);
@@ -562,7 +500,7 @@ mod tests {
                 },
             ],
         };
-        let decoded = TaskInfoReply::decode(&reply.encode()).expect("decodes");
+        let decoded = TaskInfoReply::decode(reply.encode()).expect("decodes");
         assert_eq!(decoded.host, "nodeB");
         assert_eq!(decoded.tasks, reply.tasks);
     }
@@ -575,7 +513,7 @@ mod tests {
         }
         let reply = TraceQueryReply::capture(&m, 0, 4);
         assert_eq!(reply.records.len(), 4, "capped at max_events");
-        let decoded = TraceQueryReply::decode(&reply.encode()).expect("decodes");
+        let decoded = TraceQueryReply::decode(reply.encode()).expect("decodes");
         assert_eq!(decoded.records, reply.records);
         assert_eq!(decoded.records[0].kind, "fault");
         assert_eq!(decoded.records[0].host, "local");
@@ -583,12 +521,14 @@ mod tests {
 
     #[test]
     fn decode_rejects_malformed_messages() {
-        assert!(HostStatistics::decode(&Message::new(proto::HOST_STATISTICS_REPLY)).is_none());
-        let short = Message::new(proto::HOST_STATISTICS_REPLY)
-            .with(MsgItem::bytes(b"host".to_vec()))
-            .with(MsgItem::u64s(&[1, 2]));
-        assert!(HostStatistics::decode(&short).is_none());
-        assert!(VmStatisticsSnapshot::decode(&short).is_none());
-        assert!(TraceQueryReply::decode(&Message::new(0)).is_none());
+        assert!(HostStatistics::decode(Message::new(proto::HOST_STATISTICS_REPLY)).is_none());
+        let short = || {
+            Message::new(proto::HOST_STATISTICS_REPLY)
+                .with(MsgItem::bytes(b"host".to_vec()))
+                .with(MsgItem::u64s(&[1, 2]))
+        };
+        assert!(HostStatistics::decode(short()).is_none());
+        assert!(VmStatisticsSnapshot::decode(short()).is_none());
+        assert!(TraceQueryReply::decode(Message::new(0)).is_none());
     }
 }

@@ -14,14 +14,14 @@ use crate::introspect::{
     HostStatistics, TaskInfo, TaskInfoReply, TraceQueryReply, VmStatisticsSnapshot,
 };
 use crate::manager::{spawn_manager, ManagerHandle};
-use crate::proto;
-use machipc::{Message, MsgItem, PortId, PortSpace, SendRight};
+use crate::proto::{self, HostRequest, KernelToManager, Malformed, ManagerToKernel};
+use machipc::{Message, PortId, PortName, PortSpace, SendRight};
 use machsim::stats::keys as stat_keys;
 use machsim::{CorrelationId, CostModel, EventKind, Machine};
 use machstorage::{BlockDevice, BLOCK_SIZE};
 use machvm::{
     FaultEngine, FaultEngineConfig, FaultPolicy, NumaConfig, ObjectId, PagerBackend,
-    PhysicalMemory, VmMap, VmObject, VmProt,
+    PhysicalMemory, VmMap, VmObject,
 };
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -227,14 +227,9 @@ impl Kernel {
         let registry: Arc<Mutex<Registry>> = Arc::new(Mutex::new(Registry::default()));
         let service_space = Arc::new(PortSpace::new(&machine));
 
-        // Control port for service-loop shutdown.
-        let control_name = service_space.port_allocate();
-        service_space
-            .port_enable(control_name)
-            .expect("control port enable");
-        let control = service_space
-            .send_right(control_name)
-            .expect("control port right");
+        // Control port for service-loop shutdown: the loop stops on a
+        // message from it, and only the kernel holds a send right to it.
+        let (control_name, control) = Self::register_request_port(&service_space, &machine);
 
         // The default pager: an ordinary external data manager over a
         // dedicated paging partition.
@@ -270,9 +265,7 @@ impl Kernel {
             let dp_port = dp_handle.port().clone();
             phys.set_adoption_hook(move |object: &Arc<VmObject>| {
                 registry.lock().by_id.insert(object.id().0, object.clone());
-                dp_port.send_notification(
-                    Message::new(proto::PAGER_CREATE).with(MsgItem::u64s(&[object.id().0])),
-                );
+                dp_port.send_notification(KernelToManager::Create(object.id().0, None).encode());
             });
         }
 
@@ -280,13 +273,7 @@ impl Kernel {
         // its own port space so statistics queries never queue behind (or
         // ahead of) EMM protocol traffic.
         let host_space = Arc::new(PortSpace::new(&machine));
-        let host_control_name = host_space.port_allocate();
-        host_space
-            .port_enable(host_control_name)
-            .expect("host control port enable");
-        let host_control = host_space
-            .send_right(host_control_name)
-            .expect("host control port right");
+        let (host_control_name, host_control) = Self::register_request_port(&host_space, &machine);
         let (_host_name, host_port) = Self::register_request_port(&host_space, &machine);
         let tasks: TaskRegistry = Arc::new(Mutex::new(Vec::new()));
 
@@ -385,7 +372,7 @@ impl Kernel {
             let phys = phys.clone();
             let thread = std::thread::Builder::new()
                 .name("kernel-host".into())
-                .spawn(move || Self::host_loop(host_space, machine, phys, tasks))
+                .spawn(move || Self::host_loop(host_space, host_control_name, machine, phys, tasks))
                 .expect("spawn kernel host loop");
             *kernel.host_service.lock() = Some(thread);
         }
@@ -411,7 +398,7 @@ impl Kernel {
             let phys = phys;
             std::thread::Builder::new()
                 .name("kernel-emm".into())
-                .spawn(move || Self::service_loop(space, registry, phys))
+                .spawn(move || Self::service_loop(space, control_name, registry, phys))
                 .expect("spawn kernel service loop")
         };
         *kernel.service.lock() = Some(thread);
@@ -456,152 +443,112 @@ impl Kernel {
         kernel
     }
 
-    /// Creates a request (or name) port whose receive right lives in the
-    /// kernel service space, enabled for the service loop.
+    /// Creates a request (or control) port whose receive right lives in
+    /// `space`, enabled for the space's service loop.
     fn register_request_port(
         space: &Arc<PortSpace>,
         machine: &Machine,
     ) -> (machipc::PortName, SendRight) {
-        let (rx, tx) = machipc::ReceiveRight::allocate(machine);
+        let (rx, _tx) = machipc::ReceiveRight::allocate(machine);
         rx.set_backlog(65536);
         let name = space.insert_receive(rx);
         space.port_enable(name).expect("enable request port");
-        let _ = tx;
         let right = space.send_right(name).expect("request port right");
         (name, right)
     }
 
+    /// The EMM service loop: applies Table 3-6 calls until a message comes
+    /// on `control`, whose one send right the kernel holds.
     fn service_loop(
         space: Arc<PortSpace>,
+        control: PortName,
         registry: Arc<Mutex<Registry>>,
         phys: Arc<PhysicalMemory>,
     ) {
+        use ManagerToKernel as M;
         // Drain pager traffic in batches: under load a kernel supply
         // storm queues many small control messages, and one batched
         // dequeue amortizes the port lock and the receive charge over
         // all of them.
-        'service: loop {
-            let Ok((_from, batch)) = space.receive_default_many(KERNEL_SERVICE_BATCH, None) else {
+        while let Ok((from, batch)) = space.receive_default_many(KERNEL_SERVICE_BATCH, None) {
+            if from == control {
                 break;
-            };
-            for mut msg in batch {
+            }
+            for msg in batch {
                 // Batched dequeue adopts only the last message's context;
                 // re-adopt per message so every supply joins (and nests
                 // under) its own originating fault's chain.
                 machsim::trace::set_current_correlation(CorrelationId::from_raw(msg.correlation));
                 machsim::trace::set_current_span(msg.span_context());
-                let ids: Vec<u64> = msg
-                    .body
-                    .iter()
-                    .find_map(|i| i.as_u64s())
-                    .unwrap_or_default();
-                let object_of =
-                    |id: u64| -> Option<Arc<VmObject>> { registry.lock().by_id.get(&id).cloned() };
-                // Any holder of a request-port send right can put anything
-                // on this queue: decode by shape, and drop (counted) what is
-                // too short instead of indexing past its end.
-                match (msg.id, ids.as_slice()) {
-                    (proto::PAGER_DATA_PROVIDED, &[object, offset, lock, ..]) => {
-                        // Move the buffer out of the message: a page the
-                        // manager gave away must reach `supply_page` as the
-                        // only handle on it, or it cannot be stolen.
-                        let data = msg.body.drain(..).find_map(|i| match i {
-                            MsgItem::OutOfLine(data) => Some(data),
-                            _ => None,
-                        });
-                        if let (Some(obj), Some(data)) = (object_of(object), data) {
-                            // The dequeue above adopted the message's
-                            // correlation id, so the supply (and the
-                            // `data_provided` event it emits) joins the
-                            // originating fault's chain.
-                            let machine = phys.machine();
-                            let sp = machine.span_open("pager.reply");
-                            let _inside = machsim::trace::SpanScope::enter(sp);
-                            machine.trace_event(
-                                "kernel.service",
-                                machsim::EventKind::Mark("kernel_supply"),
-                            );
-                            let _ = phys.supply_page(&obj, offset, data, VmProt(lock as u8));
-                            machine.span_close("pager.reply", sp);
-                        }
+                // Anyone holding a request port may send it anything: what
+                // is not a Table 3-6 call is dropped, and counted.
+                let Ok(call) = M::decode(msg) else {
+                    phys.machine().stats.incr(stat_keys::EMM_MALFORMED_DROPPED);
+                    continue;
+                };
+                let (M::DataProvided(object, ..)
+                | M::DataLock(object, ..)
+                | M::FlushRequest(object, ..)
+                | M::CleanRequest(object, ..)
+                | M::Cache(object, _)
+                | M::DataUnavailable(object, ..)
+                | M::SetCluster(object, _)) = call;
+                let Some(obj) = registry.lock().by_id.get(&object).cloned() else {
+                    continue;
+                };
+                match call {
+                    // The buffer was moved out of the message: a page the
+                    // manager gave away reaches `supply_page` as the only
+                    // handle on it, so it can be stolen.
+                    M::DataProvided(_, offset, lock, data) => {
+                        let machine = phys.machine();
+                        let sp = machine.span_open("pager.reply");
+                        let _inside = machsim::trace::SpanScope::enter(sp);
+                        machine.trace_event("kernel.service", EventKind::Mark("kernel_supply"));
+                        let _ = phys.supply_page(&obj, offset, data, lock);
+                        machine.span_close("pager.reply", sp);
                     }
-                    (proto::PAGER_DATA_UNAVAILABLE, &[object, offset, size, ..]) => {
-                        if let Some(obj) = object_of(object) {
-                            let _ = phys.data_unavailable(&obj, offset, size);
-                        }
+                    M::DataUnavailable(_, offset, size) => {
+                        let _ = phys.data_unavailable(&obj, offset, size);
                     }
-                    (proto::PAGER_DATA_LOCK, &[object, offset, length, lock, ..]) => {
-                        if let Some(obj) = object_of(object) {
-                            phys.lock_range(&obj, offset, length, VmProt(lock as u8));
-                        }
+                    M::DataLock(_, offset, length, lock) => {
+                        phys.lock_range(&obj, offset, length, lock)
                     }
-                    (proto::PAGER_FLUSH_REQUEST, &[object, offset, length, ..]) => {
-                        if let Some(obj) = object_of(object) {
-                            phys.flush_range(&obj, offset, length);
-                        }
-                    }
-                    (proto::PAGER_CLEAN_REQUEST, &[object, offset, length, ..]) => {
-                        if let Some(obj) = object_of(object) {
-                            phys.clean_range(&obj, offset, length);
-                        }
-                    }
-                    (proto::PAGER_CACHE, &[object, may_cache, ..]) => {
-                        if let Some(obj) = object_of(object) {
-                            obj.set_can_persist(may_cache != 0);
-                        }
-                    }
-                    (proto::PAGER_SET_CLUSTER, &[object, pages, ..]) => {
-                        if let Some(obj) = object_of(object) {
-                            obj.set_cluster_hint(pages as usize);
-                        }
-                    }
-                    (proto::KERNEL_SHUTDOWN, _) => break 'service,
-                    // A Table 3-6 id none of the shapes above matched
-                    // (the unassigned 0x2306 among them).
-                    (proto::PAGER_DATA_PROVIDED..=proto::PAGER_SET_CLUSTER, _) => {
-                        phys.machine().stats.incr(stat_keys::EMM_MALFORMED_DROPPED);
-                    }
-                    _ => {}
+                    M::FlushRequest(_, offset, length) => phys.flush_range(&obj, offset, length),
+                    M::CleanRequest(_, offset, length) => phys.clean_range(&obj, offset, length),
+                    M::Cache(_, may_cache) => obj.set_can_persist(may_cache),
+                    M::SetCluster(_, pages) => obj.set_cluster_hint(pages as usize),
                 }
             }
         }
     }
 
     /// The introspection service loop: answers host-port queries with
-    /// typed snapshots (see `machcore::introspect`).
+    /// typed snapshots (see `machcore::introspect`) until told on `control`.
     fn host_loop(
         space: Arc<PortSpace>,
+        control: PortName,
         machine: Machine,
         phys: Arc<PhysicalMemory>,
         tasks: TaskRegistry,
     ) {
-        'host: loop {
-            let Ok((_from, batch)) = space.receive_default_many(KERNEL_SERVICE_BATCH, None) else {
+        use HostRequest as H;
+        while let Ok((from, batch)) = space.receive_default_many(KERNEL_SERVICE_BATCH, None) {
+            if from == control {
                 break;
-            };
-            for msg in batch {
-                let reply = match msg.id {
-                    proto::HOST_STATISTICS => HostStatistics::capture(&machine, &phys).encode(),
-                    proto::HOST_VM_STATISTICS => {
-                        VmStatisticsSnapshot::capture(&machine, &phys).encode()
-                    }
-                    proto::HOST_TASK_INFO => {
-                        Self::capture_task_info(&machine, &phys, &tasks).encode()
-                    }
-                    proto::HOST_TRACE_QUERY => {
-                        let args = msg
-                            .body
-                            .iter()
-                            .find_map(|i| i.as_u64s())
-                            .unwrap_or_default();
-                        let correlation = args.first().copied().unwrap_or(0);
-                        let max_events = args.get(1).copied().unwrap_or(256);
+            }
+            for mut msg in batch {
+                let reply_to = msg.reply.take();
+                let reply = match H::decode(msg) {
+                    Ok(H::Statistics) => HostStatistics::capture(&machine, &phys).encode(),
+                    Ok(H::VmStatistics) => VmStatisticsSnapshot::capture(&machine, &phys).encode(),
+                    Ok(H::TaskInfo) => Self::capture_task_info(&machine, &phys, &tasks).encode(),
+                    Ok(H::TraceQuery(correlation, max_events)) => {
                         TraceQueryReply::capture(&machine, correlation, max_events).encode()
                     }
-                    proto::KERNEL_SHUTDOWN => break 'host,
-                    _ => continue,
+                    Err(Malformed) => continue,
                 };
-                if let Some(reply_to) = &msg.reply {
+                if let Some(reply_to) = reply_to {
                     // Backlog-exempt: a slow client must not wedge the kernel.
                     reply_to.send_notification(reply);
                 }
@@ -814,11 +761,6 @@ impl Kernel {
         self.paging_table.lock().len()
     }
 
-    /// Looks up a registered memory object by kernel id.
-    pub fn object_by_id(&self, id: ObjectId) -> Option<Arc<VmObject>> {
-        self.registry.lock().by_id.get(&id.0).cloned()
-    }
-
     /// Resolves (or creates) the internal memory object for a memory
     /// object port — the kernel half of `vm_allocate_with_pager`.
     ///
@@ -874,11 +816,8 @@ impl Kernel {
         reg.by_port.insert(memory_object.id(), object.clone());
         drop(reg);
         // pager_init, performed before vm_allocate_with_pager completes.
-        memory_object.send_notification(
-            Message::new(proto::PAGER_INIT)
-                .with(MsgItem::u64s(&[object.id().0]))
-                .with(MsgItem::SendRights(vec![request, name_send])),
-        );
+        let init = KernelToManager::Init(object.id().0, request, Some(name_send));
+        memory_object.send_notification(init.encode());
         object
     }
 
@@ -965,7 +904,7 @@ mod tests {
     use super::*;
     use crate::manager::{DataManager, KernelConn};
     use machipc::OolBuffer;
-    use machvm::VmMap;
+    use machvm::{VmMap, VmProt};
     use std::time::Duration;
 
     struct FillPager(u8);
@@ -1071,6 +1010,64 @@ mod tests {
         let mut buf = [0u8; 64];
         map.access_read(addr + 8192, &mut buf).unwrap();
         assert_eq!(buf, [0x5A; 64]);
+    }
+
+    #[test]
+    fn a_managers_shutdown_message_does_not_stop_the_service_loop() {
+        // A manager holds a send right on the kernel's request port, not
+        // the kernel's control port: its 0x2FFF is one more malformed call.
+        struct Saboteur(bool);
+        impl DataManager for Saboteur {
+            fn data_request(
+                &mut self,
+                k: &KernelConn,
+                object: u64,
+                offset: u64,
+                len: u64,
+                _a: VmProt,
+            ) {
+                if !std::mem::replace(&mut self.0, true) {
+                    let stop = Message::new(proto::KERNEL_SHUTDOWN);
+                    k.request_port()
+                        .send(stop, None)
+                        .expect("the request port accepts it");
+                }
+                k.data_provided(
+                    object,
+                    offset,
+                    OolBuffer::from_vec(vec![7; len as usize]),
+                    VmProt::NONE,
+                );
+            }
+        }
+        let k = Kernel::boot(KernelConfig::default());
+        let mgr = spawn_manager(k.machine(), "saboteur", Saboteur(false));
+        let object = k.object_for_port(mgr.port(), 1 << 20);
+        let map = VmMap::new(k.phys());
+        map.set_fault_policy(FaultPolicy::abort_after(Duration::from_secs(5)));
+        let addr = map
+            .allocate_with_object(None, 1 << 20, object, 0, false)
+            .expect("map the saboteur's object");
+        let mut b = [0u8; 1];
+        for page in [0, 128] {
+            map.access_read(addr + page * 4096, &mut b)
+                .expect("the service loop still answers");
+            assert_eq!(b[0], 7);
+        }
+        let dropped = k.machine().stats.get(stat_keys::EMM_MALFORMED_DROPPED);
+        assert_eq!(dropped, 1, "the shutdown is a malformed call");
+    }
+
+    #[test]
+    fn a_clients_shutdown_message_does_not_stop_the_host_loop() {
+        let k = Kernel::boot(KernelConfig::default());
+        let stop = Message::new(proto::KERNEL_SHUTDOWN);
+        k.host_port()
+            .send(stop, None)
+            .expect("the host port accepts it");
+        let stats = crate::introspect::query_host_statistics(k.host_port())
+            .expect("the host loop still answers");
+        assert_eq!(stats.host, k.machine().host());
     }
 
     #[test]

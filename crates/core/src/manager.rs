@@ -13,8 +13,9 @@
 //! distinct request port — exactly the multi-kernel structure of the
 //! Section 4.2 shared memory example.
 
-use crate::proto;
-use machipc::{IpcError, Message, MsgItem, OolBuffer, ReceiveRight, SendRight, MSG_ID_PORT_DEATH};
+use crate::proto::{self, KernelToManager, Malformed, ManagerToKernel, Parts, StopKey};
+use machipc::{Message, OolBuffer, ReceiveRight, SendRight, MSG_ID_PORT_DEATH};
+use machsim::stats::keys;
 use machsim::Machine;
 use machvm::VmProt;
 use std::fmt;
@@ -54,60 +55,43 @@ impl KernelConn {
         self.request.is_alive()
     }
 
-    fn send(&self, msg: Message) {
+    fn send(&self, call: ManagerToKernel) {
         // Managers may block briefly; the kernel keeps a deep backlog on
         // request ports. A dead kernel is simply ignored (port death will
         // follow).
-        let _ = self.request.send(msg, Some(Duration::from_secs(5)));
+        let patience = Some(Duration::from_secs(5));
+        let _ = self.request.send(call.encode(), patience);
     }
 
     /// `pager_data_provided`: supplies the kernel with object data.
     pub fn data_provided(&self, object: u64, offset: u64, data: OolBuffer, lock: VmProt) {
-        self.send(
-            Message::new(proto::PAGER_DATA_PROVIDED)
-                .with(MsgItem::u64s(&[object, offset, lock.0 as u64]))
-                .with(MsgItem::OutOfLine(data)),
-        );
+        self.send(ManagerToKernel::DataProvided(object, offset, lock, data));
     }
 
     /// `pager_data_lock`: restricts access to cached data.
     pub fn data_lock(&self, object: u64, offset: u64, length: u64, lock: VmProt) {
-        self.send(Message::new(proto::PAGER_DATA_LOCK).with(MsgItem::u64s(&[
-            object,
-            offset,
-            length,
-            lock.0 as u64,
-        ])));
+        self.send(ManagerToKernel::DataLock(object, offset, length, lock));
     }
 
     /// `pager_flush_request`: invalidates cached data.
     pub fn flush_request(&self, object: u64, offset: u64, length: u64) {
-        self.send(
-            Message::new(proto::PAGER_FLUSH_REQUEST).with(MsgItem::u64s(&[object, offset, length])),
-        );
+        self.send(ManagerToKernel::FlushRequest(object, offset, length));
     }
 
     /// `pager_clean_request`: forces cached data to be written back.
     pub fn clean_request(&self, object: u64, offset: u64, length: u64) {
-        self.send(
-            Message::new(proto::PAGER_CLEAN_REQUEST).with(MsgItem::u64s(&[object, offset, length])),
-        );
+        self.send(ManagerToKernel::CleanRequest(object, offset, length));
     }
 
     /// `pager_cache`: advises whether data may be cached after the last
     /// reference is gone.
     pub fn cache(&self, object: u64, may_cache: bool) {
-        self.send(
-            Message::new(proto::PAGER_CACHE).with(MsgItem::u64s(&[object, may_cache as u64])),
-        );
+        self.send(ManagerToKernel::Cache(object, may_cache));
     }
 
     /// `pager_data_unavailable`: no data exists for the region.
     pub fn data_unavailable(&self, object: u64, offset: u64, size: u64) {
-        self.send(
-            Message::new(proto::PAGER_DATA_UNAVAILABLE)
-                .with(MsgItem::u64s(&[object, offset, size])),
-        );
+        self.send(ManagerToKernel::DataUnavailable(object, offset, size));
     }
 
     /// The manager's `vm_deallocate` of data it was sent with
@@ -125,7 +109,7 @@ impl KernelConn {
     /// `memory_object_set_attributes`. Managers that track caching per
     /// page per client (coherent shared memory) advise 1.
     pub fn set_cluster(&self, object: u64, pages: u64) {
-        self.send(Message::new(proto::PAGER_SET_CLUSTER).with(MsgItem::u64s(&[object, pages])));
+        self.send(ManagerToKernel::SetCluster(object, pages));
     }
 
     /// The machine (host) the manager runs on.
@@ -197,6 +181,8 @@ pub trait DataManager: Send + 'static {
 pub struct ManagerHandle {
     /// The memory object port (give this to `vm_allocate_with_pager`).
     port: SendRight,
+    /// What stops the manager's loop: only this handle has it.
+    stop: StopKey,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -219,8 +205,7 @@ impl ManagerHandle {
 
     fn do_shutdown(&mut self) {
         if let Some(t) = self.thread.take() {
-            self.port
-                .send_notification(Message::new(proto::KERNEL_SHUTDOWN));
+            self.port.send_notification(self.stop.message());
             let _ = t.join();
         }
     }
@@ -232,61 +217,38 @@ impl Drop for ManagerHandle {
     }
 }
 
-fn rights_of(msg: &mut Message) -> Vec<SendRight> {
-    let mut out = Vec::new();
-    for item in msg.body.iter_mut() {
-        if let MsgItem::SendRights(r) = item {
-            out.append(r);
-        }
-    }
-    out
-}
-
-fn ool_of(msg: &Message) -> Option<OolBuffer> {
-    msg.body.iter().find_map(|i| i.as_ool().cloned())
-}
-
-fn u64s_of(msg: &Message) -> Vec<u64> {
-    msg.body
-        .iter()
-        .find_map(|i| i.as_u64s())
-        .unwrap_or_default()
-}
-
 /// Messages a pager thread drains from its request port per batch.
 const PAGER_BATCH: usize = 32;
 
-/// Runs one dispatch step; returns `false` on shutdown.
+/// Hands one message to the manager.
 fn dispatch<M: DataManager>(
     machine: &Machine,
     label: &str,
     self_port: &SendRight,
     mgr: &mut M,
-    mut msg: Message,
-) -> bool {
-    let ids = u64s_of(&msg);
-    // The kernel's request port, on the calls that carry one.
-    let conn = rights_of(&mut msg)
-        .into_iter()
-        .next()
-        .map(|request| KernelConn::new(machine, request));
+    msg: Message,
+) {
+    if msg.id == MSG_ID_PORT_DEATH {
+        let port = Parts::of(msg.body).words().next().unwrap_or(0);
+        return mgr.kernel_detached(port);
+    }
+    let conn = |request| KernelConn::new(machine, request);
     // Any holder of a memory-object send right can put anything on this
-    // queue: decode by shape, and drop (counted) what is too short or has
-    // no request port instead of indexing past its end.
-    match (msg.id, ids.as_slice(), conn) {
-        (proto::PAGER_INIT, &[object, ..], Some(conn)) => {
+    // queue: what is not a Table 3-5 call is dropped, counted.
+    match KernelToManager::decode(msg) {
+        Ok(KernelToManager::Init(object, request, _)) => {
             // Watch the request port so kernel detach is observed.
-            conn.request_port().subscribe_death(self_port);
-            mgr.init(&conn, object);
+            request.subscribe_death(self_port);
+            mgr.init(&conn(request), object);
         }
-        (proto::PAGER_CREATE, &[object, ..], Some(conn)) => {
-            conn.request_port().subscribe_death(self_port);
-            mgr.create(&conn, object);
+        Ok(KernelToManager::Create(object, Some(request))) => {
+            request.subscribe_death(self_port);
+            mgr.create(&conn(request), object);
         }
         // This kernel's own `pager_create` names no request port (the
         // default pager learns it from the first request or write).
-        (proto::PAGER_CREATE, &[_, ..], None) => {}
-        (proto::PAGER_DATA_REQUEST, &[object, offset, length, access, ..], Some(conn)) => {
+        Ok(KernelToManager::Create(_, None)) => {}
+        Ok(KernelToManager::DataRequest(object, offset, length, access, request)) => {
             // The service thread adopted the fault's correlation id when
             // it dequeued this message, so the event (and any disk reads
             // the manager performs) lands in the chain.
@@ -296,30 +258,19 @@ fn dispatch<M: DataManager>(
             // send (inside `data_request`) nests under it.
             let sp = machine.span_open("pager.service");
             let _inside = machsim::trace::SpanScope::enter(sp);
-            mgr.data_request(&conn, object, offset, length, VmProt(access as u8));
+            mgr.data_request(&conn(request), object, offset, length, access);
             machine.span_close("pager.service", sp);
         }
-        (proto::PAGER_DATA_UNLOCK, &[object, offset, length, access, ..], Some(conn)) => {
-            mgr.data_unlock(&conn, object, offset, length, VmProt(access as u8));
+        Ok(KernelToManager::DataUnlock(object, offset, length, access, request)) => {
+            mgr.data_unlock(&conn(request), object, offset, length, access)
         }
-        (proto::PAGER_DATA_WRITE, &[object, offset, ..], Some(conn)) => {
-            // The data is laundry until every handle on it is gone: the
-            // manager's when `data_write` lets go, the message's on return.
-            let data = ool_of(&msg).unwrap_or_else(|| OolBuffer::from_vec(Vec::new()));
-            mgr.data_write(&conn, object, offset, data);
+        // The data is laundry until the manager lets go of it.
+        Ok(KernelToManager::DataWrite(object, offset, data, request)) => {
+            mgr.data_write(&conn(request), object, offset, data)
         }
-        (proto::PAGER_TERMINATE, &[object, ..], _) => mgr.object_terminated(object),
-        (MSG_ID_PORT_DEATH, ids, _) => mgr.kernel_detached(ids.first().copied().unwrap_or(0)),
-        (proto::KERNEL_SHUTDOWN, ..) => return false,
-        // A Table 3-5 id none of the shapes above matched.
-        (proto::PAGER_INIT..=proto::PAGER_TERMINATE, ..) => {
-            machine
-                .stats
-                .incr(machsim::stats::keys::EMM_MALFORMED_DROPPED);
-        }
-        _ => {}
+        Ok(KernelToManager::Terminate(object)) => mgr.object_terminated(object),
+        Err(Malformed) => machine.stats.incr(keys::EMM_MALFORMED_DROPPED),
     }
-    true
 }
 
 /// Starts a data manager task serving a fresh memory object port.
@@ -328,35 +279,34 @@ pub fn spawn_manager<M: DataManager>(machine: &Machine, label: &str, mut mgr: M)
     // Kernels send with the notification path; keep a sane floor anyway.
     rx.set_backlog(4096);
     let self_port = tx.clone();
+    let stop = StopKey::new(proto::KERNEL_SHUTDOWN);
+    let key = stop.clone();
     let machine = machine.clone();
     let label = label.to_string();
     let thread = std::thread::Builder::new()
         .name(format!("pager-{label}"))
-        .spawn(move || 'serve: loop {
+        .spawn(move || {
             // Batched drain: a paging storm delivers bursts of small
             // control messages, and one dequeue covers the whole burst.
-            match rx.receive_many(PAGER_BATCH, None) {
-                Ok(batch) => {
-                    for msg in batch {
-                        // Adopt each message's own chain context: batch
-                        // dequeue installed only the last message's, and
-                        // a burst mixes many faults' chains.
-                        machsim::trace::set_current_correlation(machsim::CorrelationId::from_raw(
-                            msg.correlation,
-                        ));
-                        machsim::trace::set_current_span(msg.span_context());
-                        if !dispatch(&machine, &label, &self_port, &mut mgr, msg) {
-                            break 'serve;
-                        }
+            'serve: while let Ok(batch) = rx.receive_many(PAGER_BATCH, None) {
+                for msg in batch {
+                    if key.opens(&msg) {
+                        break 'serve;
                     }
+                    // Adopt each message's own chain context: batch
+                    // dequeue installed only the last message's, and a
+                    // burst mixes many faults' chains.
+                    let cid = machsim::CorrelationId::from_raw(msg.correlation);
+                    machsim::trace::set_current_correlation(cid);
+                    machsim::trace::set_current_span(msg.span_context());
+                    dispatch(&machine, &label, &self_port, &mut mgr, msg);
                 }
-                Err(IpcError::PortDied) => break,
-                Err(_) => break,
             }
         })
         .expect("spawn pager thread");
     ManagerHandle {
         port: tx,
+        stop,
         thread: Some(thread),
     }
 }
@@ -364,6 +314,7 @@ pub fn spawn_manager<M: DataManager>(machine: &Machine, label: &str, mut mgr: M)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use machipc::MsgItem;
     use parking_lot::Mutex;
     use std::sync::Arc;
 
@@ -425,9 +376,12 @@ mod tests {
                 .with(MsgItem::SendRights(vec![req_tx])),
         );
         let reply = req_rx.receive(Some(Duration::from_secs(5))).unwrap();
-        assert_eq!(reply.id, proto::PAGER_DATA_PROVIDED);
-        assert_eq!(u64s_of(&reply), vec![42, 8192, VmProt::NONE.0 as u64]);
-        assert_eq!(ool_of(&reply).unwrap().len(), 4096);
+        let Ok(ManagerToKernel::DataProvided(42, 8192, VmProt::NONE, data)) =
+            ManagerToKernel::decode(reply)
+        else {
+            panic!("pager_data_provided for the page asked");
+        };
+        assert_eq!(data.len(), 4096);
         handle.shutdown();
         let log = log.lock();
         assert!(log.contains(&"init 42".to_string()));
@@ -460,6 +414,28 @@ mod tests {
         machsim::wall::sleep(Duration::from_millis(50));
         handle.shutdown();
         assert!(log.lock().contains(&"detached".to_string()));
+    }
+
+    #[test]
+    fn only_the_handle_stops_the_manager() {
+        let m = Machine::default_machine();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let pager = ConstPager {
+            fill: 7,
+            log: log.clone(),
+        };
+        let handle = spawn_manager(&m, "const", pager);
+        // Anyone who can send to the memory object port can send this.
+        handle
+            .port()
+            .send_notification(Message::new(proto::KERNEL_SHUTDOWN));
+        let (req_rx, req_tx) = ReceiveRight::allocate(&m);
+        let request = KernelToManager::DataRequest(42, 0, 4096, VmProt::READ, req_tx);
+        handle.port().send_notification(request.encode());
+        let reply = req_rx.receive(Some(Duration::from_secs(5)));
+        assert!(reply.is_ok(), "the manager still answers");
+        handle.shutdown();
+        assert_eq!(m.stats.get(keys::EMM_MALFORMED_DROPPED), 1);
     }
 
     #[test]
@@ -530,6 +506,13 @@ mod tests {
                 malformed += 1;
             }
         }
+        // A write with no data is not a write.
+        handle.port().send_notification(
+            Message::new(proto::PAGER_DATA_WRITE)
+                .with(MsgItem::u64s(&[42, 0]))
+                .with(MsgItem::SendRights(vec![req_tx.clone()])),
+        );
+        malformed += 1;
         // The manager thread survived all of it: an honest request is
         // still answered.
         handle.port().send_notification(

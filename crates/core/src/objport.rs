@@ -16,37 +16,66 @@
 //! manipulated through a [`machnet::Fabric`] proxy from another host with
 //! the same code — the location independence the paper highlights.
 
+use crate::proto::{Malformed, StopKey};
 use crate::task::Task;
-use machipc::{IpcError, Message, MsgItem, ReceiveRight, SendRight};
+use machipc::{IpcError, OolBuffer, ReceiveRight, SendRight};
 use machvm::VmError;
 use parking_lot::Mutex;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// RPC: suspend the task.
-pub const TASK_SUSPEND: u32 = 0x3101;
-/// RPC: resume the task.
-pub const TASK_RESUME: u32 = 0x3102;
-/// RPC: report `vm_statistics`.
-pub const TASK_STATISTICS: u32 = 0x3103;
-/// RPC: `vm_allocate(size)`; reply carries the address.
-pub const TASK_VM_ALLOCATE: u32 = 0x3104;
-/// RPC: `vm_deallocate(address, size)`.
-pub const TASK_VM_DEALLOCATE: u32 = 0x3105;
-/// RPC: `vm_read(address, size)`; reply carries the data out-of-line.
-pub const TASK_VM_READ: u32 = 0x3106;
-/// RPC: `vm_write(address)` with out-of-line data.
-pub const TASK_VM_WRITE: u32 = 0x3107;
 /// Success reply.
 pub const TASK_OK: u32 = 0x3180;
 /// Failure reply.
 pub const TASK_ERR: u32 = 0x3181;
 const TASK_PORT_SHUTDOWN: u32 = 0x31FF;
 
+crate::protocol! {
+    /// Operations on a task, sent to its kernel object port as RPCs.
+    #[derive(Debug)]
+    pub enum TaskRequest {
+        /// `task_suspend`.
+        Suspend = TASK_SUSPEND: 0x3101,
+        /// `task_resume`.
+        Resume = TASK_RESUME: 0x3102,
+        /// `vm_statistics`.
+        Statistics = TASK_STATISTICS: 0x3103,
+        /// `vm_allocate(size)` anywhere.
+        VmAllocate(size: u64) = TASK_VM_ALLOCATE: 0x3104,
+        /// `vm_deallocate(address, size)`.
+        VmDeallocate(address: u64, size: u64) = TASK_VM_DEALLOCATE: 0x3105,
+        /// `vm_read(address, size)`.
+        VmRead(address: u64, size: u64) = TASK_VM_READ: 0x3106,
+        /// `vm_write(address, data)`.
+        VmWrite(address: u64, data: OolBuffer) = TASK_VM_WRITE: 0x3107,
+    }
+}
+
+crate::protocol! {
+    /// The task port's answers.
+    #[derive(Debug)]
+    pub enum TaskReply {
+        /// `vm_statistics`.
+        Statistics(
+            pagesize: u64, free: u64, active: u64, inactive: u64,
+            faults: u64, pageins: u64, pageouts: u64,
+        ) = TASK_OK,
+        /// `vm_allocate`: the address of the memory.
+        Allocated(address: u64) = TASK_OK,
+        /// `vm_read`: the data, out-of-line.
+        Data(data: OolBuffer) = TASK_OK,
+        /// The operation was performed.
+        Done = TASK_OK,
+        /// The operation failed, or the request was malformed.
+        Rejected = TASK_ERR,
+    }
+}
+
 /// A task's kernel object port: the task, as a server.
 pub struct TaskPort {
     port: SendRight,
+    stop: StopKey,
     thread: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
@@ -56,17 +85,33 @@ impl fmt::Debug for TaskPort {
     }
 }
 
-fn reply_to(msg: &Message, m: Message) {
-    if let Some(r) = &msg.reply {
-        let _ = r.send(m, Some(Duration::from_secs(5)));
+/// Performs one request on `task`; one that returns nothing is `Done`.
+fn perform(task: &Task, request: TaskRequest) -> Result<TaskReply, VmError> {
+    match request {
+        TaskRequest::Suspend => task.suspend(),
+        TaskRequest::Resume => task.resume(),
+        TaskRequest::Statistics => {
+            let st = task.vm_statistics();
+            return Ok(TaskReply::Statistics(
+                st.pagesize,
+                st.free_count,
+                st.active_count,
+                st.inactive_count,
+                st.faults,
+                st.pageins,
+                st.pageouts,
+            ));
+        }
+        TaskRequest::VmAllocate(size) => return task.vm_allocate(size).map(TaskReply::Allocated),
+        TaskRequest::VmDeallocate(address, size) => task.vm_deallocate(address, size)?,
+        TaskRequest::VmRead(address, size) => {
+            return Ok(TaskReply::Data(OolBuffer::from_vec(
+                task.vm_read(address, size)?,
+            )));
+        }
+        TaskRequest::VmWrite(address, data) => task.vm_write(address, data.as_slice())?,
     }
-}
-
-fn ids(msg: &Message) -> Vec<u64> {
-    msg.body
-        .iter()
-        .find_map(|i| i.as_u64s())
-        .unwrap_or_default()
+    Ok(TaskReply::Done)
 }
 
 impl TaskPort {
@@ -75,84 +120,34 @@ impl TaskPort {
         let (rx, tx) = ReceiveRight::allocate(task.machine());
         rx.set_backlog(256);
         let task = task.clone();
+        let stop = StopKey::new(TASK_PORT_SHUTDOWN);
+        let key = stop.clone();
         let thread = std::thread::Builder::new()
             .name(format!("task-port-{}", task.name()))
-            .spawn(move || loop {
-                let Ok(msg) = rx.receive(None) else { break };
-                // Annotate the kernel-object hop; the receive adopted the
-                // caller's correlation id, so remote task operations show
-                // up inside the caller's chain.
-                task.machine()
-                    .trace_event("kernel.objport", machsim::EventKind::Mark("task_request"));
-                match msg.id {
-                    TASK_SUSPEND => {
-                        task.suspend();
-                        reply_to(&msg, Message::new(TASK_OK));
+            .spawn(move || {
+                while let Ok(mut msg) = rx.receive(None) {
+                    if key.opens(&msg) {
+                        break;
                     }
-                    TASK_RESUME => {
-                        task.resume();
-                        reply_to(&msg, Message::new(TASK_OK));
+                    // Annotate the kernel-object hop; the receive adopted the
+                    // caller's correlation id, so remote task operations show
+                    // up inside the caller's chain.
+                    task.machine()
+                        .trace_event("kernel.objport", machsim::EventKind::Mark("task_request"));
+                    let reply_to = msg.reply.take();
+                    let reply = match TaskRequest::decode(msg).map(|r| perform(&task, r)) {
+                        Ok(Ok(reply)) => reply,
+                        _ => TaskReply::Rejected,
+                    };
+                    if let Some(r) = reply_to {
+                        let _ = r.send(reply.encode(), Some(Duration::from_secs(5)));
                     }
-                    TASK_STATISTICS => {
-                        let st = task.vm_statistics();
-                        reply_to(
-                            &msg,
-                            Message::new(TASK_OK).with(MsgItem::u64s(&[
-                                st.pagesize,
-                                st.free_count,
-                                st.active_count,
-                                st.inactive_count,
-                                st.faults,
-                                st.pageins,
-                                st.pageouts,
-                            ])),
-                        );
-                    }
-                    TASK_VM_ALLOCATE => {
-                        let args = ids(&msg);
-                        match args.first().map(|&size| task.vm_allocate(size)) {
-                            Some(Ok(addr)) => {
-                                reply_to(&msg, Message::new(TASK_OK).with(MsgItem::u64s(&[addr])))
-                            }
-                            _ => reply_to(&msg, Message::new(TASK_ERR)),
-                        }
-                    }
-                    TASK_VM_DEALLOCATE => {
-                        let args = ids(&msg);
-                        let ok = args.len() >= 2 && task.vm_deallocate(args[0], args[1]).is_ok();
-                        reply_to(&msg, Message::new(if ok { TASK_OK } else { TASK_ERR }));
-                    }
-                    TASK_VM_READ => {
-                        let args = ids(&msg);
-                        match args.len() {
-                            n if n >= 2 => match task.vm_read(args[0], args[1]) {
-                                Ok(data) => reply_to(
-                                    &msg,
-                                    Message::new(TASK_OK).with(MsgItem::OutOfLine(
-                                        machipc::OolBuffer::from_vec(data),
-                                    )),
-                                ),
-                                Err(_) => reply_to(&msg, Message::new(TASK_ERR)),
-                            },
-                            _ => reply_to(&msg, Message::new(TASK_ERR)),
-                        }
-                    }
-                    TASK_VM_WRITE => {
-                        let args = ids(&msg);
-                        let data = msg.body.iter().find_map(|i| i.as_ool());
-                        let ok = match (args.first(), data) {
-                            (Some(&addr), Some(d)) => task.vm_write(addr, d.as_slice()).is_ok(),
-                            _ => false,
-                        };
-                        reply_to(&msg, Message::new(if ok { TASK_OK } else { TASK_ERR }));
-                    }
-                    TASK_PORT_SHUTDOWN => break,
-                    _ => reply_to(&msg, Message::new(TASK_ERR)),
                 }
             })
             .expect("spawn task port server");
         Arc::new(TaskPort {
             port: tx,
+            stop,
             thread: Mutex::new(Some(thread)),
         })
     }
@@ -165,13 +160,15 @@ impl TaskPort {
 
 impl Drop for TaskPort {
     fn drop(&mut self) {
-        self.port
-            .send_notification(Message::new(TASK_PORT_SHUTDOWN));
+        self.port.send_notification(self.stop.message());
         if let Some(t) = self.thread.lock().take() {
             let _ = t.join();
         }
     }
 }
+
+/// How long a client waits to send a request, and then for its reply.
+const RPC_TIMEOUT: Option<Duration> = Some(Duration::from_secs(10));
 
 /// Client-side view of a remote task: RPC wrappers over a task port.
 ///
@@ -216,67 +213,60 @@ impl RemoteTask {
         Self { port }
     }
 
-    fn rpc(&self, msg: Message) -> Result<Message, TaskPortError> {
-        let reply = self.port.rpc(
-            msg,
-            Some(Duration::from_secs(10)),
-            Some(Duration::from_secs(10)),
-        )?;
-        if reply.id == TASK_OK {
-            Ok(reply)
-        } else {
-            Err(TaskPortError::Rejected)
+    /// Performs `request`; a failure, or a reply that is not the task
+    /// port's, is `Rejected`.
+    fn rpc(&self, request: TaskRequest) -> Result<TaskReply, TaskPortError> {
+        let reply = self.port.rpc(request.encode(), RPC_TIMEOUT, RPC_TIMEOUT)?;
+        match TaskReply::decode(reply) {
+            Ok(TaskReply::Rejected) | Err(Malformed) => Err(TaskPortError::Rejected),
+            Ok(reply) => Ok(reply),
         }
     }
 
     /// `task_suspend` by message.
     pub fn suspend(&self) -> Result<(), TaskPortError> {
-        self.rpc(Message::new(TASK_SUSPEND)).map(|_| ())
+        self.rpc(TaskRequest::Suspend).map(drop)
     }
 
     /// `task_resume` by message.
     pub fn resume(&self) -> Result<(), TaskPortError> {
-        self.rpc(Message::new(TASK_RESUME)).map(|_| ())
+        self.rpc(TaskRequest::Resume).map(drop)
     }
 
     /// `vm_statistics` by message; returns (pagesize, free, active,
     /// inactive, faults, pageins, pageouts).
     pub fn statistics(&self) -> Result<Vec<u64>, TaskPortError> {
-        let reply = self.rpc(Message::new(TASK_STATISTICS))?;
-        reply.body[0].as_u64s().ok_or(TaskPortError::Rejected)
+        match self.rpc(TaskRequest::Statistics)? {
+            TaskReply::Statistics(a, b, c, d, e, f, g) => Ok(vec![a, b, c, d, e, f, g]),
+            _ => Err(TaskPortError::Rejected),
+        }
     }
 
     /// `vm_allocate` by message.
     pub fn vm_allocate(&self, size: u64) -> Result<u64, TaskPortError> {
-        let reply = self.rpc(Message::new(TASK_VM_ALLOCATE).with(MsgItem::u64s(&[size])))?;
-        Ok(reply.body[0].as_u64s().ok_or(TaskPortError::Rejected)?[0])
+        match self.rpc(TaskRequest::VmAllocate(size))? {
+            TaskReply::Allocated(address) => Ok(address),
+            _ => Err(TaskPortError::Rejected),
+        }
     }
 
     /// `vm_deallocate` by message.
     pub fn vm_deallocate(&self, address: u64, size: u64) -> Result<(), TaskPortError> {
-        self.rpc(Message::new(TASK_VM_DEALLOCATE).with(MsgItem::u64s(&[address, size])))
-            .map(|_| ())
+        self.rpc(TaskRequest::VmDeallocate(address, size)).map(drop)
     }
 
     /// `vm_read` by message: reads another task's memory.
     pub fn vm_read(&self, address: u64, size: u64) -> Result<Vec<u8>, TaskPortError> {
-        let reply = self.rpc(Message::new(TASK_VM_READ).with(MsgItem::u64s(&[address, size])))?;
-        reply
-            .body
-            .iter()
-            .find_map(|i| i.as_ool())
-            .map(|b| b.as_slice().to_vec())
-            .ok_or(TaskPortError::Rejected)
+        match self.rpc(TaskRequest::VmRead(address, size))? {
+            TaskReply::Data(data) => Ok(data.as_slice().to_vec()),
+            _ => Err(TaskPortError::Rejected),
+        }
     }
 
     /// `vm_write` by message: writes another task's memory.
     pub fn vm_write(&self, address: u64, data: &[u8]) -> Result<(), TaskPortError> {
-        self.rpc(
-            Message::new(TASK_VM_WRITE)
-                .with(MsgItem::u64s(&[address]))
-                .with(MsgItem::OutOfLine(machipc::OolBuffer::from_slice(data))),
-        )
-        .map(|_| ())
+        let data = OolBuffer::from_slice(data);
+        self.rpc(TaskRequest::VmWrite(address, data)).map(drop)
     }
 }
 
@@ -325,6 +315,25 @@ mod tests {
         let st = rt.statistics().unwrap();
         assert_eq!(st[0], 4096); // pagesize
         assert!(st[4] >= 1); // faults
+    }
+
+    #[test]
+    fn an_ok_with_no_body_is_a_rejection_not_a_panic() {
+        let (k, _t, _tp, _rt) = setup();
+        let (rx, tx) = ReceiveRight::allocate(k.machine());
+        let server = std::thread::spawn(move || {
+            for _ in 0..2 {
+                let msg = rx.receive(RPC_TIMEOUT).expect("a request");
+                let reply = msg.reply.expect("an RPC");
+                reply
+                    .send(machipc::Message::new(TASK_OK), None)
+                    .expect("the client waits");
+            }
+        });
+        let remote = RemoteTask::new(tx);
+        assert_eq!(remote.statistics(), Err(TaskPortError::Rejected));
+        assert_eq!(remote.vm_allocate(4096), Err(TaskPortError::Rejected));
+        server.join().expect("the bare server");
     }
 
     #[test]

@@ -2,121 +2,334 @@
 //!
 //! Every call in Tables 3-4, 3-5 and 3-6 is "implemented using IPC; the
 //! first argument to each call is the port to which the request is sent".
-//! This module pins down the message ids and body layouts. All kernel ↔
-//! data-manager messages carry the kernel-internal object id as their first
-//! `u64` so one port can serve many objects (the default pager does; user
-//! managers usually allocate one port per object and may ignore it).
+//! Each protocol is one type: an enum whose variants are its messages,
+//! declared with [`protocol!`](crate::protocol), which gives it the one
+//! `encode` and the one `decode` its senders and receivers use — here
+//! [`KernelToManager`] (Table 3-5), [`ManagerToKernel`] (Table 3-6) and
+//! [`HostRequest`]; the task port's in `machcore::objport`, the file
+//! server's in `machpagers::fs`. Every kernel ↔ data-manager call carries
+//! the kernel's object id first, so one port can serve many objects.
 //!
-//! Kernel → data manager (sent to the *memory object port*, Table 3-5):
+//! No message acknowledges a `pager_data_write`: the manager's release of
+//! the data is its `vm_deallocate`, a memory operation, and the kernel
+//! watches the buffer it sent for the last handle to go
+//! (`machcore::backend`). Id `0x2306`, once that acknowledgement, stays
+//! unassigned, so an old manager's message is counted in
+//! `emm.malformed_dropped`.
 //!
-//! | id | call | body |
-//! |----|------|------|
-//! | [`PAGER_INIT`] | `pager_init` | u64s `[object]`; send rights `[request, name]` |
-//! | [`PAGER_DATA_REQUEST`] | `pager_data_request` | u64s `[object, offset, length, access]`; rights `[request]` |
-//! | [`PAGER_DATA_WRITE`] | `pager_data_write` | u64s `[object, offset]`; OOL data |
-//! | [`PAGER_DATA_UNLOCK`] | `pager_data_unlock` | u64s `[object, offset, length, access]`; rights `[request]` |
-//! | [`PAGER_CREATE`] | `pager_create` | u64s `[object]`; rights `[request, name]` |
-//!
-//! Data manager → kernel (sent to the *pager request port*, Table 3-6):
-//!
-//! | id | call | body |
-//! |----|------|------|
-//! | [`PAGER_DATA_PROVIDED`] | `pager_data_provided` | u64s `[object, offset, lock]`; OOL data |
-//! | [`PAGER_DATA_LOCK`] | `pager_data_lock` | u64s `[object, offset, length, lock]` |
-//! | [`PAGER_FLUSH_REQUEST`] | `pager_flush_request` | u64s `[object, offset, length]` |
-//! | [`PAGER_CLEAN_REQUEST`] | `pager_clean_request` | u64s `[object, offset, length]` |
-//! | [`PAGER_CACHE`] | `pager_cache` | u64s `[object, may_cache]` |
-//! | [`PAGER_DATA_UNAVAILABLE`] | `pager_data_unavailable` | u64s `[object, offset, size]` |
-//! | [`PAGER_SET_CLUSTER`] | (cluster-size attribute) | u64s `[object, pages]` |
-//!
-//! No message acknowledges a `pager_data_write`. The manager's release of
-//! the written data is its `vm_deallocate` — a memory operation — and the
-//! kernel observes the memory: it watches the out-of-line buffer it sent
-//! and sees the last handle go (`machcore::backend`). Id `0x2306`, once
-//! that acknowledgement, stays unassigned inside the Table 3-6 range, so
-//! an old manager's message is counted in `emm.malformed_dropped`.
-//!
-//! Any task → kernel (sent to the *host port*, in the style of Mach's
-//! `host_info`/`vm_statistics` — introspection is just another message
-//! protocol, so a remote host can query it through a network proxy port):
-//!
-//! | id | call | body |
-//! |----|------|------|
-//! | [`HOST_STATISTICS`] | `host_statistics` | empty; reply port |
-//! | [`HOST_VM_STATISTICS`] | `host_vm_statistics` | empty; reply port |
-//! | [`HOST_TASK_INFO`] | `host_task_info` | empty; reply port |
-//! | [`HOST_TRACE_QUERY`] | `host_trace_query` | u64s `[correlation_or_0, max_events]`; reply port |
-//!
-//! Replies carry the corresponding `*_REPLY` id; see `machcore::introspect`
-//! for the body encodings.
+//! Shutdown is not a call of any protocol: a server loop stops only on a
+//! message from its owner (see [`StopKey`]).
 
-/// Kernel → manager: initialize a memory object (Table 3-5).
-pub const PAGER_INIT: u32 = 0x2200;
-/// Kernel → manager: request data (Table 3-5).
-///
-/// The async fault engine batches these: runs coalesced per (pager,
-/// object) ship as *many messages in one `send_many` enqueue* — one lock
-/// round and one manager wakeup for a whole wave of faults. Each message
-/// in the batch still carries its own faulting thread's correlation id,
-/// so per-fault causal chains survive the batching (see
-/// `machvm::continuation` and `IpcPagerBackend::data_request_many`).
-pub const PAGER_DATA_REQUEST: u32 = 0x2201;
-/// Kernel → manager: write back dirty data (Table 3-5).
-pub const PAGER_DATA_WRITE: u32 = 0x2202;
-/// Kernel → manager: ask for a lock to be relaxed (Table 3-5).
-pub const PAGER_DATA_UNLOCK: u32 = 0x2203;
-/// Kernel → default pager: adopt a kernel-created object (Table 3-5).
-pub const PAGER_CREATE: u32 = 0x2204;
-/// Kernel → manager: the object is terminated; release its backing
-/// storage. (Real Mach signals this via request/name port death; the
-/// explicit message is needed here because one port may serve many
-/// objects.)
-pub const PAGER_TERMINATE: u32 = 0x2205;
+use machipc::{MsgItem, OolBuffer, SendRight, TypeTag};
+use machvm::VmProt;
+use std::any::Any;
+use std::collections::VecDeque;
+use std::sync::Arc;
 
-/// Manager → kernel: supply object data (Table 3-6).
-pub const PAGER_DATA_PROVIDED: u32 = 0x2300;
-/// Manager → kernel: restrict access to cached data (Table 3-6).
-pub const PAGER_DATA_LOCK: u32 = 0x2301;
-/// Manager → kernel: invalidate cached data (Table 3-6).
-pub const PAGER_FLUSH_REQUEST: u32 = 0x2302;
-/// Manager → kernel: write back cached data (Table 3-6).
-pub const PAGER_CLEAN_REQUEST: u32 = 0x2303;
-/// Manager → kernel: set persistence advice (Table 3-6).
-pub const PAGER_CACHE: u32 = 0x2304;
-/// Manager → kernel: no data exists for the region (Table 3-6).
-pub const PAGER_DATA_UNAVAILABLE: u32 = 0x2305;
-/// Manager → kernel: cap cluster paging for the object at the given
-/// number of pages per `pager_data_request` (the cluster-size attribute
-/// of `memory_object_set_attributes` in later Mach; 1 disables prefetch).
-/// Body: u64s `[object, pages]`.
-pub const PAGER_SET_CLUSTER: u32 = 0x2307;
+pub use machipc::Message;
 
-/// Task → kernel host port: snapshot every named counter and latency
-/// histogram of the serving host.
-pub const HOST_STATISTICS: u32 = 0x2500;
-/// Reply to [`HOST_STATISTICS`].
+/// Reply to [`HostRequest::Statistics`]: `introspect::HostStatistics`.
 pub const HOST_STATISTICS_REPLY: u32 = 0x2501;
-/// Task → kernel host port: snapshot resident-memory state (frame census,
-/// whole and per memory node, pageout queue lengths).
-pub const HOST_VM_STATISTICS: u32 = 0x2502;
-/// Reply to [`HOST_VM_STATISTICS`].
+/// Reply to [`HostRequest::VmStatistics`]: `introspect::VmStatisticsSnapshot`.
 pub const HOST_VM_STATISTICS_REPLY: u32 = 0x2503;
-/// Task → kernel host port: list live tasks with their VM map summaries.
-pub const HOST_TASK_INFO: u32 = 0x2504;
-/// Reply to [`HOST_TASK_INFO`].
+/// Reply to [`HostRequest::TaskInfo`]: `introspect::TaskInfoReply`.
 pub const HOST_TASK_INFO_REPLY: u32 = 0x2505;
-/// Task → kernel host port: fetch trace events (one chain, or the tail of
-/// the ring when the correlation argument is 0).
-pub const HOST_TRACE_QUERY: u32 = 0x2506;
-/// Reply to [`HOST_TRACE_QUERY`].
+/// Reply to [`HostRequest::TraceQuery`]: `introspect::TraceQueryReply`.
 pub const HOST_TRACE_QUERY_REPLY: u32 = 0x2507;
 
-/// Kernel service loop control: shut down.
+/// Server loop control: shut down (honoured only from the loop's owner).
 pub const KERNEL_SHUTDOWN: u32 = 0x2FFF;
 
 /// Opaque-handle tag for in-kernel memory region descriptors carried in
 /// out-of-line message transfer (see `machcore::msg`).
 pub const OPAQUE_REGION: u32 = 0x5E61;
+
+crate::protocol! {
+    /// Kernel → data manager: the calls of Table 3-5, sent to the memory
+    /// object port. Those that expect an answer name the kernel's pager
+    /// request port, "to which the data should be returned".
+    #[derive(Debug)]
+    pub enum KernelToManager {
+        /// `pager_init(object, request, name)`: a kernel mapped the object
+        /// for the first time; it holds the receive rights of both ports.
+        Init(object: u64, request: SendRight, name: Option<SendRight>) = PAGER_INIT: 0x2200,
+        /// `pager_data_request(object, offset, length, access, request)`.
+        /// The fault engine sends a wave of these in one `send_many`, each
+        /// with its own fault's correlation id.
+        DataRequest(
+            object: u64, offset: u64, length: u64, access: VmProt, request: SendRight
+        ) = PAGER_DATA_REQUEST: 0x2201,
+        /// `pager_data_write(object, offset, data, request)`: dirty data
+        /// is being cleaned. Nothing answers it.
+        DataWrite(object: u64, offset: u64, data: OolBuffer, request: SendRight)
+            = PAGER_DATA_WRITE: 0x2202,
+        /// `pager_data_unlock(object, offset, length, access, request)`.
+        DataUnlock(
+            object: u64, offset: u64, length: u64, access: VmProt, request: SendRight
+        ) = PAGER_DATA_UNLOCK: 0x2203,
+        /// `pager_create(object, request)`: the default pager adopts a
+        /// kernel-created object (this kernel's own names no request port).
+        Create(object: u64, request: Option<SendRight>) = PAGER_CREATE: 0x2204,
+        /// `(object)` is terminated: release its backing storage. (Mach
+        /// signals this by request and name port death; one port may serve
+        /// many objects here.)
+        Terminate(object: u64) = PAGER_TERMINATE: 0x2205,
+    }
+}
+
+crate::protocol! {
+    /// Data manager → kernel: the calls of Table 3-6, sent to the pager
+    /// request port. A `lock` names the access that must be prevented.
+    #[derive(Debug)]
+    pub enum ManagerToKernel {
+        /// `pager_data_provided(object, offset, lock, data)`.
+        DataProvided(object: u64, offset: u64, lock: VmProt, data: OolBuffer)
+            = PAGER_DATA_PROVIDED: 0x2300,
+        /// `pager_data_lock(object, offset, length, lock)`.
+        DataLock(object: u64, offset: u64, length: u64, lock: VmProt) = PAGER_DATA_LOCK: 0x2301,
+        /// `pager_flush_request(object, offset, length)`: invalidate.
+        FlushRequest(object: u64, offset: u64, length: u64) = PAGER_FLUSH_REQUEST: 0x2302,
+        /// `pager_clean_request(object, offset, length)`: write back.
+        CleanRequest(object: u64, offset: u64, length: u64) = PAGER_CLEAN_REQUEST: 0x2303,
+        /// `pager_cache(object, may_cache)` once unreferenced.
+        Cache(object: u64, may_cache: bool) = PAGER_CACHE: 0x2304,
+        /// `pager_data_unavailable(object, offset, size)`: zero-fill.
+        DataUnavailable(object: u64, offset: u64, size: u64)
+            = PAGER_DATA_UNAVAILABLE: 0x2305,
+        /// `(object, pages)`: at most `pages` per `pager_data_request` (1:
+        /// no prefetch), the cluster-size attribute of later Mach.
+        SetCluster(object: u64, pages: u64) = PAGER_SET_CLUSTER: 0x2307,
+    }
+}
+
+crate::protocol! {
+    /// Any task → kernel host port, in the style of Mach's `host_info`:
+    /// introspection is just another message protocol, so a remote host
+    /// can query it through a network proxy port. Each call is an RPC;
+    /// its typed reply is in `machcore::introspect`.
+    #[derive(Debug)]
+    pub enum HostRequest {
+        /// `host_statistics`: every counter and latency histogram.
+        Statistics = HOST_STATISTICS: 0x2500,
+        /// `host_vm_statistics`: the frame census, whole and per node.
+        VmStatistics = HOST_VM_STATISTICS: 0x2502,
+        /// `host_task_info`: live tasks and their address maps.
+        TaskInfo = HOST_TASK_INFO: 0x2504,
+        /// `host_trace_query(correlation, max_events)`: one chain, or the
+        /// ring's tail when `correlation` is 0.
+        TraceQuery(correlation: u64, max_events: u64) = HOST_TRACE_QUERY: 0x2506,
+    }
+}
+
+/// A message that is not one of its protocol's: an unknown id, or a body
+/// without the fields its id needs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Malformed;
+
+/// A message body taken apart by item kind: the one reader and writer of
+/// a message's shape. A body is a name (bytes), an array of `u64` words,
+/// an out-of-line buffer and send rights, on the wire in that order, each
+/// item present only when there is something in it.
+#[derive(Default)]
+pub struct Parts {
+    name: Option<Vec<u8>>,
+    words: VecDeque<u64>,
+    ool: Option<OolBuffer>,
+    rights: VecDeque<SendRight>,
+}
+
+/// How many words, rights, names and out-of-line buffers something needs.
+pub type Need = [usize; 4];
+
+impl Parts {
+    /// Takes a received body apart, moving its buffer and rights out: the
+    /// first name, word array and out-of-line buffer, and every right.
+    pub fn of(body: Vec<MsgItem>) -> Parts {
+        let mut parts = Parts::default();
+        for item in body {
+            match item {
+                MsgItem::Inline {
+                    tag: TypeTag::Int64,
+                    ..
+                } if parts.words.is_empty() => {
+                    parts.words = item.as_u64s().unwrap_or_default().into()
+                }
+                MsgItem::Inline {
+                    tag: TypeTag::Byte | TypeTag::Char,
+                    data,
+                } if parts.name.is_none() => parts.name = Some(data),
+                MsgItem::OutOfLine(data) if parts.ool.is_none() => parts.ool = Some(data),
+                MsgItem::SendRights(rights) => parts.rights.extend(rights),
+                _ => {}
+            }
+        }
+        parts
+    }
+
+    /// The message `id` with this body.
+    pub fn into_message(mut self, id: u32) -> Message {
+        let mut msg = Message::new(id);
+        msg.body.extend(self.name.map(MsgItem::bytes));
+        if !self.words.is_empty() {
+            msg.body.push(MsgItem::u64s(self.words.make_contiguous()));
+        }
+        msg.body.extend(self.ool.map(MsgItem::OutOfLine));
+        if !self.rights.is_empty() {
+            msg.body.push(MsgItem::SendRights(self.rights.into()));
+        }
+        msg
+    }
+
+    /// Whether the body holds all of each need.
+    pub fn fits(&self, needs: &[Need]) -> bool {
+        let (words, rights) = (self.words.len(), self.rights.len());
+        let have = [words, rights, self.name.iter().len(), self.ool.iter().len()];
+        (0..4).all(|i| have[i] >= needs.iter().map(|need| need[i]).sum())
+    }
+
+    /// The name, as text.
+    pub fn text(&mut self) -> Result<String, Malformed> {
+        String::from_utf8(self.name.take().ok_or(Malformed)?).map_err(|_| Malformed)
+    }
+
+    /// The words not yet taken.
+    pub fn words(&mut self) -> impl Iterator<Item = u64> + '_ {
+        self.words.drain(..)
+    }
+}
+
+/// A value with a place in a message body: a word (`u64`, [`VmProt`],
+/// `bool`), the name (`String`, which must be UTF-8), the out-of-line
+/// buffer, a send right, or an `Option` of one.
+pub trait Field: Sized {
+    /// What taking this field needs of a body.
+    const NEED: Need;
+    /// Puts the value in its place.
+    fn put(self, parts: &mut Parts);
+    /// Takes the value out of a body that [`Parts::fits`] its need.
+    fn take(parts: &mut Parts) -> Result<Self, Malformed>;
+}
+
+/// Implements [`Field`] for the types that fill one place: each line is
+/// `type: need, |parts, value| put, |parts| take`.
+macro_rules! field {
+    ($($ty:ty: $need:expr, |$parts:ident, $value:ident| $put:expr, |$from:ident| $take:expr;)*)
+    => {$(
+        impl Field for $ty {
+            const NEED: Need = $need;
+            fn put(self, $parts: &mut Parts) {
+                let $value = self;
+                $put;
+            }
+            fn take($from: &mut Parts) -> Result<Self, Malformed> {
+                $take.ok_or(Malformed)
+            }
+        }
+    )*};
+}
+
+field! {
+    u64: [1, 0, 0, 0], |p, v| p.words.push_back(v), |p| p.words.pop_front();
+    VmProt: [1, 0, 0, 0], |p, v| u64::from(v.0).put(p),
+        |p| p.words.pop_front().map(|w| VmProt(w as u8));
+    bool: [1, 0, 0, 0], |p, v| u64::from(v).put(p), |p| p.words.pop_front().map(|w| w != 0);
+    String: [0, 0, 1, 0], |p, v| p.name = Some(v.into_bytes()), |p| p.text().ok();
+    OolBuffer: [0, 0, 0, 1], |p, v| p.ool = Some(v), |p| p.ool.take();
+    SendRight: [0, 1, 0, 0], |p, v| p.rights.push_back(v), |p| p.rights.pop_front();
+}
+
+impl<T: Field> Field for Option<T> {
+    const NEED: Need = [0; 4];
+    fn put(self, parts: &mut Parts) {
+        self.into_iter().for_each(|value| value.put(parts));
+    }
+    fn take(parts: &mut Parts) -> Result<Self, Malformed> {
+        parts.fits(&[T::NEED]).then(|| T::take(parts)).transpose()
+    }
+}
+
+/// Declares a protocol: an enum whose variants are its messages, with
+/// `encode(self) -> Message` and `decode(Message) -> Result<Self, Malformed>`.
+///
+/// A variant is `Name(field: Type, ..) = ID: value`, or `Name = ID: value`
+/// with no fields; it declares the wire id `ID` unless the value is left
+/// out (an id declared elsewhere). Each field's [`Field`] type says where
+/// it goes in the body ([`Parts`]), words in declaration order; extra
+/// words and items are ignored. Variants may share an id (a reply's
+/// shapes): `decode` takes the first declared whose fields the body holds,
+/// so the one that needs most comes first.
+#[macro_export]
+macro_rules! protocol {
+    ($(#[$meta:meta])* $vis:vis enum $name:ident {
+        $($(#[$vmeta:meta])* $variant:ident $(($($field:ident: $ty:ty),* $(,)?))?
+            = $id:ident $(: $value:literal)?),* $(,)?
+    }) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $($(#[$vmeta])* $variant $(($($ty),*))?),*
+        }
+
+        $($(
+            #[doc = concat!("Wire id of [`", stringify!($name), "::", stringify!($variant), "`].")]
+            $vis const $id: u32 = $value;
+        )?)*
+
+        impl $name {
+            /// The message for this call.
+            pub fn encode(self) -> $crate::proto::Message {
+                #[allow(unused_mut)]
+                let mut parts = $crate::proto::Parts::default();
+                match self {
+                    $(Self::$variant $(($($field),*))? => {
+                        $($($crate::proto::Field::put($field, &mut parts);)*)?
+                        parts.into_message($id)
+                    })*
+                }
+            }
+
+            /// The call a received message makes, or why it makes none.
+            pub fn decode(msg: $crate::proto::Message) -> Result<Self, $crate::proto::Malformed> {
+                #[allow(unused_mut)]
+                let mut parts = $crate::proto::Parts::of(msg.body);
+                $(if msg.id == $id && parts.fits(&[$($(<$ty as $crate::proto::Field>::NEED),*)?]) {
+                    return Ok(Self::$variant $(($({
+                        let $field: $ty = $crate::proto::Field::take(&mut parts)?;
+                        $field
+                    }),*))?);
+                })*
+                Err($crate::proto::Malformed)
+            }
+        }
+    };
+}
+
+/// The key to a server loop: the loop stops on a message only when it
+/// carries the key its owner holds, so a client that can send to the
+/// loop's port cannot stop it.
+#[derive(Clone)]
+pub struct StopKey(u32, Arc<dyn Any + Send + Sync>);
+
+impl StopKey {
+    /// A fresh key for stop messages with id `id`.
+    pub fn new(id: u32) -> StopKey {
+        StopKey(id, Arc::new(()))
+    }
+
+    /// The message that stops the loop holding this key.
+    pub fn message(&self) -> Message {
+        let (tag, handle) = (self.0, self.1.clone());
+        Message::new(self.0).with(MsgItem::Opaque { tag, handle })
+    }
+
+    /// Whether `msg` is this key's stop message.
+    pub fn opens(&self, msg: &Message) -> bool {
+        msg.id == self.0
+            && msg.body.iter().any(|item| match item {
+                MsgItem::Opaque { handle, .. } => Arc::ptr_eq(handle, &self.1),
+                _ => false,
+            })
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -152,5 +365,27 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), ids.len());
+    }
+
+    #[test]
+    fn encoding_is_the_one_item_order() {
+        let (_rx, right) = machipc::ReceiveRight::allocate(&machsim::Machine::default_machine());
+        let data = OolBuffer::from_vec(vec![1; 4096]);
+        let msg = KernelToManager::DataWrite(3, 4096, data, right).encode();
+        assert_eq!(msg.id, PAGER_DATA_WRITE);
+        assert_eq!(
+            format!("{:?}", msg.body),
+            "[Inline(Int64, 16 bytes), OutOfLine(4096 bytes), SendRights(x1)]"
+        );
+        let empty = HostRequest::Statistics.encode();
+        assert!(empty.body.is_empty());
+    }
+
+    #[test]
+    fn a_stop_message_opens_only_its_own_key() {
+        let (a, b) = (StopKey::new(KERNEL_SHUTDOWN), StopKey::new(KERNEL_SHUTDOWN));
+        assert!(a.opens(&a.message()));
+        assert!(!a.opens(&b.message()));
+        assert!(!a.opens(&Message::new(KERNEL_SHUTDOWN)));
     }
 }

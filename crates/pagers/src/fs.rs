@@ -14,10 +14,11 @@
 //! pages stay in the VM cache between opens. That advice is the entire
 //! mechanism behind Section 9's performance claims.
 
+use machcore::proto::{Malformed, StopKey};
 use machcore::{spawn_manager, DataManager, KernelConn, ManagerHandle, Task};
-use machipc::{IpcError, Message, MsgItem, OolBuffer, ReceiveRight, SendRight};
+use machipc::{IpcError, OolBuffer, ReceiveRight, SendRight};
 use machsim::{EventKind, Machine};
-use machstorage::FlatFs;
+use machstorage::{FlatFs, FsError};
 use machvm::{VmError, VmProt};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -25,24 +26,46 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// `fs_read_file`: request a copy-on-write mapping of a whole file.
-pub const FS_READ_FILE: u32 = 0x4101;
-/// `fs_write_file`: replace (a prefix of) a file's contents.
-pub const FS_WRITE_FILE: u32 = 0x4102;
-/// Create an empty file.
-pub const FS_CREATE: u32 = 0x4103;
-/// Open a file for shared mapped access; returns the memory object.
-pub const FS_OPEN_MAPPED: u32 = 0x4104;
-/// Force cached modifications of a file back to the server.
-pub const FS_SYNC: u32 = 0x4105;
-/// Query a file's size.
-pub const FS_STAT: u32 = 0x4106;
 /// Shut the server down.
 pub const FS_SHUTDOWN: u32 = 0x41FF;
 /// Generic success reply.
 pub const FS_OK: u32 = 0x4180;
 /// Generic failure reply.
 pub const FS_ERR: u32 = 0x4181;
+
+machcore::protocol! {
+    /// Requests to the file server, each naming a file (UTF-8).
+    #[derive(Debug)]
+    pub enum FsRequest {
+        /// `fs_read_file`: a copy-on-write mapping of the whole file.
+        ReadFile(name: String) = FS_READ_FILE: 0x4101,
+        /// `fs_write_file(name, data)`: `data` replaces the file's prefix.
+        WriteFile(name: String, data: OolBuffer) = FS_WRITE_FILE: 0x4102,
+        /// Create an empty file.
+        Create(name: String) = FS_CREATE: 0x4103,
+        /// The file's memory object, for a shared mapping.
+        OpenMapped(name: String) = FS_OPEN_MAPPED: 0x4104,
+        /// Write the file's cached modifications back.
+        Sync(name: String) = FS_SYNC: 0x4105,
+        /// The file's size.
+        Stat(name: String) = FS_STAT: 0x4106,
+    }
+}
+
+machcore::protocol! {
+    /// The file server's answers.
+    #[derive(Debug)]
+    pub enum FsReply {
+        /// `(size, object)`: the file's memory object (read, open).
+        Object(size: u64, object: SendRight) = FS_OK,
+        /// The file's size (stat).
+        Size(size: u64) = FS_OK,
+        /// Done (create, write, sync).
+        Done = FS_OK,
+        /// The request failed, or was malformed.
+        Failed = FS_ERR,
+    }
+}
 
 /// Shared per-file state between the server loop and the file's pager.
 struct FileState {
@@ -125,6 +148,7 @@ pub struct FileServer {
     machine: Machine,
     fs: Arc<FlatFs>,
     port: SendRight,
+    stop: StopKey,
     thread: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
@@ -142,8 +166,8 @@ struct ServerState {
 }
 
 impl ServerState {
-    fn pager_for(&mut self, name: &str) -> Result<(SendRight, u64), String> {
-        let size = self.fs.size(name).map_err(|e| e.to_string())? as u64;
+    fn pager_for(&mut self, name: &str) -> Result<(SendRight, u64), FsError> {
+        let size = self.fs.size(name)? as u64;
         if let Some((handle, state)) = self.pagers.get(name) {
             return Ok((handle.port().clone(), state.lock().size.max(size)));
         }
@@ -161,18 +185,29 @@ impl ServerState {
         self.pagers.insert(name.to_string(), (handle, state));
         Ok((port, size))
     }
-}
 
-fn name_of(msg: &Message) -> Option<String> {
-    msg.body
-        .iter()
-        .find_map(|i| i.as_bytes())
-        .map(|b| String::from_utf8_lossy(b).to_string())
-}
-
-fn reply_to(msg: &Message, reply: Message) {
-    if let Some(r) = &msg.reply {
-        let _ = r.send(reply, Some(Duration::from_secs(5)));
+    /// Performs one request; one with nothing to return answers `Done`.
+    fn perform(&mut self, request: FsRequest) -> Result<FsReply, FsError> {
+        match request {
+            FsRequest::Create(name) => self.fs.create(&name)?,
+            FsRequest::ReadFile(name) | FsRequest::OpenMapped(name) => {
+                let (object, size) = self.pager_for(&name)?;
+                return Ok(FsReply::Object(size, object));
+            }
+            FsRequest::WriteFile(name, data) => {
+                self.fs.size(&name)?; // Writes do not create files.
+                self.fs.write(&name, 0, data.as_slice())?
+            }
+            FsRequest::Sync(name) => {
+                if let Some((_, fstate)) = self.pagers.get(&name) {
+                    for (conn, object) in fstate.lock().conns.iter() {
+                        conn.clean_request(*object, 0, u64::MAX / 2);
+                    }
+                }
+            }
+            FsRequest::Stat(name) => return Ok(FsReply::Size(self.fs.size(&name)? as u64)),
+        }
+        Ok(FsReply::Done)
     }
 }
 
@@ -186,61 +221,23 @@ impl FileServer {
             machine: machine.clone(),
             pagers: HashMap::new(),
         };
+        let stop = StopKey::new(FS_SHUTDOWN);
+        let key = stop.clone();
         let thread = std::thread::Builder::new()
             .name("file-server".into())
-            .spawn(move || loop {
-                let Ok(msg) = rx.receive(None) else { break };
-                match msg.id {
-                    FS_CREATE => {
-                        let ok = name_of(&msg)
-                            .map(|n| state.fs.create(&n).is_ok())
-                            .unwrap_or(false);
-                        reply_to(&msg, Message::new(if ok { FS_OK } else { FS_ERR }));
+            .spawn(move || {
+                while let Ok(mut msg) = rx.receive(None) {
+                    if key.opens(&msg) {
+                        break;
                     }
-                    FS_READ_FILE | FS_OPEN_MAPPED => {
-                        let result = name_of(&msg)
-                            .ok_or_else(|| "bad name".to_string())
-                            .and_then(|n| state.pager_for(&n));
-                        match result {
-                            Ok((port, size)) => reply_to(
-                                &msg,
-                                Message::new(FS_OK)
-                                    .with(MsgItem::u64s(&[size]))
-                                    .with(MsgItem::SendRights(vec![port])),
-                            ),
-                            Err(_) => reply_to(&msg, Message::new(FS_ERR)),
-                        }
+                    let reply_to = msg.reply.take();
+                    let reply = match FsRequest::decode(msg).map(|r| state.perform(r)) {
+                        Ok(Ok(reply)) => reply,
+                        _ => FsReply::Failed,
+                    };
+                    if let Some(r) = reply_to {
+                        let _ = r.send(reply.encode(), Some(Duration::from_secs(5)));
                     }
-                    FS_WRITE_FILE => {
-                        let ok = match (name_of(&msg), msg.body.iter().find_map(|i| i.as_ool())) {
-                            (Some(n), Some(data)) => {
-                                state.fs.exists(&n)
-                                    && state.fs.write(&n, 0, data.as_slice()).is_ok()
-                            }
-                            _ => false,
-                        };
-                        reply_to(&msg, Message::new(if ok { FS_OK } else { FS_ERR }));
-                    }
-                    FS_SYNC => {
-                        if let Some(n) = name_of(&msg) {
-                            if let Some((_, fstate)) = state.pagers.get(&n) {
-                                let fstate = fstate.lock();
-                                for (conn, object) in fstate.conns.iter() {
-                                    conn.clean_request(*object, 0, u64::MAX / 2);
-                                }
-                            }
-                        }
-                        reply_to(&msg, Message::new(FS_OK));
-                    }
-                    FS_STAT => match name_of(&msg).and_then(|n| state.fs.size(&n).ok()) {
-                        Some(size) => reply_to(
-                            &msg,
-                            Message::new(FS_OK).with(MsgItem::u64s(&[size as u64])),
-                        ),
-                        None => reply_to(&msg, Message::new(FS_ERR)),
-                    },
-                    FS_SHUTDOWN => break,
-                    _ => reply_to(&msg, Message::new(FS_ERR)),
                 }
             })
             .expect("spawn file server");
@@ -248,6 +245,7 @@ impl FileServer {
             machine: machine.clone(),
             fs,
             port: tx,
+            stop,
             thread: Mutex::new(Some(thread)),
         })
     }
@@ -270,7 +268,7 @@ impl FileServer {
 
 impl Drop for FileServer {
     fn drop(&mut self) {
-        self.port.send_notification(Message::new(FS_SHUTDOWN));
+        self.port.send_notification(self.stop.message());
         if let Some(t) = self.thread.lock().take() {
             let _ = t.join();
         }
@@ -312,6 +310,9 @@ impl From<VmError> for FsClientError {
     }
 }
 
+/// How long a client waits to send a request, and then for its reply.
+const RPC_TIMEOUT: Option<Duration> = Some(Duration::from_secs(10));
+
 /// Client library for the filesystem server (the `fs_read_file` /
 /// `fs_write_file` calls of Section 4.1).
 pub struct FsClient {
@@ -324,75 +325,64 @@ impl FsClient {
         Self { server }
     }
 
-    fn rpc(&self, msg: Message) -> Result<Message, FsClientError> {
-        let reply = self.server.rpc(
-            msg,
-            Some(Duration::from_secs(10)),
-            Some(Duration::from_secs(10)),
-        )?;
-        if reply.id == FS_OK {
-            Ok(reply)
-        } else {
-            Err(FsClientError::Server)
+    /// Performs `request`; a failure, or a reply that is not the file
+    /// server's, is `Server`.
+    fn rpc(&self, request: FsRequest) -> Result<FsReply, FsClientError> {
+        let reply = self
+            .server
+            .rpc(request.encode(), RPC_TIMEOUT, RPC_TIMEOUT)?;
+        match FsReply::decode(reply) {
+            Ok(FsReply::Failed) | Err(Malformed) => Err(FsClientError::Server),
+            Ok(reply) => Ok(reply),
         }
     }
 
     /// Creates an empty file.
     pub fn create(&self, name: &str) -> Result<(), FsClientError> {
-        self.rpc(Message::new(FS_CREATE).with(MsgItem::bytes(name.as_bytes().to_vec())))?;
-        Ok(())
+        self.rpc(FsRequest::Create(name.to_string())).map(drop)
     }
 
     /// `fs_read_file`: maps the file copy-on-write into `task`; returns
     /// `(address, size)`. "This memory is copy-on-write in the
     /// application's address space."
     pub fn read_file(&self, task: &Task, name: &str) -> Result<(u64, u64), FsClientError> {
-        let reply =
-            self.rpc(Message::new(FS_READ_FILE).with(MsgItem::bytes(name.as_bytes().to_vec())))?;
-        let size = reply.body[0].as_u64s().ok_or(FsClientError::Server)?[0];
-        let MsgItem::SendRights(rights) = &reply.body[1] else {
+        let request = FsRequest::ReadFile(name.to_string());
+        let FsReply::Object(size, object) = self.rpc(request)? else {
             return Err(FsClientError::Server);
         };
-        let map_size = size.max(1);
-        let addr = task.map_object_copy(None, map_size, &rights[0], 0)?;
-        Ok((addr, size))
+        let address = task.map_object_copy(None, size.max(1), &object, 0)?;
+        Ok((address, size))
     }
 
     /// Maps the file shared read/write into `task` (writes flow back to
     /// the file via `pager_data_write`); returns `(address, size)`.
     pub fn open_mapped(&self, task: &Task, name: &str) -> Result<(u64, u64), FsClientError> {
-        let reply =
-            self.rpc(Message::new(FS_OPEN_MAPPED).with(MsgItem::bytes(name.as_bytes().to_vec())))?;
-        let size = reply.body[0].as_u64s().ok_or(FsClientError::Server)?[0];
-        let MsgItem::SendRights(rights) = &reply.body[1] else {
+        let request = FsRequest::OpenMapped(name.to_string());
+        let FsReply::Object(size, object) = self.rpc(request)? else {
             return Err(FsClientError::Server);
         };
-        let map_size = size.max(1);
-        let addr = task.vm_allocate_with_pager(None, map_size, &rights[0], 0)?;
-        Ok((addr, size))
+        let address = task.vm_allocate_with_pager(None, size.max(1), &object, 0)?;
+        Ok((address, size))
     }
 
     /// `fs_write_file`: replaces the file's prefix with `data`.
     pub fn write_file(&self, name: &str, data: &[u8]) -> Result<(), FsClientError> {
-        self.rpc(
-            Message::new(FS_WRITE_FILE)
-                .with(MsgItem::bytes(name.as_bytes().to_vec()))
-                .with(MsgItem::OutOfLine(OolBuffer::from_slice(data))),
-        )?;
-        Ok(())
+        let data = OolBuffer::from_slice(data);
+        self.rpc(FsRequest::WriteFile(name.to_string(), data))
+            .map(drop)
     }
 
     /// Flushes cached modifications of the file back to the server.
     pub fn sync(&self, name: &str) -> Result<(), FsClientError> {
-        self.rpc(Message::new(FS_SYNC).with(MsgItem::bytes(name.as_bytes().to_vec())))?;
-        Ok(())
+        self.rpc(FsRequest::Sync(name.to_string())).map(drop)
     }
 
     /// Returns the file's current size.
     pub fn stat(&self, name: &str) -> Result<u64, FsClientError> {
-        let reply =
-            self.rpc(Message::new(FS_STAT).with(MsgItem::bytes(name.as_bytes().to_vec())))?;
-        Ok(reply.body[0].as_u64s().ok_or(FsClientError::Server)?[0])
+        match self.rpc(FsRequest::Stat(name.to_string()))? {
+            FsReply::Size(size) => Ok(size),
+            _ => Err(FsClientError::Server),
+        }
     }
 }
 
@@ -400,6 +390,7 @@ impl FsClient {
 mod tests {
     use super::*;
     use machcore::{Kernel, KernelConfig};
+    use machipc::{Message, MsgItem};
     use machstorage::BlockDevice;
 
     fn setup() -> (Arc<Kernel>, Arc<FileServer>, FsClient) {
@@ -508,6 +499,45 @@ mod tests {
             FsClientError::Server
         );
         assert_eq!(client.stat("nope").unwrap_err(), FsClientError::Server);
+    }
+
+    #[test]
+    fn a_name_that_is_not_utf8_is_an_error_not_a_file() {
+        let (_k, server, _client) = setup();
+        // Both would be "\u{FFFD}" if decoded lossily: one file, two names.
+        for name in [vec![0xFF], vec![0xFE]] {
+            let create = Message::new(FS_CREATE).with(MsgItem::bytes(name));
+            let reply = server.port().rpc(create, RPC_TIMEOUT, RPC_TIMEOUT);
+            assert_eq!(reply.expect("the server answers").id, FS_ERR);
+        }
+        assert!(!server.fs().exists("\u{FFFD}"));
+    }
+
+    /// A port that answers each of `n` requests with a bare `id`.
+    pub(crate) fn bare_server(machine: &Machine, id: u32, n: usize) -> SendRight {
+        let (rx, tx) = ReceiveRight::allocate(machine);
+        std::thread::spawn(move || {
+            for _ in 0..n {
+                let Ok(msg) = rx.receive(RPC_TIMEOUT) else {
+                    return;
+                };
+                if let Some(reply) = msg.reply {
+                    let _ = reply.send(Message::new(id), None);
+                }
+            }
+        });
+        tx
+    }
+
+    #[test]
+    fn an_ok_with_no_body_is_a_server_error_not_a_panic() {
+        let k = Kernel::boot(KernelConfig::default());
+        let task = Task::create(&k, "client");
+        let client = FsClient::new(bare_server(k.machine(), FS_OK, 3));
+        let server_error = Err(FsClientError::Server);
+        assert_eq!(client.read_file(&task, "f"), server_error);
+        assert_eq!(client.open_mapped(&task, "f"), server_error);
+        assert_eq!(client.stat("f").map(|_| (0, 0)), server_error);
     }
 
     #[test]

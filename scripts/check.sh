@@ -15,6 +15,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> one decoder per protocol (no message read by shape outside machcore::proto's codec)"
+if awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t && /as_u64s\(\)|body\[[01]\]/ { print FILENAME ":" FNR ": " $0; n++ } END { exit !n }' \
+    crates/core/src/kernel.rs crates/core/src/manager.rs crates/core/src/backend.rs crates/core/src/objport.rs crates/pagers/src/fs.rs; then
+    exit 1
+fi
+
 echo "==> cargo test -q --workspace (every crate's unit tests, not only the root package's)"
 cargo test -q --workspace
 

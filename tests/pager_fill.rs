@@ -319,6 +319,8 @@ impl DataManager for MalformedThenHonest {
                 // laundry release): whatever it carries, it is dropped.
                 Message::new(0x2306).with(MsgItem::u64s(&[object, PAGE])),
                 Message::new(proto::PAGER_DATA_UNAVAILABLE).with(MsgItem::bytes(vec![0; 24])),
+                // Well-formed words, but no data: not a supply.
+                Message::new(proto::PAGER_DATA_PROVIDED).with(MsgItem::u64s(&[object, offset, 0])),
             ] {
                 k.request_port()
                     .send(msg, Some(Duration::from_secs(5)))
@@ -353,7 +355,7 @@ fn short_bodied_pager_messages_are_dropped_not_fatal() -> Result<(), VmError> {
     task.read_memory(addr, &mut b)?;
     assert_eq!(b[..], pattern(0, 4)[..]);
     let stats = &kernel.machine().stats;
-    assert_eq!(stats.get(keys::EMM_MALFORMED_DROPPED), 5);
+    assert_eq!(stats.get(keys::EMM_MALFORMED_DROPPED), 6);
     // The service loop is still there for the next, ordinary fault.
     task.read_memory(addr + 8 * PAGE, &mut b)?;
     assert_eq!(b[..], pattern(8 * PAGE, 4)[..]);
