@@ -41,7 +41,7 @@ pub fn measure(eager: bool, touched_percent: u64) -> RemoteCowPoint {
     let raddr = if eager {
         remote_region::send_eager(&fabric, &ha, &hb, &sender, addr, pages * PAGE, &tx).unwrap();
         let msg = rx.receive(Some(Duration::from_secs(5))).unwrap();
-        remote_region::copy_in_eager(&receiver, &msg).unwrap().0
+        remote_region::copy_in_eager(&receiver, msg).unwrap().0
     } else {
         let pager = remote_region::send_copy_on_reference(
             &fabric,
@@ -55,7 +55,7 @@ pub fn measure(eager: bool, touched_percent: u64) -> RemoteCowPoint {
         .unwrap();
         std::mem::forget(pager);
         let msg = rx.receive(Some(Duration::from_secs(5))).unwrap();
-        remote_region::map_received(&receiver, &msg).unwrap().0
+        remote_region::map_received(&receiver, msg).unwrap().0
     };
     let touched = pages * touched_percent / 100;
     for i in 0..touched {

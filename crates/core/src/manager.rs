@@ -3,23 +3,22 @@
 //! "The memory object is not provided solely by the Mach kernel, but can be
 //! created and serviced by a user-level data manager task." This module is
 //! that task's skeleton: [`spawn_manager`] allocates a memory object port,
-//! starts a service thread, and translates the kernel's protocol messages
-//! (Table 3-5) into calls on a [`DataManager`] implementation, handing it a
-//! [`KernelConn`] with typed methods for every manager → kernel call
-//! (Table 3-6).
+//! serves it ([`machipc::serve`]), and translates the kernel's protocol
+//! messages (Table 3-5) into calls on a [`DataManager`] implementation,
+//! handing it a [`KernelConn`] with typed methods for every manager →
+//! kernel call (Table 3-6).
 //!
 //! A single memory object may be mapped by several independent kernels; the
 //! manager then receives one `pager_init` per kernel, each carrying a
 //! distinct request port — exactly the multi-kernel structure of the
 //! Section 4.2 shared memory example.
 
-use crate::proto::{self, KernelToManager, Malformed, ManagerToKernel, Parts, StopKey};
-use machipc::{Message, OolBuffer, ReceiveRight, SendRight, MSG_ID_PORT_DEATH};
+use crate::proto::{KernelToManager, Malformed, ManagerToKernel, Parts};
+use machipc::{serve, Message, OolBuffer, ReceiveRight, SendRight, Server, MSG_ID_PORT_DEATH};
 use machsim::stats::keys;
 use machsim::Machine;
 use machvm::VmProt;
 use std::fmt;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// A manager's connection to one kernel: the pager request port plus typed
@@ -177,48 +176,10 @@ pub trait DataManager: Send + 'static {
     }
 }
 
-/// Handle to a running data manager task.
-pub struct ManagerHandle {
-    /// The memory object port (give this to `vm_allocate_with_pager`).
-    port: SendRight,
-    /// What stops the manager's loop: only this handle has it.
-    stop: StopKey,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl fmt::Debug for ManagerHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ManagerHandle({:?})", self.port)
-    }
-}
-
-impl ManagerHandle {
-    /// The memory object port served by this manager.
-    pub fn port(&self) -> &SendRight {
-        &self.port
-    }
-
-    /// Stops the manager thread.
-    pub fn shutdown(mut self) {
-        self.do_shutdown();
-    }
-
-    fn do_shutdown(&mut self) {
-        if let Some(t) = self.thread.take() {
-            self.port.send_notification(self.stop.message());
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for ManagerHandle {
-    fn drop(&mut self) {
-        self.do_shutdown();
-    }
-}
-
-/// Messages a pager thread drains from its request port per batch.
-const PAGER_BATCH: usize = 32;
+/// Handle to a running data manager task: its memory object port
+/// ([`Server::port`], give this to `vm_allocate_with_pager`). Dropping it
+/// stops the manager.
+pub type ManagerHandle = Server;
 
 /// Hands one message to the manager.
 fn dispatch<M: DataManager>(
@@ -275,45 +236,21 @@ fn dispatch<M: DataManager>(
 
 /// Starts a data manager task serving a fresh memory object port.
 pub fn spawn_manager<M: DataManager>(machine: &Machine, label: &str, mut mgr: M) -> ManagerHandle {
-    let (rx, tx) = ReceiveRight::allocate(machine);
+    let (rx, self_port) = ReceiveRight::allocate(machine);
     // Kernels send with the notification path; keep a sane floor anyway.
     rx.set_backlog(4096);
-    let self_port = tx.clone();
-    let stop = StopKey::new(proto::KERNEL_SHUTDOWN);
-    let key = stop.clone();
     let machine = machine.clone();
     let label = label.to_string();
-    let thread = std::thread::Builder::new()
-        .name(format!("pager-{label}"))
-        .spawn(move || {
-            // Batched drain: a paging storm delivers bursts of small
-            // control messages, and one dequeue covers the whole burst.
-            'serve: while let Ok(batch) = rx.receive_many(PAGER_BATCH, None) {
-                for msg in batch {
-                    if key.opens(&msg) {
-                        break 'serve;
-                    }
-                    // Adopt each message's own chain context: batch
-                    // dequeue installed only the last message's, and a
-                    // burst mixes many faults' chains.
-                    let cid = machsim::CorrelationId::from_raw(msg.correlation);
-                    machsim::trace::set_current_correlation(cid);
-                    machsim::trace::set_current_span(msg.span_context());
-                    dispatch(&machine, &label, &self_port, &mut mgr, msg);
-                }
-            }
-        })
-        .expect("spawn pager thread");
-    ManagerHandle {
-        port: tx,
-        stop,
-        thread: Some(thread),
-    }
+    serve(format!("pager-{label}"), rx, move |msg| {
+        dispatch(&machine, &label, &self_port, &mut mgr, msg);
+        None
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto;
     use machipc::MsgItem;
     use parking_lot::Mutex;
     use std::sync::Arc;
@@ -414,28 +351,6 @@ mod tests {
         machsim::wall::sleep(Duration::from_millis(50));
         handle.shutdown();
         assert!(log.lock().contains(&"detached".to_string()));
-    }
-
-    #[test]
-    fn only_the_handle_stops_the_manager() {
-        let m = Machine::default_machine();
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let pager = ConstPager {
-            fill: 7,
-            log: log.clone(),
-        };
-        let handle = spawn_manager(&m, "const", pager);
-        // Anyone who can send to the memory object port can send this.
-        handle
-            .port()
-            .send_notification(Message::new(proto::KERNEL_SHUTDOWN));
-        let (req_rx, req_tx) = ReceiveRight::allocate(&m);
-        let request = KernelToManager::DataRequest(42, 0, 4096, VmProt::READ, req_tx);
-        handle.port().send_notification(request.encode());
-        let reply = req_rx.receive(Some(Duration::from_secs(5)));
-        assert!(reply.is_ok(), "the manager still answers");
-        handle.shutdown();
-        assert_eq!(m.stats.get(keys::EMM_MALFORMED_DROPPED), 1);
     }
 
     #[test]

@@ -11,16 +11,15 @@
 //! another node in a network."
 //!
 //! [`TaskPort`] gives a [`Task`] exactly that representation: a server
-//! thread owns the receive right and performs the operation the message
-//! names. Because the port is an ordinary port, the task can be
+//! ([`machipc::serve`]) owns the receive right and performs the operation
+//! the message names. Because the port is an ordinary port, the task can be
 //! manipulated through a [`machnet::Fabric`] proxy from another host with
 //! the same code — the location independence the paper highlights.
 
-use crate::proto::{Malformed, StopKey};
+use crate::proto::Malformed;
 use crate::task::Task;
-use machipc::{IpcError, OolBuffer, ReceiveRight, SendRight};
+use machipc::{IpcError, OolBuffer, ReceiveRight, SendRight, Server};
 use machvm::VmError;
-use parking_lot::Mutex;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -29,7 +28,6 @@ use std::time::Duration;
 pub const TASK_OK: u32 = 0x3180;
 /// Failure reply.
 pub const TASK_ERR: u32 = 0x3181;
-const TASK_PORT_SHUTDOWN: u32 = 0x31FF;
 
 crate::protocol! {
     /// Operations on a task, sent to its kernel object port as RPCs.
@@ -73,17 +71,8 @@ crate::protocol! {
 }
 
 /// A task's kernel object port: the task, as a server.
-pub struct TaskPort {
-    port: SendRight,
-    stop: StopKey,
-    thread: Mutex<Option<std::thread::JoinHandle<()>>>,
-}
-
-impl fmt::Debug for TaskPort {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "TaskPort({:?})", self.port)
-    }
-}
+#[derive(Debug)]
+pub struct TaskPort(Server);
 
 /// Performs one request on `task`; one that returns nothing is `Done`.
 fn perform(task: &Task, request: TaskRequest) -> Result<TaskReply, VmError> {
@@ -117,53 +106,27 @@ fn perform(task: &Task, request: TaskRequest) -> Result<TaskReply, VmError> {
 impl TaskPort {
     /// Publishes `task` as a kernel object port.
     pub fn serve(task: &Arc<Task>) -> Arc<TaskPort> {
-        let (rx, tx) = ReceiveRight::allocate(task.machine());
+        let (rx, _) = ReceiveRight::allocate(task.machine());
         rx.set_backlog(256);
         let task = task.clone();
-        let stop = StopKey::new(TASK_PORT_SHUTDOWN);
-        let key = stop.clone();
-        let thread = std::thread::Builder::new()
-            .name(format!("task-port-{}", task.name()))
-            .spawn(move || {
-                while let Ok(mut msg) = rx.receive(None) {
-                    if key.opens(&msg) {
-                        break;
-                    }
-                    // Annotate the kernel-object hop; the receive adopted the
-                    // caller's correlation id, so remote task operations show
-                    // up inside the caller's chain.
-                    task.machine()
-                        .trace_event("kernel.objport", machsim::EventKind::Mark("task_request"));
-                    let reply_to = msg.reply.take();
-                    let reply = match TaskRequest::decode(msg).map(|r| perform(&task, r)) {
-                        Ok(Ok(reply)) => reply,
-                        _ => TaskReply::Rejected,
-                    };
-                    if let Some(r) = reply_to {
-                        let _ = r.send(reply.encode(), Some(Duration::from_secs(5)));
-                    }
-                }
-            })
-            .expect("spawn task port server");
-        Arc::new(TaskPort {
-            port: tx,
-            stop,
-            thread: Mutex::new(Some(thread)),
-        })
+        let name = format!("task-port-{}", task.name());
+        Arc::new(TaskPort(machipc::serve(name, rx, move |msg| {
+            // Annotate the kernel-object hop: the server adopted the
+            // caller's correlation id, so remote task operations show up
+            // inside the caller's chain.
+            task.machine()
+                .trace_event("kernel.objport", machsim::EventKind::Mark("task_request"));
+            let reply = match TaskRequest::decode(msg).map(|r| perform(&task, r)) {
+                Ok(Ok(reply)) => reply,
+                _ => TaskReply::Rejected,
+            };
+            Some(reply.encode())
+        })))
     }
 
     /// The send right representing the task.
     pub fn port(&self) -> &SendRight {
-        &self.port
-    }
-}
-
-impl Drop for TaskPort {
-    fn drop(&mut self) {
-        self.port.send_notification(self.stop.message());
-        if let Some(t) = self.thread.lock().take() {
-            let _ = t.join();
-        }
+        self.0.port()
     }
 }
 

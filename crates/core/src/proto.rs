@@ -17,14 +17,13 @@
 //! unassigned, so an old manager's message is counted in
 //! `emm.malformed_dropped`.
 //!
-//! Shutdown is not a call of any protocol: a server loop stops only on a
-//! message from its owner (see [`StopKey`]).
+//! Shutdown is not a call of any protocol: every server loop is
+//! [`machipc::serve`], which stops only on a message carrying its owner's
+//! key.
 
 use machipc::{MsgItem, OolBuffer, SendRight, TypeTag};
 use machvm::VmProt;
-use std::any::Any;
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 pub use machipc::Message;
 
@@ -36,9 +35,6 @@ pub const HOST_VM_STATISTICS_REPLY: u32 = 0x2503;
 pub const HOST_TASK_INFO_REPLY: u32 = 0x2505;
 /// Reply to [`HostRequest::TraceQuery`]: `introspect::TraceQueryReply`.
 pub const HOST_TRACE_QUERY_REPLY: u32 = 0x2507;
-
-/// Server loop control: shut down (honoured only from the loop's owner).
-pub const KERNEL_SHUTDOWN: u32 = 0x2FFF;
 
 /// Opaque-handle tag for in-kernel memory region descriptors carried in
 /// out-of-line message transfer (see `machcore::msg`).
@@ -128,13 +124,13 @@ pub struct Malformed;
 
 /// A message body taken apart by item kind: the one reader and writer of
 /// a message's shape. A body is a name (bytes), an array of `u64` words,
-/// an out-of-line buffer and send rights, on the wire in that order, each
+/// out-of-line buffers and send rights, on the wire in that order, each
 /// item present only when there is something in it.
 #[derive(Default)]
 pub struct Parts {
     name: Option<Vec<u8>>,
     words: VecDeque<u64>,
-    ool: Option<OolBuffer>,
+    ool: VecDeque<OolBuffer>,
     rights: VecDeque<SendRight>,
 }
 
@@ -142,8 +138,8 @@ pub struct Parts {
 pub type Need = [usize; 4];
 
 impl Parts {
-    /// Takes a received body apart, moving its buffer and rights out: the
-    /// first name, word array and out-of-line buffer, and every right.
+    /// Takes a received body apart, moving its buffers and rights out: the
+    /// first name and word array, and every out-of-line buffer and right.
     pub fn of(body: Vec<MsgItem>) -> Parts {
         let mut parts = Parts::default();
         for item in body {
@@ -158,7 +154,7 @@ impl Parts {
                     tag: TypeTag::Byte | TypeTag::Char,
                     data,
                 } if parts.name.is_none() => parts.name = Some(data),
-                MsgItem::OutOfLine(data) if parts.ool.is_none() => parts.ool = Some(data),
+                MsgItem::OutOfLine(data) => parts.ool.push_back(data),
                 MsgItem::SendRights(rights) => parts.rights.extend(rights),
                 _ => {}
             }
@@ -173,7 +169,8 @@ impl Parts {
         if !self.words.is_empty() {
             msg.body.push(MsgItem::u64s(self.words.make_contiguous()));
         }
-        msg.body.extend(self.ool.map(MsgItem::OutOfLine));
+        msg.body
+            .extend(self.ool.into_iter().map(MsgItem::OutOfLine));
         if !self.rights.is_empty() {
             msg.body.push(MsgItem::SendRights(self.rights.into()));
         }
@@ -183,7 +180,7 @@ impl Parts {
     /// Whether the body holds all of each need.
     pub fn fits(&self, needs: &[Need]) -> bool {
         let (words, rights) = (self.words.len(), self.rights.len());
-        let have = [words, rights, self.name.iter().len(), self.ool.iter().len()];
+        let have = [words, rights, self.name.iter().len(), self.ool.len()];
         (0..4).all(|i| have[i] >= needs.iter().map(|need| need[i]).sum())
     }
 
@@ -199,8 +196,8 @@ impl Parts {
 }
 
 /// A value with a place in a message body: a word (`u64`, [`VmProt`],
-/// `bool`), the name (`String`, which must be UTF-8), the out-of-line
-/// buffer, a send right, or an `Option` of one.
+/// `bool`), the name (`String`, which must be UTF-8, or raw bytes), an
+/// out-of-line buffer, a send right, or an `Option` of one.
 pub trait Field: Sized {
     /// What taking this field needs of a body.
     const NEED: Need;
@@ -234,7 +231,8 @@ field! {
         |p| p.words.pop_front().map(|w| VmProt(w as u8));
     bool: [1, 0, 0, 0], |p, v| u64::from(v).put(p), |p| p.words.pop_front().map(|w| w != 0);
     String: [0, 0, 1, 0], |p, v| p.name = Some(v.into_bytes()), |p| p.text().ok();
-    OolBuffer: [0, 0, 0, 1], |p, v| p.ool = Some(v), |p| p.ool.take();
+    Vec<u8>: [0, 0, 1, 0], |p, v| p.name = Some(v), |p| p.name.take();
+    OolBuffer: [0, 0, 0, 1], |p, v| p.ool.push_back(v), |p| p.ool.pop_front();
     SendRight: [0, 1, 0, 0], |p, v| p.rights.push_back(v), |p| p.rights.pop_front();
 }
 
@@ -303,34 +301,6 @@ macro_rules! protocol {
     };
 }
 
-/// The key to a server loop: the loop stops on a message only when it
-/// carries the key its owner holds, so a client that can send to the
-/// loop's port cannot stop it.
-#[derive(Clone)]
-pub struct StopKey(u32, Arc<dyn Any + Send + Sync>);
-
-impl StopKey {
-    /// A fresh key for stop messages with id `id`.
-    pub fn new(id: u32) -> StopKey {
-        StopKey(id, Arc::new(()))
-    }
-
-    /// The message that stops the loop holding this key.
-    pub fn message(&self) -> Message {
-        let (tag, handle) = (self.0, self.1.clone());
-        Message::new(self.0).with(MsgItem::Opaque { tag, handle })
-    }
-
-    /// Whether `msg` is this key's stop message.
-    pub fn opens(&self, msg: &Message) -> bool {
-        msg.id == self.0
-            && msg.body.iter().any(|item| match item {
-                MsgItem::Opaque { handle, .. } => Arc::ptr_eq(handle, &self.1),
-                _ => false,
-            })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,7 +329,7 @@ mod tests {
             HOST_TASK_INFO_REPLY,
             HOST_TRACE_QUERY,
             HOST_TRACE_QUERY_REPLY,
-            KERNEL_SHUTDOWN,
+            machipc::SERVER_STOP,
         ];
         let mut sorted = ids.to_vec();
         sorted.sort_unstable();
@@ -379,13 +349,5 @@ mod tests {
         );
         let empty = HostRequest::Statistics.encode();
         assert!(empty.body.is_empty());
-    }
-
-    #[test]
-    fn a_stop_message_opens_only_its_own_key() {
-        let (a, b) = (StopKey::new(KERNEL_SHUTDOWN), StopKey::new(KERNEL_SHUTDOWN));
-        assert!(a.opens(&a.message()));
-        assert!(!a.opens(&b.message()));
-        assert!(!a.opens(&Message::new(KERNEL_SHUTDOWN)));
     }
 }

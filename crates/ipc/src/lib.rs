@@ -21,17 +21,20 @@
 //! * send/receive timeouts (the paper's communication-failure handling,
 //!   which Section 6.2.1 then reuses for *memory* failures);
 //! * death notification when a port's receive right is destroyed;
-//! * the task's *default group* of enabled ports for `msg_receive`.
+//! * the task's *default group* of enabled ports for `msg_receive`;
+//! * [`serve`], the one server loop every in-tree service runs.
 
 pub mod error;
 pub mod message;
 pub mod port;
+pub mod serve;
 pub mod slab;
 pub mod space;
 
 pub use error::IpcError;
 pub use message::{Message, MsgItem, OolBuffer, OolWatch, TypeTag, MSG_ID_PORT_DEATH};
 pub use port::{PortId, PortStatus, ReceiveRight, SendRight, DEFAULT_BACKLOG};
+pub use serve::{serve, Inbox, Server, REPLY_TIMEOUT, SERVER_STOP, SERVE_BATCH};
 pub use space::{PortName, PortSpace};
 
 /// Shared context charged by IPC operations: one host's clock, counters and

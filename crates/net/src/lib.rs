@@ -19,7 +19,7 @@
 //! representing that other thread even if the request is initiated on
 //! another node in a network."
 
-use machipc::{IpcError, Message, SendRight};
+use machipc::{serve, IpcError, Message, SendRight, Server};
 use machsim::stats::keys;
 use machsim::{CostModel, Machine, Topology};
 use parking_lot::Mutex;
@@ -340,51 +340,15 @@ impl Fabric {
 /// A local stand-in port for a port on another host — the network message
 /// server role of Mach's NORMA configurations.
 ///
-/// Anything sent to the proxy's local port is charged as network traffic
-/// between the two hosts and forwarded to the real port. This is what lets
-/// a *remote* kernel run the external pager protocol against a data
-/// manager on another machine without either side knowing the difference —
-/// "It is thus possible to run varying system configurations on different
-/// classes of machines while providing a consistent interface to all
-/// resources."
-pub struct ProxyHandle {
-    local: SendRight,
-    thread: Mutex<Option<std::thread::JoinHandle<()>>>,
-}
-
-impl fmt::Debug for ProxyHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ProxyHandle({:?})", self.local)
-    }
-}
-
-impl ProxyHandle {
-    /// The local port that stands in for the remote one.
-    pub fn port(&self) -> &SendRight {
-        &self.local
-    }
-
-    fn stop(&self) {
-        // Poison message: the forwarder exits on this id.
-        self.local
-            .send_notification(Message::new(PROXY_SHUTDOWN_MSG));
-        if let Some(t) = self.thread.lock().take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for ProxyHandle {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-/// Message id used internally to stop a proxy forwarder.
-const PROXY_SHUTDOWN_MSG: u32 = 0x7D1E;
-
-/// Messages a proxy forwarder drains from its local queue per batch.
-const PROXY_BATCH: usize = 32;
+/// Anything sent to the proxy's local port ([`Server::port`]) is charged as
+/// network traffic between the two hosts and forwarded to the real port,
+/// reply port and all. This is what lets a *remote* kernel run the
+/// external pager protocol against a data manager on another machine
+/// without either side knowing the difference — "It is thus possible to
+/// run varying system configurations on different classes of machines
+/// while providing a consistent interface to all resources." Dropping it
+/// stops the forwarder; no message a sender can build stops it.
+pub type ProxyHandle = Server;
 
 impl Fabric {
     /// Creates a proxy on `on` for `target`, whose receiver lives on
@@ -396,38 +360,19 @@ impl Fabric {
         remote: &Arc<Host>,
         target: SendRight,
     ) -> ProxyHandle {
-        let (rx, tx) = machipc::ReceiveRight::allocate(on.machine());
+        let (rx, _) = machipc::ReceiveRight::allocate(on.machine());
         rx.set_backlog(65536);
         let fabric = self.clone();
-        let on = on.clone();
-        let remote = remote.clone();
-        let thread = std::thread::Builder::new()
-            .name(format!("netmsg-{}-{}", on.name(), remote.name()))
-            .spawn(move || 'forward: loop {
-                // Drain the local queue in batches: one lock acquisition
-                // and one receive charge cover the whole burst, so a
-                // flood of small messages does not serialize the
-                // forwarder behind per-message queue overhead.
-                let batch = match rx.receive_many(PROXY_BATCH, None) {
-                    Ok(batch) => batch,
-                    Err(_) => break,
-                };
-                for msg in batch {
-                    if msg.id == PROXY_SHUTDOWN_MSG {
-                        break 'forward;
-                    }
-                    if fabric.send(&on, &remote, &target, msg, None).is_err() {
-                        // Partitioned or dead target: message dropped,
-                        // exactly like a lost datagram.
-                        on.machine().stats.incr(machsim::stats::keys::NET_DROPPED);
-                    }
-                }
-            })
-            .expect("spawn proxy forwarder");
-        ProxyHandle {
-            local: tx,
-            thread: Mutex::new(Some(thread)),
-        }
+        let name = format!("netmsg-{}-{}", on.name(), remote.name());
+        let (on, remote) = (on.clone(), remote.clone());
+        serve(name, rx, move |msg| {
+            if fabric.send(&on, &remote, &target, msg, None).is_err() {
+                // Partitioned or dead target: message dropped, exactly
+                // like a lost datagram.
+                on.machine().stats.incr(keys::NET_DROPPED);
+            }
+            None
+        })
     }
 }
 

@@ -15,11 +15,11 @@
 //! procedural interface hiding the difference.
 
 use crate::array::ArrayService;
+use machcore::proto::Malformed;
 use machcore::{Kernel, Task};
-use machipc::{IpcError, Message, MsgItem, ReceiveRight, SendRight};
+use machipc::{serve, IpcError, ReceiveRight, SendRight, Server};
 use machnet::{Fabric, Host, ProxyHandle};
 use machvm::VmError;
-use parking_lot::Mutex;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -36,17 +36,31 @@ pub const STATE_POSTED: u8 = 1;
 /// A hypothesis has been evaluated (score valid).
 pub const STATE_EVALUATED: u8 = 2;
 
-/// RPC: post a hypothesis (slot, payload); used by remote agents.
-pub const BB_POST: u32 = 0x4901;
-/// RPC: read a slot; reply carries (state, score) and the payload.
-pub const BB_READ: u32 = 0x4902;
-/// RPC: record an evaluation (slot, score).
-pub const BB_EVALUATE: u32 = 0x4903;
-/// Success reply.
-pub const BB_OK: u32 = 0x4980;
-/// Failure reply.
-pub const BB_ERR: u32 = 0x4981;
-const BB_SHUTDOWN: u32 = 0x49FF;
+machcore::protocol! {
+    /// Remote agents' RPCs to the blackboard's service port.
+    #[derive(Debug)]
+    pub enum BbRequest {
+        /// Post a hypothesis: `(slot, payload)`.
+        Post(slot: u64, payload: Vec<u8>) = BB_POST: 0x4901,
+        /// Read a slot.
+        Read(slot: u64) = BB_READ: 0x4902,
+        /// Record an evaluation: `(slot, score)`.
+        Evaluate(slot: u64, score: u64) = BB_EVALUATE: 0x4903,
+    }
+}
+
+machcore::protocol! {
+    /// The service port's answers.
+    #[derive(Debug)]
+    pub enum BbReply {
+        /// A slot (read): `(state, score, payload)`.
+        Slot(state: u64, score: u64, payload: Vec<u8>) = BB_OK: 0x4980,
+        /// Done (post, evaluate).
+        Done = BB_OK,
+        /// The slot is out of range, or the request was malformed.
+        Rejected = BB_ERR: 0x4981,
+    }
+}
 
 /// One decoded hypothesis slot.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -61,12 +75,11 @@ pub struct Hypothesis {
 
 /// The blackboard service on its home host.
 pub struct Blackboard {
-    /// Service port for message-based (remote) access.
-    service: SendRight,
+    /// Serves message-based (remote) access.
+    server: Server,
     /// Memory object port for direct mapping by local agents.
     array: Arc<ArrayService>,
     slots: u64,
-    thread: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl fmt::Debug for Blackboard {
@@ -90,78 +103,32 @@ impl Blackboard {
         let server_task = Task::create(kernel, "blackboard-server");
         let (addr, _) =
             ArrayService::attach(&server_task, array.port()).expect("server maps blackboard");
-        let (rx, tx) = ReceiveRight::allocate(kernel.machine());
+        let (rx, _) = ReceiveRight::allocate(kernel.machine());
         rx.set_backlog(1024);
-        let thread = std::thread::Builder::new()
-            .name("blackboard".into())
-            .spawn(move || loop {
-                let Ok(msg) = rx.receive(None) else { break };
-                let reply = |m: Message| {
-                    if let Some(r) = &msg.reply {
-                        let _ = r.send(m, Some(Duration::from_secs(5)));
-                    }
-                };
-                let args: Vec<u64> = msg
-                    .body
-                    .iter()
-                    .find_map(|i| i.as_u64s())
-                    .unwrap_or_default();
-                match msg.id {
-                    BB_POST => {
-                        let payload = msg.body.iter().find_map(|i| i.as_bytes());
-                        match (args.first(), payload) {
-                            (Some(&slot), Some(p)) if slot < slots => {
-                                let off = slot_offset(slot);
-                                let mut data = vec![0u8; PAYLOAD_SIZE];
-                                data[..p.len().min(PAYLOAD_SIZE)]
-                                    .copy_from_slice(&p[..p.len().min(PAYLOAD_SIZE)]);
-                                server_task.write_memory(addr + off + 16, &data).unwrap();
-                                server_task
-                                    .write_memory(addr + off, &[STATE_POSTED])
-                                    .unwrap();
-                                reply(Message::new(BB_OK));
-                            }
-                            _ => reply(Message::new(BB_ERR)),
-                        }
-                    }
-                    BB_EVALUATE => {
-                        if args.len() >= 2 && args[0] < slots {
-                            let off = slot_offset(args[0]);
-                            server_task
-                                .write_memory(addr + off + 8, &args[1].to_le_bytes())
-                                .unwrap();
-                            server_task
-                                .write_memory(addr + off, &[STATE_EVALUATED])
-                                .unwrap();
-                            reply(Message::new(BB_OK));
-                        } else {
-                            reply(Message::new(BB_ERR));
-                        }
-                    }
-                    BB_READ => match args.first() {
-                        Some(&slot) if slot < slots => {
-                            let off = slot_offset(slot);
-                            let mut raw = vec![0u8; SLOT_SIZE as usize];
-                            server_task.read_memory(addr + off, &mut raw).unwrap();
-                            let score = u64::from_le_bytes(raw[8..16].try_into().unwrap());
-                            reply(
-                                Message::new(BB_OK)
-                                    .with(MsgItem::u64s(&[raw[0] as u64, score]))
-                                    .with(MsgItem::bytes(raw[16..16 + PAYLOAD_SIZE].to_vec())),
-                            );
-                        }
-                        _ => reply(Message::new(BB_ERR)),
-                    },
-                    BB_SHUTDOWN => break,
-                    _ => reply(Message::new(BB_ERR)),
+        let local = Agent::Local {
+            task: server_task,
+            addr,
+            slots,
+        };
+        let server = serve("blackboard", rx, move |msg| {
+            let reply = match BbRequest::decode(msg) {
+                Ok(BbRequest::Post(slot, payload)) => {
+                    local.post(slot, &payload).map(|()| BbReply::Done)
                 }
-            })
-            .expect("spawn blackboard server");
+                Ok(BbRequest::Evaluate(slot, score)) => {
+                    local.evaluate(slot, score).map(|()| BbReply::Done)
+                }
+                Ok(BbRequest::Read(slot)) => local
+                    .read(slot)
+                    .map(|h| BbReply::Slot(u64::from(h.state), h.score, h.payload)),
+                Err(Malformed) => Err(AgentError::Rejected),
+            };
+            Some(reply.unwrap_or(BbReply::Rejected).encode())
+        });
         Arc::new(Blackboard {
-            service: tx,
+            server,
             array,
             slots,
-            thread: Mutex::new(Some(thread)),
         })
     }
 
@@ -172,7 +139,7 @@ impl Blackboard {
 
     /// The message-interface port (give remote agents this, or a proxy).
     pub fn service_port(&self) -> &SendRight {
-        &self.service
+        self.server.port()
     }
 
     /// Creates a *local* agent: a task on the blackboard's own kernel
@@ -195,19 +162,10 @@ impl Blackboard {
         home: &Arc<Host>,
         agent_host: &Arc<Host>,
     ) -> Agent {
-        let proxy = fabric.proxy(agent_host, home, self.service.clone());
+        let proxy = fabric.proxy(agent_host, home, self.service_port().clone());
         Agent::Remote {
             port: proxy.port().clone(),
             _proxy: Some(Arc::new(proxy)),
-        }
-    }
-}
-
-impl Drop for Blackboard {
-    fn drop(&mut self) {
-        self.service.send_notification(Message::new(BB_SHUTDOWN));
-        if let Some(t) = self.thread.lock().take() {
-            let _ = t.join();
         }
     }
 }
@@ -281,16 +239,13 @@ impl fmt::Debug for Agent {
 }
 
 impl Agent {
-    fn rpc(port: &SendRight, msg: Message) -> Result<Message, AgentError> {
-        let reply = port.rpc(
-            msg,
-            Some(Duration::from_secs(10)),
-            Some(Duration::from_secs(10)),
-        )?;
-        if reply.id == BB_OK {
-            Ok(reply)
-        } else {
-            Err(AgentError::Rejected)
+    /// Performs `request` on the service port; a rejection, or a reply
+    /// that is not the blackboard's, is `Rejected`.
+    fn rpc(port: &SendRight, request: BbRequest) -> Result<BbReply, AgentError> {
+        let timeout = Some(Duration::from_secs(10));
+        match BbReply::decode(port.rpc(request.encode(), timeout, timeout)?) {
+            Ok(BbReply::Rejected) | Err(Malformed) => Err(AgentError::Rejected),
+            Ok(reply) => Ok(reply),
         }
     }
 
@@ -310,13 +265,7 @@ impl Agent {
                 Ok(())
             }
             Agent::Remote { port, .. } => {
-                Self::rpc(
-                    port,
-                    Message::new(BB_POST)
-                        .with(MsgItem::u64s(&[slot]))
-                        .with(MsgItem::bytes(payload.to_vec())),
-                )?;
-                Ok(())
+                Self::rpc(port, BbRequest::Post(slot, payload.to_vec())).map(drop)
             }
         }
     }
@@ -334,11 +283,7 @@ impl Agent {
                 Ok(())
             }
             Agent::Remote { port, .. } => {
-                Self::rpc(
-                    port,
-                    Message::new(BB_EVALUATE).with(MsgItem::u64s(&[slot, score])),
-                )?;
-                Ok(())
+                Self::rpc(port, BbRequest::Evaluate(slot, score)).map(drop)
             }
         }
     }
@@ -359,19 +304,14 @@ impl Agent {
                     payload: raw[16..16 + PAYLOAD_SIZE].to_vec(),
                 })
             }
-            Agent::Remote { port, .. } => {
-                let reply = Self::rpc(port, Message::new(BB_READ).with(MsgItem::u64s(&[slot])))?;
-                let nums = reply.body[0].as_u64s().ok_or(AgentError::Rejected)?;
-                let payload = reply.body[1]
-                    .as_bytes()
-                    .ok_or(AgentError::Rejected)?
-                    .to_vec();
-                Ok(Hypothesis {
-                    state: nums[0] as u8,
-                    score: nums[1],
+            Agent::Remote { port, .. } => match Self::rpc(port, BbRequest::Read(slot))? {
+                BbReply::Slot(state, score, payload) => Ok(Hypothesis {
+                    state: state as u8,
+                    score,
                     payload,
-                })
-            }
+                }),
+                _ => Err(AgentError::Rejected),
+            },
         }
     }
 }

@@ -12,20 +12,30 @@
 //! client, as a function of client arrival order.
 
 use machcore::{spawn_manager, DataManager, KernelConn, ManagerHandle, Task};
-use machipc::{Message, MsgItem, OolBuffer, ReceiveRight, SendRight};
+use machipc::{serve, OolBuffer, ReceiveRight, SendRight, Server};
 use machsim::Machine;
 use machvm::{VmError, VmProt};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// RPC id: request access to the array; the reply carries the memory
-/// object port and the array size.
-pub const ARRAY_ATTACH: u32 = 0x4601;
-/// Reply id.
-pub const ARRAY_OK: u32 = 0x4680;
-/// Shutdown.
-const ARRAY_SHUTDOWN: u32 = 0x46FF;
+machcore::protocol! {
+    /// Requests to the array service.
+    #[derive(Debug)]
+    pub enum ArrayRequest {
+        /// Access to the array.
+        Attach = ARRAY_ATTACH: 0x4601,
+    }
+}
+
+machcore::protocol! {
+    /// The array service's answer.
+    #[derive(Debug)]
+    pub enum ArrayReply {
+        /// `(size, object)`: the array's size and memory object port.
+        Attached(size: u64, object: SendRight) = ARRAY_OK: 0x4680,
+    }
+}
 
 /// The pager behind the array: computes each page's contents on demand,
 /// and keeps modified pages written back by the kernel so evicted writes
@@ -79,10 +89,9 @@ impl DataManager for ArrayPager {
 
 /// A server exporting one array as a memory object.
 pub struct ArrayService {
-    service_port: SendRight,
+    server: Server,
     _pager: ManagerHandle,
     size: u64,
-    server_thread: parking_lot::Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl fmt::Debug for ArrayService {
@@ -107,66 +116,34 @@ impl ArrayService {
             },
         );
         let object_port = pager.port().clone();
-        let (rx, tx) = ReceiveRight::allocate(machine);
+        let (rx, _) = ReceiveRight::allocate(machine);
         rx.set_backlog(1024);
-        let thread = std::thread::Builder::new()
-            .name("array-server".into())
-            .spawn(move || loop {
-                let Ok(msg) = rx.receive(None) else { break };
-                match msg.id {
-                    ARRAY_ATTACH => {
-                        if let Some(reply) = &msg.reply {
-                            let _ = reply.send(
-                                Message::new(ARRAY_OK)
-                                    .with(MsgItem::u64s(&[size]))
-                                    .with(MsgItem::SendRights(vec![object_port.clone()])),
-                                Some(Duration::from_secs(5)),
-                            );
-                        }
-                    }
-                    ARRAY_SHUTDOWN => break,
-                    _ => {}
-                }
-            })
-            .expect("spawn array server");
+        let server = serve("array-server", rx, move |msg| {
+            let ArrayRequest::Attach = ArrayRequest::decode(msg).ok()?;
+            Some(ArrayReply::Attached(size, object_port.clone()).encode())
+        });
         Arc::new(ArrayService {
-            service_port: tx,
+            server,
             _pager: pager,
             size,
-            server_thread: parking_lot::Mutex::new(Some(thread)),
         })
     }
 
     /// The service's RPC port.
     pub fn port(&self) -> &SendRight {
-        &self.service_port
+        self.server.port()
     }
 
     /// Client side: one RPC, then map the array. Returns `(addr, size)`.
     pub fn attach(task: &Task, service: &SendRight) -> Result<(u64, u64), VmError> {
-        let reply = service
-            .rpc(
-                Message::new(ARRAY_ATTACH),
-                Some(Duration::from_secs(10)),
-                Some(Duration::from_secs(10)),
-            )
-            .map_err(|_| VmError::ObjectDestroyed)?;
-        let size = reply.body[0].as_u64s().expect("size")[0];
-        let MsgItem::SendRights(rights) = &reply.body[1] else {
+        let timeout = Some(Duration::from_secs(10));
+        let reply = service.rpc(ArrayRequest::Attach.encode(), timeout, timeout);
+        let Some(Ok(ArrayReply::Attached(size, object))) = reply.ok().map(ArrayReply::decode)
+        else {
             return Err(VmError::ObjectDestroyed);
         };
-        let addr = task.vm_allocate_with_pager(None, size, &rights[0], 0)?;
+        let addr = task.vm_allocate_with_pager(None, size, &object, 0)?;
         Ok((addr, size))
-    }
-}
-
-impl Drop for ArrayService {
-    fn drop(&mut self) {
-        self.service_port
-            .send_notification(Message::new(ARRAY_SHUTDOWN));
-        if let Some(t) = self.server_thread.lock().take() {
-            let _ = t.join();
-        }
     }
 }
 
@@ -205,5 +182,16 @@ mod tests {
         );
         // The attach RPC is 2 messages (request + reply).
         assert!(k.machine().stats.get(keys::MSG_SENT) - msgs_before <= 3);
+    }
+
+    #[test]
+    fn a_reply_without_size_or_object_is_an_error_not_a_panic() {
+        let k = Kernel::boot(KernelConfig::default());
+        let task = Task::create(&k, "client");
+        let ok = crate::fs::tests::bare_server(k.machine(), ARRAY_OK, 1);
+        assert_eq!(
+            ArrayService::attach(&task, &ok),
+            Err(VmError::ObjectDestroyed)
+        );
     }
 }

@@ -20,8 +20,9 @@
 //! without first being written to temporary paging storage" — the
 //! experiment asserts the default pager's partition stays cold.
 
+use machcore::proto::Malformed;
 use machcore::{spawn_manager, DataManager, KernelConn, ManagerHandle, Task};
-use machipc::{IpcError, Message, MsgItem, OolBuffer, ReceiveRight, SendRight};
+use machipc::{serve, IpcError, OolBuffer, ReceiveRight, SendRight, Server};
 use machsim::Machine;
 use machstorage::{BlockDevice, FlatFs, LogRecord, WriteAheadLog};
 use machvm::{VmError, VmProt};
@@ -35,21 +36,38 @@ use std::time::Duration;
 const PAGE: usize = 4096;
 const SEGMENT_FILE: &str = "recoverable-segment";
 
-/// RPC: attach to the recoverable segment (reply: size + object port).
-pub const TX_ATTACH: u32 = 0x4701;
-/// RPC: begin a transaction (reply: txid).
-pub const TX_BEGIN: u32 = 0x4702;
-/// RPC: log an update (txid, offset, before, after).
-pub const TX_LOG: u32 = 0x4703;
-/// RPC: commit (forces the log).
-pub const TX_COMMIT: u32 = 0x4704;
-/// RPC: abort.
-pub const TX_ABORT: u32 = 0x4705;
-/// Generic success reply.
-pub const TX_OK: u32 = 0x4780;
-/// Generic failure reply.
-pub const TX_ERR: u32 = 0x4781;
-const TX_SHUTDOWN: u32 = 0x47FF;
+machcore::protocol! {
+    /// Requests to the disk manager's transaction port, each an RPC.
+    #[derive(Debug)]
+    pub enum TxRequest {
+        /// Attach to the recoverable segment.
+        Attach = TX_ATTACH: 0x4701,
+        /// Begin a transaction.
+        Begin = TX_BEGIN: 0x4702,
+        /// Log an update: `(txid, offset, before, after)`, the two images
+        /// out-of-line.
+        Log(txid: u64, offset: u64, before: OolBuffer, after: OolBuffer) = TX_LOG: 0x4703,
+        /// Commit `txid`: the log is forced.
+        Commit(txid: u64) = TX_COMMIT: 0x4704,
+        /// Abort `txid`.
+        Abort(txid: u64) = TX_ABORT: 0x4705,
+    }
+}
+
+machcore::protocol! {
+    /// The transaction port's answers.
+    #[derive(Debug)]
+    pub enum TxReply {
+        /// `(size, object)`: the segment's memory object (attach).
+        Attached(size: u64, object: SendRight) = TX_OK: 0x4780,
+        /// The new transaction's id (begin).
+        Began(txid: u64) = TX_OK,
+        /// Done (log, commit, abort).
+        Done = TX_OK,
+        /// The operation failed, or the request was malformed.
+        Failed = TX_ERR: 0x4781,
+    }
+}
 
 /// Shared state between the pager and the transaction server.
 struct DiskManagerState {
@@ -72,6 +90,27 @@ impl DiskManagerState {
             self.forced_before_data += 1;
         }
         let _ = self.db.write(SEGMENT_FILE, offset as usize, data);
+    }
+
+    /// Begins a transaction.
+    fn begin(&mut self) -> u64 {
+        let txid = self.next_txid;
+        self.next_txid += 1;
+        self.active.insert(txid);
+        txid
+    }
+
+    /// Ends `txid` with a commit record (forcing the log) or an abort
+    /// record; whether the log took it.
+    fn end(&mut self, txid: u64, commit: bool) -> bool {
+        let ok = if commit {
+            self.wal.append(&LogRecord::Commit { txid }).is_ok() && self.wal.force().is_ok()
+        } else {
+            self.wal.append(&LogRecord::Abort { txid }).is_ok()
+        };
+        self.active.remove(&txid);
+        self.maybe_checkpoint();
+        ok
     }
 
     /// Checkpoint: when no transaction is active and the log is running
@@ -151,10 +190,9 @@ impl DataManager for RecoverablePager {
 /// The Camelot disk manager: recoverable segment + WAL + transactions.
 pub struct CamelotServer {
     state: Arc<Mutex<DiskManagerState>>,
-    service_port: SendRight,
+    server: Server,
     _pager: ManagerHandle,
     segment_size: u64,
-    thread: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl fmt::Debug for CamelotServer {
@@ -203,84 +241,41 @@ impl CamelotServer {
             },
         );
         let object_port = pager.port().clone();
-        let (rx, tx) = ReceiveRight::allocate(machine);
+        let (rx, _) = ReceiveRight::allocate(machine);
         rx.set_backlog(1024);
         let loop_state = state.clone();
-        let thread = std::thread::Builder::new()
-            .name("camelot-server".into())
-            .spawn(move || loop {
-                let Ok(msg) = rx.receive(None) else { break };
-                let reply = |m: Message| {
-                    if let Some(r) = &msg.reply {
-                        let _ = r.send(m, Some(Duration::from_secs(5)));
-                    }
-                };
-                match msg.id {
-                    TX_ATTACH => reply(
-                        Message::new(TX_OK)
-                            .with(MsgItem::u64s(&[segment_size]))
-                            .with(MsgItem::SendRights(vec![object_port.clone()])),
-                    ),
-                    TX_BEGIN => {
-                        let mut st = loop_state.lock();
-                        let txid = st.next_txid;
-                        st.next_txid += 1;
-                        st.active.insert(txid);
-                        reply(Message::new(TX_OK).with(MsgItem::u64s(&[txid])));
-                    }
-                    TX_LOG => {
-                        let ids = msg.body[0].as_u64s().unwrap_or_default();
-                        let before = msg.body[1].as_ool().map(|b| b.as_slice().to_vec());
-                        let after = msg.body[2].as_ool().map(|b| b.as_slice().to_vec());
-                        match (before, after) {
-                            (Some(before), Some(after)) if ids.len() >= 2 => {
-                                let rec = LogRecord::Update {
-                                    txid: ids[0],
-                                    object: 0,
-                                    offset: ids[1],
-                                    before,
-                                    after,
-                                };
-                                let ok = loop_state.lock().wal.append(&rec).is_ok();
-                                reply(Message::new(if ok { TX_OK } else { TX_ERR }));
-                            }
-                            _ => reply(Message::new(TX_ERR)),
-                        }
-                    }
-                    TX_COMMIT => {
-                        let ids = msg.body[0].as_u64s().unwrap_or_default();
-                        let mut st = loop_state.lock();
-                        let ok = st.wal.append(&LogRecord::Commit { txid: ids[0] }).is_ok()
-                            && st.wal.force().is_ok();
-                        st.active.remove(&ids[0]);
-                        st.maybe_checkpoint();
-                        reply(Message::new(if ok { TX_OK } else { TX_ERR }));
-                    }
-                    TX_ABORT => {
-                        let ids = msg.body[0].as_u64s().unwrap_or_default();
-                        let mut st = loop_state.lock();
-                        let ok = st.wal.append(&LogRecord::Abort { txid: ids[0] }).is_ok();
-                        st.active.remove(&ids[0]);
-                        st.maybe_checkpoint();
-                        reply(Message::new(if ok { TX_OK } else { TX_ERR }));
-                    }
-                    TX_SHUTDOWN => break,
-                    _ => reply(Message::new(TX_ERR)),
+        let done = |ok| if ok { TxReply::Done } else { TxReply::Failed };
+        let server = serve("camelot-server", rx, move |msg| {
+            let reply = match TxRequest::decode(msg) {
+                Ok(TxRequest::Attach) => TxReply::Attached(segment_size, object_port.clone()),
+                Ok(TxRequest::Begin) => TxReply::Began(loop_state.lock().begin()),
+                Ok(TxRequest::Log(txid, offset, before, after)) => {
+                    let rec = LogRecord::Update {
+                        txid,
+                        object: 0,
+                        offset,
+                        before: before.to_mut_vec(),
+                        after: after.to_mut_vec(),
+                    };
+                    done(loop_state.lock().wal.append(&rec).is_ok())
                 }
-            })
-            .expect("spawn camelot server");
+                Ok(TxRequest::Commit(txid)) => done(loop_state.lock().end(txid, true)),
+                Ok(TxRequest::Abort(txid)) => done(loop_state.lock().end(txid, false)),
+                Err(Malformed) => TxReply::Failed,
+            };
+            Some(reply.encode())
+        });
         Arc::new(CamelotServer {
             state,
-            service_port: tx,
+            server,
             _pager: pager,
             segment_size,
-            thread: Mutex::new(Some(thread)),
         })
     }
 
     /// The transaction RPC port.
     pub fn port(&self) -> &SendRight {
-        &self.service_port
+        self.server.port()
     }
 
     /// How many times the WAL was forced ahead of page data.
@@ -361,16 +356,6 @@ impl CamelotServer {
     }
 }
 
-impl Drop for CamelotServer {
-    fn drop(&mut self) {
-        self.service_port
-            .send_notification(Message::new(TX_SHUTDOWN));
-        if let Some(t) = self.thread.lock().take() {
-            let _ = t.join();
-        }
-    }
-}
-
 /// Client-side transaction errors.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TxError {
@@ -420,19 +405,10 @@ impl CamelotClient {
     /// "Camelot clients can access data easily and quickly by mapping
     /// memory objects into their virtual address spaces."
     pub fn attach(task: &Arc<Task>, server: &SendRight) -> Result<CamelotClient, TxError> {
-        let reply = server.rpc(
-            Message::new(TX_ATTACH),
-            Some(Duration::from_secs(10)),
-            Some(Duration::from_secs(10)),
-        )?;
-        if reply.id != TX_OK {
-            return Err(TxError::Server);
-        }
-        let size = reply.body[0].as_u64s().ok_or(TxError::Server)?[0];
-        let MsgItem::SendRights(rights) = &reply.body[1] else {
+        let TxReply::Attached(size, object) = rpc(server, TxRequest::Attach)? else {
             return Err(TxError::Server);
         };
-        let addr = task.vm_allocate_with_pager(None, size, &rights[0], 0)?;
+        let addr = task.vm_allocate_with_pager(None, size, &object, 0)?;
         Ok(CamelotClient {
             task: task.clone(),
             server: server.clone(),
@@ -446,23 +422,12 @@ impl CamelotClient {
         self.size
     }
 
-    fn rpc(&self, msg: Message) -> Result<Message, TxError> {
-        let reply = self.server.rpc(
-            msg,
-            Some(Duration::from_secs(10)),
-            Some(Duration::from_secs(10)),
-        )?;
-        if reply.id == TX_OK {
-            Ok(reply)
-        } else {
-            Err(TxError::Server)
-        }
-    }
-
     /// Begins a transaction.
     pub fn begin(&self) -> Result<u64, TxError> {
-        let reply = self.rpc(Message::new(TX_BEGIN))?;
-        Ok(reply.body[0].as_u64s().ok_or(TxError::Server)?[0])
+        match rpc(&self.server, TxRequest::Begin)? {
+            TxReply::Began(txid) => Ok(txid),
+            _ => Err(TxError::Server),
+        }
     }
 
     /// Transactionally writes `data` at `offset`: logs before/after images
@@ -470,12 +435,8 @@ impl CamelotClient {
     pub fn write(&self, txid: u64, offset: u64, data: &[u8]) -> Result<(), TxError> {
         let mut before = vec![0u8; data.len()];
         self.task.read_memory(self.addr + offset, &mut before)?;
-        self.rpc(
-            Message::new(TX_LOG)
-                .with(MsgItem::u64s(&[txid, offset]))
-                .with(MsgItem::OutOfLine(OolBuffer::from_vec(before)))
-                .with(MsgItem::OutOfLine(OolBuffer::from_slice(data))),
-        )?;
+        let (before, after) = (OolBuffer::from_vec(before), OolBuffer::from_slice(data));
+        rpc(&self.server, TxRequest::Log(txid, offset, before, after))?;
         self.task.write_memory(self.addr + offset, data)?;
         Ok(())
     }
@@ -488,14 +449,25 @@ impl CamelotClient {
 
     /// Commits: the server appends a commit record and forces the log.
     pub fn commit(&self, txid: u64) -> Result<(), TxError> {
-        self.rpc(Message::new(TX_COMMIT).with(MsgItem::u64s(&[txid])))?;
-        Ok(())
+        rpc(&self.server, TxRequest::Commit(txid)).map(drop)
     }
 
     /// Aborts a transaction.
     pub fn abort(&self, txid: u64) -> Result<(), TxError> {
-        self.rpc(Message::new(TX_ABORT).with(MsgItem::u64s(&[txid])))?;
-        Ok(())
+        rpc(&self.server, TxRequest::Abort(txid)).map(drop)
+    }
+}
+
+/// How long a client waits to send a request, and then for its reply.
+const RPC_TIMEOUT: Option<Duration> = Some(Duration::from_secs(10));
+
+/// Performs `request` on the transaction port; a failure, or a reply that
+/// is not the port's, is `Server`.
+fn rpc(server: &SendRight, request: TxRequest) -> Result<TxReply, TxError> {
+    let reply = server.rpc(request.encode(), RPC_TIMEOUT, RPC_TIMEOUT)?;
+    match TxReply::decode(reply) {
+        Ok(TxReply::Failed) | Err(Malformed) => Err(TxError::Server),
+        Ok(reply) => Ok(reply),
     }
 }
 
@@ -518,6 +490,7 @@ pub fn _touch(_: &HashMap<u64, u64>) {}
 mod tests {
     use super::*;
     use machcore::{Kernel, KernelConfig};
+    use machipc::{Message, MsgItem};
 
     fn setup(segment: u64) -> (Arc<Kernel>, Arc<BlockDevice>, Arc<CamelotServer>) {
         let k = Kernel::boot(KernelConfig::default());
@@ -647,6 +620,44 @@ mod tests {
                 .get(machsim::stats::keys::VM_DEFAULT_PAGER_TAKEOVERS),
             0,
             "no pageouts diverted to paging storage"
+        );
+    }
+
+    #[test]
+    fn a_short_request_is_an_error_not_a_dead_server() {
+        let (k, _dev, server) = setup(8 * PAGE as u64);
+        let one_word = || MsgItem::u64s(&[1]);
+        let image = || MsgItem::OutOfLine(OolBuffer::from_vec(vec![0; 8]));
+        let short = [
+            Message::new(TX_COMMIT),
+            Message::new(TX_ABORT),
+            Message::new(TX_LOG),
+            Message::new(TX_LOG)
+                .with(one_word())
+                .with(image())
+                .with(image()),
+            Message::new(TX_LOG)
+                .with(MsgItem::u64s(&[1, 0]))
+                .with(image()),
+        ];
+        let timeout = Some(Duration::from_secs(2));
+        for msg in short {
+            let reply = server.port().rpc(msg, timeout, timeout);
+            assert_eq!(reply.expect("the server answers").id, TX_ERR);
+        }
+        let task = Task::create(&k, "bank");
+        let client = CamelotClient::attach(&task, server.port()).expect("still serving");
+        client.begin().expect("a transaction");
+    }
+
+    #[test]
+    fn an_attach_reply_without_size_or_segment_is_an_error_not_a_panic() {
+        let k = Kernel::boot(KernelConfig::default());
+        let task = Task::create(&k, "client");
+        let ok = crate::fs::tests::bare_server(k.machine(), TX_OK, 1);
+        assert_eq!(
+            CamelotClient::attach(&task, &ok).err(),
+            Some(TxError::Server)
         );
     }
 }

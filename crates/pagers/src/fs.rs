@@ -14,9 +14,9 @@
 //! pages stay in the VM cache between opens. That advice is the entire
 //! mechanism behind Section 9's performance claims.
 
-use machcore::proto::{Malformed, StopKey};
+use machcore::proto::Malformed;
 use machcore::{spawn_manager, DataManager, KernelConn, ManagerHandle, Task};
-use machipc::{IpcError, OolBuffer, ReceiveRight, SendRight};
+use machipc::{serve, IpcError, OolBuffer, ReceiveRight, SendRight, Server};
 use machsim::{EventKind, Machine};
 use machstorage::{FlatFs, FsError};
 use machvm::{VmError, VmProt};
@@ -26,8 +26,6 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Shut the server down.
-pub const FS_SHUTDOWN: u32 = 0x41FF;
 /// Generic success reply.
 pub const FS_OK: u32 = 0x4180;
 /// Generic failure reply.
@@ -147,9 +145,7 @@ impl DataManager for FilePager {
 pub struct FileServer {
     machine: Machine,
     fs: Arc<FlatFs>,
-    port: SendRight,
-    stop: StopKey,
-    thread: Mutex<Option<std::thread::JoinHandle<()>>>,
+    server: Server,
 }
 
 impl fmt::Debug for FileServer {
@@ -214,45 +210,30 @@ impl ServerState {
 impl FileServer {
     /// Starts a filesystem server over `fs`.
     pub fn start(machine: &Machine, fs: Arc<FlatFs>) -> Arc<FileServer> {
-        let (rx, tx) = ReceiveRight::allocate(machine);
+        let (rx, _) = ReceiveRight::allocate(machine);
         rx.set_backlog(1024);
         let mut state = ServerState {
             fs: fs.clone(),
             machine: machine.clone(),
             pagers: HashMap::new(),
         };
-        let stop = StopKey::new(FS_SHUTDOWN);
-        let key = stop.clone();
-        let thread = std::thread::Builder::new()
-            .name("file-server".into())
-            .spawn(move || {
-                while let Ok(mut msg) = rx.receive(None) {
-                    if key.opens(&msg) {
-                        break;
-                    }
-                    let reply_to = msg.reply.take();
-                    let reply = match FsRequest::decode(msg).map(|r| state.perform(r)) {
-                        Ok(Ok(reply)) => reply,
-                        _ => FsReply::Failed,
-                    };
-                    if let Some(r) = reply_to {
-                        let _ = r.send(reply.encode(), Some(Duration::from_secs(5)));
-                    }
-                }
-            })
-            .expect("spawn file server");
+        let server = serve("file-server", rx, move |msg| {
+            let reply = match FsRequest::decode(msg).map(|r| state.perform(r)) {
+                Ok(Ok(reply)) => reply,
+                _ => FsReply::Failed,
+            };
+            Some(reply.encode())
+        });
         Arc::new(FileServer {
             machine: machine.clone(),
             fs,
-            port: tx,
-            stop,
-            thread: Mutex::new(Some(thread)),
+            server,
         })
     }
 
     /// The server's request port.
     pub fn port(&self) -> &SendRight {
-        &self.port
+        self.server.port()
     }
 
     /// The backing filesystem (for tests and tooling).
@@ -263,15 +244,6 @@ impl FileServer {
     /// The machine the server runs on.
     pub fn machine(&self) -> &Machine {
         &self.machine
-    }
-}
-
-impl Drop for FileServer {
-    fn drop(&mut self) {
-        self.port.send_notification(self.stop.message());
-        if let Some(t) = self.thread.lock().take() {
-            let _ = t.join();
-        }
     }
 }
 
@@ -387,7 +359,7 @@ impl FsClient {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use machcore::{Kernel, KernelConfig};
     use machipc::{Message, MsgItem};

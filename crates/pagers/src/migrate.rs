@@ -18,6 +18,7 @@
 //!   manager may provide some data in advance for tasks with predictable
 //!   access patterns".
 
+use crate::netshm::map_and_await_init;
 use machcore::{spawn_manager, DataManager, Kernel, KernelConn, ManagerHandle, Task};
 use machipc::OolBuffer;
 use machnet::{Fabric, Host};
@@ -179,17 +180,10 @@ impl MigrationManager {
                 let proxied = self
                     .fabric
                     .proxy(destination, origin, handle.port().clone());
-                let addr = new_task.vm_allocate_with_pager(None, size, proxied.port(), 0)?;
-                // pager_init is asynchronous; until the pager's cluster
-                // advice lands, a fault would pull a kernel-sized cluster
-                // and void the copy-on-reference accounting.
-                let object = dst_kernel.object_for_port(proxied.port(), size);
-                for _ in 0..500 {
-                    if object.cluster_hint() == 1 {
-                        break;
-                    }
-                    machsim::wall::sleep(std::time::Duration::from_millis(1));
-                }
+                // Until the pager's cluster advice lands, a fault would
+                // pull a kernel-sized cluster and void the
+                // copy-on-reference accounting.
+                let addr = map_and_await_init(&new_task, proxied.port(), size)?;
                 // Leak the proxy alongside the pager handle so the object
                 // stays reachable for the task's lifetime.
                 std::mem::forget(proxied);

@@ -19,13 +19,14 @@
 //! will cause the writer to revert to reader status."
 
 use machcore::{spawn_manager, DataManager, KernelConn, ManagerHandle, Task};
-use machipc::{OolBuffer, SendRight};
+use machipc::{serve, OolBuffer, ReceiveRight, SendRight, Server};
 use machnet::{Fabric, Host, ProxyHandle};
 use machvm::{VmError, VmProt};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
+use std::time::Duration;
 
 const PAGE: u64 = 4096;
 
@@ -375,15 +376,27 @@ impl SharedMemoryServer {
     }
 }
 
-/// RPC: look up (or create) a shared region by name; the reply carries
-/// the memory object port — "the shared memory server finds the memory
-/// object, X, and returns it" (Section 4.2).
-pub const SHM_LOOKUP: u32 = 0x4B01;
-/// Success reply.
-pub const SHM_OK: u32 = 0x4B80;
-/// Failure reply.
-pub const SHM_ERR: u32 = 0x4B81;
-const SHM_SHUTDOWN: u32 = 0x4BFF;
+machcore::protocol! {
+    /// Requests to the shared-region directory.
+    #[derive(Debug)]
+    pub enum ShmRequest {
+        /// Look up the region `name`, creating it with `size` bytes on
+        /// first use: "the shared memory server finds the memory object,
+        /// X, and returns it" (Section 4.2).
+        Lookup(name: String, size: u64) = SHM_LOOKUP: 0x4B01,
+    }
+}
+
+machcore::protocol! {
+    /// The directory's answers.
+    #[derive(Debug)]
+    pub enum ShmReply {
+        /// `(size, object)`: the region's memory object.
+        Region(size: u64, object: SendRight) = SHM_OK: 0x4B80,
+        /// The lookup failed, or was malformed.
+        Failed = SHM_ERR: 0x4B81,
+    }
+}
 
 /// The Section 4.2 front door: a directory of named shared memory regions.
 ///
@@ -399,16 +412,8 @@ const SHM_SHUTDOWN: u32 = 0x4BFF;
 /// network message server's right rewriting delivers them a proxied
 /// memory object port, so mapping it runs the whole pager protocol over
 /// the network with no further ceremony.
-pub struct ShmDirectory {
-    port: SendRight,
-    thread: Mutex<Option<std::thread::JoinHandle<()>>>,
-}
-
-impl fmt::Debug for ShmDirectory {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ShmDirectory({:?})", self.port)
-    }
-}
+#[derive(Debug)]
+pub struct ShmDirectory(Server);
 
 impl ShmDirectory {
     /// Starts a directory of shared regions on `server_host`.
@@ -417,70 +422,28 @@ impl ShmDirectory {
         server_host: &Arc<Host>,
         policy: GrantPolicy,
     ) -> Arc<ShmDirectory> {
-        let (rx, tx) = machipc::ReceiveRight::allocate(server_host.machine());
+        let (rx, _) = ReceiveRight::allocate(server_host.machine());
         rx.set_backlog(1024);
-        let fabric = fabric.clone();
-        let server_host = server_host.clone();
-        let thread = std::thread::Builder::new()
-            .name("shm-directory".into())
-            .spawn(move || {
-                let mut regions: HashMap<String, Arc<SharedMemoryServer>> = HashMap::new();
-                loop {
-                    let Ok(msg) = rx.receive(None) else { break };
-                    let reply = |m: machipc::Message| {
-                        if let Some(r) = &msg.reply {
-                            let _ = r.send(m, Some(std::time::Duration::from_secs(5)));
-                        }
-                    };
-                    match msg.id {
-                        SHM_LOOKUP => {
-                            let name = msg
-                                .body
-                                .iter()
-                                .find_map(|i| i.as_bytes())
-                                .map(|b| String::from_utf8_lossy(b).to_string());
-                            let size = msg
-                                .body
-                                .iter()
-                                .find_map(|i| i.as_u64s())
-                                .and_then(|v| v.first().copied());
-                            match (name, size) {
-                                (Some(name), Some(size)) if size > 0 => {
-                                    let region = regions.entry(name).or_insert_with(|| {
-                                        SharedMemoryServer::start_with_policy(
-                                            &fabric,
-                                            &server_host,
-                                            size,
-                                            policy,
-                                        )
-                                    });
-                                    reply(
-                                        machipc::Message::new(SHM_OK)
-                                            .with(machipc::MsgItem::u64s(&[region.size()]))
-                                            .with(machipc::MsgItem::SendRights(vec![region
-                                                .port()
-                                                .clone()])),
-                                    );
-                                }
-                                _ => reply(machipc::Message::new(SHM_ERR)),
-                            }
-                        }
-                        SHM_SHUTDOWN => break,
-                        _ => reply(machipc::Message::new(SHM_ERR)),
-                    }
+        let (fabric, server_host) = (fabric.clone(), server_host.clone());
+        let mut regions: HashMap<String, Arc<SharedMemoryServer>> = HashMap::new();
+        Arc::new(ShmDirectory(serve("shm-directory", rx, move |msg| {
+            let reply = match ShmRequest::decode(msg) {
+                Ok(ShmRequest::Lookup(name, size)) if size > 0 => {
+                    let region = regions.entry(name).or_insert_with(|| {
+                        SharedMemoryServer::start_with_policy(&fabric, &server_host, size, policy)
+                    });
+                    ShmReply::Region(region.size(), region.port().clone())
                 }
-            })
-            .expect("spawn shm directory");
-        Arc::new(ShmDirectory {
-            port: tx,
-            thread: Mutex::new(Some(thread)),
-        })
+                _ => ShmReply::Failed,
+            };
+            Some(reply.encode())
+        })))
     }
 
     /// The directory's RPC port (reachable through the fabric by remote
     /// clients).
     pub fn port(&self) -> &SendRight {
-        &self.port
+        self.0.port()
     }
 
     /// Client side: requests the region `name` (created with `size` bytes
@@ -496,81 +459,53 @@ impl ShmDirectory {
         name: &str,
         size: u64,
     ) -> Result<(u64, u64), VmError> {
-        let msg = machipc::Message::new(SHM_LOOKUP)
-            .with(machipc::MsgItem::bytes(name.as_bytes().to_vec()))
-            .with(machipc::MsgItem::u64s(&[size]));
+        let msg = ShmRequest::Lookup(name.to_string(), size).encode();
+        let timeout = Some(Duration::from_secs(10));
         let reply = if client_host.id() == server_host.id() {
-            directory
-                .rpc(
-                    msg,
-                    Some(std::time::Duration::from_secs(10)),
-                    Some(std::time::Duration::from_secs(10)),
-                )
-                .map_err(|_| VmError::ObjectDestroyed)?
+            directory.rpc(msg, timeout, timeout).ok()
         } else {
             fabric
-                .rpc(
-                    client_host,
-                    server_host,
-                    directory,
-                    msg,
-                    Some(std::time::Duration::from_secs(10)),
-                )
-                .map_err(|_| VmError::ObjectDestroyed)?
+                .rpc(client_host, server_host, directory, msg, timeout)
+                .ok()
         };
-        if reply.id != SHM_OK {
-            return Err(VmError::ObjectDestroyed);
-        }
-        let actual = reply.body[0].as_u64s().ok_or(VmError::ObjectDestroyed)?[0];
-        let machipc::MsgItem::SendRights(rights) = &reply.body[1] else {
+        let Some(Ok(ShmReply::Region(actual, object))) = reply.map(ShmReply::decode) else {
             return Err(VmError::ObjectDestroyed);
         };
         // When the client is remote the fabric rewrote the right into a
         // local proxy; either way, map it.
-        let addr = map_and_await_init(task, &rights[0], actual)?;
+        let addr = map_and_await_init(task, &object, actual)?;
         Ok((addr, actual))
     }
 }
 
 /// Maps the `size`-byte region behind `port` into `task` and waits until
-/// the server has handled this kernel's `pager_init`.
+/// the manager has handled this kernel's `pager_init`.
 ///
 /// `pager_init` travels asynchronously (possibly through a proxy), and a
-/// fault taken before the server has handled it can reach the server
-/// first, find no session for this kernel and go unanswered. The server
-/// registers the session and then sends its single-page cluster
-/// attribute, so the attribute landing here means the session exists and
-/// later mappers see ordered host slots — the stand-in for real Mach's
-/// kernel blocking new mappings until `memory_object_set_attributes`
-/// arrives. It also means no fault cluster-prefetches pages the server
-/// tracks per client. A server that never answers is an error, not a
-/// mapping whose first fault hangs.
-fn map_and_await_init(task: &Task, port: &SendRight, size: u64) -> Result<u64, VmError> {
+/// fault taken before the manager has handled it can reach the manager
+/// first: the shared memory server would find no session for this kernel
+/// and leave it unanswered, and the snapshot and migration pagers would be
+/// asked for a kernel-sized cluster of pages nobody referenced. Each of
+/// these managers advises a single-page cluster as its last act of
+/// `pager_init`, so the attribute landing here means the manager is ready
+/// — the stand-in for real Mach's kernel blocking new mappings until
+/// `memory_object_set_attributes` arrives. A manager that never answers is
+/// an error, not a mapping whose first fault hangs.
+pub(crate) fn map_and_await_init(task: &Task, port: &SendRight, size: u64) -> Result<u64, VmError> {
     let addr = task.vm_allocate_with_pager(None, size, port, 0)?;
     let object = task.kernel().object_for_port(port, size);
     // Wall-clock bound: generous enough for a proxied `pager_init` on a
     // loaded 2-core host; the common case returns within a poll or two.
-    let initialized = machsim::wall::poll_until(
-        std::time::Duration::from_secs(5),
-        std::time::Duration::from_millis(2),
-        || object.cluster_hint() == 1,
-    );
+    let initialized =
+        machsim::wall::poll_until(Duration::from_secs(5), Duration::from_millis(2), || {
+            object.cluster_hint() == 1
+        });
     if !initialized {
         // The caller must see the timeout, whatever unmapping says.
         let _ = task.vm_deallocate(addr, size);
         return Err(VmError::Timeout);
     }
     Ok(addr)
-}
-
-impl Drop for ShmDirectory {
-    fn drop(&mut self) {
-        self.port
-            .send_notification(machipc::Message::new(SHM_SHUTDOWN));
-        if let Some(t) = self.thread.lock().take() {
-            let _ = t.join();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -898,5 +833,16 @@ mod tests {
                 .expect("the first fault on a fresh region is answered");
             assert_eq!(b[0], 0, "region {i} starts zeroed");
         }
+    }
+
+    #[test]
+    fn a_reply_without_size_or_object_is_an_error_not_a_panic() {
+        let fabric = Fabric::new();
+        let home = fabric.add_host("home");
+        let k = Kernel::boot_on(home.machine().clone(), KernelConfig::default());
+        let task = Task::create(&k, "client");
+        let ok = crate::fs::tests::bare_server(home.machine(), SHM_OK, 1);
+        let reply = ShmDirectory::request(&fabric, &ok, &home, &home, &task, "r", PAGE);
+        assert_eq!(reply, Err(VmError::ObjectDestroyed));
     }
 }

@@ -12,8 +12,9 @@
 //! Compare [`send_eager`], which transmits every byte up front: the
 //! network analogue of an inline copy.
 
+use crate::netshm::map_and_await_init;
 use machcore::{spawn_manager, DataManager, Kernel, KernelConn, ManagerHandle, Task};
-use machipc::{Message, MsgItem, OolBuffer, SendRight};
+use machipc::{Message, OolBuffer, SendRight};
 use machnet::{Fabric, Host};
 use machvm::{VmError, VmProt};
 use std::sync::Arc;
@@ -22,10 +23,17 @@ use std::time::Duration;
 #[cfg(test)]
 const PAGE: u64 = 4096;
 
-/// Message id for region handles in transit.
-pub const REMOTE_REGION: u32 = 0x4A01;
-/// Message id for eagerly copied regions.
-pub const REMOTE_REGION_EAGER: u32 = 0x4A02;
+machcore::protocol! {
+    /// A region of a task's memory in transit to another host.
+    #[derive(Debug)]
+    pub enum RegionMessage {
+        /// `(size, object)`: a copy-on-reference handle, the memory object
+        /// of the sender's snapshot.
+        Handle(size: u64, object: SendRight) = REMOTE_REGION: 0x4A01,
+        /// `(size, data)`: every byte, transmitted up front.
+        Eager(size: u64, data: OolBuffer) = REMOTE_REGION_EAGER: 0x4A02,
+    }
+}
 
 /// Serves a frozen snapshot of the sender's region.
 struct SnapshotPager {
@@ -73,9 +81,7 @@ pub fn send_copy_on_reference(
         "remote-region",
         SnapshotPager { data: snapshot },
     );
-    let msg = Message::new(REMOTE_REGION)
-        .with(MsgItem::u64s(&[size]))
-        .with(MsgItem::SendRights(vec![pager.port().clone()]));
+    let msg = RegionMessage::Handle(size, pager.port().clone()).encode();
     fabric
         .send(from, to, dest_port, msg, Some(Duration::from_secs(10)))
         .map_err(|_| VmError::ObjectDestroyed)?;
@@ -92,47 +98,30 @@ pub fn send_eager(
     size: u64,
     dest_port: &SendRight,
 ) -> Result<(), VmError> {
-    let data = task.vm_read(address, size)?;
-    let msg = Message::new(REMOTE_REGION_EAGER)
-        .with(MsgItem::u64s(&[size]))
-        .with(MsgItem::OutOfLine(OolBuffer::from_vec(data)));
+    let data = OolBuffer::from_vec(task.vm_read(address, size)?);
+    let msg = RegionMessage::Eager(size, data).encode();
     fabric
         .send(from, to, dest_port, msg, Some(Duration::from_secs(10)))
         .map_err(|_| VmError::ObjectDestroyed)
 }
 
-/// Receiver side: maps a [`REMOTE_REGION`] handle into `task`. The memory
+/// Receiver side: maps a [`RegionMessage::Handle`] into `task`. The memory
 /// object port arrived through the network message server, so faults are
 /// charged as network traffic automatically. Returns `(address, size)`.
-pub fn map_received(task: &Task, msg: &Message) -> Result<(u64, u64), VmError> {
-    if msg.id != REMOTE_REGION {
-        return Err(VmError::ObjectDestroyed);
-    }
-    let size = msg.body[0].as_u64s().ok_or(VmError::ObjectDestroyed)?[0];
-    let MsgItem::SendRights(rights) = &msg.body[1] else {
+pub fn map_received(task: &Task, msg: Message) -> Result<(u64, u64), VmError> {
+    let Ok(RegionMessage::Handle(size, object)) = RegionMessage::decode(msg) else {
         return Err(VmError::ObjectDestroyed);
     };
-    let addr = task.vm_allocate_with_pager(None, size, &rights[0], 0)?;
-    // pager_init is asynchronous; wait for the snapshot pager's
-    // single-page advice so the first faults don't pull clusters.
-    let object = task.kernel().object_for_port(&rights[0], size);
-    for _ in 0..500 {
-        if object.cluster_hint() == 1 {
-            break;
-        }
-        machsim::wall::sleep(std::time::Duration::from_millis(1));
-    }
-    Ok((addr, size))
+    // The first faults must not pull clusters: wait for the snapshot
+    // pager's single-page advice.
+    Ok((map_and_await_init(task, &object, size)?, size))
 }
 
 /// Receiver side for the eager variant: copies into fresh task memory.
-pub fn copy_in_eager(task: &Task, msg: &Message) -> Result<(u64, u64), VmError> {
-    let size = msg.body[0].as_u64s().ok_or(VmError::ObjectDestroyed)?[0];
-    let data = msg
-        .body
-        .iter()
-        .find_map(|i| i.as_ool())
-        .ok_or(VmError::ObjectDestroyed)?;
+pub fn copy_in_eager(task: &Task, msg: Message) -> Result<(u64, u64), VmError> {
+    let Ok(RegionMessage::Eager(size, data)) = RegionMessage::decode(msg) else {
+        return Err(VmError::ObjectDestroyed);
+    };
     let addr = task.map().allocate(None, size)?;
     task.map().write(addr, data.as_slice())?;
     Ok((addr, size))
@@ -155,7 +144,7 @@ pub fn two_hosts() -> (Arc<Fabric>, HostKernel, HostKernel) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use machipc::ReceiveRight;
+    use machipc::{MsgItem, ReceiveRight};
     use machsim::stats::keys;
 
     #[test]
@@ -175,7 +164,7 @@ mod tests {
         let _pager =
             send_copy_on_reference(&fabric, &ha, &hb, &sender, addr, pages * PAGE, &tx).unwrap();
         let msg = rx.receive(Some(Duration::from_secs(5))).unwrap();
-        let (raddr, rsize) = map_received(&receiver, &msg).unwrap();
+        let (raddr, rsize) = map_received(&receiver, msg).unwrap();
         assert_eq!(rsize, pages * PAGE);
         let handle_bytes = hb.machine().stats.get(keys::NET_BYTES) - net0;
         assert!(handle_bytes < PAGE, "the handle is tiny: {handle_bytes}B");
@@ -205,7 +194,7 @@ mod tests {
         send_eager(&fabric, &ha, &hb, &sender, addr, pages * PAGE, &tx).unwrap();
         assert!(hb.machine().stats.get(keys::NET_BYTES) - net0 >= pages * PAGE);
         let msg = rx.receive(Some(Duration::from_secs(5))).unwrap();
-        let (raddr, _) = copy_in_eager(&receiver, &msg).unwrap();
+        let (raddr, _) = copy_in_eager(&receiver, msg).unwrap();
         let mut b = [0u8; 1];
         receiver.read_memory(raddr, &mut b).unwrap();
         assert_eq!(b[0], 9);
@@ -224,9 +213,39 @@ mod tests {
         // the send-time contents (copy semantics of message data).
         sender.write_memory(addr, &[2]).unwrap();
         let msg = rx.receive(Some(Duration::from_secs(5))).unwrap();
-        let (raddr, _) = map_received(&receiver, &msg).unwrap();
+        let (raddr, _) = map_received(&receiver, msg).unwrap();
         let mut b = [0u8; 1];
         receiver.read_memory(raddr, &mut b).unwrap();
         assert_eq!(b[0], 1);
+    }
+
+    #[test]
+    fn a_handle_without_size_or_object_is_an_error_not_a_panic() {
+        let k = Kernel::boot(machcore::KernelConfig::default());
+        let receiver = Task::create(&k, "r");
+        let size = || MsgItem::u64s(&[PAGE]);
+        for msg in [
+            Message::new(REMOTE_REGION),
+            Message::new(REMOTE_REGION).with(size()),
+            Message::new(REMOTE_REGION)
+                .with(size())
+                .with(MsgItem::SendRights(Vec::new())),
+        ] {
+            assert_eq!(map_received(&receiver, msg), Err(VmError::ObjectDestroyed));
+        }
+    }
+
+    #[test]
+    fn a_snapshot_pager_that_never_answers_init_is_a_timeout() {
+        struct Silent;
+        impl DataManager for Silent {
+            fn data_request(&mut self, _: &KernelConn, _: u64, _: u64, _: u64, _: VmProt) {}
+        }
+        let k = Kernel::boot(machcore::KernelConfig::default());
+        let receiver = Task::create(&k, "r");
+        let silent = spawn_manager(k.machine(), "silent", Silent);
+        let handle = RegionMessage::Handle(PAGE, silent.port().clone()).encode();
+        assert_eq!(map_received(&receiver, handle), Err(VmError::Timeout));
+        assert!(receiver.vm_regions().is_empty(), "the mapping is undone");
     }
 }

@@ -262,13 +262,15 @@ mod tests {
         server: &Arc<FileServer>,
         counted: u32,
     ) -> (MachUnix, Arc<AtomicUsize>, impl FnOnce()) {
+        // No file-server id: what stops the tap.
+        const TAP_STOP: u32 = u32::MAX;
         let (tap_rx, tap_tx) = machipc::ReceiveRight::allocate(k.machine());
         let count = Arc::new(AtomicUsize::new(0));
         let tap = {
             let (count, real) = (count.clone(), server.port().clone());
             std::thread::spawn(move || {
                 while let Ok(msg) = tap_rx.receive(None) {
-                    if msg.id == machpagers::fs::FS_SHUTDOWN {
+                    if msg.id == TAP_STOP {
                         break;
                     }
                     if msg.id == counted {
@@ -281,7 +283,7 @@ mod tests {
         let u = MachUnix::new(&Task::create(k, "unix-emul"), FsClient::new(tap_tx.clone()));
         let stop = move || {
             tap_tx
-                .send(machipc::Message::new(machpagers::fs::FS_SHUTDOWN), None)
+                .send(machipc::Message::new(TAP_STOP), None)
                 .expect("tap is up");
             tap.join().expect("tap thread");
         };

@@ -30,7 +30,7 @@ fn main() {
         let net0 = hb.machine().stats.get(keys::NET_BYTES);
         remote_region::send_eager(&fabric, &ha, &hb, &sender, addr, PAGES * PAGE, &tx).unwrap();
         let msg = rx.receive(Some(Duration::from_secs(5))).unwrap();
-        let (raddr, _) = remote_region::copy_in_eager(&receiver, &msg).unwrap();
+        let (raddr, _) = remote_region::copy_in_eager(&receiver, msg).unwrap();
         let mut b = [0u8; 7];
         receiver.read_memory(raddr, &mut b).unwrap();
         assert_eq!(&b, b"payload");
@@ -61,7 +61,7 @@ fn main() {
         .unwrap();
         let msg = rx.receive(Some(Duration::from_secs(5))).unwrap();
         let at_send = hb.machine().stats.get(keys::NET_BYTES) - net0;
-        let (raddr, _) = remote_region::map_received(&receiver, &msg).unwrap();
+        let (raddr, _) = remote_region::map_received(&receiver, msg).unwrap();
         let mut b = [0u8; 7];
         receiver.read_memory(raddr, &mut b).unwrap();
         assert_eq!(&b, b"payload");

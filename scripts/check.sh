@@ -15,9 +15,30 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+# Lines matching the pattern "$1" in the non-test code of the files that
+# follow: each file up to its `mod tests`.
+non_test() {
+    pattern=$1
+    shift
+    PATTERN=$pattern awk 'FNR == 1 { t = 0 } /^(pub\(crate\) )?mod tests/ { t = 1 } !t && $0 ~ ENVIRON["PATTERN"] { print FILENAME ":" FNR ": " $0 }' "$@"
+}
+
 echo "==> one decoder per protocol (no message read by shape outside machcore::proto's codec)"
-if awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t && /as_u64s\(\)|body\[[01]\]/ { print FILENAME ":" FNR ": " $0; n++ } END { exit !n }' \
-    crates/core/src/kernel.rs crates/core/src/manager.rs crates/core/src/backend.rs crates/core/src/objport.rs crates/pagers/src/fs.rs; then
+decoders=$(non_test 'as_u64s\(\)|as_ool\(\)|body\[[0-9]\]' crates/core/src/*.rs crates/pagers/src/*.rs crates/net/src/*.rs | grep -v '^crates/core/src/proto.rs:' || true)
+if [ -n "$decoders" ]; then
+    echo "$decoders"
+    exit 1
+fi
+
+echo "==> one kind of server loop (threads only in machipc::serve and the kernel's watchdog and pageout daemon; one stop id)"
+threads=$(non_test 'thread::(Builder|spawn)' crates/ipc/src/*.rs crates/core/src/*.rs crates/pagers/src/*.rs crates/net/src/*.rs | cut -d: -f1 | sort | uniq -c | tr -s ' ' | tr '\n' ';')
+if [ "$threads" != " 2 crates/core/src/kernel.rs; 1 crates/ipc/src/serve.rs;" ]; then
+    echo "thread sites: $threads"
+    exit 1
+fi
+stops=$(non_test 'const [A-Z_]*(SHUTDOWN|STOP)[A-Z_]*: u32' crates/ipc/src/*.rs crates/core/src/*.rs crates/pagers/src/*.rs crates/net/src/*.rs | cut -d: -f1)
+if [ "$stops" != "crates/ipc/src/serve.rs" ]; then
+    echo "stop ids: $stops"
     exit 1
 fi
 
@@ -92,4 +113,4 @@ cargo test -q -p machsched --features lockdep --test lockdep_witness
 echo "==> machlint (static invariants: lock-order, sim-time, counter-key, panic-budget, trace-cover, span-pair, atomic-ordering, condvar-wait, unchecked-send)"
 cargo run -q -p machlint -- --workspace
 
-echo "OK: clippy clean, formatting clean, workspace tests, threaded-test repeats, fault_scaling, numa_placement, fault_concurrency, parallel_build, machmark smoke + verify, machmc + baseline diff, export smoke, critical-path smoke, lockdep witnesses and machlint passed."
+echo "OK: clippy clean, formatting clean, one decoder and one server loop, workspace tests, threaded-test repeats, fault_scaling, numa_placement, fault_concurrency, parallel_build, machmark smoke + verify, machmc + baseline diff, export smoke, critical-path smoke, lockdep witnesses and machlint passed."

@@ -10,7 +10,12 @@ use machcore::objport::{TaskReply, TaskRequest};
 use machcore::proto::{HostRequest, KernelToManager, Malformed, ManagerToKernel};
 use machcore::{Kernel, KernelConfig, Task};
 use machipc::{Message, MsgItem, OolBuffer, ReceiveRight, SendRight, TypeTag};
+use machpagers::agora::{BbReply, BbRequest};
+use machpagers::array::{ArrayReply, ArrayRequest};
+use machpagers::camelot::{TxReply, TxRequest};
 use machpagers::fs::{FsReply, FsRequest};
+use machpagers::netshm::{ShmReply, ShmRequest};
+use machpagers::remote_region::RegionMessage;
 use machsim::{Machine, SplitMix64};
 use machstorage::{BlockDevice, FlatFs, LogRecord, WriteAheadLog};
 use machvm::{PhysicalMemory, VmMap, VmProt};
@@ -506,6 +511,11 @@ impl Fields {
         (0..len).map(|_| char()).collect()
     }
 
+    fn payload(&mut self) -> Vec<u8> {
+        let len = self.rng.next_below(48) as usize;
+        bytes(&mut self.rng, len)
+    }
+
     fn right(&mut self) -> SendRight {
         self.ports[self.rng.next_below(4) as usize].1.clone()
     }
@@ -567,8 +577,23 @@ fn fs_request_data(m: &FsRequest) -> Option<&OolBuffer> {
     }
 }
 
-/// Every variant of the five request protocols and the two reply
-/// protocols survives encode then decode with random fields.
+/// The after image; both images' lengths are in the `Debug` form.
+fn tx_request_data(m: &TxRequest) -> Option<&OolBuffer> {
+    match m {
+        TxRequest::Log(_, _, _, after) => Some(after),
+        _ => None,
+    }
+}
+
+fn region_data(m: &RegionMessage) -> Option<&OolBuffer> {
+    match m {
+        RegionMessage::Eager(_, data) => Some(data),
+        RegionMessage::Handle(..) => None,
+    }
+}
+
+/// Every variant of every protocol, requests and replies, survives encode
+/// then decode with random fields.
 #[test]
 fn protocol_messages_round_trip() {
     for case in 0..CASES {
@@ -671,6 +696,57 @@ fn protocol_messages_round_trip() {
         for m in fs_replies {
             round_trip(m, FsReply::encode, FsReply::decode, |_| None);
         }
+        let tx = [
+            TxRequest::Attach,
+            TxRequest::Begin,
+            TxRequest::Log(f.word(), f.word(), f.data(), f.data()),
+            TxRequest::Commit(f.word()),
+            TxRequest::Abort(f.word()),
+        ];
+        for m in tx {
+            round_trip(m, TxRequest::encode, TxRequest::decode, tx_request_data);
+        }
+        let tx_replies = [
+            TxReply::Attached(f.word(), f.right()),
+            TxReply::Began(f.word()),
+            TxReply::Done,
+            TxReply::Failed,
+        ];
+        for m in tx_replies {
+            round_trip(m, TxReply::encode, TxReply::decode, |_| None);
+        }
+        let bb = [
+            BbRequest::Post(f.word(), f.payload()),
+            BbRequest::Read(f.word()),
+            BbRequest::Evaluate(f.word(), f.word()),
+        ];
+        for m in bb {
+            round_trip(m, BbRequest::encode, BbRequest::decode, |_| None);
+        }
+        let bb_replies = [
+            BbReply::Slot(f.word(), f.word(), f.payload()),
+            BbReply::Done,
+            BbReply::Rejected,
+        ];
+        for m in bb_replies {
+            round_trip(m, BbReply::encode, BbReply::decode, |_| None);
+        }
+        let shm = ShmRequest::Lookup(f.name(), f.word());
+        round_trip(shm, ShmRequest::encode, ShmRequest::decode, |_| None);
+        for m in [ShmReply::Region(f.word(), f.right()), ShmReply::Failed] {
+            round_trip(m, ShmReply::encode, ShmReply::decode, |_| None);
+        }
+        let array = ArrayRequest::Attach;
+        round_trip(array, ArrayRequest::encode, ArrayRequest::decode, |_| None);
+        let attached = ArrayReply::Attached(f.word(), f.right());
+        round_trip(attached, ArrayReply::encode, ArrayReply::decode, |_| None);
+        let regions = [
+            RegionMessage::Handle(f.word(), f.right()),
+            RegionMessage::Eager(f.word(), f.data()),
+        ];
+        for m in regions {
+            round_trip(m, RegionMessage::encode, RegionMessage::decode, region_data);
+        }
     }
 }
 
@@ -715,6 +791,9 @@ fn protocol_decoders_never_panic() {
         .chain(0x2500..=0x2507)
         .chain((0x3101..=0x3107).chain([0x3180, 0x3181]))
         .chain((0x4101..=0x4106).chain([0x4180, 0x4181]))
+        .chain((0x4701..=0x4705).chain([0x4780, 0x4781]))
+        .chain((0x4901..=0x4903).chain([0x4980, 0x4981]))
+        .chain([0x4B01, 0x4B80, 0x4B81, 0x4601, 0x4680, 0x4A01, 0x4A02])
         .collect();
     let (_port, right) = ReceiveRight::allocate(&Machine::default_machine());
     let mut rng = SplitMix64::new(0xDEC0DE);
@@ -731,6 +810,15 @@ fn protocol_decoders_never_panic() {
             TaskReply::decode(msg()).is_ok(),
             FsRequest::decode(msg()).is_ok(),
             FsReply::decode(msg()).is_ok(),
+            TxRequest::decode(msg()).is_ok(),
+            TxReply::decode(msg()).is_ok(),
+            BbRequest::decode(msg()).is_ok(),
+            BbReply::decode(msg()).is_ok(),
+            ShmRequest::decode(msg()).is_ok(),
+            ShmReply::decode(msg()).is_ok(),
+            ArrayRequest::decode(msg()).is_ok(),
+            ArrayReply::decode(msg()).is_ok(),
+            RegionMessage::decode(msg()).is_ok(),
         ]
         .iter()
         .filter(|ok| **ok)
