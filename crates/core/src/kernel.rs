@@ -3,11 +3,12 @@
 //!
 //! "The Mach kernel can itself be considered a task with multiple threads
 //! of control. The kernel task acts as a server which in turn implements
-//! tasks and threads." Here the kernel's visible server is the EMM service
-//! ([`machipc::serve`] over a port space): it holds the receive rights of
-//! every pager request port and name port, and turns the data-manager →
-//! kernel protocol messages (Table 3-6) into operations on the resident
-//! page cache.
+//! tasks and threads." Here the kernel holds the receive rights of every
+//! pager request port and name port, and serves each request port as a
+//! kernel port: a data-manager → kernel protocol message (Table 3-6)
+//! becomes an operation on the resident page cache on the thread that
+//! sends it, as Mach's `ipc_kobject_server` runs inside `msg_send`. Only
+//! the host port has a service thread ([`machipc::serve`]).
 
 use crate::backend::IpcPagerBackend;
 use crate::default_pager::DefaultPager;
@@ -16,7 +17,7 @@ use crate::introspect::{
 };
 use crate::manager::{spawn_manager, ManagerHandle};
 use crate::proto::{HostRequest, KernelToManager, ManagerToKernel};
-use machipc::{serve, Inbox, Message, PortId, PortSpace, ReceiveRight, SendRight, Server};
+use machipc::{serve, Message, PortId, PortName, PortSpace, ReceiveRight, SendRight, Server};
 use machsim::stats::keys as stat_keys;
 use machsim::{CorrelationId, CostModel, EventKind, Machine};
 use machstorage::{BlockDevice, BLOCK_SIZE};
@@ -100,14 +101,17 @@ const PAGEOUT_BURST_PAGES: usize = 8;
 /// Watchdog poll interval (wall clock).
 const WATCHDOG_POLL: std::time::Duration = std::time::Duration::from_millis(5);
 
-/// Consecutive watchdog scans a parked fault must survive before the
-/// sim-clock deadline is even considered (~300 ms of wall time). The
-/// debounce is what makes the watchdog sound on a *shared* simulated
-/// clock: a busy host charges everyone's work to one clock, so sim-elapsed
-/// alone would flag healthy faults on loaded hosts, while a wedged host's
-/// clock stops advancing and would never cross the deadline at all.
-/// Healthy faults resolve in wall-microseconds; only a genuinely blocked
-/// fault is still parked after this many scans.
+/// Consecutive watchdog scans a parked fault must survive without its
+/// pager answering an older fault of its object before the sim-clock
+/// deadline is even considered (~300 ms of wall time). The debounce is
+/// what makes the watchdog sound on a *shared* simulated clock: a busy
+/// host charges everyone's work to one clock, so sim-elapsed alone would
+/// flag healthy faults on loaded hosts, while a wedged host's clock stops
+/// advancing and would never cross the deadline at all. Healthy faults
+/// resolve in wall-microseconds, and one queued behind a pager that is
+/// draining the faults ahead of it keeps being reset
+/// ([`FaultEngine::watch`]); only a fault its pager has stopped answering
+/// is still counted after this many scans.
 const WATCHDOG_MIN_SCANS: u32 = 60;
 
 /// Trace-ring tail length included in a watchdog black-box report.
@@ -152,7 +156,7 @@ impl KernelConfig {
 /// references to their address maps, pruned as tasks die.
 type TaskRegistry = Arc<Mutex<Vec<(String, Weak<VmMap>)>>>;
 
-/// Object registry shared between API paths and the service loop.
+/// Object registry shared between API paths and the request ports.
 #[derive(Default)]
 struct Registry {
     /// By kernel-internal object id (routing for manager → kernel calls).
@@ -166,13 +170,12 @@ pub struct Kernel {
     machine: Machine,
     phys: Arc<PhysicalMemory>,
     registry: Arc<Mutex<Registry>>,
+    /// The receive rights of every request and name port.
     service_space: Arc<PortSpace>,
     default_backend: Arc<IpcPagerBackend>,
     /// The default pager's page table (for its stored-page count).
     paging_table: crate::default_pager::PageTable,
     default_pager_handle: Option<ManagerHandle>,
-    /// The EMM service, over `service_space`.
-    service: Option<Server>,
     daemon: Mutex<Option<JoinHandle<()>>>,
     daemon_stop: Arc<std::sync::atomic::AtomicBool>,
     fault_policy: FaultPolicy,
@@ -204,7 +207,7 @@ impl fmt::Debug for Kernel {
 }
 
 impl Kernel {
-    /// Boots a kernel: physical memory, default pager, EMM service loop.
+    /// Boots a kernel: physical memory, default pager, host service.
     pub fn boot(config: KernelConfig) -> Arc<Kernel> {
         Self::boot_on(Machine::new(config.cost.clone()), config)
     }
@@ -231,12 +234,7 @@ impl Kernel {
         let dp = DefaultPager::new(paging_dev, config.page_size);
         let paging_table = dp.page_table();
         let dp_handle = spawn_manager(&machine, "default", dp);
-        // The EMM service's stop travels on the default pager's request
-        // port, which lives as long as the kernel.
-        let (dp_request_name, dp_request) = Self::register_request_port(&service_space, &machine);
-        // Sender-side depth view of the kernel's EMM request port, for the
-        // queue-depth gauge below.
-        let dp_request_depth = dp_request.clone();
+        let (_, dp_request) = Self::register_request_port(&service_space, &registry, &phys);
         let default_backend = IpcPagerBackend::new(
             &machine,
             dp_handle.port().clone(),
@@ -298,11 +296,6 @@ impl Kernel {
             machine.gauges.register("gauge.vm.pending_fills", move || {
                 weak.upgrade().map_or(0, |p| p.pending_fills() as u64)
             });
-            machine
-                .gauges
-                .register("gauge.ipc.kernel_port_depth", move || {
-                    dp_request_depth.queued() as u64
-                });
             let weak = Arc::downgrade(&phys);
             machine.gauges.register("gauge.fault.outstanding", move || {
                 weak.upgrade()
@@ -342,16 +335,6 @@ impl Kernel {
             },
         );
 
-        // The EMM service.
-        let service = {
-            let (registry, phys) = (registry.clone(), phys.clone());
-            let inbox = Inbox::Space(service_space.clone(), dp_request_name);
-            serve("kernel-emm", inbox, move |msg| {
-                Self::apply(&registry, &phys, msg);
-                None
-            })
-        };
-
         let kernel = Arc::new(Kernel {
             machine: machine.clone(),
             phys: phys.clone(),
@@ -360,7 +343,6 @@ impl Kernel {
             default_backend,
             paging_table,
             default_pager_handle: Some(dp_handle),
-            service: Some(service),
             daemon: Mutex::new(None),
             daemon_stop: Arc::new(std::sync::atomic::AtomicBool::new(false)),
             fault_policy: config.fault_policy,
@@ -430,21 +412,27 @@ impl Kernel {
         kernel
     }
 
-    /// Creates a request port whose receive right lives in `space`,
-    /// enabled for the space's service.
+    /// Creates a request port whose receive right lives in `space`: a
+    /// kernel port, each message to which is one [`Kernel::apply`] on the
+    /// sending thread. The handler holds the memory weakly — the default
+    /// pager's backend, which the memory owns, holds a send right to its
+    /// own request port.
     fn register_request_port(
-        space: &Arc<PortSpace>,
-        machine: &Machine,
-    ) -> (machipc::PortName, SendRight) {
-        let (rx, _tx) = machipc::ReceiveRight::allocate(machine);
-        rx.set_backlog(65536);
-        let name = space.insert_receive(rx);
-        space.port_enable(name).expect("enable request port");
-        let right = space.send_right(name).expect("request port right");
-        (name, right)
+        space: &PortSpace,
+        registry: &Arc<Mutex<Registry>>,
+        phys: &Arc<PhysicalMemory>,
+    ) -> (PortName, SendRight) {
+        let (registry, weak) = (registry.clone(), Arc::downgrade(phys));
+        let (rx, right) = ReceiveRight::allocate_kernel(phys.machine(), move |msg| {
+            if let Some(phys) = weak.upgrade() {
+                Self::apply(&registry, &phys, msg);
+            }
+        });
+        (space.insert_receive(rx), right)
     }
 
-    /// The EMM service: applies one Table 3-6 call.
+    /// The kernel's half of the EMM interface: applies one Table 3-6 call,
+    /// on the thread that sent it.
     fn apply(registry: &Mutex<Registry>, phys: &PhysicalMemory, msg: Message) {
         use ManagerToKernel as M;
         // Anyone holding a request port may send it anything: what is not
@@ -722,7 +710,7 @@ impl Kernel {
         }
         // Request and name ports: the kernel holds receive rights on both.
         let (request_name, request) =
-            Self::register_request_port(&self.service_space, &self.machine);
+            Self::register_request_port(&self.service_space, &self.registry, &self.phys);
         let name_port_name = self.service_space.port_allocate();
         let name_send = self
             .service_space
@@ -790,7 +778,7 @@ const SHUTDOWN_DRAIN_ROUNDS: usize = 4;
 impl Drop for Kernel {
     fn drop(&mut self) {
         // Stop the scheduler first: dispatched task bodies may be waiting
-        // on fault tickets, so the fault engine and the EMM service loop
+        // on fault tickets, so the fault engine and the default pager
         // must outlive every worker. The wait is bounded — a body blocked
         // on a fault whose pager never answers (and whose policy carries
         // no timeout) would wedge the join forever, so after the quiesce
@@ -817,7 +805,7 @@ impl Drop for Kernel {
         if let Some(t) = self.watchdog.lock().take() {
             let _ = t.join();
         }
-        // Stop the fault engine before the service loop: its drain errors
+        // Stop the fault engine before the services: its drain errors
         // every parked fault (waking their tickets), and a late submission
         // that would have to wait gets the same error instead of parking.
         let engine = self.phys.fault_engine();
@@ -833,8 +821,6 @@ impl Drop for Kernel {
             let _ = t.join();
         }
         drop(self.host_service.take());
-        drop(self.service.take());
-        // Shut the default pager down after the EMM service.
         drop(self.default_pager_handle.take());
     }
 }
@@ -1168,10 +1154,9 @@ mod tests {
         let mut b = [0u8; 1];
         map.access_read(addr, &mut b).unwrap();
         assert_eq!(k.phys().resident_pages_of(object.id()), 1);
-        // The manager flushes its object through the kernel service loop.
+        // The manager's flush is applied before its send returns.
         let (kc, oid) = conn.lock().clone().expect("init ran");
         kc.flush_request(oid, 0, 4096);
-        machsim::wall::sleep(Duration::from_millis(100));
         assert_eq!(k.phys().resident_pages_of(object.id()), 0);
     }
 }

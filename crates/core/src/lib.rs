@@ -4,9 +4,10 @@
 //!
 //! This crate assembles the substrates into the system the paper describes:
 //!
-//! * [`kernel::Kernel`] — one host's kernel: physical memory, the EMM
-//!   service loop, and the default pager (itself an ordinary external data
-//!   manager, per Section 6.2.2).
+//! * [`kernel::Kernel`] — one host's kernel: physical memory, the request
+//!   ports whose Table 3-6 calls it applies on each sender's thread, and
+//!   the default pager (itself an ordinary external data manager, per
+//!   Section 6.2.2).
 //! * [`task::Task`] — tasks ("the basic unit of resource allocation": a
 //!   paged address space plus a port name space) and threads ("the basic
 //!   unit of computation").

@@ -55,9 +55,9 @@ impl KernelConn {
     }
 
     fn send(&self, call: ManagerToKernel) {
-        // Managers may block briefly; the kernel keeps a deep backlog on
-        // request ports. A dead kernel is simply ignored (port death will
-        // follow).
+        // A local kernel applies the call on this thread before the send
+        // returns; a proxy for a remote one may block briefly. A dead
+        // kernel is simply ignored (port death will follow).
         let patience = Some(Duration::from_secs(5));
         let _ = self.request.send(call.encode(), patience);
     }

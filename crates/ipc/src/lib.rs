@@ -22,7 +22,9 @@
 //!   which Section 6.2.1 then reuses for *memory* failures);
 //! * death notification when a port's receive right is destroyed;
 //! * the task's *default group* of enabled ports for `msg_receive`;
-//! * [`serve`], the one server loop every in-tree service runs.
+//! * [`serve`], the one server loop every in-tree service runs, and kernel
+//!   ports ([`ReceiveRight::allocate_kernel`]), which need none: their
+//!   handler runs on the sending thread.
 
 pub mod error;
 pub mod message;
@@ -34,7 +36,7 @@ pub mod space;
 pub use error::IpcError;
 pub use message::{Message, MsgItem, OolBuffer, OolWatch, TypeTag, MSG_ID_PORT_DEATH};
 pub use port::{PortId, PortStatus, ReceiveRight, SendRight, DEFAULT_BACKLOG};
-pub use serve::{serve, Inbox, Server, REPLY_TIMEOUT, SERVER_STOP, SERVE_BATCH};
+pub use serve::{serve, Server, REPLY_TIMEOUT, SERVER_STOP, SERVE_BATCH};
 pub use space::{PortName, PortSpace};
 
 /// Shared context charged by IPC operations: one host's clock, counters and

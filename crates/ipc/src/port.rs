@@ -37,6 +37,16 @@
 //! Splitting the queue by sending thread was built and measured: it lost
 //! on every workload that sends a message (DESIGN.md §5, EXPERIMENTS.md
 //! ablation A5). Measure a port contending before partitioning it again.
+//!
+//! # Kernel ports
+//!
+//! A port the kernel receives on has no queue and no receiving thread: it
+//! is allocated bound to a handler ([`ReceiveRight::allocate_kernel`]), and
+//! every send runs that handler on the sending thread, outside the lock —
+//! Mach's `ipc_kobject_server`. The hop is still charged as a queued send
+//! plus its receive, so the simulated cost of a kernel call does not
+//! depend on which thread performs it. A bound port is born bound, so no
+//! message is ever queued on it for a later one to overtake.
 
 use crate::error::IpcError;
 use crate::message::{Message, MsgItem, MSG_ID_PORT_DEATH};
@@ -124,9 +134,16 @@ impl SetWaker {
     }
 }
 
+/// What a kernel port does with each message sent to it, on the sender's
+/// thread.
+type KernelHandler = Arc<dyn Fn(Message) + Send + Sync>;
+
 /// Everything a port protects, under its one lock.
 struct State {
     queue: VecDeque<Message>,
+    /// A kernel port's handler, until the port dies. A port that has one
+    /// never queues anything.
+    kernel: Option<KernelHandler>,
     /// Queued messages at which senders start to block.
     backlog: usize,
     /// The receive right is gone. Nothing is queued after this is set.
@@ -185,7 +202,7 @@ impl fmt::Debug for PortCore {
 }
 
 impl PortCore {
-    fn new(ctx: IpcContext) -> Arc<Self> {
+    fn new(ctx: IpcContext, kernel: Option<KernelHandler>) -> Arc<Self> {
         Arc::new(PortCore {
             id: PortId(NEXT_PORT_ID.fetch_add(1, Ordering::Relaxed)),
             ctx,
@@ -193,6 +210,7 @@ impl PortCore {
                 LockClass::Port,
                 State {
                     queue: VecDeque::new(),
+                    kernel,
                     backlog: DEFAULT_BACKLOG,
                     dead: false,
                     handoff_enabled: true,
@@ -347,6 +365,17 @@ impl PortCore {
         trace::set_current_span(last.span_context());
     }
 
+    /// The receive half of a kernel port's hop, on the sending thread: the
+    /// handler runs in the message's causal context, as a server's would,
+    /// and the sender's own context is restored after it.
+    fn deliver(&self, kernel: &KernelHandler, msg: Message) {
+        let (cid, span) = (trace::current_correlation(), trace::current_span());
+        self.finish_recv(std::slice::from_ref(&msg));
+        kernel(msg);
+        trace::set_current_correlation(cid);
+        trace::set_current_span(span);
+    }
+
     // ----- send path -----
 
     /// Waits, under the lock, until `full` lets at least one message be
@@ -422,6 +451,12 @@ impl PortCore {
     /// lock is released (guards drop before parameters).
     fn enqueue(&self, mut msg: Message, full: Full) -> Result<(), IpcError> {
         let mut st = self.control.lock();
+        if let Some(kernel) = st.kernel.clone() {
+            drop(st);
+            self.charge_send(&mut msg, Hop::Queued);
+            self.deliver(&kernel, msg);
+            return Ok(());
+        }
         self.room(&mut st, full, &mut None)?;
         // Only `msg_send` donates its thread; a kernel thread posting a
         // notification carries on with its own work.
@@ -447,6 +482,14 @@ impl PortCore {
         let mut deadline = None;
         while rest.len() > 0 {
             let mut st = self.control.lock();
+            if let Some(kernel) = st.kernel.clone() {
+                drop(st);
+                self.charge_send_batch(rest.as_mut_slice());
+                for msg in rest.by_ref() {
+                    self.deliver(&kernel, msg);
+                }
+                break;
+            }
             let n = match self.room(&mut st, full, &mut deadline) {
                 Ok(room) => room.min(rest.len()),
                 Err(IpcError::Timeout | IpcError::WouldBlock) if rest.len() < total => break,
@@ -550,7 +593,7 @@ impl PortCore {
     // ----- lifecycle -----
 
     fn destroy(&self) {
-        let (subs, dropped) = {
+        let (subs, dropped, kernel) = {
             let mut st = self.control.lock();
             if st.dead {
                 return;
@@ -559,13 +602,15 @@ impl PortCore {
             (
                 std::mem::take(&mut st.death_subs),
                 std::mem::take(&mut st.queue),
+                st.kernel.take(),
             )
         };
         self.recv_cv.notify_all();
         self.send_cv.notify_all();
-        // Dropping undelivered messages may destroy rights they carried,
-        // which can recursively destroy other ports; do it outside the lock.
-        drop(dropped);
+        // Dropping undelivered messages (or the handler) may destroy
+        // rights they carried, which can recursively destroy other ports;
+        // do it outside the lock.
+        drop((dropped, kernel));
         for sub in subs {
             if let Some(target) = sub.upgrade() {
                 target.post_death_of(self.id);
@@ -758,7 +803,24 @@ impl Drop for ReceiveRight {
 impl ReceiveRight {
     /// Allocates a new port, returning its receive right and a send right.
     pub fn allocate(ctx: &IpcContext) -> (ReceiveRight, SendRight) {
-        let core = PortCore::new(ctx.clone());
+        Self::allocate_with(ctx, None)
+    }
+
+    /// Allocates a kernel port: every message sent to it — by `send`,
+    /// `send_many`, a notification or a death notice — is handed to
+    /// `handler` on the sending thread, in send order, and charged as a
+    /// queued send plus its receive. Nothing is ever queued on it. Once
+    /// the receive right is dropped, sends fail with
+    /// [`IpcError::PortDied`] and the handler is released.
+    pub fn allocate_kernel(
+        ctx: &IpcContext,
+        handler: impl Fn(Message) + Send + Sync + 'static,
+    ) -> (ReceiveRight, SendRight) {
+        Self::allocate_with(ctx, Some(Arc::new(handler)))
+    }
+
+    fn allocate_with(ctx: &IpcContext, kernel: Option<KernelHandler>) -> (ReceiveRight, SendRight) {
+        let core = PortCore::new(ctx.clone(), kernel);
         core.senders.fetch_add(1, Ordering::Relaxed);
         (ReceiveRight { core: core.clone() }, SendRight { core })
     }
@@ -1658,5 +1720,93 @@ mod tests {
         assert_eq!(rx.receive(None).expect("queued message").id, 1);
         assert_eq!(rx.receive(None).expect("queued message").id, 2);
         assert_eq!(c.stats.get(machsim::stats::keys::IPC_HANDOFFS), 0);
+    }
+
+    // ----- kernel ports -----
+
+    type Seen = Arc<Mutex<Vec<(u32, Option<CorrelationId>, u64)>>>;
+
+    /// A kernel port whose handler records each message's id and the
+    /// correlation and span it ran under.
+    fn recording_kernel_port(c: &IpcContext) -> (ReceiveRight, SendRight, Seen) {
+        let seen = Seen::default();
+        let log = seen.clone();
+        let (rx, tx) = ReceiveRight::allocate_kernel(c, move |m| {
+            log.lock()
+                .push((m.id, trace::current_correlation(), trace::current_span()));
+        });
+        (rx, tx, seen)
+    }
+
+    #[test]
+    fn a_kernel_port_charges_a_queued_send_and_its_receive() {
+        let (queued, kernel) = (ctx(), ctx());
+        let msg = || {
+            let mut m = Message::new(1).with(MsgItem::bytes(vec![0u8; 100]));
+            m.correlation = 77;
+            m
+        };
+        let (rx, tx) = ReceiveRight::allocate(&queued);
+        tx.send(msg(), None).expect("send to a live port succeeds");
+        rx.receive(None).expect("the queued message is receivable");
+
+        let (_rx, ktx, seen) = recording_kernel_port(&kernel);
+        let sender = CorrelationId::allocate();
+        let _chain = trace::CorrelationScope::enter(sender);
+        let _span = trace::SpanScope::enter(5);
+        ktx.send(msg(), None)
+            .expect("send to a live kernel port succeeds");
+        let (id, cid, span) = seen.lock()[0];
+        assert_eq!((id, cid), (1, CorrelationId::from_raw(77)));
+        assert_ne!(span, 5, "the handler ran in the message's span");
+        assert_eq!(
+            (trace::current_correlation(), trace::current_span()),
+            (Some(sender), 5),
+            "the sender's context is restored"
+        );
+
+        assert_eq!(kernel.clock.now_ns(), queued.clock.now_ns());
+        for key in [
+            keys::MSG_SENT,
+            keys::MSG_RECEIVED,
+            keys::BYTES_COPIED,
+            keys::IPC_HANDOFFS,
+        ] {
+            assert_eq!(kernel.stats.get(key), queued.stats.get(key), "{key}");
+        }
+        let samples = |m: &IpcContext| {
+            m.latency
+                .get(trace::keys::SEND_TO_RECEIVE)
+                .map_or(0, |h| h.count())
+        };
+        assert_eq!((samples(&kernel), samples(&queued)), (1, 1));
+    }
+
+    #[test]
+    fn a_kernel_port_runs_every_send_in_order_until_its_right_drops() {
+        let c = ctx();
+        let (krx, ktx, seen) = recording_kernel_port(&c);
+        let ids = |seen: &Seen| seen.lock().iter().map(|&(id, ..)| id).collect::<Vec<_>>();
+        let batch = |ids: std::ops::Range<u32>| ids.map(Message::new).collect::<Vec<_>>();
+        assert_eq!(ktx.send_many(batch(0..4), Some(Duration::ZERO)), Ok(4));
+        ktx.send_notification(Message::new(4));
+        ktx.send_many_notification(batch(5..8));
+        // A death notice is one more message to the handler.
+        let (watched_rx, watched_tx) = ReceiveRight::allocate(&c);
+        watched_tx.subscribe_death(&ktx);
+        drop(watched_rx);
+        assert_eq!(ids(&seen), [0, 1, 2, 3, 4, 5, 6, 7, MSG_ID_PORT_DEATH]);
+        assert_eq!(krx.queued(), 0, "nothing is ever queued");
+
+        drop(krx);
+        assert_eq!(
+            Arc::strong_count(&seen),
+            1,
+            "the handler went with the port"
+        );
+        assert_eq!(ktx.send(Message::new(9), None), Err(IpcError::PortDied));
+        assert_eq!(ktx.send_many(batch(10..12), None), Err(IpcError::PortDied));
+        ktx.send_notification(Message::new(12));
+        assert!(!ktx.is_alive());
     }
 }

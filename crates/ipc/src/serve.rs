@@ -3,13 +3,16 @@
 //! "The kernel task acts as a server", and so does every data manager and
 //! service built on it: a port whose receiver loops receive, decode,
 //! perform, reply. [`serve`] is that loop, written once. It runs on its
-//! own named thread, drains its inbox in batches of [`SERVE_BATCH`], makes
+//! own named thread, drains its port in batches of [`SERVE_BATCH`], makes
 //! each message's causal chain the thread's own before handing it over,
 //! sends the handler's answer to the message's reply port, and stops only
 //! on the message that carries its [`Server`]'s key — so a client that can
 //! send to the port cannot stop it, whatever id it picks.
+//!
+//! A kernel port has no loop at all: its handler runs on each sender's
+//! thread ([`ReceiveRight::allocate_kernel`]).
 
-use crate::{IpcError, Message, MsgItem, PortName, PortSpace, ReceiveRight, SendRight};
+use crate::{Message, MsgItem, ReceiveRight, SendRight};
 use machsim::trace::{self, CorrelationId};
 use std::any::Any;
 use std::fmt;
@@ -29,41 +32,6 @@ pub const REPLY_TIMEOUT: Duration = Duration::from_secs(5);
 /// stops only on the one that carries its key, and hands any other to its
 /// handler like every message.
 pub const SERVER_STOP: u32 = 0x2FFF;
-
-/// What a server receives from.
-pub enum Inbox {
-    /// One port.
-    Port(ReceiveRight),
-    /// A port space's default group of enabled ports; the owner's stop
-    /// travels on the named one.
-    Space(Arc<PortSpace>, PortName),
-}
-
-impl From<ReceiveRight> for Inbox {
-    fn from(port: ReceiveRight) -> Inbox {
-        Inbox::Port(port)
-    }
-}
-
-impl Inbox {
-    fn receive(&self) -> Result<Vec<Message>, IpcError> {
-        match self {
-            Inbox::Port(port) => port.receive_many(SERVE_BATCH, None),
-            Inbox::Space(space, _) => space
-                .receive_default_many(SERVE_BATCH, None)
-                .map(|(_, batch)| batch),
-        }
-    }
-
-    fn port(&self) -> SendRight {
-        match self {
-            Inbox::Port(port) => port.make_send(),
-            Inbox::Space(space, name) => space
-                .send_right(*name)
-                .expect("the stop port is in the space"),
-        }
-    }
-}
 
 /// The key to a server: an opaque handle, compared by pointer.
 #[derive(Clone)]
@@ -104,8 +72,7 @@ impl fmt::Debug for Server {
 }
 
 impl Server {
-    /// The port the server receives on; for a port-space inbox, the port
-    /// its stop travels on.
+    /// The port the server receives on.
     pub fn port(&self) -> &SendRight {
         &self.port
     }
@@ -131,18 +98,17 @@ impl Drop for Server {
 /// The handler gets the message whole, reply port included, so a
 /// forwarder (the network proxy) can pass the reply port on; the server
 /// keeps its own copy of that right for the answer.
-pub fn serve<H>(name: impl Into<String>, inbox: impl Into<Inbox>, mut handler: H) -> Server
+pub fn serve<H>(name: impl Into<String>, inbox: ReceiveRight, mut handler: H) -> Server
 where
     H: FnMut(Message) -> Option<Message> + Send + 'static,
 {
-    let inbox = inbox.into();
     let key = StopKey(Arc::new(()));
     let stop = key.clone();
-    let port = inbox.port();
+    let port = inbox.make_send();
     let thread = std::thread::Builder::new()
         .name(name.into())
         .spawn(move || {
-            while let Ok(batch) = inbox.receive() {
+            while let Ok(batch) = inbox.receive_many(SERVE_BATCH, None) {
                 for msg in batch {
                     if stop.opens(&msg) {
                         return;
@@ -195,20 +161,5 @@ mod tests {
         assert_eq!(reply.expect("still serving").id, 2);
         drop(other);
         server.shutdown();
-    }
-
-    #[test]
-    fn a_space_server_stops_on_its_named_port() {
-        let m = Machine::default_machine();
-        let space = Arc::new(PortSpace::new(&m));
-        let (a, b) = (space.port_allocate(), space.port_allocate());
-        space.port_enable(a).expect("enable a");
-        space.port_enable(b).expect("enable b");
-        let server = serve("space", Inbox::Space(space.clone(), a), |msg| {
-            Some(Message::new(msg.id))
-        });
-        let to_b = space.send_right(b).expect("b's right");
-        assert_eq!(to_b.rpc(Message::new(7), None, None).expect("b").id, 7);
-        drop(server);
     }
 }

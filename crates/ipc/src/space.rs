@@ -265,50 +265,6 @@ impl PortSpace {
         }
     }
 
-    /// Batched `msg_receive` from the default group: blocks (up to
-    /// `timeout`) until some enabled port is ready, then drains up to
-    /// `max` messages already queued on it in one go, amortizing the
-    /// receive bookkeeping. Returns the port's name and at least one
-    /// message on success. `max` is clamped to at least 1.
-    pub fn receive_default_many(
-        &self,
-        max: usize,
-        timeout: Option<Duration>,
-    ) -> Result<(PortName, Vec<Message>), IpcError> {
-        let max = max.max(1);
-        let deadline = timeout.map(wall::Deadline::after);
-        loop {
-            let seen = self.waker.generation();
-            {
-                let inner = self.inner.lock();
-                let mut any_enabled = false;
-                for (name, entry) in inner.entries.iter() {
-                    if !entry.enabled {
-                        continue;
-                    }
-                    any_enabled = true;
-                    if let Some(rx) = &entry.receive {
-                        match rx.receive_many(max, Some(Duration::ZERO)) {
-                            Ok(batch) => return Ok((*name, batch)),
-                            Err(_) => continue,
-                        }
-                    }
-                }
-                if !any_enabled {
-                    return Err(IpcError::NothingEnabled);
-                }
-            }
-            let remaining = match deadline {
-                Some(d) => match d.remaining() {
-                    Some(left) => Some(left),
-                    None => return Err(IpcError::Timeout),
-                },
-                None => None,
-            };
-            self.waker.wait(seen, remaining);
-        }
-    }
-
     /// Installs a send right received in a message under a fresh name.
     pub fn insert_send(&self, right: SendRight) -> PortName {
         let mut inner = self.inner.lock();
@@ -528,34 +484,6 @@ mod tests {
         // Alice can still send (she kept a send right under the old name).
         alice.send(ap, Message::new(8), None).unwrap();
         assert_eq!(bob.receive(name_in_bob, None).unwrap().id, 8);
-    }
-
-    #[test]
-    fn default_group_batched_receive_drains_ready_port() {
-        let s = space();
-        let a = s.port_allocate();
-        s.port_enable(a).expect("enable a live port");
-        s.port_set_backlog(a, 32)
-            .expect("set backlog on a live port");
-        for i in 0..10 {
-            s.send(a, Message::new(i), None)
-                .expect("send to a live port succeeds");
-        }
-        let (from, batch) = s
-            .receive_default_many(8, Some(Duration::from_secs(1)))
-            .expect("queued messages are receivable");
-        assert_eq!(from, a);
-        assert_eq!(batch.len(), 8);
-        assert_eq!(batch[0].id, 0);
-        let (_, rest) = s
-            .receive_default_many(8, Some(Duration::from_secs(1)))
-            .expect("queued messages are receivable");
-        assert_eq!(rest.len(), 2);
-        assert_eq!(
-            s.receive_default_many(8, Some(Duration::from_millis(5)))
-                .unwrap_err(),
-            IpcError::Timeout
-        );
     }
 
     #[test]

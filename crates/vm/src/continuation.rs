@@ -266,7 +266,8 @@ struct Continuation {
     cid: CorrelationId,
     started_ns: u64,
     parked_ns: u64,
-    /// Consecutive watchdog scans that have found this fault parked.
+    /// Consecutive watchdog scans that have found this fault parked with
+    /// its pager making no progress toward it ([`FaultEngine::watch`]).
     scans: u32,
     /// Whether the watchdog has flagged this fault as stalled.
     flagged: bool,
@@ -303,8 +304,12 @@ struct Table {
     waiters: HashMap<(ObjectId, u64), Vec<u64>>,
     /// Cids with an observed page event, for the completion loop.
     ready: Vec<u64>,
-    /// Runs held back by a pager's in-flight cap.
-    deferred: VecDeque<PendingRun>,
+    /// Runs held back by a pager's in-flight cap, per pager key, oldest
+    /// first.
+    deferred: HashMap<usize, VecDeque<PendingRun>>,
+    /// How many deferred runs each fault (by raw cid) has, so a fault that
+    /// finishes with none need not look through the queues.
+    deferred_by: HashMap<u64, usize>,
     /// Requested-but-unanswered pages per pager key.
     inflight: HashMap<usize, usize>,
     /// What each fault's sent runs hold against `inflight`, by raw cid:
@@ -320,6 +325,12 @@ struct Table {
     admitted: usize,
     /// Most continuations ever parked at once (bench: max outstanding).
     high_water: usize,
+    /// The oldest (smallest) cid a manager's answer has resumed, per
+    /// object, since the watchdog's last scan: its pager is draining the
+    /// faults queued behind that one. Kept only once a watchdog scans, so
+    /// an unwatched engine's record cannot grow.
+    resolved: HashMap<ObjectId, u64>,
+    watched: bool,
     /// Next time the periodic sweep may run (`None` = due now). The
     /// sweep is O(parked continuations), so it is rate-limited to once
     /// per [`TICK`] no matter how often events wake the loop.
@@ -328,6 +339,10 @@ struct Table {
     /// reports none.
     #[cfg(test)]
     page_events: u64,
+    /// Deferred runs looked at for promotion so far: lets a test bound
+    /// the work a storm against a capped pager does.
+    #[cfg(test)]
+    deferred_examined: u64,
 }
 
 impl Table {
@@ -346,6 +361,68 @@ impl Table {
             .or_default()
             .push(charge);
         true
+    }
+
+    /// Holds `run` back until its pager has room.
+    fn defer(&mut self, run: PendingRun) {
+        *self.deferred_by.entry(run.correlation).or_default() += 1;
+        self.deferred
+            .entry(run.pager_key())
+            .or_default()
+            .push_back(run);
+    }
+
+    /// Moves deferred runs whose pager has room into `send`, charging
+    /// their claimer — wherever it is: completed claimers never appear
+    /// here, because `finish` pulls their unsent runs. Each pager's runs
+    /// go in the order they were deferred, up to the first that does not
+    /// fit, so a completion costs what it promotes, not the whole queue.
+    fn promote(&mut self, cap: usize, send: &mut Vec<PendingRun>) {
+        let mut deferred = std::mem::take(&mut self.deferred);
+        deferred.retain(|_, queue| {
+            while let Some(run) = queue.front() {
+                #[cfg(test)]
+                {
+                    self.deferred_examined += 1;
+                }
+                if !self.try_charge(run, cap) {
+                    break;
+                }
+                let run = queue
+                    .pop_front()
+                    .expect("invariant: the front was just read");
+                self.undefer(run.correlation);
+                send.push(run);
+            }
+            !queue.is_empty()
+        });
+        self.deferred = deferred;
+    }
+
+    /// Takes fault `cid`'s runs that are still deferred out of the queues.
+    fn take_deferred(&mut self, cid: u64) -> Vec<PendingRun> {
+        if self.deferred_by.remove(&cid).is_none() {
+            return Vec::new();
+        }
+        let mut unsent = Vec::new();
+        self.deferred.retain(|_, queue| {
+            let (mine, kept) = std::mem::take(queue)
+                .into_iter()
+                .partition::<Vec<_>, _>(|run| run.correlation == cid);
+            unsent.extend(mine);
+            queue.extend(kept);
+            !queue.is_empty()
+        });
+        unsent
+    }
+
+    fn undefer(&mut self, cid: u64) {
+        if let Some(n) = self.deferred_by.get_mut(&cid) {
+            *n -= 1;
+            if *n == 0 {
+                self.deferred_by.remove(&cid);
+            }
+        }
     }
 
     /// Returns every charge fault `cid` holds.
@@ -480,6 +557,11 @@ impl FaultEngine {
         self.table.lock().page_events
     }
 
+    #[cfg(test)]
+    pub(crate) fn deferred_examined(&self) -> u64 {
+        self.table.lock().deferred_examined
+    }
+
     /// Outstanding parked continuations right now.
     pub fn outstanding(&self) -> usize {
         self.table.lock().conts.len()
@@ -497,16 +579,26 @@ impl FaultEngine {
         self.table.lock().admitted
     }
 
-    /// One stall-watchdog scan: counts a scan against every parked fault
-    /// and returns each as `(cid, started_ns, scans, flagged)`, oldest
-    /// first. A fault that resumes and parks again keeps its count.
+    /// One stall-watchdog scan: returns every parked fault as `(cid,
+    /// started_ns, scans, flagged)`, oldest first, where `scans` counts the
+    /// consecutive scans that found its pager making no progress toward
+    /// it. A scan counts against a fault unless, since the last scan, a
+    /// manager's answer resumed an *older* fault of the object it waits
+    /// on: a pager draining its queue in order keeps resetting the faults
+    /// behind, while one it skips still ages. A fault that resumes and
+    /// parks again keeps its count.
     pub fn watch(&self) -> Vec<(u64, u64, u32, bool)> {
         let mut t = self.table.lock();
+        t.watched = true;
+        let resolved = std::mem::take(&mut t.resolved);
         let mut parked: Vec<_> = t
             .conts
             .iter_mut()
             .map(|(&cid, c)| {
-                c.scans += 1;
+                c.scans = match resolved.get(&c.wait.object) {
+                    Some(&oldest) if oldest < cid => 0,
+                    _ => c.scans + 1,
+                };
                 (cid, c.started_ns, c.scans, c.flagged)
             })
             .collect();
@@ -663,8 +755,9 @@ impl FaultEngine {
 
     /// The page event of a manager's answer for the pages of `object` at
     /// `offsets`, after its last page is applied: one hold takes their
-    /// waiters off the table, and each resumes on this thread. Called with
-    /// the resident table unlocked, never inside a fault's step.
+    /// waiters off the table — noting the oldest for the watchdog — and
+    /// each resumes on this thread. Called with the resident table
+    /// unlocked, never inside a fault's step.
     pub(crate) fn on_reply(
         &self,
         phys: &PhysicalMemory,
@@ -674,6 +767,10 @@ impl FaultEngine {
         let woken: Vec<Continuation> = {
             let mut t = self.table.lock();
             let cids = Self::take_waiters(&mut t, object, offsets);
+            if let Some(&oldest) = cids.iter().min().filter(|_| t.watched) {
+                let seen = t.resolved.entry(object).or_insert(oldest);
+                *seen = (*seen).min(oldest);
+            }
             cids.into_iter()
                 .filter_map(|cid| t.conts.remove(&cid))
                 .collect()
@@ -906,25 +1003,11 @@ impl FaultEngine {
                 send.push(run);
             } else {
                 self.machine.stats.incr(stat_keys::VM_PAGER_DEFERRED_RUNS);
-                t.deferred.push_back(run);
+                t.defer(run);
             }
         }
-        self.promote_deferred(t, &mut send);
+        t.promote(self.cfg.pager_inflight_pages, &mut send);
         send
-    }
-
-    /// Moves deferred runs whose pager has headroom into `send`, charging
-    /// their claimer — wherever it is: completed claimers never appear
-    /// here, because `finish` purges their unsent runs. Caller holds the
-    /// table lock.
-    fn promote_deferred(&self, t: &mut Table, send: &mut Vec<PendingRun>) {
-        for run in std::mem::take(&mut t.deferred) {
-            if t.try_charge(&run, self.cfg.pager_inflight_pages) {
-                send.push(run);
-            } else {
-                t.deferred.push_back(run);
-            }
-        }
     }
 
     /// Errors every currently-parked fault without stopping the engine:
@@ -941,7 +1024,8 @@ impl FaultEngine {
         let orphans: Vec<Continuation> = t.conts.drain().map(|(_, c)| c).collect();
         t.waiters.clear();
         t.ready.clear();
-        let unsent = std::mem::take(&mut t.deferred);
+        let unsent: Vec<PendingRun> = t.deferred.drain().flat_map(|(_, q)| q).collect();
+        t.deferred_by.clear();
         t.inflight.clear();
         t.charges.clear();
         t.admitted = t.admitted.saturating_sub(orphans.len());
@@ -1088,15 +1172,12 @@ impl FaultEngine {
     fn finish(&self, mut cont: Continuation, result: FaultOutcome) {
         let cid = cont.cid.raw();
         let mut send = Vec::new();
-        let unsent: VecDeque<PendingRun> = {
+        let unsent = {
             let mut t = self.table.lock();
             t.admitted = t.admitted.saturating_sub(1);
             t.discharge(cid);
-            let (unsent, kept) = std::mem::take(&mut t.deferred)
-                .into_iter()
-                .partition(|run| run.correlation == cid);
-            t.deferred = kept;
-            self.promote_deferred(&mut t, &mut send);
+            let unsent = t.take_deferred(cid);
+            t.promote(self.cfg.pager_inflight_pages, &mut send);
             unsent
         };
         self.space.notify_all();
@@ -1133,5 +1214,48 @@ impl FaultEngine {
         }
         self.machine
             .span_close_with("fault.submit", root_span, Some(cid));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::object::test_support::{filled, RecordingPager};
+    use crate::{FaultEngineConfig, FaultPolicy, NumaConfig, PhysicalMemory, VmObject, VmProt};
+    use machsim::Machine;
+    use std::sync::Arc;
+
+    /// A storm of single-page faults against one pager capped at half of
+    /// them, answered in order: each completion sends the next deferred
+    /// run, and looks at no more of the queue than the run after it.
+    #[test]
+    fn a_completion_examines_only_the_deferred_runs_it_promotes() {
+        const FAULTS: u64 = 2048;
+        let m = Machine::default_machine();
+        let faults = FaultEngineConfig {
+            pager_inflight_pages: FAULTS as usize / 2,
+            ..FaultEngineConfig::default()
+        };
+        let frames = FAULTS as usize + 64;
+        let phys =
+            PhysicalMemory::with_config(&m, frames * 4096, 4096, 4, NumaConfig::single(), faults);
+        let pager = Arc::new(RecordingPager::default());
+        let object = VmObject::new_with_pager(FAULTS * 4096, pager.clone());
+        let engine = phys.fault_engine();
+
+        let tickets: Vec<_> = (0..FAULTS)
+            .map(|i| engine.submit(&object, i * 4096, VmProt::READ, FaultPolicy::trusting()))
+            .collect();
+        assert_eq!(pager.requests.lock().len(), FAULTS as usize / 2);
+        for i in 0..FAULTS {
+            phys.supply_page(&object, i * 4096, filled(1, 4096), VmProt::NONE)
+                .expect("memory for every storm page");
+        }
+        assert!(tickets.iter().all(|t| t.is_done()));
+        assert_eq!(pager.requests.lock().len(), FAULTS as usize);
+        let examined = engine.deferred_examined();
+        assert!(
+            examined <= 2 * FAULTS,
+            "{examined} deferred runs examined for {FAULTS} faults"
+        );
     }
 }

@@ -41,8 +41,8 @@ impl DataManager for PatternPager {
 }
 
 fn main() {
-    // Boot a Mach kernel: 4 MB of simulated memory, a default pager over a
-    // paging partition, and the EMM service loop.
+    // Boot a Mach kernel: 4 MB of simulated memory and a default pager
+    // over a paging partition.
     let kernel = Kernel::boot(KernelConfig::default());
     println!("kernel booted: page size {} bytes", kernel.page_size());
 

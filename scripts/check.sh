@@ -104,8 +104,9 @@ cargo run -q -p machbench --bin report export-smoke
 echo "==> critical-path smoke (span profiler: chain coverage, lock contention, gauges)"
 cargo run -q --release -p machbench --bin report critical-path --smoke
 
-echo "==> lockdep witness (stress + NUMA tests model-check the lock hierarchy)"
-cargo test -q --features lockdep --test stress --test numa
+echo "==> lockdep witness (stress, NUMA, and a manager's thread applying its replies: fault_async + pager_fill + servers)"
+cargo test -q --features lockdep --test stress --test numa --test fault_async --test pager_fill \
+    --test servers
 
 echo "==> lockdep witness (scheduler: run-queue -> fault-table nesting is order-checked)"
 cargo test -q -p machsched --features lockdep --test lockdep_witness

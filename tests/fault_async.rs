@@ -12,6 +12,7 @@ use machvm::{
     FaultEngineConfig, FaultPolicy, NumaConfig, ObjectId, PagerBackend, PhysicalMemory, VmError,
     VmObject, VmProt,
 };
+use std::ops::Range;
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
@@ -42,6 +43,53 @@ struct BlackHolePager;
 impl DataManager for BlackHolePager {
     fn data_request(&mut self, _k: &KernelConn, _object: u64, _offset: u64, _len: u64, _a: VmProt) {
     }
+}
+
+/// Answers every request at once except those for offsets in `skip`;
+/// keeps the connection of the kernel that mapped it, so the test can
+/// answer those.
+struct SkippingManager {
+    skip: Range<u64>,
+    kernel: Arc<Mutex<Option<KernelConn>>>,
+}
+
+impl SkippingManager {
+    fn new(skip: Range<u64>) -> (Self, Arc<Mutex<Option<KernelConn>>>) {
+        let kernel = Arc::new(Mutex::new(None));
+        let manager = SkippingManager {
+            skip,
+            kernel: kernel.clone(),
+        };
+        (manager, kernel)
+    }
+}
+
+impl DataManager for SkippingManager {
+    fn init(&mut self, k: &KernelConn, _object: u64) {
+        *self.kernel.lock().expect("connection") = Some(k.clone());
+    }
+
+    fn data_request(&mut self, k: &KernelConn, object: u64, offset: u64, length: u64, _a: VmProt) {
+        if !self.skip.contains(&offset) {
+            k.data_provided(object, offset, page_run(length), VmProt::NONE);
+        }
+    }
+}
+
+fn page_run(length: u64) -> OolBuffer {
+    OolBuffer::from_vec(vec![0x5A; length as usize])
+}
+
+/// The connection a [`SkippingManager`] was given at `pager_init`.
+fn connection(kernel: &Mutex<Option<KernelConn>>) -> KernelConn {
+    assert!(
+        machsim::wall::poll_until(Duration::from_secs(5), Duration::from_millis(1), || {
+            kernel.lock().expect("connection").is_some()
+        }),
+        "pager_init never arrived"
+    );
+    let conn = kernel.lock().expect("connection").clone();
+    conn.expect("init ran")
 }
 
 /// The tentpole scenario: thousands of faults in flight from one
@@ -94,6 +142,139 @@ fn fault_storm_thousands_outstanding_all_resolve_zero_stalls() {
         0,
         "no fill window outlives its fault"
     );
+}
+
+/// A queue deeper than the watchdog's debounce: a pager that drains 2048
+/// faults in order takes far longer than the ~300 ms of scans that flag a
+/// fault, but it answers an older fault of the object between every two
+/// scans, so none of the faults waiting their turn is a stall.
+#[test]
+fn a_fifo_drain_that_outlasts_the_debounce_reports_no_stall() {
+    const FAULTS: u64 = 2048;
+    let kernel = Kernel::boot(KernelConfig {
+        memory_bytes: 16 << 20,
+        // Every fault is past its simulated deadline at once: only the
+        // wall-clock debounce separates a queued fault from a stalled one.
+        watchdog_stall_ns: 1,
+        ..KernelConfig::default()
+    });
+    let mgr = spawn_manager(
+        kernel.machine(),
+        "fifo",
+        SlowManager {
+            delay: Duration::from_micros(400),
+        },
+    );
+    let object = kernel.object_for_port(mgr.port(), FAULTS * PAGE);
+    let engine = kernel.fault_engine();
+
+    let started = machsim::wall::now();
+    let tickets: Vec<_> = (0..FAULTS)
+        .map(|i| engine.submit(&object, i * PAGE, VmProt::READ, FaultPolicy::trusting()))
+        .collect();
+    for t in &tickets {
+        t.wait().expect("every queued fault resolves");
+    }
+    assert!(
+        started.elapsed() > Duration::from_millis(600),
+        "the drain outlasted the debounce"
+    );
+    assert_eq!(
+        kernel.machine().stats.get(keys::WATCHDOG_STALLS),
+        0,
+        "a fault queued behind a draining pager is not a stall"
+    );
+}
+
+/// The other side of the same rule: a pager that answers every fault but
+/// one is making progress, but not toward that one, which is flagged —
+/// once — and still resolves when its answer finally comes.
+#[test]
+fn a_fault_its_pager_skips_is_flagged_once() {
+    const FAULTS: u64 = 64;
+    const SKIP: u64 = 20;
+    let kernel = Kernel::boot(KernelConfig {
+        watchdog_stall_ns: 1,
+        ..KernelConfig::default()
+    });
+    let (manager, held) = SkippingManager::new(SKIP * PAGE..(SKIP + 1) * PAGE);
+    let mgr = spawn_manager(kernel.machine(), "skipping", manager);
+    let object = kernel.object_for_port(mgr.port(), FAULTS * PAGE);
+    let engine = kernel.fault_engine();
+
+    let tickets: Vec<_> = (0..FAULTS)
+        .map(|i| engine.submit(&object, i * PAGE, VmProt::READ, FaultPolicy::trusting()))
+        .collect();
+    for (page, t) in (0..).zip(&tickets) {
+        if page != SKIP {
+            t.wait().expect("every answered fault resolves");
+        }
+    }
+    // The report is filed after the counter is bumped: wait for it.
+    assert!(
+        machsim::wall::poll_until(Duration::from_secs(10), Duration::from_millis(5), || {
+            !kernel.watchdog_reports().is_empty()
+        }),
+        "the skipped fault was never flagged"
+    );
+    let skipped = tickets[SKIP as usize].correlation().raw();
+    let reports = kernel.watchdog_reports();
+    assert!(reports[0].contains(&format!("watchdog stall: cid#{skipped} ")));
+    machsim::wall::sleep(Duration::from_millis(100));
+    let stalls = || kernel.machine().stats.get(keys::WATCHDOG_STALLS);
+    assert_eq!(stalls(), 1, "flagged once, however many scans find it");
+    assert_eq!(kernel.watchdog_reports().len(), 1);
+
+    connection(&held).data_provided(object.id().0, SKIP * PAGE, page_run(PAGE), VmProt::NONE);
+    tickets[SKIP as usize]
+        .wait()
+        .expect("the late answer resolves it");
+    assert_eq!(stalls(), 1);
+}
+
+/// Two threads, each with the object's connection to the kernel, apply
+/// overlapping `pager_data_provided` runs and `pager_data_lock`s to one
+/// object at once while its faults are parked: each call is applied on
+/// its own sender's thread, so nothing serialises them but the resident
+/// table itself.
+#[test]
+fn concurrent_applies_to_one_object_resolve_every_fault_and_leak_nothing() {
+    const PAGES: u64 = 64;
+    let kernel = Kernel::boot(KernelConfig::default());
+    // The manager answers nothing: the test's threads do.
+    let (manager, held) = SkippingManager::new(0..u64::MAX);
+    let mgr = spawn_manager(kernel.machine(), "silent", manager);
+    let object = kernel.object_for_port(mgr.port(), PAGES * PAGE);
+    let (engine, phys) = (kernel.fault_engine(), kernel.phys());
+    let conn = connection(&held);
+    let baseline = phys.frame_census();
+
+    let oid = object.id().0;
+    for round in 0..20 {
+        let tickets: Vec<_> = (0..PAGES)
+            .map(|i| engine.submit(&object, i * PAGE, VmProt::READ, FaultPolicy::trusting()))
+            .collect();
+        assert!(tickets.iter().all(|t| !t.is_done()), "round {round}");
+        std::thread::scope(|s| {
+            // Eight-page runs, one thread's offset by half a run.
+            for first in [0, 4] {
+                let conn = &conn;
+                s.spawn(move || {
+                    for run in (first..PAGES).step_by(8) {
+                        let pages = 8.min(PAGES - run);
+                        conn.data_provided(oid, run * PAGE, page_run(pages * PAGE), VmProt::NONE);
+                        conn.data_lock(oid, 0, PAGES * PAGE, VmProt::WRITE);
+                    }
+                });
+            }
+        });
+        for t in &tickets {
+            t.wait().expect("every parked fault resolves");
+        }
+        phys.check_invariants();
+        conn.flush_request(oid, 0, PAGES * PAGE);
+        assert_eq!(phys.frame_census(), baseline, "round {round}");
+    }
 }
 
 /// The backpressure regression: a storm submitting more faults than the
@@ -424,8 +605,8 @@ fn pager_death_mid_continuation_errors_faults_and_leaks_nothing() {
 /// The causal chain survives the continuation hop: the fault's
 /// correlation id is visible on the submit-side `Fault` event, on the
 /// manager-side `DataRequest` (stamped through the request message), and
-/// on the `Resume` of the kernel thread that applied the reply — one
-/// chain, three threads, no thread-local scope in common.
+/// on the `Resume` the manager's thread performs when the kernel applies
+/// its reply there — one chain across two threads.
 #[test]
 fn correlation_id_survives_park_and_resume() {
     let kernel = Kernel::boot(KernelConfig::default());

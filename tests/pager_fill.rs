@@ -76,15 +76,11 @@ fn cluster_fill(retain: bool) -> Result<(u64, Vec<u8>, u64, u64), VmError> {
     );
     let before = clock.now_ns();
     // The first fault on a fresh object at offset 0 asks for the whole
-    // 8-page cap. It resumes once page 0 is in; the service loop charges
-    // for the rest of the run behind it, so wait (on the wall clock, which
-    // charges nothing) until all eight are resident before reading the
-    // simulated one.
+    // 8-page cap, and the manager's thread installs all eight before it
+    // resumes the fault.
     task.map().fault(addr, VmProt::READ)?;
     let object = task.vm_regions()[0].object;
-    eventually("the whole run to be installed", || {
-        kernel.phys().resident_pages_of(object) == 8
-    });
+    assert_eq!(kernel.phys().resident_pages_of(object), 8);
     let handoffs = stats.get(keys::IPC_HANDOFFS) - handoffs;
     let took = clock.now_ns() - before + handoffs * (cost.message_ns - cost.handoff_ns);
     let (stolen, copied) = (
@@ -347,7 +343,8 @@ fn short_bodied_pager_messages_are_dropped_not_fatal() -> Result<(), VmError> {
         },
     );
     let task = Task::create(&kernel, "victim");
-    // A dead service loop would otherwise hang the fault forever.
+    // A request port that stopped applying calls would otherwise hang the
+    // fault forever.
     task.map()
         .set_fault_policy(FaultPolicy::abort_after(Duration::from_secs(5)).with_cluster(8));
     let addr = task.vm_allocate_with_pager(None, 16 * PAGE, mgr.port(), 0)?;
@@ -356,11 +353,49 @@ fn short_bodied_pager_messages_are_dropped_not_fatal() -> Result<(), VmError> {
     assert_eq!(b[..], pattern(0, 4)[..]);
     let stats = &kernel.machine().stats;
     assert_eq!(stats.get(keys::EMM_MALFORMED_DROPPED), 6);
-    // The service loop is still there for the next, ordinary fault.
+    // The request port still applies the next, ordinary fault's reply.
     task.read_memory(addr + 8 * PAGE, &mut b)?;
     assert_eq!(b[..], pattern(8 * PAGE, 4)[..]);
     assert_eq!(stats.get(keys::WATCHDOG_STALLS), 0);
     Ok(())
+}
+
+/// Answers nothing, and keeps the connection of the kernel that mapped it.
+struct Keeper(Arc<Mutex<Option<KernelConn>>>);
+
+impl DataManager for Keeper {
+    fn init(&mut self, k: &KernelConn, _object: u64) {
+        *self.0.lock().expect("connection") = Some(k.clone());
+    }
+
+    fn data_request(&mut self, _k: &KernelConn, _o: u64, _off: u64, _l: u64, _a: VmProt) {}
+}
+
+/// A request port is a kernel port: `pager_data_provided` is applied on
+/// the thread that sends it, so the page is resident the moment the send
+/// returns — no service thread to wait for.
+#[test]
+fn a_page_is_resident_when_data_provided_returns() {
+    const PAGES: u64 = 64;
+    let kernel = Kernel::boot(KernelConfig::default());
+    let conn = Arc::new(Mutex::new(None));
+    let mgr = spawn_manager(kernel.machine(), "keeper", Keeper(conn.clone()));
+    let object = kernel.object_for_port(mgr.port(), PAGES * PAGE);
+    eventually("pager_init", || conn.lock().expect("connection").is_some());
+    let conn = conn.lock().expect("connection").clone();
+    let conn = conn.expect("init ran");
+
+    for offset in (0..PAGES).map(|page| page * PAGE) {
+        let data = OolBuffer::from_vec(pattern(offset, PAGE));
+        conn.data_provided(object.id().0, offset, data, VmProt::NONE);
+        assert!(
+            matches!(
+                kernel.phys().lookup(object.id(), offset),
+                PageLookup::Resident { .. }
+            ),
+            "the supply at {offset:#x} was applied before its send returned"
+        );
+    }
 }
 
 /// An in-kernel pager that tells the test a request has arrived and then

@@ -1,7 +1,8 @@
 //! No client can stop a server. Every in-tree server loop — the kernel's
-//! EMM and host services, a data manager, the task port, the file server,
-//! camelot, the blackboard, the shm directory, the array service and the
-//! netmsg proxy — stops only on a message carrying its owner's key.
+//! host service, a data manager, the task port, the file server, camelot,
+//! the blackboard, the shm directory, the array service and the netmsg
+//! proxy — stops only on a message carrying its owner's key, and a
+//! kernel's request port, which has no loop, stops on nothing.
 
 use machcore::introspect::query_host_statistics;
 use machcore::objport::{RemoteTask, TaskPort};
@@ -85,7 +86,7 @@ fn no_client_stops_a_server_whatever_id_it_sends() {
 
     type StillServes<'a> = Box<dyn Fn() -> bool + 'a>;
     let servers: Vec<(&str, SendRight, StillServes)> = vec![
-        ("kernel-emm", request, Box::new(|| fault_in(0))),
+        ("kernel request port", request, Box::new(|| fault_in(0))),
         ("kernel-host", k.host_port().clone(), {
             Box::new(|| query_host_statistics(k.host_port()).is_ok())
         }),
