@@ -257,10 +257,6 @@ impl PagerBackend for IpcPagerBackend {
         }
     }
 
-    fn is_alive(&self) -> bool {
-        self.manager.is_alive()
-    }
-
     fn data_write(&self, object: ObjectId, offset: u64, data: OolBuffer) {
         let bytes = data.len() as u64;
         let pages =

@@ -16,8 +16,10 @@ use crate::introspect::{
     HostStatistics, TaskInfo, TaskInfoReply, TraceQueryReply, VmStatisticsSnapshot,
 };
 use crate::manager::{spawn_manager, ManagerHandle};
-use crate::proto::{HostRequest, KernelToManager, ManagerToKernel};
-use machipc::{serve, Message, PortId, PortName, PortSpace, ReceiveRight, SendRight, Server};
+use crate::proto::{HostRequest, KernelToManager, ManagerToKernel, Parts};
+use machipc::{
+    serve, Message, PortId, PortName, PortSpace, ReceiveRight, SendRight, Server, MSG_ID_PORT_DEATH,
+};
 use machsim::stats::keys as stat_keys;
 use machsim::{CorrelationId, CostModel, EventKind, Machine};
 use machstorage::{BlockDevice, BLOCK_SIZE};
@@ -29,7 +31,7 @@ use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::{Arc, Weak};
-use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Boot-time kernel parameters.
 #[derive(Clone, Debug)]
@@ -49,8 +51,8 @@ pub struct KernelConfig {
     /// Outstanding-laundry bytes a data manager may hold before pageouts
     /// divert to the default pager (Section 6.2.2 starvation protection).
     pub laundry_limit: u64,
-    /// Whether to run the background pageout daemon that keeps the free
-    /// queue primed (Section 5.4's queue maintenance).
+    /// Whether to run the pageout daemon that keeps the free queue primed
+    /// (Section 5.4's queue maintenance), on the fault engine's timer.
     pub pageout_daemon: bool,
     /// Whether to run the stall watchdog that flags parked faults (faults
     /// awaiting `pager_data_provided`) that stop making progress.
@@ -92,27 +94,15 @@ pub const DEFAULT_TIME_SLICE_NS: u64 = 2_000_000;
 
 /// How far above its low watermark one pageout-daemon sweep refills the
 /// free queue, in pages. The allocation that crosses the mark wakes the
-/// daemon, so the cushion against inline reclaim is the watermark itself
+/// sweep, so the cushion against inline reclaim is the watermark itself
 /// and the burst only amortises the wake-up; a sweep's simulated cost
 /// lands on whichever fault is in progress, so a long one is that fault's
 /// latency spike (Mach keeps `free_target` a few pages over `free_min`).
 const PAGEOUT_BURST_PAGES: usize = 8;
 
-/// Watchdog poll interval (wall clock).
-const WATCHDOG_POLL: std::time::Duration = std::time::Duration::from_millis(5);
-
-/// Consecutive watchdog scans a parked fault must survive without its
-/// pager answering an older fault of its object before the sim-clock
-/// deadline is even considered (~300 ms of wall time). The debounce is
-/// what makes the watchdog sound on a *shared* simulated clock: a busy
-/// host charges everyone's work to one clock, so sim-elapsed alone would
-/// flag healthy faults on loaded hosts, while a wedged host's clock stops
-/// advancing and would never cross the deadline at all. Healthy faults
-/// resolve in wall-microseconds, and one queued behind a pager that is
-/// draining the faults ahead of it keeps being reset
-/// ([`FaultEngine::watch`]); only a fault its pager has stopped answering
-/// is still counted after this many scans.
-const WATCHDOG_MIN_SCANS: u32 = 60;
+/// How often (wall clock) the kernel samples its gauges on the fault
+/// engine's timer, folding lock contention into `lock.contended`.
+const GAUGE_PERIOD: Duration = Duration::from_millis(5);
 
 /// Trace-ring tail length included in a watchdog black-box report.
 const BLACK_BOX_EVENTS: usize = 32;
@@ -176,15 +166,11 @@ pub struct Kernel {
     /// The default pager's page table (for its stored-page count).
     paging_table: crate::default_pager::PageTable,
     default_pager_handle: Option<ManagerHandle>,
-    daemon: Mutex<Option<JoinHandle<()>>>,
-    daemon_stop: Arc<std::sync::atomic::AtomicBool>,
     fault_policy: FaultPolicy,
     laundry_limit: u64,
     host_port: SendRight,
     /// The host (introspection) service.
     host_service: Option<Server>,
-    watchdog: Mutex<Option<JoinHandle<()>>>,
-    watchdog_stop: Arc<std::sync::atomic::AtomicBool>,
     /// The watchdog's last [`BLACK_BOX_REPORTS`] black-box reports, oldest
     /// first.
     watchdog_reports: Arc<Mutex<VecDeque<String>>>,
@@ -234,7 +220,7 @@ impl Kernel {
         let dp = DefaultPager::new(paging_dev, config.page_size);
         let paging_table = dp.page_table();
         let dp_handle = spawn_manager(&machine, "default", dp);
-        let (_, dp_request) = Self::register_request_port(&service_space, &registry, &phys);
+        let (_, dp_request) = Self::register_request_port(&service_space, &registry, &phys, None);
         let default_backend = IpcPagerBackend::new(
             &machine,
             dp_handle.port().clone(),
@@ -276,17 +262,13 @@ impl Kernel {
             })
         };
 
-        // A kernel runs its engine's completion loop from boot, not from
-        // the first parked fault: the loop's tick is also what samples the
-        // gauges below and folds lock contention into `lock.contended`,
-        // and an IPC-only kernel must report those too.
-        phys.fault_engine().start_worker();
-
-        // Queue-depth and occupancy gauges, sampled once per fault-engine
-        // tick and ring-buffered for the Chrome-trace and Prometheus
-        // exporters. Closures hold weak references: the registry lives
-        // inside the machine, which the physical memory itself references,
-        // so a strong capture would leak the whole kernel.
+        // Queue-depth and occupancy gauges, sampled every GAUGE_PERIOD on
+        // the fault engine's timer — from boot, so an IPC-only kernel
+        // reports them (and `lock.contended`) too — and ring-buffered for
+        // the Chrome-trace and Prometheus exporters. Closures hold weak
+        // references: the registry lives inside the machine, which the
+        // physical memory itself references, so a strong capture would
+        // leak the whole kernel.
         {
             let weak = Arc::downgrade(&phys);
             machine.gauges.register("gauge.vm.free_frames", move || {
@@ -321,6 +303,7 @@ impl Kernel {
                 }
             }
         }
+        phys.fault_engine().sample_gauges_every(GAUGE_PERIOD);
 
         // The scheduler: one worker thread per simulated CPU, each pinned
         // to its node so a task's faults first-touch local memory.
@@ -343,98 +326,103 @@ impl Kernel {
             default_backend,
             paging_table,
             default_pager_handle: Some(dp_handle),
-            daemon: Mutex::new(None),
-            daemon_stop: Arc::new(std::sync::atomic::AtomicBool::new(false)),
             fault_policy: config.fault_policy,
             laundry_limit: config.laundry_limit,
             host_port,
             host_service: Some(host_service),
-            watchdog: Mutex::new(None),
-            watchdog_stop: Arc::new(std::sync::atomic::AtomicBool::new(false)),
             watchdog_reports: Arc::default(),
             scheduler,
             tasks,
             next_node: std::sync::atomic::AtomicUsize::new(0),
         });
 
-        // The stall watchdog.
+        // The stall watchdog, on the fault engine's timer.
         if config.watchdog {
-            let machine = machine.clone();
-            let phys = phys.clone();
-            let stop = kernel.watchdog_stop.clone();
             let reports = kernel.watchdog_reports.clone();
+            let weak = Arc::downgrade(&phys);
             let stall_ns = config.watchdog_stall_ns.max(1);
-            let thread = std::thread::Builder::new()
-                .name("kernel-watchdog".into())
-                .spawn(move || Self::watchdog_loop(machine, phys, stop, reports, stall_ns))
-                .expect("spawn kernel watchdog");
-            *kernel.watchdog.lock() = Some(thread);
+            phys.fault_engine().watch_stalls(move |cid, started_ns| {
+                // A fault quiet for the wall-clock debounce, which no
+                // healthy one is. Its host clock is advanced to the
+                // simulated deadline, as a hardware interval timer fires
+                // however wedged the system is (the debounce keeps healthy
+                // runs deterministic), then it is counted and reported.
+                machine
+                    .clock
+                    .advance_to(started_ns.saturating_add(stall_ns));
+                machine.stats.incr(stat_keys::WATCHDOG_STALLS);
+                let chain = CorrelationId::from_raw(cid);
+                machine.trace_event_with("watchdog", EventKind::WatchdogStall, chain);
+                let Some(phys) = weak.upgrade() else {
+                    return;
+                };
+                let report = Self::black_box_report(&machine, &phys, cid, started_ns, stall_ns);
+                let mut reports = reports.lock();
+                if reports.len() >= BLACK_BOX_REPORTS {
+                    reports.pop_front();
+                }
+                reports.push_back(report);
+            });
         }
 
         // The pageout daemon: keeps the free queue above a low watermark
         // and the inactive queue primed, so faults rarely reclaim inline.
-        // It sleeps until an allocation takes the free queue under the
-        // watermark, then refills it one burst past the mark.
-        const PATIENCE: std::time::Duration = std::time::Duration::from_millis(5);
+        // The allocation that takes the free queue under the watermark
+        // wakes a sweep, which refills it one burst past the mark.
         if config.pageout_daemon {
-            let phys = kernel.phys.clone();
-            let stop = kernel.daemon_stop.clone();
-            let machine = kernel.machine.clone();
             let total = phys.total_frames();
             let low_water = (total / 8).max(config.reserve_pages + 4);
             let inactive_target = (low_water * 3 / 2).min(total.saturating_sub(1));
             let free_target = (low_water + PAGEOUT_BURST_PAGES).min(inactive_target);
-            let daemon = std::thread::Builder::new()
-                .name("pageout-daemon".into())
-                .spawn(move || {
-                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                        // The patience only bounds how long `stop` goes
-                        // unread.
-                        if !phys.wait_for_pressure(low_water, PATIENCE) {
-                            continue;
-                        }
-                        phys.balance_queues(inactive_target);
-                        let want = free_target.saturating_sub(phys.free_frames());
-                        let freed = phys.reclaim_pages(want);
-                        machine
-                            .stats
-                            .add(stat_keys::VM_DAEMON_RECLAIMS, freed as u64);
-                        if freed == 0 {
-                            // Nothing evictable yet (all referenced, wired
-                            // or busy): do not spin on the pressure.
-                            machsim::wall::sleep(PATIENCE);
-                        }
-                    }
-                })
-                .expect("spawn pageout daemon");
-            *kernel.daemon.lock() = Some(daemon);
+            phys.run_pageout(low_water, inactive_target, free_target);
         }
         kernel
     }
 
     /// Creates a request port whose receive right lives in `space`: a
     /// kernel port, each message to which is one [`Kernel::apply`] on the
-    /// sending thread. The handler holds the memory weakly — the default
-    /// pager's backend, which the memory owns, holds a send right to its
-    /// own request port.
+    /// sending thread. `memory_object` is the port of the manager it
+    /// serves, whose death notice it will be sent. The handler holds the
+    /// memory weakly — the default pager's backend, which the memory owns,
+    /// holds a send right to its own request port.
     fn register_request_port(
         space: &PortSpace,
         registry: &Arc<Mutex<Registry>>,
         phys: &Arc<PhysicalMemory>,
+        memory_object: Option<PortId>,
     ) -> (PortName, SendRight) {
         let (registry, weak) = (registry.clone(), Arc::downgrade(phys));
         let (rx, right) = ReceiveRight::allocate_kernel(phys.machine(), move |msg| {
             if let Some(phys) = weak.upgrade() {
-                Self::apply(&registry, &phys, msg);
+                Self::apply(&registry, &phys, memory_object, msg);
             }
         });
         (space.insert_receive(rx), right)
     }
 
     /// The kernel's half of the EMM interface: applies one Table 3-6 call,
-    /// on the thread that sent it.
-    fn apply(registry: &Mutex<Registry>, phys: &PhysicalMemory, msg: Message) {
+    /// or the death notice of `memory_object`, on the thread that sent it.
+    fn apply(
+        registry: &Mutex<Registry>,
+        phys: &PhysicalMemory,
+        memory_object: Option<PortId>,
+        msg: Message,
+    ) {
         use ManagerToKernel as M;
+        if msg.id == MSG_ID_PORT_DEATH {
+            // The manager is gone, and the kernel learns it as
+            // communication (§6): its object's parked faults fail now.
+            let died = Parts::of(msg.body).words().next().map(PortId);
+            let Some(port) = died.filter(|&died| Some(died) == memory_object) else {
+                phys.machine().stats.incr(stat_keys::EMM_MALFORMED_DROPPED);
+                return;
+            };
+            let object = registry.lock().by_port.get(&port).map(|o| o.id());
+            if let Some(object) = object {
+                phys.fault_engine().on_pager_death(object);
+            }
+            return;
+        }
         // Anyone holding a request port may send it anything: what is not
         // a Table 3-6 call is dropped, and counted.
         let Ok(call) = M::decode(msg) else {
@@ -522,54 +510,6 @@ impl Kernel {
         TaskInfoReply {
             host: machine.host().to_string(),
             tasks,
-        }
-    }
-
-    /// The stall watchdog: scans the fault engine's parked faults and
-    /// flags those that stop making progress, exactly once per fault.
-    ///
-    /// Detection is two-stage. First a wall-clock debounce: the fault must
-    /// stay parked through [`WATCHDOG_MIN_SCANS`] consecutive scans, which
-    /// no healthy fault does (they resolve in wall-microseconds). Then the
-    /// simulated deadline: if the debounced fault's host clock has not yet
-    /// aged past `stall_ns`, the watchdog advances it there — modeling the
-    /// hardware interval timer that fires regardless of how wedged the
-    /// system is — and flags the fault on a later scan. Healthy runs stay
-    /// deterministic because the advance never happens for them.
-    fn watchdog_loop(
-        machine: Machine,
-        phys: Arc<PhysicalMemory>,
-        stop: Arc<std::sync::atomic::AtomicBool>,
-        reports: Arc<Mutex<VecDeque<String>>>,
-        stall_ns: u64,
-    ) {
-        let engine = phys.fault_engine();
-        while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-            for (cid, started_ns, scans, flagged) in engine.watch() {
-                if flagged || scans < WATCHDOG_MIN_SCANS {
-                    continue;
-                }
-                let deadline = started_ns.saturating_add(stall_ns);
-                if machine.clock.now_ns() < deadline {
-                    machine.clock.advance_to(deadline);
-                    continue;
-                }
-                if engine.flag(cid) {
-                    machine.stats.incr(stat_keys::WATCHDOG_STALLS);
-                    machine.trace_event_with(
-                        "watchdog",
-                        EventKind::WatchdogStall,
-                        CorrelationId::from_raw(cid),
-                    );
-                    let report = Self::black_box_report(&machine, &phys, cid, started_ns, stall_ns);
-                    let mut reports = reports.lock();
-                    if reports.len() >= BLACK_BOX_REPORTS {
-                        reports.pop_front();
-                    }
-                    reports.push_back(report);
-                }
-            }
-            machsim::wall::sleep(WATCHDOG_POLL);
         }
     }
 
@@ -709,8 +649,12 @@ impl Kernel {
             return obj.clone();
         }
         // Request and name ports: the kernel holds receive rights on both.
-        let (request_name, request) =
-            Self::register_request_port(&self.service_space, &self.registry, &self.phys);
+        let (request_name, request) = Self::register_request_port(
+            &self.service_space,
+            &self.registry,
+            &self.phys,
+            Some(memory_object.id()),
+        );
         let name_port_name = self.service_space.port_allocate();
         let name_send = self
             .service_space
@@ -751,6 +695,10 @@ impl Kernel {
         reg.by_id.insert(object.id().0, object.clone());
         reg.by_port.insert(memory_object.id(), object.clone());
         drop(reg);
+        // The manager's death reaches the kernel as a message: its port's
+        // death notice, on the object's request port (at once, if it is
+        // dead already).
+        memory_object.subscribe_death(&request);
         // pager_init, performed before vm_allocate_with_pager completes.
         let init = KernelToManager::Init(object.id().0, request, Some(name_send));
         memory_object.send_notification(init.encode());
@@ -800,14 +748,10 @@ impl Drop for Kernel {
             // leaking the wedged worker beats wedging the whole teardown.
             self.scheduler.detach_workers();
         }
-        self.watchdog_stop
-            .store(true, std::sync::atomic::Ordering::Relaxed);
-        if let Some(t) = self.watchdog.lock().take() {
-            let _ = t.join();
-        }
-        // Stop the fault engine before the services: its drain errors
-        // every parked fault (waking their tickets), and a late submission
-        // that would have to wait gets the same error instead of parking.
+        // Stop the fault engine before the services: its timer is joined,
+        // its drain errors every parked fault (waking their tickets), and
+        // a late submission that would have to wait gets the same error
+        // instead of parking.
         let engine = self.phys.fault_engine();
         engine.shutdown();
         debug_assert_eq!(
@@ -815,11 +759,6 @@ impl Drop for Kernel {
             0,
             "fault engine still holds parked continuations after its shutdown drain"
         );
-        self.daemon_stop
-            .store(true, std::sync::atomic::Ordering::Relaxed);
-        if let Some(t) = self.daemon.lock().take() {
-            let _ = t.join();
-        }
         drop(self.host_service.take());
         drop(self.default_pager_handle.take());
     }

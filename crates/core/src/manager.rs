@@ -49,11 +49,6 @@ impl KernelConn {
         &self.request
     }
 
-    /// Whether the kernel side still exists.
-    pub fn is_alive(&self) -> bool {
-        self.request.is_alive()
-    }
-
     fn send(&self, call: ManagerToKernel) {
         // A local kernel applies the call on this thread before the send
         // returns; a proxy for a remote one may block briefly. A dead

@@ -45,8 +45,10 @@
 //! every send runs that handler on the sending thread, outside the lock —
 //! Mach's `ipc_kobject_server`. The hop is still charged as a queued send
 //! plus its receive, so the simulated cost of a kernel call does not
-//! depend on which thread performs it. A bound port is born bound, so no
-//! message is ever queued on it for a later one to overtake.
+//! depend on which thread performs it — except a port-death notice, the
+//! kernel telling itself, which crosses nothing and is not charged. A
+//! bound port is born bound, so no message is ever queued on it for a
+//! later one to overtake.
 
 use crate::error::IpcError;
 use crate::message::{Message, MsgItem, MSG_ID_PORT_DEATH};
@@ -619,10 +621,18 @@ impl PortCore {
     }
 
     /// Posts the notification that port `died` was destroyed to this port
-    /// (dropped, like any notification, if this port is dead too).
+    /// (dropped, like any notification, if this port is dead too). To a
+    /// kernel port it is the kernel telling itself: its handler is called
+    /// on this thread, and no message crosses, so nothing is charged.
     fn post_death_of(&self, died: PortId) {
         let note = Message::new(MSG_ID_PORT_DEATH).with(MsgItem::u64s(&[died.0]));
-        let _ = self.enqueue(note, Full::Exceed);
+        let kernel = self.control.lock().kernel.clone();
+        match kernel {
+            Some(kernel) => kernel(note),
+            None => {
+                let _ = self.enqueue(note, Full::Exceed);
+            }
+        }
     }
 
     fn status(&self) -> PortStatus {
@@ -759,7 +769,9 @@ impl SendRight {
     }
 
     /// Registers `notify` to receive a [`MSG_ID_PORT_DEATH`] message when
-    /// this port's receive right is destroyed.
+    /// this port's receive right is destroyed. Subscribers that are gone
+    /// are pruned on every subscription, so the list stays bounded by the
+    /// live ones however many come and go.
     pub fn subscribe_death(&self, notify: &SendRight) {
         let mut st = self.core.control.lock();
         if st.dead {
@@ -767,6 +779,7 @@ impl SendRight {
             notify.core.post_death_of(self.core.id);
             return;
         }
+        st.death_subs.retain(|sub| sub.strong_count() > 0);
         st.death_subs.push(Arc::downgrade(&notify.core));
     }
 
@@ -914,6 +927,13 @@ impl ReceiveRight {
     #[cfg(test)]
     fn waker_list_len(&self) -> usize {
         self.core.control.lock().wakers.len()
+    }
+
+    /// Current length of the death-subscription list (test
+    /// instrumentation for the bounded-subscription guarantee).
+    #[cfg(test)]
+    fn death_subs_len(&self) -> usize {
+        self.core.control.lock().death_subs.len()
     }
 }
 
@@ -1543,6 +1563,38 @@ mod tests {
             "live waker still pinged after mass pruning"
         );
         assert!(rx.waker_list_len() <= 2);
+    }
+
+    #[test]
+    fn dropped_subscribers_keep_the_death_list_bounded() {
+        let c = ctx();
+        let (watched_rx, watched_tx) = ReceiveRight::allocate(&c);
+        let (keeper_rx, keeper_tx) = ReceiveRight::allocate(&c);
+        watched_tx.subscribe_death(&keeper_tx);
+        for _ in 0..10_000 {
+            let (rx, tx) = ReceiveRight::allocate(&c);
+            watched_tx.subscribe_death(&tx);
+            drop((rx, tx)); // the subscriber goes before the port it watches
+        }
+        // Each subscription prunes the dead ones: the live keeper plus
+        // the most recent corpse at most.
+        assert!(
+            watched_rx.death_subs_len() <= 2,
+            "death list grew to {}",
+            watched_rx.death_subs_len()
+        );
+        let watched = watched_rx.id();
+        drop(watched_rx);
+        let note = keeper_rx
+            .receive(Some(Duration::from_secs(1)))
+            .expect("the live subscriber still hears of the death");
+        assert_eq!(note.id, MSG_ID_PORT_DEATH);
+        assert_eq!(
+            note.body[0]
+                .as_u64s()
+                .expect("body element is a u64 vector"),
+            vec![watched.0]
+        );
     }
 
     // ----- many senders, one queue -----

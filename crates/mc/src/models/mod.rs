@@ -15,7 +15,8 @@
 //! | model            | production protocol                  | invariant                      |
 //! |------------------|--------------------------------------|--------------------------------|
 //! | `park_resume`    | continuation table park/recheck, a   | never drops a page event       |
-//! |                  | two-page run and its one range event |                                |
+//! |                  | two-page run and its one range event,|                                |
+//! |                  | an event raised in another's step    |                                |
 //! | `shootdown`      | replication write-shootdown          | read-your-writes               |
 //! | `sched_shutdown` | scheduler idle parking + shutdown    | no unit lost at shutdown       |
 

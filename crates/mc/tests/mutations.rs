@@ -65,6 +65,17 @@ fn park_resume_with_the_event_before_the_last_install_is_caught() {
 }
 
 #[test]
+fn park_resume_forgetting_what_a_nested_event_woke_is_caught() {
+    // A page event raised inside another fault's step takes the parked
+    // fault off the table onto that thread's list; a call that returns
+    // without resuming the list strands the fault's ticket.
+    assert_caught(
+        &park_resume::check(None, Some(park_resume::Mutation::ForgetDeferred)),
+        "ForgetDeferred",
+    );
+}
+
+#[test]
 fn shootdown_genuine_is_clean() {
     assert_clean(&shootdown::check(None, None));
 }

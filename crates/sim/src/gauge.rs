@@ -6,7 +6,7 @@
 //! sources — closures reading an instantaneous depth (port queue length,
 //! continuation-table occupancy, per-pager in-flight pages, NUMA pool free
 //! frames) — and a ring-buffered time series per source, sampled on the
-//! fault engine's completion-loop tick (or explicitly via
+//! fault engine's timer at the period a kernel arms (or explicitly via
 //! [`crate::machine::Machine::sample_gauges`]). Exporters render the
 //! series as Chrome-trace counter tracks and the latest value as
 //! Prometheus gauges.

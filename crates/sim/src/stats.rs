@@ -96,9 +96,8 @@ pub mod keys {
     /// Faults parked as continuations by the async fault engine (the
     /// submitting thread was released while the pager works).
     pub const VM_ASYNC_PARKS: &str = "vm.async.parks";
-    /// Parked continuations resumed by a completion (install, cancel,
-    /// lock change) and re-stepped — on the thread that applied the
-    /// manager's reply, or by the engine's completion loop.
+    /// Parked continuations resumed by a page event (install, cancel,
+    /// lock change) and re-stepped — on the thread that raised it.
     pub const VM_ASYNC_RESUMES: &str = "vm.async.resumes";
     /// Submissions that had to wait because the outstanding-fault table
     /// was at capacity (backpressure).
@@ -139,6 +138,10 @@ pub mod keys {
     pub const SCHED_AFFINITY_MISSES: &str = "sched.affinity_misses";
     /// Units whose sim-time slice expired and were re-queued mid-run.
     pub const SCHED_PREEMPTIONS: &str = "sched.preemptions";
+    /// Times the fault engine's timer thread woke: for an alarm that fell
+    /// due (a policy deadline, the watchdog, a gauge sample, a pageout
+    /// retry), for pressure, or for an alarm armed sooner than its sleep.
+    pub const VM_TIMER_WAKEUPS: &str = "vm.timer_wakeups";
 
     /// Every counter key, in [`super::StatsRegistry`] slot order (see
     /// [`super::slot`]). A registry has exactly these counters; writing
@@ -195,6 +198,7 @@ pub mod keys {
         SCHED_AFFINITY_HITS,
         SCHED_AFFINITY_MISSES,
         SCHED_PREEMPTIONS,
+        VM_TIMER_WAKEUPS,
     ];
 }
 
@@ -259,6 +263,7 @@ pub fn slot(name: &str) -> Option<usize> {
         keys::SCHED_AFFINITY_HITS => 48,
         keys::SCHED_AFFINITY_MISSES => 49,
         keys::SCHED_PREEMPTIONS => 50,
+        keys::VM_TIMER_WAKEUPS => 51,
         _ => return None,
     })
 }

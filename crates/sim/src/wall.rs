@@ -42,7 +42,8 @@ pub fn sleep(d: Duration) {
     std::thread::sleep(d);
 }
 
-/// A real-time deadline for bounding blocking waits.
+/// A real-time deadline for bounding blocking waits. Deadlines order by
+/// when they fall due, so a timer can sleep until the earliest of several.
 ///
 /// # Examples
 ///
@@ -54,7 +55,7 @@ pub fn sleep(d: Duration) {
 /// assert!(!d.expired());
 /// assert!(d.remaining().is_some());
 /// ```
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Deadline {
     at: Instant,
 }

@@ -35,8 +35,15 @@
 //!   [`PagerBackend::data_request_many`]. Applying `pager_data_provided`,
 //!   `_unavailable` or `pager_data_lock` — one event per buffer, after its
 //!   last page — re-steps the continuations waiting on it on the applying
-//!   thread. Other page events (a fill cancelled, a page removed) can
-//!   fire inside a fault's step, so the completion loop re-steps theirs.
+//!   thread.
+//! * Every page event is resumed by the thread that raised it, like a
+//!   trampoline. Inside an engine call — a submit, a resume, a reply's
+//!   event, an expiry, a drain — the continuations an event wakes go on
+//!   the thread's own list, and its outermost call resumes them before it
+//!   returns ([`protocol::resumes_on_return`]), so resumes never nest. An
+//!   event raised outside any engine call (a clean page the pageout sweep
+//!   drops, a manager's `pager_flush_request`) is an outermost call of
+//!   its own and resumes at once.
 //! * Backpressure is explicit at both ends: the table is bounded (a
 //!   fault that must park waits for a slot — `vm.async.backpressure`),
 //!   and each pager
@@ -49,22 +56,21 @@
 //! [`CorrelationId`] is allocated at submit, stamped into every request
 //! run (so the manager's reply still correlates), carried on the
 //! parked continuation, and re-entered as the trace scope whichever
-//! thread steps it. The table is also what the kernel's stall
-//! watchdog reads ([`FaultEngine::watch`]): a fault that times out
-//! *cleanly* (its policy deadline fires) leaves the table without being
-//! counted as a watchdog stall, while a genuinely wedged fault stays
-//! parked and is caught and flagged.
+//! thread steps it. The table is also what the stall watchdog reads
+//! ([`FaultEngine::watch_stalls`]): a fault that times out *cleanly* (its
+//! policy deadline fires) leaves the table without being counted as a
+//! watchdog stall, while a genuinely wedged fault stays parked and is
+//! caught and flagged.
 //!
-//! # Ownership and shutdown
+//! # Ownership
 //!
 //! The engine is a field of its [`PhysicalMemory`], built with it, and
-//! reaches back through a weak reference. The completion-loop thread
-//! starts at the first park ([`FaultEngine::start_worker`]; a kernel
-//! calls it at boot, because the loop's tick also samples the machine's
-//! gauges) and holds only a weak reference too: a bare memory that never
-//! parks never spawns one, and dropping the last `Arc<PhysicalMemory>`
-//! ends it within a tick. After
-//! [`FaultEngine::shutdown`] nothing can resume a parked fault, so the
+//! reaches back through a weak reference. Its one thread is the *timer*:
+//! it starts at the first alarm armed, sleeps until the earliest one, and
+//! holds the memory only weakly too — a bare memory whose faults carry no
+//! deadline never spawns it, and dropping the last `Arc<PhysicalMemory>`
+//! stops it. [`FaultEngine::shutdown`] joins it. After shutdown nothing
+//! can resume a parked fault, so the
 //! caller's step is all a fault gets: hits, zero fills and copy-on-write
 //! copies still resolve, and one that would have to park releases what it
 //! claimed and fails with [`VmError::ObjectDestroyed`] — the answer
@@ -81,23 +87,24 @@
 //! table unlocked. A fault that need not wait takes the table zero
 //! times; one that parks once takes it three times whatever the length
 //! of its run (booking, admission and park under one hold; the fill's
-//! event; completion — `tests/fault_locks.rs`).
+//! event; completion — `tests/fault_locks.rs`). The timer's alarms are a
+//! leaf class of their own, `timer`: nothing is taken under them, so a
+//! pressure wake may arm the timer from under the resident table.
 //!
-//! # Timeouts, death and the stale sweep
+//! # The timer, and a manager's death
 //!
-//! The completion loop is, above all, the timer wheel. Every parked
-//! continuation re-arms its policy deadline at each park (the timeout is
-//! per wait, not per fault — and not per page: a run has one); the
-//! loop's periodic
-//! sweep — rate-limited to once per tick, since it is O(parked) —
-//! expires deadlines (cancelling every claimed fill window, then
-//! re-stepping the fault with the policy action — fail or zero-fill — in
-//! place of every wait), and probes continuations
-//! parked suspiciously long: a dead pager port errors the fault
-//! (`vm.async.pager_dead`), a wait that is no longer blocked resumes it
-//! (missed-wakeup insurance), and a still-blocked wait is simply
-//! re-armed. Every missed-wakeup race is a bounded delay, not a hang,
-//! and a deep backlog costs one probe per interval, not a re-step.
+//! Nothing polls: a parked fault leaves the table on its page event, its
+//! policy deadline, its manager's death or shutdown. The engine's one
+//! thread is a timer that sleeps until its earliest alarm: the sweep of
+//! policy deadlines (armed at every park — the timeout is per wait, not
+//! per fault or per page) and of the watchdog's quiet deadlines
+//! ([`FaultEngine::watch_stalls`]); the pageout sweep
+//! ([`PhysicalMemory::run_pageout`]); and a kernel's gauge period. A
+//! manager's death is communication (§6): its memory object port's death
+//! notice becomes [`FaultEngine::on_pager_death`] on the thread that
+//! destroyed the port. No wakeup is probed for — machmc's `park_resume`
+//! model is the argument that none is missed, and one that still were
+//! would surface as a watchdog stall with its fault id.
 
 use crate::fault::{
     fault_step, FaultOutcome, FaultPolicy, FaultResult, FaultState, FaultStep, FaultWait, WaitKind,
@@ -111,21 +118,23 @@ use machsim::stats::keys as stat_keys;
 use machsim::trace::{keys as trace_keys, CorrelationId, CorrelationScope, SpanScope};
 use machsim::{wall, EventKind, Machine};
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, VecDeque};
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// How long the completion loop sleeps when no event arrives — the timer
-/// resolution for deadlines, death detection and the stale sweep.
-const TICK: Duration = Duration::from_millis(1);
+/// How long a parked fault may go without its pager answering an older
+/// fault of its object before the watchdog flags it: wall time, because a
+/// busy host charges everyone's work to one simulated clock and a wedged
+/// one stops it. Healthy faults resolve in wall-microseconds, and one
+/// queued behind a draining pager keeps being pushed back.
+pub const WATCHDOG_DEBOUNCE: Duration = Duration::from_millis(300);
 
-/// A continuation parked longer than this gets a defensive in-place
-/// probe (pager liveness + is-the-wait-really-still-blocked) even
-/// without an observed page event — missed-wakeup insurance. Probes cost
-/// a table lookup per continuation, so the interval is deliberately lazy;
-/// the event hook is the fast path, this is only the safety net.
-const STALE_RECHECK: Duration = Duration::from_millis(20);
+/// How long a pageout sweep that freed nothing (every page referenced,
+/// wired or busy) waits before it tries again, pressure or not.
+const PAGEOUT_RETRY: Duration = Duration::from_millis(5);
 
 /// Tuning knobs for the [`FaultEngine`].
 #[derive(Clone, Copy, Debug)]
@@ -204,7 +213,8 @@ impl FaultTicket {
     /// Blocks until the fault completes and returns its result (for a
     /// fault over a run, its first page's). The engine guarantees
     /// completion: every parked continuation either resumes, times out
-    /// by policy, or is errored at engine shutdown.
+    /// by policy, fails with its manager, or is errored at engine
+    /// shutdown.
     pub fn wait(&self) -> Result<FaultResult, VmError> {
         self.outcome().map(|(page, _)| page)
     }
@@ -266,14 +276,11 @@ struct Continuation {
     cid: CorrelationId,
     started_ns: u64,
     parked_ns: u64,
-    /// Consecutive watchdog scans that have found this fault parked with
-    /// its pager making no progress toward it ([`FaultEngine::watch`]).
-    scans: u32,
-    /// Whether the watchdog has flagged this fault as stalled.
-    flagged: bool,
-    /// Fires when the park has lasted long enough for a defensive
-    /// recheck.
-    stale_at: wall::Deadline,
+    /// When the watchdog may flag this fault: [`WATCHDOG_DEBOUNCE`] after
+    /// it first parked, pushed back whenever its pager answers an older
+    /// fault of its object, and kept across parks. `None` once flagged, or
+    /// on an engine nobody watches.
+    quiet_until: Option<wall::Deadline>,
     /// Policy deadline, re-armed at every park (the timeout is per wait).
     deadline: Option<wall::Deadline>,
     ticket: Arc<TicketSlot>,
@@ -286,14 +293,24 @@ struct Continuation {
     parked_span: u64,
 }
 
+impl Continuation {
+    /// The deadlines the timer's sweep alarm must cover for this fault.
+    fn alarms(&self) -> impl Iterator<Item = wall::Deadline> {
+        [self.deadline, self.quiet_until].into_iter().flatten()
+    }
+}
+
 /// Why a continuation is being taken off the table for processing.
+#[derive(Clone, Copy)]
 enum Wake {
-    /// A page event (or stale recheck): re-step the state machine.
+    /// A page event: re-step the state machine.
     Event,
     /// The policy deadline fired.
     Timeout,
     /// The backing pager's port died.
     PagerDead,
+    /// The engine drains its parked faults.
+    Drained,
 }
 
 #[derive(Default)]
@@ -302,8 +319,6 @@ struct Table {
     conts: HashMap<u64, Continuation>,
     /// Park index: page key → raw cids waiting on it.
     waiters: HashMap<(ObjectId, u64), Vec<u64>>,
-    /// Cids with an observed page event, for the completion loop.
-    ready: Vec<u64>,
     /// Runs held back by a pager's in-flight cap, per pager key, oldest
     /// first.
     deferred: HashMap<usize, VecDeque<PendingRun>>,
@@ -325,16 +340,15 @@ struct Table {
     admitted: usize,
     /// Most continuations ever parked at once (bench: max outstanding).
     high_water: usize,
-    /// The oldest (smallest) cid a manager's answer has resumed, per
-    /// object, since the watchdog's last scan: its pager is draining the
-    /// faults queued behind that one. Kept only once a watchdog scans, so
-    /// an unwatched engine's record cannot grow.
-    resolved: HashMap<ObjectId, u64>,
-    watched: bool,
-    /// Next time the periodic sweep may run (`None` = due now). The
-    /// sweep is O(parked continuations), so it is rate-limited to once
-    /// per [`TICK`] no matter how often events wake the loop.
-    next_sweep: Option<wall::Deadline>,
+    /// Per object, since the watchdog's last scan: the oldest (smallest)
+    /// cid a manager's answer resumed — its pager is draining the faults
+    /// queued behind that one — and the quiet deadline of the latest such
+    /// answer. Kept only on a watched engine, and only for answers that
+    /// resumed a parked fault, whose park armed the scan that clears it.
+    resolved: HashMap<ObjectId, (u64, wall::Deadline)>,
+    /// Objects whose manager died: a fault that would park on one fails
+    /// instead. One entry per dead manager's object, for the engine's life.
+    dead: HashSet<ObjectId>,
     /// Page events reported so far: lets a test assert that an operation
     /// reports none.
     #[cfg(test)]
@@ -437,13 +451,160 @@ impl Table {
         }
     }
 
-    fn unindex(&mut self, cid: u64, wait: FaultWait) {
-        if let Some(v) = self.waiters.get_mut(&(wait.object, wait.offset)) {
-            v.retain(|&x| x != cid);
-            if v.is_empty() {
-                self.waiters.remove(&(wait.object, wait.offset));
+    /// Takes the parked continuations `keep` selects off the table, and
+    /// out of the park index.
+    fn unpark(&mut self, keep: impl Fn(&Continuation) -> bool) -> Vec<Continuation> {
+        let taken: Vec<_> = self.conts.extract_if(|_, c| keep(c)).collect();
+        let waiters = &mut self.waiters;
+        taken
+            .into_iter()
+            .map(|(cid, c)| {
+                let key = (c.wait.object, c.wait.offset);
+                if let Some(v) = waiters.get_mut(&key) {
+                    v.retain(|&x| x != cid);
+                    if v.is_empty() {
+                        waiters.remove(&key);
+                    }
+                }
+                c
+            })
+            .collect()
+    }
+}
+
+/// An alarm of the engine's timer.
+#[derive(Clone, Copy)]
+enum Alarm {
+    /// The earliest policy deadline, or watchdog quiet deadline, of a
+    /// parked fault.
+    Sweep,
+    /// The next gauge sample.
+    Gauges,
+    /// A pageout sweep that freed nothing tries again.
+    Pageout,
+}
+
+const ALARMS: usize = 3;
+
+/// The timer's state, under its leaf lock. Each deadline is a hint: the
+/// alarm's work finds what really is due, and arms the next.
+#[derive(Default)]
+struct Alarms {
+    at: [Option<wall::Deadline>; ALARMS],
+    gauge_period: Option<Duration>,
+    /// An allocation took the free queue under the pageout low watermark.
+    pressure: bool,
+    stop: bool,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Alarms {
+    fn earliest(&self) -> Option<wall::Deadline> {
+        self.at.into_iter().flatten().min()
+    }
+
+    /// Takes the alarms due at `now` — pressure is due at once unless a
+    /// pageout retry is armed — and re-arms the gauge period.
+    fn take_due(&mut self, now: std::time::Instant) -> [bool; ALARMS] {
+        let mut due = self.at.map(|at| at.is_some_and(|at| at.expired_by(now)));
+        let pageout = Alarm::Pageout as usize;
+        due[pageout] |= self.pressure && self.at[pageout].is_none();
+        self.pressure &= !due[pageout];
+        for (at, due) in self.at.iter_mut().zip(due) {
+            if due {
+                *at = None;
             }
         }
+        if due[Alarm::Gauges as usize] {
+            self.at[Alarm::Gauges as usize] = self.gauge_period.map(wall::Deadline::after);
+        }
+        due
+    }
+}
+
+/// The alarms and the condvar the timer thread sleeps on, shared with
+/// that thread — which holds the memory only weakly.
+struct Timer {
+    alarms: ClassMutex<Alarms>,
+    wake: Condvar,
+}
+
+/// The timer thread: sleeps until the earliest alarm (with none armed,
+/// until one is), then runs what is due with every lock released.
+fn run_timer(timer: Arc<Timer>, phys: Weak<PhysicalMemory>, machine: Machine) {
+    loop {
+        let due = {
+            let mut a = timer.alarms.lock();
+            loop {
+                if a.stop {
+                    return;
+                }
+                let due = a.take_due(wall::now());
+                if due.contains(&true) {
+                    break due;
+                }
+                match a.earliest().map(|at| at.remaining()) {
+                    Some(None) => continue,
+                    Some(Some(left)) => {
+                        timer.wake.wait_for(a.inner_mut(), left);
+                    }
+                    None => timer.wake.wait(a.inner_mut()),
+                }
+                machine.stats.incr(stat_keys::VM_TIMER_WAKEUPS);
+            }
+        };
+        let Some(phys) = phys.upgrade() else {
+            return;
+        };
+        phys.fault_engine().run_due(&phys, due);
+    }
+}
+
+/// What the watchdog calls for a stalled fault: `(cid, started_ns)`.
+type StallHook = Box<dyn Fn(u64, u64) + Send + Sync>;
+
+/// Continuations a page event woke, each with its memory.
+type Woken = Vec<(Arc<PhysicalMemory>, Continuation)>;
+
+thread_local! {
+    /// What this thread's page events woke inside its current engine call
+    /// (`None` outside any): the outermost call resumes it before it
+    /// returns.
+    static WOKEN: RefCell<Option<Woken>> = const { RefCell::new(None) };
+}
+
+/// Runs `f` as an engine call on this thread: the page events raised
+/// inside it defer what they wake to the thread's list, and the outermost
+/// call resumes the list, until it stays empty, before it returns.
+fn engine_call<R>(f: impl FnOnce() -> R) -> R {
+    let outermost = WOKEN.with_borrow_mut(|w| {
+        let outermost = w.is_none();
+        w.get_or_insert_default();
+        outermost
+    });
+    if !protocol::resumes_on_return(outermost) {
+        return f();
+    }
+    let result = f();
+    loop {
+        let woken = take_woken();
+        if woken.is_empty() {
+            break;
+        }
+        resume_woken(woken);
+    }
+    WOKEN.set(None);
+    result
+}
+
+/// Takes what this thread's page events have woken so far.
+fn take_woken() -> Woken {
+    WOKEN.with_borrow_mut(|w| w.as_mut().map(std::mem::take).unwrap_or_default())
+}
+
+fn resume_woken(woken: Woken) {
+    for (phys, cont) in woken {
+        phys.fault_engine().resume(&phys, cont, Wake::Event);
     }
 }
 
@@ -458,12 +619,12 @@ pub struct FaultEngine {
     machine: Machine,
     cfg: FaultEngineConfig,
     table: ClassMutex<Table>,
-    /// Signals the completion loop: events queued or shutdown.
-    work: Condvar,
     /// Signals submitters blocked on a full table.
     space: Condvar,
     stop: AtomicBool,
-    worker: Mutex<Option<std::thread::JoinHandle<()>>>,
+    timer: Arc<Timer>,
+    /// The watchdog's report, once one is installed.
+    stall: OnceLock<StallHook>,
 }
 
 /// Where a stepped fault puts its `pager_data_request`s: they are
@@ -514,10 +675,13 @@ impl FaultEngine {
                 pager_inflight_pages: cfg.pager_inflight_pages.max(1),
             },
             table: ClassMutex::new(LockClass::FaultTable, Table::default()),
-            work: Condvar::new(),
             space: Condvar::new(),
             stop: AtomicBool::new(false),
-            worker: Mutex::new(None),
+            timer: Arc::new(Timer {
+                alarms: ClassMutex::new(LockClass::Timer, Alarms::default()),
+                wake: Condvar::new(),
+            }),
+            stall: OnceLock::new(),
         }
     }
 
@@ -527,29 +691,19 @@ impl FaultEngine {
             .expect("invariant: the engine is reached only through its live PhysicalMemory")
     }
 
-    /// Starts the completion loop unless it runs already (or the engine
-    /// has been shut down). The first fault to park does this itself; a
-    /// kernel calls it at boot because the loop's tick also samples the
-    /// machine's gauges. The loop holds only a weak reference to the
-    /// memory: once every owner has dropped it, the thread exits on its
-    /// next tick instead of keeping the memory alive forever.
-    pub fn start_worker(&self) {
-        let mut worker = self.worker.lock();
-        if worker.is_some() || self.stop.load(Ordering::Acquire) {
-            return;
-        }
-        let weak = self.phys.clone();
-        let handle = std::thread::Builder::new()
-            .name("fault-engine".into())
-            .spawn(move || {
-                while let Some(phys) = weak.upgrade() {
-                    if !phys.fault_engine().run_once(&phys) {
-                        return;
-                    }
-                }
-            })
-            .expect("spawn fault-engine thread");
-        *worker = Some(handle);
+    /// Samples the machine's gauges, and folds lock contention into
+    /// `lock.contended`, every `period` on the timer.
+    pub fn sample_gauges_every(&self, period: Duration) {
+        self.timer.alarms.lock().gauge_period = Some(period);
+        self.arm(Alarm::Gauges, wall::Deadline::after(period));
+    }
+
+    /// Calls `hook(cid, started_ns)` once for each parked fault whose
+    /// pager has answered no older fault of its object for
+    /// [`WATCHDOG_DEBOUNCE`], oldest first. Install it before faults park;
+    /// the first hook stays.
+    pub fn watch_stalls(&self, hook: impl Fn(u64, u64) + Send + Sync + 'static) {
+        let _ = self.stall.set(Box::new(hook));
     }
 
     #[cfg(test)]
@@ -579,47 +733,6 @@ impl FaultEngine {
         self.table.lock().admitted
     }
 
-    /// One stall-watchdog scan: returns every parked fault as `(cid,
-    /// started_ns, scans, flagged)`, oldest first, where `scans` counts the
-    /// consecutive scans that found its pager making no progress toward
-    /// it. A scan counts against a fault unless, since the last scan, a
-    /// manager's answer resumed an *older* fault of the object it waits
-    /// on: a pager draining its queue in order keeps resetting the faults
-    /// behind, while one it skips still ages. A fault that resumes and
-    /// parks again keeps its count.
-    pub fn watch(&self) -> Vec<(u64, u64, u32, bool)> {
-        let mut t = self.table.lock();
-        t.watched = true;
-        let resolved = std::mem::take(&mut t.resolved);
-        let mut parked: Vec<_> = t
-            .conts
-            .iter_mut()
-            .map(|(&cid, c)| {
-                c.scans = match resolved.get(&c.wait.object) {
-                    Some(&oldest) if oldest < cid => 0,
-                    _ => c.scans + 1,
-                };
-                (cid, c.started_ns, c.scans, c.flagged)
-            })
-            .collect();
-        drop(t);
-        parked.sort_unstable_by_key(|&(cid, started_ns, ..)| (started_ns, cid));
-        parked
-    }
-
-    /// Flags parked fault `cid` as stalled. `true` only the first time, so
-    /// a wedged fault is reported once however many scans find it; `false`
-    /// too for a fault no longer parked.
-    pub fn flag(&self, cid: u64) -> bool {
-        match self.table.lock().conts.get_mut(&cid) {
-            Some(c) if !c.flagged => {
-                c.flagged = true;
-                true
-            }
-            _ => false,
-        }
-    }
-
     /// Requested-but-unanswered pages summed over every pager — the
     /// `gauge.pager.inflight_pages` telemetry source.
     pub fn inflight_pages(&self) -> usize {
@@ -631,17 +744,21 @@ impl FaultEngine {
         self.cfg
     }
 
-    /// Stops the engine: the completion loop is joined, every still-parked
-    /// fault errors with [`VmError::ObjectDestroyed`] and claimed fill
-    /// windows are cancelled. Faults submitted afterwards resolve only if
-    /// they need not wait. Idempotent.
+    /// Stops the engine: the timer is joined, every still-parked fault
+    /// errors with [`VmError::ObjectDestroyed`] and claimed fill windows
+    /// are cancelled. Faults submitted afterwards resolve only if they
+    /// need not wait. Idempotent.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::Release);
-        self.work.notify_all();
         self.space.notify_all();
-        let handle = self.worker.lock().take();
-        if let Some(h) = handle {
-            let _ = h.join();
+        let thread = {
+            let mut a = self.timer.alarms.lock();
+            a.stop = true;
+            a.thread.take()
+        };
+        self.timer.wake.notify_all();
+        if let Some(thread) = thread.filter(|t| t.thread().id() != std::thread::current().id()) {
+            let _ = thread.join();
         }
         // `park` reads `stop` under the table lock before it parks, so
         // nothing can join the table behind this drain.
@@ -695,106 +812,150 @@ impl FaultEngine {
         // Step first, on the caller: a fault that resolves here takes no
         // admission slot, no table lock and no shared ticket.
         let phys = self.phys();
-        let mut state = FaultState::new(top, offset, pages, access, policy);
-        let (step, runs) = Self::step(&phys, &mut state, cid, root_span);
-        let wait = match step {
-            FaultStep::Done(result) => {
-                if result.is_err() {
-                    state.release_claims(&phys);
+        engine_call(|| {
+            let mut state = FaultState::new(top, offset, pages, access, policy);
+            let (step, runs) = Self::step(&phys, &mut state, cid, root_span);
+            let wait = match step {
+                FaultStep::Done(result) => {
+                    if result.is_err() {
+                        state.release_claims(&phys);
+                    }
+                    self.conclude(cid, root_span, started_ns, result.is_ok());
+                    let outcome = TicketOutcome::Ready(result);
+                    return FaultTicket {
+                        cid,
+                        root_span,
+                        outcome,
+                    };
                 }
-                self.conclude(cid, root_span, started_ns, result.is_ok());
-                let outcome = TicketOutcome::Ready(result);
-                return FaultTicket {
-                    cid,
-                    root_span,
-                    outcome,
-                };
+                FaultStep::Park(wait) => wait,
+            };
+            let slot = Arc::new(TicketSlot::default());
+            let cont = Continuation {
+                state,
+                wait,
+                cid,
+                started_ns,
+                parked_ns: started_ns,
+                quiet_until: self
+                    .stall
+                    .get()
+                    .map(|_| wall::Deadline::after(WATCHDOG_DEBOUNCE)),
+                deadline: None,
+                ticket: slot.clone(),
+                root_span,
+                parked_span: 0,
+            };
+            if let Some((cont, result)) = self.park(&phys, cont, wait, runs, true) {
+                self.finish(cont, result);
             }
-            FaultStep::Park(wait) => wait,
-        };
-        let slot = Arc::new(TicketSlot::default());
-        let cont = Continuation {
-            state,
-            wait,
-            cid,
-            started_ns,
-            parked_ns: started_ns,
-            scans: 0,
-            flagged: false,
-            stale_at: wall::Deadline::after(STALE_RECHECK),
-            deadline: None,
-            ticket: slot.clone(),
-            root_span,
-            parked_span: 0,
-        };
-        match self.park(&phys, cont, wait, runs, true) {
-            Some((cont, result)) => self.finish(cont, result),
-            None => self.start_worker(),
+            let outcome = TicketOutcome::Parked(slot);
+            FaultTicket {
+                cid,
+                root_span,
+                outcome,
+            }
+        })
+    }
+
+    /// Resumes what a page event woke on this thread: at once if the
+    /// thread is in no engine call, else on its list, for its outermost
+    /// call.
+    fn wake(&self, phys: &PhysicalMemory, woken: Vec<Continuation>) {
+        if woken.is_empty() {
+            return;
         }
-        let outcome = TicketOutcome::Parked(slot);
-        FaultTicket {
-            cid,
-            root_span,
-            outcome,
+        let mut woken = Some(woken);
+        WOKEN.with_borrow_mut(|w| {
+            if let Some(list) = w {
+                let phys = self.phys();
+                let woken = woken.take().into_iter().flatten();
+                list.extend(woken.map(|cont| (phys.clone(), cont)));
+            }
+        });
+        if let Some(woken) = woken {
+            self.resume_all(phys, woken, Wake::Event);
         }
+    }
+
+    /// Resumes `conts` for `wake` on this thread, in one engine call.
+    fn resume_all(&self, phys: &PhysicalMemory, conts: Vec<Continuation>, wake: Wake) {
+        engine_call(|| {
+            for cont in conts {
+                self.resume(phys, cont, wake);
+            }
+        });
     }
 
     /// One page event for the pages of `object` at `offsets` — everything
-    /// one operation cancelled, removed or installed singly, maybe inside
-    /// a fault's step: their waiters are made ready for the completion
-    /// loop. Called with the resident table unlocked (this table ranks
-    /// above it).
-    pub(crate) fn on_range_event(&self, object: ObjectId, offsets: impl IntoIterator<Item = u64>) {
-        let mut t = self.table.lock();
-        let cids = Self::take_waiters(&mut t, object, offsets);
-        if !cids.is_empty() {
-            t.ready.extend(cids);
-            self.work.notify_all();
-        }
+    /// one operation cancelled, removed or installed singly: their
+    /// waiters leave the table and resume on this thread. Called with the
+    /// resident table unlocked (this table ranks above it).
+    pub(crate) fn on_range_event(
+        &self,
+        phys: &PhysicalMemory,
+        object: ObjectId,
+        offsets: impl IntoIterator<Item = u64>,
+    ) {
+        let woken = Self::take_waiters(&mut self.table.lock(), object, offsets);
+        self.wake(phys, woken);
     }
 
-    /// The page event of a manager's answer for the pages of `object` at
-    /// `offsets`, after its last page is applied: one hold takes their
-    /// waiters off the table — noting the oldest for the watchdog — and
-    /// each resumes on this thread. Called with the resident table
-    /// unlocked, never inside a fault's step.
+    /// The page event of a manager's answer, after its last page is
+    /// applied: as [`FaultEngine::on_range_event`], noting the oldest
+    /// fault it resumes for the watchdog under the same hold.
     pub(crate) fn on_reply(
         &self,
         phys: &PhysicalMemory,
         object: ObjectId,
         offsets: impl IntoIterator<Item = u64>,
     ) {
-        let woken: Vec<Continuation> = {
+        let woken = {
             let mut t = self.table.lock();
-            let cids = Self::take_waiters(&mut t, object, offsets);
-            if let Some(&oldest) = cids.iter().min().filter(|_| t.watched) {
-                let seen = t.resolved.entry(object).or_insert(oldest);
-                *seen = (*seen).min(oldest);
+            let woken = Self::take_waiters(&mut t, object, offsets);
+            let oldest = woken.iter().map(|c| c.cid.raw()).min();
+            if let Some(oldest) = oldest.filter(|_| self.stall.get().is_some()) {
+                let quiet = wall::Deadline::after(WATCHDOG_DEBOUNCE);
+                let seen = t.resolved.entry(object).or_insert((oldest, quiet));
+                *seen = (seen.0.min(oldest), quiet);
             }
-            cids.into_iter()
-                .filter_map(|cid| t.conts.remove(&cid))
-                .collect()
+            woken
         };
-        for cont in woken {
-            self.resume(phys, cont, Wake::Event);
-        }
+        self.wake(phys, woken);
     }
 
-    /// Takes the cids parked on the pages of `object` at `offsets` out of
-    /// the park index.
+    /// A manager's death, from its port's death notice: every fault parked
+    /// on `object` leaves the table in one hold and fails with
+    /// [`VmError::ObjectDestroyed`] (`vm.async.pager_dead`) on this
+    /// thread, as will any that parks on it later.
+    pub fn on_pager_death(&self, object: ObjectId) {
+        let phys = self.phys();
+        let dead = {
+            let mut t = self.table.lock();
+            t.dead.insert(object);
+            t.unpark(|c| c.wait.object == object)
+        };
+        self.resume_all(&phys, dead, Wake::PagerDead);
+    }
+
+    /// Takes the continuations parked on the pages of `object` at
+    /// `offsets` off the table.
     fn take_waiters(
         t: &mut Table,
         object: ObjectId,
         offsets: impl IntoIterator<Item = u64>,
-    ) -> Vec<u64> {
+    ) -> Vec<Continuation> {
         #[cfg(test)]
         {
             t.page_events += 1;
         }
-        offsets
+        let cids: Vec<u64> = offsets
             .into_iter()
             .filter_map(|offset| t.waiters.remove(&(object, offset)))
             .flatten()
+            .collect();
+        cids.into_iter()
+            .filter_map(|cid| t.conts.remove(&cid))
             .collect()
     }
 
@@ -818,8 +979,8 @@ impl FaultEngine {
         (step, sink.runs)
     }
 
-    /// Processes a continuation taken off the table for `wake` — on the
-    /// thread that applied a manager's reply, or the completion loop.
+    /// Processes a continuation taken off the table for `wake`, inside an
+    /// engine call on this thread.
     fn resume(&self, phys: &PhysicalMemory, mut cont: Continuation, wake: Wake) {
         let now = self.machine.clock.now_ns();
         self.machine.latency.record(
@@ -856,8 +1017,10 @@ impl FaultEngine {
                     self.finish(cont, result);
                 }
             }
-            Wake::PagerDead => {
-                self.machine.stats.incr(stat_keys::VM_ASYNC_PAGER_DEAD);
+            Wake::PagerDead | Wake::Drained => {
+                if matches!(wake, Wake::PagerDead) {
+                    self.machine.stats.incr(stat_keys::VM_ASYNC_PAGER_DEAD);
+                }
                 self.abandon(phys, &mut cont);
                 self.finish(cont, Err(VmError::ObjectDestroyed));
             }
@@ -886,11 +1049,13 @@ impl FaultEngine {
     /// (table → resident is the sanctioned order): an event that fired
     /// since the step re-steps the fault, which keeps its slot, instead
     /// of sleeping on a wakeup that already happened. This thread sends
-    /// the runs booked once the table is unlocked, after the park.
+    /// the runs booked once the table is unlocked, after the park, and
+    /// arms the timer for the fault's deadlines.
     ///
-    /// A fault that must wait for an admission slot sends its runs
-    /// *before* it waits: a claimed but unsent run could strand the
-    /// faults parked on its pages while its claimer waits for one of
+    /// A fault that must wait for an admission slot first sends its runs
+    /// and resumes what its own thread woke: a claimed but unsent run, or
+    /// a woken fault holding a slot on this thread's list, could strand
+    /// the faults parked on its pages while its claimer waits for one of
     /// their slots.
     ///
     /// Returns the continuation and its result if the fault completed
@@ -907,7 +1072,7 @@ impl FaultEngine {
             // The charges for the runs `cont` had outstanding when it
             // parked last are returned to the pagers' budgets unless the
             // fault re-parks on the *same* pending fill without issuing a
-            // new request (the stale-recheck no-op).
+            // new request.
             let same_fill = runs.is_empty()
                 && wait.kind == WaitKind::Fill
                 && cont.wait.kind == WaitKind::Fill
@@ -930,28 +1095,39 @@ impl FaultEngine {
                     t = self.table.lock();
                     continue;
                 }
-                self.space.wait_for(t.inner_mut(), TICK);
+                let woken = take_woken();
+                if !woken.is_empty() {
+                    drop(t);
+                    resume_woken(woken);
+                    t = self.table.lock();
+                    continue;
+                }
+                self.space.wait(t.inner_mut());
             }
             if admit {
                 t.admitted += 1;
                 admit = false;
             }
-            if self.stop.load(Ordering::Acquire) {
-                // Nothing resumes a fault parked after shutdown: give it
-                // the answer the shutdown drain gave those before it.
+            let dead = t.dead.contains(&wait.object);
+            if dead || self.stop.load(Ordering::Acquire) {
+                // Nothing resumes a fault parked after shutdown, or on a
+                // dead manager: give it the answer those before it got.
                 drop(t);
                 for run in &send {
                     Self::cancel_run(phys, run);
                 }
                 self.abandon(phys, &mut cont);
+                if dead {
+                    self.machine.stats.incr(stat_keys::VM_ASYNC_PAGER_DEAD);
+                }
                 return Some((cont, Err(VmError::ObjectDestroyed)));
             }
             if protocol::must_park(Self::wait_blocked(phys, wait, cont.state.access)) {
                 cont.parked_ns = self.machine.clock.now_ns();
-                cont.stale_at = wall::Deadline::after(STALE_RECHECK);
                 cont.deadline = cont.state.policy.pager_timeout.map(wall::Deadline::after);
                 self.machine.stats.incr(stat_keys::VM_ASYNC_PARKS);
                 cont.parked_span = self.machine.span_open_under("fault.parked", cont.root_span);
+                let alarm = cont.alarms().min();
                 let raw = cont.cid.raw();
                 t.waiters
                     .entry((wait.object, wait.offset))
@@ -964,6 +1140,9 @@ impl FaultEngine {
                 }
                 drop(t);
                 self.flush_runs(send);
+                if let Some(at) = alarm {
+                    self.arm(Alarm::Sweep, at);
+                }
                 return None;
             }
             drop(t);
@@ -1012,34 +1191,16 @@ impl FaultEngine {
 
     /// Errors every currently-parked fault without stopping the engine:
     /// tickets fulfill with [`VmError::ObjectDestroyed`], so a thread
-    /// blocked in [`FaultTicket::wait`] is guaranteed to return, and the
-    /// fill windows of never-sent runs are released. The kernel's teardown
-    /// path calls this when the scheduler's bounded quiesce times out — a
-    /// worker is wedged on a fault whose pager never answered, and only
-    /// the engine can break that wait. Faults submitted afterwards park
-    /// (and resolve) normally.
+    /// blocked in [`FaultTicket::wait`] is guaranteed to return, and what
+    /// each claimed is released. The kernel's teardown path calls this
+    /// when the scheduler's bounded quiesce times out — a worker is wedged
+    /// on a fault whose pager never answered, and only the engine can
+    /// break that wait. Faults submitted afterwards park (and resolve)
+    /// normally.
     pub fn drain_parked(&self) {
         let phys = self.phys();
-        let mut t = self.table.lock();
-        let orphans: Vec<Continuation> = t.conts.drain().map(|(_, c)| c).collect();
-        t.waiters.clear();
-        t.ready.clear();
-        let unsent: Vec<PendingRun> = t.deferred.drain().flat_map(|(_, q)| q).collect();
-        t.deferred_by.clear();
-        t.inflight.clear();
-        t.charges.clear();
-        t.admitted = t.admitted.saturating_sub(orphans.len());
-        drop(t);
-        for run in unsent {
-            Self::cancel_run(&phys, &run);
-        }
-        // The table's side of each orphan (admission slot, charge, unsent
-        // run) went with the drain above; only the fault's own end is left.
-        for mut c in orphans {
-            self.abandon(&phys, &mut c);
-            self.finish_tail(&c, Err(VmError::ObjectDestroyed));
-        }
-        self.space.notify_all();
+        let orphans = self.table.lock().unpark(|_| true);
+        self.resume_all(&phys, orphans, Wake::Drained);
     }
 
     /// Gives up on a wait that will not be waited out (timeout, dead
@@ -1051,81 +1212,101 @@ impl FaultEngine {
         }
     }
 
-    /// One completion-loop iteration: wait for work, pop ready, expired
-    /// and orphaned continuations, then process each outside the table
-    /// lock. Returns `false` when the engine has stopped and drained.
-    fn run_once(&self, phys: &PhysicalMemory) -> bool {
-        let mut woken: Vec<(Continuation, Wake)> = Vec::new();
-        let mut tick_elapsed = false;
-        {
-            let mut t = self.table.lock();
-            if protocol::engine_may_sleep(t.ready.is_empty(), self.stop.load(Ordering::Acquire)) {
-                self.work.wait_for(t.inner_mut(), TICK);
-            }
-            if self.stop.load(Ordering::Acquire) {
-                return false;
-            }
-            let ready = std::mem::take(&mut t.ready);
-            for cid in ready {
-                if let Some(c) = t.conts.remove(&cid) {
-                    woken.push((c, Wake::Event));
-                }
-            }
-            // Periodic sweep, rate-limited to once per TICK (it is
-            // O(parked) and the loop may wake far more often than that):
-            // policy deadlines against a single clock read, and — only
-            // for continuations parked past STALE_RECHECK — a liveness +
-            // missed-wakeup probe. A still-blocked stale continuation is
-            // re-armed in place rather than re-stepped, so a deep
-            // backlog costs one table lookup per interval instead of a
-            // full park/re-park cycle through the table.
-            let now_wall = wall::now();
-            if t.next_sweep.map(|d| d.expired_by(now_wall)).unwrap_or(true) {
-                t.next_sweep = Some(wall::Deadline::after(TICK));
-                tick_elapsed = true;
-                let mut swept: Vec<(u64, Wake)> = Vec::new();
-                for (&cid, c) in t.conts.iter_mut() {
-                    if c.deadline.map(|d| d.expired_by(now_wall)).unwrap_or(false) {
-                        swept.push((cid, Wake::Timeout));
-                    } else if c.stale_at.expired_by(now_wall) {
-                        if !c
-                            .state
-                            .current_object()
-                            .pager()
-                            .map(|p| p.is_alive())
-                            .unwrap_or(true)
-                        {
-                            swept.push((cid, Wake::PagerDead));
-                        } else if !Self::wait_blocked(phys, c.wait, c.state.access) {
-                            // The wakeup was missed: resume it.
-                            swept.push((cid, Wake::Event));
-                        } else {
-                            c.stale_at = wall::Deadline::after(STALE_RECHECK);
-                        }
-                    }
-                }
-                for (cid, wake) in swept {
-                    if let Some(c) = t.conts.remove(&cid) {
-                        // Drop the park-index entry so a later page event
-                        // cannot push the departed cid into `ready`.
-                        t.unindex(cid, c.wait);
-                        woken.push((c, wake));
-                    }
-                }
-            }
-        }
+    // ----- the timer -----
 
-        // Gauge sampling rides the same once-per-TICK gate as the sweep.
-        // It must run with the table unlocked: gauge read closures may
-        // call back into [`FaultEngine::outstanding`]/[`inflight_pages`].
-        if tick_elapsed {
+    /// Arms `alarm` for `at` unless it is armed sooner, waking the timer
+    /// if that is now its earliest alarm.
+    fn arm(&self, alarm: Alarm, at: wall::Deadline) {
+        let mut a = self.timer.alarms.lock();
+        let sooner = a.earliest().is_none_or(|first| at < first);
+        let slot = &mut a.at[alarm as usize];
+        if slot.is_none_or(|armed| at < armed) {
+            *slot = Some(at);
+        }
+        if sooner {
+            self.rouse(&mut a);
+        }
+    }
+
+    /// Pressure: wakes the timer for a pageout sweep unless one is pending
+    /// or retrying. Takes only the timer's leaf lock.
+    pub(crate) fn wake_pageout(&self) {
+        let mut a = self.timer.alarms.lock();
+        if !a.pressure && a.at[Alarm::Pageout as usize].is_none() {
+            self.rouse(&mut a);
+        }
+        a.pressure = true;
+    }
+
+    /// Makes the timer look at its alarms, starting it at the first.
+    fn rouse(&self, a: &mut Alarms) {
+        if a.stop {
+            return;
+        }
+        if a.thread.is_some() {
+            self.timer.wake.notify_one();
+            return;
+        }
+        let (timer, phys, machine) = (self.timer.clone(), self.phys.clone(), self.machine.clone());
+        let thread = std::thread::Builder::new()
+            .name("vm-timer".into())
+            .spawn(move || run_timer(timer, phys, machine))
+            .expect("spawn the fault engine's timer");
+        a.thread = Some(thread);
+    }
+
+    /// Runs the timer's alarms that fell due, with every lock released.
+    fn run_due(&self, phys: &PhysicalMemory, due: [bool; ALARMS]) {
+        if due[Alarm::Gauges as usize] {
+            // Gauge read closures call back into the engine's counters.
             self.machine.sample_gauges();
         }
-
-        for (cont, wake) in woken {
-            self.resume(phys, cont, wake);
+        if due[Alarm::Sweep as usize] {
+            self.sweep(phys);
         }
-        true
+        if due[Alarm::Pageout as usize] && !phys.pageout_sweep() {
+            self.arm(Alarm::Pageout, wall::Deadline::after(PAGEOUT_RETRY));
+        }
+    }
+
+    /// The sweep alarm: each answer since the last sweep pushes back the
+    /// quiet deadline of the faults of its object younger than the oldest
+    /// it resumed; faults quiet past it are reported, once each, oldest
+    /// first; faults past their policy deadline resume with its action;
+    /// the next deadline of either kind is armed.
+    fn sweep(&self, phys: &PhysicalMemory) {
+        let now = wall::now();
+        let (expired, mut stalled, next) = {
+            let mut t = self.table.lock();
+            let resolved = std::mem::take(&mut t.resolved);
+            let mut stalled = Vec::new();
+            for (&cid, c) in t.conts.iter_mut() {
+                let Some(quiet) = c.quiet_until.as_mut() else {
+                    continue;
+                };
+                match resolved.get(&c.wait.object) {
+                    Some(&(oldest, answered)) if oldest < cid => *quiet = (*quiet).max(answered),
+                    _ => {}
+                }
+                if quiet.expired_by(now) {
+                    c.quiet_until = None;
+                    stalled.push((c.started_ns, cid));
+                }
+            }
+            let expired = t.unpark(|c| c.deadline.is_some_and(|d| d.expired_by(now)));
+            let next = t.conts.values().flat_map(Continuation::alarms).min();
+            (expired, stalled, next)
+        };
+        if let Some(at) = next {
+            self.arm(Alarm::Sweep, at);
+        }
+        stalled.sort_unstable();
+        if let Some(report) = self.stall.get() {
+            for (started_ns, cid) in stalled {
+                report(cid, started_ns);
+            }
+        }
+        self.resume_all(phys, expired, Wake::Timeout);
     }
 
     /// Sends booked request runs, grouped per (pager, object) through
@@ -1168,7 +1349,7 @@ impl FaultEngine {
     /// Completes a parked fault. One hold of the table lock returns its
     /// admission slot and in-flight charge, pulls its own still-deferred
     /// runs (whose fill windows are then released) and promotes what room
-    /// was made, for this thread to send.
+    /// was made, for this thread to send; then the ticket is fulfilled.
     fn finish(&self, mut cont: Continuation, result: FaultOutcome) {
         let cid = cont.cid.raw();
         let mut send = Vec::new();
@@ -1189,12 +1370,6 @@ impl FaultEngine {
             }
             cont.state.release_claims(&phys);
         }
-        self.finish_tail(&cont, result);
-    }
-
-    /// A parked fault's own end: [`FaultEngine::conclude`], then the
-    /// ticket is fulfilled with every page of the run.
-    fn finish_tail(&self, cont: &Continuation, result: FaultOutcome) {
         self.conclude(cont.cid, cont.root_span, cont.started_ns, result.is_ok());
         cont.ticket.fulfill(result);
     }
@@ -1214,6 +1389,14 @@ impl FaultEngine {
         }
         self.machine
             .span_close_with("fault.submit", root_span, Some(cid));
+    }
+}
+
+impl Drop for FaultEngine {
+    /// Stops the timer, which exits when it next looks at its alarms.
+    fn drop(&mut self) {
+        self.timer.alarms.lock().stop = true;
+        self.timer.wake.notify_all();
     }
 }
 

@@ -158,8 +158,8 @@ pub enum FaultStep {
 /// [`FaultStep`] for one page of a fault.
 enum PageStep {
     Done(Result<FaultResult, VmError>),
-    /// The wait, and the object whose page it is for.
-    Park(FaultWait, Arc<VmObject>),
+    /// The wait.
+    Park(FaultWait),
 }
 
 /// The captured state of one in-progress fault — everything `fault_step`
@@ -181,8 +181,6 @@ pub struct FaultState {
     /// True until the fault first sees an absent page — a resident hit
     /// while still true counts as a cache hit.
     first_probe: bool,
-    /// The object whose page the fault is parked on, once it has parked.
-    waiting_on: Option<Arc<VmObject>>,
     /// Every run this fault claimed via `begin_fill_run` (object, start
     /// offset, pages): on timeout every claimed page must be released or
     /// later faults would strand on stale pending entries.
@@ -215,18 +213,11 @@ impl FaultState {
             access,
             policy,
             first_probe: true,
-            waiting_on: None,
             claimed: Vec::new(),
             resolved: None,
             behind: vec![None; pages.saturating_sub(1)],
             expired: false,
         }
-    }
-
-    /// The object whose page the fault is parked on — the async engine
-    /// reads its pager to detect pager death.
-    pub fn current_object(&self) -> &Arc<VmObject> {
-        self.waiting_on.as_ref().unwrap_or(&self.top)
     }
 
     /// Where page `index` of the run keeps its result.
@@ -321,11 +312,8 @@ pub(crate) fn fault_step(
         match page_step(phys, st, index, runs) {
             PageStep::Done(Ok(result)) => *st.slot(index) = Some(result),
             PageStep::Done(Err(e)) => return FaultStep::Done(Err(e)),
-            PageStep::Park(wait, object) => {
-                if park.is_none() {
-                    park = Some(wait);
-                    st.waiting_on = Some(object);
-                }
+            PageStep::Park(wait) => {
+                park.get_or_insert(wait);
             }
         }
     }
@@ -358,13 +346,12 @@ fn page_step(
     // Shadow-chain cursor: the object currently being probed, and the
     // page's offset within it.
     let (mut object, mut obj_offset) = (st.top.clone(), offset);
-    let park = |object: Arc<VmObject>, obj_offset: u64, kind: WaitKind| {
-        let wait = FaultWait {
+    let park = |object: &VmObject, obj_offset: u64, kind: WaitKind| {
+        PageStep::Park(FaultWait {
             object: object.id(),
             offset: obj_offset,
             kind,
-        };
-        PageStep::Park(wait, object)
+        })
     };
 
     loop {
@@ -386,7 +373,7 @@ fn page_step(
                     if let Some(pager) = object.pager() {
                         pager.data_unlock(object.id(), obj_offset, page, st.access);
                     }
-                    return park(object, obj_offset, WaitKind::Unlock);
+                    return park(&object, obj_offset, WaitKind::Unlock);
                 }
                 if st.first_probe {
                     // A cache hit is a property of the fault, counted on
@@ -440,7 +427,7 @@ fn page_step(
                 }
                 // Someone (possibly this fault, one step ago) asked the
                 // pager already; wait for the fill.
-                return park(object, obj_offset, WaitKind::Fill);
+                return park(&object, obj_offset, WaitKind::Fill);
             }
             PageLookup::Absent => {
                 st.first_probe = false;
@@ -473,7 +460,7 @@ fn page_step(
                             st.access,
                         );
                     }
-                    return park(object, obj_offset, WaitKind::Fill);
+                    return park(&object, obj_offset, WaitKind::Fill);
                 }
                 // Bottom of the chain with no pager: zero-fill memory. The
                 // page is created in the *faulting* object: it is private

@@ -84,14 +84,6 @@ pub trait PagerBackend: Send + Sync {
         }
     }
 
-    /// Whether the manager behind this backend is still reachable. The
-    /// async fault engine polls this for parked continuations so a dead
-    /// pager errors its faults out instead of wedging them forever; the
-    /// in-process default has no port to lose.
-    fn is_alive(&self) -> bool {
-        true
-    }
-
     /// Termination notice: the kernel dropped its last reference.
     fn terminate(&self, object: ObjectId) {
         let _ = object;

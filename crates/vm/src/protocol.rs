@@ -15,12 +15,13 @@ pub fn must_park(wait_still_blocked: bool) -> bool {
     wait_still_blocked
 }
 
-/// Whether the completion loop may sleep on its condvar: only with no
-/// continuation ready and no stop requested — both read under the table
-/// lock that `on_range_event` and `shutdown` take before notifying.
+/// Whether an engine call resumes, before it returns, what its thread's
+/// page events woke: only the thread's outermost call does, so resumes
+/// never nest. Skipping that strands a fault taken off the table —
+/// machmc's `park_resume` model raises an event inside another's step.
 #[must_use]
-pub fn engine_may_sleep(ready_empty: bool, stop: bool) -> bool {
-    ready_empty && !stop
+pub fn resumes_on_return(outermost: bool) -> bool {
+    outermost
 }
 
 /// How a write to a replicated page begins: every replica (there may be
@@ -54,11 +55,9 @@ mod tests {
     }
 
     #[test]
-    fn sleep_needs_total_quiet() {
-        assert!(engine_may_sleep(true, false));
-        assert!(!engine_may_sleep(false, false));
-        assert!(!engine_may_sleep(true, true));
-        assert!(!engine_may_sleep(false, true));
+    fn only_the_outermost_call_resumes() {
+        assert!(resumes_on_return(true));
+        assert!(!resumes_on_return(false));
     }
 
     #[test]

@@ -81,19 +81,27 @@ use crate::types::{VmError, VmProt};
 use machipc::OolBuffer;
 use machsim::stats::keys as stat_keys;
 use machsim::trace::keys as trace_keys;
-use machsim::wall;
 use machsim::{Machine, MemoryKind};
 use parking_lot::{Condvar, RwLock};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
 /// Callback invoked when a temporary object first adopts the default
 /// pager (see [`PhysicalMemory::set_adoption_hook`]).
 type AdoptionHook = Box<dyn Fn(&Arc<VmObject>) + Send + Sync>;
+
+/// The pageout daemon's marks, in free frames (see
+/// [`PhysicalMemory::run_pageout`]).
+#[derive(Clone, Copy, Debug)]
+struct PageoutMarks {
+    low_water: usize,
+    inactive_target: usize,
+    free_target: usize,
+}
 
 /// Most contiguous dirty pages folded into one `pager_data_write`.
 const PAGEOUT_BATCH_PAGES: usize = 8;
@@ -423,12 +431,8 @@ pub struct PhysicalMemory {
     queues: ClassMutex<Queues>,
     /// Signaled when frames return to the free queue.
     free_event: Condvar,
-    /// Free-frame count under which an allocation wakes the pageout daemon
-    /// (0 until a daemon waits in [`wait_for_pressure`](Self::wait_for_pressure)).
-    pageout_below: AtomicUsize,
-    /// Signaled by the allocation that takes the free queue under
-    /// `pageout_below`.
-    pageout_event: Condvar,
+    /// The pageout daemon's marks ([`run_pageout`](Self::run_pageout)).
+    pageout: OnceLock<PageoutMarks>,
     /// Lazy backing store for temporary objects (the default pager).
     default_pager: RwLock<Option<Arc<dyn PagerBackend>>>,
     /// Called when a temporary object first adopts the default pager (the
@@ -523,8 +527,7 @@ impl PhysicalMemory {
             ),
             queues: ClassMutex::new(LockClass::Queues, Queues::new(free, n)),
             free_event: Condvar::new(),
-            pageout_below: AtomicUsize::new(0),
-            pageout_event: Condvar::new(),
+            pageout: OnceLock::new(),
             default_pager: RwLock::new(None),
             adoption_hook: RwLock::new(None),
             engine: FaultEngine::new(weak.clone(), machine, faults),
@@ -842,7 +845,7 @@ impl PhysicalMemory {
             })
         };
         if awaited {
-            self.engine.on_range_event(object, run());
+            self.engine.on_range_event(self, object, run());
         }
     }
 
@@ -929,34 +932,50 @@ impl PhysicalMemory {
         let pressure = self.under_pressure(&q);
         drop(q);
         if pressure {
-            self.pageout_event.notify_one();
+            self.engine.wake_pageout();
         }
         self.frames[frame].busy.store(true, Ordering::Release);
         self.reset_frame_bits(frame);
         Some(frame)
     }
 
-    /// Whether the free queue is under the level the pageout daemon asked
-    /// to be woken at.
+    /// Whether the free queue is under the pageout daemon's low watermark.
     fn under_pressure(&self, q: &Queues) -> bool {
-        q.total_free() < self.pageout_below.load(Ordering::Relaxed)
+        self.pageout
+            .get()
+            .is_some_and(|marks| q.total_free() < marks.low_water)
     }
 
-    /// Blocks the pageout daemon until fewer than `low_water` frames are
-    /// free or `patience` of real time has passed; returns whether the
-    /// free queue is under `low_water`. The allocation that crosses the
-    /// mark wakes the daemon (as `vm_page_alloc` wakes Mach's), so how
-    /// much one sweep has to reclaim follows the allocations, not how many
-    /// of them the host fitted into a poll interval.
-    pub fn wait_for_pressure(&self, low_water: usize, patience: Duration) -> bool {
-        self.pageout_below.store(low_water, Ordering::Relaxed);
-        let deadline = wall::Deadline::after(patience);
-        let mut q = self.queues.lock();
-        while q.total_free() >= low_water {
-            let Some(left) = deadline.remaining() else {
+    /// Runs the pageout daemon (§5.4) on the fault engine's timer: the
+    /// allocation that takes the free queue under `low_water` frames wakes
+    /// a sweep (as `vm_page_alloc` wakes Mach's daemon), which primes the
+    /// inactive queue to `inactive_target` and reclaims until
+    /// `free_target` frames are free. The first marks set stay.
+    pub fn run_pageout(&self, low_water: usize, inactive_target: usize, free_target: usize) {
+        let _ = self.pageout.set(PageoutMarks {
+            low_water,
+            inactive_target,
+            free_target,
+        });
+    }
+
+    /// One pageout sweep: while the free queue is under the low watermark,
+    /// balance the queues and reclaim up to the free target. `false` if a
+    /// round freed nothing, for the timer to retry later.
+    pub(crate) fn pageout_sweep(&self) -> bool {
+        let Some(marks) = self.pageout.get() else {
+            return true;
+        };
+        while self.free_frames() < marks.low_water {
+            self.balance_queues(marks.inactive_target);
+            let want = marks.free_target.saturating_sub(self.free_frames());
+            let freed = self.reclaim_pages(want);
+            self.machine
+                .stats
+                .add(stat_keys::VM_DAEMON_RECLAIMS, freed as u64);
+            if freed == 0 {
                 return false;
-            };
-            let _ = self.pageout_event.wait_for(q.inner_mut(), left);
+            }
         }
         true
     }
@@ -1076,7 +1095,7 @@ impl PhysicalMemory {
             // Clean drop: nothing travels to the pager, so nothing was
             // marked in transit and no table hold is needed — but a fault
             // parked for an *unlock* of this page must re-probe.
-            self.engine.on_range_event(id, [offset]);
+            self.engine.on_range_event(self, id, [offset]);
             return true;
         };
         let ps = self.page_size as u64;
@@ -1152,13 +1171,17 @@ impl PhysicalMemory {
             Some(p) => p,
             None => {
                 // A kernel-created object touched by pageout for the first
-                // time: hand it to the default pager (pager_create).
+                // time: hand it to the default pager (pager_create). The
+                // hook registers the object for the pager's answers before
+                // the pager is set: a fault that sees the pager may ask it
+                // at once, and an answer for an unregistered object is
+                // dropped, leaving the fault parked on its claim.
                 match self.default_pager() {
                     Some(p) => {
-                        object.set_pager(p.clone());
                         if let Some(hook) = self.adoption_hook.read().as_ref() {
                             hook(object);
                         }
+                        object.set_pager(p.clone());
                         p
                     }
                     // No default pager registered (unit tests): the data is
@@ -1188,7 +1211,7 @@ impl PhysicalMemory {
         drop(t);
         self.settle([(frame, linked == Ok(frame))]);
         if awaited {
-            self.engine.on_range_event(object.id(), [offset]);
+            self.engine.on_range_event(self, object.id(), [offset]);
         }
         linked
     }
@@ -1911,7 +1934,7 @@ impl PhysicalMemory {
             }
         }
         if !gone.is_empty() {
-            self.engine.on_range_event(id, gone);
+            self.engine.on_range_event(self, id, gone);
         }
     }
 
@@ -2107,6 +2130,7 @@ mod tests {
     use super::*;
     use crate::object::test_support::{filled, RecordingPager};
     use machsim::stats::keys;
+    use machsim::wall;
 
     fn phys(frames: usize) -> (Machine, Arc<PhysicalMemory>) {
         let m = Machine::default_machine();
@@ -2291,25 +2315,24 @@ mod tests {
     }
 
     #[test]
-    fn allocation_under_the_low_watermark_wakes_the_pageout_daemon() -> Result<(), VmError> {
-        let (_m, phys) = phys(8);
-        // Nothing allocated: the wait runs out its patience.
-        assert!(!phys.wait_for_pressure(6, Duration::from_millis(10)));
-        let (tx, rx) = std::sync::mpsc::channel();
-        let daemon = {
-            let phys = phys.clone();
-            std::thread::spawn(move || {
-                // Far longer than the test: only the allocation ends it.
-                let _ = tx.send(phys.wait_for_pressure(6, Duration::from_secs(60)));
-            })
-        };
+    fn allocation_under_the_low_watermark_wakes_the_pageout_sweep() -> Result<(), VmError> {
+        let (m, phys) = phys(8);
+        phys.run_pageout(6, 7, 7);
+        let wakeups = || m.stats.get(keys::VM_TIMER_WAKEUPS);
         phys.allocate_frame(false)?;
         phys.allocate_frame(false)?;
-        // 6 free: not yet under the mark.
-        assert!(rx.recv_timeout(Duration::from_millis(50)).is_err());
+        // 6 free: not yet under the mark, and nothing else is armed.
+        wall::sleep(Duration::from_millis(50));
+        assert_eq!(wakeups(), 0);
         phys.allocate_frame(false)?;
-        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(true));
-        daemon.join().expect("waiter thread");
+        // The allocated frames are busy, so the sweep frees nothing and
+        // arms its retry: a wake for the pressure, then one per retry.
+        assert!(wall::poll_until(
+            Duration::from_secs(10),
+            Duration::from_millis(1),
+            || wakeups() >= 2
+        ));
+        assert_eq!(m.stats.get(keys::VM_DAEMON_RECLAIMS), 0);
         Ok(())
     }
 
@@ -2328,6 +2351,33 @@ mod tests {
         let _ = phys.allocate_frame(false).unwrap();
         assert!(obj.pager().is_some(), "object adopted the default pager");
         assert!(!dp.writes.lock().is_empty());
+    }
+
+    /// The adoption hook registers an object for the default pager's
+    /// answers; it runs before any fault can see the pager and ask it.
+    #[test]
+    fn an_adopted_object_is_registered_before_its_pager_is_visible() -> Result<(), VmError> {
+        let (_m, phys) = phys(6);
+        phys.set_default_pager(Arc::new(RecordingPager::default()));
+        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        {
+            let seen = seen.clone();
+            phys.set_adoption_hook(move |object| seen.lock().push(object.pager().is_some()));
+        }
+        let obj = VmObject::new_temporary(1 << 20);
+        for i in 0..4u64 {
+            phys.zero_fill(&obj, i * 4096)?;
+            if let PageLookup::Resident { frame, .. } = phys.lookup(obj.id(), i * 4096) {
+                phys.set_modified(frame);
+            }
+        }
+        phys.allocate_frame(false)?;
+        assert_eq!(
+            *seen.lock(),
+            [false],
+            "adopted once, before the pager was set"
+        );
+        Ok(())
     }
 
     #[test]

@@ -530,7 +530,7 @@ fn the_reply_that_completes_a_fault_sends_the_run_it_deferred() -> Result<(), Vm
 }
 
 /// A silent pager cannot wedge anything: the continuation's policy
-/// deadline fires in the completion loop, the fault errors back to its
+/// deadline fires on the engine's timer, the fault errors back to its
 /// submitter promptly, and a *cleanly* timed-out fault is not a watchdog
 /// stall (it left the fault table by policy, not by wedging).
 #[test]
@@ -550,7 +550,7 @@ fn silent_pager_times_out_cleanly_without_watchdog_stall() {
     assert!(matches!(err, VmError::Timeout), "got {err:?}");
     assert!(
         started.elapsed() < Duration::from_secs(5),
-        "the timeout fired from the completion loop, nothing wedged"
+        "the timeout fired from the engine's timer, nothing wedged"
     );
 
     let stats = &kernel.machine().stats;
@@ -674,6 +674,98 @@ fn pager_death_errors_a_parked_run_once() {
     let census = kernel.phys().frame_census();
     assert_eq!(census.pending, 0, "no stranded fill windows: {census:?}");
     assert_eq!(census.pinned, 0, "no leaked pins: {census:?}");
+}
+
+/// Answers every `data_request` once its gate opens: until then its
+/// thread blocks on the gate, and its faults stay parked.
+struct GatedManager {
+    gate: mpsc::Receiver<()>,
+}
+
+impl DataManager for GatedManager {
+    fn data_request(&mut self, k: &KernelConn, object: u64, offset: u64, length: u64, _a: VmProt) {
+        let _ = self.gate.recv();
+        k.data_provided(object, offset, page_run(length), VmProt::NONE);
+    }
+}
+
+/// A manager's death reaches the kernel as a message: its port's death
+/// notice fails every fault parked on its object before the thread that
+/// destroyed the port — the manager's own, as `shutdown` joins it — is
+/// done, and touches no other manager's faults.
+#[test]
+fn a_dead_managers_faults_fail_when_the_notice_arrives() {
+    const A_FAULTS: u64 = 32;
+    const B_FAULTS: u64 = 8;
+    let kernel = Kernel::boot(KernelConfig::default());
+    let (engine, phys) = (kernel.fault_engine(), kernel.phys());
+    let baseline = phys.frame_census();
+    let mgr_a = spawn_manager(kernel.machine(), "doomed", BlackHolePager);
+    let (open, gate) = mpsc::channel();
+    let mgr_b = spawn_manager(kernel.machine(), "gated", GatedManager { gate });
+    // Declared after the manager, so dropped before it: should an
+    // assertion fail, the gate opens before the handle waits for it.
+    let open: mpsc::Sender<()> = open;
+    let a = kernel.object_for_port(mgr_a.port(), A_FAULTS * PAGE);
+    let b = kernel.object_for_port(mgr_b.port(), B_FAULTS * PAGE);
+    let submit = |object, pages| -> Vec<_> {
+        (0..pages)
+            .map(|i| engine.submit(object, i * PAGE, VmProt::READ, FaultPolicy::trusting()))
+            .collect()
+    };
+    let (on_a, on_b) = (submit(&a, A_FAULTS), submit(&b, B_FAULTS));
+    assert_eq!(engine.outstanding() as u64, A_FAULTS + B_FAULTS);
+
+    mgr_a.shutdown();
+
+    for t in &on_a {
+        assert!(t.is_done(), "failed by the time the manager is gone");
+        let err = t.wait().expect_err("a dead manager's fault errors");
+        assert!(matches!(err, VmError::ObjectDestroyed), "got {err:?}");
+    }
+    let stats = &kernel.machine().stats;
+    assert_eq!(stats.get(keys::VM_ASYNC_PAGER_DEAD), A_FAULTS);
+    assert!(on_b.iter().all(|t| !t.is_done()), "B's manager lives");
+    assert_eq!(engine.outstanding() as u64, B_FAULTS);
+
+    drop(open);
+    for t in &on_b {
+        t.wait().expect("B answers its faults");
+    }
+    phys.flush_range(&b, 0, B_FAULTS * PAGE);
+    assert_eq!(phys.frame_census(), baseline);
+    assert_eq!(stats.get(keys::VM_ASYNC_PAGER_DEAD), A_FAULTS);
+}
+
+/// The timer wakes only for what it is armed for: pager round trips with
+/// no deadline arm nothing, and one parked fault with a policy deadline
+/// wakes it exactly once, when the deadline fires.
+#[test]
+fn the_timer_wakes_only_for_a_deadline_that_falls_due() -> Result<(), VmError> {
+    let m = Machine::default_machine();
+    let (phys, pager, object) = recorded(&m, 1024, 16);
+    let engine = phys.fault_engine();
+    let wakeups = || m.stats.get(keys::VM_TIMER_WAKEUPS);
+    for _ in 0..1000 {
+        let ticket = engine.submit(&object, 0, VmProt::READ, FaultPolicy::trusting());
+        phys.supply_page(&object, 0, filled(1), VmProt::NONE)?;
+        ticket.wait()?;
+        phys.flush_range(&object, 0, PAGE);
+    }
+    assert_eq!(pager.requests().len(), 1000);
+    assert_eq!(m.stats.get(keys::VM_ASYNC_PARKS), 1000);
+    assert_eq!(wakeups(), 0);
+
+    let policy = FaultPolicy::abort_after(Duration::from_millis(40));
+    let err = engine
+        .submit(&object, PAGE, VmProt::READ, policy)
+        .wait()
+        .expect_err("nobody answers");
+    assert!(matches!(err, VmError::Timeout), "got {err:?}");
+    assert_eq!(wakeups(), 1);
+    assert_eq!(m.stats.get(keys::VM_ASYNC_TIMEOUTS), 1);
+    assert_eq!(phys.frame_census().pending, 0);
+    Ok(())
 }
 
 /// Engine shutdown with runs parked: each errors with `ObjectDestroyed`

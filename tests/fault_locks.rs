@@ -44,7 +44,7 @@ fn holds_taken() -> Holds {
 }
 
 /// Runs `op` and returns its result with the acquisitions made meanwhile
-/// (by any thread: the engine's completion loop included).
+/// (by any thread: the engine's timer included).
 fn counted<T>(op: impl FnOnce() -> T) -> (T, Holds) {
     let before = holds_taken();
     let out = op();
@@ -134,8 +134,8 @@ fn a_fault_that_need_not_wait_never_takes_the_table_lock() -> Result<(), VmError
     let phys = PhysicalMemory::new(&m, 2560 * PAGE as usize, PAGE as usize, 4);
     let policy = FaultPolicy::trusting();
 
-    // No fault has parked yet, so no completion loop is running: every
-    // count down to the cold run is exact. A fault that resolves on its
+    // Nothing here arms the engine's timer (no deadline, no watchdog), so
+    // no other thread takes these locks: every count is exact. A fault that resolves on its
     // submitter's step never takes the fault table; the resident table
     // once per probe of the shadow chain, once to pin a copy's source and
     // once to enter what the fault made.
@@ -227,9 +227,8 @@ fn a_fault_that_need_not_wait_never_takes_the_table_lock() -> Result<(), VmError
     // per page took five per page, eighty and more. Resident table:
     // a probe per page and one claim for the run, the park's re-probe,
     // two holds for the fill (which pages take a frame; enter them), a
-    // probe per page on resume. The completion loop, started by the first
-    // park, ticks once a millisecond whatever happens, so take the best
-    // of a few runs.
+    // probe per page on resume. The bound holds for the best of eight
+    // runs.
     let object = EchoPager::attach(&phys, 256);
     let engine = phys.fault_engine();
     let policy = policy.with_cluster(16);
