@@ -187,7 +187,7 @@ impl VmStatisticsSnapshot {
         let c = &self.census;
         let mut nums = vec![self.now_ns];
         nums.extend([c.total, c.free, c.active, c.inactive, c.resident, c.pending]);
-        nums.extend([c.pinned, c.dirty, c.wired, c.busy, c.reserve]);
+        nums.extend([c.dirty, c.reserve]);
         let (stolen, copied, nodes) = (self.pages_stolen, self.bytes_copied, self.nodes.len());
         nums.extend([stolen, copied, nodes as u64]);
         // The per-node census, self-delimited by its count.
@@ -202,7 +202,7 @@ impl VmStatisticsSnapshot {
     /// Decodes a reply message.
     pub fn decode(msg: Message) -> Option<Self> {
         let (host, mut words) = unpack(msg)?;
-        let [now_ns, total, free, active, inactive, resident, pending, pinned, dirty, wired, busy, reserve, pages_stolen, bytes_copied, node_count] =
+        let [now_ns, total, free, active, inactive, resident, pending, dirty, reserve, pages_stolen, bytes_copied, node_count] =
             next(&mut words)?;
         let nodes = (0..node_count)
             .map(|_| {
@@ -226,10 +226,7 @@ impl VmStatisticsSnapshot {
                 inactive,
                 resident,
                 pending,
-                pinned,
                 dirty,
-                wired,
-                busy,
                 reserve,
             },
             pages_stolen,

@@ -132,8 +132,9 @@ use std::time::Duration;
 /// queued behind a draining pager keeps being pushed back.
 pub const WATCHDOG_DEBOUNCE: Duration = Duration::from_millis(300);
 
-/// How long a pageout sweep that freed nothing (every page referenced,
-/// wired or busy) waits before it tries again, pressure or not.
+/// How long a pageout sweep that freed nothing (every queued page
+/// referenced, or every frame being filled) waits before it tries again,
+/// pressure or not.
 const PAGEOUT_RETRY: Duration = Duration::from_millis(5);
 
 /// Tuning knobs for the [`FaultEngine`].

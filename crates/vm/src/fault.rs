@@ -396,15 +396,15 @@ fn page_step(
                 if wants_write {
                     // Copy-on-write: copy the ancestor's page into the
                     // faulting object ("a new page is created as a copy of
-                    // the original"). Pin the source page by key so the
-                    // frame cannot be reclaimed — and recycled for another
-                    // page — while its bytes are being copied; on a lost
-                    // race the fault restarts and refills the ancestor.
-                    let Some(src) = phys.pin_resident(object.id(), obj_offset) else {
+                    // the original"). The source is named by key and
+                    // copied under a hold of the table, so its frame cannot
+                    // be reclaimed — and recycled for another page —
+                    // while its bytes are being copied; on a lost race the
+                    // fault restarts and refills the ancestor.
+                    let copied = phys.copy_page((object.id(), obj_offset), &st.top, offset);
+                    let Some(copied) = copied.transpose() else {
                         continue;
                     };
-                    let copied = phys.copy_page(src, &st.top, offset);
-                    phys.unpin(src);
                     return PageStep::Done(copied.map(|frame| FaultResult {
                         frame,
                         object: st.top.clone(),

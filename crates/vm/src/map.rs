@@ -1625,7 +1625,7 @@ mod tests {
         assert!(st.faults >= 1);
         assert!(st.zero_fills >= 1);
         // Every frame is on exactly one of the three queues here (nothing
-        // is wired or busy).
+        // is being filled, and there are no replicas).
         assert_eq!(st.free_count + st.active_count + st.inactive_count, 16);
         assert!(st.active_count >= 1);
     }

@@ -34,8 +34,8 @@
 //!   that is a range (`pager_data_request`, `pager_data_provided`,
 //!   `pager_flush_request`, `pager_data_lock`, termination, shadow
 //!   collapse) is one range query under one hold, followed by *one*
-//!   report to the fault engine. Lookups, pins, copies out of a resident
-//!   page and the censuses share the lock as readers. Faults waiting on a
+//!   report to the fault engine. Lookups, copies out of a resident page
+//!   and the censuses share the lock as readers. Faults waiting on a
 //!   fill or an unlock wait in the fault engine; every change that can
 //!   unblock one is reported to it as a page event, with the table
 //!   unlocked.
@@ -45,13 +45,20 @@
 //!   frame's reference bit, and the second-chance scan reorders later.
 //!   Active and inactive are linked through per-frame indices, so taking
 //!   a frame off either is O(1).
-//! * The fast-changing per-frame bits (busy, wired, dirty, referenced,
-//!   pins) are lock-free atomics; the page bytes have a per-frame lock.
+//! * The hardware's two bits per frame (dirty, referenced) are lock-free
+//!   atomics, set by accesses that hold no table lock; the page bytes
+//!   have a per-frame lock.
 //!
-//! The `busy` bit doubles as the frame reservation: only the thread that
-//! flips it false→true may free, retarget, or page out the frame, so
-//! eviction, flush and install can race without holding the table across
-//! I/O. Lock order, where locks nest, is resident → frame data → queues.
+//! One rule keeps a frame's identity straight: every change to it —
+//! install, evict, free, migrate — happens under one write hold of the
+//! table, with the queues lock nested inside whenever the frame joins or
+//! leaves a queue. So whenever the table is unlocked, a page in it is on
+//! the active or the inactive queue, and a frame on no queue is either
+//! being filled (reachable only by the thread that allocated it) or a
+//! replica (reachable only through the table). Nothing else can reach a
+//! frame, so no frame needs a reservation or a pin; pager I/O still
+//! travels with the table unlocked. Lock order, where locks nest, is
+//! resident → frame data → queues.
 //!
 //! # NUMA placement
 //!
@@ -60,9 +67,9 @@
 //! local exhaustion. On asymmetric machines three policies run on top of
 //! the existing machinery (see [`crate::numa`]): first-touch allocation,
 //! read-only replication of read-hot pages, and migration of write-hot
-//! pages. Replica frames hold their `busy` reservation for life, sit on
-//! no queue, and are reachable only through the table's replica sets,
-//! so the table lock alone protects them; a write shoots the replica set
+//! pages. Replica frames sit on no queue and are reachable only through
+//! the table's replica sets, so the table lock alone protects them; a
+//! write shoots the replica set
 //! down and mutates the primary under one continuous *write* hold of the
 //! table, while a reader holds it shared for as long as it reads a
 //! replica, so readers serialize entirely before or after the write and
@@ -118,13 +125,14 @@ pub enum PageQueue {
     Inactive,
     /// Not caching any data.
     Free,
-    /// Caching data but wired or busy (on no queue).
+    /// On no queue: being filled by the thread that allocated it, or a
+    /// replica.
     None,
 }
 
 /// The slow-changing part of a frame's resident page structure, kept in
-/// the resident table (fast-changing bits — busy/wired/dirty/referenced —
-/// are atomics on [`Frame`]).
+/// the resident table (the hardware bits — dirty/referenced — are atomics
+/// on [`Frame`]).
 #[derive(Default)]
 struct PageInfo {
     /// Owning memory object and offset, when caching data. The key is
@@ -153,22 +161,10 @@ struct Frame {
     /// Accesses per node since the page was installed (or last migrated):
     /// the evidence the replication/migration policies act on.
     node_stats: Box<[NodeAccess]>,
-    /// A fill or pageout is in transit; the frame must not be disturbed.
-    /// Flipping this false→true is the exclusive reservation required to
-    /// free, retarget or page out the frame.
-    busy: AtomicBool,
-    /// Excluded from pageout (kernel-critical data).
-    wired: AtomicBool,
     /// Modified since last cleaned ("modification information").
     dirty: AtomicBool,
     /// Referenced since last queue scan ("reference information").
     referenced: AtomicBool,
-    /// Shared pin count: threads holding the frame against reclaim while
-    /// they copy out of it (a COW source). Raised only under a hold of
-    /// the resident table; reclaim and flush decide under a write hold
-    /// and back off while pins are outstanding, so a pinned frame keeps
-    /// its page identity.
-    pins: AtomicUsize,
 }
 
 impl Frame {
@@ -180,11 +176,8 @@ impl Frame {
             ),
             home,
             node_stats: (0..nodes).map(|_| NodeAccess::default()).collect(),
-            busy: AtomicBool::new(false),
-            wired: AtomicBool::new(false),
             dirty: AtomicBool::new(false),
             referenced: AtomicBool::new(false),
-            pins: AtomicUsize::new(0),
         }
     }
 
@@ -193,18 +186,6 @@ impl Frame {
             s.reads.store(0, Ordering::Relaxed);
             s.writes.store(0, Ordering::Relaxed);
         }
-    }
-
-    /// Reserves the frame; the caller becomes the only thread allowed to
-    /// free/retarget it until it clears `busy` again.
-    fn reserve(&self) -> bool {
-        self.busy
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-    }
-
-    fn release(&self) {
-        self.busy.store(false, Ordering::Release);
     }
 }
 
@@ -232,10 +213,9 @@ struct ResidentTable {
     pending: BTreeMap<PageKey, PendingFill>,
     /// Per-node read-only replicas of read-hot pages: page ->
     /// [(node, frame)]. Replica frames live outside the pageout queues,
-    /// hold their `busy` reservation for life, are never pinned, wired or
-    /// pmap-mapped, and are reachable only through this map — so the
-    /// table lock alone protects them. Any write to the primary (or its
-    /// invalidation) shoots the whole set down.
+    /// are never pmap-mapped, and are reachable only through this map —
+    /// so the table lock alone protects them. Any write to the primary
+    /// (or its invalidation) shoots the whole set down.
     replicas: BTreeMap<PageKey, Vec<(usize, usize)>>,
     /// Per frame: whose page it caches, under which manager lock, mapped
     /// where. `info[f].owner` names a key of `pages` exactly when
@@ -383,14 +363,8 @@ pub struct FrameCensus {
     pub resident: u64,
     /// Pages with pager traffic in flight (awaiting fill or write-back).
     pub pending: u64,
-    /// Frames pinned against reclaim.
-    pub pinned: u64,
     /// Frames holding modified data not yet written back.
     pub dirty: u64,
-    /// Frames wired (never evicted).
-    pub wired: u64,
-    /// Frames reserved by a thread for free/retarget.
-    pub busy: u64,
     /// Frames kept back for privileged pageout-path allocations.
     pub reserve: u64,
 }
@@ -581,28 +555,25 @@ impl PhysicalMemory {
     /// and dumped in watchdog black-box reports.
     ///
     /// Queue lengths are read under the queue lock, table sizes under the
-    /// table lock; per-frame flag counts are relaxed reads, so under
-    /// concurrent faulting the flag totals are approximate (each flag is
-    /// individually coherent).
+    /// table lock; the dirty count is relaxed reads, so under concurrent
+    /// faulting it is approximate.
     pub fn frame_census(&self) -> FrameCensus {
         let (active, inactive, free) = self.queue_lengths();
-        let mut census = FrameCensus {
+        let dirty = self
+            .frames
+            .iter()
+            .filter(|f| f.dirty.load(Ordering::Relaxed))
+            .count();
+        FrameCensus {
             total: self.frames.len() as u64,
             free: free as u64,
             active: active as u64,
             inactive: inactive as u64,
             resident: self.resident_pages() as u64,
             pending: self.pending_fills() as u64,
+            dirty: dirty as u64,
             reserve: self.reserve as u64,
-            ..FrameCensus::default()
-        };
-        for f in &self.frames {
-            census.pinned += u64::from(f.pins.load(Ordering::Relaxed) > 0);
-            census.dirty += u64::from(f.dirty.load(Ordering::Relaxed));
-            census.wired += u64::from(f.wired.load(Ordering::Relaxed));
-            census.busy += u64::from(f.busy.load(Ordering::Relaxed));
         }
-        census
     }
 
     /// The machine this memory charges.
@@ -666,19 +637,18 @@ impl PhysicalMemory {
         self.second_chance(&mut q, target_inactive);
     }
 
-    /// Resets the fast per-frame bits; the frame must be unreachable
-    /// (freshly popped from the free queue or being freed).
+    /// Resets the hardware bits; the frame must be unreachable (freshly
+    /// popped from the free queue or being freed).
     fn reset_frame_bits(&self, frame: usize) {
         let fr = &self.frames[frame];
-        fr.wired.store(false, Ordering::Release);
         fr.dirty.store(false, Ordering::Release);
         fr.referenced.store(false, Ordering::Release);
     }
 
-    /// Returns reserved (busy) frames to their free lists under one hold
-    /// of the queues lock. The caller must hold each frame's `busy`
-    /// reservation and have already taken it out of the resident table
-    /// (which clears its page info).
+    /// Returns frames to their free lists under one hold of the queues
+    /// lock. Each frame is one only the caller can reach: taken out of
+    /// the resident table under the write hold the caller still has (or
+    /// a replica popped under it), or one it allocated and never linked.
     fn release_frames(&self, frames: impl IntoIterator<Item = usize>) {
         let mut q = self.queues.lock();
         for frame in frames {
@@ -690,13 +660,11 @@ impl PhysicalMemory {
     /// The caller signals `free_event`, once for all it frees.
     fn free_frame_locked(&self, q: &mut Queues, frame: usize) {
         let fr = &self.frames[frame];
-        debug_assert_eq!(fr.pins.load(Ordering::Acquire), 0, "freed a pinned frame");
         self.reset_frame_bits(frame);
         q.unlink(frame);
         q.free[fr.home].push(frame);
         q.membership[frame] = PageQueue::Free;
         fr.reset_node_stats();
-        fr.release();
     }
 
     // ----- lookup -----
@@ -870,7 +838,8 @@ impl PhysicalMemory {
     ///
     /// Unprivileged allocations may not dip into the reserved pool; the
     /// pageout path and default pager allocate privileged. The returned
-    /// frame is reserved (busy) until `install` links it into the table.
+    /// frame is on no queue and in no table: only the caller can reach it
+    /// until `install` links it.
     pub fn allocate_frame(&self, privileged: bool) -> Result<usize, VmError> {
         self.allocate_frame_on(self.preferred_node(), privileged)
     }
@@ -915,10 +884,8 @@ impl PhysicalMemory {
     /// when that would dip under the floor (the reserve, unless
     /// `privileged`). Takes only the queues lock, so it is safe under a
     /// hold of the resident table (resident → queues is the canonical
-    /// order), which is where the replication and migration policies
-    /// need it. The frame comes back reserved (busy): free-queue frames
-    /// cache nothing and are otherwise unreachable, so the reservation
-    /// always succeeds.
+    /// order), which is where the replication policy needs it. The frame
+    /// comes back on no queue, reachable only by the caller.
     fn take_free(&self, node: usize, privileged: bool, steal: bool) -> Option<usize> {
         let mut q = self.queues.lock();
         let floor = if privileged { 0 } else { self.reserve };
@@ -934,7 +901,6 @@ impl PhysicalMemory {
         if pressure {
             self.engine.wake_pageout();
         }
-        self.frames[frame].busy.store(true, Ordering::Release);
         self.reset_frame_bits(frame);
         Some(frame)
     }
@@ -984,10 +950,8 @@ impl PhysicalMemory {
     /// returns whether frames were released. Memory pressure values real
     /// pages over placement copies.
     fn reclaim_replica(&self) -> bool {
-        let popped = self.resident.write().replicas.pop_first();
-        // Out of the table = unreachable; we inherit each frame's
-        // lifetime `busy` reservation, so freeing needs no table hold.
-        popped.is_some_and(|(_, reps)| {
+        let mut t = self.resident.write();
+        t.replicas.pop_first().is_some_and(|(_, reps)| {
             self.release_frames(reps.into_iter().map(|(_, frame)| frame));
             true
         })
@@ -1009,8 +973,8 @@ impl PhysicalMemory {
     /// here rather than send a `pager_data_request` that could overtake
     /// the write and get `data_unavailable` for data the pager is about
     /// to receive — the port's FIFO ordering then guarantees the pager
-    /// sees the write before the re-request. The caller holds the frame's
-    /// `busy` reservation and frees it afterwards.
+    /// sees the write before the re-request. The caller frees the frame
+    /// before it drops the table.
     fn evict_locked(
         &self,
         t: &mut ResidentTable,
@@ -1036,58 +1000,38 @@ impl PhysicalMemory {
 
     /// Attempts to evict one page; returns whether a frame was freed.
     fn reclaim_one(&self) -> bool {
-        // Phase 1: pick and reserve a victim under the queues lock alone.
+        // Phase 1: keep the inactive queue primed (second chance on the
+        // reference bits), under the queues lock alone.
+        self.balance_queues(4);
+        // Phase 2: one hold of the table pops the victim, removes its page
+        // and frees its frame. A queued frame always caches a page — though
+        // maybe not the one it cached when it was queued (shadow-chain
+        // collapse rekeys).
+        let mut t = self.resident.write();
         let victim = {
             let mut q = self.queues.lock();
-            // Keep the inactive queue primed (second chance on the
-            // reference bits).
-            self.second_chance(&mut q, 4);
             let mut found = None;
-            for _ in 0..q.len(PageQueue::Inactive) {
-                let Some(f) = q.pop_front(PageQueue::Inactive) else {
-                    break;
-                };
-                let fr = &self.frames[f];
-                if fr.wired.load(Ordering::Acquire) {
-                    q.push_back(PageQueue::Inactive, f);
-                } else if fr.referenced.load(Ordering::Acquire) {
-                    // Used since deactivation: give it another chance.
-                    self.activate(&mut q, f);
-                } else if !fr.reserve() {
-                    // Mid-fill or mid-flush elsewhere; leave it queued.
-                    q.push_back(PageQueue::Inactive, f);
-                } else {
+            while let Some(f) = q.pop_front(PageQueue::Inactive) {
+                if !self.frames[f].referenced.load(Ordering::Acquire) {
                     found = Some(f);
                     break;
                 }
+                // Used since deactivation: give it another chance.
+                self.activate(&mut q, f);
             }
             found
         };
         let Some(frame) = victim else {
             return false;
         };
-        // Phase 2: one hold of the table removes the page. The
-        // reservation keeps everyone else away from the frame, and a
-        // queued frame always caches a page — though maybe not the one it
-        // cached when it was queued (shadow-chain collapse rekeys).
-        let fr = &self.frames[frame];
-        let mut t = self.resident.write();
         let (owner, id, offset) = t.info[frame]
             .owner
             .clone()
             .expect("invariant: a frame on a pageout queue caches a page");
-        if fr.pins.load(Ordering::Acquire) != 0 {
-            // A fault holds the page pinned while it copies from it;
-            // give the frame back to the queue.
-            drop(t);
-            self.queues.lock().push_back(PageQueue::Inactive, frame);
-            fr.release();
-            return false;
-        }
         let owner = owner.upgrade();
         let data = self.evict_locked(&mut t, (id, offset), frame, owner.is_some());
-        drop(t);
         self.release_frames([frame]);
+        drop(t);
         // Phase 3: pageout I/O outside every lock, batching contiguous
         // dirty neighbors of the same object into one `pager_data_write`
         // when the pager accepts clusters.
@@ -1135,28 +1079,19 @@ impl PhysicalMemory {
     }
 
     /// Tries to evict `(object, offset)` right now so its data can join a
-    /// batched pageout. Only succeeds for an idle, unwired, unreferenced
-    /// dirty resident page; returns the page contents on success, with
-    /// the page marked in transit (see `evict_locked`; the caller clears
-    /// the marker once the batched write is sent).
+    /// batched pageout. Only succeeds for an unreferenced dirty resident
+    /// page; returns the page contents on success, with the page marked
+    /// in transit (see `evict_locked`; the caller clears the marker once
+    /// the batched write is sent).
     fn try_evict_for_pageout(&self, object: &Arc<VmObject>, offset: u64) -> Option<Vec<u8>> {
         let key = (object.id(), offset);
         let mut t = self.resident.write();
         let frame = *t.pages.get(&key)?;
         let fr = &self.frames[frame];
-        if !fr.reserve() {
-            return None;
-        }
-        if fr.pins.load(Ordering::Acquire) != 0
-            || fr.wired.load(Ordering::Acquire)
-            || fr.referenced.load(Ordering::Acquire)
-            || !fr.dirty.load(Ordering::Acquire)
-        {
-            fr.release();
+        if fr.referenced.load(Ordering::Acquire) || !fr.dirty.load(Ordering::Acquire) {
             return None;
         }
         let data = self.evict_locked(&mut t, key, frame, true);
-        drop(t);
         self.release_frames([frame]);
         data
     }
@@ -1208,8 +1143,8 @@ impl PhysicalMemory {
         let mut awaited = false;
         let mut t = self.resident.write();
         let linked = self.link_locked(&mut t, object, (offset, frame), lock, dirty, &mut awaited);
-        drop(t);
         self.settle([(frame, linked == Ok(frame))]);
+        drop(t);
         if awaited {
             self.engine.on_range_event(self, object.id(), [offset]);
         }
@@ -1217,10 +1152,10 @@ impl PhysicalMemory {
     }
 
     /// Enters every filled `(offset, frame)` of `filled` into the table as
-    /// a clean page of `object`, under one hold of the table and then one
-    /// of the queues; drains `filled` and returns how many of its pages
-    /// now cache what was filled (see `link_locked`). The caller reports
-    /// the page event.
+    /// a clean page of `object`, under one hold of the table with one of
+    /// the queues nested; drains `filled` and returns how many of its
+    /// pages now cache what was filled (see `link_locked`). The caller
+    /// reports the page event.
     fn link(
         &self,
         object: &Arc<VmObject>,
@@ -1231,30 +1166,25 @@ impl PhysicalMemory {
         if filled.is_empty() {
             return 0;
         }
-        let outcomes: Vec<(usize, bool)> = {
-            let mut t = self.resident.write();
-            let mut link = |page: (u64, usize)| {
-                let linked = self.link_locked(&mut t, object, page, lock, false, awaited);
-                (page.1, linked == Ok(page.1))
-            };
-            filled.drain(..).map(&mut link).collect()
+        let mut t = self.resident.write();
+        let mut link = |page: (u64, usize)| {
+            let linked = self.link_locked(&mut t, object, page, lock, false, awaited);
+            (page.1, linked == Ok(page.1))
         };
+        let outcomes: Vec<(usize, bool)> = filled.drain(..).map(&mut link).collect();
         let installed = outcomes.iter().filter(|&&(_, linked)| linked).count();
         self.settle(outcomes);
         installed
     }
 
-    /// Ends an install under one hold of the queues: a frame that was
-    /// linked joins the active queue and gives up its allocation
-    /// reservation — only now that it is fully linked; flush and reclaim
-    /// skip busy frames, so there is no window in which a half-installed
-    /// page can be freed — and one that was not is freed.
+    /// Ends an install under one hold of the queues, nested in the table
+    /// hold that linked the pages: a frame that was linked joins the
+    /// active queue, and one that was not is freed.
     fn settle(&self, frames: impl IntoIterator<Item = (usize, bool)>) {
         let mut q = self.queues.lock();
         for (frame, linked) in frames {
             if linked {
                 self.activate(&mut q, frame);
-                self.frames[frame].release();
             } else {
                 self.free_frame_locked(&mut q, frame);
                 self.free_event.notify_all();
@@ -1394,17 +1324,29 @@ impl PhysicalMemory {
         self.install(object, offset, frame, VmProt::NONE, false)
     }
 
-    /// Copies `src_frame` into a fresh page of `(dst_object, dst_offset)` —
-    /// the deferred physical copy of copy-on-write.
+    /// Copies the resident page `src` into a fresh page of `(dst_object,
+    /// dst_offset)` — the deferred physical copy of copy-on-write. The
+    /// frame is allocated first (which may reclaim, and so take the table
+    /// for writing); the copy then runs under a shared hold of the table,
+    /// which keeps the source in its frame, as in `copy_from_resident`.
+    /// `Ok(None)` if the source is no longer resident (reclaimed since
+    /// the fault found it): the caller re-probes.
     pub fn copy_page(
         &self,
-        src_frame: usize,
+        src: (ObjectId, u64),
         dst_object: &Arc<VmObject>,
         dst_offset: u64,
-    ) -> Result<usize, VmError> {
+    ) -> Result<Option<usize>, VmError> {
         let frame = self.allocate_frame(false)?;
         {
-            let src = self.frames[src_frame].data.read();
+            let t = self.resident.read();
+            let Some(&src_frame) = t.pages.get(&src) else {
+                self.release_frames([frame]);
+                return Ok(None);
+            };
+            let fr = &self.frames[src_frame];
+            fr.referenced.store(true, Ordering::Release);
+            let src = fr.data.read();
             let mut dst = self.frames[frame].data.write();
             dst.copy_from_slice(&src);
         }
@@ -1417,6 +1359,7 @@ impl PhysicalMemory {
             .add(stat_keys::BYTES_COPIED, self.page_size as u64);
         // The copy exists precisely because someone is about to write it.
         self.install(dst_object, dst_offset, frame, VmProt::NONE, true)
+            .map(Some)
     }
 
     // ----- frame data access -----
@@ -1424,26 +1367,6 @@ impl PhysicalMemory {
     /// Runs `f` over the frame's bytes (read-only).
     pub fn with_frame<R>(&self, frame: usize, f: impl FnOnce(&[u8]) -> R) -> R {
         f(&self.frames[frame].data.read())
-    }
-
-    /// Pins the frame caching `(object, offset)` against reclaim and
-    /// returns it, or `None` if the page is not resident (reclaimed, or
-    /// never filled). The count is raised under a hold of the table, and
-    /// reclaim and flush decide under a write hold of it, so a successful
-    /// pin guarantees the frame keeps this page's identity — and
-    /// contents — until [`unpin`](Self::unpin): what a copy-on-write
-    /// fault needs while it copies the page with no lock on it at all.
-    pub fn pin_resident(&self, object: ObjectId, offset: u64) -> Option<usize> {
-        let t = self.resident.read();
-        let &frame = t.pages.get(&(object, offset))?;
-        self.frames[frame].pins.fetch_add(1, Ordering::AcqRel);
-        self.frames[frame].referenced.store(true, Ordering::Release);
-        Some(frame)
-    }
-
-    /// Releases a [`pin_resident`](Self::pin_resident) pin.
-    pub fn unpin(&self, frame: usize) {
-        self.frames[frame].pins.fetch_sub(1, Ordering::AcqRel);
     }
 
     /// The mapping tail of a fault: for each page it resolved — `(object,
@@ -1572,8 +1495,7 @@ impl PhysicalMemory {
         self.machine
             .stats
             .add(stat_keys::BYTES_COPIED, self.page_size as u64);
-        // The frame keeps its busy reservation for life (module docs); it
-        // joins no queue and gets no page info.
+        // The frame joins no queue and gets no page info (module docs).
         t.replicas.entry(key).or_default().push((node, rf));
         self.machine.stats.incr(stat_keys::NUMA_REPLICATIONS);
         self.machine
@@ -1693,7 +1615,6 @@ impl PhysicalMemory {
         let here = fr.node_stats[node].writes.load(Ordering::Relaxed);
         if here < self.numa.hot_threshold
             || here <= fr.node_stats[fr.home].writes.load(Ordering::Relaxed)
-            || fr.wired.load(Ordering::Acquire)
         {
             return;
         }
@@ -1701,22 +1622,16 @@ impl PhysicalMemory {
             return;
         };
         let mut t = self.resident.write();
-        let movable = t.key_of(frame).filter(|_| {
-            fr.pins.load(Ordering::Acquire) == 0
-                && !fr.wired.load(Ordering::Acquire)
-                && fr.reserve()
-        });
-        let Some(key) = movable else {
-            // Raced with eviction, a pin, or a concurrent reservation;
-            // placement is advisory, so just give the new frame back.
-            drop(t);
+        let Some(key) = t.key_of(frame) else {
+            // Raced with eviction; placement is advisory, so just give
+            // the new frame back.
             self.release_frames([nf]);
             return;
         };
-        // We hold the table and the old frame's busy reservation: no
-        // fault, reclaim or flush can touch the page now. In-flight
-        // readers hold the old frame's data read lock; taking the write
-        // lock below waits them out (the with_frame_if argument).
+        // We hold the table for writing: no fault, reclaim or flush can
+        // touch the page now. In-flight readers hold the old frame's data
+        // read lock; taking the write lock below waits them out (the
+        // with_frame_if argument).
         self.shoot_down_locked(&mut t, key);
         {
             let src = fr.data.write();
@@ -1740,13 +1655,11 @@ impl PhysicalMemory {
             .dirty
             .store(fr.dirty.swap(false, Ordering::AcqRel), Ordering::Release);
         t.pages.insert(key, nf);
-        self.activate(&mut self.queues.lock(), nf);
-        self.frames[nf].release();
         // Fresh hot-page evidence on the new home (hysteresis).
         self.frames[nf].reset_node_stats();
-        drop(t);
-        // We hold the old frame's reservation; it is out of the table.
+        self.activate(&mut self.queues.lock(), nf);
         self.release_frames([frame]);
+        drop(t);
         self.machine.stats.incr(stat_keys::NUMA_MIGRATIONS);
         self.machine
             .trace_event("vm.numa", machsim::EventKind::Mark("migrate"));
@@ -1804,7 +1717,7 @@ impl PhysicalMemory {
     }
 
     /// Write-side counterpart of [`copy_from_resident`]; marks the page
-    /// modified under the same pin.
+    /// modified under the same hold.
     pub fn copy_to_resident(
         &self,
         object: ObjectId,
@@ -1844,11 +1757,6 @@ impl PhysicalMemory {
         self.frames[frame].referenced.store(true, Ordering::Release);
     }
 
-    /// Wires a frame, excluding it from pageout.
-    pub fn wire(&self, frame: usize, wired: bool) {
-        self.frames[frame].wired.store(wired, Ordering::Release);
-    }
-
     // ----- data manager cache control (Table 3-6 kernel side) -----
 
     /// `pager_flush_request`: invalidates cached pages in the range,
@@ -1873,10 +1781,10 @@ impl PhysicalMemory {
     }
 
     /// One range query under one hold of the table serves the whole
-    /// request, whatever else is resident; the modified pages then travel
-    /// with the table unlocked (marked in transit if they were removed, a
-    /// second hold clearing the marks once they are sent), and one page
-    /// event reports every page that went.
+    /// request, whatever else is resident, and frees what it removed; the
+    /// modified pages then travel with the table unlocked (marked in
+    /// transit if they were removed, a second hold clearing the marks once
+    /// they are sent), and one page event reports every page that went.
     fn cache_control(&self, object: &Arc<VmObject>, offset: u64, length: u64, op: CacheControl) {
         let ps = self.page_size as u64;
         let id = object.id();
@@ -1886,7 +1794,6 @@ impl PhysicalMemory {
         let write_back = op != CacheControl::Release { write_back: false };
         let mut writebacks: Vec<(u64, Vec<u8>)> = Vec::new();
         let mut gone: Vec<u64> = Vec::new();
-        let mut freed: Vec<usize> = Vec::new();
         {
             let mut t = self.resident.write();
             if matches!(op, CacheControl::Release { .. }) {
@@ -1895,18 +1802,13 @@ impl PhysicalMemory {
                     t.pending.remove(&(id, page));
                 }
             }
+            let mut freed: Vec<usize> = Vec::new();
             for (page, frame) in t.span(id, first, end) {
                 let fr = &self.frames[frame];
                 if !invalidate {
-                    if !fr.busy.load(Ordering::Acquire) && fr.dirty.swap(false, Ordering::AcqRel) {
+                    if fr.dirty.swap(false, Ordering::AcqRel) {
                         writebacks.push((page, fr.data.read().to_vec()));
                     }
-                    continue;
-                }
-                // Freeing requires the busy reservation; frames mid-fill
-                // or mid-pageout are skipped, and so are pinned frames (a
-                // fault mid-copy).
-                if fr.pins.load(Ordering::Acquire) != 0 || !fr.reserve() {
                     continue;
                 }
                 if let Some(data) = self.evict_locked(&mut t, (id, page), frame, write_back) {
@@ -1915,9 +1817,9 @@ impl PhysicalMemory {
                 gone.push(page);
                 freed.push(frame);
             }
-        }
-        if !freed.is_empty() {
-            self.release_frames(freed);
+            if !freed.is_empty() {
+                self.release_frames(freed);
+            }
         }
         let marked = invalidate && !writebacks.is_empty();
         let sent: Vec<u64> = writebacks
@@ -2028,9 +1930,10 @@ impl PhysicalMemory {
     /// Debugging aid: asserts the structural invariants of the table and
     /// the queues, under both locks (in the canonical order): the table
     /// and the page infos name each other, so no frame is owned by two
-    /// keys; resident frames are never marked free and free-queue frames
-    /// cache nothing; the pageout queues' links, lengths and membership
-    /// agree; replicas never outlive their primary. Panics on violation.
+    /// keys; every resident page is on the active or inactive queue and
+    /// free-queue frames cache nothing; the pageout queues' links, lengths
+    /// and membership agree; replicas never outlive their primary and sit
+    /// on no queue. Panics on violation.
     /// Intended for stress tests; far too heavy for production paths.
     pub fn check_invariants(&self) {
         let t = self.resident.read();
@@ -2042,8 +1945,8 @@ impl PhysicalMemory {
                 "frame {frame} is in the table as {key:?} but records another owner"
             );
             assert!(
-                q.membership[frame] != PageQueue::Free,
-                "resident frame {frame} is marked free"
+                Queues::ring(q.membership[frame]).is_some(),
+                "resident frame {frame} is on no pageout queue"
             );
         }
         let owned = t.info.iter().filter(|i| i.owner.is_some()).count();
@@ -2100,10 +2003,6 @@ impl PhysicalMemory {
                 assert_eq!(
                     self.frames[f].home, node,
                     "replica frame {f} recorded on node {node} but homed elsewhere"
-                );
-                assert!(
-                    self.frames[f].busy.load(Ordering::Acquire),
-                    "replica frame {f} lost its lifetime busy reservation"
                 );
                 assert!(
                     q.membership[f] == PageQueue::None,
@@ -2325,8 +2224,8 @@ mod tests {
         wall::sleep(Duration::from_millis(50));
         assert_eq!(wakeups(), 0);
         phys.allocate_frame(false)?;
-        // The allocated frames are busy, so the sweep frees nothing and
-        // arms its retry: a wake for the pressure, then one per retry.
+        // The allocated frames are on no queue, so the sweep frees nothing
+        // and arms its retry: a wake for the pressure, then one per retry.
         assert!(wall::poll_until(
             Duration::from_secs(10),
             Duration::from_millis(1),
@@ -2467,13 +2366,27 @@ mod tests {
         let dst_obj = VmObject::new_temporary(4096);
         phys.supply_page(&src_obj, 0, filled(5u8, 4096), VmProt::NONE)
             .unwrap();
-        let PageLookup::Resident { frame: src, .. } = phys.lookup(src_obj.id(), 0) else {
-            panic!("resident");
-        };
-        let dst = phys.copy_page(src, &dst_obj, 0).unwrap();
+        let dst = phys.copy_page((src_obj.id(), 0), &dst_obj, 0).unwrap();
+        let dst = dst.expect("the source is resident");
         phys.with_frame(dst, |d| assert!(d.iter().all(|&b| b == 5)));
         assert_eq!(m.stats.get(keys::VM_COW_COPIES), 1);
         assert_eq!(phys.page_dirty(dst_obj.id(), 0), Some(true));
+    }
+
+    #[test]
+    fn copy_page_from_a_source_that_is_gone_copies_nothing() -> Result<(), VmError> {
+        let (m, phys) = phys(8);
+        let src_obj = VmObject::new_temporary(4096);
+        let dst_obj = VmObject::new_temporary(4096);
+        let free = phys.free_frames();
+        // The frame taken for the copy goes back: nothing leaks, nothing
+        // is installed, nothing is charged.
+        assert_eq!(phys.copy_page((src_obj.id(), 0), &dst_obj, 0)?, None);
+        assert_eq!(phys.free_frames(), free);
+        assert_eq!(phys.resident_pages_of(dst_obj.id()), 0);
+        assert_eq!(m.stats.get(keys::VM_COW_COPIES), 0);
+        phys.check_invariants();
+        Ok(())
     }
 
     #[test]
@@ -2488,26 +2401,6 @@ mod tests {
         phys.release_object(&obj, false);
         assert_eq!(phys.resident_pages_of(obj.id()), 0);
         assert_eq!(phys.free_frames(), free_before + 3);
-    }
-
-    #[test]
-    fn wired_pages_survive_reclaim() {
-        let (_m, phys) = phys(6);
-        let obj = VmObject::new_temporary(1 << 20);
-        phys.zero_fill(&obj, 0).unwrap();
-        let PageLookup::Resident { frame, .. } = phys.lookup(obj.id(), 0) else {
-            panic!("resident");
-        };
-        phys.wire(frame, true);
-        for i in 1..4u64 {
-            phys.zero_fill(&obj, i * 4096).unwrap();
-        }
-        // Exhaust memory; the wired page must remain.
-        let _ = phys.allocate_frame(false);
-        assert!(matches!(
-            phys.lookup(obj.id(), 0),
-            PageLookup::Resident { .. }
-        ));
     }
 
     #[test]
@@ -2648,26 +2541,31 @@ mod tests {
 
     #[test]
     fn concurrent_fault_evict_stress() {
-        // 8 threads fault and evict over a physical memory far smaller
-        // than the working set, so installs, reclaims and flushes race
-        // constantly. The structural invariants (no frame owned by two
-        // keys, busy frames never reclaimed) must hold throughout; frame
-        // contents must always match the owning key at the end.
+        // 8 threads fault, copy on write, clean and evict over a physical
+        // memory far smaller than the working set, so installs, copies,
+        // reclaims, cleans and flushes race constantly. The structural
+        // invariants (no frame owned by two keys, every resident page on a
+        // pageout queue) must hold throughout; frame contents must always
+        // match the owning key at the end. Each copy object mirrors one
+        // source, so a copy holds its source's tag.
         let m = Machine::default_machine();
         let phys = PhysicalMemory::new(&m, 24 * 4096, 4096, 2);
         let objects: Vec<Arc<VmObject>> =
             (0..4).map(|_| VmObject::new_temporary(32 * 4096)).collect();
+        let copies: Vec<Arc<VmObject>> =
+            (0..4).map(|_| VmObject::new_temporary(32 * 4096)).collect();
         std::thread::scope(|s| {
             for t in 0..8u64 {
                 let phys = phys.clone();
-                let objects = objects.clone();
+                let (objects, copies) = (objects.clone(), copies.clone());
                 s.spawn(move || {
                     let mut rng = t.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
                     for i in 0..300u32 {
                         rng = rng
                             .wrapping_mul(6364136223846793005)
                             .wrapping_add(1442695040888963407);
-                        let obj = &objects[(rng >> 33) as usize % objects.len()];
+                        let o = (rng >> 33) as usize % objects.len();
+                        let obj = &objects[o];
                         let page = (rng >> 17) % 32;
                         let off = page * 4096;
                         match phys.lookup(obj.id(), off) {
@@ -2688,8 +2586,14 @@ mod tests {
                             0 => {
                                 phys.reclaim_pages(2);
                             }
+                            1 => {
+                                let _ = phys.copy_page((obj.id(), off), &copies[o], off);
+                            }
                             3 => {
                                 phys.flush_range(obj, off, 4096);
+                            }
+                            4 => {
+                                phys.clean_range(&copies[o], off, 4096);
                             }
                             5 => {
                                 phys.check_invariants();
@@ -2701,14 +2605,16 @@ mod tests {
             }
         });
         phys.check_invariants();
-        // Quiesced: every resident page's contents identify its key, so
-        // no install ever landed in a frame another page still owned.
-        for obj in &objects {
+        assert!(m.stats.get(keys::VM_COW_COPIES) > 0, "the copy arm copied");
+        // Quiesced: every resident page's contents identify its key (a
+        // copy's, its source's), so no install or copy ever landed in a
+        // frame another page still owned.
+        for (obj, source) in objects.iter().chain(&copies).zip(objects.iter().cycle()) {
             for off in phys.object_offsets(obj.id()) {
                 let PageLookup::Resident { frame, .. } = phys.lookup(obj.id(), off) else {
                     continue;
                 };
-                let tag = page_tag(obj.id(), off);
+                let tag = page_tag(source.id(), off);
                 phys.with_frame(frame, |d| {
                     assert!(
                         d.iter().all(|&b| b == tag),

@@ -106,9 +106,10 @@ cargo run -q -p machbench --bin report export-smoke
 echo "==> critical-path smoke (span profiler: chain coverage, lock contention, gauges)"
 cargo run -q --release -p machbench --bin report critical-path --smoke
 
-echo "==> lockdep witness (stress, NUMA, and a manager's thread applying its replies: fault_async + pager_fill + servers)"
+echo "==> lockdep witness (stress, NUMA, and a manager's thread applying its replies: fault_async + pager_fill + servers; machvm's unit tests, whose resident stress test races installs, copies, cleans and evictions under resident -> queues)"
 cargo test -q --features lockdep --test stress --test numa --test fault_async --test pager_fill \
     --test servers
+cargo test -q -p machvm --features lockdep --lib
 
 echo "==> lockdep witness (scheduler: run-queue -> fault-table nesting is order-checked)"
 cargo test -q -p machsched --features lockdep --test lockdep_witness

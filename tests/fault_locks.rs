@@ -137,8 +137,8 @@ fn a_fault_that_need_not_wait_never_takes_the_table_lock() -> Result<(), VmError
     // Nothing here arms the engine's timer (no deadline, no watchdog), so
     // no other thread takes these locks: every count is exact. A fault that resolves on its
     // submitter's step never takes the fault table; the resident table
-    // once per probe of the shadow chain, once to pin a copy's source and
-    // once to enter what the fault made.
+    // once per probe of the shadow chain, once to copy out of a copy's
+    // source and once to enter what the fault made.
     let anon = VmObject::new_temporary(4 * PAGE);
     let (fault, holds) = counted(|| resolve_page(&phys, &anon, 0, VmProt::WRITE, policy));
     fault?;
