@@ -54,9 +54,6 @@ pub struct KernelConfig {
     /// Whether to run the pageout daemon that keeps the free queue primed
     /// (Section 5.4's queue maintenance), on the fault engine's timer.
     pub pageout_daemon: bool,
-    /// Whether to run the stall watchdog that flags parked faults (faults
-    /// awaiting `pager_data_provided`) that stop making progress.
-    pub watchdog: bool,
     /// Simulated time a parked fault may age before the watchdog declares
     /// it stalled.
     pub watchdog_stall_ns: u64,
@@ -72,9 +69,6 @@ pub struct KernelConfig {
     /// Simulated CPU count for the `machsched` scheduler: per-CPU run
     /// queues with randomized work stealing and NUMA-affine placement.
     pub sched_cpus: usize,
-    /// Sim-time slice after which a yielding unit is preempted and
-    /// re-queued (charged the syscall cost as the context-switch price).
-    pub sched_time_slice_ns: u64,
 }
 
 /// Default read-fault cluster size, in pages: one `pager_data_request`
@@ -88,8 +82,10 @@ pub const DEFAULT_CLUSTER_PAGES: usize = 8;
 /// cost model).
 pub const DEFAULT_WATCHDOG_STALL_NS: u64 = 200_000_000;
 
-/// Default scheduler time slice (2 ms of simulated time — two orders of
-/// magnitude above the syscall cost, well under a disk access).
+/// The scheduler's time slice: a yielding unit is preempted and re-queued
+/// after 2 ms of simulated time (two orders of magnitude above the
+/// syscall cost it is charged as the context-switch price, well under a
+/// disk access).
 pub const DEFAULT_TIME_SLICE_NS: u64 = 2_000_000;
 
 /// How far above its low watermark one pageout-daemon sweep refills the
@@ -121,13 +117,11 @@ impl Default for KernelConfig {
             fault_policy: FaultPolicy::trusting().with_cluster(DEFAULT_CLUSTER_PAGES),
             laundry_limit: crate::backend::DEFAULT_LAUNDRY_LIMIT,
             pageout_daemon: true,
-            watchdog: true,
             watchdog_stall_ns: DEFAULT_WATCHDOG_STALL_NS,
             numa: NumaConfig::single(),
             fault_table_capacity: 4096,
             pager_inflight_pages: 1024,
             sched_cpus: 4,
-            sched_time_slice_ns: DEFAULT_TIME_SLICE_NS,
         }
     }
 }
@@ -312,7 +306,7 @@ impl Kernel {
             machsched::SchedConfig {
                 cpus: config.sched_cpus.max(1),
                 nodes: phys.nodes(),
-                time_slice_ns: config.sched_time_slice_ns.max(1),
+                time_slice_ns: DEFAULT_TIME_SLICE_NS,
                 pin_node: Some(|node| machvm::numa::set_current_node(Some(node))),
                 ..machsched::SchedConfig::default()
             },
@@ -337,33 +331,31 @@ impl Kernel {
         });
 
         // The stall watchdog, on the fault engine's timer.
-        if config.watchdog {
-            let reports = kernel.watchdog_reports.clone();
-            let weak = Arc::downgrade(&phys);
-            let stall_ns = config.watchdog_stall_ns.max(1);
-            phys.fault_engine().watch_stalls(move |cid, started_ns| {
-                // A fault quiet for the wall-clock debounce, which no
-                // healthy one is. Its host clock is advanced to the
-                // simulated deadline, as a hardware interval timer fires
-                // however wedged the system is (the debounce keeps healthy
-                // runs deterministic), then it is counted and reported.
-                machine
-                    .clock
-                    .advance_to(started_ns.saturating_add(stall_ns));
-                machine.stats.incr(stat_keys::WATCHDOG_STALLS);
-                let chain = CorrelationId::from_raw(cid);
-                machine.trace_event_with("watchdog", EventKind::WatchdogStall, chain);
-                let Some(phys) = weak.upgrade() else {
-                    return;
-                };
-                let report = Self::black_box_report(&machine, &phys, cid, started_ns, stall_ns);
-                let mut reports = reports.lock();
-                if reports.len() >= BLACK_BOX_REPORTS {
-                    reports.pop_front();
-                }
-                reports.push_back(report);
-            });
-        }
+        let reports = kernel.watchdog_reports.clone();
+        let weak = Arc::downgrade(&phys);
+        let stall_ns = config.watchdog_stall_ns.max(1);
+        phys.fault_engine().watch_stalls(move |cid, started_ns| {
+            // A fault quiet for the wall-clock debounce, which no
+            // healthy one is. Its host clock is advanced to the
+            // simulated deadline, as a hardware interval timer fires
+            // however wedged the system is (the debounce keeps healthy
+            // runs deterministic), then it is counted and reported.
+            machine
+                .clock
+                .advance_to(started_ns.saturating_add(stall_ns));
+            machine.stats.incr(stat_keys::WATCHDOG_STALLS);
+            let chain = CorrelationId::from_raw(cid);
+            machine.trace_event_with("watchdog", EventKind::WatchdogStall, chain);
+            let Some(phys) = weak.upgrade() else {
+                return;
+            };
+            let report = Self::black_box_report(&machine, &phys, cid, started_ns, stall_ns);
+            let mut reports = reports.lock();
+            if reports.len() >= BLACK_BOX_REPORTS {
+                reports.pop_front();
+            }
+            reports.push_back(report);
+        });
 
         // The pageout daemon: keeps the free queue above a low watermark
         // and the inactive queue primed, so faults rarely reclaim inline.
@@ -715,13 +707,9 @@ impl Kernel {
 /// concluding one is wedged on a fault ticket that will never resolve.
 const SHUTDOWN_QUIESCE: std::time::Duration = std::time::Duration::from_millis(500);
 
-/// Re-check window after each parked-fault drain during teardown.
+/// How long `Kernel::Drop` waits for the workers once the fault engine
+/// is stopped and no fault can wait any more.
 const SHUTDOWN_RETRY: std::time::Duration = std::time::Duration::from_millis(250);
-
-/// Drain attempts before giving up and detaching the wedged worker (a
-/// task body can submit at most a handful of back-to-back faults between
-/// drains; anything still stuck after this is not a fault-ticket wait).
-const SHUTDOWN_DRAIN_ROUNDS: usize = 4;
 
 impl Drop for Kernel {
     fn drop(&mut self) {
@@ -729,30 +717,27 @@ impl Drop for Kernel {
         // on fault tickets, so the fault engine and the default pager
         // must outlive every worker. The wait is bounded — a body blocked
         // on a fault whose pager never answers (and whose policy carries
-        // no timeout) would wedge the join forever, so after the quiesce
-        // window the engine errors every parked fault (each ticket
-        // fulfills with ObjectDestroyed, unblocking its worker) and the
-        // join proceeds.
+        // no timeout) would wedge the join forever. So if the quiesce
+        // window passes, the engine is stopped: every parked fault fails
+        // with ObjectDestroyed, unblocking its worker, and so does every
+        // later fault that would park, so the body runs to its end.
+        let engine = self.phys.fault_engine();
         let mut quiesced = self.scheduler.quiesce(SHUTDOWN_QUIESCE);
-        for _ in 0..SHUTDOWN_DRAIN_ROUNDS {
-            if quiesced {
-                break;
-            }
-            self.phys.fault_engine().drain_parked();
+        if !quiesced {
+            engine.shutdown();
             quiesced = self.scheduler.quiesce(SHUTDOWN_RETRY);
         }
         if quiesced {
             self.scheduler.shutdown();
         } else {
-            // Not a fault-ticket wait, or one the drain could not break:
-            // leaking the wedged worker beats wedging the whole teardown.
+            // Not a fault-ticket wait: leaking the wedged worker beats
+            // wedging the whole teardown.
             self.scheduler.detach_workers();
         }
-        // Stop the fault engine before the services: its timer is joined,
-        // its drain errors every parked fault (waking their tickets), and
-        // a late submission that would have to wait gets the same error
-        // instead of parking.
-        let engine = self.phys.fault_engine();
+        // Stop the fault engine before the services (idempotent): its
+        // timer is joined, its drain errors every parked fault (waking
+        // their tickets), and a late submission that would have to wait
+        // gets the same error instead of parking.
         engine.shutdown();
         debug_assert_eq!(
             engine.outstanding(),
@@ -818,7 +803,7 @@ mod tests {
         // dispatching the task body blocks forever in FaultTicket::wait.
         // Kernel::Drop used to join that worker before stopping the fault
         // engine — a permanent wedge; now the bounded quiesce times out,
-        // drain_parked errors the ticket, and teardown completes.
+        // the engine's shutdown errors the ticket, and teardown completes.
         struct SilentPager;
         impl DataManager for SilentPager {
             fn data_request(&mut self, _k: &KernelConn, _o: u64, _off: u64, _l: u64, _a: VmProt) {}
@@ -861,6 +846,56 @@ mod tests {
             "Kernel::drop wedged behind the silent-pager fault"
         );
         dropper.join().expect("dropper thread");
+    }
+
+    #[test]
+    fn teardown_fails_every_later_fault_of_a_wedged_body() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        // One unit takes ten faults, 16 pages apart, against a pager that
+        // never answers. Teardown stops the engine once: the parked fault
+        // fails, and each later one fails instead of parking in turn.
+        struct SilentPager;
+        impl DataManager for SilentPager {
+            fn data_request(&mut self, _k: &KernelConn, _o: u64, _off: u64, _l: u64, _a: VmProt) {}
+        }
+
+        let k = Kernel::boot(KernelConfig::default());
+        let machine = k.machine().clone();
+        let page = k.page_size();
+        let mgr = spawn_manager(k.machine(), "silent", SilentPager);
+        let object = k.object_for_port(mgr.port(), 1 << 20);
+        let map = Arc::new(VmMap::new(k.phys()));
+        let addr = map
+            .allocate_with_object(None, 1 << 20, object, 0, false)
+            .expect("allocate against the silent pager");
+
+        let failed = Arc::new(AtomicUsize::new(0));
+        let (body_map, body_failed) = (map.clone(), failed.clone());
+        let unit = k.scheduler().spawn(0, move || {
+            for i in 0..10 {
+                let mut buf = [0u8; 8];
+                if body_map
+                    .access_read(addr + i * 16 * page, &mut buf)
+                    .is_err()
+                {
+                    body_failed.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        });
+        let phys = k.phys().clone();
+        assert!(
+            machsim::wall::poll_until(Duration::from_secs(5), Duration::from_millis(1), || phys
+                .fault_engine()
+                .outstanding()
+                > 0),
+            "fault against the silent pager never parked"
+        );
+
+        drop(k);
+        assert!(unit.is_finished(), "teardown detached the wedged body");
+        assert_eq!(failed.load(Ordering::Relaxed), 10);
+        assert_eq!(machine.stats.get(stat_keys::VM_ASYNC_PARKS), 1);
     }
 
     #[test]

@@ -18,11 +18,10 @@
 
 use crate::proto::Malformed;
 use crate::task::Task;
-use machipc::{IpcError, OolBuffer, ReceiveRight, SendRight, Server};
+use machipc::{IpcError, OolBuffer, ReceiveRight, SendRight, Server, RPC_TIMEOUT};
 use machvm::VmError;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Success reply.
 pub const TASK_OK: u32 = 0x3180;
@@ -130,9 +129,6 @@ impl TaskPort {
     }
 }
 
-/// How long a client waits to send a request, and then for its reply.
-const RPC_TIMEOUT: Option<Duration> = Some(Duration::from_secs(10));
-
 /// Client-side view of a remote task: RPC wrappers over a task port.
 ///
 /// Works identically whether `port` is the task's own port or a network
@@ -237,6 +233,7 @@ impl RemoteTask {
 mod tests {
     use super::*;
     use crate::kernel::{Kernel, KernelConfig};
+    use std::time::Duration;
 
     fn setup() -> (Arc<Kernel>, Arc<Task>, Arc<TaskPort>, RemoteTask) {
         let k = Kernel::boot(KernelConfig::default());

@@ -14,9 +14,10 @@
 
 use crate::kernel::Kernel;
 use machipc::{PortSpace, SendRight};
+use machsim::wall::Signal;
 use machsim::{EventKind, Machine};
 use machvm::{Inheritance, RegionInfo, VmError, VmMap, VmProt, VmStatistics};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::fmt;
 use std::sync::Arc;
 
@@ -27,7 +28,7 @@ pub struct Task {
     map: Arc<VmMap>,
     space: Arc<PortSpace>,
     suspend_count: Mutex<u32>,
-    resume_cv: Condvar,
+    resumed: Signal,
     /// Join handles of this task's scheduled threads.
     threads: Mutex<Vec<machsched::JoinHandle>>,
 }
@@ -50,7 +51,7 @@ impl Task {
             map,
             space: Arc::new(PortSpace::new(kernel.machine())),
             suspend_count: Mutex::new(0),
-            resume_cv: Condvar::new(),
+            resumed: Signal::new(),
             threads: Mutex::new(Vec::new()),
         })
     }
@@ -67,7 +68,7 @@ impl Task {
             map,
             space: Arc::new(PortSpace::new(self.kernel.machine())),
             suspend_count: Mutex::new(0),
-            resume_cv: Condvar::new(),
+            resumed: Signal::new(),
             threads: Mutex::new(Vec::new()),
         })
     }
@@ -268,7 +269,7 @@ impl Task {
             *c -= 1;
         }
         if *c == 0 {
-            self.resume_cv.notify_all();
+            self.resumed.notify_all();
         }
     }
 
@@ -277,7 +278,7 @@ impl Task {
     pub fn suspension_point(&self) {
         let mut c = self.suspend_count.lock();
         while *c > 0 {
-            self.resume_cv.wait(&mut c);
+            self.resumed.block(&mut c, None);
         }
     }
 

@@ -36,7 +36,7 @@ pub mod space;
 pub use error::IpcError;
 pub use message::{Message, MsgItem, OolBuffer, OolWatch, TypeTag, MSG_ID_PORT_DEATH};
 pub use port::{PortId, PortStatus, ReceiveRight, SendRight, DEFAULT_BACKLOG};
-pub use serve::{serve, Server, REPLY_TIMEOUT, SERVER_STOP, SERVE_BATCH};
+pub use serve::{serve, Server, REPLY_TIMEOUT, RPC_TIMEOUT, SERVER_STOP, SERVE_BATCH};
 pub use space::{PortName, PortSpace};
 
 /// Shared context charged by IPC operations: one host's clock, counters and

@@ -19,15 +19,16 @@
 //! innermost rank of the declared hierarchy (see `machsim::lockdep`) —
 //! guards the one FIFO and everything else the port protects: backlog,
 //! death, death subscriptions, port-set wakers and the count of parked
-//! receivers. Two condvars hang off it, one for receivers waiting for a
-//! message and one for senders waiting for room, and every wait re-checks
-//! its predicate in a loop (machlint L8). Whether there is room, whether
-//! anyone needs waking and whether the port died are expressions read
-//! under that lock, so no ordering between separate counters has to be
-//! argued. Condvar notifies and port-set pings happen after the lock is
-//! released, and messages the port discards are dropped outside it:
-//! dropping a message can destroy rights it carries, which takes other
-//! ports' locks and may post a death notification back to this one.
+//! receivers. Two `machsim::wall::Signal`s hang off it, one for receivers
+//! waiting for a message and one for senders waiting for room, and every
+//! `block` re-checks its predicate in a loop (machlint L8). Whether there
+//! is room, whether anyone needs waking and whether the port died are
+//! expressions read under that lock, so no ordering between separate
+//! counters has to be argued. Notifies and port-set pings happen after
+//! the lock is released, and messages the port discards are dropped
+//! outside it: dropping a message can destroy rights it carries, which
+//! takes other ports' locks and may post a death notification back to
+//! this one.
 //!
 //! The RPC *handoff* is a cost class of an ordinary send, not a second
 //! container: a message sent to a receiver already parked on an empty
@@ -56,8 +57,8 @@ use crate::IpcContext;
 use machsim::lockdep::{ClassMutex, ClassMutexGuard, LockClass};
 use machsim::stats::keys;
 use machsim::trace::{self, CorrelationId, EventKind};
-use machsim::wall::Deadline;
-use parking_lot::{Condvar, Mutex};
+use machsim::wall::{Deadline, Signal};
+use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -96,7 +97,7 @@ pub struct PortStatus {
 #[derive(Debug, Default)]
 pub(crate) struct SetWaker {
     generation: Mutex<u64>,
-    cv: Condvar,
+    signal: Signal,
 }
 
 impl SetWaker {
@@ -109,27 +110,18 @@ impl SetWaker {
     pub(crate) fn ping(&self) {
         let mut g = self.generation.lock();
         *g += 1;
-        self.cv.notify_all();
+        self.signal.notify_all();
     }
 
-    /// Waits until the generation moves past `seen` or `timeout` expires.
-    /// Returns `false` on timeout.
-    ///
-    /// The deadline is computed once up front: a spurious wakeup (or a
-    /// ping for a port that turns out to be empty) resumes waiting for
-    /// the *remainder*, never a fresh full timeout.
-    pub(crate) fn wait(&self, seen: u64, timeout: Option<Duration>) -> bool {
-        let deadline = timeout.map(Deadline::after);
+    /// Waits until the generation moves past `seen` or `deadline` passes.
+    /// Returns `false` on timeout. The caller's deadline spans all its
+    /// waits, so a ping for a port that turns out to be empty resumes
+    /// waiting for the *remainder*, never a fresh full timeout.
+    pub(crate) fn wait(&self, seen: u64, deadline: Option<&Deadline>) -> bool {
         let mut g = self.generation.lock();
         while *g == seen {
-            match &deadline {
-                Some(d) => {
-                    let Some(left) = d.remaining() else {
-                        return *g != seen;
-                    };
-                    self.cv.wait_for(&mut g, left);
-                }
-                None => self.cv.wait(&mut g),
+            if self.signal.block(&mut g, deadline) {
+                return *g != seen;
             }
         }
         true
@@ -152,7 +144,7 @@ struct State {
     dead: bool,
     /// Whether a send to a parked receiver is charged as a handoff.
     handoff_enabled: bool,
-    /// Receivers parked on `recv_cv`.
+    /// Receivers parked on `recv`.
     recv_waiting: usize,
     /// Ports to which a death notification should be posted on destruction.
     death_subs: Vec<Weak<PortCore>>,
@@ -191,9 +183,9 @@ pub(crate) struct PortCore {
     ctx: IpcContext,
     control: ClassMutex<State>,
     /// Receivers wait here for a message (or the port's death).
-    recv_cv: Condvar,
+    recv: Signal,
     /// Senders wait here for room (or the port's death).
-    send_cv: Condvar,
+    send: Signal,
     senders: AtomicUsize,
 }
 
@@ -221,8 +213,8 @@ impl PortCore {
                     wakers: Arc::new(Vec::new()),
                 },
             ),
-            recv_cv: Condvar::new(),
-            send_cv: Condvar::new(),
+            recv: Signal::new(),
+            send: Signal::new(),
             senders: AtomicUsize::new(0),
         })
     }
@@ -412,16 +404,7 @@ impl PortCore {
             if deadline.is_none() {
                 *deadline = timeout.map(Deadline::after);
             }
-            expired = match deadline.as_ref() {
-                None => {
-                    self.send_cv.wait(st.inner_mut());
-                    false
-                }
-                Some(d) => match d.remaining() {
-                    None => true,
-                    Some(left) => self.send_cv.wait_for(st.inner_mut(), left).timed_out(),
-                },
-            };
+            expired = self.send.block(st.inner_mut(), deadline.as_ref());
         }
     }
 
@@ -434,7 +417,7 @@ impl PortCore {
         let wakers = (!st.wakers.is_empty()).then(|| Arc::clone(&st.wakers));
         drop(st);
         if wake {
-            self.recv_cv.notify_one();
+            self.recv.notify_one();
         }
         let Some(wakers) = wakers else { return };
         let mut saw_dead = false;
@@ -541,16 +524,7 @@ impl PortCore {
                 deadline = timeout.map(Deadline::after);
             }
             st.recv_waiting += 1;
-            expired = match deadline.as_ref() {
-                None => {
-                    self.recv_cv.wait(st.inner_mut());
-                    false
-                }
-                Some(d) => match d.remaining() {
-                    None => true,
-                    Some(left) => self.recv_cv.wait_for(st.inner_mut(), left).timed_out(),
-                },
-            };
+            expired = self.recv.block(st.inner_mut(), deadline.as_ref());
             st.recv_waiting -= 1;
         }
     }
@@ -564,7 +538,7 @@ impl PortCore {
         let mut st = self.control.lock();
         let msg = self.pop(&mut st, max_size, timeout)?;
         drop(st);
-        self.send_cv.notify_one();
+        self.send.notify_one();
         self.finish_recv(std::slice::from_ref(&msg));
         Ok(msg)
     }
@@ -587,7 +561,7 @@ impl PortCore {
         out.push(first);
         out.extend(st.queue.drain(..more));
         drop(st);
-        self.send_cv.notify_all();
+        self.send.notify_all();
         self.finish_recv(&out);
         Ok(out)
     }
@@ -607,8 +581,8 @@ impl PortCore {
                 st.kernel.take(),
             )
         };
-        self.recv_cv.notify_all();
-        self.send_cv.notify_all();
+        self.recv.notify_all();
+        self.send.notify_all();
         // Dropping undelivered messages (or the handler) may destroy
         // rights they carried, which can recursively destroy other ports;
         // do it outside the lock.
@@ -887,7 +861,7 @@ impl ReceiveRight {
     pub fn set_backlog(&self, backlog: usize) {
         self.core.control.lock().backlog = backlog.max(1);
         // A larger backlog may be room for senders that are blocked.
-        self.core.send_cv.notify_all();
+        self.core.send.notify_all();
     }
 
     /// Enables or disables charging a send to a parked receiver as a
@@ -1446,8 +1420,8 @@ mod tests {
             thread::spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
                     drop(core.control.lock());
-                    core.recv_cv.notify_all();
-                    core.send_cv.notify_all();
+                    core.recv.notify_all();
+                    core.send.notify_all();
                     wall::sleep(Duration::from_millis(5));
                 }
             })
@@ -1559,7 +1533,7 @@ mod tests {
         tx.send(Message::new(1), None)
             .expect("send to a live port succeeds");
         assert!(
-            keeper.wait(gen, Some(Duration::from_secs(1))),
+            keeper.wait(gen, Some(&Deadline::after(Duration::from_secs(1)))),
             "live waker still pinged after mass pruning"
         );
         assert!(rx.waker_list_len() <= 2);

@@ -28,6 +28,9 @@ pub const SERVE_BATCH: usize = 32;
 /// stopped listening must not wedge its server.
 pub const REPLY_TIMEOUT: Duration = Duration::from_secs(5);
 
+/// How long a client waits to send a request, and then for its reply.
+pub const RPC_TIMEOUT: Option<Duration> = Some(Duration::from_secs(10));
+
 /// The id of every stop message. The id alone stops nothing: a server
 /// stops only on the one that carries its key, and hands any other to its
 /// handler like every message.

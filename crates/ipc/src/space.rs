@@ -202,18 +202,11 @@ impl PortSpace {
                 }
                 seen
             };
-            let remaining = match deadline {
-                Some(d) => match d.remaining() {
-                    Some(left) => Some(left),
-                    None => {
-                        self.unregister_probe(name);
-                        return Err(IpcError::Timeout);
-                    }
-                },
-                None => None,
-            };
-            self.waker.wait(seen, remaining);
+            let pinged = self.waker.wait(seen, deadline.as_ref());
             self.unregister_probe(name);
+            if !pinged {
+                return Err(IpcError::Timeout);
+            }
         }
     }
 
@@ -254,14 +247,9 @@ impl PortSpace {
                     return Err(IpcError::NothingEnabled);
                 }
             }
-            let remaining = match deadline {
-                Some(d) => match d.remaining() {
-                    Some(left) => Some(left),
-                    None => return Err(IpcError::Timeout),
-                },
-                None => None,
-            };
-            self.waker.wait(seen, remaining);
+            if !self.waker.wait(seen, deadline.as_ref()) {
+                return Err(IpcError::Timeout);
+            }
         }
     }
 

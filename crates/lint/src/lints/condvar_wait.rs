@@ -1,11 +1,14 @@
-//! L8 — condvar wait-loop: every `.wait(…)` / `.wait_for(…)` in the
-//! configured files must sit inside a `while`/`loop`/`for` body so the
-//! predicate is re-checked after the wakeup. A wait guarded only by an
+//! L8 — condvar wait-loop: every `.block(…)` — `machsim::wall::Signal`'s
+//! wait, the one blocking call left once waits go through that seam — in
+//! the configured files must sit inside a `while`/`loop`/`for` body so
+//! the predicate is re-checked after the wakeup. A wait guarded only by an
 //! `if` turns a spurious wakeup — or a wakeup stolen by another waiter —
 //! into silent predicate violation; `machmc`'s condvar deliberately has
 //! no spurious wakeups so its models catch *lost* wakeups, which makes
 //! this lint the static half of the pair: the dynamic checker proves
 //! notify reaches a waiter, the lint proves the waiter re-checks.
+//! `Latch::wait` and the port sets' `SetWaker::wait` loop internally, on
+//! a `block` this lint checks, so their callers need no loop.
 //!
 //! Detection is lexical: a wait call is "in a loop" when any enclosing
 //! block between it and its function's body brace was opened by a loop
@@ -17,7 +20,7 @@ use crate::model::FileModel;
 use crate::Finding;
 
 /// The blocking-wait method names checked.
-const WAITS: &[&str] = &["wait", "wait_for"];
+const WAITS: &[&str] = &["block"];
 
 /// Runs the lint over one file.
 pub fn check(model: &FileModel, cfg: &CondvarConfig, findings: &mut Vec<Finding>) {
@@ -107,7 +110,7 @@ mod tests {
 
     #[test]
     fn wait_under_if_fires_with_line() {
-        let f = run("fn f() {\n if empty {\n  g = cv.wait(g);\n }\n}");
+        let f = run("fn f() {\n if empty {\n  cv.block(&mut g, None);\n }\n}");
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].line, 3);
         assert!(f[0].msg.contains("`f`"), "{f:?}");
@@ -115,28 +118,29 @@ mod tests {
 
     #[test]
     fn wait_in_while_is_quiet() {
-        let f = run("fn f() { while empty { g = cv.wait(g); } }");
+        let f = run("fn f() { while empty { cv.block(&mut g, None); } }");
         assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]
     fn wait_in_match_arm_inside_loop_is_quiet() {
-        // port.rs's dequeue shape: the re-check loop owns a match.
-        let f =
-            run("fn f() { loop { match s { Empty => { g = cv.wait_for(g, d); } _ => break, } } }");
+        // The timer's shape: the re-check loop owns a match.
+        let f = run(
+            "fn f() { loop { match s { Empty => { cv.block(&mut g, Some(&d)); } _ => break, } } }",
+        );
         assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]
-    fn wait_for_under_if_fires() {
-        let f = run("fn f() { if may_sleep { cv.wait_for(g, d); } }");
+    fn timed_block_under_if_fires() {
+        let f = run("fn f() { if may_sleep { cv.block(&mut g, Some(&d)); } }");
         assert_eq!(f.len(), 1);
-        assert!(f[0].msg.contains("wait_for"), "{f:?}");
+        assert!(f[0].msg.contains("block"), "{f:?}");
     }
 
     #[test]
     fn allowlisted_step_function_is_quiet() {
-        let f = run("fn step() { if may_sleep { cv.wait_for(g, d); } }");
+        let f = run("fn step() { if may_sleep { cv.block(&mut g, Some(&d)); } }");
         assert!(f.is_empty(), "{f:?}");
     }
 
@@ -144,19 +148,19 @@ mod tests {
     fn braces_inside_call_arguments_are_not_blocks() {
         // The struct literal's `{}` inside the condition must not eat the
         // loop keyword's pending flag.
-        let f = run("fn f() { while probe(Q { id: 0 }) { g = cv.wait(g); } }");
+        let f = run("fn f() { while probe(Q { id: 0 }) { cv.block(&mut g, None); } }");
         assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]
-    fn non_method_wait_idents_are_ignored() {
-        let f = run("fn f() { wait(); x.await_done(); }");
+    fn non_method_block_idents_are_ignored() {
+        let f = run("fn f() { block(); x.blocked(); }");
         assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]
     fn test_code_is_skipped() {
-        let f = run("#[cfg(test)]\nmod t {\n fn t() { if x { cv.wait(g); } }\n}");
+        let f = run("#[cfg(test)]\nmod t {\n fn t() { if x { cv.block(&mut g, None); } }\n}");
         assert!(f.is_empty(), "{f:?}");
     }
 }

@@ -1,44 +1,44 @@
-//! L8 fixture: waits guarded only by an `if` must fire; loop-guarded
+//! L8 fixture: `block` calls guarded only by an `if` must fire; loop-guarded
 //! waits (including inside match arms), the allowlisted step function,
 //! and test code must stay quiet.
 
 pub fn wait_under_if(&self) {
-    let mut g = self.state.lock().unwrap();
+    let mut g = self.state.lock();
     if g.queue.is_empty() {
-        g = self.cv.wait(g).unwrap(); // fires: no re-check on wakeup
+        self.cv.block(&mut g, None); // fires: no re-check on wakeup
     }
 }
 
 pub fn timed_wait_under_if(&self) {
-    let mut g = self.state.lock().unwrap();
+    let mut g = self.state.lock();
     if g.idle {
-        self.cv.wait_for(&mut g, TICK); // fires
+        self.cv.block(&mut g, Some(&deadline)); // fires
     }
 }
 
 pub fn wait_in_while(&self) {
-    let mut g = self.state.lock().unwrap();
+    let mut g = self.state.lock();
     while g.queue.is_empty() {
-        g = self.cv.wait(g).unwrap(); // quiet: predicate loop
+        self.cv.block(&mut g, None); // quiet: predicate loop
     }
 }
 
 pub fn wait_in_match_arm_inside_loop(&self) {
     loop {
-        let mut g = self.state.lock().unwrap();
+        let mut g = self.state.lock();
         match g.phase {
             Phase::Drained => break,
             Phase::Filling => {
-                g = self.cv.wait(g).unwrap(); // quiet: the loop re-checks
+                self.cv.block(&mut g, None); // quiet: the loop re-checks
             }
         }
     }
 }
 
 pub fn step_once(&self) -> bool {
-    let mut g = self.state.lock().unwrap();
+    let mut g = self.state.lock();
     if g.may_sleep() {
-        self.cv.wait_for(&mut g, TICK); // quiet: allowlisted, caller loops
+        self.cv.block(&mut g, Some(&deadline)); // quiet: allowlisted, caller loops
     }
     g.progressed
 }
@@ -48,7 +48,7 @@ mod tests {
     #[test]
     fn scenario() {
         if x {
-            cv.wait(g); // quiet: test code
+            cv.block(&mut g, None); // quiet: test code
         }
     }
 }

@@ -225,7 +225,7 @@ fn condvar_wait_fires_on_if_guarded_waits_with_spans() {
     );
     let mut findings = Vec::new();
     lints::condvar_wait::check(&model, &cfg.condvar, &mut findings);
-    // 8: wait under if; 15: wait_for under if. The while loop, the
+    // 8: block under if; 15: timed block under if. The while loop, the
     // match-arm-inside-loop, the allowlisted step, and test code stay
     // quiet.
     assert_eq!(

@@ -17,12 +17,11 @@
 use crate::array::ArrayService;
 use machcore::proto::Malformed;
 use machcore::{Kernel, Task};
-use machipc::{serve, IpcError, ReceiveRight, SendRight, Server};
+use machipc::{serve, IpcError, ReceiveRight, SendRight, Server, RPC_TIMEOUT};
 use machnet::{Fabric, Host, ProxyHandle};
 use machvm::VmError;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Bytes per hypothesis slot.
 pub const SLOT_SIZE: u64 = 64;
@@ -242,8 +241,7 @@ impl Agent {
     /// Performs `request` on the service port; a rejection, or a reply
     /// that is not the blackboard's, is `Rejected`.
     fn rpc(port: &SendRight, request: BbRequest) -> Result<BbReply, AgentError> {
-        let timeout = Some(Duration::from_secs(10));
-        match BbReply::decode(port.rpc(request.encode(), timeout, timeout)?) {
+        match BbReply::decode(port.rpc(request.encode(), RPC_TIMEOUT, RPC_TIMEOUT)?) {
             Ok(BbReply::Rejected) | Err(Malformed) => Err(AgentError::Rejected),
             Ok(reply) => Ok(reply),
         }

@@ -12,12 +12,11 @@
 //! client, as a function of client arrival order.
 
 use machcore::{spawn_manager, DataManager, KernelConn, ManagerHandle, Task};
-use machipc::{serve, OolBuffer, ReceiveRight, SendRight, Server};
+use machipc::{serve, OolBuffer, ReceiveRight, SendRight, Server, RPC_TIMEOUT};
 use machsim::Machine;
 use machvm::{VmError, VmProt};
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 
 machcore::protocol! {
     /// Requests to the array service.
@@ -136,8 +135,7 @@ impl ArrayService {
 
     /// Client side: one RPC, then map the array. Returns `(addr, size)`.
     pub fn attach(task: &Task, service: &SendRight) -> Result<(u64, u64), VmError> {
-        let timeout = Some(Duration::from_secs(10));
-        let reply = service.rpc(ArrayRequest::Attach.encode(), timeout, timeout);
+        let reply = service.rpc(ArrayRequest::Attach.encode(), RPC_TIMEOUT, RPC_TIMEOUT);
         let Some(Ok(ArrayReply::Attached(size, object))) = reply.ok().map(ArrayReply::decode)
         else {
             return Err(VmError::ObjectDestroyed);

@@ -22,7 +22,7 @@
 
 use machcore::proto::Malformed;
 use machcore::{spawn_manager, DataManager, KernelConn, ManagerHandle, Task};
-use machipc::{serve, IpcError, OolBuffer, ReceiveRight, SendRight, Server};
+use machipc::{serve, IpcError, OolBuffer, ReceiveRight, SendRight, Server, RPC_TIMEOUT};
 use machsim::Machine;
 use machstorage::{BlockDevice, FlatFs, LogRecord, WriteAheadLog};
 use machvm::{VmError, VmProt};
@@ -30,7 +30,6 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 
 #[cfg(test)]
 const PAGE: usize = 4096;
@@ -458,9 +457,6 @@ impl CamelotClient {
     }
 }
 
-/// How long a client waits to send a request, and then for its reply.
-const RPC_TIMEOUT: Option<Duration> = Some(Duration::from_secs(10));
-
 /// Performs `request` on the transaction port; a failure, or a reply that
 /// is not the port's, is `Server`.
 fn rpc(server: &SendRight, request: TxRequest) -> Result<TxReply, TxError> {
@@ -491,6 +487,7 @@ mod tests {
     use super::*;
     use machcore::{Kernel, KernelConfig};
     use machipc::{Message, MsgItem};
+    use std::time::Duration;
 
     fn setup(segment: u64) -> (Arc<Kernel>, Arc<BlockDevice>, Arc<CamelotServer>) {
         let k = Kernel::boot(KernelConfig::default());

@@ -16,7 +16,7 @@
 
 use machcore::proto::Malformed;
 use machcore::{spawn_manager, DataManager, KernelConn, ManagerHandle, Task};
-use machipc::{serve, IpcError, OolBuffer, ReceiveRight, SendRight, Server};
+use machipc::{serve, IpcError, OolBuffer, ReceiveRight, SendRight, Server, RPC_TIMEOUT};
 use machsim::{EventKind, Machine};
 use machstorage::{FlatFs, FsError};
 use machvm::{VmError, VmProt};
@@ -24,7 +24,6 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Generic success reply.
 pub const FS_OK: u32 = 0x4180;
@@ -282,9 +281,6 @@ impl From<VmError> for FsClientError {
     }
 }
 
-/// How long a client waits to send a request, and then for its reply.
-const RPC_TIMEOUT: Option<Duration> = Some(Duration::from_secs(10));
-
 /// Client library for the filesystem server (the `fs_read_file` /
 /// `fs_write_file` calls of Section 4.1).
 pub struct FsClient {
@@ -364,6 +360,7 @@ pub(crate) mod tests {
     use machcore::{Kernel, KernelConfig};
     use machipc::{Message, MsgItem};
     use machstorage::BlockDevice;
+    use std::time::Duration;
 
     fn setup() -> (Arc<Kernel>, Arc<FileServer>, FsClient) {
         let k = Kernel::boot(KernelConfig::default());

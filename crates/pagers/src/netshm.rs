@@ -19,7 +19,7 @@
 //! will cause the writer to revert to reader status."
 
 use machcore::{spawn_manager, DataManager, KernelConn, ManagerHandle, Task};
-use machipc::{serve, OolBuffer, ReceiveRight, SendRight, Server};
+use machipc::{serve, OolBuffer, ReceiveRight, SendRight, Server, RPC_TIMEOUT};
 use machnet::{Fabric, Host, ProxyHandle};
 use machvm::{VmError, VmProt};
 use parking_lot::Mutex;
@@ -460,12 +460,11 @@ impl ShmDirectory {
         size: u64,
     ) -> Result<(u64, u64), VmError> {
         let msg = ShmRequest::Lookup(name.to_string(), size).encode();
-        let timeout = Some(Duration::from_secs(10));
         let reply = if client_host.id() == server_host.id() {
-            directory.rpc(msg, timeout, timeout).ok()
+            directory.rpc(msg, RPC_TIMEOUT, RPC_TIMEOUT).ok()
         } else {
             fabric
-                .rpc(client_host, server_host, directory, msg, timeout)
+                .rpc(client_host, server_host, directory, msg, RPC_TIMEOUT)
                 .ok()
         };
         let Some(Ok(ShmReply::Region(actual, object))) = reply.map(ShmReply::decode) else {

@@ -14,11 +14,10 @@
 
 use crate::netshm::map_and_await_init;
 use machcore::{spawn_manager, DataManager, Kernel, KernelConn, ManagerHandle, Task};
-use machipc::{Message, OolBuffer, SendRight};
+use machipc::{Message, OolBuffer, SendRight, RPC_TIMEOUT};
 use machnet::{Fabric, Host};
 use machvm::{VmError, VmProt};
 use std::sync::Arc;
-use std::time::Duration;
 
 #[cfg(test)]
 const PAGE: u64 = 4096;
@@ -83,7 +82,7 @@ pub fn send_copy_on_reference(
     );
     let msg = RegionMessage::Handle(size, pager.port().clone()).encode();
     fabric
-        .send(from, to, dest_port, msg, Some(Duration::from_secs(10)))
+        .send(from, to, dest_port, msg, RPC_TIMEOUT)
         .map_err(|_| VmError::ObjectDestroyed)?;
     Ok(pager)
 }
@@ -101,7 +100,7 @@ pub fn send_eager(
     let data = OolBuffer::from_vec(task.vm_read(address, size)?);
     let msg = RegionMessage::Eager(size, data).encode();
     fabric
-        .send(from, to, dest_port, msg, Some(Duration::from_secs(10)))
+        .send(from, to, dest_port, msg, RPC_TIMEOUT)
         .map_err(|_| VmError::ObjectDestroyed)
 }
 
@@ -146,6 +145,7 @@ mod tests {
     use super::*;
     use machipc::{MsgItem, ReceiveRight};
     use machsim::stats::keys;
+    use std::time::Duration;
 
     #[test]
     fn copy_on_reference_moves_only_touched_pages() {

@@ -27,8 +27,9 @@ pub mod protocol;
 
 use machsim::lockdep::{ClassMutex, LockClass};
 use machsim::stats::keys;
-use machsim::{wall, Machine, SplitMix64};
-use parking_lot::{Condvar, Mutex};
+use machsim::wall::{self, Latch, Signal};
+use machsim::{Machine, SplitMix64};
+use parking_lot::Mutex;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -38,12 +39,11 @@ use std::time::Duration;
 /// Sentinel for "never ran on any CPU".
 const NO_CPU: usize = usize::MAX;
 
-/// How long an idle worker parks before re-checking every queue (a
-/// backstop; submitters signal the idle condvar on every push).
-const IDLE_TICK: Duration = Duration::from_millis(1);
-
 /// The most units one steal takes from a victim.
 const STEAL_CAP: usize = 4;
+
+/// Seed of the per-CPU steal-victim generators.
+const STEAL_SEED: u64 = 0x5eed_0001;
 
 thread_local! {
     /// Which simulated CPU the current host thread is, if it is a worker.
@@ -95,30 +95,20 @@ pub enum Run {
     Yield,
 }
 
-/// Completion flag shared by a unit and its [`JoinHandle`].
-#[derive(Default)]
-struct DoneState {
-    flag: Mutex<bool>,
-    cv: Condvar,
-}
-
 /// Waits for one submitted unit to finish.
 pub struct JoinHandle {
-    done: Arc<DoneState>,
+    done: Arc<Latch<()>>,
 }
 
 impl JoinHandle {
     /// Blocks the host thread until the unit's body returns [`Run::Done`].
     pub fn join(&self) {
-        let mut flag = self.done.flag.lock();
-        while !*flag {
-            self.done.cv.wait(&mut flag);
-        }
+        self.done.wait();
     }
 
     /// Whether the unit already finished.
     pub fn is_finished(&self) -> bool {
-        *self.done.flag.lock()
+        self.done.is_set()
     }
 }
 
@@ -126,14 +116,7 @@ impl JoinHandle {
 struct Unit {
     body: Box<dyn FnMut() -> Run + Send>,
     tag: Arc<TaskTag>,
-    done: Arc<DoneState>,
-}
-
-impl Unit {
-    fn finish(&self) {
-        *self.done.flag.lock() = true;
-        self.done.cv.notify_all();
-    }
+    done: Arc<Latch<()>>,
 }
 
 /// One simulated CPU.
@@ -159,8 +142,6 @@ pub struct SchedConfig {
     pub time_slice_ns: u64,
     /// Whether idle CPUs steal from loaded ones.
     pub steal: bool,
-    /// Seed for the per-CPU steal-victim generators.
-    pub seed: u64,
     /// Called once per worker with its CPU's node — the kernel installs
     /// `machvm::numa::set_current_node` here so a task's faults
     /// first-touch on the node of the CPU that runs it.
@@ -174,7 +155,6 @@ impl Default for SchedConfig {
             nodes: 1,
             time_slice_ns: 2_000_000,
             steal: true,
-            seed: 0x5eed_0001,
             pin_node: None,
         }
     }
@@ -185,12 +165,12 @@ pub struct Scheduler {
     machine: Machine,
     cfg: SchedConfig,
     cpus: Vec<Cpu>,
-    /// Parking lot for idle workers; paired with `wake`.
+    /// Parking lot for idle workers and `quiesce`; paired with `wake`.
     idle: Mutex<()>,
-    wake: Condvar,
+    wake: Signal,
     stop: AtomicBool,
-    /// Workers that have not yet run their drain loop to completion;
-    /// `quiesce` polls this toward zero.
+    /// Workers that have not yet run their drain loop to completion; the
+    /// last to finish wakes `quiesce`.
     active: AtomicUsize,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
@@ -214,7 +194,7 @@ impl Scheduler {
             cfg,
             cpus,
             idle: Mutex::new(()),
-            wake: Condvar::new(),
+            wake: Signal::new(),
             stop: AtomicBool::new(false),
             active: AtomicUsize::new(cfg.cpus),
             workers: Mutex::new(Vec::new()),
@@ -272,15 +252,14 @@ impl Scheduler {
         tag: Arc<TaskTag>,
         body: impl FnMut() -> Run + Send + 'static,
     ) -> JoinHandle {
-        let done = Arc::new(DoneState::default());
+        let done = Arc::new(Latch::default());
         let handle = JoinHandle {
             done: Arc::clone(&done),
         };
         let mut body = body;
         if !protocol::accepts_units(self.stop.load(Ordering::Acquire)) {
             while body() != Run::Done {}
-            *done.flag.lock() = true;
-            done.cv.notify_all();
+            done.set(());
             return handle;
         }
         let cpu = self.place(&tag);
@@ -333,9 +312,14 @@ impl Scheduler {
     /// breaking that wait before joining.
     pub fn quiesce(&self, timeout: Duration) -> bool {
         self.begin_shutdown();
-        wall::poll_until(timeout, IDLE_TICK, || {
-            self.active.load(Ordering::Acquire) == 0
-        })
+        let deadline = wall::Deadline::after(timeout);
+        let mut idle = self.idle.lock();
+        while self.active.load(Ordering::Acquire) != 0 {
+            if self.wake.block(&mut idle, Some(&deadline)) {
+                return self.active.load(Ordering::Acquire) == 0;
+            }
+        }
+        true
     }
 
     /// Stops every worker, draining all queued units first, and joins the
@@ -350,8 +334,8 @@ impl Scheduler {
 
     /// Abandons the worker threads without joining them: the teardown
     /// path's last resort when [`Scheduler::quiesce`] timed out even
-    /// after the fault engine drained every parked ticket. Leaking a
-    /// wedged thread beats wedging the whole process exit.
+    /// after the fault engine stopped. Leaking a wedged thread beats
+    /// wedging the whole process exit.
     pub fn detach_workers(&self) {
         self.begin_shutdown();
         drop(std::mem::take(&mut *self.workers.lock()));
@@ -489,7 +473,7 @@ impl Scheduler {
         loop {
             match (unit.body)() {
                 Run::Done => {
-                    unit.finish();
+                    unit.done.set(());
                     break;
                 }
                 Run::Yield => {
@@ -515,9 +499,7 @@ impl Scheduler {
             pin(self.cpus[cpu].node);
         }
         let mut rng = SplitMix64::new(
-            self.cfg
-                .seed
-                .wrapping_add((cpu as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            STEAL_SEED.wrapping_add((cpu as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
         );
         loop {
             if let Some(unit) = self.take_local(cpu) {
@@ -537,7 +519,7 @@ impl Scheduler {
             if !protocol::worker_may_park(self.has_work(cpu), self.stop.load(Ordering::Acquire)) {
                 continue;
             }
-            self.wake.wait_for(&mut guard, IDLE_TICK);
+            self.wake.block(&mut guard, None);
         }
         // Stop was requested: drain whatever is still queued locally so no
         // submitted unit is lost (preempted units re-queue here too).
@@ -550,7 +532,11 @@ impl Scheduler {
                 self.dispatch(cpu, unit);
             }
         }
-        self.active.fetch_sub(1, Ordering::AcqRel);
+        if self.active.fetch_sub(1, Ordering::AcqRel) == 1 {
+            // The last worker out wakes `quiesce`, bridged like a push.
+            drop(self.idle.lock());
+            self.wake.notify_all();
+        }
     }
 }
 

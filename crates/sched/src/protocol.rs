@@ -12,7 +12,7 @@ pub fn queue_nonempty(depth: usize) -> bool {
     depth > 0
 }
 
-/// Whether an idle worker may park on the wake condvar: only if, re-
+/// Whether an idle worker may block on the wake signal: only if, re-
 /// checked *under the idle lock*, there is still no visible work and no
 /// stop request. A submitter pushes, then bridges through the idle lock
 /// (`drop(idle.lock())`), then notifies — so its push can never land

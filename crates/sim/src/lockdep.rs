@@ -332,9 +332,10 @@ impl<T: ?Sized> ClassMutex<T> {
 }
 
 impl<'a, T: ?Sized> ClassMutexGuard<'a, T> {
-    /// The underlying `parking_lot` guard, for `Condvar::wait` and
-    /// friends. The witness keeps the class on the held stack across the
-    /// wait: re-acquisition is same-class, which the hierarchy permits.
+    /// The underlying `parking_lot` guard, for
+    /// [`Signal::block`](crate::wall::Signal::block). The witness keeps
+    /// the class on the held stack across the wait: re-acquisition is
+    /// same-class, which the hierarchy permits.
     pub fn inner_mut(&mut self) -> &mut MutexGuard<'a, T> {
         &mut self.guard
     }

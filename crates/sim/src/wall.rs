@@ -1,4 +1,5 @@
-//! The wall-clock airlock: the one module allowed to read real time.
+//! The wall-clock airlock: the one module allowed to read real time, and
+//! the one place a thread blocks.
 //!
 //! Everything the simulation *measures* must flow through [`SimClock`]
 //! (`crates/sim/src/clock.rs`) so memory and IPC costs stay comparable
@@ -19,8 +20,16 @@
 //! or a latency histogram: wall durations depend on host load and would
 //! silently corrupt the paper's simulated figures.
 //!
+//! Blocking lives here too, because a blocked thread's only exit besides
+//! a wakeup is a wall deadline. A receive waiting for a message, a fault
+//! waiting for its page and an idle CPU waiting for work all wait the
+//! same way: the caller re-checks its predicate under its lock and calls
+//! [`Signal::block`] with the deadline it computed once, or waits on a
+//! [`Latch`] for a value set once. No other module names a condvar.
+//!
 //! [`SimClock`]: crate::SimClock
 
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Reads the real monotonic clock.
@@ -78,15 +87,107 @@ impl Deadline {
     }
 
     /// Real time left before the deadline, or `None` once expired.
-    ///
-    /// The `None` case doubles as the timeout signal in wait loops:
-    /// `let Some(left) = deadline.remaining() else { return Err(Timeout) }`.
     pub fn remaining(&self) -> Option<Duration> {
         let t = now();
         if t >= self.at {
             None
         } else {
             Some(self.at - t)
+        }
+    }
+}
+
+/// What a thread blocks on until another thread changes the state behind
+/// the caller's lock. The caller owns the predicate and its loop:
+///
+/// ```
+/// use machsim::wall::{Deadline, Signal};
+/// use parking_lot::Mutex;
+/// use std::time::Duration;
+///
+/// let (ready, signal) = (Mutex::new(false), Signal::new());
+/// let deadline = Deadline::after(Duration::from_millis(1));
+/// let mut g = ready.lock();
+/// let mut expired = false;
+/// while !*g && !expired {
+///     expired = signal.block(&mut g, Some(&deadline));
+/// }
+/// assert!(expired);
+/// ```
+#[derive(Debug, Default)]
+pub struct Signal(Condvar);
+
+impl Signal {
+    /// A signal nobody waits on yet.
+    pub const fn new() -> Self {
+        Self(Condvar::new())
+    }
+
+    /// Wakes one blocked thread.
+    pub fn notify_one(&self) {
+        self.0.notify_one();
+    }
+
+    /// Wakes every blocked thread.
+    pub fn notify_all(&self) {
+        self.0.notify_all();
+    }
+
+    /// Releases `guard`, waits once — for a notify, a spurious wakeup or
+    /// `deadline` — and re-acquires it. Returns whether the deadline has
+    /// passed; a passed deadline returns at once without waiting. The
+    /// caller computes its deadline once and passes the same one to every
+    /// wait of its loop, so a wakeup never extends it.
+    pub fn block<T>(&self, guard: &mut MutexGuard<'_, T>, deadline: Option<&Deadline>) -> bool {
+        let Some(d) = deadline else {
+            self.0.wait(guard);
+            return false;
+        };
+        match d.remaining() {
+            None => true,
+            Some(left) => self.0.wait_for(guard, left).timed_out(),
+        }
+    }
+}
+
+/// A value set once and waited for: the completion of one fault, one
+/// scheduled unit or any other one-shot event. `Latch::default()` is
+/// not yet set.
+#[derive(Debug)]
+pub struct Latch<T> {
+    value: Mutex<Option<T>>,
+    signal: Signal,
+}
+
+impl<T> Default for Latch<T> {
+    fn default() -> Self {
+        Self {
+            value: Mutex::new(None),
+            signal: Signal::new(),
+        }
+    }
+}
+
+impl<T: Clone> Latch<T> {
+    /// Sets the value and wakes every waiter. The first value set stays.
+    pub fn set(&self, value: T) {
+        self.value.lock().get_or_insert(value);
+        self.signal.notify_all();
+    }
+
+    /// Whether the value has been set (without blocking).
+    pub fn is_set(&self) -> bool {
+        self.value.lock().is_some()
+    }
+
+    /// Blocks until the value is set and returns it.
+    pub fn wait(&self) -> T {
+        let mut value = self.value.lock();
+        loop {
+            if let Some(v) = value.as_ref() {
+                return v.clone();
+            }
+            self.signal.block(&mut value, None);
         }
     }
 }
@@ -128,6 +229,94 @@ mod tests {
         sleep(Duration::from_millis(2));
         let b = d.remaining().expect("still well before the deadline");
         assert!(b <= a);
+    }
+
+    #[test]
+    fn block_on_an_expired_deadline_returns_at_once() {
+        let (m, signal) = (Mutex::new(()), Signal::new());
+        let d = Deadline::after(Duration::ZERO);
+        let started = now();
+        assert!(signal.block(&mut m.lock(), Some(&d)));
+        assert!(started.elapsed() < Duration::from_secs(1));
+    }
+
+    #[test]
+    fn block_woken_by_a_notify_returns_false() {
+        let state = std::sync::Arc::new((Mutex::new(false), Signal::new()));
+        let notifier = {
+            let state = state.clone();
+            std::thread::spawn(move || {
+                *state.0.lock() = true;
+                state.1.notify_all();
+            })
+        };
+        let d = Deadline::after(Duration::from_secs(60));
+        let mut g = state.0.lock();
+        while !*g {
+            assert!(
+                !state.1.block(&mut g, Some(&d)),
+                "a notify is not a timeout"
+            );
+        }
+        drop(g);
+        notifier.join().expect("notifier thread");
+    }
+
+    #[test]
+    fn notify_storm_does_not_extend_the_deadline() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let state = std::sync::Arc::new((Mutex::new(()), Signal::new(), AtomicBool::new(false)));
+        let storm = {
+            let state = state.clone();
+            std::thread::spawn(move || {
+                while !state.2.load(Ordering::Acquire) {
+                    state.1.notify_all();
+                    sleep(Duration::from_millis(1));
+                }
+            })
+        };
+        let started = now();
+        let d = Deadline::after(Duration::from_millis(50));
+        let mut g = state.0.lock();
+        while !state.1.block(&mut g, Some(&d)) {}
+        drop(g);
+        let waited = started.elapsed();
+        state.2.store(true, Ordering::Release);
+        storm.join().expect("storm thread");
+        assert!(
+            waited >= Duration::from_millis(50),
+            "returned before the deadline: {waited:?}"
+        );
+        assert!(
+            waited < Duration::from_secs(2),
+            "a notify re-armed the deadline: {waited:?}"
+        );
+    }
+
+    #[test]
+    fn latch_set_before_the_wait() {
+        let latch = Latch::default();
+        assert!(!latch.is_set());
+        latch.set(7);
+        latch.set(8);
+        assert!(latch.is_set());
+        assert_eq!(latch.wait(), 7);
+    }
+
+    #[test]
+    fn latch_set_from_another_thread_wakes_every_waiter() {
+        let latch = std::sync::Arc::new(Latch::default());
+        let waiters: Vec<_> = (0..4)
+            .map(|_| {
+                let latch = latch.clone();
+                std::thread::spawn(move || latch.wait())
+            })
+            .collect();
+        sleep(Duration::from_millis(5));
+        latch.set("done");
+        for w in waiters {
+            assert_eq!(w.join().expect("waiter thread"), "done");
+        }
     }
 
     #[test]

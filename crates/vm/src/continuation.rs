@@ -117,7 +117,6 @@ use crate::types::{VmError, VmProt};
 use machsim::stats::keys as stat_keys;
 use machsim::trace::{keys as trace_keys, CorrelationId, CorrelationScope, SpanScope};
 use machsim::{wall, EventKind, Machine};
-use parking_lot::{Condvar, Mutex};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -161,8 +160,8 @@ impl Default for FaultEngineConfig {
 }
 
 /// The caller's handle to a submitted fault: its outcome, ready at once
-/// for a fault that resolved on its submitter's step, or a one-shot slot
-/// the engine fills when a parked fault completes.
+/// for a fault that resolved on its submitter's step, or a latch the
+/// engine sets when a parked fault completes.
 #[derive(Clone)]
 pub struct FaultTicket {
     cid: CorrelationId,
@@ -173,21 +172,7 @@ pub struct FaultTicket {
 #[derive(Clone)]
 enum TicketOutcome {
     Ready(FaultOutcome),
-    Parked(Arc<TicketSlot>),
-}
-
-/// Where a parked fault's outcome is delivered.
-#[derive(Default)]
-struct TicketSlot {
-    outcome: Mutex<Option<FaultOutcome>>,
-    done: Condvar,
-}
-
-impl TicketSlot {
-    fn fulfill(&self, result: FaultOutcome) {
-        *self.outcome.lock() = Some(result);
-        self.done.notify_all();
-    }
+    Parked(Arc<wall::Latch<FaultOutcome>>),
 }
 
 impl FaultTicket {
@@ -207,7 +192,7 @@ impl FaultTicket {
     pub fn is_done(&self) -> bool {
         match &self.outcome {
             TicketOutcome::Ready(_) => true,
-            TicketOutcome::Parked(slot) => slot.outcome.lock().is_some(),
+            TicketOutcome::Parked(latch) => latch.is_set(),
         }
     }
 
@@ -232,17 +217,10 @@ impl FaultTicket {
     }
 
     fn outcome(&self) -> FaultOutcome {
-        let slot = match &self.outcome {
-            TicketOutcome::Ready(outcome) => return outcome.clone(),
-            TicketOutcome::Parked(slot) => slot,
-        };
-        let mut outcome = slot.outcome.lock();
-        while outcome.is_none() {
-            slot.done.wait(&mut outcome);
+        match &self.outcome {
+            TicketOutcome::Ready(outcome) => outcome.clone(),
+            TicketOutcome::Parked(latch) => latch.wait(),
         }
-        outcome
-            .clone()
-            .expect("invariant: the wait loop exits only once the slot is filled")
     }
 }
 
@@ -284,7 +262,7 @@ struct Continuation {
     quiet_until: Option<wall::Deadline>,
     /// Policy deadline, re-armed at every park (the timeout is per wait).
     deadline: Option<wall::Deadline>,
-    ticket: Arc<TicketSlot>,
+    ticket: Arc<wall::Latch<FaultOutcome>>,
     /// The fault's root span (`fault.submit`), parent of every phase span
     /// the chain opens — on this host and, via the stamped requests, on
     /// the pager side.
@@ -310,7 +288,7 @@ enum Wake {
     Timeout,
     /// The backing pager's port died.
     PagerDead,
-    /// The engine drains its parked faults.
+    /// The engine is shutting down.
     Drained,
 }
 
@@ -523,11 +501,11 @@ impl Alarms {
     }
 }
 
-/// The alarms and the condvar the timer thread sleeps on, shared with
+/// The alarms and the signal the timer thread sleeps on, shared with
 /// that thread — which holds the memory only weakly.
 struct Timer {
     alarms: ClassMutex<Alarms>,
-    wake: Condvar,
+    wake: wall::Signal,
 }
 
 /// The timer thread: sleeps until the earliest alarm (with none armed,
@@ -544,13 +522,11 @@ fn run_timer(timer: Arc<Timer>, phys: Weak<PhysicalMemory>, machine: Machine) {
                 if due.contains(&true) {
                     break due;
                 }
-                match a.earliest().map(|at| at.remaining()) {
-                    Some(None) => continue,
-                    Some(Some(left)) => {
-                        timer.wake.wait_for(a.inner_mut(), left);
-                    }
-                    None => timer.wake.wait(a.inner_mut()),
+                let at = a.earliest();
+                if at.is_some_and(|at| at.expired()) {
+                    continue;
                 }
+                timer.wake.block(a.inner_mut(), at.as_ref());
                 machine.stats.incr(stat_keys::VM_TIMER_WAKEUPS);
             }
         };
@@ -621,7 +597,7 @@ pub struct FaultEngine {
     cfg: FaultEngineConfig,
     table: ClassMutex<Table>,
     /// Signals submitters blocked on a full table.
-    space: Condvar,
+    space: wall::Signal,
     stop: AtomicBool,
     timer: Arc<Timer>,
     /// The watchdog's report, once one is installed.
@@ -676,11 +652,11 @@ impl FaultEngine {
                 pager_inflight_pages: cfg.pager_inflight_pages.max(1),
             },
             table: ClassMutex::new(LockClass::FaultTable, Table::default()),
-            space: Condvar::new(),
+            space: wall::Signal::new(),
             stop: AtomicBool::new(false),
             timer: Arc::new(Timer {
                 alarms: ClassMutex::new(LockClass::Timer, Alarms::default()),
-                wake: Condvar::new(),
+                wake: wall::Signal::new(),
             }),
             stall: OnceLock::new(),
         }
@@ -763,7 +739,9 @@ impl FaultEngine {
         }
         // `park` reads `stop` under the table lock before it parks, so
         // nothing can join the table behind this drain.
-        self.drain_parked();
+        let phys = self.phys();
+        let orphans = self.table.lock().unpark(|_| true);
+        self.resume_all(&phys, orphans, Wake::Drained);
     }
 
     /// Submits a fault: steps the state machine on the caller and, if it
@@ -831,7 +809,7 @@ impl FaultEngine {
                 }
                 FaultStep::Park(wait) => wait,
             };
-            let slot = Arc::new(TicketSlot::default());
+            let latch = Arc::new(wall::Latch::default());
             let cont = Continuation {
                 state,
                 wait,
@@ -843,14 +821,14 @@ impl FaultEngine {
                     .get()
                     .map(|_| wall::Deadline::after(WATCHDOG_DEBOUNCE)),
                 deadline: None,
-                ticket: slot.clone(),
+                ticket: latch.clone(),
                 root_span,
                 parked_span: 0,
             };
             if let Some((cont, result)) = self.park(&phys, cont, wait, runs, true) {
                 self.finish(cont, result);
             }
-            let outcome = TicketOutcome::Parked(slot);
+            let outcome = TicketOutcome::Parked(latch);
             FaultTicket {
                 cid,
                 root_span,
@@ -1103,7 +1081,7 @@ impl FaultEngine {
                     t = self.table.lock();
                     continue;
                 }
-                self.space.wait(t.inner_mut());
+                self.space.block(t.inner_mut(), None);
             }
             if admit {
                 t.admitted += 1;
@@ -1188,20 +1166,6 @@ impl FaultEngine {
         }
         t.promote(self.cfg.pager_inflight_pages, &mut send);
         send
-    }
-
-    /// Errors every currently-parked fault without stopping the engine:
-    /// tickets fulfill with [`VmError::ObjectDestroyed`], so a thread
-    /// blocked in [`FaultTicket::wait`] is guaranteed to return, and what
-    /// each claimed is released. The kernel's teardown path calls this
-    /// when the scheduler's bounded quiesce times out — a worker is wedged
-    /// on a fault whose pager never answered, and only the engine can
-    /// break that wait. Faults submitted afterwards park (and resolve)
-    /// normally.
-    pub fn drain_parked(&self) {
-        let phys = self.phys();
-        let orphans = self.table.lock().unpark(|_| true);
-        self.resume_all(&phys, orphans, Wake::Drained);
     }
 
     /// Gives up on a wait that will not be waited out (timeout, dead
@@ -1372,7 +1336,7 @@ impl FaultEngine {
             cont.state.release_claims(&phys);
         }
         self.conclude(cont.cid, cont.root_span, cont.started_ns, result.is_ok());
-        cont.ticket.fulfill(result);
+        cont.ticket.set(result);
     }
 
     /// Any fault's end: emits the resolution trace/latency with the

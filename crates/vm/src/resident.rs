@@ -88,8 +88,8 @@ use crate::types::{VmError, VmProt};
 use machipc::OolBuffer;
 use machsim::stats::keys as stat_keys;
 use machsim::trace::keys as trace_keys;
-use machsim::{Machine, MemoryKind};
-use parking_lot::{Condvar, RwLock};
+use machsim::{wall, Machine, MemoryKind};
+use parking_lot::RwLock;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -404,7 +404,7 @@ pub struct PhysicalMemory {
     resident: ClassRwLock<ResidentTable>,
     queues: ClassMutex<Queues>,
     /// Signaled when frames return to the free queue.
-    free_event: Condvar,
+    free_event: wall::Signal,
     /// The pageout daemon's marks ([`run_pageout`](Self::run_pageout)).
     pageout: OnceLock<PageoutMarks>,
     /// Lazy backing store for temporary objects (the default pager).
@@ -500,7 +500,7 @@ impl PhysicalMemory {
                 },
             ),
             queues: ClassMutex::new(LockClass::Queues, Queues::new(free, n)),
-            free_event: Condvar::new(),
+            free_event: wall::Signal::new(),
             pageout: OnceLock::new(),
             default_pager: RwLock::new(None),
             adoption_hook: RwLock::new(None),
@@ -873,9 +873,8 @@ impl PhysicalMemory {
             }
             // Wait briefly for frames to return to the free queue.
             let mut q = self.queues.lock();
-            let _ = self
-                .free_event
-                .wait_for(q.inner_mut(), Duration::from_millis(5));
+            let retry = wall::Deadline::after(Duration::from_millis(5));
+            self.free_event.block(q.inner_mut(), Some(&retry));
         }
     }
 
@@ -2029,7 +2028,6 @@ mod tests {
     use super::*;
     use crate::object::test_support::{filled, RecordingPager};
     use machsim::stats::keys;
-    use machsim::wall;
 
     fn phys(frames: usize) -> (Machine, Arc<PhysicalMemory>) {
         let m = Machine::default_machine();

@@ -44,6 +44,14 @@ if [ "$stops" != "crates/ipc/src/serve.rs" ]; then
     exit 1
 fi
 
+echo "==> one way to wait (no Condvar outside machsim::wall, outside machmc, machbench and machlint; doc comments excepted)"
+# shellcheck disable=SC2046 # one word per source file
+waits=$(non_test 'Condvar' $(ls crates/*/src/*.rs | grep -v -E '^crates/(mc|bench|lint)/') | grep -v -E '^[^:]*:[0-9]+: *//' | cut -d: -f1 | sort -u | tr '\n' ';')
+if [ "$waits" != "crates/sim/src/wall.rs;" ]; then
+    echo "files naming Condvar: $waits"
+    exit 1
+fi
+
 echo "==> cargo test -q --workspace (every crate's unit tests, not only the root package's)"
 cargo test -q --workspace
 
@@ -117,4 +125,4 @@ cargo test -q -p machsched --features lockdep --test lockdep_witness
 echo "==> machlint (static invariants: lock-order, sim-time, counter-key, panic-budget, trace-cover, span-pair, atomic-ordering, condvar-wait, unchecked-send)"
 cargo run -q -p machlint -- --workspace
 
-echo "OK: clippy clean, formatting clean, one decoder and two thread sites, workspace tests, threaded-test repeats, fault_scaling, numa_placement, fault_concurrency, parallel_build, machmark smoke + verify, machmc + baseline diff, export smoke, critical-path smoke, lockdep witnesses and machlint passed."
+echo "OK: clippy clean, formatting clean, one decoder, two thread sites and one way to wait, workspace tests, threaded-test repeats, fault_scaling, numa_placement, fault_concurrency, parallel_build, machmark smoke + verify, machmc + baseline diff, export smoke, critical-path smoke, lockdep witnesses and machlint passed."
