@@ -6,23 +6,26 @@
 //! (ui.perfetto.dev) or `chrome://tracing`; `prom` prints Prometheus text
 //! exposition. `export-smoke` renders both, round-trips each through the
 //! parsers in `machsim::export`, and checks the canonical fault chain —
-//! fault → msg_send → data_request → disk_read → data_provided → resume —
-//! landed on a single async track, exiting nonzero otherwise (wired into
+//! `fault.submit` open → `ipc.queued` open → `pager.service` open →
+//! `disk_read` → `pager.reply` open → `fault.submit` close — landed on a
+//! single async track, exiting nonzero otherwise (wired into
 //! `scripts/check.sh`).
 
 use crate::trace_report;
 use machsim::export::{self, JsonValue};
 use std::collections::BTreeMap;
 
-/// The six milestone hops of an externally paged fault, in causal order
-/// (the Section 5.5 round-trip the observability layer exists to show).
+/// The six hops of an externally paged fault, in causal order (the
+/// Section 5.5 round-trip the observability layer exists to show): the
+/// fault's root span, the request's queue span, the manager's service
+/// span, its disk read, the kernel's reply span, and the root's close.
 const CANONICAL_HOPS: [&str; 6] = [
-    "fault",
-    "msg_send",
-    "data_request",
+    "fault.submit:open",
+    "ipc.queued:open",
+    "pager.service:open",
     "disk_read",
-    "data_provided",
-    "resume",
+    "pager.reply:open",
+    "fault.submit:close",
 ];
 
 /// Runs the demo scenario and renders its trace ring as catapult JSON.
@@ -96,8 +99,8 @@ fn check_canonical_track(json: &str) -> Result<(), String> {
             .or_default()
             .push(name.to_string());
     }
-    // A real chain carries extra hops (msg_recv, per-cluster disk reads…);
-    // the six milestones must appear in causal order as a subsequence.
+    // A real chain carries extra hops (closes, nested spans, per-cluster
+    // disk reads…); the six must appear in causal order as a subsequence.
     let found = tracks.values().any(|hops| {
         let mut next = 0;
         for hop in hops {

@@ -3,18 +3,19 @@
 //!
 //! This is the debugging surface the trace layer exists for — when a
 //! duality test fails, the same rendering applied to the failing machine's
-//! buffer shows *which* hop of fault → request → disk → provide → resume
-//! went wrong.
+//! buffer shows *which* span of `fault.submit` → `ipc.queued` →
+//! `pager.service` → `disk_read` → `pager.reply` went wrong.
 
 use machcore::{Kernel, KernelConfig, Task};
 use machpagers::{FileServer, FsClient};
-use machsim::trace::milestones;
-use machsim::{EventKind, Machine, TraceEvent};
+use machsim::{span, EventKind, Machine, TraceEvent};
 use machstorage::{BlockDevice, FlatFs};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-/// Renders one chain as a timeline with per-hop sim-time latencies.
+/// Renders one chain as a timeline with per-hop sim-time latencies, then
+/// its span tree.
 pub fn render_chain(chain: &[TraceEvent]) -> String {
     let mut out = String::new();
     let Some(first) = chain.first() else {
@@ -38,8 +39,18 @@ pub fn render_chain(chain: &[TraceEvent]) -> String {
         );
         prev_ts = e.ts_ns;
     }
-    let skeleton: Vec<String> = milestones(chain).iter().map(|k| k.to_string()).collect();
-    let _ = writeln!(out, "  milestones: {}", skeleton.join(" -> "));
+    // The span tree: one span per line in open order, indented under its
+    // parent, with its sim-time duration.
+    out.push_str("  spans:\n");
+    let mut depth: HashMap<u64, usize> = HashMap::new();
+    for s in span::collect(chain) {
+        let d = depth.get(&s.parent).map_or(0, |d| d + 1);
+        depth.insert(s.id, d);
+        let took = s
+            .duration_ns()
+            .map_or_else(|| "open".to_string(), |ns| format!("{ns} ns"));
+        let _ = writeln!(out, "    {:indent$}{} ({took})", "", s.name, indent = 2 * d);
+    }
     out
 }
 
@@ -110,7 +121,10 @@ pub fn run() -> String {
     for cid in machine.trace.correlations() {
         let chain = machine.trace.chain(cid);
         // Only narrate the pager round-trips; skip bookkeeping chains.
-        if chain.iter().any(|e| e.kind == EventKind::DataRequest) {
+        if chain
+            .iter()
+            .any(|e| e.kind == EventKind::SpanOpen("pager.service"))
+        {
             out.push_str(&render_chain(&chain));
             chains += 1;
         }
@@ -134,8 +148,12 @@ mod tests {
     #[test]
     fn trace_report_shows_chain_and_percentiles() {
         let out = run();
-        assert!(out.contains("fault -> msg_send -> data_request"));
-        assert!(out.contains("disk_read -> data_provided -> resume"));
+        // The skeleton nests the manager's service under the request's
+        // queue span, and the kernel's reply under the reply message's.
+        assert!(out.contains("  spans:\n    fault.submit ("), "{out}");
+        assert!(out.contains("\n        pager.service ("), "{out}");
+        assert!(out.contains("\n            pager.reply ("), "{out}");
+        assert!(out.contains("disk_read"));
         assert!(out.contains("vm.fault_to_resolution"));
         assert!(out.contains("ipc.send_to_receive"));
         assert!(out.contains("vm.request_to_fill"));

@@ -312,7 +312,7 @@ pub struct TraceRecord {
     pub host: String,
     /// Emitting component.
     pub actor: String,
-    /// Event kind display name ("fault", "msg_send", ...).
+    /// Event kind display name ("fault.submit:open", "disk_read", ...).
     pub kind: String,
 }
 
@@ -346,7 +346,7 @@ impl TraceQueryReply {
                     ts_ns: e.ts_ns,
                     correlation: e.correlation_id.map_or(0, machsim::CorrelationId::raw),
                     host: e.host.to_string(),
-                    actor: e.actor.clone(),
+                    actor: e.actor.to_string(),
                     kind: e.kind.to_string(),
                 })
                 .collect(),
@@ -506,13 +506,13 @@ mod tests {
     fn trace_query_round_trips_and_caps_events() {
         let m = Machine::default_machine();
         for _ in 0..10 {
-            m.trace_event("unit", machsim::EventKind::Fault);
+            m.trace_event("unit", machsim::EventKind::Mark("unit"));
         }
         let reply = TraceQueryReply::capture(&m, 0, 4);
         assert_eq!(reply.records.len(), 4, "capped at max_events");
         let decoded = TraceQueryReply::decode(reply.encode()).expect("decodes");
         assert_eq!(decoded.records, reply.records);
-        assert_eq!(decoded.records[0].kind, "fault");
+        assert_eq!(decoded.records[0].kind, "unit");
         assert_eq!(decoded.records[0].host, "local");
     }
 

@@ -345,7 +345,7 @@ impl Kernel {
                 .advance_to(started_ns.saturating_add(stall_ns));
             machine.stats.incr(stat_keys::WATCHDOG_STALLS);
             let chain = CorrelationId::from_raw(cid);
-            machine.trace_event_with("watchdog", EventKind::WatchdogStall, chain);
+            machine.trace_event_with("watchdog", EventKind::Mark("watchdog_stall"), chain);
             let Some(phys) = weak.upgrade() else {
                 return;
             };

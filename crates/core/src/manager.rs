@@ -177,13 +177,7 @@ pub trait DataManager: Send + 'static {
 pub type ManagerHandle = Server;
 
 /// Hands one message to the manager.
-fn dispatch<M: DataManager>(
-    machine: &Machine,
-    label: &str,
-    self_port: &SendRight,
-    mgr: &mut M,
-    msg: Message,
-) {
+fn dispatch<M: DataManager>(machine: &Machine, self_port: &SendRight, mgr: &mut M, msg: Message) {
     if msg.id == MSG_ID_PORT_DEATH {
         let port = Parts::of(msg.body).words().next().unwrap_or(0);
         return mgr.kernel_detached(port);
@@ -206,12 +200,11 @@ fn dispatch<M: DataManager>(
         Ok(KernelToManager::Create(_, None)) => {}
         Ok(KernelToManager::DataRequest(object, offset, length, access, request)) => {
             // The service thread adopted the fault's correlation id when
-            // it dequeued this message, so the event (and any disk reads
-            // the manager performs) lands in the chain.
-            machine.trace_event(&format!("pager.{label}"), machsim::EventKind::DataRequest);
-            // The service span covers the manager's whole handling of one
-            // request, and becomes the thread's current span so the reply
-            // send (inside `data_request`) nests under it.
+            // it dequeued this message, so the service span (and any disk
+            // reads the manager performs) lands in the chain. The span
+            // covers the manager's whole handling of one request, and
+            // becomes the thread's current span so the reply send (inside
+            // `data_request`) nests under it.
             let sp = machine.span_open("pager.service");
             let _inside = machsim::trace::SpanScope::enter(sp);
             mgr.data_request(&conn(request), object, offset, length, access);
@@ -235,9 +228,8 @@ pub fn spawn_manager<M: DataManager>(machine: &Machine, label: &str, mut mgr: M)
     // Kernels send with the notification path; keep a sane floor anyway.
     rx.set_backlog(4096);
     let machine = machine.clone();
-    let label = label.to_string();
     serve(format!("pager-{label}"), rx, move |msg| {
-        dispatch(&machine, &label, &self_port, &mut mgr, msg);
+        dispatch(&machine, &self_port, &mut mgr, msg);
         None
     })
 }

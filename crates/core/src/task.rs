@@ -236,12 +236,10 @@ impl Task {
     /// scheduler unit homed on the task's memory node: it runs on one of
     /// the kernel's simulated CPUs, preferring the node where the task's
     /// pages first-touch.
-    pub fn spawn(self: &Arc<Task>, name: &str, f: impl FnOnce(Arc<Task>) + Send + 'static) {
+    pub fn spawn(self: &Arc<Task>, f: impl FnOnce(Arc<Task>) + Send + 'static) {
         let task = self.clone();
-        self.machine().trace_event(
-            &format!("{}::{}", self.name, name),
-            EventKind::Mark("thread_spawn"),
-        );
+        self.machine()
+            .trace_event("task", EventKind::Mark("thread_spawn"));
         let handle = self
             .kernel
             .scheduler()
@@ -346,7 +344,7 @@ mod tests {
         let t = Task::create(&k, "multi");
         let addr = t.vm_allocate(4096).unwrap();
         for i in 0..4u8 {
-            t.spawn("writer", move |task| {
+            t.spawn(move |task| {
                 task.write_memory(addr + i as u64 * 8, &[i + 1]).unwrap();
             });
         }

@@ -43,11 +43,3 @@ pub use space::{PortName, PortSpace};
 /// cost model. All ports created through the same context meter message
 /// traffic against the same machine.
 pub type IpcContext = machsim::Machine;
-
-/// Allocates a fresh port, returning its receive right and a send right.
-///
-/// This is the primitive beneath `port_allocate`; the [`PortSpace`] wrapper
-/// provides the Table 3-2 interface with task-local names.
-pub fn allocate_port_pair(ctx: &IpcContext) -> (ReceiveRight, SendRight) {
-    ReceiveRight::allocate(ctx)
-}

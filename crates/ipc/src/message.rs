@@ -225,14 +225,6 @@ impl MsgItem {
         }
     }
 
-    /// Returns the raw inline payload regardless of its type tag.
-    pub fn as_raw_inline(&self) -> Option<&[u8]> {
-        match self {
-            MsgItem::Inline { data, .. } => Some(data),
-            _ => None,
-        }
-    }
-
     /// Returns the out-of-line buffer if this is an OOL item.
     pub fn as_ool(&self) -> Option<&OolBuffer> {
         match self {
@@ -311,12 +303,6 @@ impl Message {
     /// Builder: appends an item.
     pub fn with(mut self, item: MsgItem) -> Self {
         self.body.push(item);
-        self
-    }
-
-    /// Builder: sets the reply port.
-    pub fn with_reply(mut self, reply: SendRight) -> Self {
-        self.reply = Some(reply);
         self
     }
 

@@ -56,7 +56,7 @@ use crate::message::{Message, MsgItem, MSG_ID_PORT_DEATH};
 use crate::IpcContext;
 use machsim::lockdep::{ClassMutex, ClassMutexGuard, LockClass};
 use machsim::stats::keys;
-use machsim::trace::{self, CorrelationId, EventKind};
+use machsim::trace::{self, CorrelationId};
 use machsim::wall::{Deadline, Signal};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -221,19 +221,8 @@ impl PortCore {
 
     // ----- cost accounting -----
 
-    /// Records a trace event named after this port. The name is only
-    /// formatted when tracing is on: this runs once per send and once
-    /// per receive.
-    fn trace_msg(&self, kind: EventKind, cid: Option<CorrelationId>) {
-        if self.ctx.trace.is_enabled() {
-            self.ctx.trace_event_with(&self.id.to_string(), kind, cid);
-        }
-    }
-
     /// Charges the simulated cost of moving `msg` by `hop`, bumps
-    /// counters, and stamps the message's trace context (correlation id
-    /// from the sending thread if unset, send timestamp from this
-    /// machine's clock).
+    /// counters, and stamps the message's trace context.
     fn charge_send(&self, msg: &mut Message, hop: Hop) {
         let cost = &self.ctx.cost;
         let inline = msg.inline_len() as u64;
@@ -251,13 +240,46 @@ impl PortCore {
         }
         self.ctx.stats.add(keys::BYTES_COPIED, inline);
         self.ctx.stats.add(keys::PAGES_REMAPPED, ool_pages);
+        self.stamp(msg, hop);
+    }
+
+    /// Batch variant of [`PortCore::charge_send`] for a non-empty run of
+    /// queued messages: one clock charge and one counter add amortized
+    /// over the whole run, and each message stamped as a single send is.
+    fn charge_send_batch(&self, msgs: &mut [Message]) {
+        let cost = &self.ctx.cost;
+        let mut total_ns = 0u64;
+        let mut bytes = 0u64;
+        let mut pages = 0u64;
+        for m in msgs.iter() {
+            let inline = m.inline_len() as u64;
+            let ool_pages = m.ool_len().div_ceil(4096) as u64;
+            total_ns += cost.message_ns + cost.copy_cost_ns(inline) + cost.remap_cost_ns(ool_pages);
+            bytes += inline;
+            pages += ool_pages;
+        }
+        self.ctx.clock.charge(total_ns);
+        self.ctx.stats.add(keys::MSG_SENT, msgs.len() as u64);
+        self.ctx.stats.add(keys::BYTES_COPIED, bytes);
+        self.ctx.stats.add(keys::PAGES_REMAPPED, pages);
+        if msgs.len() > 1 {
+            self.ctx.stats.incr(keys::IPC_BATCHES);
+        }
+        for m in msgs {
+            self.stamp(m, Hop::Queued);
+        }
+    }
+
+    /// Stamps one sent message's trace context: the sending thread's
+    /// correlation id if it has none, and the send time. A correlated
+    /// message also gets its parent span and the span of its `hop`; an
+    /// uncorrelated one records nothing in the trace ring.
+    fn stamp(&self, msg: &mut Message, hop: Hop) {
         if msg.correlation == 0 {
-            if let Some(cid) = trace::current_correlation() {
-                msg.correlation = cid.raw();
-            }
+            msg.correlation = trace::current_correlation().map_or(0, CorrelationId::raw);
         }
         let cid = CorrelationId::from_raw(msg.correlation);
-        if msg.correlation != 0 {
+        if cid.is_some() {
             if msg.parent_span == 0 {
                 msg.parent_span = trace::ambient_span_for(msg.correlation);
             }
@@ -280,57 +302,13 @@ impl PortCore {
             }
         }
         msg.sent_at_ns = self.ctx.clock.now_ns();
-        self.trace_msg(EventKind::MsgSend, cid);
-    }
-
-    /// Batch variant of [`PortCore::charge_send`] for a non-empty run of
-    /// queued messages: one clock charge, one counter add and one trace
-    /// event amortized over the whole run.
-    fn charge_send_batch(&self, msgs: &mut [Message]) {
-        let cost = &self.ctx.cost;
-        let mut total_ns = 0u64;
-        let mut bytes = 0u64;
-        let mut pages = 0u64;
-        for m in msgs.iter() {
-            let inline = m.inline_len() as u64;
-            let ool_pages = m.ool_len().div_ceil(4096) as u64;
-            total_ns += cost.message_ns + cost.copy_cost_ns(inline) + cost.remap_cost_ns(ool_pages);
-            bytes += inline;
-            pages += ool_pages;
-        }
-        self.ctx.clock.charge(total_ns);
-        self.ctx.stats.add(keys::MSG_SENT, msgs.len() as u64);
-        self.ctx.stats.add(keys::BYTES_COPIED, bytes);
-        self.ctx.stats.add(keys::PAGES_REMAPPED, pages);
-        if msgs.len() > 1 {
-            self.ctx.stats.incr(keys::IPC_BATCHES);
-        }
-        let now = self.ctx.clock.now_ns();
-        let ambient = trace::current_correlation();
-        for m in msgs.iter_mut() {
-            if m.correlation == 0 {
-                if let Some(cid) = ambient {
-                    m.correlation = cid.raw();
-                }
-            }
-            // Batch sends stay cheap: stamp the parent for downstream
-            // nesting but skip per-message queue spans.
-            if m.parent_span == 0 {
-                m.parent_span = trace::ambient_span_for(m.correlation);
-            }
-            m.sent_at_ns = now;
-        }
-        self.trace_msg(
-            EventKind::MsgSend,
-            CorrelationId::from_raw(msgs[0].correlation),
-        );
     }
 
     /// Receive-side bookkeeping for a run of dequeued messages: one
-    /// counter add and one `MsgRecv` trace event for the run, a
-    /// send-to-receive latency sample per message (they are the data the
-    /// histograms exist for), and adoption of the last message's
-    /// correlation id and span by the receiving thread.
+    /// counter add for the run, a send-to-receive latency sample and the
+    /// close of its `ipc.queued` span per message (they are the data the
+    /// histograms and the span tree exist for), and adoption of the last
+    /// message's correlation id and span by the receiving thread.
     fn finish_recv(&self, msgs: &[Message]) {
         let Some(last) = msgs.last() else { return };
         self.ctx.stats.add(keys::MSG_RECEIVED, msgs.len() as u64);
@@ -353,9 +331,7 @@ impl PortCore {
                 );
             }
         }
-        let cid = CorrelationId::from_raw(last.correlation);
-        self.trace_msg(EventKind::MsgRecv, cid);
-        trace::set_current_correlation(cid);
+        trace::set_current_correlation(CorrelationId::from_raw(last.correlation));
         trace::set_current_span(last.span_context());
     }
 
@@ -1641,6 +1617,53 @@ mod tests {
         assert_eq!(c.stats.get(machsim::stats::keys::MSG_RECEIVED), 100);
         // One batch charge for the send, one per receive_many drain.
         assert_eq!(c.stats.get(machsim::stats::keys::IPC_BATCHES), 3);
+    }
+
+    #[test]
+    fn uncorrelated_messages_leave_the_ring_empty() {
+        use machsim::stats::keys::{MSG_RECEIVED, MSG_SENT};
+        let c = ctx();
+        trace::set_current_correlation(None);
+        let (rx, tx) = ReceiveRight::allocate(&c);
+        tx.send(Message::new(1), None).expect("send");
+        rx.receive(None).expect("receive");
+        tx.send_many((0..3).map(Message::new).collect(), None)
+            .expect("batched send");
+        assert_eq!(rx.receive_many(8, None).expect("receive_many").len(), 3);
+        assert_eq!(c.stats.get(MSG_SENT), 4);
+        assert_eq!(c.stats.get(MSG_RECEIVED), 4);
+        assert!(c.trace.is_empty(), "{:#?}", c.trace.snapshot());
+    }
+
+    #[test]
+    fn every_correlated_message_of_a_batch_is_its_own_queue_span() {
+        let c = ctx();
+        let (rx, tx) = ReceiveRight::allocate(&c);
+        let cids: Vec<CorrelationId> = (0..3).map(|_| CorrelationId::allocate()).collect();
+        let batch = cids
+            .iter()
+            .map(|cid| {
+                let mut m = Message::new(7);
+                m.correlation = cid.raw();
+                m
+            })
+            .collect();
+        assert_eq!(tx.send_many(batch, None).expect("batched send"), 3);
+        for &cid in &cids {
+            let m = rx.receive(None).expect("receive");
+            assert_eq!(CorrelationId::from_raw(m.correlation), Some(cid));
+            let last = c.trace.snapshot().pop().expect("the receive closed a span");
+            assert_eq!(last.kind, machsim::EventKind::SpanClose("ipc.queued"));
+            assert_eq!(last.correlation_id, Some(cid), "closed under its own cid");
+            assert_eq!(last.span.map(|s| s.id), Some(m.queue_span));
+        }
+        let spans = machsim::span::collect(&c.trace.snapshot());
+        assert_eq!(spans.len(), 3);
+        for (s, cid) in spans.iter().zip(&cids) {
+            assert_eq!(s.name, "ipc.queued");
+            assert_eq!(s.correlation, Some(*cid));
+            assert!(s.close_ns.is_some(), "{} left open", s.id);
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ impl Port {
 
     pub fn traced_send(&self, msg: Message) -> Result<(), IpcError> {
         self.machine.clock.charge(self.machine.cost.send_cost_ns());
-        self.machine.trace_event("ipc.send", EventKind::MsgSend);
+        self.machine.trace_event("ipc.send", EventKind::Mark("send"));
         self.queue.push(msg);
         Ok(())
     }

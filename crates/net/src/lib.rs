@@ -259,15 +259,11 @@ impl Fabric {
             }
             None => 0,
         };
-        for (end, kind) in [
-            (from, machsim::EventKind::NetSend),
-            (to, machsim::EventKind::NetRecv),
-        ] {
+        for end in [from, to] {
             let m = end.machine();
             m.clock.charge(m.cost.net_op_ns(bytes));
             m.stats.incr(keys::NET_MESSAGES);
             m.stats.add(keys::NET_BYTES, bytes);
-            m.trace_event_with("net.fabric", kind, cid);
         }
         if hop != 0 {
             to.machine().span_close_with("net.hop", hop, cid);

@@ -109,7 +109,7 @@ pub fn chrome_trace_with(events: &[TraceEvent], dropped: u64, gauges: &[GaugeSer
                 json_escape(&e.kind.to_string()),
                 ts_us(e.ts_ns),
                 pid_of(&e.host),
-                json_escape(&e.actor),
+                json_escape(e.actor),
                 e.seq,
                 span_args(e)
             ));
@@ -135,7 +135,7 @@ pub fn chrome_trace_with(events: &[TraceEvent], dropped: u64, gauges: &[GaugeSer
                  \"args\":{{\"actor\":\"{}\",\"host\":\"{}\",\"seq\":{}{}}}}}",
                 json_escape(&e.kind.to_string()),
                 ts_us(e.ts_ns),
-                json_escape(&e.actor),
+                json_escape(e.actor),
                 json_escape(&e.host),
                 e.seq,
                 span_args(e)
@@ -616,7 +616,7 @@ mod tests {
     fn ev(
         ts: u64,
         host: &str,
-        actor: &str,
+        actor: &'static str,
         kind: EventKind,
         cid: Option<CorrelationId>,
     ) -> TraceEvent {
@@ -625,12 +625,12 @@ mod tests {
 
     fn fault_chain(cid: CorrelationId) -> Vec<TraceEvent> {
         [
-            (10, EventKind::Fault, "vm.fault"),
-            (20, EventKind::MsgSend, "port#1"),
-            (30, EventKind::DataRequest, "pager.fs"),
-            (40, EventKind::DiskRead, "disk"),
-            (50, EventKind::DataProvided, "kernel"),
-            (60, EventKind::Resume, "vm.fault"),
+            (10, EventKind::SpanOpen("fault.submit"), "fault.submit"),
+            (20, EventKind::SpanOpen("ipc.queued"), "ipc.queued"),
+            (30, EventKind::SpanOpen("pager.service"), "pager.service"),
+            (40, EventKind::Mark("disk_read"), "disk"),
+            (50, EventKind::SpanOpen("pager.reply"), "pager.reply"),
+            (60, EventKind::SpanClose("fault.submit"), "fault.submit"),
         ]
         .into_iter()
         .map(|(ts, k, a)| ev(ts, "local", a, k, Some(cid)))
@@ -641,7 +641,13 @@ mod tests {
     fn chrome_trace_is_valid_and_keeps_chain_on_one_track() {
         let cid = CorrelationId::allocate();
         let mut events = fault_chain(cid);
-        events.push(ev(70, "local", "daemon", EventKind::DiskWrite, None));
+        events.push(ev(
+            70,
+            "local",
+            "daemon",
+            EventKind::Mark("disk_write"),
+            None,
+        ));
         let json = chrome_trace(&events, 3);
         let n = validate_chrome_trace(&json).expect("valid catapult JSON");
         // 1 process_name + 1 uncorrelated instant + b + 6 hops + e.
@@ -664,12 +670,12 @@ mod tests {
         assert_eq!(
             hop_names,
             vec![
-                "fault",
-                "msg_send",
-                "data_request",
+                "fault.submit:open",
+                "ipc.queued:open",
+                "pager.service:open",
                 "disk_read",
-                "data_provided",
-                "resume"
+                "pager.reply:open",
+                "fault.submit:close"
             ]
         );
         // Dropped-event count is visible in the artifact.
@@ -683,8 +689,8 @@ mod tests {
 
     #[test]
     fn chrome_trace_assigns_pids_per_host() {
-        let a = ev(1, "alpha", "x", EventKind::NetSend, None);
-        let b = ev(2, "beta", "y", EventKind::NetRecv, None);
+        let a = ev(1, "alpha", "x", EventKind::Mark("send"), None);
+        let b = ev(2, "beta", "y", EventKind::Mark("recv"), None);
         let json = chrome_trace(&[a, b], 0);
         validate_chrome_trace(&json).unwrap();
         let doc = parse_json(&json).unwrap();
@@ -704,7 +710,7 @@ mod tests {
             1,
             "h",
             "actor \"quoted\"\nnewline\\slash",
-            EventKind::Fault,
+            EventKind::Mark("m"),
             None,
         );
         let json = chrome_trace(&[e], 0);
@@ -852,7 +858,7 @@ mod tests {
     fn dropped_counter_survives_ring_overflow() {
         let t = TraceBuffer::new(2);
         for i in 0..5u64 {
-            t.record(ev(i, "h", "a", EventKind::Fault, None));
+            t.record(ev(i, "h", "a", EventKind::Mark("m"), None));
         }
         let json = chrome_trace(&t.snapshot(), t.dropped());
         let doc = parse_json(&json).unwrap();

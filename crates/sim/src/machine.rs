@@ -60,12 +60,17 @@ impl Machine {
     }
 
     /// Records a trace event under the current thread's correlation id.
-    pub fn trace_event(&self, actor: &str, kind: EventKind) {
+    pub fn trace_event(&self, actor: &'static str, kind: EventKind) {
         self.trace_event_with(actor, kind, crate::trace::current_correlation());
     }
 
     /// Records a trace event under an explicit correlation id.
-    pub fn trace_event_with(&self, actor: &str, kind: EventKind, cid: Option<CorrelationId>) {
+    pub fn trace_event_with(
+        &self,
+        actor: &'static str,
+        kind: EventKind,
+        cid: Option<CorrelationId>,
+    ) {
         if !self.trace.is_enabled() {
             return;
         }
@@ -280,7 +285,7 @@ mod tests {
         let m = Machine::named(CostModel::default(), "nodeA");
         m.clock.charge(42);
         let cid = CorrelationId::allocate();
-        m.trace_event_with("unit", EventKind::Fault, Some(cid));
+        m.trace_event_with("unit", EventKind::Mark("unit"), Some(cid));
         let snap = m.trace.snapshot();
         assert_eq!(snap.len(), 1);
         assert_eq!(&*snap[0].host, "nodeA");

@@ -4,9 +4,10 @@
 //! fault becomes a `pager_data_request` message, which becomes a disk read,
 //! which becomes a `pager_data_provided` reply. Flat counters cannot show
 //! which hop of that chain went wrong, so this module adds the missing
-//! dimension: every interesting step emits a [`TraceEvent`] into a
-//! lock-cheap per-machine ring buffer, and all events caused by one fault
-//! share one [`CorrelationId`] allocated at fault time.
+//! dimension: every hop opens and closes a span, and every point worth
+//! noting is a mark, each one [`TraceEvent`] in a lock-cheap per-machine
+//! ring buffer; all events caused by one fault share one
+//! [`CorrelationId`] allocated at fault time.
 //!
 //! The correlation id travels two ways:
 //!
@@ -213,32 +214,16 @@ impl Drop for SpanScope {
     }
 }
 
-/// What kind of step a trace event records.
+/// What a trace event records: a span boundary or a mark.
+///
+/// A hop of a causal chain is a span — `fault.submit`, `ipc.queued`,
+/// `pager.service`, `pager.reply`, `net.hop`, … — so its start and end
+/// are its boundaries, and a point with no duration (a disk access, a
+/// watchdog flag, a pager's internal decision) is a mark.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EventKind {
-    /// A page fault entered `resolve_page`.
-    Fault,
-    /// A page fault resolved and the faulting thread resumes.
-    Resume,
-    /// A message was enqueued on a port.
-    MsgSend,
-    /// A message was dequeued from a port.
-    MsgRecv,
-    /// A data manager began handling `pager_data_request`.
-    DataRequest,
-    /// Supplied data (`pager_data_provided`) was installed in memory.
-    DataProvided,
-    /// A block device read.
-    DiskRead,
-    /// A block device write.
-    DiskWrite,
-    /// A message left a host over the network fabric.
-    NetSend,
-    /// A message arrived at a host over the network fabric.
-    NetRecv,
-    /// The stall watchdog flagged an in-flight chain as wedged.
-    WatchdogStall,
-    /// A free-form annotation from a component (pager internals etc.).
+    /// A point annotation from a component (`disk_read`, `disk_write`,
+    /// `watchdog_stall`, pager internals, …).
     Mark(&'static str),
     /// A named phase span opened (the event carries [`SpanInfo`]).
     SpanOpen(&'static str),
@@ -246,44 +231,15 @@ pub enum EventKind {
     SpanClose(&'static str),
 }
 
-impl EventKind {
-    /// Whether this kind is one of the six canonical fault-chain
-    /// milestones (`fault → msg_send → data_request → disk_read →
-    /// data_provided → resume`).
-    pub fn is_milestone(self) -> bool {
-        matches!(
-            self,
-            EventKind::Fault
-                | EventKind::MsgSend
-                | EventKind::DataRequest
-                | EventKind::DiskRead
-                | EventKind::DataProvided
-                | EventKind::Resume
-        )
-    }
-}
-
 impl fmt::Display for EventKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            EventKind::Fault => "fault",
-            EventKind::Resume => "resume",
-            EventKind::MsgSend => "msg_send",
-            EventKind::MsgRecv => "msg_recv",
-            EventKind::DataRequest => "data_request",
-            EventKind::DataProvided => "data_provided",
-            EventKind::DiskRead => "disk_read",
-            EventKind::DiskWrite => "disk_write",
-            EventKind::NetSend => "net_send",
-            EventKind::NetRecv => "net_recv",
-            EventKind::WatchdogStall => "watchdog_stall",
-            EventKind::Mark(s) => s,
-            // No tabs or newlines: these strings travel through the
-            // line-oriented introspection wire format.
-            EventKind::SpanOpen(s) => return write!(f, "{s}:open"),
-            EventKind::SpanClose(s) => return write!(f, "{s}:close"),
-        };
-        f.write_str(s)
+        // No tabs or newlines: these strings travel through the
+        // line-oriented introspection wire format.
+        match self {
+            EventKind::Mark(s) => f.write_str(s),
+            EventKind::SpanOpen(s) => write!(f, "{s}:open"),
+            EventKind::SpanClose(s) => write!(f, "{s}:close"),
+        }
     }
 }
 
@@ -297,9 +253,9 @@ pub struct TraceEvent {
     pub ts_ns: u64,
     /// Name of the emitting host.
     pub host: Arc<str>,
-    /// The component that emitted the event ("vm.fault", "port#3",
-    /// "pager.fs-db", "disk", ...).
-    pub actor: String,
+    /// The component that emitted the event ("disk", "watchdog", a span's
+    /// own name, ...).
+    pub actor: &'static str,
     /// What happened.
     pub kind: EventKind,
     /// The causal chain this event belongs to, if any.
@@ -313,7 +269,7 @@ impl TraceEvent {
     pub fn new(
         ts_ns: u64,
         host: Arc<str>,
-        actor: impl Into<String>,
+        actor: &'static str,
         kind: EventKind,
         correlation_id: Option<CorrelationId>,
     ) -> Self {
@@ -321,7 +277,7 @@ impl TraceEvent {
             seq: NEXT_SEQ.fetch_add(1, Ordering::Relaxed),
             ts_ns,
             host,
-            actor: actor.into(),
+            actor,
             kind,
             correlation_id,
             span: None,
@@ -469,23 +425,6 @@ impl TraceBuffer {
         }
         seen
     }
-}
-
-/// The causal skeleton of a chain: the first occurrence of each milestone
-/// kind (see [`EventKind::is_milestone`]) in sequence order.
-///
-/// For a fault on an externally paged region this is exactly
-/// `fault → msg_send → data_request → disk_read → data_provided → resume`;
-/// transport repetitions (the `pager_data_provided` reply is itself a
-/// message) and multi-block disk reads collapse onto their first hop.
-pub fn milestones(chain: &[TraceEvent]) -> Vec<EventKind> {
-    let mut out: Vec<EventKind> = Vec::new();
-    for e in chain {
-        if e.kind.is_milestone() && !out.contains(&e.kind) {
-            out.push(e.kind);
-        }
-    }
-    out
 }
 
 /// A log₂-bucket latency histogram over nanosecond durations.
@@ -692,7 +631,7 @@ mod tests {
     fn ring_overwrites_oldest() {
         let t = TraceBuffer::new(3);
         for _ in 0..5 {
-            t.record(ev(EventKind::Fault, None));
+            t.record(ev(EventKind::Mark("m"), None));
         }
         assert_eq!(t.len(), 3);
         assert_eq!(t.dropped(), 2);
@@ -705,10 +644,10 @@ mod tests {
     fn disabled_buffer_records_nothing() {
         let t = TraceBuffer::new(8);
         t.set_enabled(false);
-        t.record(ev(EventKind::Fault, None));
+        t.record(ev(EventKind::Mark("m"), None));
         assert!(t.is_empty());
         t.set_enabled(true);
-        t.record(ev(EventKind::Fault, None));
+        t.record(ev(EventKind::Mark("m"), None));
         assert_eq!(t.len(), 1);
     }
 
@@ -717,41 +656,24 @@ mod tests {
         let t = TraceBuffer::new(16);
         let a = CorrelationId::allocate();
         let b = CorrelationId::allocate();
-        t.record(ev(EventKind::Fault, Some(a)));
-        t.record(ev(EventKind::Fault, Some(b)));
-        t.record(ev(EventKind::Resume, Some(a)));
+        t.record(ev(EventKind::SpanOpen("fault.submit"), Some(a)));
+        t.record(ev(EventKind::SpanOpen("fault.submit"), Some(b)));
+        t.record(ev(EventKind::SpanClose("fault.submit"), Some(a)));
         assert_eq!(t.chain(a).len(), 2);
         assert_eq!(t.chain(b).len(), 1);
         assert_eq!(t.correlations(), vec![a, b]);
     }
 
     #[test]
-    fn milestones_keep_first_occurrence_in_order() {
-        let cid = CorrelationId::allocate();
-        let chain: Vec<TraceEvent> = [
-            EventKind::Fault,
-            EventKind::MsgSend,
-            EventKind::MsgRecv, // transport detail, not a milestone
-            EventKind::DataRequest,
-            EventKind::DiskRead,
-            EventKind::DiskRead, // multi-block read collapses
-            EventKind::MsgSend,  // reply hop collapses onto first send
-            EventKind::DataProvided,
-            EventKind::Resume,
-        ]
-        .into_iter()
-        .map(|k| ev(k, Some(cid)))
-        .collect();
+    fn kinds_render_as_marks_and_span_boundaries() {
+        assert_eq!(EventKind::Mark("disk_read").to_string(), "disk_read");
         assert_eq!(
-            milestones(&chain),
-            vec![
-                EventKind::Fault,
-                EventKind::MsgSend,
-                EventKind::DataRequest,
-                EventKind::DiskRead,
-                EventKind::DataProvided,
-                EventKind::Resume,
-            ]
+            EventKind::SpanOpen("ipc.queued").to_string(),
+            "ipc.queued:open"
+        );
+        assert_eq!(
+            EventKind::SpanClose("ipc.queued").to_string(),
+            "ipc.queued:close"
         );
     }
 

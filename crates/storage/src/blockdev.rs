@@ -76,10 +76,10 @@ impl BlockDevice {
             .charge(self.machine.cost.disk_op_ns(bytes as u64));
         let kind = if counter == keys::DISK_READS {
             self.machine.stats.incr(keys::DISK_READS);
-            machsim::EventKind::DiskRead
+            machsim::EventKind::Mark("disk_read")
         } else {
             self.machine.stats.incr(keys::DISK_WRITES);
-            machsim::EventKind::DiskWrite
+            machsim::EventKind::Mark("disk_write")
         };
         self.machine.stats.add(keys::DISK_BYTES, bytes as u64);
         self.machine.trace_event("disk", kind);

@@ -116,7 +116,7 @@ use crate::resident::{PageLookup, PhysicalMemory};
 use crate::types::{VmError, VmProt};
 use machsim::stats::keys as stat_keys;
 use machsim::trace::{keys as trace_keys, CorrelationId, CorrelationScope, SpanScope};
-use machsim::{wall, EventKind, Machine};
+use machsim::{wall, Machine};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -781,7 +781,6 @@ impl FaultEngine {
         self.machine.stats.incr(stat_keys::VM_FAULTS);
         let cid = CorrelationId::allocate();
         let _scope = CorrelationScope::enter(cid);
-        self.machine.trace_event("vm.fault", EventKind::Fault);
         // The chain root: explicitly parent 0 (the submitting thread may
         // still carry a previous fault's span context).
         let root_span = self.machine.span_open_under("fault.submit", 0);
@@ -1339,14 +1338,12 @@ impl FaultEngine {
         cont.ticket.set(result);
     }
 
-    /// Any fault's end: emits the resolution trace/latency with the
-    /// fault's own correlation (the finishing thread need not be in its
-    /// scope) and closes the chain root — on every exit, Ok, Err, timeout
+    /// Any fault's end: records the resolution latency and closes the
+    /// chain root with the fault's own correlation (the finishing thread
+    /// need not be in its scope) — on every exit, Ok, Err, timeout
     /// or drain, so the critical-path analyzer never sees it unclosed.
     fn conclude(&self, cid: CorrelationId, root_span: u64, started_ns: u64, ok: bool) {
         if ok {
-            self.machine
-                .trace_event_with("vm.fault", EventKind::Resume, Some(cid));
             self.machine.latency.record(
                 trace_keys::FAULT_TO_RESOLUTION,
                 self.machine.clock.now_ns().saturating_sub(started_ns),

@@ -1274,8 +1274,6 @@ impl PhysicalMemory {
         if whole_pages == 0 {
             return Err(VmError::BadAlignment);
         }
-        self.machine
-            .trace_event("vm.supply", machsim::EventKind::DataProvided);
         let steal = data.is_exclusive() && !self.machine.cost.topology.is_asymmetric();
         let bytes = data.as_slice();
         self.fill_range(object, offset, whole_pages, lock, |i, frame| {

@@ -7,7 +7,7 @@
 use machcore::{spawn_manager, DataManager, Kernel, KernelConfig, KernelConn};
 use machipc::OolBuffer;
 use machsim::stats::keys;
-use machsim::{EventKind, Machine};
+use machsim::{span, EventKind, Machine};
 use machvm::{
     FaultEngineConfig, FaultPolicy, NumaConfig, ObjectId, PagerBackend, PhysicalMemory, VmError,
     VmObject, VmProt,
@@ -603,10 +603,11 @@ fn pager_death_mid_continuation_errors_faults_and_leaks_nothing() {
 }
 
 /// The causal chain survives the continuation hop: the fault's
-/// correlation id is visible on the submit-side `Fault` event, on the
-/// manager-side `DataRequest` (stamped through the request message), and
-/// on the `Resume` the manager's thread performs when the kernel applies
-/// its reply there — one chain across two threads.
+/// correlation id is on the submit-side `fault.submit` root, on the
+/// manager-side `pager.service` span (stamped through the request
+/// message), and on the `fault.resume` span the manager's thread opens
+/// when the kernel applies its reply there — one span tree across two
+/// threads.
 #[test]
 fn correlation_id_survives_park_and_resume() {
     let kernel = Kernel::boot(KernelConfig::default());
@@ -628,22 +629,24 @@ fn correlation_id_survives_park_and_resume() {
         "the fault really parked (otherwise this test proves nothing)"
     );
 
-    let events = kernel.machine().trace.snapshot();
-    let chain: Vec<_> = events
-        .iter()
-        .filter(|e| e.correlation_id == Some(cid))
-        .collect();
+    let chain = kernel.machine().trace.chain(cid);
+    span::validate_chain_tree(&span::collect(&chain)).unwrap_or_else(|e| panic!("{e}: {chain:#?}"));
+    let has = |kind| chain.iter().any(|e| e.kind == kind);
     assert!(
-        chain.iter().any(|e| e.kind == EventKind::Fault),
-        "submit-side fault event carries the cid"
+        has(EventKind::SpanOpen("fault.submit")),
+        "the submit-side root span carries the cid"
     );
     assert!(
-        chain.iter().any(|e| e.kind == EventKind::DataRequest),
+        has(EventKind::SpanOpen("pager.service")),
         "the pager_data_request preserved the cid across the IPC hop"
     );
     assert!(
-        chain.iter().any(|e| e.kind == EventKind::Resume),
+        has(EventKind::SpanOpen("fault.resume")),
         "the resolution on the reply's thread rejoined the chain"
+    );
+    assert!(
+        has(EventKind::SpanClose("fault.submit")),
+        "the chain's root closed"
     );
 }
 

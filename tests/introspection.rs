@@ -107,24 +107,37 @@ fn trace_query_returns_the_fault_chain() {
     let _task = fault_workload(&kernel, "tracer", 4);
 
     let recent = query_trace(kernel.host_port(), 0, 256).unwrap();
-    assert!(recent.records.iter().any(|r| r.kind == "fault"));
+    assert!(recent.records.iter().any(|r| r.kind == "fault.submit:open"));
     let cid = recent
         .records
         .iter()
-        .find(|r| r.kind == "data_request")
+        .find(|r| r.kind == "pager.service:open")
         .expect("pager round-trip traced")
         .correlation;
     assert_ne!(cid, 0);
 
-    // Fetch that one chain by correlation id: fault through resume.
+    // Fetch that one chain by correlation id: the fault's root span
+    // through the reply that resolved it, in causal order.
     let chain = query_trace(kernel.host_port(), cid, 256).unwrap();
     assert!(chain.records.iter().all(|r| r.correlation == cid));
-    for kind in ["fault", "data_request", "data_provided", "resume"] {
-        assert!(
-            chain.records.iter().any(|r| r.kind == kind),
-            "chain lacks {kind}"
-        );
+    let mut hops = [
+        "fault.submit:open",
+        "ipc.queued:open",
+        "pager.service:open",
+        "pager.reply:open",
+        "fault.submit:close",
+    ]
+    .into_iter()
+    .peekable();
+    for r in &chain.records {
+        hops.next_if_eq(&r.kind.as_str());
     }
+    assert_eq!(
+        hops.next(),
+        None,
+        "chain out of order: {:#?}",
+        chain.records
+    );
 }
 
 #[test]

@@ -160,7 +160,7 @@ fn kernel_booted_parallel_compile_has_zero_watchdog_stalls() {
     let machine = kernel.machine().clone();
     for unit in 0..w.source_files {
         let (w, unix, machine) = (w.clone(), Arc::clone(&unix), machine.clone());
-        task.spawn(&format!("cc{unit}"), move |_t| {
+        task.spawn(move |_t| {
             w.compile_unit(unix.as_ref(), &machine, unit)
                 .expect("compile unit");
         });

@@ -3,8 +3,9 @@
 
 use machcore::{Kernel, KernelConfig, Task};
 use machpagers::{FileServer, FsClient};
-use machsim::trace::{keys as lat_keys, milestones};
-use machsim::{EventKind, Machine};
+use machsim::stats::keys;
+use machsim::trace::keys as lat_keys;
+use machsim::{span, EventKind, Machine, TraceEvent};
 use machstorage::{BlockDevice, FlatFs};
 use std::sync::Arc;
 
@@ -23,10 +24,29 @@ fn file_backed_setup() -> (Machine, Arc<Kernel>, Arc<FileServer>) {
     (machine, kernel, server)
 }
 
+/// The `fault.submit` root opens of `events`: one per fault.
+fn fault_roots(events: &[TraceEvent]) -> Vec<&TraceEvent> {
+    events
+        .iter()
+        .filter(|e| e.kind == EventKind::SpanOpen("fault.submit"))
+        .collect()
+}
+
+/// Whether `hops` appear among `chain`'s event names, in order.
+fn in_causal_order(chain: &[TraceEvent], hops: &[&str]) -> bool {
+    let mut next = 0;
+    for e in chain {
+        if next < hops.len() && e.kind.to_string() == hops[next] {
+            next += 1;
+        }
+    }
+    next == hops.len()
+}
+
 /// The tentpole acceptance test: a single fault on an externally paged
-/// region yields the exact milestone chain
-/// `fault → msg_send → data_request → disk_read → data_provided → resume`
-/// under one shared correlation id.
+/// region yields one connected span tree under one correlation id, whose
+/// hops run `fault.submit` → `ipc.queued` → `pager.service` → `disk_read`
+/// → `pager.reply` → the root's close.
 #[test]
 fn external_fault_produces_one_correlated_chain() {
     let (machine, kernel, server) = file_backed_setup();
@@ -37,41 +57,39 @@ fn external_fault_produces_one_correlated_chain() {
 
     // Only the fault below should land in the buffer.
     machine.trace.clear();
+    let faults_before = machine.stats.get(keys::VM_FAULTS);
     let mut byte = [0u8; 1];
     task.read_memory(addr, &mut byte).unwrap();
     assert_eq!(byte[0], 0x5A);
 
-    let faults: Vec<_> = machine
-        .trace
-        .snapshot()
-        .into_iter()
-        .filter(|e| e.kind == EventKind::Fault)
-        .collect();
-    assert_eq!(faults.len(), 1, "one read -> one fault");
-    let cid = faults[0].correlation_id.expect("fault allocates a cid");
+    let events = machine.trace.snapshot();
+    let roots = fault_roots(&events);
+    assert_eq!(roots.len(), 1, "one read -> one fault");
+    assert_eq!(
+        machine.stats.get(keys::VM_FAULTS) - faults_before,
+        1,
+        "one cid per fault"
+    );
+    let cid = roots[0].correlation_id.expect("fault allocates a cid");
 
     let chain = machine.trace.chain(cid);
     assert!(
         chain.iter().all(|e| e.correlation_id == Some(cid)),
         "every hop shares the fault's correlation id"
     );
-    // The chain crosses every layer: vm, ipc, the pager, and storage.
-    for prefix in ["vm.", "port#", "pager.", "disk"] {
-        assert!(
-            chain.iter().any(|e| e.actor.starts_with(prefix)),
-            "chain missing a {prefix} hop: {chain:#?}"
-        );
-    }
-    assert_eq!(
-        milestones(&chain),
-        vec![
-            EventKind::Fault,
-            EventKind::MsgSend,
-            EventKind::DataRequest,
-            EventKind::DiskRead,
-            EventKind::DataProvided,
-            EventKind::Resume,
-        ],
+    span::validate_chain_tree(&span::collect(&chain)).unwrap_or_else(|e| panic!("{e}: {chain:#?}"));
+    assert!(
+        in_causal_order(
+            &chain,
+            &[
+                "fault.submit:open",
+                "ipc.queued:open",
+                "pager.service:open",
+                "disk_read",
+                "pager.reply:open",
+                "fault.submit:close",
+            ]
+        ),
         "full chain was: {chain:#?}"
     );
     // Events are causally ordered: sequence numbers strictly increase.
@@ -92,10 +110,10 @@ fn external_fault_produces_one_correlated_chain() {
     }
 }
 
-/// A second fault on the same page is served from the VM page cache: same
-/// correlation discipline, but the chain never leaves the vm layer.
-#[test]
-fn cached_fault_chain_stays_local() {
+/// Maps the file into a second task after a first one faulted it in: the
+/// page is resident in the object, so the second task's fault never
+/// leaves the vm layer.
+fn warm_mapping() -> (Machine, Arc<Task>, u64) {
     let (machine, kernel, server) = file_backed_setup();
     let client = FsClient::new(server.port().clone());
     let task = Task::create(&kernel, "reader");
@@ -103,22 +121,60 @@ fn cached_fault_chain_stays_local() {
     let mut byte = [0u8; 1];
     task.read_memory(addr, &mut byte).unwrap(); // cold: fills the cache
 
-    machine.trace.clear();
     let task2 = Task::create(&kernel, "rereader");
     let (addr2, _) = client.read_file(&task2, "data.bin").unwrap();
     machine.trace.clear();
-    task2.read_memory(addr2, &mut byte).unwrap();
+    (machine, task2, addr2)
+}
+
+/// A second fault on the same page is served from the VM page cache: same
+/// correlation discipline, but the chain never leaves the vm layer.
+#[test]
+fn cached_fault_chain_stays_local() {
+    let (machine, task, addr) = warm_mapping();
+    let mut byte = [0u8; 1];
+    task.read_memory(addr, &mut byte).unwrap();
 
     let events = machine.trace.snapshot();
-    let fault = events
-        .iter()
-        .find(|e| e.kind == EventKind::Fault)
-        .expect("warm read still faults once");
-    let chain = machine.trace.chain(fault.correlation_id.unwrap());
-    assert_eq!(
-        milestones(&chain),
-        vec![EventKind::Fault, EventKind::Resume],
+    let roots = fault_roots(&events);
+    assert_eq!(roots.len(), 1, "warm read still faults once");
+    let chain = machine
+        .trace
+        .chain(roots[0].correlation_id.expect("fault allocates a cid"));
+    span::validate_chain_tree(&span::collect(&chain)).unwrap_or_else(|e| panic!("{e}: {chain:#?}"));
+    assert!(
+        chain.iter().all(|e| !e.actor.starts_with("pager.")
+            && !e.actor.starts_with("ipc.")
+            && e.actor != "disk"),
         "warm fault should resolve without pager traffic: {chain:#?}"
+    );
+}
+
+/// A resident page's fault is two spans and nothing else in the ring: the
+/// root, then the pmap entry the map makes once the fault resolved.
+#[test]
+fn resident_page_fault_records_four_events() {
+    let (machine, task, addr) = warm_mapping();
+    let mut byte = [0u8; 1];
+    task.read_memory(addr, &mut byte).expect("warm read");
+
+    let events = machine.trace.snapshot();
+    let roots = fault_roots(&events);
+    assert_eq!(roots.len(), 1, "one read -> one fault");
+    let kinds: Vec<String> = machine
+        .trace
+        .chain(roots[0].correlation_id.expect("fault allocates a cid"))
+        .iter()
+        .map(|e| e.kind.to_string())
+        .collect();
+    assert_eq!(
+        kinds,
+        [
+            "fault.submit:open",
+            "fault.submit:close",
+            "vm.pmap_enter:open",
+            "vm.pmap_enter:close",
+        ]
     );
 }
 

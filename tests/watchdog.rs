@@ -83,7 +83,7 @@ fn wedged_pager_is_flagged_exactly_once_with_black_box_report() {
             .trace
             .snapshot()
             .iter()
-            .filter(|e| e.kind == EventKind::WatchdogStall)
+            .filter(|e| e.kind == EventKind::Mark("watchdog_stall"))
             .count(),
         1
     );
@@ -93,7 +93,10 @@ fn wedged_pager_is_flagged_exactly_once_with_black_box_report() {
     let report = &reports[0];
     assert!(report.contains("watchdog stall: cid#"));
     assert!(report.contains("chain timeline"));
-    assert!(report.contains("fault"), "timeline shows the stalled hop");
+    assert!(
+        report.contains("fault.submit:open"),
+        "timeline shows the stalled chain's root"
+    );
     assert!(report.contains("-- counters --"));
     assert!(report.contains(keys::VM_FAULTS));
     assert!(report.contains("-- resident memory --"));
