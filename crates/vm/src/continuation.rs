@@ -182,10 +182,16 @@ impl FaultTicket {
         self.cid
     }
 
-    /// The root span id of this fault's chain (the `fault.submit` span),
-    /// for adopting the chain context after [`FaultTicket::wait`].
-    pub fn span(&self) -> u64 {
-        self.root_span
+    /// Adopts this fault's chain (its correlation id and `fault.submit`
+    /// root span) as the calling thread's trace context until the
+    /// returned guards drop, so work that follows [`FaultTicket::wait`] —
+    /// the pmap update in the map layer — joins the fault's span tree
+    /// even though the engine may have resolved it elsewhere.
+    pub fn enter_chain(&self) -> (CorrelationScope, SpanScope) {
+        (
+            CorrelationScope::enter(self.cid),
+            SpanScope::enter(self.root_span),
+        )
     }
 
     /// Whether the fault has completed (without blocking).

@@ -488,10 +488,10 @@ fn page_step(
 ///
 /// Every fault allocates a fresh [`machsim::trace::CorrelationId`] that is
 /// installed as the faulting thread's trace context for the duration of the
-/// fault, so
-/// all downstream work — the `pager_data_request` message, the manager's
-/// disk reads, the `pager_data_provided` reply — carries the same id and
-/// forms one inspectable chain in the machine's trace buffer.
+/// fault, so all downstream work — the `pager_data_request` message, the
+/// manager's disk reads, the `pager_data_provided` reply — carries the
+/// same id and forms one inspectable chain in the machine's trace buffer.
+/// The thread's own context is back when the fault returns.
 ///
 /// The fault is submitted to the memory's
 /// [`crate::continuation::FaultEngine`] and this thread waits on its
@@ -505,14 +505,9 @@ pub fn resolve_page(
     access: VmProt,
     policy: FaultPolicy,
 ) -> Result<FaultResult, VmError> {
-    let ticket = phys.fault_engine().submit(top, offset, access, policy);
-    let result = ticket.wait();
-    // Adopt the fault's chain as this thread's context so follow-on
-    // work (the pmap update in the map layer) joins the same span
-    // tree even though the engine resolved the fault elsewhere.
-    machsim::trace::set_current_correlation(Some(ticket.correlation()));
-    machsim::trace::set_current_span(ticket.span());
-    result
+    phys.fault_engine()
+        .submit(top, offset, access, policy)
+        .wait()
 }
 
 /// Applies the policy's timeout action to the page of `st`'s object at

@@ -176,6 +176,13 @@ impl VmMap {
     /// The usable address range is `[page_size, 1 << 47)`.
     pub fn new(phys: &Arc<PhysicalMemory>) -> Arc<VmMap> {
         let machine = phys.machine().clone();
+        let max_addr = 1 << 47;
+        // The pmap's page table covers every page the map can hand out.
+        assert!(
+            max_addr / phys.page_size() as u64 <= 1 << crate::pmap::VPN_BITS,
+            "a {}-byte page needs a wider page table",
+            phys.page_size()
+        );
         Arc::new(VmMap {
             pmap: Arc::new(Pmap::new(&machine)),
             machine,
@@ -185,7 +192,7 @@ impl VmMap {
                 entries: BTreeMap::new(),
             }),
             min_addr: phys.page_size() as u64,
-            max_addr: 1 << 47,
+            max_addr,
         })
     }
 
@@ -609,8 +616,14 @@ impl VmMap {
         let vpn = trunc_page(addr, ps) / ps;
         loop {
             let (object, obj_offset, entry_prot, needs_copy) = self.resolve_addr(addr, access)?;
-            let result: FaultResult =
-                resolve_page(&self.phys, &object, obj_offset, access, policy)?;
+            let ticket = self
+                .phys
+                .fault_engine()
+                .submit(&object, obj_offset, access, policy);
+            let result = ticket.wait()?;
+            // The pmap update joins the fault's chain; the thread's own
+            // context is back when the guards drop.
+            let _chain = ticket.enter_chain();
             let page = (&result, vpn, entry_prot, needs_copy);
             if let Some(frame) = self.enter_resolved(access, [page]) {
                 return Ok(frame);
@@ -736,10 +749,9 @@ impl VmMap {
             .collect();
         for (first, ticket) in tickets {
             let results = ticket.wait_run()?;
-            // Join the fault's chain, as `resolve_page` does, so the pmap
-            // updates land in that fault's span tree.
-            machsim::trace::set_current_correlation(Some(ticket.correlation()));
-            machsim::trace::set_current_span(ticket.span());
+            // The pmap updates land in that fault's span tree, as in
+            // `fault`.
+            let _chain = ticket.enter_chain();
             // One hold maps the run; a page already reclaimed again (a
             // range larger than memory evicts its own head) is left to
             // fault at its first touch.

@@ -66,7 +66,7 @@ repeat_threaded_tests() {
                 "$@" cargo test -q -p machbench --lib rpc_costs_about_two_messages &&
                 "$@" cargo test -q --test sched --test fault_async --test stress \
                     --test request_sizing --test fault_locks --test watchdog \
-                    --test pager_fill
+                    --test pager_fill --test pmap_race
         } >"$log" 2>&1 || {
             cat "$log"
             echo "threaded tests failed in round $round"
@@ -74,7 +74,7 @@ repeat_threaded_tests() {
         }
     done
 }
-echo "==> threaded tests x20 (steal pile, RPC cost bounds, sched + fault_async + stress storms, run faults: request_sizing + fault_locks, watchdog in_flight, pager_fill replies resuming on their own thread)"
+echo "==> threaded tests x20 (steal pile, RPC cost bounds, sched + fault_async + stress storms, run faults: request_sizing + fault_locks, watchdog in_flight, pager_fill replies resuming on their own thread, pmap_race lock-free translations)"
 repeat_threaded_tests
 if command -v taskset >/dev/null 2>&1; then
     echo "==> threaded tests x20 on one core (taskset -c 0)"

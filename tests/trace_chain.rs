@@ -2,11 +2,13 @@
 //! must produce one correlated chain spanning vm → ipc → pager → storage.
 
 use machcore::{Kernel, KernelConfig, Task};
+use machipc::{Message, ReceiveRight};
 use machpagers::{FileServer, FsClient};
 use machsim::stats::keys;
-use machsim::trace::keys as lat_keys;
+use machsim::trace::{self, keys as lat_keys};
 use machsim::{span, EventKind, Machine, TraceEvent};
 use machstorage::{BlockDevice, FlatFs};
+use machvm::VmProt;
 use std::sync::Arc;
 
 /// Boots a kernel and file server on one machine with one 8 KiB file.
@@ -175,6 +177,39 @@ fn resident_page_fault_records_four_events() {
             "vm.pmap_enter:open",
             "vm.pmap_enter:close",
         ]
+    );
+}
+
+/// A fault's chain is the faulting thread's context only while the fault
+/// runs: once a pager-backed `fault_ahead`, and then a `fault`, return,
+/// the thread reads the context it had before, and its next uncorrelated
+/// message stamps nothing into the finished chain.
+#[test]
+fn faulting_thread_leaves_the_faults_chain_when_it_returns() {
+    let (machine, kernel, server) = file_backed_setup();
+    let client = FsClient::new(server.port().clone());
+    let task = Task::create(&kernel, "reader");
+    let (addr, _) = client.read_file(&task, "data.bin").expect("map the file");
+    let context = || (trace::current_correlation(), trace::current_span());
+    let before = context();
+
+    let submitted = task
+        .map()
+        .fault_ahead(addr, 4096, VmProt::READ)
+        .expect("fault ahead");
+    assert_eq!(submitted, 1, "the cold page goes to the file server");
+    assert_eq!(context(), before, "context after fault_ahead");
+    task.map().fault(addr + 4096, VmProt::READ).expect("fault");
+    assert_eq!(context(), before, "context after fault");
+
+    let (rx, tx) = ReceiveRight::allocate(&machine);
+    let recorded = machine.trace.snapshot().len();
+    tx.send(Message::new(1), None).expect("send");
+    rx.receive(None).expect("receive");
+    assert_eq!(
+        machine.trace.snapshot().len(),
+        recorded,
+        "an uncorrelated send records no ring event"
     );
 }
 
