@@ -27,8 +27,8 @@
 //! ops/sec — and exits nonzero on regression (also run from
 //! `scripts/check.sh`). `critical-path` profiles a fault storm with the
 //! span analyzer and prints per-budget phase attribution tables (the E22
-//! data); `--smoke` asserts connected span trees, >= 95% attribution and
-//! live contention/gauge telemetry.
+//! data); `--smoke` asserts connected span trees, >= 95% attribution,
+//! live lock contention and a parked span that saw others parked.
 
 use machbench::{
     ablation, camelot_bench, compile, cow_msg, critical_path, export_report, failure, ipc_bench,

@@ -22,7 +22,7 @@ use machipc::OolBuffer;
 use machsim::span::{self, CriticalPathReport};
 use machsim::stats::keys as stat_keys;
 use machsim::trace::TraceBuffer;
-use machsim::{wall, Machine};
+use machsim::{lockdep, wall, Machine};
 use machvm::{FaultPolicy, VmProt};
 use std::sync::Arc;
 use std::time::Duration;
@@ -67,7 +67,13 @@ pub struct StormProfile {
     pub report: CriticalPathReport,
     /// Most continuations ever parked at once.
     pub max_outstanding: usize,
-    /// The storm host's machine (counters, gauges, latency registries).
+    /// The deepest park: the most continuations a `fault.parked` span
+    /// found already parked when it opened.
+    pub deepest_park: u32,
+    /// Classified lock acquisitions that blocked during the storm (the
+    /// process-wide `lockdep::contention_total` delta).
+    pub contended: u64,
+    /// The storm host's machine (counters, trace ring, latency registries).
     pub machine: Machine,
 }
 
@@ -92,6 +98,7 @@ pub fn run_storm(budget: usize, total: u64, delay: Duration) -> StormProfile {
     let engine = kernel.fault_engine();
     let policy = FaultPolicy::trusting();
 
+    let contended0 = lockdep::contention_total();
     let start = wall::now();
     std::thread::scope(|s| {
         for t in 0..SUBMITTERS as u64 {
@@ -108,11 +115,16 @@ pub fn run_storm(budget: usize, total: u64, delay: Duration) -> StormProfile {
         }
     });
     let elapsed = start.elapsed().as_secs_f64();
+    let contended = lockdep::contention_total() - contended0;
     let done = (total / SUBMITTERS as u64) * SUBMITTERS as u64;
-    // One final sweep so the run's last gauge readings are on record even
-    // if the storm finished between engine ticks.
-    machine.sample_gauges();
-    let report = span::critical_path(&machine.trace.snapshot());
+    let events = machine.trace.snapshot();
+    let report = span::critical_path(&events);
+    let deepest_park = span::collect(&events)
+        .iter()
+        .filter(|s| s.name == "fault.parked")
+        .filter_map(|s| s.depth)
+        .max()
+        .unwrap_or(0);
     let max_outstanding = engine.max_outstanding();
     StormProfile {
         budget,
@@ -120,6 +132,8 @@ pub fn run_storm(budget: usize, total: u64, delay: Duration) -> StormProfile {
         faults_per_sec: done as f64 / elapsed,
         report,
         max_outstanding,
+        deepest_park,
+        contended,
         machine,
     }
 }
@@ -129,16 +143,16 @@ pub fn run_storm(budget: usize, total: u64, delay: Duration) -> StormProfile {
 pub fn render_level(p: &StormProfile) -> String {
     let s = &p.machine.stats;
     format!(
-        "budget={}: {} faults -> {:.0} faults/s | max outstanding {} | parks {} | backpressure {} | deferred runs {} | contended locks {} | gauge sweeps {}\n{}",
+        "budget={}: {} faults -> {:.0} faults/s | max outstanding {} | deepest park {} | parks {} | backpressure {} | deferred runs {} | contended locks {}\n{}",
         p.budget,
         p.total,
         p.faults_per_sec,
         p.max_outstanding,
+        p.deepest_park,
         s.get(stat_keys::VM_ASYNC_PARKS),
         s.get(stat_keys::VM_ASYNC_BACKPRESSURE),
         s.get(stat_keys::VM_PAGER_DEFERRED_RUNS),
-        s.get(stat_keys::LOCK_CONTENDED),
-        s.get(stat_keys::GAUGE_SAMPLES),
+        p.contended,
         p.report.render()
     )
 }
@@ -163,7 +177,7 @@ pub fn sweep() -> String {
 /// The `report critical-path --smoke` gate (wired into
 /// `scripts/check.sh`): one 2048-fault storm must produce connected span
 /// trees, >= 95% attribution per chain, nonzero lock-contention telemetry
-/// and at least one gauge sweep.
+/// and a `fault.parked` span that found other faults parked ahead of it.
 pub fn smoke() -> Result<String, String> {
     const TOTAL: u64 = 2048;
     let p = run_storm(1024, TOTAL, Duration::from_micros(100));
@@ -206,12 +220,11 @@ pub fn smoke() -> Result<String, String> {
     for (raw, chain) in &by_chain {
         span::validate_chain_tree(chain).map_err(|e| format!("chain {raw}: {e}"))?;
     }
-    let stats = &p.machine.stats;
-    if stats.get(stat_keys::LOCK_CONTENDED) == 0 {
+    if p.contended == 0 {
         return Err("a 4-submitter storm recorded zero contended lock acquisitions".into());
     }
-    if stats.get(stat_keys::GAUGE_SAMPLES) == 0 {
-        return Err("no gauge sweep ran during the storm".into());
+    if p.deepest_park == 0 {
+        return Err("no fault.parked span carried a depth > 0 during the storm".into());
     }
     if p.max_outstanding > 1024 {
         return Err(format!(
@@ -221,12 +234,12 @@ pub fn smoke() -> Result<String, String> {
     }
     Ok(format!(
         "critical-path smoke ok: {} chains, min coverage {:.1}%, {} phases, \
-         {} contended acquisitions, {} gauge sweeps, max outstanding {} <= budget 1024",
+         {} contended acquisitions, deepest park {}, max outstanding {} <= budget 1024",
         r.chains.len(),
         r.min_coverage() * 100.0,
         r.phase_ns.len(),
-        stats.get(stat_keys::LOCK_CONTENDED),
-        stats.get(stat_keys::GAUGE_SAMPLES),
+        p.contended,
+        p.deepest_park,
         p.max_outstanding
     ))
 }

@@ -8,7 +8,8 @@
 //! parsers in `machsim::export`, and checks the canonical fault chain —
 //! `fault.submit` open → `ipc.queued` open → `pager.service` open →
 //! `disk_read` → `pager.reply` open → `fault.submit` close — landed on a
-//! single async track, exiting nonzero otherwise (wired into
+//! single async track and that some queue's depth rendered as a
+//! `ph:"C"` counter, exiting nonzero otherwise (wired into
 //! `scripts/check.sh`).
 
 use crate::trace_report;
@@ -52,6 +53,10 @@ pub fn smoke() -> Result<String, String> {
         return Err("chrome trace rendered zero events".into());
     }
     check_canonical_track(&json)?;
+    let counters = json.matches("\"ph\":\"C\"").count();
+    if counters == 0 {
+        return Err("chrome trace carries no queue-depth counter (ph:\"C\")".into());
+    }
 
     let prom = export::prometheus_for(&machine);
     let metrics = export::parse_prometheus(&prom)?;
@@ -69,8 +74,8 @@ pub fn smoke() -> Result<String, String> {
     }
 
     Ok(format!(
-        "export smoke ok: {n_events} chrome events (canonical chain on one track), \
-         {} prometheus samples",
+        "export smoke ok: {n_events} chrome events (canonical chain on one track, \
+         {counters} depth samples), {} prometheus samples",
         metrics.len()
     ))
 }

@@ -96,10 +96,6 @@ pub const DEFAULT_TIME_SLICE_NS: u64 = 2_000_000;
 /// latency spike (Mach keeps `free_target` a few pages over `free_min`).
 const PAGEOUT_BURST_PAGES: usize = 8;
 
-/// How often (wall clock) the kernel samples its gauges on the fault
-/// engine's timer, folding lock contention into `lock.contended`.
-const GAUGE_PERIOD: Duration = Duration::from_millis(5);
-
 /// Trace-ring tail length included in a watchdog black-box report.
 const BLACK_BOX_EVENTS: usize = 32;
 
@@ -255,49 +251,6 @@ impl Kernel {
                 Self::answer_host(&machine, &phys, &tasks, msg)
             })
         };
-
-        // Queue-depth and occupancy gauges, sampled every GAUGE_PERIOD on
-        // the fault engine's timer — from boot, so an IPC-only kernel
-        // reports them (and `lock.contended`) too — and ring-buffered for
-        // the Chrome-trace and Prometheus exporters. Closures hold weak
-        // references: the registry lives inside the machine, which the
-        // physical memory itself references, so a strong capture would
-        // leak the whole kernel.
-        {
-            let weak = Arc::downgrade(&phys);
-            machine.gauges.register("gauge.vm.free_frames", move || {
-                weak.upgrade().map_or(0, |p| p.free_frames() as u64)
-            });
-            let weak = Arc::downgrade(&phys);
-            machine.gauges.register("gauge.vm.pending_fills", move || {
-                weak.upgrade().map_or(0, |p| p.pending_fills() as u64)
-            });
-            let weak = Arc::downgrade(&phys);
-            machine.gauges.register("gauge.fault.outstanding", move || {
-                weak.upgrade()
-                    .map_or(0, |p| p.fault_engine().outstanding() as u64)
-            });
-            let weak = Arc::downgrade(&phys);
-            machine
-                .gauges
-                .register("gauge.pager.inflight_pages", move || {
-                    weak.upgrade()
-                        .map_or(0, |p| p.fault_engine().inflight_pages() as u64)
-                });
-            if phys.nodes() > 1 {
-                for node in 0..phys.nodes() {
-                    let weak = Arc::downgrade(&phys);
-                    machine.gauges.register(
-                        &format!("gauge.vm.node{node}.free_frames"),
-                        move || {
-                            weak.upgrade()
-                                .map_or(0, |p| p.node_census().get(node).map_or(0, |nc| nc.free))
-                        },
-                    );
-                }
-            }
-        }
-        phys.fault_engine().sample_gauges_every(GAUGE_PERIOD);
 
         // The scheduler: one worker thread per simulated CPU, each pinned
         // to its node so a task's faults first-touch local memory.
@@ -705,11 +658,11 @@ impl Kernel {
 
 /// How long `Kernel::Drop` waits for the scheduler's workers before
 /// concluding one is wedged on a fault ticket that will never resolve.
-const SHUTDOWN_QUIESCE: std::time::Duration = std::time::Duration::from_millis(500);
+const SHUTDOWN_QUIESCE: Duration = Duration::from_millis(500);
 
 /// How long `Kernel::Drop` waits for the workers once the fault engine
 /// is stopped and no fault can wait any more.
-const SHUTDOWN_RETRY: std::time::Duration = std::time::Duration::from_millis(250);
+const SHUTDOWN_RETRY: Duration = Duration::from_millis(250);
 
 impl Drop for Kernel {
     fn drop(&mut self) {

@@ -159,8 +159,8 @@ type StateGuard<'a> = ClassMutexGuard<'a, State>;
 /// How a message crosses the port, which decides what the hop costs.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Hop {
-    /// Queue insertion plus a scheduler wakeup: `message_ns`.
-    Queued,
+    /// Queue insertion behind this many messages, plus a wakeup: `message_ns`.
+    Queued(u32),
     /// Donation to a receiver already parked on an empty queue: the
     /// payload still moves, but the sender's thread hands the processor
     /// to the receiver instead of queueing and rescheduling: `handoff_ns`.
@@ -228,7 +228,7 @@ impl PortCore {
         let inline = msg.inline_len() as u64;
         let ool_pages = msg.ool_len().div_ceil(4096) as u64;
         let hop_ns = match hop {
-            Hop::Queued => cost.message_ns,
+            Hop::Queued(_) => cost.message_ns,
             Hop::Handoff => cost.handoff_ns,
         };
         self.ctx
@@ -243,10 +243,10 @@ impl PortCore {
         self.stamp(msg, hop);
     }
 
-    /// Batch variant of [`PortCore::charge_send`] for a non-empty run of
-    /// queued messages: one clock charge and one counter add amortized
-    /// over the whole run, and each message stamped as a single send is.
-    fn charge_send_batch(&self, msgs: &mut [Message]) {
+    /// Batch variant of [`PortCore::charge_send`] for a run of messages
+    /// queued behind `ahead`: one clock charge and one counter add over
+    /// the run, and each message stamped as a single send is.
+    fn charge_send_batch(&self, msgs: &mut [Message], ahead: usize) {
         let cost = &self.ctx.cost;
         let mut total_ns = 0u64;
         let mut bytes = 0u64;
@@ -265,8 +265,8 @@ impl PortCore {
         if msgs.len() > 1 {
             self.ctx.stats.incr(keys::IPC_BATCHES);
         }
-        for m in msgs {
-            self.stamp(m, Hop::Queued);
+        for (i, m) in msgs.iter_mut().enumerate() {
+            self.stamp(m, Hop::Queued((ahead + i) as u32));
         }
     }
 
@@ -286,16 +286,20 @@ impl PortCore {
             match hop {
                 // The queue span covers the message's time between
                 // enqueue and dequeue — the profiler's per-hop queueing
-                // delay.
-                Hop::Queued => {
-                    msg.queue_span = self.ctx.span_open_with("ipc.queued", msg.parent_span, cid);
+                // delay — and records the messages queued ahead.
+                Hop::Queued(depth) => {
+                    msg.queue_span =
+                        self.ctx
+                            .span_open_with("ipc.queued", msg.parent_span, cid, Some(depth));
                 }
                 // A handoff's queueing delay is zero: emit a
                 // zero-duration span and re-parent the message under it
                 // so the receiver's work shows up below the handoff in
                 // the tree.
                 Hop::Handoff => {
-                    let hs = self.ctx.span_open_with("ipc.handoff", msg.parent_span, cid);
+                    let hs = self
+                        .ctx
+                        .span_open_with("ipc.handoff", msg.parent_span, cid, None);
                     self.ctx.span_close_with("ipc.handoff", hs, cid);
                     msg.parent_span = hs;
                 }
@@ -414,18 +418,21 @@ impl PortCore {
         let mut st = self.control.lock();
         if let Some(kernel) = st.kernel.clone() {
             drop(st);
-            self.charge_send(&mut msg, Hop::Queued);
+            // A kernel port has no queue: nothing is ever ahead.
+            self.charge_send(&mut msg, Hop::Queued(0));
             self.deliver(&kernel, msg);
             return Ok(());
         }
         self.room(&mut st, full, &mut None)?;
-        // Only `msg_send` donates its thread; a kernel thread posting a
-        // notification carries on with its own work.
-        let handoff = matches!(full, Full::Wait(_))
-            && st.handoff_enabled
-            && st.recv_waiting > 0
-            && st.queue.is_empty();
-        self.charge_send(&mut msg, if handoff { Hop::Handoff } else { Hop::Queued });
+        // Only `msg_send` donates its thread, to a receiver parked on an
+        // empty queue; a kernel thread posting a notification carries on
+        // with its own work.
+        let donate = matches!(full, Full::Wait(_)) && st.handoff_enabled && st.recv_waiting > 0;
+        let hop = match st.queue.len() {
+            0 if donate => Hop::Handoff,
+            ahead => Hop::Queued(ahead as u32),
+        };
+        self.charge_send(&mut msg, hop);
         st.queue.push_back(msg);
         self.publish(st);
         Ok(())
@@ -445,7 +452,7 @@ impl PortCore {
             let mut st = self.control.lock();
             if let Some(kernel) = st.kernel.clone() {
                 drop(st);
-                self.charge_send_batch(rest.as_mut_slice());
+                self.charge_send_batch(rest.as_mut_slice(), 0);
                 for msg in rest.by_ref() {
                     self.deliver(&kernel, msg);
                 }
@@ -456,7 +463,7 @@ impl PortCore {
                 Err(IpcError::Timeout | IpcError::WouldBlock) if rest.len() < total => break,
                 Err(e) => return Err(e),
             };
-            self.charge_send_batch(&mut rest.as_mut_slice()[..n]);
+            self.charge_send_batch(&mut rest.as_mut_slice()[..n], st.queue.len());
             st.queue.extend(rest.by_ref().take(n));
             self.publish(st);
         }
@@ -631,12 +638,6 @@ impl SendRight {
     /// The identity of the port this right names.
     pub fn id(&self) -> PortId {
         self.core.id
-    }
-
-    /// Number of messages currently queued on the target port — the
-    /// sender-side view of queue depth, for backlog gauges.
-    pub fn queued(&self) -> usize {
-        self.core.control.lock().queue.len()
     }
 
     /// `msg_send`: queues a message, blocking while the queue is full.
@@ -1664,6 +1665,47 @@ mod tests {
             assert_eq!(s.correlation, Some(*cid));
             assert!(s.close_ns.is_some(), "{} left open", s.id);
         }
+    }
+
+    #[test]
+    fn a_queued_span_records_the_messages_ahead_and_a_handoff_none() {
+        let c = ctx();
+        let (rx, tx) = ReceiveRight::allocate(&c);
+        let cid = CorrelationId::allocate();
+        let correlated = |id| {
+            let mut m = Message::new(id);
+            m.correlation = cid.raw();
+            m
+        };
+        let depths = |name| {
+            machsim::span::collect(&c.trace.snapshot())
+                .into_iter()
+                .filter(|s| s.name == name)
+                .map(|s| s.depth)
+                .collect::<Vec<_>>()
+        };
+        for id in 0..3 {
+            tx.send(correlated(id), None).expect("send");
+        }
+        let batch = vec![correlated(3), correlated(4)];
+        assert_eq!(tx.send_many(batch, None).expect("batched send"), 2);
+        assert_eq!(depths("ipc.queued"), [0, 1, 2, 3, 4].map(Some));
+        assert_eq!(rx.receive_many(8, None).expect("drain").len(), 5);
+
+        let core = Arc::clone(&rx.core);
+        let h = thread::spawn(move || rx.receive(Some(Duration::from_secs(10))));
+        assert!(
+            wall::poll_until(Duration::from_secs(5), Duration::from_millis(1), || {
+                core.control.lock().recv_waiting > 0
+            }),
+            "receiver never registered as a waiter"
+        );
+        tx.send(correlated(5), None).expect("handoff send");
+        let m = h.join().expect("receiver thread exits cleanly");
+        assert_eq!(m.expect("handed-off message arrives").id, 5);
+        assert_eq!(c.stats.get(machsim::stats::keys::IPC_HANDOFFS), 1);
+        assert_eq!(depths("ipc.handoff"), [None]);
+        assert_eq!(depths("ipc.queued").len(), 5, "a handoff queues nothing");
     }
 
     #[test]

@@ -255,7 +255,7 @@ impl Fabric {
                 } else {
                     machsim::trace::ambient_span_for(c.raw())
                 };
-                from.machine().span_open_with("net.hop", parent, cid)
+                from.machine().span_open_with("net.hop", parent, cid, None)
             }
             None => 0,
         };

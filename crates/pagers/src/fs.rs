@@ -123,11 +123,11 @@ impl DataManager for FilePager {
     }
 
     fn data_write(&mut self, kernel: &KernelConn, object: u64, offset: u64, data: OolBuffer) {
-        // Writes from shared mappings come home here; clamp to file size
-        // so the zero tail of the last page does not extend the file.
+        // Writes from shared mappings come home here, a page at a time;
+        // clamp to file size so the zero tail of the last page does not
+        // extend the file.
         let size = self.fs.size(&self.name).unwrap_or(0);
-        let end = (offset as usize + data.len()).min(size.max(offset as usize + data.len()));
-        let n = end - offset as usize;
+        let n = data.len().min(size.saturating_sub(offset as usize));
         let _ = self
             .fs
             .write(&self.name, offset as usize, &data.as_slice()[..n]);
@@ -457,6 +457,33 @@ pub(crate) mod tests {
         machsim::wall::sleep(Duration::from_millis(200));
         let contents = server.fs().read_all("db").unwrap();
         assert_eq!(&contents[..10], b"dirty page");
+    }
+
+    #[test]
+    fn a_write_back_does_not_grow_the_file_to_a_page() {
+        let (k, server, client) = setup();
+        server.fs().create("short").expect("create");
+        server.fs().write("short", 0, &[b'.'; 100]).expect("write");
+        let task = Task::create(&k, "writer");
+        let (addr, size) = client.open_mapped(&task, "short").expect("open_mapped");
+        assert_eq!(size, 100);
+        task.write_memory(addr, b"hello")
+            .expect("write through the mapping");
+        client.sync("short").expect("sync");
+        // `FS_SYNC` does not wait for the write-back: poll for it.
+        let landed =
+            machsim::wall::poll_until(Duration::from_secs(5), Duration::from_millis(5), || {
+                server
+                    .fs()
+                    .read_all("short")
+                    .expect("read")
+                    .starts_with(b"hello")
+            });
+        assert!(landed, "the write-back never reached the file");
+        assert_eq!(client.stat("short").expect("stat"), 100);
+        let mut expected = b"hello".to_vec();
+        expected.resize(100, b'.');
+        assert_eq!(server.fs().read_all("short").expect("read"), expected);
     }
 
     #[test]

@@ -293,11 +293,13 @@ mod tests {
         let addr = t
             .vm_allocate_with_pager(None, pages * 4096, mgr.port(), 0)
             .unwrap();
-        let mut first = [0u8; 1];
-        t.read_memory(addr, &mut first).unwrap();
-        // Copy to safe (anonymous) memory immediately — the countermeasure.
+        // Copy to safe (anonymous) memory first and read the value there —
+        // the countermeasure. The pageout daemon may refresh page 0 at any
+        // time, so the value seen is the copy's, not an earlier read's.
         let safe = t.vm_allocate(4096).unwrap();
         t.vm_copy(addr, 4096, safe).unwrap();
+        let mut first = [0u8; 1];
+        t.read_memory(safe, &mut first).unwrap();
         // Thrash the cache so page 0 is evicted and re-fetched.
         for i in 1..pages {
             let mut b = [0u8; 1];

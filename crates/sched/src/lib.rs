@@ -27,6 +27,7 @@ pub mod protocol;
 
 use machsim::lockdep::{ClassMutex, LockClass};
 use machsim::stats::keys;
+use machsim::trace;
 use machsim::wall::{self, Latch, Signal};
 use machsim::{Machine, SplitMix64};
 use parking_lot::Mutex;
@@ -125,7 +126,8 @@ struct Cpu {
     /// the back. `rq` is the classified field machlint maps to the
     /// `run-queue` lock class.
     rq: ClassMutex<VecDeque<Unit>>,
-    /// Queue depth mirror for lock-free placement decisions and gauges.
+    /// Queue depth mirror for lock-free placement decisions and the
+    /// depth a `sched.dispatch` span records.
     depth: AtomicUsize,
     /// The NUMA node this CPU's memory accesses are local to.
     node: usize,
@@ -176,8 +178,7 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Builds the CPUs, registers queue-depth gauges, and starts one
-    /// worker thread per simulated CPU.
+    /// Builds the CPUs and starts one worker thread per simulated CPU.
     pub fn start(machine: &Machine, cfg: SchedConfig) -> Arc<Self> {
         let mut cfg = cfg;
         cfg.cpus = cfg.cpus.max(1);
@@ -198,24 +199,6 @@ impl Scheduler {
             stop: AtomicBool::new(false),
             active: AtomicUsize::new(cfg.cpus),
             workers: Mutex::new(Vec::new()),
-        });
-        for i in 0..cfg.cpus {
-            let weak = Arc::downgrade(&sched);
-            machine
-                .gauges
-                .register(&format!("gauge.sched.runq_depth.cpu{i}"), move || {
-                    weak.upgrade()
-                        .map_or(0, |s| s.cpus[i].depth.load(Ordering::Relaxed) as u64)
-                });
-        }
-        let weak = Arc::downgrade(&sched);
-        machine.gauges.register("gauge.sched.runq_depth", move || {
-            weak.upgrade().map_or(0, |s| {
-                s.cpus
-                    .iter()
-                    .map(|c| c.depth.load(Ordering::Relaxed) as u64)
-                    .sum()
-            })
         });
         let mut workers = sched.workers.lock();
         for i in 0..cfg.cpus {
@@ -446,8 +429,14 @@ impl Scheduler {
     }
 
     /// Runs one unit on `cpu` until it finishes or its slice expires.
+    /// Its span records the units left on `cpu`'s queue.
     fn dispatch(&self, cpu: usize, mut unit: Unit) {
-        let span = self.machine.span_open("sched.dispatch");
+        let span = self.machine.span_open_with(
+            "sched.dispatch",
+            trace::current_span(),
+            trace::current_correlation(),
+            Some(self.cpus[cpu].depth.load(Ordering::Relaxed) as u32),
+        );
         self.machine.stats.incr(keys::SCHED_DISPATCHES);
         let node = self.cpus[cpu].node;
         let last = unit.tag.last_cpu.load(Ordering::Relaxed);

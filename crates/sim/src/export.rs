@@ -7,7 +7,8 @@
 //! * [`chrome_trace`] emits catapult `traceEvents` JSON — one async-span
 //!   track per [`CorrelationId`](crate::trace::CorrelationId), so loading
 //!   the file in Perfetto (ui.perfetto.dev) or `chrome://tracing` shows
-//!   each fault chain as one row of hops.
+//!   each fault chain as one row of hops, and a `ph:"C"` counter track
+//!   per queue whose depth a span recorded on opening.
 //! * [`prometheus_from`] emits the text exposition format (`# TYPE` lines,
 //!   counters, and cumulative histogram buckets from the log2
 //!   [`Histogram`](crate::trace::Histogram)).
@@ -18,9 +19,8 @@
 //! [`parse_prometheus`]) used by the export smoke test to round-trip the
 //! rendered output — no external JSON/metrics crates exist in this tree.
 
-use crate::gauge::GaugeSeries;
 use crate::machine::Machine;
-use crate::trace::{Histogram, TraceEvent};
+use crate::trace::{EventKind, Histogram, TraceEvent};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -52,19 +52,6 @@ fn ts_us(ts_ns: u64) -> String {
     format!("{}.{:03}", ts_ns / 1_000, ts_ns % 1_000)
 }
 
-/// Renders trace events as a catapult (`chrome://tracing` / Perfetto)
-/// JSON document.
-///
-/// Every host becomes a process (`pid` + `process_name` metadata). Every
-/// correlated chain becomes one async track (`ph:"b"` … `ph:"n"` hops …
-/// `ph:"e"` sharing `cat`/`id`/`pid`), so the canonical fault chain shows
-/// its six hops on a single row. Uncorrelated events render as thread
-/// instants. `dropped` (from `TraceBuffer::dropped`) is recorded under
-/// `otherData` so silent ring overflow is visible in the artifact itself.
-pub fn chrome_trace(events: &[TraceEvent], dropped: u64) -> String {
-    chrome_trace_with(events, dropped, &[])
-}
-
 /// The JSON args fragment carrying span identity, or "" for plain events.
 fn span_args(e: &TraceEvent) -> String {
     e.span.map_or_else(String::new, |s| {
@@ -72,10 +59,19 @@ fn span_args(e: &TraceEvent) -> String {
     })
 }
 
-/// [`chrome_trace`] plus `ph:"C"` counter tracks, one per sampled gauge
-/// series — Perfetto renders each as a little area chart above the event
-/// tracks, so queue depths line up visually with the chains they slowed.
-pub fn chrome_trace_with(events: &[TraceEvent], dropped: u64, gauges: &[GaugeSeries]) -> String {
+/// Renders trace events as a catapult (`chrome://tracing` / Perfetto)
+/// JSON document.
+///
+/// Every host becomes a process (`pid` + `process_name` metadata). Every
+/// correlated chain becomes one async track (`ph:"b"` … `ph:"n"` hops …
+/// `ph:"e"` sharing `cat`/`id`/`pid`), so the canonical fault chain shows
+/// its six hops on a single row. Uncorrelated events render as thread
+/// instants. A span open that carries a queue depth also renders as one
+/// `ph:"C"` sample of the counter `<span>.depth` on its host's process,
+/// so Perfetto draws each queue's depth above the chains it delayed.
+/// `dropped` (from `TraceBuffer::dropped`) is recorded under `otherData`
+/// so silent ring overflow is visible in the artifact itself.
+pub fn chrome_trace(events: &[TraceEvent], dropped: u64) -> String {
     // Stable pid per host, in order of first appearance.
     let mut hosts: Vec<Arc<str>> = Vec::new();
     for e in events {
@@ -96,9 +92,19 @@ pub fn chrome_trace_with(events: &[TraceEvent], dropped: u64, gauges: &[GaugeSer
         ));
     }
 
-    // Group correlated events into chains, preserving sequence order.
+    // Group correlated events into chains, preserving sequence order; a
+    // span that opened at a queue also samples that queue's depth.
     let mut chains: BTreeMap<u64, Vec<&TraceEvent>> = BTreeMap::new();
     for e in events {
+        if let (EventKind::SpanOpen(name), Some(depth)) = (e.kind, e.span.and_then(|s| s.depth)) {
+            records.push(format!(
+                "{{\"name\":\"{}.depth\",\"cat\":\"depth\",\"ph\":\"C\",\"ts\":{},\
+                 \"pid\":{},\"tid\":0,\"args\":{{\"value\":{depth}}}}}",
+                json_escape(name),
+                ts_us(e.ts_ns),
+                pid_of(&e.host)
+            ));
+        }
         if let Some(cid) = e.correlation_id {
             chains.entry(cid.raw()).or_default().push(e);
         } else {
@@ -148,17 +154,6 @@ pub fn chrome_trace_with(events: &[TraceEvent], dropped: u64, gauges: &[GaugeSer
         ));
     }
 
-    for g in gauges {
-        for &(ts_ns, value) in &g.samples {
-            records.push(format!(
-                "{{\"name\":\"{}\",\"cat\":\"gauge\",\"ph\":\"C\",\"ts\":{},\"pid\":1,\
-                 \"tid\":0,\"args\":{{\"value\":{value}}}}}",
-                json_escape(&g.name),
-                ts_us(ts_ns)
-            ));
-        }
-    }
-
     let mut out = String::new();
     out.push_str("{\"traceEvents\":[\n");
     out.push_str(&records.join(",\n"));
@@ -171,14 +166,10 @@ pub fn chrome_trace_with(events: &[TraceEvent], dropped: u64, gauges: &[GaugeSer
     out
 }
 
-/// Renders `machine`'s trace ring (plus its sampled gauge series) as
-/// catapult JSON (see [`chrome_trace_with`]).
+/// Renders `machine`'s trace ring as catapult JSON (see
+/// [`chrome_trace`]).
 pub fn chrome_trace_for(machine: &Machine) -> String {
-    chrome_trace_with(
-        &machine.trace.snapshot(),
-        machine.trace.dropped(),
-        &machine.gauges.snapshot(),
-    )
+    chrome_trace(&machine.trace.snapshot(), machine.trace.dropped())
 }
 
 // ----- Prometheus text exposition -----
@@ -278,20 +269,8 @@ pub fn lock_contention_data() -> (Vec<(String, u64)>, Vec<HistogramData>) {
     (counters, histograms)
 }
 
-/// Renders gauges' most recent sampled values as Prometheus gauges.
-pub fn prometheus_gauges(latest: &[(String, u64)]) -> String {
-    let mut out = String::new();
-    for (name, value) in latest {
-        let metric = prom_name(name);
-        let _ = writeln!(out, "# HELP {metric} {name}");
-        let _ = writeln!(out, "# TYPE {metric} gauge");
-        let _ = writeln!(out, "{metric} {value}");
-    }
-    out
-}
-
 /// Renders `machine`'s registries in Prometheus text format, including
-/// the per-LockClass contention profile and the latest gauge samples.
+/// the per-LockClass contention profile.
 pub fn prometheus_for(machine: &Machine) -> String {
     let (lock_counters, lock_histograms) = lock_contention_data();
     let mut counters: Vec<(String, u64)> = machine
@@ -307,9 +286,7 @@ pub fn prometheus_for(machine: &Machine) -> String {
         .map(|(name, h)| HistogramData::of(name, h))
         .collect();
     histograms.extend(lock_histograms);
-    let mut out = prometheus_from(&counters, &histograms, machine.trace.dropped());
-    out.push_str(&prometheus_gauges(&machine.gauges.latest()));
-    out
+    prometheus_from(&counters, &histograms, machine.trace.dropped())
 }
 
 // ----- minimal JSON parser (for export validation) -----
@@ -611,7 +588,7 @@ pub fn parse_prometheus(text: &str) -> Result<BTreeMap<String, f64>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{CorrelationId, EventKind, TraceBuffer};
+    use crate::trace::{CorrelationId, TraceBuffer};
 
     fn ev(
         ts: u64,
@@ -769,17 +746,22 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_carries_span_args_and_gauge_tracks() {
-        let m = Machine::default_machine();
+    fn chrome_trace_carries_span_args_and_depth_counters() {
+        let alpha = Machine::named(crate::cost::CostModel::default(), "alpha");
+        let beta = Machine::named(crate::cost::CostModel::default(), "beta");
         let cid = CorrelationId::allocate();
         let _scope = crate::trace::CorrelationScope::enter(cid);
-        let root = m.span_open_under("fault.submit", 0);
-        m.clock.charge(1_000);
-        m.span_close("fault.submit", root);
-        m.gauges.register("gauge.test.depth", || 5);
-        m.sample_gauges();
-        let json = chrome_trace_for(&m);
-        validate_chrome_trace(&json).expect("valid with spans and gauges");
+        let root = alpha.span_open_under("fault.submit", 0);
+        alpha.clock.charge(1_000);
+        let parked = alpha.span_open_with("fault.parked", root, Some(cid), Some(3));
+        let queued = beta.span_open_with("ipc.queued", root, Some(cid), Some(7));
+        beta.span_close("ipc.queued", queued);
+        alpha.span_close("fault.parked", parked);
+        alpha.span_close("fault.submit", root);
+        let mut events = alpha.trace.snapshot();
+        events.extend(beta.trace.snapshot());
+        let json = chrome_trace(&events, 0);
+        validate_chrome_trace(&json).expect("valid with spans and depth counters");
         let doc = parse_json(&json).expect("export parses");
         let te = doc
             .get("traceEvents")
@@ -794,29 +776,56 @@ mod tests {
             opens[0].get("args").and_then(|a| a.get("span")),
             Some(&JsonValue::Num(root as f64))
         );
-        assert!(te.iter().any(|e| {
-            e.get("ph").and_then(JsonValue::as_str) == Some("C")
-                && e.get("name").and_then(JsonValue::as_str) == Some("gauge.test.depth")
-        }));
+        // One counter sample per depth-bearing open, on its own host's
+        // process: closes and the depthless root render none.
+        let counters: Vec<(&str, Option<&JsonValue>, Option<&JsonValue>)> = te
+            .iter()
+            .filter(|e| e.get("ph").and_then(JsonValue::as_str) == Some("C"))
+            .map(|e| {
+                (
+                    e.get("name").and_then(JsonValue::as_str).unwrap_or(""),
+                    e.get("args").and_then(|a| a.get("value")),
+                    e.get("pid"),
+                )
+            })
+            .collect();
+        assert_eq!(
+            counters,
+            vec![
+                (
+                    "fault.parked.depth",
+                    Some(&JsonValue::Num(3.0)),
+                    Some(&JsonValue::Num(1.0))
+                ),
+                (
+                    "ipc.queued.depth",
+                    Some(&JsonValue::Num(7.0)),
+                    Some(&JsonValue::Num(2.0))
+                ),
+            ]
+        );
+        let ts_of = |name: &str| {
+            te.iter()
+                .find(|e| e.get("name").and_then(JsonValue::as_str) == Some(name))
+                .and_then(|e| e.get("ts"))
+        };
+        assert_eq!(ts_of("fault.parked.depth"), Some(&JsonValue::Num(1.0)));
+        assert_eq!(ts_of("fault.parked.depth"), ts_of("fault.parked:open"));
     }
 
     #[test]
-    fn prometheus_includes_lock_contention_and_gauges() {
+    fn prometheus_includes_lock_contention() {
         let m = Machine::default_machine();
         // Touch a classified lock so at least one class has traffic.
         let lock = crate::lockdep::ClassMutex::new(crate::lockdep::LockClass::Queues, ());
         drop(lock.lock());
-        m.gauges.register("gauge.vm.free_frames", || 128);
-        m.sample_gauges();
         let text = prometheus_for(&m);
         assert!(
             text.contains("# TYPE lock_wait_queues_ns histogram"),
             "per-class wait histogram exported"
         );
         assert!(text.contains("lock_contended_queues"));
-        assert!(text.contains("# TYPE gauge_vm_free_frames gauge"));
         let parsed = parse_prometheus(&text).expect("parsable");
-        assert_eq!(parsed.get("gauge_vm_free_frames"), Some(&128.0));
         assert!(parsed.contains_key("lock_wait_queues_ns_count"));
     }
 

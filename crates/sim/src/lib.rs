@@ -19,7 +19,6 @@
 pub mod clock;
 pub mod cost;
 pub mod export;
-pub mod gauge;
 pub mod lockdep;
 pub mod machine;
 pub mod rng;
@@ -31,7 +30,6 @@ pub mod wall;
 
 pub use clock::SimClock;
 pub use cost::CostModel;
-pub use gauge::{GaugeRegistry, GaugeSeries};
 pub use machine::{Machine, SpanGuard};
 pub use rng::SplitMix64;
 pub use span::{ChainAttribution, CriticalPathReport, SpanRecord};

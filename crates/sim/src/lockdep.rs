@@ -172,9 +172,8 @@ pub fn contention_snapshot() -> Vec<ClassContention> {
         .collect()
 }
 
-/// Total contended acquisitions across every class (the process-wide
-/// `lock.contended` feed; machines fold deltas into their stats when
-/// sampling gauges).
+/// Total contended acquisitions across every class, process-wide: a
+/// caller that wants one run's share reads it before and after.
 pub fn contention_total() -> u64 {
     class_stats()
         .iter()

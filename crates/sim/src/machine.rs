@@ -7,7 +7,6 @@
 
 use crate::clock::SimClock;
 use crate::cost::CostModel;
-use crate::gauge::GaugeRegistry;
 use crate::stats::{keys, StatsRegistry};
 use crate::topology::Topology;
 use crate::trace::{CorrelationId, EventKind, LatencyRegistry, SpanInfo, TraceBuffer, TraceEvent};
@@ -29,8 +28,6 @@ pub struct Machine {
     pub trace: Arc<TraceBuffer>,
     /// Latency histograms of this host.
     pub latency: LatencyRegistry,
-    /// Sampled queue-depth/occupancy gauges of this host.
-    pub gauges: Arc<GaugeRegistry>,
     /// Host name shown in trace events ("local" unless on a fabric).
     host: Arc<str>,
 }
@@ -49,7 +46,6 @@ impl Machine {
             cost: Arc::new(cost),
             trace: Arc::new(TraceBuffer::default()),
             latency: LatencyRegistry::new(),
-            gauges: Arc::new(GaugeRegistry::new()),
             host: Arc::from(host),
         }
     }
@@ -92,23 +88,26 @@ impl Machine {
             name,
             crate::trace::current_span(),
             crate::trace::current_correlation(),
+            None,
         )
     }
 
     /// Opens a phase span under an explicit parent (0 = chain root),
     /// correlated to the current thread's chain.
     pub fn span_open_under(&self, name: &'static str, parent: u64) -> u64 {
-        self.span_open_with(name, parent, crate::trace::current_correlation())
+        self.span_open_with(name, parent, crate::trace::current_correlation(), None)
     }
 
     /// Opens a phase span with explicit parent and correlation — the
     /// fully spelled-out form used where the chain context is carried in
-    /// a message or continuation rather than thread-locally.
+    /// a message or continuation rather than thread-locally. A span that
+    /// starts at a queue passes the queue's `depth` (see [`SpanInfo`]).
     pub fn span_open_with(
         &self,
         name: &'static str,
         parent: u64,
         cid: Option<CorrelationId>,
+        depth: Option<u32>,
     ) -> u64 {
         let id = crate::trace::allocate_span_id();
         self.stats.incr(keys::TRACE_SPANS);
@@ -121,7 +120,7 @@ impl Machine {
                     EventKind::SpanOpen(name),
                     cid,
                 )
-                .with_span(SpanInfo { id, parent }),
+                .with_span(SpanInfo { id, parent, depth }),
             );
         }
         id
@@ -145,7 +144,11 @@ impl Machine {
                 EventKind::SpanClose(name),
                 cid,
             )
-            .with_span(SpanInfo { id, parent: 0 }),
+            .with_span(SpanInfo {
+                id,
+                parent: 0,
+                depth: None,
+            }),
         );
     }
 
@@ -161,24 +164,6 @@ impl Machine {
             name,
             id,
             previous,
-        }
-    }
-
-    /// Samples every registered gauge at the current sim-time and folds
-    /// the process-wide lock-contention total into this machine's
-    /// [`keys::LOCK_CONTENDED`] counter (as a delta, so one machine per
-    /// process sees each contended acquisition — adequate for the
-    /// single-kernel benchmarks these telemetry feeds serve).
-    pub fn sample_gauges(&self) {
-        let sampled = self.gauges.sample_all(self.clock.now_ns());
-        if sampled > 0 {
-            self.stats.add(keys::GAUGE_SAMPLES, 1);
-        }
-        let delta = self
-            .gauges
-            .counter_delta(crate::lockdep::contention_total());
-        if delta > 0 {
-            self.stats.add(keys::LOCK_CONTENDED, delta);
         }
     }
 
@@ -266,18 +251,6 @@ mod tests {
         assert_eq!(spans[1].correlation, Some(cid));
         assert!(spans.iter().all(|s| s.close_ns.is_some()));
         assert_eq!(m.stats.get(keys::TRACE_SPANS), 2);
-    }
-
-    #[test]
-    fn sample_gauges_counts_sweeps() {
-        let m = Machine::default_machine();
-        m.sample_gauges();
-        assert_eq!(m.stats.get(keys::GAUGE_SAMPLES), 0, "no sources yet");
-        m.gauges.register("gauge.test", || 42);
-        m.clock.charge(7);
-        m.sample_gauges();
-        assert_eq!(m.stats.get(keys::GAUGE_SAMPLES), 1);
-        assert_eq!(m.gauges.latest(), vec![("gauge.test".to_string(), 42)]);
     }
 
     #[test]

@@ -40,6 +40,9 @@ pub struct SpanRecord {
     /// Host that closed the span (differs from `open_host` for network
     /// hops).
     pub close_host: Option<Arc<str>>,
+    /// The depth of the queue the span opened at, if it opened at one
+    /// (see [`crate::trace::SpanInfo::depth`]).
+    pub depth: Option<u32>,
 }
 
 impl SpanRecord {
@@ -82,6 +85,7 @@ pub fn collect(events: &[TraceEvent]) -> Vec<SpanRecord> {
                     close_ns: None,
                     open_host: e.host.clone(),
                     close_host: None,
+                    depth: info.depth,
                 });
             }
             (EventKind::SpanClose(_), Some(info)) => {
@@ -345,13 +349,23 @@ mod tests {
         parent: u64,
         cid: Option<CorrelationId>,
     ) -> TraceEvent {
-        TraceEvent::new(ts, Arc::from(host), name, EventKind::SpanOpen(name), cid)
-            .with_span(SpanInfo { id, parent })
+        TraceEvent::new(ts, Arc::from(host), name, EventKind::SpanOpen(name), cid).with_span(
+            SpanInfo {
+                id,
+                parent,
+                depth: None,
+            },
+        )
     }
 
     fn close(ts: u64, host: &str, name: &'static str, id: u64) -> TraceEvent {
-        TraceEvent::new(ts, Arc::from(host), name, EventKind::SpanClose(name), None)
-            .with_span(SpanInfo { id, parent: 0 })
+        TraceEvent::new(ts, Arc::from(host), name, EventKind::SpanClose(name), None).with_span(
+            SpanInfo {
+                id,
+                parent: 0,
+                depth: None,
+            },
+        )
     }
 
     #[test]

@@ -118,13 +118,11 @@ pub mod keys {
     pub const VM_PAGER_DEFERRED_RUNS: &str = "vm.pager_deferred_runs";
     /// Phase spans opened into the trace ring (see `machsim::span`).
     pub const TRACE_SPANS: &str = "trace.spans";
-    /// Gauge sampling sweeps folded into this machine's registry (each
-    /// sweep reads every registered gauge source once).
+    /// Written by nothing, and reads 0: the sampled gauges are gone, and
+    /// a span that opens at a queue records its depth instead
+    /// (`trace::SpanInfo::depth`). Kept only because machmark's
+    /// `machsim.gauge_samples_per_op` still names it.
     pub const GAUGE_SAMPLES: &str = "trace.gauge_samples";
-    /// Classified lock acquisitions that had to block (process-wide
-    /// contention folded in as deltas when gauges are sampled — see
-    /// `machsim::lockdep::contention_snapshot`).
-    pub const LOCK_CONTENDED: &str = "lock.contended";
     /// Task units dispatched onto a simulated CPU by `machsched`.
     pub const SCHED_DISPATCHES: &str = "sched.dispatches";
     /// Units pulled from another CPU's run queue by an idle CPU.
@@ -139,8 +137,8 @@ pub mod keys {
     /// Units whose sim-time slice expired and were re-queued mid-run.
     pub const SCHED_PREEMPTIONS: &str = "sched.preemptions";
     /// Times the fault engine's timer thread woke: for an alarm that fell
-    /// due (a policy deadline, the watchdog, a gauge sample, a pageout
-    /// retry), for pressure, or for an alarm armed sooner than its sleep.
+    /// due (a policy deadline, the watchdog, a pageout retry), for
+    /// pressure, or for an alarm armed sooner than its sleep.
     pub const VM_TIMER_WAKEUPS: &str = "vm.timer_wakeups";
 
     /// Every counter key, in [`super::StatsRegistry`] slot order (see
@@ -191,7 +189,6 @@ pub mod keys {
         VM_PAGER_DEFERRED_RUNS,
         TRACE_SPANS,
         GAUGE_SAMPLES,
-        LOCK_CONTENDED,
         SCHED_DISPATCHES,
         SCHED_STEALS,
         SCHED_MIGRATIONS,
@@ -256,14 +253,13 @@ pub fn slot(name: &str) -> Option<usize> {
         keys::VM_PAGER_DEFERRED_RUNS => 41,
         keys::TRACE_SPANS => 42,
         keys::GAUGE_SAMPLES => 43,
-        keys::LOCK_CONTENDED => 44,
-        keys::SCHED_DISPATCHES => 45,
-        keys::SCHED_STEALS => 46,
-        keys::SCHED_MIGRATIONS => 47,
-        keys::SCHED_AFFINITY_HITS => 48,
-        keys::SCHED_AFFINITY_MISSES => 49,
-        keys::SCHED_PREEMPTIONS => 50,
-        keys::VM_TIMER_WAKEUPS => 51,
+        keys::SCHED_DISPATCHES => 44,
+        keys::SCHED_STEALS => 45,
+        keys::SCHED_MIGRATIONS => 46,
+        keys::SCHED_AFFINITY_HITS => 47,
+        keys::SCHED_AFFINITY_MISSES => 48,
+        keys::SCHED_PREEMPTIONS => 49,
+        keys::VM_TIMER_WAKEUPS => 50,
         _ => return None,
     })
 }

@@ -152,6 +152,10 @@ pub struct SpanInfo {
     pub id: u64,
     /// Id of the enclosing span, or 0 for a chain root.
     pub parent: u64,
+    /// On the open of a span that starts at a queue (`ipc.queued`,
+    /// `fault.parked`, `sched.dispatch`): the entries that queue held as
+    /// the span opened. `None` everywhere else.
+    pub depth: Option<u32>,
 }
 
 /// Allocates a fresh, process-unique span id (never 0).

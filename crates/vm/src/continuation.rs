@@ -98,13 +98,13 @@
 //! thread is a timer that sleeps until its earliest alarm: the sweep of
 //! policy deadlines (armed at every park — the timeout is per wait, not
 //! per fault or per page) and of the watchdog's quiet deadlines
-//! ([`FaultEngine::watch_stalls`]); the pageout sweep
-//! ([`PhysicalMemory::run_pageout`]); and a kernel's gauge period. A
-//! manager's death is communication (§6): its memory object port's death
-//! notice becomes [`FaultEngine::on_pager_death`] on the thread that
-//! destroyed the port. No wakeup is probed for — machmc's `park_resume`
-//! model is the argument that none is missed, and one that still were
-//! would surface as a watchdog stall with its fault id.
+//! ([`FaultEngine::watch_stalls`]); and the pageout sweep
+//! ([`PhysicalMemory::run_pageout`]). A memory that arms no alarm never
+//! starts it. A manager's death is communication (§6): its memory object
+//! port's death notice becomes [`FaultEngine::on_pager_death`] on the
+//! thread that destroyed the port. No wakeup is probed for — machmc's
+//! `park_resume` model is the argument that none is missed, and one that
+//! still were would surface as a watchdog stall with its fault id.
 
 use crate::fault::{
     fault_step, FaultOutcome, FaultPolicy, FaultResult, FaultState, FaultStep, FaultWait, WaitKind,
@@ -463,20 +463,17 @@ enum Alarm {
     /// The earliest policy deadline, or watchdog quiet deadline, of a
     /// parked fault.
     Sweep,
-    /// The next gauge sample.
-    Gauges,
     /// A pageout sweep that freed nothing tries again.
     Pageout,
 }
 
-const ALARMS: usize = 3;
+const ALARMS: usize = 2;
 
 /// The timer's state, under its leaf lock. Each deadline is a hint: the
 /// alarm's work finds what really is due, and arms the next.
 #[derive(Default)]
 struct Alarms {
     at: [Option<wall::Deadline>; ALARMS],
-    gauge_period: Option<Duration>,
     /// An allocation took the free queue under the pageout low watermark.
     pressure: bool,
     stop: bool,
@@ -489,7 +486,7 @@ impl Alarms {
     }
 
     /// Takes the alarms due at `now` — pressure is due at once unless a
-    /// pageout retry is armed — and re-arms the gauge period.
+    /// pageout retry is armed.
     fn take_due(&mut self, now: std::time::Instant) -> [bool; ALARMS] {
         let mut due = self.at.map(|at| at.is_some_and(|at| at.expired_by(now)));
         let pageout = Alarm::Pageout as usize;
@@ -499,9 +496,6 @@ impl Alarms {
             if due {
                 *at = None;
             }
-        }
-        if due[Alarm::Gauges as usize] {
-            self.at[Alarm::Gauges as usize] = self.gauge_period.map(wall::Deadline::after);
         }
         due
     }
@@ -674,13 +668,6 @@ impl FaultEngine {
             .expect("invariant: the engine is reached only through its live PhysicalMemory")
     }
 
-    /// Samples the machine's gauges, and folds lock contention into
-    /// `lock.contended`, every `period` on the timer.
-    pub fn sample_gauges_every(&self, period: Duration) {
-        self.timer.alarms.lock().gauge_period = Some(period);
-        self.arm(Alarm::Gauges, wall::Deadline::after(period));
-    }
-
     /// Calls `hook(cid, started_ns)` once for each parked fault whose
     /// pager has answered no older fault of its object for
     /// [`WATCHDOG_DEBOUNCE`], oldest first. Install it before faults park;
@@ -714,12 +701,6 @@ impl FaultEngine {
     /// in flight.
     pub fn in_flight(&self) -> usize {
         self.table.lock().admitted
-    }
-
-    /// Requested-but-unanswered pages summed over every pager — the
-    /// `gauge.pager.inflight_pages` telemetry source.
-    pub fn inflight_pages(&self) -> usize {
-        self.table.lock().inflight.values().sum()
     }
 
     /// The engine's configuration.
@@ -980,9 +961,9 @@ impl FaultEngine {
             Wake::Event => {
                 self.machine.stats.incr(stat_keys::VM_ASYNC_RESUMES);
                 let cid = cont.cid;
-                let resume = self
-                    .machine
-                    .span_open_with("fault.resume", cont.root_span, Some(cid));
+                let resume =
+                    self.machine
+                        .span_open_with("fault.resume", cont.root_span, Some(cid), None);
                 let done = self.step_and_park(phys, cont);
                 self.machine
                     .span_close_with("fault.resume", resume, Some(cid));
@@ -1110,7 +1091,13 @@ impl FaultEngine {
                 cont.parked_ns = self.machine.clock.now_ns();
                 cont.deadline = cont.state.policy.pager_timeout.map(wall::Deadline::after);
                 self.machine.stats.incr(stat_keys::VM_ASYNC_PARKS);
-                cont.parked_span = self.machine.span_open_under("fault.parked", cont.root_span);
+                // The park's depth: the continuations already parked.
+                cont.parked_span = self.machine.span_open_with(
+                    "fault.parked",
+                    cont.root_span,
+                    Some(cont.cid),
+                    Some(t.conts.len() as u32),
+                );
                 let alarm = cont.alarms().min();
                 let raw = cont.cid.raw();
                 t.waiters
@@ -1227,10 +1214,6 @@ impl FaultEngine {
 
     /// Runs the timer's alarms that fell due, with every lock released.
     fn run_due(&self, phys: &PhysicalMemory, due: [bool; ALARMS]) {
-        if due[Alarm::Gauges as usize] {
-            // Gauge read closures call back into the engine's counters.
-            self.machine.sample_gauges();
-        }
         if due[Alarm::Sweep as usize] {
             self.sweep(phys);
         }
@@ -1374,6 +1357,33 @@ mod tests {
     use crate::{FaultEngineConfig, FaultPolicy, NumaConfig, PhysicalMemory, VmObject, VmProt};
     use machsim::Machine;
     use std::sync::Arc;
+
+    /// Two faults parked on a pager that never answers: each park's span
+    /// records the continuations already parked ahead of it.
+    #[test]
+    fn a_parked_span_records_the_faults_parked_ahead() {
+        let m = Machine::default_machine();
+        let phys = PhysicalMemory::new(&m, 64 * 4096, 4096, 4);
+        let pager = Arc::new(RecordingPager::default());
+        let object = VmObject::new_with_pager(64 * 4096, pager.clone());
+        let engine = phys.fault_engine();
+        let tickets: Vec<_> = [0, 32 * 4096]
+            .into_iter()
+            .map(|off| engine.submit(&object, off, VmProt::READ, FaultPolicy::trusting()))
+            .collect();
+        assert_eq!(engine.outstanding(), 2);
+        let depths: Vec<_> = machsim::span::collect(&m.trace.snapshot())
+            .into_iter()
+            .filter(|s| s.name == "fault.parked")
+            .map(|s| s.depth)
+            .collect();
+        assert_eq!(depths, [Some(0), Some(1)]);
+        for off in [0, 32 * 4096] {
+            phys.supply_page(&object, off, filled(1, 4096), VmProt::NONE)
+                .expect("memory for both pages");
+        }
+        assert!(tickets.iter().all(|t| t.is_done()));
+    }
 
     /// A storm of single-page faults against one pager capped at half of
     /// them, answered in order: each completion sends the next deferred

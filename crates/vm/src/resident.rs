@@ -538,11 +538,6 @@ impl PhysicalMemory {
         self.resident.read().pages.len()
     }
 
-    /// Pages with pager traffic in flight ([`FrameCensus::pending`]).
-    pub fn pending_fills(&self) -> usize {
-        self.resident.read().pending.len()
-    }
-
     /// (active, inactive, free) queue lengths.
     pub fn queue_lengths(&self) -> (usize, usize, usize) {
         let q = self.queues.lock();
@@ -570,7 +565,7 @@ impl PhysicalMemory {
             active: active as u64,
             inactive: inactive as u64,
             resident: self.resident_pages() as u64,
-            pending: self.pending_fills() as u64,
+            pending: self.resident.read().pending.len() as u64,
             dirty: dirty as u64,
             reserve: self.reserve as u64,
         }

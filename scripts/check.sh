@@ -111,7 +111,7 @@ cargo run -q -p machbench --bin report bench-diff
 echo "==> export smoke (chrome-trace + prometheus round-trip)"
 cargo run -q -p machbench --bin report export-smoke
 
-echo "==> critical-path smoke (span profiler: chain coverage, lock contention, gauges)"
+echo "==> critical-path smoke (span profiler: chain coverage, lock contention, parked depth)"
 cargo run -q --release -p machbench --bin report critical-path --smoke
 
 echo "==> lockdep witness (stress, NUMA, and a manager's thread applying its replies: fault_async + pager_fill + servers; machvm's unit tests, whose resident stress test races installs, copies, cleans and evictions under resident -> queues)"

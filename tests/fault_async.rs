@@ -771,6 +771,15 @@ fn the_timer_wakes_only_for_a_deadline_that_falls_due() -> Result<(), VmError> {
     Ok(())
 }
 
+/// A kernel arms no alarm at boot, so a kernel that is left alone never
+/// wakes its timer.
+#[test]
+fn an_idle_kernels_timer_sleeps() {
+    let kernel = Kernel::boot(KernelConfig::default());
+    machsim::wall::sleep(Duration::from_millis(100));
+    assert_eq!(kernel.machine().stats.get(keys::VM_TIMER_WAKEUPS), 0);
+}
+
 /// Engine shutdown with runs parked: each errors with `ObjectDestroyed`
 /// and every page it claimed is released.
 #[test]
