@@ -3,12 +3,12 @@
 //!
 //! "The Mach kernel can itself be considered a task with multiple threads
 //! of control. The kernel task acts as a server which in turn implements
-//! tasks and threads." Here the kernel holds the receive rights of every
-//! pager request port and name port, and serves each request port as a
-//! kernel port: a data-manager → kernel protocol message (Table 3-6)
-//! becomes an operation on the resident page cache on the thread that
-//! sends it, as Mach's `ipc_kobject_server` runs inside `msg_send`. Only
-//! the host port has a service thread ([`machipc::serve`]).
+//! tasks and threads." Here the kernel holds the receive rights of the host
+//! port and of every pager request and name port, and serves the host port
+//! and each request port as a kernel port: a host query, or a data-manager
+//! → kernel protocol message (Table 3-6) on the resident page cache, is
+//! performed on the thread that sends it, as Mach's `ipc_kobject_server`
+//! runs inside `msg_send`. No kernel object has a service thread.
 
 use crate::backend::IpcPagerBackend;
 use crate::default_pager::DefaultPager;
@@ -17,9 +17,7 @@ use crate::introspect::{
 };
 use crate::manager::{spawn_manager, ManagerHandle};
 use crate::proto::{HostRequest, KernelToManager, ManagerToKernel, Parts};
-use machipc::{
-    serve, Message, PortId, PortName, PortSpace, ReceiveRight, SendRight, Server, MSG_ID_PORT_DEATH,
-};
+use machipc::{Message, PortId, PortName, PortSpace, ReceiveRight, SendRight, MSG_ID_PORT_DEATH};
 use machsim::stats::keys as stat_keys;
 use machsim::{CorrelationId, CostModel, EventKind, Machine};
 use machstorage::{BlockDevice, BLOCK_SIZE};
@@ -150,7 +148,7 @@ pub struct Kernel {
     machine: Machine,
     phys: Arc<PhysicalMemory>,
     registry: Arc<Mutex<Registry>>,
-    /// The receive rights of every request and name port.
+    /// The receive rights of the host port and every request and name port.
     service_space: Arc<PortSpace>,
     default_backend: Arc<IpcPagerBackend>,
     /// The default pager's page table (for its stored-page count).
@@ -159,8 +157,6 @@ pub struct Kernel {
     fault_policy: FaultPolicy,
     laundry_limit: u64,
     host_port: SendRight,
-    /// The host (introspection) service.
-    host_service: Option<Server>,
     /// The watchdog's last [`BLACK_BOX_REPORTS`] black-box reports, oldest
     /// first.
     watchdog_reports: Arc<Mutex<VecDeque<String>>>,
@@ -183,7 +179,7 @@ impl fmt::Debug for Kernel {
 }
 
 impl Kernel {
-    /// Boots a kernel: physical memory, default pager, host service.
+    /// Boots a kernel: physical memory, default pager, host port.
     pub fn boot(config: KernelConfig) -> Arc<Kernel> {
         Self::boot_on(Machine::new(config.cost.clone()), config)
     }
@@ -239,17 +235,17 @@ impl Kernel {
             });
         }
 
-        // The host port: kernel introspection served as ordinary IPC, on
-        // its own port so statistics queries never queue behind (or ahead
-        // of) EMM protocol traffic.
-        let (host_rx, host_port) = ReceiveRight::allocate(&machine);
-        host_rx.set_backlog(65536);
+        // The host port: kernel introspection as ordinary IPC, a kernel
+        // port answered on the querying thread (holding the memory weakly,
+        // like a request port), so a query never waits behind another.
         let tasks: TaskRegistry = Arc::new(Mutex::new(Vec::new()));
-        let host_service = {
-            let (machine, phys, tasks) = (machine.clone(), phys.clone(), tasks.clone());
-            serve("kernel-host", host_rx, move |msg| {
-                Self::answer_host(&machine, &phys, &tasks, msg)
-            })
+        let host_port = {
+            let (context, weak, tasks) = (machine.clone(), Arc::downgrade(&phys), tasks.clone());
+            let (rx, right) = ReceiveRight::allocate_kernel(&machine, move |msg| {
+                Self::answer_host(&context, &*weak.upgrade()?, &tasks, msg)
+            });
+            service_space.insert_receive(rx);
+            right
         };
 
         // The scheduler: one worker thread per simulated CPU, each pinned
@@ -276,7 +272,6 @@ impl Kernel {
             fault_policy: config.fault_policy,
             laundry_limit: config.laundry_limit,
             host_port,
-            host_service: Some(host_service),
             watchdog_reports: Arc::default(),
             scheduler,
             tasks,
@@ -338,9 +333,8 @@ impl Kernel {
     ) -> (PortName, SendRight) {
         let (registry, weak) = (registry.clone(), Arc::downgrade(phys));
         let (rx, right) = ReceiveRight::allocate_kernel(phys.machine(), move |msg| {
-            if let Some(phys) = weak.upgrade() {
-                Self::apply(&registry, &phys, memory_object, msg);
-            }
+            Self::apply(&registry, &*weak.upgrade()?, memory_object, msg);
+            None
         });
         (space.insert_receive(rx), right)
     }
@@ -407,7 +401,7 @@ impl Kernel {
         }
     }
 
-    /// The host service: answers a host-port query with a typed snapshot
+    /// The host port's handler: answers a query with a typed snapshot
     /// (see `machcore::introspect`).
     fn answer_host(
         machine: &Machine,
@@ -697,7 +691,6 @@ impl Drop for Kernel {
             0,
             "fault engine still holds parked continuations after its shutdown drain"
         );
-        drop(self.host_service.take());
         drop(self.default_pager_handle.take());
     }
 }

@@ -10,15 +10,17 @@
 //! representing that other thread even if the request is initiated on
 //! another node in a network."
 //!
-//! [`TaskPort`] gives a [`Task`] exactly that representation: a server
-//! ([`machipc::serve`]) owns the receive right and performs the operation
-//! the message names. Because the port is an ordinary port, the task can be
-//! manipulated through a [`machnet::Fabric`] proxy from another host with
-//! the same code — the location independence the paper highlights.
+//! [`TaskPort`] gives a [`Task`] exactly that representation: a kernel port
+//! ([`ReceiveRight::allocate_kernel`]) performs the operation the message
+//! names on the sender's thread, so a request that blocks (a `vm_read` on a
+//! silent pager) holds up only its caller. Being an ordinary port to its
+//! senders, it can be reached through a [`machnet::Fabric`] proxy from
+//! another host with the same code — the location independence the paper
+//! highlights.
 
 use crate::proto::Malformed;
 use crate::task::Task;
-use machipc::{IpcError, OolBuffer, ReceiveRight, SendRight, Server, RPC_TIMEOUT};
+use machipc::{IpcError, OolBuffer, ReceiveRight, SendRight, RPC_TIMEOUT};
 use machvm::VmError;
 use std::fmt;
 use std::sync::Arc;
@@ -69,9 +71,13 @@ crate::protocol! {
     }
 }
 
-/// A task's kernel object port: the task, as a server.
+/// A task's kernel object port.
 #[derive(Debug)]
-pub struct TaskPort(Server);
+pub struct TaskPort {
+    /// Held for its drop, which destroys the port.
+    _receive: ReceiveRight,
+    port: SendRight,
+}
 
 /// Performs one request on `task`; one that returns nothing is `Done`.
 fn perform(task: &Task, request: TaskRequest) -> Result<TaskReply, VmError> {
@@ -105,27 +111,23 @@ fn perform(task: &Task, request: TaskRequest) -> Result<TaskReply, VmError> {
 impl TaskPort {
     /// Publishes `task` as a kernel object port.
     pub fn serve(task: &Arc<Task>) -> Arc<TaskPort> {
-        let (rx, _) = ReceiveRight::allocate(task.machine());
-        rx.set_backlog(256);
-        let task = task.clone();
-        let name = format!("task-port-{}", task.name());
-        Arc::new(TaskPort(machipc::serve(name, rx, move |msg| {
-            // Annotate the kernel-object hop: the server adopted the
-            // caller's correlation id, so remote task operations show up
-            // inside the caller's chain.
-            task.machine()
-                .trace_event("kernel.objport", machsim::EventKind::Mark("task_request"));
-            let reply = match TaskRequest::decode(msg).map(|r| perform(&task, r)) {
+        let (machine, served) = (task.machine().clone(), task.clone());
+        let (_receive, port) = ReceiveRight::allocate_kernel(task.machine(), move |msg| {
+            // Mark the kernel-object hop in the caller's chain, which the
+            // handler runs in, so remote task operations show up there.
+            machine.trace_event("kernel.objport", machsim::EventKind::Mark("task_request"));
+            let reply = match TaskRequest::decode(msg).map(|r| perform(&served, r)) {
                 Ok(Ok(reply)) => reply,
                 _ => TaskReply::Rejected,
             };
             Some(reply.encode())
-        })))
+        });
+        Arc::new(TaskPort { _receive, port })
     }
 
     /// The send right representing the task.
     pub fn port(&self) -> &SendRight {
-        self.0.port()
+        &self.port
     }
 }
 
@@ -275,6 +277,53 @@ mod tests {
         let st = rt.statistics().unwrap();
         assert_eq!(st[0], 4096); // pagesize
         assert!(st[4] >= 1); // faults
+    }
+
+    #[test]
+    fn a_request_does_not_queue_behind_a_stuck_one() {
+        use crate::manager::{spawn_manager, DataManager, KernelConn};
+        use machvm::VmProt;
+        use std::sync::mpsc;
+
+        /// Records each `data_request` and answers none.
+        struct Silent(mpsc::Sender<(KernelConn, u64, u64, u64)>);
+        impl DataManager for Silent {
+            fn data_request(
+                &mut self,
+                k: &KernelConn,
+                object: u64,
+                offset: u64,
+                len: u64,
+                _: VmProt,
+            ) {
+                let _ = self.0.send((k.clone(), object, offset, len));
+            }
+        }
+        let (k, t, tp, _rt) = setup();
+        let (requests, requested) = mpsc::channel();
+        let manager = spawn_manager(k.machine(), "silent", Silent(requests));
+        let addr = t
+            .vm_allocate_with_pager(None, 4096, manager.port(), 0)
+            .expect("map the silent manager's object");
+        // Client A reads the region through the task port, and its fault
+        // waits on the manager.
+        let client = || RemoteTask::new(tp.port().clone());
+        let a = client();
+        let reader = std::thread::spawn(move || a.vm_read(addr, 5));
+        let (kernel, object, offset, length) = requested
+            .recv_timeout(Duration::from_secs(5))
+            .expect("A's fault reached the manager");
+        // Client B's request is answered while A's is stuck.
+        let (answered, answer) = mpsc::channel();
+        let b = client();
+        std::thread::spawn(move || answered.send(b.statistics()));
+        let statistics = answer
+            .recv_timeout(Duration::from_secs(2))
+            .expect("B's request did not queue behind A's");
+        assert!(statistics.is_ok(), "{statistics:?}");
+        let data = OolBuffer::from_vec(vec![9; length as usize]);
+        kernel.data_provided(object, offset, data, VmProt::NONE);
+        assert_eq!(reader.join().expect("client A"), Ok(vec![9; 5]));
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //!   which Section 6.2.1 then reuses for *memory* failures);
 //! * death notification when a port's receive right is destroyed;
 //! * the task's *default group* of enabled ports for `msg_receive`;
-//! * [`serve`], the one server loop every in-tree service runs, and kernel
+//! * [`serve`], the one loop every user-level server runs, and kernel
 //!   ports ([`ReceiveRight::allocate_kernel`]), which need none: their
-//!   handler runs on the sending thread.
+//!   handler runs on the sending thread and answers as a server's does.
 
 pub mod error;
 pub mod message;

@@ -44,12 +44,13 @@
 //! A port the kernel receives on has no queue and no receiving thread: it
 //! is allocated bound to a handler ([`ReceiveRight::allocate_kernel`]), and
 //! every send runs that handler on the sending thread, outside the lock —
-//! Mach's `ipc_kobject_server`. The hop is still charged as a queued send
-//! plus its receive, so the simulated cost of a kernel call does not
-//! depend on which thread performs it — except a port-death notice, the
-//! kernel telling itself, which crosses nothing and is not charged. A
-//! bound port is born bound, so no message is ever queued on it for a
-//! later one to overtake.
+//! Mach's `ipc_kobject_server` — and sends its answer as a server would.
+//! Each hop is charged by the one rule, whichever thread performs it: the
+//! request as a queued send plus its receive, and the answer as a queued
+//! send too, since it leaves before the caller parks on its reply port. A
+//! port-death notice, the kernel telling itself, crosses nothing and is
+//! not charged. A bound port is born bound, so no message is ever queued
+//! on it for a later one to overtake.
 
 use crate::error::IpcError;
 use crate::message::{Message, MsgItem, MSG_ID_PORT_DEATH};
@@ -129,8 +130,8 @@ impl SetWaker {
 }
 
 /// What a kernel port does with each message sent to it, on the sender's
-/// thread.
-type KernelHandler = Arc<dyn Fn(Message) + Send + Sync>;
+/// thread: its answer, if any, goes to the message's reply port.
+type KernelHandler = Arc<dyn Fn(Message) -> Option<Message> + Send + Sync>;
 
 /// Everything a port protects, under its one lock.
 struct State {
@@ -340,12 +341,12 @@ impl PortCore {
     }
 
     /// The receive half of a kernel port's hop, on the sending thread: the
-    /// handler runs in the message's causal context, as a server's would,
-    /// and the sender's own context is restored after it.
+    /// message is served as a server serves one, and the sender's own
+    /// causal context is restored after it.
     fn deliver(&self, kernel: &KernelHandler, msg: Message) {
         let (cid, span) = (trace::current_correlation(), trace::current_span());
         self.finish_recv(std::slice::from_ref(&msg));
-        kernel(msg);
+        crate::serve::serve_one(msg, &**kernel);
         trace::set_current_correlation(cid);
         trace::set_current_span(span);
     }
@@ -585,7 +586,7 @@ impl PortCore {
         let note = Message::new(MSG_ID_PORT_DEATH).with(MsgItem::u64s(&[died.0]));
         let kernel = self.control.lock().kernel.clone();
         match kernel {
-            Some(kernel) => kernel(note),
+            Some(kernel) => drop(kernel(note)),
             None => {
                 let _ = self.enqueue(note, Full::Exceed);
             }
@@ -686,10 +687,10 @@ impl SendRight {
     /// `msg_rpc`: sends `msg` with a freshly allocated reply port, then
     /// awaits the reply on it.
     ///
-    /// Both hops are handoffs when the peer is already waiting: the
-    /// request goes to a parked server, and the reply comes back to this
-    /// (by then parked) client — the thread-donation RPC shape, at
-    /// `handoff_ns` instead of `message_ns` in either direction.
+    /// Each hop is a handoff when its peer is already parked — the
+    /// thread-donation RPC shape, at `handoff_ns` instead of `message_ns`.
+    /// A kernel port answers on this thread before it parks, so both of
+    /// its hops are queued sends.
     pub fn rpc(
         &self,
         msg: Message,
@@ -771,14 +772,14 @@ impl ReceiveRight {
     }
 
     /// Allocates a kernel port: every message sent to it — by `send`,
-    /// `send_many`, a notification or a death notice — is handed to
-    /// `handler` on the sending thread, in send order, and charged as a
-    /// queued send plus its receive. Nothing is ever queued on it. Once
-    /// the receive right is dropped, sends fail with
+    /// `send_many`, a notification or a death notice — is served by
+    /// `handler` on the sending thread, in send order, as a server serves
+    /// it, and charged as a queued send plus its receive. Nothing is ever
+    /// queued on it. Once the receive right is dropped, sends fail with
     /// [`IpcError::PortDied`] and the handler is released.
     pub fn allocate_kernel(
         ctx: &IpcContext,
-        handler: impl Fn(Message) + Send + Sync + 'static,
+        handler: impl Fn(Message) -> Option<Message> + Send + Sync + 'static,
     ) -> (ReceiveRight, SendRight) {
         Self::allocate_with(ctx, Some(Arc::new(handler)))
     }
@@ -1825,6 +1826,7 @@ mod tests {
         let (rx, tx) = ReceiveRight::allocate_kernel(c, move |m| {
             log.lock()
                 .push((m.id, trace::current_correlation(), trace::current_span()));
+            None
         });
         (rx, tx, seen)
     }
@@ -1871,6 +1873,64 @@ mod tests {
                 .map_or(0, |h| h.count())
         };
         assert_eq!((samples(&kernel), samples(&queued)), (1, 1));
+    }
+
+    #[test]
+    fn a_kernel_port_answers_an_rpc_on_the_calling_thread() {
+        fn request() -> Message {
+            Message::new(41).with(MsgItem::bytes(vec![0u8; 100]))
+        }
+        fn answer(m: &Message) -> Message {
+            Message::new(m.id + 1).with(MsgItem::bytes(vec![0u8; 40]))
+        }
+        // A plain port whose request is queued, received and answered
+        // before the client parks on its reply port.
+        let (queued, kernel) = (ctx(), ctx());
+        let (rx, tx) = ReceiveRight::allocate(&queued);
+        let (reply_rx, reply_tx) = ReceiveRight::allocate(&queued);
+        let mut msg = request();
+        msg.reply = Some(reply_tx);
+        tx.send(msg, None).expect("send to a live port succeeds");
+        let msg = rx.receive(None).expect("the queued request");
+        let reply = msg.reply.as_ref().expect("the request's reply right");
+        reply
+            .send(answer(&msg), None)
+            .expect("the reply port lives");
+        assert_eq!(reply_rx.receive(None).expect("the queued answer").id, 42);
+
+        let ran_on = Arc::new(Mutex::new(None));
+        let log = ran_on.clone();
+        let (_krx, ktx) = ReceiveRight::allocate_kernel(&kernel, move |m| {
+            *log.lock() = Some(thread::current().id());
+            Some(answer(&m))
+        });
+        let reply = ktx.rpc(request(), None, Some(Duration::ZERO));
+        assert_eq!(reply.expect("the handler's answer, already queued").id, 42);
+        assert_eq!(*ran_on.lock(), Some(thread::current().id()));
+
+        assert_eq!(kernel.clock.now_ns(), queued.clock.now_ns());
+        for key in [keys::MSG_SENT, keys::MSG_RECEIVED, keys::IPC_HANDOFFS] {
+            assert_eq!(kernel.stats.get(key), queued.stats.get(key), "{key}");
+        }
+        assert_eq!(kernel.stats.get(keys::IPC_HANDOFFS), 0);
+        let samples = |m: &IpcContext| {
+            m.latency
+                .get(trace::keys::SEND_TO_RECEIVE)
+                .map_or(0, |h| h.count())
+        };
+        assert_eq!((samples(&kernel), samples(&queued)), (2, 2));
+
+        // No reply port, or no answer: nothing is sent back.
+        let sent = || kernel.stats.get(keys::MSG_SENT);
+        let before = sent();
+        ktx.send(request(), None)
+            .expect("send to a live kernel port");
+        assert_eq!(sent(), before + 1, "an answer with nowhere to go");
+        let (_silent_rx, silent) = ReceiveRight::allocate_kernel(&kernel, |_| None);
+        let before = sent();
+        let reply = silent.rpc(request(), None, Some(Duration::ZERO));
+        assert_eq!(reply.unwrap_err(), IpcError::WouldBlock);
+        assert_eq!(sent(), before + 1, "a handler with no answer");
     }
 
     #[test]

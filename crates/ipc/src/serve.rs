@@ -1,16 +1,14 @@
 //! One way to serve a port.
 //!
 //! "The kernel task acts as a server", and so does every data manager and
-//! service built on it: a port whose receiver loops receive, decode,
-//! perform, reply. [`serve`] is that loop, written once. It runs on its
-//! own named thread, drains its port in batches of [`SERVE_BATCH`], makes
-//! each message's causal chain the thread's own before handing it over,
-//! sends the handler's answer to the message's reply port, and stops only
-//! on the message that carries its [`Server`]'s key — so a client that can
-//! send to the port cannot stop it, whatever id it picks.
-//!
-//! A kernel port has no loop at all: its handler runs on each sender's
-//! thread ([`ReceiveRight::allocate_kernel`]).
+//! service built on it. Serving one message is written once, `serve_one`:
+//! adopt its causal chain, run the handler, send the answer to its reply
+//! port. [`serve`] runs it in a loop on a named thread, draining its port
+//! in batches of [`SERVE_BATCH`], and stops only on the message carrying
+//! its [`Server`]'s key — so a client that can send to the port cannot
+//! stop it, whatever id it picks. A kernel object (the host port, a task
+//! port, a request port) has no loop: it runs `serve_one` on each sender's
+//! thread ([`ReceiveRight::allocate_kernel`]) and stops on nothing.
 
 use crate::{Message, MsgItem, ReceiveRight, SendRight};
 use machsim::trace::{self, CorrelationId};
@@ -93,14 +91,21 @@ impl Drop for Server {
     }
 }
 
-/// Serves `inbox` on a thread named `name`: each message goes to
-/// `handler`, and its answer, if any, to the message's reply port with a
-/// timed `send` — an RPC reply to a client parked on its reply port is a
-/// handoff.
-///
-/// The handler gets the message whole, reply port included, so a
-/// forwarder (the network proxy) can pass the reply port on; the server
-/// keeps its own copy of that right for the answer.
+/// Serves one message: adopts its causal chain, runs `handler` on it and
+/// sends the answer, if any, to its reply port with a timed `send`. The
+/// handler gets the message whole, so a forwarder (the network proxy) can
+/// pass the reply port on; the answer goes to a clone, taken only if any.
+pub(crate) fn serve_one(msg: Message, handler: impl FnOnce(Message) -> Option<Message>) {
+    trace::set_current_correlation(CorrelationId::from_raw(msg.correlation));
+    trace::set_current_span(msg.span_context());
+    let reply = msg.reply.clone();
+    if let (Some(answer), Some(reply)) = (handler(msg), reply) {
+        let _ = reply.send(answer, Some(REPLY_TIMEOUT));
+    }
+}
+
+/// Serves `inbox` on a thread named `name`, each message by `handler` — an
+/// RPC reply to a client parked on its reply port is a handoff.
 pub fn serve<H>(name: impl Into<String>, inbox: ReceiveRight, mut handler: H) -> Server
 where
     H: FnMut(Message) -> Option<Message> + Send + 'static,
@@ -117,13 +122,8 @@ where
                         return;
                     }
                     // A batched receive adopted only its last message's
-                    // chain; a burst mixes many.
-                    trace::set_current_correlation(CorrelationId::from_raw(msg.correlation));
-                    trace::set_current_span(msg.span_context());
-                    let reply = msg.reply.clone();
-                    if let (Some(answer), Some(reply)) = (handler(msg), reply) {
-                        let _ = reply.send(answer, Some(REPLY_TIMEOUT));
-                    }
+                    // chain; a burst mixes many, so each adopts its own.
+                    serve_one(msg, &mut handler);
                 }
             }
         })

@@ -494,12 +494,9 @@ pub(crate) fn map_and_await_init(task: &Task, port: &SendRight, size: u64) -> Re
     let addr = task.vm_allocate_with_pager(None, size, port, 0)?;
     let object = task.kernel().object_for_port(port, size);
     // Wall-clock bound: generous enough for a proxied `pager_init` on a
-    // loaded 2-core host; the common case returns within a poll or two.
-    let initialized =
-        machsim::wall::poll_until(Duration::from_secs(5), Duration::from_millis(2), || {
-            object.cluster_hint() == 1
-        });
-    if !initialized {
+    // loaded 2-core host; the wait ends when the advice lands.
+    let deadline = machsim::wall::Deadline::after(Duration::from_secs(5));
+    if object.await_cluster_hint(&deadline) != 1 {
         // The caller must see the timeout, whatever unmapping says.
         let _ = task.vm_deallocate(addr, size);
         return Err(VmError::Timeout);

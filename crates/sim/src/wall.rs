@@ -190,6 +190,20 @@ impl<T: Clone> Latch<T> {
             self.signal.block(&mut value, None);
         }
     }
+
+    /// Blocks until the value is set or `deadline` passes, and returns the
+    /// value if it was set; a passed deadline returns at once.
+    pub fn wait_until(&self, deadline: &Deadline) -> Option<T> {
+        let mut value = self.value.lock();
+        loop {
+            if let Some(v) = value.as_ref() {
+                return Some(v.clone());
+            }
+            if self.signal.block(&mut value, Some(deadline)) {
+                return value.clone();
+            }
+        }
+    }
 }
 
 /// Polls `done` every `interval` of real time until it returns `true` or
@@ -317,6 +331,27 @@ mod tests {
         for w in waiters {
             assert_eq!(w.join().expect("waiter thread"), "done");
         }
+    }
+
+    #[test]
+    fn latch_wait_until_returns_the_value_once_it_is_set() {
+        let latch = std::sync::Arc::new(Latch::default());
+        let setter = {
+            let latch = latch.clone();
+            std::thread::spawn(move || latch.set(3))
+        };
+        let d = Deadline::after(Duration::from_secs(60));
+        assert_eq!(latch.wait_until(&d), Some(3));
+        setter.join().expect("setter thread");
+        assert_eq!(latch.wait_until(&Deadline::after(Duration::ZERO)), Some(3));
+    }
+
+    #[test]
+    fn latch_wait_until_an_expired_deadline_returns_none_at_once() {
+        let latch: Latch<()> = Latch::default();
+        let started = now();
+        assert_eq!(latch.wait_until(&Deadline::after(Duration::ZERO)), None);
+        assert!(started.elapsed() < Duration::from_secs(1));
     }
 
     #[test]

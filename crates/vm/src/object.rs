@@ -15,6 +15,7 @@
 
 use crate::types::VmProt;
 use machipc::OolBuffer;
+use machsim::wall::{Deadline, Latch};
 use parking_lot::Mutex;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -136,6 +137,9 @@ pub struct VmObject {
     /// Coherence pagers set 1 so the kernel never prefetches pages whose
     /// caching they track individually.
     cluster_hint: AtomicUsize,
+    /// Set by the first advice, for a mapper waiting on it (the fault path
+    /// reads only `cluster_hint`).
+    advised: Latch<()>,
     /// Read-ahead state sizing this object's `pager_data_request`s: the
     /// offset where the last claimed run ended and that run's window in
     /// pages, packed into one word (see [`VmObject::readahead_window`]).
@@ -187,6 +191,7 @@ impl VmObject {
                 terminated: false,
             }),
             cluster_hint: AtomicUsize::new(0),
+            advised: Latch::default(),
             readahead: AtomicU64::new(READAHEAD_FRESH),
         })
     }
@@ -206,6 +211,7 @@ impl VmObject {
                 terminated: false,
             }),
             cluster_hint: AtomicUsize::new(0),
+            advised: Latch::default(),
             readahead: AtomicU64::new(READAHEAD_FRESH),
         })
     }
@@ -229,6 +235,7 @@ impl VmObject {
                 terminated: false,
             }),
             cluster_hint: AtomicUsize::new(0),
+            advised: Latch::default(),
             readahead: AtomicU64::new(READAHEAD_FRESH),
         })
     }
@@ -291,6 +298,14 @@ impl VmObject {
     /// entirely.
     pub fn set_cluster_hint(&self, pages: usize) {
         self.cluster_hint.store(pages, Ordering::Release);
+        self.advised.set(());
+    }
+
+    /// Waits until the pager has advised a cluster size or `deadline`
+    /// passes, and returns the advice (0 if none came).
+    pub fn await_cluster_hint(&self, deadline: &Deadline) -> usize {
+        let _ = self.advised.wait_until(deadline);
+        self.cluster_hint()
     }
 
     /// The inferred window, in pages, for a miss at `offset`: a miss that

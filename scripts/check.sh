@@ -44,6 +44,21 @@ if [ "$stops" != "crates/ipc/src/serve.rs" ]; then
     exit 1
 fi
 
+echo "==> the kernel serves no port with a thread (machcore's one machipc::serve is spawn_manager's; kernel objects are kernel ports)"
+served=$(non_test '(^|[^A-Za-z0-9_])serve\(' crates/core/src/*.rs | grep -v 'fn serve(' | cut -d: -f1 | sort -u)
+if [ "$served" != "crates/core/src/manager.rs" ]; then
+    echo "files calling serve: $served"
+    exit 1
+fi
+
+echo "==> no non-test poll (machsim::wall::poll_until is for tests; code waits on a Signal or a Latch)"
+# shellcheck disable=SC2046 # one word per source file
+polls=$(non_test 'poll_until' $(ls crates/*/src/*.rs crates/*/src/*/*.rs src/*.rs | grep -v '^crates/sim/src/wall.rs$'))
+if [ -n "$polls" ]; then
+    echo "$polls"
+    exit 1
+fi
+
 echo "==> one way to wait (no Condvar outside machsim::wall, outside machmc, machbench and machlint; doc comments excepted)"
 # shellcheck disable=SC2046 # one word per source file
 waits=$(non_test 'Condvar' $(ls crates/*/src/*.rs | grep -v -E '^crates/(mc|bench|lint)/') | grep -v -E '^[^:]*:[0-9]+: *//' | cut -d: -f1 | sort -u | tr '\n' ';')
@@ -125,4 +140,4 @@ cargo test -q -p machsched --features lockdep --test lockdep_witness
 echo "==> machlint (static invariants: lock-order, sim-time, counter-key, panic-budget, trace-cover, span-pair, atomic-ordering, condvar-wait, unchecked-send)"
 cargo run -q -p machlint -- --workspace
 
-echo "OK: clippy clean, formatting clean, one decoder, two thread sites and one way to wait, workspace tests, threaded-test repeats, fault_scaling, numa_placement, fault_concurrency, parallel_build, machmark smoke + verify, machmc + baseline diff, export smoke, critical-path smoke, lockdep witnesses and machlint passed."
+echo "OK: clippy clean, formatting clean, one decoder, two thread sites, no kernel object served by a thread, no non-test poll and one way to wait, workspace tests, threaded-test repeats, fault_scaling, numa_placement, fault_concurrency, parallel_build, machmark smoke + verify, machmc + baseline diff, export smoke, critical-path smoke, lockdep witnesses and machlint passed."

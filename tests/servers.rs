@@ -1,8 +1,9 @@
-//! No client can stop a server. Every in-tree server loop — the kernel's
-//! host service, a data manager, the task port, the file server, camelot,
-//! the blackboard, the shm directory, the array service and the netmsg
-//! proxy — stops only on a message carrying its owner's key, and a
-//! kernel's request port, which has no loop, stops on nothing.
+//! No client can stop a server. Every in-tree server loop — a data
+//! manager, the file server, camelot, the blackboard, the shm directory,
+//! the array service and the netmsg proxy — stops only on a message
+//! carrying its owner's key, and the kernel's own objects — a request
+//! port, the host port and a task port — have no loop: as kernel ports
+//! answered on the sender's thread, they stop on nothing.
 
 use machcore::introspect::query_host_statistics;
 use machcore::objport::{RemoteTask, TaskPort};
