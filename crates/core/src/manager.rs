@@ -4,7 +4,8 @@
 //! created and serviced by a user-level data manager task." This module is
 //! that task's skeleton: [`spawn_manager`] allocates a memory object port,
 //! serves it ([`machipc::serve`]), and translates the kernel's protocol
-//! messages (Table 3-5) into calls on a [`DataManager`] implementation,
+//! messages (Table 3-5) into calls on a [`DataManager`] implementation
+//! ([`dispatch`], which a task serving many objects calls itself),
 //! handing it a [`KernelConn`] with typed methods for every manager →
 //! kernel call (Table 3-6).
 //!
@@ -176,8 +177,16 @@ pub trait DataManager: Send + 'static {
 /// stops the manager.
 pub type ManagerHandle = Server;
 
-/// Hands one message to the manager.
-fn dispatch<M: DataManager>(machine: &Machine, self_port: &SendRight, mgr: &mut M, msg: Message) {
+/// Hands one message that arrived on the memory object port `self_port`
+/// to its manager: the one reading of Table 3-5, whether the port has a
+/// thread of its own ([`spawn_manager`]) or is one of many a server task
+/// receives on (the file server's default port group).
+pub fn dispatch<M: DataManager>(
+    machine: &Machine,
+    self_port: &SendRight,
+    mgr: &mut M,
+    msg: Message,
+) {
     if msg.id == MSG_ID_PORT_DEATH {
         let port = Parts::of(msg.body).words().next().unwrap_or(0);
         return mgr.kernel_detached(port);

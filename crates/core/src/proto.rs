@@ -196,8 +196,9 @@ impl Parts {
 }
 
 /// A value with a place in a message body: a word (`u64`, [`VmProt`],
-/// `bool`), the name (`String`, which must be UTF-8, or raw bytes), an
-/// out-of-line buffer, a send right, or an `Option` of one.
+/// `bool`), the name (`String`, which must be UTF-8, or raw bytes, or
+/// several names), an out-of-line buffer, a send right, or an `Option` of
+/// one.
 pub trait Field: Sized {
     /// What taking this field needs of a body.
     const NEED: Need;
@@ -234,6 +235,38 @@ field! {
     Vec<u8>: [0, 0, 1, 0], |p, v| p.name = Some(v), |p| p.name.take();
     OolBuffer: [0, 0, 0, 1], |p, v| p.ool.push_back(v), |p| p.ool.pop_front();
     SendRight: [0, 1, 0, 0], |p, v| p.rights.push_back(v), |p| p.rights.pop_front();
+}
+
+/// Several names in the name's place, their count and byte lengths as
+/// words: no byte of a name is a separator, so any names round-trip.
+impl Field for Vec<String> {
+    const NEED: Need = [1, 0, 1, 0];
+    fn put(self, parts: &mut Parts) {
+        parts.words.push_back(self.len() as u64);
+        parts
+            .words
+            .extend(self.iter().map(|name| name.len() as u64));
+        parts.name = Some(self.concat().into_bytes());
+    }
+    fn take(parts: &mut Parts) -> Result<Self, Malformed> {
+        let count = parts.words.pop_front().ok_or(Malformed)?;
+        let count = usize::try_from(count).map_err(|_| Malformed)?;
+        let bytes = parts.name.take().ok_or(Malformed)?;
+        if parts.words.len() < count {
+            return Err(Malformed);
+        }
+        let mut at = 0usize;
+        let mut names = Vec::with_capacity(count);
+        for len in parts.words.drain(..count) {
+            let end = usize::try_from(len)
+                .ok()
+                .and_then(|len| at.checked_add(len));
+            let name = end.and_then(|end| bytes.get(at..end)).ok_or(Malformed)?;
+            names.push(String::from_utf8(name.to_vec()).map_err(|_| Malformed)?);
+            at += name.len();
+        }
+        (at == bytes.len()).then_some(names).ok_or(Malformed)
+    }
 }
 
 impl<T: Field> Field for Option<T> {

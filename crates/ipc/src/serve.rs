@@ -4,13 +4,15 @@
 //! service built on it. Serving one message is written once, `serve_one`:
 //! adopt its causal chain, run the handler, send the answer to its reply
 //! port. [`serve`] runs it in a loop on a named thread, draining its port
-//! in batches of [`SERVE_BATCH`], and stops only on the message carrying
-//! its [`Server`]'s key — so a client that can send to the port cannot
-//! stop it, whatever id it picks. A kernel object (the host port, a task
-//! port, a request port) has no loop: it runs `serve_one` on each sender's
-//! thread ([`ReceiveRight::allocate_kernel`]) and stops on nothing.
+//! in batches of [`SERVE_BATCH`]; [`serve_group`] runs the same loop over
+//! a task's default port group (Table 3-2 `port_enable`), so one thread
+//! serves every port its task enabled. The loop stops only on the message
+//! carrying its [`Server`]'s key — so a client that can send to a port
+//! cannot stop it, whatever id it picks. A kernel object (the host port, a
+//! task port, a request port) has no loop: it runs `serve_one` on each
+//! sender's thread ([`ReceiveRight::allocate_kernel`]) and stops on nothing.
 
-use crate::{Message, MsgItem, ReceiveRight, SendRight};
+use crate::{IpcError, Message, MsgItem, PortName, PortSpace, ReceiveRight, SendRight};
 use machsim::trace::{self, CorrelationId};
 use std::any::Any;
 use std::fmt;
@@ -110,20 +112,54 @@ pub fn serve<H>(name: impl Into<String>, inbox: ReceiveRight, mut handler: H) ->
 where
     H: FnMut(Message) -> Option<Message> + Send + 'static,
 {
+    let port = inbox.make_send();
+    let receive = move || {
+        let batch = inbox.receive_many(SERVE_BATCH, None)?;
+        Ok(batch.into_iter().map(|msg| ((), msg)).collect())
+    };
+    run(name.into(), port, receive, move |(), msg| handler(msg))
+}
+
+/// Serves every port enabled in `space` on one thread named `name`, each
+/// message by `handler` with the name of the port it arrived on. The
+/// handler may enable more ports as it goes, and may take a port's queued
+/// messages itself (`PortSpace::receive` with a zero timeout). `port` is
+/// the server's own: clients are given its send right, and the key's stop
+/// message is sent to it.
+pub fn serve_group<H>(
+    name: impl Into<String>,
+    space: Arc<PortSpace>,
+    port: PortName,
+    handler: H,
+) -> Result<Server, IpcError>
+where
+    H: FnMut(PortName, Message) -> Option<Message> + Send + 'static,
+{
+    let port = space.send_right(port)?;
+    let receive = move || space.receive_default(None).map(|from| vec![from]);
+    Ok(run(name.into(), port, receive, handler))
+}
+
+/// The one server loop: takes what `receive` returns, each message with
+/// where it came from, until the key's stop message or an error.
+fn run<F, R, H>(name: String, port: SendRight, mut receive: R, mut handler: H) -> Server
+where
+    R: FnMut() -> Result<Vec<(F, Message)>, IpcError> + Send + 'static,
+    H: FnMut(F, Message) -> Option<Message> + Send + 'static,
+{
     let key = StopKey(Arc::new(()));
     let stop = key.clone();
-    let port = inbox.make_send();
     let thread = std::thread::Builder::new()
-        .name(name.into())
+        .name(name)
         .spawn(move || {
-            while let Ok(batch) = inbox.receive_many(SERVE_BATCH, None) {
-                for msg in batch {
+            while let Ok(batch) = receive() {
+                for (from, msg) in batch {
                     if stop.opens(&msg) {
                         return;
                     }
                     // A batched receive adopted only its last message's
                     // chain; a burst mixes many, so each adopts its own.
-                    serve_one(msg, &mut handler);
+                    serve_one(msg, |msg| handler(from, msg));
                 }
             }
         })
@@ -164,5 +200,36 @@ mod tests {
         assert_eq!(reply.expect("still serving").id, 2);
         drop(other);
         server.shutdown();
+    }
+
+    #[test]
+    fn a_group_server_serves_every_enabled_port_on_one_thread() {
+        let m = Machine::default_machine();
+        let space = Arc::new(PortSpace::new(&m));
+        let (front, side) = (space.port_allocate(), space.port_allocate());
+        for name in [front, side] {
+            space.port_enable(name).expect("enable");
+        }
+        let side_port = space.send_right(side).expect("side port");
+        let threads = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let seen = threads.clone();
+        let server = serve_group("group", space, front, move |from, msg| {
+            seen.lock().push(std::thread::current().id());
+            Some(Message::new(msg.id + u32::from(from == side)))
+        })
+        .expect("front is in the space");
+        // The stop id on the side port is a message like any other.
+        side_port.send_notification(Message::new(SERVER_STOP));
+        let answer = |port: &SendRight| port.rpc(Message::new(10), None, None).expect("an answer");
+        assert_eq!(answer(server.port()).id, 10);
+        assert_eq!(answer(&side_port).id, 11);
+        drop(server);
+        let threads = threads.lock();
+        assert_eq!(threads.len(), 3);
+        assert!(threads.iter().all(|&t| t == threads[0]), "one thread");
+        assert!(
+            !side_port.is_alive(),
+            "the group's ports die with its server"
+        );
     }
 }

@@ -170,16 +170,17 @@ impl PortSpace {
         tx.send(msg, timeout)
     }
 
-    /// `msg_receive` from a specific named port.
+    /// `msg_receive` from a specific named port. A zero timeout takes a
+    /// queued message or returns `WouldBlock` at once, as on a
+    /// [`ReceiveRight`].
     pub fn receive(&self, name: PortName, timeout: Option<Duration>) -> Result<Message, IpcError> {
-        // Clone the right out so the space lock is not held while blocking.
-        let rx_probe = {
+        {
             let inner = self.inner.lock();
             let entry = inner.entries.get(&name).ok_or(IpcError::InvalidName)?;
-            entry.receive.is_some()
-        };
-        if !rx_probe {
-            return Err(IpcError::InvalidRight);
+            let rx = entry.receive.as_ref().ok_or(IpcError::InvalidRight)?;
+            if timeout.is_some_and(|t| t.is_zero()) {
+                return rx.try_receive().ok_or(IpcError::WouldBlock);
+            }
         }
         // Receive rights are unique, so re-resolve per wait iteration using
         // try_receive plus the waker, mirroring receive_default.
@@ -472,6 +473,16 @@ mod tests {
         // Alice can still send (she kept a send right under the old name).
         alice.send(ap, Message::new(8), None).unwrap();
         assert_eq!(bob.receive(name_in_bob, None).unwrap().id, 8);
+    }
+
+    #[test]
+    fn a_zero_timeout_directed_receive_does_not_wait() {
+        let s = space();
+        let a = s.port_allocate();
+        let poll = || s.receive(a, Some(Duration::ZERO)).map(|m| m.id);
+        assert_eq!(poll(), Err(IpcError::WouldBlock));
+        s.send(a, Message::new(4), None).expect("room on the port");
+        assert_eq!(poll(), Ok(4));
     }
 
     #[test]

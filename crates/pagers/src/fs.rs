@@ -13,17 +13,31 @@
 //! Section 8.1 UNIX emulation needs — and advises `pager_cache` so file
 //! pages stay in the VM cache between opens. That advice is the entire
 //! mechanism behind Section 9's performance claims.
+//!
+//! The server is one task on one thread: its request port and every open
+//! file's memory object port are in its default port group
+//! ([`machipc::serve_group`]), and each file's pager is a [`DataManager`]
+//! handed its messages by [`machcore::manager::dispatch`]. So `FS_SYNC`
+//! writes the files back on the thread that answers it: each
+//! `pager_clean_request`, applied by a local kernel on the sender's
+//! thread, queues its `pager_data_write`s on a port this thread takes
+//! from before it replies. A kernel behind a network proxy applies the
+//! clean later, and its writes are served when they arrive.
 
+use machcore::manager::dispatch;
 use machcore::proto::Malformed;
-use machcore::{spawn_manager, DataManager, KernelConn, ManagerHandle, Task};
-use machipc::{serve, IpcError, OolBuffer, ReceiveRight, SendRight, Server, RPC_TIMEOUT};
+use machcore::{DataManager, KernelConn, Task};
+use machipc::{
+    serve_group, IpcError, Message, OolBuffer, PortName, PortSpace, ReceiveRight, SendRight,
+    Server, RPC_TIMEOUT,
+};
 use machsim::{EventKind, Machine};
 use machstorage::{FlatFs, FsError};
 use machvm::{VmError, VmProt};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Generic success reply.
 pub const FS_OK: u32 = 0x4180;
@@ -42,8 +56,9 @@ machcore::protocol! {
         Create(name: String) = FS_CREATE: 0x4103,
         /// The file's memory object, for a shared mapping.
         OpenMapped(name: String) = FS_OPEN_MAPPED: 0x4104,
-        /// Write the file's cached modifications back.
-        Sync(name: String) = FS_SYNC: 0x4105,
+        /// Write the named files' cached modifications back. From a local
+        /// kernel they are in the files when the server answers.
+        Sync(names: Vec<String>) = FS_SYNC: 0x4105,
         /// The file's size.
         Stat(name: String) = FS_STAT: 0x4106,
     }
@@ -64,8 +79,10 @@ machcore::protocol! {
     }
 }
 
-/// Shared per-file state between the server loop and the file's pager.
-struct FileState {
+/// The pager of one file's memory object.
+struct FilePager {
+    fs: Arc<FlatFs>,
+    name: String,
     /// Kernel connections that mapped this file, with the object id each
     /// kernel assigned.
     conns: Vec<(KernelConn, u64)>,
@@ -73,19 +90,12 @@ struct FileState {
     size: u64,
 }
 
-/// The pager serving one file's memory object.
-struct FilePager {
-    fs: Arc<FlatFs>,
-    name: String,
-    state: Arc<Mutex<FileState>>,
-}
-
 impl DataManager for FilePager {
     fn init(&mut self, kernel: &KernelConn, object: u64) {
         // Keep file pages cached after the last unmap: this is the "bulk
         // of physical memory as a cache of secondary storage" behaviour.
         kernel.cache(object, true);
-        self.state.lock().conns.push((kernel.clone(), object));
+        self.conns.push((kernel.clone(), object));
     }
 
     fn data_request(
@@ -136,7 +146,7 @@ impl DataManager for FilePager {
 
     fn kernel_detached(&mut self, _port: u64) {
         // §4.1 port_death: release per-kernel resources.
-        self.state.lock().conns.clear();
+        self.conns.clear();
     }
 }
 
@@ -153,31 +163,63 @@ impl fmt::Debug for FileServer {
     }
 }
 
+/// The server task's state. Its port space's default group holds the
+/// request port and every open file's memory object port, and its one
+/// thread serves them all.
 struct ServerState {
     fs: Arc<FlatFs>,
     machine: Machine,
-    /// Memory object (pager) per open file.
-    pagers: HashMap<String, (ManagerHandle, Arc<Mutex<FileState>>)>,
+    space: Arc<PortSpace>,
+    request: PortName,
+    /// The memory object port of each open file.
+    files: HashMap<String, PortName>,
+    /// Each memory object port's send right and the file's pager.
+    pagers: HashMap<PortName, (SendRight, FilePager)>,
 }
 
 impl ServerState {
+    /// Serves one message from the port group.
+    fn serve(&mut self, from: PortName, msg: Message) -> Option<Message> {
+        if from != self.request {
+            self.serve_object(from, msg);
+            return None;
+        }
+        let reply = match FsRequest::decode(msg).map(|r| self.perform(r)) {
+            Ok(Ok(reply)) => reply,
+            _ => FsReply::Failed,
+        };
+        Some(reply.encode())
+    }
+
+    /// Hands a message from a file's memory object port to its pager.
+    fn serve_object(&mut self, object: PortName, msg: Message) {
+        if let Some((port, pager)) = self.pagers.get_mut(&object) {
+            dispatch(&self.machine, port, pager, msg);
+        }
+    }
+
+    /// Serves whatever is queued on a file's memory object port now.
+    fn drain(&mut self, object: PortName) {
+        while let Ok(msg) = self.space.receive(object, Some(Duration::ZERO)) {
+            self.serve_object(object, msg);
+        }
+    }
+
     fn pager_for(&mut self, name: &str) -> Result<(SendRight, u64), FsError> {
         let size = self.fs.size(name)? as u64;
-        if let Some((handle, state)) = self.pagers.get(name) {
-            return Ok((handle.port().clone(), state.lock().size.max(size)));
+        if let Some((port, pager)) = self.files.get(name).and_then(|o| self.pagers.get(o)) {
+            return Ok((port.clone(), pager.size.max(size)));
         }
-        let state = Arc::new(Mutex::new(FileState {
-            conns: Vec::new(),
-            size,
-        }));
+        // Kernels send with the notification path; keep a sane floor anyway.
+        let (object, port) = enabled_port(&self.machine, &self.space, 4096);
         let pager = FilePager {
             fs: self.fs.clone(),
             name: name.to_string(),
-            state: state.clone(),
+            conns: Vec::new(),
+            size,
         };
-        let handle = spawn_manager(&self.machine, &format!("fs-{name}"), pager);
-        let port = handle.port().clone();
-        self.pagers.insert(name.to_string(), (handle, state));
+        self.files.insert(name.to_string(), object);
+        self.pagers.insert(object, (port.clone(), pager));
         Ok((port, size))
     }
 
@@ -193,11 +235,18 @@ impl ServerState {
                 self.fs.size(&name)?; // Writes do not create files.
                 self.fs.write(&name, 0, data.as_slice())?
             }
-            FsRequest::Sync(name) => {
-                if let Some((_, fstate)) = self.pagers.get(&name) {
-                    for (conn, object) in fstate.lock().conns.iter() {
-                        conn.clean_request(*object, 0, u64::MAX / 2);
+            FsRequest::Sync(names) => {
+                for name in names {
+                    let Some(&object) = self.files.get(&name) else {
+                        continue;
+                    };
+                    for (conn, id) in &self.pagers[&object].1.conns {
+                        conn.clean_request(*id, 0, u64::MAX / 2);
                     }
+                    // A local kernel applied each clean on this thread,
+                    // queueing its `pager_data_write`s on the file's port:
+                    // written here, they are in the file when `Done` goes.
+                    self.drain(object);
                 }
             }
             FsRequest::Stat(name) => return Ok(FsReply::Size(self.fs.size(&name)? as u64)),
@@ -206,23 +255,34 @@ impl ServerState {
     }
 }
 
+/// A fresh port in `space`'s default group, holding `backlog` messages.
+fn enabled_port(machine: &Machine, space: &PortSpace, backlog: usize) -> (PortName, SendRight) {
+    let (rx, port) = ReceiveRight::allocate(machine);
+    rx.set_backlog(backlog);
+    let name = space.insert_receive(rx);
+    space
+        .port_enable(name)
+        .expect("the space holds the receive right");
+    (name, port)
+}
+
 impl FileServer {
-    /// Starts a filesystem server over `fs`.
+    /// Starts a filesystem server over `fs`: one task, one thread.
     pub fn start(machine: &Machine, fs: Arc<FlatFs>) -> Arc<FileServer> {
-        let (rx, _) = ReceiveRight::allocate(machine);
-        rx.set_backlog(1024);
+        let space = Arc::new(PortSpace::new(machine));
+        let (request, _) = enabled_port(machine, &space, 1024);
         let mut state = ServerState {
             fs: fs.clone(),
             machine: machine.clone(),
+            space: space.clone(),
+            request,
+            files: HashMap::new(),
             pagers: HashMap::new(),
         };
-        let server = serve("file-server", rx, move |msg| {
-            let reply = match FsRequest::decode(msg).map(|r| state.perform(r)) {
-                Ok(Ok(reply)) => reply,
-                _ => FsReply::Failed,
-            };
-            Some(reply.encode())
-        });
+        let server = serve_group("file-server", space, request, move |from, msg| {
+            state.serve(from, msg)
+        })
+        .expect("the request port is in the space");
         Arc::new(FileServer {
             machine: machine.clone(),
             fs,
@@ -340,9 +400,16 @@ impl FsClient {
             .map(drop)
     }
 
-    /// Flushes cached modifications of the file back to the server.
-    pub fn sync(&self, name: &str) -> Result<(), FsClientError> {
-        self.rpc(FsRequest::Sync(name.to_string())).map(drop)
+    /// Writes the cached modifications of every named file back to the
+    /// server, in one request. For a kernel on the server's host, they
+    /// are in the files when this returns; for one behind a network proxy
+    /// they have been asked for.
+    pub fn sync(
+        &self,
+        names: impl IntoIterator<Item = impl AsRef<str>>,
+    ) -> Result<(), FsClientError> {
+        let names = names.into_iter().map(|n| n.as_ref().to_string()).collect();
+        self.rpc(FsRequest::Sync(names)).map(drop)
     }
 
     /// Returns the file's current size.
@@ -358,9 +425,8 @@ impl FsClient {
 pub(crate) mod tests {
     use super::*;
     use machcore::{Kernel, KernelConfig};
-    use machipc::{Message, MsgItem};
+    use machipc::MsgItem;
     use machstorage::BlockDevice;
-    use std::time::Duration;
 
     fn setup() -> (Arc<Kernel>, Arc<FileServer>, FsClient) {
         let k = Kernel::boot(KernelConfig::default());
@@ -452,11 +518,30 @@ pub(crate) mod tests {
         let task = Task::create(&k, "writer");
         let (addr, _) = client.open_mapped(&task, "db").unwrap();
         task.write_memory(addr, b"dirty page").unwrap();
-        client.sync("db").unwrap();
-        // The sync triggers a clean_request -> pager_data_write chain.
-        machsim::wall::sleep(Duration::from_millis(200));
+        client.sync(["db"]).unwrap();
         let contents = server.fs().read_all("db").unwrap();
         assert_eq!(&contents[..10], b"dirty page");
+    }
+
+    #[test]
+    fn one_sync_writes_every_named_file_before_it_answers() {
+        let (k, server, client) = setup();
+        let task = Task::create(&k, "writer");
+        let names = ["a", "b", "c"];
+        for name in names {
+            client.create(name).expect("create");
+            client.write_file(name, &[0; 4096]).expect("size the file");
+            let (addr, _) = client.open_mapped(&task, name).expect("open_mapped");
+            task.write_memory(addr, name.as_bytes())
+                .expect("write through the mapping");
+        }
+        client.sync(names).expect("sync");
+        for name in names {
+            let contents = server.fs().read_all(name).expect("read");
+            assert_eq!(&contents[..1], name.as_bytes(), "{name} is on disk");
+        }
+        // A name the server never opened has nothing cached to write.
+        client.sync(["never-opened"]).expect("sync");
     }
 
     #[test]
@@ -469,17 +554,7 @@ pub(crate) mod tests {
         assert_eq!(size, 100);
         task.write_memory(addr, b"hello")
             .expect("write through the mapping");
-        client.sync("short").expect("sync");
-        // `FS_SYNC` does not wait for the write-back: poll for it.
-        let landed =
-            machsim::wall::poll_until(Duration::from_secs(5), Duration::from_millis(5), || {
-                server
-                    .fs()
-                    .read_all("short")
-                    .expect("read")
-                    .starts_with(b"hello")
-            });
-        assert!(landed, "the write-back never reached the file");
+        client.sync(["short"]).expect("sync");
         assert_eq!(client.stat("short").expect("stat"), 100);
         let mut expected = b"hello".to_vec();
         expected.resize(100, b'.');

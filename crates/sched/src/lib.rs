@@ -462,7 +462,11 @@ impl Scheduler {
         loop {
             match (unit.body)() {
                 Run::Done => {
-                    unit.done.set(());
+                    // The body goes before the latch is set: nothing it
+                    // holds may outlive `join`.
+                    let Unit { body, done, .. } = unit;
+                    drop(body);
+                    done.set(());
                     break;
                 }
                 Run::Yield => {
@@ -656,6 +660,45 @@ mod tests {
         let cpu = tag.last_cpu().expect("ran somewhere");
         assert_eq!(sched.node_of(cpu), 1, "homed on node 1, ran on {cpu}");
         assert_eq!(m.stats.get(keys::SCHED_AFFINITY_HITS), 1);
+        sched.shutdown();
+    }
+
+    /// A body's capture that records, when it is dropped, whether its
+    /// unit already reads as finished: one that outlived `join` if so.
+    struct Witness {
+        handle: Arc<Latch<Arc<JoinHandle>>>,
+        finished_at_drop: Arc<Latch<bool>>,
+    }
+
+    impl Drop for Witness {
+        fn drop(&mut self) {
+            let finished = self.handle.wait().is_finished();
+            self.finished_at_drop.set(finished);
+        }
+    }
+
+    #[test]
+    fn a_finished_units_body_is_dropped_before_join_returns() {
+        let m = machine();
+        let sched = Scheduler::start(&m, SchedConfig::default());
+        let witness = Witness {
+            handle: Arc::new(Latch::default()),
+            finished_at_drop: Arc::new(Latch::default()),
+        };
+        let (slot, finished_at_drop) = (
+            Arc::clone(&witness.handle),
+            Arc::clone(&witness.finished_at_drop),
+        );
+        let h = Arc::new(sched.submit(TaskTag::new(0), move || {
+            let _held = &witness;
+            Run::Done
+        }));
+        slot.set(Arc::clone(&h));
+        h.join();
+        assert!(
+            !finished_at_drop.wait(),
+            "the body's capture was dropped after its unit finished"
+        );
         sched.shutdown();
     }
 

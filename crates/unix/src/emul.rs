@@ -158,23 +158,21 @@ impl UnixIo for MachUnix {
             .ok_or(UnixError::BadFd)
     }
 
-    /// One `FS_SYNC` per file written since the last call; the server
-    /// answers each once it has sent the kernel a `pager_clean_request`,
-    /// so the write-back is under way, not done, when this returns (a
-    /// build that starts at once can dirty a page again before the clean
-    /// reaches it, and the two builds then share one `pager_data_write`).
+    /// One `FS_SYNC` naming every file written since the last call. The
+    /// file server answers it once the kernel's `pager_data_write`s for
+    /// those files are in the filesystem, so the write-back is done when
+    /// this returns, and the next build dirties pages that are clean.
     fn sync_all(&self) -> Result<(), UnixError> {
         // A file only ever read has nothing to clean.
         let names = std::mem::take(&mut self.state.lock().written);
-        for (i, name) in names.iter().enumerate() {
-            if let Err(e) = self.client.sync(name) {
-                // Still unsynced: this one and everything after it.
-                let mut st = self.state.lock();
-                st.written.extend(names.iter().skip(i).cloned());
-                return Err(from_fs(e));
-            }
+        if names.is_empty() {
+            return Ok(());
         }
-        Ok(())
+        self.client.sync(&names).map_err(|e| {
+            // Still unsynced.
+            self.state.lock().written.extend(names);
+            from_fs(e)
+        })
     }
 
     /// Answered from the mapping once the file has been opened: what the
@@ -193,10 +191,10 @@ impl UnixIo for MachUnix {
 mod tests {
     use super::*;
     use machcore::{Kernel, KernelConfig};
+    use machpagers::fs::{FsRequest, FS_STAT, FS_SYNC};
     use machpagers::FileServer;
     use machsim::stats::keys;
     use machstorage::{BlockDevice, FlatFs};
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn setup() -> (Arc<Kernel>, Arc<FileServer>, MachUnix) {
         let k = Kernel::boot(KernelConfig::default());
@@ -244,37 +242,43 @@ mod tests {
         u.write(fd, 0, b"durable?").unwrap();
         u.close(fd).unwrap();
         u.sync_all().unwrap();
-        // Allow the clean request to propagate.
-        let landed = machsim::wall::poll_until(
-            std::time::Duration::from_secs(2),
-            std::time::Duration::from_millis(10),
-            || &server.fs().read_all("out").unwrap()[..8] == b"durable?",
-        );
-        assert!(landed, "sync never landed");
+        assert_eq!(&server.fs().read_all("out").unwrap()[..8], b"durable?");
     }
 
+    /// The names carried by each request a tap logged.
+    type TapLog = Arc<Mutex<Vec<Vec<String>>>>;
+
     /// A `MachUnix` behind a tap in front of the file server: the tap
-    /// counts the requests with id `counted` and forwards everything (the
-    /// reply port rides along, so replies go direct). Returns the
-    /// emulation, the count, and a closure that stops the tap.
+    /// logs the names carried by each request with id `logged` and
+    /// forwards everything (the reply port rides along, so replies go
+    /// direct). Returns the emulation, the log, and a closure that stops
+    /// the tap.
     fn tapped(
         k: &Arc<Kernel>,
         server: &Arc<FileServer>,
-        counted: u32,
-    ) -> (MachUnix, Arc<AtomicUsize>, impl FnOnce()) {
+        logged: u32,
+    ) -> (MachUnix, TapLog, impl FnOnce()) {
         // No file-server id: what stops the tap.
         const TAP_STOP: u32 = u32::MAX;
         let (tap_rx, tap_tx) = machipc::ReceiveRight::allocate(k.machine());
-        let count = Arc::new(AtomicUsize::new(0));
+        let log = Arc::new(Mutex::new(Vec::new()));
         let tap = {
-            let (count, real) = (count.clone(), server.port().clone());
+            let (log, real) = (log.clone(), server.port().clone());
             std::thread::spawn(move || {
-                while let Ok(msg) = tap_rx.receive(None) {
+                while let Ok(mut msg) = tap_rx.receive(None) {
                     if msg.id == TAP_STOP {
                         break;
                     }
-                    if msg.id == counted {
-                        count.fetch_add(1, Ordering::Relaxed);
+                    if msg.id == logged {
+                        let reply = msg.reply.take();
+                        let request = FsRequest::decode(msg).expect("a file server request");
+                        log.lock().push(match &request {
+                            FsRequest::Sync(names) => names.clone(),
+                            FsRequest::Stat(name) => vec![name.clone()],
+                            _ => Vec::new(),
+                        });
+                        msg = request.encode();
+                        msg.reply = reply;
                     }
                     real.send(msg, None).expect("file server is up");
                 }
@@ -287,14 +291,14 @@ mod tests {
                 .expect("tap is up");
             tap.join().expect("tap thread");
         };
-        (u, count, stop)
+        (u, log, stop)
     }
 
     #[test]
     fn sync_all_syncs_only_what_was_written() -> Result<(), UnixError> {
         let (k, server, _) = setup();
-        let (u, syncs, stop) = tapped(&k, &server, machpagers::fs::FS_SYNC);
-        let names = ["a", "b", "c"];
+        let (u, syncs, stop) = tapped(&k, &server, FS_SYNC);
+        let names = ["a", "b", "c", "d"];
         for name in names {
             u.create(name, 4096)?;
         }
@@ -306,12 +310,14 @@ mod tests {
         u.read(fds[0], 0, &mut b)?;
         u.write(fds[1], 0, b"dirt")?;
         u.read(fds[2], 0, &mut b)?;
+        u.write(fds[3], 0, b"dirt")?;
         u.close(fds[1])?;
         u.sync_all()?;
-        assert_eq!(syncs.load(Ordering::Relaxed), 1, "only b was written");
+        let written = [vec!["b".to_string(), "d".to_string()]];
+        assert_eq!(*syncs.lock(), written, "one FS_SYNC naming b and d");
         // Nothing written since: nothing to sync.
         u.sync_all()?;
-        assert_eq!(syncs.load(Ordering::Relaxed), 1);
+        assert_eq!(*syncs.lock(), written);
         stop();
         Ok(())
     }
@@ -319,11 +325,11 @@ mod tests {
     #[test]
     fn size_of_an_unopened_name_asks_the_server_once_then_never() -> Result<(), UnixError> {
         let (k, server, _) = setup();
-        let (u, stats, stop) = tapped(&k, &server, machpagers::fs::FS_STAT);
+        let (u, stats, stop) = tapped(&k, &server, FS_STAT);
         u.create("f", 8192)?;
         // First contact with the name: the library has no mapping to ask.
         assert_eq!(u.size_of("f")?, 8192);
-        assert_eq!(stats.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.lock().len(), 1);
         // Open, in use, closed: the mapping answers every time.
         let fd = u.open("f")?;
         assert_eq!(u.size_of("f")?, 8192);
@@ -332,9 +338,12 @@ mod tests {
         assert_eq!(u.size_of("f")?, 8192);
         u.sync_all()?;
         assert_eq!(u.size_of("f")?, 8192);
-        assert_eq!(stats.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.lock().len(), 1);
         assert!(matches!(u.size_of("absent"), Err(UnixError::Substrate(_))));
-        assert_eq!(stats.load(Ordering::Relaxed), 2);
+        assert_eq!(
+            *stats.lock(),
+            [vec!["f".to_string()], vec!["absent".to_string()]]
+        );
         stop();
         Ok(())
     }

@@ -72,7 +72,9 @@ cargo test -q --workspace
 
 # The tests whose assertions once depended on the host's schedule, and the
 # two storms over the fault path: 20 rounds under full parallelism, and 20
-# more pinned to one core where the host can pin.
+# more pinned to one core where the host can pin. unix_equivalence's message
+# and disk-write counts are exact because FS_SYNC answers with the writes
+# on disk; the repeats hold it to that.
 repeat_threaded_tests() {
     log=target/threaded-tests.log
     for round in 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20; do
@@ -81,7 +83,7 @@ repeat_threaded_tests() {
                 "$@" cargo test -q -p machbench --lib rpc_costs_about_two_messages &&
                 "$@" cargo test -q --test sched --test fault_async --test stress \
                     --test request_sizing --test fault_locks --test watchdog \
-                    --test pager_fill --test pmap_race
+                    --test pager_fill --test pmap_race --test unix_equivalence
         } >"$log" 2>&1 || {
             cat "$log"
             echo "threaded tests failed in round $round"
@@ -89,7 +91,7 @@ repeat_threaded_tests() {
         }
     done
 }
-echo "==> threaded tests x20 (steal pile, RPC cost bounds, sched + fault_async + stress storms, run faults: request_sizing + fault_locks, watchdog in_flight, pager_fill replies resuming on their own thread, pmap_race lock-free translations)"
+echo "==> threaded tests x20 (steal pile, RPC cost bounds, sched + fault_async + stress storms, run faults: request_sizing + fault_locks, watchdog in_flight, pager_fill replies resuming on their own thread, pmap_race lock-free translations, unix_equivalence exact write-back counts)"
 repeat_threaded_tests
 if command -v taskset >/dev/null 2>&1; then
     echo "==> threaded tests x20 on one core (taskset -c 0)"

@@ -681,7 +681,7 @@ fn protocol_messages_round_trip() {
             FsRequest::WriteFile(f.name(), f.data()),
             FsRequest::Create(f.name()),
             FsRequest::OpenMapped(f.name()),
-            FsRequest::Sync(f.name()),
+            FsRequest::Sync(vec![f.name(), f.name()]),
             FsRequest::Stat(f.name()),
         ];
         for m in fs {

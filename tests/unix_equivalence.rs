@@ -74,37 +74,21 @@ fn random_scripts_produce_identical_contents() {
 
 #[test]
 fn durable_contents_match_after_sync() {
-    // After sync_all, the on-disk filesystem contents must agree between
-    // the two implementations (eventually, for the async mapped path).
+    // Once `sync_all` has returned, the file server's disk holds what the
+    // mapped path reads back: `FS_SYNC` answers with the writes done.
     let seed = 7u64;
     let (_mb, b) = baseline();
     run_script(&b, seed);
     let (_k, server, u) = mach();
     run_script(&u, seed);
-    // The mapped path flushes asynchronously; poll for convergence.
-    let deadline = machsim::wall::Deadline::after(std::time::Duration::from_secs(5));
-    loop {
-        let mut all_equal = true;
-        for i in 0..3 {
-            let name = format!("f{i}");
-            let mach_bytes = server.fs().read_all(&name).unwrap();
-            let mut want = vec![0u8; mach_bytes.len()];
-            let fd = u.open(&name).unwrap();
-            u.read(fd, 0, &mut want).unwrap();
-            u.close(fd).unwrap();
-            if mach_bytes != want {
-                all_equal = false;
-            }
-        }
-        if all_equal {
-            break;
-        }
-        assert!(
-            !deadline.expired(),
-            "mapped writes never reached the server filesystem"
-        );
-        u.sync_all().unwrap();
-        machsim::wall::sleep(std::time::Duration::from_millis(20));
+    for i in 0..3 {
+        let name = format!("f{i}");
+        let on_disk = server.fs().read_all(&name).unwrap();
+        let mut mapped = vec![0u8; on_disk.len()];
+        let fd = u.open(&name).unwrap();
+        u.read(fd, 0, &mut mapped).unwrap();
+        u.close(fd).unwrap();
+        assert_eq!(on_disk, mapped, "{name} on disk differs from its mapping");
     }
 }
 
@@ -127,10 +111,12 @@ fn cost_profiles_differ_as_designed() {
 }
 
 #[test]
-fn a_warm_mach_build_sends_four_messages_per_written_file() -> Result<(), machunix::UnixError> {
+fn a_warm_mach_build_sends_one_sync_and_two_messages_per_written_file(
+) -> Result<(), machunix::UnixError> {
     // A warm rebuild reads through its mappings — no `FS_STAT`, no open
-    // RPC, no fault — so the only messages left are the write-back's:
-    // `FS_SYNC` and its reply, `pager_clean_request`, `pager_data_write`.
+    // RPC, no fault — so the only messages left are the write-back's: one
+    // `FS_SYNC` and its reply, and per object file a `pager_clean_request`
+    // and a `pager_data_write`, on disk before the reply.
     use machsim::stats::keys;
     let w = CompileWorkload {
         source_files: 6,
@@ -139,24 +125,14 @@ fn a_warm_mach_build_sends_four_messages_per_written_file() -> Result<(), machun
     };
     let (k, _server, u) = mach();
     let m = k.machine();
-    // `sync_all` returns once the cleaning has been asked for; a build's
-    // write-back has landed when its object files have reached the disk.
-    let landed = |writes: u64| {
-        machsim::wall::poll_until(
-            std::time::Duration::from_secs(5),
-            std::time::Duration::from_millis(1),
-            || m.stats.get(keys::DISK_WRITES) >= writes,
-        )
-    };
     w.populate(&u)?;
     let writes = m.stats.get(keys::DISK_WRITES);
     w.build(&u, m)?;
-    assert!(landed(writes + 6), "cold build's write-back never landed");
+    assert_eq!(m.stats.get(keys::DISK_WRITES), writes + 6, "cold build");
     let (msgs, writes) = (m.stats.get(keys::MSG_SENT), m.stats.get(keys::DISK_WRITES));
     let warm = w.build(&u, m)?;
-    assert!(landed(writes + 6), "warm build's write-back never landed");
     assert_eq!(warm.disk_reads, 0, "warm build fully cached");
-    assert_eq!(m.stats.get(keys::MSG_SENT) - msgs, 4 * 6);
-    assert_eq!(m.stats.get(keys::DISK_WRITES), writes + 6);
+    assert_eq!(m.stats.get(keys::MSG_SENT) - msgs, 2 + 2 * 6);
+    assert_eq!(m.stats.get(keys::DISK_WRITES), writes + 6, "warm build");
     Ok(())
 }
