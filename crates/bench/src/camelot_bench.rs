@@ -66,11 +66,12 @@ pub fn run_default() -> CamelotOutcome {
 
     let forced_before_data;
     {
-        // Crash: drop everything but the device. Task drop flushes dirty
-        // pages, which the pager only writes after forcing the log.
+        // Crash: drop everything but the device. Task drop queues the
+        // dirty pages on the segment's port before it returns, and the
+        // server writes them (forcing the log first) before it answers.
         drop(client);
         drop(task);
-        forced_before_data = wait_for_forces(&server);
+        forced_before_data = server.forced_before_data();
         drop(server);
         drop(k);
     }
@@ -93,17 +94,6 @@ pub fn run_default() -> CamelotOutcome {
         // internal to the kernel; takeovers would show in this counter.
         paging_store_writes: 0,
     }
-}
-
-fn wait_for_forces(server: &Arc<CamelotServer>) -> u64 {
-    for _ in 0..200 {
-        let f = server.forced_before_data();
-        if f > 0 {
-            return f;
-        }
-        machsim::wall::sleep(std::time::Duration::from_millis(5));
-    }
-    server.forced_before_data()
 }
 
 /// Renders the E12 table.

@@ -25,8 +25,7 @@ use machipc::{Message, OolBuffer, OolWatch, SendRight};
 use machsim::{wall, Machine};
 use machvm::{ObjectId, PagerBackend, PagerRequest, VmProt};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock, Weak};
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 /// Default number of outstanding laundered bytes a manager may hold before
@@ -88,10 +87,6 @@ impl LaundryState {
     }
 }
 
-/// Shared per-object termination hook (used by the default pager
-/// backend, which serves many objects through one port).
-type TerminateObjectHook = Box<dyn Fn(ObjectId) + Send>;
-
 /// Kernel-side connection to one data manager's memory object port.
 pub struct IpcPagerBackend {
     machine: Machine,
@@ -105,71 +100,55 @@ pub struct IpcPagerBackend {
     /// backend sent, so a page diverted to the fallback is the fallback's.
     laundry: parking_lot::Mutex<LaundryState>,
     /// Outstanding laundry beyond which the manager must keep releasing.
-    laundry_limit: AtomicU64,
+    laundry_limit: u64,
     /// Where diverted pageouts go (`None` for the default pager itself).
-    fallback: RwLock<Weak<dyn PagerBackend>>,
+    fallback: Option<Weak<dyn PagerBackend>>,
     /// Pages whose latest contents went to the fallback instead of the
     /// manager; requests for them must follow.
     diverted: parking_lot::Mutex<HashSet<(ObjectId, u64)>>,
     /// System page size, the granularity of `diverted`.
     page_size: u64,
-    /// Kernel cleanup to run at object termination (deallocates the
-    /// request and name ports, notifying the manager via port death).
-    on_terminate: parking_lot::Mutex<Option<Box<dyn FnOnce() + Send>>>,
-    /// Shared per-object termination hook (used by the default pager
-    /// backend, which serves many objects through one port).
-    on_terminate_object: parking_lot::Mutex<Option<TerminateObjectHook>>,
+    /// Kernel cleanup run for each terminated object, after the manager is
+    /// told (the routing registry forgets it; for a mapped object, the
+    /// request and name ports die, notifying the manager via port death).
+    on_terminate: Box<dyn Fn(ObjectId) + Send + Sync>,
     /// Label for diagnostics.
     label: String,
 }
 
 impl IpcPagerBackend {
     /// Creates a backend speaking to `manager`, returning data via
-    /// `request`, for a kernel whose pages are `page_size` bytes.
+    /// `request`, for a kernel whose pages are `page_size` bytes. A manager
+    /// errant past `laundry_limit` loses its pageouts to `fallback` (the
+    /// default pager's backend; `None` for that backend itself), and
+    /// `on_terminate` runs for each object terminated.
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         machine: &Machine,
         manager: SendRight,
         request: SendRight,
         page_size: usize,
         label: impl Into<String>,
+        fallback: Option<&Arc<dyn PagerBackend>>,
+        laundry_limit: u64,
+        on_terminate: impl Fn(ObjectId) + Send + Sync + 'static,
     ) -> Arc<Self> {
         Arc::new(IpcPagerBackend {
             machine: machine.clone(),
             manager,
             request,
             laundry: parking_lot::Mutex::new(LaundryState::default()),
-            laundry_limit: AtomicU64::new(DEFAULT_LAUNDRY_LIMIT),
-            fallback: RwLock::new(Weak::<IpcPagerBackend>::new()),
+            laundry_limit,
+            fallback: fallback.map(Arc::downgrade),
             diverted: parking_lot::Mutex::new(HashSet::new()),
             page_size: page_size.max(1) as u64,
-            on_terminate: parking_lot::Mutex::new(None),
-            on_terminate_object: parking_lot::Mutex::new(None),
+            on_terminate: Box::new(on_terminate),
             label: label.into(),
         })
     }
 
-    /// Sets the default-pager fallback for laundry overflow.
-    pub fn set_fallback(&self, fallback: &Arc<dyn PagerBackend>) {
-        *self.fallback.write().expect("lock poisoned") = Arc::downgrade(fallback);
-    }
-
-    /// Installs the cleanup run when the object is terminated.
-    pub fn set_terminate_hook(&self, hook: impl FnOnce() + Send + 'static) {
-        *self.on_terminate.lock() = Some(Box::new(hook));
-    }
-
-    /// Adjusts the laundry limit (ablation experiments).
-    pub fn set_laundry_limit(&self, bytes: u64) {
-        self.laundry_limit.store(bytes, Ordering::Relaxed);
-    }
-
-    /// Installs a hook run for every terminated object (default pager).
-    pub fn set_object_terminate_hook(&self, hook: impl Fn(ObjectId) + Send + 'static) {
-        *self.on_terminate_object.lock() = Some(Box::new(hook));
-    }
-
     fn fallback(&self) -> Option<Arc<dyn PagerBackend>> {
-        self.fallback.read().expect("lock poisoned").upgrade()
+        self.fallback.as_ref().and_then(Weak::upgrade)
     }
 
     /// Cuts `[offset, offset + length)` into maximal runs that all went to
@@ -261,8 +240,7 @@ impl PagerBackend for IpcPagerBackend {
         let bytes = data.len() as u64;
         let pages =
             (0..bytes.div_ceil(self.page_size)).map(|i| (object, offset + i * self.page_size));
-        let limit = self.laundry_limit.load(Ordering::Relaxed);
-        if self.laundry.lock().is_errant(bytes, limit) {
+        if self.laundry.lock().is_errant(bytes, self.laundry_limit) {
             // Starvation protection: the manager has sat on too much
             // unreleased laundry for too long; page to the default pager
             // instead, and remember that these pages now live there.
@@ -318,12 +296,7 @@ impl PagerBackend for IpcPagerBackend {
         }
         self.manager
             .send_notification(KernelToManager::Terminate(object.0).encode());
-        if let Some(hook) = self.on_terminate.lock().take() {
-            hook();
-        }
-        if let Some(hook) = self.on_terminate_object.lock().as_ref() {
-            hook(object);
-        }
+        (self.on_terminate)(object);
     }
 
     fn name(&self) -> &str {
@@ -338,12 +311,19 @@ mod tests {
     use machipc::{MsgItem, ReceiveRight};
     use parking_lot::Mutex;
 
-    fn setup() -> (Machine, ReceiveRight, ReceiveRight, Arc<IpcPagerBackend>) {
+    type Setup = (Machine, ReceiveRight, ReceiveRight, Arc<IpcPagerBackend>);
+
+    /// A backend over fresh ports, diverting to `fallback` past `limit`.
+    fn with_fallback(fallback: Option<&Arc<dyn PagerBackend>>, limit: u64) -> Setup {
         let m = Machine::default_machine();
         let (mgr_rx, mgr_tx) = ReceiveRight::allocate(&m);
         let (req_rx, req_tx) = ReceiveRight::allocate(&m);
-        let b = IpcPagerBackend::new(&m, mgr_tx, req_tx, 4096, "test");
+        let b = IpcPagerBackend::new(&m, mgr_tx, req_tx, 4096, "test", fallback, limit, |_| {});
         (m, mgr_rx, req_rx, b)
+    }
+
+    fn setup() -> Setup {
+        with_fallback(None, DEFAULT_LAUNDRY_LIMIT)
     }
 
     #[test]
@@ -420,10 +400,9 @@ mod tests {
 
     #[test]
     fn only_a_manager_over_its_limit_past_the_deadline_is_taken_over() {
-        let (m, mgr_rx, _req_rx, b) = setup();
         let sink = Arc::new(Sink::default());
         let sink_dyn: Arc<dyn PagerBackend> = sink.clone();
-        b.set_fallback(&sink_dyn);
+        let (m, mgr_rx, _req_rx, b) = with_fallback(Some(&sink_dyn), DEFAULT_LAUNDRY_LIMIT);
         let takeovers = || {
             m.stats
                 .get(machsim::stats::keys::VM_DEFAULT_PAGER_TAKEOVERS)
@@ -456,11 +435,9 @@ mod tests {
 
     #[test]
     fn requests_follow_a_diverted_page_until_the_manager_holds_it_again() {
-        let (_m, mgr_rx, _req_rx, b) = setup();
         let sink = Arc::new(Sink::default());
         let sink_dyn: Arc<dyn PagerBackend> = sink.clone();
-        b.set_fallback(&sink_dyn);
-        b.set_laundry_limit(0);
+        let (_m, mgr_rx, _req_rx, b) = with_fallback(Some(&sink_dyn), 0);
         b.data_write(ObjectId(1), 0, page()); // puts the manager on notice
         wall::sleep(LAUNDRY_DEADLINE + Duration::from_millis(20));
         b.data_write(ObjectId(1), 2 * 4096, page());
@@ -501,11 +478,9 @@ mod tests {
 
     #[test]
     fn terminating_an_object_with_diverted_pages_tells_the_fallback() {
-        let (m, _mgr_rx, _req_rx, b) = setup();
         let sink = Arc::new(Sink::default());
         let sink_dyn: Arc<dyn PagerBackend> = sink.clone();
-        b.set_fallback(&sink_dyn);
-        b.set_laundry_limit(0);
+        let (m, _mgr_rx, _req_rx, b) = with_fallback(Some(&sink_dyn), 0);
         b.data_write(ObjectId(1), 0, page()); // puts the manager on notice
         wall::sleep(LAUNDRY_DEADLINE + Duration::from_millis(20));
         b.data_write(ObjectId(1), 4096, page());

@@ -207,22 +207,25 @@ impl Kernel {
         let paging_table = dp.page_table();
         let dp_handle = spawn_manager(&machine, "default", dp);
         let (_, dp_request) = Self::register_request_port(&service_space, &registry, &phys, None);
+        // Terminated kernel-created objects leave the routing registry and
+        // the default pager frees their paging storage.
+        let forget = {
+            let registry = registry.clone();
+            move |object: ObjectId| {
+                registry.lock().by_id.remove(&object.0);
+            }
+        };
         let default_backend = IpcPagerBackend::new(
             &machine,
             dp_handle.port().clone(),
             dp_request,
             config.page_size,
             "default-pager",
+            None,
+            config.laundry_limit,
+            forget,
         );
         phys.set_default_pager(default_backend.clone());
-        // Terminated kernel-created objects leave the routing registry and
-        // the default pager frees their paging storage.
-        {
-            let registry = registry.clone();
-            default_backend.set_object_terminate_hook(move |object| {
-                registry.lock().by_id.remove(&object.0);
-            });
-        }
 
         // pager_create: when a temporary object is first paged out, tell
         // the default pager and register the object for supply routing.
@@ -599,27 +602,15 @@ impl Kernel {
             .service_space
             .send_right(name_port_name)
             .expect("name port right");
-        let backend = IpcPagerBackend::new(
-            &self.machine,
-            memory_object.clone(),
-            request.clone(),
-            self.phys.page_size(),
-            format!("pager-{}", memory_object.id()),
-        );
-        let fallback: Arc<dyn PagerBackend> = self.default_backend.clone();
-        backend.set_fallback(&fallback);
-        backend.set_laundry_limit(self.laundry_limit);
-        let object = VmObject::new_with_pager(size, backend.clone());
         // Termination: forget the object and kill the kernel-held ports so
         // the manager sees port death.
-        {
+        let on_terminate = {
             let registry = self.registry.clone();
             let port_id = memory_object.id();
-            let object_id = object.id().0;
             let space = self.service_space.clone();
-            backend.set_terminate_hook(move || {
+            move |object: ObjectId| {
                 let mut reg = registry.lock();
-                reg.by_id.remove(&object_id);
+                reg.by_id.remove(&object.0);
                 reg.by_port.remove(&port_id);
                 drop(reg);
                 // Dropping the kernel's receive rights destroys both ports;
@@ -628,8 +619,20 @@ impl Kernel {
                 // of the request and name ports").
                 let _ = space.port_deallocate(request_name);
                 let _ = space.port_deallocate(name_port_name);
-            });
-        }
+            }
+        };
+        let fallback: Arc<dyn PagerBackend> = self.default_backend.clone();
+        let backend = IpcPagerBackend::new(
+            &self.machine,
+            memory_object.clone(),
+            request.clone(),
+            self.phys.page_size(),
+            format!("pager-{}", memory_object.id()),
+            Some(&fallback),
+            self.laundry_limit,
+            on_terminate,
+        );
+        let object = VmObject::new_with_pager(size, backend);
         let mut reg = self.registry.lock();
         reg.by_id.insert(object.id().0, object.clone());
         reg.by_port.insert(memory_object.id(), object.clone());

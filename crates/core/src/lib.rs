@@ -35,7 +35,7 @@ pub mod task;
 pub use backend::IpcPagerBackend;
 pub use default_pager::DefaultPager;
 pub use kernel::{Kernel, KernelConfig, DEFAULT_CLUSTER_PAGES};
-pub use manager::{spawn_manager, DataManager, KernelConn, ManagerHandle};
+pub use manager::{spawn_manager, DataManager, KernelConn, ManagerHandle, ManagerTask};
 pub use msg::RegionDescriptor;
 pub use objport::{RemoteTask, TaskPort};
 pub use task::Task;

@@ -2,12 +2,12 @@
 //!
 //! "The memory object is not provided solely by the Mach kernel, but can be
 //! created and serviced by a user-level data manager task." This module is
-//! that task's skeleton: [`spawn_manager`] allocates a memory object port,
-//! serves it ([`machipc::serve`]), and translates the kernel's protocol
-//! messages (Table 3-5) into calls on a [`DataManager`] implementation
-//! ([`dispatch`], which a task serving many objects calls itself),
+//! that task's skeleton: `dispatch` translates the kernel's protocol
+//! messages (Table 3-5) into calls on a [`DataManager`] implementation,
 //! handing it a [`KernelConn`] with typed methods for every manager →
-//! kernel call (Table 3-6).
+//! kernel call (Table 3-6). A server task is a [`ManagerTask`], one thread
+//! serving its request port and every memory object it backs; a manager
+//! with a thread of its own is [`spawn_manager`].
 //!
 //! A single memory object may be mapped by several independent kernels; the
 //! manager then receives one `pager_init` per kernel, each carrying a
@@ -15,11 +15,16 @@
 //! Section 4.2 shared memory example.
 
 use crate::proto::{KernelToManager, Malformed, ManagerToKernel, Parts};
-use machipc::{serve, Message, OolBuffer, ReceiveRight, SendRight, Server, MSG_ID_PORT_DEATH};
+use machipc::{
+    serve, serve_group, Message, OolBuffer, PortName, PortSpace, ReceiveRight, SendRight, Server,
+    MSG_ID_PORT_DEATH,
+};
 use machsim::stats::keys;
 use machsim::Machine;
 use machvm::VmProt;
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A manager's connection to one kernel: the pager request port plus typed
@@ -179,14 +184,8 @@ pub type ManagerHandle = Server;
 
 /// Hands one message that arrived on the memory object port `self_port`
 /// to its manager: the one reading of Table 3-5, whether the port has a
-/// thread of its own ([`spawn_manager`]) or is one of many a server task
-/// receives on (the file server's default port group).
-pub fn dispatch<M: DataManager>(
-    machine: &Machine,
-    self_port: &SendRight,
-    mgr: &mut M,
-    msg: Message,
-) {
+/// thread of its own ([`spawn_manager`]) or is one of a [`ManagerTask`]'s.
+fn dispatch<M: DataManager>(machine: &Machine, self_port: &SendRight, mgr: &mut M, msg: Message) {
     if msg.id == MSG_ID_PORT_DEATH {
         let port = Parts::of(msg.body).words().next().unwrap_or(0);
         return mgr.kernel_detached(port);
@@ -241,6 +240,93 @@ pub fn spawn_manager<M: DataManager>(machine: &Machine, label: &str, mut mgr: M)
         dispatch(&machine, &self_port, &mut mgr, msg);
         None
     })
+}
+
+/// A data-manager server task: its request port and the memory object
+/// port of every object it backs, enabled in its port space's default
+/// group, which one thread serves ([`ManagerTask::serve`]). Each object's
+/// manager is owned by that thread: a request reaches an object's state
+/// through the task, and the state needs no lock.
+pub struct ManagerTask<M> {
+    machine: Machine,
+    space: Arc<PortSpace>,
+    request: PortName,
+    /// Each memory object port's send right and its manager.
+    objects: HashMap<PortName, (SendRight, M)>,
+}
+
+impl<M: DataManager> ManagerTask<M> {
+    /// A task with a fresh request port and no objects yet.
+    pub fn new(machine: &Machine) -> Self {
+        let space = Arc::new(PortSpace::new(machine));
+        let request = enabled_port(machine, &space, 1024).0;
+        ManagerTask {
+            machine: machine.clone(),
+            space,
+            request,
+            objects: HashMap::new(),
+        }
+    }
+
+    /// Backs a fresh memory object with `manager`: its port joins the
+    /// group. Returns the port's name and a send right to give kernels.
+    pub fn back(&mut self, manager: M) -> (PortName, SendRight) {
+        // Kernels send with the notification path; keep a sane floor anyway.
+        let (object, port) = enabled_port(&self.machine, &self.space, 4096);
+        self.objects.insert(object, (port.clone(), manager));
+        (object, port)
+    }
+
+    /// The memory object `object`'s send right and manager.
+    pub fn object(&mut self, object: PortName) -> Option<&mut (SendRight, M)> {
+        self.objects.get_mut(&object)
+    }
+
+    /// Hands a message from an object's port to its manager.
+    fn serve_object(&mut self, object: PortName, msg: Message) {
+        if let Some((port, manager)) = self.objects.get_mut(&object) {
+            dispatch(&self.machine, port, manager, msg);
+        }
+    }
+
+    /// Serves whatever is queued on `object`'s port now: what a local
+    /// kernel queued while this thread called it is handled before the
+    /// thread answers its caller.
+    pub fn drain(&mut self, object: PortName) {
+        while let Ok(msg) = self.space.receive(object, Some(Duration::ZERO)) {
+            self.serve_object(object, msg);
+        }
+    }
+
+    /// Starts the task's one thread, named `name`: a message on an object's
+    /// port goes to its manager, one on the request port to `request`, with
+    /// the task, whose answer is sent to the message's reply port. The
+    /// returned server's port is the request port.
+    pub fn serve<H>(mut self, name: &str, mut request: H) -> Server
+    where
+        H: FnMut(&mut Self, Message) -> Option<Message> + Send + 'static,
+    {
+        let (space, port) = (self.space.clone(), self.request);
+        serve_group(name, space, port, move |from, msg| {
+            if from == port {
+                return request(&mut self, msg);
+            }
+            self.serve_object(from, msg);
+            None
+        })
+        .expect("the request port is in the space")
+    }
+}
+
+/// A fresh port in `space`'s default group, holding `backlog` messages.
+fn enabled_port(machine: &Machine, space: &PortSpace, backlog: usize) -> (PortName, SendRight) {
+    let (rx, port) = ReceiveRight::allocate(machine);
+    rx.set_backlog(backlog);
+    let name = space.insert_receive(rx);
+    space
+        .port_enable(name)
+        .expect("the space holds the receive right");
+    (name, port)
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@ use machsim::wall;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Bound;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -37,6 +38,9 @@ struct Entry {
 struct SpaceInner {
     next_name: u32,
     entries: BTreeMap<PortName, Entry>,
+    /// The port the default group last delivered from: the next scan
+    /// starts after it, so no busy port starves the others.
+    last_served: PortName,
 }
 
 /// A task's port right name space.
@@ -61,6 +65,7 @@ impl PortSpace {
             inner: Mutex::new(SpaceInner {
                 next_name: 1,
                 entries: BTreeMap::new(),
+                last_served: PortName(0),
             }),
         }
     }
@@ -220,7 +225,8 @@ impl PortSpace {
         }
     }
 
-    /// `msg_receive` from the default group of enabled ports.
+    /// `msg_receive` from the default group of enabled ports, round-robin:
+    /// the scan resumes after the port it delivered from last.
     ///
     /// Returns the name of the port the message arrived on.
     pub fn receive_default(
@@ -231,17 +237,20 @@ impl PortSpace {
         loop {
             let seen = self.waker.generation();
             {
-                let inner = self.inner.lock();
+                let mut inner = self.inner.lock();
+                let SpaceInner {
+                    entries,
+                    last_served,
+                    ..
+                } = &mut *inner;
+                let after = (Bound::Excluded(*last_served), Bound::Unbounded);
+                let scan = entries.range(after).chain(entries.range(..=*last_served));
                 let mut any_enabled = false;
-                for (name, entry) in inner.entries.iter() {
-                    if !entry.enabled {
-                        continue;
-                    }
+                for (name, entry) in scan.filter(|(_, e)| e.enabled) {
                     any_enabled = true;
-                    if let Some(rx) = &entry.receive {
-                        if let Some(msg) = rx.try_receive() {
-                            return Ok((*name, msg));
-                        }
+                    if let Some(msg) = entry.receive.as_ref().and_then(|rx| rx.try_receive()) {
+                        *last_served = *name;
+                        return Ok((*name, msg));
                     }
                 }
                 if !any_enabled {
@@ -378,6 +387,21 @@ mod tests {
         let (from, msg) = s.receive_default(Some(Duration::from_secs(1))).unwrap();
         assert_eq!(from, b);
         assert_eq!(msg.id, 20);
+    }
+
+    #[test]
+    fn default_group_takes_turns_between_busy_ports() {
+        let s = space();
+        let (a, b) = (s.port_allocate(), s.port_allocate());
+        for name in [a, b] {
+            s.port_enable(name).expect("the space holds the port");
+            for _ in 0..4 {
+                s.send(name, Message::new(0), None).expect("room");
+            }
+        }
+        let next = || s.receive_default(Some(Duration::ZERO)).expect("queued");
+        let order: Vec<PortName> = (0..8).map(|_| next().0).collect();
+        assert_eq!(order, [a, b, a, b, a, b, a, b]);
     }
 
     #[test]

@@ -10,9 +10,12 @@
 //!
 //! Experiment E9 measures exactly that: messages and pager fills per
 //! client, as a function of client arrival order.
+//!
+//! The service is one task on one thread, a [`ManagerTask`]: the attach
+//! port and the array's memory object port are one port group.
 
-use machcore::{spawn_manager, DataManager, KernelConn, ManagerHandle, Task};
-use machipc::{serve, OolBuffer, ReceiveRight, SendRight, Server, RPC_TIMEOUT};
+use machcore::{DataManager, KernelConn, ManagerTask, Task};
+use machipc::{OolBuffer, SendRight, Server, RPC_TIMEOUT};
 use machsim::Machine;
 use machvm::{VmError, VmProt};
 use std::fmt;
@@ -89,7 +92,6 @@ impl DataManager for ArrayPager {
 /// A server exporting one array as a memory object.
 pub struct ArrayService {
     server: Server,
-    _pager: ManagerHandle,
     size: u64,
 }
 
@@ -106,26 +108,16 @@ impl ArrayService {
         size: u64,
         generator: impl Fn(u64) -> u8 + Send + Sync + 'static,
     ) -> Arc<ArrayService> {
-        let pager = spawn_manager(
-            machine,
-            "array",
-            ArrayPager {
-                generator: Arc::new(generator),
-                written: std::collections::HashMap::new(),
-            },
-        );
-        let object_port = pager.port().clone();
-        let (rx, _) = ReceiveRight::allocate(machine);
-        rx.set_backlog(1024);
-        let server = serve("array-server", rx, move |msg| {
+        let mut task = ManagerTask::new(machine);
+        let (_, object_port) = task.back(ArrayPager {
+            generator: Arc::new(generator),
+            written: std::collections::HashMap::new(),
+        });
+        let server = task.serve("array-server", move |_, msg| {
             let ArrayRequest::Attach = ArrayRequest::decode(msg).ok()?;
             Some(ArrayReply::Attached(size, object_port.clone()).encode())
         });
-        Arc::new(ArrayService {
-            server,
-            _pager: pager,
-            size,
-        })
+        Arc::new(ArrayService { server, size })
     }
 
     /// The service's RPC port.

@@ -14,6 +14,10 @@
 //! and [`CamelotServer::recover`] replays the durable log after a crash —
 //! redoing committed transactions, undoing uncommitted ones.
 //!
+//! The disk manager is one task on one thread, a [`ManagerTask`]: the
+//! transaction port and the segment's memory object port are one port
+//! group, and the segment's manager owns the log and the database.
+//!
 //! The paper's listed benefits are all observable here: clients do not
 //! implement page replacement, they need no fixed-size buffers, and
 //! "recoverable data can be written directly to permanent backing storage
@@ -21,18 +25,15 @@
 //! experiment asserts the default pager's partition stays cold.
 
 use machcore::proto::Malformed;
-use machcore::{spawn_manager, DataManager, KernelConn, ManagerHandle, Task};
-use machipc::{serve, IpcError, OolBuffer, ReceiveRight, SendRight, Server, RPC_TIMEOUT};
+use machcore::{DataManager, KernelConn, ManagerTask, Task};
+use machipc::{IpcError, OolBuffer, SendRight, Server, RPC_TIMEOUT};
 use machsim::Machine;
 use machstorage::{BlockDevice, FlatFs, LogRecord, WriteAheadLog};
 use machvm::{VmError, VmProt};
-use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
-#[cfg(test)]
-const PAGE: usize = 4096;
 const SEGMENT_FILE: &str = "recoverable-segment";
 
 machcore::protocol! {
@@ -50,6 +51,9 @@ machcore::protocol! {
         Commit(txid: u64) = TX_COMMIT: 0x4704,
         /// Abort `txid`.
         Abort(txid: u64) = TX_ABORT: 0x4705,
+        /// The manager's counters, once the page writes already queued
+        /// on the segment's port are written.
+        Stats = TX_STATS: 0x4706,
     }
 }
 
@@ -63,34 +67,28 @@ machcore::protocol! {
         Began(txid: u64) = TX_OK,
         /// Done (log, commit, abort).
         Done = TX_OK,
+        /// `(forced_before_data, checkpoints)` (stats).
+        Stats(forced_before_data: u64, checkpoints: u64) = TX_STATS_REPLY: 0x4782,
         /// The operation failed, or the request was malformed.
         Failed = TX_ERR: 0x4781,
     }
 }
 
-/// Shared state between the pager and the transaction server.
-struct DiskManagerState {
+/// The segment's manager: the log, the database and the transactions,
+/// owned by the server's thread.
+struct DiskManager {
     wal: WriteAheadLog,
     db: Arc<FlatFs>,
     next_txid: u64,
     /// Transactions begun but neither committed nor aborted.
-    active: std::collections::HashSet<u64>,
+    active: HashSet<u64>,
     /// Statistics: how many times the WAL was forced before page data.
     forced_before_data: u64,
     /// Statistics: checkpoints taken.
     checkpoints: u64,
 }
 
-impl DiskManagerState {
-    /// The §8.3 invariant: force the log, then write the page.
-    fn write_page_with_wal_ordering(&mut self, offset: u64, data: &[u8]) {
-        if self.wal.pending_len() > 0 {
-            self.wal.force().expect("log force");
-            self.forced_before_data += 1;
-        }
-        let _ = self.db.write(SEGMENT_FILE, offset as usize, data);
-    }
-
+impl DiskManager {
     /// Begins a transaction.
     fn begin(&mut self) -> u64 {
         let txid = self.next_txid;
@@ -127,37 +125,37 @@ impl DiskManagerState {
         let Ok(records) = self.wal.recover() else {
             return;
         };
-        let committed: std::collections::HashSet<u64> = records
-            .iter()
-            .filter_map(|r| match r {
-                LogRecord::Commit { txid } => Some(*txid),
-                _ => None,
-            })
-            .collect();
-        for rec in &records {
-            if let LogRecord::Update {
-                txid,
-                offset,
-                after,
-                ..
-            } = rec
-            {
-                if committed.contains(txid) {
-                    let _ = self.db.write(SEGMENT_FILE, *offset as usize, after);
-                }
-            }
+        for (_, offset, _, after) in updates(&records).filter(|u| u.0) {
+            let _ = self.db.write(SEGMENT_FILE, offset as usize, after);
         }
         self.wal.reset();
         self.checkpoints += 1;
     }
 }
 
-/// The pager half: serves the recoverable segment.
-struct RecoverablePager {
-    state: Arc<Mutex<DiskManagerState>>,
+/// Each update in `records`, in log order, with whether its transaction
+/// committed: `(committed, offset, before, after)`.
+fn updates(records: &[LogRecord]) -> impl DoubleEndedIterator<Item = (bool, u64, &[u8], &[u8])> {
+    let committed: HashSet<u64> = records
+        .iter()
+        .filter_map(|r| match r {
+            LogRecord::Commit { txid } => Some(*txid),
+            _ => None,
+        })
+        .collect();
+    records.iter().filter_map(move |r| match r {
+        LogRecord::Update {
+            txid,
+            offset,
+            before,
+            after,
+            ..
+        } => Some((committed.contains(txid), *offset, &before[..], &after[..])),
+        _ => None,
+    })
 }
 
-impl DataManager for RecoverablePager {
+impl DataManager for DiskManager {
     fn data_request(
         &mut self,
         kernel: &KernelConn,
@@ -166,31 +164,32 @@ impl DataManager for RecoverablePager {
         length: u64,
         _access: VmProt,
     ) {
-        let state = self.state.lock();
-        let size = state.db.size(SEGMENT_FILE).unwrap_or(0);
+        let size = self.db.size(SEGMENT_FILE).unwrap_or(0);
         let mut data = vec![0u8; length as usize];
         let n = (size.saturating_sub(offset as usize)).min(length as usize);
         if n > 0 {
-            let _ = state.db.read(SEGMENT_FILE, offset as usize, &mut data[..n]);
+            let _ = self.db.read(SEGMENT_FILE, offset as usize, &mut data[..n]);
         }
-        drop(state);
         kernel.data_provided(object, offset, OolBuffer::from_vec(data), VmProt::NONE);
     }
 
     fn data_write(&mut self, kernel: &KernelConn, object: u64, offset: u64, data: OolBuffer) {
-        // Write-ahead discipline: log records first, then the data pages.
-        self.state
-            .lock()
-            .write_page_with_wal_ordering(offset, data.as_slice());
+        // The §8.3 invariant, write-ahead: force the log, then write the page.
+        if self.wal.pending_len() > 0 {
+            self.wal.force().expect("log force");
+            self.forced_before_data += 1;
+        }
+        let _ = self
+            .db
+            .write(SEGMENT_FILE, offset as usize, data.as_slice());
         kernel.release_laundry(object, data.len() as u64);
     }
 }
 
 /// The Camelot disk manager: recoverable segment + WAL + transactions.
 pub struct CamelotServer {
-    state: Arc<Mutex<DiskManagerState>>,
+    db: Arc<FlatFs>,
     server: Server,
-    _pager: ManagerHandle,
     segment_size: u64,
 }
 
@@ -215,39 +214,27 @@ impl CamelotServer {
         db.create(SEGMENT_FILE).expect("fresh database");
         db.truncate(SEGMENT_FILE, segment_size as usize)
             .expect("segment fits device");
-        Self::start(machine, wal, db, segment_size)
-    }
-
-    fn start(
-        machine: &Machine,
-        wal: WriteAheadLog,
-        db: Arc<FlatFs>,
-        segment_size: u64,
-    ) -> Arc<CamelotServer> {
-        let state = Arc::new(Mutex::new(DiskManagerState {
+        let mut task = ManagerTask::new(machine);
+        let (segment, object_port) = task.back(DiskManager {
             wal,
-            db,
+            db: db.clone(),
             next_txid: 1,
-            active: std::collections::HashSet::new(),
+            active: HashSet::new(),
             forced_before_data: 0,
             checkpoints: 0,
-        }));
-        let pager = spawn_manager(
-            machine,
-            "camelot",
-            RecoverablePager {
-                state: state.clone(),
-            },
-        );
-        let object_port = pager.port().clone();
-        let (rx, _) = ReceiveRight::allocate(machine);
-        rx.set_backlog(1024);
-        let loop_state = state.clone();
+        });
         let done = |ok| if ok { TxReply::Done } else { TxReply::Failed };
-        let server = serve("camelot-server", rx, move |msg| {
-            let reply = match TxRequest::decode(msg) {
+        let server = task.serve("camelot-server", move |task, msg| {
+            let request = TxRequest::decode(msg);
+            if let Ok(TxRequest::Stats) = request {
+                // As `FS_SYNC` does: a local kernel's writes, queued
+                // before this request, count.
+                task.drain(segment);
+            }
+            let (_, state) = task.object(segment).expect("the segment is backed");
+            let reply = match request {
                 Ok(TxRequest::Attach) => TxReply::Attached(segment_size, object_port.clone()),
-                Ok(TxRequest::Begin) => TxReply::Began(loop_state.lock().begin()),
+                Ok(TxRequest::Begin) => TxReply::Began(state.begin()),
                 Ok(TxRequest::Log(txid, offset, before, after)) => {
                     let rec = LogRecord::Update {
                         txid,
@@ -256,18 +243,18 @@ impl CamelotServer {
                         before: before.to_mut_vec(),
                         after: after.to_mut_vec(),
                     };
-                    done(loop_state.lock().wal.append(&rec).is_ok())
+                    done(state.wal.append(&rec).is_ok())
                 }
-                Ok(TxRequest::Commit(txid)) => done(loop_state.lock().end(txid, true)),
-                Ok(TxRequest::Abort(txid)) => done(loop_state.lock().end(txid, false)),
+                Ok(TxRequest::Commit(txid)) => done(state.end(txid, true)),
+                Ok(TxRequest::Abort(txid)) => done(state.end(txid, false)),
+                Ok(TxRequest::Stats) => TxReply::Stats(state.forced_before_data, state.checkpoints),
                 Err(Malformed) => TxReply::Failed,
             };
             Some(reply.encode())
         });
         Arc::new(CamelotServer {
-            state,
+            db,
             server,
-            _pager: pager,
             segment_size,
         })
     }
@@ -277,23 +264,28 @@ impl CamelotServer {
         self.server.port()
     }
 
-    /// How many times the WAL was forced ahead of page data.
+    /// `(forced_before_data, checkpoints)`, asked of the server.
+    fn stats(&self) -> (u64, u64) {
+        match rpc(self.port(), TxRequest::Stats) {
+            Ok(TxReply::Stats(forced, checkpoints)) => (forced, checkpoints),
+            _ => panic!("the disk manager answers its own handle"),
+        }
+    }
+
+    /// How many times the WAL was forced ahead of page data, counting the
+    /// writes a local kernel had sent when this was called.
     pub fn forced_before_data(&self) -> u64 {
-        self.state.lock().forced_before_data
+        self.stats().0
     }
 
     /// Checkpoints taken (committed redo applied, log truncated).
     pub fn checkpoints(&self) -> u64 {
-        self.state.lock().checkpoints
+        self.stats().1
     }
 
     /// Reads the durable segment contents directly (for assertions).
     pub fn durable_segment(&self) -> Vec<u8> {
-        self.state
-            .lock()
-            .db
-            .read_all(SEGMENT_FILE)
-            .unwrap_or_default()
+        self.db.read_all(SEGMENT_FILE).unwrap_or_default()
     }
 
     /// Crash recovery: reopens the device and restores the segment to a
@@ -310,38 +302,16 @@ impl CamelotServer {
         // persist the fs metadata; re-creating it over the same block list
         // is equivalent for a single-file database.
         let _ = db.create(SEGMENT_FILE);
-        let mut committed = std::collections::HashSet::new();
-        let mut updates: Vec<(u64, u64, Vec<u8>, Vec<u8>)> = Vec::new();
-        for rec in &records {
-            match rec {
-                LogRecord::Commit { txid } => {
-                    committed.insert(*txid);
-                }
-                LogRecord::Update {
-                    txid,
-                    offset,
-                    before,
-                    after,
-                    ..
-                } => updates.push((*txid, *offset, before.clone(), after.clone())),
-                LogRecord::Abort { .. } => {}
-            }
-        }
-        let mut redone = 0;
-        let mut undone = 0;
+        let (mut redone, mut undone) = (0, 0);
         // Redo committed updates in log order.
-        for (txid, offset, _before, after) in &updates {
-            if committed.contains(txid) {
-                let _ = db.write(SEGMENT_FILE, *offset as usize, after);
-                redone += 1;
-            }
+        for (_, offset, _, after) in updates(&records).filter(|u| u.0) {
+            let _ = db.write(SEGMENT_FILE, offset as usize, after);
+            redone += 1;
         }
         // Undo uncommitted updates in reverse log order.
-        for (txid, offset, before, _after) in updates.iter().rev() {
-            if !committed.contains(txid) {
-                let _ = db.write(SEGMENT_FILE, *offset as usize, before);
-                undone += 1;
-            }
+        for (_, offset, before, _) in updates(&records).rev().filter(|u| !u.0) {
+            let _ = db.write(SEGMENT_FILE, offset as usize, before);
+            undone += 1;
         }
         (redone, undone)
     }
@@ -478,13 +448,11 @@ pub fn encode_balance(v: u64) -> [u8; 8] {
     v.to_le_bytes()
 }
 
-/// Keeps the compiler from flagging the unused import in non-test builds.
-#[doc(hidden)]
-pub fn _touch(_: &HashMap<u64, u64>) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const PAGE: usize = 4096;
     use machcore::{Kernel, KernelConfig};
     use machipc::{Message, MsgItem};
     use std::time::Duration;

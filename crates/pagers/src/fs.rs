@@ -14,30 +14,24 @@
 //! pages stay in the VM cache between opens. That advice is the entire
 //! mechanism behind Section 9's performance claims.
 //!
-//! The server is one task on one thread: its request port and every open
-//! file's memory object port are in its default port group
-//! ([`machipc::serve_group`]), and each file's pager is a [`DataManager`]
-//! handed its messages by [`machcore::manager::dispatch`]. So `FS_SYNC`
+//! The server is one task on one thread, a [`ManagerTask`]: its request
+//! port and every open file's memory object port are one port group, and
+//! each file's pager is a [`DataManager`] that thread owns. So `FS_SYNC`
 //! writes the files back on the thread that answers it: each
 //! `pager_clean_request`, applied by a local kernel on the sender's
 //! thread, queues its `pager_data_write`s on a port this thread takes
 //! from before it replies. A kernel behind a network proxy applies the
 //! clean later, and its writes are served when they arrive.
 
-use machcore::manager::dispatch;
 use machcore::proto::Malformed;
-use machcore::{DataManager, KernelConn, Task};
-use machipc::{
-    serve_group, IpcError, Message, OolBuffer, PortName, PortSpace, ReceiveRight, SendRight,
-    Server, RPC_TIMEOUT,
-};
+use machcore::{DataManager, KernelConn, ManagerTask, Task};
+use machipc::{IpcError, OolBuffer, PortName, SendRight, Server, RPC_TIMEOUT};
 use machsim::{EventKind, Machine};
 use machstorage::{FlatFs, FsError};
 use machvm::{VmError, VmProt};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Generic success reply.
 pub const FS_OK: u32 = 0x4180;
@@ -152,7 +146,6 @@ impl DataManager for FilePager {
 
 /// The filesystem server task.
 pub struct FileServer {
-    machine: Machine,
     fs: Arc<FlatFs>,
     server: Server,
 }
@@ -163,90 +156,49 @@ impl fmt::Debug for FileServer {
     }
 }
 
-/// The server task's state. Its port space's default group holds the
-/// request port and every open file's memory object port, and its one
-/// thread serves them all.
-struct ServerState {
+/// The server's own state beside its task's: the memory object port of
+/// each open file.
+struct Files {
     fs: Arc<FlatFs>,
-    machine: Machine,
-    space: Arc<PortSpace>,
-    request: PortName,
-    /// The memory object port of each open file.
-    files: HashMap<String, PortName>,
-    /// Each memory object port's send right and the file's pager.
-    pagers: HashMap<PortName, (SendRight, FilePager)>,
+    names: HashMap<String, PortName>,
 }
 
-impl ServerState {
-    /// Serves one message from the port group.
-    fn serve(&mut self, from: PortName, msg: Message) -> Option<Message> {
-        if from != self.request {
-            self.serve_object(from, msg);
-            return None;
-        }
-        let reply = match FsRequest::decode(msg).map(|r| self.perform(r)) {
-            Ok(Ok(reply)) => reply,
-            _ => FsReply::Failed,
-        };
-        Some(reply.encode())
-    }
-
-    /// Hands a message from a file's memory object port to its pager.
-    fn serve_object(&mut self, object: PortName, msg: Message) {
-        if let Some((port, pager)) = self.pagers.get_mut(&object) {
-            dispatch(&self.machine, port, pager, msg);
-        }
-    }
-
-    /// Serves whatever is queued on a file's memory object port now.
-    fn drain(&mut self, object: PortName) {
-        while let Ok(msg) = self.space.receive(object, Some(Duration::ZERO)) {
-            self.serve_object(object, msg);
-        }
-    }
-
-    fn pager_for(&mut self, name: &str) -> Result<(SendRight, u64), FsError> {
-        let size = self.fs.size(name)? as u64;
-        if let Some((port, pager)) = self.files.get(name).and_then(|o| self.pagers.get(o)) {
-            return Ok((port.clone(), pager.size.max(size)));
-        }
-        // Kernels send with the notification path; keep a sane floor anyway.
-        let (object, port) = enabled_port(&self.machine, &self.space, 4096);
-        let pager = FilePager {
-            fs: self.fs.clone(),
-            name: name.to_string(),
-            conns: Vec::new(),
-            size,
-        };
-        self.files.insert(name.to_string(), object);
-        self.pagers.insert(object, (port.clone(), pager));
-        Ok((port, size))
-    }
-
+impl Files {
     /// Performs one request; one with nothing to return answers `Done`.
-    fn perform(&mut self, request: FsRequest) -> Result<FsReply, FsError> {
+    fn perform(
+        &mut self,
+        task: &mut ManagerTask<FilePager>,
+        request: FsRequest,
+    ) -> Result<FsReply, FsError> {
         match request {
             FsRequest::Create(name) => self.fs.create(&name)?,
             FsRequest::ReadFile(name) | FsRequest::OpenMapped(name) => {
-                let (object, size) = self.pager_for(&name)?;
-                return Ok(FsReply::Object(size, object));
+                let size = self.fs.size(&name)? as u64;
+                if let Some((port, pager)) = self.names.get(&name).and_then(|&o| task.object(o)) {
+                    return Ok(FsReply::Object(pager.size.max(size), port.clone()));
+                }
+                let (object, port) = task.back(FilePager {
+                    fs: self.fs.clone(),
+                    name: name.clone(),
+                    conns: Vec::new(),
+                    size,
+                });
+                self.names.insert(name, object);
+                return Ok(FsReply::Object(size, port));
             }
             FsRequest::WriteFile(name, data) => {
                 self.fs.size(&name)?; // Writes do not create files.
                 self.fs.write(&name, 0, data.as_slice())?
             }
             FsRequest::Sync(names) => {
-                for name in names {
-                    let Some(&object) = self.files.get(&name) else {
-                        continue;
-                    };
-                    for (conn, id) in &self.pagers[&object].1.conns {
+                for object in names.iter().filter_map(|name| self.names.get(name)) {
+                    for (conn, id) in task.object(*object).map_or(&[][..], |(_, p)| &p.conns) {
                         conn.clean_request(*id, 0, u64::MAX / 2);
                     }
                     // A local kernel applied each clean on this thread,
                     // queueing its `pager_data_write`s on the file's port:
                     // written here, they are in the file when `Done` goes.
-                    self.drain(object);
+                    task.drain(*object);
                 }
             }
             FsRequest::Stat(name) => return Ok(FsReply::Size(self.fs.size(&name)? as u64)),
@@ -255,39 +207,25 @@ impl ServerState {
     }
 }
 
-/// A fresh port in `space`'s default group, holding `backlog` messages.
-fn enabled_port(machine: &Machine, space: &PortSpace, backlog: usize) -> (PortName, SendRight) {
-    let (rx, port) = ReceiveRight::allocate(machine);
-    rx.set_backlog(backlog);
-    let name = space.insert_receive(rx);
-    space
-        .port_enable(name)
-        .expect("the space holds the receive right");
-    (name, port)
-}
-
 impl FileServer {
     /// Starts a filesystem server over `fs`: one task, one thread.
     pub fn start(machine: &Machine, fs: Arc<FlatFs>) -> Arc<FileServer> {
-        let space = Arc::new(PortSpace::new(machine));
-        let (request, _) = enabled_port(machine, &space, 1024);
-        let mut state = ServerState {
+        let names = HashMap::new();
+        let mut files = Files {
             fs: fs.clone(),
-            machine: machine.clone(),
-            space: space.clone(),
-            request,
-            files: HashMap::new(),
-            pagers: HashMap::new(),
+            names,
         };
-        let server = serve_group("file-server", space, request, move |from, msg| {
-            state.serve(from, msg)
-        })
-        .expect("the request port is in the space");
-        Arc::new(FileServer {
-            machine: machine.clone(),
-            fs,
-            server,
-        })
+        let server = ManagerTask::new(machine).serve("file-server", move |task, msg| {
+            let reply = FsRequest::decode(msg).map(|request| files.perform(task, request));
+            Some(
+                reply
+                    .ok()
+                    .and_then(Result::ok)
+                    .unwrap_or(FsReply::Failed)
+                    .encode(),
+            )
+        });
+        Arc::new(FileServer { fs, server })
     }
 
     /// The server's request port.
@@ -298,11 +236,6 @@ impl FileServer {
     /// The backing filesystem (for tests and tooling).
     pub fn fs(&self) -> &Arc<FlatFs> {
         &self.fs
-    }
-
-    /// The machine the server runs on.
-    pub fn machine(&self) -> &Machine {
-        &self.machine
     }
 }
 
@@ -425,7 +358,7 @@ impl FsClient {
 pub(crate) mod tests {
     use super::*;
     use machcore::{Kernel, KernelConfig};
-    use machipc::MsgItem;
+    use machipc::{Message, MsgItem, ReceiveRight};
     use machstorage::BlockDevice;
 
     fn setup() -> (Arc<Kernel>, Arc<FileServer>, FsClient) {

@@ -17,9 +17,15 @@
 //! permitted but only one writer can be allowed to modify a page of data
 //! at a time", and "A subsequent attempt to read by another workstation
 //! will cause the writer to revert to reader status."
+//!
+//! The server is one task on one thread, a [`ManagerTask`]: the
+//! directory's request port and every region's memory object port are one
+//! port group, and each region's [`ShmManager`] is that thread's alone.
+//! [`SharedMemoryServer`] is the task with one region; other threads read
+//! a region's counters and master copy by message.
 
-use machcore::{spawn_manager, DataManager, KernelConn, ManagerHandle, Task};
-use machipc::{serve, OolBuffer, ReceiveRight, SendRight, Server, RPC_TIMEOUT};
+use machcore::{DataManager, KernelConn, ManagerTask, Task};
+use machipc::{OolBuffer, PortName, SendRight, Server, RPC_TIMEOUT};
 use machnet::{Fabric, Host, ProxyHandle};
 use machvm::{VmError, VmProt};
 use parking_lot::Mutex;
@@ -63,7 +69,9 @@ struct PageState {
     pending_reads: VecDeque<usize>,
 }
 
-struct ServerState {
+/// One region's data manager: the master copy and who holds each page.
+#[derive(Default)]
+struct ShmManager {
     /// Grant policy (footnote 9).
     policy: GrantPolicy,
     /// Unlock negotiations served (for the ablation measurement).
@@ -77,7 +85,27 @@ struct ServerState {
     demotions: u64,
 }
 
-impl ServerState {
+impl ShmManager {
+    /// The session of the kernel behind `kernel`, registered now if its
+    /// `pager_init` has not arrived: its requests are served all the same.
+    fn session(&mut self, kernel: &KernelConn, object: u64) -> usize {
+        let port = kernel.request_port();
+        let same = |s: &Session| s.conn.request_port().same_port(port);
+        if let Some(session) = self.sessions.iter().position(same) {
+            return session;
+        }
+        let conn = kernel.clone();
+        self.sessions.push(Session { conn, object });
+        self.sessions.len() - 1
+    }
+
+    /// `Inspect`'s answer: the counters and the master copy.
+    fn inspected(&self) -> ShmReply {
+        let data = OolBuffer::from_slice(&self.data);
+        let (invalidations, demotions) = (self.invalidations, self.demotions);
+        ShmReply::Inspected(invalidations, demotions, self.unlock_negotiations, data)
+    }
+
     fn page(&mut self, offset: u64) -> &mut PageState {
         self.pages.entry(offset - offset % PAGE).or_default()
     }
@@ -160,42 +188,25 @@ impl ServerState {
     }
 }
 
-/// The shared memory data manager.
-struct ShmManager {
-    state: Arc<Mutex<ServerState>>,
-}
-
 impl DataManager for ShmManager {
     fn init(&mut self, kernel: &KernelConn, object: u64) {
-        self.state.lock().sessions.push(Session {
-            conn: kernel.clone(),
-            object,
-        });
+        self.session(kernel, object);
         // Single-page coherence: a clustered request would make the
         // kernel prefetch neighbors — registering the client for pages it
         // never asked about and, on a write fault, granting it spurious
-        // write ownership of every page in the cluster run. Sent after
-        // the session is registered: a client that has seen the attribute
-        // land (`map_and_await_init`) may fault, and its request finds a session.
+        // write ownership of every page in the cluster run.
         kernel.set_cluster(object, 1);
     }
 
     fn data_request(
         &mut self,
         kernel: &KernelConn,
-        _object: u64,
+        object: u64,
         offset: u64,
         length: u64,
         access: VmProt,
     ) {
-        let mut st = self.state.lock();
-        let Some(session) = st
-            .sessions
-            .iter()
-            .position(|s| s.conn.request_port().same_port(kernel.request_port()))
-        else {
-            return;
-        };
+        let session = self.session(kernel, object);
         // Distinguish ownership grants from plain read service in the
         // fault chain (coherence bugs look identical without this).
         kernel.machine().trace_event(
@@ -206,79 +217,104 @@ impl DataManager for ShmManager {
                 "shm_serve_read"
             }),
         );
-        let mut page = offset - offset % PAGE;
-        let end = offset + length;
-        while page < end {
+        for page in (offset - offset % PAGE..offset + length).step_by(PAGE as usize) {
             if access.allows(VmProt::WRITE) {
-                st.grant_write(session, page, false);
+                self.grant_write(session, page, false);
             } else {
-                st.serve_read(session, page);
+                self.serve_read(session, page);
             }
-            page += PAGE;
         }
     }
 
     fn data_unlock(
         &mut self,
         kernel: &KernelConn,
-        _object: u64,
+        object: u64,
         offset: u64,
         length: u64,
         access: VmProt,
     ) {
-        let mut st = self.state.lock();
-        let Some(session) = st
-            .sessions
-            .iter()
-            .position(|s| s.conn.request_port().same_port(kernel.request_port()))
-        else {
-            return;
-        };
-        let mut page = offset - offset % PAGE;
-        let end = offset + length;
-        while page < end {
-            if access.allows(VmProt::WRITE) {
-                st.unlock_negotiations += 1;
-                st.grant_write(session, page, true);
-            }
-            page += PAGE;
+        let session = self.session(kernel, object);
+        let wanted = (offset - offset % PAGE..offset + length).step_by(PAGE as usize);
+        for page in wanted.filter(|_| access.allows(VmProt::WRITE)) {
+            self.unlock_negotiations += 1;
+            self.grant_write(session, page, true);
         }
     }
 
     fn data_write(&mut self, kernel: &KernelConn, object: u64, offset: u64, data: OolBuffer) {
-        let mut st = self.state.lock();
-        let session = st
-            .sessions
-            .iter()
-            .position(|s| s.conn.request_port().same_port(kernel.request_port()));
+        let session = self.session(kernel, object);
         // Update the master copy.
         let page = (offset - offset % PAGE) as usize;
-        let n = data.len().min(st.data.len().saturating_sub(page));
-        let slice = data.as_slice()[..n].to_vec();
-        st.data[page..page + n].copy_from_slice(&slice);
-        if let Some(session) = session {
-            let page_state = st.page(offset);
-            if page_state.writer == Some(session) {
-                page_state.writer = None;
-            }
-            // The writer's data is home: serve queued readers.
-            let pending: Vec<usize> = st.page(offset).pending_reads.drain(..).collect();
-            for reader in pending {
-                st.serve_read(reader, offset);
-            }
+        let n = data.len().min(self.data.len().saturating_sub(page));
+        self.data[page..page + n].copy_from_slice(&data.as_slice()[..n]);
+        let page_state = self.page(offset);
+        if page_state.writer == Some(session) {
+            page_state.writer = None;
+        }
+        // The writer's data is home: serve queued readers.
+        let pending: Vec<usize> = page_state.pending_reads.drain(..).collect();
+        for reader in pending {
+            self.serve_read(reader, offset);
         }
         kernel.release_laundry(object, data.len() as u64);
     }
+}
 
-    fn kernel_detached(&mut self, _port: u64) {
-        // Keep sessions; a full implementation would garbage collect.
+machcore::protocol! {
+    /// Requests to the shared memory server's request port.
+    #[derive(Debug)]
+    pub enum ShmRequest {
+        /// Look up the region `name`, creating it with `size` bytes on
+        /// first use: "the shared memory server finds the memory object,
+        /// X, and returns it" (Section 4.2).
+        Lookup(name: String, size: u64) = SHM_LOOKUP: 0x4B01,
+        /// The region `name`'s coherence counters and master copy.
+        Inspect(name: String) = SHM_INSPECT: 0x4B02,
     }
 }
 
-/// A consistent network shared memory service.
+machcore::protocol! {
+    /// The server's answers.
+    #[derive(Debug)]
+    pub enum ShmReply {
+        /// `(size, object)`: the region's memory object.
+        Region(size: u64, object: SendRight) = SHM_OK: 0x4B80,
+        /// `(invalidations, demotions, unlock negotiations, master copy)`.
+        Inspected(invalidations: u64, demotions: u64, unlocks: u64, data: OolBuffer) =
+            SHM_INSPECTED: 0x4B82,
+        /// The request failed, or was malformed.
+        Failed = SHM_ERR: 0x4B81,
+    }
+}
+
+/// The region `name`'s size and memory object in `task`, created with
+/// `size` bytes on first use.
+fn region(
+    task: &mut ManagerTask<ShmManager>,
+    names: &mut HashMap<String, PortName>,
+    policy: GrantPolicy,
+    name: String,
+    size: u64,
+) -> (u64, SendRight) {
+    let fresh = || ShmManager {
+        policy,
+        data: vec![0; size as usize],
+        ..ShmManager::default()
+    };
+    let object = *names.entry(name).or_insert_with(|| task.back(fresh()).0);
+    let (port, region) = task.object(object).expect("a named region is backed");
+    (region.data.len() as u64, port.clone())
+}
+
+/// The name [`SharedMemoryServer`] gives its one region.
+const REGION: &str = "region";
+
+/// A consistent network shared memory service: the server task with one
+/// region.
 pub struct SharedMemoryServer {
-    state: Arc<Mutex<ServerState>>,
-    handle: ManagerHandle,
+    task: ShmDirectory,
+    object: SendRight,
     fabric: Arc<Fabric>,
     server_host: Arc<Host>,
     /// Proxies keeping remote attachments alive.
@@ -305,25 +341,10 @@ impl SharedMemoryServer {
         size: u64,
         policy: GrantPolicy,
     ) -> Arc<Self> {
-        let state = Arc::new(Mutex::new(ServerState {
-            policy,
-            unlock_negotiations: 0,
-            data: vec![0u8; size as usize],
-            sessions: Vec::new(),
-            pages: HashMap::new(),
-            invalidations: 0,
-            demotions: 0,
-        }));
-        let handle = spawn_manager(
-            server_host.machine(),
-            "netshm",
-            ShmManager {
-                state: state.clone(),
-            },
-        );
+        let (task, object) = ShmDirectory::spawn(server_host, policy, Some(size));
         Arc::new(SharedMemoryServer {
-            state,
-            handle,
+            task,
+            object: object.expect("the region was created"),
             fabric: fabric.clone(),
             server_host: server_host.clone(),
             proxies: Mutex::new(Vec::new()),
@@ -333,7 +354,7 @@ impl SharedMemoryServer {
 
     /// The memory object port (local to the server's host).
     pub fn port(&self) -> &SendRight {
-        self.handle.port()
+        &self.object
     }
 
     /// Region size.
@@ -346,55 +367,42 @@ impl SharedMemoryServer {
     /// Remote clients reach the memory object through a network message
     /// server proxy, so all pager traffic is charged as network traffic.
     pub fn attach(&self, task: &Task, client_host: &Arc<Host>) -> Result<u64, VmError> {
-        let port = self.handle.port().clone();
-        let port = if client_host.id() == self.server_host.id() {
-            port
-        } else {
+        let mut port = self.object.clone();
+        if client_host.id() != self.server_host.id() {
             let proxy = self.fabric.proxy(client_host, &self.server_host, port);
-            let p = proxy.port().clone();
+            port = proxy.port().clone();
             self.proxies.lock().push(proxy);
-            p
-        };
+        }
         map_and_await_init(task, &port, self.size)
+    }
+
+    /// The region's `(invalidations, demotions, unlock negotiations,
+    /// master copy)`, asked of the server.
+    fn inspect(&self) -> (u64, u64, u64, OolBuffer) {
+        let ask = ShmRequest::Inspect(REGION.to_string()).encode();
+        let reply = self.task.port().rpc(ask, RPC_TIMEOUT, RPC_TIMEOUT);
+        match reply.map(ShmReply::decode) {
+            Ok(Ok(ShmReply::Inspected(invalidations, demotions, unlocks, data))) => {
+                (invalidations, demotions, unlocks, data)
+            }
+            _ => panic!("the server answers its own handle"),
+        }
     }
 
     /// (invalidations sent, writer demotions) — coherence traffic counters.
     pub fn coherence_counters(&self) -> (u64, u64) {
-        let st = self.state.lock();
-        (st.invalidations, st.demotions)
+        let (invalidations, demotions, ..) = self.inspect();
+        (invalidations, demotions)
     }
 
     /// Write-unlock negotiations the server has performed.
     pub fn unlock_negotiations(&self) -> u64 {
-        self.state.lock().unlock_negotiations
+        self.inspect().2
     }
 
     /// Reads the master copy (for assertions).
     pub fn master_copy(&self, offset: u64, len: usize) -> Vec<u8> {
-        let st = self.state.lock();
-        st.data[offset as usize..offset as usize + len].to_vec()
-    }
-}
-
-machcore::protocol! {
-    /// Requests to the shared-region directory.
-    #[derive(Debug)]
-    pub enum ShmRequest {
-        /// Look up the region `name`, creating it with `size` bytes on
-        /// first use: "the shared memory server finds the memory object,
-        /// X, and returns it" (Section 4.2).
-        Lookup(name: String, size: u64) = SHM_LOOKUP: 0x4B01,
-    }
-}
-
-machcore::protocol! {
-    /// The directory's answers.
-    #[derive(Debug)]
-    pub enum ShmReply {
-        /// `(size, object)`: the region's memory object.
-        Region(size: u64, object: SendRight) = SHM_OK: 0x4B80,
-        /// The lookup failed, or was malformed.
-        Failed = SHM_ERR: 0x4B81,
+        self.inspect().3.as_slice()[offset as usize..][..len].to_vec()
     }
 }
 
@@ -417,27 +425,35 @@ pub struct ShmDirectory(Server);
 
 impl ShmDirectory {
     /// Starts a directory of shared regions on `server_host`.
-    pub fn start(
-        fabric: &Arc<Fabric>,
+    pub fn start(server_host: &Arc<Host>, policy: GrantPolicy) -> Arc<ShmDirectory> {
+        Arc::new(Self::spawn(server_host, policy, None).0)
+    }
+
+    /// Starts the server task, with the region [`REGION`] of `size` bytes
+    /// in it already if one is given, and that region's memory object.
+    fn spawn(
         server_host: &Arc<Host>,
         policy: GrantPolicy,
-    ) -> Arc<ShmDirectory> {
-        let (rx, _) = ReceiveRight::allocate(server_host.machine());
-        rx.set_backlog(1024);
-        let (fabric, server_host) = (fabric.clone(), server_host.clone());
-        let mut regions: HashMap<String, Arc<SharedMemoryServer>> = HashMap::new();
-        Arc::new(ShmDirectory(serve("shm-directory", rx, move |msg| {
+        size: Option<u64>,
+    ) -> (ShmDirectory, Option<SendRight>) {
+        let mut task = ManagerTask::new(server_host.machine());
+        let mut names = HashMap::new();
+        let object = size.map(|size| region(&mut task, &mut names, policy, REGION.into(), size).1);
+        let server = task.serve("shm-server", move |task, msg| {
             let reply = match ShmRequest::decode(msg) {
                 Ok(ShmRequest::Lookup(name, size)) if size > 0 => {
-                    let region = regions.entry(name).or_insert_with(|| {
-                        SharedMemoryServer::start_with_policy(&fabric, &server_host, size, policy)
-                    });
-                    ShmReply::Region(region.size(), region.port().clone())
+                    let (size, object) = region(task, &mut names, policy, name, size);
+                    ShmReply::Region(size, object)
                 }
+                Ok(ShmRequest::Inspect(name)) => names
+                    .get(&name)
+                    .and_then(|&object| task.object(object))
+                    .map_or(ShmReply::Failed, |(_, region)| region.inspected()),
                 _ => ShmReply::Failed,
             };
             Some(reply.encode())
-        })))
+        });
+        (ShmDirectory(server), object)
     }
 
     /// The directory's RPC port (reachable through the fabric by remote
@@ -481,13 +497,11 @@ impl ShmDirectory {
 /// the manager has handled this kernel's `pager_init`.
 ///
 /// `pager_init` travels asynchronously (possibly through a proxy), and a
-/// fault taken before the manager has handled it can reach the manager
-/// first: the shared memory server would find no session for this kernel
-/// and leave it unanswered, and the snapshot and migration pagers would be
-/// asked for a kernel-sized cluster of pages nobody referenced. Each of
-/// these managers advises a single-page cluster as its last act of
-/// `pager_init`, so the attribute landing here means the manager is ready
-/// — the stand-in for real Mach's kernel blocking new mappings until
+/// fault taken before the manager has handled it would ask the shared
+/// memory, snapshot or migration pager for a kernel-sized cluster of pages
+/// nobody referenced. Each advises a single-page cluster as its last act
+/// of `pager_init`, so the attribute landing here means the manager is
+/// ready — the stand-in for real Mach's kernel blocking new mappings until
 /// `memory_object_set_attributes` arrives. A manager that never answers is
 /// an error, not a mapping whose first fault hangs.
 pub(crate) fn map_and_await_init(task: &Task, port: &SendRight, size: u64) -> Result<u64, VmError> {
@@ -507,7 +521,9 @@ pub(crate) fn map_and_await_init(task: &Task, port: &SendRight, size: u64) -> Re
 #[cfg(test)]
 mod tests {
     use super::*;
+    use machcore::proto::{KernelToManager, ManagerToKernel};
     use machcore::{Kernel, KernelConfig};
+    use machipc::ReceiveRight;
     use machsim::stats::keys;
     use std::time::Duration;
 
@@ -765,7 +781,7 @@ mod tests {
         let kb = Kernel::boot_on(hb.machine().clone(), KernelConfig::default());
         let ta = Task::create(&ka, "one");
         let tb = Task::create(&kb, "two");
-        let dir = ShmDirectory::start(&fabric, &hs, GrantPolicy::ReadLocked);
+        let dir = ShmDirectory::start(&hs, GrantPolicy::ReadLocked);
         let (aa, size_a) =
             ShmDirectory::request(&fabric, dir.port(), &hs, &ha, &ta, "blackboard", 4 * PAGE)
                 .unwrap();
@@ -789,7 +805,7 @@ mod tests {
         let ha = fabric.add_host("alpha");
         let ka = Kernel::boot_on(ha.machine().clone(), KernelConfig::default());
         let t = Task::create(&ka, "t");
-        let dir = ShmDirectory::start(&fabric, &hs, GrantPolicy::ReadLocked);
+        let dir = ShmDirectory::start(&hs, GrantPolicy::ReadLocked);
         let (a1, _) =
             ShmDirectory::request(&fabric, dir.port(), &hs, &ha, &t, "one", 2 * PAGE).unwrap();
         let (a2, _) =
@@ -819,7 +835,7 @@ mod tests {
         };
         let ka = Kernel::boot_on(ha.machine().clone(), config);
         let t = Task::create(&ka, "t");
-        let dir = ShmDirectory::start(&fabric, &hs, GrantPolicy::ReadLocked);
+        let dir = ShmDirectory::start(&hs, GrantPolicy::ReadLocked);
         for i in 0..200 {
             let name = format!("region-{i}");
             let (addr, _) = ShmDirectory::request(&fabric, dir.port(), &hs, &ha, &t, &name, PAGE)
@@ -829,6 +845,22 @@ mod tests {
                 .expect("the first fault on a fresh region is answered");
             assert_eq!(b[0], 0, "region {i} starts zeroed");
         }
+    }
+
+    #[test]
+    fn a_request_from_a_kernel_with_no_pager_init_is_answered() {
+        let fabric = Fabric::new();
+        let home = fabric.add_host("home");
+        let server = SharedMemoryServer::start(&fabric, &home, 2 * PAGE);
+        let (kernel, request) = ReceiveRight::allocate(home.machine());
+        let ask = KernelToManager::DataRequest(9, PAGE, PAGE, VmProt::READ, request);
+        server.port().send_notification(ask.encode());
+        let reply = kernel.receive(Some(Duration::from_secs(5)));
+        let reply = ManagerToKernel::decode(reply.expect("an answer"));
+        let Ok(ManagerToKernel::DataProvided(9, PAGE, VmProt::WRITE, data)) = reply else {
+            panic!("the page, write-locked for a reader: {reply:?}");
+        };
+        assert_eq!(data.as_slice(), [0; PAGE as usize]);
     }
 
     #[test]

@@ -230,9 +230,10 @@ mod tests {
         let server = FileServer::start(k.machine(), fs);
         let task = Task::create(&k, "cc");
         let unix = MachUnix::new(&task, FsClient::new(server.port().clone()));
+        let machine = k.machine().clone();
         // Keep the kernel alive for the duration of the test.
         std::mem::forget(k);
-        (server.machine().clone(), server, unix)
+        (machine, server, unix)
     }
 
     #[test]

@@ -59,6 +59,13 @@ if [ -n "$polls" ]; then
     exit 1
 fi
 
+echo "==> a data manager's state is owned by its thread (no Arc<Mutex< in non-test machpagers code: a server's managers live in its ManagerTask)"
+shared=$(non_test 'Arc<Mutex<' crates/pagers/src/*.rs)
+if [ -n "$shared" ]; then
+    echo "$shared"
+    exit 1
+fi
+
 echo "==> one way to wait (no Condvar outside machsim::wall, outside machmc, machbench and machlint; doc comments excepted)"
 # shellcheck disable=SC2046 # one word per source file
 waits=$(non_test 'Condvar' $(ls crates/*/src/*.rs | grep -v -E '^crates/(mc|bench|lint)/') | grep -v -E '^[^:]*:[0-9]+: *//' | cut -d: -f1 | sort -u | tr '\n' ';')
@@ -142,4 +149,4 @@ cargo test -q -p machsched --features lockdep --test lockdep_witness
 echo "==> machlint (static invariants: lock-order, sim-time, counter-key, panic-budget, trace-cover, span-pair, atomic-ordering, condvar-wait, unchecked-send)"
 cargo run -q -p machlint -- --workspace
 
-echo "OK: clippy clean, formatting clean, one decoder, two thread sites, no kernel object served by a thread, no non-test poll and one way to wait, workspace tests, threaded-test repeats, fault_scaling, numa_placement, fault_concurrency, parallel_build, machmark smoke + verify, machmc + baseline diff, export smoke, critical-path smoke, lockdep witnesses and machlint passed."
+echo "OK: clippy clean, formatting clean, one decoder, two thread sites, no kernel object served by a thread, no non-test poll, a data manager's state owned by its thread and one way to wait, workspace tests, threaded-test repeats, fault_scaling, numa_placement, fault_concurrency, parallel_build, machmark smoke + verify, machmc + baseline diff, export smoke, critical-path smoke, lockdep witnesses and machlint passed."

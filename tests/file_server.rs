@@ -5,8 +5,10 @@
 
 use machcore::{Kernel, KernelConfig, Task};
 use machpagers::{FileServer, FsClient};
+use machsim::wall::poll_until;
 use machstorage::{BlockDevice, FlatFs};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// The threads of this process.
 fn host_threads() -> usize {
@@ -46,5 +48,12 @@ fn a_file_server_serving_many_files_adds_one_host_thread() {
     let server = serve_files(&k, &task, 8);
     assert_eq!(host_threads(), before + 1, "one thread for eight files");
     drop(server);
-    assert_eq!(host_threads(), before, "and it stops with its server");
+    // A joined thread leaves /proc/self/task a moment after its join
+    // returns: the count is read once that has happened.
+    let settled = || host_threads() == before;
+    let (patience, step) = (Duration::from_secs(5), Duration::from_millis(1));
+    assert!(
+        poll_until(patience, step, settled),
+        "and it stops with its server"
+    );
 }

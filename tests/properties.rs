@@ -585,6 +585,13 @@ fn tx_request_data(m: &TxRequest) -> Option<&OolBuffer> {
     }
 }
 
+fn shm_reply_data(m: &ShmReply) -> Option<&OolBuffer> {
+    match m {
+        ShmReply::Inspected(.., data) => Some(data),
+        _ => None,
+    }
+}
+
 fn region_data(m: &RegionMessage) -> Option<&OolBuffer> {
     match m {
         RegionMessage::Eager(_, data) => Some(data),
@@ -702,6 +709,7 @@ fn protocol_messages_round_trip() {
             TxRequest::Log(f.word(), f.word(), f.data(), f.data()),
             TxRequest::Commit(f.word()),
             TxRequest::Abort(f.word()),
+            TxRequest::Stats,
         ];
         for m in tx {
             round_trip(m, TxRequest::encode, TxRequest::decode, tx_request_data);
@@ -710,6 +718,7 @@ fn protocol_messages_round_trip() {
             TxReply::Attached(f.word(), f.right()),
             TxReply::Began(f.word()),
             TxReply::Done,
+            TxReply::Stats(f.word(), f.word()),
             TxReply::Failed,
         ];
         for m in tx_replies {
@@ -731,10 +740,20 @@ fn protocol_messages_round_trip() {
         for m in bb_replies {
             round_trip(m, BbReply::encode, BbReply::decode, |_| None);
         }
-        let shm = ShmRequest::Lookup(f.name(), f.word());
-        round_trip(shm, ShmRequest::encode, ShmRequest::decode, |_| None);
-        for m in [ShmReply::Region(f.word(), f.right()), ShmReply::Failed] {
-            round_trip(m, ShmReply::encode, ShmReply::decode, |_| None);
+        let shm = [
+            ShmRequest::Lookup(f.name(), f.word()),
+            ShmRequest::Inspect(f.name()),
+        ];
+        for m in shm {
+            round_trip(m, ShmRequest::encode, ShmRequest::decode, |_| None);
+        }
+        let shm_replies = [
+            ShmReply::Region(f.word(), f.right()),
+            ShmReply::Inspected(f.word(), f.word(), f.word(), f.data()),
+            ShmReply::Failed,
+        ];
+        for m in shm_replies {
+            round_trip(m, ShmReply::encode, ShmReply::decode, shm_reply_data);
         }
         let array = ArrayRequest::Attach;
         round_trip(array, ArrayRequest::encode, ArrayRequest::decode, |_| None);
@@ -791,9 +810,10 @@ fn protocol_decoders_never_panic() {
         .chain(0x2500..=0x2507)
         .chain((0x3101..=0x3107).chain([0x3180, 0x3181]))
         .chain((0x4101..=0x4106).chain([0x4180, 0x4181]))
-        .chain((0x4701..=0x4705).chain([0x4780, 0x4781]))
+        .chain((0x4701..=0x4706).chain([0x4780, 0x4781, 0x4782]))
         .chain((0x4901..=0x4903).chain([0x4980, 0x4981]))
-        .chain([0x4B01, 0x4B80, 0x4B81, 0x4601, 0x4680, 0x4A01, 0x4A02])
+        .chain((0x4B01..=0x4B02).chain(0x4B80..=0x4B82))
+        .chain([0x4601, 0x4680, 0x4A01, 0x4A02])
         .collect();
     let (_port, right) = ReceiveRight::allocate(&Machine::default_machine());
     let mut rng = SplitMix64::new(0xDEC0DE);

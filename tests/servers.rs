@@ -80,7 +80,7 @@ fn no_client_stops_a_server_whatever_id_it_sends() {
     let camelot_dev = Arc::new(BlockDevice::new(machine, 256));
     let camelot = CamelotServer::format_and_start(machine, camelot_dev, 8 * 4096);
     let blackboard = Blackboard::start(&k, 4);
-    let directory = ShmDirectory::start(&fabric, &home, GrantPolicy::ReadLocked);
+    let directory = ShmDirectory::start(&home, GrantPolicy::ReadLocked);
     let array = ArrayService::start(machine, 4 * 4096, |_| 0);
     let (forwarded, target) = ReceiveRight::allocate(machine);
     let proxy = fabric.proxy(&away, &home, target);
