@@ -191,12 +191,10 @@ impl PagerBackend for IpcPagerBackend {
         for (offset, length, diverted) in self.split_diverted(object, offset, length) {
             match diverted.then(|| self.fallback()).flatten() {
                 Some(fallback) => fallback.data_request(object, offset, length, desired_access),
-                None => self.manager.send_notification(self.request_message(
-                    object,
-                    offset,
-                    length,
-                    desired_access,
-                )),
+                None => {
+                    let request = self.request_message(object, offset, length, desired_access);
+                    self.manager.send_notification(request);
+                }
             }
         }
     }

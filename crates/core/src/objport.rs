@@ -358,8 +358,8 @@ mod tests {
         let tp = TaskPort::serve(&worker);
         // The controller manipulates the worker through a proxy port —
         // identical client code, network charged.
-        let proxy = fabric.proxy(&ha, &hb, tp.port().clone());
-        let remote = RemoteTask::new(proxy.port().clone());
+        let proxy = fabric.proxy_right(&ha, &hb, tp.port().clone());
+        let remote = RemoteTask::new(proxy);
         let addr = remote.vm_allocate(4096).unwrap();
         remote.vm_write(addr, b"remote!").unwrap();
         assert_eq!(remote.vm_read(addr, 7).unwrap(), b"remote!");

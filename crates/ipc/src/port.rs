@@ -666,13 +666,15 @@ impl SendRight {
     }
 
     /// Sends a kernel-generated notification, exempt from the backlog.
-    /// A notification to a dead port is dropped.
+    /// A notification to a dead port is dropped; returns whether it was
+    /// delivered.
     ///
-    /// Used by kernel components (pager interface, port death) that must
-    /// not block on user queues; see Section 6.2.3 on why the kernel can
-    /// never afford to wait on a data manager.
-    pub fn send_notification(&self, msg: Message) {
-        let _ = self.core.enqueue(msg, Full::Exceed);
+    /// Used by kernel components (pager interface, port death, the
+    /// network's proxies) that must not block on user queues; see
+    /// Section 6.2.3 on why the kernel can never afford to wait on a data
+    /// manager.
+    pub fn send_notification(&self, msg: Message) -> bool {
+        self.core.enqueue(msg, Full::Exceed).is_ok()
     }
 
     /// Batched [`SendRight::send_notification`]: every message in `msgs`

@@ -18,14 +18,18 @@
 //! can suspend another thread by sending a suspend message to the port
 //! representing that other thread even if the request is initiated on
 //! another node in a network."
+//!
+//! A proxy, the local stand-in for a port on another host, is a kernel
+//! port: a send to it crosses the fabric on the sending thread, as Mach's
+//! NORMA IPC forwards in the kernel, and no thread serves it.
 
-use machipc::{serve, IpcError, Message, SendRight, Server};
+use machipc::{IpcError, Message, PortId, ReceiveRight, SendRight, MSG_ID_PORT_DEATH};
 use machsim::stats::keys;
 use machsim::{CostModel, Machine, Topology};
 use parking_lot::Mutex;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 /// Identity of a host on the fabric.
@@ -99,20 +103,18 @@ struct FabricInner {
     hosts: Vec<Arc<Host>>,
     /// Unordered pairs of partitioned hosts.
     partitions: HashSet<(HostId, HostId)>,
-    /// Reverse proxies created by right rewriting, kept alive with the
-    /// fabric (a netmsgserver keeps its translation entries for as long
-    /// as it runs).
-    auto_proxies: Vec<ProxyHandle>,
-    /// Rewrite cache: (proxy host, home host, original port) -> proxy
-    /// port, so a right crossing repeatedly maps to one stable proxy.
-    rewrites: std::collections::HashMap<(HostId, HostId, machipc::PortId), SendRight>,
+    /// The netmsgserver's right-translation table: (proxy host, home
+    /// host, original port) -> the proxy's port, so a right crossing
+    /// repeatedly maps to one stable proxy.
+    rewrites: HashMap<(HostId, HostId, PortId), ReceiveRight>,
 }
 
 /// The interconnect between hosts.
 pub struct Fabric {
     inner: Mutex<FabricInner>,
-    /// Weak self-reference so &self methods can spawn proxies.
-    self_ref: std::sync::Weak<Fabric>,
+    /// What a proxy's handler reaches the fabric through: weak, so the
+    /// proxies the fabric owns do not keep it alive.
+    self_ref: Weak<Fabric>,
 }
 
 impl fmt::Debug for Fabric {
@@ -136,31 +138,54 @@ impl Fabric {
             inner: Mutex::new(FabricInner {
                 hosts: Vec::new(),
                 partitions: HashSet::new(),
-                auto_proxies: Vec::new(),
-                rewrites: std::collections::HashMap::new(),
+                rewrites: HashMap::new(),
             }),
             self_ref: weak.clone(),
         })
     }
 
-    fn arc(&self) -> Arc<Fabric> {
-        self.self_ref.upgrade().expect("fabric alive")
-    }
-
-    /// Returns a stable proxy on `on` for `right`, whose receiver is
-    /// presumed to live on `home` — the netmsgserver's right-translation
-    /// table. Repeated rewrites of the same right reuse one proxy.
-    pub fn proxy_right(&self, on: &Arc<Host>, home: &Arc<Host>, right: SendRight) -> SendRight {
-        let key = (on.id(), home.id(), right.id());
-        if let Some(existing) = self.inner.lock().rewrites.get(&key) {
-            return existing.clone();
-        }
-        let handle = self.arc().proxy(on, home, right);
-        let port = handle.port().clone();
+    /// Returns the stable proxy on `on` for `target`, whose receiver is
+    /// presumed to live on `home` — the network message server role of
+    /// Mach's NORMA configurations.
+    ///
+    /// A send to the proxy is forwarded on the sending thread: charged as
+    /// `on` → `home` traffic, its rights rewritten, and handed to `target`
+    /// as a notification, since a kernel never waits on a user queue
+    /// (Section 6.2.3). So a *remote* kernel runs the external pager
+    /// protocol against a manager without either side knowing — "It is
+    /// thus possible to run varying system configurations on different
+    /// classes of machines while providing a consistent interface to all
+    /// resources." Across a partition or to a dead target the message is
+    /// dropped, like a lost datagram, and counted in `net.dropped`. The
+    /// proxy watches its target and dies with it, so whoever watches the
+    /// proxy learns of the death; it dies with the fabric too.
+    pub fn proxy_right(&self, on: &Arc<Host>, home: &Arc<Host>, target: SendRight) -> SendRight {
+        let key = (on.id(), home.id(), target.id());
         let mut inner = self.inner.lock();
-        inner.auto_proxies.push(handle);
-        inner.rewrites.insert(key, port.clone());
-        port
+        if let Some(port) = inner.rewrites.get(&key) {
+            return port.make_send();
+        }
+        let (fabric, from, to) = (self.self_ref.clone(), on.clone(), home.clone());
+        let forward_to = target.clone();
+        let (port, proxy) = ReceiveRight::allocate_kernel(on.machine(), move |mut msg| {
+            let fabric = fabric.upgrade()?;
+            if msg.id == MSG_ID_PORT_DEATH && !forward_to.is_alive() {
+                // Dropped once the lock is released: its death notices
+                // may send through the fabric.
+                let port = fabric.inner.lock().rewrites.remove(&key);
+                drop(port);
+                return None;
+            }
+            if fabric.cross(&from, &to, &mut msg).is_err() || !forward_to.send_notification(msg) {
+                from.machine().stats.incr(keys::NET_DROPPED);
+            }
+            None
+        });
+        inner.rewrites.insert(key, port);
+        drop(inner);
+        // A target that is already dead posts its notice at once.
+        target.subscribe_death(&proxy);
+        proxy
     }
 
     /// Rewrites every send right (including the reply port) in a message
@@ -271,6 +296,27 @@ impl Fabric {
         hop
     }
 
+    /// Carries `msg` across the network from `from` to `to`: refused
+    /// across a partition, otherwise charged to both ends, nested under
+    /// its `net.hop` span, and with the rights it carries rewritten so
+    /// that they now live on `to`'s side and replies cross back through
+    /// the fabric.
+    fn cross(&self, from: &Arc<Host>, to: &Arc<Host>, msg: &mut Message) -> Result<(), NetError> {
+        if !self.connected(from.id(), to.id()) {
+            return Err(NetError::Partitioned);
+        }
+        // Out-of-line data crosses the wire: it is physically transmitted,
+        // unlike the local case where it is remapped.
+        let bytes = (msg.inline_len() + msg.ool_len()) as u64;
+        let hop = self.charge_transfer(from, to, bytes, msg.correlation, msg.parent_span);
+        if hop != 0 {
+            // Remote-side spans nest under the network hop.
+            msg.parent_span = hop;
+        }
+        self.rewrite_rights(to, from, msg);
+        Ok(())
+    }
+
     /// Sends `msg` from `from` to a port whose receiver lives on `to`.
     ///
     /// Both ends are charged NORMA message latency plus per-byte transfer
@@ -280,24 +326,10 @@ impl Fabric {
         from: &Arc<Host>,
         to: &Arc<Host>,
         port: &SendRight,
-        msg: Message,
+        mut msg: Message,
         timeout: Option<Duration>,
     ) -> Result<(), NetError> {
-        if !self.connected(from.id(), to.id()) {
-            return Err(NetError::Partitioned);
-        }
-        // Out-of-line data crosses the wire: it is physically transmitted,
-        // unlike the local case where it is remapped.
-        let bytes = (msg.inline_len() + msg.ool_len()) as u64;
-        let mut msg = msg;
-        let hop = self.charge_transfer(from, to, bytes, msg.correlation, msg.parent_span);
-        if hop != 0 {
-            // Remote-side spans nest under the network hop.
-            msg.parent_span = hop;
-        }
-        // Rights in the message now live on `to`'s side of the network:
-        // rewrite them so replies cross back through the fabric.
-        self.rewrite_rights(to, from, &mut msg);
+        self.cross(from, to, &mut msg)?;
         port.send(msg, timeout)?;
         Ok(())
     }
@@ -309,66 +341,13 @@ impl Fabric {
         from: &Arc<Host>,
         to: &Arc<Host>,
         port: &SendRight,
-        msg: Message,
+        mut msg: Message,
         timeout: Option<Duration>,
     ) -> Result<Message, NetError> {
-        if !self.connected(from.id(), to.id()) {
-            return Err(NetError::Partitioned);
-        }
-        let bytes = (msg.inline_len() + msg.ool_len()) as u64;
-        let mut msg = msg;
-        let hop = self.charge_transfer(from, to, bytes, msg.correlation, msg.parent_span);
-        if hop != 0 {
-            msg.parent_span = hop;
-        }
+        self.cross(from, to, &mut msg)?;
         let mut reply = port.rpc(msg, timeout, timeout)?;
-        let reply_bytes = (reply.inline_len() + reply.ool_len()) as u64;
-        let back =
-            self.charge_transfer(to, from, reply_bytes, reply.correlation, reply.parent_span);
-        if back != 0 {
-            reply.parent_span = back;
-        }
-        self.rewrite_rights(from, to, &mut reply);
+        self.cross(to, from, &mut reply)?;
         Ok(reply)
-    }
-}
-
-/// A local stand-in port for a port on another host — the network message
-/// server role of Mach's NORMA configurations.
-///
-/// Anything sent to the proxy's local port ([`Server::port`]) is charged as
-/// network traffic between the two hosts and forwarded to the real port,
-/// reply port and all. This is what lets a *remote* kernel run the
-/// external pager protocol against a data manager on another machine
-/// without either side knowing the difference — "It is thus possible to
-/// run varying system configurations on different classes of machines
-/// while providing a consistent interface to all resources." Dropping it
-/// stops the forwarder; no message a sender can build stops it.
-pub type ProxyHandle = Server;
-
-impl Fabric {
-    /// Creates a proxy on `on` for `target`, whose receiver lives on
-    /// `remote`. Every message sent to the returned local port is charged
-    /// as `on` → `remote` network traffic and forwarded.
-    pub fn proxy(
-        self: &Arc<Self>,
-        on: &Arc<Host>,
-        remote: &Arc<Host>,
-        target: SendRight,
-    ) -> ProxyHandle {
-        let (rx, _) = machipc::ReceiveRight::allocate(on.machine());
-        rx.set_backlog(65536);
-        let fabric = self.clone();
-        let name = format!("netmsg-{}-{}", on.name(), remote.name());
-        let (on, remote) = (on.clone(), remote.clone());
-        serve(name, rx, move |msg| {
-            if fabric.send(&on, &remote, &target, msg, None).is_err() {
-                // Partitioned or dead target: message dropped, exactly
-                // like a lost datagram.
-                on.machine().stats.incr(keys::NET_DROPPED);
-            }
-            None
-        })
     }
 }
 
@@ -520,30 +499,103 @@ mod tests {
     fn proxy_forwards_and_charges() {
         let (fabric, a, b) = two_hosts();
         let (rx, tx) = ReceiveRight::allocate(b.machine());
-        let proxy = fabric.proxy(&a, &b, tx);
+        let proxy = fabric.proxy_right(&a, &b, tx);
         // A local send on host A reaches the receiver on host B, with the
-        // network charged in between.
+        // network charged in between, before the send returns.
         proxy
-            .port()
             .send(Message::new(33).with(MsgItem::bytes(vec![0; 64])), None)
             .unwrap();
-        let m = rx.receive(Some(Duration::from_secs(5))).unwrap();
-        assert_eq!(m.id, 33);
+        assert_eq!(rx.try_receive().map(|m| m.id), Some(33));
         assert_eq!(a.machine().stats.get(keys::NET_MESSAGES), 1);
         assert_eq!(b.machine().stats.get(keys::NET_MESSAGES), 1);
-        drop(proxy); // Must not hang.
     }
 
     #[test]
     fn proxy_drops_messages_across_partition() {
         let (fabric, a, b) = two_hosts();
         let (rx, tx) = ReceiveRight::allocate(b.machine());
-        let proxy = fabric.proxy(&a, &b, tx);
+        let proxy = fabric.proxy_right(&a, &b, tx);
         fabric.set_partitioned(a.id(), b.id(), true);
-        proxy.port().send(Message::new(1), None).unwrap();
-        machsim::wall::sleep(Duration::from_millis(50));
+        proxy.send(Message::new(1), None).unwrap();
         assert!(rx.try_receive().is_none());
-        assert_eq!(a.machine().stats.get(machsim::stats::keys::NET_DROPPED), 1);
+        assert_eq!(a.machine().stats.get(keys::NET_DROPPED), 1);
+    }
+
+    #[test]
+    fn a_forward_never_waits_on_the_targets_backlog() {
+        let (fabric, a, b) = two_hosts();
+        let (rx, tx) = ReceiveRight::allocate(b.machine());
+        rx.set_backlog(1);
+        let proxy = fabric.proxy_right(&a, &b, tx);
+        for id in 0..3 {
+            let sent = proxy.send(Message::new(id), Some(Duration::ZERO));
+            sent.expect("a proxy never refuses a send");
+        }
+        assert_eq!(rx.queued(), 3);
+    }
+
+    #[test]
+    fn no_proxy_outlives_its_target() {
+        let (fabric, a, b) = two_hosts();
+        let (rx, tx) = ReceiveRight::allocate(b.machine());
+        let proxy = fabric.proxy_right(&a, &b, tx.clone());
+        drop(rx);
+        assert!(!proxy.is_alive());
+        assert!(fabric.inner.lock().rewrites.is_empty());
+        // A right whose receiver is already gone gets a dead proxy.
+        assert!(!fabric.proxy_right(&a, &b, tx).is_alive());
+        assert!(fabric.inner.lock().rewrites.is_empty());
+    }
+
+    #[test]
+    fn concurrent_rewrites_of_one_right_make_one_proxy() {
+        let (fabric, a, b) = two_hosts();
+        let start = std::sync::Barrier::new(8);
+        let mut targets = Vec::new();
+        for round in 1..=10 {
+            let (rx, tx) = ReceiveRight::allocate(b.machine());
+            targets.push(rx);
+            let proxies: Vec<SendRight> = std::thread::scope(|s| {
+                let workers: Vec<_> = (0..8)
+                    .map(|_| {
+                        s.spawn(|| {
+                            start.wait();
+                            fabric.proxy_right(&a, &b, tx.clone())
+                        })
+                    })
+                    .collect();
+                let joined = workers.into_iter().map(|w| w.join().expect("no panic"));
+                joined.collect()
+            });
+            assert!(proxies.iter().all(|p| p.same_port(&proxies[0])));
+            assert_eq!(fabric.inner.lock().rewrites.len(), round);
+        }
+    }
+
+    #[test]
+    fn a_reply_ports_proxy_goes_once_the_reply_is_received() {
+        let (fabric, a, b) = two_hosts();
+        let (_rx, echo) =
+            ReceiveRight::allocate_kernel(b.machine(), |msg| Some(Message::new(msg.id)));
+        let proxy = fabric.proxy_right(&a, &b, echo);
+        for id in 0..1000 {
+            let reply = proxy.rpc(Message::new(id), None, None).expect("an echo");
+            assert_eq!(reply.id, id);
+        }
+        // Each reply port's proxy died with it: the echo's is left.
+        assert_eq!(fabric.inner.lock().rewrites.len(), 1);
+        assert_eq!(b.machine().stats.get(keys::NET_MESSAGES), 2000);
+    }
+
+    #[test]
+    fn no_proxy_outlives_the_fabric() {
+        let (fabric, a, b) = two_hosts();
+        let (_rx, tx) = ReceiveRight::allocate(b.machine());
+        let proxy = fabric.proxy_right(&a, &b, tx);
+        assert!(proxy.is_alive());
+        drop(fabric);
+        assert!(!proxy.is_alive());
+        assert_eq!(proxy.send(Message::new(1), None), Err(IpcError::PortDied));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::array::ArrayService;
 use machcore::proto::Malformed;
 use machcore::{Kernel, Task};
 use machipc::{serve, IpcError, ReceiveRight, SendRight, Server, RPC_TIMEOUT};
-use machnet::{Fabric, Host, ProxyHandle};
+use machnet::{Fabric, Host};
 use machvm::VmError;
 use std::fmt;
 use std::sync::Arc;
@@ -161,10 +161,8 @@ impl Blackboard {
         home: &Arc<Host>,
         agent_host: &Arc<Host>,
     ) -> Agent {
-        let proxy = fabric.proxy(agent_host, home, self.service_port().clone());
         Agent::Remote {
-            port: proxy.port().clone(),
-            _proxy: Some(Arc::new(proxy)),
+            port: fabric.proxy_right(agent_host, home, self.service_port().clone()),
         }
     }
 }
@@ -223,8 +221,6 @@ pub enum Agent {
     Remote {
         /// The service port.
         port: SendRight,
-        /// Keeps a network proxy alive for the agent's lifetime.
-        _proxy: Option<Arc<ProxyHandle>>,
     },
 }
 

@@ -334,9 +334,9 @@ impl FsClient {
     }
 
     /// Writes the cached modifications of every named file back to the
-    /// server, in one request. For a kernel on the server's host, they
-    /// are in the files when this returns; for one behind a network proxy
-    /// they have been asked for.
+    /// server, in one request: they are in the files when this returns,
+    /// whether the kernel that holds them is on the server's host or
+    /// behind a network proxy.
     pub fn sync(
         &self,
         names: impl IntoIterator<Item = impl AsRef<str>>,

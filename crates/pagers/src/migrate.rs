@@ -21,7 +21,7 @@
 use crate::netshm::map_and_await_init;
 use machcore::{spawn_manager, DataManager, Kernel, KernelConn, ManagerHandle, Task};
 use machipc::OolBuffer;
-use machnet::{Fabric, Host, ProxyHandle};
+use machnet::{Fabric, Host};
 use machsim::stats::keys;
 use machvm::{VmError, VmProt};
 use std::fmt;
@@ -115,9 +115,6 @@ pub struct MigratedTask {
     pub report: MigrationReport,
     /// Keeps the copy-on-reference pager alive (None for eager).
     _pager: Option<ManagerHandle>,
-    /// The destination's network proxy for the pager's port, stopped with
-    /// the task (None for eager).
-    _proxy: Option<ProxyHandle>,
 }
 
 impl MigrationManager {
@@ -170,7 +167,6 @@ impl MigrationManager {
                     task: new_task,
                     report,
                     _pager: None,
-                    _proxy: None,
                 })
             }
             MigrationStrategy::CopyOnReference { prefetch_pages } => {
@@ -183,11 +179,11 @@ impl MigrationManager {
                 // network message server.
                 let proxied = self
                     .fabric
-                    .proxy(destination, origin, handle.port().clone());
+                    .proxy_right(destination, origin, handle.port().clone());
                 // Until the pager's cluster advice lands, a fault would
                 // pull a kernel-sized cluster and void the
                 // copy-on-reference accounting.
-                let addr = map_and_await_init(&new_task, proxied.port(), size)?;
+                let addr = map_and_await_init(&new_task, &proxied, size)?;
                 let report = MigrationReport {
                     resume_latency_ns: destination.machine().clock.now_ns() - t0,
                     bytes_before_resume: destination.machine().stats.get(keys::NET_BYTES) - net0,
@@ -198,7 +194,6 @@ impl MigrationManager {
                     task: new_task,
                     report,
                     _pager: Some(handle),
-                    _proxy: Some(proxied),
                 })
             }
         }

@@ -26,9 +26,8 @@
 
 use machcore::{DataManager, KernelConn, ManagerTask, Task};
 use machipc::{OolBuffer, PortName, SendRight, Server, RPC_TIMEOUT};
-use machnet::{Fabric, Host, ProxyHandle};
+use machnet::{Fabric, Host};
 use machvm::{VmError, VmProt};
-use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
@@ -317,8 +316,6 @@ pub struct SharedMemoryServer {
     object: SendRight,
     fabric: Arc<Fabric>,
     server_host: Arc<Host>,
-    /// Proxies keeping remote attachments alive.
-    proxies: Mutex<Vec<ProxyHandle>>,
     size: u64,
 }
 
@@ -347,7 +344,6 @@ impl SharedMemoryServer {
             object: object.expect("the region was created"),
             fabric: fabric.clone(),
             server_host: server_host.clone(),
-            proxies: Mutex::new(Vec::new()),
             size,
         })
     }
@@ -369,9 +365,9 @@ impl SharedMemoryServer {
     pub fn attach(&self, task: &Task, client_host: &Arc<Host>) -> Result<u64, VmError> {
         let mut port = self.object.clone();
         if client_host.id() != self.server_host.id() {
-            let proxy = self.fabric.proxy(client_host, &self.server_host, port);
-            port = proxy.port().clone();
-            self.proxies.lock().push(proxy);
+            port = self
+                .fabric
+                .proxy_right(client_host, &self.server_host, port);
         }
         map_and_await_init(task, &port, self.size)
     }
@@ -560,14 +556,13 @@ mod tests {
         )
     }
 
-    fn eventually(mut f: impl FnMut() -> bool) -> bool {
-        for _ in 0..200 {
-            if f() {
-                return true;
-            }
-            machsim::wall::sleep(Duration::from_millis(10));
-        }
-        false
+    /// The `N` bytes at `addr` in `task`. A write that has returned is
+    /// already coherent: the server flushed every other copy, on its own
+    /// thread, before it granted the write, so the first read sees it.
+    fn read<const N: usize>(task: &Task, addr: u64) -> [u8; N] {
+        let mut b = [0u8; N];
+        task.read_memory(addr, &mut b).expect("the region reads");
+        b
     }
 
     #[test]
@@ -596,10 +591,7 @@ mod tests {
         assert!(inv >= 1, "B was invalidated");
         // B reads again: the server demotes A (flush) and serves B the
         // fresh data once A's page comes home.
-        assert!(eventually(|| {
-            let mut b = [0u8; 5];
-            tb.read_memory(ab, &mut b).is_ok() && &b == b"hello"
-        }));
+        assert_eq!(&read(&tb, ab), b"hello");
         let (_inv, dem) = server.coherence_counters();
         assert!(dem >= 1, "writer demoted to reader");
         assert_eq!(server.master_copy(0, 5), b"hello");
@@ -610,15 +602,9 @@ mod tests {
         let (_f, (_ha, _ka, ta), (_hb, _kb, tb), _server, (aa, ab)) = setup(4 * PAGE);
         for round in 0..5u8 {
             ta.write_memory(aa, &[round * 2]).unwrap();
-            assert!(eventually(|| {
-                let mut b = [0u8; 1];
-                tb.read_memory(ab, &mut b).is_ok() && b[0] == round * 2
-            }));
+            assert_eq!(read(&tb, ab), [round * 2]);
             tb.write_memory(ab, &[round * 2 + 1]).unwrap();
-            assert!(eventually(|| {
-                let mut b = [0u8; 1];
-                ta.read_memory(aa, &mut b).is_ok() && b[0] == round * 2 + 1
-            }));
+            assert_eq!(read(&ta, aa), [round * 2 + 1]);
         }
     }
 
@@ -683,10 +669,7 @@ mod tests {
         ta.write_memory(aa, &[0x77]).unwrap();
         assert_eq!(server.unlock_negotiations(), 0);
         // B shows up: A is revoked (demoted), B sees the data.
-        assert!(eventually(|| {
-            let mut bb = [0u8; 1];
-            tb.read_memory(ab, &mut bb).is_ok() && bb[0] == 0x77
-        }));
+        assert_eq!(read(&tb, ab), [0x77]);
         let (_inv, dem) = server.coherence_counters();
         assert!(dem >= 1, "optimistic writer was demoted");
     }
@@ -715,15 +698,23 @@ mod tests {
         for (round, writer) in [(1u8, 0usize), (2, 1), (3, 2)] {
             tasks[writer].write_memory(addrs[writer], &[round]).unwrap();
             for (t, &a) in tasks.iter().zip(addrs.iter()) {
-                assert!(
-                    eventually(|| {
-                        let mut bb = [0u8; 1];
-                        t.read_memory(a, &mut bb).is_ok() && bb[0] == round
-                    }),
-                    "client failed to observe round {round}"
-                );
+                assert_eq!(read(t, a), [round], "client observes round {round}");
             }
         }
+    }
+
+    #[test]
+    fn a_remote_kernel_learns_its_manager_died() {
+        let (_f, (_ha, _ka, ta), _b, server, (aa, _ab)) = setup(4 * PAGE);
+        let _ = read::<1>(&ta, aa);
+        drop(server);
+        // The region's port died, so did the proxy the kernel watches,
+        // and a fault fails at once instead of waiting out its policy.
+        let patience = machvm::FaultPolicy::abort_after(Duration::from_secs(5));
+        ta.map().set_fault_policy(patience);
+        let mut b = [0u8; 1];
+        let fault = ta.read_memory(aa + 2 * PAGE, &mut b);
+        assert_eq!(fault, Err(VmError::ObjectDestroyed));
     }
 
     #[test]
@@ -756,10 +747,7 @@ mod tests {
         // Phase 2: shared hot page.
         for round in 0..4u8 {
             ta.write_memory(aa, &[round]).unwrap();
-            assert!(eventually(|| {
-                let mut bb = [0u8; 1];
-                tb.read_memory(ab, &mut bb).is_ok() && bb[0] == round
-            }));
+            assert_eq!(read(&tb, ab), [round]);
         }
         let (inv_contended, _) = server.coherence_counters();
         assert!(
@@ -790,12 +778,9 @@ mod tests {
                 .unwrap();
         assert_eq!(size_a, 4 * PAGE);
         assert_eq!(size_b, 4 * PAGE);
-        // Same region: a write by one is (eventually) read by the other.
+        // Same region: a write by one is read by the other.
         ta.write_memory(aa, b"shared by name").unwrap();
-        assert!(eventually(|| {
-            let mut b = [0u8; 14];
-            tb.read_memory(ab, &mut b).is_ok() && &b == b"shared by name"
-        }));
+        assert_eq!(&read(&tb, ab), b"shared by name");
     }
 
     #[test]

@@ -51,6 +51,13 @@ if [ "$served" != "crates/core/src/manager.rs" ]; then
     exit 1
 fi
 
+echo "==> the network forwards on the sender's thread (a netmsg proxy is a kernel port: no serve( and no thread:: in non-test machnet)"
+forwarders=$(non_test '(^|[^A-Za-z0-9_])serve\(|thread::' crates/net/src/*.rs)
+if [ -n "$forwarders" ]; then
+    echo "$forwarders"
+    exit 1
+fi
+
 echo "==> no non-test poll (machsim::wall::poll_until is for tests; code waits on a Signal or a Latch)"
 # shellcheck disable=SC2046 # one word per source file
 polls=$(non_test 'poll_until' $(ls crates/*/src/*.rs crates/*/src/*/*.rs src/*.rs | grep -v '^crates/sim/src/wall.rs$'))
@@ -81,7 +88,8 @@ cargo test -q --workspace
 # two storms over the fault path: 20 rounds under full parallelism, and 20
 # more pinned to one core where the host can pin. unix_equivalence's message
 # and disk-write counts are exact because FS_SYNC answers with the writes
-# on disk; the repeats hold it to that.
+# on disk, and remote_sync holds a kernel behind a netmsg proxy to the same;
+# the repeats hold them to that.
 repeat_threaded_tests() {
     log=target/threaded-tests.log
     for round in 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20; do
@@ -90,7 +98,8 @@ repeat_threaded_tests() {
                 "$@" cargo test -q -p machbench --lib rpc_costs_about_two_messages &&
                 "$@" cargo test -q --test sched --test fault_async --test stress \
                     --test request_sizing --test fault_locks --test watchdog \
-                    --test pager_fill --test pmap_race --test unix_equivalence
+                    --test pager_fill --test pmap_race --test unix_equivalence \
+                    --test remote_sync
         } >"$log" 2>&1 || {
             cat "$log"
             echo "threaded tests failed in round $round"
@@ -98,7 +107,7 @@ repeat_threaded_tests() {
         }
     done
 }
-echo "==> threaded tests x20 (steal pile, RPC cost bounds, sched + fault_async + stress storms, run faults: request_sizing + fault_locks, watchdog in_flight, pager_fill replies resuming on their own thread, pmap_race lock-free translations, unix_equivalence exact write-back counts)"
+echo "==> threaded tests x20 (steal pile, RPC cost bounds, sched + fault_async + stress storms, run faults: request_sizing + fault_locks, watchdog in_flight, pager_fill replies resuming on their own thread, pmap_race lock-free translations, unix_equivalence exact write-back counts, remote_sync on disk through a proxy)"
 repeat_threaded_tests
 if command -v taskset >/dev/null 2>&1; then
     echo "==> threaded tests x20 on one core (taskset -c 0)"
@@ -149,4 +158,4 @@ cargo test -q -p machsched --features lockdep --test lockdep_witness
 echo "==> machlint (static invariants: lock-order, sim-time, counter-key, panic-budget, trace-cover, span-pair, atomic-ordering, condvar-wait, unchecked-send)"
 cargo run -q -p machlint -- --workspace
 
-echo "OK: clippy clean, formatting clean, one decoder, two thread sites, no kernel object served by a thread, no non-test poll, a data manager's state owned by its thread and one way to wait, workspace tests, threaded-test repeats, fault_scaling, numa_placement, fault_concurrency, parallel_build, machmark smoke + verify, machmc + baseline diff, export smoke, critical-path smoke, lockdep witnesses and machlint passed."
+echo "OK: clippy clean, formatting clean, one decoder, two thread sites, no kernel object served by a thread, the network forwards on the sender's thread, no non-test poll, a data manager's state owned by its thread and one way to wait, workspace tests, threaded-test repeats, fault_scaling, numa_placement, fault_concurrency, parallel_build, machmark smoke + verify, machmc + baseline diff, export smoke, critical-path smoke, lockdep witnesses and machlint passed."

@@ -27,16 +27,11 @@ fn three_hosts_share_and_migrate() {
     let aa = shm.attach(&ta, &ha).unwrap();
     let ab = shm.attach(&tb, &hb).unwrap();
     ta.write_memory(aa, b"state").unwrap();
-    let deadline = machsim::wall::Deadline::after(Duration::from_secs(5));
+    // The write returned once the server had flushed beta's copy, so
+    // beta's first read sees it.
     let mut buf = [0u8; 5];
-    loop {
-        tb.read_memory(ab, &mut buf).unwrap();
-        if &buf == b"state" {
-            break;
-        }
-        assert!(!deadline.expired());
-        machsim::wall::sleep(Duration::from_millis(5));
-    }
+    tb.read_memory(ab, &mut buf).unwrap();
+    assert_eq!(&buf, b"state");
 
     // The worker also has private memory; migrate it to beta.
     let private = ta.vm_allocate(16 * PAGE).unwrap();
@@ -135,9 +130,9 @@ fn remote_file_server_works_through_the_network_message_server() {
         .write("shared.doc", 0, &vec![0x42u8; 8192])
         .unwrap();
 
-    // The client reaches the *service* port through one proxy, and the
-    // memory object port from the reply through another, so both the RPC
-    // and the pager protocol are honestly charged as network traffic.
+    // The RPC crosses the fabric, and the memory object right in its
+    // reply arrives rewritten into a proxy on the client's host, so both
+    // the RPC and the pager protocol are charged as network traffic.
     use machipc::{Message, MsgItem};
     let reply = fabric
         .rpc(
@@ -154,12 +149,10 @@ fn remote_file_server_works_through_the_network_message_server() {
     let machipc::MsgItem::SendRights(rights) = &reply.body[1] else {
         panic!("memory object expected");
     };
-    let object_proxy = fabric.proxy(&client_host, &server_host, rights[0].clone());
+    let object_proxy = &rights[0];
     let task = Task::create(&client_kernel, "remote-reader");
     let net0 = client_host.machine().stats.get(keys::NET_BYTES);
-    let addr = task
-        .map_object_copy(None, size, object_proxy.port(), 0)
-        .unwrap();
+    let addr = task.map_object_copy(None, size, object_proxy, 0).unwrap();
     let mut buf = vec![0u8; size as usize];
     task.read_memory(addr, &mut buf).unwrap();
     assert!(buf.iter().all(|&b| b == 0x42));
@@ -171,9 +164,7 @@ fn remote_file_server_works_through_the_network_message_server() {
     // further network traffic for the data.
     let net1 = client_host.machine().stats.get(keys::NET_BYTES);
     let task2 = Task::create(&client_kernel, "second-reader");
-    let addr2 = task2
-        .map_object_copy(None, size, object_proxy.port(), 0)
-        .unwrap();
+    let addr2 = task2.map_object_copy(None, size, object_proxy, 0).unwrap();
     task2.read_memory(addr2, &mut buf).unwrap();
     assert!(buf.iter().all(|&b| b == 0x42));
     let extra = client_host.machine().stats.get(keys::NET_BYTES) - net1;

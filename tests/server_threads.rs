@@ -1,10 +1,12 @@
 //! A data-manager server is one task on one thread: camelot, the array
-//! service, a shared memory server and a shm directory serving four
-//! regions each add one host thread, and give it back when dropped. A
-//! copy-on-reference migration's pager and its network proxy stop with the
-//! migrated task. The only test in its binary, so nothing else starts or
+//! service, a shared memory server (with local or remote clients) and a
+//! shm directory serving four regions each add one host thread, and give
+//! it back when dropped. A netmsg proxy is a kernel port, not a thread:
+//! remote host queries add none, and a copy-on-reference migration runs
+//! only its pager. The only test in its binary, so nothing else starts or
 //! stops a thread while it counts them.
 
+use machcore::introspect::query_host_statistics;
 use machcore::{Kernel, KernelConfig, Task};
 use machnet::Fabric;
 use machpagers::{
@@ -25,12 +27,17 @@ fn host_threads() -> usize {
         .count()
 }
 
-/// The threads of this process named one of `names`.
-fn threads_named(names: &[&str]) -> usize {
+/// The threads of this process whose name `keep` accepts.
+fn threads_where(keep: impl Fn(&str) -> bool) -> usize {
     let tasks = std::fs::read_dir("/proc/self/task").expect("Linux /proc");
     let comm = |task: std::fs::DirEntry| std::fs::read_to_string(task.path().join("comm")).ok();
-    let named = |name: &String| names.contains(&name.trim_end());
+    let named = |name: &String| keep(name.trim_end());
     tasks.flatten().filter_map(comm).filter(named).count()
+}
+
+/// The threads of this process named one of `names`.
+fn threads_named(names: &[&str]) -> usize {
+    threads_where(|name| names.contains(&name))
 }
 
 /// Whether, within 5 s, `n` threads are named one of `names`. The names
@@ -108,36 +115,71 @@ fn a_data_manager_server_adds_one_host_thread() {
         directory
     };
 
-    // Whatever the kernel starts at its first pager round trip (the fault
-    // engine's timer, say) starts here, before the counts.
-    drop(camelot());
-    adds_one_thread("camelot", "camelot-server", camelot);
-    adds_one_thread("the array service", "array-server", array);
-    adds_one_thread("a shared memory server", "shm-server", shared_memory);
-    adds_one_thread("a directory of four regions", "shm-server", directory);
-
-    // A copy-on-reference migration: its pager on the origin, and the
-    // destination's proxy for the pager's port.
+    // Two kernels on other hosts, reaching the shared memory server
+    // through the fabric's proxies.
+    let clients: Vec<_> = ["c1", "c2"]
+        .into_iter()
+        .map(|name| {
+            let host = fabric.add_host(name);
+            let kernel = Kernel::boot_on(host.machine().clone(), KernelConfig::default());
+            (Task::create(&kernel, "remote-client"), host)
+        })
+        .collect();
+    let remote_shared_memory = || {
+        let server = SharedMemoryServer::start(&fabric, &origin, 4 * PAGE);
+        for (task, host) in &clients {
+            fault_in(task, server.attach(task, host).expect("a remote attach"));
+        }
+        server
+    };
+    // A copy-on-reference migration: its pager on the origin, reached
+    // from the destination through a proxy.
     let there = Kernel::boot_on(destination.machine().clone(), KernelConfig::default());
     let source = Task::create(&k, "source");
     let addr = source.vm_allocate(4 * PAGE).expect("allocate");
     source.write_memory(addr, &[7]).expect("write");
     let migration = MigrationManager::new(&fabric);
     let strategy = MigrationStrategy::CopyOnReference { prefetch_pages: 0 };
-    let migrated = migration
-        .migrate_region(
-            &source,
-            &origin,
-            addr,
-            4 * PAGE,
-            &there,
-            &destination,
-            strategy,
-        )
-        .expect("migrate");
-    fault_in(&migrated.task, migrated.report.address);
-    let its_threads = ["pager-migrate", "netmsg-d-o"];
-    assert!(settles(&its_threads, 2), "its pager and proxy");
-    drop(migrated);
-    assert!(gone(&its_threads), "none outlives the migrated task");
+    let migrate = || {
+        let migrated = migration
+            .migrate_region(
+                &source,
+                &origin,
+                addr,
+                4 * PAGE,
+                &there,
+                &destination,
+                strategy,
+            )
+            .expect("migrate");
+        fault_in(&migrated.task, migrated.report.address);
+        migrated
+    };
+
+    // Whatever a kernel starts at its first pager round trip (the fault
+    // engine's timer, say) starts here, before the counts.
+    drop(camelot());
+    drop(remote_shared_memory());
+    drop(migrate());
+    adds_one_thread("camelot", "camelot-server", camelot);
+    adds_one_thread("the array service", "array-server", array);
+    adds_one_thread("a shared memory server", "shm-server", shared_memory);
+    adds_one_thread("a directory of four regions", "shm-server", directory);
+    adds_one_thread(
+        "a shared memory server with two remote clients",
+        "shm-server",
+        remote_shared_memory,
+    );
+    adds_one_thread("a copy-on-reference migration", "pager-migrate", migrate);
+
+    // A remote host port, queried through its proxy: each query's reply
+    // port gets a proxy of its own, and none of them is a thread.
+    let before = host_threads();
+    let host_port = fabric.proxy_right(&destination, &origin, k.host_port().clone());
+    for _ in 0..16 {
+        query_host_statistics(&host_port).expect("a remote query");
+    }
+    assert_eq!(host_threads(), before, "remote queries add no thread");
+    let proxies = threads_where(|name| name.starts_with("netmsg"));
+    assert_eq!(proxies, 0, "no proxy is a thread");
 }

@@ -1,9 +1,9 @@
 //! No client can stop a server. Every in-tree server loop — a data
-//! manager, the file server, camelot, the blackboard, the shm directory,
-//! the array service and the netmsg proxy — stops only on a message
-//! carrying its owner's key, and the kernel's own objects — a request
-//! port, the host port and a task port — have no loop: as kernel ports
-//! answered on the sender's thread, they stop on nothing.
+//! manager, the file server, camelot, the blackboard, the shm directory
+//! and the array service — stops only on a message carrying its owner's
+//! key, and the kernel's own objects — a request port, the host port, a
+//! task port and a netmsg proxy — have no loop: as kernel ports answered
+//! on the sender's thread, they stop on nothing.
 
 use machcore::introspect::query_host_statistics;
 use machcore::objport::{RemoteTask, TaskPort};
@@ -83,7 +83,7 @@ fn no_client_stops_a_server_whatever_id_it_sends() {
     let directory = ShmDirectory::start(&home, GrantPolicy::ReadLocked);
     let array = ArrayService::start(machine, 4 * 4096, |_| 0);
     let (forwarded, target) = ReceiveRight::allocate(machine);
-    let proxy = fabric.proxy(&away, &home, target);
+    let proxy = fabric.proxy_right(&away, &home, target);
 
     type StillServes<'a> = Box<dyn Fn() -> bool + 'a>;
     let servers: Vec<(&str, SendRight, StillServes)> = vec![
@@ -112,7 +112,6 @@ fn no_client_stops_a_server_whatever_id_it_sends() {
         ("blackboard", blackboard.service_port().clone(), {
             let remote = Agent::Remote {
                 port: blackboard.service_port().clone(),
-                _proxy: None,
             };
             Box::new(move || remote.post(1, b"hypothesis").is_ok())
         }),
@@ -125,9 +124,9 @@ fn no_client_stops_a_server_whatever_id_it_sends() {
             Box::new(|| ArrayService::attach(&task, array.port()).is_ok())
         }),
         // The proxy forwards every id, 0x7D1E included, and then the next.
-        ("netmsg proxy", proxy.port().clone(), {
+        ("netmsg proxy", proxy.clone(), {
             Box::new(|| {
-                proxy.port().send(Message::new(1), Some(PATIENCE)).is_ok()
+                proxy.send(Message::new(1), Some(PATIENCE)).is_ok()
                     && STOP_IDS.iter().chain(&[1]).all(|&id| {
                         forwarded
                             .receive(Some(PATIENCE))

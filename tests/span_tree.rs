@@ -50,14 +50,15 @@ fn proxied_fault_chain_is_one_connected_span_tree() {
     let MsgItem::SendRights(rights) = &reply.body[1] else {
         panic!("memory object expected");
     };
-    let object_proxy = fabric.proxy(&client_host, &server_host, rights[0].clone());
+    // The fabric rewrote the right into a proxy on the client's host.
+    let object_proxy = &rights[0];
 
     let task = Task::create(&client_kernel, "remote-reader");
     // Single-page faults: each chain is one data_request round trip, so
     // every tree below is one fault's worth of causality.
     task.map().set_fault_policy(machvm::FaultPolicy::trusting());
     let addr = task
-        .map_object_copy(None, size, object_proxy.port(), 0)
+        .map_object_copy(None, size, object_proxy, 0)
         .expect("proxied object maps");
     let mut b = [0u8; 1];
     task.read_memory(addr, &mut b)
