@@ -6,8 +6,8 @@
 //! messages (Table 3-5) into calls on a [`DataManager`] implementation,
 //! handing it a [`KernelConn`] with typed methods for every manager →
 //! kernel call (Table 3-6). A server task is a [`ManagerTask`], one thread
-//! serving its request port and every memory object it backs; a manager
-//! with a thread of its own is [`spawn_manager`].
+//! serving its request port and every memory object it backs;
+//! [`spawn_manager`] is such a task whose own port is its one object's.
 //!
 //! A single memory object may be mapped by several independent kernels; the
 //! manager then receives one `pager_init` per kernel, each carrying a
@@ -16,7 +16,7 @@
 
 use crate::proto::{KernelToManager, Malformed, ManagerToKernel, Parts};
 use machipc::{
-    serve, serve_group, Message, OolBuffer, PortName, PortSpace, ReceiveRight, SendRight, Server,
+    serve_group, Message, OolBuffer, PortName, PortSpace, ReceiveRight, SendRight, Server,
     MSG_ID_PORT_DEATH,
 };
 use machsim::stats::keys;
@@ -177,14 +177,13 @@ pub trait DataManager: Send + 'static {
     }
 }
 
-/// Handle to a running data manager task: its memory object port
-/// ([`Server::port`], give this to `vm_allocate_with_pager`). Dropping it
-/// stops the manager.
+/// Handle to a running data manager task that backs one memory object
+/// ([`spawn_manager`]): its port ([`Server::port`], give this to
+/// `vm_allocate_with_pager`). Dropping it stops the manager.
 pub type ManagerHandle = Server;
 
 /// Hands one message that arrived on the memory object port `self_port`
-/// to its manager: the one reading of Table 3-5, whether the port has a
-/// thread of its own ([`spawn_manager`]) or is one of a [`ManagerTask`]'s.
+/// to its manager: the one reading of Table 3-5.
 fn dispatch<M: DataManager>(machine: &Machine, self_port: &SendRight, mgr: &mut M, msg: Message) {
     if msg.id == MSG_ID_PORT_DEATH {
         let port = Parts::of(msg.body).words().next().unwrap_or(0);
@@ -230,14 +229,17 @@ fn dispatch<M: DataManager>(machine: &Machine, self_port: &SendRight, mgr: &mut 
     }
 }
 
-/// Starts a data manager task serving a fresh memory object port.
+/// Starts a data manager task, on a thread named `pager-<label>`, whose
+/// own port is the memory object port `mgr` serves: what kernels queued
+/// before the handle is dropped is served before the task stops.
 pub fn spawn_manager<M: DataManager>(machine: &Machine, label: &str, mut mgr: M) -> ManagerHandle {
-    let (rx, self_port) = ReceiveRight::allocate(machine);
-    // Kernels send with the notification path; keep a sane floor anyway.
-    rx.set_backlog(4096);
-    let machine = machine.clone();
-    serve(format!("pager-{label}"), rx, move |msg| {
-        dispatch(&machine, &self_port, &mut mgr, msg);
+    let task = ManagerTask::<M>::new(machine);
+    let object = task
+        .space
+        .send_right(task.request)
+        .expect("the task holds its port");
+    task.serve(&format!("pager-{label}"), move |task, msg| {
+        dispatch(&task.machine, &object, &mut mgr, msg);
         None
     })
 }

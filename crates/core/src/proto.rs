@@ -18,8 +18,8 @@
 //! `emm.malformed_dropped`.
 //!
 //! Shutdown is not a call of any protocol: every server loop is
-//! [`machipc::serve`], which stops only on a message carrying its owner's
-//! key.
+//! [`machipc::serve_group`], which stops only on a message carrying its
+//! owner's key.
 
 use machipc::{MsgItem, OolBuffer, SendRight, TypeTag};
 use machvm::VmProt;

@@ -22,10 +22,10 @@
 //!   which Section 6.2.1 then reuses for *memory* failures);
 //! * death notification when a port's receive right is destroyed;
 //! * the task's *default group* of enabled ports for `msg_receive`;
-//! * [`serve`], the one loop every user-level server runs (on one port,
-//!   or on a task's default group with [`serve_group`]), and kernel
-//!   ports ([`ReceiveRight::allocate_kernel`]), which need none: their
-//!   handler runs on the sending thread and answers as a server's does.
+//! * [`serve_group`], the one loop every user-level server runs, on its
+//!   task's default group, and kernel ports
+//!   ([`ReceiveRight::allocate_kernel`]), which need none: their handler
+//!   runs on the sending thread and answers as a server's does.
 
 pub mod error;
 pub mod message;
@@ -37,7 +37,7 @@ pub mod space;
 pub use error::IpcError;
 pub use message::{Message, MsgItem, OolBuffer, OolWatch, TypeTag, MSG_ID_PORT_DEATH};
 pub use port::{PortId, PortStatus, ReceiveRight, SendRight, DEFAULT_BACKLOG};
-pub use serve::{serve, serve_group, Server, REPLY_TIMEOUT, RPC_TIMEOUT, SERVER_STOP, SERVE_BATCH};
+pub use serve::{serve_group, Server, REPLY_TIMEOUT, RPC_TIMEOUT, SERVER_STOP, SERVE_BATCH};
 pub use space::{PortName, PortSpace};
 
 /// Shared context charged by IPC operations: one host's clock, counters and

@@ -18,22 +18,28 @@
 //! A port is a monitor. One lock — `PortCore::control`, class `port`, the
 //! innermost rank of the declared hierarchy (see `machsim::lockdep`) —
 //! guards the one FIFO and everything else the port protects: backlog,
-//! death, death subscriptions, port-set wakers and the count of parked
-//! receivers. Two `machsim::wall::Signal`s hang off it, one for receivers
+//! death, death subscriptions, the link to its port group and the count
+//! of parked receivers. Two `machsim::wall::Signal`s hang off it, one for receivers
 //! waiting for a message and one for senders waiting for room, and every
 //! `block` re-checks its predicate in a loop (machlint L8). Whether there
 //! is room, whether anyone needs waking and whether the port died are
 //! expressions read under that lock, so no ordering between separate
-//! counters has to be argued. Notifies and port-set pings happen after
-//! the lock is released, and messages the port discards are dropped
-//! outside it: dropping a message can destroy rights it carries, which
-//! takes other ports' locks and may post a death notification back to
-//! this one.
+//! counters has to be argued. Notifies and group pings happen after the
+//! lock is released, and messages the port discards are dropped outside
+//! it: dropping a message can destroy rights it carries, which takes
+//! other ports' locks and may post a death notification back to this one.
+//!
+//! A port is enabled in at most one group (`PortSpace::port_enable`), whose
+//! `SetWaker` locks its own generation and parked receivers. A send reads
+//! that count under the port lock: the lock order is port, then set, and
+//! nothing takes them the other way round (a group receiver lets go of the
+//! set before it scans its ports, and parks holding only the set's lock).
 //!
 //! The RPC *handoff* is a cost class of an ordinary send, not a second
-//! container: a message sent to a receiver already parked on an empty
-//! queue is charged `handoff_ns` instead of `message_ns` and travels
-//! through the same FIFO, so it cannot overtake anything.
+//! container: a message sent to an empty queue while a receiver is parked
+//! on the port, or on the group it is enabled in, is charged `handoff_ns`
+//! instead of `message_ns` and travels through the same FIFO, so it
+//! cannot overtake anything.
 //!
 //! Splitting the queue by sending thread was built and measured: it lost
 //! on every workload that sends a message (DESIGN.md §5, EXPERIMENTS.md
@@ -94,38 +100,59 @@ pub struct PortStatus {
     pub senders: usize,
 }
 
-/// Wakeup channel shared with port-set receivers (the default port group).
+/// A port group's wake-up channel (the default port group): a generation
+/// every arrival on an enabled port advances, and the receivers parked
+/// on it, whom a send may hand off to.
 #[derive(Debug, Default)]
 pub(crate) struct SetWaker {
-    generation: Mutex<u64>,
+    state: Mutex<Group>,
     signal: Signal,
+}
+
+#[derive(Debug, Default)]
+struct Group {
+    generation: u64,
+    /// Receivers parked on the current generation; a ping wakes them all.
+    parked: usize,
 }
 
 impl SetWaker {
     /// Current generation; pass to [`SetWaker::wait`] to detect pings.
     pub(crate) fn generation(&self) -> u64 {
-        *self.generation.lock()
+        self.state.lock().generation
     }
 
-    /// Signals that some enabled port may have become readable.
+    /// Receivers parked on the group, whom no ping has woken yet.
+    pub(crate) fn parked(&self) -> usize {
+        self.state.lock().parked
+    }
+
+    /// Signals that some enabled port may have become readable. With
+    /// nobody parked it notifies no one: a notify is a syscall regardless.
     pub(crate) fn ping(&self) {
-        let mut g = self.generation.lock();
-        *g += 1;
-        self.signal.notify_all();
+        let mut st = self.state.lock();
+        st.generation += 1;
+        if std::mem::take(&mut st.parked) > 0 {
+            self.signal.notify_all();
+        }
     }
 
-    /// Waits until the generation moves past `seen` or `deadline` passes.
-    /// Returns `false` on timeout. The caller's deadline spans all its
-    /// waits, so a ping for a port that turns out to be empty resumes
-    /// waiting for the *remainder*, never a fresh full timeout.
+    /// Waits, counted as parked, until the generation moves past `seen` or
+    /// `deadline` passes. Returns `false` on timeout. The caller's deadline
+    /// spans all its waits, so a ping for a port that turns out to be empty
+    /// resumes waiting for the *remainder*, never a fresh full timeout.
     pub(crate) fn wait(&self, seen: u64, deadline: Option<&Deadline>) -> bool {
-        let mut g = self.generation.lock();
-        while *g == seen {
-            if self.signal.block(&mut g, deadline) {
-                return *g != seen;
+        let mut st = self.state.lock();
+        let mut expired = false;
+        while st.generation == seen && !expired {
+            st.parked += 1;
+            expired = self.signal.block(&mut st, deadline);
+            // A ping that moved the generation took this receiver off the count.
+            if st.generation == seen {
+                st.parked -= 1;
             }
         }
-        true
+        st.generation != seen
     }
 }
 
@@ -149,10 +176,13 @@ struct State {
     recv_waiting: usize,
     /// Ports to which a death notification should be posted on destruction.
     death_subs: Vec<Weak<PortCore>>,
-    /// Port-set wakers to ping on message arrival. Behind an `Arc` so a
-    /// send snapshots the list with a refcount bump and pings outside
-    /// the lock; dead weaks are pruned whenever the list is edited.
-    wakers: Arc<Vec<Weak<SetWaker>>>,
+    /// The one port group the port is enabled in: pinged on every
+    /// arrival, and a send to an empty queue hands off to a receiver
+    /// parked on it.
+    group: Option<Arc<SetWaker>>,
+    /// Times the receive right has left a space: a directed receive by
+    /// name ends when the right it resolved moves.
+    moves: u64,
 }
 
 type StateGuard<'a> = ClassMutexGuard<'a, State>;
@@ -211,7 +241,8 @@ impl PortCore {
                     handoff_enabled: true,
                     recv_waiting: 0,
                     death_subs: Vec::new(),
-                    wakers: Arc::new(Vec::new()),
+                    group: None,
+                    moves: 0,
                 },
             ),
             recv: Signal::new(),
@@ -390,26 +421,18 @@ impl PortCore {
     }
 
     /// Ends a send: releases the lock, then wakes a parked receiver and
-    /// pings the port sets this port is enabled in. Who needs waking is
-    /// read under the same hold that queued the message, so a receiver
-    /// either saw the message before parking or is counted here.
+    /// pings the group this port is enabled in. Who needs waking is read
+    /// under the same hold that queued the message, so a receiver either
+    /// saw the message before parking or is counted here.
     fn publish(&self, st: StateGuard<'_>) {
         let wake = st.recv_waiting > 0;
-        let wakers = (!st.wakers.is_empty()).then(|| Arc::clone(&st.wakers));
+        let group = st.group.clone();
         drop(st);
         if wake {
             self.recv.notify_one();
         }
-        let Some(wakers) = wakers else { return };
-        let mut saw_dead = false;
-        for w in wakers.iter() {
-            match w.upgrade() {
-                Some(w) => w.ping(),
-                None => saw_dead = true,
-            }
-        }
-        if saw_dead {
-            retain_wakers(&mut self.control.lock(), |_| true);
+        if let Some(group) = group {
+            group.ping();
         }
     }
 
@@ -426,9 +449,10 @@ impl PortCore {
         }
         self.room(&mut st, full, &mut None)?;
         // Only `msg_send` donates its thread, to a receiver parked on an
-        // empty queue; a kernel thread posting a notification carries on
-        // with its own work.
-        let donate = matches!(full, Full::Wait(_)) && st.handoff_enabled && st.recv_waiting > 0;
+        // empty queue or on the group the port is enabled in; a kernel
+        // thread posting a notification carries on with its own work.
+        let parked = st.recv_waiting > 0 || st.group.as_ref().is_some_and(|g| g.parked() > 0);
+        let donate = matches!(full, Full::Wait(_)) && st.handoff_enabled && parked;
         let hop = match st.queue.len() {
             0 if donate => Hop::Handoff,
             ahead => Hop::Queued(ahead as u32),
@@ -475,18 +499,23 @@ impl PortCore {
 
     /// Waits, under the lock, for a message and pops it. An oversized
     /// front (under `max_size`) stays queued and reports `MsgTooLarge`,
-    /// as `msg_receive` specifies. The deadline is computed once, on the
-    /// first wait; on expiry a message that raced in beats `PortDied`
+    /// as `msg_receive` specifies; a right that has moved since `moves`
+    /// was read reports `InvalidRight`. The deadline is computed once, on
+    /// the first wait; on expiry a message that raced in beats `PortDied`
     /// beats `Timeout`.
     fn pop(
         &self,
         st: &mut StateGuard<'_>,
         max_size: Option<usize>,
         timeout: Option<Duration>,
+        moves: Option<u64>,
     ) -> Result<Message, IpcError> {
         let mut deadline = None;
         let mut expired = false;
         loop {
+            if moves.is_some_and(|m| m != st.moves) {
+                return Err(IpcError::InvalidRight);
+            }
             if let Some(front) = st.queue.front() {
                 if max_size.is_some_and(|limit| front.inline_len() + front.ool_len() > limit) {
                     return Err(IpcError::MsgTooLarge);
@@ -518,9 +547,10 @@ impl PortCore {
         &self,
         max_size: Option<usize>,
         timeout: Option<Duration>,
+        moves: Option<u64>,
     ) -> Result<Message, IpcError> {
         let mut st = self.control.lock();
-        let msg = self.pop(&mut st, max_size, timeout)?;
+        let msg = self.pop(&mut st, max_size, timeout, moves)?;
         drop(st);
         self.send.notify_one();
         self.finish_recv(std::slice::from_ref(&msg));
@@ -539,7 +569,7 @@ impl PortCore {
             return Ok(Vec::new());
         }
         let mut st = self.control.lock();
-        let first = self.pop(&mut st, None, timeout)?;
+        let first = self.pop(&mut st, None, timeout, None)?;
         let more = st.queue.len().min(max - 1);
         let mut out = Vec::with_capacity(1 + more);
         out.push(first);
@@ -604,11 +634,6 @@ impl PortCore {
     }
 }
 
-/// Rewrites the waker list to its live entries that `keep` accepts.
-fn retain_wakers(st: &mut State, keep: impl Fn(&Weak<SetWaker>) -> bool) {
-    Arc::make_mut(&mut st.wakers).retain(|w| w.strong_count() > 0 && keep(w));
-}
-
 /// A send capability for a port. Cloneable: any number of senders.
 pub struct SendRight {
     core: Arc<PortCore>,
@@ -645,8 +670,9 @@ impl SendRight {
     ///
     /// `timeout = None` waits indefinitely; `Some(0)` never blocks
     /// (returning [`IpcError::WouldBlock`] when full). When a receiver is
-    /// already parked on an empty queue, the send is a handoff: same
-    /// queue, reduced simulated cost.
+    /// already parked on an empty queue, or on the group the port is
+    /// enabled in, the send is a handoff: same queue, reduced simulated
+    /// cost.
     pub fn send(&self, msg: Message, timeout: Option<Duration>) -> Result<(), IpcError> {
         self.core.enqueue(msg, Full::Wait(timeout))
     }
@@ -807,7 +833,7 @@ impl ReceiveRight {
 
     /// `msg_receive`: dequeues the next message, blocking while empty.
     pub fn receive(&self, timeout: Option<Duration>) -> Result<Message, IpcError> {
-        self.core.dequeue(None, timeout)
+        self.core.dequeue(None, timeout, None)
     }
 
     /// `msg_receive` with a maximum acceptable payload size: an oversized
@@ -817,7 +843,7 @@ impl ReceiveRight {
         max_size: usize,
         timeout: Option<Duration>,
     ) -> Result<Message, IpcError> {
-        self.core.dequeue(Some(max_size), timeout)
+        self.core.dequeue(Some(max_size), timeout, None)
     }
 
     /// Batched `msg_receive`: blocks (up to `timeout`) for the first
@@ -834,7 +860,7 @@ impl ReceiveRight {
 
     /// Non-blocking receive.
     pub fn try_receive(&self) -> Option<Message> {
-        self.core.dequeue(None, Some(Duration::ZERO)).ok()
+        self.core.dequeue(None, Some(Duration::ZERO), None).ok()
     }
 
     /// `port_set_backlog`: limits queued messages before senders block.
@@ -861,26 +887,29 @@ impl ReceiveRight {
         self.core.control.lock().queue.len()
     }
 
-    /// Registers a port-set waker pinged on message arrival. Dead weak
-    /// entries are pruned on every edit, so the list stays bounded by
-    /// the number of *live* port sets no matter how many have died.
-    pub(crate) fn register_waker(&self, waker: &Arc<SetWaker>) {
+    /// `port_enable` (`Some`) and `port_disable` (`None`): the one group
+    /// the port is enabled in, replacing any other.
+    pub(crate) fn set_group(&self, group: Option<Arc<SetWaker>>) {
+        self.core.control.lock().group = group;
+    }
+
+    /// The right leaves the space that named it: it drops out of that
+    /// space's group, and a directed receive waiting on it there ends.
+    pub(crate) fn moved(&self) {
         let mut st = self.core.control.lock();
-        retain_wakers(&mut st, |_| true);
-        Arc::make_mut(&mut st.wakers).push(Arc::downgrade(waker));
+        (st.group, st.moves) = (None, st.moves + 1);
+        drop(st);
+        self.core.recv.notify_all();
     }
 
-    /// Removes a previously registered waker (and any dead entries).
-    pub(crate) fn unregister_waker(&self, waker: &Arc<SetWaker>) {
-        let target = Arc::downgrade(waker);
-        retain_wakers(&mut self.core.control.lock(), |w| !w.ptr_eq(&target));
-    }
-
-    /// Current length of the waker list (test instrumentation for the
-    /// bounded-waker-list guarantee).
-    #[cfg(test)]
-    fn waker_list_len(&self) -> usize {
-        self.core.control.lock().wakers.len()
+    /// A directed receive by name, resolved now and waited out after the
+    /// caller lets go of its space: it ends with `InvalidRight` if the
+    /// right moves meanwhile, and with `PortDied` if it is destroyed.
+    pub(crate) fn receive_named(
+        &self,
+    ) -> impl FnOnce(Option<Duration>) -> Result<Message, IpcError> {
+        let (core, moves) = (self.core.clone(), self.core.control.lock().moves);
+        move |timeout| core.dequeue(None, timeout, Some(moves))
     }
 
     /// Current length of the death-subscription list (test
@@ -1489,34 +1518,22 @@ mod tests {
         );
     }
 
-    // ----- port-set waker hygiene -----
+    // ----- the port's one group link -----
 
     #[test]
-    fn dropped_port_sets_keep_waker_list_bounded() {
+    fn a_port_links_only_the_group_it_was_last_enabled_in() {
+        // Enabled in a group whose space was then dropped, and then in a
+        // live one: the port pings the live one alone, and holds nothing
+        // of the one it left.
         let c = ctx();
         let (rx, tx) = ReceiveRight::allocate(&c);
-        let keeper = Arc::new(SetWaker::default());
-        rx.register_waker(&keeper);
-        for _ in 0..1000 {
-            let w = Arc::new(SetWaker::default());
-            rx.register_waker(&w);
-            drop(w); // the port outlives the port set
-        }
-        // Registration prunes dead entries, so 1000 dead port sets leave
-        // at most the live keeper plus the most recent corpse.
-        assert!(
-            rx.waker_list_len() <= 2,
-            "waker list grew to {}",
-            rx.waker_list_len()
-        );
-        let gen = keeper.generation();
+        let (gone, live) = (Arc::new(SetWaker::default()), Arc::new(SetWaker::default()));
+        rx.set_group(Some(gone.clone()));
+        rx.set_group(Some(live.clone()));
         tx.send(Message::new(1), None)
             .expect("send to a live port succeeds");
-        assert!(
-            keeper.wait(gen, Some(&Deadline::after(Duration::from_secs(1)))),
-            "live waker still pinged after mass pruning"
-        );
-        assert!(rx.waker_list_len() <= 2);
+        assert_eq!((gone.generation(), live.generation()), (0, 1));
+        assert_eq!(Arc::strong_count(&gone), 1, "the port let the old group go");
     }
 
     #[test]

@@ -3,16 +3,16 @@
 //! "The kernel task acts as a server", and so does every data manager and
 //! service built on it. Serving one message is written once, `serve_one`:
 //! adopt its causal chain, run the handler, send the answer to its reply
-//! port. [`serve`] runs it in a loop on a named thread, draining its port
-//! in batches of [`SERVE_BATCH`]; [`serve_group`] runs the same loop over
-//! a task's default port group (Table 3-2 `port_enable`), so one thread
-//! serves every port its task enabled. The loop stops only on the message
-//! carrying its [`Server`]'s key — so a client that can send to a port
-//! cannot stop it, whatever id it picks. A kernel object (the host port, a
-//! task port, a request port) has no loop: it runs `serve_one` on each
-//! sender's thread ([`ReceiveRight::allocate_kernel`]) and stops on nothing.
+//! port. A server is a task: [`serve_group`] runs `serve_one` in a loop on
+//! the task's one named thread, over its default port group (Table 3-2
+//! `port_enable`), taking each port's queue in bursts of [`SERVE_BATCH`].
+//! The loop stops only on the message carrying its [`Server`]'s key — so a
+//! client that can send to a port cannot stop it, whatever id it picks. A
+//! kernel object (the host port, a task port, a request port) has no loop:
+//! it runs `serve_one` on each sender's thread (a kernel port, allocated
+//! with `allocate_kernel`) and stops on nothing.
 
-use crate::{IpcError, Message, MsgItem, PortName, PortSpace, ReceiveRight, SendRight};
+use crate::{IpcError, Message, MsgItem, PortName, PortSpace, SendRight};
 use machsim::trace::{self, CorrelationId};
 use std::any::Any;
 use std::fmt;
@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Messages a server drains per batched receive: a burst of small
+/// Messages a server takes from one port per receive: a burst of small
 /// requests costs one dequeue.
 pub const SERVE_BATCH: usize = 32;
 
@@ -106,69 +106,47 @@ pub(crate) fn serve_one(msg: Message, handler: impl FnOnce(Message) -> Option<Me
     }
 }
 
-/// Serves `inbox` on a thread named `name`, each message by `handler` — an
-/// RPC reply to a client parked on its reply port is a handoff.
-pub fn serve<H>(name: impl Into<String>, inbox: ReceiveRight, mut handler: H) -> Server
-where
-    H: FnMut(Message) -> Option<Message> + Send + 'static,
-{
-    let port = inbox.make_send();
-    let receive = move || {
-        let batch = inbox.receive_many(SERVE_BATCH, None)?;
-        Ok(batch.into_iter().map(|msg| ((), msg)).collect())
-    };
-    run(name.into(), port, receive, move |(), msg| handler(msg))
-}
-
 /// Serves every port enabled in `space` on one thread named `name`, each
 /// message by `handler` with the name of the port it arrived on. The
 /// handler may enable more ports as it goes, and may take a port's queued
 /// messages itself (`PortSpace::receive` with a zero timeout). `port` is
-/// the server's own: clients are given its send right, and the key's stop
-/// message is sent to it.
+/// the server's own, enabled here: clients are given its send right, and
+/// the key's stop message is sent to it. A client parked on its reply port
+/// is handed the answer, and a request sent while the thread is parked is
+/// handed to it.
 pub fn serve_group<H>(
     name: impl Into<String>,
     space: Arc<PortSpace>,
     port: PortName,
-    handler: H,
+    mut handler: H,
 ) -> Result<Server, IpcError>
 where
     H: FnMut(PortName, Message) -> Option<Message> + Send + 'static,
 {
+    space.port_enable(port)?;
     let port = space.send_right(port)?;
-    let receive = move || space.receive_default(None).map(|from| vec![from]);
-    Ok(run(name.into(), port, receive, handler))
-}
-
-/// The one server loop: takes what `receive` returns, each message with
-/// where it came from, until the key's stop message or an error.
-fn run<F, R, H>(name: String, port: SendRight, mut receive: R, mut handler: H) -> Server
-where
-    R: FnMut() -> Result<Vec<(F, Message)>, IpcError> + Send + 'static,
-    H: FnMut(F, Message) -> Option<Message> + Send + 'static,
-{
     let key = StopKey(Arc::new(()));
     let stop = key.clone();
     let thread = std::thread::Builder::new()
-        .name(name)
+        .name(name.into())
         .spawn(move || {
-            while let Ok(batch) = receive() {
-                for (from, msg) in batch {
+            while let Ok((from, burst)) = space.receive_burst(SERVE_BATCH, None) {
+                for msg in burst {
                     if stop.opens(&msg) {
                         return;
                     }
-                    // A batched receive adopted only its last message's
-                    // chain; a burst mixes many, so each adopts its own.
+                    // A burst adopted only its last message's chain; it
+                    // mixes many, so each adopts its own.
                     serve_one(msg, |msg| handler(from, msg));
                 }
             }
         })
         .expect("spawn server thread");
-    Server {
+    Ok(Server {
         port,
         key,
         thread: Some(thread),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -177,8 +155,10 @@ mod tests {
     use machsim::Machine;
 
     fn echo(machine: &Machine) -> Server {
-        let (rx, _) = ReceiveRight::allocate(machine);
-        serve("echo", rx, |msg| Some(Message::new(msg.id + 1)))
+        let space = Arc::new(PortSpace::new(machine));
+        let port = space.port_allocate();
+        serve_group("echo", space, port, |_, msg| Some(Message::new(msg.id + 1)))
+            .expect("the port is in the space")
     }
 
     #[test]

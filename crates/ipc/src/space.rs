@@ -108,25 +108,20 @@ impl PortSpace {
 
     /// `port_enable`: adds the port to the default group for `msg_receive`.
     pub fn port_enable(&self, name: PortName) -> Result<(), IpcError> {
-        let mut inner = self.inner.lock();
-        let entry = inner.entries.get_mut(&name).ok_or(IpcError::InvalidName)?;
-        let rx = entry.receive.as_ref().ok_or(IpcError::InvalidRight)?;
-        if !entry.enabled {
-            rx.register_waker(&self.waker);
-            entry.enabled = true;
-        }
-        Ok(())
+        self.set_enabled(name, true)
     }
 
     /// `port_disable`: removes the port from the default group.
     pub fn port_disable(&self, name: PortName) -> Result<(), IpcError> {
+        self.set_enabled(name, false)
+    }
+
+    fn set_enabled(&self, name: PortName, enabled: bool) -> Result<(), IpcError> {
         let mut inner = self.inner.lock();
         let entry = inner.entries.get_mut(&name).ok_or(IpcError::InvalidName)?;
         let rx = entry.receive.as_ref().ok_or(IpcError::InvalidRight)?;
-        if entry.enabled {
-            rx.unregister_waker(&self.waker);
-            entry.enabled = false;
-        }
+        rx.set_group(enabled.then(|| self.waker.clone()));
+        entry.enabled = enabled;
         Ok(())
     }
 
@@ -175,54 +170,20 @@ impl PortSpace {
         tx.send(msg, timeout)
     }
 
-    /// `msg_receive` from a specific named port. A zero timeout takes a
+    /// `msg_receive` from a specific named port. The name is resolved
+    /// once and the wait is on the port itself: deallocating the name
+    /// destroys the port and ends the wait with `PortDied`, and extracting
+    /// the right ends it with `InvalidRight`. A zero timeout takes a
     /// queued message or returns `WouldBlock` at once, as on a
     /// [`ReceiveRight`].
     pub fn receive(&self, name: PortName, timeout: Option<Duration>) -> Result<Message, IpcError> {
-        {
+        let receive = {
             let inner = self.inner.lock();
             let entry = inner.entries.get(&name).ok_or(IpcError::InvalidName)?;
             let rx = entry.receive.as_ref().ok_or(IpcError::InvalidRight)?;
-            if timeout.is_some_and(|t| t.is_zero()) {
-                return rx.try_receive().ok_or(IpcError::WouldBlock);
-            }
-        }
-        // Receive rights are unique, so re-resolve per wait iteration using
-        // try_receive plus the waker, mirroring receive_default.
-        let deadline = timeout.map(wall::Deadline::after);
-        loop {
-            let seen = {
-                let inner = self.inner.lock();
-                let entry = inner.entries.get(&name).ok_or(IpcError::InvalidName)?;
-                let rx = entry.receive.as_ref().ok_or(IpcError::InvalidRight)?;
-                if let Some(msg) = rx.try_receive() {
-                    return Ok(msg);
-                }
-                // Ensure the waker sees this port even if not enabled.
-                rx.register_waker(&self.waker);
-                let seen = self.waker.generation();
-                // Re-check after registration to close the race.
-                if let Some(msg) = rx.try_receive() {
-                    rx.unregister_waker(&self.waker);
-                    return Ok(msg);
-                }
-                seen
-            };
-            let pinged = self.waker.wait(seen, deadline.as_ref());
-            self.unregister_probe(name);
-            if !pinged {
-                return Err(IpcError::Timeout);
-            }
-        }
-    }
-
-    fn unregister_probe(&self, name: PortName) {
-        let inner = self.inner.lock();
-        if let Some(entry) = inner.entries.get(&name) {
-            if let Some(rx) = &entry.receive {
-                rx.unregister_waker(&self.waker);
-            }
-        }
+            rx.receive_named()
+        };
+        receive(timeout)
     }
 
     /// `msg_receive` from the default group of enabled ports, round-robin:
@@ -233,6 +194,21 @@ impl PortSpace {
         &self,
         timeout: Option<Duration>,
     ) -> Result<(PortName, Message), IpcError> {
+        let (name, mut burst) = self.receive_burst(1, timeout)?;
+        // A burst holds at least one message.
+        Ok((name, burst.remove(0)))
+    }
+
+    /// [`PortSpace::receive_default`] in a burst: up to `max` messages
+    /// queued on the port the scan picks, taken under one hold of its
+    /// lock. The next scan starts after that port, so a busy port still
+    /// cannot starve the others. A receiver parked here is one a send to
+    /// an empty enabled port hands off to.
+    pub fn receive_burst(
+        &self,
+        max: usize,
+        timeout: Option<Duration>,
+    ) -> Result<(PortName, Vec<Message>), IpcError> {
         let deadline = timeout.map(wall::Deadline::after);
         loop {
             let seen = self.waker.generation();
@@ -248,9 +224,10 @@ impl PortSpace {
                 let mut any_enabled = false;
                 for (name, entry) in scan.filter(|(_, e)| e.enabled) {
                     any_enabled = true;
-                    if let Some(msg) = entry.receive.as_ref().and_then(|rx| rx.try_receive()) {
+                    let take = |rx: &ReceiveRight| rx.receive_many(max, Some(Duration::ZERO));
+                    if let Some(Ok(burst)) = entry.receive.as_ref().map(take) {
                         *last_served = *name;
-                        return Ok((*name, msg));
+                        return Ok((*name, burst));
                     }
                 }
                 if !any_enabled {
@@ -302,12 +279,17 @@ impl PortSpace {
     }
 
     /// Extracts the receive right for `name`, leaving only send rights.
+    /// The port leaves the default group, and a directed receive waiting
+    /// on it here ends with `InvalidRight`.
     ///
     /// Used to move receivership to another task in a message.
     pub fn extract_receive(&self, name: PortName) -> Result<ReceiveRight, IpcError> {
         let mut inner = self.inner.lock();
         let entry = inner.entries.get_mut(&name).ok_or(IpcError::InvalidName)?;
-        entry.receive.take().ok_or(IpcError::InvalidRight)
+        let rx = entry.receive.take().ok_or(IpcError::InvalidRight)?;
+        entry.enabled = false;
+        rx.moved();
+        Ok(rx)
     }
 
     /// Number of names in the table.
@@ -325,6 +307,7 @@ impl PortSpace {
 mod tests {
     use super::*;
     use crate::message::MsgItem;
+    use machsim::stats::keys;
     use std::thread;
 
     fn space() -> PortSpace {
@@ -417,6 +400,110 @@ mod tests {
         let (from, msg) = h.join().unwrap().unwrap();
         assert_eq!(from, a);
         assert_eq!(msg.id, 8);
+    }
+
+    /// Blocks a thread in `receive_default(timeout)` on `s` and returns it
+    /// once the group reports it parked.
+    fn parked_receiver(
+        s: &Arc<PortSpace>,
+        timeout: Option<Duration>,
+    ) -> thread::JoinHandle<Result<(PortName, Message), IpcError>> {
+        let s2 = s.clone();
+        let h = thread::spawn(move || s2.receive_default(timeout));
+        assert!(
+            wall::poll_until(Duration::from_secs(5), Duration::from_millis(1), || {
+                s.waker.parked() == 1
+            }),
+            "the receiver never parked on the group"
+        );
+        h
+    }
+
+    #[test]
+    fn a_send_to_a_group_with_a_parked_receiver_is_a_handoff() {
+        let m = IpcContext::default_machine();
+        let s = Arc::new(PortSpace::new(&m));
+        let a = s.port_allocate();
+        s.port_enable(a).expect("the space holds a");
+        let tx = s.send_right(a).expect("the space holds a");
+        let h = parked_receiver(&s, None);
+        let msg = Message::new(8).with(MsgItem::bytes(vec![0; 64]));
+        let copies = m.cost.copy_cost_ns(msg.inline_len() as u64);
+        let (before, handoffs) = (m.clock.now_ns(), m.stats.get(keys::IPC_HANDOFFS));
+        tx.send(msg, None).expect("room on a");
+        assert_eq!(m.clock.now_ns() - before, m.cost.handoff_ns + copies);
+        assert_eq!(m.stats.get(keys::IPC_HANDOFFS), handoffs + 1);
+        assert_eq!(
+            h.join()
+                .expect("the receiver returns")
+                .map(|(n, m)| (n, m.id)),
+            Ok((a, 8))
+        );
+    }
+
+    #[test]
+    fn a_timed_directed_receive_keeps_an_enabled_ports_group_wakeups() {
+        let s = Arc::new(space());
+        let a = s.port_allocate();
+        s.port_enable(a).expect("the space holds a");
+        assert_eq!(
+            s.receive(a, Some(Duration::from_millis(10))).unwrap_err(),
+            IpcError::Timeout
+        );
+        let tx = s.send_right(a).expect("the space holds a");
+        let h = parked_receiver(&s, Some(Duration::from_secs(2)));
+        tx.send(Message::new(8), None).expect("room on a");
+        assert_eq!(
+            h.join()
+                .expect("the receiver returns")
+                .map(|(n, m)| (n, m.id)),
+            Ok((a, 8))
+        );
+    }
+
+    #[test]
+    fn a_burst_empties_one_port_and_the_next_scan_starts_after_it() {
+        let s = space();
+        let (a, b) = (s.port_allocate(), s.port_allocate());
+        for name in [a, b] {
+            s.port_enable(name).expect("the space holds the port");
+            for id in 0..3 {
+                s.send(name, Message::new(id), None)
+                    .expect("room on the port");
+            }
+        }
+        let burst = || {
+            let (from, msgs) = s.receive_burst(32, Some(Duration::ZERO)).expect("queued");
+            (from, msgs.iter().map(|m| m.id).collect::<Vec<_>>())
+        };
+        assert_eq!(burst(), (a, vec![0, 1, 2]));
+        assert_eq!(burst(), (b, vec![0, 1, 2]));
+    }
+
+    #[test]
+    fn a_directed_receive_ends_when_its_right_moves_or_dies() {
+        let s = Arc::new(space());
+        let (a, b) = (s.port_allocate(), s.port_allocate());
+        let wait_on = |name| {
+            let s2 = s.clone();
+            thread::spawn(move || s2.receive(name, Some(Duration::from_secs(5))))
+        };
+        let (moving, dying) = (wait_on(a), wait_on(b));
+        wall::sleep(Duration::from_millis(50));
+        let rx = s.extract_receive(a).expect("the space holds a");
+        s.port_deallocate(b).expect("the space holds b");
+        assert_eq!(
+            moving.join().expect("the receiver returns").unwrap_err(),
+            IpcError::InvalidRight
+        );
+        assert_eq!(
+            dying.join().expect("the receiver returns").unwrap_err(),
+            IpcError::PortDied
+        );
+        // The right receives wherever it went.
+        s.send(a, Message::new(5), None)
+            .expect("a keeps its send right");
+        assert_eq!(rx.try_receive().map(|m| m.id), Some(5));
     }
 
     #[test]

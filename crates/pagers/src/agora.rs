@@ -17,7 +17,7 @@
 use crate::array::ArrayService;
 use machcore::proto::Malformed;
 use machcore::{Kernel, Task};
-use machipc::{serve, IpcError, ReceiveRight, SendRight, Server, RPC_TIMEOUT};
+use machipc::{serve_group, IpcError, PortSpace, ReceiveRight, SendRight, Server, RPC_TIMEOUT};
 use machnet::{Fabric, Host};
 use machvm::VmError;
 use std::fmt;
@@ -104,12 +104,14 @@ impl Blackboard {
             ArrayService::attach(&server_task, array.port()).expect("server maps blackboard");
         let (rx, _) = ReceiveRight::allocate(kernel.machine());
         rx.set_backlog(1024);
+        let space = Arc::new(PortSpace::new(kernel.machine()));
+        let port = space.insert_receive(rx);
         let local = Agent::Local {
             task: server_task,
             addr,
             slots,
         };
-        let server = serve("blackboard", rx, move |msg| {
+        let server = serve_group("blackboard", space, port, move |_, msg| {
             let reply = match BbRequest::decode(msg) {
                 Ok(BbRequest::Post(slot, payload)) => {
                     local.post(slot, &payload).map(|()| BbReply::Done)
@@ -123,7 +125,8 @@ impl Blackboard {
                 Err(Malformed) => Err(AgentError::Rejected),
             };
             Some(reply.unwrap_or(BbReply::Rejected).encode())
-        });
+        })
+        .expect("the space holds the port");
         Arc::new(Blackboard {
             server,
             array,

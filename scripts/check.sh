@@ -30,7 +30,7 @@ if [ -n "$decoders" ]; then
     exit 1
 fi
 
-echo "==> two thread sites (machipc::serve and the fault engine's timer, outside machsched, machmc, machbench and machlint; one stop id)"
+echo "==> two thread sites (machipc::serve_group, the one loop every ManagerTask and server runs, and the fault engine's timer, outside machsched, machmc, machbench and machlint; one stop id)"
 sources=$(ls crates/*/src/*.rs | grep -v -E '^crates/(sched|mc|bench|lint)/')
 # shellcheck disable=SC2086 # one word per source file
 threads=$(non_test 'thread::(Builder|spawn)' $sources | cut -d: -f1 | sort | uniq -c | tr -s ' ' | tr '\n' ';')
@@ -44,8 +44,15 @@ if [ "$stops" != "crates/ipc/src/serve.rs" ]; then
     exit 1
 fi
 
-echo "==> the kernel serves no port with a thread (machcore's one machipc::serve is spawn_manager's; kernel objects are kernel ports)"
-served=$(non_test '(^|[^A-Za-z0-9_])serve\(' crates/core/src/*.rs | grep -v 'fn serve(' | cut -d: -f1 | sort -u)
+echo "==> a server is a task: the one loop receives on a port group (no ReceiveRight in non-test machipc serve.rs)"
+single=$(non_test 'ReceiveRight' crates/ipc/src/serve.rs)
+if [ -n "$single" ]; then
+    echo "$single"
+    exit 1
+fi
+
+echo "==> the kernel serves no port with a thread (machcore serves only through ManagerTask, in manager.rs; kernel objects are kernel ports)"
+served=$(non_test '(^|[^A-Za-z0-9_])serve(_group)?\(' crates/core/src/*.rs | grep -v 'fn serve(' | cut -d: -f1 | sort -u)
 if [ "$served" != "crates/core/src/manager.rs" ]; then
     echo "files calling serve: $served"
     exit 1
@@ -158,4 +165,4 @@ cargo test -q -p machsched --features lockdep --test lockdep_witness
 echo "==> machlint (static invariants: lock-order, sim-time, counter-key, panic-budget, trace-cover, span-pair, atomic-ordering, condvar-wait, unchecked-send)"
 cargo run -q -p machlint -- --workspace
 
-echo "OK: clippy clean, formatting clean, one decoder, two thread sites, no kernel object served by a thread, the network forwards on the sender's thread, no non-test poll, a data manager's state owned by its thread and one way to wait, workspace tests, threaded-test repeats, fault_scaling, numa_placement, fault_concurrency, parallel_build, machmark smoke + verify, machmc + baseline diff, export smoke, critical-path smoke, lockdep witnesses and machlint passed."
+echo "OK: clippy clean, formatting clean, one decoder, two thread sites, a server is a task receiving on a port group, no kernel object served by a thread, the network forwards on the sender's thread, no non-test poll, a data manager's state owned by its thread and one way to wait, workspace tests, threaded-test repeats, fault_scaling, numa_placement, fault_concurrency, parallel_build, machmark smoke + verify, machmc + baseline diff, export smoke, critical-path smoke, lockdep witnesses and machlint passed."

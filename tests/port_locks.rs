@@ -6,7 +6,7 @@
 //! binary is its own process) and boots no kernel, whose threads would
 //! take port locks of their own.
 
-use machipc::{IpcError, Message, ReceiveRight};
+use machipc::{IpcError, Message, PortSpace, ReceiveRight, SERVE_BATCH};
 use machsim::lockdep::contention_snapshot;
 use machsim::Machine;
 use std::time::Duration;
@@ -53,6 +53,28 @@ fn each_port_operation_takes_the_port_lock_once() {
     let (got, locks) = counted(|| rx.receive_many(64, None));
     assert_eq!(got.expect("the batch is receivable").len(), 64);
     assert!(locks <= 2, "receive_many(64) took the lock {locks} times");
+
+    // A port in a group: the send reads the group's parked receivers
+    // inside its one hold, and a group receive takes a burst in one more.
+    let space = PortSpace::new(&m);
+    let name = space.port_allocate();
+    space.port_enable(name).expect("the space holds the port");
+    space
+        .port_set_backlog(name, 32)
+        .expect("the space holds the port");
+    let grouped = space.send_right(name).expect("the space holds the port");
+    let (sent, locks) = counted(|| grouped.send(Message::new(1), None));
+    sent.expect("send to a live, empty port succeeds");
+    assert_eq!(locks, 1, "send to a port enabled in a group");
+    let rest: Vec<Message> = (1..32).map(Message::new).collect();
+    assert_eq!(grouped.send_many(rest, None), Ok(31));
+    let (got, locks) = counted(|| space.receive_burst(SERVE_BATCH, None));
+    let (from, burst) = got.expect("the burst is receivable");
+    assert_eq!((from, burst.len()), (name, 32));
+    assert!(
+        locks <= 2,
+        "a burst of 32 from a group took the lock {locks} times"
+    );
 
     let ((), locks) = counted(|| drop(ReceiveRight::allocate(&m)));
     assert!(locks <= 1, "an unused port took its lock {locks} times");
