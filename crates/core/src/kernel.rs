@@ -49,9 +49,6 @@ pub struct KernelConfig {
     /// Outstanding-laundry bytes a data manager may hold before pageouts
     /// divert to the default pager (Section 6.2.2 starvation protection).
     pub laundry_limit: u64,
-    /// Whether to run the pageout daemon that keeps the free queue primed
-    /// (Section 5.4's queue maintenance), on the fault engine's timer.
-    pub pageout_daemon: bool,
     /// Simulated time a parked fault may age before the watchdog declares
     /// it stalled.
     pub watchdog_stall_ns: u64,
@@ -86,12 +83,13 @@ pub const DEFAULT_WATCHDOG_STALL_NS: u64 = 200_000_000;
 /// disk access).
 pub const DEFAULT_TIME_SLICE_NS: u64 = 2_000_000;
 
-/// How far above its low watermark one pageout-daemon sweep refills the
-/// free queue, in pages. The allocation that crosses the mark wakes the
-/// sweep, so the cushion against inline reclaim is the watermark itself
-/// and the burst only amortises the wake-up; a sweep's simulated cost
-/// lands on whichever fault is in progress, so a long one is that fault's
-/// latency spike (Mach keeps `free_target` a few pages over `free_min`).
+/// How far above its low watermark one pageout sweep refills the free
+/// queue, in pages. The allocation that crosses the mark sweeps before it
+/// returns, so the cushion against reclaiming at the floor is the
+/// watermark itself and the burst only amortises the sweeps; a sweep's
+/// simulated cost lands on the fault whose allocation ran it, so a long
+/// one is that fault's latency spike (Mach keeps `free_target` a few
+/// pages over `free_min`).
 const PAGEOUT_BURST_PAGES: usize = 8;
 
 /// Trace-ring tail length included in a watchdog black-box report.
@@ -110,7 +108,6 @@ impl Default for KernelConfig {
             cost: CostModel::default(),
             fault_policy: FaultPolicy::trusting().with_cluster(DEFAULT_CLUSTER_PAGES),
             laundry_limit: crate::backend::DEFAULT_LAUNDRY_LIMIT,
-            pageout_daemon: true,
             watchdog_stall_ns: DEFAULT_WATCHDOG_STALL_NS,
             numa: NumaConfig::single(),
             fault_table_capacity: 4096,
@@ -308,17 +305,16 @@ impl Kernel {
             reports.push_back(report);
         });
 
-        // The pageout daemon: keeps the free queue above a low watermark
-        // and the inactive queue primed, so faults rarely reclaim inline.
-        // The allocation that takes the free queue under the watermark
-        // wakes a sweep, which refills it one burst past the mark.
-        if config.pageout_daemon {
-            let total = phys.total_frames();
-            let low_water = (total / 8).max(config.reserve_pages + 4);
-            let inactive_target = (low_water * 3 / 2).min(total.saturating_sub(1));
-            let free_target = (low_water + PAGEOUT_BURST_PAGES).min(inactive_target);
-            phys.run_pageout(low_water, inactive_target, free_target);
-        }
+        // Pageout keeps the free queue above a low watermark and the
+        // inactive queue primed, so faults rarely reclaim at the floor: the
+        // allocation that takes the free queue under the watermark sweeps
+        // on its own thread before it returns, refilling it one burst past
+        // the mark.
+        let total = phys.total_frames();
+        let low_water = (total / 8).max(config.reserve_pages + 4);
+        let inactive_target = (low_water * 3 / 2).min(total.saturating_sub(1));
+        let free_target = (low_water + PAGEOUT_BURST_PAGES).min(inactive_target);
+        phys.run_pageout(low_water, inactive_target, free_target);
         kernel
     }
 
@@ -939,9 +935,9 @@ mod tests {
 
     #[test]
     fn pageout_daemon_keeps_the_free_queue_primed() {
-        // Fill memory with resident pages and stop touching them: the
-        // daemon must bring the free queue back above its low watermark
-        // without any allocation forcing inline reclaim.
+        // Fill memory with resident pages: the allocations that cross the
+        // low watermark sweep before they return, so the free queue is
+        // back above the mark once the last write does.
         let k = Kernel::boot(KernelConfig {
             memory_bytes: 64 * 4096, // low watermark = 8 frames
             reserve_pages: 4,
@@ -953,22 +949,15 @@ mod tests {
         for i in 0..pages {
             map.access_write(addr + i * 4096, &[1]).unwrap();
         }
-        // (The daemon counts a sweep after the frames are already free.)
-        let reclaims = || {
-            k.machine()
-                .stats
-                .get(machsim::stats::keys::VM_DAEMON_RECLAIMS)
-        };
-        let deadline = machsim::wall::Deadline::after(Duration::from_secs(5));
-        while k.phys().free_frames() < 8 || reclaims() == 0 {
-            assert!(
-                !deadline.expired(),
-                "daemon never refilled the free queue: {} free, {} reclaimed",
-                k.phys().free_frames(),
-                reclaims()
-            );
-            machsim::wall::sleep(Duration::from_millis(10));
-        }
+        let reclaims = k
+            .machine()
+            .stats
+            .get(machsim::stats::keys::VM_DAEMON_RECLAIMS);
+        let free = k.phys().free_frames();
+        assert!(
+            free >= 8 && reclaims > 0,
+            "the sweep did not refill the free queue: {free} free, {reclaims} reclaimed"
+        );
     }
 
     #[test]

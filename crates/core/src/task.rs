@@ -113,12 +113,6 @@ impl Task {
         self.map.allocate(None, size)
     }
 
-    /// `vm_allocate` at a fixed address.
-    pub fn vm_allocate_at(&self, address: u64, size: u64) -> Result<u64, VmError> {
-        self.charge_syscall();
-        self.map.allocate(Some(address), size)
-    }
-
     /// `vm_deallocate`.
     pub fn vm_deallocate(&self, address: u64, size: u64) -> Result<(), VmError> {
         self.charge_syscall();
@@ -159,13 +153,6 @@ impl Task {
     pub fn vm_copy(&self, src: u64, size: u64, dst: u64) -> Result<(), VmError> {
         self.charge_syscall();
         self.map.copy(src, size, dst)
-    }
-
-    /// `vm_copy` by copy-on-write (Mach's virtual copy path): requires
-    /// page-aligned, non-overlapping ranges and an existing destination.
-    pub fn vm_copy_cow(&self, src: u64, size: u64, dst: u64) -> Result<(), VmError> {
-        self.charge_syscall();
-        self.map.copy_cow(src, size, dst)
     }
 
     /// `vm_regions`.

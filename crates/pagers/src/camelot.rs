@@ -188,7 +188,6 @@ impl DataManager for DiskManager {
 
 /// The Camelot disk manager: recoverable segment + WAL + transactions.
 pub struct CamelotServer {
-    db: Arc<FlatFs>,
     server: Server,
     segment_size: u64,
 }
@@ -217,7 +216,7 @@ impl CamelotServer {
         let mut task = ManagerTask::new(machine);
         let (segment, object_port) = task.back(DiskManager {
             wal,
-            db: db.clone(),
+            db,
             next_txid: 1,
             active: HashSet::new(),
             forced_before_data: 0,
@@ -253,7 +252,6 @@ impl CamelotServer {
             Some(reply.encode())
         });
         Arc::new(CamelotServer {
-            db,
             server,
             segment_size,
         })
@@ -281,11 +279,6 @@ impl CamelotServer {
     /// Checkpoints taken (committed redo applied, log truncated).
     pub fn checkpoints(&self) -> u64 {
         self.stats().1
-    }
-
-    /// Reads the durable segment contents directly (for assertions).
-    pub fn durable_segment(&self) -> Vec<u8> {
-        self.db.read_all(SEGMENT_FILE).unwrap_or_default()
     }
 
     /// Crash recovery: reopens the device and restores the segment to a

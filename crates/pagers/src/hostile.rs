@@ -294,7 +294,7 @@ mod tests {
             .vm_allocate_with_pager(None, pages * 4096, mgr.port(), 0)
             .unwrap();
         // Copy to safe (anonymous) memory first and read the value there —
-        // the countermeasure. The pageout daemon may refresh page 0 at any
+        // the countermeasure. A pageout sweep may refresh page 0 at any
         // time, so the value seen is the copy's, not an earlier read's.
         let safe = t.vm_allocate(4096).unwrap();
         t.vm_copy(addr, 4096, safe).unwrap();

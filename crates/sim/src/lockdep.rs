@@ -79,10 +79,11 @@ pub enum LockClass {
     /// after every VM class because pager paths send messages while the
     /// fault path's locks are (transitively) pinned, never vice versa.
     Port = 5,
-    /// The fault engine's timer alarms (`FaultEngine::timer`). A leaf:
+    /// The fault engine's timer alarm (`FaultEngine::timer`). A leaf:
     /// nothing is taken while it is held, so arming the timer is legal
-    /// under any other class — the allocation that crosses the pageout
-    /// low watermark wakes it from under the resident table.
+    /// under any other class. Nothing arms it from under the resident
+    /// table: a fault arms it as it parks and the timer's sweep re-arms
+    /// it, both with every other class released.
     Timer = 6,
 }
 

@@ -61,7 +61,7 @@ pub mod keys {
     pub const BCACHE_HITS: &str = "bcache.hits";
     /// Buffer cache misses (baseline UNIX path).
     pub const BCACHE_MISSES: &str = "bcache.misses";
-    /// Frames reclaimed by the background pageout daemon.
+    /// Pages the pageout sweep evicted toward its free target.
     pub const VM_DAEMON_RECLAIMS: &str = "vm.daemon_reclaims";
     /// Faults resolved by zero fill after a pager timeout.
     pub const VM_TIMEOUT_ZERO_FILLS: &str = "vm.timeout_zero_fills";
@@ -136,9 +136,9 @@ pub mod keys {
     pub const SCHED_AFFINITY_MISSES: &str = "sched.affinity_misses";
     /// Units whose sim-time slice expired and were re-queued mid-run.
     pub const SCHED_PREEMPTIONS: &str = "sched.preemptions";
-    /// Times the fault engine's timer thread woke: for an alarm that fell
-    /// due (a policy deadline, the watchdog, a pageout retry), for
-    /// pressure, or for an alarm armed sooner than its sleep.
+    /// Times the fault engine's timer thread woke: for its alarm falling
+    /// due (a policy deadline or the watchdog's), or for an alarm armed
+    /// sooner than its sleep.
     pub const VM_TIMER_WAKEUPS: &str = "vm.timer_wakeups";
 
     /// Every counter key, in [`super::StatsRegistry`] slot order (see

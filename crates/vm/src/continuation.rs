@@ -41,9 +41,9 @@
 //!   event, an expiry, a drain — the continuations an event wakes go on
 //!   the thread's own list, and its outermost call resumes them before it
 //!   returns ([`protocol::resumes_on_return`]), so resumes never nest. An
-//!   event raised outside any engine call (a clean page the pageout sweep
-//!   drops, a manager's `pager_flush_request`) is an outermost call of
-//!   its own and resumes at once.
+//!   event raised outside any engine call (a clean page an allocation's
+//!   reclaim drops, a manager's `pager_flush_request`) is an outermost
+//!   call of its own and resumes at once.
 //! * Backpressure is explicit at both ends: the table is bounded (a
 //!   fault that must park waits for a slot — `vm.async.backpressure`),
 //!   and each pager
@@ -66,7 +66,7 @@
 //!
 //! The engine is a field of its [`PhysicalMemory`], built with it, and
 //! reaches back through a weak reference. Its one thread is the *timer*:
-//! it starts at the first alarm armed, sleeps until the earliest one, and
+//! it starts when its alarm is first armed, sleeps until it falls due, and
 //! holds the memory only weakly too — a bare memory whose faults carry no
 //! deadline never spawns it, and dropping the last `Arc<PhysicalMemory>`
 //! stops it. [`FaultEngine::shutdown`] joins it. After shutdown nothing
@@ -87,24 +87,25 @@
 //! table unlocked. A fault that need not wait takes the table zero
 //! times; one that parks once takes it three times whatever the length
 //! of its run (booking, admission and park under one hold; the fill's
-//! event; completion — `tests/fault_locks.rs`). The timer's alarms are a
-//! leaf class of their own, `timer`: nothing is taken under them, so a
-//! pressure wake may arm the timer from under the resident table.
+//! event; completion — `tests/fault_locks.rs`). The timer's alarm is a
+//! leaf class of its own, `timer`: nothing is taken under it.
 //!
 //! # The timer, and a manager's death
 //!
 //! Nothing polls: a parked fault leaves the table on its page event, its
 //! policy deadline, its manager's death or shutdown. The engine's one
-//! thread is a timer that sleeps until its earliest alarm: the sweep of
-//! policy deadlines (armed at every park — the timeout is per wait, not
-//! per fault or per page) and of the watchdog's quiet deadlines
-//! ([`FaultEngine::watch_stalls`]); and the pageout sweep
-//! ([`PhysicalMemory::run_pageout`]). A memory that arms no alarm never
-//! starts it. A manager's death is communication (§6): its memory object
-//! port's death notice becomes [`FaultEngine::on_pager_death`] on the
-//! thread that destroyed the port. No wakeup is probed for — machmc's
-//! `park_resume` model is the argument that none is missed, and one that
-//! still were would surface as a watchdog stall with its fault id.
+//! thread is a timer with one job, the fault sweep: it sleeps until the
+//! earliest policy deadline (armed at every park — the timeout is per
+//! wait, not per fault or per page) or watchdog quiet deadline
+//! ([`FaultEngine::watch_stalls`]) of a parked fault. A memory whose
+//! faults carry neither never starts it. Pageout is not the timer's: the
+//! allocation that takes the free queue under the low watermark sweeps
+//! before it returns ([`PhysicalMemory::run_pageout`]). A manager's death
+//! is communication (§6): its memory object port's death notice becomes
+//! [`FaultEngine::on_pager_death`] on the thread that destroyed the port.
+//! No wakeup is probed for — machmc's `park_resume` model is the argument
+//! that none is missed, and one that still were would surface as a
+//! watchdog stall with its fault id.
 
 use crate::fault::{
     fault_step, FaultOutcome, FaultPolicy, FaultResult, FaultState, FaultStep, FaultWait, WaitKind,
@@ -130,11 +131,6 @@ use std::time::Duration;
 /// one stops it. Healthy faults resolve in wall-microseconds, and one
 /// queued behind a draining pager keeps being pushed back.
 pub const WATCHDOG_DEBOUNCE: Duration = Duration::from_millis(300);
-
-/// How long a pageout sweep that freed nothing (every queued page
-/// referenced, or every frame being filled) waits before it tries again,
-/// pressure or not.
-const PAGEOUT_RETRY: Duration = Duration::from_millis(5);
 
 /// Tuning knobs for the [`FaultEngine`].
 #[derive(Clone, Copy, Debug)]
@@ -248,9 +244,27 @@ struct PendingRun {
     pages: usize,
 }
 
-impl PendingRun {
-    fn pager_key(&self) -> usize {
-        Arc::as_ptr(&self.pager) as *const () as usize
+/// What one sent run holds against its pager's budget: the pager, and the
+/// run's pages.
+type Charge = (Arc<dyn PagerBackend>, usize);
+
+/// One pager's account in the table: its requested-but-unanswered pages
+/// and the runs its cap holds back, oldest first.
+struct PagerBudget {
+    pager: Arc<dyn PagerBackend>,
+    inflight: usize,
+    deferred: VecDeque<PendingRun>,
+}
+
+impl PagerBudget {
+    /// Charges `pages` if the budget has room — a pager with nothing in
+    /// flight always has.
+    fn charge(&mut self, pages: usize, cap: usize) -> bool {
+        if self.inflight != 0 && self.inflight + pages > cap {
+            return false;
+        }
+        self.inflight += pages;
+        true
     }
 }
 
@@ -279,7 +293,7 @@ struct Continuation {
 }
 
 impl Continuation {
-    /// The deadlines the timer's sweep alarm must cover for this fault.
+    /// The deadlines the timer's alarm must cover for this fault.
     fn alarms(&self) -> impl Iterator<Item = wall::Deadline> {
         [self.deadline, self.quiet_until].into_iter().flatten()
     }
@@ -304,20 +318,19 @@ struct Table {
     conts: HashMap<u64, Continuation>,
     /// Park index: page key → raw cids waiting on it.
     waiters: HashMap<(ObjectId, u64), Vec<u64>>,
-    /// Runs held back by a pager's in-flight cap, per pager key, oldest
-    /// first.
-    deferred: HashMap<usize, VecDeque<PendingRun>>,
+    /// Every pager with pages in flight or runs deferred, in the order
+    /// each got its first: matched by `Arc::ptr_eq`, never keyed by an
+    /// address, so promotion sends in an order the run can replay.
+    pagers: Vec<PagerBudget>,
     /// How many deferred runs each fault (by raw cid) has, so a fault that
     /// finishes with none need not look through the queues.
     deferred_by: HashMap<u64, usize>,
-    /// Requested-but-unanswered pages per pager key.
-    inflight: HashMap<usize, usize>,
-    /// What each fault's sent runs hold against `inflight`, by raw cid:
-    /// `(pager key, pages)` per run. Returned when the fault books its
-    /// next step's runs, or finishes. Kept here rather than on the
+    /// What each fault's sent runs hold against their pagers' budgets, by
+    /// raw cid: `(pager, pages)` per run. Returned when the fault books
+    /// its next step's runs, or finishes. Kept here rather than on the
     /// continuation so a deferred run can be charged and sent while its
     /// claimer is off the table (waiting for a slot, or being resumed).
-    charges: HashMap<u64, Vec<(usize, usize)>>,
+    charges: HashMap<u64, Vec<Charge>>,
     /// Admitted-but-not-finished faults: incremented when a fault that
     /// must park clears backpressure, decremented when it completes.
     /// Parked *and* resuming faults count, so `conts.len() <= admitted
@@ -345,16 +358,30 @@ struct Table {
 }
 
 impl Table {
+    /// `pager`'s budget, opened empty if it has none.
+    fn budget(&mut self, pager: &Arc<dyn PagerBackend>) -> &mut PagerBudget {
+        let found = self
+            .pagers
+            .iter()
+            .position(|b| Arc::ptr_eq(&b.pager, pager));
+        let at = found.unwrap_or_else(|| {
+            self.pagers.push(PagerBudget {
+                pager: pager.clone(),
+                inflight: 0,
+                deferred: VecDeque::new(),
+            });
+            self.pagers.len() - 1
+        });
+        &mut self.pagers[at]
+    }
+
     /// Charges `run` to its pager's in-flight budget if the budget has
-    /// room — a pager with nothing in flight always has.
+    /// room.
     fn try_charge(&mut self, run: &PendingRun, cap: usize) -> bool {
-        let key = run.pager_key();
-        let used = self.inflight.entry(key).or_insert(0);
-        if *used != 0 && *used + run.pages > cap {
+        if !self.budget(&run.pager).charge(run.pages, cap) {
             return false;
         }
-        *used += run.pages;
-        let charge = (key, run.pages);
+        let charge = (run.pager.clone(), run.pages);
         self.charges
             .entry(run.correlation)
             .or_default()
@@ -365,10 +392,7 @@ impl Table {
     /// Holds `run` back until its pager has room.
     fn defer(&mut self, run: PendingRun) {
         *self.deferred_by.entry(run.correlation).or_default() += 1;
-        self.deferred
-            .entry(run.pager_key())
-            .or_default()
-            .push_back(run);
+        self.budget(&run.pager).deferred.push_back(run);
     }
 
     /// Moves deferred runs whose pager has room into `send`, charging
@@ -376,26 +400,37 @@ impl Table {
     /// here, because `finish` pulls their unsent runs. Each pager's runs
     /// go in the order they were deferred, up to the first that does not
     /// fit, so a completion costs what it promotes, not the whole queue.
+    /// Then closes the budgets left empty.
     fn promote(&mut self, cap: usize, send: &mut Vec<PendingRun>) {
-        let mut deferred = std::mem::take(&mut self.deferred);
-        deferred.retain(|_, queue| {
-            while let Some(run) = queue.front() {
+        for budget in &mut self.pagers {
+            while let Some(run) = budget.deferred.front() {
                 #[cfg(test)]
                 {
                     self.deferred_examined += 1;
                 }
-                if !self.try_charge(run, cap) {
+                if !budget.charge(run.pages, cap) {
                     break;
                 }
-                let run = queue
+                let run = budget
+                    .deferred
                     .pop_front()
                     .expect("invariant: the front was just read");
-                self.undefer(run.correlation);
+                let charge = (budget.pager.clone(), run.pages);
+                self.charges
+                    .entry(run.correlation)
+                    .or_default()
+                    .push(charge);
+                if let Some(n) = self.deferred_by.get_mut(&run.correlation) {
+                    *n -= 1;
+                    if *n == 0 {
+                        self.deferred_by.remove(&run.correlation);
+                    }
+                }
                 send.push(run);
             }
-            !queue.is_empty()
-        });
-        self.deferred = deferred;
+        }
+        self.pagers
+            .retain(|b| b.inflight != 0 || !b.deferred.is_empty());
     }
 
     /// Takes fault `cid`'s runs that are still deferred out of the queues.
@@ -404,35 +439,21 @@ impl Table {
             return Vec::new();
         }
         let mut unsent = Vec::new();
-        self.deferred.retain(|_, queue| {
-            let (mine, kept) = std::mem::take(queue)
+        for budget in &mut self.pagers {
+            let (mine, kept) = std::mem::take(&mut budget.deferred)
                 .into_iter()
                 .partition::<Vec<_>, _>(|run| run.correlation == cid);
             unsent.extend(mine);
-            queue.extend(kept);
-            !queue.is_empty()
-        });
-        unsent
-    }
-
-    fn undefer(&mut self, cid: u64) {
-        if let Some(n) = self.deferred_by.get_mut(&cid) {
-            *n -= 1;
-            if *n == 0 {
-                self.deferred_by.remove(&cid);
-            }
+            budget.deferred.extend(kept);
         }
+        unsent
     }
 
     /// Returns every charge fault `cid` holds.
     fn discharge(&mut self, cid: u64) {
-        for (key, pages) in self.charges.remove(&cid).into_iter().flatten() {
-            if let Some(used) = self.inflight.get_mut(&key) {
-                *used = used.saturating_sub(pages);
-                if *used == 0 {
-                    self.inflight.remove(&key);
-                }
-            }
+        for (pager, pages) in self.charges.remove(&cid).into_iter().flatten() {
+            let budget = self.budget(&pager);
+            budget.inflight = budget.inflight.saturating_sub(pages);
         }
     }
 
@@ -457,83 +478,47 @@ impl Table {
     }
 }
 
-/// An alarm of the engine's timer.
-#[derive(Clone, Copy)]
-enum Alarm {
-    /// The earliest policy deadline, or watchdog quiet deadline, of a
-    /// parked fault.
-    Sweep,
-    /// A pageout sweep that freed nothing tries again.
-    Pageout,
-}
-
-const ALARMS: usize = 2;
-
-/// The timer's state, under its leaf lock. Each deadline is a hint: the
-/// alarm's work finds what really is due, and arms the next.
+/// The timer's state, under its leaf lock. The alarm is a hint: the
+/// sweep finds what really is due, and arms the next.
 #[derive(Default)]
 struct Alarms {
-    at: [Option<wall::Deadline>; ALARMS],
-    /// An allocation took the free queue under the pageout low watermark.
-    pressure: bool,
+    /// The earliest policy deadline, or watchdog quiet deadline, of a
+    /// parked fault.
+    at: Option<wall::Deadline>,
     stop: bool,
     thread: Option<JoinHandle<()>>,
 }
 
-impl Alarms {
-    fn earliest(&self) -> Option<wall::Deadline> {
-        self.at.into_iter().flatten().min()
-    }
-
-    /// Takes the alarms due at `now` — pressure is due at once unless a
-    /// pageout retry is armed.
-    fn take_due(&mut self, now: std::time::Instant) -> [bool; ALARMS] {
-        let mut due = self.at.map(|at| at.is_some_and(|at| at.expired_by(now)));
-        let pageout = Alarm::Pageout as usize;
-        due[pageout] |= self.pressure && self.at[pageout].is_none();
-        self.pressure &= !due[pageout];
-        for (at, due) in self.at.iter_mut().zip(due) {
-            if due {
-                *at = None;
-            }
-        }
-        due
-    }
-}
-
-/// The alarms and the signal the timer thread sleeps on, shared with
+/// The alarm and the signal the timer thread sleeps on, shared with
 /// that thread — which holds the memory only weakly.
 struct Timer {
     alarms: ClassMutex<Alarms>,
     wake: wall::Signal,
 }
 
-/// The timer thread: sleeps until the earliest alarm (with none armed,
-/// until one is), then runs what is due with every lock released.
+/// The timer thread: sleeps until the alarm (with none armed, until one
+/// is), then runs the sweep with every lock released.
 fn run_timer(timer: Arc<Timer>, phys: Weak<PhysicalMemory>, machine: Machine) {
     loop {
-        let due = {
+        {
             let mut a = timer.alarms.lock();
             loop {
                 if a.stop {
                     return;
                 }
-                let due = a.take_due(wall::now());
-                if due.contains(&true) {
-                    break due;
+                if a.at.is_some_and(|at| at.expired()) {
+                    a.at = None;
+                    break;
                 }
-                let at = a.earliest();
-                if at.is_some_and(|at| at.expired()) {
-                    continue;
-                }
+                let at = a.at;
                 timer.wake.block(a.inner_mut(), at.as_ref());
                 machine.stats.incr(stat_keys::VM_TIMER_WAKEUPS);
             }
-        };
+        }
         let Some(phys) = phys.upgrade() else {
             return;
         };
-        phys.fault_engine().run_due(&phys, due);
+        phys.fault_engine().sweep(&phys);
     }
 }
 
@@ -1112,7 +1097,7 @@ impl FaultEngine {
                 drop(t);
                 self.flush_runs(send);
                 if let Some(at) = alarm {
-                    self.arm(Alarm::Sweep, at);
+                    self.arm(at);
                 }
                 return None;
             }
@@ -1171,35 +1156,14 @@ impl FaultEngine {
 
     // ----- the timer -----
 
-    /// Arms `alarm` for `at` unless it is armed sooner, waking the timer
-    /// if that is now its earliest alarm.
-    fn arm(&self, alarm: Alarm, at: wall::Deadline) {
+    /// Arms the alarm for `at` unless it is armed sooner, waking the
+    /// timer — or starting it, at the first — if it moved.
+    fn arm(&self, at: wall::Deadline) {
         let mut a = self.timer.alarms.lock();
-        let sooner = a.earliest().is_none_or(|first| at < first);
-        let slot = &mut a.at[alarm as usize];
-        if slot.is_none_or(|armed| at < armed) {
-            *slot = Some(at);
-        }
-        if sooner {
-            self.rouse(&mut a);
-        }
-    }
-
-    /// Pressure: wakes the timer for a pageout sweep unless one is pending
-    /// or retrying. Takes only the timer's leaf lock.
-    pub(crate) fn wake_pageout(&self) {
-        let mut a = self.timer.alarms.lock();
-        if !a.pressure && a.at[Alarm::Pageout as usize].is_none() {
-            self.rouse(&mut a);
-        }
-        a.pressure = true;
-    }
-
-    /// Makes the timer look at its alarms, starting it at the first.
-    fn rouse(&self, a: &mut Alarms) {
-        if a.stop {
+        if a.stop || a.at.is_some_and(|armed| armed <= at) {
             return;
         }
+        a.at = Some(at);
         if a.thread.is_some() {
             self.timer.wake.notify_one();
             return;
@@ -1212,17 +1176,7 @@ impl FaultEngine {
         a.thread = Some(thread);
     }
 
-    /// Runs the timer's alarms that fell due, with every lock released.
-    fn run_due(&self, phys: &PhysicalMemory, due: [bool; ALARMS]) {
-        if due[Alarm::Sweep as usize] {
-            self.sweep(phys);
-        }
-        if due[Alarm::Pageout as usize] && !phys.pageout_sweep() {
-            self.arm(Alarm::Pageout, wall::Deadline::after(PAGEOUT_RETRY));
-        }
-    }
-
-    /// The sweep alarm: each answer since the last sweep pushes back the
+    /// The timer's sweep: each answer since the last sweep pushes back the
     /// quiet deadline of the faults of its object younger than the oldest
     /// it resumed; faults quiet past it are reported, once each, oldest
     /// first; faults past their policy deadline resume with its action;
@@ -1251,7 +1205,7 @@ impl FaultEngine {
             (expired, stalled, next)
         };
         if let Some(at) = next {
-            self.arm(Alarm::Sweep, at);
+            self.arm(at);
         }
         stalled.sort_unstable();
         if let Some(report) = self.stall.get() {
@@ -1263,32 +1217,31 @@ impl FaultEngine {
     }
 
     /// Sends booked request runs, grouped per (pager, object) through
-    /// `data_request_many`: one IPC send per group.
+    /// `data_request_many`: one IPC send per group, the groups in the
+    /// order their first runs were booked.
     fn flush_runs(&self, runs: Vec<PendingRun>) {
-        if runs.is_empty() {
-            return;
-        }
-        type Group = (Arc<dyn PagerBackend>, Vec<PagerRequest>);
-        let mut groups: HashMap<(usize, ObjectId), Group> = HashMap::new();
+        let mut groups: Vec<(Arc<dyn PagerBackend>, ObjectId, Vec<PagerRequest>)> = Vec::new();
         for run in runs {
-            let key = (run.pager_key(), run.object);
-            groups
-                .entry(key)
-                .or_insert_with(|| (run.pager.clone(), Vec::new()))
-                .1
-                .push(PagerRequest {
-                    offset: run.offset,
-                    length: run.length,
-                    access: run.access,
-                    correlation: run.correlation,
-                    parent_span: run.parent_span,
-                });
+            let request = PagerRequest {
+                offset: run.offset,
+                length: run.length,
+                access: run.access,
+                correlation: run.correlation,
+                parent_span: run.parent_span,
+            };
+            let group = groups
+                .iter_mut()
+                .find(|(pager, object, _)| *object == run.object && Arc::ptr_eq(pager, &run.pager));
+            match group {
+                Some((_, _, requests)) => requests.push(request),
+                None => groups.push((run.pager, run.object, vec![request])),
+            }
         }
-        for ((_, object), (pager, reqs)) in groups {
-            if reqs.len() > 1 {
+        for (pager, object, requests) in groups {
+            if requests.len() > 1 {
                 self.machine.stats.incr(stat_keys::VM_PAGER_BATCHES);
             }
-            pager.data_request_many(object, &reqs);
+            pager.data_request_many(object, &requests);
         }
     }
 
@@ -1344,7 +1297,7 @@ impl FaultEngine {
 }
 
 impl Drop for FaultEngine {
-    /// Stops the timer, which exits when it next looks at its alarms.
+    /// Stops the timer, which exits when it next looks at its alarm.
     fn drop(&mut self) {
         self.timer.alarms.lock().stop = true;
         self.timer.wake.notify_all();
@@ -1353,10 +1306,72 @@ impl Drop for FaultEngine {
 
 #[cfg(test)]
 mod tests {
+    use super::PendingRun;
     use crate::object::test_support::{filled, RecordingPager};
+    use crate::object::{ObjectId, PagerBackend, PagerRequest};
     use crate::{FaultEngineConfig, FaultPolicy, NumaConfig, PhysicalMemory, VmObject, VmProt};
+    use machipc::OolBuffer;
+    use machsim::stats::keys;
     use machsim::Machine;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
+
+    /// Logs each `data_request_many` it is sent as `(its name, object)`,
+    /// in a log it may share with other pagers.
+    struct LoggingPager {
+        name: usize,
+        log: Arc<Mutex<Vec<(usize, ObjectId)>>>,
+    }
+
+    impl PagerBackend for LoggingPager {
+        fn data_request(&self, _object: ObjectId, _offset: u64, _length: u64, _access: VmProt) {}
+
+        fn data_request_many(&self, object: ObjectId, _runs: &[PagerRequest]) {
+            self.log
+                .lock()
+                .expect("request log")
+                .push((self.name, object));
+        }
+
+        fn data_write(&self, _object: ObjectId, _offset: u64, _data: OolBuffer) {}
+
+        fn data_unlock(&self, _object: ObjectId, _offset: u64, _length: u64, _access: VmProt) {}
+    }
+
+    /// Runs for 8 objects of 2 pagers that share one log leave one group
+    /// per (pager, object), in the order each group's first run was
+    /// booked: a later run of the first object joins its group.
+    #[test]
+    fn flushed_runs_leave_in_booking_order() {
+        let m = Machine::default_machine();
+        let phys = PhysicalMemory::new(&m, 16 * 4096, 4096, 2);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let pagers: Vec<Arc<dyn PagerBackend>> = (0..2)
+            .map(|name| {
+                let log = log.clone();
+                Arc::new(LoggingPager { name, log }) as Arc<dyn PagerBackend>
+            })
+            .collect();
+        let booked: Vec<(usize, ObjectId)> = [7, 2, 5, 0, 3, 6, 1, 4]
+            .into_iter()
+            .enumerate()
+            .map(|(i, object)| (i % 2, ObjectId(object)))
+            .collect();
+        let run = |&(pager, object): &(usize, ObjectId), offset| PendingRun {
+            pager: pagers[pager].clone(),
+            object,
+            offset,
+            length: 4096,
+            access: VmProt::READ,
+            correlation: 0,
+            parent_span: 0,
+            pages: 1,
+        };
+        let mut runs: Vec<_> = booked.iter().map(|key| run(key, 0)).collect();
+        runs.push(run(&booked[0], 4096));
+        phys.fault_engine().flush_runs(runs);
+        assert_eq!(*log.lock().expect("request log"), booked);
+        assert_eq!(m.stats.get(keys::VM_PAGER_BATCHES), 1);
+    }
 
     /// Two faults parked on a pager that never answers: each park's span
     /// records the continuations already parked ahead of it.

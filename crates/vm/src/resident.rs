@@ -101,8 +101,7 @@ use std::time::Duration;
 /// pager (see [`PhysicalMemory::set_adoption_hook`]).
 type AdoptionHook = Box<dyn Fn(&Arc<VmObject>) + Send + Sync>;
 
-/// The pageout daemon's marks, in free frames (see
-/// [`PhysicalMemory::run_pageout`]).
+/// The pageout marks, in free frames (see [`PhysicalMemory::run_pageout`]).
 #[derive(Clone, Copy, Debug)]
 struct PageoutMarks {
     low_water: usize,
@@ -405,8 +404,16 @@ pub struct PhysicalMemory {
     queues: ClassMutex<Queues>,
     /// Signaled when frames return to the free queue.
     free_event: wall::Signal,
-    /// The pageout daemon's marks ([`run_pageout`](Self::run_pageout)).
+    /// The pageout marks ([`run_pageout`](Self::run_pageout)).
     pageout: OnceLock<PageoutMarks>,
+    /// An allocation took the free queue under the low watermark since
+    /// the last pageout sweep began. A hint (`Relaxed`): the sweep reads
+    /// the queues under their lock.
+    pressure: AtomicBool,
+    /// A thread is running the pageout sweep: taken by an `Acquire` swap
+    /// and given back by a `Release` store, so one sweep ends before the
+    /// next begins.
+    sweeping: AtomicBool,
     /// Lazy backing store for temporary objects (the default pager).
     default_pager: RwLock<Option<Arc<dyn PagerBackend>>>,
     /// Called when a temporary object first adopts the default pager (the
@@ -502,6 +509,8 @@ impl PhysicalMemory {
             queues: ClassMutex::new(LockClass::Queues, Queues::new(free, n)),
             free_event: wall::Signal::new(),
             pageout: OnceLock::new(),
+            pressure: AtomicBool::new(false),
+            sweeping: AtomicBool::new(false),
             default_pager: RwLock::new(None),
             adoption_hook: RwLock::new(None),
             engine: FaultEngine::new(weak.clone(), machine, faults),
@@ -624,7 +633,7 @@ impl PhysicalMemory {
         }
     }
 
-    /// Pageout-daemon entry point: moves the oldest unreferenced active
+    /// Pageout entry point: moves the oldest unreferenced active
     /// pages onto the inactive queue until it holds `target_inactive`
     /// pages, applying the second-chance discipline to reference bits.
     pub fn balance_queues(&self, target_inactive: usize) {
@@ -786,6 +795,7 @@ impl PhysicalMemory {
             Ok(())
         });
         installed += self.link(object, &mut filled, lock, &mut awaited);
+        self.pageout_sweep();
         if awaited {
             self.engine
                 .on_reply(self, id, (0..pages as u64).map(|i| offset + i * ps));
@@ -829,7 +839,9 @@ impl PhysicalMemory {
         self.alloc_cursor.fetch_add(1, Ordering::Relaxed) % nodes
     }
 
-    /// Allocates a frame, reclaiming cached pages if necessary.
+    /// Allocates a frame, reclaiming cached pages if necessary, then runs
+    /// the pageout sweep if the allocations so far took the free queue
+    /// under the low watermark.
     ///
     /// Unprivileged allocations may not dip into the reserved pool; the
     /// pageout path and default pager allocate privileged. The returned
@@ -843,22 +855,17 @@ impl PhysicalMemory {
     /// free list, stealing from the other nodes only when it is empty —
     /// the first-touch placement path.
     pub fn allocate_frame_on(&self, node: usize, privileged: bool) -> Result<usize, VmError> {
+        let floor = if privileged { 0 } else { self.reserve };
         let mut failures = 0u32;
-        loop {
+        let frame = loop {
             if let Some(frame) = self.take_free(node, privileged, true) {
-                return Ok(frame);
+                break frame;
             }
-            // Out of easy frames: reclaim one page (outside the lock for
-            // any pager I/O), then retry. The first reclaim pass may only
-            // clear reference bits (second chance), so several consecutive
-            // failures are needed before giving up.
-            if self.reclaim_one() {
-                failures = 0;
-                continue;
-            }
-            // Replicas are pure placement optimization; under pressure
-            // they are the first thing to go.
-            if self.reclaim_replica() {
+            // Out of easy frames: reclaim (outside the lock for any pager
+            // I/O), then retry. A pass may only clear reference bits
+            // (second chance), so several consecutive failures are needed
+            // before giving up.
+            if self.reclaim(floor) {
                 failures = 0;
                 continue;
             }
@@ -870,7 +877,9 @@ impl PhysicalMemory {
             let mut q = self.queues.lock();
             let retry = wall::Deadline::after(Duration::from_millis(5));
             self.free_event.block(q.inner_mut(), Some(&retry));
-        }
+        };
+        self.pageout_sweep();
+        Ok(frame)
     }
 
     /// Pops a free frame — from `node`'s list, or with `steal` from the
@@ -878,8 +887,10 @@ impl PhysicalMemory {
     /// when that would dip under the floor (the reserve, unless
     /// `privileged`). Takes only the queues lock, so it is safe under a
     /// hold of the resident table (resident → queues is the canonical
-    /// order), which is where the replication policy needs it. The frame
-    /// comes back on no queue, reachable only by the caller.
+    /// order), which is where the replication policy needs it: a frame
+    /// taken under the low watermark only notes the pressure, for the
+    /// next allocation entry to sweep. The frame comes back on no queue,
+    /// reachable only by the caller.
     fn take_free(&self, node: usize, privileged: bool, steal: bool) -> Option<usize> {
         let mut q = self.queues.lock();
         let floor = if privileged { 0 } else { self.reserve };
@@ -890,27 +901,23 @@ impl PhysicalMemory {
         let reach = if steal { nodes } else { 1 };
         let frame = (0..reach).find_map(|i| q.free[(node + i) % nodes].pop())?;
         q.membership[frame] = PageQueue::None;
-        let pressure = self.under_pressure(&q);
-        drop(q);
-        if pressure {
-            self.engine.wake_pageout();
+        if self
+            .pageout
+            .get()
+            .is_some_and(|m| q.total_free() < m.low_water)
+        {
+            self.pressure.store(true, Ordering::Relaxed);
         }
+        drop(q);
         self.reset_frame_bits(frame);
         Some(frame)
     }
 
-    /// Whether the free queue is under the pageout daemon's low watermark.
-    fn under_pressure(&self, q: &Queues) -> bool {
-        self.pageout
-            .get()
-            .is_some_and(|marks| q.total_free() < marks.low_water)
-    }
-
-    /// Runs the pageout daemon (§5.4) on the fault engine's timer: the
-    /// allocation that takes the free queue under `low_water` frames wakes
-    /// a sweep (as `vm_page_alloc` wakes Mach's daemon), which primes the
-    /// inactive queue to `inactive_target` and reclaims until
-    /// `free_target` frames are free. The first marks set stay.
+    /// Sets the pageout marks (§5.4): the allocation that takes the free
+    /// queue under `low_water` frames sweeps before it returns (as
+    /// `vm_page_alloc` wakes Mach's daemon), priming the inactive queue to
+    /// `inactive_target` and reclaiming until `free_target` frames are
+    /// free. The first marks set stay.
     pub fn run_pageout(&self, low_water: usize, inactive_target: usize, free_target: usize) {
         let _ = self.pageout.set(PageoutMarks {
             low_water,
@@ -919,25 +926,54 @@ impl PhysicalMemory {
         });
     }
 
-    /// One pageout sweep: while the free queue is under the low watermark,
-    /// balance the queues and reclaim up to the free target. `false` if a
-    /// round freed nothing, for the timer to retry later.
-    pub(crate) fn pageout_sweep(&self) -> bool {
-        let Some(marks) = self.pageout.get() else {
-            return true;
-        };
-        while self.free_frames() < marks.low_water {
-            self.balance_queues(marks.inactive_target);
-            let want = marks.free_target.saturating_sub(self.free_frames());
-            let freed = self.reclaim_pages(want);
-            self.machine
-                .stats
-                .add(stat_keys::VM_DAEMON_RECLAIMS, freed as u64);
+    /// The pageout sweep, run by an allocation entry with every lock
+    /// released: if an allocation noted pressure since the last sweep
+    /// began, reclaims from under the low watermark to the free target.
+    /// One thread sweeps at a time; another that finds a sweep in progress
+    /// goes on. A sweep that frees nothing returns, and the next
+    /// allocation under the mark tries again.
+    fn pageout_sweep(&self) {
+        if !self.pressure.load(Ordering::Relaxed) || self.sweeping.swap(true, Ordering::Acquire) {
+            return;
+        }
+        self.pressure.store(false, Ordering::Relaxed);
+        self.reclaim(0);
+        self.sweeping.store(false, Ordering::Release);
+    }
+
+    /// The one reclaim loop, for an allocation that may not take the free
+    /// queue under `floor` frames: while the queue is under the pageout
+    /// low watermark (at the floor, with no marks set), primes the
+    /// inactive queue and evicts toward the free target (one frame over
+    /// the floor), dropping a page's replicas when no page can go; the
+    /// marks' evictions count in `vm.daemon_reclaims`. A round that frees
+    /// nothing ends it. Returns whether a frame over the floor is free.
+    fn reclaim(&self, floor: usize) -> bool {
+        let marks = self.pageout.get();
+        let (low, inactive, target) = marks.map_or((floor + 1, 4, floor + 1), |m| {
+            let low = m.low_water.max(floor + 1);
+            (low, m.inactive_target, m.free_target.max(low))
+        });
+        loop {
+            let free = self.free_frames();
+            if free >= low {
+                return true;
+            }
+            self.balance_queues(inactive);
+            // Replicas are pure placement optimization; under pressure
+            // they go once no page can.
+            let freed = (free..target)
+                .take_while(|_| self.reclaim_one() || self.reclaim_replica())
+                .count();
+            if marks.is_some() {
+                self.machine
+                    .stats
+                    .add(stat_keys::VM_DAEMON_RECLAIMS, freed as u64);
+            }
             if freed == 0 {
-                return false;
+                return free > floor;
             }
         }
-        true
     }
 
     /// Frees one page's replica set somewhere in the table, if any exists;
@@ -951,8 +987,8 @@ impl PhysicalMemory {
         })
     }
 
-    /// Reclaims up to `n` pages (the pageout daemon's work loop); returns
-    /// how many frames were actually freed.
+    /// Reclaims up to `n` pages; returns how many frames were actually
+    /// freed.
     pub fn reclaim_pages(&self, n: usize) -> usize {
         (0..n).take_while(|_| self.reclaim_one()).count()
     }
@@ -2204,25 +2240,32 @@ mod tests {
         assert_ne!(f1, f3);
     }
 
+    /// The allocation that takes the free queue under the low watermark
+    /// sweeps on its own thread before it returns: it refills the free
+    /// queue when pages are queued, and frees and charges nothing when
+    /// every frame is in use. No timer wakes either way.
     #[test]
-    fn allocation_under_the_low_watermark_wakes_the_pageout_sweep() -> Result<(), VmError> {
+    fn allocation_under_the_low_watermark_sweeps_before_it_returns() -> Result<(), VmError> {
         let (m, phys) = phys(8);
         phys.run_pageout(6, 7, 7);
-        let wakeups = || m.stats.get(keys::VM_TIMER_WAKEUPS);
+        let reclaims = || m.stats.get(keys::VM_DAEMON_RECLAIMS);
+        let obj = VmObject::new_temporary(1 << 20);
+        phys.supply_page(&obj, 0, filled(1, 2 * 4096), VmProt::NONE)?;
+        // 6 free: not yet under the mark.
+        assert_eq!(reclaims(), 0);
         phys.allocate_frame(false)?;
+        // 5 free: this allocation swept the two cached pages out.
+        assert_eq!(reclaims(), 2);
+        assert_eq!(phys.free_frames(), 7);
+        // The allocated frames are on no queue: the next crossing sweep
+        // finds nothing to reclaim and costs no simulated time.
         phys.allocate_frame(false)?;
-        // 6 free: not yet under the mark, and nothing else is armed.
-        wall::sleep(Duration::from_millis(50));
-        assert_eq!(wakeups(), 0);
+        let before = m.clock.now_ns();
         phys.allocate_frame(false)?;
-        // The allocated frames are on no queue, so the sweep frees nothing
-        // and arms its retry: a wake for the pressure, then one per retry.
-        assert!(wall::poll_until(
-            Duration::from_secs(10),
-            Duration::from_millis(1),
-            || wakeups() >= 2
-        ));
-        assert_eq!(m.stats.get(keys::VM_DAEMON_RECLAIMS), 0);
+        assert_eq!(phys.free_frames(), 5);
+        assert_eq!(m.clock.now_ns(), before, "a futile sweep charges nothing");
+        assert_eq!(reclaims(), 2);
+        assert_eq!(m.stats.get(keys::VM_TIMER_WAKEUPS), 0);
         Ok(())
     }
 

@@ -30,7 +30,7 @@ if [ -n "$decoders" ]; then
     exit 1
 fi
 
-echo "==> two thread sites (machipc::serve_group, the one loop every ManagerTask and server runs, and the fault engine's timer, outside machsched, machmc, machbench and machlint; one stop id)"
+echo "==> two thread sites (machipc::serve_group, the one loop every ManagerTask and server runs, and the fault engine's timer, which serves fault deadlines and the watchdog, outside machsched, machmc, machbench and machlint; one stop id)"
 sources=$(ls crates/*/src/*.rs | grep -v -E '^crates/(sched|mc|bench|lint)/')
 # shellcheck disable=SC2086 # one word per source file
 threads=$(non_test 'thread::(Builder|spawn)' $sources | cut -d: -f1 | sort | uniq -c | tr -s ' ' | tr '\n' ';')
@@ -41,6 +41,21 @@ fi
 stops=$(non_test 'const [A-Z_]*(SHUTDOWN|STOP)[A-Z_]*: u32' crates/ipc/src/*.rs crates/core/src/*.rs crates/pagers/src/*.rs crates/net/src/*.rs | cut -d: -f1)
 if [ "$stops" != "crates/ipc/src/serve.rs" ]; then
     echo "stop ids: $stops"
+    exit 1
+fi
+
+echo "==> pageout runs on the allocation that crosses the low watermark (no pageout alarm, wake or retry in non-test machvm)"
+pageout_alarms=$(non_test 'wake_pageout|PAGEOUT_RETRY|Alarm::Pageout' crates/vm/src/*.rs)
+if [ -n "$pageout_alarms" ]; then
+    echo "$pageout_alarms"
+    exit 1
+fi
+
+echo "==> no address as a key (no as_ptr(..) cast to an integer in non-test kernel code, outside machmc, machbench and machlint)"
+# shellcheck disable=SC2046 # one word per source file
+addresses=$(non_test 'as_ptr\(.*\) as .*usize' $(ls crates/*/src/*.rs crates/*/src/*/*.rs src/*.rs | grep -v -E '^crates/(mc|bench|lint)/'))
+if [ -n "$addresses" ]; then
+    echo "$addresses"
     exit 1
 fi
 
@@ -96,17 +111,21 @@ cargo test -q --workspace
 # more pinned to one core where the host can pin. unix_equivalence's message
 # and disk-write counts are exact because FS_SYNC answers with the writes
 # on disk, and remote_sync holds a kernel behind a netmsg proxy to the same;
-# the repeats hold them to that.
+# laundry's reclaims are exact because its kernel never crosses the low
+# watermark, pageout_replay's storm replays because pageout runs on the
+# allocating thread, and the fault engine sends one sweep's requests in
+# booking order; the repeats hold them to that.
 repeat_threaded_tests() {
     log=target/threaded-tests.log
     for round in 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20; do
         {
             "$@" cargo test -q -p machsched --lib local_pile_is_stolen_by_idle_cpus &&
                 "$@" cargo test -q -p machbench --lib rpc_costs_about_two_messages &&
+                "$@" cargo test -q -p machvm --lib flushed_runs_leave_in_booking_order &&
                 "$@" cargo test -q --test sched --test fault_async --test stress \
                     --test request_sizing --test fault_locks --test watchdog \
                     --test pager_fill --test pmap_race --test unix_equivalence \
-                    --test remote_sync
+                    --test remote_sync --test laundry --test pageout_replay
         } >"$log" 2>&1 || {
             cat "$log"
             echo "threaded tests failed in round $round"
@@ -114,7 +133,7 @@ repeat_threaded_tests() {
         }
     done
 }
-echo "==> threaded tests x20 (steal pile, RPC cost bounds, sched + fault_async + stress storms, run faults: request_sizing + fault_locks, watchdog in_flight, pager_fill replies resuming on their own thread, pmap_race lock-free translations, unix_equivalence exact write-back counts, remote_sync on disk through a proxy)"
+echo "==> threaded tests x20 (steal pile, RPC cost bounds, requests sent in booking order, sched + fault_async + stress storms, run faults: request_sizing + fault_locks, watchdog in_flight, pager_fill replies resuming on their own thread, pmap_race lock-free translations, unix_equivalence exact write-back counts, remote_sync on disk through a proxy, laundry exact reclaims, pageout_replay storm replays)"
 repeat_threaded_tests
 if command -v taskset >/dev/null 2>&1; then
     echo "==> threaded tests x20 on one core (taskset -c 0)"
@@ -165,4 +184,4 @@ cargo test -q -p machsched --features lockdep --test lockdep_witness
 echo "==> machlint (static invariants: lock-order, sim-time, counter-key, panic-budget, trace-cover, span-pair, atomic-ordering, condvar-wait, unchecked-send)"
 cargo run -q -p machlint -- --workspace
 
-echo "OK: clippy clean, formatting clean, one decoder, two thread sites, a server is a task receiving on a port group, no kernel object served by a thread, the network forwards on the sender's thread, no non-test poll, a data manager's state owned by its thread and one way to wait, workspace tests, threaded-test repeats, fault_scaling, numa_placement, fault_concurrency, parallel_build, machmark smoke + verify, machmc + baseline diff, export smoke, critical-path smoke, lockdep witnesses and machlint passed."
+echo "OK: clippy clean, formatting clean, one decoder, two thread sites, pageout on the allocating thread, no address as a key, a server is a task receiving on a port group, no kernel object served by a thread, the network forwards on the sender's thread, no non-test poll, a data manager's state owned by its thread and one way to wait, workspace tests, threaded-test repeats, fault_scaling, numa_placement, fault_concurrency, parallel_build, machmark smoke + verify, machmc + baseline diff, export smoke, critical-path smoke, lockdep witnesses and machlint passed."

@@ -72,9 +72,10 @@ impl DataManager for PromptPager {
     }
 }
 
-/// A daemon-less kernel with `dirty` (every other page, so no two batch
-/// into one pageout) written through a [`PromptPager`] and deactivated:
-/// each `reclaim_pages(n)` is then exactly `n` single-page pageouts.
+/// A kernel with `dirty` (every other page, so no two batch into one
+/// pageout) written through a [`PromptPager`] and deactivated, never
+/// crossing its low watermark: each `reclaim_pages(n)` is then exactly
+/// `n` single-page pageouts.
 struct Sweep {
     // Field order is drop order: the task unmaps before the manager stops.
     task: Arc<Task>,
@@ -89,10 +90,10 @@ fn sweep(
     release: Release,
     scheduled: Option<mpsc::Receiver<()>>,
 ) -> Result<Sweep, VmError> {
-    // No daemon: the caller's sweeps are the only pageout there is.
+    // 512 frames, a low watermark of 64 and at most 192 pages written:
+    // the caller's sweeps are the only pageout there is.
     let kernel = Kernel::boot(KernelConfig {
         memory_bytes: 512 * PAGE as usize,
-        pageout_daemon: false,
         ..KernelConfig::default()
     });
     let written = Arc::new(Mutex::new(BTreeSet::new()));
@@ -115,6 +116,8 @@ fn sweep(
     // Second chance: one pass clears reference bits, the next deactivates.
     kernel.phys().balance_queues(pages as usize);
     kernel.phys().balance_queues(pages as usize);
+    let swept = kernel.machine().stats.get(keys::VM_DAEMON_RECLAIMS);
+    assert_eq!(swept, 0, "no write crossed the low watermark");
     Ok(Sweep {
         task,
         mgr,
