@@ -100,21 +100,30 @@ impl DataManager for DefaultPager {
         _access: VmProt,
     ) {
         let ps = self.page_size as u64;
+        let blocks: Vec<Option<usize>> = {
+            let map = self.map.lock();
+            (offset..offset + length)
+                .step_by(self.page_size)
+                .map(|page| map.get(&(object, page)).copied())
+                .collect()
+        };
+        // One answer per stretch: its stored pages in one `data_provided`,
+        // its unstored ones in one `data_unavailable` ("Since these
+        // kernel-created objects have no initial memory, the default pager
+        // may not have data to provide"; the kernel zero-fills).
         let mut page = offset;
-        let end = offset + length;
-        while page < end {
-            let stored = self.map.lock().get(&(object, page)).copied();
-            match stored {
-                Some(first_block) => {
-                    let data = self.read_page(first_block);
-                    kernel.data_provided(object, page, OolBuffer::from_vec(data), VmProt::NONE);
-                }
-                // "Since these kernel-created objects have no initial
-                // memory, the default pager may not have data to provide";
-                // the kernel zero-fills.
-                None => kernel.data_unavailable(object, page, ps),
+        for stretch in blocks.chunk_by(|a, b| a.is_some() == b.is_some()) {
+            let bytes = stretch.len() as u64 * ps;
+            let mut data = Vec::new();
+            for &first_block in stretch.iter().flatten() {
+                data.extend(self.read_page(first_block));
             }
-            page += ps;
+            if data.is_empty() {
+                kernel.data_unavailable(object, page, bytes);
+            } else {
+                kernel.data_provided(object, page, OolBuffer::from_vec(data), VmProt::NONE);
+            }
+            page += bytes;
         }
     }
 
@@ -222,6 +231,50 @@ mod tests {
         assert_eq!(reply.id, proto::PAGER_DATA_PROVIDED);
         let data = reply.body.iter().find_map(|i| i.as_ool()).unwrap();
         assert!(data.as_slice().iter().all(|&b| b == 3));
+    }
+
+    /// A run answers as runs: four stored pages and two never written are
+    /// one `data_provided` of four pages, then one `data_unavailable` of
+    /// two.
+    #[test]
+    fn a_request_is_answered_one_reply_per_stretch() {
+        let m = Machine::default_machine();
+        let dev = Arc::new(BlockDevice::new(&m, 8));
+        let dp = DefaultPager::new(dev, BLOCK_SIZE);
+        let handle = spawn_manager(&m, "default", dp);
+        let (req_rx, req_tx) = ReceiveRight::allocate(&m);
+        let page = BLOCK_SIZE as u64;
+        handle.port().send_notification(
+            Message::new(proto::PAGER_DATA_WRITE)
+                .with(MsgItem::u64s(&[5, 0]))
+                .with(MsgItem::OutOfLine(OolBuffer::from_vec(vec![
+                    3u8;
+                    4 * BLOCK_SIZE
+                ])))
+                .with(MsgItem::SendRights(vec![req_tx.clone()])),
+        );
+        handle.port().send_notification(
+            Message::new(proto::PAGER_DATA_REQUEST)
+                .with(MsgItem::u64s(&[5, 0, 6 * page, 1]))
+                .with(MsgItem::SendRights(vec![req_tx])),
+        );
+        let provided = req_rx
+            .receive(Some(Duration::from_secs(5)))
+            .expect("the stored stretch's reply");
+        assert_eq!(provided.id, proto::PAGER_DATA_PROVIDED);
+        assert_eq!(u64s_of(&provided)[..2], [5, 0]);
+        let data = provided.body.iter().find_map(|i| i.as_ool());
+        assert_eq!(
+            data.map(OolBuffer::as_slice),
+            Some(&[3u8; 4 * BLOCK_SIZE][..])
+        );
+        let unavailable = req_rx
+            .receive(Some(Duration::from_secs(5)))
+            .expect("the unstored stretch's reply");
+        assert_eq!(unavailable.id, proto::PAGER_DATA_UNAVAILABLE);
+        assert_eq!(u64s_of(&unavailable), vec![5, 4 * page, 2 * page]);
+        handle.shutdown();
+        assert!(req_rx.receive(Some(Duration::ZERO)).is_err(), "two replies");
     }
 
     #[test]

@@ -278,7 +278,7 @@ impl Kernel {
             next_node: std::sync::atomic::AtomicUsize::new(0),
         });
 
-        // The stall watchdog, on the fault engine's timer.
+        // The stall watchdog, swept by the threads that wait on faults.
         let reports = kernel.watchdog_reports.clone();
         let weak = Arc::downgrade(&phys);
         let stall_ns = config.watchdog_stall_ns.max(1);
@@ -681,9 +681,9 @@ impl Drop for Kernel {
             self.scheduler.detach_workers();
         }
         // Stop the fault engine before the services (idempotent): its
-        // timer is joined, its drain errors every parked fault (waking
-        // their tickets), and a late submission that would have to wait
-        // gets the same error instead of parking.
+        // drain errors every parked fault (waking their waiters), and a
+        // late submission that would have to wait gets the same error
+        // instead of parking.
         engine.shutdown();
         debug_assert_eq!(
             engine.outstanding(),

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! run queue → fault table → resident table → frame data
-//!           → queues/free-list → port → timer
+//!           → queues/free-list → port
 //! ```
 //!
 //! `machlint`'s L1 lint checks that order *statically* against every
@@ -79,24 +79,17 @@ pub enum LockClass {
     /// after every VM class because pager paths send messages while the
     /// fault path's locks are (transitively) pinned, never vice versa.
     Port = 5,
-    /// The fault engine's timer alarm (`FaultEngine::timer`). A leaf:
-    /// nothing is taken while it is held, so arming the timer is legal
-    /// under any other class. Nothing arms it from under the resident
-    /// table: a fault arms it as it parks and the timer's sweep re-arms
-    /// it, both with every other class released.
-    Timer = 6,
 }
 
 impl LockClass {
     /// Every class, in rank order (indexable by [`LockClass::rank`]).
-    pub const ALL: [LockClass; 7] = [
+    pub const ALL: [LockClass; 6] = [
         LockClass::RunQueue,
         LockClass::FaultTable,
         LockClass::Resident,
         LockClass::FrameData,
         LockClass::Queues,
         LockClass::Port,
-        LockClass::Timer,
     ];
 
     /// Position in the hierarchy; lower ranks must be taken first.
@@ -113,7 +106,6 @@ impl LockClass {
             LockClass::FrameData => "frame-data",
             LockClass::Queues => "queues",
             LockClass::Port => "port",
-            LockClass::Timer => "timer",
         }
     }
 }

@@ -136,9 +136,9 @@ pub mod keys {
     pub const SCHED_AFFINITY_MISSES: &str = "sched.affinity_misses";
     /// Units whose sim-time slice expired and were re-queued mid-run.
     pub const SCHED_PREEMPTIONS: &str = "sched.preemptions";
-    /// Times the fault engine's timer thread woke: for its alarm falling
-    /// due (a policy deadline or the watchdog's), or for an alarm armed
-    /// sooner than its sleep.
+    /// Fault sweeps a passed alarm (a policy deadline or the watchdog's)
+    /// made a thread blocked on the fault engine run: a ticket's waiter,
+    /// or a submitter held at admission.
     pub const VM_TIMER_WAKEUPS: &str = "vm.timer_wakeups";
 
     /// Every counter key, in [`super::StatsRegistry`] slot order (see

@@ -194,15 +194,30 @@ impl<T: Clone> Latch<T> {
     /// Blocks until the value is set or `deadline` passes, and returns the
     /// value if it was set; a passed deadline returns at once.
     pub fn wait_until(&self, deadline: &Deadline) -> Option<T> {
+        self.wait_until_with(|| Some(*deadline))
+    }
+
+    /// [`Latch::wait_until`] a deadline that may move, `None` waiting for
+    /// the value alone. `until` is read under the latch's lock before every
+    /// wait, so a thread that moves it and then calls [`Latch::nudge`]
+    /// always wakes this one to read it again.
+    pub fn wait_until_with(&self, until: impl Fn() -> Option<Deadline>) -> Option<T> {
         let mut value = self.value.lock();
         loop {
             if let Some(v) = value.as_ref() {
                 return Some(v.clone());
             }
-            if self.signal.block(&mut value, Some(deadline)) {
+            if self.signal.block(&mut value, until().as_ref()) {
                 return value.clone();
             }
         }
+    }
+
+    /// Wakes the waiters without setting the value: each
+    /// [`Latch::wait_until_with`] reads its deadline again.
+    pub fn nudge(&self) {
+        let _value = self.value.lock();
+        self.signal.notify_all();
     }
 }
 
@@ -352,6 +367,37 @@ mod tests {
         let started = now();
         assert_eq!(latch.wait_until(&Deadline::after(Duration::ZERO)), None);
         assert!(started.elapsed() < Duration::from_secs(1));
+    }
+
+    #[test]
+    fn a_nudge_wakes_a_wait_to_read_its_moved_deadline() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let state = std::sync::Arc::new((Latch::<()>::default(), AtomicBool::new(false)));
+        let near = Deadline::after(Duration::from_millis(20));
+        let far = Deadline::after(Duration::from_secs(10));
+        let waiter = {
+            let state = state.clone();
+            std::thread::spawn(move || {
+                let until = || {
+                    Some(if state.1.load(Ordering::Acquire) {
+                        near
+                    } else {
+                        far
+                    })
+                };
+                let started = now();
+                assert_eq!(state.0.wait_until_with(until), None);
+                started.elapsed()
+            })
+        };
+        sleep(Duration::from_millis(5));
+        state.1.store(true, Ordering::Release);
+        state.0.nudge();
+        let waited = waiter.join().expect("waiter thread");
+        assert!(
+            waited < Duration::from_secs(2),
+            "the nudge was missed: {waited:?}"
+        );
     }
 
     #[test]

@@ -65,16 +65,15 @@
 //! # Ownership
 //!
 //! The engine is a field of its [`PhysicalMemory`], built with it, and
-//! reaches back through a weak reference. Its one thread is the *timer*:
-//! it starts when its alarm is first armed, sleeps until it falls due, and
-//! holds the memory only weakly too — a bare memory whose faults carry no
-//! deadline never spawns it, and dropping the last `Arc<PhysicalMemory>`
-//! stops it. [`FaultEngine::shutdown`] joins it. After shutdown nothing
-//! can resume a parked fault, so the
-//! caller's step is all a fault gets: hits, zero fills and copy-on-write
-//! copies still resolve, and one that would have to park releases what it
-//! claimed and fails with [`VmError::ObjectDestroyed`] — the answer
-//! shutdown gives every fault that was parked.
+//! reaches back through a weak reference, as a parked fault's ticket
+//! does. It has no thread: every fault runs on its faulting thread, the
+//! thread that answers it, or the thread that waits for it.
+//! [`FaultEngine::shutdown`] errors what is parked. After shutdown nothing
+//! can resume a parked fault, so the caller's step is all a fault gets:
+//! hits, zero fills and copy-on-write copies still resolve, and one that
+//! would have to park releases what it claimed and fails with
+//! [`VmError::ObjectDestroyed`] — the answer shutdown gives every fault
+//! that was parked.
 //!
 //! # Locking
 //!
@@ -87,21 +86,26 @@
 //! table unlocked. A fault that need not wait takes the table zero
 //! times; one that parks once takes it three times whatever the length
 //! of its run (booking, admission and park under one hold; the fill's
-//! event; completion — `tests/fault_locks.rs`). The timer's alarm is a
-//! leaf class of its own, `timer`: nothing is taken under it.
+//! event; completion — `tests/fault_locks.rs`). The alarm lives in the
+//! table, under the same lock.
 //!
-//! # The timer, and a manager's death
+//! # Deadlines, and a manager's death
 //!
 //! Nothing polls: a parked fault leaves the table on its page event, its
-//! policy deadline, its manager's death or shutdown. The engine's one
-//! thread is a timer with one job, the fault sweep: it sleeps until the
-//! earliest policy deadline (armed at every park — the timeout is per
-//! wait, not per fault or per page) or watchdog quiet deadline
-//! ([`FaultEngine::watch_stalls`]) of a parked fault. A memory whose
-//! faults carry neither never starts it. Pageout is not the timer's: the
-//! allocation that takes the free queue under the low watermark sweeps
-//! before it returns ([`PhysicalMemory::run_pageout`]). A manager's death
-//! is communication (§6): its memory object port's death notice becomes
+//! policy deadline, its manager's death or shutdown. A deadline is kept
+//! by the threads that wait, as Mach sets a timeout on the blocked thread:
+//! the table's alarm is no later than the earliest policy deadline
+//! (re-armed at every park — the timeout is per wait, not per fault or per
+//! page) or watchdog quiet deadline ([`FaultEngine::watch_stalls`]) of a
+//! parked fault, and a ticket's waiter, or a submitter held at admission,
+//! blocks no longer than the alarm and runs the fault sweep once it
+//! passes. The sweep takes what is due under one hold, so a fault expires
+//! or is flagged once, whichever waiter sweeps; a memory whose faults
+//! carry no deadline never sweeps. A fault re-parked by the thread that
+//! resumed it nudges its waiter to read the alarm again. Pageout runs on
+//! the allocation that takes the free queue under the low watermark
+//! ([`PhysicalMemory::run_pageout`]). A manager's death is communication
+//! (§6): its memory object port's death notice becomes
 //! [`FaultEngine::on_pager_death`] on the thread that destroyed the port.
 //! No wakeup is probed for — machmc's `park_resume` model is the argument
 //! that none is missed, and one that still were would surface as a
@@ -122,7 +126,6 @@ use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// How long a parked fault may go without its pager answering an older
@@ -168,7 +171,9 @@ pub struct FaultTicket {
 #[derive(Clone)]
 enum TicketOutcome {
     Ready(FaultOutcome),
-    Parked(Arc<wall::Latch<FaultOutcome>>),
+    /// The parked fault's latch, and the memory whose engine's alarm its
+    /// waiter keeps.
+    Parked(Arc<wall::Latch<FaultOutcome>>, Weak<PhysicalMemory>),
 }
 
 impl FaultTicket {
@@ -194,7 +199,7 @@ impl FaultTicket {
     pub fn is_done(&self) -> bool {
         match &self.outcome {
             TicketOutcome::Ready(_) => true,
-            TicketOutcome::Parked(latch) => latch.is_set(),
+            TicketOutcome::Parked(latch, _) => latch.is_set(),
         }
     }
 
@@ -202,7 +207,8 @@ impl FaultTicket {
     /// fault over a run, its first page's). The engine guarantees
     /// completion: every parked continuation either resumes, times out
     /// by policy, fails with its manager, or is errored at engine
-    /// shutdown.
+    /// shutdown. The waiter keeps the deadlines: while it waits, it runs
+    /// the engine's sweep whenever the alarm passes.
     pub fn wait(&self) -> Result<FaultResult, VmError> {
         self.outcome().map(|(page, _)| page)
     }
@@ -219,9 +225,21 @@ impl FaultTicket {
     }
 
     fn outcome(&self) -> FaultOutcome {
-        match &self.outcome {
-            TicketOutcome::Ready(outcome) => outcome.clone(),
-            TicketOutcome::Parked(latch) => latch.wait(),
+        let (latch, phys) = match &self.outcome {
+            TicketOutcome::Ready(outcome) => return outcome.clone(),
+            TicketOutcome::Parked(latch, phys) => (latch, phys),
+        };
+        let alarm = || {
+            phys.upgrade()
+                .and_then(|phys| phys.fault_engine().table.lock().alarm)
+        };
+        loop {
+            if let Some(outcome) = latch.wait_until_with(alarm) {
+                return outcome;
+            }
+            if let Some(phys) = phys.upgrade() {
+                phys.fault_engine().sweep(&phys);
+            }
         }
     }
 }
@@ -293,7 +311,7 @@ struct Continuation {
 }
 
 impl Continuation {
-    /// The deadlines the timer's alarm must cover for this fault.
+    /// The deadlines the engine's alarm must cover for this fault.
     fn alarms(&self) -> impl Iterator<Item = wall::Deadline> {
         [self.deadline, self.quiet_until].into_iter().flatten()
     }
@@ -347,6 +365,12 @@ struct Table {
     /// Objects whose manager died: a fault that would park on one fails
     /// instead. One entry per dead manager's object, for the engine's life.
     dead: HashSet<ObjectId>,
+    /// No later than the earliest policy deadline, or watchdog quiet
+    /// deadline, of a parked fault: each park lowers it, each sweep sets it
+    /// to the earliest left. Every thread blocked on the engine — a
+    /// ticket's waiter, a submitter held at admission — sweeps once it
+    /// passes.
+    alarm: Option<wall::Deadline>,
     /// Page events reported so far: lets a test assert that an operation
     /// reports none.
     #[cfg(test)]
@@ -478,50 +502,6 @@ impl Table {
     }
 }
 
-/// The timer's state, under its leaf lock. The alarm is a hint: the
-/// sweep finds what really is due, and arms the next.
-#[derive(Default)]
-struct Alarms {
-    /// The earliest policy deadline, or watchdog quiet deadline, of a
-    /// parked fault.
-    at: Option<wall::Deadline>,
-    stop: bool,
-    thread: Option<JoinHandle<()>>,
-}
-
-/// The alarm and the signal the timer thread sleeps on, shared with
-/// that thread — which holds the memory only weakly.
-struct Timer {
-    alarms: ClassMutex<Alarms>,
-    wake: wall::Signal,
-}
-
-/// The timer thread: sleeps until the alarm (with none armed, until one
-/// is), then runs the sweep with every lock released.
-fn run_timer(timer: Arc<Timer>, phys: Weak<PhysicalMemory>, machine: Machine) {
-    loop {
-        {
-            let mut a = timer.alarms.lock();
-            loop {
-                if a.stop {
-                    return;
-                }
-                if a.at.is_some_and(|at| at.expired()) {
-                    a.at = None;
-                    break;
-                }
-                let at = a.at;
-                timer.wake.block(a.inner_mut(), at.as_ref());
-                machine.stats.incr(stat_keys::VM_TIMER_WAKEUPS);
-            }
-        }
-        let Some(phys) = phys.upgrade() else {
-            return;
-        };
-        phys.fault_engine().sweep(&phys);
-    }
-}
-
 /// What the watchdog calls for a stalled fault: `(cid, started_ns)`.
 type StallHook = Box<dyn Fn(u64, u64) + Send + Sync>;
 
@@ -584,7 +564,6 @@ pub struct FaultEngine {
     /// Signals submitters blocked on a full table.
     space: wall::Signal,
     stop: AtomicBool,
-    timer: Arc<Timer>,
     /// The watchdog's report, once one is installed.
     stall: OnceLock<StallHook>,
 }
@@ -639,10 +618,6 @@ impl FaultEngine {
             table: ClassMutex::new(LockClass::FaultTable, Table::default()),
             space: wall::Signal::new(),
             stop: AtomicBool::new(false),
-            timer: Arc::new(Timer {
-                alarms: ClassMutex::new(LockClass::Timer, Alarms::default()),
-                wake: wall::Signal::new(),
-            }),
             stall: OnceLock::new(),
         }
     }
@@ -693,22 +668,13 @@ impl FaultEngine {
         self.cfg
     }
 
-    /// Stops the engine: the timer is joined, every still-parked fault
-    /// errors with [`VmError::ObjectDestroyed`] and claimed fill windows
-    /// are cancelled. Faults submitted afterwards resolve only if they
-    /// need not wait. Idempotent.
+    /// Stops the engine: every still-parked fault errors with
+    /// [`VmError::ObjectDestroyed`] and claimed fill windows are
+    /// cancelled. Faults submitted afterwards resolve only if they need
+    /// not wait. Idempotent.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::Release);
         self.space.notify_all();
-        let thread = {
-            let mut a = self.timer.alarms.lock();
-            a.stop = true;
-            a.thread.take()
-        };
-        self.timer.wake.notify_all();
-        if let Some(thread) = thread.filter(|t| t.thread().id() != std::thread::current().id()) {
-            let _ = thread.join();
-        }
         // `park` reads `stop` under the table lock before it parks, so
         // nothing can join the table behind this drain.
         let phys = self.phys();
@@ -799,7 +765,7 @@ impl FaultEngine {
             if let Some((cont, result)) = self.park(&phys, cont, wait, runs, true) {
                 self.finish(cont, result);
             }
-            let outcome = TicketOutcome::Parked(latch);
+            let outcome = TicketOutcome::Parked(latch, self.phys.clone());
             FaultTicket {
                 cid,
                 root_span,
@@ -998,15 +964,18 @@ impl FaultEngine {
     /// the continuation after re-checking the wait *under that lock*
     /// (table → resident is the sanctioned order): an event that fired
     /// since the step re-steps the fault, which keeps its slot, instead
-    /// of sleeping on a wakeup that already happened. This thread sends
-    /// the runs booked once the table is unlocked, after the park, and
-    /// arms the timer for the fault's deadlines.
+    /// of sleeping on a wakeup that already happened. The park lowers the
+    /// engine's alarm to the fault's deadlines; this thread sends the runs
+    /// booked once the table is unlocked, after the park. A re-park, on
+    /// the thread that resumed the fault, re-arms a policy deadline its
+    /// waiter has not seen, and nudges it to read the alarm again.
     ///
     /// A fault that must wait for an admission slot first sends its runs
     /// and resumes what its own thread woke: a claimed but unsent run, or
     /// a woken fault holding a slot on this thread's list, could strand
     /// the faults parked on its pages while its claimer waits for one of
-    /// their slots.
+    /// their slots. It waits until the alarm at most, and sweeps when it
+    /// passes: the faults a stalled submitter holds may have no waiter yet.
     ///
     /// Returns the continuation and its result if the fault completed
     /// (for [`FaultEngine::finish`]), `None` if parked.
@@ -1018,6 +987,7 @@ impl FaultEngine {
         mut runs: Vec<PendingRun>,
         mut admit: bool,
     ) -> Option<(Continuation, FaultOutcome)> {
+        let reparked = !admit;
         loop {
             // The charges for the runs `cont` had outstanding when it
             // parked last are returned to the pagers' budgets unless the
@@ -1052,7 +1022,12 @@ impl FaultEngine {
                     t = self.table.lock();
                     continue;
                 }
-                self.space.block(t.inner_mut(), None);
+                let alarm = t.alarm;
+                if self.space.block(t.inner_mut(), alarm.as_ref()) {
+                    drop(t);
+                    self.sweep(phys);
+                    t = self.table.lock();
+                }
             }
             if admit {
                 t.admitted += 1;
@@ -1084,6 +1059,8 @@ impl FaultEngine {
                     Some(t.conts.len() as u32),
                 );
                 let alarm = cont.alarms().min();
+                t.alarm = t.alarm.into_iter().chain(alarm).min();
+                let nudge = (reparked && alarm.is_some()).then(|| cont.ticket.clone());
                 let raw = cont.cid.raw();
                 t.waiters
                     .entry((wait.object, wait.offset))
@@ -1096,8 +1073,8 @@ impl FaultEngine {
                 }
                 drop(t);
                 self.flush_runs(send);
-                if let Some(at) = alarm {
-                    self.arm(at);
+                if let Some(ticket) = nudge {
+                    ticket.nudge();
                 }
                 return None;
             }
@@ -1154,37 +1131,21 @@ impl FaultEngine {
         }
     }
 
-    // ----- the timer -----
-
-    /// Arms the alarm for `at` unless it is armed sooner, waking the
-    /// timer — or starting it, at the first — if it moved.
-    fn arm(&self, at: wall::Deadline) {
-        let mut a = self.timer.alarms.lock();
-        if a.stop || a.at.is_some_and(|armed| armed <= at) {
-            return;
-        }
-        a.at = Some(at);
-        if a.thread.is_some() {
-            self.timer.wake.notify_one();
-            return;
-        }
-        let (timer, phys, machine) = (self.timer.clone(), self.phys.clone(), self.machine.clone());
-        let thread = std::thread::Builder::new()
-            .name("vm-timer".into())
-            .spawn(move || run_timer(timer, phys, machine))
-            .expect("spawn the fault engine's timer");
-        a.thread = Some(thread);
-    }
-
-    /// The timer's sweep: each answer since the last sweep pushes back the
-    /// quiet deadline of the faults of its object younger than the oldest
-    /// it resumed; faults quiet past it are reported, once each, oldest
-    /// first; faults past their policy deadline resume with its action;
-    /// the next deadline of either kind is armed.
+    /// The sweep, run by a thread blocked on the engine once the alarm
+    /// passes (a no-op if another has swept it since): each answer since
+    /// the last sweep pushes back the quiet deadline of the faults of its
+    /// object younger than the oldest it resumed; faults quiet past it
+    /// are reported, once each, oldest first; faults past their policy
+    /// deadline resume with its action on this thread; the alarm moves to
+    /// the next deadline of either kind.
     fn sweep(&self, phys: &PhysicalMemory) {
         let now = wall::now();
-        let (expired, mut stalled, next) = {
+        let (expired, mut stalled) = {
             let mut t = self.table.lock();
+            if !t.alarm.is_some_and(|at| at.expired_by(now)) {
+                return;
+            }
+            self.machine.stats.incr(stat_keys::VM_TIMER_WAKEUPS);
             let resolved = std::mem::take(&mut t.resolved);
             let mut stalled = Vec::new();
             for (&cid, c) in t.conts.iter_mut() {
@@ -1201,12 +1162,9 @@ impl FaultEngine {
                 }
             }
             let expired = t.unpark(|c| c.deadline.is_some_and(|d| d.expired_by(now)));
-            let next = t.conts.values().flat_map(Continuation::alarms).min();
-            (expired, stalled, next)
+            t.alarm = t.conts.values().flat_map(Continuation::alarms).min();
+            (expired, stalled)
         };
-        if let Some(at) = next {
-            self.arm(at);
-        }
         stalled.sort_unstable();
         if let Some(report) = self.stall.get() {
             for (started_ns, cid) in stalled {
@@ -1293,14 +1251,6 @@ impl FaultEngine {
         }
         self.machine
             .span_close_with("fault.submit", root_span, Some(cid));
-    }
-}
-
-impl Drop for FaultEngine {
-    /// Stops the timer, which exits when it next looks at its alarm.
-    fn drop(&mut self) {
-        self.timer.alarms.lock().stop = true;
-        self.timer.wake.notify_all();
     }
 }
 

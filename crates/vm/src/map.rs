@@ -747,8 +747,17 @@ impl VmMap {
                 )
             })
             .collect();
+        // Every ticket is waited for, whichever fails first: its waiter
+        // keeps its fault's deadlines.
+        let mut failed = None;
         for (first, ticket) in tickets {
-            let results = ticket.wait_run()?;
+            let results = match ticket.wait_run() {
+                Ok(results) => results,
+                Err(err) => {
+                    failed.get_or_insert(err);
+                    continue;
+                }
+            };
             // The pmap updates land in that fault's span tree, as in
             // `fault`.
             let _chain = ticket.enter_chain();
@@ -760,7 +769,7 @@ impl VmMap {
             );
             self.enter_resolved(access, pages);
         }
-        Ok(absent.len())
+        failed.map_or(Ok(absent.len()), Err)
     }
 
     /// `vm_read`: copies `size` bytes at `address` out of the task.

@@ -2243,7 +2243,7 @@ mod tests {
     /// The allocation that takes the free queue under the low watermark
     /// sweeps on its own thread before it returns: it refills the free
     /// queue when pages are queued, and frees and charges nothing when
-    /// every frame is in use. No timer wakes either way.
+    /// every frame is in use. Nothing sweeps the fault engine either way.
     #[test]
     fn allocation_under_the_low_watermark_sweeps_before_it_returns() -> Result<(), VmError> {
         let (m, phys) = phys(8);

@@ -30,11 +30,11 @@ if [ -n "$decoders" ]; then
     exit 1
 fi
 
-echo "==> two thread sites (machipc::serve_group, the one loop every ManagerTask and server runs, and the fault engine's timer, which serves fault deadlines and the watchdog, outside machsched, machmc, machbench and machlint; one stop id)"
+echo "==> one thread site (machipc::serve_group, the one loop every ManagerTask and server runs, outside machsched, machmc, machbench and machlint; one stop id)"
 sources=$(ls crates/*/src/*.rs | grep -v -E '^crates/(sched|mc|bench|lint)/')
 # shellcheck disable=SC2086 # one word per source file
 threads=$(non_test 'thread::(Builder|spawn)' $sources | cut -d: -f1 | sort | uniq -c | tr -s ' ' | tr '\n' ';')
-if [ "$threads" != " 1 crates/ipc/src/serve.rs; 1 crates/vm/src/continuation.rs;" ]; then
+if [ "$threads" != " 1 crates/ipc/src/serve.rs;" ]; then
     echo "thread sites: $threads"
     exit 1
 fi
@@ -48,6 +48,14 @@ echo "==> pageout runs on the allocation that crosses the low watermark (no page
 pageout_alarms=$(non_test 'wake_pageout|PAGEOUT_RETRY|Alarm::Pageout' crates/vm/src/*.rs)
 if [ -n "$pageout_alarms" ]; then
     echo "$pageout_alarms"
+    exit 1
+fi
+
+echo "==> a fault's deadline is kept by the thread that waits for it (no fault engine timer thread, timer loop or timer lock class in non-test code)"
+# shellcheck disable=SC2046 # one word per source file
+timers=$(non_test 'vm-timer|run_timer|LockClass::Timer' $(ls crates/*/src/*.rs crates/*/src/*/*.rs src/*.rs))
+if [ -n "$timers" ]; then
+    echo "$timers"
     exit 1
 fi
 
@@ -184,4 +192,4 @@ cargo test -q -p machsched --features lockdep --test lockdep_witness
 echo "==> machlint (static invariants: lock-order, sim-time, counter-key, panic-budget, trace-cover, span-pair, atomic-ordering, condvar-wait, unchecked-send)"
 cargo run -q -p machlint -- --workspace
 
-echo "OK: clippy clean, formatting clean, one decoder, two thread sites, pageout on the allocating thread, no address as a key, a server is a task receiving on a port group, no kernel object served by a thread, the network forwards on the sender's thread, no non-test poll, a data manager's state owned by its thread and one way to wait, workspace tests, threaded-test repeats, fault_scaling, numa_placement, fault_concurrency, parallel_build, machmark smoke + verify, machmc + baseline diff, export smoke, critical-path smoke, lockdep witnesses and machlint passed."
+echo "OK: clippy clean, formatting clean, one decoder, one thread site, fault deadlines kept by their waiters, pageout on the allocating thread, no address as a key, a server is a task receiving on a port group, no kernel object served by a thread, the network forwards on the sender's thread, no non-test poll, a data manager's state owned by its thread and one way to wait, workspace tests, threaded-test repeats, fault_scaling, numa_placement, fault_concurrency, parallel_build, machmark smoke + verify, machmc + baseline diff, export smoke, critical-path smoke, lockdep witnesses and machlint passed."

@@ -10,7 +10,7 @@ use machsim::stats::keys;
 use machsim::{span, EventKind, Machine};
 use machvm::{
     FaultEngineConfig, FaultPolicy, NumaConfig, ObjectId, PagerBackend, PhysicalMemory, VmError,
-    VmObject, VmProt,
+    VmMap, VmObject, VmProt,
 };
 use std::ops::Range;
 use std::sync::{mpsc, Arc, Mutex};
@@ -188,7 +188,9 @@ fn a_fifo_drain_that_outlasts_the_debounce_reports_no_stall() {
 
 /// The other side of the same rule: a pager that answers every fault but
 /// one is making progress, but not toward that one, which is flagged —
-/// once — and still resolves when its answer finally comes.
+/// once — and still resolves when its answer finally comes. As every
+/// kernel fault has a faulting thread, the skipped one has a waiter, which
+/// keeps its quiet deadline.
 #[test]
 fn a_fault_its_pager_skips_is_flagged_once() {
     const FAULTS: u64 = 64;
@@ -205,30 +207,35 @@ fn a_fault_its_pager_skips_is_flagged_once() {
     let tickets: Vec<_> = (0..FAULTS)
         .map(|i| engine.submit(&object, i * PAGE, VmProt::READ, FaultPolicy::trusting()))
         .collect();
-    for (page, t) in (0..).zip(&tickets) {
-        if page != SKIP {
-            t.wait().expect("every answered fault resolves");
-        }
-    }
-    // The report is filed after the counter is bumped: wait for it.
-    assert!(
-        machsim::wall::poll_until(Duration::from_secs(10), Duration::from_millis(5), || {
-            !kernel.watchdog_reports().is_empty()
-        }),
-        "the skipped fault was never flagged"
-    );
-    let skipped = tickets[SKIP as usize].correlation().raw();
-    let reports = kernel.watchdog_reports();
-    assert!(reports[0].contains(&format!("watchdog stall: cid#{skipped} ")));
-    machsim::wall::sleep(Duration::from_millis(100));
     let stalls = || kernel.machine().stats.get(keys::WATCHDOG_STALLS);
-    assert_eq!(stalls(), 1, "flagged once, however many scans find it");
-    assert_eq!(kernel.watchdog_reports().len(), 1);
+    std::thread::scope(|s| {
+        let skipped = &tickets[SKIP as usize];
+        let waiter = s.spawn(|| skipped.wait());
+        for (page, t) in (0..).zip(&tickets) {
+            if page != SKIP {
+                t.wait().expect("every answered fault resolves");
+            }
+        }
+        // The report is filed after the counter is bumped: wait for it.
+        assert!(
+            machsim::wall::poll_until(Duration::from_secs(10), Duration::from_millis(5), || {
+                !kernel.watchdog_reports().is_empty()
+            }),
+            "the skipped fault was never flagged"
+        );
+        let cid = skipped.correlation().raw();
+        let reports = kernel.watchdog_reports();
+        assert!(reports[0].contains(&format!("watchdog stall: cid#{cid} ")));
+        machsim::wall::sleep(Duration::from_millis(100));
+        assert_eq!(stalls(), 1, "flagged once, however many scans find it");
+        assert_eq!(kernel.watchdog_reports().len(), 1);
 
-    connection(&held).data_provided(object.id().0, SKIP * PAGE, page_run(PAGE), VmProt::NONE);
-    tickets[SKIP as usize]
-        .wait()
-        .expect("the late answer resolves it");
+        connection(&held).data_provided(object.id().0, SKIP * PAGE, page_run(PAGE), VmProt::NONE);
+        waiter
+            .join()
+            .expect("waiter thread")
+            .expect("the late answer resolves it");
+    });
     assert_eq!(stalls(), 1);
 }
 
@@ -740,15 +747,16 @@ fn a_dead_managers_faults_fail_when_the_notice_arrives() {
     assert_eq!(stats.get(keys::VM_ASYNC_PAGER_DEAD), A_FAULTS);
 }
 
-/// The timer wakes only for what it is armed for: pager round trips with
-/// no deadline arm nothing, and one parked fault with a policy deadline
-/// wakes it exactly once, when the deadline fires.
+/// A fault's deadline is kept by the thread that waits for it: pager
+/// round trips with no deadline never sweep, and one parked fault with a
+/// policy deadline is swept exactly once, by its waiter, when the
+/// deadline falls due.
 #[test]
-fn the_timer_wakes_only_for_a_deadline_that_falls_due() -> Result<(), VmError> {
+fn a_waiter_sweeps_only_for_a_deadline_that_falls_due() -> Result<(), VmError> {
     let m = Machine::default_machine();
     let (phys, pager, object) = recorded(&m, 1024, 16);
     let engine = phys.fault_engine();
-    let wakeups = || m.stats.get(keys::VM_TIMER_WAKEUPS);
+    let sweeps = || m.stats.get(keys::VM_TIMER_WAKEUPS);
     for _ in 0..1000 {
         let ticket = engine.submit(&object, 0, VmProt::READ, FaultPolicy::trusting());
         phys.supply_page(&object, 0, filled(1), VmProt::NONE)?;
@@ -757,7 +765,7 @@ fn the_timer_wakes_only_for_a_deadline_that_falls_due() -> Result<(), VmError> {
     }
     assert_eq!(pager.requests().len(), 1000);
     assert_eq!(m.stats.get(keys::VM_ASYNC_PARKS), 1000);
-    assert_eq!(wakeups(), 0);
+    assert_eq!(sweeps(), 0);
 
     let policy = FaultPolicy::abort_after(Duration::from_millis(40));
     let err = engine
@@ -765,19 +773,64 @@ fn the_timer_wakes_only_for_a_deadline_that_falls_due() -> Result<(), VmError> {
         .wait()
         .expect_err("nobody answers");
     assert!(matches!(err, VmError::Timeout), "got {err:?}");
-    assert_eq!(wakeups(), 1);
+    assert_eq!(sweeps(), 1);
     assert_eq!(m.stats.get(keys::VM_ASYNC_TIMEOUTS), 1);
     assert_eq!(phys.frame_census().pending, 0);
     Ok(())
 }
 
-/// A kernel arms no alarm at boot, so a kernel that is left alone never
-/// wakes its timer.
+/// A kernel parks no fault at boot, so a kernel that is left alone has no
+/// alarm, and nothing ever sweeps it.
 #[test]
-fn an_idle_kernels_timer_sleeps() {
+fn an_idle_kernel_never_sweeps() {
     let kernel = Kernel::boot(KernelConfig::default());
     machsim::wall::sleep(Duration::from_millis(100));
     assert_eq!(kernel.machine().stats.get(keys::VM_TIMER_WAKEUPS), 0);
+}
+
+/// Fault-ahead waits for every run it submitted, whichever fails first: a
+/// run against a dead manager fails the call, but only once the run behind
+/// it, on another object whose manager answers late, has resolved, so no
+/// fault it submitted is left parked without a waiter.
+#[test]
+fn fault_ahead_waits_for_every_run_it_submitted() -> Result<(), VmError> {
+    const PAGES: u64 = 4;
+    let kernel = Kernel::boot(KernelConfig::default());
+    let engine = kernel.fault_engine();
+    let mgr_a = spawn_manager(kernel.machine(), "doomed", BlackHolePager);
+    let (open, gate) = mpsc::channel();
+    let mgr_b = spawn_manager(kernel.machine(), "gated", GatedManager { gate });
+    // Declared after the manager, so dropped before it: should an
+    // assertion fail, the gate opens before the handle waits for it.
+    let open: mpsc::Sender<()> = open;
+    let a = kernel.object_for_port(mgr_a.port(), PAGES * PAGE);
+    let b = kernel.object_for_port(mgr_b.port(), PAGES * PAGE);
+    let map = VmMap::new(kernel.phys());
+    let addr = map.allocate_with_object(None, PAGES * PAGE, a, 0, false)?;
+    map.allocate_with_object(Some(addr + PAGES * PAGE), PAGES * PAGE, b, 0, false)?;
+
+    std::thread::scope(|s| {
+        let ahead = s.spawn(|| {
+            let result = map.fault_ahead(addr, 2 * PAGES * PAGE, VmProt::READ);
+            (result, engine.outstanding())
+        });
+        assert!(
+            machsim::wall::poll_until(Duration::from_secs(5), Duration::from_millis(1), || {
+                engine.outstanding() == 2
+            }),
+            "both runs parked"
+        );
+        mgr_a.shutdown();
+        machsim::wall::sleep(Duration::from_millis(20));
+        drop(open);
+        let (result, outstanding) = ahead.join().expect("fault-ahead thread");
+        assert!(
+            matches!(result, Err(VmError::ObjectDestroyed)),
+            "got {result:?}"
+        );
+        assert_eq!(outstanding, 0, "no run is left parked");
+    });
+    Ok(())
 }
 
 /// Engine shutdown with runs parked: each errors with `ObjectDestroyed`

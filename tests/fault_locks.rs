@@ -44,7 +44,7 @@ fn holds_taken() -> Holds {
 }
 
 /// Runs `op` and returns its result with the acquisitions made meanwhile
-/// (by any thread: the engine's timer included).
+/// (by any thread: a waiter's fault sweep included).
 fn counted<T>(op: impl FnOnce() -> T) -> (T, Holds) {
     let before = holds_taken();
     let out = op();
@@ -134,11 +134,12 @@ fn a_fault_that_need_not_wait_never_takes_the_table_lock() -> Result<(), VmError
     let phys = PhysicalMemory::new(&m, 2560 * PAGE as usize, PAGE as usize, 4);
     let policy = FaultPolicy::trusting();
 
-    // Nothing here arms the engine's timer (no deadline, no watchdog), so
-    // no other thread takes these locks: every count is exact. A fault that resolves on its
-    // submitter's step never takes the fault table; the resident table
-    // once per probe of the shadow chain, once to copy out of a copy's
-    // source and once to enter what the fault made.
+    // No fault here carries a deadline (no policy timeout, no watchdog),
+    // so nothing sweeps and no other thread takes these locks: every
+    // count is exact. A fault that resolves on its submitter's step never
+    // takes the fault table; the resident table once per probe of the
+    // shadow chain, once to copy out of a copy's source and once to enter
+    // what the fault made.
     let anon = VmObject::new_temporary(4 * PAGE);
     let (fault, holds) = counted(|| resolve_page(&phys, &anon, 0, VmProt::WRITE, policy));
     fault?;

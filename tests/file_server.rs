@@ -41,9 +41,6 @@ fn serve_files(k: &Arc<Kernel>, task: &Task, files: usize) -> Arc<FileServer> {
 fn a_file_server_serving_many_files_adds_one_host_thread() {
     let k = Kernel::boot(KernelConfig::default());
     let task = Task::create(&k, "client");
-    // Whatever the kernel starts at its first pager round trip (the fault
-    // engine's timer, say) starts here, before the count.
-    let _warm = serve_files(&k, &task, 1);
     let before = host_threads();
     let server = serve_files(&k, &task, 8);
     assert_eq!(host_threads(), before + 1, "one thread for eight files");

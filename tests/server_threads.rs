@@ -3,11 +3,13 @@
 //! shm directory serving four regions each add one host thread, and give
 //! it back when dropped. A netmsg proxy is a kernel port, not a thread:
 //! remote host queries add none, and a copy-on-reference migration runs
-//! only its pager. The only test in its binary, so nothing else starts or
-//! stops a thread while it counts them.
+//! only its pager. A fault's deadline is kept by the thread waiting for
+//! it: a kernel's first parked fault with a deadline adds none. The only
+//! test in its binary, so nothing else starts or stops a thread while it
+//! counts them.
 
 use machcore::introspect::query_host_statistics;
-use machcore::{Kernel, KernelConfig, Task};
+use machcore::{spawn_manager, DataManager, Kernel, KernelConfig, KernelConn, Task};
 use machnet::Fabric;
 use machpagers::{
     ArrayService, CamelotClient, CamelotServer, GrantPolicy, MigrationManager, MigrationStrategy,
@@ -15,6 +17,7 @@ use machpagers::{
 };
 use machsim::wall::poll_until;
 use machstorage::BlockDevice;
+use machvm::{FaultPolicy, VmError, VmProt};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -68,6 +71,14 @@ fn adds_one_thread<T>(what: &str, thread: &str, start: impl Fn() -> T) {
     assert_eq!(host_threads(), before, "and no other thread is left");
 }
 
+/// Never answers anything.
+struct SilentManager;
+
+impl DataManager for SilentManager {
+    fn data_request(&mut self, _k: &KernelConn, _object: u64, _offset: u64, _len: u64, _a: VmProt) {
+    }
+}
+
 /// Reads the first byte at `addr`, faulting it in from its manager.
 fn fault_in(task: &Task, addr: u64) {
     let mut b = [0u8; 1];
@@ -81,6 +92,18 @@ fn a_data_manager_server_adds_one_host_thread() {
     let k = Kernel::boot_on(origin.machine().clone(), KernelConfig::default());
     let task = Task::create(&k, "client");
     let machine = k.machine();
+
+    // The kernel's first parked fault carries a policy deadline: its
+    // waiter keeps it, and no thread starts to keep it instead.
+    let silent = spawn_manager(machine, "silent", SilentManager);
+    let object = k.object_for_port(silent.port(), PAGE);
+    let before = host_threads();
+    let policy = FaultPolicy::abort_after(Duration::from_millis(40));
+    let ticket = k.fault_engine().submit(&object, 0, VmProt::READ, policy);
+    assert!(!ticket.is_done(), "the fault parked");
+    assert_eq!(host_threads(), before, "a parked deadline adds no thread");
+    assert!(matches!(ticket.wait(), Err(VmError::Timeout)));
+    drop(silent);
 
     let camelot = || {
         let dev = Arc::new(BlockDevice::new(machine, 256));
@@ -156,11 +179,8 @@ fn a_data_manager_server_adds_one_host_thread() {
         migrated
     };
 
-    // Whatever a kernel starts at its first pager round trip (the fault
-    // engine's timer, say) starts here, before the counts.
-    drop(camelot());
-    drop(remote_shared_memory());
-    drop(migrate());
+    // No server needs a run before its count: a kernel's first pager round
+    // trip starts no thread.
     adds_one_thread("camelot", "camelot-server", camelot);
     adds_one_thread("the array service", "array-server", array);
     adds_one_thread("a shared memory server", "shm-server", shared_memory);
