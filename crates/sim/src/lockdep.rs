@@ -30,18 +30,19 @@
 //! **always-on contention profile**: per-class acquisition and contention
 //! counters plus a wait-time histogram (see [`contention_snapshot`]). An
 //! uncontended acquisition costs one `try_lock` and one relaxed
-//! increment; only a thread that blocks reads the clock. Waits are timed
-//! in *wall* nanoseconds via the [`crate::wall`] airlock — lock
-//! contention is a property of the host executing the simulation, not of
-//! simulated time — so the histogram is diagnostic only and must never be
-//! mixed into a machine's sim-time
+//! increment of a counter striped by thread, so two CPUs taking locks
+//! write no shared counter; only a thread that blocks reads the clock.
+//! Waits are timed in *wall* nanoseconds via the [`crate::wall`] airlock
+//! — lock contention is a property of the host executing the
+//! simulation, not of simulated time — so the histogram is diagnostic
+//! only and must never be mixed into a machine's sim-time
 //! [`LatencyRegistry`](crate::trace::LatencyRegistry).
 
 use crate::trace::Histogram;
 use crate::wall;
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// The classes of the declared hierarchy, outermost first.
@@ -112,9 +113,10 @@ impl LockClass {
 
 /// Per-class contention statistics (process-wide, like the witness: one
 /// simulated host's locks are not distinguishable from another's here,
-/// which is fine for a host-level diagnostic).
+/// which is fine for a host-level diagnostic). Only a contended
+/// acquisition writes here; every acquisition is counted in
+/// [`ACQUISITIONS`].
 struct ClassStats {
-    acquisitions: AtomicU64,
     contended: AtomicU64,
     wait_ns: Histogram,
 }
@@ -123,7 +125,6 @@ fn class_stats() -> &'static [ClassStats; LockClass::ALL.len()] {
     static STATS: OnceLock<[ClassStats; LockClass::ALL.len()]> = OnceLock::new();
     STATS.get_or_init(|| {
         std::array::from_fn(|_| ClassStats {
-            acquisitions: AtomicU64::new(0),
             contended: AtomicU64::new(0),
             wait_ns: Histogram::new(),
         })
@@ -132,6 +133,39 @@ fn class_stats() -> &'static [ClassStats; LockClass::ALL.len()] {
 
 fn stats_of(class: LockClass) -> &'static ClassStats {
     &class_stats()[class.rank() as usize]
+}
+
+/// Stripes of the acquisition counts. A thread keeps to one stripe, so
+/// threads on different CPUs bump counters on different cache lines
+/// (threads past this many share stripes, round-robin).
+const STRIPES: usize = 16;
+
+/// One stripe: an acquisition count per class, alone on its cache line
+/// (128 bytes: the pair of lines an x86 core prefetches together).
+#[repr(align(128))]
+struct Stripe([AtomicU64; LockClass::ALL.len()]);
+
+/// Every classified acquisition, counted on the acquiring thread's
+/// stripe; [`contention_snapshot`] sums the stripes.
+static ACQUISITIONS: [Stripe; STRIPES] =
+    [const { Stripe([const { AtomicU64::new(0) }; LockClass::ALL.len()]) }; STRIPES];
+
+/// The calling thread's stripe, chosen at its first classified
+/// acquisition.
+fn stripe() -> &'static Stripe {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static STRIPE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % STRIPES;
+    }
+    &ACQUISITIONS[STRIPE.with(|&s| s)]
+}
+
+/// The acquisitions of `class` so far, every stripe summed.
+fn acquisitions_of(class: LockClass) -> u64 {
+    ACQUISITIONS
+        .iter()
+        .map(|stripe| stripe.0[class.rank() as usize].load(Ordering::Relaxed))
+        .sum()
 }
 
 /// One class's slice of the contention profile (see
@@ -156,7 +190,7 @@ pub fn contention_snapshot() -> Vec<ClassContention> {
             let s = stats_of(class);
             ClassContention {
                 class,
-                acquisitions: s.acquisitions.load(Ordering::Relaxed),
+                acquisitions: acquisitions_of(class),
                 contended: s.contended.load(Ordering::Relaxed),
                 wait_ns: &s.wait_ns,
             }
@@ -181,9 +215,9 @@ fn profiled<G>(
     try_acquire: impl FnOnce() -> Option<G>,
     acquire: impl FnOnce() -> G,
 ) -> G {
-    let stats = stats_of(class);
-    stats.acquisitions.fetch_add(1, Ordering::Relaxed);
+    stripe().0[class.rank() as usize].fetch_add(1, Ordering::Relaxed);
     try_acquire().unwrap_or_else(|| {
+        let stats = stats_of(class);
         stats.contended.fetch_add(1, Ordering::Relaxed);
         let blocked_from = wall::now();
         let guard = acquire();
@@ -499,6 +533,35 @@ mod tests {
             drop(l.write());
         }
         assert_eq!(port(), (acquisitions + 300, contended, waits));
+    }
+
+    #[test]
+    fn striped_acquisitions_sum_to_the_exact_total() {
+        // No other test in this crate takes a `run-queue` lock, so only
+        // this test moves the class's count.
+        let run_queue = || {
+            contention_snapshot()
+                .into_iter()
+                .find(|c| c.class == LockClass::RunQueue)
+                .map_or(0, |c| c.acquisitions)
+        };
+        let before = run_queue();
+        let lock = std::sync::Arc::new(ClassMutex::new(LockClass::RunQueue, 0u64));
+        let holders: Vec<_> = (0..4)
+            .map(|_| {
+                let lock = lock.clone();
+                std::thread::spawn(move || {
+                    for _ in 0..10_000 {
+                        *lock.lock() += 1;
+                    }
+                })
+            })
+            .collect();
+        for h in holders {
+            h.join().expect("holder thread");
+        }
+        assert_eq!(run_queue(), before + 40_000);
+        assert_eq!(*lock.lock(), 40_000);
     }
 
     #[test]

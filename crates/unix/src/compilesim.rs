@@ -117,14 +117,14 @@ impl CompileWorkload {
         let size = io.size_of(name)?;
         let fd = io.open(name)?;
         let mut buf = vec![0u8; self.chunk];
-        let mut pos = 0;
-        while pos < size {
+        let read = (0..size).step_by(self.chunk).try_for_each(|pos| {
             let n = self.chunk.min(size - pos);
-            io.read(fd, pos, &mut buf[..n])?;
-            pos += n;
-        }
-        io.close(fd)?;
-        Ok(size)
+            io.read(fd, pos, &mut buf[..n])
+        });
+        // Closed whether or not the reads succeeded: a failed build must
+        // not keep the descriptor.
+        let closed = io.close(fd);
+        read.and(closed).map(|()| size)
     }
 
     /// One preprocessor step: reads shared header `h`. Returns bytes read.
@@ -155,13 +155,13 @@ impl CompileWorkload {
         let fd = io.open(&obj)?;
         let out = vec![0xB1u8; self.chunk];
         let obj_size = self.obj_bytes();
-        let mut pos = 0;
-        while pos < obj_size {
+        let written = (0..obj_size).step_by(self.chunk).try_for_each(|pos| {
             let n = self.chunk.min(obj_size - pos);
-            io.write(fd, pos, &out[..n])?;
-            pos += n;
-        }
-        io.close(fd)
+            io.write(fd, pos, &out[..n])
+        });
+        // As in `read_whole`: the descriptor goes back on an error too.
+        let closed = io.close(fd);
+        written.and(closed)
     }
 
     /// Compiles one unit end to end: headers, two source passes, CPU work,
@@ -206,6 +206,7 @@ mod tests {
     use super::*;
     use crate::baseline::BaselineUnix;
     use crate::emul::MachUnix;
+    use crate::Fd;
     use machcore::{Kernel, KernelConfig, Task};
     use machpagers::{FileServer, FsClient};
     use machstorage::{BlockDevice, FlatFs};
@@ -234,6 +235,57 @@ mod tests {
         // Keep the kernel alive for the duration of the test.
         std::mem::forget(k);
         (machine, server, unix)
+    }
+
+    /// A `MachUnix` whose every read and write fails, as a pager error
+    /// would fail them; opens and closes go through.
+    struct FailingIo<'a>(&'a MachUnix);
+
+    impl UnixIo for FailingIo<'_> {
+        fn create(&self, name: &str, size: usize) -> Result<(), UnixError> {
+            self.0.create(name, size)
+        }
+        fn open(&self, name: &str) -> Result<Fd, UnixError> {
+            self.0.open(name)
+        }
+        fn read(&self, _: Fd, _: usize, _: &mut [u8]) -> Result<(), UnixError> {
+            Err(UnixError::Substrate("read failed".into()))
+        }
+        fn write(&self, _: Fd, _: usize, _: &[u8]) -> Result<(), UnixError> {
+            Err(UnixError::Substrate("write failed".into()))
+        }
+        fn close(&self, fd: Fd) -> Result<(), UnixError> {
+            self.0.close(fd)
+        }
+        fn sync_all(&self) -> Result<(), UnixError> {
+            self.0.sync_all()
+        }
+        fn size_of(&self, name: &str) -> Result<usize, UnixError> {
+            self.0.size_of(name)
+        }
+    }
+
+    #[test]
+    fn a_failed_read_or_write_gives_its_descriptor_back() -> Result<(), UnixError> {
+        let w = CompileWorkload {
+            source_files: 1,
+            headers: 1,
+            ..CompileWorkload::default()
+        };
+        let (_machine, _server, u) = mach();
+        w.populate(&u)?;
+        let lowest = u.open(&w.src_name(0))?;
+        u.close(lowest)?;
+        // More failures than the descriptor table has slots.
+        let failing = FailingIo(&u);
+        for _ in 0..5000 {
+            assert!(w.read_header(&failing, 0).is_err());
+            assert!(w.emit_object(&failing, 0).is_err());
+            let fd = u.open(&w.src_name(0))?;
+            assert_eq!(fd, lowest, "a failed read or write kept its descriptor");
+            u.close(fd)?;
+        }
+        Ok(())
     }
 
     #[test]

@@ -15,7 +15,7 @@ use machpagers::{FsClient, FsClientError};
 use machvm::VmProt;
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 struct OpenFile {
     name: Arc<str>,
@@ -23,25 +23,77 @@ struct OpenFile {
     size: usize,
 }
 
-struct EmulState {
-    next_fd: u32,
-    open: HashMap<Fd, OpenFile>,
-    /// Mappings kept after close so re-opens reuse the same region
-    /// (mirroring the VM cache persistence; the mapping itself is cheap):
-    /// `(address, size the FS_OPEN_MAPPED reply carried)`. That size is
-    /// the file's size as far as this library goes — `read`/`write` bound
-    /// against it and `size_of` answers from it.
-    cached_maps: HashMap<Arc<str>, (u64, usize)>,
-    /// Files written through a descriptor since the last `sync_all` — the
-    /// only ones whose pages can be dirty.
-    written: BTreeSet<Arc<str>>,
+/// Descriptors in one chunk of the table.
+const CHUNK: usize = 64;
+/// Chunks the table grows to: 4096 descriptors open at once.
+const CHUNKS: usize = 64;
+/// The first descriptor handed out; 0, 1 and 2 are UNIX's standard
+/// input, output and error.
+const FIRST_FD: u32 = 3;
+
+/// One descriptor: the open file, or nothing. Each slot is alone on its
+/// cache line (128 bytes: the pair of lines an x86 core prefetches
+/// together). Its lock is taken by the threads using that descriptor and
+/// by an `open` looking for a free slot, so threads reading through
+/// different descriptors write no line in common.
+#[repr(align(128))]
+#[derive(Default)]
+struct Slot(Mutex<Option<OpenFile>>);
+
+/// The descriptor table: one slot per descriptor, in chunks published
+/// once each (as a `Pmap`'s radix nodes are) and never moved, so a slot
+/// is reached without a table-wide lock.
+struct FdTable {
+    chunks: [OnceLock<Box<[Slot; CHUNK]>>; CHUNKS],
+}
+
+impl FdTable {
+    fn new() -> Self {
+        Self {
+            chunks: std::array::from_fn(|_| OnceLock::new()),
+        }
+    }
+
+    /// The slot of `fd`, if the table has grown to it.
+    fn slot(&self, fd: Fd) -> Option<&Slot> {
+        let index = fd.0.checked_sub(FIRST_FD)? as usize;
+        self.chunks.get(index / CHUNK)?.get()?.get(index % CHUNK)
+    }
+
+    /// Puts `file` in the lowest free slot, as UNIX's `open` takes the
+    /// lowest free descriptor, growing the table by a chunk when every
+    /// slot is taken. `None` when all `CHUNKS` chunks are full.
+    fn insert(&self, file: OpenFile) -> Option<Fd> {
+        for (c, chunk) in self.chunks.iter().enumerate() {
+            let slots = chunk.get_or_init(|| Box::new(std::array::from_fn(|_| Slot::default())));
+            for (i, slot) in slots.iter().enumerate() {
+                let mut open = slot.0.lock();
+                if open.is_none() {
+                    *open = Some(file);
+                    return Some(Fd(FIRST_FD + (c * CHUNK + i) as u32));
+                }
+            }
+        }
+        None
+    }
 }
 
 /// The mapped-file UNIX emulation.
 pub struct MachUnix {
     task: Arc<Task>,
     client: FsClient,
-    state: Mutex<EmulState>,
+    fds: FdTable,
+    /// Mappings kept after close so re-opens reuse the same region
+    /// (mirroring the VM cache persistence; the mapping itself is cheap):
+    /// `(address, size the FS_OPEN_MAPPED reply carried)`. That size is
+    /// the file's size as far as this library goes — `read`/`write` bound
+    /// against it and `size_of` answers from it. Taken by `open` and
+    /// `size_of`, never by `read` or `write`.
+    cached_maps: Mutex<HashMap<Arc<str>, (u64, usize)>>,
+    /// Files written through a descriptor since the last `sync_all` — the
+    /// only ones whose pages can be dirty. Taken by `write` and
+    /// `sync_all`, never by `read`.
+    written: Mutex<BTreeSet<Arc<str>>>,
 }
 
 fn from_fs(e: FsClientError) -> UnixError {
@@ -55,19 +107,17 @@ impl MachUnix {
         Self {
             task: task.clone(),
             client,
-            state: Mutex::new(EmulState {
-                next_fd: 3,
-                open: HashMap::new(),
-                cached_maps: HashMap::new(),
-                written: BTreeSet::new(),
-            }),
+            fds: FdTable::new(),
+            cached_maps: Mutex::new(HashMap::new()),
+            written: Mutex::new(BTreeSet::new()),
         }
     }
 
-    fn entry(&self, fd: Fd) -> Result<(u64, usize), UnixError> {
-        let st = self.state.lock();
-        let f = st.open.get(&fd).ok_or(UnixError::BadFd)?;
-        Ok((f.addr, f.size))
+    /// Runs `f` on `fd`'s open file under its slot's lock.
+    fn with_open<R>(&self, fd: Fd, f: impl FnOnce(&OpenFile) -> R) -> Result<R, UnixError> {
+        let slot = self.fds.slot(fd).ok_or(UnixError::BadFd)?;
+        let open = slot.0.lock();
+        open.as_ref().map(f).ok_or(UnixError::BadFd)
     }
 
     /// Hands the range's absent pages to the continuation-based fault
@@ -97,28 +147,30 @@ impl UnixIo for MachUnix {
             .machine()
             .clock
             .charge(self.task.machine().cost.syscall_ns);
-        let mut st = self.state.lock();
-        let (name, (addr, size)) = match st.cached_maps.get_key_value(name) {
-            Some((name, &m)) => (name.clone(), m),
+        let cached = self
+            .cached_maps
+            .lock()
+            .get_key_value(name)
+            .map(|(n, &m)| (n.clone(), m));
+        let (name, (addr, size)) = match cached {
+            Some(cached) => cached,
             None => {
-                drop(st);
                 // "An open call would result in the file being mapped into
                 // memory."
                 let (addr, size) = self.client.open_mapped(&self.task, name).map_err(from_fs)?;
                 let name: Arc<str> = name.into();
-                st = self.state.lock();
-                st.cached_maps.insert(name.clone(), (addr, size as usize));
-                (name, (addr, size as usize))
+                let map = (addr, size as usize);
+                self.cached_maps.lock().insert(name.clone(), map);
+                (name, map)
             }
         };
-        let fd = Fd(st.next_fd);
-        st.next_fd += 1;
-        st.open.insert(fd, OpenFile { name, addr, size });
-        Ok(fd)
+        self.fds
+            .insert(OpenFile { name, addr, size })
+            .ok_or_else(|| UnixError::Substrate("descriptor table full".into()))
     }
 
     fn read(&self, fd: Fd, offset: usize, buf: &mut [u8]) -> Result<(), UnixError> {
-        let (addr, size) = self.entry(fd)?;
+        let (addr, size) = self.with_open(fd, |f| (f.addr, f.size))?;
         if offset + buf.len() > size {
             return Err(UnixError::OutOfRange);
         }
@@ -131,16 +183,11 @@ impl UnixIo for MachUnix {
     }
 
     fn write(&self, fd: Fd, offset: usize, data: &[u8]) -> Result<(), UnixError> {
-        let addr = {
-            let mut st = self.state.lock();
-            let f = st.open.get(&fd).ok_or(UnixError::BadFd)?;
-            if offset + data.len() > f.size {
-                return Err(UnixError::OutOfRange);
-            }
-            let (name, addr) = (f.name.clone(), f.addr);
-            st.written.insert(name);
-            addr
-        };
+        let (name, addr, size) = self.with_open(fd, |f| (f.name.clone(), f.addr, f.size))?;
+        if offset + data.len() > size {
+            return Err(UnixError::OutOfRange);
+        }
+        self.written.lock().insert(name);
         self.fault_ahead(addr + offset as u64, data.len(), VmProt::WRITE);
         self.task
             .write_memory(addr + offset as u64, data)
@@ -150,12 +197,9 @@ impl UnixIo for MachUnix {
     fn close(&self, fd: Fd) -> Result<(), UnixError> {
         // The mapping stays (cached_maps); dirty pages stay in the VM
         // cache and reach the server on eviction or sync.
-        self.state
-            .lock()
-            .open
-            .remove(&fd)
-            .map(|_| ())
-            .ok_or(UnixError::BadFd)
+        let slot = self.fds.slot(fd).ok_or(UnixError::BadFd)?;
+        let closed = slot.0.lock().take();
+        closed.map(drop).ok_or(UnixError::BadFd)
     }
 
     /// One `FS_SYNC` naming every file written since the last call. The
@@ -164,13 +208,13 @@ impl UnixIo for MachUnix {
     /// this returns, and the next build dirties pages that are clean.
     fn sync_all(&self) -> Result<(), UnixError> {
         // A file only ever read has nothing to clean.
-        let names = std::mem::take(&mut self.state.lock().written);
+        let names = std::mem::take(&mut *self.written.lock());
         if names.is_empty() {
             return Ok(());
         }
         self.client.sync(&names).map_err(|e| {
             // Still unsynced.
-            self.state.lock().written.extend(names);
+            self.written.lock().extend(names);
             from_fs(e)
         })
     }
@@ -180,7 +224,7 @@ impl UnixIo for MachUnix {
     /// protection boundary to ask, and `read` can reach exactly the size
     /// reported here. Only a name never opened costs an `FS_STAT`.
     fn size_of(&self, name: &str) -> Result<usize, UnixError> {
-        if let Some(&(_, size)) = self.state.lock().cached_maps.get(name) {
+        if let Some(&(_, size)) = self.cached_maps.lock().get(name) {
             return Ok(size);
         }
         Ok(self.client.stat(name).map_err(from_fs)? as usize)
@@ -385,6 +429,98 @@ mod tests {
             u.write(fd, 50, &[0u8; 60]).unwrap_err(),
             UnixError::OutOfRange
         );
+    }
+
+    #[test]
+    fn a_closed_or_never_opened_descriptor_is_bad() -> Result<(), UnixError> {
+        let (_k, _s, u) = setup();
+        u.create("f", 4096)?;
+        let mut b = [0u8; 1];
+        for never in [Fd(0), Fd(2), Fd(FIRST_FD), Fd(FIRST_FD + 1), Fd(u32::MAX)] {
+            assert_eq!(u.read(never, 0, &mut b), Err(UnixError::BadFd));
+            assert_eq!(u.write(never, 0, b"x"), Err(UnixError::BadFd));
+            assert_eq!(u.close(never), Err(UnixError::BadFd));
+        }
+        let fd = u.open("f")?;
+        u.close(fd)?;
+        assert_eq!(u.read(fd, 0, &mut b), Err(UnixError::BadFd));
+        assert_eq!(u.write(fd, 0, b"x"), Err(UnixError::BadFd));
+        assert_eq!(u.close(fd), Err(UnixError::BadFd));
+        Ok(())
+    }
+
+    #[test]
+    fn open_takes_the_lowest_free_descriptor() -> Result<(), UnixError> {
+        let (_k, _s, u) = setup();
+        u.create("f", 4096)?;
+        let fds = (0..4).map(|_| u.open("f")).collect::<Result<Vec<_>, _>>()?;
+        assert_eq!(fds, [Fd(3), Fd(4), Fd(5), Fd(6)]);
+        u.close(fds[2])?;
+        u.close(fds[1])?;
+        assert_eq!(u.open("f")?, Fd(4));
+        assert_eq!(u.open("f")?, Fd(5));
+        assert_eq!(u.open("f")?, Fd(7));
+        Ok(())
+    }
+
+    #[test]
+    fn a_hundred_files_are_open_at_once() -> Result<(), UnixError> {
+        let (_k, _s, u) = setup();
+        let mut fds = Vec::new();
+        for i in 0..100u8 {
+            let name = format!("f{i}");
+            u.create(&name, 4096)?;
+            let fd = u.open(&name)?;
+            u.write(fd, 0, &[i])?;
+            fds.push(fd);
+        }
+        // Past one chunk of the table, and every descriptor still its own.
+        assert_eq!(fds.last(), Some(&Fd(FIRST_FD + 99)));
+        for (i, &fd) in fds.iter().enumerate() {
+            let mut b = [0u8; 1];
+            u.read(fd, 0, &mut b)?;
+            assert_eq!(b[0], i as u8);
+        }
+        for fd in fds {
+            u.close(fd)?;
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn four_threads_open_read_and_close_concurrently() -> Result<(), UnixError> {
+        let (_k, _s, u) = setup();
+        for t in 0..4u8 {
+            let name = format!("t{t}");
+            u.create(&name, 8192)?;
+            let fd = u.open(&name)?;
+            u.write(fd, 0, &[t; 8192])?;
+            u.close(fd)?;
+        }
+        std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..4u8)
+                .map(|t| {
+                    let u = &u;
+                    scope.spawn(move || -> Result<(), UnixError> {
+                        let name = format!("t{t}");
+                        let mut b = vec![0u8; 8192];
+                        for _ in 0..1000 {
+                            let fd = u.open(&name)?;
+                            u.read(fd, 0, &mut b)?;
+                            assert!(b.iter().all(|&x| x == t), "{name} read back another file");
+                            u.close(fd)?;
+                        }
+                        Ok(())
+                    })
+                })
+                .collect();
+            threads
+                .into_iter()
+                .try_for_each(|t| t.join().expect("reader thread"))
+        })?;
+        // Every descriptor came back: the lowest is free again.
+        assert_eq!(u.open("t0")?, Fd(FIRST_FD));
+        Ok(())
     }
 
     #[test]

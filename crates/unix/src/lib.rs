@@ -82,14 +82,15 @@ pub trait UnixIo {
     /// Closes a descriptor.
     fn close(&self, fd: Fd) -> Result<(), UnixError>;
 
-    /// Starts everything dirty on its way to the device. Like `sync(2)`,
-    /// which "may return before the writing is complete", this is not a
-    /// barrier: [`BaselineUnix`] has written every dirty buffer when it
-    /// returns, [`MachUnix`] has only had the file server *ask* the kernel
-    /// to clean each written file, and the `pager_data_write`s and disk
-    /// writes follow on the kernel's and the pagers' threads. A caller
-    /// that counts disk operations, or reads the device, right after this
-    /// returns must wait for them to land.
+    /// Writes what is dirty back to the filesystem, and returns once it
+    /// is there. [`BaselineUnix`] writes every dirty buffer of its cache
+    /// to the device. [`MachUnix`] sends the file server one `FS_SYNC`
+    /// naming every file written through one of its descriptors since the
+    /// last call; the server answers once the kernel's
+    /// `pager_data_write`s for those files are in its filesystem, so
+    /// their disk writes are counted and the device reads them back when
+    /// this returns. A file written only through another task's mapping
+    /// is not named.
     fn sync_all(&self) -> Result<(), UnixError>;
 
     /// File size.

@@ -684,9 +684,9 @@ impl VmMap {
     /// it. The pmap is asked first, as the MMU would be: a page it
     /// translates for `access` costs that probe and its reference bit —
     /// no map walk, no hold of the resident table — so a warm mapped range
-    /// is a translation per page. A resident page not yet mapped costs a
-    /// lookup; neither charges fault overhead. Returns the number of pages
-    /// submitted.
+    /// is a translation per page, and takes no lock. A resident page not
+    /// yet mapped costs a lookup; neither charges fault overhead. Returns
+    /// the number of pages submitted.
     pub fn fault_ahead(&self, address: u64, size: u64, access: VmProt) -> Result<usize, VmError> {
         if size == 0 {
             return Ok(0);
@@ -694,7 +694,6 @@ impl VmMap {
         let engine = self.phys.fault_engine();
         // First-touch on the task's home node, as for a single fault.
         let _node = crate::numa::NodeScope::enter(self.pmap.home_node());
-        let policy = self.fault_policy();
         let ps = self.page_size();
         let end = address.saturating_add(size);
         // A run is bounded by what the engine lets one pager hold in
@@ -738,6 +737,12 @@ impl VmMap {
             }
             page = page.saturating_add(ps);
         }
+        if runs.is_empty() {
+            return Ok(0);
+        }
+        // The policy lock is shared by the task's threads: a range with
+        // nothing to submit never takes it.
+        let policy = self.fault_policy();
         let tickets: Vec<_> = runs
             .into_iter()
             .map(|(first, object, offset, pages)| {
