@@ -191,10 +191,7 @@ impl PagerBackend for SlowPager {
 /// pager requests, engine batches).
 fn sweep_level(budget: usize, total: usize, latency: Duration) -> (f64, u64, usize, u64, u64) {
     let m = Machine::default_machine();
-    let faults = FaultEngineConfig {
-        capacity: budget,
-        pager_inflight_pages: budget.max(1024),
-    };
+    let faults = FaultEngineConfig { capacity: budget };
     let bytes = (total + 128) * PAGE;
     let phys = PhysicalMemory::with_config(&m, bytes, PAGE, 8, NumaConfig::single(), faults);
     let (object, pager, suppliers) = SlowPager::attach(&phys, (total * PAGE) as u64, latency);

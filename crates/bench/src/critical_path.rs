@@ -89,7 +89,6 @@ pub fn run_storm(budget: usize, total: u64, delay: Duration) -> StormProfile {
         KernelConfig {
             memory_bytes: (total as usize + 256) * PAGE as usize,
             fault_table_capacity: budget,
-            pager_inflight_pages: budget.max(1024),
             ..KernelConfig::default()
         },
     );
@@ -143,7 +142,7 @@ pub fn run_storm(budget: usize, total: u64, delay: Duration) -> StormProfile {
 pub fn render_level(p: &StormProfile) -> String {
     let s = &p.machine.stats;
     format!(
-        "budget={}: {} faults -> {:.0} faults/s | max outstanding {} | deepest park {} | parks {} | backpressure {} | deferred runs {} | contended locks {}\n{}",
+        "budget={}: {} faults -> {:.0} faults/s | max outstanding {} | deepest park {} | parks {} | backpressure {} | contended locks {}\n{}",
         p.budget,
         p.total,
         p.faults_per_sec,
@@ -151,7 +150,6 @@ pub fn render_level(p: &StormProfile) -> String {
         p.deepest_park,
         s.get(stat_keys::VM_ASYNC_PARKS),
         s.get(stat_keys::VM_ASYNC_BACKPRESSURE),
-        s.get(stat_keys::VM_PAGER_DEFERRED_RUNS),
         p.contended,
         p.report.render()
     )

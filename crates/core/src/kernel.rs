@@ -58,9 +58,6 @@ pub struct KernelConfig {
     /// Bound on simultaneously parked fault continuations (the
     /// outstanding-fault budget); submitters briefly block when full.
     pub fault_table_capacity: usize,
-    /// Per-pager cap on requested-but-unanswered pages; request runs
-    /// beyond it are deferred inside the kernel until completions drain.
-    pub pager_inflight_pages: usize,
     /// Simulated CPU count for the `machsched` scheduler: per-CPU run
     /// queues with randomized work stealing and NUMA-affine placement.
     pub sched_cpus: usize,
@@ -111,7 +108,6 @@ impl Default for KernelConfig {
             watchdog_stall_ns: DEFAULT_WATCHDOG_STALL_NS,
             numa: NumaConfig::single(),
             fault_table_capacity: 4096,
-            pager_inflight_pages: 1024,
             sched_cpus: 4,
         }
     }
@@ -191,7 +187,6 @@ impl Kernel {
             config.numa,
             FaultEngineConfig {
                 capacity: config.fault_table_capacity,
-                pager_inflight_pages: config.pager_inflight_pages,
             },
         );
         let registry: Arc<Mutex<Registry>> = Arc::new(Mutex::new(Registry::default()));

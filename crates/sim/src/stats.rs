@@ -110,12 +110,8 @@ pub mod keys {
     pub const VM_ASYNC_PAGER_DEAD: &str = "vm.async.pager_dead";
     /// Multi-run `pager_data_request` batches shipped by the engine (two
     /// or more runs to one pager and object in one batched send: a
-    /// fault's step that asked for several, or deferred runs promoted
-    /// together).
+    /// fault's step that asked for several).
     pub const VM_PAGER_BATCHES: &str = "vm.pager_batches";
-    /// Pager request runs deferred by a per-pager in-flight cap and
-    /// released later as faults returned their charges.
-    pub const VM_PAGER_DEFERRED_RUNS: &str = "vm.pager_deferred_runs";
     /// Phase spans opened into the trace ring (see `machsim::span`).
     pub const TRACE_SPANS: &str = "trace.spans";
     /// Written by nothing, and reads 0: the sampled gauges are gone, and
@@ -186,7 +182,6 @@ pub mod keys {
         VM_ASYNC_TIMEOUTS,
         VM_ASYNC_PAGER_DEAD,
         VM_PAGER_BATCHES,
-        VM_PAGER_DEFERRED_RUNS,
         TRACE_SPANS,
         GAUGE_SAMPLES,
         SCHED_DISPATCHES,
@@ -250,16 +245,15 @@ pub fn slot(name: &str) -> Option<usize> {
         keys::VM_ASYNC_TIMEOUTS => 38,
         keys::VM_ASYNC_PAGER_DEAD => 39,
         keys::VM_PAGER_BATCHES => 40,
-        keys::VM_PAGER_DEFERRED_RUNS => 41,
-        keys::TRACE_SPANS => 42,
-        keys::GAUGE_SAMPLES => 43,
-        keys::SCHED_DISPATCHES => 44,
-        keys::SCHED_STEALS => 45,
-        keys::SCHED_MIGRATIONS => 46,
-        keys::SCHED_AFFINITY_HITS => 47,
-        keys::SCHED_AFFINITY_MISSES => 48,
-        keys::SCHED_PREEMPTIONS => 49,
-        keys::VM_TIMER_WAKEUPS => 50,
+        keys::TRACE_SPANS => 41,
+        keys::GAUGE_SAMPLES => 42,
+        keys::SCHED_DISPATCHES => 43,
+        keys::SCHED_STEALS => 44,
+        keys::SCHED_MIGRATIONS => 45,
+        keys::SCHED_AFFINITY_HITS => 46,
+        keys::SCHED_AFFINITY_MISSES => 47,
+        keys::SCHED_PREEMPTIONS => 48,
+        keys::VM_TIMER_WAKEUPS => 49,
         _ => return None,
     })
 }

@@ -30,8 +30,8 @@
 //!   page's result.
 //! * A pager round trip is the faulting thread, the manager, and the
 //!   thread that applies the answer. A step's `pager_data_request`s are
-//!   booked as *runs* under the park's hold and sent by the parking thread
-//!   once the table is unlocked, per (pager, object) through
+//!   collected as *runs* and sent by the parking thread once the table is
+//!   unlocked, per (pager, object) through
 //!   [`PagerBackend::data_request_many`]. Applying `pager_data_provided`,
 //!   `_unavailable` or `pager_data_lock` — one event per buffer, after its
 //!   last page — re-steps the continuations waiting on it on the applying
@@ -44,11 +44,12 @@
 //!   event raised outside any engine call (a clean page an allocation's
 //!   reclaim drops, a manager's `pager_flush_request`) is an outermost
 //!   call of its own and resumes at once.
-//! * Backpressure is explicit at both ends: the table is bounded (a
-//!   fault that must park waits for a slot — `vm.async.backpressure`),
-//!   and each pager
-//!   has an in-flight page cap (excess runs are deferred until a fault
-//!   returns its charge — `vm.pager_deferred_runs`).
+//! * The table is the one bound on what the kernel has asked and not yet
+//!   been answered: a fault that must park waits for a slot
+//!   (`vm.async.backpressure`), and what is in flight is the parked
+//!   faults times their runs. There is no quota per pager: §6's defences
+//!   against a data manager are a timeout, the reserved pool and the
+//!   default pager's takeover.
 //!
 //! # Observability through the hop
 //!
@@ -85,7 +86,7 @@
 //! and queue locks freely — and sending its requests happen with the
 //! table unlocked. A fault that need not wait takes the table zero
 //! times; one that parks once takes it three times whatever the length
-//! of its run (booking, admission and park under one hold; the fill's
+//! of its run (admission and park under one hold; the fill's
 //! event; completion — `tests/fault_locks.rs`). The alarm lives in the
 //! table, under the same lock.
 //!
@@ -123,7 +124,7 @@ use machsim::stats::keys as stat_keys;
 use machsim::trace::{keys as trace_keys, CorrelationId, CorrelationScope, SpanScope};
 use machsim::{wall, Machine};
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
@@ -141,20 +142,13 @@ pub struct FaultEngineConfig {
     /// Bound on simultaneously parked continuations; a fault that must
     /// park blocks (briefly, with `vm.async.backpressure` counted) when
     /// the table is full. This is the "thousands of outstanding faults"
-    /// budget.
+    /// budget, and the engine's one bound on unanswered requests.
     pub capacity: usize,
-    /// Per-pager cap on requested-but-unanswered pages; runs beyond it
-    /// are deferred until completions drain, so one slow pager queues
-    /// inside the kernel instead of flooding its port.
-    pub pager_inflight_pages: usize,
 }
 
 impl Default for FaultEngineConfig {
     fn default() -> Self {
-        FaultEngineConfig {
-            capacity: 4096,
-            pager_inflight_pages: 1024,
-        }
+        FaultEngineConfig { capacity: 4096 }
     }
 }
 
@@ -258,32 +252,8 @@ struct PendingRun {
     /// The claiming fault's root span, carried on the request so the
     /// manager's `pager.service` span nests under the fault chain.
     parent_span: u64,
-    /// Pages in the run (the unit of in-flight accounting).
+    /// Pages in the run (what [`FaultEngine::cancel_run`] releases).
     pages: usize,
-}
-
-/// What one sent run holds against its pager's budget: the pager, and the
-/// run's pages.
-type Charge = (Arc<dyn PagerBackend>, usize);
-
-/// One pager's account in the table: its requested-but-unanswered pages
-/// and the runs its cap holds back, oldest first.
-struct PagerBudget {
-    pager: Arc<dyn PagerBackend>,
-    inflight: usize,
-    deferred: VecDeque<PendingRun>,
-}
-
-impl PagerBudget {
-    /// Charges `pages` if the budget has room — a pager with nothing in
-    /// flight always has.
-    fn charge(&mut self, pages: usize, cap: usize) -> bool {
-        if self.inflight != 0 && self.inflight + pages > cap {
-            return false;
-        }
-        self.inflight += pages;
-        true
-    }
 }
 
 /// A parked fault: the captured state machine plus resume bookkeeping.
@@ -330,25 +300,16 @@ enum Wake {
     Drained,
 }
 
+/// The continuation table. `conts` is ordered by correlation id, so the
+/// faults a sweep, a manager's death or shutdown takes off the table
+/// resume oldest first; nothing iterates the hashed maps (`waiters`,
+/// `resolved`, `dead`) on a path that sends or charges.
 #[derive(Default)]
 struct Table {
-    /// Parked continuations by raw correlation id.
-    conts: HashMap<u64, Continuation>,
+    /// Parked continuations by raw correlation id, oldest first.
+    conts: BTreeMap<u64, Continuation>,
     /// Park index: page key → raw cids waiting on it.
     waiters: HashMap<(ObjectId, u64), Vec<u64>>,
-    /// Every pager with pages in flight or runs deferred, in the order
-    /// each got its first: matched by `Arc::ptr_eq`, never keyed by an
-    /// address, so promotion sends in an order the run can replay.
-    pagers: Vec<PagerBudget>,
-    /// How many deferred runs each fault (by raw cid) has, so a fault that
-    /// finishes with none need not look through the queues.
-    deferred_by: HashMap<u64, usize>,
-    /// What each fault's sent runs hold against their pagers' budgets, by
-    /// raw cid: `(pager, pages)` per run. Returned when the fault books
-    /// its next step's runs, or finishes. Kept here rather than on the
-    /// continuation so a deferred run can be charged and sent while its
-    /// claimer is off the table (waiting for a slot, or being resumed).
-    charges: HashMap<u64, Vec<Charge>>,
     /// Admitted-but-not-finished faults: incremented when a fault that
     /// must park clears backpressure, decremented when it completes.
     /// Parked *and* resuming faults count, so `conts.len() <= admitted
@@ -375,116 +336,13 @@ struct Table {
     /// reports none.
     #[cfg(test)]
     page_events: u64,
-    /// Deferred runs looked at for promotion so far: lets a test bound
-    /// the work a storm against a capped pager does.
-    #[cfg(test)]
-    deferred_examined: u64,
 }
 
 impl Table {
-    /// `pager`'s budget, opened empty if it has none.
-    fn budget(&mut self, pager: &Arc<dyn PagerBackend>) -> &mut PagerBudget {
-        let found = self
-            .pagers
-            .iter()
-            .position(|b| Arc::ptr_eq(&b.pager, pager));
-        let at = found.unwrap_or_else(|| {
-            self.pagers.push(PagerBudget {
-                pager: pager.clone(),
-                inflight: 0,
-                deferred: VecDeque::new(),
-            });
-            self.pagers.len() - 1
-        });
-        &mut self.pagers[at]
-    }
-
-    /// Charges `run` to its pager's in-flight budget if the budget has
-    /// room.
-    fn try_charge(&mut self, run: &PendingRun, cap: usize) -> bool {
-        if !self.budget(&run.pager).charge(run.pages, cap) {
-            return false;
-        }
-        let charge = (run.pager.clone(), run.pages);
-        self.charges
-            .entry(run.correlation)
-            .or_default()
-            .push(charge);
-        true
-    }
-
-    /// Holds `run` back until its pager has room.
-    fn defer(&mut self, run: PendingRun) {
-        *self.deferred_by.entry(run.correlation).or_default() += 1;
-        self.budget(&run.pager).deferred.push_back(run);
-    }
-
-    /// Moves deferred runs whose pager has room into `send`, charging
-    /// their claimer — wherever it is: completed claimers never appear
-    /// here, because `finish` pulls their unsent runs. Each pager's runs
-    /// go in the order they were deferred, up to the first that does not
-    /// fit, so a completion costs what it promotes, not the whole queue.
-    /// Then closes the budgets left empty.
-    fn promote(&mut self, cap: usize, send: &mut Vec<PendingRun>) {
-        for budget in &mut self.pagers {
-            while let Some(run) = budget.deferred.front() {
-                #[cfg(test)]
-                {
-                    self.deferred_examined += 1;
-                }
-                if !budget.charge(run.pages, cap) {
-                    break;
-                }
-                let run = budget
-                    .deferred
-                    .pop_front()
-                    .expect("invariant: the front was just read");
-                let charge = (budget.pager.clone(), run.pages);
-                self.charges
-                    .entry(run.correlation)
-                    .or_default()
-                    .push(charge);
-                if let Some(n) = self.deferred_by.get_mut(&run.correlation) {
-                    *n -= 1;
-                    if *n == 0 {
-                        self.deferred_by.remove(&run.correlation);
-                    }
-                }
-                send.push(run);
-            }
-        }
-        self.pagers
-            .retain(|b| b.inflight != 0 || !b.deferred.is_empty());
-    }
-
-    /// Takes fault `cid`'s runs that are still deferred out of the queues.
-    fn take_deferred(&mut self, cid: u64) -> Vec<PendingRun> {
-        if self.deferred_by.remove(&cid).is_none() {
-            return Vec::new();
-        }
-        let mut unsent = Vec::new();
-        for budget in &mut self.pagers {
-            let (mine, kept) = std::mem::take(&mut budget.deferred)
-                .into_iter()
-                .partition::<Vec<_>, _>(|run| run.correlation == cid);
-            unsent.extend(mine);
-            budget.deferred.extend(kept);
-        }
-        unsent
-    }
-
-    /// Returns every charge fault `cid` holds.
-    fn discharge(&mut self, cid: u64) {
-        for (pager, pages) in self.charges.remove(&cid).into_iter().flatten() {
-            let budget = self.budget(&pager);
-            budget.inflight = budget.inflight.saturating_sub(pages);
-        }
-    }
-
     /// Takes the parked continuations `keep` selects off the table, and
     /// out of the park index.
     fn unpark(&mut self, keep: impl Fn(&Continuation) -> bool) -> Vec<Continuation> {
-        let taken: Vec<_> = self.conts.extract_if(|_, c| keep(c)).collect();
+        let taken: Vec<_> = self.conts.extract_if(.., |_, c| keep(c)).collect();
         let waiters = &mut self.waiters;
         taken
             .into_iter()
@@ -569,8 +427,8 @@ pub struct FaultEngine {
 }
 
 /// Where a stepped fault puts its `pager_data_request`s: they are
-/// recorded, not sent, so the engine can book them against their pagers'
-/// budgets under the table lock and send them once it is unlocked.
+/// recorded, not sent, so the parking thread can send them once the
+/// table is unlocked.
 pub(crate) struct RunCollector {
     cid: u64,
     root_span: u64,
@@ -613,7 +471,6 @@ impl FaultEngine {
             machine: machine.clone(),
             cfg: FaultEngineConfig {
                 capacity: cfg.capacity.max(1),
-                pager_inflight_pages: cfg.pager_inflight_pages.max(1),
             },
             table: ClassMutex::new(LockClass::FaultTable, Table::default()),
             space: wall::Signal::new(),
@@ -641,11 +498,6 @@ impl FaultEngine {
         self.table.lock().page_events
     }
 
-    #[cfg(test)]
-    pub(crate) fn deferred_examined(&self) -> u64 {
-        self.table.lock().deferred_examined
-    }
-
     /// Outstanding parked continuations right now.
     pub fn outstanding(&self) -> usize {
         self.table.lock().conts.len()
@@ -661,11 +513,6 @@ impl FaultEngine {
     /// in flight.
     pub fn in_flight(&self) -> usize {
         self.table.lock().admitted
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> FaultEngineConfig {
-        self.cfg
     }
 
     /// Stops the engine: every still-parked fault errors with
@@ -959,14 +806,14 @@ impl FaultEngine {
     }
 
     /// Parks `cont`, whose last step left it waiting on `wait` having
-    /// claimed `runs`. Under one hold of the table lock it books the runs,
-    /// takes an admission slot if it holds none (`admit`), and registers
+    /// claimed `runs`. Under one hold of the table lock it takes an
+    /// admission slot if it holds none (`admit`), and registers
     /// the continuation after re-checking the wait *under that lock*
     /// (table → resident is the sanctioned order): an event that fired
     /// since the step re-steps the fault, which keeps its slot, instead
     /// of sleeping on a wakeup that already happened. The park lowers the
     /// engine's alarm to the fault's deadlines; this thread sends the runs
-    /// booked once the table is unlocked, after the park. A re-park, on
+    /// once the table is unlocked, after the park. A re-park, on
     /// the thread that resumed the fault, re-arms a policy deadline its
     /// waiter has not seen, and nudges it to read the alarm again.
     ///
@@ -989,29 +836,15 @@ impl FaultEngine {
     ) -> Option<(Continuation, FaultOutcome)> {
         let reparked = !admit;
         loop {
-            // The charges for the runs `cont` had outstanding when it
-            // parked last are returned to the pagers' budgets unless the
-            // fault re-parks on the *same* pending fill without issuing a
-            // new request.
-            let same_fill = runs.is_empty()
-                && wait.kind == WaitKind::Fill
-                && cont.wait.kind == WaitKind::Fill
-                && wait.object == cont.wait.object
-                && wait.offset == cont.wait.offset;
             cont.wait = wait;
             let mut t = self.table.lock();
-            let mut send = if same_fill {
-                Vec::new()
-            } else {
-                self.book(&mut t, cont.cid.raw(), runs)
-            };
             // Gating on `admitted` (not `conts.len()`) means resuming
             // faults keep their slot and `max_outstanding <= capacity`.
             while admit && t.admitted >= self.cfg.capacity && !self.stop.load(Ordering::Acquire) {
                 self.machine.stats.incr(stat_keys::VM_ASYNC_BACKPRESSURE);
-                if !send.is_empty() {
+                if !runs.is_empty() {
                     drop(t);
-                    self.flush_runs(std::mem::take(&mut send));
+                    self.flush_runs(std::mem::take(&mut runs));
                     t = self.table.lock();
                     continue;
                 }
@@ -1038,7 +871,7 @@ impl FaultEngine {
                 // Nothing resumes a fault parked after shutdown, or on a
                 // dead manager: give it the answer those before it got.
                 drop(t);
-                for run in &send {
+                for run in &runs {
                     Self::cancel_run(phys, run);
                 }
                 self.abandon(phys, &mut cont);
@@ -1072,14 +905,14 @@ impl FaultEngine {
                     t.high_water = outstanding;
                 }
                 drop(t);
-                self.flush_runs(send);
+                self.flush_runs(runs);
                 if let Some(ticket) = nudge {
                     ticket.nudge();
                 }
                 return None;
             }
             drop(t);
-            self.flush_runs(send);
+            self.flush_runs(runs);
             (wait, runs) = match Self::step(phys, &mut cont.state, cont.cid, cont.root_span) {
                 (FaultStep::Done(result), _) => return Some((cont, result)),
                 (FaultStep::Park(wait), runs) => (wait, runs),
@@ -1101,25 +934,6 @@ impl FaultEngine {
                 None => false,
             },
         }
-    }
-
-    /// Returns fault `cid`'s previous charges to the pagers' budgets, books
-    /// a step's produced runs — charging the pager's in-flight budget or
-    /// deferring past-cap runs — and promotes what room was made. Returns
-    /// the runs charged, to send once the table is unlocked.
-    fn book(&self, t: &mut Table, cid: u64, runs: Vec<PendingRun>) -> Vec<PendingRun> {
-        t.discharge(cid);
-        let mut send = Vec::with_capacity(runs.len());
-        for run in runs {
-            if t.try_charge(&run, self.cfg.pager_inflight_pages) {
-                send.push(run);
-            } else {
-                self.machine.stats.incr(stat_keys::VM_PAGER_DEFERRED_RUNS);
-                t.defer(run);
-            }
-        }
-        t.promote(self.cfg.pager_inflight_pages, &mut send);
-        send
     }
 
     /// Gives up on a wait that will not be waited out (timeout, dead
@@ -1174,9 +988,9 @@ impl FaultEngine {
         self.resume_all(phys, expired, Wake::Timeout);
     }
 
-    /// Sends booked request runs, grouped per (pager, object) through
+    /// Sends claimed request runs, grouped per (pager, object) through
     /// `data_request_many`: one IPC send per group, the groups in the
-    /// order their first runs were booked.
+    /// order their first runs were claimed.
     fn flush_runs(&self, runs: Vec<PendingRun>) {
         let mut groups: Vec<(Arc<dyn PagerBackend>, ObjectId, Vec<PagerRequest>)> = Vec::new();
         for run in runs {
@@ -1203,36 +1017,24 @@ impl FaultEngine {
         }
     }
 
-    /// Releases the fill window of a run that was never sent to its
-    /// pager: the pending entries would otherwise strand later faults.
-    /// Cancelling is idempotent, so racing an install is safe.
+    /// Releases the fill window of a run that `park` claimed but will not
+    /// send (its manager is dead, or the engine stopped): the pending
+    /// entries would otherwise strand later faults. Cancelling is
+    /// idempotent, so racing an install is safe.
     fn cancel_run(phys: &PhysicalMemory, run: &PendingRun) {
         phys.cancel_fill_run(run.object, run.offset, run.pages);
     }
 
-    /// Completes a parked fault. One hold of the table lock returns its
-    /// admission slot and in-flight charge, pulls its own still-deferred
-    /// runs (whose fill windows are then released) and promotes what room
-    /// was made, for this thread to send; then the ticket is fulfilled.
+    /// Completes a parked fault: returns its admission slot, releases
+    /// what a failed fault claimed, and fulfils the ticket.
     fn finish(&self, mut cont: Continuation, result: FaultOutcome) {
-        let cid = cont.cid.raw();
-        let mut send = Vec::new();
-        let unsent = {
+        {
             let mut t = self.table.lock();
             t.admitted = t.admitted.saturating_sub(1);
-            t.discharge(cid);
-            let unsent = t.take_deferred(cid);
-            t.promote(self.cfg.pager_inflight_pages, &mut send);
-            unsent
-        };
+        }
         self.space.notify_all();
-        self.flush_runs(send);
-        if !unsent.is_empty() || result.is_err() {
-            let phys = self.phys();
-            for run in &unsent {
-                Self::cancel_run(&phys, run);
-            }
-            cont.state.release_claims(&phys);
+        if result.is_err() {
+            cont.state.release_claims(&self.phys());
         }
         self.conclude(cont.cid, cont.root_span, cont.started_ns, result.is_ok());
         cont.ticket.set(result);
@@ -1259,9 +1061,10 @@ mod tests {
     use super::PendingRun;
     use crate::object::test_support::{filled, RecordingPager};
     use crate::object::{ObjectId, PagerBackend, PagerRequest};
-    use crate::{FaultEngineConfig, FaultPolicy, NumaConfig, PhysicalMemory, VmObject, VmProt};
+    use crate::{FaultPolicy, PhysicalMemory, VmObject, VmProt};
     use machipc::OolBuffer;
     use machsim::stats::keys;
+    use machsim::trace::EventKind;
     use machsim::Machine;
     use std::sync::{Arc, Mutex};
 
@@ -1350,38 +1153,35 @@ mod tests {
         assert!(tickets.iter().all(|t| t.is_done()));
     }
 
-    /// A storm of single-page faults against one pager capped at half of
-    /// them, answered in order: each completion sends the next deferred
-    /// run, and looks at no more of the queue than the run after it.
+    /// A dead manager's faults resume oldest first: the table keeps its
+    /// continuations in correlation order, so the `fault.parked` spans of
+    /// 64 faults on distinct pages close in the order the faults began.
     #[test]
-    fn a_completion_examines_only_the_deferred_runs_it_promotes() {
-        const FAULTS: u64 = 2048;
+    fn a_pager_death_resumes_its_faults_oldest_first() {
+        const FAULTS: u64 = 64;
         let m = Machine::default_machine();
-        let faults = FaultEngineConfig {
-            pager_inflight_pages: FAULTS as usize / 2,
-            ..FaultEngineConfig::default()
-        };
-        let frames = FAULTS as usize + 64;
-        let phys =
-            PhysicalMemory::with_config(&m, frames * 4096, 4096, 4, NumaConfig::single(), faults);
+        let phys = PhysicalMemory::new(&m, 2 * FAULTS as usize * 4096, 4096, 4);
         let pager = Arc::new(RecordingPager::default());
         let object = VmObject::new_with_pager(FAULTS * 4096, pager.clone());
         let engine = phys.fault_engine();
-
         let tickets: Vec<_> = (0..FAULTS)
             .map(|i| engine.submit(&object, i * 4096, VmProt::READ, FaultPolicy::trusting()))
             .collect();
-        assert_eq!(pager.requests.lock().len(), FAULTS as usize / 2);
-        for i in 0..FAULTS {
-            phys.supply_page(&object, i * 4096, filled(1, 4096), VmProt::NONE)
-                .expect("memory for every storm page");
-        }
+        assert_eq!(engine.outstanding(), FAULTS as usize);
+
+        engine.on_pager_death(object.id());
         assert!(tickets.iter().all(|t| t.is_done()));
-        assert_eq!(pager.requests.lock().len(), FAULTS as usize);
-        let examined = engine.deferred_examined();
+        let closed: Vec<u64> = m
+            .trace
+            .snapshot()
+            .into_iter()
+            .filter(|e| e.kind == EventKind::SpanClose("fault.parked"))
+            .filter_map(|e| e.correlation_id.map(|cid| cid.raw()))
+            .collect();
+        assert_eq!(closed.len(), FAULTS as usize);
         assert!(
-            examined <= 2 * FAULTS,
-            "{examined} deferred runs examined for {FAULTS} faults"
+            closed.windows(2).all(|w| w[0] < w[1]),
+            "parked spans closed out of cid order: {closed:?}"
         );
     }
 }

@@ -696,9 +696,8 @@ impl VmMap {
         let _node = crate::numa::NodeScope::enter(self.pmap.home_node());
         let ps = self.page_size();
         let end = address.saturating_add(size);
-        // A run is bounded by what the engine lets one pager hold in
-        // flight (and by its map entry: another entry is another object).
-        let cap = engine.config().pager_inflight_pages;
+        // A run ends where its map entry does (another entry is another
+        // object), as a lone fault's claim ends at its object's.
         // Absent pages in address order, and the runs they form: (index
         // of the first page, object, offset of the first page, pages).
         let mut absent = Vec::new();
@@ -725,8 +724,7 @@ impl VmMap {
                 // next page (a resident hole leaves a gap in the offsets).
                 match runs.last_mut() {
                     Some((_, run_object, start, pages))
-                        if *pages < cap
-                            && Arc::ptr_eq(run_object, &object)
+                        if Arc::ptr_eq(run_object, &object)
                             && *start + *pages as u64 * ps == obj_offset =>
                     {
                         *pages += 1

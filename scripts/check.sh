@@ -59,6 +59,14 @@ if [ -n "$timers" ]; then
     exit 1
 fi
 
+echo "==> a fault's one bound is its table slot (no per-pager in-flight budget, deferred-run queue or its knob and counter in non-test code outside machlint)"
+# shellcheck disable=SC2046 # one word per source file
+budgets=$(non_test 'pager_inflight_pages|PagerBudget|deferred_by|VM_PAGER_DEFERRED_RUNS' $(ls crates/*/src/*.rs crates/*/src/*/*.rs crates/*/benches/*.rs src/*.rs | grep -v '^crates/lint/'))
+if [ -n "$budgets" ]; then
+    echo "$budgets"
+    exit 1
+fi
+
 echo "==> no address as a key (no as_ptr(..) cast to an integer in non-test kernel code, outside machmc, machbench and machlint)"
 # shellcheck disable=SC2046 # one word per source file
 addresses=$(non_test 'as_ptr\(.*\) as .*usize' $(ls crates/*/src/*.rs crates/*/src/*/*.rs src/*.rs | grep -v -E '^crates/(mc|bench|lint)/'))
@@ -192,4 +200,4 @@ cargo test -q -p machsched --features lockdep --test lockdep_witness
 echo "==> machlint (static invariants: lock-order, sim-time, counter-key, panic-budget, trace-cover, span-pair, atomic-ordering, condvar-wait, unchecked-send)"
 cargo run -q -p machlint -- --workspace
 
-echo "OK: clippy clean, formatting clean, one decoder, one thread site, fault deadlines kept by their waiters, pageout on the allocating thread, no address as a key, a server is a task receiving on a port group, no kernel object served by a thread, the network forwards on the sender's thread, no non-test poll, a data manager's state owned by its thread and one way to wait, workspace tests, threaded-test repeats, fault_scaling, numa_placement, fault_concurrency, parallel_build, machmark smoke + verify, machmc + baseline diff, export smoke, critical-path smoke, lockdep witnesses and machlint passed."
+echo "OK: clippy clean, formatting clean, one decoder, one thread site, fault deadlines kept by their waiters, a fault's one bound is its table slot, pageout on the allocating thread, no address as a key, a server is a task receiving on a port group, no kernel object served by a thread, the network forwards on the sender's thread, no non-test poll, a data manager's state owned by its thread and one way to wait, workspace tests, threaded-test repeats, fault_scaling, numa_placement, fault_concurrency, parallel_build, machmark smoke + verify, machmc + baseline diff, export smoke, critical-path smoke, lockdep witnesses and machlint passed."

@@ -387,10 +387,7 @@ impl PagerBackend for PairPager {
 #[test]
 fn a_fault_waiting_for_a_slot_has_sent_its_request() -> Result<(), VmError> {
     let m = Machine::default_machine();
-    let faults = FaultEngineConfig {
-        capacity: 1,
-        ..FaultEngineConfig::default()
-    };
+    let faults = FaultEngineConfig { capacity: 1 };
     let phys = PhysicalMemory::with_config(&m, 64 * 4096, 4096, 4, NumaConfig::single(), faults);
     let pager = Arc::new(PairPager {
         phys: phys.clone(),
@@ -459,18 +456,10 @@ impl PagerBackend for RecordingPager {
     fn data_unlock(&self, _object: ObjectId, _offset: u64, _length: u64, _access: VmProt) {}
 }
 
-/// A bare memory whose pagers may have `pager_pages` pages in flight,
-/// and an object of `pages` pages behind a [`RecordingPager`].
-fn recorded(
-    m: &Machine,
-    pager_pages: usize,
-    pages: u64,
-) -> (Arc<PhysicalMemory>, Arc<RecordingPager>, Arc<VmObject>) {
-    let faults = FaultEngineConfig {
-        pager_inflight_pages: pager_pages,
-        ..FaultEngineConfig::default()
-    };
-    let phys = PhysicalMemory::with_config(m, 64 * 4096, 4096, 4, NumaConfig::single(), faults);
+/// A bare memory of 64 frames, and an object of `pages` pages behind a
+/// [`RecordingPager`].
+fn recorded(m: &Machine, pages: u64) -> (Arc<PhysicalMemory>, Arc<RecordingPager>, Arc<VmObject>) {
+    let phys = PhysicalMemory::new(m, 64 * 4096, 4096, 4);
     let pager = Arc::new(RecordingPager::default());
     let object = VmObject::new_with_pager(pages * PAGE, pager.clone());
     (phys, pager, object)
@@ -487,7 +476,7 @@ fn filled(pages: u64) -> OolBuffer {
 #[test]
 fn a_round_trip_is_the_faulting_thread_and_the_replying_thread() -> Result<(), VmError> {
     let m = Machine::default_machine();
-    let (phys, pager, object) = recorded(&m, 1024, 16);
+    let (phys, pager, object) = recorded(&m, 16);
     let engine = phys.fault_engine();
     let policy = FaultPolicy::trusting().with_cluster(16);
 
@@ -503,34 +492,30 @@ fn a_round_trip_is_the_faulting_thread_and_the_replying_thread() -> Result<(), V
     Ok(())
 }
 
-/// A run deferred by its pager's in-flight cap is sent by the thread that
-/// returns the charge in its way: supplying the first run has sent the
-/// second by the time `supply_page` returns.
+/// The table is the one bound on what is asked: 1100 single-page faults
+/// against a pager that answers nothing have each sent their request by
+/// the time the last `submit` returns, and answering them all leaves
+/// nothing in flight and no fill window behind.
 #[test]
-fn the_reply_that_completes_a_fault_sends_the_run_it_deferred() -> Result<(), VmError> {
+fn every_parked_fault_has_sent_its_request() -> Result<(), VmError> {
+    const FAULTS: u64 = 1100;
     let m = Machine::default_machine();
-    let (phys, pager, object) = recorded(&m, 16, 32);
+    let phys = PhysicalMemory::new(&m, 2048 * 4096, 4096, 4);
+    let pager = Arc::new(RecordingPager::default());
+    let object = VmObject::new_with_pager(FAULTS * PAGE, pager.clone());
     let engine = phys.fault_engine();
-    let policy = FaultPolicy::trusting().with_cluster(16);
 
-    let first = engine.submit_run(&object, 0, 16, VmProt::READ, policy);
-    let second = engine.submit_run(&object, 16 * PAGE, 16, VmProt::READ, policy);
-    assert_eq!(m.stats.get(keys::VM_PAGER_DEFERRED_RUNS), 1);
-    assert_eq!(pager.requests(), vec![(object.id(), 0, 16 * PAGE)]);
+    let tickets: Vec<_> = (0..FAULTS)
+        .map(|i| engine.submit(&object, i * PAGE, VmProt::READ, FaultPolicy::trusting()))
+        .collect();
+    let requests = pager.requests();
+    assert_eq!(requests.len(), FAULTS as usize);
+    assert!(requests.iter().all(|&(_, _, length)| length == PAGE));
 
-    phys.supply_page(&object, 0, filled(16), VmProt::NONE)?;
-    assert!(first.is_done());
-    assert_eq!(
-        pager.requests(),
-        vec![
-            (object.id(), 0, 16 * PAGE),
-            (object.id(), 16 * PAGE, 16 * PAGE)
-        ]
-    );
-    assert!(!second.is_done());
-
-    phys.supply_page(&object, 16 * PAGE, filled(16), VmProt::NONE)?;
-    assert!(second.is_done());
+    for i in 0..FAULTS {
+        phys.supply_page(&object, i * PAGE, filled(1), VmProt::NONE)?;
+    }
+    assert!(tickets.iter().all(|t| t.is_done()));
     assert_eq!(engine.in_flight(), 0);
     assert_eq!(phys.frame_census().pending, 0);
     Ok(())
@@ -754,7 +739,7 @@ fn a_dead_managers_faults_fail_when_the_notice_arrives() {
 #[test]
 fn a_waiter_sweeps_only_for_a_deadline_that_falls_due() -> Result<(), VmError> {
     let m = Machine::default_machine();
-    let (phys, pager, object) = recorded(&m, 1024, 16);
+    let (phys, pager, object) = recorded(&m, 16);
     let engine = phys.fault_engine();
     let sweeps = || m.stats.get(keys::VM_TIMER_WAKEUPS);
     for _ in 0..1000 {
