@@ -4,40 +4,60 @@
 //! a message protocol on a port (`host_info`, `vm_statistics`). This
 //! module defines the snapshot types the kernel's host port serves
 //! ([`HostStatistics`], [`VmStatisticsSnapshot`], [`TaskInfoReply`],
-//! [`TraceQueryReply`]), their wire encodings, and the client-side query
-//! helpers. Because the queries are plain RPCs, a task on *another* host
-//! can issue them through a network proxy port exactly as a local task
-//! would — observability inherits the duality's location transparency for
-//! free.
-//!
-//! Wire encoding: no serialization library exists in this tree, so every
-//! snapshot encodes as at most two typed message items — one `Byte` item
-//! holding `'\n'`-joined names (names never contain `'\n'`; tabs separate
-//! fields within a line) and one `Int64` item holding the numeric
-//! material, with self-delimiting counts where the shape is variable.
+//! [`TraceQueryReply`]), each the body of a [`HostReply`], and the
+//! client-side query helpers. Because the queries are plain RPCs, a task
+//! on *another* host can issue them through a network proxy port exactly
+//! as a local task would — observability inherits the duality's location
+//! transparency for free.
 
-use crate::proto::{self, HostRequest as H, Parts};
-use machipc::{IpcError, Message, MsgItem, SendRight};
+use crate::proto::{record, HostRequest as H};
+use machipc::{IpcError, SendRight};
 use machsim::export::HistogramData;
 use machsim::stats::keys;
 use machsim::Machine;
 use machvm::{FrameCensus, NodeCensus, PhysicalMemory};
+use std::fmt;
 use std::time::Duration;
 
 /// Default client-side timeout for introspection RPCs.
 pub const QUERY_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Splits the two-item wire form back into (text, words).
-fn unpack(msg: Message) -> Option<(String, std::vec::IntoIter<u64>)> {
-    let mut parts = Parts::of(msg.body);
-    let words: Vec<u64> = parts.words().collect();
-    Some((parts.text().ok()?, words.into_iter()))
+// Each snapshot on the wire: its fields in declaration order.
+record! {
+    HistogramData { name: String, count: u64, sum_ns: u64, buckets: Vec<(u64, u64)> }
+    FrameCensus {
+        total: u64, free: u64, active: u64, inactive: u64,
+        resident: u64, pending: u64, dirty: u64, reserve: u64,
+    }
+    NodeCensus { node: u64, total: u64, free: u64, resident: u64, replicas: u64 }
+    HostStatistics {
+        host: String, now_ns: u64, trace_dropped: u64, in_flight: u64,
+        counters: Vec<(String, u64)>, histograms: Vec<HistogramData>,
+    }
+    VmStatisticsSnapshot {
+        host: String, now_ns: u64, census: FrameCensus,
+        pages_stolen: u64, bytes_copied: u64, nodes: Vec<NodeCensus>,
+    }
+    TaskInfo { name: String, regions: u64, virtual_bytes: u64, resident_pages: u64 }
+    TaskInfoReply { host: String, tasks: Vec<TaskInfo> }
+    TraceRecord { seq: u64, ts_ns: u64, correlation: u64, host: String, actor: String, kind: String }
+    TraceQueryReply { dropped: u64, records: Vec<TraceRecord> }
 }
 
-/// The next `N` words.
-fn next<const N: usize>(words: &mut impl Iterator<Item = u64>) -> Option<[u64; N]> {
-    let words: Vec<u64> = words.take(N).collect();
-    words.try_into().ok()
+crate::protocol! {
+    /// Kernel host port → querying task: the answer to each
+    /// [`HostRequest`](H), one of this module's snapshots.
+    #[derive(Debug)]
+    pub enum HostReply {
+        /// Every counter and latency histogram.
+        Statistics(snapshot: HostStatistics) = HOST_STATISTICS_REPLY: 0x2501,
+        /// The frame census, whole and per node.
+        VmStatistics(snapshot: VmStatisticsSnapshot) = HOST_VM_STATISTICS_REPLY: 0x2503,
+        /// Live tasks and their address maps.
+        TaskInfo(reply: TaskInfoReply) = HOST_TASK_INFO_REPLY: 0x2505,
+        /// One chain of trace events, or the ring's tail.
+        TraceQuery(reply: TraceQueryReply) = HOST_TRACE_QUERY_REPLY: 0x2507,
+    }
 }
 
 // ----- host_statistics -----
@@ -95,56 +115,6 @@ impl HostStatistics {
     pub fn to_prometheus(&self) -> String {
         machsim::export::prometheus_from(&self.counters, &self.histograms, self.trace_dropped)
     }
-
-    /// Encodes the reply message.
-    pub fn encode(&self) -> Message {
-        let mut lines = vec![self.host.as_str()];
-        lines.extend(self.counters.iter().map(|(k, _)| k.as_str()));
-        lines.extend(self.histograms.iter().map(|h| h.name.as_str()));
-        let (c, h) = (self.counters.len() as u64, self.histograms.len() as u64);
-        let mut nums = vec![self.now_ns, self.trace_dropped, self.in_flight, c, h];
-        nums.extend(self.counters.iter().map(|(_, v)| *v));
-        for h in &self.histograms {
-            nums.extend([h.count, h.sum_ns, h.buckets.len() as u64]);
-            for &(bound, count) in &h.buckets {
-                nums.extend([bound, count]);
-            }
-        }
-        Message::new(proto::HOST_STATISTICS_REPLY)
-            .with(MsgItem::bytes(lines.join("\n").into_bytes()))
-            .with(MsgItem::u64s(&nums))
-    }
-
-    /// Decodes a reply message.
-    pub fn decode(msg: Message) -> Option<Self> {
-        let (text, mut words) = unpack(msg)?;
-        let mut lines = text.split('\n').map(str::to_string);
-        let [now_ns, trace_dropped, in_flight, c, h] = next(&mut words)?;
-        let host = lines.next()?;
-        let counters = (0..c)
-            .map(|_| Some((lines.next()?, words.next()?)))
-            .collect::<Option<_>>()?;
-        let histograms = (0..h)
-            .map(|_| {
-                let [count, sum_ns, k] = next(&mut words)?;
-                let buckets = (0..k).map(|_| next(&mut words).map(|[b, n]| (b, n)));
-                Some(HistogramData {
-                    name: lines.next()?,
-                    count,
-                    sum_ns,
-                    buckets: buckets.collect::<Option<_>>()?,
-                })
-            })
-            .collect::<Option<_>>()?;
-        Some(HostStatistics {
-            host,
-            now_ns,
-            trace_dropped,
-            in_flight,
-            counters,
-            histograms,
-        })
-    }
 }
 
 // ----- host_vm_statistics -----
@@ -181,59 +151,6 @@ impl VmStatisticsSnapshot {
             nodes: phys.node_census(),
         }
     }
-
-    /// Encodes the reply message.
-    pub fn encode(&self) -> Message {
-        let c = &self.census;
-        let mut nums = vec![self.now_ns];
-        nums.extend([c.total, c.free, c.active, c.inactive, c.resident, c.pending]);
-        nums.extend([c.dirty, c.reserve]);
-        let (stolen, copied, nodes) = (self.pages_stolen, self.bytes_copied, self.nodes.len());
-        nums.extend([stolen, copied, nodes as u64]);
-        // The per-node census, self-delimited by its count.
-        for n in &self.nodes {
-            nums.extend([n.node, n.total, n.free, n.resident, n.replicas]);
-        }
-        Message::new(proto::HOST_VM_STATISTICS_REPLY)
-            .with(MsgItem::bytes(self.host.clone().into_bytes()))
-            .with(MsgItem::u64s(&nums))
-    }
-
-    /// Decodes a reply message.
-    pub fn decode(msg: Message) -> Option<Self> {
-        let (host, mut words) = unpack(msg)?;
-        let [now_ns, total, free, active, inactive, resident, pending, dirty, reserve, pages_stolen, bytes_copied, node_count] =
-            next(&mut words)?;
-        let nodes = (0..node_count)
-            .map(|_| {
-                let [node, total, free, resident, replicas] = next(&mut words)?;
-                Some(NodeCensus {
-                    node,
-                    total,
-                    free,
-                    resident,
-                    replicas,
-                })
-            })
-            .collect::<Option<_>>()?;
-        Some(VmStatisticsSnapshot {
-            host,
-            now_ns,
-            census: FrameCensus {
-                total,
-                free,
-                active,
-                inactive,
-                resident,
-                pending,
-                dirty,
-                reserve,
-            },
-            pages_stolen,
-            bytes_copied,
-            nodes,
-        })
-    }
 }
 
 // ----- host_task_info -----
@@ -259,41 +176,6 @@ pub struct TaskInfoReply {
     pub host: String,
     /// One entry per live task, in registration order.
     pub tasks: Vec<TaskInfo>,
-}
-
-impl TaskInfoReply {
-    /// Encodes the reply message.
-    pub fn encode(&self) -> Message {
-        let mut lines = vec![self.host.as_str()];
-        lines.extend(self.tasks.iter().map(|t| t.name.as_str()));
-        let mut nums = vec![self.tasks.len() as u64];
-        for t in &self.tasks {
-            nums.extend([t.regions, t.virtual_bytes, t.resident_pages]);
-        }
-        Message::new(proto::HOST_TASK_INFO_REPLY)
-            .with(MsgItem::bytes(lines.join("\n").into_bytes()))
-            .with(MsgItem::u64s(&nums))
-    }
-
-    /// Decodes a reply message.
-    pub fn decode(msg: Message) -> Option<Self> {
-        let (text, mut words) = unpack(msg)?;
-        let mut lines = text.split('\n').map(str::to_string);
-        let host = lines.next()?;
-        let [n] = next(&mut words)?;
-        let tasks = (0..n)
-            .map(|_| {
-                let [regions, virtual_bytes, resident_pages] = next(&mut words)?;
-                Some(TaskInfo {
-                    name: lines.next()?,
-                    regions,
-                    virtual_bytes,
-                    resident_pages,
-                })
-            })
-            .collect::<Option<_>>()?;
-        Some(TaskInfoReply { host, tasks })
-    }
 }
 
 // ----- host_trace_query -----
@@ -352,71 +234,70 @@ impl TraceQueryReply {
                 .collect(),
         }
     }
-
-    /// Encodes the reply message.
-    pub fn encode(&self) -> Message {
-        let lines: Vec<String> = self
-            .records
-            .iter()
-            .map(|r| format!("{}\t{}\t{}", r.host, r.actor, r.kind))
-            .collect();
-        let mut nums = vec![self.dropped, self.records.len() as u64];
-        for r in &self.records {
-            nums.extend([r.seq, r.ts_ns, r.correlation]);
-        }
-        Message::new(proto::HOST_TRACE_QUERY_REPLY)
-            .with(MsgItem::bytes(lines.join("\n").into_bytes()))
-            .with(MsgItem::u64s(&nums))
-    }
-
-    /// Decodes a reply message.
-    pub fn decode(msg: Message) -> Option<Self> {
-        let (text, mut words) = unpack(msg)?;
-        let mut lines = text.split('\n');
-        let [dropped, n] = next(&mut words)?;
-        let records = (0..n)
-            .map(|_| {
-                let [seq, ts_ns, correlation] = next(&mut words)?;
-                let mut fields = lines.next()?.splitn(3, '\t').map(str::to_string);
-                Some(TraceRecord {
-                    seq,
-                    ts_ns,
-                    correlation,
-                    host: fields.next()?,
-                    actor: fields.next()?,
-                    kind: fields.next()?,
-                })
-            })
-            .collect::<Option<_>>()?;
-        Some(TraceQueryReply { dropped, records })
-    }
 }
 
 // ----- client helpers -----
 
+/// Why a host query failed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum QueryError {
+    /// The RPC failed: no answer came, or the port is gone.
+    Ipc(IpcError),
+    /// The answer was not the reply the query asks for.
+    Malformed,
+}
+
+impl From<IpcError> for QueryError {
+    fn from(err: IpcError) -> Self {
+        QueryError::Ipc(err)
+    }
+}
+
+impl fmt::Display for QueryError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            QueryError::Ipc(err) => err.fmt(f),
+            QueryError::Malformed => f.write_str("malformed host port reply"),
+        }
+    }
+}
+
+impl std::error::Error for QueryError {}
+
+/// Sends `request` to a host port and takes its answer out of the reply.
 fn query<T>(
     host_port: &SendRight,
     request: H,
-    decode: impl FnOnce(Message) -> Option<T>,
-) -> Result<T, IpcError> {
+    answer: fn(HostReply) -> Option<T>,
+) -> Result<T, QueryError> {
     let reply = host_port.rpc(request.encode(), Some(QUERY_TIMEOUT), Some(QUERY_TIMEOUT))?;
-    decode(reply).ok_or(IpcError::MsgTooLarge)
+    let reply = HostReply::decode(reply).map_err(|_| QueryError::Malformed)?;
+    answer(reply).ok_or(QueryError::Malformed)
 }
 
 /// Fetches [`HostStatistics`] from a kernel's host port — local, or on a
 /// remote host through a network proxy right.
-pub fn query_host_statistics(host_port: &SendRight) -> Result<HostStatistics, IpcError> {
-    query(host_port, H::Statistics, HostStatistics::decode)
+pub fn query_host_statistics(host_port: &SendRight) -> Result<HostStatistics, QueryError> {
+    query(host_port, H::Statistics, |reply| match reply {
+        HostReply::Statistics(snapshot) => Some(snapshot),
+        _ => None,
+    })
 }
 
 /// Fetches [`VmStatisticsSnapshot`] from a kernel's host port.
-pub fn query_vm_statistics(host_port: &SendRight) -> Result<VmStatisticsSnapshot, IpcError> {
-    query(host_port, H::VmStatistics, VmStatisticsSnapshot::decode)
+pub fn query_vm_statistics(host_port: &SendRight) -> Result<VmStatisticsSnapshot, QueryError> {
+    query(host_port, H::VmStatistics, |reply| match reply {
+        HostReply::VmStatistics(snapshot) => Some(snapshot),
+        _ => None,
+    })
 }
 
 /// Fetches [`TaskInfoReply`] from a kernel's host port.
-pub fn query_task_info(host_port: &SendRight) -> Result<TaskInfoReply, IpcError> {
-    query(host_port, H::TaskInfo, TaskInfoReply::decode)
+pub fn query_task_info(host_port: &SendRight) -> Result<TaskInfoReply, QueryError> {
+    query(host_port, H::TaskInfo, |reply| match reply {
+        HostReply::TaskInfo(info) => Some(info),
+        _ => None,
+    })
 }
 
 /// Fetches trace events from a kernel's host port: one chain when
@@ -425,15 +306,25 @@ pub fn query_trace(
     host_port: &SendRight,
     correlation: u64,
     max_events: u64,
-) -> Result<TraceQueryReply, IpcError> {
+) -> Result<TraceQueryReply, QueryError> {
     let request = H::TraceQuery(correlation, max_events);
-    query(host_port, request, TraceQueryReply::decode)
+    query(host_port, request, |reply| match reply {
+        HostReply::TraceQuery(trace) => Some(trace),
+        _ => None,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::Message;
+    use machipc::{MsgItem, ReceiveRight};
     use machsim::trace::keys as lat_keys;
+
+    /// `reply` after a trip through its wire form.
+    fn wire(reply: HostReply) -> HostReply {
+        HostReply::decode(reply.encode()).expect("decodes")
+    }
 
     #[test]
     fn host_statistics_round_trips_through_wire_form() {
@@ -444,7 +335,9 @@ mod tests {
         m.latency.record(lat_keys::FAULT_TO_RESOLUTION, 1000);
         m.latency.record(lat_keys::FAULT_TO_RESOLUTION, 2_000_000);
         let snap = HostStatistics::capture(&m, &phys);
-        let decoded = HostStatistics::decode(snap.encode()).expect("decodes");
+        let HostReply::Statistics(decoded) = wire(HostReply::Statistics(snap)) else {
+            panic!("a statistics reply");
+        };
         assert_eq!(decoded.host, "local");
         assert_eq!(decoded.counter(keys::VM_FAULTS), 17);
         assert_eq!(decoded.counter(keys::DISK_READS), 3);
@@ -470,7 +363,9 @@ mod tests {
         m.stats.add(keys::VM_PAGES_STOLEN, 8);
         m.stats.add(keys::BYTES_COPIED, 4096);
         let snap = VmStatisticsSnapshot::capture(&m, &phys);
-        let decoded = VmStatisticsSnapshot::decode(snap.encode()).expect("decodes");
+        let HostReply::VmStatistics(decoded) = wire(HostReply::VmStatistics(snap.clone())) else {
+            panic!("a vm statistics reply");
+        };
         assert_eq!(decoded.census, snap.census);
         assert_eq!((decoded.pages_stolen, decoded.bytes_copied), (8, 4096));
         assert_eq!(decoded.census.total, 64);
@@ -490,14 +385,16 @@ mod tests {
                     resident_pages: 1,
                 },
                 TaskInfo {
-                    name: "fs server".into(),
+                    name: "fs server\nwith\ttabs".into(),
                     regions: 5,
                     virtual_bytes: 1 << 20,
                     resident_pages: 40,
                 },
             ],
         };
-        let decoded = TaskInfoReply::decode(reply.encode()).expect("decodes");
+        let HostReply::TaskInfo(decoded) = wire(HostReply::TaskInfo(reply.clone())) else {
+            panic!("a task info reply");
+        };
         assert_eq!(decoded.host, "nodeB");
         assert_eq!(decoded.tasks, reply.tasks);
     }
@@ -510,7 +407,9 @@ mod tests {
         }
         let reply = TraceQueryReply::capture(&m, 0, 4);
         assert_eq!(reply.records.len(), 4, "capped at max_events");
-        let decoded = TraceQueryReply::decode(reply.encode()).expect("decodes");
+        let HostReply::TraceQuery(decoded) = wire(HostReply::TraceQuery(reply.clone())) else {
+            panic!("a trace query reply");
+        };
         assert_eq!(decoded.records, reply.records);
         assert_eq!(decoded.records[0].kind, "unit");
         assert_eq!(decoded.records[0].host, "local");
@@ -518,14 +417,38 @@ mod tests {
 
     #[test]
     fn decode_rejects_malformed_messages() {
-        assert!(HostStatistics::decode(Message::new(proto::HOST_STATISTICS_REPLY)).is_none());
-        let short = || {
-            Message::new(proto::HOST_STATISTICS_REPLY)
+        assert!(HostReply::decode(Message::new(HOST_STATISTICS_REPLY)).is_err());
+        // A name and two words: too short for any of the four replies.
+        let short = |id| {
+            Message::new(id)
                 .with(MsgItem::bytes(b"host".to_vec()))
                 .with(MsgItem::u64s(&[1, 2]))
         };
-        assert!(HostStatistics::decode(short()).is_none());
-        assert!(VmStatisticsSnapshot::decode(short()).is_none());
-        assert!(TraceQueryReply::decode(Message::new(0)).is_none());
+        for id in [
+            HOST_STATISTICS_REPLY,
+            HOST_VM_STATISTICS_REPLY,
+            HOST_TASK_INFO_REPLY,
+            HOST_TRACE_QUERY_REPLY,
+        ] {
+            assert!(HostReply::decode(short(id)).is_err(), "id {id:#x}");
+        }
+        // A list claiming more entries than the body holds.
+        let long = Message::new(HOST_STATISTICS_REPLY)
+            .with(MsgItem::bytes(b"host".to_vec()))
+            .with(MsgItem::u64s(&[1, 2, 3, u64::MAX, 0]));
+        assert!(HostReply::decode(long).is_err());
+        assert!(HostReply::decode(Message::new(0)).is_err());
+    }
+
+    #[test]
+    fn a_reply_of_the_wrong_kind_is_malformed() {
+        let m = Machine::default_machine();
+        let (_port, host_port) = ReceiveRight::allocate_kernel(&m, |_| {
+            let tasks = vec![];
+            let host = "liar".to_string();
+            Some(HostReply::TaskInfo(TaskInfoReply { host, tasks }).encode())
+        });
+        let answer = query_host_statistics(&host_port).map(|snapshot| snapshot.host);
+        assert_eq!(answer, Err(QueryError::Malformed));
     }
 }

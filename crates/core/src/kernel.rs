@@ -13,11 +13,11 @@
 use crate::backend::IpcPagerBackend;
 use crate::default_pager::DefaultPager;
 use crate::introspect::{
-    HostStatistics, TaskInfo, TaskInfoReply, TraceQueryReply, VmStatisticsSnapshot,
+    HostReply, HostStatistics, TaskInfo, TaskInfoReply, TraceQueryReply, VmStatisticsSnapshot,
 };
 use crate::manager::{spawn_manager, ManagerHandle};
-use crate::proto::{HostRequest, KernelToManager, ManagerToKernel, Parts};
-use machipc::{Message, PortId, PortName, PortSpace, ReceiveRight, SendRight, MSG_ID_PORT_DEATH};
+use crate::proto::{HostRequest, KernelToManager, ManagerToKernel};
+use machipc::{Message, PortId, PortName, PortSpace, ReceiveRight, SendRight};
 use machsim::stats::keys as stat_keys;
 use machsim::{CorrelationId, CostModel, EventKind, Machine};
 use machstorage::{BlockDevice, BLOCK_SIZE};
@@ -342,33 +342,32 @@ impl Kernel {
         msg: Message,
     ) {
         use ManagerToKernel as M;
-        if msg.id == MSG_ID_PORT_DEATH {
+        // Anyone holding a request port may send it anything: what is not
+        // a Table 3-6 call or its object port's death is dropped, and
+        // counted.
+        let malformed = || phys.machine().stats.incr(stat_keys::EMM_MALFORMED_DROPPED);
+        let Ok(call) = M::decode(msg) else {
+            return malformed();
+        };
+        let object = match call {
             // The manager is gone, and the kernel learns it as
             // communication (§6): its object's parked faults fail now.
-            let died = Parts::of(msg.body).words().next().map(PortId);
-            let Some(port) = died.filter(|&died| Some(died) == memory_object) else {
-                phys.machine().stats.incr(stat_keys::EMM_MALFORMED_DROPPED);
+            M::PortDeath(died) if Some(PortId(died)) == memory_object => {
+                let object = registry.lock().by_port.get(&PortId(died)).map(|o| o.id());
+                if let Some(object) = object {
+                    phys.fault_engine().on_pager_death(object);
+                }
                 return;
-            };
-            let object = registry.lock().by_port.get(&port).map(|o| o.id());
-            if let Some(object) = object {
-                phys.fault_engine().on_pager_death(object);
             }
-            return;
-        }
-        // Anyone holding a request port may send it anything: what is not
-        // a Table 3-6 call is dropped, and counted.
-        let Ok(call) = M::decode(msg) else {
-            phys.machine().stats.incr(stat_keys::EMM_MALFORMED_DROPPED);
-            return;
+            M::PortDeath(_) => return malformed(),
+            M::DataProvided(object, ..)
+            | M::DataLock(object, ..)
+            | M::FlushRequest(object, ..)
+            | M::CleanRequest(object, ..)
+            | M::Cache(object, _)
+            | M::DataUnavailable(object, ..)
+            | M::SetCluster(object, _) => object,
         };
-        let (M::DataProvided(object, ..)
-        | M::DataLock(object, ..)
-        | M::FlushRequest(object, ..)
-        | M::CleanRequest(object, ..)
-        | M::Cache(object, _)
-        | M::DataUnavailable(object, ..)
-        | M::SetCluster(object, _)) = call;
         let Some(obj) = registry.lock().by_id.get(&object).cloned() else {
             return;
         };
@@ -392,6 +391,8 @@ impl Kernel {
             M::CleanRequest(_, offset, length) => phys.clean_range(&obj, offset, length),
             M::Cache(_, may_cache) => obj.set_can_persist(may_cache),
             M::SetCluster(_, pages) => obj.set_cluster_hint(pages as usize),
+            // Served above.
+            M::PortDeath(_) => {}
         }
     }
 
@@ -403,14 +404,16 @@ impl Kernel {
         tasks: &Mutex<Vec<(String, Weak<VmMap>)>>,
         msg: Message,
     ) -> Option<Message> {
-        Some(match HostRequest::decode(msg).ok()? {
-            HostRequest::Statistics => HostStatistics::capture(machine, phys).encode(),
-            HostRequest::VmStatistics => VmStatisticsSnapshot::capture(machine, phys).encode(),
-            HostRequest::TaskInfo => Self::capture_task_info(machine, phys, tasks).encode(),
-            HostRequest::TraceQuery(correlation, max_events) => {
-                TraceQueryReply::capture(machine, correlation, max_events).encode()
+        use {HostReply as R, HostRequest as Q};
+        let reply = match Q::decode(msg).ok()? {
+            Q::Statistics => R::Statistics(HostStatistics::capture(machine, phys)),
+            Q::VmStatistics => R::VmStatistics(VmStatisticsSnapshot::capture(machine, phys)),
+            Q::TaskInfo => R::TaskInfo(Self::capture_task_info(machine, phys, tasks)),
+            Q::TraceQuery(correlation, max_events) => {
+                R::TraceQuery(TraceQueryReply::capture(machine, correlation, max_events))
             }
-        })
+        };
+        Some(reply.encode())
     }
 
     /// Builds the `host_task_info` reply from the live-task registry.

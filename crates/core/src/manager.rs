@@ -14,10 +14,9 @@
 //! distinct request port — exactly the multi-kernel structure of the
 //! Section 4.2 shared memory example.
 
-use crate::proto::{KernelToManager, Malformed, ManagerToKernel, Parts};
+use crate::proto::{KernelToManager, Malformed, ManagerToKernel};
 use machipc::{
     serve_group, Message, OolBuffer, PortName, PortSpace, ReceiveRight, SendRight, Server,
-    MSG_ID_PORT_DEATH,
 };
 use machsim::stats::keys;
 use machsim::Machine;
@@ -185,10 +184,6 @@ pub type ManagerHandle = Server;
 /// Hands one message that arrived on the memory object port `self_port`
 /// to its manager: the one reading of Table 3-5.
 fn dispatch<M: DataManager>(machine: &Machine, self_port: &SendRight, mgr: &mut M, msg: Message) {
-    if msg.id == MSG_ID_PORT_DEATH {
-        let port = Parts::of(msg.body).words().next().unwrap_or(0);
-        return mgr.kernel_detached(port);
-    }
     let conn = |request| KernelConn::new(machine, request);
     // Any holder of a memory-object send right can put anything on this
     // queue: what is not a Table 3-5 call is dropped, counted.
@@ -225,6 +220,7 @@ fn dispatch<M: DataManager>(machine: &Machine, self_port: &SendRight, mgr: &mut 
             mgr.data_write(&conn(request), object, offset, data)
         }
         Ok(KernelToManager::Terminate(object)) => mgr.object_terminated(object),
+        Ok(KernelToManager::PortDeath(port)) => mgr.kernel_detached(port),
         Err(Malformed) => machine.stats.incr(keys::EMM_MALFORMED_DROPPED),
     }
 }
@@ -435,6 +431,23 @@ mod tests {
         machsim::wall::sleep(Duration::from_millis(50));
         handle.shutdown();
         assert!(log.lock().contains(&"detached".to_string()));
+    }
+
+    #[test]
+    fn a_death_notice_naming_no_port_is_counted_not_a_detach() {
+        let m = Machine::default_machine();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let pager = ConstPager {
+            fill: 0,
+            log: log.clone(),
+        };
+        let handle = spawn_manager(&m, "const", pager);
+        let notice = Message::new(machipc::MSG_ID_PORT_DEATH);
+        handle.port().send_notification(notice);
+        handle.shutdown();
+        assert_eq!(*log.lock(), Vec::<String>::new(), "no kernel detached");
+        let malformed = m.stats.get(machsim::stats::keys::EMM_MALFORMED_DROPPED);
+        assert_eq!(malformed, 1);
     }
 
     #[test]

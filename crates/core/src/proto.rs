@@ -5,10 +5,15 @@
 //! Each protocol is one type: an enum whose variants are its messages,
 //! declared with [`protocol!`](crate::protocol), which gives it the one
 //! `encode` and the one `decode` its senders and receivers use — here
-//! [`KernelToManager`] (Table 3-5), [`ManagerToKernel`] (Table 3-6) and
-//! [`HostRequest`]; the task port's in `machcore::objport`, the file
-//! server's in `machpagers::fs`. Every kernel ↔ data-manager call carries
-//! the kernel's object id first, so one port can serve many objects.
+//! [`KernelToManager`] (Table 3-5), [`ManagerToKernel`] (Table 3-6),
+//! [`HostRequest`]; the host port's replies in `machcore::introspect`
+//! ([`HostReply`](crate::introspect::HostReply)), the task port's in
+//! `machcore::objport`, the file server's in `machpagers::fs`. A field is
+//! a [`Field`]: a word, a name, a buffer, a right, a list or pair of
+//! fields, or a `record!` of them. Every kernel ↔ data-manager call
+//! carries the kernel's object id first, so one port can serve many
+//! objects. A port's death notice is the `PortDeath` call of the
+//! protocol of each port that subscribes to one.
 //!
 //! No message acknowledges a `pager_data_write`: the manager's release of
 //! the data is its `vm_deallocate`, a memory operation, and the kernel
@@ -21,20 +26,11 @@
 //! [`machipc::serve_group`], which stops only on a message carrying its
 //! owner's key.
 
-use machipc::{MsgItem, OolBuffer, SendRight, TypeTag};
+use machipc::{MsgItem, OolBuffer, SendRight, TypeTag, MSG_ID_PORT_DEATH};
 use machvm::VmProt;
 use std::collections::VecDeque;
 
 pub use machipc::Message;
-
-/// Reply to [`HostRequest::Statistics`]: `introspect::HostStatistics`.
-pub const HOST_STATISTICS_REPLY: u32 = 0x2501;
-/// Reply to [`HostRequest::VmStatistics`]: `introspect::VmStatisticsSnapshot`.
-pub const HOST_VM_STATISTICS_REPLY: u32 = 0x2503;
-/// Reply to [`HostRequest::TaskInfo`]: `introspect::TaskInfoReply`.
-pub const HOST_TASK_INFO_REPLY: u32 = 0x2505;
-/// Reply to [`HostRequest::TraceQuery`]: `introspect::TraceQueryReply`.
-pub const HOST_TRACE_QUERY_REPLY: u32 = 0x2507;
 
 /// Opaque-handle tag for in-kernel memory region descriptors carried in
 /// out-of-line message transfer (see `machcore::msg`).
@@ -70,6 +66,9 @@ crate::protocol! {
         /// signals this by request and name port death; one port may serve
         /// many objects here.)
         Terminate(object: u64) = PAGER_TERMINATE: 0x2205,
+        /// A kernel's request port died: that kernel unmapped everything.
+        /// The port's death notice, which the manager subscribed to.
+        PortDeath(port: u64) = MSG_ID_PORT_DEATH,
     }
 }
 
@@ -95,14 +94,18 @@ crate::protocol! {
         /// `(object, pages)`: at most `pages` per `pager_data_request` (1:
         /// no prefetch), the cluster-size attribute of later Mach.
         SetCluster(object: u64, pages: u64) = PAGER_SET_CLUSTER: 0x2307,
+        /// The memory object port died: its manager is gone. The port's
+        /// death notice, which the kernel subscribed to.
+        PortDeath(port: u64) = MSG_ID_PORT_DEATH,
     }
 }
 
 crate::protocol! {
     /// Any task → kernel host port, in the style of Mach's `host_info`:
     /// introspection is just another message protocol, so a remote host
-    /// can query it through a network proxy port. Each call is an RPC;
-    /// its typed reply is in `machcore::introspect`.
+    /// can query it through a network proxy port. Each call is an RPC,
+    /// answered with the [`HostReply`](crate::introspect::HostReply) of
+    /// the same name.
     #[derive(Debug)]
     pub enum HostRequest {
         /// `host_statistics`: every counter and latency histogram.
@@ -123,12 +126,12 @@ crate::protocol! {
 pub struct Malformed;
 
 /// A message body taken apart by item kind: the one reader and writer of
-/// a message's shape. A body is a name (bytes), an array of `u64` words,
-/// out-of-line buffers and send rights, on the wire in that order, each
-/// item present only when there is something in it.
+/// a message's shape. A body is names (one bytes item each), an array of
+/// `u64` words, out-of-line buffers and send rights, on the wire in that
+/// order, the words present only when there is one.
 #[derive(Default)]
 pub struct Parts {
-    name: Option<Vec<u8>>,
+    names: VecDeque<Vec<u8>>,
     words: VecDeque<u64>,
     ool: VecDeque<OolBuffer>,
     rights: VecDeque<SendRight>,
@@ -137,9 +140,23 @@ pub struct Parts {
 /// How many words, rights, names and out-of-line buffers something needs.
 pub type Need = [usize; 4];
 
+/// What all of `needs` need together.
+pub const fn sum(needs: &[Need]) -> Need {
+    let (mut total, mut i) = ([0; 4], 0);
+    while i < needs.len() {
+        let mut j = 0;
+        while j < 4 {
+            total[j] += needs[i][j];
+            j += 1;
+        }
+        i += 1;
+    }
+    total
+}
+
 impl Parts {
     /// Takes a received body apart, moving its buffers and rights out: the
-    /// first name and word array, and every out-of-line buffer and right.
+    /// first word array, and every name, out-of-line buffer and right.
     pub fn of(body: Vec<MsgItem>) -> Parts {
         let mut parts = Parts::default();
         for item in body {
@@ -153,7 +170,7 @@ impl Parts {
                 MsgItem::Inline {
                     tag: TypeTag::Byte | TypeTag::Char,
                     data,
-                } if parts.name.is_none() => parts.name = Some(data),
+                } => parts.names.push_back(data),
                 MsgItem::OutOfLine(data) => parts.ool.push_back(data),
                 MsgItem::SendRights(rights) => parts.rights.extend(rights),
                 _ => {}
@@ -165,7 +182,7 @@ impl Parts {
     /// The message `id` with this body.
     pub fn into_message(mut self, id: u32) -> Message {
         let mut msg = Message::new(id);
-        msg.body.extend(self.name.map(MsgItem::bytes));
+        msg.body.extend(self.names.into_iter().map(MsgItem::bytes));
         if !self.words.is_empty() {
             msg.body.push(MsgItem::u64s(self.words.make_contiguous()));
         }
@@ -177,28 +194,18 @@ impl Parts {
         msg
     }
 
-    /// Whether the body holds all of each need.
-    pub fn fits(&self, needs: &[Need]) -> bool {
+    /// Whether the body holds all of `need`.
+    pub fn fits(&self, need: Need) -> bool {
         let (words, rights) = (self.words.len(), self.rights.len());
-        let have = [words, rights, self.name.iter().len(), self.ool.len()];
-        (0..4).all(|i| have[i] >= needs.iter().map(|need| need[i]).sum())
-    }
-
-    /// The name, as text.
-    pub fn text(&mut self) -> Result<String, Malformed> {
-        String::from_utf8(self.name.take().ok_or(Malformed)?).map_err(|_| Malformed)
-    }
-
-    /// The words not yet taken.
-    pub fn words(&mut self) -> impl Iterator<Item = u64> + '_ {
-        self.words.drain(..)
+        let have = [words, rights, self.names.len(), self.ool.len()];
+        (0..4).all(|i| have[i] >= need[i])
     }
 }
 
 /// A value with a place in a message body: a word (`u64`, [`VmProt`],
-/// `bool`), the name (`String`, which must be UTF-8, or raw bytes, or
-/// several names), an out-of-line buffer, a send right, or an `Option` of
-/// one.
+/// `bool`), a name (`String`, which must be UTF-8, or raw bytes), an
+/// out-of-line buffer, a send right, an `Option` of one, a list or pair
+/// of fields, or a `record!` of them.
 pub trait Field: Sized {
     /// What taking this field needs of a body.
     const NEED: Need;
@@ -231,42 +238,11 @@ field! {
     VmProt: [1, 0, 0, 0], |p, v| u64::from(v.0).put(p),
         |p| p.words.pop_front().map(|w| VmProt(w as u8));
     bool: [1, 0, 0, 0], |p, v| u64::from(v).put(p), |p| p.words.pop_front().map(|w| w != 0);
-    String: [0, 0, 1, 0], |p, v| p.name = Some(v.into_bytes()), |p| p.text().ok();
-    Vec<u8>: [0, 0, 1, 0], |p, v| p.name = Some(v), |p| p.name.take();
+    String: [0, 0, 1, 0], |p, v| p.names.push_back(v.into_bytes()),
+        |p| p.names.pop_front().and_then(|name| String::from_utf8(name).ok());
+    Vec<u8>: [0, 0, 1, 0], |p, v| p.names.push_back(v), |p| p.names.pop_front();
     OolBuffer: [0, 0, 0, 1], |p, v| p.ool.push_back(v), |p| p.ool.pop_front();
     SendRight: [0, 1, 0, 0], |p, v| p.rights.push_back(v), |p| p.rights.pop_front();
-}
-
-/// Several names in the name's place, their count and byte lengths as
-/// words: no byte of a name is a separator, so any names round-trip.
-impl Field for Vec<String> {
-    const NEED: Need = [1, 0, 1, 0];
-    fn put(self, parts: &mut Parts) {
-        parts.words.push_back(self.len() as u64);
-        parts
-            .words
-            .extend(self.iter().map(|name| name.len() as u64));
-        parts.name = Some(self.concat().into_bytes());
-    }
-    fn take(parts: &mut Parts) -> Result<Self, Malformed> {
-        let count = parts.words.pop_front().ok_or(Malformed)?;
-        let count = usize::try_from(count).map_err(|_| Malformed)?;
-        let bytes = parts.name.take().ok_or(Malformed)?;
-        if parts.words.len() < count {
-            return Err(Malformed);
-        }
-        let mut at = 0usize;
-        let mut names = Vec::with_capacity(count);
-        for len in parts.words.drain(..count) {
-            let end = usize::try_from(len)
-                .ok()
-                .and_then(|len| at.checked_add(len));
-            let name = end.and_then(|end| bytes.get(at..end)).ok_or(Malformed)?;
-            names.push(String::from_utf8(name.to_vec()).map_err(|_| Malformed)?);
-            at += name.len();
-        }
-        (at == bytes.len()).then_some(names).ok_or(Malformed)
-    }
 }
 
 impl<T: Field> Field for Option<T> {
@@ -275,9 +251,63 @@ impl<T: Field> Field for Option<T> {
         self.into_iter().for_each(|value| value.put(parts));
     }
     fn take(parts: &mut Parts) -> Result<Self, Malformed> {
-        parts.fits(&[T::NEED]).then(|| T::take(parts)).transpose()
+        parts.fits(T::NEED).then(|| T::take(parts)).transpose()
     }
 }
+
+/// A list: its count as a word, then each element in its places. A count
+/// of more elements than the body holds is malformed, so an element must
+/// need something.
+impl<T: Field> Field for Vec<T> {
+    const NEED: Need = {
+        let [words, rights, names, ool] = T::NEED;
+        assert!(
+            words + rights + names + ool > 0,
+            "a list element takes a place"
+        );
+        [1, 0, 0, 0]
+    };
+    fn put(self, parts: &mut Parts) {
+        (self.len() as u64).put(parts);
+        self.into_iter().for_each(|value| value.put(parts));
+    }
+    fn take(parts: &mut Parts) -> Result<Self, Malformed> {
+        let count = usize::try_from(u64::take(parts)?).unwrap_or(usize::MAX);
+        if !parts.fits(T::NEED.map(|need| need.saturating_mul(count))) {
+            return Err(Malformed);
+        }
+        (0..count).map(|_| T::take(parts)).collect()
+    }
+}
+
+impl<A: Field, B: Field> Field for (A, B) {
+    const NEED: Need = sum(&[A::NEED, B::NEED]);
+    fn put(self, parts: &mut Parts) {
+        self.0.put(parts);
+        self.1.put(parts);
+    }
+    fn take(parts: &mut Parts) -> Result<Self, Malformed> {
+        Ok((A::take(parts)?, B::take(parts)?))
+    }
+}
+
+/// Implements [`Field`] for plain structs, their fields in declaration
+/// order: each entry is `Struct { field: Type, .. }`.
+macro_rules! record {
+    ($($name:ident { $($field:ident: $ty:ty),* $(,)? })*) => {$(
+        impl $crate::proto::Field for $name {
+            const NEED: $crate::proto::Need =
+                $crate::proto::sum(&[$(<$ty as $crate::proto::Field>::NEED),*]);
+            fn put(self, parts: &mut $crate::proto::Parts) {
+                $($crate::proto::Field::put(self.$field, parts);)*
+            }
+            fn take(parts: &mut $crate::proto::Parts) -> Result<Self, $crate::proto::Malformed> {
+                Ok($name { $($field: <$ty as $crate::proto::Field>::take(parts)?),* })
+            }
+        }
+    )*};
+}
+pub(crate) use record;
 
 /// Declares a protocol: an enum whose variants are its messages, with
 /// `encode(self) -> Message` and `decode(Message) -> Result<Self, Malformed>`.
@@ -285,10 +315,10 @@ impl<T: Field> Field for Option<T> {
 /// A variant is `Name(field: Type, ..) = ID: value`, or `Name = ID: value`
 /// with no fields; it declares the wire id `ID` unless the value is left
 /// out (an id declared elsewhere). Each field's [`Field`] type says where
-/// it goes in the body ([`Parts`]), words in declaration order; extra
-/// words and items are ignored. Variants may share an id (a reply's
-/// shapes): `decode` takes the first declared whose fields the body holds,
-/// so the one that needs most comes first.
+/// it goes in the body ([`Parts`]), each kind of place filled in
+/// declaration order; extra words and items are ignored. Variants may
+/// share an id (a reply's shapes): `decode` takes the first declared whose
+/// fields the body holds, so the one that needs most comes first.
 #[macro_export]
 macro_rules! protocol {
     ($(#[$meta:meta])* $vis:vis enum $name:ident {
@@ -322,7 +352,7 @@ macro_rules! protocol {
             pub fn decode(msg: $crate::proto::Message) -> Result<Self, $crate::proto::Malformed> {
                 #[allow(unused_mut)]
                 let mut parts = $crate::proto::Parts::of(msg.body);
-                $(if msg.id == $id && parts.fits(&[$($(<$ty as $crate::proto::Field>::NEED),*)?]) {
+                $(if msg.id == $id && parts.fits($crate::proto::sum(&[$($(<$ty as $crate::proto::Field>::NEED),*)?])) {
                     return Ok(Self::$variant $(($({
                         let $field: $ty = $crate::proto::Field::take(&mut parts)?;
                         $field
@@ -340,6 +370,10 @@ mod tests {
 
     #[test]
     fn ids_are_distinct() {
+        use crate::introspect::{
+            HOST_STATISTICS_REPLY, HOST_TASK_INFO_REPLY, HOST_TRACE_QUERY_REPLY,
+            HOST_VM_STATISTICS_REPLY,
+        };
         let ids = [
             PAGER_INIT,
             PAGER_DATA_REQUEST,

@@ -23,10 +23,11 @@ non_test() {
     PATTERN=$pattern awk 'FNR == 1 { t = 0 } /^(pub\(crate\) )?mod tests/ { t = 1 } !t && $0 ~ ENVIRON["PATTERN"] { print FILENAME ":" FNR ": " $0 }' "$@"
 }
 
-echo "==> one decoder per protocol (no message read by shape outside machcore::proto's codec)"
-decoders=$(non_test 'as_u64s\(\)|as_ool\(\)|body\[[0-9]\]' crates/core/src/*.rs crates/pagers/src/*.rs crates/net/src/*.rs | grep -v '^crates/core/src/proto.rs:' || true)
-if [ -n "$decoders" ]; then
-    echo "$decoders"
+echo "==> one codec (no message built or read by hand outside machcore::proto's codec but msg.rs's sends under a caller's id)"
+codec='as_u64s\(\)|as_ool\(\)|body\[[0-9]\]|Parts::of\(|MsgItem::(u64s|bytes)\(|Message::new\('
+by_hand=$(non_test "$codec" crates/core/src/*.rs crates/pagers/src/*.rs crates/net/src/*.rs | grep -v -e '^crates/core/src/proto.rs:' -e '^crates/core/src/msg.rs:[0-9]*: *dest\.send(Message::new(id)' || true)
+if [ -n "$by_hand" ]; then
+    echo "$by_hand"
     exit 1
 fi
 
@@ -200,4 +201,4 @@ cargo test -q -p machsched --features lockdep --test lockdep_witness
 echo "==> machlint (static invariants: lock-order, sim-time, counter-key, panic-budget, trace-cover, span-pair, atomic-ordering, condvar-wait, unchecked-send)"
 cargo run -q -p machlint -- --workspace
 
-echo "OK: clippy clean, formatting clean, one decoder, one thread site, fault deadlines kept by their waiters, a fault's one bound is its table slot, pageout on the allocating thread, no address as a key, a server is a task receiving on a port group, no kernel object served by a thread, the network forwards on the sender's thread, no non-test poll, a data manager's state owned by its thread and one way to wait, workspace tests, threaded-test repeats, fault_scaling, numa_placement, fault_concurrency, parallel_build, machmark smoke + verify, machmc + baseline diff, export smoke, critical-path smoke, lockdep witnesses and machlint passed."
+echo "OK: clippy clean, formatting clean, one codec, one thread site, fault deadlines kept by their waiters, a fault's one bound is its table slot, pageout on the allocating thread, no address as a key, a server is a task receiving on a port group, no kernel object served by a thread, the network forwards on the sender's thread, no non-test poll, a data manager's state owned by its thread and one way to wait, workspace tests, threaded-test repeats, fault_scaling, numa_placement, fault_concurrency, parallel_build, machmark smoke + verify, machmc + baseline diff, export smoke, critical-path smoke, lockdep witnesses and machlint passed."

@@ -6,6 +6,10 @@
 //! cases, so failures reproduce exactly and the value space covered is
 //! still randomized.
 
+use machcore::introspect::{
+    HostReply, HostStatistics, TaskInfo, TaskInfoReply, TraceQueryReply, TraceRecord,
+    VmStatisticsSnapshot,
+};
 use machcore::objport::{TaskReply, TaskRequest};
 use machcore::proto::{HostRequest, KernelToManager, Malformed, ManagerToKernel};
 use machcore::{Kernel, KernelConfig, Task};
@@ -16,9 +20,10 @@ use machpagers::camelot::{TxReply, TxRequest};
 use machpagers::fs::{FsReply, FsRequest};
 use machpagers::netshm::{ShmReply, ShmRequest};
 use machpagers::remote_region::RegionMessage;
+use machsim::export::HistogramData;
 use machsim::{Machine, SplitMix64};
 use machstorage::{BlockDevice, FlatFs, LogRecord, WriteAheadLog};
-use machvm::{PhysicalMemory, VmMap, VmProt};
+use machvm::{FrameCensus, NodeCensus, PhysicalMemory, VmMap, VmProt};
 use std::sync::Arc;
 
 const CASES: u64 = 32;
@@ -511,6 +516,18 @@ impl Fields {
         (0..len).map(|_| char()).collect()
     }
 
+    /// Text made of any bytes: separators, NULs and invalid sequences
+    /// (each replaced by U+FFFD) included.
+    fn text(&mut self) -> String {
+        let len = self.rng.next_below(12) as usize;
+        String::from_utf8_lossy(&bytes(&mut self.rng, len)).into_owned()
+    }
+
+    /// Zero to three values made by `make`.
+    fn list<T>(&mut self, make: fn(&mut Self) -> T) -> Vec<T> {
+        (0..self.rng.next_below(4)).map(|_| make(self)).collect()
+    }
+
     fn payload(&mut self) -> Vec<u8> {
         let len = self.rng.next_below(48) as usize;
         bytes(&mut self.rng, len)
@@ -523,6 +540,86 @@ impl Fields {
     fn maybe_right(&mut self) -> Option<SendRight> {
         self.rng.chance(1, 2).then(|| self.right())
     }
+}
+
+/// Every host port reply, with generated snapshots, and one of each list
+/// empty.
+fn host_replies(f: &mut Fields) -> [HostReply; 5] {
+    let histogram = |f: &mut Fields| HistogramData {
+        name: f.text(),
+        count: f.word(),
+        sum_ns: f.word(),
+        buckets: f.list(|f| (f.word(), f.word())),
+    };
+    let statistics = HostStatistics {
+        host: f.text(),
+        now_ns: f.word(),
+        trace_dropped: f.word(),
+        in_flight: f.word(),
+        counters: f.list(|f| (f.text(), f.word())),
+        histograms: f.list(histogram),
+    };
+    let [total, free, active, inactive, resident, pending, dirty, reserve] =
+        [0; 8].map(|_| f.word());
+    let census = FrameCensus {
+        total,
+        free,
+        active,
+        inactive,
+        resident,
+        pending,
+        dirty,
+        reserve,
+    };
+    let node = |f: &mut Fields| NodeCensus {
+        node: f.word(),
+        total: f.word(),
+        free: f.word(),
+        resident: f.word(),
+        replicas: f.word(),
+    };
+    let vm = VmStatisticsSnapshot {
+        host: f.text(),
+        now_ns: f.word(),
+        census,
+        pages_stolen: f.word(),
+        bytes_copied: f.word(),
+        nodes: f.list(node),
+    };
+    let task = |f: &mut Fields| TaskInfo {
+        name: f.text(),
+        regions: f.word(),
+        virtual_bytes: f.word(),
+        resident_pages: f.word(),
+    };
+    let record = |f: &mut Fields| TraceRecord {
+        seq: f.word(),
+        ts_ns: f.word(),
+        correlation: f.word(),
+        host: f.text(),
+        actor: f.text(),
+        kind: f.text(),
+    };
+    [
+        HostReply::Statistics(statistics),
+        HostReply::VmStatistics(vm),
+        HostReply::TaskInfo(TaskInfoReply {
+            host: f.text(),
+            tasks: f.list(task),
+        }),
+        HostReply::TraceQuery(TraceQueryReply {
+            dropped: f.word(),
+            records: f.list(record),
+        }),
+        HostReply::Statistics(HostStatistics {
+            host: String::new(),
+            now_ns: 0,
+            trace_dropped: 0,
+            in_flight: 0,
+            counters: vec![],
+            histograms: vec![],
+        }),
+    ]
 }
 
 /// `decode(encode(m))` is `m`: the same variant with the same fields, its
@@ -612,6 +709,7 @@ fn protocol_messages_round_trip() {
             KernelToManager::DataUnlock(f.word(), f.word(), f.word(), f.prot(), f.right()),
             KernelToManager::Create(f.word(), f.maybe_right()),
             KernelToManager::Terminate(f.word()),
+            KernelToManager::PortDeath(f.word()),
         ];
         for m in k2m {
             round_trip(
@@ -629,6 +727,7 @@ fn protocol_messages_round_trip() {
             ManagerToKernel::Cache(f.word(), f.rng.chance(1, 2)),
             ManagerToKernel::DataUnavailable(f.word(), f.word(), f.word()),
             ManagerToKernel::SetCluster(f.word(), f.word()),
+            ManagerToKernel::PortDeath(f.word()),
         ];
         for m in m2k {
             round_trip(
@@ -646,6 +745,9 @@ fn protocol_messages_round_trip() {
         ];
         for m in host {
             round_trip(m, HostRequest::encode, HostRequest::decode, |_| None);
+        }
+        for m in host_replies(&mut f) {
+            round_trip(m, HostReply::encode, HostReply::decode, |_| None);
         }
         let task = [
             TaskRequest::Suspend,
@@ -802,7 +904,8 @@ fn random_message(rng: &mut SplitMix64, id: u32, right: &SendRight) -> Message {
 /// No decoder panics on what any sender may put on its port: 10 000
 /// random messages, each with an id from one of the protocols (0x2306,
 /// unassigned, is inside Table 3-6's range) and random items, go to every
-/// decoder.
+/// decoder. Then every host reply, with each of its words in turn made a
+/// huge list count, goes to the host reply decoder.
 #[test]
 fn protocol_decoders_never_panic() {
     let ids: Vec<u32> = (0x2200..=0x2205)
@@ -813,7 +916,7 @@ fn protocol_decoders_never_panic() {
         .chain((0x4701..=0x4706).chain([0x4780, 0x4781, 0x4782]))
         .chain((0x4901..=0x4903).chain([0x4980, 0x4981]))
         .chain((0x4B01..=0x4B02).chain(0x4B80..=0x4B82))
-        .chain([0x4601, 0x4680, 0x4A01, 0x4A02])
+        .chain([0x4601, 0x4680, 0x4A01, 0x4A02, machipc::MSG_ID_PORT_DEATH])
         .collect();
     let (_port, right) = ReceiveRight::allocate(&Machine::default_machine());
     let mut rng = SplitMix64::new(0xDEC0DE);
@@ -826,6 +929,7 @@ fn protocol_decoders_never_panic() {
             KernelToManager::decode(msg()).is_ok(),
             ManagerToKernel::decode(msg()).is_ok(),
             HostRequest::decode(msg()).is_ok(),
+            HostReply::decode(msg()).is_ok(),
             TaskRequest::decode(msg()).is_ok(),
             TaskReply::decode(msg()).is_ok(),
             FsRequest::decode(msg()).is_ok(),
@@ -847,4 +951,21 @@ fn protocol_decoders_never_panic() {
     // Some random bodies do fit their id: the decoders were exercised
     // past their id check.
     assert!(decoded > 100, "only {decoded} random messages decoded");
+    let huge = [u64::MAX, 1 << 61, 1 << 32, 1 << 20];
+    for case in 0..CASES {
+        for reply in host_replies(&mut Fields::new(0xB16 + case)) {
+            let msg = reply.encode();
+            let names: Vec<&[u8]> = msg.body.iter().filter_map(MsgItem::as_bytes).collect();
+            let words = msg.body.iter().find_map(MsgItem::as_u64s);
+            let words = words.expect("every reply has words");
+            for (i, count) in huge.iter().cycle().take(words.len()).enumerate() {
+                let mut words = words.clone();
+                words[i] = *count;
+                let mut huge_count = Message::new(msg.id);
+                huge_count.body = names.iter().map(|name| MsgItem::bytes(*name)).collect();
+                huge_count.body.push(MsgItem::u64s(&words));
+                let _ = HostReply::decode(huge_count);
+            }
+        }
+    }
 }
